@@ -264,9 +264,7 @@ func fleetSweep(benchtime string) []Result {
 			fillDet(states[i], rng)
 		}
 		cfg := func(i int) bdq.AgentConfig {
-			// Select-only sweep: a tiny replay buffer keeps the S=144
-			// fleet from paying a gigabyte of untouched transition slots.
-			return bdq.AgentConfig{Spec: spec, BatchSize: 8, ReplayCapacity: 256, Seed: int64(1 + i)}
+			return bdq.AgentConfig{Spec: spec, BatchSize: 8, Seed: int64(1 + i)}
 		}
 
 		solo := make([]*bdq.Agent, S)

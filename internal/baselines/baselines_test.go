@@ -295,6 +295,46 @@ func TestPartiesRevertOnViolation(t *testing.T) {
 	}
 }
 
+// A core migrated between services (empty pool, DVFS already at the
+// top) must go back to the donor *from the recipient* when the donor
+// then violates. Reverting only the donor's side left sum(alloc) above
+// the managed cores and assignment() sliced past them.
+func TestPartiesRevertsMigrationSymmetrically(t *testing.T) {
+	cfg := DefaultPartiesConfig()
+	cfg.PeriodS = 1
+	p := NewParties(cfg, cores18(), 2)
+	allocated := func() int { return p.alloc[0] + p.alloc[1] }
+
+	// Service 1 at the edge, service 0 idle, nothing free to grow into:
+	// one core migrates 0 → 1.
+	p.Decide(obs(1, 9.6))
+	if !p.last.migrated || p.last.svc != 0 || p.last.to != 1 || p.alloc[0] != 8 || p.alloc[1] != 10 {
+		t.Fatalf("expected a 0→1 core migration, got last %+v alloc %v", p.last, p.alloc)
+	}
+	// The donor now violates: the migration is undone on both sides.
+	asg := p.Decide(obs(50, 9.6))
+	if p.alloc[0] != 9 || p.alloc[1] != 9 {
+		t.Fatalf("revert left alloc %v, want [9 9]", p.alloc)
+	}
+	if n := len(asg.PerService[0].Cores) + len(asg.PerService[1].Cores); n != 18 {
+		t.Fatalf("assignment hands out %d cores", n)
+	}
+	if p.blocked[0][resCores] <= p.step {
+		t.Fatal("the donor's cores must be barred from reclaiming after the revert")
+	}
+
+	// Whatever the observations, the allocation never exceeds the
+	// managed cores (Decide panics in assignment() if it does).
+	seq := [][2]float64{{1, 9.6}, {50, 9.6}, {1, 50}, {50, 1}, {9.7, 1}, {1, 1}, {50, 50}, {1, 9.9}, {11, 9.9}}
+	for i := 0; i < 400; i++ {
+		o := seq[(i*7+i/3)%len(seq)]
+		p.Decide(obs(o[0], o[1]))
+		if allocated() > 18 {
+			t.Fatalf("step %d: %d cores allocated of 18 (alloc %v)", i, allocated(), p.alloc)
+		}
+	}
+}
+
 // resourceValue helps the revert test read the adjusted knob.
 func (p *Parties) resourceValue(svc int, res partiesResource) int {
 	if res == resCores {

@@ -44,6 +44,10 @@ type partiesAction struct {
 	svc      int
 	resource partiesResource
 	delta    int // applied change (negative = reclaim)
+	// migrated marks a core moved straight from svc to service to
+	// rather than into the free pool; a revert must take it back.
+	migrated bool
+	to       int
 }
 
 // Parties is the incremental resource controller of Chen et al.
@@ -113,6 +117,9 @@ func (p *Parties) adjust(obs ctrl.Observation) {
 		s := obs.Services[p.last.svc]
 		if !s.QoSMet() {
 			p.apply(p.last.svc, p.last.resource, -p.last.delta)
+			if p.last.migrated {
+				p.alloc[p.last.to]--
+			}
 			p.nextRes[p.last.svc] = (p.last.resource + 1) % numResources
 			// Bar this resource from reclaiming for a while so the
 			// controller does not immediately re-probe the violation.
@@ -155,7 +162,7 @@ func (p *Parties) adjust(obs ctrl.Observation) {
 			p.alloc[best]--
 			p.alloc[worst]++
 			p.decisions++
-			p.last = partiesAction{valid: true, svc: best, resource: resCores, delta: -1}
+			p.last = partiesAction{valid: true, svc: best, resource: resCores, delta: -1, migrated: true, to: worst}
 		}
 		return
 	}

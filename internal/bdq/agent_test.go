@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/replay"
@@ -257,5 +258,41 @@ func TestBranchingVsFlatMemory(t *testing.T) {
 	// Twig-S claim: under 5 MB for D=3, N=30.
 	if b.MemoryBytes() > 5<<20 {
 		t.Fatalf("BDQ memory %d B exceeds 5 MB", b.MemoryBytes())
+	}
+}
+
+// A learner's memory follows its experience, not its replay capacity:
+// at the paper's default of 10⁶ slots a new agent, and the same agent
+// after the 1 350 transitions a fleet replica gathers in the benchmark,
+// has allocated less than a megabyte in total. Before the ring grew on
+// demand and the sum-tree was paged a new PER agent cost 115 MB.
+func TestNewAgentFootprint(t *testing.T) {
+	for _, usePER := range []bool{true, false} {
+		cfg := testAgentConfig(1)
+		cfg.UsePER = usePER
+		cfg.WarmupSteps = 1 << 30 // store only: training allocates workspaces of its own
+		tr := replay.Transition{
+			State:     []float64{0, 0, 0, 0},
+			Actions:   []int{1, 0, 2, 1},
+			Rewards:   []float64{0, 0},
+			NextState: []float64{0, 0, 0, 0},
+		}
+		var start, built, filled runtime.MemStats
+		runtime.ReadMemStats(&start)
+		a := NewAgent(cfg)
+		runtime.ReadMemStats(&built)
+		for i := 0; i < 1350; i++ {
+			a.Observe(tr)
+		}
+		runtime.ReadMemStats(&filled)
+		const limit = 1 << 20
+		if got := built.TotalAlloc - start.TotalAlloc; got > limit {
+			t.Errorf("UsePER=%v: NewAgent at capacity %d allocated %d bytes, want < %d",
+				usePER, a.cfg.ReplayCapacity, got, limit)
+		}
+		if got := filled.TotalAlloc - start.TotalAlloc; got > limit {
+			t.Errorf("UsePER=%v: agent with %d transitions allocated %d bytes in total, want < %d",
+				usePER, a.ReplayLen(), got, limit)
+		}
 	}
 }

@@ -59,15 +59,18 @@ func Renamed(c Checkpointable, name string) Checkpointable {
 }
 
 // Marshal encodes the components into one checkpoint container, one
-// section per component in order.
+// section per component in order. Every component encodes in place into
+// the one output buffer; the bytes are those of EncodeFile over the
+// separately encoded payloads.
 func Marshal(comps ...Checkpointable) []byte {
-	secs := make([]Section, 0, len(comps))
+	e := NewEncoder()
+	e.beginFile(Version, len(comps))
 	for _, c := range comps {
-		e := NewEncoder()
+		start := e.beginSection(c.CheckpointName())
 		c.EncodeState(e)
-		secs = append(secs, Section{Name: c.CheckpointName(), Payload: e.Bytes()})
+		e.endSection(start)
 	}
-	return EncodeFile(Version, secs)
+	return e.endFile()
 }
 
 // Verify checks the container framing — magic, version, section frames

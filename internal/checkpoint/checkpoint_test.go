@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -98,6 +99,42 @@ func TestUnmarshalMissingSection(t *testing.T) {
 	err := Unmarshal(data, &fakeComp{name: "other"})
 	if err == nil || !strings.Contains(err.Error(), `"other"`) {
 		t.Fatalf("want missing-section error naming the section, got %v", err)
+	}
+}
+
+// emptyComp is a component with no state: its section has no payload.
+type emptyComp struct{ name string }
+
+func (c emptyComp) CheckpointName() string     { return c.name }
+func (c emptyComp) EncodeState(*Encoder)       {}
+func (c emptyComp) DecodeState(*Decoder) error { return nil }
+
+// Marshal encodes every section in place into one buffer; the bytes
+// must be those EncodeFile frames from separately encoded payloads,
+// with an empty section first, between and last.
+func TestMarshalMatchesEncodeFile(t *testing.T) {
+	a, b := testComp("a"), testComp("node3-agent")
+	b.fs = make([]float64, 5000) // grows the buffer past several doublings
+	for _, comps := range [][]Checkpointable{
+		{},
+		{emptyComp{"empty"}},
+		{a},
+		{a, emptyComp{"empty"}, b},
+		{emptyComp{"first"}, a, b, emptyComp{""}},
+	} {
+		var secs []Section
+		for _, c := range comps {
+			e := NewEncoder()
+			c.EncodeState(e)
+			secs = append(secs, Section{Name: c.CheckpointName(), Payload: e.Bytes()})
+		}
+		got, want := Marshal(comps...), EncodeFile(Version, secs)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d sections: Marshal wrote %d bytes that differ from EncodeFile's %d", len(comps), len(got), len(want))
+		}
+		if err := Unmarshal(got, comps...); err != nil {
+			t.Fatalf("%d sections: %v", len(comps), err)
+		}
 	}
 }
 

@@ -36,20 +36,43 @@ type Section struct {
 //	trailer:   crc32c u32 over every preceding byte
 func EncodeFile(version uint32, sections []Section) []byte {
 	e := NewEncoder()
+	e.beginFile(version, len(sections))
+	for _, s := range sections {
+		start := e.beginSection(s.Name)
+		e.buf = append(e.buf, s.Payload...)
+		e.endSection(start)
+	}
+	return e.endFile()
+}
+
+// beginFile writes the container header for a file of count sections.
+func (e *Encoder) beginFile(version uint32, count int) {
 	e.buf = append(e.buf, Magic...)
 	e.U32(version)
-	e.U32(uint32(len(sections)))
-	for _, s := range sections {
-		if len(s.Name) > math.MaxUint16 {
-			panic(fmt.Sprintf("checkpoint: section name %d bytes", len(s.Name)))
-		}
-		var n [2]byte
-		binary.LittleEndian.PutUint16(n[:], uint16(len(s.Name)))
-		e.buf = append(e.buf, n[:]...)
-		e.buf = append(e.buf, s.Name...)
-		e.U64(uint64(len(s.Payload)))
-		e.buf = append(e.buf, s.Payload...)
+	e.U32(uint32(count))
+}
+
+// beginSection writes a section's name and a payloadLen still to be
+// filled in, and returns where the payload starts. The caller encodes
+// the payload straight into e and then calls endSection.
+func (e *Encoder) beginSection(name string) (start int) {
+	if len(name) > math.MaxUint16 {
+		panic(fmt.Sprintf("checkpoint: section name %d bytes", len(name)))
 	}
+	e.buf = binary.LittleEndian.AppendUint16(e.buf, uint16(len(name)))
+	e.buf = append(e.buf, name...)
+	e.U64(0)
+	return len(e.buf)
+}
+
+// endSection back-patches the payloadLen of the section whose payload
+// started at start.
+func (e *Encoder) endSection(start int) {
+	binary.LittleEndian.PutUint64(e.buf[start-8:], uint64(len(e.buf)-start))
+}
+
+// endFile appends the CRC trailer and returns the finished container.
+func (e *Encoder) endFile() []byte {
 	e.U32(crc32.Checksum(e.buf, castagnoli))
 	return e.buf
 }

@@ -158,14 +158,17 @@ func FigScen(sc Scale, seed int64) FigScenResult {
 	return figScen(sc, seed, scenario.Names())
 }
 
-func figScen(sc Scale, seed int64, names []string) FigScenResult {
-	res := FigScenResult{Scale: sc.Name, Scenarios: names}
-	type cellSpec struct {
-		w       scenario.World
-		manager string
-		seed    int64
-	}
-	var cells []cellSpec
+// scenCellSpec names one cell of the sweep: a world, the manager driving
+// it and the cell's own seed.
+type scenCellSpec struct {
+	w       scenario.World
+	manager string
+	seed    int64
+}
+
+// figScenCells enumerates the sweep's cells in rendering order.
+func figScenCells(seed int64, names []string) []scenCellSpec {
+	var cells []scenCellSpec
 	for _, name := range names {
 		worlds, err := scenario.MustNamed(name).Worlds(seed)
 		if err != nil {
@@ -173,13 +176,19 @@ func figScen(sc Scale, seed int64, names []string) FigScenResult {
 		}
 		for _, w := range worlds {
 			for mi, mgr := range figScenManagers {
-				cells = append(cells, cellSpec{
+				cells = append(cells, scenCellSpec{
 					w: w, manager: mgr,
 					seed: seed + int64(w.NodeIndex)*10007 + int64(mi)*97,
 				})
 			}
 		}
 	}
+	return cells
+}
+
+func figScen(sc Scale, seed int64, names []string) FigScenResult {
+	res := FigScenResult{Scale: sc.Name, Scenarios: names}
+	cells := figScenCells(seed, names)
 	res.Cells = make([]ScenCell, len(cells))
 	forEachCell(len(cells), func(i int) {
 		res.Cells[i] = ScenCellRun(sc, cells[i].seed, cells[i].w, cells[i].manager)

@@ -43,6 +43,32 @@ func TestFigScenDeterministic(t *testing.T) {
 	}
 }
 
+// PARTIES used to over-allocate when it reverted a core migration and
+// panic in assignment(); Run hid that behind the last valid assignment.
+// Every PARTIES cell of `figscen -short` must decide every interval
+// itself. The cells run on to 1 200 intervals here: the panics are
+// counted over the whole run, the first 200 intervals are the short
+// cell's own, and the bug first showed between t = 200 and t = 1 200 in
+// four of the eight worlds.
+func TestFigScenShortPartiesNeverPanics(t *testing.T) {
+	sc := ShortScale()
+	sc.LearnS = 1150
+	ran := 0
+	for _, c := range figScenCells(7, scenario.Names()) {
+		if c.manager != "parties" {
+			continue
+		}
+		cell := ScenCellRun(sc, c.seed, c.w, c.manager)
+		if cell.DecidePanics != 0 || cell.StepErrors != 0 {
+			t.Errorf("%s: loop saved %d panics / %d rejected assignments", c.w.Name, cell.DecidePanics, cell.StepErrors)
+		}
+		ran++
+	}
+	if ran == 0 {
+		t.Fatal("the sweep has no PARTIES cells")
+	}
+}
+
 func TestScenQoSTargetIsSLO(t *testing.T) {
 	ws, err := scenario.MustNamed("cloud-edge").Worlds(7)
 	if err != nil {

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 )
@@ -65,6 +66,18 @@ func decodeTransition(d *checkpoint.Decoder) Transition {
 	}
 }
 
+// decodeTransitions replaces the contents of ring with n decoded
+// transitions, releasing what it held. The caller has bounded n by the
+// payload.
+func decodeTransitions(d *checkpoint.Decoder, ring []Transition, n int) []Transition {
+	clear(ring)
+	ring = slices.Grow(ring[:0], n)
+	for i := 0; i < n; i++ {
+		ring = append(ring, decodeTransition(d))
+	}
+	return ring
+}
+
 // transitionMinBytes is the smallest encoding of one transition (four
 // empty slices plus the Done byte); it bounds count fields on decode.
 const transitionMinBytes = 4*4 + 1
@@ -73,7 +86,7 @@ const transitionMinBytes = 4*4 + 1
 // a fingerprint: restoring into a buffer of different capacity would
 // scramble ring arithmetic.
 func (u *Uniform) EncodeState(e *checkpoint.Encoder) {
-	e.Int(cap(u.data))
+	e.Int(u.capacity)
 	e.Int(len(u.data))
 	for _, t := range u.data {
 		encodeTransition(e, t)
@@ -83,23 +96,21 @@ func (u *Uniform) EncodeState(e *checkpoint.Encoder) {
 }
 
 // DecodeState restores state written by EncodeState into a buffer
-// constructed with the same capacity.
+// constructed with the same capacity, allocating for the stored
+// transitions only.
 func (u *Uniform) DecodeState(d *checkpoint.Decoder) error {
 	capacity := d.Int()
 	n := d.Int()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if capacity != cap(u.data) {
-		return fmt.Errorf("replay: checkpoint capacity %d, live uniform buffer %d", capacity, cap(u.data))
+	if capacity != u.capacity {
+		return fmt.Errorf("replay: checkpoint capacity %d, live uniform buffer %d", capacity, u.capacity)
 	}
 	if n < 0 || n > capacity || n*transitionMinBytes > d.Remaining() {
 		return fmt.Errorf("replay: stored count %d out of range", n)
 	}
-	u.data = u.data[:0]
-	for i := 0; i < n; i++ {
-		u.data = append(u.data, decodeTransition(d))
-	}
+	u.data = decodeTransitions(d, u.data, n)
 	u.next = d.Int()
 	u.full = d.Bool()
 	if err := d.Err(); err != nil {
@@ -119,31 +130,26 @@ func (u *Uniform) DecodeState(d *checkpoint.Decoder) error {
 // directly, so bit-identical resumed draws need the exact bits.
 func (p *Prioritized) EncodeState(e *checkpoint.Encoder) {
 	e.Int(p.capacity)
-	e.Int(p.size)
-	for i := 0; i < p.size; i++ {
-		encodeTransition(e, p.data[i])
+	e.Int(len(p.data))
+	for _, t := range p.data {
+		encodeTransition(e, t)
 	}
 	e.Int(p.next)
 	e.F64(p.maxPrio)
 	e.Int(p.samples)
 
 	nonzero := 0
-	for _, v := range p.tree.nodes {
-		if v != 0 {
-			nonzero++
-		}
-	}
+	p.tree.forEachNonzero(func(int, float64) { nonzero++ })
 	e.Int(nonzero)
-	for i, v := range p.tree.nodes {
-		if v != 0 {
-			e.Int(i)
-			e.F64(v)
-		}
-	}
+	p.tree.forEachNonzero(func(idx int, v float64) {
+		e.Int(idx)
+		e.F64(v)
+	})
 }
 
 // DecodeState restores state written by EncodeState into a buffer
-// constructed with the same capacity.
+// constructed with the same capacity, allocating for the stored
+// transitions and the sum-tree pages their nodes touch only.
 func (p *Prioritized) DecodeState(d *checkpoint.Decoder) error {
 	capacity := d.Int()
 	size := d.Int()
@@ -156,13 +162,7 @@ func (p *Prioritized) DecodeState(d *checkpoint.Decoder) error {
 	if size < 0 || size > capacity || size*transitionMinBytes > d.Remaining() {
 		return fmt.Errorf("replay: stored count %d out of range", size)
 	}
-	for i := range p.data {
-		p.data[i] = Transition{}
-	}
-	for i := 0; i < size; i++ {
-		p.data[i] = decodeTransition(d)
-	}
-	p.size = size
+	p.data = decodeTransitions(d, p.data, size)
 	p.next = d.Int()
 	p.maxPrio = d.F64()
 	p.samples = d.Int()
@@ -172,6 +172,10 @@ func (p *Prioritized) DecodeState(d *checkpoint.Decoder) error {
 	}
 	if p.next < 0 || p.next >= capacity {
 		return fmt.Errorf("replay: ring cursor %d out of range [0,%d)", p.next, capacity)
+	}
+	// Until the ring wraps the cursor is the count; Add relies on it.
+	if size < capacity && p.next != size {
+		return fmt.Errorf("replay: ring cursor %d with %d of %d slots filled cannot occur in a live buffer", p.next, size, capacity)
 	}
 	// maxPrio starts at 1 and only ever grows through ordered
 	// comparisons, so anything below 1 (including NaN) cannot be live
@@ -183,13 +187,11 @@ func (p *Prioritized) DecodeState(d *checkpoint.Decoder) error {
 	if p.samples < 0 {
 		return fmt.Errorf("replay: negative sample count %d", p.samples)
 	}
-	numNodes := len(p.tree.nodes)
+	numNodes := p.tree.numNodes()
 	if nonzero < 0 || nonzero > numNodes || nonzero*16 > d.Remaining() {
 		return fmt.Errorf("replay: sum-tree node count %d out of range", nonzero)
 	}
-	for i := range p.tree.nodes {
-		p.tree.nodes[i] = 0
-	}
+	clear(p.tree.pages) // every node reads as zero again
 	for i := 0; i < nonzero; i++ {
 		idx := d.Int()
 		val := d.F64()
@@ -205,7 +207,7 @@ func (p *Prioritized) DecodeState(d *checkpoint.Decoder) error {
 		if val < 0 {
 			return fmt.Errorf("replay: sum-tree node %d value %v must be non-negative", idx, val)
 		}
-		p.tree.nodes[idx] = val
+		*p.tree.ref(idx) = val
 	}
 	return d.Err()
 }

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -91,12 +92,12 @@ func TestPrioritizedRoundTrip(t *testing.T) {
 	if got, want := restored.tree.total(), orig.tree.total(); got != want {
 		t.Fatalf("tree total %v != %v", got, want)
 	}
-	for i := range orig.tree.nodes {
-		if restored.tree.nodes[i] != orig.tree.nodes[i] {
-			t.Fatalf("tree node %d: %v != %v", i, restored.tree.nodes[i], orig.tree.nodes[i])
+	for i := 0; i < orig.tree.numNodes(); i++ {
+		if restored.tree.node(i) != orig.tree.node(i) {
+			t.Fatalf("tree node %d: %v != %v", i, restored.tree.node(i), orig.tree.node(i))
 		}
 	}
-	for i := 0; i < orig.size; i++ {
+	for i := 0; i < orig.Len(); i++ {
 		if restored.tree.get(i) != orig.tree.get(i) {
 			t.Fatalf("slot %d priority %v != %v", i, restored.tree.get(i), orig.tree.get(i))
 		}
@@ -106,11 +107,11 @@ func TestPrioritizedRoundTrip(t *testing.T) {
 		t.Fatalf("β-anneal position: samples %d/β %v, want %d/%v",
 			restored.samples, restored.beta(), orig.samples, orig.beta())
 	}
-	if restored.maxPrio != orig.maxPrio || restored.next != orig.next || restored.size != orig.size {
+	if restored.maxPrio != orig.maxPrio || restored.next != orig.next || restored.Len() != orig.Len() {
 		t.Fatalf("cursors: maxPrio %v next %d size %d, want %v %d %d",
-			restored.maxPrio, restored.next, restored.size, orig.maxPrio, orig.next, orig.size)
+			restored.maxPrio, restored.next, restored.Len(), orig.maxPrio, orig.next, orig.Len())
 	}
-	for i := 0; i < orig.size; i++ {
+	for i := 0; i < orig.Len(); i++ {
 		if !sameTransition(restored.data[i], orig.data[i]) {
 			t.Fatalf("transition %d differs after round-trip", i)
 		}
@@ -195,5 +196,150 @@ func TestDecodeCapacityMismatch(t *testing.T) {
 	other := NewPrioritized(32, 0.6, 0.4, 10)
 	if err := other.DecodeState(checkpoint.NewDecoder(e.Bytes())); err == nil {
 		t.Fatal("capacity mismatch accepted")
+	}
+}
+
+// perFields is a Prioritized payload field by field, so a test can
+// write states no live buffer produces.
+type perFields struct {
+	capacity, count int
+	transitions     int // how many are actually written
+	next            int
+	maxPrio         float64
+	samples         int
+	nonzero         int
+	nodes           []perNode
+	cut             int // bytes dropped from the end
+}
+
+type perNode struct {
+	idx int
+	val float64
+}
+
+func (f perFields) encode() []byte {
+	e := checkpoint.NewEncoder()
+	e.Int(f.capacity)
+	e.Int(f.count)
+	for i := 0; i < f.transitions; i++ {
+		encodeTransition(e, tr(float64(i)))
+	}
+	e.Int(f.next)
+	e.F64(f.maxPrio)
+	e.Int(f.samples)
+	e.Int(f.nonzero)
+	for _, n := range f.nodes {
+		e.Int(n.idx)
+		e.F64(n.val)
+	}
+	return e.Bytes()[:len(e.Bytes())-f.cut]
+}
+
+// Every validation branch of Prioritized.DecodeState rejects its input,
+// and the buffer it leaves behind — garbage the caller is told to
+// rebuild — still agrees with itself: Len() counts transitions that
+// exist, within capacity, so Add and Sample neither panic nor read past
+// the ring.
+func TestPrioritizedDecodeErrorPaths(t *testing.T) {
+	const capacity = 8
+	valid := func() perFields {
+		return perFields{capacity: capacity, count: 3, transitions: 3, next: 3, maxPrio: 1, nonzero: 1,
+			nodes: []perNode{{capacity - 1, 1}}}
+	}
+	if err := NewPrioritized(capacity, 0.6, 0.4, 10).DecodeState(checkpoint.NewDecoder(valid().encode())); err != nil {
+		t.Fatalf("the valid payload the cases below are cut from: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*perFields)
+	}{
+		{"truncated header", func(f *perFields) { *f = perFields{capacity: capacity, cut: 40} }},
+		{"capacity mismatch", func(f *perFields) { f.capacity = 16 }},
+		{"negative count", func(f *perFields) { f.count = -1 }},
+		{"count above capacity", func(f *perFields) { f.count = capacity + 1 }},
+		{"count beyond payload", func(f *perFields) { f.capacity, f.count = capacity, capacity; f.transitions = 0; f.nodes = nil }},
+		{"truncated transitions", func(f *perFields) { f.transitions = 2 }},
+		{"truncated scalars", func(f *perFields) { f.nodes = nil; f.cut = 12 }},
+		{"negative cursor", func(f *perFields) { f.next = -1 }},
+		{"cursor at capacity", func(f *perFields) { f.next = capacity }},
+		{"cursor off the count before the ring wraps", func(f *perFields) { f.next = 1 }},
+		{"max priority below one", func(f *perFields) { f.maxPrio = 0.5 }},
+		{"max priority NaN", func(f *perFields) { f.maxPrio = math.NaN() }},
+		{"negative sample count", func(f *perFields) { f.samples = -1 }},
+		{"negative node count", func(f *perFields) { f.nonzero = -1 }},
+		{"node count above the tree", func(f *perFields) { f.nonzero = 2 * capacity }},
+		{"node count beyond payload", func(f *perFields) { f.nonzero = 2 }},
+		{"node index negative", func(f *perFields) { f.nodes[0].idx = -1 }},
+		{"node index past the tree", func(f *perFields) { f.nodes[0].idx = 2*capacity - 1 }},
+		{"negative node value", func(f *perFields) { f.nodes[0].val = -1 }},
+	}
+	for _, c := range cases {
+		f := valid()
+		c.mutate(&f)
+		p := NewPrioritized(capacity, 0.6, 0.4, 10)
+		for i := 0; i < 5; i++ {
+			p.Add(tr(float64(100 + i)))
+		}
+		if err := p.DecodeState(checkpoint.NewDecoder(f.encode())); err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if p.Len() != len(p.data) || p.Len() > capacity {
+			t.Errorf("%s: Len() = %d with %d transitions stored, capacity %d", c.name, p.Len(), len(p.data), capacity)
+		}
+		p.Add(tr(1))
+		b := p.Sample(4, rand.New(rand.NewSource(1)))
+		for _, idx := range b.Indices {
+			if idx < 0 || idx >= p.Len() {
+				t.Errorf("%s: sampled slot %d of %d", c.name, idx, p.Len())
+			}
+		}
+	}
+}
+
+func TestUniformDecodeErrorPaths(t *testing.T) {
+	const capacity = 8
+	encode := func(capacityField, count, transitions, next, cut int) []byte {
+		e := checkpoint.NewEncoder()
+		e.Int(capacityField)
+		e.Int(count)
+		for i := 0; i < transitions; i++ {
+			encodeTransition(e, tr(float64(i)))
+		}
+		e.Int(next)
+		e.Bool(false)
+		return e.Bytes()[:len(e.Bytes())-cut]
+	}
+	if err := NewUniform(capacity).DecodeState(checkpoint.NewDecoder(encode(capacity, 3, 3, 0, 0))); err != nil {
+		t.Fatalf("the valid payload the cases below are cut from: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"truncated header":      encode(capacity, 0, 0, 0, 20),
+		"capacity mismatch":     encode(16, 3, 3, 0, 0),
+		"negative count":        encode(capacity, -1, 0, 0, 0),
+		"count above capacity":  encode(capacity, capacity+1, 3, 0, 0),
+		"count beyond payload":  encode(capacity, capacity, 0, 0, 0),
+		"truncated transitions": encode(capacity, 3, 2, 0, 0),
+		"negative cursor":       encode(capacity, 3, 3, -1, 0),
+		"cursor at capacity":    encode(capacity, 3, 3, capacity, 0),
+		"truncated cursor":      encode(capacity, 3, 3, 0, 5),
+	} {
+		u := NewUniform(capacity)
+		for i := 0; i < 5; i++ {
+			u.Add(tr(float64(100 + i)))
+		}
+		if err := u.DecodeState(checkpoint.NewDecoder(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		if u.Len() > capacity {
+			t.Errorf("%s: Len() = %d, capacity %d", name, u.Len(), capacity)
+		}
+		u.Add(tr(1))
+		for _, idx := range u.Sample(4, rand.New(rand.NewSource(1))).Indices {
+			if idx < 0 || idx >= u.Len() {
+				t.Errorf("%s: sampled slot %d of %d", name, idx, u.Len())
+			}
+		}
 	}
 }

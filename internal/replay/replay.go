@@ -66,32 +66,36 @@ type Buffer interface {
 	// EncodeState and DecodeState checkpoint the buffer contents —
 	// transitions, ring cursors and, for the prioritised buffer, exact
 	// sum-tree node values and the β-anneal position — so resumed
-	// Sample draws are bit-identical. DecodeState expects a buffer
-	// constructed with the same capacity and configuration.
+	// Sample draws are bit-identical. DecodeState rejects state written
+	// at another capacity and counts or cursors no live buffer of this
+	// capacity reaches; it allocates for the stored transitions and the
+	// sum-tree pages they touch, not for the capacity.
 	EncodeState(e *checkpoint.Encoder)
 	DecodeState(d *checkpoint.Decoder) error
 }
 
-// Uniform is a fixed-capacity ring buffer with uniform sampling.
+// Uniform is a fixed-capacity ring buffer with uniform sampling. The
+// ring grows with its contents up to capacity.
 type Uniform struct {
-	data []Transition
-	next int
-	full bool
+	capacity int
+	data     []Transition
+	next     int
+	full     bool
 }
 
 // NewUniform creates a uniform replay buffer with the given capacity.
 func NewUniform(capacity int) *Uniform {
-	return &Uniform{data: make([]Transition, 0, capacity)}
+	return &Uniform{capacity: capacity}
 }
 
 // Add stores t, evicting the oldest transition when full.
 func (u *Uniform) Add(t Transition) {
-	if len(u.data) < cap(u.data) {
+	if len(u.data) < u.capacity {
 		u.data = append(u.data, t)
 		return
 	}
 	u.data[u.next] = t
-	u.next = (u.next + 1) % cap(u.data)
+	u.next = (u.next + 1) % u.capacity
 	u.full = true
 }
 
@@ -134,9 +138,8 @@ type Prioritized struct {
 
 	capacity int
 	tree     *sumTree
-	data     []Transition
+	data     []Transition // ring; grows with its contents up to capacity
 	next     int
-	size     int
 	maxPrio  float64
 	samples  int // Sample() calls, drives β annealing
 }
@@ -151,19 +154,19 @@ func NewPrioritized(capacity int, alpha, beta0 float64, betaAnnealSteps int) *Pr
 		Epsilon:         1e-3,
 		capacity:        capacity,
 		tree:            newSumTree(capacity),
-		data:            make([]Transition, capacity),
 		maxPrio:         1,
 	}
 }
 
 // Add stores t with the maximum priority seen so far.
 func (p *Prioritized) Add(t Transition) {
-	p.data[p.next] = t
+	if len(p.data) < p.capacity { // not wrapped yet: next == len(data)
+		p.data = append(p.data, t)
+	} else {
+		p.data[p.next] = t
+	}
 	p.tree.set(p.next, math.Pow(p.maxPrio, p.Alpha))
 	p.next = (p.next + 1) % p.capacity
-	if p.size < p.capacity {
-		p.size++
-	}
 }
 
 // beta returns the current importance-sampling exponent.
@@ -189,7 +192,8 @@ func (p *Prioritized) Sample(n int, rng *rand.Rand) Batch {
 // SampleInto draws n transitions proportionally to priority into b,
 // reusing b's backing slices when they have capacity.
 func (p *Prioritized) SampleInto(b *Batch, n int, rng *rand.Rand) {
-	if p.size == 0 {
+	size := len(p.data)
+	if size == 0 {
 		panic("replay: sampling from empty buffer")
 	}
 	b.grow(n)
@@ -204,14 +208,14 @@ func (p *Prioritized) SampleInto(b *Batch, n int, rng *rand.Rand) {
 			mass = math.Nextafter(total, 0)
 		}
 		idx := p.tree.find(mass)
-		if idx >= p.size { // unfilled leaf with zero priority; clamp
-			idx = p.size - 1
+		if idx >= size { // unfilled leaf with zero priority; clamp
+			idx = size - 1
 		}
 		prob := p.tree.get(idx) / total
 		if prob <= 0 {
-			prob = 1 / float64(p.size)
+			prob = 1 / float64(size)
 		}
-		w := math.Pow(float64(p.size)*prob, -beta)
+		w := math.Pow(float64(size)*prob, -beta)
 		b.Transitions[i] = p.data[idx]
 		b.Indices[i] = idx
 		b.Weights[i] = w
@@ -238,4 +242,4 @@ func (p *Prioritized) UpdatePriorities(indices []int, tdErrors []float64) {
 }
 
 // Len returns the number of stored transitions.
-func (p *Prioritized) Len() int { return p.size }
+func (p *Prioritized) Len() int { return len(p.data) }

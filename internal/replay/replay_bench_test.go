@@ -1,8 +1,11 @@
 package replay
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"github.com/twig-sched/twig/internal/checkpoint"
 )
 
 func benchTransition(i int) Transition {
@@ -46,3 +49,51 @@ func BenchmarkUniformSample64(b *testing.B) {
 		u.Sample(64, rng)
 	}
 }
+
+// The codec's cost follows the fill, not the capacity: at the paper's
+// 10⁶ slots a buffer holding 10³ transitions encodes and decodes about
+// a hundred times faster than one holding 10⁵. (Scanning the dense tree
+// put a floor of two passes over 2·10⁶ nodes under both.)
+func benchFilled(fill int) (*Prioritized, []byte) {
+	p := NewPrioritized(1_000_000, 0.6, 0.4, 25_000)
+	for i := 0; i < fill; i++ {
+		p.Add(benchTransition(i))
+	}
+	e := checkpoint.NewEncoder()
+	p.EncodeState(e)
+	return p, e.Bytes()
+}
+
+func BenchmarkPrioritizedEncodeState(b *testing.B) {
+	for _, fill := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("fill=%d", fill), func(b *testing.B) {
+			p, data := benchFilled(fill)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := checkpoint.NewEncoder()
+				p.EncodeState(e)
+				benchSink = len(e.Bytes())
+			}
+		})
+	}
+}
+
+func BenchmarkPrioritizedDecodeState(b *testing.B) {
+	for _, fill := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("fill=%d", fill), func(b *testing.B) {
+			p, data := benchFilled(fill)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.DecodeState(checkpoint.NewDecoder(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var benchSink int

@@ -273,3 +273,43 @@ func TestNegativePriorityPanics(t *testing.T) {
 	}()
 	st.set(0, -1)
 }
+
+// pagesInUse counts the sum-tree pages that exist.
+func (t *sumTree) pagesInUse() int {
+	n := 0
+	for _, pg := range t.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// The tree's memory follows the leaves in use: a buffer of the paper's
+// capacity holds no page before the first Add, and each further 512
+// transitions touch one more leaf page, half a page of parents, a
+// quarter of grandparents — two pages in all, on top of the one page
+// per level the first leaf's ancestors take.
+func TestPrioritizedStorageTracksFill(t *testing.T) {
+	const capacity = 1_000_000
+	p := NewPrioritized(capacity, 0.6, 0.4, 0)
+	if got := p.tree.pagesInUse(); got != 0 || cap(p.data) != 0 {
+		t.Fatalf("empty buffer holds %d pages and %d transition slots", got, cap(p.data))
+	}
+	if table := len(p.tree.pages) * 8; table > 32<<10 {
+		t.Fatalf("page table takes %d bytes", table)
+	}
+	const levels = 21 // ⌈log₂(2·10⁶)⌉
+	for fill := 1; fill <= 64*pageSize; fill++ {
+		p.Add(tr(float64(fill)))
+		if fill%pageSize != 0 {
+			continue
+		}
+		if got, limit := p.tree.pagesInUse(), 2*fill/pageSize+levels; got > limit {
+			t.Fatalf("%d transitions hold %d pages, want ≤ %d", fill, got, limit)
+		}
+		if cap(p.data) > 2*fill {
+			t.Fatalf("%d transitions hold %d slots", fill, cap(p.data))
+		}
+	}
+}

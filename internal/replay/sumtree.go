@@ -7,23 +7,68 @@ package replay
 
 import "fmt"
 
+// pageSize is the number of sum-tree nodes per page (4 KB). Node
+// indices are split as unsigned values so the division is a shift and
+// the in-page index needs no bounds check.
+const pageSize = 512
+
 // sumTree is a complete binary tree whose leaves hold priorities and
 // whose internal nodes hold subtree sums, supporting O(log n) updates and
-// prefix-sum sampling.
+// prefix-sum sampling. The 2*capacity-1 nodes are laid out as an implicit
+// heap (leaves start at capacity-1) cut into pages that exist only once
+// written: an absent page is a page of zeros, so every read, sum and
+// descent sees the values a dense array would hold while memory follows
+// the leaves in use, not the capacity.
 type sumTree struct {
 	capacity int
-	nodes    []float64 // 2*capacity-1 nodes; leaves start at capacity-1
+	pages    []*[pageSize]float64
 }
 
 func newSumTree(capacity int) *sumTree {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("replay: sum-tree capacity %d", capacity))
 	}
-	return &sumTree{capacity: capacity, nodes: make([]float64, 2*capacity-1)}
+	numPages := (2*capacity - 1 + pageSize - 1) / pageSize
+	return &sumTree{capacity: capacity, pages: make([]*[pageSize]float64, numPages)}
+}
+
+func (t *sumTree) numNodes() int { return 2*t.capacity - 1 }
+
+// node returns the value of heap node idx.
+func (t *sumTree) node(idx int) float64 {
+	if pg := t.pages[uint(idx)/pageSize]; pg != nil {
+		return pg[uint(idx)%pageSize]
+	}
+	return 0
+}
+
+// ref returns the storage of heap node idx, materialising its page.
+func (t *sumTree) ref(idx int) *float64 {
+	pg := t.pages[uint(idx)/pageSize]
+	if pg == nil {
+		pg = new([pageSize]float64)
+		t.pages[uint(idx)/pageSize] = pg
+	}
+	return &pg[uint(idx)%pageSize]
+}
+
+// forEachNonzero calls fn for every non-zero node in ascending heap
+// index order, visiting only materialised pages.
+func (t *sumTree) forEachNonzero(fn func(idx int, v float64)) {
+	for pi, pg := range t.pages {
+		if pg == nil {
+			continue
+		}
+		for j, v := range pg {
+			if v != 0 {
+				fn(pi*pageSize+j, v)
+			}
+		}
+	}
 }
 
 // total returns the sum of all leaf priorities.
-func (t *sumTree) total() float64 { return t.nodes[0] }
+func (t *sumTree) total() float64 { return t.node(0) }
 
 // set assigns priority p to leaf i and updates ancestor sums.
 func (t *sumTree) set(i int, p float64) {
@@ -31,16 +76,17 @@ func (t *sumTree) set(i int, p float64) {
 		panic("replay: negative priority")
 	}
 	idx := i + t.capacity - 1
-	delta := p - t.nodes[idx]
-	t.nodes[idx] = p
+	leaf := t.ref(idx)
+	delta := p - *leaf
+	*leaf = p
 	for idx > 0 {
 		idx = (idx - 1) / 2
-		t.nodes[idx] += delta
+		*t.ref(idx) += delta
 	}
 }
 
 // get returns the priority of leaf i.
-func (t *sumTree) get(i int) float64 { return t.nodes[i+t.capacity-1] }
+func (t *sumTree) get(i int) float64 { return t.node(i + t.capacity - 1) }
 
 // find returns the leaf index whose cumulative priority interval contains
 // mass, where 0 ≤ mass < total().
@@ -48,10 +94,10 @@ func (t *sumTree) find(mass float64) int {
 	idx := 0
 	for idx < t.capacity-1 {
 		left := 2*idx + 1
-		if mass < t.nodes[left] {
+		if l := t.node(left); mass < l {
 			idx = left
 		} else {
-			mass -= t.nodes[left]
+			mass -= l
 			idx = left + 1
 		}
 	}
