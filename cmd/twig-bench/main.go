@@ -37,11 +37,11 @@ import (
 
 // Result is one benchmark measurement.
 type Result struct {
-	Name        string             `json:"name"`
-	N           int                `json:"n"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
+	Name        string  `json:"name"`
+	N           int     `json:"n"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
 	// Dispatch annotates GEMM results with the path the shape takes
 	// (streaming/tiled), the kernel flavour and the parallel gate.
 	Dispatch string             `json:"dispatch,omitempty"`

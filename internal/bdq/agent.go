@@ -137,8 +137,8 @@ type trainWS struct {
 	batch  replay.Batch
 	states *mat.Matrix
 	next   *mat.Matrix
-	argmax [][][]int     // [K][D][batch] online-net action selections on s′
-	y      [][]float64   // [K][batch] bootstrap targets
+	argmax [][][]int   // [K][D][batch] online-net action selections on s′
+	y      [][]float64 // [K][batch] bootstrap targets
 	gradQ  [][]*mat.Matrix
 	tdErr  []float64
 }

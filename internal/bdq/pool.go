@@ -112,9 +112,9 @@ type stackWS struct {
 	vals   []*mat.Matrix // per value stream: rows×1
 	advHid []*mat.Matrix // per dimension
 	advScr []*mat.Matrix // per dimension: advantage head output scratch
-	out   *Output // stacked Q
-	means []float64
-	pks   []*netPack // per-member pack caches, resolved once per eval
+	out    *Output       // stacked Q
+	means  []float64
+	pks    []*netPack // per-member pack caches, resolved once per eval
 
 	// Layer-group cache: per dense position, the grouped-GEMM operand
 	// list for the member set the cache was built against. Rebuilt only
@@ -138,12 +138,12 @@ type stackWS struct {
 // hiddens because the TD targets keep reading the eval workspace
 // (ws.out) while the loss consumes the train-mode Q.
 type trainStack struct {
-	q     *Output          // train-mode stacked Q
-	gradQ [][]*mat.Matrix  // [K][D] rows×Dims[d] loss gradient
-	z     *mat.Matrix      // trunk output feeding the streams (set per forward)
+	q     *Output         // train-mode stacked Q
+	gradQ [][]*mat.Matrix // [K][D] rows×Dims[d] loss gradient
+	z     *mat.Matrix     // trunk output feeding the streams (set per forward)
 
-	drop []*mat.Matrix // per trunk layer: post-dropout activations
-	mask []*mat.Matrix // per trunk layer: inverted-dropout masks
+	drop   []*mat.Matrix // per trunk layer: post-dropout activations
+	mask   []*mat.Matrix // per trunk layer: inverted-dropout masks
 	valHid []*mat.Matrix // per value stream: rows×BranchHidden hidden
 
 	sharedGrad *mat.Matrix   // rows×repr gradient entering the trunk

@@ -129,12 +129,12 @@ func (c Config) faultsArmed() bool { return c.Faults != nil && !c.Faults.IsZero(
 // entry is one registered service: its lifecycle plus everything needed
 // to rebuild its spec and load pattern deterministically after a crash.
 type entry struct {
-	lc       *Lifecycle
-	name     string
-	load     float64
-	pattern  string
-	qosMs    float64
-	seed     int64
+	lc         *Lifecycle
+	name       string
+	load       float64
+	pattern    string
+	qosMs      float64
+	seed       int64
 	pat        loadgen.Pattern
 	inSim      bool   // currently hosted by the simulator
 	remove     bool   // deregister once terminal

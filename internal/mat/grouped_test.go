@@ -111,12 +111,12 @@ func TestMulGroupedBiasActMatchesPerAgent(t *testing.T) {
 func TestMulGroupedBackwardMatchesPerAgent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cases := []struct{ groups, rowsPer, k, n int }{
-		{8, 8, 22, 512},  // fleet minibatch: rows = batch per member
+		{8, 8, 22, 512},   // fleet minibatch: rows = batch per member
 		{3, 64, 512, 256}, // wide bands, trunk second layer
-		{4, 8, 128, 18},  // head gradients, ragged n
-		{2, 3, 16, 9},    // bands below the pack gate
-		{2, 4, 0, 9},     // degenerate depth
-		{3, 2, 9, 0},     // degenerate width
+		{4, 8, 128, 18},   // head gradients, ragged n
+		{2, 3, 16, 9},     // bands below the pack gate
+		{2, 4, 0, 9},      // degenerate depth
+		{3, 2, 9, 0},      // degenerate width
 	}
 	for _, tc := range cases {
 		rows := tc.groups * tc.rowsPer

@@ -141,7 +141,7 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, skip, accumulate 
 						w = nr
 					}
 					for r := 0; r < zr; r++ {
-						storeTile(dst.Row(i+r)[j0:j0+w], accZ[r*nr:], accumulate, bias, act, j0)
+						storeTile(dst.Row(i + r)[j0:j0+w], accZ[r*nr:], accumulate, bias, act, j0)
 					}
 				}
 			}
@@ -170,9 +170,9 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, skip, accumulate 
 					w = nr
 				}
 				storeTile(dst.Row(i)[j0:j0+w], acc[0:], accumulate, bias, act, j0)
-				storeTile(dst.Row(i+1)[j0:j0+w], acc[nr:], accumulate, bias, act, j0)
-				storeTile(dst.Row(i+2)[j0:j0+w], acc[2*nr:], accumulate, bias, act, j0)
-				storeTile(dst.Row(i+3)[j0:j0+w], acc[3*nr:], accumulate, bias, act, j0)
+				storeTile(dst.Row(i + 1)[j0:j0+w], acc[nr:], accumulate, bias, act, j0)
+				storeTile(dst.Row(i + 2)[j0:j0+w], acc[2*nr:], accumulate, bias, act, j0)
+				storeTile(dst.Row(i + 3)[j0:j0+w], acc[3*nr:], accumulate, bias, act, j0)
 			}
 		}
 	}
@@ -461,9 +461,9 @@ func gemmTransAPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, accumulate 
 					w = nr
 				}
 				storeTile(dst.Row(i)[j0:j0+w], acc[0:], accumulate, nil, ActIdentity, j0)
-				storeTile(dst.Row(i+1)[j0:j0+w], acc[nr:], accumulate, nil, ActIdentity, j0)
-				storeTile(dst.Row(i+2)[j0:j0+w], acc[2*nr:], accumulate, nil, ActIdentity, j0)
-				storeTile(dst.Row(i+3)[j0:j0+w], acc[3*nr:], accumulate, nil, ActIdentity, j0)
+				storeTile(dst.Row(i + 1)[j0:j0+w], acc[nr:], accumulate, nil, ActIdentity, j0)
+				storeTile(dst.Row(i + 2)[j0:j0+w], acc[2*nr:], accumulate, nil, ActIdentity, j0)
+				storeTile(dst.Row(i + 3)[j0:j0+w], acc[3*nr:], accumulate, nil, ActIdentity, j0)
 			}
 		}
 	}

@@ -162,20 +162,20 @@ func NewServer(cfg Config, specs []ServiceSpec) *Server {
 	mrng := rng.New(cfg.MeasurementSeed + 1)
 	srng := rng.New(cfg.MeasurementSeed + 2)
 	s := &Server{
-		cfg:       cfg,
-		plat:      plat,
-		specs:     specs,
-		interf:    interference.New(cfg.Interference),
-		pow:       power.New(cfg.Power, mrng.Rand),
-		synth:     pmc.NewSynthesizer(srng.Rand, cfg.PMCNoise),
-		powSrc:    mrng.Source(),
-		synthSrc:  srng.Source(),
-		maxima:    pmc.CalibrationMaxima(cfg.Platform.CoresPerSocket, maxFreqOf(cfg)),
-		downed:    map[int]bool{},
-		crashPrev: make([]bool, len(specs)),
+		cfg:        cfg,
+		plat:       plat,
+		specs:      specs,
+		interf:     interference.New(cfg.Interference),
+		pow:        power.New(cfg.Power, mrng.Rand),
+		synth:      pmc.NewSynthesizer(srng.Rand, cfg.PMCNoise),
+		powSrc:     mrng.Source(),
+		synthSrc:   srng.Source(),
+		maxima:     pmc.CalibrationMaxima(cfg.Platform.CoresPerSocket, maxFreqOf(cfg)),
+		downed:     map[int]bool{},
+		crashPrev:  make([]bool, len(specs)),
 		warmupLeft: make([]int, len(specs)),
-		lastLat:   make([]ServiceStats, len(specs)),
-		haveLat:   make([]bool, len(specs)),
+		lastLat:    make([]ServiceStats, len(specs)),
+		haveLat:    make([]bool, len(specs)),
 	}
 	for i, spec := range specs {
 		s.insts = append(s.insts, service.NewInstance(spec.Profile, cfg.Platform.CoresPerSocket, spec.Seed+int64(i)))
