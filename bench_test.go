@@ -11,14 +11,20 @@
 package twigbench
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/bdq"
+	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/experiments"
 	"github.com/twig-sched/twig/internal/replay"
+	"github.com/twig-sched/twig/internal/scenario"
 	"github.com/twig-sched/twig/internal/sim"
+	"github.com/twig-sched/twig/internal/sim/interference"
+	"github.com/twig-sched/twig/internal/sim/platform"
 	"github.com/twig-sched/twig/internal/sim/pmc"
+	"github.com/twig-sched/twig/internal/sim/power"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
@@ -81,13 +87,35 @@ func BenchmarkTable3OverheadGradientDescent(b *testing.B) {
 }
 
 // BenchmarkTable3OverheadMonitorAndMapper measures PMC smoothing and the
-// mapper call (Table III rows 2–3).
+// mapper call (Table III rows 2–3) on a colocated pair: the world is
+// built and stepped once, outside the timed loops, so the monitor smooths
+// counters a simulated interval produced.
 func BenchmarkTable3OverheadMonitorAndMapper(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table3(2)
-		b.ReportMetric(float64(r.PMCGather.Nanoseconds()), "monitor-ns")
-		b.ReportMetric(float64(r.Mapping.Nanoseconds()), "mapper-ns")
+	srv, asg, loads := colocatedPair()
+	cores := srv.ManagedCores()
+	var res sim.StepResult
+	for i := 0; i < 5; i++ {
+		res = srv.MustStep(asg, loads)
 	}
+	samples := make([]pmc.Sample, len(res.Services))
+	for i, sv := range res.Services {
+		samples[i] = sv.NormPMCs
+	}
+	b.Run("monitor", func(b *testing.B) {
+		monitor := core.NewMonitor(len(samples), 5)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			monitor.Observe(samples)
+		}
+	})
+	b.Run("mapper", func(b *testing.B) {
+		mapper := core.NewMapper(cores)
+		reqs := []core.Request{{Cores: 7, FreqGHz: 1.6}, {Cores: 9, FreqGHz: 1.8}}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mapper.Map(reqs)
+		}
+	})
 }
 
 // BenchmarkAgentObserve measures the steady-state cost of one control
@@ -323,9 +351,14 @@ func BenchmarkAblationTargetMode(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorStep isolates the simulator's per-interval cost for
-// a colocated pair under a static assignment.
-func BenchmarkSimulatorStep(b *testing.B) {
+// simWarmSteps is how many intervals the simulator benches run before
+// the timer starts: the server's step storage has reached its size by
+// then, so one timed iteration (-benchtime 1x) reads a warm step.
+const simWarmSteps = 50
+
+// colocatedPair is the operating point of the step and Table III benches:
+// masstree and moses at 30 % load, half a socket each at 2.0 GHz.
+func colocatedPair() (*sim.Server, sim.Assignment, []float64) {
 	srv := experiments.NewServer(1, "masstree", "moses")
 	cores := srv.ManagedCores()
 	asg := sim.Assignment{
@@ -336,8 +369,142 @@ func BenchmarkSimulatorStep(b *testing.B) {
 		IdleFreqGHz: 1.2,
 	}
 	loads := []float64{0.3 * service.MustLookup("masstree").MaxLoadRPS, 0.3 * service.MustLookup("moses").MaxLoadRPS}
+	return srv, asg, loads
+}
+
+// BenchmarkSimulatorStep isolates the simulator's per-interval cost for
+// a colocated pair under a static assignment.
+func BenchmarkSimulatorStep(b *testing.B) {
+	srv, asg, loads := colocatedPair()
+	for i := 0; i < simWarmSteps; i++ {
+		srv.MustStep(asg, loads)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.MustStep(asg, loads)
 	}
+}
+
+// BenchmarkSimulatorStepAgenticBurst is the step under assignment churn:
+// the agentic-burst pod (three services on its scenario traces) with a
+// fresh (cores, DVFS) request per service placed by the mapper every
+// interval, as Twig's exploration produces.
+func BenchmarkSimulatorStepAgenticBurst(b *testing.B) {
+	worlds, err := scenario.MustNamed("agentic-burst").Worlds(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := worlds[0]
+	srv := sim.NewServer(w.SimConfig(1), w.ServiceSpecs(1, experiments.QoSTarget))
+	patterns := w.Patterns()
+	mapper := core.NewMapper(srv.ManagedCores())
+	r := rand.New(rand.NewSource(1))
+	reqs := make([]core.Request, len(patterns))
+	loads := make([]float64, len(patterns))
+	step := func(t int) {
+		for i, p := range patterns {
+			reqs[i] = core.Request{
+				Cores:   1 + r.Intn(mapper.NumCores()),
+				FreqGHz: platform.FreqForStep(r.Intn(platform.NumFreqSteps)),
+			}
+			loads[i] = p.RPS(t)
+		}
+		srv.MustStep(mapper.Map(reqs), loads)
+	}
+	for t := 0; t < simWarmSteps; t++ {
+		step(t)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(simWarmSteps + i)
+	}
+}
+
+// The leaves of the simulator step, each at a fixed operating point.
+
+// BenchmarkServiceRunInterval is one service-interval of the queueing
+// model (masstree on a full socket) at three load levels; overload runs
+// against the backlog cap.
+func BenchmarkServiceRunInterval(b *testing.B) {
+	p := service.MustLookup("masstree")
+	shares, freqs := make([]float64, 18), make([]float64, 18)
+	for i := range shares {
+		shares[i], freqs[i] = 1, 2.0
+	}
+	capGHz := p.CapacityGHz(shares, freqs)
+	for _, lv := range []struct {
+		name string
+		frac float64
+	}{{"light", 0.2}, {"near-saturation", 0.95}, {"overload", 1.6}} {
+		b.Run(lv.name, func(b *testing.B) {
+			inst := service.NewInstance(p, 18, 1)
+			for i := 0; i < simWarmSteps; i++ {
+				inst.RunInterval(lv.frac*p.MaxLoadRPS, capGHz, 1.05, 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inst.RunInterval(lv.frac*p.MaxLoadRPS, capGHz, 1.05, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkInterferenceCompute is the contention model for three
+// colocated services and a batch workload, into reused storage.
+func BenchmarkInterferenceCompute(b *testing.B) {
+	model := interference.New(interference.DefaultConfig())
+	var demands []interference.Demand
+	for _, name := range []string{"memcached", "masstree", "xapian"} {
+		p := service.MustLookup(name)
+		demands = append(demands, interference.Demand{
+			BandwidthGBs:     0.5 * p.MaxLoadRPS * p.MeanWork(18) * p.BWPerWork,
+			CacheMB:          p.CacheMB,
+			BWSensitivity:    p.BWSensitivity,
+			CacheSensitivity: p.CacheSensitivity,
+		})
+	}
+	demands = append(demands, interference.Demand{BandwidthGBs: 20, CacheMB: 30, BWSensitivity: 0.5, CacheSensitivity: 0.5})
+	var out []interference.Result
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out = model.ComputeInto(out, demands)
+	}
+}
+
+// BenchmarkPMCSynthesize is one service's counter synthesis and
+// normalisation.
+func BenchmarkPMCSynthesize(b *testing.B) {
+	synth := pmc.NewSynthesizer(rand.New(rand.NewSource(1)), 0.02)
+	maxima := pmc.CalibrationMaxima(18, 2.0)
+	p := service.MustLookup("masstree")
+	rates := pmc.Rates{
+		IPCBase: p.IPCBase, BranchRatio: p.BranchRatio, BranchMissRate: p.BranchMissRate,
+		MemAccessRate: p.MemAccessRate, L1DRate: p.L1DRate, L1IRate: p.L1IRate, UopFactor: p.UopFactor,
+	}
+	gt := pmc.GroundTruth{BusyCoreSeconds: 3.5, AvgFreqGHz: 1.6, WorkDone: 5, Inflation: 1.05, LLCMissFactor: 1.1}
+	var sink pmc.Sample
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = pmc.Normalize(synth.Synthesize(gt, rates), maxima)
+	}
+	_ = sink
+}
+
+// BenchmarkSocketPower is the true and the RAPL-read socket power of an
+// 18-core socket in mixed states.
+func BenchmarkSocketPower(b *testing.B) {
+	pow := power.New(power.DefaultConfig(), rand.New(rand.NewSource(1)))
+	states := make([]power.CoreState, 18)
+	for c := range states {
+		states[c] = power.CoreState{Online: true, FreqGHz: 1.2 + 0.1*float64(c%9), Utilization: float64(c%4) / 4, Owned: c%3 != 0}
+	}
+	var sink float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = pow.SocketPower(states) + pow.ReadRAPL(states)
+	}
+	_ = sink
 }

@@ -683,9 +683,15 @@ func (c *Coordinator) stepWorlds(t int) float64 {
 		if !n.alive || n.fenced || n.srv == nil {
 			continue
 		}
-		loads := make([]float64, len(n.replicas))
+		// n.loads is the node loop's own buffer (sim.Server.Step copies
+		// what it needs), remade when the node's replica set changes.
+		if len(n.loads) != len(n.replicas) {
+			n.loads = make([]float64, len(n.replicas))
+		}
+		loads := n.loads
 		for i, id := range n.replicas {
 			r := c.replicas[id]
+			loads[i] = 0
 			if r.State == Running {
 				loads[i] = r.Spec.LoadFrac * service.MustLookup(r.Spec.Service).MaxLoadRPS
 			}

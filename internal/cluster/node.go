@@ -55,6 +55,7 @@ type node struct {
 	tracker    *ctrl.ObservationTracker
 	obs        ctrl.Observation
 	lastValid  sim.Assignment
+	loads      []float64 // offered load per hosted replica, refilled every interval
 
 	// snapshot is the latest warm in-memory checkpoint of the node's
 	// world and controller stack, the source for warm failover;

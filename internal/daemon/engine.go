@@ -181,7 +181,8 @@ type Engine struct {
 	tracker    *ctrl.ObservationTracker
 	obs        ctrl.Observation
 	lastValid  sim.Assignment
-	next       int // first interval still to execute
+	loads      []float64 // offered load per live service, refilled every Step
+	next       int       // first interval still to execute
 
 	reloadReq bool
 	lastRes   sim.StepResult
@@ -581,8 +582,14 @@ func (e *Engine) Step() (sim.StepResult, error) {
 	}
 
 	live := e.liveEntries()
-	loads := make([]float64, len(live))
+	// e.loads is the loop's own buffer (sim.Server.Step copies what it
+	// needs), remade when the membership changes.
+	if len(e.loads) != len(live) {
+		e.loads = make([]float64, len(live))
+	}
+	loads := e.loads
 	for i, en := range live {
+		loads[i] = 0
 		if en.lc.State() == Running {
 			loads[i] = en.pat.RPS(t)
 		}

@@ -126,13 +126,13 @@ func Run(cfg RunConfig) Summary {
 		prevAsg = *cfg.LastValid
 	}
 
+	loads := make([]float64, k) // Step copies what it needs; refilled every interval
 	for t := cfg.StartSecond; t < cfg.Seconds; t++ {
 		asg, panicked := safeDecide(cfg.Controller, obs)
 		if panicked {
 			sum.DecidePanics++
 			asg = lastValid
 		}
-		loads := make([]float64, k)
 		for i, p := range cfg.Patterns {
 			loads[i] = p.RPS(t)
 		}

@@ -5,6 +5,8 @@
 // higher tail latency at the same allocation.
 package interference
 
+import "slices"
+
 // Config describes the shared resources of one socket.
 type Config struct {
 	// BandwidthGBs is the socket memory-bandwidth capacity.
@@ -83,11 +85,16 @@ func (m *Model) Config() Config { return m.cfg }
 // a proportional share and suffers inflation on the deficit, scaled by
 // its cache sensitivity. The same pressure raises its LLC miss rate.
 func (m *Model) Compute(demands []Demand) []Result {
-	out := make([]Result, len(demands))
-	var totalBW, totalCache float64
+	return m.ComputeInto(nil, demands)
+}
+
+// ComputeInto is Compute writing into dst's storage (grown when it is
+// too small) so a caller stepping every interval does not allocate.
+func (m *Model) ComputeInto(dst []Result, demands []Demand) []Result {
+	out := slices.Grow(dst[:0], len(demands))[:len(demands)]
+	var totalBW float64
 	for _, d := range demands {
 		totalBW += d.BandwidthGBs
-		totalCache += d.CacheMB
 	}
 
 	// Bandwidth pressure ∈ [0, ∞): 0 below the knee.

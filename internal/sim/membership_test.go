@@ -1,21 +1,18 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
+	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/sim/faults"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 func membershipServer(t *testing.T, names ...string) *Server {
 	t.Helper()
-	specs := make([]ServiceSpec, len(names))
-	for i, n := range names {
-		specs[i] = ServiceSpec{Profile: service.MustLookup(n), QoSTargetMs: 5, Seed: int64(i + 1)}
-	}
-	cfg := DefaultConfig()
-	return NewServer(cfg, specs)
+	return newTestServer(names...)
 }
 
 // Admitting a service mid-run must not disturb the state of the ones
@@ -125,5 +122,52 @@ func TestMembershipChangeRejectedUnderFaults(t *testing.T) {
 	}
 	if err := srv.RemoveService(0); !errors.Is(err, ErrFaultsArmed) {
 		t.Fatalf("RemoveService under faults: err = %v, want ErrFaultsArmed", err)
+	}
+}
+
+// Step's working storage is sized by the membership of the moment. After
+// step → add → step → remove → step, the server must carry on exactly as
+// a server built with the final membership and restored from its state
+// does — nothing of the departed service, and nothing sized for three,
+// may reach a result.
+func TestMembershipChangesResizeStepStorage(t *testing.T) {
+	srv := membershipServer(t, "masstree", "xapian")
+	for i := 0; i < 5; i++ {
+		srv.MustStep(splitAlloc(srv, i, 2), loadsFor(srv, 0.4))
+	}
+	if err := srv.AddService(ServiceSpec{Profile: service.MustLookup("moses"), QoSTargetMs: 9, Seed: 77}); err != nil {
+		t.Fatalf("AddService: %v", err)
+	}
+	for i := 5; i < 10; i++ {
+		if res := srv.MustStep(splitAlloc(srv, i, 0), loadsFor(srv, 0.4)); len(res.Services) != 3 {
+			t.Fatalf("step reports %d services after the add, want 3", len(res.Services))
+		}
+	}
+	if err := srv.RemoveService(0); err != nil {
+		t.Fatalf("RemoveService: %v", err)
+	}
+	srv.MustStep(splitAlloc(srv, 10, 4), loadsFor(srv, 0.4))
+
+	fresh := NewServer(DefaultConfig(), []ServiceSpec{srv.Spec(0), srv.Spec(1)})
+	if err := fresh.DecodeState(checkpoint.NewDecoder(serverBytes(srv))); err != nil {
+		t.Fatalf("restore into a server built with the final membership: %v", err)
+	}
+	for i := 11; i < 30; i++ {
+		if i == 20 {
+			// Growing again reuses the slot the removal vacated.
+			for _, s := range []*Server{srv, fresh} {
+				if err := s.AddService(ServiceSpec{Profile: service.MustLookup("img-dnn"), QoSTargetMs: 9, Seed: 5}); err != nil {
+					t.Fatalf("AddService: %v", err)
+				}
+			}
+		}
+		got := srv.MustStep(splitAlloc(srv, i, i%5), loadsFor(srv, 0.5))
+		want := fresh.MustStep(splitAlloc(fresh, i, i%5), loadsFor(fresh, 0.5))
+		if !bytes.Equal(resultBytes(got), resultBytes(want)) {
+			t.Fatalf("interval %d: server that changed membership diverged from one built with it", i)
+		}
+		if !bytes.Equal(serverBytes(srv), serverBytes(fresh)) {
+			t.Fatalf("interval %d: server that changed membership encodes differently", i)
+		}
 	}
 }

@@ -138,7 +138,9 @@ type Core struct {
 	// Online is false when the core is hot-unplugged.
 	Online bool
 	// Owners lists the services currently affined to this core; more
-	// than one owner means the core is time-shared.
+	// than one owner means the core is time-shared. In a copy handed out
+	// by Core or Cores it aliases the platform's storage: read it before
+	// the next ClearAffinity or Assign.
 	Owners []int
 }
 
@@ -236,10 +238,11 @@ func (p *Platform) RemapOwners(f func(service int) (newIndex int, keep bool)) {
 	}
 }
 
-// ClearAffinity removes all service→core assignments.
+// ClearAffinity removes all service→core assignments. The owner lists
+// keep their storage for the next Assign.
 func (p *Platform) ClearAffinity() {
 	for i := range p.cores {
-		p.cores[i].Owners = nil
+		p.cores[i].Owners = p.cores[i].Owners[:0]
 	}
 }
 
@@ -261,15 +264,20 @@ func (p *Platform) Assign(service, coreID int) error {
 
 // ServiceCores returns the cores a service is affined to.
 func (p *Platform) ServiceCores(service int) []int {
-	var out []int
-	for _, c := range p.cores {
-		for _, o := range c.Owners {
+	return p.AppendServiceCores(nil, service)
+}
+
+// AppendServiceCores appends the cores a service is affined to, in core
+// order, to dst.
+func (p *Platform) AppendServiceCores(dst []int, service int) []int {
+	for i := range p.cores {
+		for _, o := range p.cores[i].Owners {
 			if o == service {
-				out = append(out, c.ID)
+				dst = append(dst, p.cores[i].ID)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // ShareOf returns the time share a service receives on a core

@@ -11,9 +11,11 @@
 package service
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/rng"
@@ -144,8 +146,16 @@ type Instance struct {
 	now     float64
 
 	// window holds the per-interval sojourn samples (seconds) backing
-	// the trailing-window latency percentiles.
+	// the trailing-window latency percentiles, oldest interval first.
+	// Every run is sorted ascending; windowTail relies on it.
 	window [][]float64
+
+	// Storage reused across intervals: this interval's arrivals, the
+	// queue buffer pending swaps with, and the run that last fell out of
+	// the window. None of it is state; EncodeState ignores it.
+	arrivals []Request
+	requeue  []Request
+	spare    []float64
 
 	// maxBacklog bounds the pending queue during deep saturation.
 	maxBacklog int
@@ -207,7 +217,7 @@ func (s *Instance) RunInterval(rateRPS, capacity, inflation, dt float64) Interva
 	st := IntervalStats{CapacityGHz: capacity, InflationApplied: inflation}
 
 	// Generate Poisson arrivals within [start, end).
-	var arrivals []Request
+	arrivals := s.arrivals[:0]
 	if rateRPS > 0 {
 		t := start
 		for {
@@ -218,32 +228,13 @@ func (s *Instance) RunInterval(rateRPS, capacity, inflation, dt float64) Interva
 			arrivals = append(arrivals, Request{Arrival: t, Work: s.drawWork() * inflation})
 		}
 	}
+	s.arrivals = arrivals
 	st.Arrivals = len(arrivals)
 
-	// The backlog requests arrived earlier; process FIFO by arrival.
-	queue := s.pending
-	s.pending = nil
-
-	var sojourns []float64
-	free := start // when the fluid server is next free
-	ai := 0
-	pop := func() (Request, bool) {
-		if len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
-			return r, true
-		}
-		if ai < len(arrivals) {
-			r := arrivals[ai]
-			ai++
-			return r, true
-		}
-		return Request{}, false
-	}
-
 	if capacity <= 0 {
-		// No capacity: everything queues.
-		s.pending = append(queue, arrivals[ai:]...)
+		// No capacity: everything queues. (P95Ms stays 0 on this path;
+		// the trajectory digests hold that value, see DESIGN.md §5l.)
+		s.pending = append(s.pending, arrivals...)
 		st.QueueLen = len(s.pending)
 		s.now = end
 		if len(s.pending) > 0 {
@@ -255,10 +246,19 @@ func (s *Instance) RunInterval(rateRPS, capacity, inflation, dt float64) Interva
 		return st
 	}
 
-	for {
-		r, ok := pop()
-		if !ok {
-			break
+	// The backlog requests arrived earlier; process FIFO by arrival, the
+	// backlog first. What cannot finish goes to the other queue buffer.
+	queue := s.pending
+	s.pending = s.requeue[:0]
+	sojourns := s.spare[:0]
+	s.spare = nil
+	free := start // when the fluid server is next free
+	for i, n := 0, len(queue)+len(arrivals); i < n; i++ {
+		var r Request
+		if i < len(queue) {
+			r = queue[i]
+		} else {
+			r = arrivals[i-len(queue)]
 		}
 		begin := free
 		if r.Arrival > begin {
@@ -287,39 +287,35 @@ func (s *Instance) RunInterval(rateRPS, capacity, inflation, dt float64) Interva
 		s.pending = append(s.pending, r)
 		free = end
 	}
+	s.requeue = queue[:0]
 
 	s.now = end
 	st.QueueLen = len(s.pending)
 	s.capBacklog(&st)
 
-	// Push this interval's samples into the trailing window.
-	s.window = append(s.window, sojourns)
-	if len(s.window) > LatencyWindowIntervals {
-		s.window = s.window[1:]
-	}
-	var windowed []float64
-	for _, w := range s.window {
-		windowed = append(windowed, w...)
+	// Push this interval's samples, sorted, into the trailing window; the
+	// run that falls out lends its storage to the next interval.
+	slices.Sort(sojourns)
+	if len(s.window) == LatencyWindowIntervals {
+		s.spare = s.window[0]
+		copy(s.window, s.window[1:])
+		s.window[len(s.window)-1] = sojourns
+	} else {
+		s.window = append(s.window, sojourns)
 	}
 
-	if len(sojourns) > 0 {
-		st.MaxMs = sojourns[len(sojourns)-1] * 1000 // sorted below first
-	}
-	if len(windowed) > 0 {
-		sort.Float64s(windowed)
-		st.P99Ms = quantileSorted(windowed, 0.99) * 1000
-		st.P95Ms = quantileSorted(windowed, 0.95) * 1000
-	}
-	if len(sojourns) > 0 {
-		sort.Float64s(sojourns)
-		st.MaxMs = sojourns[len(sojourns)-1] * 1000
+	if n := len(sojourns); n > 0 {
+		st.MaxMs = sojourns[n-1] * 1000
 		var sum float64
 		for _, v := range sojourns {
 			sum += v
 		}
-		st.MeanMs = sum / float64(len(sojourns)) * 1000
+		st.MeanMs = sum / float64(n) * 1000
 	}
-	if len(windowed) == 0 && len(s.pending) > 0 {
+	if p99, p95, ok := s.windowTail(); ok {
+		st.P99Ms = p99 * 1000
+		st.P95Ms = p95 * 1000
+	} else if len(s.pending) > 0 {
 		// Nothing completed recently: report the age of the oldest
 		// queued request as the latency proxy the log-file would show.
 		age := (end - s.pending[0].Arrival) * 1000
@@ -328,13 +324,70 @@ func (s *Instance) RunInterval(rateRPS, capacity, inflation, dt float64) Interva
 	return st
 }
 
+// windowTail returns the 0.99 and 0.95 quantiles of the union of the
+// window's runs (ok is false when it holds no sample), linearly
+// interpolated between the order statistics at ⌊q·(N−1)⌋ and the next
+// one. Every run is sorted, so those order statistics are reached by
+// walking down from the largest elements of the runs — the values a sort
+// of the concatenation would put at those ranks, in O(0.05·N). The walk
+// orders floats as slices.Sort does (cmp.Less: NaN below every number).
+func (s *Instance) windowTail() (p99, p95 float64, ok bool) {
+	var left [LatencyWindowIntervals]int // unconsumed prefix of each run
+	n := 0
+	for i, w := range s.window {
+		left[i] = len(w)
+		n += len(w)
+	}
+	if n == 0 {
+		return 0, 0, false
+	}
+	rank99 := 0.99 * float64(n-1)
+	rank95 := 0.95 * float64(n-1)
+	lo99, lo95 := int(rank99), int(rank95)
+	// With sorted the sorted union: at is sorted[lo], above sorted[lo+1].
+	var at99, above99, at95, above95 float64
+	for rank := n - 1; rank >= lo95; rank-- {
+		top := -1
+		for i, w := range s.window {
+			if left[i] > 0 && (top < 0 || cmp.Less(s.window[top][left[top]-1], w[left[i]-1])) {
+				top = i
+			}
+		}
+		left[top]--
+		v := s.window[top][left[top]]
+		switch rank {
+		case lo99 + 1:
+			above99 = v
+		case lo99:
+			at99 = v
+		}
+		switch rank {
+		case lo95 + 1:
+			above95 = v
+		case lo95:
+			at95 = v
+		}
+	}
+	return interpolate(at99, above99, rank99-float64(lo99), lo99+1 >= n),
+		interpolate(at95, above95, rank95-float64(lo95), lo95+1 >= n), true
+}
+
+// interpolate blends the order statistic at a quantile's integer rank
+// with the next one; last says the rank is the largest sample's.
+func interpolate(at, above, frac float64, last bool) float64 {
+	if last {
+		return at
+	}
+	return at*(1-frac) + above*frac
+}
+
 // ResetWindow clears the trailing latency window (used with ResetQueue).
-func (s *Instance) ResetWindow() { s.window = nil }
+func (s *Instance) ResetWindow() { s.window = s.window[:0] }
 
 func (s *Instance) capBacklog(st *IntervalStats) {
 	if len(s.pending) > s.maxBacklog {
 		st.Dropped = len(s.pending) - s.maxBacklog
-		s.pending = s.pending[st.Dropped:]
+		s.pending = s.pending[:copy(s.pending, s.pending[st.Dropped:])]
 	}
 }
 
@@ -357,6 +410,12 @@ func (s *Instance) EncodeState(e *checkpoint.Encoder) {
 	}
 	s.rng.Source().EncodeState(e)
 }
+
+// errWindowRunUnsorted is returned by DecodeState for a latency-window
+// run that is not ascending. RunInterval stores every run sorted and reads
+// percentiles off the runs' tails, so such a payload was not written by
+// EncodeState.
+var errWindowRunUnsorted = errors.New("latency-window run is not sorted ascending")
 
 // DecodeState restores state written by EncodeState into an instance
 // built from the same profile.
@@ -387,22 +446,13 @@ func (s *Instance) DecodeState(d *checkpoint.Decoder) error {
 	if m < 0 || m > LatencyWindowIntervals {
 		return fmt.Errorf("service: latency window of %d intervals exceeds maximum %d", m, LatencyWindowIntervals)
 	}
-	s.window = nil
+	s.window = s.window[:0]
 	for i := 0; i < m; i++ {
-		s.window = append(s.window, d.F64s())
+		run := d.F64s()
+		if !slices.IsSorted(run) {
+			return fmt.Errorf("service: %w: run %d of %d", errWindowRunUnsorted, i, m)
+		}
+		s.window = append(s.window, run)
 	}
 	return s.rng.Source().DecodeState(d)
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := q * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

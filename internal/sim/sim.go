@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/twig-sched/twig/internal/rng"
 	"github.com/twig-sched/twig/internal/sim/batch"
@@ -151,6 +152,43 @@ type Server struct {
 	warmupLeft  []int  // cold-restart warm-up intervals remaining
 	lastLat     []ServiceStats
 	haveLat     []bool
+
+	// managed is the managed socket's core IDs, fixed at construction.
+	managed []int
+	// scratch is Step's working storage, reused across intervals. It
+	// carries nothing from one step to the next and is not checkpointed.
+	scratch stepScratch
+}
+
+// stepScratch holds what Step computes along the way and no caller
+// sees. Everything a StepResult hands out is allocated per step instead.
+type stepScratch struct {
+	svc        []svcStep
+	demands    []interference.Demand
+	contention []interference.Result
+	batchCores []int
+	coreStates []power.CoreState
+	// util and ownedFreq are indexed by core ID, one entry per core of
+	// the machine: the interval's utilisation, and the highest DVFS state
+	// requested for a core by the assignment being actuated (0: no
+	// service asked for it).
+	util      []float64
+	ownedFreq []float64
+}
+
+// svcStep is one service's slice of a step: the injected faults active
+// on it, its offered load after flash crowds, and the allocation the
+// platform holds for it.
+type svcStep struct {
+	pmcDrop, latDrop, latStale, crashed bool
+	pmcCorrupt                          []faults.Event
+	spike, load                         float64
+
+	cores   []int
+	shares  []float64
+	freqs   []float64
+	cap     float64
+	avgFreq float64
 }
 
 // NewServer builds a simulated server hosting the given services.
@@ -176,12 +214,15 @@ func NewServer(cfg Config, specs []ServiceSpec) *Server {
 		warmupLeft: make([]int, len(specs)),
 		lastLat:    make([]ServiceStats, len(specs)),
 		haveLat:    make([]bool, len(specs)),
+		managed:    plat.SocketCores(cfg.ManagedSocket),
 	}
+	s.scratch.util = make([]float64, plat.NumCores())
+	s.scratch.ownedFreq = make([]float64, plat.NumCores())
 	for i, spec := range specs {
 		s.insts = append(s.insts, service.NewInstance(spec.Profile, cfg.Platform.CoresPerSocket, spec.Seed+int64(i)))
 	}
 	if cfg.Faults != nil && !cfg.Faults.IsZero() {
-		s.inj = faults.NewInjector(*cfg.Faults, cfg.MeasurementSeed+3, len(specs), s.ManagedCores())
+		s.inj = faults.NewInjector(*cfg.Faults, cfg.MeasurementSeed+3, len(specs), s.managed)
 	}
 	return s
 }
@@ -231,7 +272,9 @@ func (s *Server) RemoveService(i int) error {
 	s.lastLat = append(s.lastLat[:i], s.lastLat[i+1:]...)
 	s.haveLat = append(s.haveLat[:i], s.haveLat[i+1:]...)
 	if s.appliedAsg.PerService != nil && i < len(s.appliedAsg.PerService) {
-		s.appliedAsg.PerService = append(s.appliedAsg.PerService[:i], s.appliedAsg.PerService[i+1:]...)
+		// Delete zeroes the vacated slot: recordApplied reuses this
+		// storage, and no two slots may share a Cores array.
+		s.appliedAsg.PerService = slices.Delete(s.appliedAsg.PerService, i, i+1)
 	}
 	s.plat.RemapOwners(func(svc int) (int, bool) {
 		switch {
@@ -250,8 +293,9 @@ func (s *Server) RemoveService(i int) error {
 // managed cores).
 func (s *Server) Platform() *platform.Platform { return s.plat }
 
-// ManagedCores returns the core IDs of the managed socket.
-func (s *Server) ManagedCores() []int { return s.plat.SocketCores(s.cfg.ManagedSocket) }
+// ManagedCores returns the core IDs of the managed socket, in a slice the
+// caller owns (controllers sub-slice it into their allocations).
+func (s *Server) ManagedCores() []int { return slices.Clone(s.managed) }
 
 // NumServices returns the number of hosted services.
 func (s *Server) NumServices() int { return len(s.insts) }
@@ -358,20 +402,25 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 		active = append([]faults.Event(nil), s.inj.Advance()...)
 	}
 	k := len(s.insts)
+	sc := &s.scratch
+	for len(sc.svc) < k {
+		sc.svc = append(sc.svc, svcStep{})
+	}
+	svc := sc.svc[:k]
+	for i := range svc {
+		v := &svc[i]
+		*v = svcStep{
+			pmcCorrupt: v.pmcCorrupt[:0],
+			spike:      1,
+			cores:      v.cores[:0],
+			shares:     v.shares[:0],
+			freqs:      v.freqs[:0],
+		}
+	}
 	var (
 		raplFail, actuationDrop bool
-
-		failedCores = map[int]bool{}
-		pmcDrop     = make([]bool, k)
-		pmcCorrupt  = make([][]faults.Event, k)
-		latDrop     = make([]bool, k)
-		latStale    = make([]bool, k)
-		crashed     = make([]bool, k)
-		spike       = make([]float64, k)
+		failedCores             map[int]bool
 	)
-	for i := range spike {
-		spike[i] = 1
-	}
 	for _, e := range active {
 		switch e.Kind {
 		case faults.RAPLFail:
@@ -379,20 +428,27 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 		case faults.ActuationDrop:
 			actuationDrop = true
 		case faults.CoreFail:
+			if failedCores == nil {
+				failedCores = map[int]bool{}
+			}
 			failedCores[e.Core] = true
 		case faults.PMCDropout:
-			pmcDrop[e.Service] = true
+			svc[e.Service].pmcDrop = true
 		case faults.PMCCorrupt:
-			pmcCorrupt[e.Service] = append(pmcCorrupt[e.Service], e)
+			svc[e.Service].pmcCorrupt = append(svc[e.Service].pmcCorrupt, e)
 		case faults.LatencyDropout:
-			latDrop[e.Service] = true
+			svc[e.Service].latDrop = true
 		case faults.LatencyStale:
-			latStale[e.Service] = true
+			svc[e.Service].latStale = true
 		case faults.ServiceCrash:
-			crashed[e.Service] = true
+			svc[e.Service].crashed = true
 		case faults.LoadSpike:
-			spike[e.Service] *= e.Magnitude
+			svc[e.Service].spike *= e.Magnitude
 		}
+	}
+	// Flash crowds multiply the offered load.
+	for i := range svc {
+		svc[i].load = loads[i] * svc[i].spike
 	}
 
 	// Transient core failures: offline newly failed cores, restore the
@@ -425,60 +481,44 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 		}
 	} else {
 		s.applyAssignment(asg)
-		s.appliedAsg = cloneAssignment(asg)
-		s.haveApplied = true
+		s.recordApplied(asg)
 	}
-
-	// Flash crowds multiply the offered load.
-	effLoads := append([]float64(nil), loads...)
-	for i := range effLoads {
-		effLoads[i] *= spike[i]
-	}
-	loads = effLoads
 
 	// Pre-compute per-service shares, frequencies and capacities.
-	type allocState struct {
-		cores   []int
-		shares  []float64
-		freqs   []float64
-		cap     float64
-		avgFreq float64
-	}
-	states := make([]allocState, len(s.insts))
 	for i, inst := range s.insts {
-		cores := s.plat.ServiceCores(i)
-		st := allocState{cores: cores}
+		st := &svc[i]
+		st.cores = s.plat.AppendServiceCores(st.cores, i)
 		var freqSum float64
-		for _, c := range cores {
+		for _, c := range st.cores {
 			st.shares = append(st.shares, s.plat.ShareOf(i, c))
 			f := s.plat.Core(c).FreqGHz
 			st.freqs = append(st.freqs, f)
 			freqSum += f
 		}
-		if len(cores) > 0 {
-			st.avgFreq = freqSum / float64(len(cores))
+		if len(st.cores) > 0 {
+			st.avgFreq = freqSum / float64(len(st.cores))
 		}
 		st.cap = inst.Profile.CapacityGHz(st.shares, st.freqs)
 		// A freshly restarted service runs at degraded capacity while
 		// caches re-warm and its queue rebuilds.
-		if w := s.warmupLeft[i]; w > 0 && !crashed[i] {
+		if w := s.warmupLeft[i]; w > 0 && !st.crashed {
 			total := s.inj.WarmupS()
 			st.cap *= 1 - 0.7*float64(w)/float64(total+1)
 			s.warmupLeft[i]--
 		}
-		states[i] = st
 	}
 
 	// Interference: offered bandwidth is bounded by what the service
 	// can actually process. A crashed service demands nothing.
-	demands := make([]interference.Demand, len(s.insts))
+	demands := slices.Grow(sc.demands[:0], k)[:k]
+	clear(demands)
 	for i, inst := range s.insts {
-		if crashed[i] {
+		if svc[i].crashed {
 			continue
 		}
-		offered := loads[i] * inst.MeanWork()
-		if offered > states[i].cap {
-			offered = states[i].cap
+		offered := svc[i].load * inst.MeanWork()
+		if offered > svc[i].cap {
+			offered = svc[i].cap
 		}
 		reservedMB := 0.0
 		if w := eff.PerService[i].CacheWays; w > 0 {
@@ -494,10 +534,10 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 	}
 	// The batch workload occupies every online managed core with no LC
 	// owner and adds its own pressure on the shared resources.
-	var batchCores []int
+	batchCores := sc.batchCores[:0]
 	var batchCap float64
 	if s.cfg.Batch != nil {
-		for _, id := range s.ManagedCores() {
+		for _, id := range s.managed {
 			c := s.plat.Core(id)
 			if c.Online && len(c.Owners) == 0 {
 				batchCores = append(batchCores, id)
@@ -511,13 +551,17 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 			CacheSensitivity: s.cfg.Batch.Sensitivity,
 		})
 	}
-	contention := s.interf.Compute(demands)
+	sc.demands, sc.batchCores = demands, batchCores
+	sc.contention = s.interf.ComputeInto(sc.contention, demands)
+	contention := sc.contention
 
 	// Run the queueing models and gather per-core utilisation.
-	util := make(map[int]float64)
+	util := sc.util
+	clear(util)
 	res := StepResult{Time: s.clock, Services: make([]ServiceStats, len(s.insts)), Faults: active}
 	for i, inst := range s.insts {
-		if crashed[i] {
+		st := &svc[i]
+		if st.crashed {
 			// The process is down: in-flight requests are lost on the
 			// crash edge, arrivals are rejected, the log emits nothing.
 			if !s.crashPrev[i] {
@@ -528,16 +572,16 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 			res.Services[i] = ServiceStats{
 				IntervalStats: service.IntervalStats{
 					P99Ms: nan, P95Ms: nan, MeanMs: nan, MaxMs: nan,
-					Dropped: int(loads[i]),
+					Dropped: int(st.load),
 				},
 				QoSTargetMs: s.specs[i].QoSTargetMs,
-				NumCores:    len(states[i].cores),
-				FreqGHz:     states[i].avgFreq,
-				OfferedRPS:  loads[i],
+				NumCores:    len(st.cores),
+				FreqGHz:     st.avgFreq,
+				OfferedRPS:  st.load,
 			}
 			continue
 		}
-		ist := inst.RunInterval(loads[i], states[i].cap, contention[i].Inflation, 1)
+		ist := inst.RunInterval(st.load, st.cap, contention[i].Inflation, 1)
 		// The inter-tier network tax rides on every request that reached
 		// the log, so it shifts the whole reported latency distribution.
 		// Applied before the stale-scrape bookkeeping: a repeated line is
@@ -550,24 +594,24 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 		}
 		busyFrac := ist.BusySeconds // dt = 1 s
 		var busyCoreSeconds float64
-		for j, c := range states[i].cores {
-			share := states[i].shares[j]
+		for j, c := range st.cores {
+			share := st.shares[j]
 			util[c] += share * busyFrac
 			busyCoreSeconds += share * busyFrac
 		}
 		gt := pmc.GroundTruth{
 			BusyCoreSeconds: busyCoreSeconds,
-			AvgFreqGHz:      states[i].avgFreq,
+			AvgFreqGHz:      st.avgFreq,
 			WorkDone:        ist.WorkDone / ist.InflationApplied,
 			Inflation:       ist.InflationApplied,
 			LLCMissFactor:   contention[i].LLCMissFactor,
 		}
 		sample := s.synth.Synthesize(gt, ratesOf(inst.Profile))
 		// Sensor faults on the counter path.
-		if pmcDrop[i] {
+		if st.pmcDrop {
 			sample = pmc.Sample{}
 		}
-		for _, e := range pmcCorrupt[i] {
+		for _, e := range st.pmcCorrupt {
 			if e.Magnitude == 0 {
 				sample[e.Counter] = math.NaN()
 			} else {
@@ -579,18 +623,18 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 			PMCs:          sample,
 			NormPMCs:      pmc.Normalize(sample, s.maxima),
 			QoSTargetMs:   s.specs[i].QoSTargetMs,
-			NumCores:      len(states[i].cores),
-			FreqGHz:       states[i].avgFreq,
-			OfferedRPS:    loads[i],
+			NumCores:      len(st.cores),
+			FreqGHz:       st.avgFreq,
+			OfferedRPS:    st.load,
 		}
 		// Sensor faults on the log-scrape path: a missing sample reads
 		// NaN, a stale scrape repeats the last reported line.
 		sv := &res.Services[i]
 		switch {
-		case latDrop[i]:
+		case st.latDrop:
 			nan := math.NaN()
 			sv.P99Ms, sv.P95Ms, sv.MeanMs, sv.MaxMs = nan, nan, nan, nan
-		case latStale[i] && s.haveLat[i]:
+		case st.latStale && s.haveLat[i]:
 			last := s.lastLat[i]
 			sv.P99Ms, sv.P95Ms, sv.MeanMs, sv.MaxMs = last.P99Ms, last.P95Ms, last.MeanMs, last.MaxMs
 		}
@@ -603,10 +647,10 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 	// Crash bookkeeping: a service leaving its offline episode restarts
 	// cold and re-warms over the next intervals.
 	for i := range s.insts {
-		if s.crashPrev[i] && !crashed[i] && s.inj != nil {
+		if s.crashPrev[i] && !svc[i].crashed && s.inj != nil {
 			s.warmupLeft[i] = s.inj.WarmupS()
 		}
-		s.crashPrev[i] = crashed[i]
+		s.crashPrev[i] = svc[i].crashed
 	}
 
 	// Batch progress: throughput degrades with its contention inflation.
@@ -620,8 +664,8 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 	}
 
 	// Socket power from per-core states.
-	var coreStates []power.CoreState
-	for _, id := range s.ManagedCores() {
+	coreStates := sc.coreStates[:0]
+	for _, id := range s.managed {
 		c := s.plat.Core(id)
 		coreStates = append(coreStates, power.CoreState{
 			Online:      c.Online,
@@ -630,6 +674,7 @@ func (s *Server) Step(asg Assignment, loads []float64) (StepResult, error) {
 			Owned:       len(c.Owners) > 0 || util[id] > 0,
 		})
 	}
+	sc.coreStates = coreStates
 	res.TruePowerW = s.pow.SocketPower(coreStates)
 	res.PowerW = s.pow.ReadRAPL(coreStates)
 	if raplFail {
@@ -646,8 +691,10 @@ func (s *Server) applyAssignment(asg Assignment) {
 	// Cores requested by several services (time-shared after resource
 	// arbitration) run at the highest requested DVFS state. Writes to
 	// offline (failed or hot-unplugged) cores are lost, as they are on
-	// real hardware.
-	owned := make(map[int]float64)
+	// real hardware. A requested 0 GHz asks for nothing: the core keeps
+	// its setting, or takes the idle one.
+	owned := s.scratch.ownedFreq
+	clear(owned)
 	for svc, alloc := range asg.PerService {
 		for _, c := range alloc.Cores {
 			if !s.plat.Core(c).Online {
@@ -660,28 +707,42 @@ func (s *Server) applyAssignment(asg Assignment) {
 		}
 	}
 	for c, f := range owned {
-		s.plat.SetFreq(c, f)
+		if f > 0 {
+			s.plat.SetFreq(c, f)
+		}
 	}
 	if asg.IdleFreqGHz > 0 {
-		for _, id := range s.ManagedCores() {
-			if _, ok := owned[id]; !ok && s.plat.Core(id).Online {
+		for _, id := range s.managed {
+			if owned[id] == 0 && s.plat.Core(id).Online {
 				s.plat.SetFreq(id, asg.IdleFreqGHz)
 			}
 		}
 	}
 }
 
-func cloneAssignment(asg Assignment) Assignment {
-	out := Assignment{IdleFreqGHz: asg.IdleFreqGHz}
-	out.PerService = make([]Allocation, len(asg.PerService))
+// recordApplied copies the assignment just actuated into appliedAsg's
+// storage — a deep copy, so the caller may reuse or mutate asg — for the
+// next ActuationDrop interval and the checkpoint.
+func (s *Server) recordApplied(asg Assignment) {
+	n := len(asg.PerService)
+	if s.appliedAsg.PerService == nil {
+		// Non-nil even for no services: EncodeAssignment records nil-ness.
+		s.appliedAsg.PerService = make([]Allocation, 0, n)
+	}
+	per := s.appliedAsg.PerService[:cap(s.appliedAsg.PerService)]
+	for len(per) < n {
+		per = append(per, Allocation{})
+	}
+	per = per[:n]
 	for i, a := range asg.PerService {
-		out.PerService[i] = Allocation{
-			Cores:     append([]int(nil), a.Cores...),
+		per[i] = Allocation{
+			Cores:     append(per[i].Cores[:0], a.Cores...),
 			FreqGHz:   a.FreqGHz,
 			CacheWays: a.CacheWays,
 		}
 	}
-	return out
+	s.appliedAsg = Assignment{PerService: per, IdleFreqGHz: asg.IdleFreqGHz}
+	s.haveApplied = true
 }
 
 func ratesOf(p service.Profile) pmc.Rates {

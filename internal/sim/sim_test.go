@@ -10,12 +10,15 @@ import (
 )
 
 func newTestServer(names ...string) *Server {
-	cfg := DefaultConfig()
+	return NewServer(DefaultConfig(), specsFor(names...))
+}
+
+func specsFor(names ...string) []ServiceSpec {
 	specs := make([]ServiceSpec, len(names))
 	for i, n := range names {
 		specs[i] = ServiceSpec{Profile: service.MustLookup(n), QoSTargetMs: 5, Seed: int64(i + 1)}
 	}
-	return NewServer(cfg, specs)
+	return specs
 }
 
 func fullAlloc(s *Server) Assignment {
