@@ -122,6 +122,14 @@ func BenchmarkTable3OverheadMonitorAndMapper(b *testing.B) {
 // interval's learning work — store a transition, sample a minibatch,
 // forward/backward the paper-size network and apply Adam — the loop that
 // must fit inside Twig's one-second budget (Table III row 1).
+//
+// /varied feeds seeded, distinct states, actions and rewards with
+// dropout on, so the minibatch has what node_paper_twigc's has: units
+// dead across the whole batch next to per-element zeros no predictor
+// learns. /constant is the shape the bench had through PR 14 and
+// twig-bench's agent/observe_warm still has — one transition repeated,
+// every row of every minibatch equal — kept so BENCH_PR*.json rows stay
+// comparable; it flatters any kernel that branches on its data.
 func BenchmarkAgentObserve(b *testing.B) {
 	sc := experiments.PaperScale()
 	spec := bdq.Spec{
@@ -132,27 +140,58 @@ func BenchmarkAgentObserve(b *testing.B) {
 		BranchHidden: sc.BranchHidden,
 		Dropout:      sc.Dropout,
 	}
-	agent := bdq.NewAgent(bdq.AgentConfig{
-		Spec:      spec,
-		BatchSize: sc.BatchSize,
-		UsePER:    true,
-		Seed:      1,
+	newAgent := func() *bdq.Agent {
+		return bdq.NewAgent(bdq.AgentConfig{
+			Spec:      spec,
+			BatchSize: sc.BatchSize,
+			UsePER:    true,
+			Seed:      1,
+		})
+	}
+	b.Run("varied", func(b *testing.B) {
+		agent := newAgent()
+		rng := rand.New(rand.NewSource(1))
+		ts := make([]replay.Transition, 256)
+		for i := range ts {
+			t := replay.Transition{
+				State:     make([]float64, spec.StateDim),
+				NextState: make([]float64, spec.StateDim),
+				Actions:   []int{rng.Intn(18), rng.Intn(9), rng.Intn(18), rng.Intn(9)},
+				Rewards:   []float64{rng.NormFloat64(), rng.NormFloat64()},
+			}
+			for j := range t.State {
+				t.State[j] = rng.Float64()
+				t.NextState[j] = rng.Float64()
+			}
+			ts[i] = t
+		}
+		for i := 0; i < 2*sc.BatchSize; i++ {
+			agent.Observe(ts[i%len(ts)])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			agent.Observe(ts[i%len(ts)])
+		}
 	})
-	state := make([]float64, spec.StateDim)
-	next := make([]float64, spec.StateDim)
-	for i := range state {
-		state[i] = 0.3
-		next[i] = 0.31
-	}
-	t := replay.Transition{State: state, Actions: []int{3, 4, 5, 6}, Rewards: []float64{1, 1}, NextState: next}
-	for i := 0; i < 2*sc.BatchSize; i++ {
-		agent.Observe(t)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.Observe(t)
-	}
+	b.Run("constant", func(b *testing.B) {
+		agent := newAgent()
+		state := make([]float64, spec.StateDim)
+		next := make([]float64, spec.StateDim)
+		for i := range state {
+			state[i] = 0.3
+			next[i] = 0.31
+		}
+		t := replay.Transition{State: state, Actions: []int{3, 4, 5, 6}, Rewards: []float64{1, 1}, NextState: next}
+		for i := 0; i < 2*sc.BatchSize; i++ {
+			agent.Observe(t)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			agent.Observe(t)
+		}
+	})
 }
 
 // BenchmarkFig5TwigS regenerates Fig. 5 for one service across the three

@@ -1,8 +1,10 @@
 package bdq
 
 import (
+	"math/rand"
 	"testing"
 
+	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/replay"
 )
 
@@ -46,6 +48,58 @@ func TestAgentObserveZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Agent.Observe allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestTrainStepAllocsWarm is the zero-allocation contract at shapes and
+// data where the GEMM layer has something to compact: tiled products
+// well past the row fan-out's threshold (held serial — the fan-out's
+// goroutines are its own allocations), distinct transitions, dropout on.
+// Every product scans its operand and most walk an index list, all of it
+// in recycled scratch.
+func TestTrainStepAllocsWarm(t *testing.T) {
+	defer mat.SetParallelism(mat.Parallelism())
+	mat.SetParallelism(1)
+	spec := Spec{
+		StateDim:     22,
+		Agents:       2,
+		Dims:         []int{18, 9},
+		SharedHidden: []int{128, 64},
+		BranchHidden: 32,
+		Dropout:      0.5,
+	}
+	a := NewAgent(AgentConfig{Spec: spec, BatchSize: 32, ReplayCapacity: 4096, UsePER: true, Seed: 3})
+	rng := rand.New(rand.NewSource(9))
+	trs := make([]replay.Transition, 96)
+	for i := range trs {
+		tr := replay.Transition{
+			State:     make([]float64, spec.StateDim),
+			NextState: make([]float64, spec.StateDim),
+			Actions:   []int{rng.Intn(18), rng.Intn(9), rng.Intn(18), rng.Intn(9)},
+			Rewards:   []float64{rng.NormFloat64(), rng.NormFloat64()},
+		}
+		for j := range tr.State {
+			tr.State[j], tr.NextState[j] = rng.Float64(), rng.Float64()
+		}
+		trs[i] = tr
+	}
+	for _, tr := range trs {
+		a.Observe(tr)
+	}
+	dead := false
+	for _, l := range a.Online().LiveFractions() {
+		dead = dead || l.Live < l.Width
+	}
+	if !dead {
+		t.Fatal("no layer saw a dead input column: the test exercises no compaction")
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		a.Observe(trs[next%len(trs)])
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Agent.Observe allocates %.1f times per run at fan-out 1, want 0", allocs)
 	}
 }
 

@@ -12,6 +12,7 @@ package bdq
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/nn"
@@ -133,7 +134,9 @@ func NewNetwork(spec Spec, rng *rand.Rand) *Network {
 	var layers []nn.Layer
 	in := spec.StateDim
 	for i, h := range spec.SharedHidden {
-		layers = append(layers, nn.NewDenseReLU(fmt.Sprintf("shared%d", i), in, h, rng))
+		dense := nn.NewDenseReLU(fmt.Sprintf("shared%d", i), in, h, rng)
+		dense.NoInputGrad = i == 0 // the states need no gradient
+		layers = append(layers, dense)
 		if spec.Dropout > 0 {
 			layers = append(layers, nn.NewDropout(spec.Dropout, rng))
 		}
@@ -422,6 +425,31 @@ func (n *Network) Denses() []*nn.Dense {
 	}
 	n.denses = ds
 	return ds
+}
+
+// LayerLive is one dense layer's share of live inputs in the last
+// train-mode minibatch.
+type LayerLive struct {
+	Layer string // "shared1", "adv0.h", "value1.out", …
+	Live  int    // inputs not ±0 in every row of the minibatch
+	Width int    // the layer's input width
+}
+
+// LiveFractions reports, for every dense layer that has seen a
+// train-mode minibatch, how many of its inputs were live in the last
+// one (nn.Dense.LiveInputs), in Denses() order. A dead input is a unit
+// of the layer below that fired for no sample of the batch: a learning-
+// health signal (a third to three quarters of the hidden units at ε ≈ 0.9
+// on the paper network) that costs nothing to keep, because the forward
+// products count it anyway to skip those columns.
+func (n *Network) LiveFractions() []LayerLive {
+	var out []LayerLive
+	for _, d := range n.Denses() {
+		if live, ok := d.LiveInputs(); ok {
+			out = append(out, LayerLive{Layer: strings.TrimSuffix(d.W.Name, ".W"), Live: live, Width: d.In})
+		}
+	}
+	return out
 }
 
 // trunkDenses returns the dense layers of the shared trunk in forward

@@ -851,6 +851,9 @@ func (p *AgentPool) stackedTrainForward(act []*PooledAgent, ws *stackWS, ts *tra
 			a = mat.ActReLU
 		}
 		mat.MulGroupedBiasAct(dst, src, rowsPer, ws.lgGroups[idx], a)
+		for s, m := range act {
+			m.Agent.online.Denses()[idx].NoteLiveInputs(ws.lgGroups[idx][s].Live)
+		}
 	}
 
 	cur := ws.x
@@ -917,21 +920,9 @@ func (p *AgentPool) groupedDenseBackward(act []*PooledAgent, ts *trainStack, idx
 		if fuse {
 			// Dense.Backward's fused sweep: mask by "output > 0" and
 			// build the bias column sums row-major, per member band.
-			for j := range cs {
-				cs[j] = 0
-			}
+			clear(cs)
 			for i := r0; i < r0+n; i++ {
-				grow := g.Row(i)
-				yrow := lastOut.Row(i)
-				mrow := gm.Row(i)
-				for j, v := range grow {
-					if yrow[j] > 0 {
-						mrow[j] = v
-						cs[j] += v
-					} else {
-						mrow[j] = 0
-					}
-				}
+				nn.MaskReLUGrad(gm.Row(i), cs, g.Row(i), lastOut.Row(i))
 			}
 		} else {
 			gb := mat.Matrix{Rows: n, Cols: width, Data: g.Data[r0*width : (r0+n)*width]}

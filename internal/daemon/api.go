@@ -35,6 +35,11 @@ type status struct {
 	Kernel      string `json:"kernel"`
 	CPUFeatures string `json:"cpu_features"`
 	FastMath    bool   `json:"fast_math"`
+	// LiveInputs is, per dense layer of the learner, the share of its
+	// inputs that were non-zero for at least one sample of the last
+	// training minibatch (absent until the learner has trained): how
+	// much of the network is doing anything.
+	LiveInputs map[string]float64 `json:"live_inputs,omitempty"`
 }
 
 type serviceStatus struct {
@@ -57,6 +62,7 @@ func (e *Engine) Status() status {
 		Kernel:      mat.KernelName(),
 		CPUFeatures: mat.CPUFeatures(),
 		FastMath:    mat.FastMath(),
+		LiveInputs:  e.liveInputs(),
 	}
 	if e.haveRes {
 		s.Time = e.lastRes.Time
@@ -167,7 +173,7 @@ func NewMux(e *Engine) *http.ServeMux {
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = w.Write([]byte(e.Metrics().Render()))
+		_, _ = w.Write([]byte(e.RenderMetrics()))
 	})
 
 	mux.HandleFunc("GET /services", func(w http.ResponseWriter, r *http.Request) {

@@ -184,6 +184,49 @@ func TestAPIStatusEncodesNaNSafely(t *testing.T) {
 	}
 }
 
+// TestAPIStatusLiveInputs checks the learning-health by-product of the
+// GEMM column scan: no live_inputs before the learner has trained, and
+// afterwards one share per dense layer — 1 for the first layer, whose
+// inputs are the PMC features, and something in (0, 1] for the rest —
+// with the same numbers on /metrics.
+func TestAPIStatusLiveInputs(t *testing.T) {
+	e := testEngine(t)
+	live := func() map[string]float64 {
+		var s struct {
+			LiveInputs map[string]float64 `json:"live_inputs"`
+		}
+		w := do(t, NewMux(e), "GET", "/status", "")
+		if err := json.Unmarshal(w.Body.Bytes(), &s); err != nil {
+			t.Fatalf("status body: %v", err)
+		}
+		return s.LiveInputs
+	}
+	if got := live(); got != nil {
+		t.Fatalf("live_inputs before any training: %v", got)
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := live()
+	if got["shared0"] != 1 || len(got) < 4 {
+		t.Fatalf("live_inputs after training: %v", got)
+	}
+	scrape := do(t, NewMux(e), "GET", "/metrics", "").Body.String()
+	for layer, share := range got {
+		if !(share > 0 && share <= 1) {
+			t.Errorf("layer %s live share %v", layer, share)
+		}
+		if v := e.Metrics().Get("twigd_layer_live_inputs_ratio", Labels{"layer": layer}); v != share {
+			t.Errorf("layer %s: /metrics has %v, /status %v", layer, v, share)
+		}
+	}
+	if !strings.Contains(scrape, `twigd_layer_live_inputs_ratio{layer="shared0"} 1`) {
+		t.Errorf("scrape lacks the gauge:\n%s", scrape)
+	}
+}
+
 // TestAPIConcurrentAccess hammers every endpoint while the control loop
 // steps; run under -race this is the daemon's thread-safety proof.
 func TestAPIConcurrentAccess(t *testing.T) {

@@ -1,0 +1,62 @@
+package daemon
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/twig-sched/twig/internal/checkpoint"
+)
+
+// TestParentCheckpointResumesHexIdentical restores a checkpoint the
+// commit before the live-column GEMM kernels wrote — the e2e scenario cut
+// at t=40, ten intervals after xapian's admission — and requires the
+// next fifty intervals (through the drain at t=60) to match, in hex
+// floats, the rows that commit's own uninterrupted run produced. The
+// learner trains every interval of it through the tiled products, the
+// vector Adam step and the branch-free epilogues, so a single differing
+// bit anywhere in them moves a decision and shows here.
+//
+// testdata/parent_pr14 holds the checkpoint and the rows; both were
+// written by a throwaway test on the parent commit that ran this
+// scenario with e2eConfig and e2eScript (DESIGN.md §5m).
+func TestParentCheckpointResumesHexIdentical(t *testing.T) {
+	const cut, total = 40, 90
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent_pr14", "ckpt-000000000040.twig"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRaw, err := os.ReadFile(filepath.Join("testdata", "parent_pr14", "rows.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(wantRaw)), "\n")
+
+	store, err := checkpoint.NewStore(t.TempDir(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.Path(cut), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, seq, err := RestoreLatest(e2eConfig(store))
+	if err != nil {
+		t.Fatalf("restoring the parent's checkpoint: %v", err)
+	}
+	if seq != cut || e.Next() != cut {
+		t.Fatalf("restored seq %d, resumes at t=%d, want %d", seq, e.Next(), cut)
+	}
+	got := runScripted(t, e, total, e2eScript())
+	if err := e.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("resumed run produced %d rows, the parent's %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("diverged from the parent's run at t=%d:\n  parent: %s\n  resumed: %s", cut+i, want[i], got[i])
+		}
+	}
+}

@@ -44,12 +44,41 @@ func (e *Engine) describeMetrics() {
 	m.Describe("twigd_checkpoint_write_seconds", "gauge", "Wall-clock cost of the most recent checkpoint write.")
 	m.Describe("twigd_checkpoint_age_seconds", "gauge", "Wall-clock age of the newest durable checkpoint.")
 	m.Describe("twigd_control_interval_seconds", "gauge", "Wall-clock cost of the most recent control interval.")
+	m.Describe("twigd_layer_live_inputs_ratio", "gauge", "Share of a dense layer's inputs that were live (non-zero for at least one sample) in the learner's last training minibatch, per layer; read from the learner at scrape time.")
 	m.Describe("twigd_kernel_info", "gauge", "GEMM dispatch provenance: selected microkernel, detected CPU features and fast-math state (value is always 1).")
 	m.Set("twigd_kernel_info", Labels{
 		"kernel":    mat.KernelName(),
 		"cpu":       mat.CPUFeatures(),
 		"fast_math": fmt.Sprintf("%v", mat.FastMath()),
 	}, 1)
+}
+
+// RenderMetrics is the /metrics body: the registry, after refreshing the
+// gauges that are read from the learner when someone asks rather than
+// every interval (they cost the control loop nothing when unread).
+func (e *Engine) RenderMetrics() string {
+	e.mu.Lock()
+	for layer, ratio := range e.liveInputs() {
+		e.metrics.Set("twigd_layer_live_inputs_ratio", Labels{"layer": layer}, ratio)
+	}
+	e.mu.Unlock()
+	return e.metrics.Render()
+}
+
+// liveInputs reads the learner's per-layer live-input shares (caller
+// holds the engine lock): nil until a controller has trained.
+func (e *Engine) liveInputs() map[string]float64 {
+	if e.mgr == nil {
+		return nil
+	}
+	var out map[string]float64
+	for _, l := range e.mgr.Agent().Online().LiveFractions() {
+		if out == nil {
+			out = map[string]float64{}
+		}
+		out[l.Layer] = float64(l.Live) / float64(l.Width)
+	}
+	return out
 }
 
 var stateNames = func() []string {

@@ -8,8 +8,9 @@ import "os"
 // resume guarantees ride on). SetFastMath(true) swaps in fused
 // multiply-add variants — VFMADD YMM twins of every kernel plus an
 // 8×8 ZMM tile on AVX-512 — that keep the same ascending-k accumulation
-// order and the same ±0 zero-skip, but round each term once instead of
-// twice. Results then differ from the default path in the trailing ulps,
+// order but round each term once instead of twice. The fused tiles have
+// no indexed form, so fast mode makes no column scan and multiplies
+// through dead columns. Results then differ from the default path in the trailing ulps,
 // so fast mode forfeits bit-identical resume and cross-machine
 // reproducibility; checkpoint formats, the default path, and all
 // observable control behaviour at matching weights are unchanged.
@@ -72,6 +73,11 @@ func CPUFeatures() string {
 	}
 	return s
 }
+
+// HaveAVX2 reports whether the AVX2 assembly kernels are in use — the
+// CPU and OS support them and TWIG_DISABLE_AVX2 is unset. Packages with
+// kernels of their own (nn's Adam step) follow the same switch.
+func HaveAVX2() bool { return haveAVX2 }
 
 // fastFMA gates the YMM FMA kernel twins at dispatch sites.
 func fastFMA() bool { return fastMath && haveFMA }

@@ -3,13 +3,15 @@
 package mat
 
 // The AVX2 microkernels compute mr×nr (or 1×nr) destination tiles over
-// the full k depth with one accumulator register chain per 4-lane column
+// the k depth with one accumulator register chain per 4-lane column
 // group. Each term is a VMULPD followed by a VADDPD — two individually
 // rounded operations, never a fused multiply-add — so every lane matches
 // the scalar `acc += av*bv` of the naive kernels bit for bit, in the
-// same ascending-k order. The *s variants skip a-operand zeros (±0 by
-// integer bit test, NaN never skipped), the *n variants accumulate every
-// term like Dot.
+// same ascending-k order. The tiles test nothing per element: kern4x8n
+// walks the whole depth, kern4x8ni the live columns a scan of the a
+// operand listed (live.go). The one-row kernRowPanelsS of batch-1
+// selection steps over a-operand zeros (±0 by integer bit test, NaN
+// never skipped).
 
 // haveAVX2 gates the assembly microkernels; the portable kernRowGo path
 // (bitwise identical) is used when false. Tests flip it to cover both.
@@ -34,43 +36,22 @@ func cpuHasFMA() bool
 func cpuHasAVX512() bool
 
 //go:noescape
-func kern4x8s(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
-
-//go:noescape
 func kern4x8n(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
 
 //go:noescape
-func kern1x8s(k int, a0, panel *float64, acc *[nr]float64)
+func kern4x8ni(n int, idx *int32, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
 
 //go:noescape
-func kern1x8n(k int, a0, panel *float64, acc *[nr]float64)
+func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64)
 
 //go:noescape
 func kernRowPanelsS(k, panels int, a0, panel, acc *float64)
 
 //go:noescape
-func kernRowPanelsN(k, panels int, a0, panel, acc *float64)
-
-//go:noescape
-func kern4x8sF(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
-
-//go:noescape
 func kern4x8nF(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
 
 //go:noescape
-func kern1x8sF(k int, a0, panel *float64, acc *[nr]float64)
-
-//go:noescape
-func kern1x8nF(k int, a0, panel *float64, acc *[nr]float64)
-
-//go:noescape
 func kernRowPanelsSF(k, panels int, a0, panel, acc *float64)
-
-//go:noescape
-func kernRowPanelsNF(k, panels int, a0, panel, acc *float64)
-
-//go:noescape
-func kern8x8sZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64)
 
 //go:noescape
 func kern8x8nZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64)

@@ -7,8 +7,11 @@
 // vectors. Accumulators live in Y4..Y11 (one pair per destination row);
 // each update is VMULPD then VADDPD with the accumulator as the first
 // addend, matching the rounding and NaN-propagation order of the scalar
-// `acc = acc + av*bv`. Zero-skip tests the a element's bits shifted left
-// by one: zero iff the value is ±0, never for NaN.
+// `acc = acc + av*bv`. The 4×8 tiles have no zero test: kern4x8n walks
+// every k step, kern4x8ni the steps an index list names (the live
+// columns of the a operand, see live.go). Only the one-row kernel of
+// batch-1 selection tests its a element — bits shifted left by one, zero
+// iff the value is ±0, never for NaN.
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -33,83 +36,6 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	RET
 novx:
 	MOVB $0, ret+0(FP)
-	RET
-
-// func kern4x8s(k int, a0, a1, a2, a3, panel *float64, acc *[32]float64)
-TEXT ·kern4x8s(SB), NOSPLIT, $0-56
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ panel+40(FP), SI
-	MOVQ acc+48(FP), DI
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	TESTQ CX, CX
-	JZ   done4s
-loop4s:
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	MOVQ (R8), AX
-	ADDQ AX, AX
-	JZ   r1s
-	VBROADCASTSD (R8), Y2
-	VMULPD Y0, Y2, Y3
-	VADDPD Y3, Y4, Y4
-	VMULPD Y1, Y2, Y3
-	VADDPD Y3, Y5, Y5
-r1s:
-	MOVQ (R9), AX
-	ADDQ AX, AX
-	JZ   r2s
-	VBROADCASTSD (R9), Y2
-	VMULPD Y0, Y2, Y3
-	VADDPD Y3, Y6, Y6
-	VMULPD Y1, Y2, Y3
-	VADDPD Y3, Y7, Y7
-r2s:
-	MOVQ (R10), AX
-	ADDQ AX, AX
-	JZ   r3s
-	VBROADCASTSD (R10), Y2
-	VMULPD Y0, Y2, Y3
-	VADDPD Y3, Y8, Y8
-	VMULPD Y1, Y2, Y3
-	VADDPD Y3, Y9, Y9
-r3s:
-	MOVQ (R11), AX
-	ADDQ AX, AX
-	JZ   nexts
-	VBROADCASTSD (R11), Y2
-	VMULPD Y0, Y2, Y3
-	VADDPD Y3, Y10, Y10
-	VMULPD Y1, Y2, Y3
-	VADDPD Y3, Y11, Y11
-nexts:
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop4s
-done4s:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	VMOVUPD Y6, 64(DI)
-	VMOVUPD Y7, 96(DI)
-	VMOVUPD Y8, 128(DI)
-	VMOVUPD Y9, 160(DI)
-	VMOVUPD Y10, 192(DI)
-	VMOVUPD Y11, 224(DI)
-	VZEROUPPER
 	RET
 
 // func kern4x8n(k int, a0, a1, a2, a3, panel *float64, acc *[32]float64)
@@ -173,33 +99,107 @@ done4n:
 	VZEROUPPER
 	RET
 
-// func kern1x8s(k int, a0, panel *float64, acc *[8]float64)
-TEXT ·kern1x8s(SB), NOSPLIT, $0-32
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ panel+16(FP), SI
-	MOVQ acc+24(FP), DI
+// func kern4x8ni(n int, idx *int32, a0, a1, a2, a3, panel *float64, acc *[32]float64)
+//
+// kern4x8n over the n k-steps idx lists (ascending): one index load,
+// then the same VMULPD/VADDPD sequence at panel row idx[t] and a
+// elements a0[idx[t]]..a3[idx[t]].
+TEXT ·kern4x8ni(SB), NOSPLIT, $0-64
+	MOVQ n+0(FP), CX
+	MOVQ idx+8(FP), DX
+	MOVQ a0+16(FP), R8
+	MOVQ a1+24(FP), R9
+	MOVQ a2+32(FP), R10
+	MOVQ a3+40(FP), R11
+	MOVQ panel+48(FP), SI
+	MOVQ acc+56(FP), DI
 	VXORPS Y4, Y4, Y4
 	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
 	TESTQ CX, CX
-	JZ   done1s
-loop1s:
-	MOVQ (R8), AX
-	ADDQ AX, AX
-	JZ   next1s
-	VBROADCASTSD (R8), Y2
-	VMULPD (SI), Y2, Y3
+	JZ   done4ni
+loop4ni:
+	MOVLQSX (DX), AX
+	MOVQ AX, BX
+	SHLQ $6, BX               // panel row: 64 bytes per k step
+	VMOVUPD (SI)(BX*1), Y0
+	VMOVUPD 32(SI)(BX*1), Y1
+	VBROADCASTSD (R8)(AX*8), Y2
+	VMULPD Y0, Y2, Y3
 	VADDPD Y3, Y4, Y4
-	VMULPD 32(SI), Y2, Y3
+	VMULPD Y1, Y2, Y3
 	VADDPD Y3, Y5, Y5
-next1s:
-	ADDQ $8, R8
-	ADDQ $64, SI
+	VBROADCASTSD (R9)(AX*8), Y2
+	VMULPD Y0, Y2, Y3
+	VADDPD Y3, Y6, Y6
+	VMULPD Y1, Y2, Y3
+	VADDPD Y3, Y7, Y7
+	VBROADCASTSD (R10)(AX*8), Y2
+	VMULPD Y0, Y2, Y3
+	VADDPD Y3, Y8, Y8
+	VMULPD Y1, Y2, Y3
+	VADDPD Y3, Y9, Y9
+	VBROADCASTSD (R11)(AX*8), Y2
+	VMULPD Y0, Y2, Y3
+	VADDPD Y3, Y10, Y10
+	VMULPD Y1, Y2, Y3
+	VADDPD Y3, Y11, Y11
+	ADDQ $4, DX
 	DECQ CX
-	JNZ  loop1s
-done1s:
+	JNZ  loop4ni
+done4ni:
 	VMOVUPD Y4, (DI)
 	VMOVUPD Y5, 32(DI)
+	VMOVUPD Y6, 64(DI)
+	VMOVUPD Y7, 96(DI)
+	VMOVUPD Y8, 128(DI)
+	VMOVUPD Y9, 160(DI)
+	VMOVUPD Y10, 192(DI)
+	VMOVUPD Y11, 224(DI)
+	VZEROUPPER
+	RET
+
+// func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64)
+//
+// or[c] |= bits(x0[c]) | bits(x1[c]) | bits(x2[c]) | bits(x3[c]) for c in
+// [0, k): four rows of the column scan behind liveColumns.
+TEXT ·orRows4(SB), NOSPLIT, $0-48
+	MOVQ k+0(FP), CX
+	MOVQ x0+8(FP), R8
+	MOVQ x1+16(FP), R9
+	MOVQ x2+24(FP), R10
+	MOVQ x3+32(FP), R11
+	MOVQ or+40(FP), DI
+	XORQ AX, AX
+	MOVQ CX, BX
+	SHRQ $2, BX
+	JZ   tailor
+loopor:
+	VMOVDQU (R8)(AX*8), Y0
+	VPOR (R9)(AX*8), Y0, Y0
+	VPOR (R10)(AX*8), Y0, Y0
+	VPOR (R11)(AX*8), Y0, Y0
+	VPOR (DI)(AX*8), Y0, Y0
+	VMOVDQU Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	DECQ BX
+	JNZ  loopor
+tailor:
+	CMPQ AX, CX
+	JGE  doneor
+	MOVQ (R8)(AX*8), DX
+	ORQ  (R9)(AX*8), DX
+	ORQ  (R10)(AX*8), DX
+	ORQ  (R11)(AX*8), DX
+	ORQ  DX, (DI)(AX*8)
+	INCQ AX
+	JMP  tailor
+doneor:
 	VZEROUPPER
 	RET
 
@@ -207,10 +207,9 @@ done1s:
 //
 // Fused row sweep: `panels` consecutive nr-wide panels of one packed
 // operand against one a-row, accumulators flushed to acc[8p : 8p+8] per
-// panel. Each panel runs exactly the kern1x8s loop (same zero-skip,
-// same VMULPD/VADDPD order), so the result is bitwise kern1x8s called
-// panel by panel — minus the per-panel call overhead, which dominates
-// batch-1 pooled selects at small k.
+// panel, ±0 a elements stepped over. One call per row instead of one
+// per panel: the call overhead dominates batch-1 pooled selects at
+// small k.
 TEXT ·kernRowPanelsS(SB), NOSPLIT, $0-40
 	MOVQ k+0(FP), BX
 	MOVQ panels+8(FP), R9
@@ -250,76 +249,13 @@ doneRS:
 	VZEROUPPER
 	RET
 
-// func kernRowPanelsN(k, panels int, a0, panel, acc *float64)
-//
-// The no-skip twin of kernRowPanelsS (kern1x8n per panel).
-TEXT ·kernRowPanelsN(SB), NOSPLIT, $0-40
-	MOVQ k+0(FP), BX
-	MOVQ panels+8(FP), R9
-	MOVQ a0+16(FP), R10
-	MOVQ panel+24(FP), SI
-	MOVQ acc+32(FP), DI
-	TESTQ R9, R9
-	JZ   doneRN
-panelRN:
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	MOVQ R10, R8
-	MOVQ BX, CX
-	TESTQ CX, CX
-	JZ   flushRN
-loopRN:
-	VBROADCASTSD (R8), Y2
-	VMULPD (SI), Y2, Y3
-	VADDPD Y3, Y4, Y4
-	VMULPD 32(SI), Y2, Y3
-	VADDPD Y3, Y5, Y5
-	ADDQ $8, R8
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loopRN
-flushRN:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	ADDQ $64, DI
-	DECQ R9
-	JNZ  panelRN
-doneRN:
-	VZEROUPPER
-	RET
-
-// func kern1x8n(k int, a0, panel *float64, acc *[8]float64)
-TEXT ·kern1x8n(SB), NOSPLIT, $0-32
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ panel+16(FP), SI
-	MOVQ acc+24(FP), DI
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	TESTQ CX, CX
-	JZ   done1n
-loop1n:
-	VBROADCASTSD (R8), Y2
-	VMULPD (SI), Y2, Y3
-	VADDPD Y3, Y4, Y4
-	VMULPD 32(SI), Y2, Y3
-	VADDPD Y3, Y5, Y5
-	ADDQ $8, R8
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop1n
-done1n:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	VZEROUPPER
-	RET
-
 // ---------------------------------------------------------------------------
 // Opt-in fast-math kernels (SetFastMath). Each VMULPD/VADDPD pair above
 // becomes a single VFMADD231PD: the product feeds the add with one
 // rounding instead of two, so results differ from the default kernels in
-// the last ulps but keep the same ascending-k accumulation order and the
-// same zero-skip semantics (skip only ±0, never NaN). The 8×8 ZMM tile
+// the last ulps but keep the same ascending-k accumulation order. The
+// tiles walk the whole depth (fast mode makes no column scan); the row
+// kernel steps over ±0 like its default twin. The 8×8 ZMM tile
 // additionally widens a panel step to one embedded-broadcast FMA per
 // destination row. None of these run unless mat.SetFastMath(true) AND
 // the CPU reports the feature with OS-enabled state.
@@ -367,75 +303,6 @@ TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
 	RET
 no512:
 	MOVB $0, ret+0(FP)
-	RET
-
-// func kern4x8sF(k int, a0, a1, a2, a3, panel *float64, acc *[32]float64)
-TEXT ·kern4x8sF(SB), NOSPLIT, $0-56
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ panel+40(FP), SI
-	MOVQ acc+48(FP), DI
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	TESTQ CX, CX
-	JZ   done4sf
-loop4sf:
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	MOVQ (R8), AX
-	ADDQ AX, AX
-	JZ   r1sf
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD Y0, Y2, Y4
-	VFMADD231PD Y1, Y2, Y5
-r1sf:
-	MOVQ (R9), AX
-	ADDQ AX, AX
-	JZ   r2sf
-	VBROADCASTSD (R9), Y2
-	VFMADD231PD Y0, Y2, Y6
-	VFMADD231PD Y1, Y2, Y7
-r2sf:
-	MOVQ (R10), AX
-	ADDQ AX, AX
-	JZ   r3sf
-	VBROADCASTSD (R10), Y2
-	VFMADD231PD Y0, Y2, Y8
-	VFMADD231PD Y1, Y2, Y9
-r3sf:
-	MOVQ (R11), AX
-	ADDQ AX, AX
-	JZ   nextsf
-	VBROADCASTSD (R11), Y2
-	VFMADD231PD Y0, Y2, Y10
-	VFMADD231PD Y1, Y2, Y11
-nextsf:
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop4sf
-done4sf:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	VMOVUPD Y6, 64(DI)
-	VMOVUPD Y7, 96(DI)
-	VMOVUPD Y8, 128(DI)
-	VMOVUPD Y9, 160(DI)
-	VMOVUPD Y10, 192(DI)
-	VMOVUPD Y11, 224(DI)
-	VZEROUPPER
 	RET
 
 // func kern4x8nF(k int, a0, a1, a2, a3, panel *float64, acc *[32]float64)
@@ -491,58 +358,6 @@ done4nf:
 	VZEROUPPER
 	RET
 
-// func kern1x8sF(k int, a0, panel *float64, acc *[8]float64)
-TEXT ·kern1x8sF(SB), NOSPLIT, $0-32
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ panel+16(FP), SI
-	MOVQ acc+24(FP), DI
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	TESTQ CX, CX
-	JZ   done1sf
-loop1sf:
-	MOVQ (R8), AX
-	ADDQ AX, AX
-	JZ   next1sf
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD (SI), Y2, Y4
-	VFMADD231PD 32(SI), Y2, Y5
-next1sf:
-	ADDQ $8, R8
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop1sf
-done1sf:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	VZEROUPPER
-	RET
-
-// func kern1x8nF(k int, a0, panel *float64, acc *[8]float64)
-TEXT ·kern1x8nF(SB), NOSPLIT, $0-32
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ panel+16(FP), SI
-	MOVQ acc+24(FP), DI
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	TESTQ CX, CX
-	JZ   done1nf
-loop1nf:
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD (SI), Y2, Y4
-	VFMADD231PD 32(SI), Y2, Y5
-	ADDQ $8, R8
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop1nf
-done1nf:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	VZEROUPPER
-	RET
-
 // func kernRowPanelsSF(k, panels int, a0, panel, acc *float64)
 //
 // FMA twin of kernRowPanelsS: same fused multi-panel row sweep and
@@ -584,139 +399,12 @@ doneRSF:
 	VZEROUPPER
 	RET
 
-// func kernRowPanelsNF(k, panels int, a0, panel, acc *float64)
-//
-// FMA twin of kernRowPanelsN (no zero-skip).
-TEXT ·kernRowPanelsNF(SB), NOSPLIT, $0-40
-	MOVQ k+0(FP), BX
-	MOVQ panels+8(FP), R9
-	MOVQ a0+16(FP), R10
-	MOVQ panel+24(FP), SI
-	MOVQ acc+32(FP), DI
-	TESTQ R9, R9
-	JZ   doneRNF
-panelRNF:
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	MOVQ R10, R8
-	MOVQ BX, CX
-	TESTQ CX, CX
-	JZ   flushRNF
-loopRNF:
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD (SI), Y2, Y4
-	VFMADD231PD 32(SI), Y2, Y5
-	ADDQ $8, R8
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loopRNF
-flushRNF:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	ADDQ $64, DI
-	DECQ R9
-	JNZ  panelRNF
-doneRNF:
-	VZEROUPPER
-	RET
-
-// func kern8x8sZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[64]float64)
+// func kern8x8nZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[64]float64)
 //
 // AVX-512 8×8 tile: one ZMM accumulator per destination row covers the
 // whole 8-wide panel, one embedded-broadcast FMA per (row, k) step.
-// Zero-skip per a element, like kern4x8s. R14/R15 are left alone (g
-// register / linker scratch); the eight row pointers live in
-// R8-R13, BX, DX.
-TEXT ·kern8x8sZ(SB), NOSPLIT, $0-88
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ a4+40(FP), R12
-	MOVQ a5+48(FP), R13
-	MOVQ a6+56(FP), BX
-	MOVQ a7+64(FP), DX
-	MOVQ panel+72(FP), SI
-	MOVQ acc+80(FP), DI
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	TESTQ CX, CX
-	JZ   done8sz
-loop8sz:
-	VMOVUPD (SI), Z0
-	MOVQ (R8), AX
-	ADDQ AX, AX
-	JZ   z1s
-	VFMADD231PD.BCST (R8), Z0, Z4
-z1s:
-	MOVQ (R9), AX
-	ADDQ AX, AX
-	JZ   z2s
-	VFMADD231PD.BCST (R9), Z0, Z5
-z2s:
-	MOVQ (R10), AX
-	ADDQ AX, AX
-	JZ   z3s
-	VFMADD231PD.BCST (R10), Z0, Z6
-z3s:
-	MOVQ (R11), AX
-	ADDQ AX, AX
-	JZ   z4s
-	VFMADD231PD.BCST (R11), Z0, Z7
-z4s:
-	MOVQ (R12), AX
-	ADDQ AX, AX
-	JZ   z5s
-	VFMADD231PD.BCST (R12), Z0, Z8
-z5s:
-	MOVQ (R13), AX
-	ADDQ AX, AX
-	JZ   z6s
-	VFMADD231PD.BCST (R13), Z0, Z9
-z6s:
-	MOVQ (BX), AX
-	ADDQ AX, AX
-	JZ   z7s
-	VFMADD231PD.BCST (BX), Z0, Z10
-z7s:
-	MOVQ (DX), AX
-	ADDQ AX, AX
-	JZ   next8sz
-	VFMADD231PD.BCST (DX), Z0, Z11
-next8sz:
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $8, R12
-	ADDQ $8, R13
-	ADDQ $8, BX
-	ADDQ $8, DX
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop8sz
-done8sz:
-	VMOVUPD Z4, (DI)
-	VMOVUPD Z5, 64(DI)
-	VMOVUPD Z6, 128(DI)
-	VMOVUPD Z7, 192(DI)
-	VMOVUPD Z8, 256(DI)
-	VMOVUPD Z9, 320(DI)
-	VMOVUPD Z10, 384(DI)
-	VMOVUPD Z11, 448(DI)
-	VZEROUPPER
-	RET
-
-// func kern8x8nZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[64]float64)
-//
-// The no-skip twin of kern8x8sZ.
+// R14/R15 are left alone (g register / linker scratch); the eight row
+// pointers live in R8-R13, BX, DX.
 TEXT ·kern8x8nZ(SB), NOSPLIT, $0-88
 	MOVQ k+0(FP), CX
 	MOVQ a0+8(FP), R8

@@ -44,6 +44,38 @@ func BenchmarkGEMM(b *testing.B) {
 			b.ReportMetric(float64(flops)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
 		})
 	}
+	// The two products that dominate the paper-scale step, with the zero
+	// structure node_paper_twigc shows (DESIGN.md §5m): whole dead
+	// columns at 0 %, 42 % and 70 %, and per-element dropout zeros, which
+	// no column scan can remove. GFLOPS counts the nominal shape, so a
+	// product that skips work reads faster.
+	for _, s := range [][3]int{{64, 512, 256}, {64, 256, 128}} {
+		m, k, n := s[0], s[1], s[2]
+		bb := benchMat(k, n, rng)
+		dst := New(m, n)
+		for _, v := range []struct {
+			name     string
+			deadFrac float64
+			zeroFrac float64
+		}{{"dead0", 0, 0}, {"dead42", 0.42, 0}, {"dead70", 0.70, 0}, {"randzero50", 0, 0.5}} {
+			a := benchMat(m, k, rng)
+			for c := 0; c < k; c++ {
+				dead := rng.Float64() < v.deadFrac
+				for r := 0; r < m; r++ {
+					if dead || rng.Float64() < v.zeroFrac {
+						a.Set(r, c, 0)
+					}
+				}
+			}
+			b.Run(fmt.Sprintf("Mul/%dx%dx%d/%s", m, k, n, v.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					Mul(dst, a, bb)
+				}
+				b.ReportMetric(float64(2*m*k*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
+			})
+		}
+	}
 	// Backward-pass shapes: dW = xᵀ·g and gradIn = g·Wᵀ for the widest layer.
 	x := benchMat(64, 512, rng)
 	g := benchMat(64, 256, rng)

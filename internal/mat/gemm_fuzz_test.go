@@ -12,6 +12,15 @@ import (
 // shapes (including 0-row/0-col and non-multiples of the 4×8 tile),
 // data with exact zeros (exercising the skip path), and both the AVX2
 // and portable microkernels at serial and parallel fan-out.
+//
+// That is the contract for finite operands. With an Inf or a NaN in the
+// b operand the tiled Mul/MulTransA family may differ from the naive
+// kernels in one direction only (DESIGN.md §5m): the naive kernels step
+// over every ±0 element of a and so hide the non-finite b element under
+// it, the tiled ones hide it only in columns of a that are ±0 in every
+// row, and elsewhere compute 0·Inf = NaN. So an element is either the
+// oracle's bit for bit or NaN, and a NaN of the oracle's is never lost.
+// MulTransB hides nothing in either form and stays exact.
 
 // fuzzFill deterministically fills data from the seed, planting exact
 // zeros, negative zeros, denormals and large-magnitude values so the
@@ -52,6 +61,55 @@ func requireBitsEqual(t *testing.T, tag string, got, want *Matrix) {
 	}
 }
 
+// plantNonFinite overwrites a few elements of data with ±Inf and NaN.
+func plantNonFinite(data []float64, rng *rand.Rand) {
+	if len(data) == 0 {
+		return
+	}
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		data[rng.Intn(len(data))] = [...]float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+	}
+}
+
+// killColumns zeroes (±0) whole columns of m with probability frac each.
+func killColumns(m *Matrix, frac float64, rng *rand.Rand) {
+	for c := 0; c < m.Cols; c++ {
+		if rng.Float64() >= frac {
+			continue
+		}
+		for r := 0; r < m.Rows; r++ {
+			m.Set(r, c, math.Copysign(0, float64(rng.Intn(2))-0.5))
+		}
+	}
+}
+
+// requireBitsEqualOrNaN is the non-finite contract of the skip family:
+// every element equals the oracle's bit for bit or is NaN.
+func requireBitsEqualOrNaN(t *testing.T, tag string, got, want *Matrix) {
+	t.Helper()
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !math.IsNaN(g) {
+			t.Fatalf("%s: element %d: got %x (%v), neither the oracle's %x (%v) nor NaN",
+				tag, i, math.Float64bits(g), g, math.Float64bits(w), w)
+		}
+	}
+}
+
+// requireBitsEqualNaNsAlike is bitwise equality that lets two NaNs
+// differ in sign and payload: the exact contract of MulTransB, whose
+// tiled and Dot forms meet the same NaNs in a different operand order.
+func requireBitsEqualNaNsAlike(t *testing.T, tag string, got, want *Matrix) {
+	t.Helper()
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: element %d: got %x (%v) want %x (%v)",
+				tag, i, math.Float64bits(g), g, math.Float64bits(w), w)
+		}
+	}
+}
+
 // withKernels runs fn under every microkernel selection available on
 // this platform (AVX2 assembly and the portable Go path) and restores
 // the detected default.
@@ -68,10 +126,16 @@ func withKernels(t *testing.T, fn func(kernel string)) {
 }
 
 // withParallelism runs fn at fan-out 1 and 8 and restores the setting.
+// The fan-out threshold drops to 2¹⁰ multiply-adds meanwhile, so the
+// small shapes these tests can afford still split across workers.
 func withParallelism(t *testing.T, fn func(par int)) {
 	t.Helper()
-	saved := Parallelism()
-	defer SetParallelism(saved)
+	saved, savedThreshold := Parallelism(), parallelThreshold
+	defer func() {
+		SetParallelism(saved)
+		parallelThreshold = savedThreshold
+	}()
+	parallelThreshold = 1 << 10
 	for _, par := range []int{1, 8} {
 		SetParallelism(par)
 		fn(par)
@@ -94,33 +158,46 @@ func FuzzMulMatchesNaive(f *testing.F) {
 		b := New(k, n)
 		fuzzFill(a.Data, rng)
 		fuzzFill(b.Data, rng)
+		// Second pass: the same operands with dead a columns and Inf/NaN
+		// planted in b, held to the non-finite contract.
+		for _, finite := range []bool{true, false} {
+			requireMul := requireBitsEqual
+			requireTransB := requireBitsEqual
+			if !finite {
+				killColumns(a, 0.3, rng)
+				plantNonFinite(b.Data, rng)
+				requireMul = requireBitsEqualOrNaN
+				requireTransB = requireBitsEqualNaNsAlike
+			}
 
-		want := New(m, n)
-		mulRange(want, a, b, 0, m) // retained naive reference
+			want := New(m, n)
+			mulRange(want, a, b, 0, m) // retained naive reference
 
-		withKernels(t, func(kernel string) {
-			withParallelism(t, func(par int) {
-				got := New(m, n)
-				fuzzFill(got.Data, rng) // ensure dst is fully overwritten
-				Mul(got, a, b)
-				requireBitsEqual(t, "Mul/"+kernel, got, want)
-
-				// MulTransB against its naive reference, reusing the
-				// same operands: dst2 = a·(bᵀ)ᵀ needs b transposed.
-				bt := New(n, k)
-				for i := 0; i < k; i++ {
-					for j := 0; j < n; j++ {
-						bt.Set(j, i, b.At(i, j))
-					}
+			// MulTransB against its naive reference, reusing the same
+			// operands: dst2 = a·(bᵀ)ᵀ needs b transposed.
+			bt := New(n, k)
+			for i := 0; i < k; i++ {
+				for j := 0; j < n; j++ {
+					bt.Set(j, i, b.At(i, j))
 				}
-				want2 := New(m, n)
-				mulTransBRange(want2, a, bt, 0, m)
-				got2 := New(m, n)
-				fuzzFill(got2.Data, rng)
-				MulTransB(got2, a, bt)
-				requireBitsEqual(t, "MulTransB/"+kernel, got2, want2)
+			}
+			want2 := New(m, n)
+			mulTransBRange(want2, a, bt, 0, m)
+
+			withKernels(t, func(kernel string) {
+				withParallelism(t, func(par int) {
+					got := New(m, n)
+					fuzzFill(got.Data, rng) // ensure dst is fully overwritten
+					Mul(got, a, b)
+					requireMul(t, "Mul/"+kernel, got, want)
+
+					got2 := New(m, n)
+					fuzzFill(got2.Data, rng)
+					MulTransB(got2, a, bt)
+					requireTransB(t, "MulTransB/"+kernel, got2, want2)
+				})
 			})
-		})
+		}
 	})
 }
 
@@ -139,29 +216,125 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 		b := New(k, n)
 		fuzzFill(a.Data, rng)
 		fuzzFill(b.Data, rng)
+		// Second pass: dead a columns (dead destination rows) and Inf/NaN
+		// planted in b, held to the non-finite contract.
+		for _, finite := range []bool{true, false} {
+			require := requireBitsEqual
+			if !finite {
+				killColumns(a, 0.3, rng)
+				plantNonFinite(b.Data, rng)
+				require = requireBitsEqualOrNaN
+			}
 
-		want := New(m, n)
-		mulTransARange(want, a, b, 0, m) // retained naive reference
+			want := New(m, n)
+			mulTransARange(want, a, b, 0, m) // retained naive reference
 
-		// The accumulate variant's reference is the unfused pair it
-		// replaces — tmp = aᵀ·b (naive), dst += 1·tmp — starting from a
-		// non-trivial dst.
-		dst0 := New(m, n)
+			// The accumulate variant's reference is the unfused pair it
+			// replaces — tmp = aᵀ·b (naive), dst += 1·tmp — starting from
+			// a non-trivial dst.
+			dst0 := New(m, n)
+			fuzzFill(dst0.Data, rng)
+			wantAcc := dst0.Clone()
+			wantAcc.AddScaled(1, want)
+
+			withKernels(t, func(kernel string) {
+				withParallelism(t, func(par int) {
+					got := New(m, n)
+					fuzzFill(got.Data, rng)
+					MulTransA(got, a, b)
+					require(t, "MulTransA/"+kernel, got, want)
+
+					gotAcc := dst0.Clone()
+					MulTransAAcc(gotAcc, a, b)
+					require(t, "MulTransAAcc/"+kernel, gotAcc, wantAcc)
+				})
+			})
+		}
+	})
+}
+
+// FuzzLiveColumnsMatchesNaive aims the differential at the live-column
+// machinery: a operands with whole columns and rows of ±0 at a fuzzed
+// rate (none, some, all), per-element zeros and denormals on top, ragged
+// tiles and last tiles of one to three rows, every entry point that
+// scans — Mul, the packed product with bias and ReLU over a row band,
+// MulTransA with and without accumulation, MulTransB — under the AVX2
+// and the portable kernels at fan-out 1 and 8. Finite operands, bitwise.
+func FuzzLiveColumnsMatchesNaive(f *testing.F) {
+	f.Add(int64(1), byte(64), byte(60), byte(40), byte(110)) // ~43 % dead
+	f.Add(int64(2), byte(64), byte(33), byte(17), byte(180)) // ~70 % dead
+	f.Add(int64(3), byte(9), byte(12), byte(8), byte(255))   // every column dead
+	f.Add(int64(4), byte(13), byte(21), byte(9), byte(0))    // none dead
+	f.Add(int64(5), byte(6), byte(67), byte(67), byte(128))  // below minPackRows: packed entry point only
+	f.Add(int64(6), byte(67), byte(5), byte(1), byte(90))    // thin output, three-row last tile
+	f.Fuzz(func(t *testing.T, seed int64, mb, kb, nb, deadb byte) {
+		m, k, n := clampDim(mb), clampDim(kb), clampDim(nb)
+		frac := float64(deadb) / 255
+		rng := rand.New(rand.NewSource(seed))
+		a, b, bt, c := New(m, k), New(k, n), New(n, k), New(m, n)
+		for _, x := range []*Matrix{a, b, bt, c} {
+			fuzzFill(x.Data, rng)
+		}
+		killColumns(a, frac, rng)
+		killColumns(c, frac, rng) // dead b columns: MulTransA's other operand
+		for r := 0; r < m; r++ {  // dead rows, which no scan may mistake for columns
+			if rng.Float64() < frac/2 {
+				clear(a.Row(r))
+			}
+		}
+		bias := make([]float64, n)
+		fuzzFill(bias, rng)
+
+		wantMul := New(m, n)
+		mulRange(wantMul, a, b, 0, m)
+		wantAct := wantMul.Clone()
+		biasActRange(wantAct, 0, m, bias, ActReLU)
+		wantTB := New(m, n)
+		mulTransBRange(wantTB, a, bt, 0, m)
+		wantTA := New(k, n) // aᵀ·c
+		mulTransARange(wantTA, a, c, 0, k)
+		dst0 := New(k, n)
 		fuzzFill(dst0.Data, rng)
 		wantAcc := dst0.Clone()
-		tmp := New(m, n)
-		mulTransARange(tmp, a, b, 0, m)
-		wantAcc.AddScaled(1, tmp)
+		wantAcc.AddScaled(1, wantTA)
+		// A band of the packed product: rows [lo, m), the rest untouched.
+		lo := 0
+		if m > 0 {
+			lo = rng.Intn(m)
+		}
 
 		withKernels(t, func(kernel string) {
 			withParallelism(t, func(par int) {
 				got := New(m, n)
 				fuzzFill(got.Data, rng)
-				MulTransA(got, a, b)
-				requireBitsEqual(t, "MulTransA/"+kernel, got, want)
+				Mul(got, a, b)
+				requireBitsEqual(t, "Mul/"+kernel, got, wantMul)
 
+				if k > 0 && n > 0 {
+					pb := PackB(b)
+					fuzzFill(got.Data, rng)
+					if live := MulPackedBiasAct(got, a, pb, bias, ActReLU); live < 0 || live > k {
+						t.Fatalf("MulPackedBiasAct reports %d live columns of %d", live, k)
+					}
+					requireBitsEqual(t, "MulPackedBiasAct/"+kernel, got, wantAct)
+					got.Zero()
+					mulPackedInto(got, a, pb.Data, lo, m, bias, ActReLU)
+					requireBitsEqual(t, "mulPackedInto band/"+kernel, got.RowsView(lo, m), wantAct.RowsView(lo, m))
+					if lo > 0 && got.RowsView(0, lo).MaxAbs() != 0 {
+						t.Fatalf("mulPackedInto wrote above its band")
+					}
+				}
+
+				fuzzFill(got.Data, rng)
+				MulTransB(got, a, bt)
+				requireBitsEqual(t, "MulTransB/"+kernel, got, wantTB)
+
+				gotTA := New(k, n)
+				fuzzFill(gotTA.Data, rng)
+				MulTransA(gotTA, a, c)
+				requireBitsEqual(t, "MulTransA/"+kernel, gotTA, wantTA)
 				gotAcc := dst0.Clone()
-				MulTransAAcc(gotAcc, a, b)
+				MulTransAAcc(gotAcc, a, c)
 				requireBitsEqual(t, "MulTransAAcc/"+kernel, gotAcc, wantAcc)
 			})
 		})

@@ -12,19 +12,15 @@ var (
 	haveAVX512 = false
 )
 
-func kern4x8s(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
 func kern4x8n(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
 	panic("mat: asm kernel on non-amd64")
 }
 
-func kern1x8s(k int, a0, panel *float64, acc *[nr]float64) {
+func kern4x8ni(n int, idx *int32, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
 	panic("mat: asm kernel on non-amd64")
 }
 
-func kern1x8n(k int, a0, panel *float64, acc *[nr]float64) {
+func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64) {
 	panic("mat: asm kernel on non-amd64")
 }
 
@@ -32,35 +28,11 @@ func kernRowPanelsS(k, panels int, a0, panel, acc *float64) {
 	panic("mat: asm kernel on non-amd64")
 }
 
-func kernRowPanelsN(k, panels int, a0, panel, acc *float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern4x8sF(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
 func kern4x8nF(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
 	panic("mat: asm kernel on non-amd64")
 }
 
-func kern1x8sF(k int, a0, panel *float64, acc *[nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern1x8nF(k int, a0, panel *float64, acc *[nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
 func kernRowPanelsSF(k, panels int, a0, panel, acc *float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kernRowPanelsNF(k, panels int, a0, panel, acc *float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern8x8sZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64) {
 	panic("mat: asm kernel on non-amd64")
 }
 

@@ -45,9 +45,11 @@ func (pb *PackedB) RepackFrom(b *Matrix) {
 // MulPackedBiasAct computes dst = act(a·b + bias) against a pre-packed
 // operand. Unlike MulBiasAct it runs the packed kernels at every row
 // count — a single-row product pays no packing and still gets the
-// register-tiled microkernel. Bitwise it equals MulBiasAct(dst, a, b,
-// bias, act) for the b that was packed.
-func MulPackedBiasAct(dst, a *Matrix, pb *PackedB, bias []float64, act Activation) {
+// register-tiled microkernel. For finite operands it equals
+// MulBiasAct(dst, a, b, bias, act) bitwise for the b that was packed. It
+// returns the number of a's columns the product found live (a.Cols
+// where it made no scan: fewer than four rows, or fast mode).
+func MulPackedBiasAct(dst, a *Matrix, pb *PackedB, bias []float64, act Activation) (liveK int) {
 	if a.Cols != pb.K || dst.Rows != a.Rows || dst.Cols != pb.N {
 		panic(fmt.Sprintf("mat: MulPackedBiasAct dims (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, pb.K, pb.N, dst.Rows, dst.Cols))
@@ -55,44 +57,55 @@ func MulPackedBiasAct(dst, a *Matrix, pb *PackedB, bias []float64, act Activatio
 	if bias != nil && len(bias) != pb.N {
 		panic("mat: MulPackedBiasAct bias length mismatch")
 	}
-	mulPackedInto(dst, a, pb.Data, 0, a.Rows, bias, act)
+	return mulPackedInto(dst, a, pb.Data, 0, a.Rows, bias, act)
 }
 
-// mulPackedInto runs rows [r0, r1) of a packed product with the shared
-// parallel gate. The degenerate shapes (k = 0 or n = 0) zero-fill and
-// apply the epilogue exactly like the streaming kernel.
-func mulPackedInto(dst, a *Matrix, bp []float64, r0, r1 int, bias []float64, act Activation) {
+// mulPackedInto runs rows [r0, r1) of a packed product and returns the
+// live-column count it ran over. The degenerate shapes (k = 0 or n = 0)
+// zero-fill and apply the epilogue exactly like the streaming kernel.
+func mulPackedInto(dst, a *Matrix, bp []float64, r0, r1 int, bias []float64, act Activation) (liveK int) {
 	if a.Cols == 0 || dst.Cols == 0 {
 		for i := r0; i < r1; i++ {
-			row := dst.Row(i)
-			for j := range row {
-				row[j] = 0
-			}
+			clear(dst.Row(i))
 		}
 		biasActRange(dst, r0, r1, bias, act)
-		return
+		return a.Cols
 	}
-	rows := r1 - r0
-	if rows < mr {
+	if r1-r0 < mr {
 		// Narrow products (solo batch-1 action selection on persistent
 		// packs): the fused multi-panel row kernel skips the per-panel
-		// call dispatch. Bitwise identical to the per-row tile loop.
+		// call dispatch and the column scan.
 		k, n := a.Cols, dst.Cols
 		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
 		for i := r0; i < r1; i++ {
-			gemmPackedRowFused(dst.Row(i), a.Row(i), bp, rowScr.Data, k, n, true, false, bias, act)
+			gemmPackedRowFused(dst.Row(i), a.Row(i), bp, rowScr.Data, k, n, bias, act)
 		}
 		PutScratch(rowScr)
-		return
+		return k
 	}
-	flops := rows * a.Cols * dst.Cols
-	if useParallel(rows, flops) {
+	ls, live := liveColumns(a, r0, r1)
+	liveK = mulPackedLive(dst, a, bp, r0, r1, live, bias, act)
+	putLive(ls)
+	return liveK
+}
+
+// mulPackedLive runs rows [r0, r1) of a packed product over the given
+// live columns of a (nil: all of them). The row fan-out is gated on the
+// multiply-adds that are left, not on the nominal shape.
+func mulPackedLive(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, bias []float64, act Activation) (liveK int) {
+	liveK = a.Cols
+	if live != nil {
+		liveK = len(live)
+	}
+	rows := r1 - r0
+	if useParallel(rows, rows*liveK*dst.Cols) {
 		parallelRows(rows, func(c0, c1 int) {
-			gemmPackedRange(dst, a, bp, r0+c0, r0+c1, true, false, bias, act)
+			gemmPackedRange(dst, a, bp, r0+c0, r0+c1, live, bias, act)
 		})
-		return
+	} else {
+		gemmPackedRange(dst, a, bp, r0, r1, live, bias, act)
 	}
-	gemmPackedRange(dst, a, bp, r0, r1, true, false, bias, act)
+	return liveK
 }
 
 // Group is one band of a grouped product: the operand (packed when the
@@ -105,6 +118,10 @@ type Group struct {
 	Packed *PackedB
 	// Bias is broadcast-added in the epilogue (nil for none).
 	Bias []float64
+	// Live is written by MulGroupedBiasAct: the number of the band's
+	// input columns the product found live (the full depth for bands of
+	// fewer than four rows, which make no scan).
+	Live int
 }
 
 // MulGroupedBiasAct computes the block-diagonal product: a and dst are
@@ -140,7 +157,7 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 		for g := range groups {
 			r0 := g * rowsPer
 			bp, scratch := groupPanels(&groups[g])
-			mulPackedInto(dst, a, bp, r0, r0+rowsPer, groups[g].Bias, act)
+			groups[g].Live = mulPackedInto(dst, a, bp, r0, r0+rowsPer, groups[g].Bias, act)
 			if scratch != nil {
 				PutScratch(scratch)
 			}
@@ -149,6 +166,9 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 	}
 	// Narrow bands (pooled batch-1 action selection): fan out across the
 	// whole stacked row set; each row resolves its own group's panels.
+	for g := range groups {
+		groups[g].Live = k
+	}
 	if rowsPer == 1 && k > 0 && n > 0 && allPacked(groups) {
 		// Every group pre-packed (the pooled steady state): no panel
 		// indirection to build, no scratch bookkeeping — the row loop
@@ -158,7 +178,7 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 			defer PutScratch(rowScr)
 			rowAcc := rowScr.Data
 			for i := r0; i < r1; i++ {
-				gemmPackedRowFused(dst.Row(i), a.Row(i), groups[i].Packed.Data, rowAcc, k, n, true, false, groups[i].Bias, act)
+				gemmPackedRowFused(dst.Row(i), a.Row(i), groups[i].Packed.Data, rowAcc, k, n, groups[i].Bias, act)
 			}
 		}
 		if useParallel(a.Rows, a.Rows*k*n) {
@@ -193,13 +213,13 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 			if rowsPer == 1 {
 				// Batch-1 select: row i IS group i; skip the divide.
 				for i := r0; i < r1; i++ {
-					gemmPackedRowFused(dst.Row(i), a.Row(i), panels[i], rowAcc, k, n, true, false, groups[i].Bias, act)
+					gemmPackedRowFused(dst.Row(i), a.Row(i), panels[i], rowAcc, k, n, groups[i].Bias, act)
 				}
 				return
 			}
 			for i := r0; i < r1; i++ {
 				g := i / rowsPer
-				gemmPackedRowFused(dst.Row(i), a.Row(i), panels[g], rowAcc, k, n, true, false, groups[g].Bias, act)
+				gemmPackedRowFused(dst.Row(i), a.Row(i), panels[g], rowAcc, k, n, groups[g].Bias, act)
 			}
 		}
 		if useParallel(a.Rows, a.Rows*k*n) {
@@ -297,7 +317,9 @@ type DispatchInfo struct {
 	// this machine: "avx2" or "portable".
 	Kernel string
 	// Parallel reports whether the product fans out across goroutines
-	// at the current SetParallelism setting.
+	// at the current SetParallelism setting when every column of its a
+	// operand is live. The gate counts live multiply-adds, so a tiled
+	// product with dead columns may stay serial where this says true.
 	Parallel bool
 }
 

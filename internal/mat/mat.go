@@ -117,8 +117,11 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // or b. Large products run on the cache-blocked, register-tiled kernel
 // (see tiled.go); small ones stay on the streaming kernel. Both paths
 // accumulate every destination element in ascending k order with
-// individual roundings, so results are bit-identical across the tiled,
-// streaming, serial and parallel (see SetParallelism) variants.
+// individual roundings, so for finite operands results are bit-identical
+// across the tiled, streaming, serial and parallel (see SetParallelism)
+// variants. A zero in a hides a non-finite element of b on the streaming
+// path always and on the tiled path only when its whole column of a is
+// zero; elsewhere the tiled product is NaN (DESIGN.md §5m).
 func Mul(dst, a, b *Matrix) {
 	MulBiasAct(dst, a, b, nil, ActIdentity)
 }
@@ -126,9 +129,11 @@ func Mul(dst, a, b *Matrix) {
 // MulBiasAct computes dst = act(a·b + bias) in one pass: the bias
 // broadcast (when bias is non-nil, length b.Cols) and activation are
 // applied in the GEMM epilogue while the result tile is still hot,
-// instead of re-walking dst afterwards. Bitwise it is exactly
-// Mul + AddRowBroadcast + activation applied element-wise.
-func MulBiasAct(dst, a, b *Matrix, bias []float64, act Activation) {
+// instead of re-walking dst afterwards. For finite operands it is
+// bitwise Mul + AddRowBroadcast + activation applied element-wise. It
+// returns the number of a's columns the product found live (a.Cols on
+// the streaming path, which makes no scan).
+func MulBiasAct(dst, a, b *Matrix, bias []float64, act Activation) (liveK int) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: Mul dims (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
@@ -136,20 +141,13 @@ func MulBiasAct(dst, a, b *Matrix, bias []float64, act Activation) {
 	if bias != nil && len(bias) != b.Cols {
 		panic("mat: MulBiasAct bias length mismatch")
 	}
-	flops := a.Rows * a.Cols * b.Cols
 	if a.Rows >= minPackRows && a.Cols > 0 && b.Cols > 0 {
 		bp := packB(b)
-		if useParallel(a.Rows, flops) {
-			parallelRows(a.Rows, func(r0, r1 int) {
-				gemmPackedRange(dst, a, bp.Data, r0, r1, true, false, bias, act)
-			})
-		} else {
-			gemmPackedRange(dst, a, bp.Data, 0, a.Rows, true, false, bias, act)
-		}
+		liveK = mulPackedInto(dst, a, bp.Data, 0, a.Rows, bias, act)
 		PutScratch(bp)
-		return
+		return liveK
 	}
-	if useParallel(a.Rows, flops) {
+	if useParallel(a.Rows, a.Rows*a.Cols*b.Cols) {
 		parallelRows(a.Rows, func(r0, r1 int) {
 			mulRange(dst, a, b, r0, r1)
 			biasActRange(dst, r0, r1, bias, act)
@@ -158,28 +156,21 @@ func MulBiasAct(dst, a, b *Matrix, bias []float64, act Activation) {
 		mulRange(dst, a, b, 0, a.Rows)
 		biasActRange(dst, 0, a.Rows, bias, act)
 	}
+	return a.Cols
 }
 
 // MulTransA computes dst = aᵀ·b. dst must be a.Cols×b.Cols. Large
-// products run on the tiled kernel; all paths are bit-identical.
+// products run on the tiled kernel; for finite operands all paths are
+// bit-identical.
 func MulTransA(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("mat: MulTransA dimension mismatch")
 	}
-	flops := a.Rows * a.Cols * b.Cols
 	if a.Cols >= minPackRows && a.Rows > 0 && b.Cols > 0 {
-		bp := packB(b)
-		if useParallel(a.Cols, flops) {
-			parallelRows(a.Cols, func(r0, r1 int) {
-				gemmTransAPackedRange(dst, a, bp.Data, r0, r1, false)
-			})
-		} else {
-			gemmTransAPackedRange(dst, a, bp.Data, 0, a.Cols, false)
-		}
-		PutScratch(bp)
+		mulTransAPacked(dst, a, b, false)
 		return
 	}
-	if useParallel(a.Cols, flops) {
+	if useParallel(a.Cols, a.Rows*a.Cols*b.Cols) {
 		parallelRows(a.Cols, func(r0, r1 int) { mulTransARange(dst, a, b, r0, r1) })
 		return
 	}
@@ -211,47 +202,62 @@ func MulTransAAcc(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("mat: MulTransAAcc dimension mismatch")
 	}
-	flops := a.Rows * a.Cols * b.Cols
 	if a.Cols >= minPackRows && a.Rows > 0 && b.Cols > 0 {
-		bp := packB(b)
-		if useParallel(a.Cols, flops) {
-			parallelRows(a.Cols, func(r0, r1 int) {
-				gemmTransAPackedRange(dst, a, bp.Data, r0, r1, true)
-			})
-		} else {
-			gemmTransAPackedRange(dst, a, bp.Data, 0, a.Cols, true)
-		}
-		PutScratch(bp)
+		mulTransAPacked(dst, a, b, true)
 		return
 	}
-	if useParallel(a.Cols, flops) {
+	if useParallel(a.Cols, a.Rows*a.Cols*b.Cols) {
 		parallelRows(a.Cols, func(r0, r1 int) { mulTransAAccRange(dst, a, b, r0, r1) })
 	} else {
 		mulTransAAccRange(dst, a, b, 0, a.Cols)
 	}
 }
 
+// mulTransAPacked is the tiled form of MulTransA and MulTransAAcc. A
+// column of a that is ±0 in every row is a destination row whose sum is
+// +0: those are settled without a kernel, and the microkernel — and the
+// row fan-out, gated on the work that is left — see the live rows only.
+func mulTransAPacked(dst, a, b *Matrix, accumulate bool) {
+	ls, live := liveColumns(a, 0, a.Rows)
+	rows := a.Cols
+	if live != nil {
+		rows = len(live)
+		transADeadRows(dst, live, accumulate)
+	}
+	bp := packB(b)
+	if useParallel(rows, rows*a.Rows*b.Cols) {
+		parallelRows(rows, func(c0, c1 int) {
+			gemmTransAPackedRange(dst, a, bp.Data, live, c0, c1, accumulate)
+		})
+	} else {
+		gemmTransAPackedRange(dst, a, bp.Data, live, 0, rows, accumulate)
+	}
+	PutScratch(bp)
+	putLive(ls)
+}
+
 // MulTransB computes dst = a·bᵀ. dst must be a.Rows×b.Rows. Large
 // products run on the tiled kernel; all paths are bit-identical. Like
-// Dot, this product never skips zero operands.
+// Dot, this product hides nothing: a non-finite b element turns its
+// destination column NaN whatever it is multiplied by. The tiled path
+// therefore skips a's dead columns only after checking that the b
+// columns they meet are finite, where 0·bv is the ±0 that changes no sum.
 func MulTransB(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulTransB dimension mismatch")
 	}
-	flops := a.Rows * b.Rows * a.Cols
 	if a.Rows >= minPackRows && a.Cols > 0 && b.Rows > 0 {
-		bp := packBT(b)
-		if useParallel(a.Rows, flops) {
-			parallelRows(a.Rows, func(r0, r1 int) {
-				gemmPackedRange(dst, a, bp.Data, r0, r1, false, false, nil, ActIdentity)
-			})
-		} else {
-			gemmPackedRange(dst, a, bp.Data, 0, a.Rows, false, false, nil, ActIdentity)
+		ls, live := liveColumns(a, 0, a.Rows)
+		if live != nil && !finiteColumns(b, ls.deadColumns(a.Cols)) {
+			live = nil
 		}
+		bp := packBT(b)
+		mulPackedLive(dst, a, bp.Data, 0, a.Rows, live, nil, ActIdentity)
 		PutScratch(bp)
+		putLive(ls)
 		return
 	}
-	if useParallel(a.Rows, flops) {
+	if useParallel(a.Rows, a.Rows*b.Rows*a.Cols) {
 		parallelRows(a.Rows, func(r0, r1 int) { mulTransBRange(dst, a, b, r0, r1) })
 	} else {
 		mulTransBRange(dst, a, b, 0, a.Rows)

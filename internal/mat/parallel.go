@@ -14,10 +14,19 @@ import (
 // to serial ones, not merely close.
 
 // ParallelFlopThreshold is the minimum number of multiply-adds below
-// which a product always runs on the calling goroutine. Batch-1
-// inference (a single observation through the paper-size network) stays
-// serial; batch-64 training steps parallelise.
-const ParallelFlopThreshold = 1 << 16
+// which a product always runs on the calling goroutine: 2²⁰, about
+// 100 µs of kernel time, so that each of two workers gets several times
+// what starting and joining it costs. Batch-1 inference and every
+// quick-scale product stay serial; the paper-scale batch-64 products
+// that still have a million live multiply-adds fan out. It stood at 2¹⁶
+// through PR 14, where the fan-out of ~10⁵-multiply-add products cost
+// the daemon and fleet workloads 10–20 % of their wall time
+// (DESIGN.md §5m).
+const ParallelFlopThreshold = 1 << 20
+
+// parallelThreshold is what the gate reads; tests lower it so shapes a
+// fuzzer can afford still cross it.
+var parallelThreshold = ParallelFlopThreshold
 
 // parallelism is the worker fan-out; 1 disables parallel execution.
 var parallelism int32 = int32(runtime.GOMAXPROCS(0))
@@ -36,12 +45,15 @@ func SetParallelism(n int) {
 func Parallelism() int { return int(atomic.LoadInt32(&parallelism)) }
 
 // useParallel reports whether a product with the given destination row
-// count and multiply-add count should fan out. Callers must check this
+// count and multiply-add count should fan out. The tiled paths pass the
+// multiply-adds they will execute — rows × live columns × n — not the
+// nominal shape: a product that skips two thirds of its depth has a
+// third of the work to share out. Callers must check this
 // BEFORE constructing the chunk closure for parallelRows: building the
 // closure unconditionally would heap-allocate it on every serial call,
 // defeating the zero-allocation steady state.
 func useParallel(rows, flops int) bool {
-	return rows >= 2 && flops >= ParallelFlopThreshold && Parallelism() > 1
+	return rows >= 2 && flops >= parallelThreshold && Parallelism() > 1
 }
 
 // parallelRows splits [0, rows) into contiguous chunks and runs fn on

@@ -20,10 +20,15 @@ func sparseRandMat(rng *rand.Rand, rows, cols int) *Matrix {
 
 // TestParallelGEMMBitIdentical verifies that the parallel kernels produce
 // results bitwise equal to serial execution — not merely close — across
-// randomized shapes on both sides of ParallelFlopThreshold.
+// randomized shapes on both sides of the fan-out threshold (lowered to
+// 2¹⁶ multiply-adds so that shapes this small straddle it).
 func TestParallelGEMMBitIdentical(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
+	old, oldThreshold := Parallelism(), parallelThreshold
+	defer func() {
+		SetParallelism(old)
+		parallelThreshold = oldThreshold
+	}()
+	parallelThreshold = 1 << 16
 
 	rng := rand.New(rand.NewSource(42))
 	shapes := [][3]int{

@@ -1,5 +1,7 @@
 package mat
 
+import "math"
+
 // Cache-blocked, register-tiled GEMM path. The three products (Mul,
 // MulTransA, MulTransB) share one microkernel shape: a tile of mr
 // destination rows × nr destination columns accumulates over the full k
@@ -13,8 +15,15 @@ package mat
 // parallel.go. Tiling only regroups *independent* destination elements,
 // so the tiled, naive, serial and parallel paths all agree bitwise —
 // the property PR 3's determinism tests and PR 4's bit-identical resume
-// depend on. Mul and MulTransA skip a-operand zeros exactly like their
-// naive counterparts; MulTransB, like Dot, never skips.
+// depend on.
+//
+// What the paths do with zeros differs, and for finite operands does not
+// matter: the naive Mul/MulTransA step over each ±0 element of a, the
+// tiled ones skip the columns of a that are ±0 in every row (live.go)
+// and multiply through the rest. A skipped term and a term of ±0 leave
+// the same bits in an accumulator that started at +0. They part ways
+// only on a non-finite b element under a zero a element (DESIGN.md §5m).
+// MulTransB, like Dot, hides nothing in either form.
 const (
 	// nr is the register tile width: one packed panel covers nr
 	// destination columns (two 4-lane AVX2 vectors).
@@ -105,250 +114,135 @@ func packBT(b *Matrix) *Matrix {
 }
 
 // gemmPackedRange computes destination rows [r0, r1) of dst = a·(packed
-// panels) with the fused epilogue. When skip is true, a-operand zeros
-// contribute nothing (Mul/MulTransA semantics); otherwise every term is
-// accumulated (Dot/MulTransB semantics). When accumulate is true the
-// per-element register sum is added to dst with a single addition
-// (MulTransAAcc semantics) and bias/act must be nil/ActIdentity.
-func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, skip, accumulate bool, bias []float64, act Activation) {
+// panels) with the fused epilogue. live lists, ascending, the k-columns
+// of a that hold anything other than ±0 in some row of the product (see
+// liveColumns); nil means every column, and the kernel then walks the
+// whole depth. Every term of a live column is multiplied and added —
+// there is no per-element zero test — so what a product skips is decided
+// once per product, not once per element.
+func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, bias []float64, act Activation) {
 	k := a.Cols
 	n := dst.Cols
+	if !haveAVX2 {
+		for i := r0; i < r1; i++ {
+			gemmPackedRow(dst.Row(i), a.Row(i), bp, k, n, live, false, bias, act)
+		}
+		return
+	}
 	panels := (n + nr - 1) / nr
 	i := r0
-	if haveAVX2 {
-		if fastZMM() {
-			// Fast mode, AVX-512: 8-row ZMM tiles first, leftovers fall
-			// through to the 4-row (FMA) loop below.
-			var accZ [zr * nr]float64
-			for ; i+zr <= r1; i += zr {
-				a0 := &a.Data[i*k]
-				a1 := &a.Data[(i+1)*k]
-				a2 := &a.Data[(i+2)*k]
-				a3 := &a.Data[(i+3)*k]
-				a4 := &a.Data[(i+4)*k]
-				a5 := &a.Data[(i+5)*k]
-				a6 := &a.Data[(i+6)*k]
-				a7 := &a.Data[(i+7)*k]
-				for p := 0; p < panels; p++ {
-					if skip {
-						kern8x8sZ(k, a0, a1, a2, a3, a4, a5, a6, a7, &bp[p*nr*k], &accZ)
-					} else {
-						kern8x8nZ(k, a0, a1, a2, a3, a4, a5, a6, a7, &bp[p*nr*k], &accZ)
-					}
-					j0 := p * nr
-					w := n - j0
-					if w > nr {
-						w = nr
-					}
-					for r := 0; r < zr; r++ {
-						storeTile(dst.Row(i + r)[j0:j0+w], accZ[r*nr:], accumulate, bias, act, j0)
-					}
-				}
-			}
-		}
-		fastF := fastFMA()
-		var acc [mr * nr]float64
-		for ; i+mr <= r1; i += mr {
+	if fastZMM() {
+		// Fast mode, AVX-512: 8-row ZMM tiles first, leftovers fall
+		// through to the 4-row (FMA) loop below.
+		var accZ [zr * nr]float64
+		for ; i+zr <= r1; i += zr {
 			a0 := &a.Data[i*k]
 			a1 := &a.Data[(i+1)*k]
 			a2 := &a.Data[(i+2)*k]
 			a3 := &a.Data[(i+3)*k]
+			a4 := &a.Data[(i+4)*k]
+			a5 := &a.Data[(i+5)*k]
+			a6 := &a.Data[(i+6)*k]
+			a7 := &a.Data[(i+7)*k]
 			for p := 0; p < panels; p++ {
-				switch {
-				case skip && fastF:
-					kern4x8sF(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				case skip:
-					kern4x8s(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				case fastF:
-					kern4x8nF(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				default:
-					kern4x8n(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				}
+				kern8x8nZ(k, a0, a1, a2, a3, a4, a5, a6, a7, &bp[p*nr*k], &accZ)
 				j0 := p * nr
-				w := n - j0
-				if w > nr {
-					w = nr
+				w := min(n-j0, nr)
+				for r := 0; r < zr; r++ {
+					storeTile(dst.Row(i + r)[j0:j0+w], accZ[r*nr:], false, bias, act, j0)
 				}
-				storeTile(dst.Row(i)[j0:j0+w], acc[0:], accumulate, bias, act, j0)
-				storeTile(dst.Row(i + 1)[j0:j0+w], acc[nr:], accumulate, bias, act, j0)
-				storeTile(dst.Row(i + 2)[j0:j0+w], acc[2*nr:], accumulate, bias, act, j0)
-				storeTile(dst.Row(i + 3)[j0:j0+w], acc[3*nr:], accumulate, bias, act, j0)
 			}
 		}
 	}
-	for ; i < r1; i++ {
-		gemmPackedRow(dst.Row(i), a.Row(i), bp, k, n, skip, accumulate, bias, act)
+	var acc [mr * nr]float64
+	for ; i < r1; i += mr {
+		// A last tile of fewer than mr rows repeats its final row: the
+		// kernel computes mr rows either way and the repeats are not
+		// stored, so every row of the range runs the same kernel.
+		rows := min(r1-i, mr)
+		var ap [mr]*float64
+		for q := range ap {
+			ap[q] = &a.Data[(i+min(q, rows-1))*k]
+		}
+		for p := 0; p < panels; p++ {
+			kernTile(k, live, &ap, &bp[p*nr*k], &acc)
+			j0 := p * nr
+			w := min(n-j0, nr)
+			for q := 0; q < rows; q++ {
+				storeTile(dst.Row(i + q)[j0:j0+w], acc[q*nr:], false, bias, act, j0)
+			}
+		}
+	}
+}
+
+// kernTile runs the mr×nr AVX2 microkernel the mode and the operand call
+// for: the fused-multiply-add twin in fast mode, the indexed kernel when
+// a has dead columns, the dense one otherwise. All three add every term
+// in ascending k.
+func kernTile(k int, live []int32, ap *[mr]*float64, panel *float64, acc *[mr * nr]float64) {
+	switch {
+	case fastFMA():
+		kern4x8nF(k, ap[0], ap[1], ap[2], ap[3], panel, acc)
+	case live == nil:
+		kern4x8n(k, ap[0], ap[1], ap[2], ap[3], panel, acc)
+	case len(live) == 0:
+		*acc = [mr * nr]float64{}
+	default:
+		kern4x8ni(len(live), &live[0], ap[0], ap[1], ap[2], ap[3], panel, acc)
 	}
 }
 
 // gemmPackedRowFused computes one destination row against every packed
 // panel with a single fused kernel call (all panels in one asm sweep)
-// and a single epilogue pass over the row. rowAcc is caller scratch of
-// at least ceil(n/nr)*nr elements. Bitwise it equals gemmPackedRow: the
-// fused kernel runs the identical per-panel loop, and the epilogue
-// applies the same per-element arithmetic in the same order. Batch-1
-// pooled selects call this once per row per layer instead of paying
-// per-panel call dispatch at small k.
-func gemmPackedRowFused(drow, arow, bp, rowAcc []float64, k, n int, skip, accumulate bool, bias []float64, act Activation) {
+// and a single epilogue pass over the row: the path of products with
+// fewer than mr rows, batch-1 action selection above all, which pays no
+// column scan and instead steps over the ±0 elements of its one a-row.
+// rowAcc is caller scratch of at least ceil(n/nr)*nr elements. For
+// finite operands it equals the tiled kernels bit for bit (DESIGN.md
+// §5m); a non-finite b element under a zero a element stays hidden here.
+func gemmPackedRowFused(drow, arow, bp, rowAcc []float64, k, n int, bias []float64, act Activation) {
 	panels := (n + nr - 1) / nr
-	if haveAVX2 {
-		switch fastF := fastFMA(); {
-		case skip && fastF:
-			kernRowPanelsSF(k, panels, &arow[0], &bp[0], &rowAcc[0])
-		case skip:
-			kernRowPanelsS(k, panels, &arow[0], &bp[0], &rowAcc[0])
-		case fastF:
-			kernRowPanelsNF(k, panels, &arow[0], &bp[0], &rowAcc[0])
-		default:
-			kernRowPanelsN(k, panels, &arow[0], &bp[0], &rowAcc[0])
-		}
-	} else {
+	switch {
+	case !haveAVX2:
 		var tmp [nr]float64
 		for p := 0; p < panels; p++ {
-			kernRowGo(arow[:k], bp[p*nr*k:(p+1)*nr*k], &tmp, skip)
+			kernRowGo(arow[:k], bp[p*nr*k:(p+1)*nr*k], &tmp, nil, true)
 			copy(rowAcc[p*nr:p*nr+nr], tmp[:])
 		}
+	case fastFMA():
+		kernRowPanelsSF(k, panels, &arow[0], &bp[0], &rowAcc[0])
+	default:
+		kernRowPanelsS(k, panels, &arow[0], &bp[0], &rowAcc[0])
 	}
-	d := drow[:n]
-	acc := rowAcc[:n]
-	switch {
-	case accumulate:
-		for j := range d {
-			d[j] += acc[j]
-		}
-	case bias == nil && act == ActIdentity:
-		copy(d, acc)
-	case bias == nil: // ActReLU
-		for j := range d {
-			v := acc[j]
-			if !(v > 0) {
-				v = 0
-			}
-			d[j] = v
-		}
-	case act == ActReLU:
-		b := bias[:n]
-		for j := range d {
-			v := acc[j] + b[j]
-			if !(v > 0) {
-				v = 0
-			}
-			d[j] = v
-		}
-	default: // bias, identity
-		b := bias[:n]
-		for j := range d {
-			d[j] = acc[j] + b[j]
-		}
-	}
+	storeTile(drow[:n], rowAcc, false, bias, act, 0)
 }
 
-// gemmPackedRow computes one destination row against every packed
-// panel. The epilogue is inlined per tile rather than routed through
-// storeTile: batch-1 pooled selects issue millions of 8-wide tiles, and
-// the call overhead alone was ~20% of the sweep.
-func gemmPackedRow(drow, arow, bp []float64, k, n int, skip, accumulate bool, bias []float64, act Activation) {
+// gemmPackedRow is the portable (no-assembly) form of one destination
+// row: every packed panel through kernRowGo, walking the live list when
+// there is one, then the shared epilogue.
+func gemmPackedRow(drow, arow, bp []float64, k, n int, live []int32, accumulate bool, bias []float64, act Activation) {
 	panels := (n + nr - 1) / nr
 	var acc [nr]float64
-	ap := &arow[0]
 	for p := 0; p < panels; p++ {
-		if haveAVX2 {
-			switch fastF := fastFMA(); {
-			case skip && fastF:
-				kern1x8sF(k, ap, &bp[p*nr*k], &acc)
-			case skip:
-				kern1x8s(k, ap, &bp[p*nr*k], &acc)
-			case fastF:
-				kern1x8nF(k, ap, &bp[p*nr*k], &acc)
-			default:
-				kern1x8n(k, ap, &bp[p*nr*k], &acc)
-			}
-		} else {
-			kernRowGo(arow[:k], bp[p*nr*k:(p+1)*nr*k], &acc, skip)
-		}
+		kernRowGo(arow[:k], bp[p*nr*k:(p+1)*nr*k], &acc, live, false)
 		j0 := p * nr
-		w := n - j0
-		if w >= nr {
-			// Full tile: array pointers drop every bounds check and fix
-			// the trip count at nr.
-			d := (*[nr]float64)(drow[j0:])
-			switch {
-			case accumulate:
-				for jj := 0; jj < nr; jj++ {
-					d[jj] += acc[jj]
-				}
-			case bias == nil && act == ActIdentity:
-				*d = acc
-			case bias == nil: // ActReLU
-				for jj := 0; jj < nr; jj++ {
-					v := acc[jj]
-					if !(v > 0) {
-						v = 0
-					}
-					d[jj] = v
-				}
-			case act == ActReLU:
-				b := (*[nr]float64)(bias[j0:])
-				for jj := 0; jj < nr; jj++ {
-					v := acc[jj] + b[jj]
-					if !(v > 0) {
-						v = 0
-					}
-					d[jj] = v
-				}
-			default: // bias, identity
-				b := (*[nr]float64)(bias[j0:])
-				for jj := 0; jj < nr; jj++ {
-					d[jj] = acc[jj] + b[jj]
-				}
-			}
-			continue
-		}
-		d := drow[j0 : j0+w]
-		switch {
-		case accumulate:
-			for jj := range d {
-				d[jj] += acc[jj]
-			}
-		case bias == nil && act == ActIdentity:
-			copy(d, acc[:len(d)])
-		case bias == nil: // ActReLU
-			for jj := range d {
-				v := acc[jj]
-				if !(v > 0) {
-					v = 0
-				}
-				d[jj] = v
-			}
-		case act == ActReLU:
-			b := bias[j0 : j0+w]
-			for jj := range d {
-				v := acc[jj] + b[jj]
-				if !(v > 0) {
-					v = 0
-				}
-				d[jj] = v
-			}
-		default: // bias, identity
-			b := bias[j0 : j0+w]
-			for jj := range d {
-				d[jj] = acc[jj] + b[jj]
-			}
-		}
+		w := min(n-j0, nr)
+		storeTile(drow[j0:j0+w], acc[:], accumulate, bias, act, j0)
 	}
 }
 
 // kernRowGo is the portable microkernel: one destination row × one
 // packed panel, eight independent accumulator chains, ascending k,
 // multiply-then-add per term — bitwise identical to the AVX2 kernels.
-func kernRowGo(arow, panel []float64, acc *[nr]float64, skip bool) {
+// With a live list it visits those columns only; otherwise every column,
+// and skip (the batch-1 row path) steps over ±0 elements of arow.
+func kernRowGo(arow, panel []float64, acc *[nr]float64, live []int32, skip bool) {
 	var c0, c1, c2, c3, c4, c5, c6, c7 float64
-	if skip {
-		for t, av := range arow {
-			if av == 0 {
-				continue
-			}
-			q := panel[t*nr : t*nr+nr]
+	switch {
+	case live != nil:
+		for _, t := range live {
+			av := arow[t]
+			q := panel[int(t)*nr : int(t)*nr+nr]
 			c0 += av * q[0]
 			c1 += av * q[1]
 			c2 += av * q[2]
@@ -358,8 +252,11 @@ func kernRowGo(arow, panel []float64, acc *[nr]float64, skip bool) {
 			c6 += av * q[6]
 			c7 += av * q[7]
 		}
-	} else {
+	default:
 		for t, av := range arow {
+			if skip && av == 0 {
+				continue
+			}
 			q := panel[t*nr : t*nr+nr]
 			c0 += av * q[0]
 			c1 += av * q[1]
@@ -379,34 +276,42 @@ func kernRowGo(arow, panel []float64, acc *[nr]float64, skip bool) {
 // applying the fused epilogue: accumulate (+=), bias broadcast and/or
 // activation. drow is the destination slice for columns [j0, j0+w).
 func storeTile(drow, acc []float64, accumulate bool, bias []float64, act Activation, j0 int) {
+	acc = acc[:len(drow)]
+	if bias != nil {
+		bias = bias[j0 : j0+len(drow)]
+	}
 	switch {
 	case accumulate:
-		for jj := range drow {
-			drow[jj] += acc[jj]
+		for jj, v := range acc {
+			drow[jj] += v
 		}
 	case bias == nil && act == ActIdentity:
-		copy(drow, acc[:len(drow)])
+		copy(drow, acc)
 	case bias == nil: // ActReLU
-		for jj := range drow {
-			v := acc[jj]
-			if !(v > 0) {
-				v = 0
-			}
-			drow[jj] = v
+		for jj, v := range acc {
+			drow[jj] = relu(v)
 		}
 	case act == ActReLU:
-		for jj := range drow {
-			v := acc[jj] + bias[j0+jj]
-			if !(v > 0) {
-				v = 0
-			}
-			drow[jj] = v
+		for jj, v := range acc {
+			drow[jj] = relu(v + bias[jj])
 		}
 	default: // bias, identity
-		for jj := range drow {
-			drow[jj] = acc[jj] + bias[j0+jj]
+		for jj, v := range acc {
+			drow[jj] = v + bias[jj]
 		}
 	}
+}
+
+// relu is max(0, v) with NaN and −0 mapped to +0 — `if !(v > 0) { v = 0 }`
+// — as a test on the bit pattern the compiler turns into a conditional
+// move: a pre-activation's sign is a coin flip no predictor learns. v is
+// in (0, +Inf] exactly when its bits, less one, fall below +Inf's.
+func relu(v float64) float64 {
+	b := math.Float64bits(v)
+	if b-1 >= 0x7FF0000000000000 {
+		b = 0
+	}
+	return math.Float64frombits(b)
 }
 
 // biasActRange applies the bias/activation epilogue to rows [r0, r1) of
@@ -432,46 +337,75 @@ func biasActRange(dst *Matrix, r0, r1 int, bias []float64, act Activation) {
 	}
 }
 
-// gemmTransAPackedRange computes destination rows [r0, r1) of
-// dst = aᵀ·(packed panels): destination row i is column i of a, gathered
-// into a contiguous scratch quad so the shared microkernel can stream it.
-func gemmTransAPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, accumulate bool) {
+// gemmTransAPackedRange computes destination rows rows[c0:c1] of
+// dst = aᵀ·(packed panels), or rows [c0, c1) themselves when rows is
+// nil: destination row i is column i of a, gathered into a contiguous
+// scratch quad so the shared microkernel can stream it. rows is the live
+// list of a's columns — a dead column is a dead destination row, which
+// the caller settles without a kernel (transADeadRows). The depth is
+// a's row count, the minibatch, so the kernel walks all of it.
+func gemmTransAPackedRange(dst, a *Matrix, bp []float64, rows []int32, c0, c1 int, accumulate bool) {
 	k := a.Rows
+	n := dst.Cols
 	cb := GetScratch(mr, k)
-	i := r0
-	if haveAVX2 {
-		fastF := fastFMA()
-		var acc [mr * nr]float64
-		n := dst.Cols
-		panels := (n + nr - 1) / nr
-		for ; i+mr <= r1; i += mr {
-			for q := 0; q < mr; q++ {
-				a.ColInto(cb.Row(q), i+q)
+	defer PutScratch(cb)
+	row := func(c int) int {
+		if rows != nil {
+			return int(rows[c])
+		}
+		return c
+	}
+	if !haveAVX2 {
+		col := cb.Row(0)
+		for c := c0; c < c1; c++ {
+			a.ColInto(col, row(c))
+			gemmPackedRow(dst.Row(row(c)), col, bp, k, n, nil, accumulate, nil, ActIdentity)
+		}
+		return
+	}
+	panels := (n + nr - 1) / nr
+	var acc [mr * nr]float64
+	var ap [mr]*float64
+	for c := c0; c < c1; c += mr {
+		// A last quad of fewer than mr rows repeats its final column,
+		// like gemmPackedRange's last tile.
+		cnt := min(c1-c, mr)
+		for q := range ap {
+			if q < cnt {
+				a.ColInto(cb.Row(q), row(c+q))
 			}
-			a0, a1, a2, a3 := &cb.Data[0], &cb.Data[k], &cb.Data[2*k], &cb.Data[3*k]
-			for p := 0; p < panels; p++ {
-				if fastF {
-					kern4x8sF(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				} else {
-					kern4x8s(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				}
-				j0 := p * nr
-				w := n - j0
-				if w > nr {
-					w = nr
-				}
-				storeTile(dst.Row(i)[j0:j0+w], acc[0:], accumulate, nil, ActIdentity, j0)
-				storeTile(dst.Row(i + 1)[j0:j0+w], acc[nr:], accumulate, nil, ActIdentity, j0)
-				storeTile(dst.Row(i + 2)[j0:j0+w], acc[2*nr:], accumulate, nil, ActIdentity, j0)
-				storeTile(dst.Row(i + 3)[j0:j0+w], acc[3*nr:], accumulate, nil, ActIdentity, j0)
+			ap[q] = &cb.Data[min(q, cnt-1)*k]
+		}
+		for p := 0; p < panels; p++ {
+			kernTile(k, nil, &ap, &bp[p*nr*k], &acc)
+			j0 := p * nr
+			w := min(n-j0, nr)
+			for q := 0; q < cnt; q++ {
+				storeTile(dst.Row(row(c + q))[j0:j0+w], acc[q*nr:], accumulate, nil, ActIdentity, j0)
 			}
 		}
 	}
-	// Leftover rows (and the whole range without AVX2) one at a time.
-	for ; i < r1; i++ {
-		col := cb.Row(0)
-		a.ColInto(col, i)
-		gemmPackedRow(dst.Row(i), col, bp, k, dst.Cols, true, accumulate, nil, ActIdentity)
+}
+
+// transADeadRows settles the destination rows of dst (+)= aᵀ·b that live
+// does not list. Their sums are +0: a plain product stores it, and an
+// accumulating one adds it, which rewrites a −0 already in dst to +0 and
+// leaves every other value alone — n additions where the product would
+// have spent k·n multiply-adds to the same effect.
+func transADeadRows(dst *Matrix, live []int32, accumulate bool) {
+	next := 0
+	for i := 0; i < dst.Rows; i++ {
+		if next < len(live) && int(live[next]) == i {
+			next++
+			continue
+		}
+		drow := dst.Row(i)
+		if accumulate {
+			for j := range drow {
+				drow[j] += 0
+			}
+		} else {
+			clear(drow)
+		}
 	}
-	PutScratch(cb)
 }

@@ -38,36 +38,20 @@ func (a *Adam) Step(params []*Param) { a.apply(params, false) }
 // them), so step-then-zero is exactly equivalent to zero-before-reuse.
 func (a *Adam) StepAndZeroGrad(params []*Param) { a.apply(params, true) }
 
-// apply is the single-pass Adam kernel. The per-element update is the
-// exact expression of the original loop — only loop-invariant
-// subexpressions (β constants, bias corrections, slice headers) are
-// hoisted, which does not change any rounding.
+// apply walks the parameters one tensor at a time through the shared
+// element update.
 func (a *Adam) apply(params []*Param, zeroGrad bool) {
 	a.step++
 	if a.MaxGradNorm > 0 {
 		clipGlobalNorm(params, a.MaxGradNorm)
 	}
-	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	lr, eps := a.LR, a.Epsilon
-	b1, omb1 := a.Beta1, 1-a.Beta1
-	b2, omb2 := a.Beta2, 1-a.Beta2
+	k := a.consts()
 	for _, p := range params {
 		if p.m == nil && !p.adoptMoments() {
 			p.m = mat.New(p.Value.Rows, p.Value.Cols)
 			p.v = mat.New(p.Value.Rows, p.Value.Cols)
 		}
-		md, vd, pd, gd := p.m.Data, p.v.Data, p.Value.Data, p.Grad.Data
-		for i, g := range gd {
-			m := b1*md[i] + omb1*g
-			v := b2*vd[i] + omb2*g*g
-			md[i] = m
-			vd[i] = v
-			pd[i] -= lr * (m / c1) / (math.Sqrt(v/c2) + eps)
-			if zeroGrad {
-				gd[i] = 0
-			}
-		}
+		adamUpdate(p.Value.Data, p.Grad.Data, p.m.Data, p.v.Data, &k, zeroGrad)
 	}
 }
 
@@ -88,19 +72,57 @@ func (a *Adam) StepAndZeroGradFlat(params []*Param, value, grad, m, v []float64)
 			panic("nn: StepAndZeroGradFlat param " + p.Name + " not arena-adopted")
 		}
 	}
-	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	lr, eps := a.LR, a.Epsilon
-	b1, omb1 := a.Beta1, 1-a.Beta1
-	b2, omb2 := a.Beta2, 1-a.Beta2
-	md, vd, pd := m, v, value
+	k := a.consts()
+	adamUpdate(value, grad, m, v, &k, true)
+}
+
+// adamConsts are the per-step constants of the element update, in the
+// order the AVX2 kernel reads them: β₁, 1−β₁, β₂, 1−β₂, the two bias
+// corrections, the learning rate and ε.
+type adamConsts struct {
+	b1, omb1, b2, omb2, c1, c2, lr, eps float64
+}
+
+// consts hoists the loop-invariant subexpressions of the current step
+// (β constants, bias corrections), which changes no rounding.
+func (a *Adam) consts() adamConsts {
+	return adamConsts{
+		b1: a.Beta1, omb1: 1 - a.Beta1,
+		b2: a.Beta2, omb2: 1 - a.Beta2,
+		c1:  1 - math.Pow(a.Beta1, float64(a.step)),
+		c2:  1 - math.Pow(a.Beta2, float64(a.step)),
+		lr:  a.LR,
+		eps: a.Epsilon,
+	}
+}
+
+// adamUpdate applies one Adam step to equal-length value/grad/moment
+// slices, zeroing grad behind it when asked: the AVX2 kernel over the
+// multiple-of-four prefix where the CPU has it, the scalar loop over the
+// rest. The two agree bit for bit (TestAdamKernelMatchesScalar), so how
+// a tensor splits between them changes nothing.
+func adamUpdate(value, grad, m, v []float64, k *adamConsts, zeroGrad bool) {
+	n := 0
+	if mat.HaveAVX2() {
+		if n = len(grad) &^ 3; n > 0 {
+			adamStepAVX2(n, &value[0], &grad[0], &m[0], &v[0], k, zeroGrad)
+		}
+	}
+	adamScalar(value[n:], grad[n:], m[n:], v[n:], k, zeroGrad)
+}
+
+// adamScalar is the element update as the original loop wrote it: the
+// portable path, the tail of the vector one, and its oracle.
+func adamScalar(value, grad, md, vd []float64, k *adamConsts, zeroGrad bool) {
 	for i, g := range grad {
-		mm := b1*md[i] + omb1*g
-		vv := b2*vd[i] + omb2*g*g
-		md[i] = mm
-		vd[i] = vv
-		pd[i] -= lr * (mm / c1) / (math.Sqrt(vv/c2) + eps)
-		grad[i] = 0
+		m := k.b1*md[i] + k.omb1*g
+		v := k.b2*vd[i] + k.omb2*g*g
+		md[i] = m
+		vd[i] = v
+		value[i] -= k.lr * (m / k.c1) / (math.Sqrt(v/k.c2) + k.eps)
+		if zeroGrad {
+			grad[i] = 0
+		}
 	}
 }
 

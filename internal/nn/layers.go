@@ -37,8 +37,18 @@ type Dense struct {
 	B        *Param // 1×Out
 	FuseReLU bool
 
+	// NoInputGrad marks a layer whose input is data, not another layer's
+	// output: Backward accumulates dW and db and returns nil instead of
+	// g·Wᵀ, which nobody would read. Owners set it on a network's first
+	// layer (bdq.NewNetwork does for the trunk).
+	NoInputGrad bool
+
 	lastX   *mat.Matrix // cached input for Backward
 	lastOut *mat.Matrix // cached output (mask source when FuseReLU)
+
+	// liveIn is how many of the In input columns the last train-mode
+	// minibatch left live (see LiveInputs); −1 until there has been one.
+	liveIn int
 
 	// packW holds persistent packed weight panels (see mat.PackedB).
 	// Owners that track weight epochs (bdq.Network) refresh it after
@@ -58,10 +68,11 @@ type Dense struct {
 // the ReLU activations used throughout Twig) and zero biases.
 func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 	d := &Dense{
-		In:  in,
-		Out: out,
-		W:   NewParam(name+".W", in, out),
-		B:   NewParam(name+".B", 1, out),
+		In:     in,
+		Out:    out,
+		W:      NewParam(name+".W", in, out),
+		B:      NewParam(name+".B", 1, out),
+		liveIn: -1,
 	}
 	d.InitHe(rng)
 	return d
@@ -99,14 +110,31 @@ func (d *Dense) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	if d.FuseReLU {
 		act = mat.ActReLU
 	}
+	var live int
 	if d.packW != nil {
-		mat.MulPackedBiasAct(y, x, d.packW, d.B.Value.Data, act)
+		live = mat.MulPackedBiasAct(y, x, d.packW, d.B.Value.Data, act)
 	} else {
-		mat.MulBiasAct(y, x, d.W.Value, d.B.Value.Data, act)
+		live = mat.MulBiasAct(y, x, d.W.Value, d.B.Value.Data, act)
+	}
+	if train {
+		d.liveIn = live
 	}
 	d.lastOut = y
 	return y
 }
+
+// LiveInputs reports how many of the layer's In inputs were live in the
+// last train-mode minibatch: not ±0 in every row, i.e. fed by a unit
+// that fired for at least one sample (and survived dropout). It is what
+// the forward product's column scan counted, kept at the cost of one
+// store. ok is false before the first train-mode Forward; the count is
+// In wherever the product makes no scan (fast mode, fewer than four
+// rows).
+func (d *Dense) LiveInputs() (live int, ok bool) { return d.liveIn, d.liveIn >= 0 }
+
+// NoteLiveInputs records the count for a train-mode product that ran
+// outside Forward (the pooled trainer's grouped GEMMs).
+func (d *Dense) NoteLiveInputs(live int) { d.liveIn = live }
 
 // RefreshPack (re)builds the persistent packed weight panels from the
 // current W. The caller owns the refresh discipline: call after every
@@ -128,7 +156,8 @@ func (d *Dense) Pack() *mat.PackedB { return d.packW }
 // MulBiasAct's per-call packing.
 func (d *Dense) ClearPack() { d.packW = nil }
 
-// Backward accumulates dW = xᵀ·g and db = Σ_rows g, returning g·Wᵀ.
+// Backward accumulates dW = xᵀ·g and db = Σ_rows g, returning g·Wᵀ
+// (nil under NoInputGrad).
 // When FuseReLU is set, g is first masked by the activation gradient;
 // the mask application and the bias column sums share one sweep, and the
 // weight-gradient GEMM accumulates directly into W.Grad.
@@ -145,21 +174,9 @@ func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
 		// Fused sweep: mask by "output > 0" (⟺ pre-activation > 0) and
 		// build the bias column sums in the same row-major order as
 		// ColSumsInto, so the sums are bit-identical to the unfused pair.
-		for j := range d.colSums {
-			d.colSums[j] = 0
-		}
+		clear(d.colSums)
 		for i := 0; i < gradOut.Rows; i++ {
-			grow := gradOut.Row(i)
-			yrow := d.lastOut.Row(i)
-			mrow := gm.Row(i)
-			for j, v := range grow {
-				if yrow[j] > 0 {
-					mrow[j] = v
-					d.colSums[j] += v
-				} else {
-					mrow[j] = 0
-				}
-			}
+			MaskReLUGrad(gm.Row(i), d.colSums, gradOut.Row(i), d.lastOut.Row(i))
 		}
 		g = gm
 	} else {
@@ -168,9 +185,31 @@ func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
 	mat.MulTransAAcc(d.W.Grad, d.lastX, g)
 	mat.Axpy(1, d.colSums, d.B.Grad.Data)
 
+	if d.NoInputGrad {
+		return nil
+	}
 	gradIn := d.gradIn.get(g.Rows, d.In)
 	mat.MulTransB(gradIn, g, d.W.Value)
 	return gradIn
+}
+
+// MaskReLUGrad is one row of the fused DenseReLU backward sweep: m gets
+// g where the layer's output y was positive and +0 elsewhere, and the
+// survivors are added to the column sums cs. Which elements survive is a
+// coin flip per element, so the mask is applied to the bit pattern (a
+// conditional move) and every element is added: a masked one adds +0,
+// which leaves a sum that started at +0 — and so is never −0 — as it was.
+func MaskReLUGrad(m, cs, g, y []float64) {
+	m, cs, y = m[:len(g)], cs[:len(g)], y[:len(g)]
+	for j, v := range g {
+		b := math.Float64bits(v)
+		if math.Float64bits(y[j])-1 >= 0x7FF0000000000000 { // !(y > 0)
+			b = 0
+		}
+		mv := math.Float64frombits(b)
+		m[j] = mv
+		cs[j] += mv
+	}
 }
 
 // Params returns the layer's weight and bias parameters.
@@ -250,40 +289,34 @@ func (d *Dropout) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 		d.mask = nil
 		return x
 	}
-	keep := 1 - d.Rate
 	d.mask = d.maskWS.get(x.Rows, x.Cols)
 	y := d.out.get(x.Rows, x.Cols)
-	inv := 1 / keep
-	for i, v := range x.Data {
-		if d.rng.Float64() < keep {
-			d.mask.Data[i] = inv
-			y.Data[i] = v * inv
-		} else {
-			d.mask.Data[i] = 0
-			y.Data[i] = 0
-		}
-	}
+	d.ApplyTrain(y, d.mask, x)
 	return y
 }
 
-// ApplyTrain runs Forward's train-mode body over caller-owned buffers:
+// ApplyTrain is Forward's train-mode body over caller-owned buffers:
 // it draws a fresh mask from the layer's RNG into mask and writes the
 // rescaled, dropped activations of x into y. The pooled training path
 // uses it to keep each member's RNG draw sequence (row-major over the
 // member's own activations, exactly like its solo Forward) while the
 // activations live as bands of a stacked matrix. x, y and mask must
 // share a shape; x's Data is consumed in row-major order.
+//
+// The draw decides by conditional move, not by branch: both are
+// non-negative floats, which order like their bit patterns.
 func (d *Dropout) ApplyTrain(y, mask, x *mat.Matrix) {
 	keep := 1 - d.Rate
 	inv := 1 / keep
+	keepBits := math.Float64bits(keep)
+	md, yd := mask.Data[:len(x.Data)], y.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if d.rng.Float64() < keep {
-			mask.Data[i] = inv
-			y.Data[i] = v * inv
-		} else {
-			mask.Data[i] = 0
-			y.Data[i] = 0
+		mb, yb := math.Float64bits(inv), math.Float64bits(v*inv)
+		if math.Float64bits(d.rng.Float64()) >= keepBits {
+			mb, yb = 0, 0
 		}
+		md[i] = math.Float64frombits(mb)
+		yd[i] = math.Float64frombits(yb)
 	}
 }
 

@@ -51,18 +51,64 @@ func BenchmarkForwardBackwardBatch64(b *testing.B) {
 	}
 }
 
+// paperBDQParams builds parameters with the tensor shapes of the
+// paper-scale Twig-C network (22 inputs, trunk 512/256, branch hiddens
+// 128, two agents, dims 18/9): 281 912 elements, what node_paper_twigc
+// steps every interval.
+func paperBDQParams() []*Param {
+	var ps []*Param
+	dense := func(name string, in, out int) {
+		ps = append(ps, NewParam(name+".W", in, out), NewParam(name+".B", 1, out))
+	}
+	dense("shared0", 22, 512)
+	dense("shared1", 512, 256)
+	for _, n := range []string{"value0", "value1"} {
+		dense(n+".h", 256, 128)
+		dense(n+".out", 128, 1)
+	}
+	dense("adv0.h", 256, 128)
+	dense("adv1.h", 256, 128)
+	for _, n := range []string{"out0", "out1"} {
+		dense("adv0."+n, 128, 18)
+		dense("adv1."+n, 128, 9)
+	}
+	return ps
+}
+
+// BenchmarkAdamStep times one optimiser step at paper size through both
+// entry points: the per-tensor sweep the solo agent uses and the flat
+// pass over arena slabs the pooled one does.
 func BenchmarkAdamStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	net := paperNet(rng)
-	opt := NewAdam(0.0025)
-	params := net.Params()
-	for _, p := range params {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = rng.NormFloat64()
+	fill := func(ps []*Param) {
+		rng := rand.New(rand.NewSource(1))
+		for _, p := range ps {
+			for i := range p.Grad.Data {
+				p.Grad.Data[i] = rng.NormFloat64()
+			}
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt.Step(params)
-	}
+	b.Run("per-param", func(b *testing.B) {
+		params := paperBDQParams()
+		fill(params)
+		opt := NewAdam(0.0025)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			opt.Step(params)
+		}
+	})
+	b.Run("flat", func(b *testing.B) {
+		params := paperBDQParams()
+		arena := NewArena(ShapesOf(params), 1)
+		id := arena.Alloc()
+		arena.Adopt(id, params)
+		value, grad, m, v := arena.SlotSlabs(id)
+		opt := NewAdam(0.0025)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fill(params) // the flat step zeroes what it consumes
+			b.StartTimer()
+			opt.StepAndZeroGradFlat(params, value, grad, m, v)
+		}
+	})
 }

@@ -21,7 +21,8 @@ func (s *Sequential) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 }
 
 // Backward propagates the output gradient through every layer in reverse
-// order, returning the gradient with respect to the network input.
+// order, returning the gradient with respect to the network input (nil
+// when the first layer is a Dense with NoInputGrad set).
 func (s *Sequential) Backward(gradOut *mat.Matrix) *mat.Matrix {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		gradOut = s.Layers[i].Backward(gradOut)
