@@ -427,8 +427,13 @@ func benchTable3(benchtime, suffix string) Result {
 }
 
 // benchAgentObserve measures the warm steady-state per-interval learning
-// cost at paper scale — the zero-allocation contract lives here.
+// cost at paper scale — the zero-allocation contract lives here. It is
+// held at row fan-out 1, as bdq.TestTrainStepAllocsWarm states the
+// contract: on a multi-core host the fan-out's goroutines are its own
+// allocations, not the learner's.
 func benchAgentObserve(benchtime string) Result {
+	defer mat.SetParallelism(mat.Parallelism())
+	mat.SetParallelism(1)
 	sc := experiments.PaperScale()
 	spec := bdq.Spec{
 		StateDim:     2 * int(pmc.NumCounters),

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -420,7 +421,7 @@ func (c *Coordinator) failOver(t int, n *node, reason string) {
 		n.snapshot, n.snapReplicas = nil, nil
 		return
 	}
-	if !c.cfg.PinReplicas && n.snapshot != nil && equalInts(n.snapReplicas, n.replicas) {
+	if !c.cfg.PinReplicas && n.snapshot != nil && slices.Equal(n.snapReplicas, n.replicas) {
 		c.estates = append(c.estates, estate{
 			ids:      append([]int(nil), n.snapReplicas...),
 			snapshot: n.snapshot,
@@ -483,7 +484,7 @@ func (c *Coordinator) applyDegradation(t int) {
 			if r.Node >= 0 {
 				n := c.nodes[r.Node]
 				if n.alive && !n.partitioned && n.srv != nil {
-					if idx := indexOf(n.replicas, r.ID); idx >= 0 {
+					if idx := slices.Index(n.replicas, r.ID); idx >= 0 {
 						if err := c.evict(n, idx); err == nil {
 							r.State = Pending
 							r.LastNode = r.Node
@@ -656,24 +657,12 @@ func (c *Coordinator) stepWorlds(t int) float64 {
 	ticked := make(map[int]bool, len(c.replicas))
 
 	// Fleet-batched phase: enqueue every phased controller's learning
-	// and selection work, then run one shared flush for the whole fleet.
-	var phased map[*node]ctrl.PhasedController
-	var phaseFailed map[*node]bool
+	// and selection work, then run one shared flush for the whole fleet;
+	// each loop remembers that its step owes the FinishDecide half.
 	if c.cfg.Flush != nil {
-		phased = make(map[*node]ctrl.PhasedController)
-		phaseFailed = make(map[*node]bool)
 		for _, n := range c.nodes {
-			if !n.alive || n.fenced || n.srv == nil {
-				continue
-			}
-			pc, ok := n.controller.(ctrl.PhasedController)
-			if !ok {
-				continue
-			}
-			if safePrepare(pc, n.obs) {
-				phased[n] = pc
-			} else {
-				phaseFailed[n] = true
+			if n.alive && !n.fenced && n.srv != nil {
+				n.loop.Prepare()
 			}
 		}
 		c.cfg.Flush()
@@ -683,12 +672,7 @@ func (c *Coordinator) stepWorlds(t int) float64 {
 		if !n.alive || n.fenced || n.srv == nil {
 			continue
 		}
-		// n.loads is the node loop's own buffer (sim.Server.Step copies
-		// what it needs), remade when the node's replica set changes.
-		if len(n.loads) != len(n.replicas) {
-			n.loads = make([]float64, len(n.replicas))
-		}
-		loads := n.loads
+		loads := n.loop.Loads()
 		for i, id := range n.replicas {
 			r := c.replicas[id]
 			loads[i] = 0
@@ -696,32 +680,18 @@ func (c *Coordinator) stepWorlds(t int) float64 {
 				loads[i] = r.Spec.LoadFrac * service.MustLookup(r.Spec.Service).MaxLoadRPS
 			}
 		}
-		var asg sim.Assignment
-		var panicked bool
-		switch {
-		case phased[n] != nil:
-			asg, panicked = safeFinish(phased[n])
-		case phaseFailed[n]:
-			panicked = true
-		default:
-			asg, panicked = safeDecide(n.controller, n.obs)
-		}
-		if panicked {
+		res, out, err := n.loop.Step()
+		if out&ctrl.DecidePanicked != 0 {
 			c.ctr.DecidePanics++
-			asg = n.lastValid
 		}
-		res, err := n.srv.Step(asg, loads)
-		if err != nil {
+		if out&ctrl.StepRejected != 0 {
 			c.ctr.StepErrors++
-			asg = n.lastValid
-			if res, err = n.srv.Step(asg, loads); err != nil {
-				// The safe fallback cannot be rejected unless the world
-				// itself is broken; freeze the node for this interval.
-				continue
-			}
 		}
-		n.lastValid = asg
-		n.obs = n.tracker.Observe(n.srv, res)
+		if err != nil {
+			// The safe fallback cannot be rejected unless the world
+			// itself is broken; freeze the node for this interval.
+			continue
+		}
 		energy += res.EnergyJ
 
 		for i, id := range n.replicas {
@@ -788,25 +758,4 @@ func (c *Coordinator) Events() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]string(nil), c.events...)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func indexOf(s []int, v int) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,8 +23,12 @@ type testCtl struct {
 	steps int
 }
 
-func (t *testCtl) Name() string                            { return "test-static" }
-func (t *testCtl) Decide(ctrl.Observation) sim.Assignment  { t.steps++; return safeAssignment(t.srv) }
+func (t *testCtl) Name() string { return "test-static" }
+func (t *testCtl) Decide(ctrl.Observation) sim.Assignment {
+	t.steps++
+	lo, hi := t.srv.FreqRange()
+	return ctrl.SafeAssignment(t.srv.NumServices(), t.srv.ManagedCores(), lo, hi)
+}
 func (t *testCtl) CheckpointName() string                  { return "test-ctl" }
 func (t *testCtl) EncodeState(e *checkpoint.Encoder)       { e.Int(t.steps) }
 func (t *testCtl) DecodeState(d *checkpoint.Decoder) error { t.steps = d.Int(); return d.Err() }
@@ -439,7 +444,7 @@ func TestChaosSweepDeterministicAndInvariantClean(t *testing.T) {
 				continue
 			}
 			n := a.nodes[r.Node]
-			if !n.alive || !n.coordLive || n.fenced || indexOf(n.replicas, r.ID) < 0 {
+			if !n.alive || !n.coordLive || n.fenced || slices.Index(n.replicas, r.ID) < 0 {
 				t.Errorf("replica %d running on unhealthy node %d", r.ID, r.Node)
 			}
 		case DeadLetter:

@@ -52,10 +52,7 @@ type node struct {
 	srv        *sim.Server
 	controller ctrl.Controller
 	comps      []checkpoint.Checkpointable
-	tracker    *ctrl.ObservationTracker
-	obs        ctrl.Observation
-	lastValid  sim.Assignment
-	loads      []float64 // offered load per hosted replica, refilled every interval
+	loop       *ctrl.Loop // the interval kernel over srv and controller, rebuilt with them
 
 	// snapshot is the latest warm in-memory checkpoint of the node's
 	// world and controller stack, the source for warm failover;
@@ -102,11 +99,11 @@ func (c *Coordinator) buildWorld(n *node, ids []int) {
 	c.buildController(n)
 }
 
-// buildController rebuilds n's controller stack for its current
-// membership at the next generation. Mirrors the daemon engine: a
-// membership change means a fresh learner (the agent's network shape is
-// fixed by the service count), seeded deterministically by the
-// generation; the simulator state is untouched.
+// buildController rebuilds n's controller stack and interval kernel for
+// its current membership at the next generation. Mirrors the daemon
+// engine: a membership change means a fresh learner (the agent's
+// network shape is fixed by the service count), seeded deterministically
+// by the generation; the simulator state is untouched.
 func (c *Coordinator) buildController(n *node) {
 	closeController(n.controller)
 	n.gen++
@@ -115,9 +112,7 @@ func (c *Coordinator) buildController(n *node) {
 		specs[i] = c.replicas[id].Spec
 	}
 	n.controller, n.comps = c.cfg.Factory(n.srv, specs, c.seedFor(n)+int64(n.gen)*7919)
-	n.tracker = &ctrl.ObservationTracker{}
-	n.obs = ctrl.InitialObservation(n.srv)
-	n.lastValid = safeAssignment(n.srv)
+	n.loop = ctrl.NewLoop(n.srv, n.controller)
 }
 
 // dropWorld discards n's world and controller stack (crash or fence).
@@ -128,9 +123,7 @@ func (n *node) dropWorld() {
 	n.srv = nil
 	n.controller = nil
 	n.comps = nil
-	n.tracker = nil
-	n.obs = ctrl.Observation{}
-	n.lastValid = sim.Assignment{}
+	n.loop = nil
 }
 
 // evict removes the replica at simulator index idx from n's world.
@@ -161,49 +154,20 @@ func (c *Coordinator) place(n *node, r *Replica) error {
 	return nil
 }
 
-// nodeLoopState checkpoints the per-node control-loop position that
-// travels with the world in snapshots and fleet checkpoints: the
-// pending observation, the last valid assignment and the tracker's
-// queue memory. It reads and writes the node directly, so decoding a
-// section restores the loop position in place.
-type nodeLoopState struct {
-	n *node
-}
+// nodeLoopState names the section a node's interval kernel travels in,
+// in snapshots and fleet checkpoints; decoding it restores the loop
+// position in place.
+type nodeLoopState struct{ *ctrl.Loop }
 
 // CheckpointName implements checkpoint.Checkpointable.
-func (s *nodeLoopState) CheckpointName() string { return "cluster-node-loop" }
-
-// EncodeState implements checkpoint.Checkpointable.
-func (s *nodeLoopState) EncodeState(e *checkpoint.Encoder) {
-	ctrl.EncodeObservation(e, s.n.obs)
-	sim.EncodeAssignment(e, s.n.lastValid)
-	s.n.tracker.EncodeState(e)
-}
-
-// DecodeState implements checkpoint.Checkpointable.
-func (s *nodeLoopState) DecodeState(d *checkpoint.Decoder) error {
-	obs, err := ctrl.DecodeObservation(d)
-	if err != nil {
-		return err
-	}
-	s.n.obs = obs
-	asg, err := sim.DecodeAssignment(d)
-	if err != nil {
-		return err
-	}
-	s.n.lastValid = asg
-	if s.n.tracker == nil {
-		s.n.tracker = &ctrl.ObservationTracker{}
-	}
-	return s.n.tracker.DecodeState(d)
-}
+func (nodeLoopState) CheckpointName() string { return "cluster-node-loop" }
 
 // worldComponents lists every checkpointable of n's running world in
 // snapshot section order: simulator, controller components, loop state.
 func (n *node) worldComponents() []checkpoint.Checkpointable {
 	comps := []checkpoint.Checkpointable{n.srv}
 	comps = append(comps, n.comps...)
-	comps = append(comps, &nodeLoopState{n: n})
+	comps = append(comps, nodeLoopState{n.loop})
 	return comps
 }
 
@@ -231,56 +195,10 @@ func (c *Coordinator) restoreSnapshot(n *node, snapshot []byte, ids []int) error
 	return nil
 }
 
-func safeDecide(ctl ctrl.Controller, obs ctrl.Observation) (asg sim.Assignment, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	return ctl.Decide(obs), false
-}
-
-// safePrepare runs PrepareDecide with the same panic conversion as
-// safeDecide; a false return routes the node to its fallback mapping.
-func safePrepare(pc ctrl.PhasedController, obs ctrl.Observation) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	pc.PrepareDecide(obs)
-	return true
-}
-
-// safeFinish collects a phased controller's assignment after the fleet
-// flush, converting a panic into the fallback path.
-func safeFinish(pc ctrl.PhasedController) (asg sim.Assignment, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	return pc.FinishDecide(), false
-}
-
 // closeController releases shared resources (pooled arena slots) held
 // by a controller stack being discarded.
 func closeController(ctl ctrl.Controller) {
 	if cl, ok := ctl.(ctrl.Closer); ok {
 		cl.Close()
 	}
-}
-
-// safeAssignment is the conservative fallback mapping: every service on
-// every managed core at the node's maximum DVFS setting.
-func safeAssignment(srv *sim.Server) sim.Assignment {
-	lo, hi := srv.FreqRange()
-	asg := sim.Assignment{
-		PerService:  make([]sim.Allocation, srv.NumServices()),
-		IdleFreqGHz: lo,
-	}
-	for i := range asg.PerService {
-		asg.PerService[i] = sim.Allocation{Cores: srv.ManagedCores(), FreqGHz: hi}
-	}
-	return asg
 }

@@ -26,10 +26,15 @@ type GuardConfig struct {
 	// BreakerResetR is the number of consecutive met intervals required
 	// before a tripped breaker hands control back to the inner controller.
 	BreakerResetR int
+	// MinFreqGHz and MaxFreqGHz are the DVFS range of the SKU the guard
+	// actuates (sim.Server.FreqRange): decisions are clamped into it and
+	// the fallback and breaker escalate to its maximum. Zero means the
+	// reference platform's range.
+	MinFreqGHz, MaxFreqGHz float64
 }
 
 // DefaultGuardConfig returns the recommended guard settings for the
-// given managed core set.
+// given managed core set on the reference platform.
 func DefaultGuardConfig(managed []int) GuardConfig {
 	return GuardConfig{
 		ManagedCores:    append([]int(nil), managed...),
@@ -38,6 +43,14 @@ func DefaultGuardConfig(managed []int) GuardConfig {
 		BreakerK:        3,
 		BreakerResetR:   2,
 	}
+}
+
+// GuardConfigFor returns the recommended guard settings for srv: its
+// managed core set and its SKU's DVFS range.
+func GuardConfigFor(srv *sim.Server) GuardConfig {
+	cfg := DefaultGuardConfig(srv.ManagedCores())
+	cfg.MinFreqGHz, cfg.MaxFreqGHz = srv.FreqRange()
+	return cfg
 }
 
 // GuardHealth counts every intervention the guard made. All counters are
@@ -105,6 +118,9 @@ func NewGuard(inner Controller, cfg GuardConfig) *Guard {
 	if cfg.BreakerResetR <= 0 {
 		cfg.BreakerResetR = def.BreakerResetR
 	}
+	if cfg.MaxFreqGHz == 0 {
+		cfg.MinFreqGHz, cfg.MaxFreqGHz = platform.MinFreqGHz, platform.MaxFreqGHz
+	}
 	return &Guard{inner: inner, cfg: cfg}
 }
 
@@ -126,11 +142,11 @@ func (g *Guard) Decide(obs Observation) sim.Assignment {
 	g.init(len(obs.Services))
 	clean := g.sanitize(obs)
 
-	asg, panicked := g.tryInner(clean)
+	asg, panicked := safeDecide(g.inner, wholeDecide, clean)
 	if panicked {
 		g.health.PanicsRecovered++
 		g.health.FallbackIntervals++
-		asg = g.safeAssignment(len(obs.Services))
+		asg = g.fallback(len(obs.Services))
 	} else {
 		asg = g.validate(asg, len(obs.Services))
 	}
@@ -223,16 +239,6 @@ func (g *Guard) sanitize(obs Observation) Observation {
 	return out
 }
 
-// tryInner runs the wrapped controller's Decide behind a recover.
-func (g *Guard) tryInner(obs Observation) (asg sim.Assignment, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	return g.inner.Decide(obs), false
-}
-
 // validate repairs a decision in place: wrong shape falls back entirely;
 // otherwise cores are filtered to the managed set, empty allocations are
 // widened to every managed core, and frequencies and cache ways are
@@ -241,7 +247,7 @@ func (g *Guard) validate(asg sim.Assignment, k int) sim.Assignment {
 	if len(asg.PerService) != k {
 		g.health.ActionsClamped++
 		g.health.FallbackIntervals++
-		return g.safeAssignment(k)
+		return g.fallback(k)
 	}
 
 	managed := make(map[int]bool, len(g.cfg.ManagedCores))
@@ -255,7 +261,7 @@ func (g *Guard) validate(asg sim.Assignment, k int) sim.Assignment {
 	}
 	clamped := false
 	if out.IdleFreqGHz != 0 {
-		fixed := clampFreq(out.IdleFreqGHz)
+		fixed := g.clampFreq(out.IdleFreqGHz)
 		if fixed != out.IdleFreqGHz {
 			clamped = true
 			out.IdleFreqGHz = fixed
@@ -277,7 +283,7 @@ func (g *Guard) validate(asg sim.Assignment, k int) sim.Assignment {
 			clamped = true
 			cores = append([]int(nil), g.cfg.ManagedCores...)
 		}
-		freq := clampFreq(al.FreqGHz)
+		freq := g.clampFreq(al.FreqGHz)
 		if freq != al.FreqGHz {
 			clamped = true
 		}
@@ -318,40 +324,24 @@ func (g *Guard) breaker(obs Observation, asg *sim.Assignment) {
 			g.health.BreakerIntervals++
 			asg.PerService[i] = sim.Allocation{
 				Cores:     append([]int(nil), g.cfg.ManagedCores...),
-				FreqGHz:   platform.MaxFreqGHz,
+				FreqGHz:   g.cfg.MaxFreqGHz,
 				CacheWays: platform.NumCacheWays,
 			}
 		}
 	}
 }
 
-// safeAssignment is the static maximum-resource fallback: every service
-// on every managed core at the highest frequency.
-func (g *Guard) safeAssignment(k int) sim.Assignment {
-	asg := sim.Assignment{
-		PerService:  make([]sim.Allocation, k),
-		IdleFreqGHz: platform.MinFreqGHz,
-	}
-	for i := range asg.PerService {
-		asg.PerService[i] = sim.Allocation{
-			Cores:   append([]int(nil), g.cfg.ManagedCores...),
-			FreqGHz: platform.MaxFreqGHz,
-		}
-	}
-	return asg
+// fallback is the static maximum-resource assignment on the guard's SKU.
+func (g *Guard) fallback(k int) sim.Assignment {
+	return SafeAssignment(k, g.cfg.ManagedCores, g.cfg.MinFreqGHz, g.cfg.MaxFreqGHz)
 }
 
-func clampFreq(f float64) float64 {
+// clampFreq forces f into the SKU's DVFS range (non-finite means max).
+func (g *Guard) clampFreq(f float64) float64 {
 	if !isFinite(f) {
-		return platform.MaxFreqGHz
+		return g.cfg.MaxFreqGHz
 	}
-	if f < platform.MinFreqGHz {
-		return platform.MinFreqGHz
-	}
-	if f > platform.MaxFreqGHz {
-		return platform.MaxFreqGHz
-	}
-	return f
+	return min(max(f, g.cfg.MinFreqGHz), g.cfg.MaxFreqGHz)
 }
 
 func isFinite(v float64) bool {

@@ -232,3 +232,64 @@ func TestGuardOutputAlwaysValid(t *testing.T) {
 		}
 	}
 }
+
+// On a capped SKU the guard works in the server's DVFS range, not the
+// reference platform's: an over-range decision is clamped (and counted),
+// and neither the panic fallback nor the breaker escalates past the cap.
+func TestGuardHonoursCappedSKU(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Platform = platform.Config{Sockets: 1, CoresPerSocket: 10, MinFreqGHz: 1.2, MaxFreqGHz: 1.6}
+	cfg.ManagedSocket = 0
+	srv := sim.NewServer(cfg, []sim.ServiceSpec{
+		{Profile: service.MustLookup("masstree"), QoSTargetMs: 5, Seed: 1},
+	})
+	lo, hi := srv.FreqRange()
+	if lo != 1.2 || hi != 1.6 {
+		t.Fatalf("edge SKU range [%v,%v]", lo, hi)
+	}
+	inRange := func(what string, asg sim.Assignment) {
+		t.Helper()
+		for i, al := range asg.PerService {
+			if al.FreqGHz < lo || al.FreqGHz > hi {
+				t.Fatalf("%s: service %d at %v GHz, outside [%v,%v]", what, i, al.FreqGHz, lo, hi)
+			}
+		}
+		if f := asg.IdleFreqGHz; f != 0 && (f < lo || f > hi) {
+			t.Fatalf("%s: idle cores at %v GHz, outside [%v,%v]", what, f, lo, hi)
+		}
+	}
+
+	decisions := map[string]func(Observation) sim.Assignment{
+		"1.8 GHz decision": func(o Observation) sim.Assignment {
+			return sim.Assignment{PerService: []sim.Allocation{{Cores: srv.ManagedCores()[:2], FreqGHz: 1.8}}, IdleFreqGHz: 2.0}
+		},
+		"panic":       func(Observation) sim.Assignment { panic("boom") },
+		"wrong shape": func(Observation) sim.Assignment { return sim.Assignment{} },
+	}
+	for name, dec := range decisions {
+		g := NewGuard(&fakeCtrl{name: "g", decide: dec}, GuardConfigFor(srv))
+		// Five violating intervals: the breaker trips on the third and
+		// escalates the remaining two.
+		for i := 0; i < 5; i++ {
+			inRange(name, g.Decide(obs1(10)))
+		}
+		if g.Health().BreakerIntervals == 0 {
+			t.Fatalf("%s: breaker never escalated", name)
+		}
+	}
+
+	g := NewGuard(&fakeCtrl{name: "g", decide: decisions["1.8 GHz decision"]}, GuardConfigFor(srv))
+	if asg := g.Decide(obs1(3)); asg.PerService[0].FreqGHz != hi || asg.IdleFreqGHz != hi {
+		t.Fatalf("1.8 GHz decision not clamped to the cap: %+v", asg)
+	}
+	if got := g.Health().ActionsClamped; got != 1 {
+		t.Fatalf("a 1.8 GHz decision on a 1.6 GHz SKU counted %d clamps, want 1", got)
+	}
+
+	// The reference SKU is what a config without a range means.
+	ref := NewGuard(&fakeCtrl{name: "g", decide: decisions["1.8 GHz decision"]}, DefaultGuardConfig(testCores))
+	if asg := ref.Decide(obs1(3)); asg.PerService[0].FreqGHz != 1.8 || ref.Health().ActionsClamped != 1 {
+		// IdleFreqGHz 2.0 is in range; only the unmanaged cores are filtered.
+		t.Fatalf("reference SKU: %+v, health %+v", asg, ref.Health())
+	}
+}

@@ -172,17 +172,13 @@ type Engine struct {
 	gen      int // controller rebuild generation, seeds fresh learners
 	admitted int // monotonic admission counter, seeds new services
 
-	srv        *sim.Server
-	pools      *bdq.Pools // shared batched-GEMM agent pools, survive rebuilds
-	mgr        *core.Manager
-	guard      *ctrl.Guard
-	drainer    *ctrl.Drainer
-	controller ctrl.Controller
-	tracker    *ctrl.ObservationTracker
-	obs        ctrl.Observation
-	lastValid  sim.Assignment
-	loads      []float64 // offered load per live service, refilled every Step
-	next       int       // first interval still to execute
+	srv     *sim.Server
+	pools   *bdq.Pools // shared batched-GEMM agent pools, survive rebuilds
+	mgr     *core.Manager
+	guard   *ctrl.Guard
+	drainer *ctrl.Drainer
+	loop    *ctrl.Loop // the interval kernel over srv and drainer, rebuilt with them
+	next    int        // first interval still to execute
 
 	reloadReq bool
 	lastRes   sim.StepResult
@@ -355,36 +351,9 @@ func (e *Engine) buildController() {
 	live := e.liveEntries()
 	services := make([]core.ServiceConfig, len(live))
 	for i, en := range live {
-		services[i] = core.ServiceConfig{
-			Name:        en.name,
-			QoSTargetMs: en.qosMs,
-			MaxLoadRPS:  service.MustLookup(en.name).MaxLoadRPS,
-			Power:       experiments.PowerModelFor(en.name),
-		}
+		services[i] = experiments.ServiceConfigFor(en.name, en.qosMs)
 	}
-	sc := e.cfg.Scale
-	cfg := core.Config{
-		Services:  services,
-		NumCores:  len(e.srv.ManagedCores()),
-		MaxPowerW: e.srv.MaxPowerW(),
-		Eta:       5,
-		Reward:    core.DefaultRewardConfig(),
-		Agent: bdq.AgentConfig{
-			Spec: bdq.Spec{
-				SharedHidden: sc.SharedHidden,
-				BranchHidden: sc.BranchHidden,
-				Dropout:      sc.Dropout,
-			},
-			Gamma:          sc.Gamma,
-			TrainPerStep:   sc.TrainPerStep,
-			BatchSize:      sc.BatchSize,
-			TargetSync:     sc.TargetSync,
-			PERAnnealSteps: sc.PERAnneal,
-			Epsilon:        sc.Epsilon,
-			UsePER:         true,
-			Seed:           e.cfg.Seed + int64(e.gen)*7919,
-		},
-	}
+	cfg := experiments.ManagerConfig(e.srv, e.cfg.Scale, e.cfg.Seed+int64(e.gen)*7919, services)
 	// The manager's agent lives in a pooled parameter arena shared
 	// across controller generations: a rebuild drains the old manager
 	// (releasing its arena slots for the next generation, which reuses
@@ -400,7 +369,7 @@ func (e *Engine) buildController() {
 	e.mgr = core.NewManagerPooled(cfg, e.srv.ManagedCores(), e.pools)
 	var inner ctrl.Controller = e.mgr
 	if e.cfg.Guard {
-		e.guard = ctrl.NewGuard(e.mgr, ctrl.DefaultGuardConfig(e.srv.ManagedCores()))
+		e.guard = ctrl.NewGuard(e.mgr, ctrl.GuardConfigFor(e.srv))
 		inner = e.guard
 	} else {
 		e.guard = nil
@@ -409,10 +378,7 @@ func (e *Engine) buildController() {
 	for i, en := range live {
 		e.drainer.SetDraining(i, en.lc.State() == Draining)
 	}
-	e.controller = e.drainer
-	e.tracker = &ctrl.ObservationTracker{}
-	e.obs = ctrl.InitialObservation(e.srv)
-	e.lastValid = safeAssignment(e.srv)
+	e.loop = ctrl.NewLoop(e.srv, e.drainer)
 }
 
 // Admit registers a service at runtime; it is placed at the next
@@ -575,36 +541,25 @@ func (e *Engine) Step() (sim.StepResult, error) {
 	e.applyBoundary()
 	t := e.next
 
-	asg, panicked := safeDecide(e.controller, e.obs)
-	if panicked {
-		e.metrics.Add("twigd_decide_panics_total", nil, 1)
-		asg = e.lastValid
-	}
-
 	live := e.liveEntries()
-	// e.loads is the loop's own buffer (sim.Server.Step copies what it
-	// needs), remade when the membership changes.
-	if len(e.loads) != len(live) {
-		e.loads = make([]float64, len(live))
-	}
-	loads := e.loads
+	loads := e.loop.Loads()
 	for i, en := range live {
 		loads[i] = 0
 		if en.lc.State() == Running {
 			loads[i] = en.pat.RPS(t)
 		}
 	}
-	res, err := e.srv.Step(asg, loads)
-	if err != nil {
-		e.metrics.Add("twigd_step_errors_total", nil, 1)
-		asg = e.lastValid
-		if res, err = e.srv.Step(asg, loads); err != nil {
-			return sim.StepResult{}, fmt.Errorf("daemon: fallback assignment rejected: %w", err)
-		}
+	res, out, err := e.loop.Step()
+	if out&ctrl.DecidePanicked != 0 {
+		e.metrics.Add("twigd_decide_panics_total", nil, 1)
 	}
-	e.lastValid = asg
+	if out&ctrl.StepRejected != 0 {
+		e.metrics.Add("twigd_step_errors_total", nil, 1)
+	}
+	if err != nil {
+		return sim.StepResult{}, fmt.Errorf("daemon: %w", err)
+	}
 	e.lastRes, e.haveRes = res, true
-	e.obs = e.tracker.Observe(e.srv, res)
 	e.next = t + 1
 
 	// Drained detection: a draining service receives no load, so its
@@ -763,27 +718,4 @@ func (e *Engine) FlushCheckpoints() error {
 		return nil
 	}
 	return e.writer.Flush()
-}
-
-func safeDecide(c ctrl.Controller, obs ctrl.Observation) (asg sim.Assignment, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	return c.Decide(obs), false
-}
-
-// safeAssignment is the conservative fallback mapping: every service on
-// every managed core at the node's maximum DVFS setting.
-func safeAssignment(srv *sim.Server) sim.Assignment {
-	lo, hi := srv.FreqRange()
-	asg := sim.Assignment{
-		PerService:  make([]sim.Allocation, srv.NumServices()),
-		IdleFreqGHz: lo,
-	}
-	for i := range asg.PerService {
-		asg.PerService[i] = sim.Allocation{Cores: srv.ManagedCores(), FreqGHz: hi}
-	}
-	return asg
 }

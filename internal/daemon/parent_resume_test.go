@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +47,11 @@ func TestParentCheckpointResumesHexIdentical(t *testing.T) {
 	}
 	if seq != cut || e.Next() != cut {
 		t.Fatalf("restored seq %d, resumes at t=%d, want %d", seq, e.Next(), cut)
+	}
+	// The daemon section's tail is ctrl.Loop's codec since the interval
+	// kernel: the restored engine must write back the parent's bytes.
+	if !bytes.Equal(e.marshal(), raw) {
+		t.Fatal("re-marshalling the restored engine does not reproduce the parent's bytes")
 	}
 	got := runScripted(t, e, total, e2eScript())
 	if err := e.FlushCheckpoints(); err != nil {

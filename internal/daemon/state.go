@@ -30,8 +30,8 @@ type persistedEntry struct {
 
 // daemonState is the daemon's own checkpoint section: the service
 // registry with lifecycle positions, the rebuild/admission counters and
-// the control-loop position (pending observation, last valid
-// assignment, tracker memory). Together with the sim-server, manager,
+// the control-loop position (the next interval and the interval
+// kernel's carried state). Together with the sim-server, manager,
 // drainer and guard sections it pins down the whole control plane.
 type daemonState struct {
 	gen         int
@@ -40,9 +40,7 @@ type daemonState struct {
 	guarded     bool
 	faultsArmed bool
 	entries     []persistedEntry
-	obs         ctrl.Observation
-	lastValid   sim.Assignment
-	tracker     *ctrl.ObservationTracker
+	loop        *ctrl.Loop
 }
 
 // CheckpointName implements checkpoint.Checkpointable.
@@ -70,9 +68,7 @@ func (st *daemonState) EncodeState(e *checkpoint.Encoder) {
 		e.Int(pe.drainFor)
 		e.String(pe.failReason)
 	}
-	ctrl.EncodeObservation(e, st.obs)
-	sim.EncodeAssignment(e, st.lastValid)
-	st.tracker.EncodeState(e)
+	st.loop.EncodeState(e)
 }
 
 // DecodeState implements checkpoint.Checkpointable.
@@ -108,20 +104,8 @@ func (st *daemonState) DecodeState(d *checkpoint.Decoder) error {
 			return err
 		}
 	}
-	obs, err := ctrl.DecodeObservation(d)
-	if err != nil {
-		return err
-	}
-	st.obs = obs
-	asg, err := sim.DecodeAssignment(d)
-	if err != nil {
-		return err
-	}
-	st.lastValid = asg
-	if st.tracker == nil {
-		st.tracker = &ctrl.ObservationTracker{}
-	}
-	return st.tracker.DecodeState(d)
+	st.loop = &ctrl.Loop{} // bound once the world it drives is rebuilt
+	return st.loop.DecodeState(d)
 }
 
 // snapshotState captures the engine's daemon section (caller holds the
@@ -133,9 +117,7 @@ func (e *Engine) snapshotState() *daemonState {
 		next:        e.next,
 		guarded:     e.cfg.Guard,
 		faultsArmed: e.cfg.faultsArmed(),
-		obs:         e.obs,
-		lastValid:   e.lastValid,
-		tracker:     e.tracker,
+		loop:        e.loop,
 	}
 	for _, en := range e.entries {
 		st.entries = append(st.entries, persistedEntry{
@@ -264,9 +246,8 @@ func RestoreLatest(cfg Config) (*Engine, uint64, error) {
 	e.srv = sim.NewServer(e.simConfig(), specs)
 	e.buildController()
 	e.next = st.next
-	e.obs = st.obs
-	e.lastValid = st.lastValid
-	e.tracker = st.tracker
+	e.loop = st.loop
+	e.loop.Bind(e.srv, e.drainer)
 
 	comps := []checkpoint.Checkpointable{e.srv, e.mgr, e.drainer}
 	if e.guard != nil {

@@ -11,7 +11,6 @@ import (
 	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
-	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // FleetFactory builds the per-node controller stack the chaos fleet
@@ -48,35 +47,9 @@ func PooledFleetFactory(sc Scale) (cluster.ControllerFactory, func()) {
 func fleetManagerConfig(sc Scale, srv *sim.Server, specs []cluster.ReplicaSpec, seed int64) core.Config {
 	services := make([]core.ServiceConfig, len(specs))
 	for i, sp := range specs {
-		services[i] = core.ServiceConfig{
-			Name:        sp.Service,
-			QoSTargetMs: sp.QoSTargetMs,
-			MaxLoadRPS:  service.MustLookup(sp.Service).MaxLoadRPS,
-			Power:       PowerModelFor(sp.Service),
-		}
+		services[i] = ServiceConfigFor(sp.Service, sp.QoSTargetMs)
 	}
-	return core.Config{
-		Services:  services,
-		NumCores:  len(srv.ManagedCores()),
-		MaxPowerW: srv.MaxPowerW(),
-		Eta:       5,
-		Reward:    core.DefaultRewardConfig(),
-		Agent: bdq.AgentConfig{
-			Spec: bdq.Spec{
-				SharedHidden: sc.SharedHidden,
-				BranchHidden: sc.BranchHidden,
-				Dropout:      sc.Dropout,
-			},
-			Gamma:          sc.Gamma,
-			TrainPerStep:   sc.TrainPerStep,
-			BatchSize:      sc.BatchSize,
-			TargetSync:     sc.TargetSync,
-			PERAnnealSteps: sc.PERAnneal,
-			Epsilon:        sc.Epsilon,
-			UsePER:         true,
-			Seed:           seed,
-		},
-	}
+	return ManagerConfig(srv, sc, seed, services)
 }
 
 // ChaosMix is the replica set every chaos cell admits at t=0: three LC

@@ -108,7 +108,7 @@ func FaultCellRun(sc Scale, seed int64, fs faults.Scenario, manager string, guar
 	c := inner
 	var guard *ctrl.Guard
 	if guarded {
-		guard = ctrl.NewGuard(inner, ctrl.DefaultGuardConfig(srv.ManagedCores()))
+		guard = ctrl.NewGuard(inner, ctrl.GuardConfigFor(srv))
 		c = guard
 	}
 

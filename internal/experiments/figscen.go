@@ -10,7 +10,6 @@ import (
 	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/scenario"
 	"github.com/twig-sched/twig/internal/sim"
-	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // ScenCell is one (scenario world, manager) run of the cross-scenario
@@ -80,42 +79,13 @@ func scenManager(manager string, srv *sim.Server, w scenario.World, sc Scale, se
 // newScenTwig is NewTwig against a scenario world's server: same SLO
 // targets (they must match what the world's server reports or tardiness
 // would be computed against the wrong bar), but NumCores/MaxPowerW
-// taken from the world's SKU. The power models stay the
-// reference-platform fits — the Eq. 2 shape transfers across SKUs and
-// only steers the reward.
+// taken from the world's SKU.
 func newScenTwig(srv *sim.Server, w scenario.World, sc Scale, seed int64) *core.Manager {
 	services := make([]core.ServiceConfig, len(w.Services))
 	for i, n := range w.Services {
-		services[i] = core.ServiceConfig{
-			Name:        n,
-			QoSTargetMs: ScenQoSTarget(w, n),
-			MaxLoadRPS:  service.MustLookup(n).MaxLoadRPS,
-			Power:       PowerModelFor(n),
-		}
+		services[i] = ServiceConfigFor(n, ScenQoSTarget(w, n))
 	}
-	cfg := core.Config{
-		Services:  services,
-		NumCores:  len(srv.ManagedCores()),
-		MaxPowerW: srv.MaxPowerW(),
-		Eta:       5,
-		Reward:    core.DefaultRewardConfig(),
-		Agent: bdq.AgentConfig{
-			Spec: bdq.Spec{
-				SharedHidden: sc.SharedHidden,
-				BranchHidden: sc.BranchHidden,
-				Dropout:      sc.Dropout,
-			},
-			Gamma:          sc.Gamma,
-			TrainPerStep:   sc.TrainPerStep,
-			BatchSize:      sc.BatchSize,
-			TargetSync:     sc.TargetSync,
-			PERAnnealSteps: sc.PERAnneal,
-			Epsilon:        sc.Epsilon,
-			UsePER:         true,
-			Seed:           seed,
-		},
-	}
-	return core.NewManager(cfg, srv.ManagedCores())
+	return core.NewManager(ManagerConfig(srv, sc, seed, services), srv.ManagedCores())
 }
 
 // ScenCellRun executes one cell: one manager driving one world for the

@@ -118,16 +118,16 @@ func TestScenResumeBitIdenticalAgenticBurst(t *testing.T) {
 	var ckpt []byte
 	{
 		srv, mgr := build()
-		ls := NewLoopState()
+		ls := NewLoopState(srv, mgr)
 		cfg := RunConfig{
 			Server: srv, Controller: mgr, Patterns: w.Patterns(),
 			Seconds: cut, SummaryFromS: 0,
 			Hook: func(tt int, res sim.StepResult, asg sim.Assignment) {
 				got = append(got, record(tt, res, asg))
 			},
-			AfterInterval: func(tt int, obs ctrl.Observation, lastValid sim.Assignment) {
+			AfterInterval: func(tt int, _ ctrl.Observation, _ sim.Assignment) {
 				if tt == cut-1 {
-					ls.Next, ls.Obs, ls.LastValid = tt+1, obs, lastValid
+					ls.Next = tt + 1
 					ckpt = checkpoint.Marshal(srv, mgr, ls)
 				}
 			},
@@ -141,7 +141,7 @@ func TestScenResumeBitIdenticalAgenticBurst(t *testing.T) {
 
 	{
 		srv, mgr := build()
-		ls := NewLoopState()
+		ls := NewLoopState(srv, mgr)
 		if err := checkpoint.Unmarshal(ckpt, srv, mgr, ls); err != nil {
 			t.Fatalf("restore: %v", err)
 		}

@@ -94,15 +94,15 @@ func TestPooledResumeAfterCutBitIdentical(t *testing.T) {
 		fs := resumeScenario()
 		srv := NewFaultyServer(seed, &fs, names...)
 		mgr := NewTwigPooled(srv, sc, seed, bdq.NewPools(), names...)
-		ls := NewLoopState()
+		ls := NewLoopState(srv, mgr)
 		cfg := RunConfig{
 			Server: srv, Controller: mgr, Patterns: patterns, Seconds: cut,
 			Hook: func(tt int, res sim.StepResult, asg sim.Assignment) {
 				got = append(got, record(tt, res, asg))
 			},
-			AfterInterval: func(tt int, obs ctrl.Observation, lastValid sim.Assignment) {
+			AfterInterval: func(tt int, _ ctrl.Observation, _ sim.Assignment) {
 				if tt == cut-1 {
-					ls.Next, ls.Obs, ls.LastValid = tt+1, obs, lastValid
+					ls.Next = tt + 1
 					ckpt = checkpoint.Marshal(srv, mgr, ls)
 				}
 			},
@@ -119,7 +119,7 @@ func TestPooledResumeAfterCutBitIdentical(t *testing.T) {
 		fs := resumeScenario()
 		srv := NewFaultyServer(seed, &fs, names...)
 		mgr := NewTwigPooled(srv, sc, seed, bdq.NewPools(), names...)
-		ls := NewLoopState()
+		ls := NewLoopState(srv, mgr)
 		if err := checkpoint.Unmarshal(ckpt, srv, mgr, ls); err != nil {
 			t.Fatalf("restore into pooled manager: %v", err)
 		}

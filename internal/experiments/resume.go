@@ -8,21 +8,20 @@ import (
 
 // LoopState is the runner-side state a crash-consistent checkpoint
 // carries alongside the server's and controller's own sections: the next
-// interval to execute, the observation pending for that interval's
-// Decide, the last assignment the simulator accepted, and the tracker's
-// queue memory. Together with those sections it pins down everything the
-// remainder of a run depends on — restoring all of them makes the
-// resumed trajectory bit-identical to the uninterrupted one.
+// interval to execute and the interval kernel's carried state (pending
+// observation, last accepted assignment, tracker queue memory). Together
+// with those sections it pins down everything the remainder of a run
+// depends on — restoring all of them makes the resumed trajectory
+// bit-identical to the uninterrupted one.
 type LoopState struct {
-	Next      int
-	Obs       ctrl.Observation
-	LastValid sim.Assignment
-	Tracker   *ctrl.ObservationTracker
+	Next int
+	Loop *ctrl.Loop
 }
 
-// NewLoopState returns the loop state of a run that has not started.
-func NewLoopState() *LoopState {
-	return &LoopState{Tracker: &ctrl.ObservationTracker{}}
+// NewLoopState returns the loop state of a run over srv and c that has
+// not started; decode a checkpoint into it to continue one that has.
+func NewLoopState(srv *sim.Server, c ctrl.Controller) *LoopState {
+	return &LoopState{Loop: ctrl.NewLoop(srv, c)}
 }
 
 // CheckpointName implements checkpoint.Checkpointable.
@@ -31,37 +30,19 @@ func (l *LoopState) CheckpointName() string { return "run-loop" }
 // EncodeState implements checkpoint.Checkpointable.
 func (l *LoopState) EncodeState(e *checkpoint.Encoder) {
 	e.Int(l.Next)
-	ctrl.EncodeObservation(e, l.Obs)
-	sim.EncodeAssignment(e, l.LastValid)
-	l.Tracker.EncodeState(e)
+	l.Loop.EncodeState(e)
 }
 
 // DecodeState implements checkpoint.Checkpointable.
 func (l *LoopState) DecodeState(d *checkpoint.Decoder) error {
 	l.Next = d.Int()
-	obs, err := ctrl.DecodeObservation(d)
-	if err != nil {
-		return err
-	}
-	l.Obs = obs
-	asg, err := sim.DecodeAssignment(d)
-	if err != nil {
-		return err
-	}
-	l.LastValid = asg
-	return l.Tracker.DecodeState(d)
+	return l.Loop.DecodeState(d)
 }
 
-// Configure points cfg at this loop state: the run starts at l.Next with
-// l's tracker, pending observation and last valid assignment. Call it on
-// a restored LoopState before Run; a fresh LoopState configures a run
-// from second zero (only the tracker is shared, so AfterInterval
-// checkpoints see its live state).
+// Configure points cfg at this loop state: the run starts at l.Next and
+// drives l.Loop, so an AfterInterval checkpoint of l (with Next set to
+// the following interval) sees the loop's live state.
 func (l *LoopState) Configure(cfg *RunConfig) {
 	cfg.StartSecond = l.Next
-	cfg.Tracker = l.Tracker
-	if l.Next > 0 {
-		cfg.StartObs = &l.Obs
-		cfg.LastValid = &l.LastValid
-	}
+	cfg.Loop = l.Loop
 }

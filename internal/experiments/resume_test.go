@@ -100,16 +100,16 @@ func resumeRun(t *testing.T, sc Scale, total, cut, parRef, parCut, parResume int
 	var ckpt []byte
 	{
 		srv, mgr := buildResumeWorld(sc, seed, names)
-		ls := NewLoopState()
+		ls := NewLoopState(srv, mgr)
 		cfg := RunConfig{
 			Server: srv, Controller: mgr, Patterns: patterns,
 			Seconds: cut, SummaryFromS: 0,
 			Hook: func(tt int, res sim.StepResult, asg sim.Assignment) {
 				got = append(got, record(tt, res, asg))
 			},
-			AfterInterval: func(tt int, obs ctrl.Observation, lastValid sim.Assignment) {
+			AfterInterval: func(tt int, _ ctrl.Observation, _ sim.Assignment) {
 				if tt == cut-1 {
-					ls.Next, ls.Obs, ls.LastValid = tt+1, obs, lastValid
+					ls.Next = tt + 1
 					ckpt = checkpoint.Marshal(srv, mgr, ls)
 				}
 			},
@@ -124,7 +124,7 @@ func resumeRun(t *testing.T, sc Scale, total, cut, parRef, parCut, parResume int
 	mat.SetParallelism(parResume)
 	{
 		srv, mgr := buildResumeWorld(sc, seed, names)
-		ls := NewLoopState()
+		ls := NewLoopState(srv, mgr)
 		if err := checkpoint.Unmarshal(ckpt, srv, mgr, ls); err != nil {
 			t.Fatalf("restore: %v", err)
 		}

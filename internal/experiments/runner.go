@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 
 	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/sim"
@@ -28,17 +29,15 @@ type RunConfig struct {
 
 	// The remaining fields support crash-consistent resume. A fresh run
 	// leaves them zero. To continue a run from checkpointed loop state,
-	// set StartSecond to the first interval still to execute and supply
-	// the restored Tracker, StartObs (the observation pending for that
-	// interval's Decide) and LastValid (the last assignment the simulator
-	// accepted). AfterInterval, when set, fires at the end of every
-	// interval at the checkpoint-safe boundary: the observation and
-	// last-valid assignment it receives, together with the tracker and
-	// the components' own state, fully determine interval t+1 onward.
+	// set StartSecond to the first interval still to execute and Loop to
+	// the restored interval kernel over Server and Controller
+	// (LoopState.Configure does both). AfterInterval, when set, fires at
+	// the end of every interval at the checkpoint-safe boundary: the
+	// observation and last-valid assignment it receives — the loop's
+	// carried state — together with the components' own state fully
+	// determine interval t+1 onward.
 	StartSecond   int
-	Tracker       *ctrl.ObservationTracker
-	StartObs      *ctrl.Observation
-	LastValid     *sim.Assignment
+	Loop          *ctrl.Loop
 	AfterInterval func(t int, obs ctrl.Observation, lastValid sim.Assignment)
 }
 
@@ -103,48 +102,35 @@ func Run(cfg RunConfig) Summary {
 		AvgFreqGHz:    make([]float64, k),
 	}
 
-	obs := ctrl.InitialObservation(srv)
-	if cfg.StartObs != nil {
-		obs = *cfg.StartObs
+	loop := cfg.Loop
+	if loop == nil {
+		loop = ctrl.NewLoop(srv, cfg.Controller)
 	}
-	var prevAsg sim.Assignment
 	samples := 0
-	tracker := cfg.Tracker
-	if tracker == nil {
-		tracker = &ctrl.ObservationTracker{}
+	// At the end of every interval prevAsg equals the accepted
+	// assignment, so a resumed run's migration counting continues
+	// exactly where the original left off.
+	var prevAsg sim.Assignment
+	if cfg.StartSecond > 0 {
+		prevAsg = loop.LastValid()
 	}
 
-	// lastValid is the most recent assignment the simulator accepted; it
-	// stands in when the controller panics or emits a malformed decision,
-	// like real hardware holding its previous DVFS/affinity programming.
-	lastValid := safeAssignment(srv)
-	if cfg.LastValid != nil {
-		lastValid = *cfg.LastValid
-		// At the end of every interval prevAsg equals the accepted
-		// assignment, so a resumed run's migration counting continues
-		// exactly where the original left off.
-		prevAsg = *cfg.LastValid
-	}
-
-	loads := make([]float64, k) // Step copies what it needs; refilled every interval
+	loads := loop.Loads()
 	for t := cfg.StartSecond; t < cfg.Seconds; t++ {
-		asg, panicked := safeDecide(cfg.Controller, obs)
-		if panicked {
-			sum.DecidePanics++
-			asg = lastValid
-		}
 		for i, p := range cfg.Patterns {
 			loads[i] = p.RPS(t)
 		}
-		res, err := srv.Step(asg, loads)
+		res, out, err := loop.Actuate()
 		if err != nil {
-			sum.StepErrors++
-			asg = lastValid
-			if res, err = srv.Step(asg, loads); err != nil {
-				panic(err) // lastValid was accepted before; cannot happen
-			}
+			panic(err) // lastValid was accepted before; cannot happen
 		}
-		lastValid = asg
+		if out&ctrl.DecidePanicked != 0 {
+			sum.DecidePanics++
+		}
+		if out&ctrl.StepRejected != 0 {
+			sum.StepErrors++
+		}
+		asg := loop.LastValid()
 		if cfg.Hook != nil {
 			cfg.Hook(t, res, asg)
 		}
@@ -156,14 +142,14 @@ func Run(cfg RunConfig) Summary {
 			sum.AvgPowerW += res.TruePowerW
 			if prevAsg.PerService != nil {
 				for i := range asg.PerService {
-					if !sameCoreSet(prevAsg.PerService[i].Cores, asg.PerService[i].Cores) {
+					if !slices.Equal(prevAsg.PerService[i].Cores, asg.PerService[i].Cores) {
 						sum.Migrations++
 					}
 				}
 			}
 		}
 
-		obs = tracker.Observe(srv, res)
+		obs := loop.Observe(res)
 		for i, sv := range res.Services {
 			so := obs.Services[i]
 
@@ -186,7 +172,7 @@ func Run(cfg RunConfig) Summary {
 		}
 		prevAsg = asg
 		if cfg.AfterInterval != nil {
-			cfg.AfterInterval(t, obs, lastValid)
+			cfg.AfterInterval(t, obs, asg)
 		}
 	}
 
@@ -201,41 +187,4 @@ func Run(cfg RunConfig) Summary {
 		}
 	}
 	return sum
-}
-
-// safeDecide runs the controller's Decide, converting a panic into a
-// flag so one buggy decision cannot abort a whole experiment run.
-func safeDecide(c ctrl.Controller, obs ctrl.Observation) (asg sim.Assignment, panicked bool) {
-	defer func() {
-		if recover() != nil {
-			panicked = true
-		}
-	}()
-	return c.Decide(obs), false
-}
-
-// safeAssignment is the conservative fallback mapping: every service on
-// every managed core at the node's maximum DVFS setting.
-func safeAssignment(srv *sim.Server) sim.Assignment {
-	lo, hi := srv.FreqRange()
-	asg := sim.Assignment{
-		PerService:  make([]sim.Allocation, srv.NumServices()),
-		IdleFreqGHz: lo,
-	}
-	for i := range asg.PerService {
-		asg.PerService[i] = sim.Allocation{Cores: srv.ManagedCores(), FreqGHz: hi}
-	}
-	return asg
-}
-
-func sameCoreSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -116,17 +116,7 @@ func PowerModelFor(name string) *core.PowerModel {
 // NewServer builds a default simulated server hosting the named services
 // with calibrated QoS targets.
 func NewServer(seed int64, names ...string) *sim.Server {
-	specs := make([]sim.ServiceSpec, len(names))
-	for i, n := range names {
-		specs[i] = sim.ServiceSpec{
-			Profile:     service.MustLookup(n),
-			QoSTargetMs: QoSTarget(n),
-			Seed:        seed + int64(i)*101,
-		}
-	}
-	cfg := sim.DefaultConfig()
-	cfg.MeasurementSeed = seed
-	return sim.NewServer(cfg, specs)
+	return NewFaultyServer(seed, nil, names...)
 }
 
 // NewFaultyServer is NewServer with a fault-injection scenario armed.
@@ -165,38 +155,46 @@ func NewTwigPooled(srv *sim.Server, sc Scale, seed int64, pools *bdq.Pools, name
 func twigConfig(srv *sim.Server, sc Scale, seed int64, names ...string) core.Config {
 	services := make([]core.ServiceConfig, len(names))
 	for i, n := range names {
-		services[i] = core.ServiceConfig{
-			Name:        n,
-			QoSTargetMs: QoSTarget(n),
-			MaxLoadRPS:  service.MustLookup(n).MaxLoadRPS,
-			Power:       PowerModelFor(n),
-		}
+		services[i] = ServiceConfigFor(n, QoSTarget(n))
 	}
-	cfg := core.Config{
-		Services:  services,
-		NumCores:  len(srv.ManagedCores()),
-		MaxPowerW: srv.MaxPowerW(),
-		Eta:       5,
-		Reward:    core.DefaultRewardConfig(),
-		// The paper recommends pure exploitation after the learning
-		// phase to cut overhead; the evaluation keeps learning at
-		// ε=End so a policy that drifts into violations self-corrects.
-		Agent: bdq.AgentConfig{
-			Spec: bdq.Spec{
-				SharedHidden: sc.SharedHidden,
-				BranchHidden: sc.BranchHidden,
-				Dropout:      sc.Dropout,
-			},
-			Gamma:          sc.Gamma,
-			TrainPerStep:   sc.TrainPerStep,
-			BatchSize:      sc.BatchSize,
-			TargetSync:     sc.TargetSync,
-			PERAnnealSteps: sc.PERAnneal,
-			Epsilon:        sc.Epsilon,
-			UsePER:         true,
-			MaxGradNorm:    0,
-			Seed:           seed,
+	return ManagerConfig(srv, sc, seed, services)
+}
+
+// ServiceConfigFor describes one built-in service to a Twig manager:
+// the tail-latency target it is held to, its profiled saturation load
+// and its fitted Eq. 2 power model (the reference-platform fit — the
+// model's shape transfers across SKUs and only steers the reward).
+func ServiceConfigFor(name string, qosTargetMs float64) core.ServiceConfig {
+	return core.ServiceConfig{
+		Name:        name,
+		QoSTargetMs: qosTargetMs,
+		MaxLoadRPS:  service.MustLookup(name).MaxLoadRPS,
+		Power:       PowerModelFor(name),
+	}
+}
+
+// ManagerConfig assembles the Twig manager configuration every driver
+// uses — experiment runs, scenario worlds, fleet nodes and the daemon —
+// for the given services on srv's SKU at the given learning scale.
+func ManagerConfig(srv *sim.Server, sc Scale, seed int64, services []core.ServiceConfig) core.Config {
+	cfg := core.DefaultConfig(services, len(srv.ManagedCores()), srv.MaxPowerW())
+	// The paper recommends pure exploitation after the learning phase to
+	// cut overhead; the evaluation keeps learning at ε=End so a policy
+	// that drifts into violations self-corrects.
+	cfg.Agent = bdq.AgentConfig{
+		Spec: bdq.Spec{
+			SharedHidden: sc.SharedHidden,
+			BranchHidden: sc.BranchHidden,
+			Dropout:      sc.Dropout,
 		},
+		Gamma:          sc.Gamma,
+		TrainPerStep:   sc.TrainPerStep,
+		BatchSize:      sc.BatchSize,
+		TargetSync:     sc.TargetSync,
+		PERAnnealSteps: sc.PERAnneal,
+		Epsilon:        sc.Epsilon,
+		UsePER:         true,
+		Seed:           seed,
 	}
 	return cfg
 }
