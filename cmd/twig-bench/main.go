@@ -43,7 +43,7 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// Dispatch annotates GEMM results with the path the shape takes
-	// (streaming/tiled), the kernel flavour and the parallel gate.
+	// (streaming/tiled) and the kernel tier.
 	Dispatch string             `json:"dispatch,omitempty"`
 	Metrics  map[string]float64 `json:"metrics,omitempty"`
 }
@@ -54,17 +54,13 @@ type Report struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// Kernel records the GEMM microkernel flavour dispatch selected at
-	// startup ("portable", "avx2", "avx2-fma" or "avx512f-fma"),
-	// CPUFeatures the instruction-set extensions the build detected
-	// (e.g. "avx2+fma+avx512f", "none") and FastMath whether the fused
-	// kernels were active for the whole run (-fast) — so a baseline
-	// comparison can tell a real regression from a kernel-availability
-	// difference.
+	// Kernel records the GEMM kernel tier dispatch selected at startup
+	// ("portable", "avx2" or "avx512") and CPUFeatures the
+	// instruction-set extensions the build detected (e.g.
+	// "avx2+avx512f", "none") — so a baseline comparison can tell a real
+	// regression from a kernel-availability difference.
 	Kernel      string   `json:"kernel"`
 	CPUFeatures string   `json:"cpu_features"`
-	FastMath    bool     `json:"fast_math"`
-	Parallelism int      `json:"parallelism"`
 	Short       bool     `json:"short"`
 	Results     []Result `json:"results"`
 }
@@ -75,10 +71,8 @@ func main() {
 	out := flag.String("out", "", "write JSON report to this file (default stdout)")
 	baseline := flag.String("baseline", "", "compare against a committed report; exit 1 on regression")
 	maxRegress := flag.Float64("max-regress", 2.0, "ns/op ratio vs baseline that counts as a regression")
-	fast := flag.Bool("fast", false, "run the whole suite under the fused FMA/AVX-512 kernels (skips the separate _fast variant results)")
 	flag.Parse()
 
-	mat.SetFastMath(*fast)
 	rep := Report{
 		Schema:      2,
 		GoVersion:   runtime.Version(),
@@ -86,8 +80,6 @@ func main() {
 		GOARCH:      runtime.GOARCH,
 		Kernel:      mat.KernelName(),
 		CPUFeatures: mat.CPUFeatures(),
-		FastMath:    mat.FastMath(),
-		Parallelism: mat.Parallelism(),
 		Short:       *short,
 	}
 
@@ -100,24 +92,12 @@ func main() {
 		btGemm, btTable3, btObserve = "25ms", "2x", "1x"
 	}
 
-	rep.Results = append(rep.Results, gemmSweep(btGemm, "")...)
+	rep.Results = append(rep.Results, gemmSweep(btGemm)...)
 	rep.Results = append(rep.Results, fleetSweep(btGemm)...)
 	rep.Results = append(rep.Results, trainSweep(btGemm)...)
-	rep.Results = append(rep.Results, benchTable3(btTable3, ""))
+	rep.Results = append(rep.Results, benchTable3(btTable3))
 	rep.Results = append(rep.Results, benchAgentObserve(btObserve))
 	rep.Results = append(rep.Results, benchFig5Cell(*short))
-
-	// Fast-vs-default shapes: unless the whole run was already fast,
-	// re-run the GEMM sweep and the Table III step under the fused
-	// kernels (silently absent on CPUs without FMA — the _fast names
-	// simply do not appear in the report).
-	if !*fast {
-		if mat.SetFastMath(true); mat.FastMath() {
-			rep.Results = append(rep.Results, gemmSweep(btGemm, "_fast")...)
-			rep.Results = append(rep.Results, benchTable3(btTable3, "_fast"))
-		}
-		mat.SetFastMath(false)
-	}
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -178,9 +158,8 @@ func runBest(reps int, name, benchtime string, fn func(b *testing.B)) Result {
 
 // gemmSweep benchmarks the tiled kernels over the real layer shapes of
 // the paper-size BDQ network (Table III row 1), serial like the
-// per-interval inference path. suffix tags the result names ("" for the
-// default kernels, "_fast" for the fused re-run).
-func gemmSweep(benchtime, suffix string) []Result {
+// per-interval inference path.
+func gemmSweep(benchtime string) []Result {
 	shapes := []struct{ m, k, n int }{
 		{64, 22, 512},  // shared0 forward, batch 64
 		{64, 512, 256}, // shared1 forward
@@ -196,14 +175,14 @@ func gemmSweep(benchtime, suffix string) []Result {
 		fillDet(b.Data, rng)
 		dst := mat.New(s.m, s.n)
 		flops := 2 * s.m * s.k * s.n
-		res := run(fmt.Sprintf("gemm/mul_%dx%dx%d%s", s.m, s.k, s.n, suffix), benchtime, nil, func(bb *testing.B) {
+		res := run(fmt.Sprintf("gemm/mul_%dx%dx%d", s.m, s.k, s.n), benchtime, nil, func(bb *testing.B) {
 			bb.ReportAllocs()
 			for i := 0; i < bb.N; i++ {
 				mat.Mul(dst, a, b)
 			}
 		})
 		di := mat.MulDispatch(s.m, s.k, s.n)
-		res.Dispatch = fmt.Sprintf("%s/%s/parallel=%v", di.Path, di.Kernel, di.Parallel)
+		res.Dispatch = di.Path + "/" + di.Kernel
 		res.Metrics = map[string]float64{"gflops": float64(flops) / res.NsPerOp}
 		results = append(results, res)
 	}
@@ -213,7 +192,7 @@ func gemmSweep(benchtime, suffix string) []Result {
 	fillDet(g.Data, rng)
 	fillDet(w.Data, rng)
 	dw, gin := mat.New(512, 256), mat.New(64, 512)
-	res := run("gemm/multransa_512x64x256"+suffix, benchtime, nil, func(bb *testing.B) {
+	res := run("gemm/multransa_512x64x256", benchtime, nil, func(bb *testing.B) {
 		bb.ReportAllocs()
 		for i := 0; i < bb.N; i++ {
 			mat.MulTransA(dw, x, g)
@@ -221,7 +200,7 @@ func gemmSweep(benchtime, suffix string) []Result {
 	})
 	res.Metrics = map[string]float64{"gflops": float64(2*64*512*256) / res.NsPerOp}
 	results = append(results, res)
-	res = run("gemm/multransb_64x256x512"+suffix, benchtime, nil, func(bb *testing.B) {
+	res = run("gemm/multransb_64x256x512", benchtime, nil, func(bb *testing.B) {
 		bb.ReportAllocs()
 		for i := 0; i < bb.N; i++ {
 			mat.MulTransB(gin, g, w)
@@ -410,11 +389,11 @@ func trainSweep(benchtime string) []Result {
 // hostage to neighbour interference on shared hardware. Each rep's
 // metric is its final calibrated measurement (not the low-N warmup
 // probes), and the best rep wins by that metric.
-func benchTable3(benchtime, suffix string) Result {
+func benchTable3(benchtime string) Result {
 	var usPerStep float64
 	var best Result
 	for rep := 0; rep < 3; rep++ {
-		res := run("table3/gradient_descent"+suffix, benchtime, nil, func(b *testing.B) {
+		res := run("table3/gradient_descent", benchtime, nil, func(b *testing.B) {
 			r := experiments.Table3(b.N)
 			usPerStep = float64(r.GradientDescent.Microseconds())
 		})
@@ -427,13 +406,9 @@ func benchTable3(benchtime, suffix string) Result {
 }
 
 // benchAgentObserve measures the warm steady-state per-interval learning
-// cost at paper scale — the zero-allocation contract lives here. It is
-// held at row fan-out 1, as bdq.TestTrainStepAllocsWarm states the
-// contract: on a multi-core host the fan-out's goroutines are its own
-// allocations, not the learner's.
+// cost at paper scale — the zero-allocation contract lives here, as in
+// bdq.TestTrainStepAllocsWarm.
 func benchAgentObserve(benchtime string) Result {
-	defer mat.SetParallelism(mat.Parallelism())
-	mat.SetParallelism(1)
 	sc := experiments.PaperScale()
 	spec := bdq.Spec{
 		StateDim:     2 * int(pmc.NumCounters),

@@ -43,7 +43,6 @@ type runConfig struct {
 	logEvery int
 	faults   faults.Scenario
 	guard    bool
-	fast     bool
 
 	ckptDir   string
 	ckptEvery int
@@ -79,7 +78,6 @@ func parseConfig(args []string, errOut io.Writer) (runConfig, error) {
 		logEvery     = fs.Int("log-every", 100, "print a status line every N simulated seconds")
 		faultsFlag   = fs.String("faults", "none", "fault scenario: "+strings.Join(faults.Names(), ", "))
 		guardFlag    = fs.Bool("guard", false, "wrap the manager in the resilient guard")
-		fastFlag     = fs.Bool("fast", false, "use fused FMA/AVX-512 GEMM kernels when the CPU has them; faster, but resume is no longer bit-identical")
 		ckptDir      = fs.String("checkpoint-dir", "", "directory for periodic crash-consistent checkpoints; on start the latest valid one is restored and the run resumes bit-identically")
 		ckptEvery    = fs.Int("checkpoint-every", 60, "write a checkpoint every N simulated seconds (with -checkpoint-dir)")
 		ckptKeep     = fs.Int("checkpoint-keep", 3, "checkpoints to retain on disk (with -checkpoint-dir)")
@@ -103,7 +101,6 @@ func parseConfig(args []string, errOut io.Writer) (runConfig, error) {
 		seed:      *seed,
 		logEvery:  *logEvery,
 		guard:     *guardFlag,
-		fast:      *fastFlag,
 		ckptDir:   *ckptDir,
 		ckptEvery: *ckptEvery,
 		ckptKeep:  *ckptKeep,

@@ -35,12 +35,6 @@
 // fleet; the admission API is disabled (membership is fixed for
 // determinism).
 //
-// With -fast, GEMM dispatch swaps in fused FMA/AVX-512 microkernels
-// when the CPU has them (the selected kernel is reported at startup and
-// in /status and /metrics). Fast math changes results by trailing ulps,
-// so a -fast run's checkpoints no longer resume bit-identically; the
-// default mode and the checkpoint format are untouched.
-//
 // With -checkpoint-dir, the daemon writes a crash-consistent checkpoint
 // of the full control plane (simulated world, manager, guard, drainer,
 // service registry, control-loop position) every -checkpoint-every
@@ -60,7 +54,6 @@ import (
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/daemon"
-	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/report"
 	"github.com/twig-sched/twig/internal/scenario"
 	"github.com/twig-sched/twig/internal/sim"
@@ -74,12 +67,6 @@ func main() {
 	}
 	if err != nil {
 		fail("%v", err)
-	}
-	if cfg.fast {
-		// Applied again by the engine/coordinator config; announcing it
-		// here covers both modes with the actual dispatch outcome.
-		fmt.Printf("twigd: fast math requested: %s kernels (cpu: %s) — resume is no longer bit-identical\n",
-			mat.SetFastMath(true), mat.CPUFeatures())
 	}
 	if cfg.nodes > 1 {
 		err = runFleet(cfg)
@@ -97,7 +84,6 @@ func run(cfg runConfig) error {
 		Seed:            cfg.seed,
 		Guard:           cfg.guard,
 		CheckpointEvery: cfg.ckptEvery,
-		FastMath:        cfg.fast,
 	}
 	if !cfg.faults.IsZero() {
 		dcfg.Faults = &cfg.faults

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/replay"
 )
 
@@ -52,14 +51,11 @@ func TestAgentObserveZeroAlloc(t *testing.T) {
 }
 
 // TestTrainStepAllocsWarm is the zero-allocation contract at shapes and
-// data where the GEMM layer has something to compact: tiled products
-// well past the row fan-out's threshold (held serial — the fan-out's
-// goroutines are its own allocations), distinct transitions, dropout on.
+// data where the GEMM layer has something to compact: tiled products,
+// distinct transitions, dropout on.
 // Every product scans its operand and most walk an index list, all of it
 // in recycled scratch.
 func TestTrainStepAllocsWarm(t *testing.T) {
-	defer mat.SetParallelism(mat.Parallelism())
-	mat.SetParallelism(1)
 	spec := Spec{
 		StateDim:     22,
 		Agents:       2,
@@ -99,7 +95,7 @@ func TestTrainStepAllocsWarm(t *testing.T) {
 		next++
 	})
 	if allocs != 0 {
-		t.Fatalf("warm Agent.Observe allocates %.1f times per run at fan-out 1, want 0", allocs)
+		t.Fatalf("warm Agent.Observe allocates %.1f times per run, want 0", allocs)
 	}
 }
 

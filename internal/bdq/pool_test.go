@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
-	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/replay"
 )
 
@@ -132,23 +131,15 @@ func drive(t *testing.T, agents []*Agent, pooled []*PooledAgent, pool *AgentPool
 }
 
 func TestPoolBitIdenticalSelectAndTrain(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			saved := mat.Parallelism()
-			defer mat.SetParallelism(saved)
-			mat.SetParallelism(par)
-
-			const S = 3
-			var agents []*Agent
-			var pooled []*PooledAgent
-			pool := NewAgentPool()
-			for i := 0; i < S; i++ {
-				agents = append(agents, NewAgent(poolTestCfg(int64(100+i))))
-				pooled = append(pooled, pool.Attach(NewAgent(poolTestCfg(int64(100+i)))))
-			}
-			drive(t, agents, pooled, pool, 40, 0, 7) // mixes ε-greedy and pure-greedy intervals
-		})
+	const S = 3
+	var agents []*Agent
+	var pooled []*PooledAgent
+	pool := NewAgentPool()
+	for i := 0; i < S; i++ {
+		agents = append(agents, NewAgent(poolTestCfg(int64(100+i))))
+		pooled = append(pooled, pool.Attach(NewAgent(poolTestCfg(int64(100+i)))))
 	}
+	drive(t, agents, pooled, pool, 40, 0, 7) // mixes ε-greedy and pure-greedy intervals
 }
 
 // TestPoolBitIdenticalVariantConfigs drives the grouped training path

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/metrics"
 )
@@ -27,11 +25,10 @@ func (c *Coordinator) describeMetrics() {
 	m.Describe("twig_cluster_snapshots_total", "counter", "Warm failover snapshots cut.")
 	m.Describe("twig_cluster_node_events_total", "counter", "Whole-node fault events injected.")
 	m.Describe("twig_cluster_energy_joules", "gauge", "Cumulative fleet energy.")
-	m.Describe("twig_cluster_kernel_info", "gauge", "GEMM dispatch provenance: selected microkernel, detected CPU features and fast-math state (value is always 1).")
+	m.Describe("twig_cluster_kernel_info", "gauge", "GEMM dispatch provenance: selected microkernel and detected CPU features (value is always 1).")
 	m.Set("twig_cluster_kernel_info", metrics.Labels{
-		"kernel":    mat.KernelName(),
-		"cpu":       mat.CPUFeatures(),
-		"fast_math": fmt.Sprintf("%v", mat.FastMath()),
+		"kernel": mat.KernelName(),
+		"cpu":    mat.CPUFeatures(),
 	}, 1)
 }
 

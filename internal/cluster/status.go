@@ -44,12 +44,10 @@ type Summary struct {
 	Nodes    []NodeView    `json:"nodes"`
 	Replicas []ReplicaView `json:"replicas"`
 
-	// Kernel, CPUFeatures and FastMath record the GEMM dispatch
-	// provenance of the process hosting the fleet (fast math forfeits
-	// bit-identical resume).
+	// Kernel and CPUFeatures record the GEMM dispatch provenance of the
+	// process hosting the fleet.
 	Kernel      string `json:"kernel"`
 	CPUFeatures string `json:"cpu_features"`
-	FastMath    bool   `json:"fast_math"`
 
 	LeaseExpiries  int `json:"lease_expiries"`
 	RestartsSeen   int `json:"restarts_detected"`
@@ -74,7 +72,6 @@ func (c *Coordinator) Summary() Summary {
 		EnergyJ:        c.energyJ,
 		Kernel:         mat.KernelName(),
 		CPUFeatures:    mat.CPUFeatures(),
-		FastMath:       mat.FastMath(),
 		LeaseExpiries:  c.ctr.LeaseExpiries,
 		RestartsSeen:   c.ctr.RestartsSeen,
 		Migrations:     c.ctr.Migrations,

@@ -28,13 +28,10 @@ type status struct {
 	// Resumed is the checkpoint sequence the daemon restored from
 	// (absent for a fresh start).
 	Resumed uint64 `json:"resumed_from,omitempty"`
-	// Kernel, CPUFeatures and FastMath record the GEMM dispatch
-	// provenance: the selected microkernel flavour, the CPU features the
-	// build detected, and whether the fused fast-math kernels are active
-	// (which forfeits bit-identical resume).
+	// Kernel and CPUFeatures record the GEMM dispatch provenance: the
+	// kernel tier that runs and the CPU features the build detected.
 	Kernel      string `json:"kernel"`
 	CPUFeatures string `json:"cpu_features"`
-	FastMath    bool   `json:"fast_math"`
 	// LiveInputs is, per dense layer of the learner, the share of its
 	// inputs that were non-zero for at least one sample of the last
 	// training minibatch (absent until the learner has trained): how
@@ -61,7 +58,6 @@ func (e *Engine) Status() status {
 		Resumed:     e.resumed,
 		Kernel:      mat.KernelName(),
 		CPUFeatures: mat.CPUFeatures(),
-		FastMath:    mat.FastMath(),
 		LiveInputs:  e.liveInputs(),
 	}
 	if e.haveRes {

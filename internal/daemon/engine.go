@@ -14,7 +14,6 @@ import (
 	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/experiments"
-	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
@@ -101,12 +100,6 @@ type Config struct {
 	PatternOverrides map[string]loadgen.Pattern
 	// Now is the wall clock used for timing metrics (nil means time.Now).
 	Now func() time.Time
-	// FastMath opts the process into the fused FMA/AVX-512 GEMM kernels
-	// (mat.SetFastMath). Fast mode forfeits bit-identical resume and
-	// cross-machine reproducibility — a checkpoint taken under fast math
-	// replays with trailing-ulp drift — but the checkpoint format and the
-	// default path are unchanged. A no-op on CPUs without FMA.
-	FastMath bool
 }
 
 func (c *Config) normalize() {
@@ -191,9 +184,6 @@ type Engine struct {
 // first Step already drives a running system.
 func New(cfg Config, initial []AdmitRequest) (*Engine, error) {
 	cfg.normalize()
-	if cfg.FastMath {
-		mat.SetFastMath(true)
-	}
 	if len(initial) == 0 {
 		return nil, fmt.Errorf("daemon: at least one initial service required")
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
+	"github.com/twig-sched/twig/internal/mat/tiertest"
 )
 
 // TestParentCheckpointResumesHexIdentical restores a checkpoint the
@@ -17,12 +18,15 @@ import (
 // floats, the rows that commit's own uninterrupted run produced. The
 // learner trains every interval of it through the tiled products, the
 // vector Adam step and the branch-free epilogues, so a single differing
-// bit anywhere in them moves a decision and shows here.
+// bit anywhere in them moves a decision and shows here — under every
+// kernel tier the host has, which is what lets a checkpoint written on
+// one machine resume on another.
 //
 // testdata/parent_pr14 holds the checkpoint and the rows; both were
 // written by a throwaway test on the parent commit that ran this
 // scenario with e2eConfig and e2eScript (DESIGN.md §5m).
 func TestParentCheckpointResumesHexIdentical(t *testing.T) {
+	tiertest.EachLower(t)
 	const cut, total = 40, 90
 	raw, err := os.ReadFile(filepath.Join("testdata", "parent_pr14", "ckpt-000000000040.twig"))
 	if err != nil {

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -45,11 +44,10 @@ func (e *Engine) describeMetrics() {
 	m.Describe("twigd_checkpoint_age_seconds", "gauge", "Wall-clock age of the newest durable checkpoint.")
 	m.Describe("twigd_control_interval_seconds", "gauge", "Wall-clock cost of the most recent control interval.")
 	m.Describe("twigd_layer_live_inputs_ratio", "gauge", "Share of a dense layer's inputs that were live (non-zero for at least one sample) in the learner's last training minibatch, per layer; read from the learner at scrape time.")
-	m.Describe("twigd_kernel_info", "gauge", "GEMM dispatch provenance: selected microkernel, detected CPU features and fast-math state (value is always 1).")
+	m.Describe("twigd_kernel_info", "gauge", "GEMM dispatch provenance: selected microkernel and detected CPU features (value is always 1).")
 	m.Set("twigd_kernel_info", Labels{
-		"kernel":    mat.KernelName(),
-		"cpu":       mat.CPUFeatures(),
-		"fast_math": fmt.Sprintf("%v", mat.FastMath()),
+		"kernel": mat.KernelName(),
+		"cpu":    mat.CPUFeatures(),
 	}, 1)
 }
 

@@ -3,8 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"github.com/twig-sched/twig/internal/mat"
 )
 
 // TestParallelCellsByteIdentical verifies the concurrent experiment
@@ -33,27 +31,6 @@ func TestParallelCellsByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(serialAbl, parallelAbl) {
 		t.Fatalf("AblationReplay differs between serial and parallel runs:\nserial:   %+v\nparallel: %+v",
 			serialAbl, parallelAbl)
-	}
-}
-
-// TestParallelGEMMInsideRun exercises the full control loop with the
-// parallel matrix kernels enabled and checks the summary matches the
-// serial-GEMM run exactly (the kernels are bit-identical by design).
-func TestParallelGEMMInsideRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sc := tinyScale()
-	oldMat := mat.Parallelism()
-	defer mat.SetParallelism(oldMat)
-
-	mat.SetParallelism(1)
-	serial := Fig7(sc, 5)
-	mat.SetParallelism(4)
-	parallel := Fig7(sc, 5)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("Fig7 differs between serial and parallel GEMM:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
 	}
 }
 

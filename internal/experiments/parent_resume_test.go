@@ -11,6 +11,7 @@ import (
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/cluster"
+	"github.com/twig-sched/twig/internal/mat/tiertest"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
@@ -22,7 +23,7 @@ import (
 // test on that commit wrote them with the worlds built below; the tests
 // here restore them through ctrl.Loop's codec and must match every row
 // in hex floats, and re-marshalling the restored state must reproduce
-// the parent's bytes.
+// the parent's bytes. Both run under every kernel tier the host has.
 func parentFixture(t *testing.T, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", "parent_pr15", name))
@@ -51,6 +52,7 @@ func matchRows(t *testing.T, from int, got, want []string) {
 // The "run-loop" section: experiments.Run over the fault-injected
 // masstree+xapian world at tiny scale, cut after interval 39 of 70.
 func TestParentRunCheckpointResumesHexIdentical(t *testing.T) {
+	tiertest.EachLower(t)
 	const cut, total = 40, 70
 	raw := parentFixture(t, "run-000000000040.twig")
 	srv, mgr := buildResumeWorld(tinyScale(), 21, []string{"masstree", "xapian"})
@@ -104,6 +106,7 @@ func fleetRow(c *cluster.Coordinator, s cluster.StepSummary) string {
 // cut, so the run also warm-restores from snapshot containers. The last
 // row is the hash of the whole fleet state at t=160.
 func TestParentFleetCheckpointResumesHexIdentical(t *testing.T) {
+	tiertest.EachLower(t)
 	const cut, total = 60, 160
 	raw := parentFixture(t, "fleet-000000000060.twig")
 	store, err := checkpoint.NewStore(t.TempDir(), 3)

@@ -7,7 +7,6 @@ import (
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/ctrl"
-	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
 	"github.com/twig-sched/twig/internal/sim/service"
@@ -37,33 +36,28 @@ func runCellRecords(mgr *core.Manager, srv *sim.Server, svcName string, lf float
 }
 
 func TestPooledFig5CellBitIdentical(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		saved := mat.Parallelism()
-		mat.SetParallelism(par)
-		sc := QuickScale()
-		const svcName, lf, seed = "masstree", 0.5, 33
-		seconds := sc.LearnS/2 + 10
+	sc := QuickScale()
+	const svcName, lf, seed = "masstree", 0.5, 33
+	seconds := sc.LearnS/2 + 10
 
-		srv1 := NewServer(seed, svcName)
-		solo := NewTwig(srv1, sc, seed, svcName)
-		ref := runCellRecords(solo, srv1, svcName, lf, seconds)
+	srv1 := NewServer(seed, svcName)
+	solo := NewTwig(srv1, sc, seed, svcName)
+	ref := runCellRecords(solo, srv1, svcName, lf, seconds)
 
-		srv2 := NewServer(seed, svcName)
-		pooled := NewTwigPooled(srv2, sc, seed, bdq.NewPools(), svcName)
-		got := runCellRecords(pooled, srv2, svcName, lf, seconds)
-		mat.SetParallelism(saved)
+	srv2 := NewServer(seed, svcName)
+	pooled := NewTwigPooled(srv2, sc, seed, bdq.NewPools(), svcName)
+	got := runCellRecords(pooled, srv2, svcName, lf, seconds)
 
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("par=%d interval %d: pooled cell diverges from per-agent run:\nref: %s\ngot: %s",
-					par, i, ref[i], got[i])
-			}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("interval %d: pooled cell diverges from per-agent run:\nref: %s\ngot: %s",
+				i, ref[i], got[i])
 		}
-		if a, b := checkpoint.Marshal(solo), checkpoint.Marshal(pooled); string(a) != string(b) {
-			t.Fatalf("par=%d: pooled manager checkpoint bytes diverged", par)
-		}
-		pooled.Close()
 	}
+	if a, b := checkpoint.Marshal(solo), checkpoint.Marshal(pooled); string(a) != string(b) {
+		t.Fatal("pooled manager checkpoint bytes diverged")
+	}
+	pooled.Close()
 }
 
 // TestPooledResumeAfterCutBitIdentical: the uninterrupted reference runs

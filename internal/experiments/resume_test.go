@@ -9,7 +9,6 @@ import (
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/ctrl"
-	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
@@ -70,19 +69,13 @@ func buildResumeWorld(sc Scale, seed int64, names []string) (*sim.Server, *core.
 // checkpoint, discard every live object, restore into freshly
 // constructed components and run the remaining intervals. The
 // per-interval records of the stitched run must be byte-identical to the
-// reference. Each leg may run at its own GEMM parallelism: the restored
-// trajectory must not depend on the worker fan-out on either side of the
-// crash.
-func resumeRun(t *testing.T, sc Scale, total, cut, parRef, parCut, parResume int) {
+// reference.
+func resumeRun(t *testing.T, sc Scale, total, cut int) {
 	t.Helper()
-	oldPar := mat.Parallelism()
-	defer mat.SetParallelism(oldPar)
-
 	names := []string{"masstree", "xapian"}
 	patterns := []loadgen.Pattern{loadgen.Fixed(500), loadgen.Fixed(300)}
 	const seed = 21
 
-	mat.SetParallelism(parRef)
 	var ref []string
 	{
 		srv, mgr := buildResumeWorld(sc, seed, names)
@@ -95,7 +88,6 @@ func resumeRun(t *testing.T, sc Scale, total, cut, parRef, parCut, parResume int
 		})
 	}
 
-	mat.SetParallelism(parCut)
 	var got []string
 	var ckpt []byte
 	{
@@ -121,7 +113,6 @@ func resumeRun(t *testing.T, sc Scale, total, cut, parRef, parCut, parResume int
 		t.Fatal("no checkpoint captured at the cut interval")
 	}
 
-	mat.SetParallelism(parResume)
 	{
 		srv, mgr := buildResumeWorld(sc, seed, names)
 		ls := NewLoopState(srv, mgr)
@@ -157,17 +148,10 @@ func resumeRun(t *testing.T, sc Scale, total, cut, parRef, parCut, parResume int
 	}
 }
 
-// Quick scale, everything serial. The cut at 40 lands mid-way between
-// two crash episodes; the t=40 crash fires as the first resumed interval.
+// Quick scale. The cut at 40 lands mid-way between two crash episodes;
+// the t=40 crash fires as the first resumed interval.
 func TestResumeBitIdenticalQuickSerial(t *testing.T) {
-	resumeRun(t, QuickScale(), 60, 40, 1, 1, 1)
-}
-
-// Quick scale with the reference serial and both interrupted legs on
-// 4-way parallel GEMM: resume correctness must compose with PR 3's
-// bit-identical parallel kernels.
-func TestResumeBitIdenticalQuickParallel(t *testing.T) {
-	resumeRun(t, QuickScale(), 60, 40, 1, 4, 4)
+	resumeRun(t, QuickScale(), 60, 40)
 }
 
 // Paper scale (512/256 shared trunk, batch 64): the checkpoint carries
@@ -177,5 +161,5 @@ func TestResumeBitIdenticalPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale networks in -short mode")
 	}
-	resumeRun(t, PaperScale(), 80, 72, 4, 4, 4)
+	resumeRun(t, PaperScale(), 80, 72)
 }

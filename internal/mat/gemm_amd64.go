@@ -2,35 +2,27 @@
 
 package mat
 
-// The AVX2 microkernels compute mr×nr (or 1×nr) destination tiles over
-// the k depth with one accumulator register chain per 4-lane column
-// group. Each term is a VMULPD followed by a VADDPD — two individually
-// rounded operations, never a fused multiply-add — so every lane matches
-// the scalar `acc += av*bv` of the naive kernels bit for bit, in the
-// same ascending-k order. The tiles test nothing per element: kern4x8n
-// walks the whole depth, kern4x8ni the live columns a scan of the a
-// operand listed (live.go). The one-row kernRowPanelsS of batch-1
-// selection steps over a-operand zeros (±0 by integer bit test, NaN
-// never skipped).
+// The microkernels compute mr×nr (AVX2), zr×nr (AVX-512) or 1×nr
+// destination tiles over the k depth with one accumulator register chain
+// per vector of destination columns. Each term is a VMULPD followed by a
+// VADDPD — two individually rounded operations, never a fused
+// multiply-add — so every lane matches the scalar `acc += av*bv` of the
+// naive kernels bit for bit, in the same ascending-k order. The tiles
+// test nothing per element: kern4x8n and kern8x8n walk the whole depth,
+// kern4x8ni and kern8x8ni the live columns a scan of the a operand listed
+// (live.go). The one-row kernRowPanelsS of batch-1 selection steps over
+// a-operand zeros (±0 by integer bit test, NaN never skipped).
 
 // haveAVX2 gates the assembly microkernels; the portable kernRowGo path
-// (bitwise identical) is used when false. Tests flip it to cover both.
+// (bitwise identical) is used when false.
 var haveAVX2 = cpuHasAVX2()
 
-// haveFMA and haveAVX512 gate the opt-in fast-math kernels (see
-// SetFastMath). They are detection state only: no fast kernel runs
-// unless fastMath is also enabled. The AVX-512 kernels use FMA, so
-// disabling FMA (TWIG_DISABLE_FMA) disables both.
-var (
-	haveFMA    = cpuHasFMA()
-	haveAVX512 = cpuHasAVX512()
-)
+// haveAVX512 selects the 8×8 ZMM tiles for every full tile of eight
+// rows; the YMM tiles take what is left over and everything when false.
+var haveAVX512 = haveAVX2 && cpuHasAVX512()
 
 // cpuHasAVX2 reports AVX2 support with OS-enabled YMM state.
 func cpuHasAVX2() bool
-
-// cpuHasFMA reports FMA3 support with OS-enabled YMM state.
-func cpuHasFMA() bool
 
 // cpuHasAVX512 reports AVX512F support with OS-enabled ZMM/opmask state.
 func cpuHasAVX512() bool
@@ -42,16 +34,13 @@ func kern4x8n(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
 func kern4x8ni(n int, idx *int32, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
 
 //go:noescape
+func kern8x8n(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64)
+
+//go:noescape
+func kern8x8ni(n int, idx *int32, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64)
+
+//go:noescape
 func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64)
 
 //go:noescape
 func kernRowPanelsS(k, panels int, a0, panel, acc *float64)
-
-//go:noescape
-func kern4x8nF(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
-
-//go:noescape
-func kernRowPanelsSF(k, panels int, a0, panel, acc *float64)
-
-//go:noescape
-func kern8x8nZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64)

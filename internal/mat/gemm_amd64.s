@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 GEMM microkernels. Panel layout: nr=8 destination columns per
-// panel, k-major — the t-th step reads panel[8t : 8t+8] as two 256-bit
-// vectors. Accumulators live in Y4..Y11 (one pair per destination row);
+// GEMM microkernels, AVX2 first. Panel layout: nr=8 destination columns
+// per panel, k-major — the t-th step reads panel[8t : 8t+8] as two
+// 256-bit vectors. Accumulators live in Y4..Y11 (one pair per
+// destination row);
 // each update is VMULPD then VADDPD with the accumulator as the first
 // addend, matching the rounding and NaN-propagation order of the scalar
 // `acc = acc + av*bv`. The 4×8 tiles have no zero test: kern4x8n walks
@@ -35,6 +36,31 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVB $1, ret+0(FP)
 	RET
 novx:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func cpuHasAVX512() bool
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	MOVL CX, R8
+	ANDL $(1<<27 | 1<<28), R8 // OSXSAVE | AVX
+	CMPL R8, $(1<<27 | 1<<28)
+	JNE  no512
+	XORL CX, CX
+	XGETBV                    // XCR0 → DX:AX
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6            // XMM | YMM | opmask | ZMM_Hi256 | Hi16_ZMM
+	JNE  no512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $(1<<16), BX        // AVX512F
+	JZ   no512
+	MOVB $1, ret+0(FP)
+	RET
+no512:
 	MOVB $0, ret+0(FP)
 	RET
 
@@ -164,6 +190,144 @@ done4ni:
 	VZEROUPPER
 	RET
 
+// AVX-512F tiles: the same two operations per term in registers twice as
+// wide. One 64-byte panel row is one ZMM, so a tile is eight destination
+// rows by one panel: per k step one panel load, then for each row a
+// VMULPD with the a element broadcast from memory and a VADDPD into that
+// row's accumulator — in every lane the IEEE multiply and add kern4x8n
+// performs, in the same ascending k, so the two tiers agree bit for bit.
+// (The broadcast operand can only be the second source, so a term whose
+// a and b elements are both NaN carries b's payload here and a's in the
+// YMM tile; NaN-ness is the same.) R14/R15 are left alone (g register /
+// linker scratch); the eight row pointers live in R8-R13, BX, DX.
+
+// func kern8x8n(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[64]float64)
+TEXT ·kern8x8n(SB), NOSPLIT, $0-88
+	MOVQ k+0(FP), CX
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ a4+40(FP), R12
+	MOVQ a5+48(FP), R13
+	MOVQ a6+56(FP), BX
+	MOVQ a7+64(FP), DX
+	MOVQ panel+72(FP), SI
+	MOVQ acc+80(FP), DI
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	TESTQ CX, CX
+	JZ   done8n
+loop8n:
+	VMOVUPD (SI), Z0
+	VMULPD.BCST (R8), Z0, Z1
+	VADDPD Z1, Z4, Z4
+	VMULPD.BCST (R9), Z0, Z2
+	VADDPD Z2, Z5, Z5
+	VMULPD.BCST (R10), Z0, Z3
+	VADDPD Z3, Z6, Z6
+	VMULPD.BCST (R11), Z0, Z1
+	VADDPD Z1, Z7, Z7
+	VMULPD.BCST (R12), Z0, Z2
+	VADDPD Z2, Z8, Z8
+	VMULPD.BCST (R13), Z0, Z3
+	VADDPD Z3, Z9, Z9
+	VMULPD.BCST (BX), Z0, Z1
+	VADDPD Z1, Z10, Z10
+	VMULPD.BCST (DX), Z0, Z2
+	VADDPD Z2, Z11, Z11
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $8, R11
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ $8, BX
+	ADDQ $8, DX
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  loop8n
+done8n:
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, 64(DI)
+	VMOVUPD Z6, 128(DI)
+	VMOVUPD Z7, 192(DI)
+	VMOVUPD Z8, 256(DI)
+	VMOVUPD Z9, 320(DI)
+	VMOVUPD Z10, 384(DI)
+	VMOVUPD Z11, 448(DI)
+	VZEROUPPER
+	RET
+
+// func kern8x8ni(n int, idx *int32, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[64]float64)
+//
+// kern8x8n over the n k-steps idx lists (ascending). AX holds the byte
+// offset of the step's a elements, 8·idx[t]; scaled by eight again it is
+// the panel row's.
+TEXT ·kern8x8ni(SB), NOSPLIT, $0-96
+	MOVQ n+0(FP), CX
+	MOVQ idx+8(FP), DI
+	MOVQ a0+16(FP), R8
+	MOVQ a1+24(FP), R9
+	MOVQ a2+32(FP), R10
+	MOVQ a3+40(FP), R11
+	MOVQ a4+48(FP), R12
+	MOVQ a5+56(FP), R13
+	MOVQ a6+64(FP), BX
+	MOVQ a7+72(FP), DX
+	MOVQ panel+80(FP), SI
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	TESTQ CX, CX
+	JZ   done8ni
+loop8ni:
+	MOVLQSX (DI), AX
+	SHLQ $3, AX
+	VMOVUPD (SI)(AX*8), Z0
+	VMULPD.BCST (R8)(AX*1), Z0, Z1
+	VADDPD Z1, Z4, Z4
+	VMULPD.BCST (R9)(AX*1), Z0, Z2
+	VADDPD Z2, Z5, Z5
+	VMULPD.BCST (R10)(AX*1), Z0, Z3
+	VADDPD Z3, Z6, Z6
+	VMULPD.BCST (R11)(AX*1), Z0, Z1
+	VADDPD Z1, Z7, Z7
+	VMULPD.BCST (R12)(AX*1), Z0, Z2
+	VADDPD Z2, Z8, Z8
+	VMULPD.BCST (R13)(AX*1), Z0, Z3
+	VADDPD Z3, Z9, Z9
+	VMULPD.BCST (BX)(AX*1), Z0, Z1
+	VADDPD Z1, Z10, Z10
+	VMULPD.BCST (DX)(AX*1), Z0, Z2
+	VADDPD Z2, Z11, Z11
+	ADDQ $4, DI
+	DECQ CX
+	JNZ  loop8ni
+done8ni:
+	MOVQ acc+88(FP), DI
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, 64(DI)
+	VMOVUPD Z6, 128(DI)
+	VMOVUPD Z7, 192(DI)
+	VMOVUPD Z8, 256(DI)
+	VMOVUPD Z9, 320(DI)
+	VMOVUPD Z10, 384(DI)
+	VMOVUPD Z11, 448(DI)
+	VZEROUPPER
+	RET
+
 // func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64)
 //
 // or[c] |= bits(x0[c]) | bits(x1[c]) | bits(x2[c]) | bits(x3[c]) for c in
@@ -246,216 +410,5 @@ flushRS:
 	DECQ R9
 	JNZ  panelRS
 doneRS:
-	VZEROUPPER
-	RET
-
-// ---------------------------------------------------------------------------
-// Opt-in fast-math kernels (SetFastMath). Each VMULPD/VADDPD pair above
-// becomes a single VFMADD231PD: the product feeds the add with one
-// rounding instead of two, so results differ from the default kernels in
-// the last ulps but keep the same ascending-k accumulation order. The
-// tiles walk the whole depth (fast mode makes no column scan); the row
-// kernel steps over ±0 like its default twin. The 8×8 ZMM tile
-// additionally widens a panel step to one embedded-broadcast FMA per
-// destination row. None of these run unless mat.SetFastMath(true) AND
-// the CPU reports the feature with OS-enabled state.
-
-// func cpuHasFMA() bool
-TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, R8
-	ANDL $(1<<27 | 1<<28 | 1<<12), R8 // OSXSAVE | AVX | FMA
-	CMPL R8, $(1<<27 | 1<<28 | 1<<12)
-	JNE  nofma
-	XORL CX, CX
-	XGETBV                    // XCR0 → DX:AX
-	ANDL $6, AX
-	CMPL AX, $6               // XMM and YMM state OS-enabled
-	JNE  nofma
-	MOVB $1, ret+0(FP)
-	RET
-nofma:
-	MOVB $0, ret+0(FP)
-	RET
-
-// func cpuHasAVX512() bool
-TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, R8
-	ANDL $(1<<27 | 1<<28), R8 // OSXSAVE | AVX
-	CMPL R8, $(1<<27 | 1<<28)
-	JNE  no512
-	XORL CX, CX
-	XGETBV                    // XCR0 → DX:AX
-	ANDL $0xE6, AX
-	CMPL AX, $0xE6            // XMM | YMM | opmask | ZMM_Hi256 | Hi16_ZMM
-	JNE  no512
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	TESTL $(1<<16), BX        // AVX512F
-	JZ   no512
-	MOVB $1, ret+0(FP)
-	RET
-no512:
-	MOVB $0, ret+0(FP)
-	RET
-
-// func kern4x8nF(k int, a0, a1, a2, a3, panel *float64, acc *[32]float64)
-TEXT ·kern4x8nF(SB), NOSPLIT, $0-56
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ panel+40(FP), SI
-	MOVQ acc+48(FP), DI
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	TESTQ CX, CX
-	JZ   done4nf
-loop4nf:
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD Y0, Y2, Y4
-	VFMADD231PD Y1, Y2, Y5
-	VBROADCASTSD (R9), Y2
-	VFMADD231PD Y0, Y2, Y6
-	VFMADD231PD Y1, Y2, Y7
-	VBROADCASTSD (R10), Y2
-	VFMADD231PD Y0, Y2, Y8
-	VFMADD231PD Y1, Y2, Y9
-	VBROADCASTSD (R11), Y2
-	VFMADD231PD Y0, Y2, Y10
-	VFMADD231PD Y1, Y2, Y11
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop4nf
-done4nf:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	VMOVUPD Y6, 64(DI)
-	VMOVUPD Y7, 96(DI)
-	VMOVUPD Y8, 128(DI)
-	VMOVUPD Y9, 160(DI)
-	VMOVUPD Y10, 192(DI)
-	VMOVUPD Y11, 224(DI)
-	VZEROUPPER
-	RET
-
-// func kernRowPanelsSF(k, panels int, a0, panel, acc *float64)
-//
-// FMA twin of kernRowPanelsS: same fused multi-panel row sweep and
-// zero-skip, one rounding per term.
-TEXT ·kernRowPanelsSF(SB), NOSPLIT, $0-40
-	MOVQ k+0(FP), BX
-	MOVQ panels+8(FP), R9
-	MOVQ a0+16(FP), R10
-	MOVQ panel+24(FP), SI
-	MOVQ acc+32(FP), DI
-	TESTQ R9, R9
-	JZ   doneRSF
-panelRSF:
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	MOVQ R10, R8
-	MOVQ BX, CX
-	TESTQ CX, CX
-	JZ   flushRSF
-loopRSF:
-	MOVQ (R8), AX
-	ADDQ AX, AX
-	JZ   nextRSF
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD (SI), Y2, Y4
-	VFMADD231PD 32(SI), Y2, Y5
-nextRSF:
-	ADDQ $8, R8
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loopRSF
-flushRSF:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	ADDQ $64, DI
-	DECQ R9
-	JNZ  panelRSF
-doneRSF:
-	VZEROUPPER
-	RET
-
-// func kern8x8nZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[64]float64)
-//
-// AVX-512 8×8 tile: one ZMM accumulator per destination row covers the
-// whole 8-wide panel, one embedded-broadcast FMA per (row, k) step.
-// R14/R15 are left alone (g register / linker scratch); the eight row
-// pointers live in R8-R13, BX, DX.
-TEXT ·kern8x8nZ(SB), NOSPLIT, $0-88
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ a4+40(FP), R12
-	MOVQ a5+48(FP), R13
-	MOVQ a6+56(FP), BX
-	MOVQ a7+64(FP), DX
-	MOVQ panel+72(FP), SI
-	MOVQ acc+80(FP), DI
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	TESTQ CX, CX
-	JZ   done8nz
-loop8nz:
-	VMOVUPD (SI), Z0
-	VFMADD231PD.BCST (R8), Z0, Z4
-	VFMADD231PD.BCST (R9), Z0, Z5
-	VFMADD231PD.BCST (R10), Z0, Z6
-	VFMADD231PD.BCST (R11), Z0, Z7
-	VFMADD231PD.BCST (R12), Z0, Z8
-	VFMADD231PD.BCST (R13), Z0, Z9
-	VFMADD231PD.BCST (BX), Z0, Z10
-	VFMADD231PD.BCST (DX), Z0, Z11
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $8, R12
-	ADDQ $8, R13
-	ADDQ $8, BX
-	ADDQ $8, DX
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop8nz
-done8nz:
-	VMOVUPD Z4, (DI)
-	VMOVUPD Z5, 64(DI)
-	VMOVUPD Z6, 128(DI)
-	VMOVUPD Z7, 192(DI)
-	VMOVUPD Z8, 256(DI)
-	VMOVUPD Z9, 320(DI)
-	VMOVUPD Z10, 384(DI)
-	VMOVUPD Z11, 448(DI)
 	VZEROUPPER
 	RET

@@ -26,10 +26,14 @@ func benchMat(rows, cols int, rng *rand.Rand) *Matrix {
 	return m
 }
 
+// BenchmarkGEMM runs every row under each kernel tier the host has
+// (BenchmarkGEMM/avx512/Mul/64x512x256, …/avx2/…, …/portable/…), so one
+// run on one host compares the tiers.
 func BenchmarkGEMM(b *testing.B) {
-	old := Parallelism()
-	SetParallelism(1)
-	defer SetParallelism(old)
+	withKernels(b, func(kernel string) { b.Run(kernel, benchGEMM) })
+}
+
+func benchGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range gemmShapes {
 		a := benchMat(s.m, s.k, rng)

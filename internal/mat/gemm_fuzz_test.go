@@ -10,8 +10,8 @@ import (
 // kernels (mulRange / mulTransARange / mulTransBRange). The contract is
 // bitwise equality — math.Float64bits, not tolerance — for arbitrary
 // shapes (including 0-row/0-col and non-multiples of the 4×8 tile),
-// data with exact zeros (exercising the skip path), and both the AVX2
-// and portable microkernels at serial and parallel fan-out.
+// data with exact zeros (exercising the skip path), and every kernel
+// tier the host has: portable, AVX2, AVX-512.
 //
 // That is the contract for finite operands. With an Inf or a NaN in the
 // b operand the tiled Mul/MulTransA family may differ from the naive
@@ -110,35 +110,22 @@ func requireBitsEqualNaNsAlike(t *testing.T, tag string, got, want *Matrix) {
 	}
 }
 
-// withKernels runs fn under every microkernel selection available on
-// this platform (AVX2 assembly and the portable Go path) and restores
-// the detected default.
-func withKernels(t *testing.T, fn func(kernel string)) {
+// withKernels runs fn under every kernel tier this CPU has — the portable
+// Go path, the AVX2 tiles alone, then the AVX-512 tiles over them — and
+// restores the detected default.
+func withKernels(t testing.TB, fn func(kernel string)) {
 	t.Helper()
-	saved := haveAVX2
-	defer func() { haveAVX2 = saved }()
-	haveAVX2 = false
-	fn("go")
-	if saved {
+	saved2, saved512 := haveAVX2, haveAVX512
+	defer func() { haveAVX2, haveAVX512 = saved2, saved512 }()
+	haveAVX2, haveAVX512 = false, false
+	fn("portable")
+	if saved2 {
 		haveAVX2 = true
 		fn("avx2")
 	}
-}
-
-// withParallelism runs fn at fan-out 1 and 8 and restores the setting.
-// The fan-out threshold drops to 2¹⁰ multiply-adds meanwhile, so the
-// small shapes these tests can afford still split across workers.
-func withParallelism(t *testing.T, fn func(par int)) {
-	t.Helper()
-	saved, savedThreshold := Parallelism(), parallelThreshold
-	defer func() {
-		SetParallelism(saved)
-		parallelThreshold = savedThreshold
-	}()
-	parallelThreshold = 1 << 10
-	for _, par := range []int{1, 8} {
-		SetParallelism(par)
-		fn(par)
+	if saved512 {
+		haveAVX512 = true
+		fn("avx512")
 	}
 }
 
@@ -185,17 +172,15 @@ func FuzzMulMatchesNaive(f *testing.F) {
 			mulTransBRange(want2, a, bt, 0, m)
 
 			withKernels(t, func(kernel string) {
-				withParallelism(t, func(par int) {
-					got := New(m, n)
-					fuzzFill(got.Data, rng) // ensure dst is fully overwritten
-					Mul(got, a, b)
-					requireMul(t, "Mul/"+kernel, got, want)
+				got := New(m, n)
+				fuzzFill(got.Data, rng) // ensure dst is fully overwritten
+				Mul(got, a, b)
+				requireMul(t, "Mul/"+kernel, got, want)
 
-					got2 := New(m, n)
-					fuzzFill(got2.Data, rng)
-					MulTransB(got2, a, bt)
-					requireTransB(t, "MulTransB/"+kernel, got2, want2)
-				})
+				got2 := New(m, n)
+				fuzzFill(got2.Data, rng)
+				MulTransB(got2, a, bt)
+				requireTransB(t, "MulTransB/"+kernel, got2, want2)
 			})
 		}
 	})
@@ -238,16 +223,14 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 			wantAcc.AddScaled(1, want)
 
 			withKernels(t, func(kernel string) {
-				withParallelism(t, func(par int) {
-					got := New(m, n)
-					fuzzFill(got.Data, rng)
-					MulTransA(got, a, b)
-					require(t, "MulTransA/"+kernel, got, want)
+				got := New(m, n)
+				fuzzFill(got.Data, rng)
+				MulTransA(got, a, b)
+				require(t, "MulTransA/"+kernel, got, want)
 
-					gotAcc := dst0.Clone()
-					MulTransAAcc(gotAcc, a, b)
-					require(t, "MulTransAAcc/"+kernel, gotAcc, wantAcc)
-				})
+				gotAcc := dst0.Clone()
+				MulTransAAcc(gotAcc, a, b)
+				require(t, "MulTransAAcc/"+kernel, gotAcc, wantAcc)
 			})
 		}
 	})
@@ -258,8 +241,8 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 // rate (none, some, all), per-element zeros and denormals on top, ragged
 // tiles and last tiles of one to three rows, every entry point that
 // scans — Mul, the packed product with bias and ReLU over a row band,
-// MulTransA with and without accumulation, MulTransB — under the AVX2
-// and the portable kernels at fan-out 1 and 8. Finite operands, bitwise.
+// MulTransA with and without accumulation, MulTransB — under every
+// kernel tier. Finite operands, bitwise.
 func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(60), byte(40), byte(110)) // ~43 % dead
 	f.Add(int64(2), byte(64), byte(33), byte(17), byte(180)) // ~70 % dead
@@ -304,39 +287,37 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 		}
 
 		withKernels(t, func(kernel string) {
-			withParallelism(t, func(par int) {
-				got := New(m, n)
-				fuzzFill(got.Data, rng)
-				Mul(got, a, b)
-				requireBitsEqual(t, "Mul/"+kernel, got, wantMul)
+			got := New(m, n)
+			fuzzFill(got.Data, rng)
+			Mul(got, a, b)
+			requireBitsEqual(t, "Mul/"+kernel, got, wantMul)
 
-				if k > 0 && n > 0 {
-					pb := PackB(b)
-					fuzzFill(got.Data, rng)
-					if live := MulPackedBiasAct(got, a, pb, bias, ActReLU); live < 0 || live > k {
-						t.Fatalf("MulPackedBiasAct reports %d live columns of %d", live, k)
-					}
-					requireBitsEqual(t, "MulPackedBiasAct/"+kernel, got, wantAct)
-					got.Zero()
-					mulPackedInto(got, a, pb.Data, lo, m, bias, ActReLU)
-					requireBitsEqual(t, "mulPackedInto band/"+kernel, got.RowsView(lo, m), wantAct.RowsView(lo, m))
-					if lo > 0 && got.RowsView(0, lo).MaxAbs() != 0 {
-						t.Fatalf("mulPackedInto wrote above its band")
-					}
+			if k > 0 && n > 0 {
+				pb := PackB(b)
+				fuzzFill(got.Data, rng)
+				if live := MulPackedBiasAct(got, a, pb, bias, ActReLU); live < 0 || live > k {
+					t.Fatalf("MulPackedBiasAct reports %d live columns of %d", live, k)
 				}
+				requireBitsEqual(t, "MulPackedBiasAct/"+kernel, got, wantAct)
+				got.Zero()
+				mulPackedInto(got, a, pb.Data, lo, m, bias, ActReLU)
+				requireBitsEqual(t, "mulPackedInto band/"+kernel, got.RowsView(lo, m), wantAct.RowsView(lo, m))
+				if lo > 0 && got.RowsView(0, lo).MaxAbs() != 0 {
+					t.Fatalf("mulPackedInto wrote above its band")
+				}
+			}
 
-				fuzzFill(got.Data, rng)
-				MulTransB(got, a, bt)
-				requireBitsEqual(t, "MulTransB/"+kernel, got, wantTB)
+			fuzzFill(got.Data, rng)
+			MulTransB(got, a, bt)
+			requireBitsEqual(t, "MulTransB/"+kernel, got, wantTB)
 
-				gotTA := New(k, n)
-				fuzzFill(gotTA.Data, rng)
-				MulTransA(gotTA, a, c)
-				requireBitsEqual(t, "MulTransA/"+kernel, gotTA, wantTA)
-				gotAcc := dst0.Clone()
-				MulTransAAcc(gotAcc, a, c)
-				requireBitsEqual(t, "MulTransAAcc/"+kernel, gotAcc, wantAcc)
-			})
+			gotTA := New(k, n)
+			fuzzFill(gotTA.Data, rng)
+			MulTransA(gotTA, a, c)
+			requireBitsEqual(t, "MulTransA/"+kernel, gotTA, wantTA)
+			gotAcc := dst0.Clone()
+			MulTransAAcc(gotAcc, a, c)
+			requireBitsEqual(t, "MulTransAAcc/"+kernel, gotAcc, wantAcc)
 		})
 	})
 }

@@ -3,12 +3,9 @@
 package mat
 
 // Non-amd64 builds use the portable kernRowGo microkernel exclusively;
-// it is bitwise identical to the AVX2 path (see gemm_amd64.go). The
-// fast-math kernels (SetFastMath) are amd64-only, so fast mode is a
-// no-op here.
+// it is bitwise identical to the assembly tiers (see gemm_amd64.go).
 var (
 	haveAVX2   = false
-	haveFMA    = false
 	haveAVX512 = false
 )
 
@@ -20,22 +17,18 @@ func kern4x8ni(n int, idx *int32, a0, a1, a2, a3, panel *float64, acc *[mr * nr]
 	panic("mat: asm kernel on non-amd64")
 }
 
+func kern8x8n(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64) {
+	panic("mat: asm kernel on non-amd64")
+}
+
+func kern8x8ni(n int, idx *int32, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64) {
+	panic("mat: asm kernel on non-amd64")
+}
+
 func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64) {
 	panic("mat: asm kernel on non-amd64")
 }
 
 func kernRowPanelsS(k, panels int, a0, panel, acc *float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern4x8nF(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kernRowPanelsSF(k, panels int, a0, panel, acc *float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern8x8nZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64) {
 	panic("mat: asm kernel on non-amd64")
 }

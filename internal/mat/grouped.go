@@ -48,7 +48,7 @@ func (pb *PackedB) RepackFrom(b *Matrix) {
 // register-tiled microkernel. For finite operands it equals
 // MulBiasAct(dst, a, b, bias, act) bitwise for the b that was packed. It
 // returns the number of a's columns the product found live (a.Cols
-// where it made no scan: fewer than four rows, or fast mode).
+// where it made no scan: fewer than four rows).
 func MulPackedBiasAct(dst, a *Matrix, pb *PackedB, bias []float64, act Activation) (liveK int) {
 	if a.Cols != pb.K || dst.Rows != a.Rows || dst.Cols != pb.N {
 		panic(fmt.Sprintf("mat: MulPackedBiasAct dims (%dx%d)·(%dx%d)->(%dx%d)",
@@ -84,27 +84,12 @@ func mulPackedInto(dst, a *Matrix, bp []float64, r0, r1 int, bias []float64, act
 		return k
 	}
 	ls, live := liveColumns(a, r0, r1)
-	liveK = mulPackedLive(dst, a, bp, r0, r1, live, bias, act)
-	putLive(ls)
-	return liveK
-}
-
-// mulPackedLive runs rows [r0, r1) of a packed product over the given
-// live columns of a (nil: all of them). The row fan-out is gated on the
-// multiply-adds that are left, not on the nominal shape.
-func mulPackedLive(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, bias []float64, act Activation) (liveK int) {
 	liveK = a.Cols
 	if live != nil {
 		liveK = len(live)
 	}
-	rows := r1 - r0
-	if useParallel(rows, rows*liveK*dst.Cols) {
-		parallelRows(rows, func(c0, c1 int) {
-			gemmPackedRange(dst, a, bp, r0+c0, r0+c1, live, bias, act)
-		})
-	} else {
-		gemmPackedRange(dst, a, bp, r0, r1, live, bias, act)
-	}
+	gemmPackedRange(dst, a, bp, r0, r1, live, bias, act)
+	putLive(ls)
 	return liveK
 }
 
@@ -151,9 +136,8 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 		return
 	}
 	if rowsPer >= mr {
-		// Wide bands: each band runs the full tiled range (4×8 kernel,
-		// per-band parallel fan-out), packing into scratch when the
-		// caller holds no persistent panels.
+		// Wide bands: each band runs the full tiled range, packing into
+		// scratch when the caller holds no persistent panels.
 		for g := range groups {
 			r0 := g * rowsPer
 			bp, scratch := groupPanels(&groups[g])
@@ -164,8 +148,9 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 		}
 		return
 	}
-	// Narrow bands (pooled batch-1 action selection): fan out across the
-	// whole stacked row set; each row resolves its own group's panels.
+	// Narrow bands (pooled batch-1 action selection): one fused row
+	// kernel call per stacked row; each row resolves its own group's
+	// panels.
 	for g := range groups {
 		groups[g].Live = k
 	}
@@ -173,19 +158,11 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 		// Every group pre-packed (the pooled steady state): no panel
 		// indirection to build, no scratch bookkeeping — the row loop
 		// reads each group's panels straight out of its PackedB.
-		run := func(r0, r1 int) {
-			rowScr := GetScratch(1, (n+nr-1)/nr*nr)
-			defer PutScratch(rowScr)
-			rowAcc := rowScr.Data
-			for i := r0; i < r1; i++ {
-				gemmPackedRowFused(dst.Row(i), a.Row(i), groups[i].Packed.Data, rowAcc, k, n, groups[i].Bias, act)
-			}
+		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
+		for i := 0; i < a.Rows; i++ {
+			gemmPackedRowFused(dst.Row(i), a.Row(i), groups[i].Packed.Data, rowScr.Data, k, n, groups[i].Bias, act)
 		}
-		if useParallel(a.Rows, a.Rows*k*n) {
-			parallelRows(a.Rows, run)
-		} else {
-			run(0, a.Rows)
-		}
+		PutScratch(rowScr)
 		return
 	}
 	var scratches []*Matrix
@@ -205,28 +182,12 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 			biasActRange(dst, r0, r0+rowsPer, groups[g].Bias, act)
 		}
 	} else {
-		run := func(r0, r1 int) {
-			// Per-goroutine row accumulator for the fused row kernel.
-			rowScr := GetScratch(1, (n+nr-1)/nr*nr)
-			defer PutScratch(rowScr)
-			rowAcc := rowScr.Data
-			if rowsPer == 1 {
-				// Batch-1 select: row i IS group i; skip the divide.
-				for i := r0; i < r1; i++ {
-					gemmPackedRowFused(dst.Row(i), a.Row(i), panels[i], rowAcc, k, n, groups[i].Bias, act)
-				}
-				return
-			}
-			for i := r0; i < r1; i++ {
-				g := i / rowsPer
-				gemmPackedRowFused(dst.Row(i), a.Row(i), panels[g], rowAcc, k, n, groups[g].Bias, act)
-			}
+		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
+		for i := 0; i < a.Rows; i++ {
+			g := i / rowsPer
+			gemmPackedRowFused(dst.Row(i), a.Row(i), panels[g], rowScr.Data, k, n, groups[g].Bias, act)
 		}
-		if useParallel(a.Rows, a.Rows*k*n) {
-			parallelRows(a.Rows, run)
-		} else {
-			run(0, a.Rows)
-		}
+		PutScratch(rowScr)
 	}
 	for _, s := range scratches {
 		PutScratch(s)
@@ -313,53 +274,23 @@ type DispatchInfo struct {
 	// Path is "tiled" (packed-panel microkernels) or "streaming" (the
 	// row-streaming kernel batch-1 shapes stay on).
 	Path string
-	// Kernel is the microkernel implementation the tiled path uses on
-	// this machine: "avx2" or "portable".
+	// Kernel is the microkernel tier the tiled path uses on this
+	// machine (see KernelName).
 	Kernel string
-	// Parallel reports whether the product fans out across goroutines
-	// at the current SetParallelism setting when every column of its a
-	// operand is live. The gate counts live multiply-adds, so a tiled
-	// product with dead columns may stay serial where this says true.
-	Parallel bool
 }
 
 // MulDispatch reports the path an m×k · k×n Mul/MulBiasAct takes. It
-// mirrors the dispatch gate exactly (minPackRows row threshold,
-// ParallelFlopThreshold); a threshold change shows up here and in the
-// committed bench report, not silently.
+// mirrors the dispatch gate exactly (the minPackRows row threshold); a
+// threshold change shows up here and in the committed bench report, not
+// silently.
 func MulDispatch(m, k, n int) DispatchInfo {
 	info := DispatchInfo{Path: "streaming", Kernel: KernelName()}
 	if m >= minPackRows && k > 0 && n > 0 {
 		info.Path = "tiled"
 	}
-	info.Parallel = useParallel(m, m*k*n)
 	return info
-}
-
-// PackedDispatch reports the path a packed product (MulPackedBiasAct,
-// grouped bands) takes: always tiled, at any row count.
-func PackedDispatch(m, k, n int) DispatchInfo {
-	return DispatchInfo{Path: "tiled", Kernel: KernelName(), Parallel: useParallel(m, m*k*n)}
 }
 
 // MinPackRows exposes the streaming→tiled row threshold for tests and
 // reports.
 func MinPackRows() int { return minPackRows }
-
-// KernelName names the microkernel implementation dispatch currently
-// selects: "portable" (pure-Go fallback), "avx2" (default bit-exact
-// assembly), or — with SetFastMath(true) on capable hardware —
-// "avx2-fma" / "avx512f-fma". Benchmark reports record it so baselines
-// from different machines and modes are comparable.
-func KernelName() string {
-	switch {
-	case !haveAVX2:
-		return "portable"
-	case fastMath && haveAVX512:
-		return "avx512f-fma"
-	case fastMath && haveFMA:
-		return "avx2-fma"
-	default:
-		return "avx2"
-	}
-}

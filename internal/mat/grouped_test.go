@@ -7,7 +7,7 @@ import (
 
 // The grouped/packed path's contract is the same as the tiled one:
 // bitwise equality with the per-agent MulBiasAct calls it replaces, at
-// every kernel and fan-out. These tests are the mat-layer half of the
+// every kernel tier. These tests are the mat-layer half of the
 // PR 8 golden differential — the bdq pool tests build on them.
 
 func TestMulPackedBiasActMatchesMulBiasAct(t *testing.T) {
@@ -33,18 +33,16 @@ func TestMulPackedBiasActMatchesMulBiasAct(t *testing.T) {
 			want := New(sh.m, sh.n)
 			MulBiasAct(want, a, b, bias, act)
 			withKernels(t, func(kernel string) {
-				withParallelism(t, func(par int) {
-					pb := PackB(b)
-					got := New(sh.m, sh.n)
-					fuzzFill(got.Data, rng)
-					MulPackedBiasAct(got, a, pb, bias, act)
-					requireBitsEqual(t, "MulPackedBiasAct/"+kernel, got, want)
+				pb := PackB(b)
+				got := New(sh.m, sh.n)
+				fuzzFill(got.Data, rng)
+				MulPackedBiasAct(got, a, pb, bias, act)
+				requireBitsEqual(t, "MulPackedBiasAct/"+kernel, got, want)
 
-					// RepackFrom reuses the buffer and stays identical.
-					pb.RepackFrom(b)
-					MulPackedBiasAct(got, a, pb, bias, act)
-					requireBitsEqual(t, "RepackFrom/"+kernel, got, want)
-				})
+				// RepackFrom reuses the buffer and stays identical.
+				pb.RepackFrom(b)
+				MulPackedBiasAct(got, a, pb, bias, act)
+				requireBitsEqual(t, "RepackFrom/"+kernel, got, want)
 			})
 		}
 	}
@@ -83,22 +81,20 @@ func TestMulGroupedBiasActMatchesPerAgent(t *testing.T) {
 					bs[g], groups[g].Bias, act)
 			}
 			withKernels(t, func(kernel string) {
-				withParallelism(t, func(par int) {
-					// Raw operands (scratch packing per call).
-					got := New(a.Rows, tc.n)
-					fuzzFill(got.Data, rng)
-					MulGroupedBiasAct(got, a, tc.rowsPer, groups, act)
-					requireBitsEqual(t, "grouped-raw/"+kernel, got, want)
+				// Raw operands (scratch packing per call).
+				got := New(a.Rows, tc.n)
+				fuzzFill(got.Data, rng)
+				MulGroupedBiasAct(got, a, tc.rowsPer, groups, act)
+				requireBitsEqual(t, "grouped-raw/"+kernel, got, want)
 
-					// Persistent packed panels (the pooled select cache).
-					packed := make([]Group, len(groups))
-					for g := range groups {
-						packed[g] = Group{Packed: PackB(bs[g]), Bias: groups[g].Bias}
-					}
-					fuzzFill(got.Data, rng)
-					MulGroupedBiasAct(got, a, tc.rowsPer, packed, act)
-					requireBitsEqual(t, "grouped-packed/"+kernel, got, want)
-				})
+				// Persistent packed panels (the pooled select cache).
+				packed := make([]Group, len(groups))
+				for g := range groups {
+					packed[g] = Group{Packed: PackB(bs[g]), Bias: groups[g].Bias}
+				}
+				fuzzFill(got.Data, rng)
+				MulGroupedBiasAct(got, a, tc.rowsPer, packed, act)
+				requireBitsEqual(t, "grouped-packed/"+kernel, got, want)
 			})
 		}
 	}
@@ -107,7 +103,7 @@ func TestMulGroupedBiasActMatchesPerAgent(t *testing.T) {
 // TestMulGroupedBackwardMatchesPerAgent: the grouped training sweeps
 // (weight-gradient accumulate, upstream gradient) must be bitwise equal
 // to the per-agent MulTransAAcc/MulTransB loop they replace, at every
-// kernel and fan-out — the mat-layer half of the pooled-training golden.
+// kernel tier — the mat-layer half of the pooled-training golden.
 func TestMulGroupedBackwardMatchesPerAgent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cases := []struct{ groups, rowsPer, k, n int }{
@@ -144,21 +140,19 @@ func TestMulGroupedBackwardMatchesPerAgent(t *testing.T) {
 		}
 
 		withKernels(t, func(kernel string) {
-			withParallelism(t, func(par int) {
-				grads := make([]*Matrix, tc.groups)
-				for i := range grads {
-					grads[i] = accInit[i].Clone()
-				}
-				MulGroupedTransAAcc(grads, a, g, tc.rowsPer)
-				for i := range grads {
-					requireBitsEqual(t, "grouped-transA/"+kernel, grads[i], wantGrads[i])
-				}
+			grads := make([]*Matrix, tc.groups)
+			for i := range grads {
+				grads[i] = accInit[i].Clone()
+			}
+			MulGroupedTransAAcc(grads, a, g, tc.rowsPer)
+			for i := range grads {
+				requireBitsEqual(t, "grouped-transA/"+kernel, grads[i], wantGrads[i])
+			}
 
-				gotIn := New(rows, tc.k)
-				fuzzFill(gotIn.Data, rng)
-				MulGroupedTransB(gotIn, g, tc.rowsPer, ws)
-				requireBitsEqual(t, "grouped-transB/"+kernel, gotIn, wantIn)
-			})
+			gotIn := New(rows, tc.k)
+			fuzzFill(gotIn.Data, rng)
+			MulGroupedTransB(gotIn, g, tc.rowsPer, ws)
+			requireBitsEqual(t, "grouped-transB/"+kernel, gotIn, wantIn)
 		})
 	}
 }
@@ -191,30 +185,50 @@ func TestMulDispatchBenchShapes(t *testing.T) {
 			t.Errorf("MulDispatch(%d,%d,%d).Kernel = %q, want %q", tc.m, tc.k, tc.n, info.Kernel, KernelName())
 		}
 	}
-	// The packed path runs tiled at every row count — that is the point.
-	if got := PackedDispatch(1, 22, 512); got.Path != "tiled" {
-		t.Errorf("PackedDispatch(1,22,512).Path = %q, want tiled", got.Path)
-	}
-	if KernelName() != "avx2" && KernelName() != "portable" {
-		t.Errorf("KernelName() = %q, want avx2 or portable", KernelName())
-	}
 	if MinPackRows() != minPackRows {
 		t.Errorf("MinPackRows() = %d, want %d", MinPackRows(), minPackRows)
 	}
 }
 
-// TestDispatchParallelGate pins the parallel fan-out decision to the
-// actual gate at a non-default parallelism.
-func TestDispatchParallelGate(t *testing.T) {
-	saved := Parallelism()
-	defer SetParallelism(saved)
-	SetParallelism(8)
-	if MulDispatch(64, 512, 256).Parallel != useParallel(64, 64*512*256) {
-		t.Error("MulDispatch parallel flag disagrees with useParallel")
+// TestKernelNameProvenance pins the tier name for every detection state:
+// what /status, /metrics and the benchmark's host stamp record is the
+// path that ran.
+func TestKernelNameProvenance(t *testing.T) {
+	saved2, saved512 := haveAVX2, haveAVX512
+	defer func() { haveAVX2, haveAVX512 = saved2, saved512 }()
+	for _, c := range []struct {
+		avx2, avx512 bool
+		want         string
+	}{
+		{false, false, "portable"},
+		{true, false, "avx2"},
+		{true, true, "avx512"},
+	} {
+		haveAVX2, haveAVX512 = c.avx2, c.avx512
+		if got := KernelName(); got != c.want {
+			t.Errorf("KernelName(avx2=%v avx512=%v) = %q, want %q", c.avx2, c.avx512, got, c.want)
+		}
+		if HaveAVX2() != c.avx2 {
+			t.Errorf("HaveAVX2() = %v, want %v", HaveAVX2(), c.avx2)
+		}
 	}
-	SetParallelism(1)
-	if MulDispatch(64, 512, 256).Parallel {
-		t.Error("MulDispatch reports parallel at fan-out 1")
+}
+
+// TestCPUFeaturesString pins the provenance string shape.
+func TestCPUFeaturesString(t *testing.T) {
+	saved2, saved512 := haveAVX2, haveAVX512
+	defer func() { haveAVX2, haveAVX512 = saved2, saved512 }()
+	haveAVX2, haveAVX512 = true, true
+	if got := CPUFeatures(); got != "avx2+avx512f" {
+		t.Errorf("CPUFeatures = %q", got)
+	}
+	haveAVX2, haveAVX512 = true, false
+	if got := CPUFeatures(); got != "avx2" {
+		t.Errorf("CPUFeatures = %q", got)
+	}
+	haveAVX2, haveAVX512 = false, false
+	if got := CPUFeatures(); got != "none" {
+		t.Errorf("CPUFeatures = %q", got)
 	}
 }
 

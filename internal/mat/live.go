@@ -12,8 +12,8 @@ import (
 // finite b adding ±0 to an accumulator that started at +0 changes no
 // bit, so the product over the remaining — live — columns alone is the
 // same product (DESIGN.md §5m has the argument and the non-finite
-// contract). Each tiled product scans its a operand once, before any row
-// fan-out, and its kernels walk the resulting list.
+// contract). Each tiled product scans its a operand once and its kernels
+// walk the resulting list.
 
 // liveSet is the scratch of one scan: the column-wise OR of the
 // operand's bit patterns and the index lists cut from it.
@@ -60,13 +60,12 @@ func putLive(ls *liveSet) {
 
 // liveColumns scans rows [r0, r1) of a and returns, ascending, the
 // columns that hold something other than ±0 in at least one of them
-// (NaN counts as something). live is nil when nothing can be skipped:
-// every column is live, or fast mode is on, whose fused kernels have no
-// indexed form and walk the whole depth. The caller hands ls back with
-// putLive once the product is done.
+// (NaN counts as something). live is nil when nothing can be skipped,
+// every column being live. The caller hands ls back with putLive once the
+// product is done.
 func liveColumns(a *Matrix, r0, r1 int) (ls *liveSet, live []int32) {
 	k := a.Cols
-	if fastFMA() || k == 0 {
+	if k == 0 {
 		return nil, nil
 	}
 	ls = getLive(k)

@@ -118,8 +118,8 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // (see tiled.go); small ones stay on the streaming kernel. Both paths
 // accumulate every destination element in ascending k order with
 // individual roundings, so for finite operands results are bit-identical
-// across the tiled, streaming, serial and parallel (see SetParallelism)
-// variants. A zero in a hides a non-finite element of b on the streaming
+// across the tiled and streaming paths and every kernel tier (see
+// KernelName). A zero in a hides a non-finite element of b on the streaming
 // path always and on the tiled path only when its whole column of a is
 // zero; elsewhere the tiled product is NaN (DESIGN.md §5m).
 func Mul(dst, a, b *Matrix) {
@@ -147,15 +147,8 @@ func MulBiasAct(dst, a, b *Matrix, bias []float64, act Activation) (liveK int) {
 		PutScratch(bp)
 		return liveK
 	}
-	if useParallel(a.Rows, a.Rows*a.Cols*b.Cols) {
-		parallelRows(a.Rows, func(r0, r1 int) {
-			mulRange(dst, a, b, r0, r1)
-			biasActRange(dst, r0, r1, bias, act)
-		})
-	} else {
-		mulRange(dst, a, b, 0, a.Rows)
-		biasActRange(dst, 0, a.Rows, bias, act)
-	}
+	mulRange(dst, a, b, 0, a.Rows)
+	biasActRange(dst, 0, a.Rows, bias, act)
 	return a.Cols
 }
 
@@ -170,27 +163,7 @@ func MulTransA(dst, a, b *Matrix) {
 		mulTransAPacked(dst, a, b, false)
 		return
 	}
-	if useParallel(a.Cols, a.Rows*a.Cols*b.Cols) {
-		parallelRows(a.Cols, func(r0, r1 int) { mulTransARange(dst, a, b, r0, r1) })
-		return
-	}
-	// Serial kernel: k-outer streams both operands row-major. Each
-	// destination element still accumulates its terms in ascending k,
-	// exactly like mulTransARange, so both paths agree bitwise.
-	dst.Zero()
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
+	mulTransARange(dst, a, b, 0, a.Cols)
 }
 
 // MulTransAAcc computes dst += aᵀ·b: each destination element gets its
@@ -206,32 +179,20 @@ func MulTransAAcc(dst, a, b *Matrix) {
 		mulTransAPacked(dst, a, b, true)
 		return
 	}
-	if useParallel(a.Cols, a.Rows*a.Cols*b.Cols) {
-		parallelRows(a.Cols, func(r0, r1 int) { mulTransAAccRange(dst, a, b, r0, r1) })
-	} else {
-		mulTransAAccRange(dst, a, b, 0, a.Cols)
-	}
+	mulTransAAccRange(dst, a, b, 0, a.Cols)
 }
 
 // mulTransAPacked is the tiled form of MulTransA and MulTransAAcc. A
 // column of a that is ±0 in every row is a destination row whose sum is
-// +0: those are settled without a kernel, and the microkernel — and the
-// row fan-out, gated on the work that is left — see the live rows only.
+// +0: those are settled without a kernel, and the microkernel sees the
+// live rows only.
 func mulTransAPacked(dst, a, b *Matrix, accumulate bool) {
 	ls, live := liveColumns(a, 0, a.Rows)
-	rows := a.Cols
 	if live != nil {
-		rows = len(live)
 		transADeadRows(dst, live, accumulate)
 	}
 	bp := packB(b)
-	if useParallel(rows, rows*a.Rows*b.Cols) {
-		parallelRows(rows, func(c0, c1 int) {
-			gemmTransAPackedRange(dst, a, bp.Data, live, c0, c1, accumulate)
-		})
-	} else {
-		gemmTransAPackedRange(dst, a, bp.Data, live, 0, rows, accumulate)
-	}
+	gemmTransAPacked(dst, a, bp.Data, live, accumulate)
 	PutScratch(bp)
 	putLive(ls)
 }
@@ -252,16 +213,12 @@ func MulTransB(dst, a, b *Matrix) {
 			live = nil
 		}
 		bp := packBT(b)
-		mulPackedLive(dst, a, bp.Data, 0, a.Rows, live, nil, ActIdentity)
+		gemmPackedRange(dst, a, bp.Data, 0, a.Rows, live, nil, ActIdentity)
 		PutScratch(bp)
 		putLive(ls)
 		return
 	}
-	if useParallel(a.Rows, a.Rows*b.Rows*a.Cols) {
-		parallelRows(a.Rows, func(r0, r1 int) { mulTransBRange(dst, a, b, r0, r1) })
-	} else {
-		mulTransBRange(dst, a, b, 0, a.Rows)
-	}
+	mulTransBRange(dst, a, b, 0, a.Rows)
 }
 
 // Add computes dst = a + b element-wise; dst may alias a or b.

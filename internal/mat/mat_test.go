@@ -263,3 +263,32 @@ func TestDotProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPoolReuse(t *testing.T) {
+	p := NewPool()
+	m := p.Get(3, 4)
+	m.Fill(7)
+	p.Put(m)
+	m2 := p.Get(3, 4)
+	if m2 != m {
+		t.Fatalf("pool did not reuse the returned matrix")
+	}
+	if got := p.Get(3, 4); got == m {
+		t.Fatalf("pool handed out the same matrix twice")
+	}
+	p.Put(nil) // must not panic
+}
+
+func TestIntoVariants(t *testing.T) {
+	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	sums := make([]float64, 3)
+	m.ColSumsInto(sums)
+	if sums[0] != 5 || sums[1] != 7 || sums[2] != 9 {
+		t.Fatalf("ColSumsInto = %v", sums)
+	}
+	means := make([]float64, 2)
+	m.RowMeansInto(means)
+	if means[0] != 2 || means[1] != 5 {
+		t.Fatalf("RowMeansInto = %v", means)
+	}
+}

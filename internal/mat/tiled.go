@@ -12,10 +12,10 @@ import "math"
 // Bit-exactness contract: for every destination element the k terms are
 // multiplied and added in ascending k order with individual roundings
 // (never fused multiply-add), exactly like the naive kernels in
-// parallel.go. Tiling only regroups *independent* destination elements,
-// so the tiled, naive, serial and parallel paths all agree bitwise —
-// the property PR 3's determinism tests and PR 4's bit-identical resume
-// depend on.
+// streaming.go. Tiling only regroups *independent* destination elements,
+// so the tiled and naive paths agree bitwise at every kernel tier
+// (cpu.go) — the property the determinism tests and bit-identical
+// resume depend on.
 //
 // What the paths do with zeros differs, and for finite operands does not
 // matter: the naive Mul/MulTransA step over each ±0 element of a, the
@@ -26,10 +26,13 @@ import "math"
 // MulTransB, like Dot, hides nothing in either form.
 const (
 	// nr is the register tile width: one packed panel covers nr
-	// destination columns (two 4-lane AVX2 vectors).
+	// destination columns (two 4-lane AVX2 vectors, one 8-lane AVX-512
+	// vector).
 	nr = 8
-	// mr is the register tile height in destination rows.
+	// mr is the height in destination rows of the AVX2 register tile, zr
+	// of the AVX-512 one.
 	mr = 4
+	zr = 8
 	// minPackRows is the destination row count below which packing the
 	// B operand cannot be amortised and the streaming kernels win
 	// (batch-1 action selection stays on the naive path).
@@ -130,65 +133,61 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, bia
 		return
 	}
 	panels := (n + nr - 1) / nr
-	i := r0
-	if fastZMM() {
-		// Fast mode, AVX-512: 8-row ZMM tiles first, leftovers fall
-		// through to the 4-row (FMA) loop below.
-		var accZ [zr * nr]float64
-		for ; i+zr <= r1; i += zr {
-			a0 := &a.Data[i*k]
-			a1 := &a.Data[(i+1)*k]
-			a2 := &a.Data[(i+2)*k]
-			a3 := &a.Data[(i+3)*k]
-			a4 := &a.Data[(i+4)*k]
-			a5 := &a.Data[(i+5)*k]
-			a6 := &a.Data[(i+6)*k]
-			a7 := &a.Data[(i+7)*k]
-			for p := 0; p < panels; p++ {
-				kern8x8nZ(k, a0, a1, a2, a3, a4, a5, a6, a7, &bp[p*nr*k], &accZ)
-				j0 := p * nr
-				w := min(n-j0, nr)
-				for r := 0; r < zr; r++ {
-					storeTile(dst.Row(i + r)[j0:j0+w], accZ[r*nr:], false, bias, act, j0)
-				}
-			}
-		}
-	}
-	var acc [mr * nr]float64
-	for ; i < r1; i += mr {
-		// A last tile of fewer than mr rows repeats its final row: the
-		// kernel computes mr rows either way and the repeats are not
-		// stored, so every row of the range runs the same kernel.
-		rows := min(r1-i, mr)
-		var ap [mr]*float64
-		for q := range ap {
+	var acc [zr * nr]float64
+	var ap [zr]*float64
+	for i := r0; i < r1; {
+		// A last tile of fewer than h rows repeats its final row: the
+		// kernel computes h rows either way and the repeats are not
+		// stored, so every row of the range runs a tile kernel.
+		h := tileHeight(r1 - i)
+		rows := min(r1-i, h)
+		for q := 0; q < h; q++ {
 			ap[q] = &a.Data[(i+min(q, rows-1))*k]
 		}
 		for p := 0; p < panels; p++ {
-			kernTile(k, live, &ap, &bp[p*nr*k], &acc)
+			kernTile(h, k, live, &ap, &bp[p*nr*k], &acc)
 			j0 := p * nr
 			w := min(n-j0, nr)
 			for q := 0; q < rows; q++ {
 				storeTile(dst.Row(i + q)[j0:j0+w], acc[q*nr:], false, bias, act, j0)
 			}
 		}
+		i += rows
 	}
 }
 
-// kernTile runs the mr×nr AVX2 microkernel the mode and the operand call
-// for: the fused-multiply-add twin in fast mode, the indexed kernel when
-// a has dead columns, the dense one otherwise. All three add every term
-// in ascending k.
-func kernTile(k int, live []int32, ap *[mr]*float64, panel *float64, acc *[mr * nr]float64) {
+// tileHeight is the height of the next register tile when rows are left:
+// zr wherever the CPU has AVX-512 and a full tile remains, mr otherwise.
+func tileHeight(rows int) int {
+	if haveAVX512 && rows >= zr {
+		return zr
+	}
+	return mr
+}
+
+// kernTile runs the h×nr microkernel the operand calls for — the indexed
+// one when a has dead columns, the dense one otherwise — at the register
+// width of the tile height. All of them add every term in ascending k.
+func kernTile(h, k int, live []int32, ap *[zr]*float64, panel *float64, acc *[zr * nr]float64) {
+	if h == zr {
+		switch {
+		case live == nil:
+			kern8x8n(k, ap[0], ap[1], ap[2], ap[3], ap[4], ap[5], ap[6], ap[7], panel, acc)
+		case len(live) == 0:
+			*acc = [zr * nr]float64{}
+		default:
+			kern8x8ni(len(live), &live[0], ap[0], ap[1], ap[2], ap[3], ap[4], ap[5], ap[6], ap[7], panel, acc)
+		}
+		return
+	}
+	acc4 := (*[mr * nr]float64)(acc[:])
 	switch {
-	case fastFMA():
-		kern4x8nF(k, ap[0], ap[1], ap[2], ap[3], panel, acc)
 	case live == nil:
-		kern4x8n(k, ap[0], ap[1], ap[2], ap[3], panel, acc)
+		kern4x8n(k, ap[0], ap[1], ap[2], ap[3], panel, acc4)
 	case len(live) == 0:
-		*acc = [mr * nr]float64{}
+		*acc4 = [mr * nr]float64{}
 	default:
-		kern4x8ni(len(live), &live[0], ap[0], ap[1], ap[2], ap[3], panel, acc)
+		kern4x8ni(len(live), &live[0], ap[0], ap[1], ap[2], ap[3], panel, acc4)
 	}
 }
 
@@ -202,17 +201,14 @@ func kernTile(k int, live []int32, ap *[mr]*float64, panel *float64, acc *[mr * 
 // §5m); a non-finite b element under a zero a element stays hidden here.
 func gemmPackedRowFused(drow, arow, bp, rowAcc []float64, k, n int, bias []float64, act Activation) {
 	panels := (n + nr - 1) / nr
-	switch {
-	case !haveAVX2:
+	if haveAVX2 {
+		kernRowPanelsS(k, panels, &arow[0], &bp[0], &rowAcc[0])
+	} else {
 		var tmp [nr]float64
 		for p := 0; p < panels; p++ {
 			kernRowGo(arow[:k], bp[p*nr*k:(p+1)*nr*k], &tmp, nil, true)
 			copy(rowAcc[p*nr:p*nr+nr], tmp[:])
 		}
-	case fastFMA():
-		kernRowPanelsSF(k, panels, &arow[0], &bp[0], &rowAcc[0])
-	default:
-		kernRowPanelsS(k, panels, &arow[0], &bp[0], &rowAcc[0])
 	}
 	storeTile(drow[:n], rowAcc, false, bias, act, 0)
 }
@@ -337,53 +333,59 @@ func biasActRange(dst *Matrix, r0, r1 int, bias []float64, act Activation) {
 	}
 }
 
-// gemmTransAPackedRange computes destination rows rows[c0:c1] of
-// dst = aᵀ·(packed panels), or rows [c0, c1) themselves when rows is
-// nil: destination row i is column i of a, gathered into a contiguous
-// scratch quad so the shared microkernel can stream it. rows is the live
+// gemmTransAPacked computes dst = aᵀ·(packed panels) over the
+// destination rows live lists, or all of them when live is nil:
+// destination row i is column i of a, gathered into one contiguous
+// scratch tile so the shared microkernel can stream it. live is the live
 // list of a's columns — a dead column is a dead destination row, which
 // the caller settles without a kernel (transADeadRows). The depth is
 // a's row count, the minibatch, so the kernel walks all of it.
-func gemmTransAPackedRange(dst, a *Matrix, bp []float64, rows []int32, c0, c1 int, accumulate bool) {
+func gemmTransAPacked(dst, a *Matrix, bp []float64, live []int32, accumulate bool) {
 	k := a.Rows
 	n := dst.Cols
-	cb := GetScratch(mr, k)
+	cb := GetScratch(zr, k)
 	defer PutScratch(cb)
+	c1 := a.Cols
+	if live != nil {
+		c1 = len(live)
+	}
 	row := func(c int) int {
-		if rows != nil {
-			return int(rows[c])
+		if live != nil {
+			return int(live[c])
 		}
 		return c
 	}
 	if !haveAVX2 {
 		col := cb.Row(0)
-		for c := c0; c < c1; c++ {
+		for c := 0; c < c1; c++ {
 			a.ColInto(col, row(c))
 			gemmPackedRow(dst.Row(row(c)), col, bp, k, n, nil, accumulate, nil, ActIdentity)
 		}
 		return
 	}
 	panels := (n + nr - 1) / nr
-	var acc [mr * nr]float64
-	var ap [mr]*float64
-	for c := c0; c < c1; c += mr {
-		// A last quad of fewer than mr rows repeats its final column,
-		// like gemmPackedRange's last tile.
-		cnt := min(c1-c, mr)
-		for q := range ap {
+	var acc [zr * nr]float64
+	var ap [zr]*float64
+	for c := 0; c < c1; {
+		// A last tile of fewer than h rows repeats its final column, like
+		// gemmPackedRange's.
+		h := tileHeight(c1 - c)
+		cnt := min(c1-c, h)
+		for q := 0; q < h; q++ {
 			if q < cnt {
 				a.ColInto(cb.Row(q), row(c+q))
 			}
 			ap[q] = &cb.Data[min(q, cnt-1)*k]
 		}
 		for p := 0; p < panels; p++ {
-			kernTile(k, nil, &ap, &bp[p*nr*k], &acc)
+			kernTile(h, k, nil, &ap, &bp[p*nr*k], &acc)
 			j0 := p * nr
 			w := min(n-j0, nr)
 			for q := 0; q < cnt; q++ {
 				storeTile(dst.Row(row(c + q))[j0:j0+w], acc[q*nr:], accumulate, nil, ActIdentity, j0)
 			}
 		}
+		c += cnt
 	}
 }
 

@@ -119,18 +119,8 @@ func runFusedVsUnfused(t *testing.T, batch, steps int) {
 }
 
 func TestFusedMatchesUnfusedSerial(t *testing.T) {
-	saved := mat.Parallelism()
-	defer mat.SetParallelism(saved)
-	mat.SetParallelism(1)
 	runFusedVsUnfused(t, 64, 25)
 	runFusedVsUnfused(t, 1, 25) // streaming (non-packed) path
-}
-
-func TestFusedMatchesUnfusedParallel(t *testing.T) {
-	saved := mat.Parallelism()
-	defer mat.SetParallelism(saved)
-	mat.SetParallelism(8)
-	runFusedVsUnfused(t, 64, 25)
 }
 
 // TestFusedCheckpointRoundTrip trains the fused network, checkpoints

@@ -128,8 +128,7 @@ func (d *Dense) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 // that fired for at least one sample (and survived dropout). It is what
 // the forward product's column scan counted, kept at the cost of one
 // store. ok is false before the first train-mode Forward; the count is
-// In wherever the product makes no scan (fast mode, fewer than four
-// rows).
+// In wherever the product makes no scan (fewer than four rows).
 func (d *Dense) LiveInputs() (live int, ok bool) { return d.liveIn, d.liveIn >= 0 }
 
 // NoteLiveInputs records the count for a train-mode product that ran
