@@ -52,9 +52,11 @@ func TestAgentObserveZeroAlloc(t *testing.T) {
 
 // TestTrainStepAllocsWarm is the zero-allocation contract at shapes and
 // data where the GEMM layer has something to compact: tiled products,
-// distinct transitions, dropout on.
-// Every product scans its operand and most walk an index list, all of it
-// in recycled scratch.
+// distinct transitions, dropout on, over five hundred steps whose live
+// counts differ from one to the next. Every product reads a live set the
+// layer or the network holds, most walk an index list and the backward
+// ones pack a different number of panels every step — all of it in
+// storage sized by the layer, not by the count (DESIGN.md §5p).
 func TestTrainStepAllocsWarm(t *testing.T) {
 	spec := Spec{
 		StateDim:     22,
@@ -90,12 +92,25 @@ func TestTrainStepAllocsWarm(t *testing.T) {
 		t.Fatal("no layer saw a dead input column: the test exercises no compaction")
 	}
 	next := 0
-	allocs := testing.AllocsPerRun(20, func() {
+	second := a.Online().Denses()[1]
+	seen := make([]bool, second.In+1)
+	allocs := testing.AllocsPerRun(500, func() {
 		a.Observe(trs[next%len(trs)])
 		next++
+		live, _ := second.LiveInputs()
+		seen[live] = true
 	})
 	if allocs != 0 {
-		t.Fatalf("warm Agent.Observe allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("warm Agent.Observe allocates %.2f times per run over 500 runs, want 0", allocs)
+	}
+	counts := 0
+	for _, s := range seen {
+		if s {
+			counts++
+		}
+	}
+	if counts < 5 {
+		t.Fatalf("the second layer saw only %d distinct live counts in 500 steps: the minibatches do not vary", counts)
 	}
 }
 

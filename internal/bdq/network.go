@@ -73,14 +73,22 @@ func (s Spec) Validate() error {
 type Network struct {
 	spec Spec
 
-	shared    *nn.Sequential   // input → shared representation
-	values    []*nn.Sequential // K state-value streams: hidden → 1
-	advHidden []*nn.Sequential // D shared advantage hidden layers
-	advOut    [][]*nn.Dense    // [K][D] per-agent linear output heads
+	shared    *nn.Sequential // input → shared representation
+	valueHid  []*nn.Dense    // K state-value streams: hidden layer …
+	valueOut  []*nn.Dense    // … and linear head, hidden → 1
+	advHidden []*nn.Dense    // D shared advantage hidden layers
+	advOut    [][]*nn.Dense  // [K][D] per-agent linear output heads
 
 	// cached forward activations for Backward
 	lastShared *mat.Matrix
 	lastAdvHid []*mat.Matrix
+
+	// The live sets of the activations more than one layer reads, scanned
+	// once per Forward by the first layer that needs them: the shared
+	// representation (K value streams and D advantage modules) and each
+	// advantage hidden layer's output (K heads).
+	sharedLive mat.Live
+	advHidLive []mat.Live
 
 	// reusable per-batch-size workspaces; see Forward's ownership note.
 	fwd map[int]*fwdWS
@@ -131,11 +139,16 @@ func NewNetwork(spec Spec, rng *rand.Rand) *Network {
 	}
 	n := &Network{spec: spec, packEpoch: -1}
 
+	// Every dense but the first reads what a ReLU (and, in the trunk, a
+	// dropout) left of the layer below, and its input gradient goes back
+	// through that stack's mask: GatedInput. The first reads the states,
+	// which need no gradient at all.
 	var layers []nn.Layer
 	in := spec.StateDim
 	for i, h := range spec.SharedHidden {
 		dense := nn.NewDenseReLU(fmt.Sprintf("shared%d", i), in, h, rng)
-		dense.NoInputGrad = i == 0 // the states need no gradient
+		dense.NoInputGrad = i == 0
+		dense.GatedInput = i > 0
 		layers = append(layers, dense)
 		if spec.Dropout > 0 {
 			layers = append(layers, nn.NewDropout(spec.Dropout, rng))
@@ -144,29 +157,31 @@ func NewNetwork(spec Spec, rng *rand.Rand) *Network {
 	}
 	n.shared = nn.NewSequential(layers...)
 	repr := in
+	gated := func(d *nn.Dense) *nn.Dense {
+		d.GatedInput = true
+		return d
+	}
 
 	numValues := spec.Agents
 	if spec.SharedValue {
 		numValues = 1
 	}
 	for k := 0; k < numValues; k++ {
-		n.values = append(n.values, nn.NewSequential(
-			nn.NewDenseReLU(fmt.Sprintf("value%d.h", k), repr, spec.BranchHidden, rng),
-			nn.NewDense(fmt.Sprintf("value%d.out", k), spec.BranchHidden, 1, rng),
-		))
+		n.valueHid = append(n.valueHid, gated(nn.NewDenseReLU(fmt.Sprintf("value%d.h", k), repr, spec.BranchHidden, rng)))
+		n.valueOut = append(n.valueOut, gated(nn.NewDense(fmt.Sprintf("value%d.out", k), spec.BranchHidden, 1, rng)))
 	}
 	for d := range spec.Dims {
-		n.advHidden = append(n.advHidden, nn.NewSequential(
-			nn.NewDenseReLU(fmt.Sprintf("adv%d.h", d), repr, spec.BranchHidden, rng),
-		))
+		n.advHidden = append(n.advHidden, gated(nn.NewDenseReLU(fmt.Sprintf("adv%d.h", d), repr, spec.BranchHidden, rng)))
 	}
 	n.advOut = make([][]*nn.Dense, spec.Agents)
 	for k := 0; k < spec.Agents; k++ {
 		n.advOut[k] = make([]*nn.Dense, len(spec.Dims))
 		for d, na := range spec.Dims {
-			n.advOut[k][d] = nn.NewDense(fmt.Sprintf("adv%d.out%d", d, k), spec.BranchHidden, na, rng)
+			n.advOut[k][d] = gated(nn.NewDense(fmt.Sprintf("adv%d.out%d", d, k), spec.BranchHidden, na, rng))
 		}
 	}
+	n.lastAdvHid = make([]*mat.Matrix, len(spec.Dims))
+	n.advHidLive = make([]mat.Live, len(spec.Dims))
 	return n
 }
 
@@ -208,26 +223,28 @@ func (n *Network) Forward(states *mat.Matrix, train bool) *Output {
 	n.ensurePacks()
 	z := n.shared.Forward(states, train)
 	n.lastShared = z
-	if n.lastAdvHid == nil {
-		n.lastAdvHid = make([]*mat.Matrix, len(n.spec.Dims))
-	}
+	n.sharedLive.Reset()
 	for d := range n.spec.Dims {
-		n.lastAdvHid[d] = n.advHidden[d].Forward(z, train)
+		n.lastAdvHid[d] = n.advHidden[d].ForwardLive(z, &n.sharedLive, train)
+		n.advHidLive[d].Reset()
 	}
 	ws := n.fwdWorkspace(states.Rows)
 	out := ws.out
+	value := func(k int) *mat.Matrix { // batch×1
+		return n.valueOut[k].Forward(n.valueHid[k].ForwardLive(z, &n.sharedLive, train), train)
+	}
 	// With SharedValue every agent reads the same V(s); forward it once.
 	var sharedV *mat.Matrix
 	if n.spec.SharedValue {
-		sharedV = n.values[0].Forward(z, train)
+		sharedV = value(0)
 	}
 	for k := 0; k < n.spec.Agents; k++ {
 		v := sharedV
 		if v == nil {
-			v = n.values[k].Forward(z, train) // batch×1
+			v = value(k)
 		}
 		for d := range n.spec.Dims {
-			a := n.advOut[k][d].Forward(n.lastAdvHid[d], train)
+			a := n.advOut[k][d].ForwardLive(n.lastAdvHid[d], &n.advHidLive[d], train)
 			q := out.Q[k][d]
 			a.RowMeansInto(ws.means)
 			for b := 0; b < a.Rows; b++ {
@@ -263,32 +280,25 @@ func (n *Network) Backward(gradQ [][]*mat.Matrix) {
 
 	// Per-agent value gradient: dQ/dV = 1 for every action of every
 	// dimension, so dV[b] = Σ_d Σ_a gradQ[k][d][b][a]. With SharedValue
-	// the single stream accumulates every agent's gradient.
-	if n.spec.SharedValue {
+	// the single stream accumulates every agent's gradient. Each branch
+	// adds its input gradient to sharedGrad as its product finishes.
+	valueStream := func(v int, agents [][]*mat.Matrix) {
 		gv := ws.gv
 		gv.Zero()
-		for k := 0; k < n.spec.Agents; k++ {
-			for d := range n.spec.Dims {
-				g := gradQ[k][d]
+		for _, gq := range agents {
+			for _, g := range gq {
 				for b := 0; b < batch; b++ {
 					gv.Data[b] += mat.Sum(g.Row(b))
 				}
 			}
 		}
-		gIn := n.values[0].Backward(gv)
-		mat.Add(sharedGrad, sharedGrad, gIn)
+		n.valueHid[v].BackwardAcc(n.valueOut[v].Backward(gv), sharedGrad)
+	}
+	if n.spec.SharedValue {
+		valueStream(0, gradQ)
 	} else {
-		for k := 0; k < n.spec.Agents; k++ {
-			gv := ws.gv
-			gv.Zero()
-			for d := range n.spec.Dims {
-				g := gradQ[k][d]
-				for b := 0; b < batch; b++ {
-					gv.Data[b] += mat.Sum(g.Row(b))
-				}
-			}
-			gIn := n.values[k].Backward(gv)
-			mat.Add(sharedGrad, sharedGrad, gIn)
+		for k := range gradQ {
+			valueStream(k, gradQ[k:k+1])
 		}
 	}
 
@@ -310,12 +320,10 @@ func (n *Network) Backward(gradQ [][]*mat.Matrix) {
 					crow[j] = grow[j] - ws.means[b]
 				}
 			}
-			gHid := n.advOut[k][d].Backward(centered)
-			mat.Add(combined, combined, gHid)
+			n.advOut[k][d].BackwardAcc(centered, combined)
 		}
 		combined.Scale(1 / K)
-		gIn := n.advHidden[d].Backward(combined)
-		mat.Add(sharedGrad, sharedGrad, gIn)
+		n.advHidden[d].BackwardAcc(combined, sharedGrad)
 	}
 
 	sharedGrad.Scale(1 / D)
@@ -355,8 +363,8 @@ func (n *Network) Params() []*nn.Param {
 		return n.params
 	}
 	ps := n.shared.Params()
-	for _, v := range n.values {
-		ps = append(ps, v.Params()...)
+	for k, h := range n.valueHid {
+		ps = append(append(ps, h.Params()...), n.valueOut[k].Params()...)
 	}
 	for _, a := range n.advHidden {
 		ps = append(ps, a.Params()...)
@@ -406,20 +414,10 @@ func (n *Network) Denses() []*nn.Dense {
 			ds = append(ds, d)
 		}
 	}
-	for _, v := range n.values {
-		for _, l := range v.Layers {
-			if d, ok := l.(*nn.Dense); ok {
-				ds = append(ds, d)
-			}
-		}
+	for k, h := range n.valueHid {
+		ds = append(ds, h, n.valueOut[k])
 	}
-	for _, a := range n.advHidden {
-		for _, l := range a.Layers {
-			if d, ok := l.(*nn.Dense); ok {
-				ds = append(ds, d)
-			}
-		}
-	}
+	ds = append(ds, n.advHidden...)
 	for _, row := range n.advOut {
 		ds = append(ds, row...)
 	}
@@ -507,10 +505,8 @@ func (n *Network) MemoryBytes() int { return n.NumParams() * 8 }
 // re-initialises exactly these.
 func (n *Network) OutputParams() []*nn.Param {
 	var ps []*nn.Param
-	for _, v := range n.values {
-		// last Dense of the value stream
-		last := v.Layers[len(v.Layers)-1].(*nn.Dense)
-		ps = append(ps, last.Params()...)
+	for _, o := range n.valueOut {
+		ps = append(ps, o.Params()...)
 	}
 	for _, row := range n.advOut {
 		for _, o := range row {
@@ -524,8 +520,8 @@ func (n *Network) OutputParams() []*nn.Param {
 // Sec. IV): the trained shared representation and hidden layers are kept
 // while the specialised output heads are re-drawn.
 func (n *Network) ReinitOutputLayers(rng *rand.Rand) {
-	for _, v := range n.values {
-		v.Layers[len(v.Layers)-1].(*nn.Dense).InitHe(rng)
+	for _, o := range n.valueOut {
+		o.InitHe(rng)
 	}
 	for _, row := range n.advOut {
 		for _, o := range row {

@@ -362,7 +362,7 @@ func TestSharedValueAblation(t *testing.T) {
 		}
 	}
 	net.Backward(gq)
-	if net.values[0].Params()[0].Grad.MaxAbs() == 0 {
+	if net.valueHid[0].Params()[0].Grad.MaxAbs() == 0 {
 		t.Fatal("shared value stream received no gradient")
 	}
 }

@@ -116,6 +116,12 @@ type stackWS struct {
 	means  []float64
 	pks    []*netPack // per-member pack caches, resolved once per eval
 
+	// Per member band, the live sets (mat.Live) of the eval activations
+	// several layers read: the representation and each advantage hidden
+	// layer's output, scanned by the first grouped product over them.
+	zLive   []mat.Live
+	advLive [][]mat.Live
+
 	// Layer-group cache: per dense position, the grouped-GEMM operand
 	// list for the member set the cache was built against. Rebuilt only
 	// when membership, network side (online/target) or any member's
@@ -151,7 +157,6 @@ type trainStack struct {
 	combined   *mat.Matrix   // rows×BranchHidden, summed over agents
 	centered   []*mat.Matrix // per dimension: rows×Dims[d]
 	gBH1, gBH2 *mat.Matrix   // rows×BranchHidden backward scratch
-	gRepr      *mat.Matrix   // rows×repr upstream-gradient scratch
 	gTrunk     []*mat.Matrix // per trunk layer: dropout-masked gradient
 	gmTrunk    []*mat.Matrix // per trunk layer: ReLU-masked gradient
 	gTrunkIn   []*mat.Matrix // per trunk layer li>0: rows×h_{li−1} upstream
@@ -160,6 +165,16 @@ type trainStack struct {
 
 	bands []trainBand   // cached per-member band views
 	xband []*mat.Matrix // per-member band views of ws.x
+
+	// Per member band, the live sets (mat.Live) of the train-mode
+	// activations — each scanned by the first grouped product that reads
+	// the activation and held for the backward, as nn.Dense holds its
+	// input's — and of the gradient one backward layer is multiplying.
+	xLive   [][]mat.Live // per trunk layer: its input's
+	zLive   []mat.Live   // the representation's
+	valLive [][]mat.Live // per value stream: the hidden layer's output's
+	advLive [][]mat.Live // per dimension: the advantage hidden's output's
+	gLive   []mat.Live
 
 	// Per trunk layer, per member: band views for the train-forward
 	// dropout sweep (built only when the spec has Dropout).
@@ -576,6 +591,8 @@ func (p *AgentPool) stackWorkspace(rows int) *stackWS {
 		valHid: mat.New(rows, spec.BranchHidden),
 		means:  make([]float64, rows),
 		out:    &Output{Q: make([][]*mat.Matrix, spec.Agents)},
+
+		advLive: make([][]mat.Live, len(spec.Dims)),
 	}
 	for _, h := range spec.SharedHidden {
 		ws.trunk = append(ws.trunk, mat.New(rows, h))
@@ -639,26 +656,27 @@ func (p *AgentPool) stackedEval(members []*PooledAgent, target bool, ws *stackWS
 	// are read from the first member's network.
 	ref := members[0].net(target).Denses()
 	ws.refreshLayerGroups(members, pks, target, len(ref))
-	layer := func(dst, src *mat.Matrix, idx int) {
+	layer := func(dst, src *mat.Matrix, srcLive []mat.Live, idx int) {
 		var act mat.Activation = mat.ActIdentity
 		if ref[idx].FuseReLU {
 			act = mat.ActReLU
 		}
-		mat.MulGroupedBiasAct(dst, src, rowsPer, ws.lgGroups[idx], act)
+		mat.MulGroupedBiasActLive(dst, src, srcLive, rowsPer, ws.lgGroups[idx], act)
 	}
 
 	cur := ws.x
 	for li := 0; li < T; li++ {
-		layer(ws.trunk[li], cur, li)
+		layer(ws.trunk[li], cur, nil, li)
 		cur = ws.trunk[li]
 	}
-	z := cur
+	z, zLive := cur, liveBands(&ws.zLive, len(members))
 	for v := 0; v < numValues; v++ {
-		layer(ws.valHid, z, T+2*v)
-		layer(ws.vals[v], ws.valHid, T+2*v+1)
+		layer(ws.valHid, z, zLive, T+2*v)
+		layer(ws.vals[v], ws.valHid, nil, T+2*v+1)
 	}
 	for d := 0; d < D; d++ {
-		layer(ws.advHid[d], z, T+2*numValues+d)
+		layer(ws.advHid[d], z, zLive, T+2*numValues+d)
+		liveBands(&ws.advLive[d], len(members))
 	}
 	for k := 0; k < K; k++ {
 		v := ws.vals[0]
@@ -666,7 +684,7 @@ func (p *AgentPool) stackedEval(members []*PooledAgent, target bool, ws *stackWS
 			v = ws.vals[k]
 		}
 		for d := 0; d < D; d++ {
-			layer(ws.advScr[d], ws.advHid[d], T+2*numValues+D+k*D+d)
+			layer(ws.advScr[d], ws.advHid[d], ws.advLive[d], T+2*numValues+D+k*D+d)
 			a := ws.advScr[d]
 			q := ws.out.Q[k][d]
 			a.RowMeansInto(ws.means)
@@ -752,7 +770,9 @@ func (ws *stackWS) trainStack(p *AgentPool, members int) *trainStack {
 		centered:   make([]*mat.Matrix, len(spec.Dims)),
 		gBH1:       mat.New(rows, spec.BranchHidden),
 		gBH2:       mat.New(rows, spec.BranchHidden),
-		gRepr:      mat.New(rows, repr),
+		xLive:      make([][]mat.Live, T),
+		valLive:    make([][]mat.Live, numValues),
+		advLive:    make([][]mat.Live, len(spec.Dims)),
 	}
 	for k := range ts.q.Q {
 		ts.q.Q[k] = make([]*mat.Matrix, len(spec.Dims))
@@ -845,12 +865,12 @@ func (p *AgentPool) stackedTrainForward(act []*PooledAgent, ws *stackWS, ts *tra
 	}
 	ref := act[0].Agent.online.Denses()
 	ws.refreshLayerGroups(act, pks, false, len(ref))
-	layer := func(dst, src *mat.Matrix, idx int) {
+	layer := func(dst, src *mat.Matrix, srcLive []mat.Live, idx int) {
 		var a mat.Activation = mat.ActIdentity
 		if ref[idx].FuseReLU {
 			a = mat.ActReLU
 		}
-		mat.MulGroupedBiasAct(dst, src, rowsPer, ws.lgGroups[idx], a)
+		mat.MulGroupedBiasActLive(dst, src, srcLive, rowsPer, ws.lgGroups[idx], a)
 		for s, m := range act {
 			m.Agent.online.Denses()[idx].NoteLiveInputs(ws.lgGroups[idx][s].Live)
 		}
@@ -858,7 +878,7 @@ func (p *AgentPool) stackedTrainForward(act []*PooledAgent, ws *stackWS, ts *tra
 
 	cur := ws.x
 	for li := 0; li < T; li++ {
-		layer(ws.trunk[li], cur, li)
+		layer(ws.trunk[li], cur, liveBands(&ts.xLive[li], len(act)), li)
 		cur = ws.trunk[li]
 		if spec.Dropout > 0 {
 			for s, m := range act {
@@ -869,12 +889,14 @@ func (p *AgentPool) stackedTrainForward(act []*PooledAgent, ws *stackWS, ts *tra
 		}
 	}
 	ts.z = cur
+	zLive := liveBands(&ts.zLive, len(act))
 	for v := 0; v < numValues; v++ {
-		layer(ts.valHid[v], cur, T+2*v)
-		layer(ws.vals[v], ts.valHid[v], T+2*v+1)
+		layer(ts.valHid[v], cur, zLive, T+2*v)
+		layer(ws.vals[v], ts.valHid[v], liveBands(&ts.valLive[v], len(act)), T+2*v+1)
 	}
 	for d := 0; d < D; d++ {
-		layer(ws.advHid[d], cur, T+2*numValues+d)
+		layer(ws.advHid[d], cur, zLive, T+2*numValues+d)
+		liveBands(&ts.advLive[d], len(act))
 	}
 	for k := 0; k < K; k++ {
 		v := ws.vals[0]
@@ -882,7 +904,7 @@ func (p *AgentPool) stackedTrainForward(act []*PooledAgent, ws *stackWS, ts *tra
 			v = ws.vals[k]
 		}
 		for d := 0; d < D; d++ {
-			layer(ws.advScr[d], ws.advHid[d], T+2*numValues+D+k*D+d)
+			layer(ws.advScr[d], ws.advHid[d], ts.advLive[d], T+2*numValues+D+k*D+d)
 			a := ws.advScr[d]
 			q := ts.q.Q[k][d]
 			a.RowMeansInto(ws.means)
@@ -903,10 +925,13 @@ func (p *AgentPool) stackedTrainForward(act []*PooledAgent, ws *stackWS, ts *tra
 // per-member mask/column-sum sweep keeps each member's solo arithmetic
 // (and accumulates its bias gradient), then one grouped GEMM
 // accumulates every member's weight gradient and one more computes the
-// stacked upstream gradient. lastOut/gm are the ReLU mask source and
+// stacked upstream gradient. lastX and xLive are the layer's stacked
+// input and its bands' live sets, which gate the upstream gradient where
+// the layer declares GatedInput; lastOut/gm are the ReLU mask source and
 // masked-gradient buffer (nil for linear layers); gradIn nil skips the
-// upstream product (trunk layer 0, whose input gradient is unread).
-func (p *AgentPool) groupedDenseBackward(act []*PooledAgent, ts *trainStack, idx int, lastX, lastOut, g, gm, gradIn *mat.Matrix, n int) {
+// upstream product (trunk layer 0, whose input gradient is unread), and
+// accumulate adds it to gradIn like Dense.BackwardAcc.
+func (p *AgentPool) groupedDenseBackward(act []*PooledAgent, ts *trainStack, idx int, lastX *mat.Matrix, xLive []mat.Live, lastOut, g, gm, gradIn *mat.Matrix, accumulate bool, n int) {
 	fuse := lastOut != nil
 	width := g.Cols
 	cs := ts.colSums[:width]
@@ -935,7 +960,8 @@ func (p *AgentPool) groupedDenseBackward(act []*PooledAgent, ts *trainStack, idx
 		wg = append(wg, m.Agent.online.Denses()[idx].W.Grad)
 	}
 	ts.wg = wg
-	mat.MulGroupedTransAAcc(wg, lastX, geff, n)
+	gLive := liveBands(&ts.gLive, len(act))
+	mat.MulGroupedTransAAcc(wg, lastX, xLive, geff, gLive, n)
 	if gradIn == nil {
 		return
 	}
@@ -944,7 +970,24 @@ func (p *AgentPool) groupedDenseBackward(act []*PooledAgent, ts *trainStack, idx
 		wv = append(wv, m.Agent.online.Denses()[idx].W.Value)
 	}
 	ts.wv = wv
-	mat.MulGroupedTransB(gradIn, geff, n, wv)
+	var gate []mat.Live
+	if act[0].Agent.online.Denses()[idx].GatedInput {
+		gate = xLive
+	}
+	mat.MulGroupedTransB(gradIn, geff, gLive, n, wv, gate, accumulate)
+}
+
+// liveBands returns n unscanned live sets, one per member band, out of
+// *store: the caller has just rewritten the activation they belong to.
+func liveBands(store *[]mat.Live, n int) []mat.Live {
+	if cap(*store) < n {
+		*store = make([]mat.Live, n)
+	}
+	ls := (*store)[:n]
+	for i := range ls {
+		ls[i].Reset()
+	}
+	return ls
 }
 
 // stackedBackward replicates Network.Backward for every member band
@@ -969,9 +1012,8 @@ func (p *AgentPool) stackedBackward(act []*PooledAgent, ws *stackWS, ts *trainSt
 	// Value streams: dV[b] = Σ_d Σ_a gradQ[k][d][b][a]; with SharedValue
 	// the single stream accumulates every agent's gradient.
 	valueStream := func(v int) {
-		p.groupedDenseBackward(act, ts, T+2*v+1, ts.valHid[v], nil, ts.gv, nil, ts.gBH1, n)
-		p.groupedDenseBackward(act, ts, T+2*v, z, ts.valHid[v], ts.gBH1, ts.gBH2, ts.gRepr, n)
-		mat.Add(ts.sharedGrad, ts.sharedGrad, ts.gRepr)
+		p.groupedDenseBackward(act, ts, T+2*v+1, ts.valHid[v], ts.valLive[v], nil, ts.gv, nil, ts.gBH1, false, n)
+		p.groupedDenseBackward(act, ts, T+2*v, z, ts.zLive, ts.valHid[v], ts.gBH1, ts.gBH2, ts.sharedGrad, true, n)
 	}
 	if spec.SharedValue {
 		gv := ts.gv
@@ -1016,12 +1058,10 @@ func (p *AgentPool) stackedBackward(act []*PooledAgent, ws *stackWS, ts *trainSt
 				}
 			}
 			p.groupedDenseBackward(act, ts, T+2*numValues+len(spec.Dims)+k*len(spec.Dims)+d,
-				ws.advHid[d], nil, centered, nil, ts.gBH1, n)
-			mat.Add(combined, combined, ts.gBH1)
+				ws.advHid[d], ts.advLive[d], nil, centered, nil, combined, true, n)
 		}
 		combined.Scale(1 / K)
-		p.groupedDenseBackward(act, ts, T+2*numValues+d, z, ws.advHid[d], combined, ts.gBH2, ts.gRepr, n)
-		mat.Add(ts.sharedGrad, ts.sharedGrad, ts.gRepr)
+		p.groupedDenseBackward(act, ts, T+2*numValues+d, z, ts.zLive, ws.advHid[d], combined, ts.gBH2, ts.sharedGrad, true, n)
 	}
 
 	ts.sharedGrad.Scale(1 / D)
@@ -1044,7 +1084,7 @@ func (p *AgentPool) stackedBackward(act []*PooledAgent, ws *stackWS, ts *trainSt
 		if li > 0 {
 			gradIn = ts.gTrunkIn[li]
 		}
-		p.groupedDenseBackward(act, ts, li, lastX, ws.trunk[li], g, ts.gmTrunk[li], gradIn, n)
+		p.groupedDenseBackward(act, ts, li, lastX, ts.xLive[li], ws.trunk[li], g, ts.gmTrunk[li], gradIn, false, n)
 		g = gradIn
 	}
 }

@@ -2,6 +2,8 @@ package daemon
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,13 +28,35 @@ import (
 // written by a throwaway test on the parent commit that ran this
 // scenario with e2eConfig and e2eScript (DESIGN.md §5m).
 func TestParentCheckpointResumesHexIdentical(t *testing.T) {
+	resumeParentCheckpoint(t, "parent_pr14", e2eConfig)
+}
+
+// TestParentPR17CheckpointResumesHexIdentical is the same cut of the same
+// scenario written by the commit before the live × live backward pass
+// (DESIGN.md §5p), at a scale where that pass has something to leave out:
+// two trunk layers of 32 and 24 units with dropout, 16-unit branches,
+// minibatches of 16 — dead units take whole panels out of dW and whole
+// columns out of the input gradients from the first training step on.
+func TestParentPR17CheckpointResumesHexIdentical(t *testing.T) {
+	resumeParentCheckpoint(t, "parent_pr17", func(store *checkpoint.Store) Config {
+		cfg := e2eConfig(store)
+		cfg.Scale.Name = "pr17"
+		cfg.Scale.SharedHidden = []int{32, 24}
+		cfg.Scale.BranchHidden = 16
+		cfg.Scale.BatchSize = 16
+		cfg.Scale.Dropout = 0.5
+		return cfg
+	})
+}
+
+func resumeParentCheckpoint(t *testing.T, fixture string, config func(*checkpoint.Store) Config) {
 	tiertest.EachLower(t)
 	const cut, total = 40, 90
-	raw, err := os.ReadFile(filepath.Join("testdata", "parent_pr14", "ckpt-000000000040.twig"))
+	raw, err := os.ReadFile(filepath.Join("testdata", fixture, "ckpt-000000000040.twig"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRaw, err := os.ReadFile(filepath.Join("testdata", "parent_pr14", "rows.txt"))
+	wantRaw, err := os.ReadFile(filepath.Join("testdata", fixture, "rows.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +69,7 @@ func TestParentCheckpointResumesHexIdentical(t *testing.T) {
 	if err := os.WriteFile(store.Path(cut), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e, seq, err := RestoreLatest(e2eConfig(store))
+	e, seq, err := RestoreLatest(config(store))
 	if err != nil {
 		t.Fatalf("restoring the parent's checkpoint: %v", err)
 	}
@@ -60,6 +84,12 @@ func TestParentCheckpointResumesHexIdentical(t *testing.T) {
 	got := runScripted(t, e, total, e2eScript())
 	if err := e.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
+	}
+	if last := want[len(want)-1]; strings.HasPrefix(last, "final ") {
+		// Since parent_pr17 the rows end with the hash of the parent's whole
+		// state at the end of its run: every weight and moment, not only
+		// the decisions they led to.
+		got = append(got, fmt.Sprintf("final sha256=%x", sha256.Sum256(e.marshal())))
 	}
 	if len(got) != len(want) {
 		t.Fatalf("resumed run produced %d rows, the parent's %d", len(got), len(want))

@@ -11,6 +11,7 @@ import (
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/cluster"
+	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/mat/tiertest"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
@@ -26,7 +27,10 @@ import (
 // the parent's bytes. Both run under every kernel tier the host has.
 func parentFixture(t *testing.T, name string) []byte {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "parent_pr15", name))
+	if !strings.Contains(name, "/") {
+		name = "parent_pr15/" + name
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +56,35 @@ func matchRows(t *testing.T, from int, got, want []string) {
 // The "run-loop" section: experiments.Run over the fault-injected
 // masstree+xapian world at tiny scale, cut after interval 39 of 70.
 func TestParentRunCheckpointResumesHexIdentical(t *testing.T) {
+	srv, mgr := buildResumeWorld(tinyScale(), 21, []string{"masstree", "xapian"})
+	resumeParentRun(t, "parent_pr15/", srv, mgr)
+}
+
+// A cut written by the commit before the live × live backward pass
+// (testdata/parent_pr17, DESIGN.md §5p), at a scale where that pass has
+// something to leave out — trunk layers of 32 and 24 units with dropout,
+// 16-unit branches, minibatches of 16 — and in the world without fault
+// injection: the corrupted PMCs of the world above reach its weights as
+// NaNs, whose payloads are the one thing the kernel tiers do not agree on,
+// and this fixture's last row is the hash of the parent's whole state at
+// the end of its run, so that every weight and moment counts, not only
+// the decisions they led to.
+func TestParentPR17RunCheckpointResumesHexIdentical(t *testing.T) {
+	sc := tinyScale()
+	sc.Name = "pr17"
+	sc.SharedHidden = []int{32, 24}
+	sc.BranchHidden = 16
+	sc.BatchSize = 16
+	sc.Dropout = 0.5
+	names := []string{"masstree", "xapian"}
+	srv := NewServer(21, names...)
+	resumeParentRun(t, "parent_pr17/", srv, NewTwig(srv, sc, 21, names...))
+}
+
+func resumeParentRun(t *testing.T, dir string, srv *sim.Server, mgr *core.Manager) {
 	tiertest.EachLower(t)
 	const cut, total = 40, 70
-	raw := parentFixture(t, "run-000000000040.twig")
-	srv, mgr := buildResumeWorld(tinyScale(), 21, []string{"masstree", "xapian"})
+	raw := parentFixture(t, dir+"run-000000000040.twig")
 	ls := NewLoopState(srv, mgr)
 	if err := checkpoint.Unmarshal(raw, srv, mgr, ls); err != nil {
 		t.Fatalf("restoring the parent's checkpoint: %v", err)
@@ -76,7 +105,12 @@ func TestParentRunCheckpointResumesHexIdentical(t *testing.T) {
 	}
 	ls.Configure(&cfg)
 	Run(cfg)
-	matchRows(t, cut, got, parentRows(t, "run-rows.txt"))
+	want := parentRows(t, dir+"run-rows.txt")
+	if strings.HasPrefix(want[len(want)-1], "final ") {
+		ls.Next = total
+		got = append(got, fmt.Sprintf("final sha256=%x", sha256.Sum256(checkpoint.Marshal(srv, mgr, ls))))
+	}
+	matchRows(t, cut, got, want)
 }
 
 func parentFleetConfig(store *checkpoint.Store) cluster.Config {

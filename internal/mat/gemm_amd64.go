@@ -8,10 +8,12 @@ package mat
 // VADDPD — two individually rounded operations, never a fused
 // multiply-add — so every lane matches the scalar `acc += av*bv` of the
 // naive kernels bit for bit, in the same ascending-k order. The tiles
-// test nothing per element: kern4x8n and kern8x8n walk the whole depth,
-// kern4x8ni and kern8x8ni the live columns a scan of the a operand listed
-// (live.go). The one-row kernRowPanelsS of batch-1 selection steps over
-// a-operand zeros (±0 by integer bit test, NaN never skipped).
+// test nothing per element: kern4x8n walks the whole depth, kern4x8ni the
+// live columns a scan of the a operand listed (live.go), and kern8x8
+// either, by its argument block — it also walks every panel of its tile
+// and writes back from the registers (tile8, tiled.go). The one-row
+// kernRowPanelsS of batch-1 selection steps over a-operand zeros (±0 by
+// integer bit test, NaN never skipped).
 
 // haveAVX2 gates the assembly microkernels; the portable kernRowGo path
 // (bitwise identical) is used when false.
@@ -34,10 +36,7 @@ func kern4x8n(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
 func kern4x8ni(n int, idx *int32, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
 
 //go:noescape
-func kern8x8n(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64)
-
-//go:noescape
-func kern8x8ni(n int, idx *int32, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64)
+func kern8x8(t *tile8)
 
 //go:noescape
 func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64)

@@ -190,7 +190,7 @@ done4ni:
 	VZEROUPPER
 	RET
 
-// AVX-512F tiles: the same two operations per term in registers twice as
+// AVX-512F tile: the same two operations per term in registers twice as
 // wide. One 64-byte panel row is one ZMM, so a tile is eight destination
 // rows by one panel: per k step one panel load, then for each row a
 // VMULPD with the a element broadcast from memory and a VADDPD into that
@@ -201,19 +201,37 @@ done4ni:
 // YMM tile; NaN-ness is the same.) R14/R15 are left alone (g register /
 // linker scratch); the eight row pointers live in R8-R13, BX, DX.
 
-// func kern8x8n(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[64]float64)
-TEXT ·kern8x8n(SB), NOSPLIT, $0-88
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ a4+40(FP), R12
-	MOVQ a5+48(FP), R13
-	MOVQ a6+56(FP), BX
-	MOVQ a7+64(FP), DX
-	MOVQ panel+72(FP), SI
-	MOVQ acc+80(FP), DI
+// func kern8x8(t *tile8)
+//
+// One 8-row tile against t.panels consecutive panels of a packed operand,
+// written back from the registers. Per panel: the k loop — every step
+// when t.idx is nil, else the t.k steps t.idx lists (ascending), where AX
+// holds the byte offset of the step's a elements, 8·idx[t], and scaled by
+// eight again the panel row's — then the epilogue on the eight
+// accumulators: bias added (acc + bias), ReLU as a compare-greater-than-
+// zero and a zero-masked move (NaN and −0 give +0, +Inf stays: relu()'s
+// contract), the destination added for an accumulating product
+// (dst + acc), and eight row stores. The last panel's loads and stores
+// are masked to t.last's lanes. With every epilogue field zero and t.d
+// the rows of an accumulator array it is the bare tile: the sums, stored.
+// Field offsets are tile8's (tiled.go). The walk advances t.panels, t.col
+// and t.poff — integers: a pointer field stepped past its last panel
+// would be a bad pointer to the collector.
+TEXT ·kern8x8(SB), NOSPLIT, $0-8
+	MOVQ t+0(FP), AX
+panel8w:
+	MOVQ 0(AX), CX            // k
+	MOVQ 8(AX), DI            // idx
+	MOVQ 16(AX), R8
+	MOVQ 24(AX), R9
+	MOVQ 32(AX), R10
+	MOVQ 40(AX), R11
+	MOVQ 48(AX), R12
+	MOVQ 56(AX), R13
+	MOVQ 64(AX), BX
+	MOVQ 72(AX), DX
+	MOVQ 144(AX), SI          // the first panel …
+	ADDQ 208(AX), SI          // … and this one's byte offset from it
 	VPXORQ Z4, Z4, Z4
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
@@ -223,8 +241,10 @@ TEXT ·kern8x8n(SB), NOSPLIT, $0-88
 	VPXORQ Z10, Z10, Z10
 	VPXORQ Z11, Z11, Z11
 	TESTQ CX, CX
-	JZ   done8n
-loop8n:
+	JZ   epi8w
+	TESTQ DI, DI
+	JNZ  idx8w
+dense8w:
 	VMOVUPD (SI), Z0
 	VMULPD.BCST (R8), Z0, Z1
 	VADDPD Z1, Z4, Z4
@@ -252,47 +272,9 @@ loop8n:
 	ADDQ $8, DX
 	ADDQ $64, SI
 	DECQ CX
-	JNZ  loop8n
-done8n:
-	VMOVUPD Z4, (DI)
-	VMOVUPD Z5, 64(DI)
-	VMOVUPD Z6, 128(DI)
-	VMOVUPD Z7, 192(DI)
-	VMOVUPD Z8, 256(DI)
-	VMOVUPD Z9, 320(DI)
-	VMOVUPD Z10, 384(DI)
-	VMOVUPD Z11, 448(DI)
-	VZEROUPPER
-	RET
-
-// func kern8x8ni(n int, idx *int32, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[64]float64)
-//
-// kern8x8n over the n k-steps idx lists (ascending). AX holds the byte
-// offset of the step's a elements, 8·idx[t]; scaled by eight again it is
-// the panel row's.
-TEXT ·kern8x8ni(SB), NOSPLIT, $0-96
-	MOVQ n+0(FP), CX
-	MOVQ idx+8(FP), DI
-	MOVQ a0+16(FP), R8
-	MOVQ a1+24(FP), R9
-	MOVQ a2+32(FP), R10
-	MOVQ a3+40(FP), R11
-	MOVQ a4+48(FP), R12
-	MOVQ a5+56(FP), R13
-	MOVQ a6+64(FP), BX
-	MOVQ a7+72(FP), DX
-	MOVQ panel+80(FP), SI
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	TESTQ CX, CX
-	JZ   done8ni
-loop8ni:
+	JNZ  dense8w
+	JMP  epi8w
+idx8w:
 	MOVLQSX (DI), AX
 	SHLQ $3, AX
 	VMOVUPD (SI)(AX*8), Z0
@@ -314,17 +296,89 @@ loop8ni:
 	VADDPD Z2, Z11, Z11
 	ADDQ $4, DI
 	DECQ CX
-	JNZ  loop8ni
-done8ni:
-	MOVQ acc+88(FP), DI
-	VMOVUPD Z4, (DI)
-	VMOVUPD Z5, 64(DI)
-	VMOVUPD Z6, 128(DI)
-	VMOVUPD Z7, 192(DI)
-	VMOVUPD Z8, 256(DI)
-	VMOVUPD Z9, 320(DI)
-	VMOVUPD Z10, 384(DI)
-	VMOVUPD Z11, 448(DI)
+	JNZ  idx8w
+epi8w:
+	MOVQ t+0(FP), AX
+	MOVQ $0xFF, R9
+	CMPQ 160(AX), $1          // panels left, this one included
+	JNE  mask8w
+	MOVQ 200(AX), R9          // the last panel's lane mask
+mask8w:
+	KMOVW R9, K1
+	MOVQ 192(AX), CX          // byte offset of this panel's first column
+	MOVQ 168(AX), SI          // bias
+	TESTQ SI, SI
+	JZ   nobias8w
+	VMOVUPD.Z (SI)(CX*1), K1, Z0
+	VADDPD Z0, Z4, Z4
+	VADDPD Z0, Z5, Z5
+	VADDPD Z0, Z6, Z6
+	VADDPD Z0, Z7, Z7
+	VADDPD Z0, Z8, Z8
+	VADDPD Z0, Z9, Z9
+	VADDPD Z0, Z10, Z10
+	VADDPD Z0, Z11, Z11
+nobias8w:
+	CMPQ 176(AX), $0          // relu
+	JE   norelu8w
+	VPXORQ Z1, Z1, Z1
+	VCMPPD $0x1E, Z1, Z4, K2  // GT_OQ: acc > 0
+	VMOVAPD.Z Z4, K2, Z4
+	VCMPPD $0x1E, Z1, Z5, K2
+	VMOVAPD.Z Z5, K2, Z5
+	VCMPPD $0x1E, Z1, Z6, K2
+	VMOVAPD.Z Z6, K2, Z6
+	VCMPPD $0x1E, Z1, Z7, K2
+	VMOVAPD.Z Z7, K2, Z7
+	VCMPPD $0x1E, Z1, Z8, K2
+	VMOVAPD.Z Z8, K2, Z8
+	VCMPPD $0x1E, Z1, Z9, K2
+	VMOVAPD.Z Z9, K2, Z9
+	VCMPPD $0x1E, Z1, Z10, K2
+	VMOVAPD.Z Z10, K2, Z10
+	VCMPPD $0x1E, Z1, Z11, K2
+	VMOVAPD.Z Z11, K2, Z11
+norelu8w:
+	MOVQ 80(AX), R8
+	MOVQ 88(AX), R9
+	MOVQ 96(AX), R10
+	MOVQ 104(AX), R11
+	MOVQ 112(AX), R12
+	MOVQ 120(AX), R13
+	MOVQ 128(AX), BX
+	MOVQ 136(AX), DX
+	CMPQ 184(AX), $0          // accumulate
+	JE   store8w
+	VMOVUPD.Z (R8)(CX*1), K1, Z0
+	VADDPD Z4, Z0, Z4
+	VMOVUPD.Z (R9)(CX*1), K1, Z1
+	VADDPD Z5, Z1, Z5
+	VMOVUPD.Z (R10)(CX*1), K1, Z2
+	VADDPD Z6, Z2, Z6
+	VMOVUPD.Z (R11)(CX*1), K1, Z3
+	VADDPD Z7, Z3, Z7
+	VMOVUPD.Z (R12)(CX*1), K1, Z0
+	VADDPD Z8, Z0, Z8
+	VMOVUPD.Z (R13)(CX*1), K1, Z1
+	VADDPD Z9, Z1, Z9
+	VMOVUPD.Z (BX)(CX*1), K1, Z2
+	VADDPD Z10, Z2, Z10
+	VMOVUPD.Z (DX)(CX*1), K1, Z3
+	VADDPD Z11, Z3, Z11
+store8w:
+	VMOVUPD Z4, K1, (R8)(CX*1)
+	VMOVUPD Z5, K1, (R9)(CX*1)
+	VMOVUPD Z6, K1, (R10)(CX*1)
+	VMOVUPD Z7, K1, (R11)(CX*1)
+	VMOVUPD Z8, K1, (R12)(CX*1)
+	VMOVUPD Z9, K1, (R13)(CX*1)
+	VMOVUPD Z10, K1, (BX)(CX*1)
+	VMOVUPD Z11, K1, (DX)(CX*1)
+	ADDQ $64, 192(AX)
+	MOVQ 152(AX), R9          // bytes from one panel to the next
+	ADDQ R9, 208(AX)
+	DECQ 160(AX)
+	JNZ  panel8w
 	VZEROUPPER
 	RET
 

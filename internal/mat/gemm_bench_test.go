@@ -80,24 +80,58 @@ func benchGEMM(b *testing.B) {
 			})
 		}
 	}
-	// Backward-pass shapes: dW = xᵀ·g and gradIn = g·Wᵀ for the widest layer.
-	x := benchMat(64, 512, rng)
-	g := benchMat(64, 256, rng)
-	w := benchMat(512, 256, rng)
-	dw := New(512, 256)
-	gin := New(64, 512)
-	b.Run("MulTransA/512x64x256", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MulTransA(dw, x, g)
+	// Backward-pass shapes: dW = xᵀ·g and gradIn = g·Wᵀ for the two
+	// products that dominate it — the second trunk layer (512 → 256) and a
+	// branch hidden layer (256 → 128) — dense, and with the live shares
+	// node_paper_twigc's minibatches show on both sides (DESIGN.md §5p):
+	// 56 % of shared0's units and 72 % of shared1's live going into the
+	// trunk layer, 72 % and 48 % going into a branch. rowsNcolsM names the
+	// live shares of x's columns (dW's rows) and g's (dW's columns);
+	// depthNoutM those of g's columns (the depth of g·Wᵀ) and of x's, the
+	// gate that lists which columns of the input gradient anyone reads.
+	for _, s := range []struct {
+		in, out         int
+		liveIn, liveOut float64
+	}{{512, 256, 0.56, 0.72}, {256, 128, 0.72, 0.48}} {
+		x, g, w := benchMat(64, s.in, rng), benchMat(64, s.out, rng), benchMat(s.in, s.out, rng)
+		xs, gs := x.Clone(), g.Clone()
+		killColumns(xs, 1-s.liveIn, rng)
+		killColumns(gs, 1-s.liveOut, rng)
+		dw, gin := New(s.in, s.out), New(64, s.in)
+		flops := float64(2 * 64 * s.in * s.out)
+		gflops := func(b *testing.B) {
+			b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
 		}
-		b.ReportMetric(float64(2*64*512*256)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
-	})
-	b.Run("MulTransB/64x256x512", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MulTransB(gin, g, w)
-		}
-		b.ReportMetric(float64(2*64*256*512)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
-	})
+		transA := fmt.Sprintf("MulTransA/%dx64x%d", s.in, s.out)
+		transB := fmt.Sprintf("MulTransB/64x%dx%d", s.out, s.in)
+		b.Run(transA, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MulTransA(dw, x, g)
+			}
+			gflops(b)
+		})
+		b.Run(fmt.Sprintf("%s/rows%.0fcols%.0f", transA, 100*s.liveIn, 100*s.liveOut), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MulTransA(dw, xs, gs)
+			}
+			gflops(b)
+		})
+		b.Run(transB, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MulTransB(gin, g, w)
+			}
+			gflops(b)
+		})
+		b.Run(fmt.Sprintf("%s/depth%.0fout%.0f", transB, 100*s.liveOut, 100*s.liveIn), func(b *testing.B) {
+			gate := scanned(xs)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MulTransBLive(gin, gs, nil, w, gate, false)
+			}
+			gflops(b)
+		})
+	}
 }

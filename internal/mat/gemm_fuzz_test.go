@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -169,7 +170,7 @@ func FuzzMulMatchesNaive(f *testing.F) {
 				}
 			}
 			want2 := New(m, n)
-			mulTransBRange(want2, a, bt, 0, m)
+			mulTransBRange(want2, a, bt, 0, m, nil, false)
 
 			withKernels(t, func(kernel string) {
 				got := New(m, n)
@@ -229,7 +230,7 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 				require(t, "MulTransA/"+kernel, got, want)
 
 				gotAcc := dst0.Clone()
-				MulTransAAcc(gotAcc, a, b)
+				MulTransAAcc(gotAcc, a, nil, b, nil)
 				require(t, "MulTransAAcc/"+kernel, gotAcc, wantAcc)
 			})
 		}
@@ -273,7 +274,7 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 		wantAct := wantMul.Clone()
 		biasActRange(wantAct, 0, m, bias, ActReLU)
 		wantTB := New(m, n)
-		mulTransBRange(wantTB, a, bt, 0, m)
+		mulTransBRange(wantTB, a, bt, 0, m, nil, false)
 		wantTA := New(k, n) // aᵀ·c
 		mulTransARange(wantTA, a, c, 0, k)
 		dst0 := New(k, n)
@@ -295,12 +296,12 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 			if k > 0 && n > 0 {
 				pb := PackB(b)
 				fuzzFill(got.Data, rng)
-				if live := MulPackedBiasAct(got, a, pb, bias, ActReLU); live < 0 || live > k {
+				if live := MulPackedBiasAct(got, a, nil, pb, bias, ActReLU); live < 0 || live > k {
 					t.Fatalf("MulPackedBiasAct reports %d live columns of %d", live, k)
 				}
 				requireBitsEqual(t, "MulPackedBiasAct/"+kernel, got, wantAct)
 				got.Zero()
-				mulPackedInto(got, a, pb.Data, lo, m, bias, ActReLU)
+				mulPackedInto(got, a, nil, pb.Data, lo, m, bias, ActReLU)
 				requireBitsEqual(t, "mulPackedInto band/"+kernel, got.RowsView(lo, m), wantAct.RowsView(lo, m))
 				if lo > 0 && got.RowsView(0, lo).MaxAbs() != 0 {
 					t.Fatalf("mulPackedInto wrote above its band")
@@ -316,8 +317,150 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 			MulTransA(gotTA, a, c)
 			requireBitsEqual(t, "MulTransA/"+kernel, gotTA, wantTA)
 			gotAcc := dst0.Clone()
-			MulTransAAcc(gotAcc, a, c)
+			MulTransAAcc(gotAcc, a, nil, c, nil)
 			requireBitsEqual(t, "MulTransAAcc/"+kernel, gotAcc, wantAcc)
 		})
+	})
+}
+
+// deadColumnsOf reports which columns of m are ±0 in every row.
+func deadColumnsOf(m *Matrix) []bool {
+	dead := make([]bool, m.Cols)
+	for c := range dead {
+		dead[c] = true
+		for r := 0; r < m.Rows; r++ {
+			dead[c] = dead[c] && m.At(r, c) == 0
+		}
+	}
+	return dead
+}
+
+// FuzzMulTransALiveBlockMatchesNaive aims at the column half of the
+// live × live block: dead columns at fuzzed rates in both operands of
+// dst (+)= aᵀ·b, so the product settles dead rows and dead columns and
+// packs the rest, with and without sets the caller holds. Finite
+// operands: bitwise the naive kernel. Then Inf and NaN planted in a: a
+// dead column of b may hide them — its destination column then reads the
+// settled +0 (dst + 0 when accumulating) where the oracle reads NaN — and
+// everything else is still the oracle's bit for bit (two NaNs may differ
+// in sign and payload, which follow the operand order of each addition).
+func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
+	f.Add(int64(1), byte(64), byte(40), byte(60), byte(110), byte(110)) // both ~43 % dead
+	f.Add(int64(2), byte(32), byte(22), byte(67), byte(0), byte(180))   // b ~70 % dead
+	f.Add(int64(3), byte(9), byte(12), byte(17), byte(80), byte(255))   // every b column dead
+	f.Add(int64(4), byte(5), byte(8), byte(24), byte(40), byte(100))    // exactly at the gate
+	f.Add(int64(5), byte(16), byte(7), byte(33), byte(0), byte(128))    // dst rows below minPackRows
+	f.Fuzz(func(t *testing.T, seed int64, kb, mb, nb, deadAb, deadBb byte) {
+		k, m, n := clampDim(kb), clampDim(mb), clampDim(nb)
+		rng := rand.New(rand.NewSource(seed))
+		a, b := New(k, m), New(k, n)
+		fuzzFill(a.Data, rng)
+		fuzzFill(b.Data, rng)
+		killColumns(a, float64(deadAb)/255, rng)
+		killColumns(b, float64(deadBb)/255, rng)
+		deadB := deadColumnsOf(b)
+		dst0 := New(m, n)
+		fuzzFill(dst0.Data, rng)
+		for _, finite := range []bool{true, false} {
+			if !finite {
+				plantNonFinite(a.Data, rng)
+			}
+			want := New(m, n)
+			mulTransARange(want, a, b, 0, m)
+			wantAcc := dst0.Clone()
+			wantAcc.AddScaled(1, want)
+			require := func(tag string, got, want, settled *Matrix) {
+				t.Helper()
+				for i, w := range want.Data {
+					g := got.Data[i]
+					if math.Float64bits(g) == math.Float64bits(w) || !finite && math.IsNaN(g) && math.IsNaN(w) {
+						continue
+					}
+					if !finite && deadB[i%n] && math.Float64bits(g) == math.Float64bits(settled.Data[i]) {
+						continue
+					}
+					t.Fatalf("%s: element %d: got %x (%v) want %x (%v)", tag, i, math.Float64bits(g), g, math.Float64bits(w), w)
+				}
+			}
+			zeros := New(m, n)
+			settledAcc := dst0.Clone()
+			settledAcc.AddScaled(1, zeros) // dst + (+0)
+			withKernels(t, func(kernel string) {
+				got := New(m, n)
+				fuzzFill(got.Data, rng)
+				MulTransA(got, a, b)
+				require("MulTransA/"+kernel, got, want, zeros)
+				var al, bl Live
+				for _, held := range []bool{false, true, true} { // the second held pass reuses the scans
+					got.CopyFrom(dst0)
+					if held {
+						MulTransAAcc(got, a, &al, b, &bl)
+					} else {
+						MulTransAAcc(got, a, nil, b, nil)
+					}
+					require(fmt.Sprintf("MulTransAAcc/%s/held=%t", kernel, held), got, wantAcc, settledAcc)
+				}
+			})
+		}
+	})
+}
+
+// FuzzMulTransBGatedMatchesNaive: dst (+)= a·bᵀ in the destination columns
+// a fuzzed gate lists, the rest +0, with dead columns in a (the depth the
+// product skips), stored over stale values and accumulated, with and
+// without a held set of a. Finite operands: bitwise the naive kernel in
+// the listed columns. Then Inf and NaN planted in both operands: a listed
+// column still hides nothing (NaNs may differ in payload), an unlisted one
+// reads +0 whatever its row of b holds.
+func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
+	f.Add(int64(1), byte(64), byte(40), byte(60), byte(110), byte(110))
+	f.Add(int64(2), byte(32), byte(33), byte(67), byte(180), byte(60))
+	f.Add(int64(3), byte(9), byte(12), byte(17), byte(80), byte(255)) // every column gated off
+	f.Add(int64(4), byte(8), byte(1), byte(9), byte(0), byte(0))      // nothing dead anywhere
+	f.Add(int64(5), byte(7), byte(21), byte(13), byte(90), byte(128)) // below minPackRows: streaming
+	f.Fuzz(func(t *testing.T, seed int64, mb, kb, nb, deadAb, deadOutb byte) {
+		m, k, n := clampDim(mb), clampDim(kb), clampDim(nb)
+		rng := rand.New(rand.NewSource(seed))
+		a, b, in := New(m, k), New(n, k), New(m, n)
+		fuzzFill(a.Data, rng)
+		fuzzFill(b.Data, rng)
+		fuzzFill(in.Data, rng)
+		killColumns(a, float64(deadAb)/255, rng)
+		killColumns(in, float64(deadOutb)/255, rng)
+		gated := deadColumnsOf(in)
+		dst0 := New(m, n)
+		fuzzFill(dst0.Data, rng)
+		for _, finite := range []bool{true, false} {
+			require := requireBitsEqual
+			if !finite {
+				plantNonFinite(a.Data, rng)
+				plantNonFinite(b.Data, rng)
+				require = requireBitsEqualNaNsAlike
+			}
+			want := New(m, n)
+			mulTransBRange(want, a, b, 0, m, nil, false)
+			for i := range want.Data {
+				if gated[i%n] {
+					want.Data[i] = 0
+				}
+			}
+			wantAcc := dst0.Clone()
+			for i, w := range want.Data {
+				wantAcc.Data[i] += w
+			}
+			withKernels(t, func(kernel string) {
+				gate := scanned(in)
+				var al Live
+				for _, held := range []*Live{nil, &al, &al} {
+					got := New(m, n)
+					fuzzFill(got.Data, rng)
+					MulTransBLive(got, a, held, b, gate, false)
+					require(t, fmt.Sprintf("MulTransBLive/%s/held=%t", kernel, held != nil), got, want)
+					got.CopyFrom(dst0)
+					MulTransBLive(got, a, held, b, gate, true)
+					require(t, fmt.Sprintf("MulTransBLive acc/%s/held=%t", kernel, held != nil), got, wantAcc)
+				}
+			})
+		}
 	})
 }

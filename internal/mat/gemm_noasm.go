@@ -17,13 +17,7 @@ func kern4x8ni(n int, idx *int32, a0, a1, a2, a3, panel *float64, acc *[mr * nr]
 	panic("mat: asm kernel on non-amd64")
 }
 
-func kern8x8n(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern8x8ni(n int, idx *int32, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
+func kern8x8(t *tile8) { panic("mat: asm kernel on non-amd64") }
 
 func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64) {
 	panic("mat: asm kernel on non-amd64")

@@ -39,17 +39,18 @@ func (pb *PackedB) RepackFrom(b *Matrix) {
 	}
 	pb.Data = pb.Data[:need]
 	pb.K, pb.N = k, n
-	packBInto(pb.Data, b)
+	packBInto(pb.Data, b, nil)
 }
 
 // MulPackedBiasAct computes dst = act(a·b + bias) against a pre-packed
 // operand. Unlike MulBiasAct it runs the packed kernels at every row
 // count — a single-row product pays no packing and still gets the
 // register-tiled microkernel. For finite operands it equals
-// MulBiasAct(dst, a, b, bias, act) bitwise for the b that was packed. It
-// returns the number of a's columns the product found live (a.Cols
-// where it made no scan: fewer than four rows).
-func MulPackedBiasAct(dst, a *Matrix, pb *PackedB, bias []float64, act Activation) (liveK int) {
+// MulBiasAct(dst, a, al, b, bias, act) bitwise for the b that was packed.
+// al is the caller's live set of a, or nil (see Live). It returns the
+// number of a's columns the product found live (a.Cols where it made no
+// scan: fewer than four rows).
+func MulPackedBiasAct(dst, a *Matrix, al *Live, pb *PackedB, bias []float64, act Activation) (liveK int) {
 	if a.Cols != pb.K || dst.Rows != a.Rows || dst.Cols != pb.N {
 		panic(fmt.Sprintf("mat: MulPackedBiasAct dims (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, pb.K, pb.N, dst.Rows, dst.Cols))
@@ -57,13 +58,14 @@ func MulPackedBiasAct(dst, a *Matrix, pb *PackedB, bias []float64, act Activatio
 	if bias != nil && len(bias) != pb.N {
 		panic("mat: MulPackedBiasAct bias length mismatch")
 	}
-	return mulPackedInto(dst, a, pb.Data, 0, a.Rows, bias, act)
+	return mulPackedInto(dst, a, al, pb.Data, 0, a.Rows, bias, act)
 }
 
 // mulPackedInto runs rows [r0, r1) of a packed product and returns the
-// live-column count it ran over. The degenerate shapes (k = 0 or n = 0)
-// zero-fill and apply the epilogue exactly like the streaming kernel.
-func mulPackedInto(dst, a *Matrix, bp []float64, r0, r1 int, bias []float64, act Activation) (liveK int) {
+// live-column count it ran over; al is the caller's live set of those
+// rows, or nil. The degenerate shapes (k = 0 or n = 0) zero-fill and
+// apply the epilogue exactly like the streaming kernel.
+func mulPackedInto(dst, a *Matrix, al *Live, bp []float64, r0, r1 int, bias []float64, act Activation) (liveK int) {
 	if a.Cols == 0 || dst.Cols == 0 {
 		for i := r0; i < r1; i++ {
 			clear(dst.Row(i))
@@ -71,6 +73,7 @@ func mulPackedInto(dst, a *Matrix, bp []float64, r0, r1 int, bias []float64, act
 		biasActRange(dst, r0, r1, bias, act)
 		return a.Cols
 	}
+	ep := epilogue{bias: bias, act: act}
 	if r1-r0 < mr {
 		// Narrow products (solo batch-1 action selection on persistent
 		// packs): the fused multi-panel row kernel skips the per-panel
@@ -78,18 +81,16 @@ func mulPackedInto(dst, a *Matrix, bp []float64, r0, r1 int, bias []float64, act
 		k, n := a.Cols, dst.Cols
 		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
 		for i := r0; i < r1; i++ {
-			gemmPackedRowFused(dst.Row(i), a.Row(i), bp, rowScr.Data, k, n, bias, act)
+			gemmPackedRowFused(dst.Row(i), a.Row(i), bp, rowScr.Data, k, n, &ep)
 		}
 		PutScratch(rowScr)
 		return k
 	}
-	ls, live := liveColumns(a, r0, r1)
-	liveK = a.Cols
-	if live != nil {
-		liveK = len(live)
-	}
-	gemmPackedRange(dst, a, bp, r0, r1, live, bias, act)
-	putLive(ls)
+	al, borrowed := borrowLive(al)
+	al.scan(a, r0, r1)
+	liveK, _ = al.Count()
+	gemmPackedRange(dst, a, bp, r0, r1, al.list(), &ep)
+	putLive(al, borrowed)
 	return liveK
 }
 
@@ -115,10 +116,17 @@ type Group struct {
 // and the output width dst.Cols (agents share one architecture). Each
 // band is bit-identical to MulBiasAct over that band alone.
 func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activation) {
+	MulGroupedBiasActLive(dst, a, nil, rowsPer, groups, act)
+}
+
+// MulGroupedBiasActLive is MulGroupedBiasAct for a caller that holds the
+// live sets of a's bands (see Live): als[g] is band g's, and nil means
+// the caller holds none.
+func MulGroupedBiasActLive(dst, a *Matrix, als []Live, rowsPer int, groups []Group, act Activation) {
 	if rowsPer <= 0 {
 		panic("mat: MulGroupedBiasAct rowsPer must be positive")
 	}
-	if a.Rows != rowsPer*len(groups) || dst.Rows != a.Rows {
+	if a.Rows != rowsPer*len(groups) || dst.Rows != a.Rows || (als != nil && len(als) != len(groups)) {
 		panic(fmt.Sprintf("mat: MulGroupedBiasAct has %d rows for %d groups of %d",
 			a.Rows, len(groups), rowsPer))
 	}
@@ -141,7 +149,7 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 		for g := range groups {
 			r0 := g * rowsPer
 			bp, scratch := groupPanels(&groups[g])
-			groups[g].Live = mulPackedInto(dst, a, bp, r0, r0+rowsPer, groups[g].Bias, act)
+			groups[g].Live = mulPackedInto(dst, a, bandLive(als, g), bp, r0, r0+rowsPer, groups[g].Bias, act)
 			if scratch != nil {
 				PutScratch(scratch)
 			}
@@ -160,7 +168,8 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 		// reads each group's panels straight out of its PackedB.
 		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
 		for i := 0; i < a.Rows; i++ {
-			gemmPackedRowFused(dst.Row(i), a.Row(i), groups[i].Packed.Data, rowScr.Data, k, n, groups[i].Bias, act)
+			ep := epilogue{bias: groups[i].Bias, act: act}
+			gemmPackedRowFused(dst.Row(i), a.Row(i), groups[i].Packed.Data, rowScr.Data, k, n, &ep)
 		}
 		PutScratch(rowScr)
 		return
@@ -185,7 +194,8 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
 		for i := 0; i < a.Rows; i++ {
 			g := i / rowsPer
-			gemmPackedRowFused(dst.Row(i), a.Row(i), panels[g], rowScr.Data, k, n, groups[g].Bias, act)
+			ep := epilogue{bias: groups[g].Bias, act: act}
+			gemmPackedRowFused(dst.Row(i), a.Row(i), panels[g], rowScr.Data, k, n, &ep)
 		}
 		PutScratch(rowScr)
 	}
@@ -194,13 +204,22 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 	}
 }
 
+// bandLive is the caller's live set of band g, or nil when it holds none.
+func bandLive(ls []Live, g int) *Live {
+	if ls == nil {
+		return nil
+	}
+	return &ls[g]
+}
+
 // MulGroupedTransAAcc is the block-diagonal weight-gradient sweep of
 // the pooled training path: a and b are split into len(dsts) bands of
 // rowsPer consecutive rows, and band g accumulates dsts[g] += a_gᵀ·b_g.
 // Each band runs the exact MulTransAAcc dispatch (packed gather kernel
 // or streaming fallback), so every destination is bit-identical to the
-// per-agent call it replaces.
-func MulGroupedTransAAcc(dsts []*Matrix, a, b *Matrix, rowsPer int) {
+// per-agent call it replaces. als and bls hold the caller's live sets of
+// the bands of a and b (see Live); nil means it holds none.
+func MulGroupedTransAAcc(dsts []*Matrix, a *Matrix, als []Live, b *Matrix, bls []Live, rowsPer int) {
 	if rowsPer <= 0 {
 		panic("mat: MulGroupedTransAAcc rowsPer must be positive")
 	}
@@ -214,14 +233,17 @@ func MulGroupedTransAAcc(dsts []*Matrix, a, b *Matrix, rowsPer int) {
 		r0 := g * rowsPer
 		ab.Data = a.Data[r0*a.Cols : (r0+rowsPer)*a.Cols]
 		bb.Data = b.Data[r0*b.Cols : (r0+rowsPer)*b.Cols]
-		MulTransAAcc(dst, &ab, &bb)
+		MulTransAAcc(dst, &ab, bandLive(als, g), &bb, bandLive(bls, g))
 	}
 }
 
 // MulGroupedTransB is the block-diagonal upstream-gradient sweep: band
 // g of dst is a_g·bs[g]ᵀ. Every bs must share the shape (agents share
-// one architecture). Bit-identical per band to MulTransB.
-func MulGroupedTransB(dst, a *Matrix, rowsPer int, bs []*Matrix) {
+// one architecture). Bit-identical per band to MulTransBLive, whose
+// arguments als (the live sets of a's bands), outs (per band, the
+// destination columns to compute) and accumulate are; nil slices mean
+// the caller holds no sets and wants every column.
+func MulGroupedTransB(dst, a *Matrix, als []Live, rowsPer int, bs []*Matrix, outs []Live, accumulate bool) {
 	if rowsPer <= 0 {
 		panic("mat: MulGroupedTransB rowsPer must be positive")
 	}
@@ -235,7 +257,7 @@ func MulGroupedTransB(dst, a *Matrix, rowsPer int, bs []*Matrix) {
 		r0 := g * rowsPer
 		ab.Data = a.Data[r0*a.Cols : (r0+rowsPer)*a.Cols]
 		db.Data = dst.Data[r0*dst.Cols : (r0+rowsPer)*dst.Cols]
-		MulTransB(&db, &ab, b)
+		MulTransBLive(&db, &ab, bandLive(als, g), b, bandLive(outs, g), accumulate)
 	}
 }
 
@@ -262,7 +284,7 @@ func groupPanels(g *Group) (bp []float64, scratch *Matrix) {
 	if g.Packed != nil {
 		return g.Packed.Data, nil
 	}
-	scratch = packB(g.B)
+	scratch = packB(g.B, nil)
 	return scratch.Data, scratch
 }
 

@@ -31,17 +31,17 @@ func TestMulPackedBiasActMatchesMulBiasAct(t *testing.T) {
 
 		for _, act := range []Activation{ActIdentity, ActReLU} {
 			want := New(sh.m, sh.n)
-			MulBiasAct(want, a, b, bias, act)
+			MulBiasAct(want, a, nil, b, bias, act)
 			withKernels(t, func(kernel string) {
 				pb := PackB(b)
 				got := New(sh.m, sh.n)
 				fuzzFill(got.Data, rng)
-				MulPackedBiasAct(got, a, pb, bias, act)
+				MulPackedBiasAct(got, a, nil, pb, bias, act)
 				requireBitsEqual(t, "MulPackedBiasAct/"+kernel, got, want)
 
 				// RepackFrom reuses the buffer and stays identical.
 				pb.RepackFrom(b)
-				MulPackedBiasAct(got, a, pb, bias, act)
+				MulPackedBiasAct(got, a, nil, pb, bias, act)
 				requireBitsEqual(t, "RepackFrom/"+kernel, got, want)
 			})
 		}
@@ -77,7 +77,7 @@ func TestMulGroupedBiasActMatchesPerAgent(t *testing.T) {
 			want := New(a.Rows, tc.n)
 			for g := range groups {
 				r0 := g * tc.rowsPer
-				MulBiasAct(want.RowsView(r0, r0+tc.rowsPer), a.RowsView(r0, r0+tc.rowsPer),
+				MulBiasAct(want.RowsView(r0, r0+tc.rowsPer), a.RowsView(r0, r0+tc.rowsPer), nil,
 					bs[g], groups[g].Bias, act)
 			}
 			withKernels(t, func(kernel string) {
@@ -135,7 +135,7 @@ func TestMulGroupedBackwardMatchesPerAgent(t *testing.T) {
 			accInit[i] = New(tc.k, tc.n)
 			fuzzFill(accInit[i].Data, rng) // nonzero: Acc must accumulate
 			wantGrads[i] = accInit[i].Clone()
-			MulTransAAcc(wantGrads[i], a.RowsView(r0, r0+tc.rowsPer), g.RowsView(r0, r0+tc.rowsPer))
+			MulTransAAcc(wantGrads[i], a.RowsView(r0, r0+tc.rowsPer), nil, g.RowsView(r0, r0+tc.rowsPer), nil)
 			MulTransB(wantIn.RowsView(r0, r0+tc.rowsPer), g.RowsView(r0, r0+tc.rowsPer), ws[i])
 		}
 
@@ -144,14 +144,14 @@ func TestMulGroupedBackwardMatchesPerAgent(t *testing.T) {
 			for i := range grads {
 				grads[i] = accInit[i].Clone()
 			}
-			MulGroupedTransAAcc(grads, a, g, tc.rowsPer)
+			MulGroupedTransAAcc(grads, a, nil, g, nil, tc.rowsPer)
 			for i := range grads {
 				requireBitsEqual(t, "grouped-transA/"+kernel, grads[i], wantGrads[i])
 			}
 
 			gotIn := New(rows, tc.k)
 			fuzzFill(gotIn.Data, rng)
-			MulGroupedTransB(gotIn, g, tc.rowsPer, ws)
+			MulGroupedTransB(gotIn, g, nil, tc.rowsPer, ws, nil, false)
 			requireBitsEqual(t, "grouped-transB/"+kernel, gotIn, wantIn)
 		})
 	}

@@ -123,17 +123,18 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // path always and on the tiled path only when its whole column of a is
 // zero; elsewhere the tiled product is NaN (DESIGN.md §5m).
 func Mul(dst, a, b *Matrix) {
-	MulBiasAct(dst, a, b, nil, ActIdentity)
+	MulBiasAct(dst, a, nil, b, nil, ActIdentity)
 }
 
 // MulBiasAct computes dst = act(a·b + bias) in one pass: the bias
 // broadcast (when bias is non-nil, length b.Cols) and activation are
 // applied in the GEMM epilogue while the result tile is still hot,
 // instead of re-walking dst afterwards. For finite operands it is
-// bitwise Mul + AddRowBroadcast + activation applied element-wise. It
-// returns the number of a's columns the product found live (a.Cols on
-// the streaming path, which makes no scan).
-func MulBiasAct(dst, a, b *Matrix, bias []float64, act Activation) (liveK int) {
+// bitwise Mul + AddRowBroadcast + activation applied element-wise. al is
+// the caller's live set of a, or nil (see Live). It returns the number of
+// a's columns the product found live (a.Cols on the streaming path, which
+// makes no scan).
+func MulBiasAct(dst, a *Matrix, al *Live, b *Matrix, bias []float64, act Activation) (liveK int) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: Mul dims (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
@@ -142,8 +143,8 @@ func MulBiasAct(dst, a, b *Matrix, bias []float64, act Activation) (liveK int) {
 		panic("mat: MulBiasAct bias length mismatch")
 	}
 	if a.Rows >= minPackRows && a.Cols > 0 && b.Cols > 0 {
-		bp := packB(b)
-		liveK = mulPackedInto(dst, a, bp.Data, 0, a.Rows, bias, act)
+		bp := packB(b, nil)
+		liveK = mulPackedInto(dst, a, al, bp.Data, 0, a.Rows, bias, act)
 		PutScratch(bp)
 		return liveK
 	}
@@ -160,7 +161,7 @@ func MulTransA(dst, a, b *Matrix) {
 		panic("mat: MulTransA dimension mismatch")
 	}
 	if a.Cols >= minPackRows && a.Rows > 0 && b.Cols > 0 {
-		mulTransAPacked(dst, a, b, false)
+		mulTransAPacked(dst, a, nil, b, nil, false)
 		return
 	}
 	mulTransARange(dst, a, b, 0, a.Cols)
@@ -170,31 +171,52 @@ func MulTransA(dst, a, b *Matrix) {
 // fully accumulated register sum added with a single rounding. It fuses
 // the gradient-accumulation pattern `tmp = aᵀ·b; dst += tmp` into one
 // sweep — bitwise identical to that pair, since `dst[ij] + sum` is the
-// exact operation both perform.
-func MulTransAAcc(dst, a, b *Matrix) {
+// exact operation both perform. al and bl are the caller's live sets of
+// a and b, or nil (see Live); the ones given hold their scans on return.
+func MulTransAAcc(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("mat: MulTransAAcc dimension mismatch")
 	}
 	if a.Cols >= minPackRows && a.Rows > 0 && b.Cols > 0 {
-		mulTransAPacked(dst, a, b, true)
+		mulTransAPacked(dst, a, al, b, bl, true)
 		return
 	}
 	mulTransAAccRange(dst, a, b, 0, a.Cols)
+	// The streaming kernel needs neither set, but the caller's hold their
+	// scans on return whichever path ran (a gate handed to MulTransBLive
+	// next must).
+	if al != nil {
+		al.scan(a, 0, a.Rows)
+	}
+	if bl != nil {
+		bl.scan(b, 0, b.Rows)
+	}
 }
 
-// mulTransAPacked is the tiled form of MulTransA and MulTransAAcc. A
-// column of a that is ±0 in every row is a destination row whose sum is
-// +0: those are settled without a kernel, and the microkernel sees the
-// live rows only.
-func mulTransAPacked(dst, a, b *Matrix, accumulate bool) {
-	ls, live := liveColumns(a, 0, a.Rows)
-	if live != nil {
-		transADeadRows(dst, live, accumulate)
+// mulTransAPacked is the tiled form of MulTransA and MulTransAAcc, over
+// the live × live block of the destination. A column of a that is ±0 in
+// every row is a destination row whose sum is +0, and a column of b that
+// is ±0 in every row a destination column whose sum is: both are settled
+// without a kernel. The microkernel sees the live rows only, and — where
+// that saves a panel — panels packed from b's live columns only.
+func mulTransAPacked(dst, a *Matrix, al *Live, b *Matrix, bl *Live, accumulate bool) {
+	al, aBorrowed := borrowLive(al)
+	bl, bBorrowed := borrowLive(bl)
+	al.scan(a, 0, a.Rows)
+	bl.scan(b, 0, b.Rows)
+	rows := al.list()
+	ep := epilogue{accumulate: accumulate, cols: bl.compact()}
+	if rows != nil {
+		transADeadRows(dst, rows, accumulate)
 	}
-	bp := packB(b)
-	gemmTransAPacked(dst, a, bp.Data, live, accumulate)
+	if ep.cols != nil {
+		settleDeadColumns(dst, rows, bl.deadList(), accumulate)
+	}
+	bp := packB(b, ep.cols)
+	gemmTransAPacked(dst, a, bp.Data, rows, &ep)
 	PutScratch(bp)
-	putLive(ls)
+	putLive(al, aBorrowed)
+	putLive(bl, bBorrowed)
 }
 
 // MulTransB computes dst = a·bᵀ. dst must be a.Rows×b.Rows. Large
@@ -204,21 +226,45 @@ func mulTransAPacked(dst, a, b *Matrix, accumulate bool) {
 // therefore skips a's dead columns only after checking that the b
 // columns they meet are finite, where 0·bv is the ±0 that changes no sum.
 func MulTransB(dst, a, b *Matrix) {
+	MulTransBLive(dst, a, nil, b, nil, false)
+}
+
+// MulTransBLive is MulTransB for a caller that holds more than the
+// operands. al is its live set of a, or nil (see Live). out, when
+// non-nil, is a scanned live set over the destination's columns naming
+// the ones anybody will read: the product computes those, from the rows
+// of b behind them alone, and the rest of dst is +0 — so a non-finite
+// element in an unlisted row of b is hidden, where MulTransB hides
+// nothing. accumulate adds the product to dst (dst + sum, one rounding
+// per element: bitwise `tmp = a·bᵀ; dst += tmp`; the unlisted columns
+// add +0) instead of storing it.
+func MulTransBLive(dst, a *Matrix, al *Live, b *Matrix, out *Live, accumulate bool) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulTransB dimension mismatch")
 	}
+	var keep []int32 // the rows of b, destination columns, to compute: nil is all
+	if out != nil {
+		if n, ok := out.Count(); !ok || out.k != dst.Cols {
+			panic(fmt.Sprintf("mat: MulTransBLive out set (scanned %t, %d of %d) for %d columns", ok, n, out.k, dst.Cols))
+		}
+		if keep = out.list(); keep != nil {
+			settleDeadColumns(dst, nil, out.deadList(), accumulate)
+		}
+	}
 	if a.Rows >= minPackRows && a.Cols > 0 && b.Rows > 0 {
-		ls, live := liveColumns(a, 0, a.Rows)
-		if live != nil && !finiteColumns(b, ls.deadColumns(a.Cols)) {
+		al, borrowed := borrowLive(al)
+		al.scan(a, 0, a.Rows)
+		live := al.list()
+		if live != nil && !finiteIn(b, keep, al.deadList()) {
 			live = nil
 		}
-		bp := packBT(b)
-		gemmPackedRange(dst, a, bp.Data, 0, a.Rows, live, nil, ActIdentity)
+		bp := packBT(b, keep, live)
+		gemmPackedRange(dst, a, bp.Data, 0, a.Rows, live, &epilogue{accumulate: accumulate, cols: keep})
 		PutScratch(bp)
-		putLive(ls)
+		putLive(al, borrowed)
 		return
 	}
-	mulTransBRange(dst, a, b, 0, a.Rows)
+	mulTransBRange(dst, a, b, 0, a.Rows, keep, accumulate)
 }
 
 // Add computes dst = a + b element-wise; dst may alias a or b.

@@ -70,13 +70,21 @@ func mulTransAAccRange(dst, a, b *Matrix, r0, r1 int) {
 	}
 }
 
-// mulTransBRange computes rows [r0, r1) of dst = a·bᵀ.
-func mulTransBRange(dst, a, b *Matrix, r0, r1 int) {
+// mulTransBRange computes rows [r0, r1) of dst = a·bᵀ — in the
+// destination columns cols lists, when it is non-nil, and the others are
+// not touched; added to dst instead of stored, when accumulate is set.
+func mulTransBRange(dst, a, b *Matrix, r0, r1 int, cols []int32, accumulate bool) {
+	n := span(cols, b.Rows)
 	for i := r0; i < r1; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			drow[j] = Dot(arow, b.Row(j))
+		for c := 0; c < n; c++ {
+			j := pick(cols, c)
+			if v := Dot(arow, b.Row(j)); accumulate {
+				drow[j] += v
+			} else {
+				drow[j] = v
+			}
 		}
 	}
 }

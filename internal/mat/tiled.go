@@ -51,34 +51,65 @@ const (
 	ActReLU
 )
 
+// epilogue is how a finished accumulator row reaches the destination.
+type epilogue struct {
+	// accumulate adds the sum to what dst holds (dst + sum, one rounding)
+	// instead of storing it.
+	accumulate bool
+	// bias, when non-nil, is broadcast-added before the activation.
+	bias []float64
+	act  Activation
+	// cols, when non-nil, is the destination column of each packed column,
+	// ascending: the product ran over a subset of its columns (packB,
+	// packBT) and scatters them home. nil stores in place. The mapped
+	// products are the backward pass's, which carry no bias or activation.
+	cols []int32
+}
+
 // packB packs b into nr-wide column panels: panel p holds destination
 // columns [p·nr, p·nr+nr), laid out k-major so the microkernel streams
-// it linearly. Columns past b.Cols are zero-padded (the pad lanes
-// accumulate only ±0·av terms that never reach the destination).
-func packB(b *Matrix) *Matrix {
-	k, n := b.Rows, b.Cols
-	panels := (n + nr - 1) / nr
-	pm := GetScratch(1, panels*nr*k)
-	packBInto(pm.Data, b)
+// it linearly. Columns past the last are zero-padded (the pad lanes
+// accumulate only ±0·av terms that never reach the destination). cols,
+// when non-nil, lists the columns of b to pack, ascending, in place of
+// all of them: packed column j is b's column cols[j]. The scratch is
+// drawn at b's full shape either way — the pool keys on exact shape, and
+// a live count that changes every step would leave a buffer per count.
+func packB(b *Matrix, cols []int32) *Matrix {
+	pm := GetScratch(1, (b.Cols+nr-1)/nr*nr*b.Rows)
+	packBInto(pm.Data, b, cols)
 	return pm
 }
 
 // packBInto packs b into bp (length ≥ panels·nr·k), the shared core of
 // the scratch packB and the persistent PackedB.
-func packBInto(bp []float64, b *Matrix) {
-	k, n := b.Rows, b.Cols
+func packBInto(bp []float64, b *Matrix, cols []int32) {
+	k, n := b.Rows, span(cols, b.Cols)
 	panels := (n + nr - 1) / nr
 	for p := 0; p < panels; p++ {
 		j0 := p * nr
-		w := n - j0
-		if w > nr {
-			w = nr
-		}
+		w := min(n-j0, nr)
 		out := bp[p*nr*k : (p+1)*nr*k]
+		if cols == nil && w == nr {
+			// A full panel of adjacent columns: eight assignments a row, which
+			// a copy of eight elements spends on its call alone.
+			for t := 0; t < k; t++ {
+				src := b.Data[t*b.Cols+j0 : t*b.Cols+j0+nr]
+				dst := out[t*nr : t*nr+nr]
+				dst[0], dst[1], dst[2], dst[3], dst[4], dst[5], dst[6], dst[7] =
+					src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7]
+			}
+			continue
+		}
 		for t := 0; t < k; t++ {
-			src := b.Data[t*n+j0 : t*n+j0+w]
 			dst := out[t*nr : t*nr+nr]
-			copy(dst, src)
+			if cols == nil {
+				copy(dst, b.Data[t*b.Cols+j0:t*b.Cols+j0+w])
+			} else {
+				brow := b.Data[t*b.Cols : (t+1)*b.Cols]
+				for jj, c := range cols[j0 : j0+w] {
+					dst[jj] = brow[c]
+				}
+			}
 			for jj := w; jj < nr; jj++ {
 				dst[jj] = 0
 			}
@@ -88,53 +119,62 @@ func packBInto(bp []float64, b *Matrix) {
 
 // packBT packs bᵀ into nr-wide panels for MulTransB: panel p holds
 // destination columns [p·nr, p·nr+nr), i.e. rows of b, transposed so the
-// microkernel streams k-major.
-func packBT(b *Matrix) *Matrix {
-	n, k := b.Rows, b.Cols // destination has n columns, depth k
+// microkernel streams k-major. rows, when non-nil, lists the rows of b to
+// pack, ascending (packed column j is b's row rows[j]); depth, when
+// non-nil, the k steps the kernel will visit — the others are left
+// unwritten, nobody reads them. Scratch at b's full shape, like packB.
+func packBT(b *Matrix, rows, depth []int32) *Matrix {
+	k := b.Cols // the depth
+	pm := GetScratch(1, (b.Rows+nr-1)/nr*nr*k)
+	n := span(rows, b.Rows) // destination columns packed
 	panels := (n + nr - 1) / nr
-	pm := GetScratch(1, panels*nr*k)
-	bp := pm.Data
+	var src [nr][]float64
 	for p := 0; p < panels; p++ {
-		j0 := p * nr
-		w := n - j0
-		if w > nr {
-			w = nr
+		for jj := range src {
+			// A last panel of fewer than nr columns repeats its final one:
+			// the pad lanes are computed and never stored, like the rows a
+			// last tile repeats.
+			r := pick(rows, min(p*nr+jj, n-1))
+			src[jj] = b.Data[r*k : (r+1)*k]
 		}
-		out := bp[p*nr*k : (p+1)*nr*k]
-		for jj := 0; jj < w; jj++ {
-			row := b.Data[(j0+jj)*k : (j0+jj+1)*k]
-			for t, v := range row {
-				out[t*nr+jj] = v
+		// One panel row a step: eight reads down eight rows of b, one
+		// contiguous 64-byte write.
+		out := pm.Data[p*nr*k : (p+1)*nr*k]
+		s0, s1, s2, s3, s4, s5, s6, s7 := src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7]
+		if depth == nil {
+			for t := range s0 {
+				o := out[t*nr : t*nr+nr]
+				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0[t], s1[t], s2[t], s3[t], s4[t], s5[t], s6[t], s7[t]
 			}
+			continue
 		}
-		for jj := w; jj < nr; jj++ {
-			for t := 0; t < k; t++ {
-				out[t*nr+jj] = 0
-			}
+		for _, t := range depth {
+			o := out[int(t)*nr : int(t)*nr+nr]
+			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0[t], s1[t], s2[t], s3[t], s4[t], s5[t], s6[t], s7[t]
 		}
 	}
 	return pm
 }
 
 // gemmPackedRange computes destination rows [r0, r1) of dst = a·(packed
-// panels) with the fused epilogue. live lists, ascending, the k-columns
-// of a that hold anything other than ±0 in some row of the product (see
-// liveColumns); nil means every column, and the kernel then walks the
-// whole depth. Every term of a live column is multiplied and added —
-// there is no per-element zero test — so what a product skips is decided
-// once per product, not once per element.
-func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, bias []float64, act Activation) {
+// panels) through the epilogue. live lists, ascending, the k-columns of a
+// that hold anything other than ±0 in some row of the product (see Live);
+// nil means every column, and the kernel then walks the whole depth.
+// Every term of a live column is multiplied and added — there is no
+// per-element zero test — so what a product skips is decided once per
+// product, not once per element.
+func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, ep *epilogue) {
 	k := a.Cols
-	n := dst.Cols
+	n := span(ep.cols, dst.Cols) // the columns the panels hold
 	if !haveAVX2 {
 		for i := r0; i < r1; i++ {
-			gemmPackedRow(dst.Row(i), a.Row(i), bp, k, n, live, false, bias, act)
+			gemmPackedRow(dst.Row(i), a.Row(i), bp, k, n, live, ep)
 		}
 		return
 	}
 	panels := (n + nr - 1) / nr
 	var acc [zr * nr]float64
-	var ap [zr]*float64
+	t8 := ep.tile8For(k, live, n, &acc)
 	for i := r0; i < r1; {
 		// A last tile of fewer than h rows repeats its final row: the
 		// kernel computes h rows either way and the repeats are not
@@ -142,18 +182,89 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, bia
 		h := tileHeight(r1 - i)
 		rows := min(r1-i, h)
 		for q := 0; q < h; q++ {
-			ap[q] = &a.Data[(i+min(q, rows-1))*k]
+			t8.a[q] = &a.Data[(i+min(q, rows-1))*k]
+		}
+		if h == zr && ep.cols == nil {
+			for q := range t8.d {
+				t8.d[q] = &dst.Data[(i+q)*dst.Cols]
+			}
+			t8.run(bp, 0, panels)
+			i += zr
+			continue
 		}
 		for p := 0; p < panels; p++ {
-			kernTile(h, k, live, &ap, &bp[p*nr*k], &acc)
+			if h == zr {
+				t8.run(bp, p, 1)
+			} else {
+				kernTile4(k, live, &t8.a, &bp[p*nr*k], &acc)
+			}
 			j0 := p * nr
 			w := min(n-j0, nr)
 			for q := 0; q < rows; q++ {
-				storeTile(dst.Row(i + q)[j0:j0+w], acc[q*nr:], false, bias, act, j0)
+				storeTile(dst.Row(i+q), acc[q*nr:], j0, w, ep)
 			}
 		}
 		i += rows
 	}
+}
+
+// tile8 is kern8x8's argument block (the assembly reads the fields by
+// offset): one 8-row tile of a product against one or every panel, the
+// epilogue run on the registers.
+type tile8 struct {
+	k      int          // 0: steps per panel — the depth, or len(idx)
+	idx    *int32       // 8: the k-steps to visit, ascending; nil visits 0..k-1
+	a      [zr]*float64 // 16: the eight a rows
+	d      [zr]*float64 // 80: the eight destination rows
+	panel  *float64     // 144: the operand's first panel
+	stride int          // 152: bytes from one panel to the next
+	panels int          // 160: panels left to run
+	bias   *float64     // 168: nil for none; the destination's first column's
+	relu   int          // 176: non-zero applies ReLU
+	acc    int          // 184: non-zero adds the destination (dst + sum)
+	col    int          // 192: byte offset of the next panel's first column in a d row
+	last   int          // 200: lane mask of the last panel, (1 << its columns) − 1
+	poff   int          // 208: byte offset of the next panel from the first
+}
+
+// tile8For prepares what the 8-row tiles of one product share (they exist
+// on the AVX-512 tier only: tileHeight). depth is the panels' row count,
+// live the k-steps to visit (nil for all), n the packed width. A product
+// into contiguous destination columns writes back from the registers,
+// every panel of a tile in one call: the caller points t.d at the tile's
+// destination rows. A column-mapped one runs a panel a call into acc,
+// which storeTile scatters, as every product does on the other tiers.
+func (ep *epilogue) tile8For(depth int, live []int32, n int, acc *[zr * nr]float64) (t tile8) {
+	t = tile8{k: depth, stride: nr * depth * 8, last: 1<<(n-(n-1)/nr*nr) - 1}
+	if live != nil {
+		if t.k = len(live); t.k > 0 {
+			t.idx = &live[0]
+		}
+	}
+	switch {
+	case ep.cols != nil:
+		t.last = 1<<nr - 1 // acc has every lane
+		for q := range t.d {
+			t.d[q] = &acc[q*nr]
+		}
+	case ep.accumulate: // storeTile's order: an accumulating store has no bias or activation
+		t.acc = 1
+	default:
+		if ep.bias != nil {
+			t.bias = &ep.bias[0]
+		}
+		if ep.act == ActReLU {
+			t.relu = 1
+		}
+	}
+	return t
+}
+
+// run computes the tile — t.a and t.d set — against count panels of bp
+// from the first-th on.
+func (t *tile8) run(bp []float64, first, count int) {
+	t.panel, t.poff, t.panels, t.col = &bp[0], first*t.stride, count, 0
+	kern8x8(t)
 }
 
 // tileHeight is the height of the next register tile when rows are left:
@@ -165,21 +276,10 @@ func tileHeight(rows int) int {
 	return mr
 }
 
-// kernTile runs the h×nr microkernel the operand calls for — the indexed
-// one when a has dead columns, the dense one otherwise — at the register
-// width of the tile height. All of them add every term in ascending k.
-func kernTile(h, k int, live []int32, ap *[zr]*float64, panel *float64, acc *[zr * nr]float64) {
-	if h == zr {
-		switch {
-		case live == nil:
-			kern8x8n(k, ap[0], ap[1], ap[2], ap[3], ap[4], ap[5], ap[6], ap[7], panel, acc)
-		case len(live) == 0:
-			*acc = [zr * nr]float64{}
-		default:
-			kern8x8ni(len(live), &live[0], ap[0], ap[1], ap[2], ap[3], ap[4], ap[5], ap[6], ap[7], panel, acc)
-		}
-		return
-	}
+// kernTile4 runs the mr×nr microkernel the operand calls for — the indexed
+// one when a has dead columns, the dense one otherwise — into the first
+// mr rows of acc. Both add every term in ascending k.
+func kernTile4(k int, live []int32, ap *[zr]*float64, panel *float64, acc *[zr * nr]float64) {
 	acc4 := (*[mr * nr]float64)(acc[:])
 	switch {
 	case live == nil:
@@ -199,7 +299,7 @@ func kernTile(h, k int, live []int32, ap *[zr]*float64, panel *float64, acc *[zr
 // rowAcc is caller scratch of at least ceil(n/nr)*nr elements. For
 // finite operands it equals the tiled kernels bit for bit (DESIGN.md
 // §5m); a non-finite b element under a zero a element stays hidden here.
-func gemmPackedRowFused(drow, arow, bp, rowAcc []float64, k, n int, bias []float64, act Activation) {
+func gemmPackedRowFused(drow, arow, bp, rowAcc []float64, k, n int, ep *epilogue) {
 	panels := (n + nr - 1) / nr
 	if haveAVX2 {
 		kernRowPanelsS(k, panels, &arow[0], &bp[0], &rowAcc[0])
@@ -210,20 +310,19 @@ func gemmPackedRowFused(drow, arow, bp, rowAcc []float64, k, n int, bias []float
 			copy(rowAcc[p*nr:p*nr+nr], tmp[:])
 		}
 	}
-	storeTile(drow[:n], rowAcc, false, bias, act, 0)
+	storeTile(drow, rowAcc, 0, n, ep)
 }
 
 // gemmPackedRow is the portable (no-assembly) form of one destination
 // row: every packed panel through kernRowGo, walking the live list when
 // there is one, then the shared epilogue.
-func gemmPackedRow(drow, arow, bp []float64, k, n int, live []int32, accumulate bool, bias []float64, act Activation) {
+func gemmPackedRow(drow, arow, bp []float64, k, n int, live []int32, ep *epilogue) {
 	panels := (n + nr - 1) / nr
 	var acc [nr]float64
 	for p := 0; p < panels; p++ {
 		kernRowGo(arow[:k], bp[p*nr*k:(p+1)*nr*k], &acc, live, false)
 		j0 := p * nr
-		w := min(n-j0, nr)
-		storeTile(drow[j0:j0+w], acc[:], accumulate, bias, act, j0)
+		storeTile(drow, acc[:], j0, min(n-j0, nr), ep)
 	}
 }
 
@@ -268,26 +367,42 @@ func kernRowGo(arow, panel []float64, acc *[nr]float64, live []int32, skip bool)
 	acc[4], acc[5], acc[6], acc[7] = c4, c5, c6, c7
 }
 
-// storeTile writes one microkernel row back into the destination,
-// applying the fused epilogue: accumulate (+=), bias broadcast and/or
-// activation. drow is the destination slice for columns [j0, j0+w).
-func storeTile(drow, acc []float64, accumulate bool, bias []float64, act Activation, j0 int) {
-	acc = acc[:len(drow)]
+// storeTile writes packed columns [j0, j0+w) of one microkernel row, held
+// in acc[:w], back into the destination row drow through the epilogue:
+// in place or scattered through the column map, stored or accumulated
+// (+=), with the bias broadcast and/or activation.
+func storeTile(drow, acc []float64, j0, w int, ep *epilogue) {
+	acc = acc[:w]
+	if ep.cols != nil {
+		cols := ep.cols[j0 : j0+w]
+		if ep.accumulate {
+			for jj, c := range cols {
+				drow[c] += acc[jj]
+			}
+		} else {
+			for jj, c := range cols {
+				drow[c] = acc[jj]
+			}
+		}
+		return
+	}
+	drow = drow[j0 : j0+w]
+	bias := ep.bias
 	if bias != nil {
-		bias = bias[j0 : j0+len(drow)]
+		bias = bias[j0 : j0+w]
 	}
 	switch {
-	case accumulate:
+	case ep.accumulate:
 		for jj, v := range acc {
 			drow[jj] += v
 		}
-	case bias == nil && act == ActIdentity:
+	case bias == nil && ep.act == ActIdentity:
 		copy(drow, acc)
 	case bias == nil: // ActReLU
 		for jj, v := range acc {
 			drow[jj] = relu(v)
 		}
-	case act == ActReLU:
+	case ep.act == ActReLU:
 		for jj, v := range acc {
 			drow[jj] = relu(v + bias[jj])
 		}
@@ -338,54 +453,85 @@ func biasActRange(dst *Matrix, r0, r1 int, bias []float64, act Activation) {
 // destination row i is column i of a, gathered into one contiguous
 // scratch tile so the shared microkernel can stream it. live is the live
 // list of a's columns — a dead column is a dead destination row, which
-// the caller settles without a kernel (transADeadRows). The depth is
-// a's row count, the minibatch, so the kernel walks all of it.
-func gemmTransAPacked(dst, a *Matrix, bp []float64, live []int32, accumulate bool) {
+// the caller settles without a kernel (transADeadRows), as it does the
+// destination columns ep's column map leaves out (settleDeadColumns).
+// The depth is a's row count, the minibatch, so the kernel walks all of
+// it.
+func gemmTransAPacked(dst, a *Matrix, bp []float64, live []int32, ep *epilogue) {
 	k := a.Rows
-	n := dst.Cols
+	n := span(ep.cols, dst.Cols) // the columns the panels hold
 	cb := GetScratch(zr, k)
 	defer PutScratch(cb)
-	c1 := a.Cols
-	if live != nil {
-		c1 = len(live)
-	}
-	row := func(c int) int {
-		if live != nil {
-			return int(live[c])
-		}
-		return c
-	}
+	c1 := span(live, a.Cols)
 	if !haveAVX2 {
 		col := cb.Row(0)
 		for c := 0; c < c1; c++ {
-			a.ColInto(col, row(c))
-			gemmPackedRow(dst.Row(row(c)), col, bp, k, n, nil, accumulate, nil, ActIdentity)
+			a.ColInto(col, pick(live, c))
+			gemmPackedRow(dst.Row(pick(live, c)), col, bp, k, n, nil, ep)
 		}
 		return
 	}
 	panels := (n + nr - 1) / nr
 	var acc [zr * nr]float64
-	var ap [zr]*float64
+	var src [zr]int
+	t8 := ep.tile8For(k, nil, n, &acc)
 	for c := 0; c < c1; {
 		// A last tile of fewer than h rows repeats its final column, like
 		// gemmPackedRange's.
 		h := tileHeight(c1 - c)
 		cnt := min(c1-c, h)
+		for q := 0; q < cnt; q++ {
+			src[q] = pick(live, c+q)
+		}
+		gatherColumns(cb, a, src[:cnt])
 		for q := 0; q < h; q++ {
-			if q < cnt {
-				a.ColInto(cb.Row(q), row(c+q))
+			t8.a[q] = &cb.Data[min(q, cnt-1)*k]
+		}
+		if h == zr && ep.cols == nil {
+			for q := range t8.d {
+				t8.d[q] = &dst.Data[src[q]*dst.Cols]
 			}
-			ap[q] = &cb.Data[min(q, cnt-1)*k]
+			t8.run(bp, 0, panels)
+			c += zr
+			continue
 		}
 		for p := 0; p < panels; p++ {
-			kernTile(h, k, nil, &ap, &bp[p*nr*k], &acc)
+			if h == zr {
+				t8.run(bp, p, 1)
+			} else {
+				kernTile4(k, nil, &t8.a, &bp[p*nr*k], &acc)
+			}
 			j0 := p * nr
 			w := min(n-j0, nr)
 			for q := 0; q < cnt; q++ {
-				storeTile(dst.Row(row(c + q))[j0:j0+w], acc[q*nr:], accumulate, nil, ActIdentity, j0)
+				storeTile(dst.Row(src[q]), acc[q*nr:], j0, w, ep)
 			}
 		}
 		c += cnt
+	}
+}
+
+// gatherColumns writes column cols[q] of a into row q of cb, for up to zr
+// columns at once and a row of a at a time: the columns of one tile lie
+// within a cache line or two of each other in every row, which a gather
+// column by column would fetch once per column.
+func gatherColumns(cb, a *Matrix, cols []int) {
+	k, ac := a.Rows, a.Cols
+	if len(cols) == zr {
+		c0, c1, c2, c3, c4, c5, c6, c7 := cols[0], cols[1], cols[2], cols[3], cols[4], cols[5], cols[6], cols[7]
+		d := cb.Data[:zr*k]
+		for i := 0; i < k; i++ {
+			arow := a.Data[i*ac : (i+1)*ac]
+			d[i], d[k+i], d[2*k+i], d[3*k+i] = arow[c0], arow[c1], arow[c2], arow[c3]
+			d[4*k+i], d[5*k+i], d[6*k+i], d[7*k+i] = arow[c4], arow[c5], arow[c6], arow[c7]
+		}
+		return
+	}
+	for i := 0; i < k; i++ {
+		arow := a.Data[i*ac : (i+1)*ac]
+		for q, c := range cols {
+			cb.Data[q*k+i] = arow[c]
+		}
 	}
 }
 

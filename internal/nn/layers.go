@@ -43,8 +43,25 @@ type Dense struct {
 	// layer (bdq.NewNetwork does for the trunk).
 	NoInputGrad bool
 
+	// GatedInput marks a layer whose input comes out of a ReLU (and
+	// possibly dropout) stack: the backward of that stack zeroes the
+	// gradient wherever the input it produced is ±0, so the gradient with
+	// respect to an input unit that is ±0 in every row of the minibatch
+	// reaches nothing, and Backward stores +0 there instead of computing
+	// it. It is a fact about the network's structure that only its owner
+	// knows, declared where NoInputGrad is (bdq.NewNetwork: every dense
+	// but the first) and never inferred from the data: a feature that
+	// happens to be zero across a minibatch still has a gradient.
+	GatedInput bool
+
 	lastX   *mat.Matrix // cached input for Backward
 	lastOut *mat.Matrix // cached output (mask source when FuseReLU)
+
+	// xLive is the live set of lastX, the caller's (ForwardLive) or the
+	// layer's own; gLive the masked gradient's, scanned once for the two
+	// products of Backward.
+	xLive        *mat.Live
+	xScan, gLive mat.Live
 
 	// liveIn is how many of the In input columns the last train-mode
 	// minibatch left live (see LiveInputs); −1 until there has been one.
@@ -101,10 +118,19 @@ func (d *Dense) InitHe(rng *rand.Rand) {
 // Forward computes y = x·W + b (relu'd when FuseReLU) for a batch x
 // (rows = samples). Bias and activation are applied in the GEMM epilogue.
 func (d *Dense) Forward(x *mat.Matrix, train bool) *mat.Matrix {
+	d.xScan.Reset()
+	return d.ForwardLive(x, &d.xScan, train)
+}
+
+// ForwardLive is Forward for a caller that holds x's live set (mat.Live):
+// an activation feeding several layers is scanned by the first and read
+// by the rest, and again by each one's Backward. xl must stay x's until
+// then.
+func (d *Dense) ForwardLive(x *mat.Matrix, xl *mat.Live, train bool) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense %s expects %d inputs, got %d", d.W.Name, d.In, x.Cols))
 	}
-	d.lastX = x
+	d.lastX, d.xLive = x, xl
 	y := d.out.get(x.Rows, d.Out)
 	act := mat.ActIdentity
 	if d.FuseReLU {
@@ -112,9 +138,9 @@ func (d *Dense) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	}
 	var live int
 	if d.packW != nil {
-		live = mat.MulPackedBiasAct(y, x, d.packW, d.B.Value.Data, act)
+		live = mat.MulPackedBiasAct(y, x, xl, d.packW, d.B.Value.Data, act)
 	} else {
-		live = mat.MulBiasAct(y, x, d.W.Value, d.B.Value.Data, act)
+		live = mat.MulBiasAct(y, x, xl, d.W.Value, d.B.Value.Data, act)
 	}
 	if train {
 		d.liveIn = live
@@ -161,6 +187,23 @@ func (d *Dense) ClearPack() { d.packW = nil }
 // the mask application and the bias column sums share one sweep, and the
 // weight-gradient GEMM accumulates directly into W.Grad.
 func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
+	var gradIn *mat.Matrix
+	if !d.NoInputGrad {
+		gradIn = d.gradIn.get(gradOut.Rows, d.In)
+	}
+	d.backward(gradOut, gradIn, false)
+	return gradIn
+}
+
+// BackwardAcc is Backward with g·Wᵀ added to sum instead of returned:
+// sum[ij] + (g·Wᵀ)[ij], one rounding, which is bitwise the
+// `sum += Backward(gradOut)` it replaces — for a layer whose input
+// gradient the owner totals over several branches.
+func (d *Dense) BackwardAcc(gradOut, sum *mat.Matrix) {
+	d.backward(gradOut, sum, true)
+}
+
+func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
@@ -181,15 +224,21 @@ func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
 	} else {
 		gradOut.ColSumsInto(d.colSums)
 	}
-	mat.MulTransAAcc(d.W.Grad, d.lastX, g)
+	// The live × live block: dW's rows from x's live set, its columns from
+	// g's; g·Wᵀ's depth from g's and, under GatedInput, its columns from
+	// x's. MulTransAAcc leaves both sets scanned.
+	d.gLive.Reset()
+	mat.MulTransAAcc(d.W.Grad, d.lastX, d.xLive, g, &d.gLive)
 	mat.Axpy(1, d.colSums, d.B.Grad.Data)
 
-	if d.NoInputGrad {
-		return nil
+	if gradIn == nil {
+		return
 	}
-	gradIn := d.gradIn.get(g.Rows, d.In)
-	mat.MulTransB(gradIn, g, d.W.Value)
-	return gradIn
+	var gate *mat.Live
+	if d.GatedInput {
+		gate = d.xLive
+	}
+	mat.MulTransBLive(gradIn, g, &d.gLive, d.W.Value, gate, accumulate)
 }
 
 // MaskReLUGrad is one row of the fused DenseReLU backward sweep: m gets

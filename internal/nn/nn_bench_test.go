@@ -32,22 +32,28 @@ func BenchmarkForwardBatch64(b *testing.B) {
 	}
 }
 
+// BenchmarkForwardBackwardBatch64 is one training step of the paper's
+// trunk and one branch — 22 → 512 → 256 → 128 → 18, dropout 0.5 after the
+// trunk layers, every layer but the first declaring GatedInput as
+// bdq.NewNetwork does (buildGatedStack) — so the backward pass has the
+// dead units of a real minibatch to leave out, different ones every
+// iteration.
 func BenchmarkForwardBackwardBatch64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	net := paperNet(rng)
-	x := mat.New(64, 11)
-	target := mat.New(64, 27)
+	net := buildGatedStack(1, true)
+	x := mat.New(64, 22)
+	target := mat.New(64, 18)
 	for i := range x.Data {
 		x.Data[i] = rng.Float64()
 	}
 	opt := NewAdam(0.0025)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ZeroGrad()
 		pred := net.Forward(x, true)
 		_, grad := MSE(pred, target)
 		net.Backward(grad)
-		opt.Step(net.Params())
+		opt.StepAndZeroGrad(net.Params())
 	}
 }
 
