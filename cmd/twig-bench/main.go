@@ -94,7 +94,6 @@ func main() {
 
 	rep.Results = append(rep.Results, gemmSweep(btGemm)...)
 	rep.Results = append(rep.Results, fleetSweep(btGemm)...)
-	rep.Results = append(rep.Results, trainSweep(btGemm)...)
 	rep.Results = append(rep.Results, benchTable3(btTable3))
 	rep.Results = append(rep.Results, benchAgentObserve(btObserve))
 	rep.Results = append(rep.Results, benchFig5Cell(*short))
@@ -288,95 +287,6 @@ func fleetSweep(benchtime string) []Result {
 		pooledRes.Metrics = map[string]float64{
 			"ns_per_agent_select": pooledPerAgent,
 			"speedup_vs_solo":     soloPerAgent / pooledPerAgent,
-		}
-		results = append(results, pooledRes)
-	}
-	return results
-}
-
-// lossSink keeps the train-sweep observes from being dead-code
-// eliminated.
-var lossSink float64
-
-// trainSweep measures the grouped training path: one warm Observe (one
-// gradient step) per fleet member, as S independent per-agent train
-// steps versus one pooled flush that stacks every member's minibatch
-// forward, TD-target forward and backward GEMMs into block-diagonal
-// grouped calls with fused flat Adam commits. Both paths take identical
-// gradient steps (the pooled path is bit-identical per member), so the
-// ratio isolates the batching win.
-func trainSweep(benchtime string) []Result {
-	spec := bdq.Spec{
-		StateDim:     2 * int(pmc.NumCounters),
-		Agents:       2,
-		Dims:         []int{18, 9},
-		SharedHidden: []int{32, 16},
-		BranchHidden: 8,
-	}
-	cfg := func(i int) bdq.AgentConfig {
-		return bdq.AgentConfig{Spec: spec, BatchSize: 8, ReplayCapacity: 256, Seed: int64(1 + i)}
-	}
-	state := make([]float64, spec.StateDim)
-	next := make([]float64, spec.StateDim)
-	rng := newDetRand()
-	fillDet(state, rng)
-	fillDet(next, rng)
-	tr := replay.Transition{
-		State:     state,
-		Actions:   []int{3, 4, 5, 6},
-		Rewards:   []float64{1, 1},
-		NextState: next,
-	}
-
-	var results []Result
-	for _, S := range []int{1, 8, 36} {
-		solo := make([]*bdq.Agent, S)
-		for i := range solo {
-			solo[i] = bdq.NewAgent(cfg(i))
-			for j := 0; j < 2*8; j++ { // past warmup: every further Observe trains
-				lossSink = solo[i].Observe(tr)
-			}
-		}
-		soloRes := runBest(3, fmt.Sprintf("fleet/train_solo_s%d", S), benchtime, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for s := 0; s < S; s++ {
-					lossSink = solo[s].Observe(tr)
-				}
-			}
-		})
-		soloPerAgent := soloRes.NsPerOp / float64(S)
-		soloRes.Metrics = map[string]float64{"ns_per_agent_train": soloPerAgent}
-		results = append(results, soloRes)
-
-		pool := bdq.NewAgentPool()
-		pooled := make([]*bdq.PooledAgent, S)
-		for i := range pooled {
-			pooled[i] = pool.Attach(bdq.NewAgent(cfg(i)))
-			for j := 0; j < 2*8; j++ {
-				lossSink = pooled[i].Observe(tr)
-			}
-		}
-		flushAll := func() {
-			for s := 0; s < S; s++ {
-				pooled[s].QueueObserve(tr)
-			}
-			pool.FlushStep()
-			for s := 0; s < S; s++ {
-				lossSink = pooled[s].TakeLoss()
-			}
-		}
-		flushAll() // warm the stacked training workspace
-		pooledRes := runBest(3, fmt.Sprintf("fleet/train_pooled_s%d", S), benchtime, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				flushAll()
-			}
-		})
-		pooledPerAgent := pooledRes.NsPerOp / float64(S)
-		pooledRes.Metrics = map[string]float64{
-			"ns_per_agent_train": pooledPerAgent,
-			"speedup_vs_solo":    soloPerAgent / pooledPerAgent,
 		}
 		results = append(results, pooledRes)
 	}

@@ -210,8 +210,9 @@ func (a *Agent) SelectActions(state []float64) [][]int {
 
 // applyExploration advances the environment step counter and overlays
 // per-branch ε-greedy exploration on greedy selections — the RNG draws
-// of SelectActions, in the same per-agent order, factored out so the
-// pooled path can batch the greedy forward and keep the draws exact.
+// of SelectActions, in the same per-agent order, kept separate from the
+// forward so the pool can batch the greedy forwards of many agents and
+// keep each one's draws exact.
 func (a *Agent) applyExploration(acts [][]int) [][]int {
 	eps := a.Epsilon()
 	a.step++
@@ -262,7 +263,14 @@ func (a *Agent) QValues(state []float64) [][][]float64 {
 // Observe stores a transition and, once warm, performs one training step.
 // It returns the minibatch loss (0 when no training happened).
 func (a *Agent) Observe(t replay.Transition) float64 {
-	if !a.observeAdd(t) {
+	if len(t.Actions) != a.cfg.Spec.Agents*len(a.cfg.Spec.Dims) {
+		panic("bdq: transition action count mismatch")
+	}
+	if len(t.Rewards) != a.cfg.Spec.Agents {
+		panic("bdq: transition reward count mismatch")
+	}
+	a.buffer.Add(t)
+	if a.buffer.Len() < a.cfg.WarmupSteps {
 		return 0
 	}
 	var loss float64
@@ -272,29 +280,10 @@ func (a *Agent) Observe(t replay.Transition) float64 {
 	return loss
 }
 
-// observeAdd validates and stores a transition, reporting whether the
-// buffer is warm enough to train — Observe's preamble, shared with the
-// pooled path.
-func (a *Agent) observeAdd(t replay.Transition) bool {
-	if len(t.Actions) != a.cfg.Spec.Agents*len(a.cfg.Spec.Dims) {
-		panic("bdq: transition action count mismatch")
-	}
-	if len(t.Rewards) != a.cfg.Spec.Agents {
-		panic("bdq: transition reward count mismatch")
-	}
-	a.buffer.Add(t)
-	return a.buffer.Len() >= a.cfg.WarmupSteps
-}
-
 // TrainStep samples a minibatch, forms per-branch TD targets with the
 // target network (actions chosen by the online network — double DQN
 // style), backpropagates the weighted squared error, applies Adam and
 // periodically syncs the target network. Returns the minibatch loss.
-//
-// The step is split into phases so the pooled path (pool.go) can run
-// the eval-mode forwards of many agents as one grouped GEMM while
-// keeping every agent's own operation order — and therefore its RNG
-// draw order and every rounding — exactly as the monolithic step had.
 func (a *Agent) TrainStep() float64 {
 	ws := a.trainWorkspace()
 	n := a.trainSample()
@@ -371,17 +360,15 @@ func (a *Agent) trainTargets(targetNext *Output, n int) {
 func (a *Agent) trainBackprop(targetNext *Output, n int) float64 {
 	ws := a.train
 	out := a.online.Forward(ws.states, true)
-	loss := a.trainLossGrad(out, targetNext, ws.gradQ, n)
+	loss := a.trainLossGrad(out, targetNext, n)
 	a.online.Backward(ws.gradQ)
 	return loss
 }
 
 // trainLossGrad builds the Q-gradient and TD errors from a train-mode
-// forward over ws.states — trainBackprop's loss loop, factored out so
-// the pooled path can point it at band views of stacked outputs (and
-// a stacked gradient) while keeping every member's arithmetic exact.
-// gradQ is overwritten; the (normalised) minibatch loss is returned.
-func (a *Agent) trainLossGrad(out, targetNext *Output, gradQ [][]*mat.Matrix, n int) float64 {
+// forward over ws.states. ws.gradQ is overwritten; the (normalised)
+// minibatch loss is returned.
+func (a *Agent) trainLossGrad(out, targetNext *Output, n int) float64 {
 	spec := a.cfg.Spec
 	K, D := spec.Agents, len(spec.Dims)
 	ws := a.train
@@ -392,7 +379,7 @@ func (a *Agent) trainLossGrad(out, targetNext *Output, gradQ [][]*mat.Matrix, n 
 	denom := float64(n * K * D)
 	for k := 0; k < K; k++ {
 		for d := 0; d < D; d++ {
-			g := gradQ[k][d]
+			g := ws.gradQ[k][d]
 			g.Zero()
 			for b := 0; b < n; b++ {
 				act := ws.batch.Transitions[b].Actions[k*D+d]
@@ -421,22 +408,6 @@ func (a *Agent) trainLossGrad(out, targetNext *Output, gradQ [][]*mat.Matrix, n 
 func (a *Agent) trainCommit() {
 	ws := a.train
 	a.opt.StepAndZeroGrad(a.online.Params())
-	a.online.noteWeightsChanged()
-	a.buffer.UpdatePriorities(ws.batch.Indices, ws.tdErr)
-
-	a.trainSteps++
-	if a.trainSteps%a.cfg.TargetSync == 0 {
-		a.target.CopyValuesFrom(a.online)
-	}
-}
-
-// trainCommitPooled is trainCommit with the optimiser step fused into
-// one pass over the agent's contiguous arena slabs (Adam's flat form is
-// bitwise identical to the per-param sweep — the slabs are tightly
-// packed in Params() order). Only pool members have slabs to pass.
-func (a *Agent) trainCommitPooled(value, grad, m, v []float64) {
-	ws := a.train
-	a.opt.StepAndZeroGradFlat(a.online.Params(), value, grad, m, v)
 	a.online.noteWeightsChanged()
 	a.buffer.UpdatePriorities(ws.batch.Indices, ws.tdErr)
 

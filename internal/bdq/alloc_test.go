@@ -114,6 +114,59 @@ func TestTrainStepAllocsWarm(t *testing.T) {
 	}
 }
 
+// TestPoolFlushAllocsWarm is the same contract through the pool: a warm
+// three-member FlushStep — every member stores a transition and trains on
+// a minibatch that differs from the last, then all three selections run
+// as one grouped forward — allocates nothing, over more than two hundred
+// flushes.
+func TestPoolFlushAllocsWarm(t *testing.T) {
+	const members = 3
+	spec := poolTestCfg(0).Spec
+	pool := NewAgentPool()
+	var pooled []*PooledAgent
+	trs := make([][]replay.Transition, members)
+	for i := 0; i < members; i++ {
+		pooled = append(pooled, pool.Attach(NewAgent(poolTestCfg(int64(500+i)))))
+		for tt := 0; tt < 48; tt++ {
+			trs[i] = append(trs[i], replay.Transition{
+				State:     testState(spec.StateDim, i, tt),
+				Actions:   []int{tt % 5, tt % 4, (tt + i) % 5, (tt + 1) % 4},
+				Rewards:   testRewards(spec.Agents, i, tt),
+				NextState: testState(spec.StateDim, i, tt+1),
+			})
+		}
+	}
+	next := 0
+	flush := func() {
+		for i, pa := range pooled {
+			tr := trs[i][next%len(trs[i])]
+			pa.QueueObserve(tr)
+			pa.QueueSelect(tr.NextState, next%7 == 0)
+		}
+		pool.FlushStep()
+		for _, pa := range pooled {
+			if pa.TakeActions() == nil {
+				t.Fatal("a member selected nothing")
+			}
+		}
+		next++
+	}
+	for next < 48 {
+		flush()
+	}
+	losses := make(map[float64]bool, 512) // sized up front: the closure must not allocate either
+	allocs := testing.AllocsPerRun(250, func() {
+		flush()
+		losses[pooled[0].TakeLoss()] = true
+	})
+	if allocs != 0 {
+		t.Fatalf("warm three-member FlushStep allocates %.2f times per run over 250 runs, want 0", allocs)
+	}
+	if len(losses) < 200 {
+		t.Fatalf("only %d distinct losses in 250 flushes: the members did not train on varied minibatches", len(losses))
+	}
+}
+
 // TestTrainStepWorkspaceReuseMatchesFresh verifies that the reused
 // TrainStep scratch does not leak state between steps: two agents with
 // identical seeds and inputs stay in lockstep across many training steps

@@ -1,7 +1,6 @@
 package bdq
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,14 +8,13 @@ import (
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/mat/tiertest"
 	"github.com/twig-sched/twig/internal/nn"
-	"github.com/twig-sched/twig/internal/replay"
 )
 
 // The network declares GatedInput on every dense but the first
 // (NewNetwork), and the backward pass then multiplies the live × live
 // block only (DESIGN.md §5p). These tests hold the declaration to its
 // promise: switching it off changes no bit of any gradient, moment or
-// weight, solo or pooled, on any tier.
+// weight, on any tier.
 
 // ungate withdraws NewNetwork's declaration, which leaves a backward pass
 // that computes every input-gradient column.
@@ -133,66 +131,6 @@ func requireBits(t *testing.T, tag string, got, want []float64) {
 	for i, w := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(w) {
 			t.Fatalf("%s[%d]: gated %x (%v), ungated %x (%v)", tag, i, math.Float64bits(got[i]), got[i], math.Float64bits(w), w)
-		}
-	}
-}
-
-// TestPoolGatedBitEqualsUngated: the grouped backward gates each member's
-// band by that band's own live set. Two pools of three members train in
-// lockstep on the same transitions, one with the declaration withdrawn;
-// every member's full checkpoint (weights, moments, RNG positions, replay)
-// must be byte-equal — and equal to a solo agent's, gated.
-func TestPoolGatedBitEqualsUngated(t *testing.T) {
-	tiertest.EachLower(t)
-	const members, steps = 3, 40
-	cfg := func(seed int64) AgentConfig {
-		c := poolTestCfg(seed)
-		c.Spec.SharedHidden = []int{64, 48} // wide enough to lose whole panels
-		c.Spec.BranchHidden = 32
-		c.BatchSize, c.WarmupSteps = 16, 16
-		return c
-	}
-	gatedPool, plainPool := NewAgentPool(), NewAgentPool()
-	var solo []*Agent
-	var gated, plain []*PooledAgent
-	for i := 0; i < members; i++ {
-		solo = append(solo, NewAgent(cfg(int64(40+i))))
-		gated = append(gated, gatedPool.Attach(NewAgent(cfg(int64(40+i)))))
-		a := NewAgent(cfg(int64(40 + i)))
-		ungate(a.online)
-		ungate(a.target)
-		plain = append(plain, plainPool.Attach(a))
-	}
-	spec := cfg(0).Spec
-	for tt := 0; tt < steps; tt++ {
-		for i := 0; i < members; i++ {
-			tr := replay.Transition{
-				State:     testState(spec.StateDim, i, tt),
-				Actions:   []int{tt % 5, tt % 4, (tt + i) % 5, (tt + 1) % 4},
-				Rewards:   testRewards(spec.Agents, i, tt),
-				NextState: testState(spec.StateDim, i, tt+1),
-			}
-			solo[i].Observe(tr)
-			gated[i].QueueObserve(tr)
-			plain[i].QueueObserve(tr)
-		}
-		gatedPool.FlushStep()
-		plainPool.FlushStep()
-	}
-	dead := false
-	for _, l := range gated[0].Online().LiveFractions() {
-		dead = dead || l.Live < l.Width
-	}
-	if !dead {
-		t.Fatal("no layer saw a dead input: the test gates nothing")
-	}
-	for i := range gated {
-		want := encodeAgent(solo[i])
-		if !bytes.Equal(encodeAgent(gated[i].Agent), want) {
-			t.Fatalf("member %d: pooled checkpoint differs from solo", i)
-		}
-		if !bytes.Equal(encodeAgent(plain[i].Agent), want) {
-			t.Fatalf("member %d: checkpoint without GatedInput differs from the one with", i)
 		}
 	}
 }

@@ -450,22 +450,6 @@ func (n *Network) LiveFractions() []LayerLive {
 	return out
 }
 
-// trunkDenses returns the dense layers of the shared trunk in forward
-// order (dropout layers, identity in eval mode, are skipped).
-func (n *Network) trunkDenses() []*nn.Dense {
-	return n.Denses()[:len(n.spec.SharedHidden)]
-}
-
-// trunkDropout returns the dropout layer following trunk dense li, or
-// nil when the spec disables dropout. The trunk interleaves
-// [dense, dropout] pairs, so the layer sits at index 2·li+1.
-func (n *Network) trunkDropout(li int) *nn.Dropout {
-	if n.spec.Dropout <= 0 {
-		return nil
-	}
-	return n.shared.Layers[2*li+1].(*nn.Dropout)
-}
-
 // ZeroGrad clears all parameter gradients.
 func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {

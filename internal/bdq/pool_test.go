@@ -10,11 +10,12 @@ import (
 	"github.com/twig-sched/twig/internal/replay"
 )
 
-// Golden differential: the pooled path (grouped GEMM over persistent
-// packed panels, batched TD forwards, arena-backed parameters) must be
-// bit-identical to the per-agent path — proven by comparing selected
-// actions, losses and full checkpoint bytes (weights, Adam moments,
-// RNG draw positions, replay state) after lockstep trajectories.
+// Golden differential: the pooled path (selection as one grouped GEMM
+// over persistent packed panels, training member by member inside the
+// flush) must be bit-identical to the per-agent path — proven by
+// comparing selected actions, losses and full checkpoint bytes (weights,
+// Adam moments, RNG draw positions, replay state) after lockstep
+// trajectories.
 
 func poolTestCfg(seed int64) AgentConfig {
 	return AgentConfig{
@@ -142,11 +143,11 @@ func TestPoolBitIdenticalSelectAndTrain(t *testing.T) {
 	drive(t, agents, pooled, pool, 40, 0, 7) // mixes ε-greedy and pure-greedy intervals
 }
 
-// TestPoolBitIdenticalVariantConfigs drives the grouped training path
-// through the branches the default config leaves cold: global gradient
-// clipping (the flat Adam pass clips over the slab), per-branch
-// bootstrap targets, the shared-value ablation and a dropout-free
-// trunk, each against solo twins.
+// TestPoolBitIdenticalVariantConfigs drives the pool through the
+// branches the default config leaves cold: global gradient clipping,
+// per-branch bootstrap targets, the shared-value ablation, a
+// dropout-free trunk and several training rounds per flush, each
+// against solo twins.
 func TestPoolBitIdenticalVariantConfigs(t *testing.T) {
 	variants := []struct {
 		name string
@@ -179,9 +180,10 @@ func TestPoolBitIdenticalVariantConfigs(t *testing.T) {
 
 // TestPoolConcurrentTraining hammers the pool from one goroutine per
 // member, each running full Observe/Select cycles concurrently — the
-// fleet-engine shape. Run with -race this checks the grouped training
-// phases (stacked workspaces, arena slabs, shared pack panels) against
-// data races; member counts shrink and grow mid-run via churn.
+// fleet-engine shape. Run with -race this checks the flush (stacked
+// select workspaces, shared pack panels, members training under the
+// pool's lock) against data races; member counts shrink and grow mid-run
+// via churn.
 func TestPoolConcurrentTraining(t *testing.T) {
 	const S = 4
 	pool := NewAgentPool()
@@ -251,7 +253,7 @@ func TestPoolDrainRestore(t *testing.T) {
 		snaps[i] = encodeAgent(pa.Agent)
 	}
 
-	// Drain member 1. Its slots are released; survivors keep training.
+	// Drain member 1; survivors keep training.
 	pooled[1].Close()
 	if pool.Members() != S-1 {
 		t.Fatalf("Members() = %d after drain", pool.Members())
@@ -298,23 +300,49 @@ func TestPoolDrainRestore(t *testing.T) {
 	}
 }
 
-// TestPoolSlotReuse pins deterministic arena slot reuse across churn:
-// drain + admit lands in the released slots and trains correctly.
-func TestPoolSlotReuse(t *testing.T) {
-	pool := NewAgentPool()
-	a0 := pool.Attach(NewAgent(poolTestCfg(1)))
-	a1 := pool.Attach(NewAgent(poolTestCfg(2)))
-	if a0.slotOnline != 0 || a1.slotOnline != 2 {
-		t.Fatalf("unexpected initial slots %d, %d", a0.slotOnline, a1.slotOnline)
+// TestPoolAttachCloseKeepsParamStorage pins what membership means: Attach
+// and Close move no parameter. Every Value/Grad backing array of both
+// networks is the same memory before Attach, after it, after training
+// and after Close, which is idempotent and leaves a handle that panics
+// on use; an agent admitted after the drain trains like its solo twin.
+func TestPoolAttachCloseKeepsParamStorage(t *testing.T) {
+	agent := NewAgent(poolTestCfg(1))
+	storage := func() []*float64 {
+		var at []*float64
+		for _, n := range []*Network{agent.online, agent.target} {
+			for _, p := range n.Params() {
+				at = append(at, &p.Value.Data[0], &p.Grad.Data[0])
+			}
+		}
+		return at
 	}
+	before := storage()
+	same := func(when string) {
+		t.Helper()
+		for i, ptr := range storage() {
+			if ptr != before[i] {
+				t.Fatalf("%s: backing array %d moved", when, i)
+			}
+		}
+	}
+	pool := NewAgentPool()
+	a0 := pool.Attach(agent)
+	same("after Attach")
+	a1 := pool.Attach(NewAgent(poolTestCfg(2)))
+	drive(t, []*Agent{NewAgent(poolTestCfg(1)), NewAgent(poolTestCfg(2))}, []*PooledAgent{a0, a1}, pool, 15, 0, 0)
+	if agent.trainSteps == 0 {
+		t.Fatal("the member never trained")
+	}
+	same("after training")
 	a0.Close()
 	a0.Close() // idempotent
-	a2 := pool.Attach(NewAgent(poolTestCfg(3)))
-	if a2.slotOnline != 0 || a2.slotTarget != 1 {
-		t.Fatalf("admit after drain got slots %d/%d, want 0/1", a2.slotOnline, a2.slotTarget)
+	same("after Close")
+	if pool.Members() != 1 {
+		t.Fatalf("Members() = %d after Close", pool.Members())
 	}
-	solo := NewAgent(poolTestCfg(3))
-	drive(t, []*Agent{solo}, []*PooledAgent{a2}, pool, 15, 0, 0)
+
+	a2 := pool.Attach(NewAgent(poolTestCfg(3)))
+	drive(t, []*Agent{NewAgent(poolTestCfg(3))}, []*PooledAgent{a2}, pool, 15, 0, 0)
 
 	defer func() {
 		if recover() == nil {

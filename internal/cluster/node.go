@@ -195,8 +195,8 @@ func (c *Coordinator) restoreSnapshot(n *node, snapshot []byte, ids []int) error
 	return nil
 }
 
-// closeController releases shared resources (pooled arena slots) held
-// by a controller stack being discarded.
+// closeController takes a controller stack being discarded out of
+// whatever it registered with (a pooled manager's agent pool).
 func closeController(ctl ctrl.Controller) {
 	if cl, ok := ctl.(ctrl.Closer); ok {
 		cl.Close()

@@ -77,10 +77,11 @@ type Manager struct {
 	agent   *bdq.Agent
 	mapper  *Mapper
 
-	// pag is non-nil when the manager's agent lives in a shared
-	// AgentPool: learning and action selection then run through the
-	// pool's batched grouped-GEMM sweep. Checkpointing still goes
-	// through agent, which the pool shares.
+	// pag is non-nil when the manager's agent is a member of a shared
+	// AgentPool: learning and action selection are then queued and run in
+	// the pool's flush, the selection as part of its batched grouped-GEMM
+	// sweep. Checkpointing still goes through agent, which the pool
+	// shares.
 	pag *bdq.PooledAgent
 
 	prevState   []float64
@@ -143,11 +144,11 @@ func NewManager(cfg Config, managedCores []int) *Manager {
 }
 
 // NewManagerPooled builds a manager whose agent joins the shared pool
-// for its architecture: parameters move into the pool's arena and all
-// inference/training runs through the fleet's batched GEMM sweeps.
-// Behaviour is bit-identical to NewManager; only the execution shape
-// changes. The caller must Close the manager when discarding it so the
-// arena slots are released.
+// for its architecture: action selection runs through the fleet's
+// batched GEMM sweep, training stays the agent's own. Behaviour is
+// bit-identical to NewManager; only the execution shape changes. The
+// caller must Close the manager when discarding it so the pool stops
+// holding its agent.
 func NewManagerPooled(cfg Config, managedCores []int, pools *bdq.Pools) *Manager {
 	m := NewManager(cfg, managedCores)
 	if pools != nil {
@@ -156,9 +157,9 @@ func NewManagerPooled(cfg Config, managedCores []int, pools *bdq.Pools) *Manager
 	return m
 }
 
-// Close releases the manager's pooled arena slots (no-op for unpooled
-// managers). The agent keeps a private copy of its state and remains
-// checkpointable. Implements ctrl.Closer.
+// Close takes the manager's agent out of its pool (no-op for unpooled
+// managers). The agent is untouched and remains checkpointable.
+// Implements ctrl.Closer.
 func (m *Manager) Close() {
 	if m.pag != nil {
 		m.pag.Close()

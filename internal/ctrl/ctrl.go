@@ -62,9 +62,10 @@ type PhasedController interface {
 	FinishDecide() sim.Assignment
 }
 
-// Closer is an optional Controller extension for controllers holding
-// shared resources (e.g. pooled parameter-arena slots). Coordinators
-// call Close when a controller is discarded — rebuild, drain, eviction.
+// Closer is an optional Controller extension for controllers registered
+// with something that outlives them (a Twig manager's agent is a member
+// of a shared bdq.AgentPool). Coordinators call Close when a controller
+// is discarded — rebuild, drain, eviction.
 type Closer interface {
 	Close()
 }

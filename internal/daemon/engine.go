@@ -344,12 +344,11 @@ func (e *Engine) buildController() {
 		services[i] = experiments.ServiceConfigFor(en.name, en.qosMs)
 	}
 	cfg := experiments.ManagerConfig(e.srv, e.cfg.Scale, e.cfg.Seed+int64(e.gen)*7919, services)
-	// The manager's agent lives in a pooled parameter arena shared
-	// across controller generations: a rebuild drains the old manager
-	// (releasing its arena slots for the next generation, which reuses
-	// the same storage) and attaches the fresh learner. The pooled path
-	// is bit-identical to the per-agent one, so resume and determinism
-	// guarantees are unchanged.
+	// The manager's agent is a member of a pool registry shared across
+	// controller generations: a rebuild closes the old manager (taking
+	// its agent out of its pool) and attaches the fresh learner. The
+	// pooled path is bit-identical to the per-agent one, so resume and
+	// determinism guarantees are unchanged.
 	if e.pools == nil {
 		e.pools = bdq.NewPools()
 	}

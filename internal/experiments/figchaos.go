@@ -28,11 +28,11 @@ func FleetFactory(sc Scale) cluster.ControllerFactory {
 
 // PooledFleetFactory is FleetFactory with every node's agent attached
 // to a shared AgentPool: same managers, same trajectories bit-for-bit,
-// but action selection and TD-target inference across the whole fleet
-// run as batched grouped-GEMM sweeps. The returned flush runs one fleet
-// sweep; pass it as cluster.Config.Flush so the coordinator drives the
-// PrepareDecide / flush / FinishDecide phases. Node rebuilds, drains
-// and failovers release arena slots through ctrl.Closer.
+// but action selection across the whole fleet runs as one batched
+// grouped-GEMM sweep. The returned flush runs one fleet sweep; pass it
+// as cluster.Config.Flush so the coordinator drives the PrepareDecide /
+// flush / FinishDecide phases. Node rebuilds, drains and failovers leave
+// the pool through ctrl.Closer.
 func PooledFleetFactory(sc Scale) (cluster.ControllerFactory, func()) {
 	pools := bdq.NewPools()
 	factory := func(srv *sim.Server, specs []cluster.ReplicaSpec, seed int64) (ctrl.Controller, []checkpoint.Checkpointable) {

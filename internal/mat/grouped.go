@@ -104,10 +104,6 @@ type Group struct {
 	Packed *PackedB
 	// Bias is broadcast-added in the epilogue (nil for none).
 	Bias []float64
-	// Live is written by MulGroupedBiasAct: the number of the band's
-	// input columns the product found live (the full depth for bands of
-	// fewer than four rows, which make no scan).
-	Live int
 }
 
 // MulGroupedBiasAct computes the block-diagonal product: a and dst are
@@ -116,17 +112,10 @@ type Group struct {
 // and the output width dst.Cols (agents share one architecture). Each
 // band is bit-identical to MulBiasAct over that band alone.
 func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activation) {
-	MulGroupedBiasActLive(dst, a, nil, rowsPer, groups, act)
-}
-
-// MulGroupedBiasActLive is MulGroupedBiasAct for a caller that holds the
-// live sets of a's bands (see Live): als[g] is band g's, and nil means
-// the caller holds none.
-func MulGroupedBiasActLive(dst, a *Matrix, als []Live, rowsPer int, groups []Group, act Activation) {
 	if rowsPer <= 0 {
 		panic("mat: MulGroupedBiasAct rowsPer must be positive")
 	}
-	if a.Rows != rowsPer*len(groups) || dst.Rows != a.Rows || (als != nil && len(als) != len(groups)) {
+	if a.Rows != rowsPer*len(groups) || dst.Rows != a.Rows {
 		panic(fmt.Sprintf("mat: MulGroupedBiasAct has %d rows for %d groups of %d",
 			a.Rows, len(groups), rowsPer))
 	}
@@ -149,7 +138,7 @@ func MulGroupedBiasActLive(dst, a *Matrix, als []Live, rowsPer int, groups []Gro
 		for g := range groups {
 			r0 := g * rowsPer
 			bp, scratch := groupPanels(&groups[g])
-			groups[g].Live = mulPackedInto(dst, a, bandLive(als, g), bp, r0, r0+rowsPer, groups[g].Bias, act)
+			mulPackedInto(dst, a, nil, bp, r0, r0+rowsPer, groups[g].Bias, act)
 			if scratch != nil {
 				PutScratch(scratch)
 			}
@@ -159,9 +148,6 @@ func MulGroupedBiasActLive(dst, a *Matrix, als []Live, rowsPer int, groups []Gro
 	// Narrow bands (pooled batch-1 action selection): one fused row
 	// kernel call per stacked row; each row resolves its own group's
 	// panels.
-	for g := range groups {
-		groups[g].Live = k
-	}
 	if rowsPer == 1 && k > 0 && n > 0 && allPacked(groups) {
 		// Every group pre-packed (the pooled steady state): no panel
 		// indirection to build, no scratch bookkeeping — the row loop
@@ -201,63 +187,6 @@ func MulGroupedBiasActLive(dst, a *Matrix, als []Live, rowsPer int, groups []Gro
 	}
 	for _, s := range scratches {
 		PutScratch(s)
-	}
-}
-
-// bandLive is the caller's live set of band g, or nil when it holds none.
-func bandLive(ls []Live, g int) *Live {
-	if ls == nil {
-		return nil
-	}
-	return &ls[g]
-}
-
-// MulGroupedTransAAcc is the block-diagonal weight-gradient sweep of
-// the pooled training path: a and b are split into len(dsts) bands of
-// rowsPer consecutive rows, and band g accumulates dsts[g] += a_gᵀ·b_g.
-// Each band runs the exact MulTransAAcc dispatch (packed gather kernel
-// or streaming fallback), so every destination is bit-identical to the
-// per-agent call it replaces. als and bls hold the caller's live sets of
-// the bands of a and b (see Live); nil means it holds none.
-func MulGroupedTransAAcc(dsts []*Matrix, a *Matrix, als []Live, b *Matrix, bls []Live, rowsPer int) {
-	if rowsPer <= 0 {
-		panic("mat: MulGroupedTransAAcc rowsPer must be positive")
-	}
-	if a.Rows != rowsPer*len(dsts) || b.Rows != a.Rows {
-		panic(fmt.Sprintf("mat: MulGroupedTransAAcc has %dx%d rows for %d groups of %d",
-			a.Rows, b.Rows, len(dsts), rowsPer))
-	}
-	ab := Matrix{Rows: rowsPer, Cols: a.Cols}
-	bb := Matrix{Rows: rowsPer, Cols: b.Cols}
-	for g, dst := range dsts {
-		r0 := g * rowsPer
-		ab.Data = a.Data[r0*a.Cols : (r0+rowsPer)*a.Cols]
-		bb.Data = b.Data[r0*b.Cols : (r0+rowsPer)*b.Cols]
-		MulTransAAcc(dst, &ab, bandLive(als, g), &bb, bandLive(bls, g))
-	}
-}
-
-// MulGroupedTransB is the block-diagonal upstream-gradient sweep: band
-// g of dst is a_g·bs[g]ᵀ. Every bs must share the shape (agents share
-// one architecture). Bit-identical per band to MulTransBLive, whose
-// arguments als (the live sets of a's bands), outs (per band, the
-// destination columns to compute) and accumulate are; nil slices mean
-// the caller holds no sets and wants every column.
-func MulGroupedTransB(dst, a *Matrix, als []Live, rowsPer int, bs []*Matrix, outs []Live, accumulate bool) {
-	if rowsPer <= 0 {
-		panic("mat: MulGroupedTransB rowsPer must be positive")
-	}
-	if a.Rows != rowsPer*len(bs) || dst.Rows != a.Rows {
-		panic(fmt.Sprintf("mat: MulGroupedTransB has %d rows for %d groups of %d",
-			a.Rows, len(bs), rowsPer))
-	}
-	ab := Matrix{Rows: rowsPer, Cols: a.Cols}
-	db := Matrix{Rows: rowsPer, Cols: dst.Cols}
-	for g, b := range bs {
-		r0 := g * rowsPer
-		ab.Data = a.Data[r0*a.Cols : (r0+rowsPer)*a.Cols]
-		db.Data = dst.Data[r0*dst.Cols : (r0+rowsPer)*dst.Cols]
-		MulTransBLive(&db, &ab, bandLive(als, g), b, bandLive(outs, g), accumulate)
 	}
 }
 

@@ -100,63 +100,6 @@ func TestMulGroupedBiasActMatchesPerAgent(t *testing.T) {
 	}
 }
 
-// TestMulGroupedBackwardMatchesPerAgent: the grouped training sweeps
-// (weight-gradient accumulate, upstream gradient) must be bitwise equal
-// to the per-agent MulTransAAcc/MulTransB loop they replace, at every
-// kernel tier — the mat-layer half of the pooled-training golden.
-func TestMulGroupedBackwardMatchesPerAgent(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	cases := []struct{ groups, rowsPer, k, n int }{
-		{8, 8, 22, 512},   // fleet minibatch: rows = batch per member
-		{3, 64, 512, 256}, // wide bands, trunk second layer
-		{4, 8, 128, 18},   // head gradients, ragged n
-		{2, 3, 16, 9},     // bands below the pack gate
-		{2, 4, 0, 9},      // degenerate depth
-		{3, 2, 9, 0},      // degenerate width
-	}
-	for _, tc := range cases {
-		rows := tc.groups * tc.rowsPer
-		a := New(rows, tc.k) // stacked activations
-		g := New(rows, tc.n) // stacked output gradient
-		fuzzFill(a.Data, rng)
-		fuzzFill(g.Data, rng)
-		ws := make([]*Matrix, tc.groups) // per-member weights k×n
-		for i := range ws {
-			ws[i] = New(tc.k, tc.n)
-			fuzzFill(ws[i].Data, rng)
-		}
-
-		// References: the per-agent backward loop, band by band.
-		wantGrads := make([]*Matrix, tc.groups)
-		accInit := make([]*Matrix, tc.groups)
-		wantIn := New(rows, tc.k)
-		for i := range ws {
-			r0 := i * tc.rowsPer
-			accInit[i] = New(tc.k, tc.n)
-			fuzzFill(accInit[i].Data, rng) // nonzero: Acc must accumulate
-			wantGrads[i] = accInit[i].Clone()
-			MulTransAAcc(wantGrads[i], a.RowsView(r0, r0+tc.rowsPer), nil, g.RowsView(r0, r0+tc.rowsPer), nil)
-			MulTransB(wantIn.RowsView(r0, r0+tc.rowsPer), g.RowsView(r0, r0+tc.rowsPer), ws[i])
-		}
-
-		withKernels(t, func(kernel string) {
-			grads := make([]*Matrix, tc.groups)
-			for i := range grads {
-				grads[i] = accInit[i].Clone()
-			}
-			MulGroupedTransAAcc(grads, a, nil, g, nil, tc.rowsPer)
-			for i := range grads {
-				requireBitsEqual(t, "grouped-transA/"+kernel, grads[i], wantGrads[i])
-			}
-
-			gotIn := New(rows, tc.k)
-			fuzzFill(gotIn.Data, rng)
-			MulGroupedTransB(gotIn, g, nil, tc.rowsPer, ws, nil, false)
-			requireBitsEqual(t, "grouped-transB/"+kernel, gotIn, wantIn)
-		})
-	}
-}
-
 // TestMulDispatchBenchShapes pins the execution path of every shape the
 // committed bench baselines record, so a future threshold change cannot
 // silently move gemm/mul_1x22x512 off the streaming path (or the

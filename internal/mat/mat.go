@@ -57,8 +57,7 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // RowsView returns rows [r0, r1) as a matrix sharing m's backing
-// storage — the band view the pooled multi-agent path uses to address
-// one agent's rows inside a stacked observation matrix.
+// storage.
 func (m *Matrix) RowsView(r0, r1 int) *Matrix {
 	if r0 < 0 || r1 < r0 || r1 > m.Rows {
 		panic(fmt.Sprintf("mat: RowsView [%d,%d) of %d rows", r0, r1, m.Rows))

@@ -47,33 +47,12 @@ func (a *Adam) apply(params []*Param, zeroGrad bool) {
 	}
 	k := a.consts()
 	for _, p := range params {
-		if p.m == nil && !p.adoptMoments() {
+		if p.m == nil {
 			p.m = mat.New(p.Value.Rows, p.Value.Cols)
 			p.v = mat.New(p.Value.Rows, p.Value.Cols)
 		}
 		adamUpdate(p.Value.Data, p.Grad.Data, p.m.Data, p.v.Data, &k, zeroGrad)
 	}
-}
-
-// StepAndZeroGradFlat is StepAndZeroGrad for parameters that live in
-// one contiguous arena slot (see Arena.SlotSlabs): instead of walking
-// params one tensor at a time, the update runs as a single pass over
-// the slot's value/grad/moment slabs. Params is still consulted for
-// norm clipping (same element order — the slabs are tightly packed in
-// Params() order) and for lazy moment adoption, so the result is
-// bitwise identical to StepAndZeroGrad on the same parameters.
-func (a *Adam) StepAndZeroGradFlat(params []*Param, value, grad, m, v []float64) {
-	a.step++
-	if a.MaxGradNorm > 0 {
-		clipGlobalNormFlat(grad, a.MaxGradNorm)
-	}
-	for _, p := range params {
-		if p.m == nil && !p.adoptMoments() {
-			panic("nn: StepAndZeroGradFlat param " + p.Name + " not arena-adopted")
-		}
-	}
-	k := a.consts()
-	adamUpdate(value, grad, m, v, &k, true)
 }
 
 // adamConsts are the per-step constants of the element update, in the
@@ -139,25 +118,6 @@ func ResetMoments(params []*Param) {
 	for _, p := range params {
 		p.m = nil
 		p.v = nil
-	}
-}
-
-// clipGlobalNormFlat is clipGlobalNorm over one contiguous grad slab.
-// The slab covers the same elements in the same (Params) order, so the
-// squared-sum accumulation rounds identically; the rescale multiplies
-// each element once, like the per-param Scale calls.
-func clipGlobalNormFlat(grad []float64, maxNorm float64) {
-	var sq float64
-	for _, g := range grad {
-		sq += g * g
-	}
-	norm := math.Sqrt(sq)
-	if norm <= maxNorm || norm == 0 {
-		return
-	}
-	scale := maxNorm / norm
-	for i := range grad {
-		grad[i] *= scale
 	}
 }
 

@@ -50,9 +50,9 @@ func requireSliceBits(t *testing.T, tag string, got, want []float64) {
 // scalar tail) to the scalar loop bit for bit: every length from 0 to
 // 67, adversarial state, bias corrections from the first step to the
 // ten-thousandth, with and without the fused gradient zeroing — and then
-// through both optimiser entry points, per-param and flat, with and
-// without global-norm clipping, against a reference optimiser built from
-// the scalar loop alone.
+// through the optimiser's entry point, with and without global-norm
+// clipping, against a reference optimiser built from the scalar loop
+// alone.
 func TestAdamKernelMatchesScalar(t *testing.T) {
 	if !mat.HaveAVX2() {
 		t.Log("no AVX2 (or force-disabled): the kernel is the scalar loop and the test compares it with itself")
@@ -78,15 +78,14 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 		}
 	}
 
+	build := func() *Sequential {
+		rng := rand.New(rand.NewSource(11))
+		return NewSequential(NewDense("l1", 5, 16, rng), NewReLU(), NewDense("l2", 16, 3, rng))
+	}
 	for _, maxNorm := range []float64{0, 0.25} {
-		per, flat, ref := buildArenaNet(11), buildArenaNet(11), buildArenaNet(11)
-		arena := NewArena(ShapesOf(flat.Params()), 3)
-		for _, net := range []*Sequential{per, flat, ref} {
-			arena.Adopt(arena.Alloc(), net.Params())
-		}
-		value, grad, m, v := arena.SlotSlabs(1)
-		optP, optF, optR := NewAdam(0.01), NewAdam(0.01), NewAdam(0.01)
-		optP.MaxGradNorm, optF.MaxGradNorm = maxNorm, maxNorm
+		net, ref := build(), build()
+		opt, optR := NewAdam(0.01), NewAdam(0.01)
+		opt.MaxGradNorm = maxNorm
 		x, gout := mat.New(7, 5), mat.New(7, 3)
 		for step := 0; step < 40; step++ {
 			for i := range x.Data {
@@ -95,12 +94,11 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 			for i := range gout.Data {
 				gout.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
 			}
-			for _, net := range []*Sequential{per, flat, ref} {
-				net.Forward(x, true)
-				net.Backward(gout)
+			for _, n := range []*Sequential{net, ref} {
+				n.Forward(x, true)
+				n.Backward(gout)
 			}
-			optP.StepAndZeroGrad(per.Params())
-			optF.StepAndZeroGradFlat(flat.Params(), value, grad, m, v)
+			opt.StepAndZeroGrad(net.Params())
 			// The reference step: clip, then the scalar loop per tensor.
 			optR.step++
 			if maxNorm > 0 {
@@ -109,18 +107,18 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 			k := optR.consts()
 			for _, p := range ref.Params() {
 				if p.m == nil {
-					p.adoptMoments()
+					p.m = mat.New(p.Value.Rows, p.Value.Cols)
+					p.v = mat.New(p.Value.Rows, p.Value.Cols)
 				}
 				adamScalar(p.Value.Data, p.Grad.Data, p.m.Data, p.v.Data, &k, true)
 			}
 			for i, rp := range ref.Params() {
-				for _, got := range []*Param{per.Params()[i], flat.Params()[i]} {
-					tag := fmt.Sprintf("maxNorm=%v step %d %s ", maxNorm, step, rp.Name)
-					requireSliceBits(t, tag+"value", got.Value.Data, rp.Value.Data)
-					requireSliceBits(t, tag+"grad", got.Grad.Data, rp.Grad.Data)
-					requireSliceBits(t, tag+"m", got.m.Data, rp.m.Data)
-					requireSliceBits(t, tag+"v", got.v.Data, rp.v.Data)
-				}
+				got := net.Params()[i]
+				tag := fmt.Sprintf("maxNorm=%v step %d %s ", maxNorm, step, rp.Name)
+				requireSliceBits(t, tag+"value", got.Value.Data, rp.Value.Data)
+				requireSliceBits(t, tag+"grad", got.Grad.Data, rp.Grad.Data)
+				requireSliceBits(t, tag+"m", got.m.Data, rp.m.Data)
+				requireSliceBits(t, tag+"v", got.v.Data, rp.v.Data)
 			}
 		}
 	}

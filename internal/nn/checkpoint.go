@@ -76,7 +76,7 @@ func DecodeParams(d *checkpoint.Decoder, params []*Param) error {
 			return fmt.Errorf("nn: param %q moment lengths %d/%d for shape %dx%d",
 				name, len(m), len(v), rows, cols)
 		}
-		if p.m == nil && !p.adoptMoments() {
+		if p.m == nil {
 			p.m = mat.New(rows, cols)
 			p.v = mat.New(rows, cols)
 		}

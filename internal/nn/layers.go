@@ -157,10 +157,6 @@ func (d *Dense) ForwardLive(x *mat.Matrix, xl *mat.Live, train bool) *mat.Matrix
 // In wherever the product makes no scan (fewer than four rows).
 func (d *Dense) LiveInputs() (live int, ok bool) { return d.liveIn, d.liveIn >= 0 }
 
-// NoteLiveInputs records the count for a train-mode product that ran
-// outside Forward (the pooled trainer's grouped GEMMs).
-func (d *Dense) NoteLiveInputs(live int) { d.liveIn = live }
-
 // RefreshPack (re)builds the persistent packed weight panels from the
 // current W. The caller owns the refresh discipline: call after every
 // weight mutation (bdq.Network keys this on its weight epoch), or never
@@ -218,7 +214,7 @@ func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 		// ColSumsInto, so the sums are bit-identical to the unfused pair.
 		clear(d.colSums)
 		for i := 0; i < gradOut.Rows; i++ {
-			MaskReLUGrad(gm.Row(i), d.colSums, gradOut.Row(i), d.lastOut.Row(i))
+			maskReLUGrad(gm.Row(i), d.colSums, gradOut.Row(i), d.lastOut.Row(i))
 		}
 		g = gm
 	} else {
@@ -241,13 +237,13 @@ func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 	mat.MulTransBLive(gradIn, g, &d.gLive, d.W.Value, gate, accumulate)
 }
 
-// MaskReLUGrad is one row of the fused DenseReLU backward sweep: m gets
+// maskReLUGrad is one row of the fused DenseReLU backward sweep: m gets
 // g where the layer's output y was positive and +0 elsewhere, and the
 // survivors are added to the column sums cs. Which elements survive is a
 // coin flip per element, so the mask is applied to the bit pattern (a
 // conditional move) and every element is added: a masked one adds +0,
 // which leaves a sum that started at +0 — and so is never −0 — as it was.
-func MaskReLUGrad(m, cs, g, y []float64) {
+func maskReLUGrad(m, cs, g, y []float64) {
 	m, cs, y = m[:len(g)], cs[:len(g)], y[:len(g)]
 	for j, v := range g {
 		b := math.Float64bits(v)
@@ -339,25 +335,12 @@ func (d *Dropout) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	}
 	d.mask = d.maskWS.get(x.Rows, x.Cols)
 	y := d.out.get(x.Rows, x.Cols)
-	d.ApplyTrain(y, d.mask, x)
-	return y
-}
-
-// ApplyTrain is Forward's train-mode body over caller-owned buffers:
-// it draws a fresh mask from the layer's RNG into mask and writes the
-// rescaled, dropped activations of x into y. The pooled training path
-// uses it to keep each member's RNG draw sequence (row-major over the
-// member's own activations, exactly like its solo Forward) while the
-// activations live as bands of a stacked matrix. x, y and mask must
-// share a shape; x's Data is consumed in row-major order.
-//
-// The draw decides by conditional move, not by branch: both are
-// non-negative floats, which order like their bit patterns.
-func (d *Dropout) ApplyTrain(y, mask, x *mat.Matrix) {
+	// The draw decides by conditional move, not by branch: both are
+	// non-negative floats, which order like their bit patterns.
 	keep := 1 - d.Rate
 	inv := 1 / keep
 	keepBits := math.Float64bits(keep)
-	md, yd := mask.Data[:len(x.Data)], y.Data[:len(x.Data)]
+	md, yd := d.mask.Data[:len(x.Data)], y.Data[:len(x.Data)]
 	for i, v := range x.Data {
 		mb, yb := math.Float64bits(inv), math.Float64bits(v*inv)
 		if math.Float64bits(d.rng.Float64()) >= keepBits {
@@ -366,6 +349,7 @@ func (d *Dropout) ApplyTrain(y, mask, x *mat.Matrix) {
 		md[i] = math.Float64frombits(mb)
 		yd[i] = math.Float64frombits(yb)
 	}
+	return y
 }
 
 // Backward applies the same mask to the incoming gradient.

@@ -81,40 +81,18 @@ func paperBDQParams() []*Param {
 	return ps
 }
 
-// BenchmarkAdamStep times one optimiser step at paper size through both
-// entry points: the per-tensor sweep the solo agent uses and the flat
-// pass over arena slabs the pooled one does.
+// BenchmarkAdamStep times one optimiser step at paper size.
 func BenchmarkAdamStep(b *testing.B) {
-	fill := func(ps []*Param) {
-		rng := rand.New(rand.NewSource(1))
-		for _, p := range ps {
-			for i := range p.Grad.Data {
-				p.Grad.Data[i] = rng.NormFloat64()
-			}
+	params := paperBDQParams()
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range params {
+		for i := range p.Grad.Data {
+			p.Grad.Data[i] = rng.NormFloat64()
 		}
 	}
-	b.Run("per-param", func(b *testing.B) {
-		params := paperBDQParams()
-		fill(params)
-		opt := NewAdam(0.0025)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			opt.Step(params)
-		}
-	})
-	b.Run("flat", func(b *testing.B) {
-		params := paperBDQParams()
-		arena := NewArena(ShapesOf(params), 1)
-		id := arena.Alloc()
-		arena.Adopt(id, params)
-		value, grad, m, v := arena.SlotSlabs(id)
-		opt := NewAdam(0.0025)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			fill(params) // the flat step zeroes what it consumes
-			b.StartTimer()
-			opt.StepAndZeroGradFlat(params, value, grad, m, v)
-		}
-	})
+	opt := NewAdam(0.0025)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step(params)
+	}
 }

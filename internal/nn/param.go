@@ -17,11 +17,6 @@ type Param struct {
 	// Adam first/second moment estimates, allocated lazily by the
 	// optimiser so that inference-only networks carry no extra state.
 	m, v *mat.Matrix
-
-	// am/av are pre-carved arena views (see Arena.Adopt) the lazy
-	// allocation adopts — zeroed, exactly like a fresh allocation —
-	// instead of hitting the heap. Nil for non-pooled params.
-	am, av *mat.Matrix
 }
 
 // NewParam allocates a zeroed parameter of the given shape.
