@@ -126,10 +126,8 @@ func BenchmarkTable3OverheadMonitorAndMapper(b *testing.B) {
 // /varied feeds seeded, distinct states, actions and rewards with
 // dropout on, so the minibatch has what node_paper_twigc's has: units
 // dead across the whole batch next to per-element zeros no predictor
-// learns. /constant is the shape the bench had through PR 14 and
-// twig-bench's agent/observe_warm still has — one transition repeated,
-// every row of every minibatch equal — kept so BENCH_PR*.json rows stay
-// comparable; it flatters any kernel that branches on its data.
+// learns (one transition repeated would flatter any kernel that
+// branches on its data).
 func BenchmarkAgentObserve(b *testing.B) {
 	sc := experiments.PaperScale()
 	spec := bdq.Spec{
@@ -140,16 +138,13 @@ func BenchmarkAgentObserve(b *testing.B) {
 		BranchHidden: sc.BranchHidden,
 		Dropout:      sc.Dropout,
 	}
-	newAgent := func() *bdq.Agent {
-		return bdq.NewAgent(bdq.AgentConfig{
+	b.Run("varied", func(b *testing.B) {
+		agent := bdq.NewAgent(bdq.AgentConfig{
 			Spec:      spec,
 			BatchSize: sc.BatchSize,
 			UsePER:    true,
 			Seed:      1,
 		})
-	}
-	b.Run("varied", func(b *testing.B) {
-		agent := newAgent()
 		rng := rand.New(rand.NewSource(1))
 		ts := make([]replay.Transition, 256)
 		for i := range ts {
@@ -172,24 +167,6 @@ func BenchmarkAgentObserve(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			agent.Observe(ts[i%len(ts)])
-		}
-	})
-	b.Run("constant", func(b *testing.B) {
-		agent := newAgent()
-		state := make([]float64, spec.StateDim)
-		next := make([]float64, spec.StateDim)
-		for i := range state {
-			state[i] = 0.3
-			next[i] = 0.31
-		}
-		t := replay.Transition{State: state, Actions: []int{3, 4, 5, 6}, Rewards: []float64{1, 1}, NextState: next}
-		for i := 0; i < 2*sc.BatchSize; i++ {
-			agent.Observe(t)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			agent.Observe(t)
 		}
 	})
 }

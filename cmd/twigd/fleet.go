@@ -22,13 +22,15 @@ import (
 // every node's world and manager plus the coordinator's placement state
 // — checkpoints crash-consistently and resumes bit-identically.
 func runFleet(cfg runConfig) error {
+	factory, flush := experiments.PooledFleetFactory(cfg.scale)
 	ccfg := cluster.Config{
 		Nodes:           cfg.nodes,
 		NodeCapacity:    cfg.nodeCap,
 		Seed:            cfg.seed,
 		Scenario:        cfg.nodeFaults,
 		MaxRetries:      4,
-		Factory:         experiments.FleetFactory(cfg.scale),
+		Factory:         factory,
+		Flush:           flush,
 		CheckpointEvery: cfg.ckptEvery,
 	}
 

@@ -213,22 +213,3 @@ func maxFloat(xs []float64) float64 {
 	}
 	return m
 }
-
-func argmaxFloat(xs []float64) int {
-	b := 0
-	for i, x := range xs {
-		if x > xs[b] {
-			b = i
-		}
-	}
-	return b
-}
-
-func anyVisited(v []bool) bool {
-	for _, x := range v {
-		if x {
-			return true
-		}
-	}
-	return false
-}

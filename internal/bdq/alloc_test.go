@@ -52,65 +52,79 @@ func TestAgentObserveZeroAlloc(t *testing.T) {
 
 // TestTrainStepAllocsWarm is the zero-allocation contract at shapes and
 // data where the GEMM layer has something to compact: tiled products,
-// distinct transitions, dropout on, over five hundred steps whose live
+// distinct transitions, dropout on, over hundreds of steps whose live
 // counts differ from one to the next. Every product reads a live set the
 // layer or the network holds, most walk an index list and the backward
 // ones pack a different number of panels every step — all of it in
-// storage sized by the layer, not by the count (DESIGN.md §5p).
+// storage sized by the layer, not by the count (DESIGN.md §5p). The
+// paper row is experiments.PaperScale's network and batch, the shape
+// Table III and node_paper_twigc run.
 func TestTrainStepAllocsWarm(t *testing.T) {
-	spec := Spec{
-		StateDim:     22,
-		Agents:       2,
-		Dims:         []int{18, 9},
-		SharedHidden: []int{128, 64},
-		BranchHidden: 32,
-		Dropout:      0.5,
-	}
-	a := NewAgent(AgentConfig{Spec: spec, BatchSize: 32, ReplayCapacity: 4096, UsePER: true, Seed: 3})
-	rng := rand.New(rand.NewSource(9))
-	trs := make([]replay.Transition, 96)
-	for i := range trs {
-		tr := replay.Transition{
-			State:     make([]float64, spec.StateDim),
-			NextState: make([]float64, spec.StateDim),
-			Actions:   []int{rng.Intn(18), rng.Intn(9), rng.Intn(18), rng.Intn(9)},
-			Rewards:   []float64{rng.NormFloat64(), rng.NormFloat64()},
-		}
-		for j := range tr.State {
-			tr.State[j], tr.NextState[j] = rng.Float64(), rng.Float64()
-		}
-		trs[i] = tr
-	}
-	for _, tr := range trs {
-		a.Observe(tr)
-	}
-	dead := false
-	for _, l := range a.Online().LiveFractions() {
-		dead = dead || l.Live < l.Width
-	}
-	if !dead {
-		t.Fatal("no layer saw a dead input column: the test exercises no compaction")
-	}
-	next := 0
-	second := a.Online().Denses()[1]
-	seen := make([]bool, second.In+1)
-	allocs := testing.AllocsPerRun(500, func() {
-		a.Observe(trs[next%len(trs)])
-		next++
-		live, _ := second.LiveInputs()
-		seen[live] = true
-	})
-	if allocs != 0 {
-		t.Fatalf("warm Agent.Observe allocates %.2f times per run over 500 runs, want 0", allocs)
-	}
-	counts := 0
-	for _, s := range seen {
-		if s {
-			counts++
-		}
-	}
-	if counts < 5 {
-		t.Fatalf("the second layer saw only %d distinct live counts in 500 steps: the minibatches do not vary", counts)
+	for _, tc := range []struct {
+		name          string
+		shared        []int
+		branch, batch int
+		runs          int
+	}{
+		{"128-64-32_batch32", []int{128, 64}, 32, 32, 500},
+		{"paper_512-256-128_batch64", []int{512, 256}, 128, 64, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{
+				StateDim:     22,
+				Agents:       2,
+				Dims:         []int{18, 9},
+				SharedHidden: tc.shared,
+				BranchHidden: tc.branch,
+				Dropout:      0.5,
+			}
+			a := NewAgent(AgentConfig{Spec: spec, BatchSize: tc.batch, ReplayCapacity: 4096, UsePER: true, Seed: 3})
+			rng := rand.New(rand.NewSource(9))
+			trs := make([]replay.Transition, 3*tc.batch)
+			for i := range trs {
+				tr := replay.Transition{
+					State:     make([]float64, spec.StateDim),
+					NextState: make([]float64, spec.StateDim),
+					Actions:   []int{rng.Intn(18), rng.Intn(9), rng.Intn(18), rng.Intn(9)},
+					Rewards:   []float64{rng.NormFloat64(), rng.NormFloat64()},
+				}
+				for j := range tr.State {
+					tr.State[j], tr.NextState[j] = rng.Float64(), rng.Float64()
+				}
+				trs[i] = tr
+			}
+			for _, tr := range trs {
+				a.Observe(tr)
+			}
+			dead := false
+			for _, l := range a.Online().LiveFractions() {
+				dead = dead || l.Live < l.Width
+			}
+			if !dead {
+				t.Fatal("no layer saw a dead input column: the test exercises no compaction")
+			}
+			next := 0
+			second := a.Online().Denses()[1]
+			seen := make([]bool, second.In+1)
+			allocs := testing.AllocsPerRun(tc.runs, func() {
+				a.Observe(trs[next%len(trs)])
+				next++
+				live, _ := second.LiveInputs()
+				seen[live] = true
+			})
+			if allocs != 0 {
+				t.Fatalf("warm Agent.Observe allocates %.2f times per run over %d runs, want 0", allocs, tc.runs)
+			}
+			counts := 0
+			for _, s := range seen {
+				if s {
+					counts++
+				}
+			}
+			if counts < 5 {
+				t.Fatalf("the second layer saw only %d distinct live counts in %d steps: the minibatches do not vary", counts, tc.runs)
+			}
+		})
 	}
 }
 

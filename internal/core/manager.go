@@ -363,13 +363,6 @@ func (m *Manager) SetService(k int, cfg ServiceConfig) {
 	m.cfg.Services[k] = cfg
 }
 
-// ResetLearningState clears the (s, a) memory so the next Decide does
-// not reward across a discontinuity (e.g. an experiment phase change).
-func (m *Manager) ResetLearningState() {
-	m.prevState = nil
-	m.prevActions = nil
-}
-
 // Save persists the learned network weights.
 func (m *Manager) Save(w io.Writer) error { return m.agent.Save(w) }
 

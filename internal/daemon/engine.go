@@ -498,10 +498,6 @@ func (e *Engine) Next() int {
 	return e.next
 }
 
-// ResumedFrom returns the checkpoint sequence this engine was restored
-// from (0 for a fresh engine).
-func (e *Engine) ResumedFrom() uint64 { return e.resumed }
-
 // Manager exposes the current Twig manager for -save/-load plumbing;
 // callers must not race it against Step.
 func (e *Engine) Manager() *core.Manager {

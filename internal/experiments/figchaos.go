@@ -13,26 +13,18 @@ import (
 	"github.com/twig-sched/twig/internal/sim/faults"
 )
 
-// FleetFactory builds the per-node controller stack the chaos fleet
-// runs: a full Twig manager sized to the node's current replica
-// membership, with fitted power models and calibrated learning at the
-// given scale. The manager is also the node's checkpointable component,
-// so its learning state travels in warm snapshots and fleet
-// checkpoints.
-func FleetFactory(sc Scale) cluster.ControllerFactory {
-	return func(srv *sim.Server, specs []cluster.ReplicaSpec, seed int64) (ctrl.Controller, []checkpoint.Checkpointable) {
-		mgr := core.NewManager(fleetManagerConfig(sc, srv, specs, seed), srv.ManagedCores())
-		return mgr, []checkpoint.Checkpointable{mgr}
-	}
-}
-
-// PooledFleetFactory is FleetFactory with every node's agent attached
-// to a shared AgentPool: same managers, same trajectories bit-for-bit,
-// but action selection across the whole fleet runs as one batched
-// grouped-GEMM sweep. The returned flush runs one fleet sweep; pass it
-// as cluster.Config.Flush so the coordinator drives the PrepareDecide /
-// flush / FinishDecide phases. Node rebuilds, drains and failovers leave
-// the pool through ctrl.Closer.
+// PooledFleetFactory builds the per-node controller stack every fleet
+// runs (figchaos, twigd -nodes, the benchmark): a full Twig manager
+// sized to the node's current replica membership, with fitted power
+// models and calibrated learning at the given scale. The manager is
+// also the node's checkpointable component, so its learning state
+// travels in warm snapshots and fleet checkpoints. Every node's agent
+// is attached to a shared AgentPool: trajectories are bit-for-bit those
+// of unpooled managers, but action selection across the whole fleet
+// runs as one batched grouped-GEMM sweep. The returned flush runs one
+// fleet sweep; pass it as cluster.Config.Flush so the coordinator
+// drives the PrepareDecide / flush / FinishDecide phases. Node
+// rebuilds, drains and failovers leave the pool through ctrl.Closer.
 func PooledFleetFactory(sc Scale) (cluster.ControllerFactory, func()) {
 	pools := bdq.NewPools()
 	factory := func(srv *sim.Server, specs []cluster.ReplicaSpec, seed int64) (ctrl.Controller, []checkpoint.Checkpointable) {

@@ -216,32 +216,3 @@ func groupPanels(g *Group) (bp []float64, scratch *Matrix) {
 	scratch = packB(g.B, nil)
 	return scratch.Data, scratch
 }
-
-// DispatchInfo describes the execution path Mul/MulBiasAct selects for
-// a given product shape, so benchmarks and tests can assert which
-// kernel a shape actually exercises instead of inferring it from
-// timings.
-type DispatchInfo struct {
-	// Path is "tiled" (packed-panel microkernels) or "streaming" (the
-	// row-streaming kernel batch-1 shapes stay on).
-	Path string
-	// Kernel is the microkernel tier the tiled path uses on this
-	// machine (see KernelName).
-	Kernel string
-}
-
-// MulDispatch reports the path an m×k · k×n Mul/MulBiasAct takes. It
-// mirrors the dispatch gate exactly (the minPackRows row threshold); a
-// threshold change shows up here and in the committed bench report, not
-// silently.
-func MulDispatch(m, k, n int) DispatchInfo {
-	info := DispatchInfo{Path: "streaming", Kernel: KernelName()}
-	if m >= minPackRows && k > 0 && n > 0 {
-		info.Path = "tiled"
-	}
-	return info
-}
-
-// MinPackRows exposes the streaming→tiled row threshold for tests and
-// reports.
-func MinPackRows() int { return minPackRows }

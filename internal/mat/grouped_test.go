@@ -100,39 +100,6 @@ func TestMulGroupedBiasActMatchesPerAgent(t *testing.T) {
 	}
 }
 
-// TestMulDispatchBenchShapes pins the execution path of every shape the
-// committed bench baselines record, so a future threshold change cannot
-// silently move gemm/mul_1x22x512 off the streaming path (or the
-// batched shapes off the tiled path) without this test flagging it.
-func TestMulDispatchBenchShapes(t *testing.T) {
-	cases := []struct {
-		m, k, n int
-		path    string
-	}{
-		{1, 22, 512, "streaming"}, // batch-1 select — below minPackRows
-		{64, 22, 512, "tiled"},
-		{64, 512, 256, "tiled"},
-		{64, 256, 128, "tiled"},
-		{64, 128, 18, "tiled"},
-		{minPackRows - 1, 64, 64, "streaming"},
-		{minPackRows, 64, 64, "tiled"},
-		{8, 0, 64, "streaming"}, // degenerate depth never packs
-		{8, 64, 0, "streaming"},
-	}
-	for _, tc := range cases {
-		info := MulDispatch(tc.m, tc.k, tc.n)
-		if info.Path != tc.path {
-			t.Errorf("MulDispatch(%d,%d,%d).Path = %q, want %q", tc.m, tc.k, tc.n, info.Path, tc.path)
-		}
-		if info.Kernel != KernelName() {
-			t.Errorf("MulDispatch(%d,%d,%d).Kernel = %q, want %q", tc.m, tc.k, tc.n, info.Kernel, KernelName())
-		}
-	}
-	if MinPackRows() != minPackRows {
-		t.Errorf("MinPackRows() = %d, want %d", MinPackRows(), minPackRows)
-	}
-}
-
 // TestKernelNameProvenance pins the tier name for every detection state:
 // what /status, /metrics and the benchmark's host stamp record is the
 // path that ran.

@@ -173,10 +173,6 @@ func (d *Dense) RefreshPack() {
 // layer's own Forward.
 func (d *Dense) Pack() *mat.PackedB { return d.packW }
 
-// ClearPack drops the persistent panels; Forward falls back to
-// MulBiasAct's per-call packing.
-func (d *Dense) ClearPack() { d.packW = nil }
-
 // Backward accumulates dW = xᵀ·g and db = Σ_rows g, returning g·Wᵀ
 // (nil under NoInputGrad).
 // When FuseReLU is set, g is first masked by the activation gradient;

@@ -29,26 +29,13 @@ func (m *LinearModel) Predict(x []float64) float64 {
 // X is the design matrix (rows = samples), y the targets. The intercept
 // is not regularised.
 func FitRidge(X [][]float64, y []float64, lambda float64) (*LinearModel, error) {
-	return fitRidge(X, y, lambda, true)
-}
-
-// FitRidgeNoIntercept is FitRidge constrained through the origin, for
-// physical models like Eq. 2 that have no constant term.
-func FitRidgeNoIntercept(X [][]float64, y []float64, lambda float64) (*LinearModel, error) {
-	return fitRidge(X, y, lambda, false)
-}
-
-func fitRidge(X [][]float64, y []float64, lambda float64, intercept bool) (*LinearModel, error) {
 	n := len(X)
 	if n == 0 || n != len(y) {
 		return nil, fmt.Errorf("stats: %d samples vs %d targets", n, len(y))
 	}
 	d := len(X[0])
-	// Optionally augment with a bias column: solve for [coef..., intercept].
-	k := d
-	if intercept {
-		k = d + 1
-	}
+	// Augment with a bias column: solve for [coef..., intercept].
+	k := d + 1
 	ata := make([][]float64, k)
 	for i := range ata {
 		ata[i] = make([]float64, k+1) // last column is Aᵀy
@@ -59,9 +46,7 @@ func fitRidge(X [][]float64, y []float64, lambda float64, intercept bool) (*Line
 			return nil, fmt.Errorf("stats: ragged design matrix at row %d", s)
 		}
 		copy(row, X[s])
-		if intercept {
-			row[d] = 1
-		}
+		row[d] = 1
 		for i := 0; i < k; i++ {
 			for j := 0; j < k; j++ {
 				ata[i][j] += row[i] * row[j]
@@ -76,11 +61,7 @@ func fitRidge(X [][]float64, y []float64, lambda float64, intercept bool) (*Line
 	if err != nil {
 		return nil, err
 	}
-	m := &LinearModel{Coef: sol[:d]}
-	if intercept {
-		m.Intercept = sol[d]
-	}
-	return m, nil
+	return &LinearModel{Coef: sol[:d], Intercept: sol[d]}, nil
 }
 
 // solveGaussian solves the augmented system [A|b] with partial pivoting.
@@ -169,15 +150,6 @@ func PAAE(pred, y []float64, eps float64) float64 {
 // and returns the mean held-out MSE. Folds are formed from a seeded
 // shuffle so results are reproducible.
 func KFoldCV(X [][]float64, y []float64, lambda float64, k int, rng *rand.Rand) (float64, error) {
-	return kFoldCV(X, y, lambda, k, rng, true)
-}
-
-// KFoldCVNoIntercept is KFoldCV for through-the-origin fits.
-func KFoldCVNoIntercept(X [][]float64, y []float64, lambda float64, k int, rng *rand.Rand) (float64, error) {
-	return kFoldCV(X, y, lambda, k, rng, false)
-}
-
-func kFoldCV(X [][]float64, y []float64, lambda float64, k int, rng *rand.Rand, intercept bool) (float64, error) {
 	n := len(X)
 	if k < 2 || n < k {
 		return 0, fmt.Errorf("stats: cannot %d-fold %d samples", k, n)
@@ -196,7 +168,7 @@ func kFoldCV(X [][]float64, y []float64, lambda float64, k int, rng *rand.Rand, 
 				trY = append(trY, y[p])
 			}
 		}
-		m, err := fitRidge(trX, trY, lambda, intercept)
+		m, err := FitRidge(trX, trY, lambda)
 		if err != nil {
 			return 0, err
 		}
@@ -214,23 +186,13 @@ func kFoldCV(X [][]float64, y []float64, lambda float64, k int, rng *rand.Rand, 
 // the model refit on all data — the paper's "random grid search with
 // 5-fold cross validation".
 func RandomSearchRidge(X [][]float64, y []float64, lo, hi float64, trials, k int, rng *rand.Rand) (*LinearModel, float64, error) {
-	return randomSearchRidge(X, y, lo, hi, trials, k, rng, true)
-}
-
-// RandomSearchRidgeNoIntercept is RandomSearchRidge for models without a
-// constant term, like the paper's Eq. 2.
-func RandomSearchRidgeNoIntercept(X [][]float64, y []float64, lo, hi float64, trials, k int, rng *rand.Rand) (*LinearModel, float64, error) {
-	return randomSearchRidge(X, y, lo, hi, trials, k, rng, false)
-}
-
-func randomSearchRidge(X [][]float64, y []float64, lo, hi float64, trials, k int, rng *rand.Rand, intercept bool) (*LinearModel, float64, error) {
 	if lo <= 0 || hi < lo {
 		return nil, 0, fmt.Errorf("stats: invalid lambda range [%v, %v]", lo, hi)
 	}
 	bestLambda, bestErr := lo, math.Inf(1)
 	for t := 0; t < trials; t++ {
 		l := lo * math.Exp(rng.Float64()*math.Log(hi/lo))
-		e, err := kFoldCV(X, y, l, k, rng, intercept)
+		e, err := KFoldCV(X, y, l, k, rng)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -238,6 +200,6 @@ func randomSearchRidge(X [][]float64, y []float64, lo, hi float64, trials, k int
 			bestErr, bestLambda = e, l
 		}
 	}
-	m, err := fitRidge(X, y, bestLambda, intercept)
+	m, err := FitRidge(X, y, bestLambda)
 	return m, bestLambda, err
 }
