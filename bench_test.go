@@ -1,7 +1,8 @@
 // Package twigbench contains the benchmark harness that regenerates
 // every table and figure of the paper's evaluation (run with
 // `go test -bench=. -benchmem`), plus micro-benchmarks behind Table III
-// and ablation benches for the design choices called out in DESIGN.md §5.
+// and ablation benches for the design choices DESIGN.md lists under
+// "Learning-design decisions and extensions".
 //
 // Each BenchmarkFigN/BenchmarkTableN runs the corresponding experiment
 // at the scaled-down "quick" profile and reports the headline numbers as
@@ -315,7 +316,7 @@ func BenchmarkExtensionBatchColoc(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches (DESIGN.md, "Learning-design decisions and extensions") ---
 
 // BenchmarkAblationUniformReplay compares prioritised vs uniform replay.
 func BenchmarkAblationUniformReplay(b *testing.B) {

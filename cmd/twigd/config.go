@@ -70,8 +70,8 @@ func parseConfig(args []string, errOut io.Writer) (runConfig, error) {
 		scenFlag     = fs.String("scenario", "", "named scenario preset ("+strings.Join(scenario.Names(), ", ")+"): platform, service mix and generated traces replace -services/-loads/-pattern")
 		csvFlag      = fs.String("csv", "", "write a per-interval CSV record of the run to this file")
 		httpFlag     = fs.String("http", "", "serve the admission API, /status and /metrics on this address while running")
-		saveFlag     = fs.String("save", "", "write learned network weights to this file at exit")
-		loadFlag     = fs.String("load", "", "seed the manager with weights saved by -save")
+		saveFlag     = fs.String("save", "", "write a manager checkpoint (networks, Adam moments, replay, ε position) to this file at exit")
+		loadFlag     = fs.String("load", "", "seed the manager from a checkpoint written by -save or -checkpoint-dir")
 		seconds      = fs.Int("seconds", 3500, "simulated seconds to run")
 		seed         = fs.Int64("seed", 1, "random seed")
 		scale        = fs.String("scale", "quick", "learning profile: quick or paper")

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -152,5 +154,24 @@ func TestParseConfigUnknownScenario(t *testing.T) {
 	_, err := parseConfig([]string{"-scenario", "mars-base"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "mars-base") || !strings.Contains(err.Error(), "cloud-edge") {
 		t.Fatalf("err = %v, want unknown-preset error naming the input and the presets", err)
+	}
+}
+
+// TestLoadRefusesNonCheckpoint: -load reads the checkpoint container and
+// nothing else; any other file is an error that says what it is not and
+// how to bring an old weight file forward, before the manager is touched.
+func TestLoadRefusesNonCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "weights.gob")
+	if err := os.WriteFile(path, []byte("\x0c\xff\x81\x02\x01\x01gob junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := loadInto(nil, path)
+	if err == nil {
+		t.Fatal("a non-checkpoint file loaded")
+	}
+	for _, want := range []string{path, "not a twig checkpoint", "-save"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }

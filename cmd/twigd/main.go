@@ -326,26 +326,21 @@ func csvRow(t int, r sim.StepResult) []interface{} {
 	return row
 }
 
-// loadInto seeds the manager from -load. The file may be a checkpoint
-// written by -save or -checkpoint-dir (the manager section is pulled
-// out; training resumes bit-identically) or a legacy gob weight file
-// (weights only — optimiser moments, replay and ε position start fresh).
+// loadInto seeds the manager from -load: a checkpoint written by -save
+// or -checkpoint-dir, whose manager section is pulled out so training
+// resumes bit-identically. Anything else is refused.
 func loadInto(mgr *core.Manager, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading %s: %w", path, err)
 	}
-	if checkpoint.IsCheckpoint(data) {
-		if err := mgr.LoadCheckpoint(bytes.NewReader(data)); err != nil {
-			return fmt.Errorf("restoring checkpoint %s: %w", path, err)
-		}
-		fmt.Printf("twigd: restored manager checkpoint from %s\n", path)
-		return nil
+	if !checkpoint.IsCheckpoint(data) {
+		return fmt.Errorf("%s is not a twig checkpoint (the gob weight files of old builds are no longer read: load it with the build that wrote it and write it again with -save)", path)
 	}
-	fmt.Fprintf(os.Stderr, "twigd: %s is a legacy gob weight file; loading weights only (deprecated — re-save with -save to migrate)\n", path)
-	if err := mgr.Load(bytes.NewReader(data)); err != nil {
-		return fmt.Errorf("loading legacy weights %s: %w", path, err)
+	if err := mgr.LoadCheckpoint(bytes.NewReader(data)); err != nil {
+		return fmt.Errorf("restoring checkpoint %s: %w", path, err)
 	}
+	fmt.Printf("twigd: restored manager checkpoint from %s\n", path)
 	return nil
 }
 

@@ -2,7 +2,6 @@ package bdq
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/nn"
@@ -427,17 +426,13 @@ func (a *Agent) Transfer(restartStep int) {
 	a.step = restartStep
 }
 
-// Save persists the online network weights.
-func (a *Agent) Save(w io.Writer) error { return nn.Save(w, a.online.Params()) }
-
-// Load restores online weights from r and syncs the target network.
-func (a *Agent) Load(r io.Reader) error {
-	if err := nn.Load(r, a.online.Params()); err != nil {
-		return err
-	}
-	a.online.noteWeightsChanged()
+// CopyWeightsFrom takes src's online weights and syncs the target network
+// to them: a trained donor handed over in memory (Figs. 8–9). Optimiser
+// moments, replay and the ε position stay this agent's own.
+// Architectures must match.
+func (a *Agent) CopyWeightsFrom(src *Agent) {
+	a.online.CopyValuesFrom(src.online)
 	a.target.CopyValuesFrom(a.online)
-	return nil
 }
 
 // ReplayLen returns the number of stored transitions.

@@ -1,7 +1,6 @@
 package bdq
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -161,7 +160,10 @@ func TestAgentLearnsContextualBandit(t *testing.T) {
 	}
 }
 
-func TestAgentSaveLoadRoundtrip(t *testing.T) {
+// TestAgentCopyWeightsFrom: the receiver's online and target networks
+// hold the donor's online weights bit for bit; everything else stays its
+// own (no optimiser step, replay entry or ε position comes across).
+func TestAgentCopyWeightsFrom(t *testing.T) {
 	a := NewAgent(testAgentConfig(3))
 	state := []float64{0.3, 0.6, 0.1, 0.9}
 	// Perturb weights via a few training steps.
@@ -170,20 +172,27 @@ func TestAgentSaveLoadRoundtrip(t *testing.T) {
 		flat := []int{acts[0][0], acts[0][1], acts[1][0], acts[1][1]}
 		a.Observe(replay.Transition{State: state, Actions: flat, Rewards: []float64{1, -1}, NextState: state})
 	}
-	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	b := NewAgent(testAgentConfig(99))
-	if err := b.Load(&buf); err != nil {
-		t.Fatal(err)
+	b.CopyWeightsFrom(a)
+	want := a.online.Params()
+	for _, n := range []*Network{b.online, b.target} {
+		for i, p := range n.Params() {
+			for j, v := range p.Value.Data {
+				if math.Float64bits(v) != math.Float64bits(want[i].Value.Data[j]) {
+					t.Fatalf("param %s[%d] = %v, donor has %v", p.Name, j, v, want[i].Value.Data[j])
+				}
+			}
+		}
+	}
+	if b.ReplayLen() != 0 || b.trainSteps != 0 || b.step != 0 {
+		t.Fatalf("more than weights came across: replay %d, train steps %d, step %d", b.ReplayLen(), b.trainSteps, b.step)
 	}
 	ga := a.SelectGreedy(state)
 	gb := b.SelectGreedy(state)
 	for k := range ga {
 		for d := range ga[k] {
 			if ga[k][d] != gb[k][d] {
-				t.Fatalf("greedy actions differ after load: %v vs %v", ga, gb)
+				t.Fatalf("greedy actions differ after the copy: %v vs %v", ga, gb)
 			}
 		}
 	}

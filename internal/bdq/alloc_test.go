@@ -56,7 +56,8 @@ func TestAgentObserveZeroAlloc(t *testing.T) {
 // counts differ from one to the next. Every product reads a live set the
 // layer or the network holds, most walk an index list and the backward
 // ones pack a different number of panels every step — all of it in
-// storage sized by the layer, not by the count (DESIGN.md §5p). The
+// storage sized by the layer, not by the count (DESIGN.md, "The
+// training step and its kernel tiers", on workspaces). The
 // paper row is experiments.PaperScale's network and batch, the shape
 // Table III and node_paper_twigc run.
 func TestTrainStepAllocsWarm(t *testing.T) {

@@ -12,7 +12,8 @@ import (
 
 // The network declares GatedInput on every dense but the first
 // (NewNetwork), and the backward pass then multiplies the live × live
-// block only (DESIGN.md §5p). These tests hold the declaration to its
+// block only (DESIGN.md, "The training step and its kernel tiers").
+// These tests hold the declaration to its
 // promise: switching it off changes no bit of any gradient, moment or
 // weight, on any tier.
 

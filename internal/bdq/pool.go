@@ -2,6 +2,7 @@ package bdq
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/twig-sched/twig/internal/mat"
@@ -161,8 +162,10 @@ func (p *AgentPool) Members() int {
 }
 
 // Close takes the member out of the pool, so later flushes stop visiting
-// it. The agent itself is untouched and remains fully usable and
-// checkpointable standalone; the handle panics on further use.
+// it and nothing the pool owns still refers to it: a discarded learner
+// (both networks, Adam moments, replay) is the collector's once its
+// owner lets go. The agent itself is untouched and remains fully usable
+// and checkpointable standalone; the handle panics on further use.
 // Idempotent.
 func (pa *PooledAgent) Close() {
 	p := pa.pool
@@ -172,11 +175,12 @@ func (pa *PooledAgent) Close() {
 		return
 	}
 	pa.closed = true
-	for i, m := range p.members {
-		if m == pa {
-			p.members = append(p.members[:i], p.members[i+1:]...)
-			break
-		}
+	if i := slices.Index(p.members, pa); i >= 0 {
+		p.members = slices.Delete(p.members, i, i+1) // zeroes the vacated tail slot
+	}
+	clear(p.selScratch[:cap(p.selScratch)])
+	for _, ws := range p.stack {
+		ws.dropLayerGroups()
 	}
 }
 
@@ -524,6 +528,17 @@ func (ws *stackWS) refreshLayerGroups(members []*PooledAgent, layers int) {
 	ws.lgEpochs = ws.lgEpochs[:len(members)]
 	for s, m := range members {
 		ws.lgEpochs[s] = m.pack.epoch
+	}
+}
+
+// dropLayerGroups empties the cache, keeping its storage: the member
+// list and every operand (a member's packed panels and bias) are zeroed
+// to capacity, and the next flush at this row count rebuilds them.
+func (ws *stackWS) dropLayerGroups() {
+	clear(ws.lgFor[:cap(ws.lgFor)])
+	ws.lgFor = ws.lgFor[:0]
+	for _, g := range ws.lgGroups {
+		clear(g[:cap(g)])
 	}
 }
 

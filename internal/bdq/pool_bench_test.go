@@ -23,7 +23,7 @@ var (
 // cache-resident (~650 KB); S=144 shows the memory wall on both paths.
 // Read the train rows at a fixed count (-benchtime 1000x): a step gets
 // slower the longer these agents have trained (past ~7 000 steps Adam's
-// first moments behind dead units are denormal; ROADMAP item 5), so a
+// first moments behind dead units are denormal; a ROADMAP item), so a
 // time-based run compares sides at different ages.
 func BenchmarkPoolFlush(b *testing.B) {
 	spec := Spec{

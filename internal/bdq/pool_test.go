@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/replay"
@@ -350,4 +352,75 @@ func TestPoolAttachCloseKeepsParamStorage(t *testing.T) {
 		}
 	}()
 	a0.QueueSelect(testState(12, 0, 0), true)
+}
+
+// closedPair attaches two agents, flushes them together so the stacked
+// workspace and its layer-group cache exist, and closes both. It returns
+// the pool and a channel that receives once per agent the collector
+// finalises; it is its own frame so that no slot of the caller's stack
+// keeps a member alive.
+//
+//go:noinline
+func closedPair(t *testing.T) (*AgentPool, <-chan struct{}) {
+	pool := NewAgentPool()
+	finalised := make(chan struct{}, 2) // one send per agent, never blocks the finaliser goroutine
+	var pooled []*PooledAgent
+	for seed := int64(1); seed <= 2; seed++ {
+		a := NewAgent(poolTestCfg(seed))
+		runtime.SetFinalizer(a, func(*Agent) { finalised <- struct{}{} })
+		pooled = append(pooled, pool.Attach(a))
+	}
+	drive(t, []*Agent{NewAgent(poolTestCfg(1)), NewAgent(poolTestCfg(2))}, pooled, pool, 10, 0, 0)
+	if ws := pool.stack[2]; ws == nil || len(ws.lgFor) != 2 {
+		t.Fatal("the two members were never flushed together")
+	}
+	for _, pa := range pooled {
+		pa.Close()
+	}
+	return pool, finalised
+}
+
+// TestPoolCloseReleasesMember pins the other half of what Close means: a
+// closed member is reachable from nothing the pool owns. Every slot of
+// the member list, the select scratch and each stacked workspace's group
+// cache is empty up to capacity, and the agents are collected.
+func TestPoolCloseReleasesMember(t *testing.T) {
+	pool, finalised := closedPair(t)
+	for i, m := range pool.members[:cap(pool.members)] {
+		if m != nil {
+			t.Errorf("members[%d] (len %d) still holds a closed member", i, len(pool.members))
+		}
+	}
+	for i, m := range pool.selScratch[:cap(pool.selScratch)] {
+		if m != nil {
+			t.Errorf("selScratch[%d] still holds a closed member", i)
+		}
+	}
+	for rows, ws := range pool.stack {
+		for i, m := range ws.lgFor[:cap(ws.lgFor)] {
+			if m != nil {
+				t.Errorf("stack[%d].lgFor[%d] still holds a closed member", rows, i)
+			}
+		}
+		for idx, groups := range ws.lgGroups {
+			for i, g := range groups[:cap(groups)] {
+				if g.B != nil || g.Packed != nil || g.Bias != nil {
+					t.Errorf("stack[%d].lgGroups[%d][%d] still holds a closed member's operand", rows, idx, i)
+				}
+			}
+		}
+	}
+	for got := 0; got < 2; {
+		runtime.GC()
+		select {
+		case <-finalised:
+			got++
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of 2 closed agents collected: the pool still reaches the rest", got)
+		}
+	}
+
+	// The emptied caches rebuild: the pool goes on batching new members.
+	a, b := pool.Attach(NewAgent(poolTestCfg(3))), pool.Attach(NewAgent(poolTestCfg(4)))
+	drive(t, []*Agent{NewAgent(poolTestCfg(3)), NewAgent(poolTestCfg(4))}, []*PooledAgent{a, b}, pool, 10, 0, 0)
 }

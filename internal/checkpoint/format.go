@@ -78,8 +78,8 @@ func (e *Encoder) endFile() []byte {
 }
 
 // IsCheckpoint reports whether data begins with the checkpoint magic —
-// the probe that distinguishes the container from legacy gob weight
-// files without attempting a full decode.
+// the probe that tells the container from any other file without
+// attempting a full decode.
 func IsCheckpoint(data []byte) bool {
 	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
 }

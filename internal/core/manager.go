@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/twig-sched/twig/internal/bdq"
 	"github.com/twig-sched/twig/internal/ctrl"
@@ -363,8 +362,6 @@ func (m *Manager) SetService(k int, cfg ServiceConfig) {
 	m.cfg.Services[k] = cfg
 }
 
-// Save persists the learned network weights.
-func (m *Manager) Save(w io.Writer) error { return m.agent.Save(w) }
-
-// Load restores network weights saved by Save.
-func (m *Manager) Load(r io.Reader) error { return m.agent.Load(r) }
+// CopyWeightsFrom seeds this manager's network with src's learned
+// weights (the donor of a transfer; follow with Transfer).
+func (m *Manager) CopyWeightsFrom(src *Manager) { m.agent.CopyWeightsFrom(src.agent) }

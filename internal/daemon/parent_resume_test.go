@@ -26,14 +26,16 @@ import (
 //
 // testdata/parent_pr14 holds the checkpoint and the rows; both were
 // written by a throwaway test on the parent commit that ran this
-// scenario with e2eConfig and e2eScript (DESIGN.md §5m).
+// scenario with e2eConfig and e2eScript (DESIGN.md, "Determinism and
+// the non-finite contract", on parent-written fixtures).
 func TestParentCheckpointResumesHexIdentical(t *testing.T) {
 	resumeParentCheckpoint(t, "parent_pr14", e2eConfig)
 }
 
 // TestParentPR17CheckpointResumesHexIdentical is the same cut of the same
 // scenario written by the commit before the live × live backward pass
-// (DESIGN.md §5p), at a scale where that pass has something to leave out:
+// (DESIGN.md, "The training step and its kernel tiers"), at a scale
+// where that pass has something to leave out:
 // two trunk layers of 32 and 24 units with dropout, 16-unit branches,
 // minibatches of 16 — dead units take whole panels out of dW and whole
 // columns out of the input gradients from the first training step on.

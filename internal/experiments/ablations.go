@@ -20,7 +20,8 @@ type AblationCell struct {
 }
 
 // AblationResult compares design-choice variants called out in
-// DESIGN.md §5: prioritised vs uniform replay, the η smoothing window,
+// DESIGN.md ("Learning-design decisions and extensions"):
+// prioritised vs uniform replay, the η smoothing window,
 // the θ power-reward weight, and the per-branch vs mean TD target.
 type AblationResult struct {
 	Name  string

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
@@ -47,11 +46,6 @@ func Fig9(sc Scale, seed int64) Fig9Result {
 		Seconds:      sc.LearnS,
 		SummaryFromS: sc.LearnS - 1,
 	})
-	var weights bytes.Buffer
-	if err := donor.Save(&weights); err != nil {
-		panic(err)
-	}
-	saved := weights.Bytes()
 
 	total := sc.LearnS + sc.SummaryS
 	bucket := total / 12
@@ -96,9 +90,7 @@ func Fig9(sc Scale, seed int64) Fig9Result {
 	// Phase 2b: with transfer.
 	srvB := NewServer(seed+20, "xapian", "masstree")
 	xfer := NewTwig(srvB, sc, seed+4, "xapian", "masstree")
-	if err := xfer.Load(bytes.NewReader(saved)); err != nil {
-		panic(err)
-	}
+	xfer.CopyWeightsFrom(donor)
 	xfer.Transfer(sc.Epsilon.MidStep)
 	res.TransferXapian, res.TransferMasstree, res.TransferPowerW = runPhase2(xfer, srvB)
 

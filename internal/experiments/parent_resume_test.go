@@ -20,7 +20,8 @@ import (
 
 // testdata/parent_pr15 holds two checkpoints the commit before the
 // interval kernel wrote, each with the rows that commit's own
-// uninterrupted run produced after the cut (DESIGN.md §5n). A throwaway
+// uninterrupted run produced after the cut (DESIGN.md, "The interval
+// kernel", on the codec). A throwaway
 // test on that commit wrote them with the worlds built below; the tests
 // here restore them through ctrl.Loop's codec and must match every row
 // in hex floats, and re-marshalling the restored state must reproduce
@@ -61,7 +62,8 @@ func TestParentRunCheckpointResumesHexIdentical(t *testing.T) {
 }
 
 // A cut written by the commit before the live × live backward pass
-// (testdata/parent_pr17, DESIGN.md §5p), at a scale where that pass has
+// (testdata/parent_pr17; DESIGN.md, "The training step and its kernel
+// tiers"), at a scale where that pass has
 // something to leave out — trunk layers of 32 and 24 units with dropout,
 // 16-unit branches, minibatches of 16 — and in the world without fault
 // injection: the corrupted PMCs of the world above reach its weights as

@@ -49,7 +49,8 @@ func benchGEMM(b *testing.B) {
 		})
 	}
 	// The two products that dominate the paper-scale step, with the zero
-	// structure node_paper_twigc shows (DESIGN.md §5m): whole dead
+	// structure node_paper_twigc shows (DESIGN.md, "The training step and
+	// its kernel tiers"): whole dead
 	// columns at 0 %, 42 % and 70 %, and per-element dropout zeros, which
 	// no column scan can remove. GFLOPS counts the nominal shape, so a
 	// product that skips work reads faster.
@@ -83,7 +84,8 @@ func benchGEMM(b *testing.B) {
 	// Backward-pass shapes: dW = xᵀ·g and gradIn = g·Wᵀ for the two
 	// products that dominate it — the second trunk layer (512 → 256) and a
 	// branch hidden layer (256 → 128) — dense, and with the live shares
-	// node_paper_twigc's minibatches show on both sides (DESIGN.md §5p):
+	// node_paper_twigc's minibatches show on both sides (DESIGN.md, "The
+	// training step and its kernel tiers"):
 	// 56 % of shared0's units and 72 % of shared1's live going into the
 	// trunk layer, 72 % and 48 % going into a branch. rowsNcolsM names the
 	// live shares of x's columns (dW's rows) and g's (dW's columns);

@@ -16,7 +16,8 @@ import (
 //
 // That is the contract for finite operands. With an Inf or a NaN in the
 // b operand the tiled Mul/MulTransA family may differ from the naive
-// kernels in one direction only (DESIGN.md §5m): the naive kernels step
+// kernels in one direction only (DESIGN.md, "Determinism and the
+// non-finite contract"): the naive kernels step
 // over every ±0 element of a and so hide the non-finite b element under
 // it, the tiled ones hide it only in columns of a that are ±0 in every
 // row, and elsewhere compute 0·Inf = NaN. So an element is either the

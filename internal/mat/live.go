@@ -11,9 +11,9 @@ import (
 // column contributes av·bv = ±0 to every destination element, and for a
 // finite b adding ±0 to an accumulator that started at +0 changes no
 // bit, so the product over the remaining — live — columns alone is the
-// same product (DESIGN.md §5m has the argument and the non-finite
-// contract, §5p what the backward pass makes of the sets of both its
-// operands).
+// same product (DESIGN.md, "Determinism and the non-finite contract",
+// has the argument; "The training step and its kernel tiers" what the
+// backward pass makes of the sets of both its operands).
 
 // Live is the live-column set of one operand: which of its columns hold
 // something other than ±0 in at least one row (NaN counts as something).

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// The live × live block of the backward pass (DESIGN.md §5p), held bit for
-// bit to the streaming kernels: MulTransA* packing b's live columns only,
+// The live × live block of the backward pass (DESIGN.md, "The training
+// step and its kernel tiers"), held bit for bit to the streaming kernels: MulTransA* packing b's live columns only,
 // MulTransBLive computing the destination columns a gate lists and no
 // others, both with the sets the caller holds.
 
@@ -194,8 +194,9 @@ func TestLiveMemo(t *testing.T) {
 	MulBiasAct(New(12, 9), b, &l, New(5, 9), nil, ActIdentity)
 }
 
-// TestNonFiniteContractBackward pins the three rows PR 18 adds to §5m's
-// non-finite table.
+// TestNonFiniteContractBackward pins the backward products' rows of the
+// non-finite table (DESIGN.md, "Determinism and the non-finite
+// contract").
 func TestNonFiniteContractBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const batch, m, n = 16, 12, 24

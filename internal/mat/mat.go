@@ -120,7 +120,8 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // across the tiled and streaming paths and every kernel tier (see
 // KernelName). A zero in a hides a non-finite element of b on the streaming
 // path always and on the tiled path only when its whole column of a is
-// zero; elsewhere the tiled product is NaN (DESIGN.md §5m).
+// zero; elsewhere the tiled product is NaN (DESIGN.md, "Determinism and
+// the non-finite contract").
 func Mul(dst, a, b *Matrix) {
 	MulBiasAct(dst, a, nil, b, nil, ActIdentity)
 }

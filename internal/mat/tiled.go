@@ -22,7 +22,8 @@ import "math"
 // tiled ones skip the columns of a that are ±0 in every row (live.go)
 // and multiply through the rest. A skipped term and a term of ±0 leave
 // the same bits in an accumulator that started at +0. They part ways
-// only on a non-finite b element under a zero a element (DESIGN.md §5m).
+// only on a non-finite b element under a zero a element (DESIGN.md,
+// "Determinism and the non-finite contract").
 // MulTransB, like Dot, hides nothing in either form.
 const (
 	// nr is the register tile width: one packed panel covers nr
@@ -297,8 +298,9 @@ func kernTile4(k int, live []int32, ap *[zr]*float64, panel *float64, acc *[zr *
 // fewer than mr rows, batch-1 action selection above all, which pays no
 // column scan and instead steps over the ±0 elements of its one a-row.
 // rowAcc is caller scratch of at least ceil(n/nr)*nr elements. For
-// finite operands it equals the tiled kernels bit for bit (DESIGN.md
-// §5m); a non-finite b element under a zero a element stays hidden here.
+// finite operands it equals the tiled kernels bit for bit (DESIGN.md,
+// "Determinism and the non-finite contract"); a non-finite b element
+// under a zero a element stays hidden here.
 func gemmPackedRowFused(drow, arow, bp, rowAcc []float64, k, n int, ep *epilogue) {
 	panels := (n + nr - 1) / nr
 	if haveAVX2 {

@@ -9,7 +9,8 @@ import (
 	"github.com/twig-sched/twig/internal/mat/tiertest"
 )
 
-// The live × live backward (DESIGN.md §5p): a Dense that declares
+// The live × live backward (DESIGN.md, "The training step and its
+// kernel tiers"): a Dense that declares
 // GatedInput computes no input gradient for a unit that is ±0 across the
 // minibatch, and every gradient that reaches a parameter is the bit it
 // was without the declaration — because the stack below masks that

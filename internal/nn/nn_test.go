@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -213,41 +212,6 @@ func TestTargetNetworkSync(t *testing.T) {
 	}
 	if online.NumParams() != 2*3+3+3*1+1 {
 		t.Fatalf("NumParams = %d", online.NumParams())
-	}
-}
-
-func TestSaveLoadRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	net := NewSequential(NewDense("a", 3, 4, rng), NewReLU(), NewDense("b", 4, 2, rng))
-	var buf bytes.Buffer
-	if err := Save(&buf, net.Params()); err != nil {
-		t.Fatal(err)
-	}
-	net2 := NewSequential(NewDense("a", 3, 4, rng), NewReLU(), NewDense("b", 4, 2, rng))
-	if err := Load(&buf, net2.Params()); err != nil {
-		t.Fatal(err)
-	}
-	x := mat.FromRows([][]float64{{1, 2, 3}})
-	y1 := net.Forward(x, false)
-	y2 := net2.Forward(x, false)
-	for i := range y1.Data {
-		if y1.Data[i] != y2.Data[i] {
-			t.Fatal("loaded network produces different output")
-		}
-	}
-}
-
-func TestRestoreShapeMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	net := NewSequential(NewDense("a", 3, 4, rng))
-	snap := Snapshot(net.Params())
-	other := NewSequential(NewDense("a", 3, 5, rng))
-	if err := Restore(other.Params(), snap); err == nil {
-		t.Fatal("expected shape mismatch error")
-	}
-	third := NewSequential(NewDense("zzz", 3, 4, rng))
-	if err := Restore(third.Params(), snap); err == nil {
-		t.Fatal("expected name mismatch error")
 	}
 }
 

@@ -5,7 +5,7 @@
 // service mix per class, and a trace-generator family — and Worlds
 // expands it deterministically into one world per node, ready to drive
 // a sim.Server. The named presets (cloud-edge, agentic-burst, diurnal)
-// are the workload families ROADMAP item 4 opens: tiered cloud-edge
+// are workload families beyond the paper's testbed: tiered cloud-edge
 // load per TD3-Sched, spawn-fan-out agentic bursts per SwarmX, and
 // cellular-style diurnal traffic with per-node phase shifts.
 //

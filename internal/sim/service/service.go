@@ -233,7 +233,8 @@ func (s *Instance) RunInterval(rateRPS, capacity, inflation, dt float64) Interva
 
 	if capacity <= 0 {
 		// No capacity: everything queues. (P95Ms stays 0 on this path;
-		// the trajectory digests hold that value, see DESIGN.md §5l.)
+		// the trajectory digests hold that value, see DESIGN.md, "The
+		// simulator and its fault model".)
 		s.pending = append(s.pending, arrivals...)
 		st.QueueLen = len(s.pending)
 		s.now = end

@@ -10,8 +10,8 @@ import (
 	"github.com/twig-sched/twig/internal/sim/faults"
 )
 
-// These tests pin what Step owns and what its caller owns (DESIGN.md
-// §5l): the step's working storage lives on the server and is reused,
+// These tests pin what Step owns and what its caller owns (DESIGN.md,
+// "The simulator and its fault model"): the step's working storage lives on the server and is reused,
 // everything a StepResult carries is the caller's, and the server keeps
 // no reference into an assignment it was handed.
 

@@ -101,7 +101,7 @@ func FaultScenarioNames() []string { return faults.Names() }
 func NamedFaultScenario(name string) (FaultScenario, error) { return faults.Named(name) }
 
 // Simulated-platform types (the substrate substituting the paper's
-// testbed; see DESIGN.md §2).
+// testbed; see DESIGN.md, "Substitutions").
 type (
 	// Server is the simulated dual-socket node.
 	Server = sim.Server
