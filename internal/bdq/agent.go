@@ -403,11 +403,12 @@ func (a *Agent) trainLossGrad(out, targetNext *Output, n int) float64 {
 }
 
 // trainCommit applies the optimiser step, updates replay priorities and
-// periodically syncs the target network.
+// periodically syncs the target network. The step writes the online
+// network's packed panels along with its weights (nn.Dense.RefreshPack),
+// so nothing is invalidated here.
 func (a *Agent) trainCommit() {
 	ws := a.train
 	a.opt.StepAndZeroGrad(a.online.Params())
-	a.online.noteWeightsChanged()
 	a.buffer.UpdatePriorities(ws.batch.Indices, ws.tdErr)
 
 	a.trainSteps++

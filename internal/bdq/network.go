@@ -97,10 +97,11 @@ type Network struct {
 	params []*nn.Param // cached Params() result; layer set is immutable
 	denses []*nn.Dense // cached dense-layer enumeration for the pool
 
-	// weightEpoch counts parameter mutations (optimiser steps, target
-	// syncs, loads, transfers). The persistent packed panels are keyed
-	// by it, so a stale pack can never be used after the weights change
-	// through *any* path.
+	// weightEpoch counts the parameter mutations that leave the packs
+	// behind (target syncs, loads, transfers; not optimiser steps, which
+	// write the panels themselves). The persistent packed panels are
+	// keyed by it, so a stale pack can never be used after the weights
+	// change through any of those paths.
 	weightEpoch int
 	// packEpoch is the weight epoch the dense layers' persistent packs
 	// were last rebuilt at (−1 before the first pack).
@@ -379,14 +380,17 @@ func (n *Network) Params() []*nn.Param {
 }
 
 // noteWeightsChanged invalidates any packed-panel caches keyed on this
-// network's weights. Every code path that mutates parameter values must
-// call it (CopyValuesFrom and ReinitOutputLayers do so themselves; the
-// agent bumps after optimiser steps and checkpoint/weight loads).
+// network's weights. Every code path that mutates parameter values
+// other than an optimiser step must call it (CopyValuesFrom and
+// ReinitOutputLayers do so themselves; the agent bumps after
+// checkpoint/weight loads). An optimiser step leaves every attached
+// pack current and calls nothing.
 func (n *Network) noteWeightsChanged() { n.weightEpoch++ }
 
 // ensurePacks refreshes every dense layer's persistent packed weight
 // panels to the current weight epoch, so weights are packed exactly
-// once per mutation instead of once per product. Forward calls it; the
+// once per mutation instead of once per product — and not at all after
+// an optimiser step, the one frequent writer. Forward calls it; the
 // pool's grouped products (netPack) share the same panels. Packed
 // products are bit-identical to the per-call-packing path
 // (mat.MulPackedBiasAct's contract), so this changes no result.

@@ -16,10 +16,18 @@ import "fmt"
 // kept (owned storage, not the scratch pool) so repeated products
 // against the same weights — the pooled action-selection sweep — skip
 // the per-call packing that makes batch-1 GEMMs memory-bound.
+//
+// Element (t, j) of the operand is Data[(j/PanelWidth)·K·PanelWidth +
+// t·PanelWidth + j%PanelWidth], columns past N zero: a writer that
+// rewrites the whole operand (nn's Adam kernel) may store to the panels
+// itself instead of calling RepackFrom.
 type PackedB struct {
 	K, N int // operand shape: K rows (depth) × N cols
 	Data []float64
 }
+
+// PanelWidth is the number of operand columns one packed panel holds.
+const PanelWidth = nr
 
 // PackB packs b into a persistent panel buffer.
 func PackB(b *Matrix) *PackedB {

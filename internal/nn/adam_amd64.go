@@ -2,5 +2,9 @@
 
 package nn
 
+// cpuHasFMA reports the CPUID FMA bit; the OS-enabled YMM state the
+// instructions also need is what mat.HaveAVX2 already checked.
+func cpuHasFMA() bool
+
 //go:noescape
-func adamStepAVX2(n int, value, grad, m, v *float64, k *adamConsts, zero bool)
+func adamKernel(rows, cols int, value, grad, m, v, pack *float64, k *adamConsts, zero bool)

@@ -2,6 +2,8 @@
 
 package nn
 
-func adamStepAVX2(n int, value, grad, m, v *float64, k *adamConsts, zero bool) {
+func cpuHasFMA() bool { return false }
+
+func adamKernel(rows, cols int, value, grad, m, v, pack *float64, k *adamConsts, zero bool) {
 	panic("nn: asm kernel on non-amd64")
 }

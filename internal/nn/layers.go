@@ -67,14 +67,6 @@ type Dense struct {
 	// minibatch left live (see LiveInputs); −1 until there has been one.
 	liveIn int
 
-	// packW holds persistent packed weight panels (see mat.PackedB).
-	// Owners that track weight epochs (bdq.Network) refresh it after
-	// every weight mutation; while set, Forward runs the packed kernels
-	// at any batch size and skips MulBiasAct's per-call packing —
-	// bitwise identical, pack cost paid once per weight change instead
-	// of once per product.
-	packW *mat.PackedB
-
 	out     workspace // y, batch×Out
 	gradIn  workspace // gradient wrt input, batch×In
 	gm      workspace // masked gradient, batch×Out (FuseReLU only)
@@ -137,8 +129,8 @@ func (d *Dense) ForwardLive(x *mat.Matrix, xl *mat.Live, train bool) *mat.Matrix
 		act = mat.ActReLU
 	}
 	var live int
-	if d.packW != nil {
-		live = mat.MulPackedBiasAct(y, x, xl, d.packW, d.B.Value.Data, act)
+	if pack := d.W.pack; pack != nil {
+		live = mat.MulPackedBiasAct(y, x, xl, pack, d.B.Value.Data, act)
 	} else {
 		live = mat.MulBiasAct(y, x, xl, d.W.Value, d.B.Value.Data, act)
 	}
@@ -157,21 +149,27 @@ func (d *Dense) ForwardLive(x *mat.Matrix, xl *mat.Live, train bool) *mat.Matrix
 // In wherever the product makes no scan (fewer than four rows).
 func (d *Dense) LiveInputs() (live int, ok bool) { return d.liveIn, d.liveIn >= 0 }
 
-// RefreshPack (re)builds the persistent packed weight panels from the
-// current W. The caller owns the refresh discipline: call after every
-// weight mutation (bdq.Network keys this on its weight epoch), or never
-// — a Dense without packs stays on the per-call packing path.
+// RefreshPack (re)builds the persistent packed weight panels (see
+// mat.PackedB) from the current W. They hang on W itself, so the
+// optimiser, which rewrites every weight, writes the panels in the same
+// pass (Adam's stepParam): an optimiser step leaves the pack current.
+// The caller owns the refresh after every other weight mutation
+// (bdq.Network keys this on its weight epoch), or never calls it — a
+// Dense without packs stays on the per-call packing path. While set,
+// Forward runs the packed kernels at any batch size and skips
+// MulBiasAct's per-call packing: bitwise identical, pack cost paid once
+// per weight change instead of once per product.
 func (d *Dense) RefreshPack() {
-	if d.packW == nil {
-		d.packW = &mat.PackedB{}
+	if d.W.pack == nil {
+		d.W.pack = &mat.PackedB{}
 	}
-	d.packW.RepackFrom(d.W.Value)
+	d.W.pack.RepackFrom(d.W.Value)
 }
 
 // Pack returns the persistent packed panels, or nil before the first
 // RefreshPack. Pooled grouped products share these panels with the
 // layer's own Forward.
-func (d *Dense) Pack() *mat.PackedB { return d.packW }
+func (d *Dense) Pack() *mat.PackedB { return d.W.pack }
 
 // Backward accumulates dW = xᵀ·g and db = Σ_rows g, returning g·Wᵀ
 // (nil under NoInputGrad).

@@ -81,18 +81,70 @@ func paperBDQParams() []*Param {
 	return ps
 }
 
-// BenchmarkAdamStep times one optimiser step at paper size.
+// BenchmarkAdamStep times one optimiser step at paper size. The kernel
+// branches on its data (a vector with a lane outside the guard's range
+// divides, see adam_amd64.s), so one fixed dense gradient — /dense, every
+// vector on the reciprocal path — would flatter it. /varied is the state
+// a trained network is in: a quarter of each tensor's columns never
+// fired (g = m = v = 0, the zero lanes that must stay on the fast path),
+// a quarter fired once and have not since (g = 0, moments decaying), one
+// element in a hundred holds a denormal first moment (its vector falls
+// through to the divider) and the rest are dense. The moments are put
+// back every 1 024 steps, off the clock, before the decaying ones leave
+// the guard's range and change what is being timed.
 func BenchmarkAdamStep(b *testing.B) {
-	params := paperBDQParams()
-	rng := rand.New(rand.NewSource(1))
-	for _, p := range params {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = rng.NormFloat64()
+	b.Run("dense", func(b *testing.B) {
+		params := paperBDQParams()
+		rng := rand.New(rand.NewSource(1))
+		for _, p := range params {
+			for i := range p.Grad.Data {
+				p.Grad.Data[i] = rng.NormFloat64()
+			}
 		}
-	}
-	opt := NewAdam(0.0025)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt.Step(params)
-	}
+		opt := NewAdam(0.0025)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			opt.Step(params)
+		}
+	})
+	b.Run("varied", func(b *testing.B) {
+		params := paperBDQParams()
+		rng := rand.New(rand.NewSource(1))
+		var m0, v0 [][]float64
+		for _, p := range params {
+			p.m, p.v = mat.New(p.Value.Rows, p.Value.Cols), mat.New(p.Value.Rows, p.Value.Cols)
+			class := make([]int, p.Value.Cols)
+			for j := range class {
+				class[j] = rng.Intn(4) // 0: never fired, 1: fired once, else dense
+			}
+			for i := range p.Grad.Data {
+				g := rng.NormFloat64()
+				switch c := class[i%p.Value.Cols]; {
+				case c == 0:
+				case rng.Intn(100) == 0:
+					p.m.Data[i] = 5e-324 * float64(1+rng.Intn(1000))
+					p.v.Data[i] = g * g
+				case c == 1:
+					p.m.Data[i], p.v.Data[i] = g, g*g
+				default:
+					p.Grad.Data[i], p.m.Data[i], p.v.Data[i] = g, g, g*g
+				}
+			}
+			m0, v0 = append(m0, mat.Clone(p.m.Data)), append(v0, mat.Clone(p.v.Data))
+		}
+		opt := NewAdam(0.0025)
+		opt.step = 1000 // past the first steps' large bias corrections
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%1024 == 1023 {
+				b.StopTimer()
+				for t, p := range params {
+					copy(p.m.Data, m0[t])
+					copy(p.v.Data, v0[t])
+				}
+				b.StartTimer()
+			}
+			opt.Step(params)
+		}
+	})
 }

@@ -17,6 +17,11 @@ type Param struct {
 	// Adam first/second moment estimates, allocated lazily by the
 	// optimiser so that inference-only networks carry no extra state.
 	m, v *mat.Matrix
+
+	// pack, when non-nil, is Value packed into panels (a Dense's W, see
+	// Dense.RefreshPack). An optimiser step leaves it current; any other
+	// writer of Value owes a RefreshPack.
+	pack *mat.PackedB
 }
 
 // NewParam allocates a zeroed parameter of the given shape.
