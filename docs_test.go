@@ -42,6 +42,22 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 	}
 }
 
+// designBudget is DESIGN.md's contract with every session that has to
+// read it before writing code: what the system is, in this many lines.
+// A PR that needs more room for something new makes it by cutting what
+// the document no longer needs, not by raising this.
+const designBudget = 900
+
+func TestDesignWithinBudget(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n > designBudget {
+		t.Errorf("DESIGN.md is %d lines, over its %d-line budget by %d", n, designBudget, n-designBudget)
+	}
+}
+
 type span struct {
 	text string
 	line int

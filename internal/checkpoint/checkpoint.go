@@ -15,7 +15,10 @@
 // positions, smoothing histories and RNG stream positions.
 package checkpoint
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Magic identifies a checkpoint file from its first read.
 const Magic = "TWIGCKPT"
@@ -56,19 +59,32 @@ func Renamed(c Checkpointable, name string) Checkpointable {
 	return renamed{Checkpointable: c, name: name}
 }
 
-// Marshal encodes the components into one checkpoint container, one
-// section per component in order. Every component encodes in place into
-// the one output buffer; the bytes are those of EncodeFile over the
-// separately encoded payloads.
-func Marshal(comps ...Checkpointable) []byte {
-	e := NewEncoder()
-	e.beginFile(Version, len(comps))
+// Marshal encodes the components into one checkpoint container in a
+// fresh buffer.
+func Marshal(comps ...Checkpointable) []byte { return MarshalAppend(nil, comps...) }
+
+// encoders recycles the Encoder a marshal hands to its components (it
+// escapes through their interface), so a marshal into warm storage
+// allocates nothing. A parked encoder holds no buffer.
+var encoders = sync.Pool{New: func() any { return new(Encoder) }}
+
+// MarshalAppend appends one checkpoint container to dst, one section
+// per component in order, and returns the extended buffer. Every
+// component encodes in place into that one buffer; the container's
+// bytes are those of EncodeFile over the separately encoded payloads.
+// A caller that owns the storage of a container nobody reads any more
+// passes it as dst[:0] and the encode reuses it.
+func MarshalAppend(dst []byte, comps ...Checkpointable) []byte {
+	e := encoders.Get().(*Encoder)
+	e.beginFile(dst, Version, len(comps))
 	for _, c := range comps {
 		start := e.beginSection(c.CheckpointName())
 		c.EncodeState(e)
 		e.endSection(start)
 	}
-	return e.endFile()
+	out := e.endFile()
+	encoders.Put(e) // not deferred: an encoder a panicking component left mid-container is dropped
+	return out
 }
 
 // Verify checks the container framing — magic, version, section frames

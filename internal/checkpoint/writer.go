@@ -12,11 +12,17 @@ import (
 // Submissions are latest-wins: if the disk is slower than the
 // checkpoint cadence, intermediate snapshots are dropped rather than
 // queued, bounding memory to one in-flight plus one pending snapshot.
+//
+// The writer owns a submitted buffer. Once its write has settled — Save
+// returned, or a newer submission replaced it while it was still
+// pending — and never while Save is reading it, the buffer goes on a
+// free list that Buffer hands back out for the next encode.
 type AsyncWriter struct {
-	store *Store
+	save func(seq uint64, data []byte) error // the store's Save; a test slows it
 
 	mu      sync.Mutex
 	pending *snapshot // next snapshot to write, replaced by newer submissions
+	free    [][]byte  // settled buffers awaiting reuse, at most maxFree
 	running bool      // a writer goroutine is draining pending
 	lastErr error     // most recent write failure
 	stats   WriteStats
@@ -49,17 +55,46 @@ type snapshot struct {
 
 // NewAsyncWriter wraps store.
 func NewAsyncWriter(store *Store) *AsyncWriter {
-	return &AsyncWriter{store: store}
+	return &AsyncWriter{save: store.Save}
+}
+
+// maxFree bounds the free list: one buffer for the write in flight and
+// one for the encode that overlaps it is all a steady cadence uses.
+const maxFree = 2
+
+// Buffer returns storage for the next container to Submit — a settled
+// buffer, emptied, for MarshalAppend to fill — or nil when none is free.
+// The caller owns it until it submits it.
+func (w *AsyncWriter) Buffer() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := len(w.free)
+	if n == 0 {
+		return nil
+	}
+	buf := w.free[n-1]
+	w.free[n-1] = nil
+	w.free = w.free[:n-1]
+	return buf[:0]
+}
+
+// recycleLocked takes a settled buffer onto the free list, or drops it
+// when the list is full (caller holds the lock).
+func (w *AsyncWriter) recycleLocked(data []byte) {
+	if len(w.free) < maxFree {
+		w.free = append(w.free, data)
+	}
 }
 
 // Submit hands a snapshot to the background writer and returns
-// immediately. data must not be mutated after the call (Marshal returns
-// a fresh slice, so this is natural).
+// immediately. The writer owns data from here on: the caller must not
+// read or write it again (see Buffer).
 func (w *AsyncWriter) Submit(seq uint64, data []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.pending != nil {
 		w.stats.Dropped++
+		w.recycleLocked(w.pending.data) // superseded before any write read it
 	}
 	w.pending = &snapshot{seq: seq, data: data}
 	if w.running {
@@ -84,10 +119,11 @@ func (w *AsyncWriter) drain() {
 		w.mu.Unlock()
 
 		start := time.Now()
-		err := w.store.Save(snap.seq, snap.data)
+		err := w.save(snap.seq, snap.data)
 		elapsed := time.Since(start)
 
 		w.mu.Lock()
+		w.recycleLocked(snap.data)
 		if err != nil {
 			w.lastErr = err
 			w.stats.Failed++

@@ -244,22 +244,24 @@ func (s *clusterState) DecodeState(d *checkpoint.Decoder) (err error) {
 // fleet container.
 func (c *Coordinator) worldSectionComponents(n *node) []checkpoint.Checkpointable {
 	var out []checkpoint.Checkpointable
-	for _, comp := range n.worldComponents() {
+	for _, comp := range n.world {
 		out = append(out, checkpoint.Renamed(comp, fmt.Sprintf("node%d-%s", n.id, comp.CheckpointName())))
 	}
 	return out
 }
 
-// marshalLocked encodes the full fleet (caller holds the lock): the
-// cluster section plus one renamed world section group per hosted node.
-func (c *Coordinator) marshalLocked() []byte {
+// marshalLocked appends the full fleet's container to dst (caller holds
+// the lock): the cluster section plus one renamed world section group
+// per hosted node. A cut headed for the writer encodes into the writer's
+// own settled storage, c.writer.Buffer().
+func (c *Coordinator) marshalLocked(dst []byte) []byte {
 	comps := []checkpoint.Checkpointable{&clusterState{c: c}}
 	for _, n := range c.nodes {
 		if n.srv != nil {
 			comps = append(comps, c.worldSectionComponents(n)...)
 		}
 	}
-	return checkpoint.Marshal(comps...)
+	return checkpoint.MarshalAppend(dst, comps...)
 }
 
 // Marshal encodes the full fleet state into one crash-consistent
@@ -267,7 +269,7 @@ func (c *Coordinator) marshalLocked() []byte {
 func (c *Coordinator) Marshal() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.marshalLocked()
+	return c.marshalLocked(nil)
 }
 
 // CheckpointNow synchronously cuts a fleet checkpoint at the current
@@ -277,7 +279,7 @@ func (c *Coordinator) CheckpointNow() error {
 		return nil
 	}
 	c.mu.Lock()
-	data := c.marshalLocked()
+	data := c.marshalLocked(c.writer.Buffer())
 	seq := uint64(c.clock)
 	c.mu.Unlock()
 	c.writer.Submit(seq, data)

@@ -196,6 +196,7 @@ type Coordinator struct {
 	events []string // recent coordinator decisions, newest last
 
 	metrics *metrics.Registry
+	series  clusterSeries
 	writer  *checkpoint.AsyncWriter
 }
 
@@ -320,7 +321,7 @@ func (c *Coordinator) Step() StepSummary {
 	c.clock = t + 1
 	c.energyJ += energy
 	if c.writer != nil && c.clock%c.cfg.CheckpointEvery == 0 {
-		c.writer.Submit(uint64(c.clock), c.marshalLocked())
+		c.writer.Submit(uint64(c.clock), c.marshalLocked(c.writer.Buffer()))
 	}
 	return StepSummary{Time: t, EnergyJ: energy, Active: active}
 }

@@ -186,7 +186,7 @@ func TestWarmFailoverPreservesControllerState(t *testing.T) {
 	}
 	// The snapshot carried 20 Decide calls (t=0..19); the restored node
 	// decides t=21..29. A cold restart would show only 9.
-	ctl := c.nodes[2].comps[0].(*testCtl)
+	ctl := c.nodes[2].world[1].(*testCtl) // world[0] is the simulator
 	if ctl.steps != 29 {
 		t.Fatalf("restored controller Decide count = %d, want 29 (snapshot state lost?)", ctl.steps)
 	}

@@ -30,15 +30,38 @@ func (c *Coordinator) describeMetrics() {
 		"kernel": mat.KernelName(),
 		"cpu":    mat.CPUFeatures(),
 	}, 1)
+
+	// The labelled series updateMetrics writes every interval are
+	// resolved here, once, so the interval renders no label set.
+	for i, name := range machineStateNames {
+		c.series.nodes[i] = m.Series("twig_cluster_nodes", metrics.Labels{"state": name})
+	}
+	for s := range c.series.replicas {
+		c.series.replicas[s] = m.Series("twig_cluster_replicas", metrics.Labels{"state": ReplicaState(s).String()})
+	}
+	c.series.failWarm = m.Series("twig_cluster_failovers_total", metrics.Labels{"mode": "warm"})
+	c.series.failCold = m.Series("twig_cluster_failovers_total", metrics.Labels{"mode": "cold"})
+	c.series.shedLC = m.Series("twig_cluster_shed_intervals_total", metrics.Labels{"class": "lc"})
+	c.series.shedBatch = m.Series("twig_cluster_shed_intervals_total", metrics.Labels{"class": "batch"})
 }
 
-var replicaStateNames = func() []string {
-	names := make([]string, numReplicaStates)
-	for s := 0; s < numReplicaStates; s++ {
-		names[s] = ReplicaState(s).String()
-	}
-	return names
-}()
+// clusterSeries holds the coordinator's labelled series.
+type clusterSeries struct {
+	nodes                                 [len(machineStateNames)]*metrics.Series
+	replicas                              [numReplicaStates]*metrics.Series
+	failWarm, failCold, shedLC, shedBatch *metrics.Series
+}
+
+// A node's machine state for the node-state gauge and /status, and the
+// gauge's label values in scrape order.
+const (
+	nodeUp = iota
+	nodeCrashed
+	nodePartitioned
+	nodeFenced
+)
+
+var machineStateNames = [...]string{nodeUp: "up", nodeCrashed: "crashed", nodePartitioned: "partitioned", nodeFenced: "fenced"}
 
 // updateMetrics refreshes the registry after one interval (caller holds
 // the coordinator lock). Totals backed by the checkpointed counters are
@@ -51,15 +74,15 @@ func (c *Coordinator) updateMetrics() {
 	// reports the true total rather than only post-restore steps.
 	m.Set("twig_cluster_intervals_total", nil, float64(c.clock+1))
 
-	states := map[string]int{"up": 0, "crashed": 0, "partitioned": 0, "fenced": 0}
+	var states [len(machineStateNames)]int
 	for _, n := range c.nodes {
 		states[n.machineState()]++
 	}
-	for _, name := range []string{"up", "crashed", "partitioned", "fenced"} {
-		m.Set("twig_cluster_nodes", metrics.Labels{"state": name}, float64(states[name]))
+	for i, count := range states {
+		c.series.nodes[i].Set(float64(count))
 	}
 
-	byState := make([]int, numReplicaStates)
+	var byState [numReplicaStates]int
 	shed := 0
 	for _, r := range c.replicas {
 		byState[r.State]++
@@ -67,20 +90,20 @@ func (c *Coordinator) updateMetrics() {
 			shed++
 		}
 	}
-	for s, name := range replicaStateNames {
-		m.Set("twig_cluster_replicas", metrics.Labels{"state": name}, float64(byState[s]))
+	for s, count := range byState {
+		c.series.replicas[s].Set(float64(count))
 	}
 	m.Set("twig_cluster_replicas_shed", nil, float64(shed))
 
 	m.Set("twig_cluster_lease_expiries_total", nil, float64(c.ctr.LeaseExpiries))
 	m.Set("twig_cluster_node_restarts_detected_total", nil, float64(c.ctr.RestartsSeen))
-	m.Set("twig_cluster_failovers_total", metrics.Labels{"mode": "warm"}, float64(c.ctr.WarmRestores))
-	m.Set("twig_cluster_failovers_total", metrics.Labels{"mode": "cold"}, float64(c.ctr.ColdRestores))
+	c.series.failWarm.Set(float64(c.ctr.WarmRestores))
+	c.series.failCold.Set(float64(c.ctr.ColdRestores))
 	m.Set("twig_cluster_placement_failures_total", nil, float64(c.ctr.PlacementFails))
 	m.Set("twig_cluster_dead_letters_total", nil, float64(c.ctr.DeadLetters))
 	m.Set("twig_cluster_shed_episodes_total", nil, float64(c.ctr.ShedEpisodes))
-	m.Set("twig_cluster_shed_intervals_total", metrics.Labels{"class": "lc"}, float64(c.ctr.ShedLC))
-	m.Set("twig_cluster_shed_intervals_total", metrics.Labels{"class": "batch"}, float64(c.ctr.ShedBatch))
+	c.series.shedLC.Set(float64(c.ctr.ShedLC))
+	c.series.shedBatch.Set(float64(c.ctr.ShedBatch))
 	m.Set("twig_cluster_decide_panics_total", nil, float64(c.ctr.DecidePanics))
 	m.Set("twig_cluster_step_errors_total", nil, float64(c.ctr.StepErrors))
 	m.Set("twig_cluster_snapshots_total", nil, float64(c.ctr.SnapshotsTaken))
@@ -88,17 +111,16 @@ func (c *Coordinator) updateMetrics() {
 	m.Set("twig_cluster_energy_joules", nil, c.energyJ)
 }
 
-// machineState classifies a node for the node-state gauge, most severe
-// condition first.
-func (n *node) machineState() string {
+// machineState classifies a node, most severe condition first.
+func (n *node) machineState() int {
 	switch {
 	case !n.alive:
-		return "crashed"
+		return nodeCrashed
 	case n.fenced:
-		return "fenced"
+		return nodeFenced
 	case n.partitioned:
-		return "partitioned"
+		return nodePartitioned
 	default:
-		return "up"
+		return nodeUp
 	}
 }

@@ -51,13 +51,23 @@ type node struct {
 
 	srv        *sim.Server
 	controller ctrl.Controller
-	comps      []checkpoint.Checkpointable
 	loop       *ctrl.Loop // the interval kernel over srv and controller, rebuilt with them
+	// world lists every checkpointable of the running world in snapshot
+	// section order — simulator, controller components, loop state —
+	// rebuilt with the controller.
+	world []checkpoint.Checkpointable
 
 	// snapshot is the latest warm in-memory checkpoint of the node's
 	// world and controller stack, the source for warm failover;
 	// snapReplicas the replica IDs it covers, snapClock the coordinator
 	// interval it was cut at.
+	//
+	// The node is the buffer's only owner, which is what lets
+	// takeSnapshot encode the next snapshot over the previous one: failOver
+	// moves the slice to the estate and nils it here, the fleet
+	// checkpoint copies the bytes out (Encoder.Blob) and a restored
+	// coordinator gets its own copy (Decoder.Blob). Nothing may retain
+	// n.snapshot across a Step.
 	snapshot     []byte
 	snapReplicas []int
 	snapClock    int
@@ -111,8 +121,10 @@ func (c *Coordinator) buildController(n *node) {
 	for i, id := range n.replicas {
 		specs[i] = c.replicas[id].Spec
 	}
-	n.controller, n.comps = c.cfg.Factory(n.srv, specs, c.seedFor(n)+int64(n.gen)*7919)
+	var comps []checkpoint.Checkpointable
+	n.controller, comps = c.cfg.Factory(n.srv, specs, c.seedFor(n)+int64(n.gen)*7919)
 	n.loop = ctrl.NewLoop(n.srv, n.controller)
+	n.world = append(append([]checkpoint.Checkpointable{n.srv}, comps...), nodeLoopState{n.loop})
 }
 
 // dropWorld discards n's world and controller stack (crash or fence).
@@ -122,8 +134,8 @@ func (n *node) dropWorld() {
 	closeController(n.controller)
 	n.srv = nil
 	n.controller = nil
-	n.comps = nil
 	n.loop = nil
+	n.world = nil
 }
 
 // evict removes the replica at simulator index idx from n's world.
@@ -162,19 +174,11 @@ type nodeLoopState struct{ *ctrl.Loop }
 // CheckpointName implements checkpoint.Checkpointable.
 func (nodeLoopState) CheckpointName() string { return "cluster-node-loop" }
 
-// worldComponents lists every checkpointable of n's running world in
-// snapshot section order: simulator, controller components, loop state.
-func (n *node) worldComponents() []checkpoint.Checkpointable {
-	comps := []checkpoint.Checkpointable{n.srv}
-	comps = append(comps, n.comps...)
-	comps = append(comps, nodeLoopState{n.loop})
-	return comps
-}
-
-// takeSnapshot cuts n's in-memory warm-failover container.
+// takeSnapshot cuts n's in-memory warm-failover container into the
+// storage of the snapshot it replaces.
 func (c *Coordinator) takeSnapshot(n *node) {
-	n.snapshot = checkpoint.Marshal(n.worldComponents()...)
-	n.snapReplicas = append([]int(nil), n.replicas...)
+	n.snapshot = checkpoint.MarshalAppend(n.snapshot[:0], n.world...)
+	n.snapReplicas = append(n.snapReplicas[:0], n.replicas...)
 	n.snapClock = c.clock
 }
 
@@ -187,7 +191,7 @@ func (c *Coordinator) restoreSnapshot(n *node, snapshot []byte, ids []int) error
 		return fmt.Errorf("cluster: node %d is not empty", n.id)
 	}
 	c.buildWorld(n, ids)
-	if err := checkpoint.Unmarshal(snapshot, n.worldComponents()...); err != nil {
+	if err := checkpoint.Unmarshal(snapshot, n.world...); err != nil {
 		n.replicas = nil
 		n.dropWorld()
 		return err

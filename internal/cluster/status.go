@@ -88,7 +88,7 @@ func (c *Coordinator) Summary() Summary {
 	for _, n := range c.nodes {
 		s.Nodes = append(s.Nodes, NodeView{
 			ID:       n.id,
-			State:    n.machineState(),
+			State:    machineStateNames[n.machineState()],
 			Lease:    n.coordLive,
 			LastSeen: n.lastSeen,
 			Rejoins:  n.rejoins,

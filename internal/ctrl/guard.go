@@ -1,7 +1,9 @@
 package ctrl
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/platform"
@@ -97,6 +99,11 @@ type Guard struct {
 
 	lastPowerW float64
 	havePower  bool
+
+	// managed[c] reports whether core c is in the managed set; seen is
+	// validate's per-service duplicate filter over the same index range,
+	// all false between uses.
+	managed, seen []bool
 }
 
 // NewGuard wraps inner. The config's ManagedCores must be non-empty;
@@ -121,7 +128,16 @@ func NewGuard(inner Controller, cfg GuardConfig) *Guard {
 	if cfg.MaxFreqGHz == 0 {
 		cfg.MinFreqGHz, cfg.MaxFreqGHz = platform.MinFreqGHz, platform.MaxFreqGHz
 	}
-	return &Guard{inner: inner, cfg: cfg}
+	if lo := slices.Min(cfg.ManagedCores); lo < 0 {
+		panic(fmt.Sprintf("ctrl: guard managed core ID %d is negative", lo))
+	}
+	g := &Guard{inner: inner, cfg: cfg}
+	g.managed = make([]bool, slices.Max(cfg.ManagedCores)+1)
+	for _, c := range cfg.ManagedCores {
+		g.managed[c] = true
+	}
+	g.seen = make([]bool, len(g.managed))
+	return g
 }
 
 // Name labels runs with the wrapped controller's name.
@@ -250,11 +266,6 @@ func (g *Guard) validate(asg sim.Assignment, k int) sim.Assignment {
 		return g.fallback(k)
 	}
 
-	managed := make(map[int]bool, len(g.cfg.ManagedCores))
-	for _, c := range g.cfg.ManagedCores {
-		managed[c] = true
-	}
-
 	out := sim.Assignment{
 		PerService:  make([]sim.Allocation, k),
 		IdleFreqGHz: asg.IdleFreqGHz,
@@ -268,13 +279,17 @@ func (g *Guard) validate(asg sim.Assignment, k int) sim.Assignment {
 		}
 	}
 	for i, al := range asg.PerService {
-		seen := make(map[int]bool, len(al.Cores))
+		// The kept cores go into a fresh slice: whoever receives the
+		// assignment may retain it.
 		cores := make([]int, 0, len(al.Cores))
 		for _, c := range al.Cores {
-			if managed[c] && !seen[c] {
-				seen[c] = true
+			if c >= 0 && c < len(g.managed) && g.managed[c] && !g.seen[c] {
+				g.seen[c] = true
 				cores = append(cores, c)
 			}
+		}
+		for _, c := range cores {
+			g.seen[c] = false
 		}
 		if len(cores) != len(al.Cores) {
 			clamped = true

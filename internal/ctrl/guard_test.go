@@ -150,6 +150,40 @@ func TestGuardClampsActions(t *testing.T) {
 	}
 }
 
+// The duplicate filter is scratch the guard owns: it must read empty for
+// every service and every decision, and the cores handed out must be the
+// caller's to keep — not the inner controller's slice, not the scratch.
+func TestGuardValidateScratchAndFreshCores(t *testing.T) {
+	shared := []int{19, 18, 19, 7}
+	inner := &fakeCtrl{name: "dup", decide: func(o Observation) sim.Assignment {
+		return sim.Assignment{PerService: []sim.Allocation{
+			{Cores: shared, FreqGHz: 1.5},
+			{Cores: shared, FreqGHz: 1.5},
+		}}
+	}}
+	g := NewGuard(inner, DefaultGuardConfig(testCores))
+	obs := Observation{Services: []ServiceObs{{P99Ms: 3, QoSTargetMs: 5}, {P99Ms: 3, QoSTargetMs: 5}}, PowerW: 50}
+	var kept [][]int
+	for round := 0; round < 3; round++ {
+		asg := g.Decide(obs)
+		for i, al := range asg.PerService {
+			if len(al.Cores) != 2 || al.Cores[0] != 19 || al.Cores[1] != 18 {
+				t.Fatalf("round %d service %d: cores %v, want [19 18]", round, i, al.Cores)
+			}
+			kept = append(kept, al.Cores)
+			al.Cores[0] = -5 // a retained assignment is the holder's to scribble
+		}
+	}
+	if shared[0] != 19 {
+		t.Fatal("guard handed out the inner controller's slice")
+	}
+	for i, cores := range kept {
+		if cores[0] != -5 || cores[1] != 18 {
+			t.Fatalf("retained cores %d changed under their holder: %v", i, cores)
+		}
+	}
+}
+
 func TestGuardFillsEmptyAllocation(t *testing.T) {
 	inner := &fakeCtrl{name: "empty", decide: func(o Observation) sim.Assignment {
 		return sim.Assignment{PerService: []sim.Allocation{{FreqGHz: 1.5}}}

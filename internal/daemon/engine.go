@@ -133,6 +133,7 @@ type entry struct {
 	remove     bool   // deregister once terminal
 	drainFor   int    // intervals spent draining, for the timeout
 	failReason string // why the last placement failed (sticky on dead-letter)
+	series     entrySeries
 }
 
 func (en *entry) view() ServiceView {
@@ -267,6 +268,7 @@ func (e *Engine) register(req AdmitRequest) (*entry, error) {
 		qosMs:   qos,
 		seed:    e.cfg.Seed + int64(e.admitted)*101,
 		pat:     pat,
+		series:  e.seriesFor(req.Name),
 	}
 	e.admitted++
 	e.entries = append(e.entries, en)
@@ -562,7 +564,7 @@ func (e *Engine) Step() (sim.StepResult, error) {
 
 	e.updateMetrics(res, live, e.cfg.Now().Sub(start))
 	if e.writer != nil && e.next%e.cfg.CheckpointEvery == 0 {
-		e.writer.Submit(uint64(e.next), e.marshal())
+		e.writer.Submit(uint64(e.next), e.marshal(e.writer.Buffer()))
 	}
 	return res, nil
 }
@@ -688,7 +690,7 @@ func (e *Engine) CheckpointNow() error {
 		return nil
 	}
 	e.mu.Lock()
-	data := e.marshal()
+	data := e.marshal(e.writer.Buffer())
 	seq := uint64(e.next)
 	e.mu.Unlock()
 	e.writer.Submit(seq, data)

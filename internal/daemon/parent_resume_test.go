@@ -80,7 +80,7 @@ func resumeParentCheckpoint(t *testing.T, fixture string, config func(*checkpoin
 	}
 	// The daemon section's tail is ctrl.Loop's codec since the interval
 	// kernel: the restored engine must write back the parent's bytes.
-	if !bytes.Equal(e.marshal(), raw) {
+	if !bytes.Equal(e.marshal(nil), raw) {
 		t.Fatal("re-marshalling the restored engine does not reproduce the parent's bytes")
 	}
 	got := runScripted(t, e, total, e2eScript())
@@ -91,7 +91,7 @@ func resumeParentCheckpoint(t *testing.T, fixture string, config func(*checkpoin
 		// Since parent_pr17 the rows end with the hash of the parent's whole
 		// state at the end of its run: every weight and moment, not only
 		// the decisions they led to.
-		got = append(got, fmt.Sprintf("final sha256=%x", sha256.Sum256(e.marshal())))
+		got = append(got, fmt.Sprintf("final sha256=%x", sha256.Sum256(e.marshal(nil))))
 	}
 	if len(got) != len(want) {
 		t.Fatalf("resumed run produced %d rows, the parent's %d", len(got), len(want))

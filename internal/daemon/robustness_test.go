@@ -157,11 +157,17 @@ func TestCorruptCheckpointFallbackSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RunTo(30, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.FlushCheckpoints(); err != nil {
-		t.Fatal(err)
+	// The test needs two cuts on disk. The writer is latest-wins — a cut
+	// still pending when the next is submitted is superseded — so each
+	// one is flushed at its cadence boundary instead of racing the
+	// writer goroutine.
+	for _, until := range []int{20, 30} {
+		if err := e.RunTo(until, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.FlushCheckpoints(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	seqs, err := store.Sequences()
 	if err != nil || len(seqs) < 2 {

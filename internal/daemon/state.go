@@ -137,15 +137,17 @@ func (e *Engine) snapshotState() *daemonState {
 	return st
 }
 
-// marshal encodes the full control plane (caller holds the engine lock):
-// the daemon registry/loop section plus the simulator, manager, drainer
-// and (when enabled) guard sections.
-func (e *Engine) marshal() []byte {
+// marshal appends the full control plane's container to dst (caller
+// holds the engine lock): the daemon registry/loop section plus the
+// simulator, manager, drainer and (when enabled) guard sections. A cut
+// headed for the writer encodes into the writer's own settled storage,
+// e.writer.Buffer().
+func (e *Engine) marshal(dst []byte) []byte {
 	comps := []checkpoint.Checkpointable{e.snapshotState(), e.srv, e.mgr, e.drainer}
 	if e.guard != nil {
 		comps = append(comps, e.guard)
 	}
-	return checkpoint.Marshal(comps...)
+	return checkpoint.MarshalAppend(dst, comps...)
 }
 
 // RestoreLatest rebuilds an engine from the newest valid checkpoint in
@@ -222,6 +224,7 @@ func RestoreLatest(cfg Config) (*Engine, uint64, error) {
 			remove:     pe.remove,
 			drainFor:   pe.drainFor,
 			failReason: pe.failReason,
+			series:     e.seriesFor(pe.name),
 		}
 		e.entries = append(e.entries, en)
 		if pe.inSim {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/twig-sched/twig/internal/mat"
+	"github.com/twig-sched/twig/internal/metrics"
 	"github.com/twig-sched/twig/internal/sim"
 )
 
@@ -79,13 +80,32 @@ func (e *Engine) liveInputs() map[string]float64 {
 	return out
 }
 
-var stateNames = func() []string {
-	names := make([]string, numStates)
-	for s := 0; s < numStates; s++ {
-		names[s] = State(s).String()
+// entrySeries are the series one service's per-interval metrics go to,
+// resolved when the service is registered: the interval writes through
+// them and renders no label set.
+type entrySeries struct {
+	violations, p99, qosTarget, cores, freq, queueLen, breaker *metrics.Series
+	state                                                      [numStates]*metrics.Series
+}
+
+// seriesFor resolves the per-service series for name. Nothing shows in
+// a scrape until its first write.
+func (e *Engine) seriesFor(name string) entrySeries {
+	m, lbl := e.metrics, Labels{"service": name}
+	es := entrySeries{
+		violations: m.Series("twigd_qos_violations_total", lbl),
+		p99:        m.Series("twigd_service_p99_ms", lbl),
+		qosTarget:  m.Series("twigd_service_qos_target_ms", lbl),
+		cores:      m.Series("twigd_service_cores", lbl),
+		freq:       m.Series("twigd_service_freq_ghz", lbl),
+		queueLen:   m.Series("twigd_service_queue_len", lbl),
+		breaker:    m.Series("twigd_guard_breaker_engaged", lbl),
 	}
-	return names
-}()
+	for s := range es.state {
+		es.state[s] = m.Series("twigd_service_state", Labels{"service": name, "state": State(s).String()})
+	}
+	return es
+}
 
 // updateMetrics refreshes the registry after one interval (caller holds
 // the engine lock). Counters derived from cumulative sources (guard
@@ -99,24 +119,23 @@ func (e *Engine) updateMetrics(res sim.StepResult, live []*entry, elapsed time.D
 
 	for i, en := range live {
 		sv := res.Services[i]
-		lbl := Labels{"service": en.name}
 		if math.IsNaN(sv.P99Ms) || sv.P99Ms > en.qosMs {
-			m.Add("twigd_qos_violations_total", lbl, 1)
+			en.series.violations.Add(1)
 		}
-		m.Set("twigd_service_p99_ms", lbl, sv.P99Ms)
-		m.Set("twigd_service_qos_target_ms", lbl, en.qosMs)
-		m.Set("twigd_service_cores", lbl, float64(sv.NumCores))
-		m.Set("twigd_service_freq_ghz", lbl, sv.FreqGHz)
-		m.Set("twigd_service_queue_len", lbl, float64(sv.QueueLen))
+		en.series.p99.Set(sv.P99Ms)
+		en.series.qosTarget.Set(en.qosMs)
+		en.series.cores.Set(float64(sv.NumCores))
+		en.series.freq.Set(sv.FreqGHz)
+		en.series.queueLen.Set(float64(sv.QueueLen))
 	}
 	for _, en := range e.entries {
-		cur := en.lc.State().String()
-		for _, name := range stateNames {
+		cur := en.lc.State()
+		for s, series := range en.series.state {
 			v := 0.0
-			if name == cur {
+			if State(s) == cur {
 				v = 1
 			}
-			m.Set("twigd_service_state", Labels{"service": en.name, "state": name}, v)
+			series.Set(v)
 		}
 	}
 
@@ -135,7 +154,7 @@ func (e *Engine) updateMetrics(res sim.StepResult, live []*entry, elapsed time.D
 			if i < len(engaged) && engaged[i] {
 				v = 1
 			}
-			m.Set("twigd_guard_breaker_engaged", Labels{"service": en.name}, v)
+			en.series.breaker.Set(v)
 		}
 	}
 

@@ -30,8 +30,21 @@ type Registry struct {
 
 type family struct {
 	typ, help string
-	series    map[string]float64
-	keys      []string // insertion order of series keys
+	series    map[string]*Series
+	keys      []string // keys of the series written so far, in first-write order
+}
+
+// Series is one series of a family with its label set already rendered:
+// the handle a caller that writes the same series every interval keeps,
+// so the write is a store under the registry lock and nothing else. A
+// series appears in Render from its first Set or Add, not from its
+// resolution.
+type Series struct {
+	r       *Registry
+	f       *family
+	key     string
+	v       float64
+	written bool
 }
 
 // NewRegistry returns an empty registry.
@@ -47,32 +60,64 @@ func (r *Registry) Describe(name, typ, help string) {
 	if _, dup := r.families[name]; dup {
 		panic(fmt.Sprintf("metrics: metric %q declared twice", name))
 	}
-	r.families[name] = &family{typ: typ, help: help, series: map[string]float64{}}
+	r.families[name] = &family{typ: typ, help: help, series: map[string]*Series{}}
 	r.names = append(r.names, name)
 }
 
-// Add increments a counter series by delta (creating it at delta).
-func (r *Registry) Add(name string, labels Labels, delta float64) {
+// Series resolves the series of a declared family with the given labels,
+// rendering the label set once. Equal (name, labels) give the same
+// handle.
+func (r *Registry) Series(name string, labels Labels) *Series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.mustFamily(name)
-	k := renderLabels(labels)
-	if _, ok := f.series[k]; !ok {
-		f.keys = append(f.keys, k)
+	f, ok := r.families[name]
+	if !ok {
+		panic(fmt.Sprintf("metrics: metric %q used before Describe", name))
 	}
-	f.series[k] += delta
+	k := renderLabels(labels)
+	s, ok := f.series[k]
+	if !ok {
+		s = &Series{r: r, f: f, key: k}
+		f.series[k] = s
+	}
+	return s
 }
 
-// Set overwrites a gauge series with v (creating it if needed).
+// Add increments a counter series by delta (creating it at delta). A
+// caller that writes the series every interval keeps its Series instead.
+func (r *Registry) Add(name string, labels Labels, delta float64) {
+	r.Series(name, labels).Add(delta)
+}
+
+// Set overwrites a gauge series with v (creating it if needed). A
+// caller that writes the series every interval keeps its Series instead.
 func (r *Registry) Set(name string, labels Labels, v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.mustFamily(name)
-	k := renderLabels(labels)
-	if _, ok := f.series[k]; !ok {
-		f.keys = append(f.keys, k)
+	r.Series(name, labels).Set(v)
+}
+
+// Add increments the series by delta.
+func (s *Series) Add(delta float64) {
+	s.r.mu.Lock()
+	defer s.r.mu.Unlock()
+	s.touchLocked()
+	s.v += delta
+}
+
+// Set overwrites the series with v.
+func (s *Series) Set(v float64) {
+	s.r.mu.Lock()
+	defer s.r.mu.Unlock()
+	s.touchLocked()
+	s.v = v
+}
+
+// touchLocked enters the series into its family's render list on its
+// first write.
+func (s *Series) touchLocked() {
+	if !s.written {
+		s.written = true
+		s.f.keys = append(s.f.keys, s.key)
 	}
-	f.series[k] = v
 }
 
 // Get returns the current value of a series (0 if absent); tests use it
@@ -84,15 +129,10 @@ func (r *Registry) Get(name string, labels Labels) float64 {
 	if !ok {
 		return 0
 	}
-	return f.series[renderLabels(labels)]
-}
-
-func (r *Registry) mustFamily(name string) *family {
-	f, ok := r.families[name]
-	if !ok {
-		panic(fmt.Sprintf("metrics: metric %q used before Describe", name))
+	if s, ok := f.series[renderLabels(labels)]; ok {
+		return s.v
 	}
-	return f
+	return 0
 }
 
 // Render writes the registry in the Prometheus text exposition format.
@@ -114,7 +154,7 @@ func (r *Registry) Render() string {
 			b.WriteString(name)
 			b.WriteString(k)
 			b.WriteByte(' ')
-			b.WriteString(strconv.FormatFloat(f.series[k], 'g', -1, 64))
+			b.WriteString(strconv.FormatFloat(f.series[k].v, 'g', -1, 64))
 			b.WriteByte('\n')
 		}
 	}

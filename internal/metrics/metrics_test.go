@@ -46,3 +46,40 @@ func mustPanic(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
+
+// A resolved Series writes what Set/Add by name write, renders nothing
+// before its first write, and costs no allocation per write.
+func TestSeriesHandle(t *testing.T) {
+	byName, byHandle := NewRegistry(), NewRegistry()
+	for _, r := range []*Registry{byName, byHandle} {
+		r.Describe("g", "gauge", "")
+		r.Describe("c_total", "counter", "")
+	}
+	lz, la := Labels{"svc": "z", "state": "up"}, Labels{"svc": "a"}
+	hz, ha, hc := byHandle.Series("g", lz), byHandle.Series("g", la), byHandle.Series("c_total", nil)
+	if got := byHandle.Render(); got != byName.Render() {
+		t.Fatalf("resolving series changed the scrape:\n%s", got)
+	}
+	if byHandle.Series("g", Labels{"state": "up", "svc": "z"}) != hz {
+		t.Fatal("equal labels resolved to two handles")
+	}
+	for i := 0; i < 3; i++ {
+		byName.Set("g", lz, float64(i))
+		byName.Set("g", la, 7)
+		byName.Add("c_total", nil, 2)
+		hz.Set(float64(i))
+		ha.Set(7)
+		hc.Add(2)
+	}
+	byName.Add("c_total", nil, 1) // handle and name reach the same series
+	byHandle.Add("c_total", nil, 1)
+	if got, want := byHandle.Render(), byName.Render(); got != want {
+		t.Fatalf("handle writes render differently:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if v := byHandle.Get("c_total", nil); v != 7 {
+		t.Fatalf("Get = %v, want 7", v)
+	}
+	if n := testing.AllocsPerRun(100, func() { hz.Set(1); hc.Add(1) }); n != 0 {
+		t.Fatalf("a handle write allocates %v times, want 0", n)
+	}
+}

@@ -52,36 +52,27 @@ func DecodeParams(d *checkpoint.Decoder, params []*Param) error {
 			return fmt.Errorf("nn: param %q shape %dx%d in checkpoint, %dx%d in network",
 				name, rows, cols, p.Value.Rows, p.Value.Cols)
 		}
-		vals := d.F64s()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if len(vals) != rows*cols {
-			return fmt.Errorf("nn: param %q has %d values for shape %dx%d", name, len(vals), rows, cols)
-		}
-		copy(p.Value.Data, vals)
+		// Value and moments decode in place: the live shape was just
+		// matched, and F64sInto rejects any other stored length before
+		// it writes.
+		d.F64sInto(p.Value.Data)
 		hasMoments := d.Bool()
 		if err := d.Err(); err != nil {
-			return err
+			return fmt.Errorf("nn: param %q: %w", name, err)
 		}
 		if !hasMoments {
 			p.m, p.v = nil, nil
 			continue
 		}
-		m, v := d.F64s(), d.F64s()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if len(m) != rows*cols || len(v) != rows*cols {
-			return fmt.Errorf("nn: param %q moment lengths %d/%d for shape %dx%d",
-				name, len(m), len(v), rows, cols)
-		}
 		if p.m == nil {
 			p.m = mat.New(rows, cols)
 			p.v = mat.New(rows, cols)
 		}
-		copy(p.m.Data, m)
-		copy(p.v.Data, v)
+		d.F64sInto(p.m.Data)
+		d.F64sInto(p.v.Data)
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("nn: param %q moments: %w", name, err)
+		}
 	}
 	return nil
 }

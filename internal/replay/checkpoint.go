@@ -56,24 +56,63 @@ func encodeTransition(e *checkpoint.Encoder, t Transition) {
 	e.Bool(t.Done)
 }
 
-func decodeTransition(d *checkpoint.Decoder) Transition {
+// slabs are the two backing arrays a restored ring's transitions are
+// sub-sliced from: one allocation per element type instead of four per
+// transition.
+type slabs struct {
+	floats []float64
+	ints   []int
+}
+
+// tail returns what a decode appended to slab after start, capped at its
+// own length so an append through it can never reach its neighbour (nil
+// when nothing was appended: an empty slice decodes as nil).
+func tail[T any](slab []T, start int) []T {
+	if len(slab) == start {
+		return nil
+	}
+	return slab[start:len(slab):len(slab)]
+}
+
+func (s *slabs) f64s(d *checkpoint.Decoder) []float64 {
+	start := len(s.floats)
+	s.floats = d.F64sAppend(s.floats)
+	return tail(s.floats, start)
+}
+
+func (s *slabs) intSlice(d *checkpoint.Decoder) []int {
+	start := len(s.ints)
+	s.ints = d.IntsAppend(s.ints)
+	return tail(s.ints, start)
+}
+
+func (s *slabs) transition(d *checkpoint.Decoder) Transition {
 	return Transition{
-		State:     d.F64s(),
-		Actions:   d.Ints(),
-		Rewards:   d.F64s(),
-		NextState: d.F64s(),
+		State:     s.f64s(d),
+		Actions:   s.intSlice(d),
+		Rewards:   s.f64s(d),
+		NextState: s.f64s(d),
 		Done:      d.Bool(),
 	}
 }
 
 // decodeTransitions replaces the contents of ring with n decoded
 // transitions, releasing what it held. The caller has bounded n by the
-// payload.
+// payload. Every transition of a live ring has the first one's shape, so
+// the first is decoded on its own and sizes the slabs for the rest
+// (never past what the payload can hold); a ring that breaks the rule
+// still decodes, the slab it outgrows just stops being shared.
 func decodeTransitions(d *checkpoint.Decoder, ring []Transition, n int) []Transition {
 	clear(ring)
 	ring = slices.Grow(ring[:0], n)
+	var s slabs
 	for i := 0; i < n; i++ {
-		ring = append(ring, decodeTransition(d))
+		if i == 1 {
+			t, room := ring[0], d.Remaining()/8
+			s.floats = make([]float64, 0, min((n-1)*(len(t.State)+len(t.Rewards)+len(t.NextState)), room))
+			s.ints = make([]int, 0, min((n-1)*len(t.Actions), room))
+		}
+		ring = append(ring, s.transition(d))
 	}
 	return ring
 }
