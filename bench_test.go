@@ -442,20 +442,33 @@ func BenchmarkSimulatorStepAgenticBurst(b *testing.B) {
 // The leaves of the simulator step, each at a fixed operating point.
 
 // BenchmarkServiceRunInterval is one service-interval of the queueing
-// model (masstree on a full socket) at three load levels; overload runs
-// against the backlog cap.
+// model on a full socket: masstree at three load levels (overload runs
+// against the backlog cap), memcached near saturation — the longest runs
+// any process sorts, about 30 000 sojourns — and masstree with constant
+// request work, whose sojourns sit a few ulps apart under the odd queued
+// one and so pile into a few of the sort's buckets.
 func BenchmarkServiceRunInterval(b *testing.B) {
-	p := service.MustLookup("masstree")
 	shares, freqs := make([]float64, 18), make([]float64, 18)
 	for i := range shares {
 		shares[i], freqs[i] = 1, 2.0
 	}
-	capGHz := p.CapacityGHz(shares, freqs)
+	masstree, memcached := service.MustLookup("masstree"), service.MustLookup("memcached")
+	constant := masstree
+	constant.WorkSigma = 0
 	for _, lv := range []struct {
 		name string
+		p    service.Profile
 		frac float64
-	}{{"light", 0.2}, {"near-saturation", 0.95}, {"overload", 1.6}} {
+	}{
+		{"light", masstree, 0.2},
+		{"near-saturation", masstree, 0.95},
+		{"overload", masstree, 1.6},
+		{"memcached/near-saturation", memcached, 0.95},
+		{"clustered", constant, 0.5},
+	} {
 		b.Run(lv.name, func(b *testing.B) {
+			p := lv.p
+			capGHz := p.CapacityGHz(shares, freqs)
 			inst := service.NewInstance(p, 18, 1)
 			for i := 0; i < simWarmSteps; i++ {
 				inst.RunInterval(lv.frac*p.MaxLoadRPS, capGHz, 1.05, 1)

@@ -271,6 +271,21 @@ func TestRunIntervalMatchesReference(t *testing.T) {
 			{rate: 1000, capacity: full, inflation: 1.05},
 		},
 		"single samples": rep(8, refStep{rate: 1.5, capacity: full, inflation: 1}),
+		// Completions per interval either side of sortRunMin, crossing it
+		// upwards and downwards, so a counted run borrows a run slices.Sort
+		// left and the other way round.
+		"runs across the small-run threshold": {
+			{rate: 4, capacity: full, inflation: 1},
+			{rate: 40, capacity: full, inflation: 1},
+			{rate: 9, capacity: full, inflation: 1},
+			{rate: 14, capacity: full, inflation: 1},
+			{rate: 11, capacity: full, inflation: 1},
+			{rate: 300, capacity: full, inflation: 1},
+			{rate: 2, capacity: full, inflation: 1},
+			{rate: 13, capacity: full, inflation: 1},
+			{rate: 12, capacity: full, inflation: 1},
+			{rate: 60, capacity: full, inflation: 1},
+		},
 	}
 	for name, steps := range cases {
 		steps := steps
@@ -280,6 +295,29 @@ func TestRunIntervalMatchesReference(t *testing.T) {
 			}
 		})
 	}
+
+	// The longest runs any process sorts: memcached at its calibration
+	// load, where the borrowed run and the count array grow past what the
+	// interval before left them.
+	t.Run("memcached scale", func(t *testing.T) {
+		mc := MustLookup("memcached")
+		fullMC := mc.CapacityGHz(sh, fq)
+		steps := []refStep{
+			{rate: 400, capacity: fullMC, inflation: 1},
+			{rate: 31000, capacity: fullMC, inflation: 1},
+			{rate: 32000, capacity: fullMC, inflation: 1.1},
+			{rate: 9000, capacity: fullMC, inflation: 1},
+			{rate: 31500, capacity: fullMC, inflation: 1},
+		}
+		probe := NewInstance(mc, 18, 7)
+		probe.RunInterval(steps[0].rate, fullMC, 1, 1)
+		if st := probe.RunInterval(steps[1].rate, fullMC, 1, 1); st.Completed < 30000 {
+			t.Fatalf("%d completions in the second interval, want ≥ 30000", st.Completed)
+		}
+		for _, swapAt := range []int{-1, 2, 4} {
+			runAgainstReference(t, mc, 7, steps, swapAt)
+		}
+	})
 }
 
 func FuzzRunIntervalMatchesReference(f *testing.F) {

@@ -119,6 +119,31 @@ func TestRunIntervalLowLoadLatency(t *testing.T) {
 	}
 }
 
+// TestRunIntervalAllocsWarm: once the buffers have seen the load's peak, an
+// interval allocates nothing — the arrivals, both queue buffers, the three
+// sojourn buffers that circulate through the window and the sort, and the
+// sort's count array are all reused. The load swings ±30 %, so a run is
+// often longer than the expiring one it is scattered into: that buffer is
+// grown once, when first too short, not every time.
+func TestRunIntervalAllocsWarm(t *testing.T) {
+	p := MustLookup("masstree")
+	inst := NewInstance(p, 18, 1)
+	sh, fq := fullShares(18, 2.0)
+	capGHz := p.CapacityGHz(sh, fq)
+	i := 0
+	interval := func() {
+		load := 0.6 * (1 + 0.3*math.Sin(float64(i)/5))
+		inst.RunInterval(load*p.MaxLoadRPS, capGHz, 1.05, 1)
+		i++
+	}
+	for i < 100 {
+		interval()
+	}
+	if n := testing.AllocsPerRun(200, interval); n != 0 {
+		t.Fatalf("a warm interval makes %v allocations, want 0", n)
+	}
+}
+
 func TestRunIntervalOverloadGrows(t *testing.T) {
 	p := MustLookup("masstree")
 	inst := NewInstance(p, 18, 1)
