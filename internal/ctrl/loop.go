@@ -39,9 +39,10 @@ const (
 // owns the state that carries from one interval to the next — the
 // pending observation, the last assignment the simulator accepted (real
 // hardware holds its previous DVFS/affinity programming the same way),
-// the tracker's queue memory — and the reused offered-load buffer.
-// Together with the server's and controller's own sections, EncodeState
-// pins down everything interval t+1 onward depends on.
+// the tracker's queue memory — and the reused offered-load buffer and
+// observation storage. Together with the server's and controller's own
+// sections, EncodeState pins down everything interval t+1 onward depends
+// on.
 type Loop struct {
 	srv       *sim.Server
 	c         Controller
@@ -50,6 +51,10 @@ type Loop struct {
 	lastValid sim.Assignment
 	loads     []float64
 	owed      decideHalf
+	// spare is the Services storage of the observation before obs, which
+	// the next Observe fills: an observation stays intact through the
+	// Observe after the one that returned it.
+	spare []ServiceObs
 }
 
 // NewLoop returns a loop about to run its first interval: the bootstrap
@@ -125,10 +130,12 @@ func (l *Loop) Actuate() (sim.StepResult, Outcome, error) {
 }
 
 // Observe turns the interval's result into the observation pending for
-// the next decision and returns it.
+// the next decision and returns it. Its Services slice is reused two
+// Observes later: a caller keeping one longer copies it.
 func (l *Loop) Observe(res sim.StepResult) Observation {
-	l.obs = l.tracker.Observe(l.srv, res)
-	return l.obs
+	obs := l.tracker.observeInto(l.spare, l.srv, res)
+	l.spare, l.obs = l.obs.Services, obs
+	return obs
 }
 
 // Step runs one whole interval: Actuate, then Observe. Drivers with

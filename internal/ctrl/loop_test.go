@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -269,8 +270,9 @@ func (fixed) Name() string                        { return "fixed" }
 func (f fixed) Decide(Observation) sim.Assignment { return f.asg }
 
 // The kernel adds no allocation to what it wraps: actuating costs what a
-// bare sim.Server.Step costs, and a whole step adds only the
-// observation the tracker builds.
+// bare sim.Server.Step costs, and so does a whole step — the observation
+// goes into storage the loop double-buffers, where a bare tracker's
+// Observe makes it fresh.
 func TestLoopStepAddsNoAllocations(t *testing.T) {
 	lo, hi := testServer().FreqRange()
 	world := func() (*sim.Server, sim.Assignment) {
@@ -281,19 +283,11 @@ func TestLoopStepAddsNoAllocations(t *testing.T) {
 	const warm, runs = 20, 50
 
 	srv, asg := world()
-	var tr ObservationTracker
 	bare := func() { srv.MustStep(asg, loads) }
 	for i := 0; i < warm; i++ {
 		bare()
 	}
 	bareAllocs := testing.AllocsPerRun(runs, bare)
-
-	srv, asg = world()
-	bareObserve := func() { tr.Observe(srv, srv.MustStep(asg, loads)) }
-	for i := 0; i < warm; i++ {
-		bareObserve()
-	}
-	bareObserveAllocs := testing.AllocsPerRun(runs, bareObserve)
 
 	srv, asg = world()
 	l := NewLoop(srv, fixed{asg})
@@ -315,8 +309,36 @@ func TestLoopStepAddsNoAllocations(t *testing.T) {
 			t.Fatalf("outcome %b, err %v", out, err)
 		}
 	}
-	if got := testing.AllocsPerRun(runs, step); got != bareObserveAllocs {
-		t.Errorf("Loop.Step: %v allocs, a bare Step + Observe %v", got, bareObserveAllocs)
+	if got := testing.AllocsPerRun(runs, step); got != bareAllocs {
+		t.Errorf("Loop.Step: %v allocs, a bare sim.Server.Step %v", got, bareAllocs)
 	}
-	t.Logf("allocs per interval: bare step %v, bare step + observe %v", bareAllocs, bareObserveAllocs)
+	t.Logf("allocs per interval: bare step %v", bareAllocs)
+}
+
+// An observation the loop returned at t is unchanged after the Observe at
+// t+1, whatever t+1 observed; its storage is reused at t+2.
+func TestLoopObservationSurvivesNextObserve(t *testing.T) {
+	srv := testServer()
+	lo, hi := srv.FreqRange()
+	l := NewLoop(srv, fixed{SafeAssignment(srv.NumServices(), srv.ManagedCores(), lo, hi)})
+	var held, before []Observation
+	for i := 0; i < 8; i++ {
+		copy(l.Loads(), []float64{300 + 400*float64(i%3), 900 - 200*float64(i%4)})
+		res, _, err := l.Actuate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := l.Observe(res)
+		if i > 0 && !reflect.DeepEqual(held[i-1], before[i-1]) {
+			t.Fatalf("the Observe at %d changed the observation returned at %d:\n%+v\nwas\n%+v", i, i-1, held[i-1], before[i-1])
+		}
+		if i > 0 && reflect.DeepEqual(obs.Services, held[i-1].Services) {
+			t.Fatalf("intervals %d and %d observed the same services; the check above proves nothing", i-1, i)
+		}
+		if i > 1 && &obs.Services[0] != &held[i-2].Services[0] {
+			t.Fatalf("the Observe at %d did not reuse the storage of %d's observation", i, i-2)
+		}
+		held = append(held, obs)
+		before = append(before, Observation{Time: obs.Time, PowerW: obs.PowerW, Services: slices.Clone(obs.Services)})
+	}
 }

@@ -1,6 +1,10 @@
 package ctrl
 
-import "github.com/twig-sched/twig/internal/sim"
+import (
+	"slices"
+
+	"github.com/twig-sched/twig/internal/sim"
+)
 
 // ObservationTracker converts simulation step results into controller
 // observations. It remembers each service's queue depth from the previous
@@ -12,13 +16,19 @@ type ObservationTracker struct {
 	prevQueue []int
 }
 
-// Observe builds the observation for the interval after res.
+// Observe builds the observation for the interval after res. Its
+// Services slice is fresh: the caller may keep it.
 func (tr *ObservationTracker) Observe(srv *sim.Server, res sim.StepResult) Observation {
+	return tr.observeInto(nil, srv, res)
+}
+
+// observeInto is Observe with Services appended to buf[:0].
+func (tr *ObservationTracker) observeInto(buf []ServiceObs, srv *sim.Server, res sim.StepResult) Observation {
 	if tr.prevQueue == nil {
 		tr.prevQueue = make([]int, srv.NumServices())
 	}
 	obs := Observation{Time: res.Time + 1, PowerW: res.PowerW}
-	obs.Services = make([]ServiceObs, 0, len(res.Services))
+	obs.Services = slices.Grow(buf[:0], len(res.Services))
 	for i, sv := range res.Services {
 		obs.Services = append(obs.Services, ServiceObs{
 			P99Ms:        sv.P99Ms,

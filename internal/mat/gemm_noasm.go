@@ -26,3 +26,7 @@ func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64) {
 func kernRowPanelsS(k, panels int, a0, panel, acc *float64) {
 	panic("mat: asm kernel on non-amd64")
 }
+
+func cpuHasFMA() bool { return false }
+
+func expKernel(xs []float64) int { panic("mat: asm kernel on non-amd64") }

@@ -101,7 +101,7 @@ func reciprocalExact(c float64) bool { return c >= 0x1p-10 && c <= 1 }
 
 // haveKernel says the vector kernel runs: the CPU has AVX2 and FMA and
 // TWIG_DISABLE_AVX2 (mat's switch, the only one) is unset.
-var haveKernel = mat.HaveAVX2() && cpuHasFMA()
+var haveKernel = mat.HaveFMA()
 
 // stepParam applies one Adam step to p and leaves p's pack, if it has
 // one, current: the kernel stores each updated vector to the panels as

@@ -24,16 +24,6 @@ DATA adamSpan<>+16(SB)/8, $0xF080000000000000
 DATA adamSpan<>+24(SB)/8, $0xF080000000000000
 GLOBL adamSpan<>(SB), RODATA|NOPTR, $32
 
-// func cpuHasFMA() bool
-TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	SHRL $12, CX              // FMA
-	ANDL $1, CX
-	MOVB CX, ret+0(FP)
-	RET
-
 // func adamKernel(rows, cols int, value, grad, m, v, pack *float64, k *adamConsts, zero bool)
 //
 // Adam.update over a rows×cols tensor (cols a multiple of 4; a flat run

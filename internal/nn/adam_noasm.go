@@ -2,8 +2,6 @@
 
 package nn
 
-func cpuHasFMA() bool { return false }
-
 func adamKernel(rows, cols int, value, grad, m, v, pack *float64, k *adamConsts, zero bool) {
 	panic("nn: asm kernel on non-amd64")
 }

@@ -1,11 +1,11 @@
-// Package rng provides a serializable random source: the stdlib
-// generator wrapped in a draw counter, so a stream's exact position can
-// be checkpointed as (seed, count) and restored by reseeding and
-// fast-forwarding. The wrapper forwards Int63 and Uint64 unchanged —
-// every stream produced through this package is bit-identical to one
-// built directly on math/rand with the same seed, which is what lets
-// checkpointing slot under the existing deterministic simulator and
-// agents without perturbing a single historical draw.
+// Package rng provides a serializable random source: math/rand's
+// generator, owned (stdlib.go holds it, copied verbatim) and counted, so
+// a stream's exact position can be checkpointed as (seed, count) and
+// restored by reseeding and fast-forwarding. Every stream produced
+// through this package is bit-identical to one built directly on
+// math/rand with the same seed, which is what lets checkpointing slot
+// under the existing deterministic simulator and agents without
+// perturbing a single historical draw.
 package rng
 
 import (
@@ -21,38 +21,40 @@ import (
 // spinning the restore for hours.
 const maxFastForward = 1 << 33
 
-// Source is a counting rand.Source64. Both Int63 and Uint64 advance the
-// underlying stdlib generator exactly one step, so a single counter
-// captures the stream position regardless of which mix of calls
-// consumed it.
+// Source is a counting rand.Source64 over math/rand's additive lagged
+// Fibonacci generator. Both Int63 and Uint64 advance it exactly one
+// step, so a single counter captures the stream position regardless of
+// which mix of calls consumed it.
 type Source struct {
 	seed  int64
 	count uint64
-	src   rand.Source64
+	gen   rngSource
 }
 
 // NewSource returns a counting source seeded like rand.NewSource(seed).
 func NewSource(seed int64) *Source {
-	return &Source{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
+	s := &Source{seed: seed}
+	s.gen.Seed(seed)
+	return s
 }
 
 // Int63 draws the next value, advancing the counter.
 func (s *Source) Int63() int64 {
 	s.count++
-	return s.src.Int63()
+	return s.gen.Int63()
 }
 
 // Uint64 draws the next value, advancing the counter.
 func (s *Source) Uint64() uint64 {
 	s.count++
-	return s.src.Uint64()
+	return s.gen.Uint64()
 }
 
 // Seed resets the stream to a fresh seed with a zero counter.
 func (s *Source) Seed(seed int64) {
 	s.seed = seed
 	s.count = 0
-	s.src.Seed(seed)
+	s.gen.Seed(seed)
 }
 
 // Pos returns the stream position as (seed, draws since seeding).
@@ -78,14 +80,18 @@ func (s *Source) DecodeState(d *checkpoint.Decoder) error {
 	}
 	s.Seed(seed)
 	for i := uint64(0); i < count; i++ {
-		s.src.Uint64()
+		s.gen.Uint64()
 	}
 	s.count = count
 	return nil
 }
 
 // Rand couples a *rand.Rand with its counting source so call sites keep
-// the full math/rand API while the stream stays checkpointable.
+// the full math/rand API while the stream stays checkpointable. Int63,
+// Uint32, Float64, ExpFloat64 and NormFloat64 are math/rand's, run on the
+// source directly rather than through rand.Rand's interface; the rest of
+// the API is rand.Rand's on the same source, so a caller handed the
+// *rand.Rand draws from the one stream.
 type Rand struct {
 	*rand.Rand
 	src *Source
@@ -100,3 +106,9 @@ func New(seed int64) *Rand {
 
 // Source returns the counting source for checkpointing.
 func (r *Rand) Source() *Source { return r.src }
+
+// Int63 is rand.Rand.Int63: the source's next draw.
+func (r *Rand) Int63() int64 { return r.src.Int63() }
+
+// Uint32 is rand.Rand.Uint32: the high 32 of the next draw's 63 bits.
+func (r *Rand) Uint32() uint32 { return uint32(r.Int63() >> 31) }

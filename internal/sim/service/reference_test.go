@@ -12,9 +12,11 @@ import (
 
 // referenceRunInterval is RunInterval as it stood before the one-sort /
 // tail-walk rewrite, body verbatim (receiver turned into a parameter, its
-// capBacklog and quantileSorted carried along). It allocates every buffer
-// per interval, sorts the concatenated window and then this interval's
-// run a second time. It is the oracle RunInterval must match bit for bit.
+// capBacklog, quantileSorted and drawWork carried along, and the draws
+// made by math/rand's rand.Rand methods rather than rng.Rand's copies).
+// It allocates every buffer per interval, draws each request's work with
+// math.Exp, sorts the concatenated window and then this interval's run a
+// second time. It is the oracle RunInterval must match bit for bit.
 func referenceRunInterval(s *Instance, rateRPS, capacity, inflation, dt float64) IntervalStats {
 	if inflation < 1 {
 		inflation = 1
@@ -28,11 +30,11 @@ func referenceRunInterval(s *Instance, rateRPS, capacity, inflation, dt float64)
 	if rateRPS > 0 {
 		t := start
 		for {
-			t += s.rng.ExpFloat64() / rateRPS
+			t += s.rng.Rand.ExpFloat64() / rateRPS
 			if t >= end {
 				break
 			}
-			arrivals = append(arrivals, Request{Arrival: t, Work: s.drawWork() * inflation})
+			arrivals = append(arrivals, Request{Arrival: t, Work: drawWork(s) * inflation})
 		}
 	}
 	st.Arrivals = len(arrivals)
@@ -143,6 +145,13 @@ func referenceRunInterval(s *Instance, rateRPS, capacity, inflation, dt float64)
 		st.P99Ms, st.P95Ms, st.MeanMs, st.MaxMs = age, age, age, age
 	}
 	return st
+}
+
+// drawWork samples one request's work demand, as RunInterval once did
+// per arrival: math/rand's own NormFloat64 on the instance's stream (the
+// one rand.Rand runs behind rng.Rand's interface) and math.Exp.
+func drawWork(s *Instance) float64 {
+	return math.Exp(s.lnMu + s.Profile.WorkSigma*s.rng.Rand.NormFloat64())
 }
 
 func referenceCapBacklog(s *Instance, st *IntervalStats) {

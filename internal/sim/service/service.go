@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
+	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/rng"
 )
 
@@ -151,11 +152,12 @@ type Instance struct {
 	// Every run is sorted ascending; windowTail relies on it.
 	window [][]float64
 
-	// Storage reused across intervals: this interval's arrivals, the
-	// queue buffer pending swaps with, the sojourn buffer sortRun last
-	// left over, and its bucket counts. None of it is state; EncodeState
-	// ignores it.
+	// Storage reused across intervals: this interval's arrivals and the
+	// logarithms of their work, the queue buffer pending swaps with, the
+	// sojourn buffer sortRun last left over, and its bucket counts. None
+	// of it is state; EncodeState ignores it.
 	arrivals []Request
+	lnWork   []float64
 	requeue  []Request
 	spare    []float64
 	counts   []int32
@@ -202,11 +204,6 @@ func (s *Instance) QueueLen() int { return len(s.pending) }
 // ResetQueue drops all pending requests (used between experiments).
 func (s *Instance) ResetQueue() { s.pending = s.pending[:0] }
 
-// drawWork samples one request's work demand.
-func (s *Instance) drawWork() float64 {
-	return math.Exp(s.lnMu + s.Profile.WorkSigma*s.rng.NormFloat64())
-}
-
 // RunInterval advances the service by dt seconds with Poisson arrivals at
 // rateRPS and the given aggregate capacity (work units per second, after
 // frequency scaling) under the given interference inflation factor
@@ -219,8 +216,10 @@ func (s *Instance) RunInterval(rateRPS, capacity, inflation, dt float64) Interva
 	end := start + dt
 	st := IntervalStats{CapacityGHz: capacity, InflationApplied: inflation}
 
-	// Generate Poisson arrivals within [start, end).
-	arrivals := s.arrivals[:0]
+	// Generate Poisson arrivals within [start, end), each with log-normal
+	// work: the draws in stream order, each arrival's gap then its work's
+	// logarithm, then one vector exp over the logarithms.
+	arrivals, lnWork := s.arrivals[:0], s.lnWork[:0]
 	if rateRPS > 0 {
 		t := start
 		for {
@@ -228,10 +227,15 @@ func (s *Instance) RunInterval(rateRPS, capacity, inflation, dt float64) Interva
 			if t >= end {
 				break
 			}
-			arrivals = append(arrivals, Request{Arrival: t, Work: s.drawWork() * inflation})
+			arrivals = append(arrivals, Request{Arrival: t})
+			lnWork = append(lnWork, s.lnMu+s.Profile.WorkSigma*s.rng.NormFloat64())
 		}
 	}
-	s.arrivals = arrivals
+	mat.Exp(lnWork)
+	for i, w := range lnWork {
+		arrivals[i].Work = w * inflation
+	}
+	s.arrivals, s.lnWork = arrivals, lnWork
 	st.Arrivals = len(arrivals)
 
 	if capacity <= 0 {

@@ -261,7 +261,7 @@ func TestDrawWorkDistribution(t *testing.T) {
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		w := inst.drawWork()
+		w := drawWork(inst)
 		if w <= 0 {
 			t.Fatal("work must be positive")
 		}
