@@ -126,7 +126,9 @@ type Agent struct {
 	trainSteps int // gradient updates
 
 	greedyState *mat.Matrix // reusable 1×StateDim input for greedy/QValues
-	train       *trainWS    // reusable TrainStep scratch (BatchSize rows)
+	acts        [2][][]int  // selection results, double-buffered (see SelectActions)
+	actsFlip    int
+	train       *trainWS // reusable TrainStep scratch (BatchSize rows)
 }
 
 // trainWS is the per-agent TrainStep scratch. BatchSize is constant for
@@ -203,15 +205,17 @@ func (a *Agent) Step() int { return a.step }
 // SelectActions chooses one action per agent and dimension ε-greedily:
 // each branch independently explores with probability ε, as in
 // action-branching architectures. The environment step counter advances.
+//
+// The returned slices are the agent's own storage, double-buffered: they
+// stay valid through the agent's next selection (SelectActions or
+// SelectGreedy) and are overwritten by the one after. Callers that hold
+// actions longer must copy them.
 func (a *Agent) SelectActions(state []float64) [][]int {
 	return a.applyExploration(a.greedy(state))
 }
 
 // applyExploration advances the environment step counter and overlays
-// per-branch ε-greedy exploration on greedy selections — the RNG draws
-// of SelectActions, in the same per-agent order, kept separate from the
-// forward so the pool can batch the greedy forwards of many agents and
-// keep each one's draws exact.
+// per-branch ε-greedy exploration on greedy selections.
 func (a *Agent) applyExploration(acts [][]int) [][]int {
 	eps := a.Epsilon()
 	a.step++
@@ -226,7 +230,8 @@ func (a *Agent) applyExploration(acts [][]int) [][]int {
 }
 
 // SelectGreedy returns the pure-exploitation actions without advancing
-// the step counter (used after the learning phase, per Sec. V).
+// the step counter (used after the learning phase, per Sec. V). The
+// returned slices live as long as SelectActions' do.
 func (a *Agent) SelectGreedy(state []float64) [][]int { return a.greedy(state) }
 
 // stateInput copies state into the agent's reusable 1×StateDim matrix.
@@ -241,8 +246,25 @@ func (a *Agent) stateInput(state []float64) *mat.Matrix {
 	return a.greedyState
 }
 
+// greedy writes each branch's argmax over the eval forward of state into
+// the next of the agent's two action buffers (allocated on first use).
 func (a *Agent) greedy(state []float64) [][]int {
-	return a.online.Forward(a.stateInput(state), false).GreedyActions()
+	out := a.online.Forward(a.stateInput(state), false)
+	a.actsFlip ^= 1
+	acts := a.acts[a.actsFlip]
+	if acts == nil {
+		acts = make([][]int, len(out.Q))
+		for k := range acts {
+			acts[k] = make([]int, len(out.Q[k]))
+		}
+		a.acts[a.actsFlip] = acts
+	}
+	for k := range acts {
+		for d := range acts[k] {
+			acts[k][d] = mat.Argmax(out.Q[k][d].Row(0))
+		}
+	}
+	return acts
 }
 
 // QValues returns the online network's Q-values for a single state:

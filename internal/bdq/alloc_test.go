@@ -1,6 +1,7 @@
 package bdq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -126,6 +127,68 @@ func TestTrainStepAllocsWarm(t *testing.T) {
 				t.Fatalf("the second layer saw only %d distinct live counts in %d steps: the minibatches do not vary", counts, tc.runs)
 			}
 		})
+	}
+}
+
+// TestSelectAllocsWarm is the selection half of the contract: once an
+// agent has selected twice, filling both of its action buffers, neither
+// SelectActions nor SelectGreedy allocates, at the quick profile's
+// network and at the paper's.
+func TestSelectAllocsWarm(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		shared  []int
+		branch  int
+		dropout float64
+	}{
+		{"quick_64-48-32", []int{64, 48}, 32, 0},
+		{"paper_512-256-128", []int{512, 256}, 128, 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{StateDim: 22, Agents: 2, Dims: []int{18, 9}, SharedHidden: tc.shared, BranchHidden: tc.branch, Dropout: tc.dropout}
+			a := NewAgent(AgentConfig{Spec: spec, ReplayCapacity: 64, Seed: 5})
+			state := testState(spec.StateDim, 0, 0)
+			a.SelectActions(state)
+			a.SelectGreedy(state)
+			for name, sel := range map[string]func([]float64) [][]int{
+				"SelectActions": a.SelectActions,
+				"SelectGreedy":  a.SelectGreedy,
+			} {
+				if allocs := testing.AllocsPerRun(100, func() { sel(state) }); allocs != 0 {
+					t.Errorf("warm %s allocates %.2f times per call, want 0", name, allocs)
+				}
+			}
+		})
+	}
+}
+
+// TestSelectActionsLifetime pins what the returned actions may be used
+// for: selection n's actions are intact after selection n+1, whichever
+// of the two methods made either, and never share its storage.
+func TestSelectActionsLifetime(t *testing.T) {
+	a := NewAgent(poolTestCfg(6)) // ε starts at 1: consecutive selections differ
+	dim := a.cfg.Spec.StateDim
+	prev := a.SelectActions(testState(dim, 0, 0))
+	changed := false
+	for tt := 1; tt < 40; tt++ {
+		want := fmt.Sprint(prev)
+		var cur [][]int
+		if tt%3 == 0 {
+			cur = a.SelectGreedy(testState(dim, 0, tt))
+		} else {
+			cur = a.SelectActions(testState(dim, 0, tt))
+		}
+		if got := fmt.Sprint(prev); got != want {
+			t.Fatalf("selection %d overwrote selection %d's actions: %s, was %s", tt, tt-1, got, want)
+		}
+		if &cur[0][0] == &prev[0][0] {
+			t.Fatalf("selections %d and %d share storage", tt-1, tt)
+		}
+		changed = changed || fmt.Sprint(cur) != want
+		prev = cur
+	}
+	if !changed {
+		t.Fatal("every selection chose the same actions: the test checks nothing")
 	}
 }
 

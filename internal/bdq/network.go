@@ -519,16 +519,3 @@ func (n *Network) ReinitOutputLayers(rng *rand.Rand) {
 	nn.ResetMoments(n.OutputParams())
 	n.noteWeightsChanged()
 }
-
-// GreedyActions returns, for each agent and dimension, the argmax action
-// of the (single-row) forward output.
-func (o *Output) GreedyActions() [][]int {
-	acts := make([][]int, len(o.Q))
-	for k := range o.Q {
-		acts[k] = make([]int, len(o.Q[k]))
-		for d := range o.Q[k] {
-			acts[k][d] = mat.Argmax(o.Q[k][d].Row(0))
-		}
-	}
-	return acts
-}

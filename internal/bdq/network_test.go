@@ -89,10 +89,18 @@ func TestPerAgentActionsDiffer(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	out := net.Forward(x, false)
-	acts := out.GreedyActions()
+	greedy := func(out *Output) [][]int {
+		acts := make([][]int, len(out.Q))
+		for k := range out.Q {
+			for d := range out.Q[k] {
+				acts[k] = append(acts[k], mat.Argmax(out.Q[k][d].Row(0)))
+			}
+		}
+		return acts
+	}
+	acts := greedy(net.Forward(x, false))
 	if len(acts) != 2 || len(acts[0]) != 2 {
-		t.Fatalf("GreedyActions shape %v", acts)
+		t.Fatalf("greedy actions shape %v", acts)
 	}
 	// With random init the heads are independent; the probability all
 	// dims agree across agents by chance is small but non-zero, so try
@@ -102,7 +110,7 @@ func TestPerAgentActionsDiffer(t *testing.T) {
 		for i := range x.Data {
 			x.Data[i] = rng.NormFloat64()
 		}
-		a := net.Forward(x, false).GreedyActions()
+		a := greedy(net.Forward(x, false))
 		if a[0][0] != a[1][0] || a[0][1] != a[1][1] {
 			differ = true
 		}
