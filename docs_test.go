@@ -120,16 +120,31 @@ func docSpans(t *testing.T, name string) []span {
 	return out
 }
 
-// tree is what the documents are checked against.
+// tree is what the documents are checked against, and what TestContracts
+// checks.
 type tree struct {
-	text  string                     // every non-Markdown text file but CI's workflow
-	ci    string                     // the workflow: job names count, its "stay deleted" greps must not
-	words map[string]bool            // every identifier-shaped word in text
+	text  string                     // every non-Markdown text file but CI's workflow and contractsFile
+	ci    string                     // the workflow: its names count for hyphenated spans only
+	words map[string]bool            // every identifier-shaped word in text, and contractsFile's identifiers
 	paths []string                   // every file and directory, repo-relative
 	decls map[string]map[string]bool // package or type name → names declared in or on it
 	alias map[string]string          // type name → the type it is declared as (type A = pkg.B, type A B)
 	flags map[string]map[string]bool // "cmd/<name>" or "benchmark" → flags it registers
+
+	fset    *token.FileSet
+	goFiles []goFile          // every Go file, parsed
+	asm     map[string]string // every assembly file's text, by path
 }
+
+// goFile is one parsed Go file; path is repo-relative.
+type goFile struct {
+	path string
+	f    *ast.File
+}
+
+// contractsFile names what must stay deleted. Its string literals are
+// not the tree's words, or every name it forbids would read as live.
+const contractsFile = "contracts_test.go"
 
 var (
 	wordRE     = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
@@ -138,9 +153,9 @@ var (
 )
 
 func loadTree(t *testing.T) *tree {
-	tr := &tree{words: map[string]bool{}, decls: map[string]map[string]bool{}, alias: map[string]string{}, flags: map[string]map[string]bool{}}
+	tr := &tree{words: map[string]bool{}, decls: map[string]map[string]bool{}, alias: map[string]string{}, flags: map[string]map[string]bool{},
+		fset: token.NewFileSet(), asm: map[string]string{}}
 	var text, ci strings.Builder
-	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -157,12 +172,17 @@ func loadTree(t *testing.T) *tree {
 		if err != nil {
 			return err
 		}
-		if path.Ext(p) == ".yml" {
+		switch {
+		case path.Ext(p) == ".yml":
 			ci.Write(data)
 			return nil
+		case path.Ext(p) == ".s":
+			tr.asm[p] = string(data)
 		}
-		text.Write(data)
-		text.WriteByte('\n')
+		if p != contractsFile {
+			text.Write(data)
+			text.WriteByte('\n')
+		}
 		if path.Ext(p) != ".go" {
 			return nil
 		}
@@ -172,11 +192,20 @@ func loadTree(t *testing.T) *tree {
 				tr.declare(tr.flags, dir, string(m[1]))
 			}
 		}
-		f, err := parser.ParseFile(fset, p, data, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(tr.fset, p, data, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		tr.index(f, path.Base(dir))
+		tr.goFiles = append(tr.goFiles, goFile{p, f})
+		if p == contractsFile {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					tr.words[id.Name] = true
+				}
+				return true
+			})
+		}
 		return nil
 	})
 	if err != nil {

@@ -126,9 +126,9 @@ type Agent struct {
 	trainSteps int // gradient updates
 
 	greedyState *mat.Matrix // reusable 1×StateDim input for greedy/QValues
-	acts        [2][][]int  // selection results, double-buffered (see SelectActions)
-	actsFlip    int
-	train       *trainWS // reusable TrainStep scratch (BatchSize rows)
+	actions     [2][][]int  // selection results, double-buffered (see SelectActions)
+	nextActions int         // the buffer the next selection writes
+	train       *trainWS    // reusable TrainStep scratch (BatchSize rows)
 }
 
 // trainWS is the per-agent TrainStep scratch. BatchSize is constant for
@@ -211,12 +211,7 @@ func (a *Agent) Step() int { return a.step }
 // SelectGreedy) and are overwritten by the one after. Callers that hold
 // actions longer must copy them.
 func (a *Agent) SelectActions(state []float64) [][]int {
-	return a.applyExploration(a.greedy(state))
-}
-
-// applyExploration advances the environment step counter and overlays
-// per-branch ε-greedy exploration on greedy selections.
-func (a *Agent) applyExploration(acts [][]int) [][]int {
+	acts := a.greedy(state)
 	eps := a.Epsilon()
 	a.step++
 	for k := range acts {
@@ -250,15 +245,15 @@ func (a *Agent) stateInput(state []float64) *mat.Matrix {
 // the next of the agent's two action buffers (allocated on first use).
 func (a *Agent) greedy(state []float64) [][]int {
 	out := a.online.Forward(a.stateInput(state), false)
-	a.actsFlip ^= 1
-	acts := a.acts[a.actsFlip]
+	acts := a.actions[a.nextActions]
 	if acts == nil {
 		acts = make([][]int, len(out.Q))
 		for k := range acts {
 			acts[k] = make([]int, len(out.Q[k]))
 		}
-		a.acts[a.actsFlip] = acts
+		a.actions[a.nextActions] = acts
 	}
+	a.nextActions ^= 1
 	for k := range acts {
 		for d := range acts[k] {
 			acts[k][d] = mat.Argmax(out.Q[k][d].Row(0))

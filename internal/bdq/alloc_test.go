@@ -194,9 +194,8 @@ func TestSelectActionsLifetime(t *testing.T) {
 
 // TestPoolFlushAllocsWarm is the same contract through the pool: a warm
 // three-member FlushStep — every member stores a transition and trains on
-// a minibatch that differs from the last, then all three selections run
-// as one grouped forward — allocates nothing, over more than two hundred
-// flushes.
+// a minibatch that differs from the last, then selects — allocates
+// nothing, over more than two hundred flushes.
 func TestPoolFlushAllocsWarm(t *testing.T) {
 	const members = 3
 	spec := poolTestCfg(0).Spec

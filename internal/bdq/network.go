@@ -95,17 +95,14 @@ type Network struct {
 	bwd map[int]*bwdWS
 
 	params []*nn.Param // cached Params() result; layer set is immutable
-	denses []*nn.Dense // cached dense-layer enumeration for the pool
+	denses []*nn.Dense // cached dense-layer enumeration
 
-	// weightEpoch counts the parameter mutations that leave the packs
-	// behind (target syncs, loads, transfers; not optimiser steps, which
-	// write the panels themselves). The persistent packed panels are
-	// keyed by it, so a stale pack can never be used after the weights
-	// change through any of those paths.
-	weightEpoch int
-	// packEpoch is the weight epoch the dense layers' persistent packs
-	// were last rebuilt at (−1 before the first pack).
-	packEpoch int
+	// stalePacks is set by every parameter mutation that leaves the dense
+	// layers' persistent packed panels behind (target syncs, loads,
+	// transfers; not optimiser steps, which write the panels themselves)
+	// and cleared by the repack, so a stale pack can never be used after
+	// the weights change through any of those paths.
+	stalePacks bool
 
 	// noRescale disables the 1/K and 1/D gradient rescaling so tests
 	// can compare Backward against exact finite differences.
@@ -138,7 +135,7 @@ func NewNetwork(spec Spec, rng *rand.Rand) *Network {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Network{spec: spec, packEpoch: -1}
+	n := &Network{spec: spec, stalePacks: true}
 
 	// Every dense but the first reads what a ReLU (and, in the trunk, a
 	// dropout) left of the layer below, and its input gradient goes back
@@ -379,35 +376,32 @@ func (n *Network) Params() []*nn.Param {
 	return ps
 }
 
-// noteWeightsChanged invalidates any packed-panel caches keyed on this
-// network's weights. Every code path that mutates parameter values
-// other than an optimiser step must call it (CopyValuesFrom and
-// ReinitOutputLayers do so themselves; the agent bumps after
-// checkpoint/weight loads). An optimiser step leaves every attached
-// pack current and calls nothing.
-func (n *Network) noteWeightsChanged() { n.weightEpoch++ }
+// noteWeightsChanged marks the dense layers' packed panels stale. Every
+// code path that mutates parameter values other than an optimiser step
+// must call it (CopyValuesFrom and ReinitOutputLayers do so themselves;
+// the agent calls it after checkpoint/weight loads). An optimiser step
+// leaves every pack current and calls nothing.
+func (n *Network) noteWeightsChanged() { n.stalePacks = true }
 
 // ensurePacks refreshes every dense layer's persistent packed weight
-// panels to the current weight epoch, so weights are packed exactly
-// once per mutation instead of once per product — and not at all after
-// an optimiser step, the one frequent writer. Forward calls it; the
-// pool's grouped products (netPack) share the same panels. Packed
+// panels after a mutation, so weights are packed exactly once per
+// mutation instead of once per product — and not at all after an
+// optimiser step, the one frequent writer. Forward calls it. Packed
 // products are bit-identical to the per-call-packing path
 // (mat.MulPackedBiasAct's contract), so this changes no result.
 func (n *Network) ensurePacks() {
-	if n.packEpoch == n.weightEpoch {
+	if !n.stalePacks {
 		return
 	}
 	for _, d := range n.Denses() {
 		d.RefreshPack()
 	}
-	n.packEpoch = n.weightEpoch
+	n.stalePacks = false
 }
 
 // Denses enumerates every dense layer in a deterministic order (trunk,
-// value streams, advantage hiddens, advantage heads) — the traversal
-// the pooled forward and its pack caches share. Cached; callers must
-// not mutate the slice.
+// value streams, advantage hiddens, advantage heads). Cached; callers
+// must not mutate the slice.
 func (n *Network) Denses() []*nn.Dense {
 	if n.denses != nil {
 		return n.denses

@@ -41,7 +41,7 @@ func requirePacks(t *testing.T, tag string, n *Network) {
 // it. The rare writers — target sync, Transfer, CopyWeightsFrom, a
 // checkpoint DecodeState — leave the packs to the next use
 // (ensurePacks), after which they must be current too; so must a pooled
-// member's, whose grouped selection reads the same panels.
+// member's.
 func TestPackFollowsEveryWeightWriter(t *testing.T) {
 	tiertest.EachLower(t)
 	cfg := poolTestCfg(3)

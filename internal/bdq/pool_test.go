@@ -12,12 +12,11 @@ import (
 	"github.com/twig-sched/twig/internal/replay"
 )
 
-// Golden differential: the pooled path (selection as one grouped GEMM
-// over persistent packed panels, training member by member inside the
-// flush) must be bit-identical to the per-agent path — proven by
-// comparing selected actions, losses and full checkpoint bytes (weights,
-// Adam moments, RNG draw positions, replay state) after lockstep
-// trajectories.
+// Golden differential: the pooled path (queued work, run member by
+// member inside the flush) must be bit-identical to the per-agent path —
+// proven by comparing selected actions, losses and full checkpoint bytes
+// (weights, Adam moments, RNG draw positions, replay state) after
+// lockstep trajectories.
 
 func poolTestCfg(seed int64) AgentConfig {
 	return AgentConfig{
@@ -180,12 +179,11 @@ func TestPoolBitIdenticalVariantConfigs(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentTraining hammers the pool from one goroutine per
-// member, each running full Observe/Select cycles concurrently — the
-// fleet-engine shape. Run with -race this checks the flush (stacked
-// select workspaces, shared pack panels, members training under the
-// pool's lock) against data races; member counts shrink and grow mid-run
-// via churn.
+// TestPoolConcurrentTraining runs one goroutine per member, each running
+// full Observe/Select cycles concurrently — the fleet-engine shape. Run
+// with -race this checks that members share nothing a concurrent
+// selection or training step writes; member counts shrink and grow
+// mid-run via churn.
 func TestPoolConcurrentTraining(t *testing.T) {
 	const S = 4
 	pool := NewAgentPool()
@@ -225,8 +223,8 @@ func TestPoolConcurrentTraining(t *testing.T) {
 	drive(t, []*Agent{solo}, []*PooledAgent{repl}, pool, 15, 0, 0)
 }
 
-// TestPoolSingleMemberBitIdentical pins the degenerate pool (S=1, the
-// daemon shape): still packed-kernel batched, still bit-identical.
+// TestPoolSingleMemberBitIdentical pins the degenerate pool (S=1):
+// still bit-identical.
 func TestPoolSingleMemberBitIdentical(t *testing.T) {
 	pool := NewAgentPool()
 	pa := pool.Attach(NewAgent(poolTestCfg(42)))
@@ -354,11 +352,10 @@ func TestPoolAttachCloseKeepsParamStorage(t *testing.T) {
 	a0.QueueSelect(testState(12, 0, 0), true)
 }
 
-// closedPair attaches two agents, flushes them together so the stacked
-// workspace and its layer-group cache exist, and closes both. It returns
-// the pool and a channel that receives once per agent the collector
-// finalises; it is its own frame so that no slot of the caller's stack
-// keeps a member alive.
+// closedPair attaches two agents, flushes them together and closes
+// both. It returns the pool and a channel that receives once per agent
+// the collector finalises; it is its own frame so that no slot of the
+// caller's stack keeps a member alive.
 //
 //go:noinline
 func closedPair(t *testing.T) (*AgentPool, <-chan struct{}) {
@@ -371,9 +368,6 @@ func closedPair(t *testing.T) (*AgentPool, <-chan struct{}) {
 		pooled = append(pooled, pool.Attach(a))
 	}
 	drive(t, []*Agent{NewAgent(poolTestCfg(1)), NewAgent(poolTestCfg(2))}, pooled, pool, 10, 0, 0)
-	if ws := pool.stack[2]; ws == nil || len(ws.lgFor) != 2 {
-		t.Fatal("the two members were never flushed together")
-	}
 	for _, pa := range pooled {
 		pa.Close()
 	}
@@ -382,32 +376,12 @@ func closedPair(t *testing.T) (*AgentPool, <-chan struct{}) {
 
 // TestPoolCloseReleasesMember pins the other half of what Close means: a
 // closed member is reachable from nothing the pool owns. Every slot of
-// the member list, the select scratch and each stacked workspace's group
-// cache is empty up to capacity, and the agents are collected.
+// the member list is empty up to capacity, and the agents are collected.
 func TestPoolCloseReleasesMember(t *testing.T) {
 	pool, finalised := closedPair(t)
 	for i, m := range pool.members[:cap(pool.members)] {
 		if m != nil {
 			t.Errorf("members[%d] (len %d) still holds a closed member", i, len(pool.members))
-		}
-	}
-	for i, m := range pool.selScratch[:cap(pool.selScratch)] {
-		if m != nil {
-			t.Errorf("selScratch[%d] still holds a closed member", i)
-		}
-	}
-	for rows, ws := range pool.stack {
-		for i, m := range ws.lgFor[:cap(ws.lgFor)] {
-			if m != nil {
-				t.Errorf("stack[%d].lgFor[%d] still holds a closed member", rows, i)
-			}
-		}
-		for idx, groups := range ws.lgGroups {
-			for i, g := range groups[:cap(groups)] {
-				if g.B != nil || g.Packed != nil || g.Bias != nil {
-					t.Errorf("stack[%d].lgGroups[%d][%d] still holds a closed member's operand", rows, idx, i)
-				}
-			}
 		}
 	}
 	for got := 0; got < 2; {
@@ -420,7 +394,7 @@ func TestPoolCloseReleasesMember(t *testing.T) {
 		}
 	}
 
-	// The emptied caches rebuild: the pool goes on batching new members.
+	// The pool goes on serving new members.
 	a, b := pool.Attach(NewAgent(poolTestCfg(3))), pool.Attach(NewAgent(poolTestCfg(4)))
 	drive(t, []*Agent{NewAgent(poolTestCfg(3)), NewAgent(poolTestCfg(4))}, []*PooledAgent{a, b}, pool, 10, 0, 0)
 }

@@ -93,13 +93,13 @@ type Config struct {
 	PinReplicas bool
 	// Factory builds each node's controller stack (required).
 	Factory ControllerFactory
-	// Flush, when set, switches stepWorlds to fleet-batched decisions:
-	// every node controller implementing ctrl.PhasedController gets
-	// PrepareDecide, then Flush runs once (e.g. one batched grouped-GEMM
-	// sweep over every node's pooled agent), then FinishDecide collects
+	// Flush, when set, switches stepWorlds to phased decisions: every
+	// node controller implementing ctrl.PhasedController gets
+	// PrepareDecide, then Flush runs once (e.g. the shared agent pool's
+	// flush over every node's queued work), then FinishDecide collects
 	// the assignments. Per-node trajectories are bit-identical to the
-	// unbatched path; only the execution shape changes. Controllers that
-	// are not phased keep the plain Decide path.
+	// plain path; only when the work runs changes. Controllers that are
+	// not phased keep the plain Decide path.
 	Flush func()
 	// Store enables periodic crash-consistent fleet checkpoints (nil
 	// disables); CheckpointEvery is the cadence in intervals (values
@@ -648,7 +648,7 @@ func (c *Coordinator) stepWorlds(t int) float64 {
 	var energy float64
 	ticked := make(map[int]bool, len(c.replicas))
 
-	// Fleet-batched phase: enqueue every phased controller's learning
+	// Phased decide: enqueue every phased controller's learning
 	// and selection work, then run one shared flush for the whole fleet;
 	// each loop remembers that its step owes the FinishDecide half.
 	if c.cfg.Flush != nil {

@@ -78,9 +78,8 @@ type Manager struct {
 
 	// pag is non-nil when the manager's agent is a member of a shared
 	// AgentPool: learning and action selection are then queued and run in
-	// the pool's flush, the selection as part of its batched grouped-GEMM
-	// sweep. Checkpointing still goes through agent, which the pool
-	// shares.
+	// the pool's flush. Checkpointing still goes through agent, which the
+	// pool shares.
 	pag *bdq.PooledAgent
 
 	prevState   []float64
@@ -142,12 +141,12 @@ func NewManager(cfg Config, managedCores []int) *Manager {
 	}
 }
 
-// NewManagerPooled builds a manager whose agent joins the shared pool
-// for its architecture: action selection runs through the fleet's
-// batched GEMM sweep, training stays the agent's own. Behaviour is
-// bit-identical to NewManager; only the execution shape changes. The
-// caller must Close the manager when discarding it so the pool stops
-// holding its agent.
+// NewManagerPooled builds a manager whose agent joins the registry's
+// shared pool: its learning and selection are queued for the fleet's one
+// flush per interval, and run there through the agent's own Observe and
+// selection. Behaviour is bit-identical to NewManager; only when the
+// work runs changes. The caller must Close the manager when discarding
+// it so the pool stops holding its agent.
 func NewManagerPooled(cfg Config, managedCores []int, pools *bdq.Pools) *Manager {
 	m := NewManager(cfg, managedCores)
 	if pools != nil {

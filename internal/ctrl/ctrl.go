@@ -48,11 +48,11 @@ type Controller interface {
 }
 
 // PhasedController is an optional Controller extension for fleet-level
-// batching: a coordinator that drives several controllers per tick may
+// flushes: a coordinator that drives several controllers per tick may
 // split each Decide into PrepareDecide (observe + enqueue learning and
 // action-selection work) and FinishDecide (collect the selected actions
-// and emit the assignment), with one shared flush — e.g. a batched
-// grouped-GEMM sweep over every controller's network — in between.
+// and emit the assignment), with one shared flush — e.g. a
+// bdq.AgentPool's over every controller's agent — in between.
 // PrepareDecide/FinishDecide must compose to exactly Decide: calling
 // them around a flush yields the bit-identical assignment and learning
 // trajectory.

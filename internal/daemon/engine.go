@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/twig-sched/twig/internal/bdq"
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/ctrl"
@@ -167,7 +166,6 @@ type Engine struct {
 	admitted int // monotonic admission counter, seeds new services
 
 	srv     *sim.Server
-	pools   *bdq.Pools // shared batched-GEMM agent pools, survive rebuilds
 	mgr     *core.Manager
 	guard   *ctrl.Guard
 	drainer *ctrl.Drainer
@@ -346,18 +344,7 @@ func (e *Engine) buildController() {
 		services[i] = experiments.ServiceConfigFor(en.name, en.qosMs)
 	}
 	cfg := experiments.ManagerConfig(e.srv, e.cfg.Scale, e.cfg.Seed+int64(e.gen)*7919, services)
-	// The manager's agent is a member of a pool registry shared across
-	// controller generations: a rebuild closes the old manager (taking
-	// its agent out of its pool) and attaches the fresh learner. The
-	// pooled path is bit-identical to the per-agent one, so resume and
-	// determinism guarantees are unchanged.
-	if e.pools == nil {
-		e.pools = bdq.NewPools()
-	}
-	if e.mgr != nil {
-		e.mgr.Close()
-	}
-	e.mgr = core.NewManagerPooled(cfg, e.srv.ManagedCores(), e.pools)
+	e.mgr = core.NewManager(cfg, e.srv.ManagedCores())
 	var inner ctrl.Controller = e.mgr
 	if e.cfg.Guard {
 		e.guard = ctrl.NewGuard(e.mgr, ctrl.GuardConfigFor(e.srv))

@@ -8,22 +8,18 @@ import (
 )
 
 // TestHammerAdmitDrainWhilePoolSteps races the admission API against
-// the batched control loop: while Step() drives the pooled manager
-// (grouped-GEMM sweeps over the shared parameter arena), concurrent
+// the control loop: while Step() drives the manager, concurrent
 // goroutines admit, drain and delete services as fast as the API lets
-// them. Membership churn maps to arena slot release/adopt inside
-// controller rebuilds; run under -race this proves no torn arena slots
-// and no unsynchronised pool access. Expected lifecycle conflicts
-// (drain of a pending service, duplicate admit) are fine — panics,
-// races and a wedged control loop are not.
+// them. Membership churn maps to controller rebuilds, a fresh learner
+// each; run under -race this proves the rebuild and the registry
+// synchronised against the loop. Expected lifecycle conflicts (drain of
+// a pending service, duplicate admit) are fine — panics, races and a
+// wedged control loop are not.
 func TestHammerAdmitDrainWhilePoolSteps(t *testing.T) {
 	e, err := New(Config{Scale: tinyScale(), Seed: 99, DrainTimeoutS: 3},
 		[]AdmitRequest{{Name: "masstree", Load: 0.5}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !e.Manager().Pooled() {
-		t.Fatal("daemon manager is not pooled")
 	}
 
 	const steps = 150
@@ -59,9 +55,9 @@ func TestHammerAdmitDrainWhilePoolSteps(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	// The loop must still be healthy after the churn storm: the pooled
-	// manager decides, the world steps, and the live services are
-	// consistent between the registry and the simulator.
+	// The loop must still be healthy after the churn storm: the manager
+	// decides, the world steps, and the live services are consistent
+	// between the registry and the simulator.
 	for i := 0; i < 10; i++ {
 		if _, err := e.Step(); err != nil {
 			t.Fatalf("post-hammer step %d: %v", i, err)

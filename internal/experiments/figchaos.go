@@ -20,11 +20,11 @@ import (
 // also the node's checkpointable component, so its learning state
 // travels in warm snapshots and fleet checkpoints. Every node's agent
 // is attached to a shared AgentPool: trajectories are bit-for-bit those
-// of unpooled managers, but action selection across the whole fleet
-// runs as one batched grouped-GEMM sweep. The returned flush runs one
-// fleet sweep; pass it as cluster.Config.Flush so the coordinator
-// drives the PrepareDecide / flush / FinishDecide phases. Node
-// rebuilds, drains and failovers leave the pool through ctrl.Closer.
+// of unpooled managers, each agent learning and selecting through its
+// own code. The returned flush runs the fleet's queued work; pass it as
+// cluster.Config.Flush so the coordinator drives the PrepareDecide /
+// flush / FinishDecide phases. Node rebuilds, drains and failovers leave
+// the pool through ctrl.Closer.
 func PooledFleetFactory(sc Scale) (cluster.ControllerFactory, func()) {
 	pools := bdq.NewPools()
 	factory := func(srv *sim.Server, specs []cluster.ReplicaSpec, seed int64) (ctrl.Controller, []checkpoint.Checkpointable) {

@@ -12,7 +12,7 @@ import (
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
-// End-to-end golden differentials for the pooled/batched engine: a full
+// End-to-end golden differentials for the pooled managers: a full
 // experiment cell driven by a pooled Twig manager must reproduce the
 // per-agent run record-for-record (hex-float identical), and a resumed
 // run restored INTO a pooled manager must continue the per-agent

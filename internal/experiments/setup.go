@@ -144,8 +144,8 @@ func NewTwig(srv *sim.Server, sc Scale, seed int64, names ...string) *core.Manag
 }
 
 // NewTwigPooled is NewTwig with the manager's agent attached to a
-// shared AgentPool: identical trajectories bit-for-bit, batched
-// grouped-GEMM execution.
+// shared AgentPool: identical trajectories bit-for-bit, the learning and
+// selection run in the pool's flush.
 func NewTwigPooled(srv *sim.Server, sc Scale, seed int64, pools *bdq.Pools, names ...string) *core.Manager {
 	return core.NewManagerPooled(twigConfig(srv, sc, seed, names...), srv.ManagedCores(), pools)
 }

@@ -426,8 +426,7 @@ doneor:
 // Fused row sweep: `panels` consecutive nr-wide panels of one packed
 // operand against one a-row, accumulators flushed to acc[8p : 8p+8] per
 // panel, ±0 a elements stepped over. One call per row instead of one
-// per panel: the call overhead dominates batch-1 pooled selects at
-// small k.
+// per panel: the call overhead dominates batch-1 selects at small k.
 TEXT ·kernRowPanelsS(SB), NOSPLIT, $0-40
 	MOVQ k+0(FP), BX
 	MOVQ panels+8(FP), R9

@@ -2,20 +2,19 @@ package mat
 
 import "fmt"
 
-// Pooled multi-agent dispatch: persistent packed B panels and a
-// block-diagonal ("grouped") GEMM. S agents sharing one architecture
-// stack their activations row-wise into a single matrix; each band of
-// rows multiplies its own agent's weight matrix. Every destination
-// element still accumulates its k terms in ascending order with
-// individual roundings on the shared microkernels, so a grouped product
-// is bit-identical to the per-agent Mul/MulBiasAct calls it replaces —
-// including batch-1 bands, which the per-agent path runs on the
-// streaming kernel and the grouped path on the packed 1×8 kernel.
+// Persistent packed B panels, which every nn.Dense forward multiplies
+// against, and a block-diagonal ("grouped") GEMM over them, whose one
+// caller is the interval-cost benchmark's grouped-GEMM probe. Every
+// destination element accumulates its k terms in ascending order with
+// individual roundings on the shared microkernels, so a packed product
+// is bit-identical to the Mul/MulBiasAct call over the same operands —
+// including batch-1 rows, which MulBiasAct runs on the streaming kernel
+// and the packed path on the fused row kernel.
 
 // PackedB is a B operand packed once into nr-wide column panels and
 // kept (owned storage, not the scratch pool) so repeated products
-// against the same weights — the pooled action-selection sweep — skip
-// the per-call packing that makes batch-1 GEMMs memory-bound.
+// against the same weights — every batch-1 action selection — skip the
+// per-call packing that makes batch-1 GEMMs memory-bound.
 //
 // Element (t, j) of the operand is Data[(j/PanelWidth)·K·PanelWidth +
 // t·PanelWidth + j%PanelWidth], columns past N zero: a writer that
@@ -83,7 +82,7 @@ func mulPackedInto(dst, a *Matrix, al *Live, bp []float64, r0, r1 int, bias []fl
 	}
 	ep := epilogue{bias: bias, act: act}
 	if r1-r0 < mr {
-		// Narrow products (solo batch-1 action selection on persistent
+		// Narrow products (batch-1 action selection on persistent
 		// packs): the fused multi-panel row kernel skips the per-panel
 		// call dispatch and the column scan.
 		k, n := a.Cols, dst.Cols
@@ -117,8 +116,8 @@ type Group struct {
 // MulGroupedBiasAct computes the block-diagonal product: a and dst are
 // split into len(groups) bands of rowsPer consecutive rows, and band g
 // is act(a_g·B_g + bias_g). Every operand must share the depth a.Cols
-// and the output width dst.Cols (agents share one architecture). Each
-// band is bit-identical to MulBiasAct over that band alone.
+// and the output width dst.Cols. Each band is bit-identical to
+// MulBiasAct over that band alone.
 func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activation) {
 	if rowsPer <= 0 {
 		panic("mat: MulGroupedBiasAct rowsPer must be positive")
@@ -137,75 +136,17 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 			panic("mat: MulGroupedBiasAct bias length mismatch")
 		}
 	}
-	if len(groups) == 0 {
-		return
-	}
-	if rowsPer >= mr {
-		// Wide bands: each band runs the full tiled range, packing into
-		// scratch when the caller holds no persistent panels.
-		for g := range groups {
-			r0 := g * rowsPer
-			bp, scratch := groupPanels(&groups[g])
-			mulPackedInto(dst, a, nil, bp, r0, r0+rowsPer, groups[g].Bias, act)
-			if scratch != nil {
-				PutScratch(scratch)
-			}
-		}
-		return
-	}
-	// Narrow bands (pooled batch-1 action selection): one fused row
-	// kernel call per stacked row; each row resolves its own group's
-	// panels.
-	if rowsPer == 1 && k > 0 && n > 0 && allPacked(groups) {
-		// Every group pre-packed (the pooled steady state): no panel
-		// indirection to build, no scratch bookkeeping — the row loop
-		// reads each group's panels straight out of its PackedB.
-		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
-		for i := 0; i < a.Rows; i++ {
-			ep := epilogue{bias: groups[i].Bias, act: act}
-			gemmPackedRowFused(dst.Row(i), a.Row(i), groups[i].Packed.Data, rowScr.Data, k, n, &ep)
-		}
-		PutScratch(rowScr)
-		return
-	}
-	var scratches []*Matrix
-	panels := make([][]float64, len(groups))
+	// Each band runs mulPackedInto over its own panels (bands under mr
+	// rows on its fused row kernel), packing into scratch when the
+	// caller holds no persistent panels.
 	for g := range groups {
+		r0 := g * rowsPer
 		bp, scratch := groupPanels(&groups[g])
-		panels[g] = bp
+		mulPackedInto(dst, a, nil, bp, r0, r0+rowsPer, groups[g].Bias, act)
 		if scratch != nil {
-			scratches = append(scratches, scratch)
+			PutScratch(scratch)
 		}
 	}
-	if k == 0 || n == 0 {
-		dst.Zero()
-		biasActRange(dst, 0, dst.Rows, nil, ActIdentity)
-		for g := range groups {
-			r0 := g * rowsPer
-			biasActRange(dst, r0, r0+rowsPer, groups[g].Bias, act)
-		}
-	} else {
-		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
-		for i := 0; i < a.Rows; i++ {
-			g := i / rowsPer
-			ep := epilogue{bias: groups[g].Bias, act: act}
-			gemmPackedRowFused(dst.Row(i), a.Row(i), panels[g], rowScr.Data, k, n, &ep)
-		}
-		PutScratch(rowScr)
-	}
-	for _, s := range scratches {
-		PutScratch(s)
-	}
-}
-
-// allPacked reports whether every group carries persistent panels.
-func allPacked(groups []Group) bool {
-	for g := range groups {
-		if groups[g].Packed == nil {
-			return false
-		}
-	}
-	return true
 }
 
 func groupShape(g *Group) (k, n int) {

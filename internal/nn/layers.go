@@ -154,7 +154,7 @@ func (d *Dense) LiveInputs() (live int, ok bool) { return d.liveIn, d.liveIn >= 
 // optimiser, which rewrites every weight, writes the panels in the same
 // pass (Adam's stepParam): an optimiser step leaves the pack current.
 // The caller owns the refresh after every other weight mutation
-// (bdq.Network keys this on its weight epoch), or never calls it — a
+// (bdq.Network marks its packs stale on each), or never calls it — a
 // Dense without packs stays on the per-call packing path. While set,
 // Forward runs the packed kernels at any batch size and skips
 // MulBiasAct's per-call packing: bitwise identical, pack cost paid once
@@ -167,8 +167,7 @@ func (d *Dense) RefreshPack() {
 }
 
 // Pack returns the persistent packed panels, or nil before the first
-// RefreshPack. Pooled grouped products share these panels with the
-// layer's own Forward.
+// RefreshPack.
 func (d *Dense) Pack() *mat.PackedB { return d.W.pack }
 
 // Backward accumulates dW = xᵀ·g and db = Σ_rows g, returning g·Wᵀ
