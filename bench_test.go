@@ -128,9 +128,15 @@ func BenchmarkTable3OverheadMonitorAndMapper(b *testing.B) {
 // dropout on, so the minibatch has what node_paper_twigc's has: units
 // dead across the whole batch next to per-element zeros no predictor
 // learns (one transition repeated would flatter any kernel that
-// branches on its data).
+// branches on its data). /quick feeds the same at the quick scale the
+// daemon runs (daemon_quick_churn): 64/48/32, batch 32, no dropout and
+// three train steps an Observe.
 func BenchmarkAgentObserve(b *testing.B) {
-	sc := experiments.PaperScale()
+	b.Run("varied", func(b *testing.B) { benchAgentObserve(b, experiments.PaperScale()) })
+	b.Run("quick", func(b *testing.B) { benchAgentObserve(b, experiments.QuickScale()) })
+}
+
+func benchAgentObserve(b *testing.B, sc experiments.Scale) {
 	spec := bdq.Spec{
 		StateDim:     2 * int(pmc.NumCounters),
 		Agents:       2,
@@ -139,37 +145,36 @@ func BenchmarkAgentObserve(b *testing.B) {
 		BranchHidden: sc.BranchHidden,
 		Dropout:      sc.Dropout,
 	}
-	b.Run("varied", func(b *testing.B) {
-		agent := bdq.NewAgent(bdq.AgentConfig{
-			Spec:      spec,
-			BatchSize: sc.BatchSize,
-			UsePER:    true,
-			Seed:      1,
-		})
-		rng := rand.New(rand.NewSource(1))
-		ts := make([]replay.Transition, 256)
-		for i := range ts {
-			t := replay.Transition{
-				State:     make([]float64, spec.StateDim),
-				NextState: make([]float64, spec.StateDim),
-				Actions:   []int{rng.Intn(18), rng.Intn(9), rng.Intn(18), rng.Intn(9)},
-				Rewards:   []float64{rng.NormFloat64(), rng.NormFloat64()},
-			}
-			for j := range t.State {
-				t.State[j] = rng.Float64()
-				t.NextState[j] = rng.Float64()
-			}
-			ts[i] = t
-		}
-		for i := 0; i < 2*sc.BatchSize; i++ {
-			agent.Observe(ts[i%len(ts)])
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			agent.Observe(ts[i%len(ts)])
-		}
+	agent := bdq.NewAgent(bdq.AgentConfig{
+		Spec:         spec,
+		BatchSize:    sc.BatchSize,
+		TrainPerStep: sc.TrainPerStep,
+		UsePER:       true,
+		Seed:         1,
 	})
+	rng := rand.New(rand.NewSource(1))
+	ts := make([]replay.Transition, 256)
+	for i := range ts {
+		t := replay.Transition{
+			State:     make([]float64, spec.StateDim),
+			NextState: make([]float64, spec.StateDim),
+			Actions:   []int{rng.Intn(18), rng.Intn(9), rng.Intn(18), rng.Intn(9)},
+			Rewards:   []float64{rng.NormFloat64(), rng.NormFloat64()},
+		}
+		for j := range t.State {
+			t.State[j] = rng.Float64()
+			t.NextState[j] = rng.Float64()
+		}
+		ts[i] = t
+	}
+	for i := 0; i < 2*sc.BatchSize; i++ {
+		agent.Observe(ts[i%len(ts)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.Observe(ts[i%len(ts)])
+	}
 }
 
 // BenchmarkFig5TwigS regenerates Fig. 5 for one service across the three

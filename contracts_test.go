@@ -47,6 +47,13 @@ var contracts = []contract{
 		},
 	},
 	{
+		name: "live-block-only",
+		why:  `the backward products do only their live × live arithmetic (DESIGN.md, "The training step and its kernel tiers"): dW reads its operand where it lies, so the gathered copy of its columns stays deleted`,
+		clauses: []clause{
+			{scope{dirs: []string{"internal/mat"}}, []rule{idents("gatherColumns")}},
+		},
+	},
+	{
 		name: "gating-by-owner",
 		why:  `gating is declared by the network's owner, from its structure (DESIGN.md, "The training step and its kernel tiers"): no config field, flag or environment variable sets or reads GatedInput, and only internal/nn and internal/bdq name it outside tests`,
 		clauses: []clause{

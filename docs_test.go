@@ -42,6 +42,23 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 	}
 }
 
+// roadmapItemRE matches a citation of a ROADMAP item by its number.
+var roadmapItemRE = regexp.MustCompile(`ROADMAP(\.md)?('s)?,?\s+items?\s+\d`)
+
+// TestDocsCiteRoadmapByName: ROADMAP renumbers its items at every
+// re-anchor, so "ROADMAP item 6" in another document goes stale without
+// anyone touching it. README.md, DESIGN.md and EXPERIMENTS.md name the
+// item instead; a History section is exempt.
+func TestDocsCiteRoadmapByName(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text := strings.Join(outsideHistory(t, doc), "\n")
+		for _, m := range roadmapItemRE.FindAllStringIndex(text, -1) {
+			t.Errorf("%s:%d: %q cites ROADMAP by item number; name the item", doc, 1+strings.Count(text[:m[0]], "\n"),
+				spaceRE.ReplaceAllString(text[m[0]:m[1]], " "))
+		}
+	}
+}
+
 // designBudget is DESIGN.md's contract with every session that has to
 // read it before writing code: what the system is, in this many lines.
 // A PR that needs more room for something new makes it by cutting what
@@ -70,17 +87,15 @@ var (
 	spaceRE   = regexp.MustCompile(`\s+`)
 )
 
-// docSpans returns the inline code spans of a Markdown file, and each
-// line of its fenced blocks as one span, leaving out every section whose
-// heading contains the word History (down to the next heading of the
-// same or a higher level).
-func docSpans(t *testing.T, name string) []span {
+// outsideHistory returns the lines of a Markdown file with every section
+// whose heading contains the word History (down to the next heading of
+// the same or a higher level) blanked.
+func outsideHistory(t *testing.T, name string) []string {
 	data, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(string(data), "\n")
-	var out []span
 	fenced, historyLevel := false, 0
 	for i, ln := range lines {
 		if m := headingRE.FindStringSubmatch(ln); m != nil && !fenced {
@@ -91,12 +106,29 @@ func docSpans(t *testing.T, name string) []span {
 				historyLevel = len(m[1])
 			}
 		}
+		if strings.HasPrefix(strings.TrimSpace(ln), "```") {
+			fenced = !fenced
+		}
+		if historyLevel > 0 {
+			lines[i] = ""
+		}
+	}
+	return lines
+}
+
+// docSpans returns the inline code spans of a Markdown file, and each
+// line of its fenced blocks as one span, outside its History sections.
+func docSpans(t *testing.T, name string) []span {
+	lines := outsideHistory(t, name)
+	var out []span
+	fenced := false
+	for i, ln := range lines {
 		isFence := strings.HasPrefix(strings.TrimSpace(ln), "```")
 		if isFence {
 			fenced = !fenced
 		}
 		switch {
-		case historyLevel > 0 || isFence:
+		case isFence:
 			lines[i] = ""
 		case fenced:
 			if n := len(out); n > 0 && strings.HasSuffix(out[n-1].text, "\\") { // a continued command

@@ -107,6 +107,12 @@ type Network struct {
 	// noRescale disables the 1/K and 1/D gradient rescaling so tests
 	// can compare Backward against exact finite differences.
 	noRescale bool
+
+	// beforeBackward, when set, sees each dense layer just before Backward
+	// runs its products, with the input-gradient sum they add to (nil for
+	// none): tests hold every accumulation target to the products'
+	// precondition there (mat.MulTransAAcc: no −0).
+	beforeBackward func(d *nn.Dense, sum *mat.Matrix)
 }
 
 // Output holds the per-agent, per-dimension Q-values for a batch:
@@ -290,7 +296,7 @@ func (n *Network) Backward(gradQ [][]*mat.Matrix) {
 				}
 			}
 		}
-		n.valueHid[v].BackwardAcc(n.valueOut[v].Backward(gv), sharedGrad)
+		n.backward(n.valueHid[v], n.backward(n.valueOut[v], gv, nil), sharedGrad)
 	}
 	if n.spec.SharedValue {
 		valueStream(0, gradQ)
@@ -318,14 +324,36 @@ func (n *Network) Backward(gradQ [][]*mat.Matrix) {
 					crow[j] = grow[j] - ws.means[b]
 				}
 			}
-			n.advOut[k][d].BackwardAcc(centered, combined)
+			n.backward(n.advOut[k][d], centered, combined)
 		}
 		combined.Scale(1 / K)
-		n.advHidden[d].BackwardAcc(combined, sharedGrad)
+		n.backward(n.advHidden[d], combined, sharedGrad)
 	}
 
 	sharedGrad.Scale(1 / D)
+	if n.beforeBackward != nil {
+		// No trunk layer's backward writes another's gradients, so the
+		// trunk's targets stand now as they will when its products run.
+		for _, l := range n.shared.Layers {
+			if d, ok := l.(*nn.Dense); ok {
+				n.beforeBackward(d, nil)
+			}
+		}
+	}
 	n.shared.Backward(sharedGrad)
+}
+
+// backward runs d's backward pass on g, adding its input gradient to sum
+// (nil: returning it instead).
+func (n *Network) backward(d *nn.Dense, g, sum *mat.Matrix) *mat.Matrix {
+	if n.beforeBackward != nil {
+		n.beforeBackward(d, sum)
+	}
+	if sum == nil {
+		return d.Backward(g)
+	}
+	d.BackwardAcc(g, sum)
+	return nil
 }
 
 // bwdWorkspace returns the reusable Backward scratch for the given batch

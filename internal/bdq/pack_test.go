@@ -12,7 +12,8 @@ import (
 
 // requirePacks holds every dense layer of n to the pack-in-step
 // invariant's conclusion: its persistent panels are mat.PackB of the
-// weights it holds now, bit for bit.
+// weights it holds now, bit for bit, and its Finite bit is what a scan of
+// those weights says.
 func requirePacks(t *testing.T, tag string, n *Network) {
 	t.Helper()
 	for _, d := range n.Denses() {
@@ -27,6 +28,13 @@ func requirePacks(t *testing.T, tag string, n *Network) {
 			if math.Float64bits(got[i]) != math.Float64bits(w) {
 				t.Fatalf("%s: %s pack[%d] = %v, the weights pack to %v", tag, d.W.Name, i, got[i], w)
 			}
+		}
+		finite := true
+		for _, v := range d.W.Value.Data {
+			finite = finite && !math.IsInf(v, 0) && !math.IsNaN(v)
+		}
+		if d.Pack().Finite != finite {
+			t.Fatalf("%s: %s pack says Finite %t, a scan of its weights %t", tag, d.W.Name, d.Pack().Finite, finite)
 		}
 	}
 }
@@ -140,4 +148,15 @@ func TestPackFollowsEveryWeightWriter(t *testing.T) {
 	}
 	pa.SelectGreedy(testState(dim, 0, 96))
 	requirePacks(t, "pooled member's reload", a.online)
+
+	// A writer that brings a non-finite weight: the repack behind it clears
+	// that layer's Finite bit, and the optimiser steps that write the
+	// panels next keep every bit what a scan says.
+	donor.online.Denses()[1].W.Value.Data[3] = math.Inf(1)
+	a.CopyWeightsFrom(donor)
+	use("CopyWeightsFrom of a non-finite weight")
+	if a.online.Denses()[1].Pack().Finite {
+		t.Fatal("a pack holding +Inf says Finite")
+	}
+	stepLeavesPacksCurrent("a step over a non-finite weight")
 }

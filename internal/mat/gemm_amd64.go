@@ -30,7 +30,7 @@ func cpuHasAVX2() bool
 func cpuHasAVX512() bool
 
 //go:noescape
-func kern4x8n(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
+func kern4x8n(k, astep int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
 
 //go:noescape
 func kern4x8ni(n int, idx *int32, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)

@@ -64,15 +64,19 @@ no512:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func kern4x8n(k int, a0, a1, a2, a3, panel *float64, acc *[32]float64)
-TEXT ·kern4x8n(SB), NOSPLIT, $0-56
+// func kern4x8n(k, astep int, a0, a1, a2, a3, panel *float64, acc *[32]float64)
+//
+// Each a pointer steps astep bytes a k step: 8 along a row of the operand,
+// a row's width down a column of it (MulTransA reads its operand in place).
+TEXT ·kern4x8n(SB), NOSPLIT, $0-64
 	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ panel+40(FP), SI
-	MOVQ acc+48(FP), DI
+	MOVQ astep+8(FP), AX
+	MOVQ a0+16(FP), R8
+	MOVQ a1+24(FP), R9
+	MOVQ a2+32(FP), R10
+	MOVQ a3+40(FP), R11
+	MOVQ panel+48(FP), SI
+	MOVQ acc+56(FP), DI
 	VXORPS Y4, Y4, Y4
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
@@ -106,10 +110,10 @@ loop4n:
 	VADDPD Y3, Y10, Y10
 	VMULPD Y1, Y2, Y3
 	VADDPD Y3, Y11, Y11
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
+	ADDQ AX, R8
+	ADDQ AX, R9
+	ADDQ AX, R10
+	ADDQ AX, R11
 	ADDQ $64, SI
 	DECQ CX
 	JNZ  loop4n
@@ -205,7 +209,9 @@ done4ni:
 //
 // One 8-row tile against t.panels consecutive panels of a packed operand,
 // written back from the registers. Per panel: the k loop — every step
-// when t.idx is nil, else the t.k steps t.idx lists (ascending), where AX
+// when t.idx is nil, each a pointer advancing t.astep bytes (8 along a
+// row, a row's width down a column MulTransA reads in place), else the
+// t.k steps t.idx lists (ascending) of contiguous a rows, where AX
 // holds the byte offset of the step's a elements, 8·idx[t], and scaled by
 // eight again the panel row's — then the epilogue on the eight
 // accumulators: bias added (acc + bias), ReLU as a compare-greater-than-
@@ -244,6 +250,7 @@ panel8w:
 	JZ   epi8w
 	TESTQ DI, DI
 	JNZ  idx8w
+	MOVQ 216(AX), AX          // astep: bytes from one a element to the next
 dense8w:
 	VMOVUPD (SI), Z0
 	VMULPD.BCST (R8), Z0, Z1
@@ -262,14 +269,14 @@ dense8w:
 	VADDPD Z1, Z10, Z10
 	VMULPD.BCST (DX), Z0, Z2
 	VADDPD Z2, Z11, Z11
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $8, R12
-	ADDQ $8, R13
-	ADDQ $8, BX
-	ADDQ $8, DX
+	ADDQ AX, R8
+	ADDQ AX, R9
+	ADDQ AX, R10
+	ADDQ AX, R11
+	ADDQ AX, R12
+	ADDQ AX, R13
+	ADDQ AX, BX
+	ADDQ AX, DX
 	ADDQ $64, SI
 	DECQ CX
 	JNZ  dense8w

@@ -127,11 +127,12 @@ func benchGEMM(b *testing.B) {
 			}
 			gflops(b)
 		})
+		// W declared finite, as a Dense hands on its pack's Finite bit.
 		b.Run(fmt.Sprintf("%s/depth%.0fout%.0f", transB, 100*s.liveOut, 100*s.liveIn), func(b *testing.B) {
 			gate := scanned(xs)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MulTransBLive(gin, gs, nil, w, gate, false)
+				MulTransBLive(gin, gs, nil, w, true, gate, false)
 			}
 			gflops(b)
 		})

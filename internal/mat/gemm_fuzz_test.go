@@ -12,7 +12,9 @@ import (
 // bitwise equality — math.Float64bits, not tolerance — for arbitrary
 // shapes (including 0-row/0-col and non-multiples of the 4×8 tile),
 // data with exact zeros (exercising the skip path), and every kernel
-// tier the host has: portable, AVX2, AVX-512.
+// tier the host has: portable, AVX2, AVX-512. An accumulating product
+// owes the oracle's bits wherever its destination held no −0
+// (keptNegZero says what it may do with one).
 //
 // That is the contract for finite operands. With an Inf or a NaN in the
 // b operand the tiled Mul/MulTransA family may differ from the naive
@@ -61,6 +63,23 @@ func requireBitsEqual(t *testing.T, tag string, got, want *Matrix) {
 				tag, i, math.Float64bits(g), g, math.Float64bits(w), w)
 		}
 	}
+}
+
+// keptNegZero is want, the oracle of an accumulation into dst0, with the
+// documented exception put back: where dst0 held −0 and the element's sum
+// was +0 (want reads +0), an accumulating product may have added nothing
+// and left the −0 (MulTransAAcc's precondition), so where got still reads
+// −0 there, so does the result. Every other element is want's, bit for
+// bit.
+func keptNegZero(got, dst0, want *Matrix) *Matrix {
+	negZero := math.Float64bits(math.Copysign(0, -1))
+	out := want.Clone()
+	for i, w := range want.Data {
+		if math.Float64bits(w) == 0 && math.Float64bits(dst0.Data[i]) == negZero && math.Float64bits(got.Data[i]) == negZero {
+			out.Data[i] = got.Data[i]
+		}
+	}
+	return out
 }
 
 // plantNonFinite overwrites a few elements of data with ±Inf and NaN.
@@ -218,7 +237,7 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 
 			// The accumulate variant's reference is the unfused pair it
 			// replaces — tmp = aᵀ·b (naive), dst += 1·tmp — starting from
-			// a non-trivial dst.
+			// a non-trivial dst, whose planted −0s may stay (keptNegZero).
 			dst0 := New(m, n)
 			fuzzFill(dst0.Data, rng)
 			wantAcc := dst0.Clone()
@@ -232,7 +251,7 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 
 				gotAcc := dst0.Clone()
 				MulTransAAcc(gotAcc, a, nil, b, nil)
-				require(t, "MulTransAAcc/"+kernel, gotAcc, wantAcc)
+				require(t, "MulTransAAcc/"+kernel, gotAcc, keptNegZero(gotAcc, dst0, wantAcc))
 			})
 		}
 	})
@@ -244,7 +263,8 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 // tiles and last tiles of one to three rows, every entry point that
 // scans — Mul, the packed product with bias and ReLU over a row band,
 // MulTransA with and without accumulation, MulTransB — under every
-// kernel tier. Finite operands, bitwise.
+// kernel tier. Finite operands, bitwise (but for the −0 an accumulation
+// may leave standing: keptNegZero).
 func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(60), byte(40), byte(110)) // ~43 % dead
 	f.Add(int64(2), byte(64), byte(33), byte(17), byte(180)) // ~70 % dead
@@ -319,7 +339,7 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 			requireBitsEqual(t, "MulTransA/"+kernel, gotTA, wantTA)
 			gotAcc := dst0.Clone()
 			MulTransAAcc(gotAcc, a, nil, c, nil)
-			requireBitsEqual(t, "MulTransAAcc/"+kernel, gotAcc, wantAcc)
+			requireBitsEqual(t, "MulTransAAcc/"+kernel, gotAcc, keptNegZero(gotAcc, dst0, wantAcc))
 		})
 	})
 }
@@ -340,11 +360,13 @@ func deadColumnsOf(m *Matrix) []bool {
 // live × live block: dead columns at fuzzed rates in both operands of
 // dst (+)= aᵀ·b, so the product settles dead rows and dead columns and
 // packs the rest, with and without sets the caller holds. Finite
-// operands: bitwise the naive kernel. Then Inf and NaN planted in a: a
-// dead column of b may hide them — its destination column then reads the
-// settled +0 (dst + 0 when accumulating) where the oracle reads NaN — and
-// everything else is still the oracle's bit for bit (two NaNs may differ
-// in sign and payload, which follow the operand order of each addition).
+// operands: bitwise the naive kernel, but for the −0 an accumulation may
+// leave standing (keptNegZero). Then Inf and NaN planted in a: a dead
+// column of b may hide them — its destination column then reads the
+// settled +0 (dst as it stood when accumulating) where the oracle reads
+// NaN — and everything else is still the oracle's bit for bit (two NaNs
+// may differ in sign and payload, which follow the operand order of each
+// addition).
 func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(40), byte(60), byte(110), byte(110)) // both ~43 % dead
 	f.Add(int64(2), byte(32), byte(22), byte(67), byte(0), byte(180))   // b ~70 % dead
@@ -384,8 +406,6 @@ func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 				}
 			}
 			zeros := New(m, n)
-			settledAcc := dst0.Clone()
-			settledAcc.AddScaled(1, zeros) // dst + (+0)
 			withKernels(t, func(kernel string) {
 				got := New(m, n)
 				fuzzFill(got.Data, rng)
@@ -399,7 +419,7 @@ func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 					} else {
 						MulTransAAcc(got, a, nil, b, nil)
 					}
-					require(fmt.Sprintf("MulTransAAcc/%s/held=%t", kernel, held), got, wantAcc, settledAcc)
+					require(fmt.Sprintf("MulTransAAcc/%s/held=%t", kernel, held), got, keptNegZero(got, dst0, wantAcc), dst0)
 				}
 			})
 		}
@@ -407,12 +427,14 @@ func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 }
 
 // FuzzMulTransBGatedMatchesNaive: dst (+)= a·bᵀ in the destination columns
-// a fuzzed gate lists, the rest +0, with dead columns in a (the depth the
-// product skips), stored over stale values and accumulated, with and
-// without a held set of a. Finite operands: bitwise the naive kernel in
-// the listed columns. Then Inf and NaN planted in both operands: a listed
-// column still hides nothing (NaNs may differ in payload), an unlisted one
-// reads +0 whatever its row of b holds.
+// a fuzzed gate lists, with dead columns in a (the depth the product
+// skips), stored over stale values — the unlisted columns +0 — and
+// accumulated — the unlisted columns as dst held them, −0 included — with
+// and without a held set of a, and for finite operands with b declared
+// finite too. Finite operands: bitwise the naive kernel in the listed
+// columns. Then Inf and NaN planted in both operands: a listed column
+// still hides nothing (NaNs may differ in payload), an unlisted one reads
+// what it would whatever its row of b holds.
 func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(40), byte(60), byte(110), byte(110))
 	f.Add(int64(2), byte(32), byte(33), byte(67), byte(180), byte(60))
@@ -447,19 +469,28 @@ func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
 			}
 			wantAcc := dst0.Clone()
 			for i, w := range want.Data {
-				wantAcc.Data[i] += w
+				if !gated[i%n] {
+					wantAcc.Data[i] += w
+				}
+			}
+			knowns := []bool{false}
+			if finite {
+				knowns = append(knowns, true) // b declared finite: only when it is
 			}
 			withKernels(t, func(kernel string) {
 				gate := scanned(in)
 				var al Live
-				for _, held := range []*Live{nil, &al, &al} {
-					got := New(m, n)
-					fuzzFill(got.Data, rng)
-					MulTransBLive(got, a, held, b, gate, false)
-					require(t, fmt.Sprintf("MulTransBLive/%s/held=%t", kernel, held != nil), got, want)
-					got.CopyFrom(dst0)
-					MulTransBLive(got, a, held, b, gate, true)
-					require(t, fmt.Sprintf("MulTransBLive acc/%s/held=%t", kernel, held != nil), got, wantAcc)
+				for _, known := range knowns {
+					for _, held := range []*Live{nil, &al, &al} {
+						tag := fmt.Sprintf("%s/held=%t/finite=%t", kernel, held != nil, known)
+						got := New(m, n)
+						fuzzFill(got.Data, rng)
+						MulTransBLive(got, a, held, b, known, gate, false)
+						require(t, "MulTransBLive/"+tag, got, want)
+						got.CopyFrom(dst0)
+						MulTransBLive(got, a, held, b, known, gate, true)
+						require(t, "MulTransBLive acc/"+tag, got, wantAcc)
+					}
 				}
 			})
 		}

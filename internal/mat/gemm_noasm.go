@@ -9,7 +9,7 @@ var (
 	haveAVX512 = false
 )
 
-func kern4x8n(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
+func kern4x8n(k, astep int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
 	panic("mat: asm kernel on non-amd64")
 }
 

@@ -19,10 +19,14 @@ import "fmt"
 // Element (t, j) of the operand is Data[(j/PanelWidth)·K·PanelWidth +
 // t·PanelWidth + j%PanelWidth], columns past N zero: a writer that
 // rewrites the whole operand (nn's Adam kernel) may store to the panels
-// itself instead of calling RepackFrom.
+// itself instead of calling RepackFrom, and then sets Finite.
 type PackedB struct {
 	K, N int // operand shape: K rows (depth) × N cols
 	Data []float64
+	// Finite says every element Data holds is finite. RepackFrom sets it
+	// as it packs; a writer of the panels sets it too. A product by the
+	// operand's transpose takes it instead of a scan (MulTransBLive).
+	Finite bool
 }
 
 // PanelWidth is the number of operand columns one packed panel holds.
@@ -47,6 +51,11 @@ func (pb *PackedB) RepackFrom(b *Matrix) {
 	pb.Data = pb.Data[:need]
 	pb.K, pb.N = k, n
 	packBInto(pb.Data, b, nil)
+	var carry uint64
+	for _, v := range pb.Data {
+		carry |= nonFinite(v)
+	}
+	pb.Finite = carry>>63 == 0
 }
 
 // MulPackedBiasAct computes dst = act(a·b + bias) against a pre-packed

@@ -162,37 +162,34 @@ func pick(list []int32, i int) int {
 	return int(list[i])
 }
 
+// nonFinite is zero in its sign bit exactly when v is finite: an exponent
+// of all ones carries into the sign bit when one unit of the exponent
+// field is added to the magnitude. ORed over many values it answers for
+// all of them.
+func nonFinite(v float64) uint64 { return math.Float64bits(v)&^(1<<63) + 1<<52 }
+
 // finiteIn reports whether every element of b in the given rows (all of
-// them when rows is nil) and columns is finite: an exponent of all ones
-// carries into the sign bit when one unit of the exponent field is added
-// to the magnitude.
+// them when rows is nil) and columns is finite.
 func finiteIn(b *Matrix, rows, cols []int32) bool {
 	var carry uint64
 	for j, n := 0, span(rows, b.Rows); j < n; j++ {
 		row := b.Row(pick(rows, j))
 		for _, t := range cols {
-			carry |= math.Float64bits(row[t])&^(1<<63) + 1<<52
+			carry |= nonFinite(row[t])
 		}
 	}
 	return carry>>63 == 0
 }
 
-// settleDeadColumns gives the listed rows of dst (every row when rows is
-// nil) their value in the destination columns a column-mapped product
-// leaves out. Their sums are +0: a plain product stores it, an
-// accumulating one adds it, which rewrites a −0 already in dst to +0 and
-// leaves every other value alone.
-func settleDeadColumns(dst *Matrix, rows, dead []int32, accumulate bool) {
+// settleDeadColumns stores +0, the sum a column-mapped product leaves
+// out, in the listed rows of dst (every row when rows is nil) and the dead
+// destination columns. Only a storing product calls it: an accumulating
+// one leaves those elements as they stand (MulTransAAcc's precondition).
+func settleDeadColumns(dst *Matrix, rows, dead []int32) {
 	for i, n := 0, span(rows, dst.Rows); i < n; i++ {
 		drow := dst.Row(pick(rows, i))
-		if accumulate {
-			for _, c := range dead {
-				drow[c] += 0
-			}
-		} else {
-			for _, c := range dead {
-				drow[c] = 0
-			}
+		for _, c := range dead {
+			drow[c] = 0
 		}
 	}
 }

@@ -48,8 +48,9 @@ func scanned(m *Matrix) *Live {
 
 // TestLiveBlockMatchesNaive: live counts on both sides of one and two
 // panels, widths that leave a partial panel, accumulation into −0 (a dead
-// column must read +0 afterwards) and stale values planted in the gated
-// destination, under every tier.
+// row of dW keeps it, any other element whose sum is +0 may: the
+// precondition) and stale values planted in the gated destination, under
+// every tier.
 func TestLiveBlockMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	negZero := math.Copysign(0, -1)
@@ -65,12 +66,18 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 				x, g := New(batch, m), New(batch, n)
 				fuzzFill(x.Data, rng)
 				fuzzFill(g.Data, rng)
-				liveExactly(x, pickColumns(m, m-1, rng), rng)
+				xLive := pickColumns(m, m-1, rng)
+				liveExactly(x, xLive, rng)
 				liveExactly(g, cols, rng)
+				deadRow := 0 // the column of x left out of xLive
+				for deadRow < len(xLive) && xLive[deadRow] == deadRow {
+					deadRow++
+				}
 				wantTA := New(m, n)
 				mulTransARange(wantTA, x, g, 0, m)
-				wantAcc := New(m, n)
-				wantAcc.Fill(negZero)
+				negZeros := New(m, n)
+				negZeros.Fill(negZero)
+				wantAcc := negZeros.Clone()
 				wantAcc.AddScaled(1, wantTA)
 
 				// gradIn = g2·Wᵀ: g2 is batch×m, W is n×m, and the gate is
@@ -94,44 +101,57 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 				dst0 := New(batch, n)
 				fuzzFill(dst0.Data, rng)
 				for c := 0; c < n; c += 3 {
-					dst0.Set(c%batch, c, negZero) // −0 + (+0) must read +0
+					dst0.Set(c%batch, c, negZero) // a gated column keeps it, a listed one adds its sum
 				}
 				wantTBAcc := dst0.Clone()
-				wantTBAcc.AddScaled(1, wantTB)
+				for _, c := range cols {
+					for r := 0; r < batch; r++ {
+						wantTBAcc.Set(r, c, dst0.At(r, c)+wantTB.At(r, c))
+					}
+				}
 
 				withKernels(t, func(kernel string) {
 					got := New(m, n)
 					fuzzFill(got.Data, rng)
 					MulTransA(got, x, g)
 					requireBitsEqual(t, "MulTransA/"+kernel+"/"+tag, got, wantTA)
-					got.Fill(negZero)
 					xl, gl := &Live{}, &Live{}
-					MulTransAAcc(got, x, xl, g, gl)
-					requireBitsEqual(t, "MulTransAAcc/"+kernel+"/"+tag, got, wantAcc)
-					if c, ok := gl.Count(); !ok || c != liveN {
-						t.Fatalf("%s: g's set holds %d live columns (scanned %t), want %d", tag, c, ok, liveN)
+					// Twice, the second time with the held sets, as the next
+					// product would use them.
+					for _, pass := range []string{"", " held"} {
+						got.CopyFrom(negZeros)
+						MulTransAAcc(got, x, xl, g, gl)
+						requireBitsEqual(t, "MulTransAAcc"+pass+"/"+kernel+"/"+tag, got, keptNegZero(got, negZeros, wantAcc))
+						for j, v := range got.Row(deadRow) {
+							if math.Float64bits(v) != math.Float64bits(negZero) {
+								t.Fatalf("%s: MulTransAAcc%s added to dead row %d: [%d] = %v, want the −0 it held", tag, pass, deadRow, j, v)
+							}
+						}
+						if c, ok := gl.Count(); !ok || c != liveN {
+							t.Fatalf("%s: g's set holds %d live columns (scanned %t), want %d", tag, c, ok, liveN)
+						}
 					}
-					// The held sets again, as the next product would.
-					got.Fill(negZero)
-					MulTransAAcc(got, x, xl, g, gl)
-					requireBitsEqual(t, "MulTransAAcc held/"+kernel+"/"+tag, got, wantAcc)
 
 					gate := scanned(in)
 					gotTB := New(batch, n)
-					for i := range gotTB.Data {
-						gotTB.Data[i] = math.NaN() // stale: every element must be written
+					// W is finite: declaring it so changes no bit.
+					for _, finite := range []bool{false, true} {
+						ftag := fmt.Sprintf("%s/%s/finite=%t", kernel, tag, finite)
+						for i := range gotTB.Data {
+							gotTB.Data[i] = math.NaN() // stale: every element must be written
+						}
+						MulTransBLive(gotTB, g2, nil, w, finite, gate, false)
+						requireBitsEqual(t, "MulTransBLive gated/"+ftag, gotTB, wantTB)
+						gotTB.CopyFrom(dst0)
+						MulTransBLive(gotTB, g2, scanned(g2), w, finite, gate, true)
+						requireBitsEqual(t, "MulTransBLive gated acc/"+ftag, gotTB, wantTBAcc)
+						// Ungated and accumulating: every column, added.
+						gotTB.CopyFrom(dst0)
+						wantFullAcc := dst0.Clone()
+						wantFullAcc.AddScaled(1, full)
+						MulTransBLive(gotTB, g2, nil, w, finite, nil, true)
+						requireBitsEqual(t, "MulTransBLive acc/"+ftag, gotTB, wantFullAcc)
 					}
-					MulTransBLive(gotTB, g2, nil, w, gate, false)
-					requireBitsEqual(t, "MulTransBLive gated/"+kernel+"/"+tag, gotTB, wantTB)
-					gotTB.CopyFrom(dst0)
-					MulTransBLive(gotTB, g2, scanned(g2), w, gate, true)
-					requireBitsEqual(t, "MulTransBLive gated acc/"+kernel+"/"+tag, gotTB, wantTBAcc)
-					// Ungated and accumulating: every column, added.
-					gotTB.CopyFrom(dst0)
-					wantFullAcc := dst0.Clone()
-					wantFullAcc.AddScaled(1, full)
-					MulTransBLive(gotTB, g2, nil, w, nil, true)
-					requireBitsEqual(t, "MulTransBLive acc/"+kernel+"/"+tag, gotTB, wantFullAcc)
 				})
 
 				// Below the pack gate the streaming kernel keeps the same
@@ -145,7 +165,7 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 						wantS.Set(r, c, full.At(r, c))
 					}
 				}
-				MulTransBLive(gotS, g2.RowsView(0, few), nil, w, scanned(in), false)
+				MulTransBLive(gotS, g2.RowsView(0, few), nil, w, false, scanned(in), false)
 				requireBitsEqual(t, "MulTransBLive streaming/"+tag, gotS, wantS)
 			}
 		}
@@ -245,7 +265,7 @@ func TestNonFiniteContractBackward(t *testing.T) {
 		w.Set(deadOut, 1, math.NaN())
 		w.Set(liveOut, 1, math.Inf(-1))
 		gin := New(batch, n)
-		MulTransBLive(gin, g2, nil, w, scanned(in), false)
+		MulTransBLive(gin, g2, nil, w, false, scanned(in), false)
 		for r := 0; r < batch; r++ {
 			if v := gin.At(r, deadOut); math.Float64bits(v) != 0 {
 				t.Fatalf("%s: gated column %d row %d = %v, want +0", kernel, deadOut, r, v)
@@ -297,7 +317,7 @@ func TestScratchShapesStable(t *testing.T) {
 		var xl, gl Live
 		MulBiasAct(y, x, &xl, w, nil, ActReLU)
 		MulTransAAcc(dw, x, &xl, g, &gl)
-		MulTransBLive(gin, g, &gl, w, &xl, false)
+		MulTransBLive(gin, g, &gl, w, false, &xl, false)
 		if step == 5 {
 			after5 = scratchShapes()
 		}

@@ -173,6 +173,16 @@ func MulTransA(dst, a, b *Matrix) {
 // sweep — bitwise identical to that pair, since `dst[ij] + sum` is the
 // exact operation both perform. al and bl are the caller's live sets of
 // a and b, or nil (see Live); the ones given hold their scans on return.
+//
+// Precondition: dst holds no −0. The tiled product adds nothing to the
+// elements whose sum is +0 for want of a live term — the rows of a's dead
+// columns and, where it packs b's live columns only, the columns of b's
+// dead ones — and dst + (+0) is dst for every value but −0, which it
+// would turn +0. Every accumulation target in nn and bdq holds it: it
+// starts the step at +0 (Adam.StepAndZeroGrad, Param.ZeroGrad,
+// Matrix.Zero) and only ever has sums added to it, and in
+// round-to-nearest a sum is −0 only when both addends are, so none of
+// them ever holds a −0 (DESIGN.md §14).
 func MulTransAAcc(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("mat: MulTransAAcc dimension mismatch")
@@ -196,9 +206,10 @@ func MulTransAAcc(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
 // mulTransAPacked is the tiled form of MulTransA and MulTransAAcc, over
 // the live × live block of the destination. A column of a that is ±0 in
 // every row is a destination row whose sum is +0, and a column of b that
-// is ±0 in every row a destination column whose sum is: both are settled
-// without a kernel. The microkernel sees the live rows only, and — where
-// that saves a panel — panels packed from b's live columns only.
+// is ±0 in every row a destination column whose sum is: a storing product
+// clears them without a kernel, an accumulating one leaves them be. The
+// microkernel sees the live rows only, and — where that saves a panel —
+// panels packed from b's live columns only.
 func mulTransAPacked(dst, a *Matrix, al *Live, b *Matrix, bl *Live, accumulate bool) {
 	al, aBorrowed := borrowLive(al)
 	bl, bBorrowed := borrowLive(bl)
@@ -206,11 +217,11 @@ func mulTransAPacked(dst, a *Matrix, al *Live, b *Matrix, bl *Live, accumulate b
 	bl.scan(b, 0, b.Rows)
 	rows := al.list()
 	ep := epilogue{accumulate: accumulate, cols: bl.compact()}
-	if rows != nil {
-		transADeadRows(dst, rows, accumulate)
+	if rows != nil && !accumulate {
+		transADeadRows(dst, rows)
 	}
-	if ep.cols != nil {
-		settleDeadColumns(dst, rows, bl.deadList(), accumulate)
+	if ep.cols != nil && !accumulate {
+		settleDeadColumns(dst, rows, bl.deadList())
 	}
 	bp := packB(b, ep.cols)
 	gemmTransAPacked(dst, a, bp.Data, rows, &ep)
@@ -226,19 +237,23 @@ func mulTransAPacked(dst, a *Matrix, al *Live, b *Matrix, bl *Live, accumulate b
 // therefore skips a's dead columns only after checking that the b
 // columns they meet are finite, where 0·bv is the ±0 that changes no sum.
 func MulTransB(dst, a, b *Matrix) {
-	MulTransBLive(dst, a, nil, b, nil, false)
+	MulTransBLive(dst, a, nil, b, false, nil, false)
 }
 
 // MulTransBLive is MulTransB for a caller that holds more than the
-// operands. al is its live set of a, or nil (see Live). out, when
-// non-nil, is a scanned live set over the destination's columns naming
-// the ones anybody will read: the product computes those, from the rows
-// of b behind them alone, and the rest of dst is +0 — so a non-finite
-// element in an unlisted row of b is hidden, where MulTransB hides
-// nothing. accumulate adds the product to dst (dst + sum, one rounding
-// per element: bitwise `tmp = a·bᵀ; dst += tmp`; the unlisted columns
-// add +0) instead of storing it.
-func MulTransBLive(dst, a *Matrix, al *Live, b *Matrix, out *Live, accumulate bool) {
+// operands. al is its live set of a, or nil (see Live). finite says the
+// caller knows every element of b to be finite (a PackedB of b says so:
+// PackedB.Finite); the product then skips a's dead depth without first
+// reading the rows of b it meets for Inf and NaN, which false makes it
+// do. out, when non-nil, is a scanned live set over the destination's
+// columns naming the ones anybody will read: the product computes those,
+// from the rows of b behind them alone, and stores +0 in the rest — so a
+// non-finite element in an unlisted row of b is hidden, where MulTransB
+// hides nothing. accumulate adds the product to dst (dst + sum, one
+// rounding per element: bitwise `tmp = a·bᵀ; dst += tmp`) instead of
+// storing it, and then leaves the unlisted columns as they stand, under
+// MulTransAAcc's precondition: dst holds no −0.
+func MulTransBLive(dst, a *Matrix, al *Live, b *Matrix, finite bool, out *Live, accumulate bool) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulTransB dimension mismatch")
 	}
@@ -247,15 +262,15 @@ func MulTransBLive(dst, a *Matrix, al *Live, b *Matrix, out *Live, accumulate bo
 		if n, ok := out.Count(); !ok || out.k != dst.Cols {
 			panic(fmt.Sprintf("mat: MulTransBLive out set (scanned %t, %d of %d) for %d columns", ok, n, out.k, dst.Cols))
 		}
-		if keep = out.list(); keep != nil {
-			settleDeadColumns(dst, nil, out.deadList(), accumulate)
+		if keep = out.list(); keep != nil && !accumulate {
+			settleDeadColumns(dst, nil, out.deadList())
 		}
 	}
 	if a.Rows >= minPackRows && a.Cols > 0 && b.Rows > 0 {
 		al, borrowed := borrowLive(al)
 		al.scan(a, 0, a.Rows)
 		live := al.list()
-		if live != nil && !finiteIn(b, keep, al.deadList()) {
+		if live != nil && !finite && !finiteIn(b, keep, al.deadList()) {
 			live = nil
 		}
 		bp := packBT(b, keep, live)

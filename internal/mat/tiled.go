@@ -169,7 +169,7 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, ep 
 	n := span(ep.cols, dst.Cols) // the columns the panels hold
 	if !haveAVX2 {
 		for i := r0; i < r1; i++ {
-			gemmPackedRow(dst.Row(i), a.Row(i), bp, k, n, live, ep)
+			gemmPackedRow(dst.Row(i), a.Row(i), 1, bp, k, n, live, ep)
 		}
 		return
 	}
@@ -197,7 +197,7 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, ep 
 			if h == zr {
 				t8.run(bp, p, 1)
 			} else {
-				kernTile4(k, live, &t8.a, &bp[p*nr*k], &acc)
+				kernTile4(k, t8.astep, live, &t8.a, &bp[p*nr*k], &acc)
 			}
 			j0 := p * nr
 			w := min(n-j0, nr)
@@ -226,17 +226,19 @@ type tile8 struct {
 	col    int          // 192: byte offset of the next panel's first column in a d row
 	last   int          // 200: lane mask of the last panel, (1 << its columns) − 1
 	poff   int          // 208: byte offset of the next panel from the first
+	astep  int          // 216: bytes from one a element to the next on the dense walk
 }
 
 // tile8For prepares what the 8-row tiles of one product share (they exist
 // on the AVX-512 tier only: tileHeight). depth is the panels' row count,
-// live the k-steps to visit (nil for all), n the packed width. A product
+// live the k-steps to visit (nil for all), n the packed width; the a rows
+// are contiguous (astep 8) until the caller says otherwise. A product
 // into contiguous destination columns writes back from the registers,
 // every panel of a tile in one call: the caller points t.d at the tile's
 // destination rows. A column-mapped one runs a panel a call into acc,
 // which storeTile scatters, as every product does on the other tiers.
 func (ep *epilogue) tile8For(depth int, live []int32, n int, acc *[zr * nr]float64) (t tile8) {
-	t = tile8{k: depth, stride: nr * depth * 8, last: 1<<(n-(n-1)/nr*nr) - 1}
+	t = tile8{k: depth, stride: nr * depth * 8, last: 1<<(n-(n-1)/nr*nr) - 1, astep: 8}
 	if live != nil {
 		if t.k = len(live); t.k > 0 {
 			t.idx = &live[0]
@@ -278,13 +280,14 @@ func tileHeight(rows int) int {
 }
 
 // kernTile4 runs the mr×nr microkernel the operand calls for — the indexed
-// one when a has dead columns, the dense one otherwise — into the first
-// mr rows of acc. Both add every term in ascending k.
-func kernTile4(k int, live []int32, ap *[zr]*float64, panel *float64, acc *[zr * nr]float64) {
+// one when a has dead columns, the dense one, stepping astep bytes from
+// one a element to the next, otherwise — into the first mr rows of acc.
+// Both add every term in ascending k.
+func kernTile4(k, astep int, live []int32, ap *[zr]*float64, panel *float64, acc *[zr * nr]float64) {
 	acc4 := (*[mr * nr]float64)(acc[:])
 	switch {
 	case live == nil:
-		kern4x8n(k, ap[0], ap[1], ap[2], ap[3], panel, acc4)
+		kern4x8n(k, astep, ap[0], ap[1], ap[2], ap[3], panel, acc4)
 	case len(live) == 0:
 		*acc4 = [mr * nr]float64{}
 	default:
@@ -308,7 +311,7 @@ func gemmPackedRowFused(drow, arow, bp, rowAcc []float64, k, n int, ep *epilogue
 	} else {
 		var tmp [nr]float64
 		for p := 0; p < panels; p++ {
-			kernRowGo(arow[:k], bp[p*nr*k:(p+1)*nr*k], &tmp, nil, true)
+			kernRowGo(arow, 1, bp[p*nr*k:(p+1)*nr*k], &tmp, nil, true)
 			copy(rowAcc[p*nr:p*nr+nr], tmp[:])
 		}
 	}
@@ -317,12 +320,13 @@ func gemmPackedRowFused(drow, arow, bp, rowAcc []float64, k, n int, ep *epilogue
 
 // gemmPackedRow is the portable (no-assembly) form of one destination
 // row: every packed panel through kernRowGo, walking the live list when
-// there is one, then the shared epilogue.
-func gemmPackedRow(drow, arow, bp []float64, k, n int, live []int32, ep *epilogue) {
+// there is one, then the shared epilogue. The row's k elements lie step
+// apart in a (see kernRowGo).
+func gemmPackedRow(drow, a []float64, step int, bp []float64, k, n int, live []int32, ep *epilogue) {
 	panels := (n + nr - 1) / nr
 	var acc [nr]float64
 	for p := 0; p < panels; p++ {
-		kernRowGo(arow[:k], bp[p*nr*k:(p+1)*nr*k], &acc, live, false)
+		kernRowGo(a, step, bp[p*nr*k:(p+1)*nr*k], &acc, live, false)
 		j0 := p * nr
 		storeTile(drow, acc[:], j0, min(n-j0, nr), ep)
 	}
@@ -331,14 +335,16 @@ func gemmPackedRow(drow, arow, bp []float64, k, n int, live []int32, ep *epilogu
 // kernRowGo is the portable microkernel: one destination row × one
 // packed panel, eight independent accumulator chains, ascending k,
 // multiply-then-add per term — bitwise identical to the AVX2 kernels.
-// With a live list it visits those columns only; otherwise every column,
-// and skip (the batch-1 row path) steps over ±0 elements of arow.
-func kernRowGo(arow, panel []float64, acc *[nr]float64, live []int32, skip bool) {
+// The row's element t is a[t·step]: a row of the operand (step 1) or, for
+// MulTransA, a column of it read in place (step its width). With a live
+// list it visits those columns only; otherwise every one of the panel's
+// k, and skip (the batch-1 row path) steps over ±0 elements of the row.
+func kernRowGo(a []float64, step int, panel []float64, acc *[nr]float64, live []int32, skip bool) {
 	var c0, c1, c2, c3, c4, c5, c6, c7 float64
 	switch {
 	case live != nil:
 		for _, t := range live {
-			av := arow[t]
+			av := a[int(t)*step]
 			q := panel[int(t)*nr : int(t)*nr+nr]
 			c0 += av * q[0]
 			c1 += av * q[1]
@@ -350,7 +356,8 @@ func kernRowGo(arow, panel []float64, acc *[nr]float64, live []int32, skip bool)
 			c7 += av * q[7]
 		}
 	default:
-		for t, av := range arow {
+		for t := 0; t < len(panel)/nr; t++ {
+			av := a[t*step]
 			if skip && av == 0 {
 				continue
 			}
@@ -452,24 +459,22 @@ func biasActRange(dst *Matrix, r0, r1 int, bias []float64, act Activation) {
 
 // gemmTransAPacked computes dst = aᵀ·(packed panels) over the
 // destination rows live lists, or all of them when live is nil:
-// destination row i is column i of a, gathered into one contiguous
-// scratch tile so the shared microkernel can stream it. live is the live
-// list of a's columns — a dead column is a dead destination row, which
-// the caller settles without a kernel (transADeadRows), as it does the
-// destination columns ep's column map leaves out (settleDeadColumns).
-// The depth is a's row count, the minibatch, so the kernel walks all of
-// it.
+// destination row i is column i of a, which the kernels read where it
+// lies, one row of a apart per k step. The columns of one tile share a
+// cache line or two of every row of a, so the tile's eight walks down
+// them fetch each line once. live is the live list of a's columns — a
+// dead column is a dead destination row, which a storing caller clears
+// without a kernel (transADeadRows), as it does the destination columns
+// ep's column map leaves out (settleDeadColumns). The depth is a's row
+// count, the minibatch, so the kernel walks all of it.
 func gemmTransAPacked(dst, a *Matrix, bp []float64, live []int32, ep *epilogue) {
-	k := a.Rows
+	k, step := a.Rows, a.Cols
 	n := span(ep.cols, dst.Cols) // the columns the panels hold
-	cb := GetScratch(zr, k)
-	defer PutScratch(cb)
 	c1 := span(live, a.Cols)
 	if !haveAVX2 {
-		col := cb.Row(0)
 		for c := 0; c < c1; c++ {
-			a.ColInto(col, pick(live, c))
-			gemmPackedRow(dst.Row(pick(live, c)), col, bp, k, n, nil, ep)
+			i := pick(live, c)
+			gemmPackedRow(dst.Row(i), a.Data[i:], step, bp, k, n, nil, ep)
 		}
 		return
 	}
@@ -477,17 +482,15 @@ func gemmTransAPacked(dst, a *Matrix, bp []float64, live []int32, ep *epilogue) 
 	var acc [zr * nr]float64
 	var src [zr]int
 	t8 := ep.tile8For(k, nil, n, &acc)
+	t8.astep = 8 * step
 	for c := 0; c < c1; {
 		// A last tile of fewer than h rows repeats its final column, like
 		// gemmPackedRange's.
 		h := tileHeight(c1 - c)
 		cnt := min(c1-c, h)
-		for q := 0; q < cnt; q++ {
-			src[q] = pick(live, c+q)
-		}
-		gatherColumns(cb, a, src[:cnt])
 		for q := 0; q < h; q++ {
-			t8.a[q] = &cb.Data[min(q, cnt-1)*k]
+			src[q] = pick(live, c+min(q, cnt-1))
+			t8.a[q] = &a.Data[src[q]]
 		}
 		if h == zr && ep.cols == nil {
 			for q := range t8.d {
@@ -501,7 +504,7 @@ func gemmTransAPacked(dst, a *Matrix, bp []float64, live []int32, ep *epilogue) 
 			if h == zr {
 				t8.run(bp, p, 1)
 			} else {
-				kernTile4(k, nil, &t8.a, &bp[p*nr*k], &acc)
+				kernTile4(k, t8.astep, nil, &t8.a, &bp[p*nr*k], &acc)
 			}
 			j0 := p * nr
 			w := min(n-j0, nr)
@@ -513,49 +516,17 @@ func gemmTransAPacked(dst, a *Matrix, bp []float64, live []int32, ep *epilogue) 
 	}
 }
 
-// gatherColumns writes column cols[q] of a into row q of cb, for up to zr
-// columns at once and a row of a at a time: the columns of one tile lie
-// within a cache line or two of each other in every row, which a gather
-// column by column would fetch once per column.
-func gatherColumns(cb, a *Matrix, cols []int) {
-	k, ac := a.Rows, a.Cols
-	if len(cols) == zr {
-		c0, c1, c2, c3, c4, c5, c6, c7 := cols[0], cols[1], cols[2], cols[3], cols[4], cols[5], cols[6], cols[7]
-		d := cb.Data[:zr*k]
-		for i := 0; i < k; i++ {
-			arow := a.Data[i*ac : (i+1)*ac]
-			d[i], d[k+i], d[2*k+i], d[3*k+i] = arow[c0], arow[c1], arow[c2], arow[c3]
-			d[4*k+i], d[5*k+i], d[6*k+i], d[7*k+i] = arow[c4], arow[c5], arow[c6], arow[c7]
-		}
-		return
-	}
-	for i := 0; i < k; i++ {
-		arow := a.Data[i*ac : (i+1)*ac]
-		for q, c := range cols {
-			cb.Data[q*k+i] = arow[c]
-		}
-	}
-}
-
-// transADeadRows settles the destination rows of dst (+)= aᵀ·b that live
-// does not list. Their sums are +0: a plain product stores it, and an
-// accumulating one adds it, which rewrites a −0 already in dst to +0 and
-// leaves every other value alone — n additions where the product would
-// have spent k·n multiply-adds to the same effect.
-func transADeadRows(dst *Matrix, live []int32, accumulate bool) {
+// transADeadRows stores +0, their sum, in the destination rows of
+// dst = aᵀ·b that live does not list: a clear where the product would
+// have spent k·n multiply-adds to the same effect. An accumulating
+// product leaves those rows as they stand (MulTransAAcc's precondition).
+func transADeadRows(dst *Matrix, live []int32) {
 	next := 0
 	for i := 0; i < dst.Rows; i++ {
 		if next < len(live) && int(live[next]) == i {
 			next++
 			continue
 		}
-		drow := dst.Row(i)
-		if accumulate {
-			for j := range drow {
-				drow[j] += 0
-			}
-		} else {
-			clear(drow)
-		}
+		clear(dst.Row(i))
 	}
 }

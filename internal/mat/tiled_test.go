@@ -40,10 +40,12 @@ func TestTiledStraddlesEightRowTile(t *testing.T) {
 					mulTransBRange(wantTB, a, bt, 0, m, nil, false)
 					wantTA := New(k, n) // aᵀ·c: a's columns are the destination rows
 					mulTransARange(wantTA, a, c, 0, k)
-					// Accumulating into −0 everywhere: a dead row's +0 must
-					// turn it to +0, a live row's sum must land unchanged.
-					wantAcc := New(k, n)
-					wantAcc.Fill(negZero)
+					// Accumulating into −0 everywhere: a live row's sum must
+					// land unchanged, and where the sum is +0 the −0 may stay
+					// (keptNegZero).
+					negZeros := New(k, n)
+					negZeros.Fill(negZero)
+					wantAcc := negZeros.Clone()
 					wantAcc.AddScaled(1, wantTA)
 
 					withKernels(t, func(kernel string) {
@@ -64,10 +66,9 @@ func TestTiledStraddlesEightRowTile(t *testing.T) {
 						fuzzFill(gotTA.Data, rng)
 						MulTransA(gotTA, a, c)
 						requireBitsEqual(t, "MulTransA/"+kernel+"/"+tag, gotTA, wantTA)
-						gotAcc := New(k, n)
-						gotAcc.Fill(negZero)
+						gotAcc := negZeros.Clone()
 						MulTransAAcc(gotAcc, a, nil, c, nil)
-						requireBitsEqual(t, "MulTransAAcc/"+kernel+"/"+tag, gotAcc, wantAcc)
+						requireBitsEqual(t, "MulTransAAcc/"+kernel+"/"+tag, gotAcc, keptNegZero(gotAcc, negZeros, wantAcc))
 					})
 				}
 			}
@@ -79,7 +80,10 @@ func TestTiledStraddlesEightRowTile(t *testing.T) {
 // AVX-512 tile (kern8x8 as the bare tile: one panel, no epilogue, into an
 // accumulator array) must leave there exactly what two AVX2 tiles over
 // the same eight rows leave in theirs, dense and indexed, at depths from
-// none to past a cache line of indices, with Inf and NaN in the panel.
+// none to past a cache line of indices, with Inf and NaN in the panel —
+// and the dense walk must leave the same again when the eight rows are
+// the columns of a's transpose, stepped a row of it at a time (how
+// MulTransA reads its operand in place).
 func TestTiledKern8x8nIsTwoKern4x8n(t *testing.T) {
 	if !haveAVX512 {
 		t.Skip("no AVX-512 on this machine (or force-disabled)")
@@ -91,9 +95,10 @@ func TestTiledKern8x8nIsTwoKern4x8n(t *testing.T) {
 		fuzzFill(a.Data, rng)
 		fuzzFill(panel, rng)
 		plantNonFinite(panel, rng)
-		var r [zr]*float64
+		var r, col [zr]*float64
+		at := transpose(a)
 		for q := range r {
-			r[q] = &a.Row(q)[0]
+			r[q], col[q] = &a.Row(q)[0], &at.Data[q]
 		}
 		lists := [][]int32{nil} // nil: the dense kernels
 		if k > 0 {
@@ -113,19 +118,34 @@ func TestTiledKern8x8nIsTwoKern4x8n(t *testing.T) {
 			t8 := mapped.tile8For(max(k, 1), live, nr, &got)
 			if t8.a = r; live == nil {
 				t8.k = k // a depth of 0 still has a one-row panel to point at
-				kern4x8n(k, r[0], r[1], r[2], r[3], &panel[0], &lo)
-				kern4x8n(k, r[4], r[5], r[6], r[7], &panel[0], &hi)
+				kern4x8n(k, 8, r[0], r[1], r[2], r[3], &panel[0], &lo)
+				kern4x8n(k, 8, r[4], r[5], r[6], r[7], &panel[0], &hi)
 			} else {
 				kern4x8ni(len(live), &live[0], r[0], r[1], r[2], r[3], &panel[0], &lo)
 				kern4x8ni(len(live), &live[0], r[4], r[5], r[6], r[7], &panel[0], &hi)
 			}
 			t8.run(panel, 0, 1)
-			for i, w := range append(lo[:], hi[:]...) {
-				if math.Float64bits(got[i]) != math.Float64bits(w) {
-					t.Fatalf("k=%d live=%v: acc[%d] = %x (%v), two 4×8 tiles leave %x (%v)",
-						k, live, i, math.Float64bits(got[i]), got[i], math.Float64bits(w), w)
+			want := append(append([]float64(nil), lo[:]...), hi[:]...)
+			requireAcc := func(tag string, got []float64) {
+				t.Helper()
+				for i, w := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(w) {
+						t.Fatalf("k=%d live=%v %s: acc[%d] = %x (%v), two 4×8 tiles leave %x (%v)",
+							k, live, tag, i, math.Float64bits(got[i]), got[i], math.Float64bits(w), w)
+					}
 				}
 			}
+			requireAcc("kern8x8", got[:])
+			if live != nil {
+				continue
+			}
+			astep := 8 * zr // a row of the transpose
+			t8.a, t8.astep = col, astep
+			t8.run(panel, 0, 1)
+			requireAcc("kern8x8 down the transpose", got[:])
+			kern4x8n(k, astep, col[0], col[1], col[2], col[3], &panel[0], &lo)
+			kern4x8n(k, astep, col[4], col[5], col[6], col[7], &panel[0], &hi)
+			requireAcc("kern4x8n down the transpose", append(lo[:], hi[:]...))
 		}
 	}
 }

@@ -104,8 +104,9 @@ func reciprocalExact(c float64) bool { return c >= 0x1p-10 && c <= 1 }
 var haveKernel = mat.HaveFMA()
 
 // stepParam applies one Adam step to p and leaves p's pack, if it has
-// one, current: the kernel stores each updated vector to the panels as
-// well where the tensor fills whole panels (the asm walks the layout of
+// one, current, its Finite bit included: the kernel stores each updated
+// vector to the panels as well where the tensor fills whole panels,
+// testing what it stores for Inf and NaN (the asm walks the layout of
 // mat.PackedB at mat.PanelWidth = 8; TestAdamKernelWritesPack holds the
 // two together), and a ragged tensor or the portable path repacks
 // behind the update.
@@ -113,7 +114,7 @@ func stepParam(p *Param, k *adamConsts, zeroGrad bool) {
 	rows, cols := p.Value.Rows, p.Value.Cols
 	if haveKernel && p.pack != nil && cols%mat.PanelWidth == 0 && rows*cols > 0 {
 		pack := p.pack.Data[:rows*cols]
-		adamKernel(rows, cols, &p.Value.Data[0], &p.Grad.Data[0], &p.m.Data[0], &p.v.Data[0], &pack[0], k, zeroGrad)
+		p.pack.Finite = adamKernel(rows, cols, &p.Value.Data[0], &p.Grad.Data[0], &p.m.Data[0], &p.v.Data[0], &pack[0], k, zeroGrad)
 		return
 	}
 	adamUpdate(p.Value.Data, p.Grad.Data, p.m.Data, p.v.Data, k, zeroGrad)

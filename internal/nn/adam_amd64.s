@@ -23,8 +23,15 @@ DATA adamSpan<>+8(SB)/8, $0xF080000000000000
 DATA adamSpan<>+16(SB)/8, $0xF080000000000000
 DATA adamSpan<>+24(SB)/8, $0xF080000000000000
 GLOBL adamSpan<>(SB), RODATA|NOPTR, $32
+// adamUnit is one unit of the exponent field: added to |x|, it carries
+// into the sign bit exactly when x is Inf or NaN.
+DATA adamUnit<>+0(SB)/8, $0x0010000000000000
+DATA adamUnit<>+8(SB)/8, $0x0010000000000000
+DATA adamUnit<>+16(SB)/8, $0x0010000000000000
+DATA adamUnit<>+24(SB)/8, $0x0010000000000000
+GLOBL adamUnit<>(SB), RODATA|NOPTR, $32
 
-// func adamKernel(rows, cols int, value, grad, m, v, pack *float64, k *adamConsts, zero bool)
+// func adamKernel(rows, cols int, value, grad, m, v, pack *float64, k *adamConsts, zero bool) (finite bool)
 //
 // Adam.update over a rows×cols tensor (cols a multiple of 4; a flat run
 // of elements is one row), four lanes at a time, in the scalar loop's
@@ -52,13 +59,15 @@ GLOBL adamSpan<>(SB), RODATA|NOPTR, $32
 //
 // pack, when non-nil, is the tensor's mat.PackedB panels (cols a
 // multiple of the panel width 8): element (t, j) also goes to
-// pack[(j/8)·rows·8 + t·8 + j%8], so the step leaves the pack current.
+// pack[(j/8)·rows·8 + t·8 + j%8], so the step leaves the pack current,
+// and finite reports whether every value it wrote there is (true when
+// pack is nil): the pack's Finite.
 //
 // k holds β₁, 1−β₁, β₂, 1−β₂, c₁, c₂, lr, ε, 1/c₁, 1/c₂, reciprocal in
 // that order. The frame holds the four constants read once a vector as
 // memory operands, the pack rewind of a finished row and the vectors in
-// a row.
-TEXT ·adamKernel(SB), NOSPLIT, $144-65
+// a row; BX collects the lanes seen non-finite.
+TEXT ·adamKernel(SB), NOSPLIT, $144-73
 	MOVQ rows+0(FP), DX
 	MOVQ cols+8(FP), CX
 	MOVQ value+16(FP), DI
@@ -67,7 +76,7 @@ TEXT ·adamKernel(SB), NOSPLIT, $144-65
 	MOVQ v+40(FP), R9
 	MOVQ pack+48(FP), R10
 	MOVQ k+56(FP), AX
-	MOVBLZX zero+64(FP), BX
+	XORQ BX, BX
 	VBROADCASTSD 0(AX), Y15   // β₁
 	VBROADCASTSD 16(AX), Y14  // β₂
 	VBROADCASTSD 32(AX), Y13  // c₁
@@ -165,9 +174,13 @@ stepadam:
 	VMOVUPD Y5, (R10)
 	ADDQ R11, R10
 	XORQ R13, R11
+	VANDPD adamAbs<>(SB), Y5, Y2
+	VPADDQ adamUnit<>(SB), Y2, Y2
+	VMOVMSKPD Y2, AX          // the lanes that are Inf or NaN
+	ORQ  AX, BX
 nopack:
-	TESTQ BX, BX
-	JZ   keepgrad
+	CMPB zero+64(FP), $0
+	JEQ  keepgrad
 	VMOVUPD Y7, (SI)
 keepgrad:
 	ADDQ $32, SI
@@ -183,6 +196,8 @@ nextrow:
 	DECQ DX
 	JNZ  rowadam
 doneadam:
+	TESTQ BX, BX
+	SETEQ finite+72(FP)
 	VZEROUPPER
 	RET
 divadam:

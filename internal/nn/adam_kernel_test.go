@@ -300,10 +300,31 @@ func TestAdamDegenerateBetasMatchScalar(t *testing.T) {
 	}
 }
 
+// requirePackCurrent holds p's pack to its weights: the panels are
+// mat.PackB's bit for bit, and Finite is what a scan of the weights says.
+func requirePackCurrent(t *testing.T, tag string, p *Param) {
+	t.Helper()
+	want := mat.PackB(p.Value)
+	if len(p.pack.Data) != len(want.Data) {
+		t.Fatalf("%s: pack has %d elements, want %d", tag, len(p.pack.Data), len(want.Data))
+	}
+	requireSliceBits(t, tag+" pack", p.pack.Data, want.Data)
+	finite := true
+	for _, v := range p.Value.Data {
+		finite = finite && !math.IsInf(v, 0) && !math.IsNaN(v)
+	}
+	if p.pack.Finite != finite {
+		t.Fatalf("%s: pack.Finite = %t, a scan of the weights says %t", tag, p.pack.Finite, finite)
+	}
+}
+
 // FuzzAdamKernelMatchesScalar plants one element of raw bit patterns —
 // value, gradient and both moments — in a lane of two ordinary vectors
 // and a tail, at a fuzzed step, and holds the kernel to the scalar loop
-// as TestAdamKernelMatchesScalar does.
+// as TestAdamKernelMatchesScalar does. Then the same element goes through
+// the step of a packed tensor, one the kernel writes the panels of and a
+// ragged one repacked behind the update: either way the pack must be the
+// weights' and its Finite bit what a scan of them says.
 func FuzzAdamKernelMatchesScalar(f *testing.F) {
 	bits := math.Float64bits
 	f.Add(bits(1.5), bits(-0.25), bits(0.125), bits(3.0), uint32(1), int64(1))
@@ -326,12 +347,28 @@ func FuzzAdamKernelMatchesScalar(f *testing.F) {
 		opt.step = 1 + int(step%200_000)
 		k := opt.consts()
 		requireAdamMatchesScalar(t, fmt.Sprintf("step=%d lane=%d", opt.step, lane), value, grad, m, v, &k, seed%2 == 0)
+
+		for _, cols := range []int{mat.PanelWidth, 5} {
+			p := NewParam("w", 2, cols)
+			p.m, p.v = mat.New(2, cols), mat.New(2, cols)
+			for i := range p.Value.Data {
+				p.Value.Data[i], p.Grad.Data[i] = rng.NormFloat64(), rng.NormFloat64()
+				p.m.Data[i], p.v.Data[i] = rng.NormFloat64(), rng.Float64()
+			}
+			lane := rng.Intn(2 * cols)
+			p.Value.Data[lane], p.Grad.Data[lane] = math.Float64frombits(valueBits), math.Float64frombits(gradBits)
+			p.m.Data[lane], p.v.Data[lane] = math.Float64frombits(mBits), math.Float64frombits(vBits)
+			p.pack = mat.PackB(p.Value)
+			stepParam(p, &k, seed%2 == 0)
+			requirePackCurrent(t, fmt.Sprintf("step=%d 2×%d lane=%d", opt.step, cols, lane), p)
+		}
 	})
 }
 
 // TestAdamKernelWritesPack is the pack-in-step invariant at the layer:
 // after an optimiser step every Dense that has a pack holds
-// mat.PackB(W.Value) bit for bit — written by the kernel where Out fills
+// mat.PackB(W.Value) bit for bit, and a Finite bit a scan agrees with
+// (requirePackCurrent) — written by the kernel where Out fills
 // whole panels, repacked behind the update where it does not (Out 18, 9,
 // 1) and on the portable path — and the weights are the ones a layer
 // without a pack gets.
@@ -375,11 +412,7 @@ func TestAdamKernelWritesPack(t *testing.T) {
 					tag := fmt.Sprintf("kernel=%v step %d %dx%d ", kernel, step, d.In, d.Out)
 					requireSliceBits(t, tag+"W", d.W.Value.Data, plain[i].W.Value.Data)
 					requireSliceBits(t, tag+"B", d.B.Value.Data, plain[i].B.Value.Data)
-					want := mat.PackB(d.W.Value)
-					if len(d.Pack().Data) != len(want.Data) {
-						t.Fatalf("%spack has %d elements, want %d", tag, len(d.Pack().Data), len(want.Data))
-					}
-					requireSliceBits(t, tag+"pack", d.Pack().Data, want.Data)
+					requirePackCurrent(t, tag, d.W)
 				}
 			}
 		}()

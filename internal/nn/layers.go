@@ -187,7 +187,9 @@ func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
 // BackwardAcc is Backward with g·Wᵀ added to sum instead of returned:
 // sum[ij] + (g·Wᵀ)[ij], one rounding, which is bitwise the
 // `sum += Backward(gradOut)` it replaces — for a layer whose input
-// gradient the owner totals over several branches.
+// gradient the owner totals over several branches. sum holds no −0
+// (mat.MulTransAAcc's precondition): under GatedInput the columns the
+// gate leaves out keep what sum holds there.
 func (d *Dense) BackwardAcc(gradOut, sum *mat.Matrix) {
 	d.backward(gradOut, sum, true)
 }
@@ -215,7 +217,9 @@ func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 	}
 	// The live × live block: dW's rows from x's live set, its columns from
 	// g's; g·Wᵀ's depth from g's and, under GatedInput, its columns from
-	// x's. MulTransAAcc leaves both sets scanned.
+	// x's. MulTransAAcc leaves both sets scanned. W.Grad and an
+	// accumulated input gradient hold no −0, the products' precondition:
+	// they start the step at +0 and only have sums added.
 	d.gLive.Reset()
 	mat.MulTransAAcc(d.W.Grad, d.lastX, d.xLive, g, &d.gLive)
 	mat.Axpy(1, d.colSums, d.B.Grad.Data)
@@ -227,7 +231,10 @@ func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 	if d.GatedInput {
 		gate = d.xLive
 	}
-	mat.MulTransBLive(gradIn, g, &d.gLive, d.W.Value, gate, accumulate)
+	// The pack's Finite bit, current with W since the Forward that used
+	// the pack, spares g·Wᵀ its scan of W for Inf and NaN.
+	finite := d.W.pack != nil && d.W.pack.Finite
+	mat.MulTransBLive(gradIn, g, &d.gLive, d.W.Value, finite, gate, accumulate)
 }
 
 // maskReLUGrad is one row of the fused DenseReLU backward sweep: m gets
