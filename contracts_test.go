@@ -33,16 +33,16 @@ func TestContracts(t *testing.T) {
 var contracts = []contract{
 	{
 		name: "one-exact-path",
-		why:  "the per-element zero-skip tiles, the fused GEMM kernels, -fast and the row fan-out stay deleted; the GEMM tiles never fuse (exp_amd64.s does, because archExp does)",
+		why:  "the per-element zero-skip tiles, the one-panel AVX-512 tile, the fused GEMM kernels, -fast and the row fan-out stay deleted; the GEMM tiles never fuse (exp_amd64.s does, because archExp does)",
 		clauses: []clause{
-			{scope{dirs: []string{"internal/mat"}}, []rule{idents("kern4x8s", "kern4x8sF", "kern8x8sZ")}},
+			{scope{dirs: []string{"internal/mat"}}, []rule{idents("kern4x8s", "kern4x8sF", "kern8x8sZ", "kern8x8")}},
 			{scope{}, []rule{
 				idents("kern4x8nF", "kern8x8nZ", "kernRowPanelsSF", "SetFastMath", "parallelRows", "ParallelFlopThreshold"),
 				qualified("mat", "SetParallelism"),
 			}},
 		},
 		asm: []asmClause{
-			{"internal/mat/gemm_amd64.s", regexp.MustCompile(`\b(kern4x8sF?|kern8x8sZ)\b|VFMADD`)},
+			{"internal/mat/gemm_amd64.s", regexp.MustCompile(`\b(kern4x8sF?|kern8x8sZ|kern8x8)\b|VFMADD`)},
 			{"*.s", regexp.MustCompile(`\b(kern4x8nF|kern8x8nZ|kernRowPanelsSF|SetFastMath|parallelRows|ParallelFlopThreshold)\b`)},
 		},
 	},

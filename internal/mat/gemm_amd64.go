@@ -2,16 +2,16 @@
 
 package mat
 
-// The microkernels compute mr×nr (AVX2), zr×nr (AVX-512) or 1×nr
+// The microkernels compute mr×nr (AVX2), zr×zw (AVX-512) or 1×nr
 // destination tiles over the k depth with one accumulator register chain
 // per vector of destination columns. Each term is a VMULPD followed by a
 // VADDPD — two individually rounded operations, never a fused
 // multiply-add — so every lane matches the scalar `acc += av*bv` of the
 // naive kernels bit for bit, in the same ascending-k order. The tiles
 // test nothing per element: kern4x8n walks the whole depth, kern4x8ni the
-// live columns a scan of the a operand listed (live.go), and kern8x8
-// either, by its argument block — it also walks every panel of its tile
-// and writes back from the registers (tile8, tiled.go). The one-row
+// live columns a scan of the a operand listed (live.go), and kern8x16
+// either, by its argument block — it also walks every panel of its tile,
+// two a pass, and writes back from the registers (tile16, tiled.go). The one-row
 // kernRowPanelsS of batch-1 selection steps over a-operand zeros (±0 by
 // integer bit test, NaN never skipped).
 
@@ -19,7 +19,7 @@ package mat
 // (bitwise identical) is used when false.
 var haveAVX2 = cpuHasAVX2()
 
-// haveAVX512 selects the 8×8 ZMM tiles for every full tile of eight
+// haveAVX512 selects the 8×16 ZMM tiles for every full tile of eight
 // rows; the YMM tiles take what is left over and everything when false.
 var haveAVX512 = haveAVX2 && cpuHasAVX512()
 
@@ -36,7 +36,7 @@ func kern4x8n(k, astep int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float6
 func kern4x8ni(n int, idx *int32, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
 
 //go:noescape
-func kern8x8(t *tile8)
+func kern8x16(t *tile16)
 
 //go:noescape
 func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64)

@@ -196,38 +196,76 @@ done4ni:
 
 // AVX-512F tile: the same two operations per term in registers twice as
 // wide. One 64-byte panel row is one ZMM, so a tile is eight destination
-// rows by one panel: per k step one panel load, then for each row a
-// VMULPD with the a element broadcast from memory and a VADDPD into that
-// row's accumulator — in every lane the IEEE multiply and add kern4x8n
+// rows by two panels, sixteen accumulators in Z16-Z31 (row q's pair in
+// Z16+2q, Z17+2q): per k step two panel loads, then for each row one
+// broadcast of its a element feeding two VMULPDs, and two VADDPDs into
+// the row's pair — in every lane the IEEE multiply and add kern4x8n
 // performs, in the same ascending k, so the two tiers agree bit for bit.
-// (The broadcast operand can only be the second source, so a term whose
-// a and b elements are both NaN carries b's payload here and a's in the
-// YMM tile; NaN-ness is the same.) R14/R15 are left alone (g register /
-// linker scratch); the eight row pointers live in R8-R13, BX, DX.
+// (The panel is the multiply's first source here and the broadcast is in
+// the YMM tile, so a term whose a and b elements are both NaN carries b's
+// payload here and a's there; NaN-ness is the same.) R14/R15 are left
+// alone (g register / linker scratch); the eight row pointers live in
+// R8-R13, BX, DX, which do not move: AX holds the byte offset of the
+// step's a elements in every row.
 
-// func kern8x8(t *tile8)
+// func kern8x16(t *tile16)
 //
 // One 8-row tile against t.panels consecutive panels of a packed operand,
-// written back from the registers. Per panel: the k loop — every step
-// when t.idx is nil, each a pointer advancing t.astep bytes (8 along a
-// row, a row's width down a column MulTransA reads in place), else the
-// t.k steps t.idx lists (ascending) of contiguous a rows, where AX
-// holds the byte offset of the step's a elements, 8·idx[t], and scaled by
-// eight again the panel row's — then the epilogue on the eight
-// accumulators: bias added (acc + bias), ReLU as a compare-greater-than-
-// zero and a zero-masked move (NaN and −0 give +0, +Inf stays: relu()'s
-// contract), the destination added for an accumulating product
-// (dst + acc), and eight row stores. The last panel's loads and stores
-// are masked to t.last's lanes. With every epilogue field zero and t.d
-// the rows of an accumulator array it is the bare tile: the sums, stored.
-// Field offsets are tile8's (tiled.go). The walk advances t.panels, t.col
-// and t.poff — integers: a pointer field stepped past its last panel
-// would be a bad pointer to the collector.
-TEXT ·kern8x8(SB), NOSPLIT, $0-8
+// written back from the registers, two panels a pass — an odd last panel
+// runs a one-panel pass, its second half masked off. Per pass: the k loop
+// — every step when t.idx is nil, the offset advancing t.astep bytes (8
+// along a row, a row's width down a column MulTransA reads in place), else
+// the t.k steps t.idx lists (ascending) of contiguous a rows, where AX is
+// 8·idx[t] and scaled by eight again the panel row's offset — then the
+// epilogue on both halves: bias added (acc + bias), ReLU as a
+// compare-greater-than-zero and a zero-masked move (NaN and −0 give +0,
+// +Inf stays: relu()'s contract), the destination added for an
+// accumulating product (dst + acc), and the row stores. K1 masks the
+// pass's first panel, K2 its second: the last panel's loads and stores
+// are masked to t.last's lanes, and a one-panel pass has K2 empty — the
+// masked loads and stores of its second half touch no memory. With every
+// epilogue field zero and t.d the rows of an accumulator array it is the
+// bare tile: the sums, stored. Field offsets are tile16's (tiled.go). The
+// walk advances t.panels, t.col and t.poff — integers: a pointer field
+// stepped past its last panel would be a bad pointer to the collector.
+// end is where the pass's k loop stops: AX's last value for the dense
+// walk, the end of the index list for the indexed one.
+TEXT ·kern8x16(SB), NOSPLIT, $8-8
+pass16:
 	MOVQ t+0(FP), AX
-panel8w:
-	MOVQ 0(AX), CX            // k
-	MOVQ 8(AX), DI            // idx
+	MOVQ 200(AX), R8          // the last panel's lane mask
+	MOVQ $0xFF, R9
+	KMOVW R9, K1
+	KMOVW R9, K2
+	CMPQ 160(AX), $2          // panels left, this pass's included
+	JG   walk16               // a pair with more after it: both halves whole
+	JE   pair16
+	KMOVW R8, K1              // the last panel alone
+	KXORW K2, K2, K2
+	JMP  walk16
+pair16:
+	KMOVW R8, K2              // a pair closing the tile: its second panel is the last
+walk16:
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	MOVQ 144(AX), SI          // the first panel …
+	ADDQ 208(AX), SI          // … and this pass's byte offset from it
+	MOVQ SI, DI
+	ADDQ 152(AX), DI          // the pass's second panel
 	MOVQ 16(AX), R8
 	MOVQ 24(AX), R9
 	MOVQ 32(AX), R10
@@ -236,116 +274,245 @@ panel8w:
 	MOVQ 56(AX), R13
 	MOVQ 64(AX), BX
 	MOVQ 72(AX), DX
-	MOVQ 144(AX), SI          // the first panel …
-	ADDQ 208(AX), SI          // … and this one's byte offset from it
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
+	MOVQ 0(AX), CX            // k
 	TESTQ CX, CX
-	JZ   epi8w
-	TESTQ DI, DI
-	JNZ  idx8w
-	MOVQ 216(AX), AX          // astep: bytes from one a element to the next
+	JZ   epi16
+	CMPQ 8(AX), $0            // idx
+	JNE  idxset16
+	IMULQ 216(AX), CX         // the dense walk ends k·astep bytes in
+	MOVQ CX, end-8(SP)
+	MOVQ 216(AX), CX          // astep
+	XORL AX, AX
+	KORTESTW K2, K2
+	JZ   dense8w
+dense16w:
+	VMOVUPD (SI), Z0
+	VMOVUPD (DI), Z1
+	VBROADCASTSD (R8)(AX*1), Z2
+	VMULPD Z2, Z0, Z3
+	VADDPD Z3, Z16, Z16
+	VMULPD Z2, Z1, Z4
+	VADDPD Z4, Z17, Z17
+	VBROADCASTSD (R9)(AX*1), Z2
+	VMULPD Z2, Z0, Z5
+	VADDPD Z5, Z18, Z18
+	VMULPD Z2, Z1, Z6
+	VADDPD Z6, Z19, Z19
+	VBROADCASTSD (R10)(AX*1), Z2
+	VMULPD Z2, Z0, Z7
+	VADDPD Z7, Z20, Z20
+	VMULPD Z2, Z1, Z8
+	VADDPD Z8, Z21, Z21
+	VBROADCASTSD (R11)(AX*1), Z2
+	VMULPD Z2, Z0, Z9
+	VADDPD Z9, Z22, Z22
+	VMULPD Z2, Z1, Z10
+	VADDPD Z10, Z23, Z23
+	VBROADCASTSD (R12)(AX*1), Z2
+	VMULPD Z2, Z0, Z3
+	VADDPD Z3, Z24, Z24
+	VMULPD Z2, Z1, Z4
+	VADDPD Z4, Z25, Z25
+	VBROADCASTSD (R13)(AX*1), Z2
+	VMULPD Z2, Z0, Z5
+	VADDPD Z5, Z26, Z26
+	VMULPD Z2, Z1, Z6
+	VADDPD Z6, Z27, Z27
+	VBROADCASTSD (BX)(AX*1), Z2
+	VMULPD Z2, Z0, Z7
+	VADDPD Z7, Z28, Z28
+	VMULPD Z2, Z1, Z8
+	VADDPD Z8, Z29, Z29
+	VBROADCASTSD (DX)(AX*1), Z2
+	VMULPD Z2, Z0, Z9
+	VADDPD Z9, Z30, Z30
+	VMULPD Z2, Z1, Z10
+	VADDPD Z10, Z31, Z31
+	ADDQ CX, AX
+	ADDQ $64, SI
+	ADDQ $64, DI
+	CMPQ AX, end-8(SP)
+	JNE  dense16w
+	JMP  epi16
 dense8w:
 	VMOVUPD (SI), Z0
-	VMULPD.BCST (R8), Z0, Z1
-	VADDPD Z1, Z4, Z4
-	VMULPD.BCST (R9), Z0, Z2
-	VADDPD Z2, Z5, Z5
-	VMULPD.BCST (R10), Z0, Z3
-	VADDPD Z3, Z6, Z6
-	VMULPD.BCST (R11), Z0, Z1
-	VADDPD Z1, Z7, Z7
-	VMULPD.BCST (R12), Z0, Z2
-	VADDPD Z2, Z8, Z8
-	VMULPD.BCST (R13), Z0, Z3
-	VADDPD Z3, Z9, Z9
-	VMULPD.BCST (BX), Z0, Z1
-	VADDPD Z1, Z10, Z10
-	VMULPD.BCST (DX), Z0, Z2
-	VADDPD Z2, Z11, Z11
-	ADDQ AX, R8
-	ADDQ AX, R9
-	ADDQ AX, R10
-	ADDQ AX, R11
-	ADDQ AX, R12
-	ADDQ AX, R13
-	ADDQ AX, BX
-	ADDQ AX, DX
+	VBROADCASTSD (R8)(AX*1), Z2
+	VMULPD Z2, Z0, Z3
+	VADDPD Z3, Z16, Z16
+	VBROADCASTSD (R9)(AX*1), Z2
+	VMULPD Z2, Z0, Z4
+	VADDPD Z4, Z18, Z18
+	VBROADCASTSD (R10)(AX*1), Z2
+	VMULPD Z2, Z0, Z5
+	VADDPD Z5, Z20, Z20
+	VBROADCASTSD (R11)(AX*1), Z2
+	VMULPD Z2, Z0, Z6
+	VADDPD Z6, Z22, Z22
+	VBROADCASTSD (R12)(AX*1), Z2
+	VMULPD Z2, Z0, Z7
+	VADDPD Z7, Z24, Z24
+	VBROADCASTSD (R13)(AX*1), Z2
+	VMULPD Z2, Z0, Z8
+	VADDPD Z8, Z26, Z26
+	VBROADCASTSD (BX)(AX*1), Z2
+	VMULPD Z2, Z0, Z9
+	VADDPD Z9, Z28, Z28
+	VBROADCASTSD (DX)(AX*1), Z2
+	VMULPD Z2, Z0, Z10
+	VADDPD Z10, Z30, Z30
+	ADDQ CX, AX
 	ADDQ $64, SI
-	DECQ CX
-	JNZ  dense8w
-	JMP  epi8w
-idx8w:
-	MOVLQSX (DI), AX
+	CMPQ AX, end-8(SP)
+	JNE  dense8w
+	JMP  epi16
+idxset16:
+	MOVQ 8(AX), AX
+	LEAQ (AX)(CX*4), CX
+	MOVQ CX, end-8(SP)        // the indexed walk ends past the list
+	MOVQ AX, CX               // the next index
+	KORTESTW K2, K2
+	JZ   idx8w
+idx16w:
+	MOVLQSX (CX), AX
 	SHLQ $3, AX
 	VMOVUPD (SI)(AX*8), Z0
-	VMULPD.BCST (R8)(AX*1), Z0, Z1
-	VADDPD Z1, Z4, Z4
-	VMULPD.BCST (R9)(AX*1), Z0, Z2
-	VADDPD Z2, Z5, Z5
-	VMULPD.BCST (R10)(AX*1), Z0, Z3
-	VADDPD Z3, Z6, Z6
-	VMULPD.BCST (R11)(AX*1), Z0, Z1
-	VADDPD Z1, Z7, Z7
-	VMULPD.BCST (R12)(AX*1), Z0, Z2
-	VADDPD Z2, Z8, Z8
-	VMULPD.BCST (R13)(AX*1), Z0, Z3
-	VADDPD Z3, Z9, Z9
-	VMULPD.BCST (BX)(AX*1), Z0, Z1
-	VADDPD Z1, Z10, Z10
-	VMULPD.BCST (DX)(AX*1), Z0, Z2
-	VADDPD Z2, Z11, Z11
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  idx8w
-epi8w:
+	VMOVUPD (DI)(AX*8), Z1
+	VBROADCASTSD (R8)(AX*1), Z2
+	VMULPD Z2, Z0, Z3
+	VADDPD Z3, Z16, Z16
+	VMULPD Z2, Z1, Z4
+	VADDPD Z4, Z17, Z17
+	VBROADCASTSD (R9)(AX*1), Z2
+	VMULPD Z2, Z0, Z5
+	VADDPD Z5, Z18, Z18
+	VMULPD Z2, Z1, Z6
+	VADDPD Z6, Z19, Z19
+	VBROADCASTSD (R10)(AX*1), Z2
+	VMULPD Z2, Z0, Z7
+	VADDPD Z7, Z20, Z20
+	VMULPD Z2, Z1, Z8
+	VADDPD Z8, Z21, Z21
+	VBROADCASTSD (R11)(AX*1), Z2
+	VMULPD Z2, Z0, Z9
+	VADDPD Z9, Z22, Z22
+	VMULPD Z2, Z1, Z10
+	VADDPD Z10, Z23, Z23
+	VBROADCASTSD (R12)(AX*1), Z2
+	VMULPD Z2, Z0, Z3
+	VADDPD Z3, Z24, Z24
+	VMULPD Z2, Z1, Z4
+	VADDPD Z4, Z25, Z25
+	VBROADCASTSD (R13)(AX*1), Z2
+	VMULPD Z2, Z0, Z5
+	VADDPD Z5, Z26, Z26
+	VMULPD Z2, Z1, Z6
+	VADDPD Z6, Z27, Z27
+	VBROADCASTSD (BX)(AX*1), Z2
+	VMULPD Z2, Z0, Z7
+	VADDPD Z7, Z28, Z28
+	VMULPD Z2, Z1, Z8
+	VADDPD Z8, Z29, Z29
+	VBROADCASTSD (DX)(AX*1), Z2
+	VMULPD Z2, Z0, Z9
+	VADDPD Z9, Z30, Z30
+	VMULPD Z2, Z1, Z10
+	VADDPD Z10, Z31, Z31
+	ADDQ $4, CX
+	CMPQ CX, end-8(SP)
+	JNE  idx16w
+	JMP  epi16
+idx8w:
+	MOVLQSX (CX), AX
+	SHLQ $3, AX
+	VMOVUPD (SI)(AX*8), Z0
+	VBROADCASTSD (R8)(AX*1), Z2
+	VMULPD Z2, Z0, Z3
+	VADDPD Z3, Z16, Z16
+	VBROADCASTSD (R9)(AX*1), Z2
+	VMULPD Z2, Z0, Z4
+	VADDPD Z4, Z18, Z18
+	VBROADCASTSD (R10)(AX*1), Z2
+	VMULPD Z2, Z0, Z5
+	VADDPD Z5, Z20, Z20
+	VBROADCASTSD (R11)(AX*1), Z2
+	VMULPD Z2, Z0, Z6
+	VADDPD Z6, Z22, Z22
+	VBROADCASTSD (R12)(AX*1), Z2
+	VMULPD Z2, Z0, Z7
+	VADDPD Z7, Z24, Z24
+	VBROADCASTSD (R13)(AX*1), Z2
+	VMULPD Z2, Z0, Z8
+	VADDPD Z8, Z26, Z26
+	VBROADCASTSD (BX)(AX*1), Z2
+	VMULPD Z2, Z0, Z9
+	VADDPD Z9, Z28, Z28
+	VBROADCASTSD (DX)(AX*1), Z2
+	VMULPD Z2, Z0, Z10
+	VADDPD Z10, Z30, Z30
+	ADDQ $4, CX
+	CMPQ CX, end-8(SP)
+	JNE  idx8w
+epi16:
 	MOVQ t+0(FP), AX
-	MOVQ $0xFF, R9
-	CMPQ 160(AX), $1          // panels left, this one included
-	JNE  mask8w
-	MOVQ 200(AX), R9          // the last panel's lane mask
-mask8w:
-	KMOVW R9, K1
-	MOVQ 192(AX), CX          // byte offset of this panel's first column
+	MOVQ 192(AX), CX          // byte offset of the pass's first column in a d row
 	MOVQ 168(AX), SI          // bias
 	TESTQ SI, SI
-	JZ   nobias8w
+	JZ   nobias16
 	VMOVUPD.Z (SI)(CX*1), K1, Z0
-	VADDPD Z0, Z4, Z4
-	VADDPD Z0, Z5, Z5
-	VADDPD Z0, Z6, Z6
-	VADDPD Z0, Z7, Z7
-	VADDPD Z0, Z8, Z8
-	VADDPD Z0, Z9, Z9
-	VADDPD Z0, Z10, Z10
-	VADDPD Z0, Z11, Z11
-nobias8w:
+	VMOVUPD.Z 64(SI)(CX*1), K2, Z1
+	VADDPD Z0, Z16, Z16
+	VADDPD Z1, Z17, Z17
+	VADDPD Z0, Z18, Z18
+	VADDPD Z1, Z19, Z19
+	VADDPD Z0, Z20, Z20
+	VADDPD Z1, Z21, Z21
+	VADDPD Z0, Z22, Z22
+	VADDPD Z1, Z23, Z23
+	VADDPD Z0, Z24, Z24
+	VADDPD Z1, Z25, Z25
+	VADDPD Z0, Z26, Z26
+	VADDPD Z1, Z27, Z27
+	VADDPD Z0, Z28, Z28
+	VADDPD Z1, Z29, Z29
+	VADDPD Z0, Z30, Z30
+	VADDPD Z1, Z31, Z31
+nobias16:
 	CMPQ 176(AX), $0          // relu
-	JE   norelu8w
-	VPXORQ Z1, Z1, Z1
-	VCMPPD $0x1E, Z1, Z4, K2  // GT_OQ: acc > 0
-	VMOVAPD.Z Z4, K2, Z4
-	VCMPPD $0x1E, Z1, Z5, K2
-	VMOVAPD.Z Z5, K2, Z5
-	VCMPPD $0x1E, Z1, Z6, K2
-	VMOVAPD.Z Z6, K2, Z6
-	VCMPPD $0x1E, Z1, Z7, K2
-	VMOVAPD.Z Z7, K2, Z7
-	VCMPPD $0x1E, Z1, Z8, K2
-	VMOVAPD.Z Z8, K2, Z8
-	VCMPPD $0x1E, Z1, Z9, K2
-	VMOVAPD.Z Z9, K2, Z9
-	VCMPPD $0x1E, Z1, Z10, K2
-	VMOVAPD.Z Z10, K2, Z10
-	VCMPPD $0x1E, Z1, Z11, K2
-	VMOVAPD.Z Z11, K2, Z11
-norelu8w:
+	JE   norelu16
+	VPXORQ Z0, Z0, Z0
+	VCMPPD $0x1E, Z0, Z16, K3  // GT_OQ: acc > 0
+	VMOVAPD.Z Z16, K3, Z16
+	VCMPPD $0x1E, Z0, Z17, K3
+	VMOVAPD.Z Z17, K3, Z17
+	VCMPPD $0x1E, Z0, Z18, K3
+	VMOVAPD.Z Z18, K3, Z18
+	VCMPPD $0x1E, Z0, Z19, K3
+	VMOVAPD.Z Z19, K3, Z19
+	VCMPPD $0x1E, Z0, Z20, K3
+	VMOVAPD.Z Z20, K3, Z20
+	VCMPPD $0x1E, Z0, Z21, K3
+	VMOVAPD.Z Z21, K3, Z21
+	VCMPPD $0x1E, Z0, Z22, K3
+	VMOVAPD.Z Z22, K3, Z22
+	VCMPPD $0x1E, Z0, Z23, K3
+	VMOVAPD.Z Z23, K3, Z23
+	VCMPPD $0x1E, Z0, Z24, K3
+	VMOVAPD.Z Z24, K3, Z24
+	VCMPPD $0x1E, Z0, Z25, K3
+	VMOVAPD.Z Z25, K3, Z25
+	VCMPPD $0x1E, Z0, Z26, K3
+	VMOVAPD.Z Z26, K3, Z26
+	VCMPPD $0x1E, Z0, Z27, K3
+	VMOVAPD.Z Z27, K3, Z27
+	VCMPPD $0x1E, Z0, Z28, K3
+	VMOVAPD.Z Z28, K3, Z28
+	VCMPPD $0x1E, Z0, Z29, K3
+	VMOVAPD.Z Z29, K3, Z29
+	VCMPPD $0x1E, Z0, Z30, K3
+	VMOVAPD.Z Z30, K3, Z30
+	VCMPPD $0x1E, Z0, Z31, K3
+	VMOVAPD.Z Z31, K3, Z31
+norelu16:
 	MOVQ 80(AX), R8
 	MOVQ 88(AX), R9
 	MOVQ 96(AX), R10
@@ -355,37 +522,62 @@ norelu8w:
 	MOVQ 128(AX), BX
 	MOVQ 136(AX), DX
 	CMPQ 184(AX), $0          // accumulate
-	JE   store8w
+	JE   store16
 	VMOVUPD.Z (R8)(CX*1), K1, Z0
-	VADDPD Z4, Z0, Z4
-	VMOVUPD.Z (R9)(CX*1), K1, Z1
-	VADDPD Z5, Z1, Z5
-	VMOVUPD.Z (R10)(CX*1), K1, Z2
-	VADDPD Z6, Z2, Z6
-	VMOVUPD.Z (R11)(CX*1), K1, Z3
-	VADDPD Z7, Z3, Z7
+	VADDPD Z16, Z0, Z16
+	VMOVUPD.Z 64(R8)(CX*1), K2, Z1
+	VADDPD Z17, Z1, Z17
+	VMOVUPD.Z (R9)(CX*1), K1, Z0
+	VADDPD Z18, Z0, Z18
+	VMOVUPD.Z 64(R9)(CX*1), K2, Z1
+	VADDPD Z19, Z1, Z19
+	VMOVUPD.Z (R10)(CX*1), K1, Z0
+	VADDPD Z20, Z0, Z20
+	VMOVUPD.Z 64(R10)(CX*1), K2, Z1
+	VADDPD Z21, Z1, Z21
+	VMOVUPD.Z (R11)(CX*1), K1, Z0
+	VADDPD Z22, Z0, Z22
+	VMOVUPD.Z 64(R11)(CX*1), K2, Z1
+	VADDPD Z23, Z1, Z23
 	VMOVUPD.Z (R12)(CX*1), K1, Z0
-	VADDPD Z8, Z0, Z8
-	VMOVUPD.Z (R13)(CX*1), K1, Z1
-	VADDPD Z9, Z1, Z9
-	VMOVUPD.Z (BX)(CX*1), K1, Z2
-	VADDPD Z10, Z2, Z10
-	VMOVUPD.Z (DX)(CX*1), K1, Z3
-	VADDPD Z11, Z3, Z11
-store8w:
-	VMOVUPD Z4, K1, (R8)(CX*1)
-	VMOVUPD Z5, K1, (R9)(CX*1)
-	VMOVUPD Z6, K1, (R10)(CX*1)
-	VMOVUPD Z7, K1, (R11)(CX*1)
-	VMOVUPD Z8, K1, (R12)(CX*1)
-	VMOVUPD Z9, K1, (R13)(CX*1)
-	VMOVUPD Z10, K1, (BX)(CX*1)
-	VMOVUPD Z11, K1, (DX)(CX*1)
-	ADDQ $64, 192(AX)
-	MOVQ 152(AX), R9          // bytes from one panel to the next
+	VADDPD Z24, Z0, Z24
+	VMOVUPD.Z 64(R12)(CX*1), K2, Z1
+	VADDPD Z25, Z1, Z25
+	VMOVUPD.Z (R13)(CX*1), K1, Z0
+	VADDPD Z26, Z0, Z26
+	VMOVUPD.Z 64(R13)(CX*1), K2, Z1
+	VADDPD Z27, Z1, Z27
+	VMOVUPD.Z (BX)(CX*1), K1, Z0
+	VADDPD Z28, Z0, Z28
+	VMOVUPD.Z 64(BX)(CX*1), K2, Z1
+	VADDPD Z29, Z1, Z29
+	VMOVUPD.Z (DX)(CX*1), K1, Z0
+	VADDPD Z30, Z0, Z30
+	VMOVUPD.Z 64(DX)(CX*1), K2, Z1
+	VADDPD Z31, Z1, Z31
+store16:
+	VMOVUPD Z16, K1, (R8)(CX*1)
+	VMOVUPD Z17, K2, 64(R8)(CX*1)
+	VMOVUPD Z18, K1, (R9)(CX*1)
+	VMOVUPD Z19, K2, 64(R9)(CX*1)
+	VMOVUPD Z20, K1, (R10)(CX*1)
+	VMOVUPD Z21, K2, 64(R10)(CX*1)
+	VMOVUPD Z22, K1, (R11)(CX*1)
+	VMOVUPD Z23, K2, 64(R11)(CX*1)
+	VMOVUPD Z24, K1, (R12)(CX*1)
+	VMOVUPD Z25, K2, 64(R12)(CX*1)
+	VMOVUPD Z26, K1, (R13)(CX*1)
+	VMOVUPD Z27, K2, 64(R13)(CX*1)
+	VMOVUPD Z28, K1, (BX)(CX*1)
+	VMOVUPD Z29, K2, 64(BX)(CX*1)
+	VMOVUPD Z30, K1, (DX)(CX*1)
+	VMOVUPD Z31, K2, 64(DX)(CX*1)
+	ADDQ $128, 192(AX)
+	MOVQ 152(AX), R9          // bytes from one panel to the next …
+	SHLQ $1, R9               // … and from one pass to the next
 	ADDQ R9, 208(AX)
-	DECQ 160(AX)
-	JNZ  panel8w
+	SUBQ $2, 160(AX)
+	JG   pass16
 	VZEROUPPER
 	RET
 

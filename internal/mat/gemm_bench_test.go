@@ -138,3 +138,33 @@ func benchGEMM(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWideTile is the AVX-512 tile's ceiling, warm: the bare tile
+// (one pass into the accumulator array, no epilogue) over one and two
+// panels at depths 64…512, operands in L1/L2, reported as multiply-adds
+// per ns. A one-panel pass is what an odd last panel runs.
+func BenchmarkWideTile(b *testing.B) {
+	if !haveAVX512 {
+		b.Skip("no AVX-512 on this machine (or force-disabled)")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, panels := range []int{1, 2} {
+		for _, k := range []int{64, 128, 256, 512} {
+			a := benchMat(zr, k, rng)
+			bp := benchMat(1, 2*nr*k, rng).Data
+			b.Run(fmt.Sprintf("panels%d/k%d", panels, k), func(b *testing.B) {
+				var acc [zr * zw]float64
+				bare := epilogue{cols: []int32{}}
+				t := bare.tile16For(k, nil, 2*nr, &acc)
+				for q := range t.a {
+					t.a[q] = &a.Row(q)[0]
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					t.run(bp, 0, panels)
+				}
+				b.ReportMetric(float64(zr*nr*panels*k)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "madd/ns")
+			})
+		}
+	}
+}

@@ -496,3 +496,65 @@ func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWideTileMatchesKern4x8n aims at the AVX-512 tile itself: a fuzzed
+// depth (0–64), one to five panels with a ragged last one, the dense walk
+// along rows or down the columns of a transpose (a fuzzed row width
+// apart) or the indexed walk over a fuzzed live list, Inf and NaN in the
+// panels, and every epilogue — each run both ways kern8x16 serves a
+// product (requireWideTile) and held to AVX2 tiles and storeTile.
+func FuzzWideTileMatchesKern4x8n(f *testing.F) {
+	f.Add(int64(1), byte(64), byte(4), byte(0), byte(0), byte(0)) // four panels, dense, store
+	f.Add(int64(2), byte(22), byte(2), byte(0), byte(3), byte(3)) // a pair, down the transpose, bias and ReLU
+	f.Add(int64(3), byte(40), byte(4), byte(1), byte(0), byte(4)) // a pair and a last alone, indexed, accumulate
+	f.Add(int64(4), byte(0), byte(0), byte(0), byte(1), byte(1))  // depth 0, one panel
+	f.Add(int64(5), byte(17), byte(1), byte(2), byte(0), byte(2)) // an empty live list
+	f.Fuzz(func(t *testing.T, seed int64, kb, panelsb, liveb, stepb, epb byte) {
+		if !haveAVX512 {
+			t.Skip("no AVX-512 on this machine (or force-disabled)")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		k := int(kb) % 65
+		depth := max(k, 1)
+		panels := 1 + int(panelsb)%5
+		n := (panels-1)*nr + 1 + rng.Intn(nr)
+		c := wideTileCase{astep: 8, k: k, depth: depth, n: n, bp: make([]float64, panels*nr*depth)}
+		fuzzFill(c.bp, rng)
+		for p := 0; p < panels; p++ {
+			plantNonFinite(c.bp[p*nr*depth:(p+1)*nr*depth], rng)
+		}
+		if k > 0 {
+			switch liveb % 3 {
+			case 1:
+				c.live = []int32{}
+				for s := 0; s < k; s++ {
+					if rng.Intn(2) == 0 {
+						c.live = append(c.live, int32(s))
+					}
+				}
+			case 2:
+				c.live = []int32{}
+			}
+		}
+		a := New(zr, depth)
+		fuzzFill(a.Data, rng)
+		for q := range c.a {
+			c.a[q] = &a.Row(q)[0]
+		}
+		if c.live == nil && stepb%2 == 1 {
+			// Down the columns of a wider matrix, as MulTransA reads its operand.
+			at := New(depth, zr+int(stepb/2)%5)
+			fuzzFill(at.Data, rng)
+			for q := range c.a {
+				c.a[q] = &at.Data[q]
+			}
+			c.astep = 8 * at.Cols
+		}
+		bias := make([]float64, n)
+		fuzzFill(bias, rng)
+		ep := []epilogue{{}, {act: ActReLU}, {bias: bias}, {bias: bias, act: ActReLU}, {accumulate: true}}[int(epb)%5]
+		dst := New(zr, n+3) // three guard columns
+		fuzzFill(dst.Data, rng)
+		requireWideTile(t, fmt.Sprintf("k=%d n=%d live=%v astep=%d", k, n, c.live, c.astep), &c, dst, &ep)
+	})
+}

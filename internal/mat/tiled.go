@@ -3,11 +3,11 @@ package mat
 import "math"
 
 // Cache-blocked, register-tiled GEMM path. The three products (Mul,
-// MulTransA, MulTransB) share one microkernel shape: a tile of mr
-// destination rows × nr destination columns accumulates over the full k
-// depth in registers, reading the B operand from a packed panel buffer
-// (nr consecutive destination columns stored contiguously per k step,
-// zero-padded at the right edge).
+// MulTransA, MulTransB) share one microkernel shape: a tile of destination
+// rows × one or two panels of destination columns accumulates over the
+// full k depth in registers, reading the B operand from a packed panel
+// buffer (nr consecutive destination columns stored contiguously per k
+// step, zero-padded at the right edge).
 //
 // Bit-exactness contract: for every destination element the k terms are
 // multiplied and added in ascending k order with individual roundings
@@ -26,14 +26,15 @@ import "math"
 // "Determinism and the non-finite contract").
 // MulTransB, like Dot, hides nothing in either form.
 const (
-	// nr is the register tile width: one packed panel covers nr
-	// destination columns (two 4-lane AVX2 vectors, one 8-lane AVX-512
-	// vector).
+	// nr is the panel width: one packed panel covers nr destination
+	// columns (two 4-lane AVX2 vectors, one 8-lane AVX-512 vector), and is
+	// the width of the AVX2 register tile.
 	nr = 8
 	// mr is the height in destination rows of the AVX2 register tile, zr
-	// of the AVX-512 one.
+	// and zw the height and width of the AVX-512 one: two panels.
 	mr = 4
 	zr = 8
+	zw = 2 * nr
 	// minPackRows is the destination row count below which packing the
 	// B operand cannot be amortised and the streaming kernels win
 	// (batch-1 action selection stays on the naive path).
@@ -173,46 +174,64 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, ep 
 		}
 		return
 	}
+	runTiles(dst, a.Data, k, 8, r0, nil, r1-r0, bp, k, n, live, ep)
+}
+
+// runTiles computes destination rows r0+pick(rows, c), c in [0, count), of
+// a product against every packed panel of bp (depth k, n columns) on the
+// SIMD tiers, through ep: row r's a elements start at a[r·lead] and lie
+// astep bytes apart, live lists the k-steps to visit (nil for all). A last
+// tile of fewer than h rows repeats its final row: the kernel computes h
+// rows either way and the repeats are not stored, so every row runs a
+// tile kernel. A tile of eight rows into contiguous destination columns
+// writes back from the registers, every panel in one call; a column-mapped
+// one runs a pass — two panels, or the odd last one — a call into acc, and
+// a four-row tile one panel a call, both of which storeTile scatters. acc
+// and the tile that points into it share this frame: neither escapes.
+func runTiles(dst *Matrix, a []float64, lead, astep, r0 int, rows []int32, count int, bp []float64, k, n int, live []int32, ep *epilogue) {
 	panels := (n + nr - 1) / nr
-	var acc [zr * nr]float64
-	t8 := ep.tile8For(k, live, n, &acc)
-	for i := r0; i < r1; {
-		// A last tile of fewer than h rows repeats its final row: the
-		// kernel computes h rows either way and the repeats are not
-		// stored, so every row of the range runs a tile kernel.
-		h := tileHeight(r1 - i)
-		rows := min(r1-i, h)
+	var acc [zr * zw]float64
+	var at [zr]int // the tile's destination rows
+	t := ep.tile16For(k, live, n, &acc)
+	t.astep = astep
+	for c := 0; c < count; {
+		h := tileHeight(count - c)
+		cnt := min(count-c, h)
 		for q := 0; q < h; q++ {
-			t8.a[q] = &a.Data[(i+min(q, rows-1))*k]
+			at[q] = r0 + pick(rows, c+min(q, cnt-1))
+			t.a[q] = &a[at[q]*lead]
 		}
+		c += cnt
 		if h == zr && ep.cols == nil {
-			for q := range t8.d {
-				t8.d[q] = &dst.Data[(i+q)*dst.Cols]
+			for q := range t.d {
+				t.d[q] = &dst.Data[at[q]*dst.Cols]
 			}
-			t8.run(bp, 0, panels)
-			i += zr
+			t.run(bp, 0, panels)
 			continue
 		}
-		for p := 0; p < panels; p++ {
+		for p := 0; p < panels; {
+			pass, stride := 1, nr // panels this call, acc's row stride
 			if h == zr {
-				t8.run(bp, p, 1)
+				pass, stride = min(panels-p, 2), zw
+				t.run(bp, p, pass)
 			} else {
-				kernTile4(k, t8.astep, live, &t8.a, &bp[p*nr*k], &acc)
+				kernTile4(k, astep, live, &t.a, &bp[p*nr*k], &acc)
 			}
-			j0 := p * nr
-			w := min(n-j0, nr)
-			for q := 0; q < rows; q++ {
-				storeTile(dst.Row(i+q), acc[q*nr:], j0, w, ep)
+			for q := 0; q < cnt; q++ {
+				for j := 0; j < pass; j++ {
+					j0 := (p + j) * nr
+					storeTile(dst.Row(at[q]), acc[q*stride+j*nr:], j0, min(n-j0, nr), ep)
+				}
 			}
+			p += pass
 		}
-		i += rows
 	}
 }
 
-// tile8 is kern8x8's argument block (the assembly reads the fields by
-// offset): one 8-row tile of a product against one or every panel, the
-// epilogue run on the registers.
-type tile8 struct {
+// tile16 is kern8x16's argument block (the assembly reads the fields by
+// offset): one 8-row tile of a product against one or more panels, two a
+// pass, the epilogue run on the registers.
+type tile16 struct {
 	k      int          // 0: steps per panel — the depth, or len(idx)
 	idx    *int32       // 8: the k-steps to visit, ascending; nil visits 0..k-1
 	a      [zr]*float64 // 16: the eight a rows
@@ -223,22 +242,22 @@ type tile8 struct {
 	bias   *float64     // 168: nil for none; the destination's first column's
 	relu   int          // 176: non-zero applies ReLU
 	acc    int          // 184: non-zero adds the destination (dst + sum)
-	col    int          // 192: byte offset of the next panel's first column in a d row
+	col    int          // 192: byte offset of the next pass's first column in a d row
 	last   int          // 200: lane mask of the last panel, (1 << its columns) − 1
-	poff   int          // 208: byte offset of the next panel from the first
+	poff   int          // 208: byte offset of the next pass's first panel from the first
 	astep  int          // 216: bytes from one a element to the next on the dense walk
 }
 
-// tile8For prepares what the 8-row tiles of one product share (they exist
+// tile16For prepares what the 8-row tiles of one product share (they exist
 // on the AVX-512 tier only: tileHeight). depth is the panels' row count,
 // live the k-steps to visit (nil for all), n the packed width; the a rows
 // are contiguous (astep 8) until the caller says otherwise. A product
 // into contiguous destination columns writes back from the registers,
 // every panel of a tile in one call: the caller points t.d at the tile's
-// destination rows. A column-mapped one runs a panel a call into acc,
-// which storeTile scatters, as every product does on the other tiers.
-func (ep *epilogue) tile8For(depth int, live []int32, n int, acc *[zr * nr]float64) (t tile8) {
-	t = tile8{k: depth, stride: nr * depth * 8, last: 1<<(n-(n-1)/nr*nr) - 1, astep: 8}
+// destination rows. A column-mapped one runs a pass a call into acc, row q
+// at acc[q·zw:], which storeTile scatters.
+func (ep *epilogue) tile16For(depth int, live []int32, n int, acc *[zr * zw]float64) (t tile16) {
+	t = tile16{k: depth, stride: nr * depth * 8, last: 1<<(n-(n-1)/nr*nr) - 1, astep: 8}
 	if live != nil {
 		if t.k = len(live); t.k > 0 {
 			t.idx = &live[0]
@@ -248,7 +267,7 @@ func (ep *epilogue) tile8For(depth int, live []int32, n int, acc *[zr * nr]float
 	case ep.cols != nil:
 		t.last = 1<<nr - 1 // acc has every lane
 		for q := range t.d {
-			t.d[q] = &acc[q*nr]
+			t.d[q] = &acc[q*zw]
 		}
 	case ep.accumulate: // storeTile's order: an accumulating store has no bias or activation
 		t.acc = 1
@@ -265,9 +284,9 @@ func (ep *epilogue) tile8For(depth int, live []int32, n int, acc *[zr * nr]float
 
 // run computes the tile — t.a and t.d set — against count panels of bp
 // from the first-th on.
-func (t *tile8) run(bp []float64, first, count int) {
+func (t *tile16) run(bp []float64, first, count int) {
 	t.panel, t.poff, t.panels, t.col = &bp[0], first*t.stride, count, 0
-	kern8x8(t)
+	kern8x16(t)
 }
 
 // tileHeight is the height of the next register tile when rows are left:
@@ -283,7 +302,7 @@ func tileHeight(rows int) int {
 // one when a has dead columns, the dense one, stepping astep bytes from
 // one a element to the next, otherwise — into the first mr rows of acc.
 // Both add every term in ascending k.
-func kernTile4(k, astep int, live []int32, ap *[zr]*float64, panel *float64, acc *[zr * nr]float64) {
+func kernTile4(k, astep int, live []int32, ap *[zr]*float64, panel *float64, acc *[zr * zw]float64) {
 	acc4 := (*[mr * nr]float64)(acc[:])
 	switch {
 	case live == nil:
@@ -478,42 +497,7 @@ func gemmTransAPacked(dst, a *Matrix, bp []float64, live []int32, ep *epilogue) 
 		}
 		return
 	}
-	panels := (n + nr - 1) / nr
-	var acc [zr * nr]float64
-	var src [zr]int
-	t8 := ep.tile8For(k, nil, n, &acc)
-	t8.astep = 8 * step
-	for c := 0; c < c1; {
-		// A last tile of fewer than h rows repeats its final column, like
-		// gemmPackedRange's.
-		h := tileHeight(c1 - c)
-		cnt := min(c1-c, h)
-		for q := 0; q < h; q++ {
-			src[q] = pick(live, c+min(q, cnt-1))
-			t8.a[q] = &a.Data[src[q]]
-		}
-		if h == zr && ep.cols == nil {
-			for q := range t8.d {
-				t8.d[q] = &dst.Data[src[q]*dst.Cols]
-			}
-			t8.run(bp, 0, panels)
-			c += zr
-			continue
-		}
-		for p := 0; p < panels; p++ {
-			if h == zr {
-				t8.run(bp, p, 1)
-			} else {
-				kernTile4(k, t8.astep, nil, &t8.a, &bp[p*nr*k], &acc)
-			}
-			j0 := p * nr
-			w := min(n-j0, nr)
-			for q := 0; q < cnt; q++ {
-				storeTile(dst.Row(src[q]), acc[q*nr:], j0, w, ep)
-			}
-		}
-		c += cnt
-	}
+	runTiles(dst, a.Data, 1, 8*step, 0, live, c1, bp, k, n, nil, ep)
 }
 
 // transADeadRows stores +0, their sum, in the destination rows of

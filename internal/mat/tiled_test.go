@@ -76,31 +76,35 @@ func TestTiledStraddlesEightRowTile(t *testing.T) {
 	}
 }
 
-// TestTiledKern8x8nIsTwoKern4x8n calls the kernels themselves: one
-// AVX-512 tile (kern8x8 as the bare tile: one panel, no epilogue, into an
-// accumulator array) must leave there exactly what two AVX2 tiles over
-// the same eight rows leave in theirs, dense and indexed, at depths from
-// none to past a cache line of indices, with Inf and NaN in the panel —
+// TestTiledKern8x16IsFourKern4x8n calls the kernels themselves: one
+// AVX-512 tile (kern8x16 as the bare tile: one pass, no epilogue, into an
+// accumulator array) over two panels must leave there exactly what four
+// AVX2 tiles — two halves of the rows against each panel — leave in
+// theirs, and a pass over one panel what two of them leave, without
+// touching the array's second half; dense and indexed, at depths from
+// none to past a cache line of indices, with Inf and NaN in both panels —
 // and the dense walk must leave the same again when the eight rows are
 // the columns of a's transpose, stepped a row of it at a time (how
 // MulTransA reads its operand in place).
-func TestTiledKern8x8nIsTwoKern4x8n(t *testing.T) {
+func TestTiledKern8x16IsFourKern4x8n(t *testing.T) {
 	if !haveAVX512 {
 		t.Skip("no AVX-512 on this machine (or force-disabled)")
 	}
 	rng := rand.New(rand.NewSource(5))
 	for _, k := range []int{0, 1, 2, 7, 16, 33, 64} {
-		a := New(zr, max(k, 1)) // max: the kernels take &row[0] even at k = 0
-		panel := make([]float64, max(k, 1)*nr)
+		depth := max(k, 1) // the kernels take &row[0] even at k = 0
+		a := New(zr, depth)
+		bp := make([]float64, 2*depth*nr)
 		fuzzFill(a.Data, rng)
-		fuzzFill(panel, rng)
-		plantNonFinite(panel, rng)
-		var r, col [zr]*float64
+		fuzzFill(bp, rng)
+		plantNonFinite(bp[:depth*nr], rng)
+		plantNonFinite(bp[depth*nr:], rng)
+		var rows, cols [zr]*float64
 		at := transpose(a)
-		for q := range r {
-			r[q], col[q] = &a.Row(q)[0], &at.Data[q]
+		for q := range rows {
+			rows[q], cols[q] = &a.Row(q)[0], &at.Data[q]
 		}
-		lists := [][]int32{nil} // nil: the dense kernels
+		lists := [][]int32{nil} // nil: the dense walk
 		if k > 0 {
 			some := []int32{int32(k - 1)}
 			for c := k - 2; c >= 0; c -= 1 + rng.Intn(3) {
@@ -108,68 +112,168 @@ func TestTiledKern8x8nIsTwoKern4x8n(t *testing.T) {
 			}
 			lists = append(lists, some, []int32{int32(k / 2)})
 		}
+		walks := []wideTileCase{{a: rows, astep: 8}, {a: cols, astep: 8 * zr}} // along rows, down the transpose
 		for _, live := range lists {
-			var got [zr * nr]float64
-			var lo, hi [mr * nr]float64
-			for i := range got {
-				got[i] = math.NaN() // the kernel must overwrite all of it
-			}
-			mapped := epilogue{cols: []int32{}} // a column-mapped product runs the bare tile
-			t8 := mapped.tile8For(max(k, 1), live, nr, &got)
-			if t8.a = r; live == nil {
-				t8.k = k // a depth of 0 still has a one-row panel to point at
-				kern4x8n(k, 8, r[0], r[1], r[2], r[3], &panel[0], &lo)
-				kern4x8n(k, 8, r[4], r[5], r[6], r[7], &panel[0], &hi)
-			} else {
-				kern4x8ni(len(live), &live[0], r[0], r[1], r[2], r[3], &panel[0], &lo)
-				kern4x8ni(len(live), &live[0], r[4], r[5], r[6], r[7], &panel[0], &hi)
-			}
-			t8.run(panel, 0, 1)
-			want := append(append([]float64(nil), lo[:]...), hi[:]...)
-			requireAcc := func(tag string, got []float64) {
-				t.Helper()
-				for i, w := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(w) {
-						t.Fatalf("k=%d live=%v %s: acc[%d] = %x (%v), two 4×8 tiles leave %x (%v)",
-							k, live, tag, i, math.Float64bits(got[i]), got[i], math.Float64bits(w), w)
+			for _, c := range walks {
+				if live != nil && c.astep != 8 {
+					continue // the indexed walk reads contiguous rows
+				}
+				c.k, c.depth, c.live, c.bp, c.n = k, depth, live, bp, zw
+				// want: the four AVX2 tiles, laid out as the wide tile's rows.
+				var want, four [zr * zw]float64
+				for p := 0; p < 2; p++ {
+					for h := 0; h < zr; h += mr {
+						c.kern4(h, p, &four)
+						for q := 0; q < mr; q++ {
+							copy(want[(h+q)*zw+p*nr:], four[q*nr:(q+1)*nr])
+						}
+					}
+				}
+				for _, pass := range []int{2, 1} {
+					var got [zr * zw]float64
+					for i := range got {
+						got[i] = math.NaN() // the kernel must overwrite the pass's part of it
+					}
+					bare := epilogue{cols: []int32{}} // a column-mapped product runs the bare tile
+					tl := bare.tile16For(depth, live, zw, &got)
+					c.set(&tl)
+					tl.run(bp, 0, pass)
+					for i, w := range want {
+						if i%zw >= pass*nr {
+							w = math.NaN() // a one-panel pass leaves the second half alone
+						}
+						if math.Float64bits(got[i]) != math.Float64bits(w) {
+							t.Fatalf("k=%d live=%v astep=%d pass=%d: acc[%d] = %x (%v), four 4×8 tiles leave %x (%v)",
+								k, live, c.astep, pass, i, math.Float64bits(got[i]), got[i], math.Float64bits(w), w)
+						}
 					}
 				}
 			}
-			requireAcc("kern8x8", got[:])
-			if live != nil {
-				continue
-			}
-			astep := 8 * zr // a row of the transpose
-			t8.a, t8.astep = col, astep
-			t8.run(panel, 0, 1)
-			requireAcc("kern8x8 down the transpose", got[:])
-			kern4x8n(k, astep, col[0], col[1], col[2], col[3], &panel[0], &lo)
-			kern4x8n(k, astep, col[4], col[5], col[6], col[7], &panel[0], &hi)
-			requireAcc("kern4x8n down the transpose", append(lo[:], hi[:]...))
 		}
 	}
 }
 
-// TestKern8x8WriteBackMatchesStoreTile calls the kernel's write-back
+// wideTileCase is one 8-row tile of a product for the tests of kern8x16:
+// the a rows, astep bytes from one element to the next, against the
+// panels of bp (depth rows each, n columns in all), over the k steps of
+// the dense walk or the steps live lists.
+type wideTileCase struct {
+	a        [zr]*float64
+	astep    int
+	k, depth int
+	live     []int32
+	bp       []float64
+	n        int
+}
+
+// set points a wide tile at the case's rows and walk.
+func (c *wideTileCase) set(t *tile16) {
+	t.a, t.astep = c.a, c.astep
+	if c.live == nil {
+		t.k = c.k // a depth of 0 still has a one-row panel to point at
+	}
+}
+
+// kern4 runs rows [h, h+mr) against panel p through the AVX2 tile into
+// the first mr rows of acc, nr apart.
+func (c *wideTileCase) kern4(h, p int, acc *[zr * zw]float64) {
+	var half [zr]*float64
+	copy(half[:], c.a[h:])
+	kernTile4(c.k, c.astep, c.live, &half, &c.bp[p*nr*c.depth], acc)
+}
+
+// viaKern4 is the oracle: every panel through two AVX2 tiles, each row
+// through storeTile into dst's rows.
+func (c *wideTileCase) viaKern4(dst *Matrix, ep *epilogue) {
+	var acc [zr * zw]float64
+	for p := 0; p*nr < c.n; p++ {
+		for h := 0; h < zr; h += mr {
+			c.kern4(h, p, &acc)
+			for q := 0; q < mr; q++ {
+				storeTile(dst.Row(h+q), acc[q*nr:], p*nr, min(c.n-p*nr, nr), ep)
+			}
+		}
+	}
+}
+
+// writeBack is kern8x16 over every panel in one call, storing from the
+// registers into dst's rows.
+func (c *wideTileCase) writeBack(dst *Matrix, ep *epilogue) {
+	t := ep.tile16For(c.depth, c.live, c.n, nil)
+	c.set(&t)
+	for q := range t.d {
+		t.d[q] = &dst.Row(q)[0]
+	}
+	t.run(c.bp, 0, (c.n+nr-1)/nr)
+}
+
+// viaArray is kern8x16 as a column-mapped product runs it: the bare tile,
+// a pass a call, into the accumulator array, each pass scattered through
+// storeTile into dst's rows.
+func (c *wideTileCase) viaArray(dst *Matrix, ep *epilogue) {
+	var acc [zr * zw]float64
+	bare := epilogue{cols: []int32{}}
+	t := bare.tile16For(c.depth, c.live, c.n, &acc)
+	c.set(&t)
+	panels := (c.n + nr - 1) / nr
+	for p := 0; p < panels; p += 2 {
+		pass := min(panels-p, 2)
+		t.run(c.bp, p, pass)
+		for q := 0; q < zr; q++ {
+			for j := 0; j < pass; j++ {
+				j0 := (p + j) * nr
+				storeTile(dst.Row(q), acc[q*zw+j*nr:], j0, min(c.n-j0, nr), ep)
+			}
+		}
+	}
+}
+
+// requireWideTile runs the case both ways kern8x16 serves a product —
+// writing back from the registers, and through the accumulator array —
+// over a copy of dst each, and holds both to the oracle, bit for bit but
+// for NaN payloads (storeTile's additions may take their operands in
+// either order).
+func requireWideTile(t *testing.T, tag string, c *wideTileCase, dst *Matrix, ep *epilogue) {
+	t.Helper()
+	want := dst.Clone()
+	c.viaKern4(want, ep)
+	for _, way := range []struct {
+		name string
+		run  func(*Matrix, *epilogue)
+	}{{"write-back", c.writeBack}, {"array", c.viaArray}} {
+		got := dst.Clone()
+		way.run(got, ep)
+		for i, w := range want.Data {
+			g := got.Data[i]
+			if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("%s %s: element %d: got %x (%v) want %x (%v)", tag, way.name, i, math.Float64bits(g), g, math.Float64bits(w), w)
+			}
+		}
+	}
+}
+
+// TestKern8x16WriteBackMatchesStoreTile calls the kernel's write-back
 // itself: one call over every panel must leave in the destination exactly
-// what the bare tile into the accumulator array and storeTile row by row
-// leave there — every epilogue, dense and indexed, widths that end in a
-// full and in a partial panel, with Inf and NaN reaching the ReLU — and
-// must not touch a column past the destination's last.
-func TestKern8x8WriteBackMatchesStoreTile(t *testing.T) {
+// what AVX2 tiles and storeTile row by row leave there — every epilogue,
+// dense and indexed, widths of odd and even panel counts that end in a
+// full and in a partial panel, alone or closing a pair, with Inf and NaN
+// reaching the ReLU — and must not touch a column past the destination's
+// last; and so must the passes into the accumulator array a
+// column-mapped product scatters.
+func TestKern8x16WriteBackMatchesStoreTile(t *testing.T) {
 	if !haveAVX512 {
 		t.Skip("no AVX-512 on this machine (or force-disabled)")
 	}
 	rng := rand.New(rand.NewSource(29))
-	for _, n := range []int{1, 8, 13, 24} {
+	for _, n := range []int{1, 8, 9, 13, 16, 24, 40} {
 		for _, k := range []int{0, 1, 9, 40} {
-			panels := (n + nr - 1) / nr
-			a := New(zr, max(k, 1))
-			b := New(max(k, 1), n)
+			depth := max(k, 1)
+			a := New(zr, depth)
+			b := New(depth, n)
 			fuzzFill(a.Data, rng)
 			fuzzFill(b.Data, rng)
 			plantNonFinite(b.Data, rng)
-			bp := make([]float64, panels*nr*max(k, 1))
+			bp := make([]float64, (n+nr-1)/nr*nr*depth)
 			packBInto(bp, b, nil)
 			bias := make([]float64, n)
 			fuzzFill(bias, rng)
@@ -178,35 +282,17 @@ func TestKern8x8WriteBackMatchesStoreTile(t *testing.T) {
 				lists = append(lists, []int32{0, int32(k / 2), int32(k - 1)}, []int32{})
 			}
 			for _, live := range lists {
+				c := wideTileCase{astep: 8, k: k, depth: depth, live: live, bp: bp, n: n}
+				for q := range c.a {
+					c.a[q] = &a.Row(q)[0]
+				}
 				for _, ep := range []epilogue{
 					{}, {act: ActReLU}, {bias: bias}, {bias: bias, act: ActReLU}, {accumulate: true},
 				} {
-					want, got := New(zr, n+3), New(zr, n+3) // three guard columns
-					fuzzFill(want.Data, rng)
-					got.CopyFrom(want)
-					var acc [zr * nr]float64
-					mapped := epilogue{cols: []int32{}} // the bare tile
-					bare, wb := mapped.tile8For(max(k, 1), live, n, &acc), ep.tile8For(max(k, 1), live, n, nil)
-					if live == nil {
-						bare.k, wb.k = k, k // a depth of 0 still has a one-row panel to point at
-					}
-					for q := range wb.a {
-						bare.a[q], wb.a[q], wb.d[q] = &a.Row(q)[0], &a.Row(q)[0], &got.Row(q)[0]
-					}
-					for p := 0; p < panels; p++ {
-						bare.run(bp, p, 1)
-						for q := 0; q < zr; q++ {
-							storeTile(want.Row(q), acc[q*nr:], p*nr, min(n-p*nr, nr), &ep)
-						}
-					}
-					wb.run(bp, 0, panels)
+					dst := New(zr, n+3) // three guard columns
+					fuzzFill(dst.Data, rng)
 					tag := fmt.Sprintf("n=%d k=%d live=%v acc=%t bias=%t act=%d", n, k, live, ep.accumulate, ep.bias != nil, ep.act)
-					for i, w := range want.Data {
-						g := got.Data[i]
-						if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-							t.Fatalf("%s: element %d: got %x (%v) want %x (%v)", tag, i, math.Float64bits(g), g, math.Float64bits(w), w)
-						}
-					}
+					requireWideTile(t, tag, &c, dst, &ep)
 				}
 			}
 		}
