@@ -128,36 +128,25 @@ func BenchmarkTable3OverheadMonitorAndMapper(b *testing.B) {
 // dropout on, so the minibatch has what node_paper_twigc's has: units
 // dead across the whole batch next to per-element zeros no predictor
 // learns (one transition repeated would flatter any kernel that
-// branches on its data). /quick feeds the same at the quick scale the
-// daemon runs (daemon_quick_churn): 64/48/32, batch 32, no dropout and
-// three train steps an Observe.
+// branches on its data). /quick feeds the same to the quick scale's
+// agent, the one the daemon runs (daemon_quick_churn): bdq.QuickAgent,
+// 64/48/32, batch 32, no dropout and three train steps an Observe.
 func BenchmarkAgentObserve(b *testing.B) {
 	b.Run("varied", func(b *testing.B) { benchAgentObserve(b, experiments.PaperScale()) })
 	b.Run("quick", func(b *testing.B) { benchAgentObserve(b, experiments.QuickScale()) })
 }
 
 func benchAgentObserve(b *testing.B, sc experiments.Scale) {
-	spec := bdq.Spec{
-		StateDim:     2 * int(pmc.NumCounters),
-		Agents:       2,
-		Dims:         []int{18, 9},
-		SharedHidden: sc.SharedHidden,
-		BranchHidden: sc.BranchHidden,
-		Dropout:      sc.Dropout,
-	}
-	agent := bdq.NewAgent(bdq.AgentConfig{
-		Spec:         spec,
-		BatchSize:    sc.BatchSize,
-		TrainPerStep: sc.TrainPerStep,
-		UsePER:       true,
-		Seed:         1,
-	})
+	cfg := sc.AgentConfig
+	cfg.Spec.StateDim, cfg.Spec.Agents, cfg.Spec.Dims = 2*int(pmc.NumCounters), 2, []int{18, 9}
+	cfg.Seed = 1
+	agent := bdq.NewAgent(cfg)
 	rng := rand.New(rand.NewSource(1))
 	ts := make([]replay.Transition, 256)
 	for i := range ts {
 		t := replay.Transition{
-			State:     make([]float64, spec.StateDim),
-			NextState: make([]float64, spec.StateDim),
+			State:     make([]float64, cfg.Spec.StateDim),
+			NextState: make([]float64, cfg.Spec.StateDim),
 			Actions:   []int{rng.Intn(18), rng.Intn(9), rng.Intn(18), rng.Intn(9)},
 			Rewards:   []float64{rng.NormFloat64(), rng.NormFloat64()},
 		}

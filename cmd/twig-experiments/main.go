@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	twig-experiments -experiment fig5 [-scale quick|paper] [-seed 1] [-parallel N]
-//	twig-experiments -fig figscen -short
+//	twig-experiments -experiment fig5 [-scale quick|paper|short] [-seed 1] [-parallel N]
+//	twig-experiments -fig figscen -scale short
 //	twig-experiments -experiment all
 //
 // -fig is an alias for -experiment. -parallel fans independent
 // experiment cells out over N workers (default GOMAXPROCS); results are
-// byte-identical at any setting. -short substitutes a smoke-test scale
+// byte-identical at any setting. -scale short is a smoke-test scale
 // (tiny networks, 200-interval runs) so CI can rerun an experiment and
 // diff the output in seconds.
 //
@@ -33,8 +33,7 @@ func main() {
 	var (
 		exp      = flag.String("experiment", "all", "experiment id (fig1..fig13, table1..table3, figmem, figscen, ablations, all)")
 		fig      = flag.String("fig", "", "alias for -experiment")
-		scale    = flag.String("scale", "quick", "experiment scale: quick or paper")
-		short    = flag.Bool("short", false, "smoke-test scale: tiny networks, 200-interval runs (overrides -scale)")
+		scale    = flag.String("scale", "quick", "experiment scale: quick, paper or short (smoke test: tiny networks, 200-interval runs)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent experiment cells (results are identical at any setting)")
 	)
@@ -44,18 +43,10 @@ func main() {
 		*exp = *fig
 	}
 
-	var sc experiments.Scale
-	switch *scale {
-	case "quick":
-		sc = experiments.QuickScale()
-	case "paper":
-		sc = experiments.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := experiments.NamedScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *short {
-		sc = experiments.ShortScale()
 	}
 
 	runners := map[string]func(){

@@ -96,6 +96,13 @@ var contracts = []contract{
 		},
 	},
 	{
+		name: "no-unset-learner-knobs",
+		why:  `the learner has no knob that no driver sets (DESIGN.md §17, "Hyper-parameters"): pure exploitation after a step count and global gradient-norm clipping stay deleted`,
+		clauses: []clause{
+			{scope{}, []rule{idents("PureExploitAfter", "MaxGradNorm", "clipGlobalNorm")}},
+		},
+	},
+	{
 		name: "one-measurement-system",
 		why:  "twig-bench, its baseline files, the dispatch mirror it reported, the unpooled fleet factory and the gob weight file stay deleted",
 		clauses: []clause{

@@ -67,31 +67,74 @@ type AgentConfig struct {
 	PERAnnealSteps int
 	Epsilon        EpsilonSchedule
 	TargetMode     TargetMode
-	MaxGradNorm    float64
 	Seed           int64
 }
 
-// Defaults fills unset fields with the hyper-parameters of Sec. IV:
-// Adam lr 0.0025, minibatch 64, γ 0.99, target sync 150, PER buffer 10⁶
-// with α 0.6 and β 0.4→1, ε 1→0.1@10000→0.01@25000.
+// PaperAgent is the learner of Sec. IV: 512/256 shared units, 128 per
+// branch, dropout 0.5, minibatch 64, γ 0.99, target sync 150, one
+// gradient update per interval, prioritised replay with β annealed over
+// 25 000 steps, ε 1→0.1@10 000→0.01@25 000. Defaults fills the fields
+// it leaves unset (Adam lr 0.0025, a 10⁶ buffer with α 0.6, β₀ 0.4).
+func PaperAgent() AgentConfig {
+	return AgentConfig{
+		Spec:           Spec{SharedHidden: []int{512, 256}, BranchHidden: 128, Dropout: 0.5},
+		Gamma:          0.99,
+		BatchSize:      64,
+		TargetSync:     150,
+		TrainPerStep:   1,
+		UsePER:         true,
+		PERAnnealSteps: 25_000,
+		Epsilon:        EpsilonSchedule{Start: 1, Mid: 0.1, End: 0.01, MidStep: 10_000, EndStep: 25_000},
+	}
+}
+
+// QuickAgent is the scaled-down learner the quick experiment scale, the
+// daemon and twig.QuickConfig run: a 64/48 trunk, 32-unit branches, no
+// dropout, γ 0.9, minibatch 32, three updates per interval, target sync
+// 100, β annealed over 5 000 steps and ε compressed ~6×. Like PaperAgent
+// it holds only the fields it sets, so Defaults derives WarmupSteps from
+// whatever BatchSize a copy ends up with.
+func QuickAgent() AgentConfig {
+	return AgentConfig{
+		Spec:           Spec{SharedHidden: []int{64, 48}, BranchHidden: 32},
+		Gamma:          0.9,
+		BatchSize:      32,
+		TargetSync:     100,
+		TrainPerStep:   3,
+		UsePER:         true,
+		PERAnnealSteps: 5000,
+		Epsilon:        EpsilonSchedule{Start: 1, Mid: 0.1, End: 0.01, MidStep: 2000, EndStep: 3800},
+	}
+}
+
+// Defaults fills unset fields from PaperAgent: an unset trunk
+// (SharedHidden) takes the paper's whole network shape, dropout
+// included. WarmupSteps defaults to BatchSize; the Adam learning rate
+// (0.0025) and the replay buffer (10⁶, α 0.6, β₀ 0.4) are the same at
+// every profile.
 func (c AgentConfig) Defaults() AgentConfig {
+	if len(c.Spec.SharedHidden) == 0 {
+		s := PaperAgent().Spec
+		c.Spec.SharedHidden, c.Spec.BranchHidden, c.Spec.Dropout = s.SharedHidden, s.BranchHidden, s.Dropout
+	}
+	p := PaperAgent()
 	if c.Gamma == 0 {
-		c.Gamma = 0.99
+		c.Gamma = p.Gamma
 	}
 	if c.LearningRate == 0 {
 		c.LearningRate = 0.0025
 	}
 	if c.BatchSize == 0 {
-		c.BatchSize = 64
+		c.BatchSize = p.BatchSize
 	}
 	if c.TargetSync == 0 {
-		c.TargetSync = 150
+		c.TargetSync = p.TargetSync
 	}
 	if c.WarmupSteps == 0 {
 		c.WarmupSteps = c.BatchSize
 	}
 	if c.TrainPerStep == 0 {
-		c.TrainPerStep = 1
+		c.TrainPerStep = p.TrainPerStep
 	}
 	if c.ReplayCapacity == 0 {
 		c.ReplayCapacity = 1_000_000
@@ -103,10 +146,10 @@ func (c AgentConfig) Defaults() AgentConfig {
 		c.PERBeta0 = 0.4
 	}
 	if c.PERAnnealSteps == 0 {
-		c.PERAnnealSteps = 25_000
+		c.PERAnnealSteps = p.PERAnnealSteps
 	}
 	if c.Epsilon == (EpsilonSchedule{}) {
-		c.Epsilon = EpsilonSchedule{Start: 1, Mid: 0.1, End: 0.01, MidStep: 10_000, EndStep: 25_000}
+		c.Epsilon = p.Epsilon
 	}
 	return c
 }
@@ -184,9 +227,7 @@ func NewAgent(cfg AgentConfig) *Agent {
 	} else {
 		buf = replay.NewUniform(cfg.ReplayCapacity)
 	}
-	opt := nn.NewAdam(cfg.LearningRate)
-	opt.MaxGradNorm = cfg.MaxGradNorm
-	return &Agent{cfg: cfg, online: online, target: target, buffer: buf, opt: opt, rng: r}
+	return &Agent{cfg: cfg, online: online, target: target, buffer: buf, opt: nn.NewAdam(cfg.LearningRate), rng: r}
 }
 
 // Config returns the (defaulted) configuration.

@@ -145,20 +145,18 @@ func TestPoolBitIdenticalSelectAndTrain(t *testing.T) {
 }
 
 // TestPoolBitIdenticalVariantConfigs drives the pool through the
-// branches the default config leaves cold: global gradient clipping,
-// per-branch bootstrap targets, the shared-value ablation, a
-// dropout-free trunk and several training rounds per flush, each
-// against solo twins.
+// branches the default config leaves cold: per-branch bootstrap
+// targets, the shared-value ablation, a dropout-free trunk and several
+// training rounds per flush, each against solo twins.
 func TestPoolBitIdenticalVariantConfigs(t *testing.T) {
 	variants := []struct {
 		name string
 		mut  func(*AgentConfig)
 	}{
-		{"maxgradnorm", func(c *AgentConfig) { c.MaxGradNorm = 0.5 }},
 		{"perbranch", func(c *AgentConfig) { c.TargetMode = TargetPerBranch }},
 		{"sharedvalue", func(c *AgentConfig) { c.Spec.SharedValue = true }},
 		{"nodropout", func(c *AgentConfig) { c.Spec.Dropout = 0 }},
-		{"trainperstep", func(c *AgentConfig) { c.TrainPerStep = 2; c.MaxGradNorm = 1.5 }},
+		{"trainperstep", func(c *AgentConfig) { c.TrainPerStep = 2 }},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

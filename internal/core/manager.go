@@ -37,13 +37,9 @@ type Config struct {
 	Eta int
 	// Reward holds the Eq. 1 parameters.
 	Reward RewardConfig
-	// Agent carries the learning hyper-parameters; its Spec is
-	// overwritten by NewManager.
+	// Agent carries the learning hyper-parameters; NewManager fills its
+	// Spec's state dimension, agents and action dimensions.
 	Agent bdq.AgentConfig
-	// PureExploitAfter, when positive, switches to pure exploitation
-	// (greedy actions, no gradient descent) after that many steps, the
-	// low-overhead mode recommended in Sec. V.
-	PureExploitAfter int
 	// ManageCache adds a third action branch per agent that partitions
 	// the LLC with Intel CAT-style way reservations — the extension the
 	// paper anticipates in its D=3 memory-complexity example but could
@@ -52,7 +48,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's Twig configuration for the given
-// services on an 18-core socket.
+// services: η 5, Eq. 1's reward and the learner of Sec. IV
+// (bdq.PaperAgent).
 func DefaultConfig(services []ServiceConfig, numCores int, maxPowerW float64) Config {
 	return Config{
 		Services:  services,
@@ -60,9 +57,7 @@ func DefaultConfig(services []ServiceConfig, numCores int, maxPowerW float64) Co
 		MaxPowerW: maxPowerW,
 		Eta:       5,
 		Reward:    DefaultRewardConfig(),
-		Agent: bdq.AgentConfig{
-			UsePER: true,
-		},
+		Agent:     bdq.PaperAgent(),
 	}
 }
 
@@ -127,12 +122,6 @@ func NewManager(cfg Config, managedCores []int) *Manager {
 		Dropout:      cfg.Agent.Spec.Dropout,
 		SharedValue:  cfg.Agent.Spec.SharedValue,
 	}
-	if cfg.Agent.Spec.SharedHidden == nil {
-		cfg.Agent.Spec.SharedHidden = []int{512, 256}
-	}
-	if cfg.Agent.Spec.BranchHidden == 0 {
-		cfg.Agent.Spec.BranchHidden = 128
-	}
 	return &Manager{
 		cfg:     cfg,
 		monitor: NewMonitor(k, cfg.Eta),
@@ -187,11 +176,6 @@ func (m *Manager) Migrations() int { return m.migrations }
 // LastLoss returns the most recent training minibatch loss.
 func (m *Manager) LastLoss() float64 { return m.lastLoss }
 
-// pureExploit reports whether the manager is past its learning phase.
-func (m *Manager) pureExploit() bool {
-	return m.cfg.PureExploitAfter > 0 && m.steps >= m.cfg.PureExploitAfter
-}
-
 // Decide implements Algorithm 1 for one monitoring interval: observe the
 // state s (smoothed PMCs), reward the previous action from the observed
 // QoS and estimated per-service power, train, and emit the mapping for
@@ -227,7 +211,7 @@ func (m *Manager) PrepareDecide(obs ctrl.Observation) {
 	state := m.monitor.Observe(samples)
 
 	m.pendTrained = false
-	if m.prevState != nil && !m.pureExploit() {
+	if m.prevState != nil {
 		rewards := make([]float64, len(obs.Services))
 		for k, s := range obs.Services {
 			rewards[k] = m.rewardFor(k, s)
@@ -250,7 +234,7 @@ func (m *Manager) PrepareDecide(obs ctrl.Observation) {
 		}
 	}
 	if m.pag != nil {
-		m.pag.QueueSelect(state, m.pureExploit())
+		m.pag.QueueSelect(state, false)
 	}
 	m.pendState = state
 	m.pending = true
@@ -268,15 +252,12 @@ func (m *Manager) FinishDecide() sim.Assignment {
 	m.pendState = nil
 
 	var actions [][]int
-	switch {
-	case m.pag != nil:
+	if m.pag != nil {
 		actions = m.pag.TakeActions()
 		if m.pendTrained {
 			m.lastLoss = m.pag.TakeLoss()
 		}
-	case m.pureExploit():
-		actions = m.agent.SelectGreedy(state)
-	default:
+	} else {
 		actions = m.agent.SelectActions(state)
 	}
 	reqs := make([]Request, len(actions))

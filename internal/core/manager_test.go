@@ -96,35 +96,6 @@ func TestManagerObservationValidation(t *testing.T) {
 	m.Decide(obsFor(1, 3))
 }
 
-func TestManagerPureExploitStopsTraining(t *testing.T) {
-	services := []ServiceConfig{{Name: "s", QoSTargetMs: 5, MaxLoadRPS: 1000}}
-	cfg := Config{
-		Services:         services,
-		MaxPowerW:        100,
-		PureExploitAfter: 5,
-		Agent: bdq.AgentConfig{
-			Spec:      bdq.Spec{SharedHidden: []int{16, 12}, BranchHidden: 8},
-			BatchSize: 4,
-			Seed:      1,
-		},
-	}
-	m := NewManager(cfg, coresRange(18))
-	for i := 0; i < 5; i++ {
-		m.Decide(obsFor(1, 3))
-	}
-	replayAt5 := m.Agent().ReplayLen()
-	stepAt5 := m.Agent().Step()
-	for i := 0; i < 10; i++ {
-		m.Decide(obsFor(1, 3))
-	}
-	if m.Agent().ReplayLen() != replayAt5 {
-		t.Fatal("pure exploitation must stop storing transitions")
-	}
-	if m.Agent().Step() != stepAt5 {
-		t.Fatal("pure exploitation must use greedy selection")
-	}
-}
-
 func TestManagerRewardUsesPowerModel(t *testing.T) {
 	m := smallManager(1)
 	m.prevReqs = []Request{{Cores: 4, FreqGHz: 1.2}}

@@ -18,17 +18,19 @@ import (
 // non-trivial learning state.
 func tinyScale() experiments.Scale {
 	return experiments.Scale{
-		Name:         "tiny",
-		SharedHidden: []int{16},
-		BranchHidden: 8,
-		BatchSize:    8,
-		TargetSync:   25,
-		PERAnneal:    200,
-		Gamma:        0.9,
-		TrainPerStep: 1,
-		Epsilon:      bdq.EpsilonSchedule{Start: 1, Mid: 0.5, End: 0.1, MidStep: 30, EndStep: 60},
-		LearnS:       50,
-		SummaryS:     10,
+		Name: "tiny",
+		AgentConfig: bdq.AgentConfig{
+			Spec:           bdq.Spec{SharedHidden: []int{16}, BranchHidden: 8},
+			BatchSize:      8,
+			TargetSync:     25,
+			PERAnnealSteps: 200,
+			Gamma:          0.9,
+			TrainPerStep:   1,
+			Epsilon:        bdq.EpsilonSchedule{Start: 1, Mid: 0.5, End: 0.1, MidStep: 30, EndStep: 60},
+			UsePER:         true,
+		},
+		LearnS:   50,
+		SummaryS: 10,
 	}
 }
 

@@ -43,10 +43,10 @@ func TestParentPR17CheckpointResumesHexIdentical(t *testing.T) {
 	resumeParentCheckpoint(t, "parent_pr17", func(store *checkpoint.Store) Config {
 		cfg := e2eConfig(store)
 		cfg.Scale.Name = "pr17"
-		cfg.Scale.SharedHidden = []int{32, 24}
-		cfg.Scale.BranchHidden = 16
+		cfg.Scale.Spec.SharedHidden = []int{32, 24}
+		cfg.Scale.Spec.BranchHidden = 16
 		cfg.Scale.BatchSize = 16
-		cfg.Scale.Dropout = 0.5
+		cfg.Scale.Spec.Dropout = 0.5
 		return cfg
 	})
 }

@@ -35,15 +35,10 @@ func FigMem(dims, actionsPerDim, buckets int) FigMemResult {
 	for i := range dd {
 		dd[i] = actionsPerDim
 	}
-	spec := bdq.Spec{
-		StateDim:     int(pmc.NumCounters),
-		Agents:       1,
-		Dims:         dd,
-		SharedHidden: []int{512, 256},
-		BranchHidden: 128,
-	}
+	spec := bdq.PaperAgent().Spec
+	spec.StateDim, spec.Agents, spec.Dims = int(pmc.NumCounters), 1, dd
 	net := bdq.NewNetwork(spec, rng)
-	flat := bdq.NewFlatDQN(int(pmc.NumCounters), dd, []int{512, 256}, rng)
+	flat := bdq.NewFlatDQN(int(pmc.NumCounters), dd, spec.SharedHidden, rng)
 	// The paper's Sec. II-B table-size formula is b·D^N (Hipster's
 	// state-action table for D dimensions of N actions grows as D^N),
 	// giving the 25·3³⁰ example of Sec. V-B1.

@@ -166,24 +166,18 @@ func figScen(sc Scale, seed int64, names []string) FigScenResult {
 	return res
 }
 
-// FigScenShort is the CI harness: the full preset sweep at a shrunken
-// scale whose cells finish in seconds. Determinism is the point — the
-// scenario-smoke job runs it twice and diffs the output.
-func FigScenShort(seed int64) FigScenResult {
-	return FigScen(ShortScale(), seed)
-}
-
 // ShortScale shrinks QuickScale to smoke-test size: tiny networks and a
 // 200-interval run, preserving the mechanics rather than the learning
-// outcome.
+// outcome. CI's scenario-smoke job runs FigScen at this scale twice and
+// diffs the output.
 func ShortScale() Scale {
 	sc := QuickScale()
 	sc.Name = "short"
-	sc.SharedHidden = []int{16, 12}
-	sc.BranchHidden = 8
+	sc.Spec.SharedHidden = []int{16, 12}
+	sc.Spec.BranchHidden = 8
 	sc.BatchSize = 16
 	sc.Epsilon = bdq.EpsilonSchedule{Start: 1, Mid: 0.2, End: 0.05, MidStep: 60, EndStep: 120}
-	sc.PERAnneal = 150
+	sc.PERAnnealSteps = 150
 	sc.LearnS = 150
 	sc.SummaryS = 50
 	return sc

@@ -24,7 +24,7 @@ func miniScale() Scale {
 
 // The rendered sweep must be byte-identical across same-seed reruns and
 // differ across seeds — the property the CI scenario-smoke job checks
-// for the full FigScenShort sweep, pinned here per commit on one preset.
+// for the full sweep at ShortScale, pinned here per commit on one preset.
 func TestFigScenDeterministic(t *testing.T) {
 	sc := miniScale()
 	a := figScen(sc, 7, []string{"cloud-edge"}).String()
@@ -45,7 +45,7 @@ func TestFigScenDeterministic(t *testing.T) {
 
 // PARTIES used to over-allocate when it reverted a core migration and
 // panic in assignment(); Run hid that behind the last valid assignment.
-// Every PARTIES cell of `figscen -short` must decide every interval
+// Every PARTIES cell of `figscen -scale short` must decide every interval
 // itself. The cells run on to 1 200 intervals here: the panics are
 // counted over the whole run, the first 200 intervals are the short
 // cell's own, and the bug first showed between t = 200 and t = 1 200 in

@@ -74,10 +74,10 @@ func TestParentRunCheckpointResumesHexIdentical(t *testing.T) {
 func TestParentPR17RunCheckpointResumesHexIdentical(t *testing.T) {
 	sc := tinyScale()
 	sc.Name = "pr17"
-	sc.SharedHidden = []int{32, 24}
-	sc.BranchHidden = 16
+	sc.Spec.SharedHidden = []int{32, 24}
+	sc.Spec.BranchHidden = 16
 	sc.BatchSize = 16
-	sc.Dropout = 0.5
+	sc.Spec.Dropout = 0.5
 	names := []string{"masstree", "xapian"}
 	srv := NewServer(21, names...)
 	resumeParentRun(t, "parent_pr17/", srv, NewTwig(srv, sc, 21, names...))

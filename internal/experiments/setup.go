@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -11,66 +12,45 @@ import (
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
-// Scale selects between the paper's full-size configuration and a
-// scaled-down profile that preserves the learning dynamics at a fraction
-// of the compute, used by tests and benchmarks. One simulated second is
-// one control step either way.
+// Scale is a learning profile: the agent's configuration (bdq.PaperAgent
+// or bdq.QuickAgent, or a smaller one of a test's own) and the
+// evaluation protocol around it. One simulated second is one control
+// step at every scale.
 type Scale struct {
-	Name         string
-	SharedHidden []int
-	BranchHidden int
-	Dropout      float64
-	BatchSize    int
-	TargetSync   int
-	PERAnneal    int
-	Gamma        float64
-	TrainPerStep int
-	Epsilon      bdq.EpsilonSchedule
+	Name string
+	bdq.AgentConfig
 	// LearnS is the learning-phase length (excluded from summaries, as
 	// in Sec. V-A); SummaryS is the evaluation window after it.
 	LearnS   int
 	SummaryS int
 }
 
-// PaperScale reproduces Sec. IV exactly: 512/256 shared units, 128 per
-// branch, dropout 0.5, minibatch 64, ε annealed over 10 000 s then
-// 25 000 s, summaries over the last 300 s after a 10 000 s learning
-// phase.
+// PaperScale reproduces Sec. IV exactly (bdq.PaperAgent), with
+// summaries over the last 300 s after a 10 000 s learning phase — which
+// ends at ε ≈ Mid, before the schedule reaches End (ROADMAP, "One
+// evaluation protocol at both scales").
 func PaperScale() Scale {
-	return Scale{
-		Name:         "paper",
-		SharedHidden: []int{512, 256},
-		BranchHidden: 128,
-		Dropout:      0.5,
-		BatchSize:    64,
-		TargetSync:   150,
-		PERAnneal:    25_000,
-		Gamma:        0.99,
-		TrainPerStep: 1,
-		Epsilon:      bdq.EpsilonSchedule{Start: 1, Mid: 0.1, End: 0.01, MidStep: 10_000, EndStep: 25_000},
-		LearnS:       10_000,
-		SummaryS:     300,
-	}
+	return Scale{Name: "paper", AgentConfig: bdq.PaperAgent(), LearnS: 10_000, SummaryS: 300}
 }
 
-// QuickScale shrinks the network and compresses the ε schedule ~6×,
-// which keeps every qualitative result while making the full experiment
-// suite runnable in minutes on a laptop.
+// QuickScale runs bdq.QuickAgent, which keeps every qualitative result
+// while making the full experiment suite runnable in minutes on a
+// laptop; its window opens after ε has reached its end value.
 func QuickScale() Scale {
-	return Scale{
-		Name:         "quick",
-		SharedHidden: []int{64, 48},
-		BranchHidden: 32,
-		Dropout:      0,
-		BatchSize:    32,
-		TargetSync:   100,
-		PERAnneal:    5000,
-		Gamma:        0.9,
-		TrainPerStep: 3,
-		Epsilon:      bdq.EpsilonSchedule{Start: 1, Mid: 0.1, End: 0.01, MidStep: 2000, EndStep: 3800},
-		LearnS:       4000,
-		SummaryS:     300,
+	return Scale{Name: "quick", AgentConfig: bdq.QuickAgent(), LearnS: 4000, SummaryS: 300}
+}
+
+// NamedScale returns the scale called name: quick, paper or short.
+func NamedScale(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return QuickScale(), nil
+	case "paper":
+		return PaperScale(), nil
+	case "short":
+		return ShortScale(), nil
 	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want quick, paper or short)", name)
 }
 
 var (
@@ -175,26 +155,13 @@ func ServiceConfigFor(name string, qosTargetMs float64) core.ServiceConfig {
 
 // ManagerConfig assembles the Twig manager configuration every driver
 // uses — experiment runs, scenario worlds, fleet nodes and the daemon —
-// for the given services on srv's SKU at the given learning scale.
+// for the given services on srv's SKU at the given learning scale. The
+// manager keeps learning through the evaluation window, at the ε its
+// schedule has reached by LearnS: End at quick and short scale, near Mid
+// at paper scale (TestScalesOpenWindowAfterAnnealing).
 func ManagerConfig(srv *sim.Server, sc Scale, seed int64, services []core.ServiceConfig) core.Config {
 	cfg := core.DefaultConfig(services, len(srv.ManagedCores()), srv.MaxPowerW())
-	// The paper recommends pure exploitation after the learning phase to
-	// cut overhead; the evaluation keeps learning at ε=End so a policy
-	// that drifts into violations self-corrects.
-	cfg.Agent = bdq.AgentConfig{
-		Spec: bdq.Spec{
-			SharedHidden: sc.SharedHidden,
-			BranchHidden: sc.BranchHidden,
-			Dropout:      sc.Dropout,
-		},
-		Gamma:          sc.Gamma,
-		TrainPerStep:   sc.TrainPerStep,
-		BatchSize:      sc.BatchSize,
-		TargetSync:     sc.TargetSync,
-		PERAnnealSteps: sc.PERAnneal,
-		Epsilon:        sc.Epsilon,
-		UsePER:         true,
-		Seed:           seed,
-	}
+	cfg.Agent = sc.AgentConfig
+	cfg.Agent.Seed = seed
 	return cfg
 }

@@ -31,21 +31,11 @@ type Table3Result struct {
 func Table3(iters int) Table3Result {
 	sc := PaperScale()
 	k := 2
-	spec := bdq.Spec{
-		StateDim:     k * int(pmc.NumCounters),
-		Agents:       k,
-		Dims:         []int{18, 9},
-		SharedHidden: sc.SharedHidden,
-		BranchHidden: sc.BranchHidden,
-		Dropout:      sc.Dropout,
-	}
-	agent := bdq.NewAgent(bdq.AgentConfig{
-		Spec:      spec,
-		BatchSize: sc.BatchSize,
-		UsePER:    true,
-		Seed:      1,
-	})
-	state := make([]float64, spec.StateDim)
+	cfg := sc.AgentConfig
+	cfg.Spec.StateDim, cfg.Spec.Agents, cfg.Spec.Dims = k*int(pmc.NumCounters), k, []int{18, 9}
+	cfg.Seed = 1
+	agent := bdq.NewAgent(cfg)
+	state := make([]float64, cfg.Spec.StateDim)
 	for i := range state {
 		state[i] = 0.3
 	}

@@ -14,10 +14,6 @@ type Adam struct {
 	Beta2   float64
 	Epsilon float64
 
-	// MaxGradNorm, when positive, rescales the global gradient so its
-	// L2 norm does not exceed this value before the update is applied.
-	MaxGradNorm float64
-
 	step int
 }
 
@@ -42,9 +38,6 @@ func (a *Adam) StepAndZeroGrad(params []*Param) { a.apply(params, true) }
 // element update.
 func (a *Adam) apply(params []*Param, zeroGrad bool) {
 	a.step++
-	if a.MaxGradNorm > 0 {
-		clipGlobalNorm(params, a.MaxGradNorm)
-	}
 	k := a.consts()
 	for _, p := range params {
 		if p.m == nil {
@@ -166,22 +159,5 @@ func ResetMoments(params []*Param) {
 	for _, p := range params {
 		p.m = nil
 		p.v = nil
-	}
-}
-
-func clipGlobalNorm(params []*Param, maxNorm float64) {
-	var sq float64
-	for _, p := range params {
-		for _, g := range p.Grad.Data {
-			sq += g * g
-		}
-	}
-	norm := math.Sqrt(sq)
-	if norm <= maxNorm || norm == 0 {
-		return
-	}
-	scale := maxNorm / norm
-	for _, p := range params {
-		p.Grad.Scale(scale)
 	}
 }

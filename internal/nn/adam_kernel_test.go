@@ -124,9 +124,8 @@ func adamOracleSteps() []int {
 // kernel corrects a reciprocal, and this is the proof that they agree:
 // every length from 0 to 67, adversarial state (adamAdversarial), the
 // bias corrections of adamOracleSteps, with and without the fused
-// gradient zeroing — and then through the optimiser's entry point, with
-// and without global-norm clipping, against a reference optimiser built
-// from the scalar loop alone.
+// gradient zeroing — and then through the optimiser's entry point,
+// against a reference optimiser built from the scalar loop alone.
 func TestAdamKernelMatchesScalar(t *testing.T) {
 	if !haveKernel {
 		t.Log("no AVX2+FMA (or force-disabled): the kernel is the scalar loop and the test compares it with itself")
@@ -197,44 +196,38 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		return NewSequential(NewDense("l1", 5, 16, rng), NewReLU(), NewDense("l2", 16, 3, rng))
 	}
-	for _, maxNorm := range []float64{0, 0.25} {
-		net, ref := build(), build()
-		opt, optR := NewAdam(0.01), NewAdam(0.01)
-		opt.MaxGradNorm = maxNorm
-		x, gout := mat.New(7, 5), mat.New(7, 3)
-		for step := 0; step < 40; step++ {
-			for i := range x.Data {
-				x.Data[i] = rng.NormFloat64()
+	net, ref := build(), build()
+	opt, optR := NewAdam(0.01), NewAdam(0.01)
+	in, gout := mat.New(7, 5), mat.New(7, 3)
+	for step := 0; step < 40; step++ {
+		for i := range in.Data {
+			in.Data[i] = rng.NormFloat64()
+		}
+		for i := range gout.Data {
+			gout.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+		for _, n := range []*Sequential{net, ref} {
+			n.Forward(in, true)
+			n.Backward(gout)
+		}
+		opt.StepAndZeroGrad(net.Params())
+		// The reference step: the scalar loop per tensor.
+		optR.step++
+		k := optR.consts()
+		for _, p := range ref.Params() {
+			if p.m == nil {
+				p.m = mat.New(p.Value.Rows, p.Value.Cols)
+				p.v = mat.New(p.Value.Rows, p.Value.Cols)
 			}
-			for i := range gout.Data {
-				gout.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
-			}
-			for _, n := range []*Sequential{net, ref} {
-				n.Forward(x, true)
-				n.Backward(gout)
-			}
-			opt.StepAndZeroGrad(net.Params())
-			// The reference step: clip, then the scalar loop per tensor.
-			optR.step++
-			if maxNorm > 0 {
-				clipGlobalNorm(ref.Params(), maxNorm)
-			}
-			k := optR.consts()
-			for _, p := range ref.Params() {
-				if p.m == nil {
-					p.m = mat.New(p.Value.Rows, p.Value.Cols)
-					p.v = mat.New(p.Value.Rows, p.Value.Cols)
-				}
-				adamScalar(p.Value.Data, p.Grad.Data, p.m.Data, p.v.Data, &k, true)
-			}
-			for i, rp := range ref.Params() {
-				got := net.Params()[i]
-				tag := fmt.Sprintf("maxNorm=%v step %d %s ", maxNorm, step, rp.Name)
-				requireSliceBits(t, tag+"value", got.Value.Data, rp.Value.Data)
-				requireSliceBits(t, tag+"grad", got.Grad.Data, rp.Grad.Data)
-				requireSliceBits(t, tag+"m", got.m.Data, rp.m.Data)
-				requireSliceBits(t, tag+"v", got.v.Data, rp.v.Data)
-			}
+			adamScalar(p.Value.Data, p.Grad.Data, p.m.Data, p.v.Data, &k, true)
+		}
+		for i, rp := range ref.Params() {
+			got := net.Params()[i]
+			tag := fmt.Sprintf("step %d %s ", step, rp.Name)
+			requireSliceBits(t, tag+"value", got.Value.Data, rp.Value.Data)
+			requireSliceBits(t, tag+"grad", got.Grad.Data, rp.Grad.Data)
+			requireSliceBits(t, tag+"m", got.m.Data, rp.m.Data)
+			requireSliceBits(t, tag+"v", got.v.Data, rp.v.Data)
 		}
 	}
 }

@@ -78,7 +78,7 @@ func DecodeParams(d *checkpoint.Decoder, params []*Param) error {
 }
 
 // EncodeState writes the optimiser's bias-correction timestep. The
-// hyper-parameters (LR, betas, clipping) are configuration and are
+// hyper-parameters (LR, betas) are configuration and are
 // re-supplied at construction.
 func (a *Adam) EncodeState(e *checkpoint.Encoder) {
 	e.Int(a.step)

@@ -166,23 +166,6 @@ func TestAdamFitsLinearFunction(t *testing.T) {
 	}
 }
 
-func TestGradClipping(t *testing.T) {
-	p := NewParam("p", 1, 2)
-	p.Grad.Data[0] = 30
-	p.Grad.Data[1] = 40 // norm 50
-	clipGlobalNorm([]*Param{p}, 5)
-	norm := math.Hypot(p.Grad.Data[0], p.Grad.Data[1])
-	if math.Abs(norm-5) > 1e-9 {
-		t.Fatalf("clipped norm = %v, want 5", norm)
-	}
-	// Below the cap: untouched.
-	p.Grad.Data[0], p.Grad.Data[1] = 1, 1
-	clipGlobalNorm([]*Param{p}, 5)
-	if p.Grad.Data[0] != 1 {
-		t.Fatal("clip modified small gradient")
-	}
-}
-
 func TestWeightedMSE(t *testing.T) {
 	pred := mat.FromRows([][]float64{{1, 2}, {3, 4}})
 	target := mat.FromRows([][]float64{{0, 2}, {3, 2}})

@@ -1,7 +1,7 @@
 // Package nn implements the small feed-forward neural-network machinery
 // Twig needs: dense layers, ReLU, inverted dropout, mean-squared-error
-// loss, Xavier/He initialisation, the Adam optimiser, gradient clipping
-// and snapshot/restore for target networks and transfer learning. It is
+// loss, Xavier/He initialisation, the Adam optimiser and
+// snapshot/restore for target networks and transfer learning. It is
 // CPU-only and uses only the standard library.
 package nn
 

@@ -2,8 +2,10 @@ package twig_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"github.com/twig-sched/twig/internal/experiments"
 	"github.com/twig-sched/twig/twig"
 )
 
@@ -31,6 +33,37 @@ func TestQuickConfigShrinksPaperConfig(t *testing.T) {
 	}
 	if twig.NewManager(q, cores) == nil || twig.NewManager(p, cores) == nil {
 		t.Fatal("constructors")
+	}
+}
+
+// TestNewTwigRunsPaperConfig: NewTwigS and NewTwigC promise the paper's
+// hyper-parameters, so the agent they build is the one PaperConfig
+// builds, dropout 0.5 included.
+func TestNewTwigRunsPaperConfig(t *testing.T) {
+	cores := make([]int, 18)
+	for i := range cores {
+		cores[i] = i
+	}
+	got := twig.NewTwigS(svcs()[0], cores, 100).Agent().Config()
+	want := twig.NewManager(twig.PaperConfig(svcs(), 18, 100), cores).Agent().Config()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewTwigS agent\n%+v\nPaperConfig agent\n%+v", got, want)
+	}
+}
+
+// TestQuickConfigIsQuickScale: the public quick profile is the one the
+// experiments and the daemon run, field for field but the seed.
+func TestQuickConfigIsQuickScale(t *testing.T) {
+	prof, err := twig.LookupProfile("masstree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := twig.NewServer(twig.DefaultServerConfig(), []twig.ServiceSpec{{Profile: prof, QoSTargetMs: 5, Seed: 1}})
+	want := experiments.ManagerConfig(srv, experiments.QuickScale(), 7, svcs())
+	want.Agent.Seed = 0
+	got := twig.QuickConfig(svcs(), len(srv.ManagedCores()), srv.MaxPowerW())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("QuickConfig\n%+v\nManagerConfig at QuickScale\n%+v", got, want)
 	}
 }
 

@@ -171,30 +171,21 @@ func NewManager(cfg Config, managedCores []int) *Manager {
 // QuickConfig returns a scaled-down manager configuration (smaller
 // network, ε annealed over ~3800 steps instead of 25 000, several
 // gradient updates per interval) that learns in minutes of simulated
-// time. PaperConfig gives Sec. IV's exact hyper-parameters.
+// time: the quick profile the experiments and the daemon run
+// (bdq.QuickAgent). PaperConfig gives Sec. IV's exact hyper-parameters.
 func QuickConfig(svcs []ServiceConfig, numCores int, maxPowerW float64) Config {
 	cfg := core.DefaultConfig(svcs, numCores, maxPowerW)
-	cfg.Agent.Spec.SharedHidden = []int{64, 48}
-	cfg.Agent.Spec.BranchHidden = 32
-	cfg.Agent.Gamma = 0.9
-	cfg.Agent.TrainPerStep = 3
-	cfg.Agent.BatchSize = 32
-	cfg.Agent.TargetSync = 100
-	cfg.Agent.PERAnnealSteps = 5000
-	cfg.Agent.Epsilon = bdq.EpsilonSchedule{Start: 1, Mid: 0.1, End: 0.01, MidStep: 2000, EndStep: 3800}
+	cfg.Agent = bdq.QuickAgent()
 	return cfg
 }
 
 // PaperConfig returns the manager configuration with the paper's exact
-// hyper-parameters (Sec. IV): 512/256 shared units, 128 per branch,
-// dropout 0.5, Adam 0.0025, minibatch 64, γ 0.99, target sync 150, PER
-// 10⁶ with α 0.6 / β 0.4→1, ε 1→0.1@10 000→0.01@25 000.
+// hyper-parameters (Sec. IV), the one NewTwigS and NewTwigC run:
+// 512/256 shared units, 128 per branch, dropout 0.5, Adam 0.0025,
+// minibatch 64, γ 0.99, target sync 150, PER 10⁶ with α 0.6 / β 0.4→1,
+// ε 1→0.1@10 000→0.01@25 000.
 func PaperConfig(svcs []ServiceConfig, numCores int, maxPowerW float64) Config {
-	cfg := core.DefaultConfig(svcs, numCores, maxPowerW)
-	cfg.Agent.Spec.SharedHidden = []int{512, 256}
-	cfg.Agent.Spec.BranchHidden = 128
-	cfg.Agent.Spec.Dropout = 0.5
-	return cfg
+	return core.DefaultConfig(svcs, numCores, maxPowerW)
 }
 
 // FitPowerModel fits the Eq. 2 per-service power model to profiling
