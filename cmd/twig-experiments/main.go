@@ -4,14 +4,13 @@
 // Usage:
 //
 //	twig-experiments -experiment fig5 [-scale quick|paper|short] [-seed 1] [-parallel N]
-//	twig-experiments -fig figscen -scale short
+//	twig-experiments -experiment figscen -scale short
 //	twig-experiments -experiment all
 //
-// -fig is an alias for -experiment. -parallel fans independent
-// experiment cells out over N workers (default GOMAXPROCS); results are
-// byte-identical at any setting. -scale short is a smoke-test scale
-// (tiny networks, 200-interval runs) so CI can rerun an experiment and
-// diff the output in seconds.
+// -parallel fans independent experiment cells out over N workers
+// (default GOMAXPROCS); results are byte-identical at any setting.
+// -scale short is a smoke-test scale (tiny networks, 200-interval runs)
+// so CI can rerun an experiment and diff the output in seconds.
 //
 // Experiment ids: fig1, table1, fig4, table2, table3, fig5, fig6, fig7,
 // figmem, fig8, fig9, fig10, fig11, fig12, fig13, figfault, figchaos,
@@ -32,16 +31,12 @@ import (
 func main() {
 	var (
 		exp      = flag.String("experiment", "all", "experiment id (fig1..fig13, table1..table3, figmem, figscen, ablations, all)")
-		fig      = flag.String("fig", "", "alias for -experiment")
 		scale    = flag.String("scale", "quick", "experiment scale: quick, paper or short (smoke test: tiny networks, 200-interval runs)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent experiment cells (results are identical at any setting)")
 	)
 	flag.Parse()
 	experiments.SetParallelism(*parallel)
-	if *fig != "" {
-		*exp = *fig
-	}
 
 	sc, err := experiments.NamedScale(*scale)
 	if err != nil {

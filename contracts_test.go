@@ -103,6 +103,26 @@ var contracts = []contract{
 		},
 	},
 	{
+		name: "no-test-only-knobs",
+		why:  `the control plane has no knob that only its tests set (DESIGN.md §10–§12): the guard's staleness, pessimism and breaker settings, the fleet's lease, backoff, snapshot and estate timings, and the daemon's retry budget and drain timeout are constants, and pmcselect, powermodel and twig-experiments' -fig, which repeated -experiment, stay deleted`,
+		clauses: []clause{
+			{scope{dirs: []string{"internal/ctrl"}, prod: true}, []rule{structFields("GuardConfig", "MaxStaleS", "PessimismFactor", "BreakerK", "BreakerResetR")}},
+			{scope{dirs: []string{"internal/cluster"}, prod: true}, []rule{structFields("Config", "LeaseTTL", "BackoffBase", "SnapshotEvery", "EstateGraceS")}},
+			{scope{dirs: []string{"internal/daemon"}, prod: true}, []rule{structFields("Config", "MaxRetries", "DrainTimeoutS")}},
+		},
+		whole: func(tr *tree) (out []string) {
+			for _, p := range tr.paths {
+				if p == "cmd/pmcselect" || p == "cmd/powermodel" {
+					out = append(out, p+": exists")
+				}
+			}
+			if tr.flags["cmd/twig-experiments"]["fig"] {
+				out = append(out, "cmd/twig-experiments: registers -fig")
+			}
+			return out
+		},
+	},
+	{
 		name: "one-measurement-system",
 		why:  "twig-bench, its baseline files, the dispatch mirror it reported, the unpooled fleet factory and the gob weight file stay deleted",
 		clauses: []clause{
@@ -367,6 +387,28 @@ func boolFields(names ...string) rule {
 				}
 			}
 			return true
+		})
+	}
+}
+
+// structFields forbids fields by name in the declaration of struct typ.
+func structFields(typ string, names ...string) rule {
+	return func(f *ast.File, report func(ast.Node, string)) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != typ {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if slices.Contains(names, id.Name) {
+							report(id, typ+"."+id.Name+" field")
+						}
+					}
+				}
+			}
+			return false
 		})
 	}
 }

@@ -53,6 +53,25 @@ var (
 // arguments.
 type ControllerFactory func(srv *sim.Server, specs []ReplicaSpec, seed int64) (ctrl.Controller, []checkpoint.Checkpointable)
 
+// The coordinator's failure-detection and recovery timings, in intervals.
+const (
+	// leaseTTL is the heartbeat lease: a node unheard for leaseTTL
+	// intervals is declared dead by the coordinator, and a partitioned
+	// node self-fences after the same TTL, so no replica is ever served
+	// by two nodes.
+	leaseTTL = 3
+	// backoffBase scales the placement retry backoff: a replica's n-th
+	// consecutive failure defers the next attempt by
+	// backoffBase << min(n-1, 6) intervals.
+	backoffBase = 2
+	// snapshotEvery is the warm-snapshot cadence.
+	snapshotEvery = 10
+	// estateGraceS is how long a dead node's replica group is reserved
+	// for a warm whole-group restore before falling back to individual
+	// cold placement.
+	estateGraceS = 2 * leaseTTL
+)
+
 // Config assembles a fleet coordinator.
 type Config struct {
 	// Nodes is the fleet size (at least 1).
@@ -66,26 +85,10 @@ type Config struct {
 	Seed int64
 	// Scenario is the whole-node fault schedule (zero injects nothing).
 	Scenario faults.ClusterScenario
-	// LeaseTTL is the heartbeat lease in intervals: a node unheard for
-	// TTL intervals is declared dead by the coordinator, and a
-	// partitioned node self-fences after the same TTL, so no replica is
-	// ever served by two nodes (values < 1 become 3).
-	LeaseTTL int
-	// BackoffBase scales the placement retry backoff: a replica's n-th
-	// consecutive failure defers the next attempt by
-	// BackoffBase << min(n-1, 6) intervals (values < 1 become 2).
-	BackoffBase int
 	// MaxRetries bounds consecutive placement failures before a replica
 	// dead-letters (values < 0 become 5; 0 dead-letters on the first
 	// failure).
 	MaxRetries int
-	// SnapshotEvery is the warm-snapshot cadence in intervals (values
-	// < 1 become 10).
-	SnapshotEvery int
-	// EstateGraceS is how many intervals a dead node's replica group is
-	// reserved for a warm whole-group restore before falling back to
-	// individual cold placement (values < 1 become 2×LeaseTTL).
-	EstateGraceS int
 	// PinReplicas switches the coordinator to static partitioning, the
 	// figchaos baseline: replica i may only ever be placed on node
 	// i mod Nodes, warm failover is disabled, and a dead home node
@@ -119,20 +122,8 @@ func (c *Config) normalize() {
 	if c.NodeCapacity < 1 {
 		c.NodeCapacity = 4
 	}
-	if c.LeaseTTL < 1 {
-		c.LeaseTTL = 3
-	}
-	if c.BackoffBase < 1 {
-		c.BackoffBase = 2
-	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 5
-	}
-	if c.SnapshotEvery < 1 {
-		c.SnapshotEvery = 10
-	}
-	if c.EstateGraceS < 1 {
-		c.EstateGraceS = 2 * c.LeaseTTL
 	}
 	if c.CheckpointEvery < 1 {
 		c.CheckpointEvery = 60
@@ -381,7 +372,7 @@ func (c *Coordinator) exchangeHeartbeats(t int) {
 		case n.alive && n.partitioned && !n.fenced:
 			// The node cannot reach the coordinator; at lease expiry it
 			// must assume it was declared dead and stop serving.
-			if t-n.lastHeard >= c.cfg.LeaseTTL {
+			if t-n.lastHeard >= leaseTTL {
 				n.fenced = true
 				n.dropWorld()
 				c.logf("t=%d node %d self-fenced (no coordinator for %d intervals)", t, i, t-n.lastHeard)
@@ -395,7 +386,7 @@ func (c *Coordinator) exchangeHeartbeats(t int) {
 // the two decisions land in the same interval.
 func (c *Coordinator) expireLeases(t int) {
 	for i, n := range c.nodes {
-		if n.coordLive && t-n.lastSeen >= c.cfg.LeaseTTL {
+		if n.coordLive && t-n.lastSeen >= leaseTTL {
 			n.coordLive = false
 			c.ctr.LeaseExpiries++
 			c.logf("t=%d node %d lease expired (last heartbeat t=%d)", t, i, n.lastSeen)
@@ -417,7 +408,7 @@ func (c *Coordinator) failOver(t int, n *node, reason string) {
 		c.estates = append(c.estates, estate{
 			ids:      append([]int(nil), n.snapReplicas...),
 			snapshot: n.snapshot,
-			expires:  t + c.cfg.EstateGraceS,
+			expires:  t + estateGraceS,
 		})
 		c.logf("t=%d reserving %d-replica estate of node %d (snapshot t=%d)", t, len(n.snapReplicas), n.id, n.snapClock)
 	}
@@ -613,7 +604,7 @@ func (c *Coordinator) failPlacement(t int, r *Replica, cause string) {
 	if shift > 6 {
 		shift = 6
 	}
-	r.NextAttempt = t + c.cfg.BackoffBase<<shift
+	r.NextAttempt = t + backoffBase<<shift
 	r.Reason = "placement failed: " + cause
 	c.logf("t=%d replica %d placement failed (retry %d, next t=%d): %s", t, r.ID, r.Retries, r.NextAttempt, cause)
 }
@@ -725,7 +716,7 @@ func (c *Coordinator) stepWorlds(t int) float64 {
 // reachable node on cadence. Snapshot bytes never leave the coordinator
 // process; the durable fleet checkpoint is separate (see Marshal).
 func (c *Coordinator) takeSnapshots(t int) {
-	if (t+1)%c.cfg.SnapshotEvery != 0 {
+	if (t+1)%snapshotEvery != 0 {
 		return
 	}
 	for _, n := range c.nodes {

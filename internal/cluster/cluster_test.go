@@ -163,19 +163,20 @@ func TestSteadyStateFleet(t *testing.T) {
 
 func TestWarmFailoverPreservesControllerState(t *testing.T) {
 	// Node 0 crashes at t=20. Its replica group (replica 0 alone) was
-	// snapshotted at t=19; node 2 is empty, so at lease expiry (t=21)
-	// the estate warm-restores there — including the controller's
-	// Decide counter, proving learning state survived the node loss.
+	// snapshotted at t=19, the last interval of a snapshot period; node
+	// 2 is empty, so at lease expiry (t=19+leaseTTL) the estate
+	// warm-restores there — including the controller's Decide counter,
+	// proving learning state survived the node loss.
+	const crashAt, steps = 2 * snapshotEvery, 30
 	c, err := New(Config{
 		Nodes: 3, NodeCapacity: 2, Seed: 7, Factory: testFactory,
-		LeaseTTL: 2, SnapshotEvery: 5,
-		Scenario: faults.ClusterScenario{Name: "one-crash", CrashPeriodS: 20, CrashOfflineS: 10},
+		Scenario: faults.ClusterScenario{Name: "one-crash", CrashPeriodS: crashAt, CrashOfflineS: steps - crashAt},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustAdmit(t, c, lcSpec("memcached", 0), lcSpec("xapian", 0))
-	stepN(c, 30)
+	stepN(c, steps)
 
 	r0 := c.Replicas()[0]
 	if r0.State != Running || r0.Node != 2 {
@@ -184,11 +185,13 @@ func TestWarmFailoverPreservesControllerState(t *testing.T) {
 	if r0.Migrations != 1 || r0.WarmRestores != 1 {
 		t.Fatalf("replica 0: migrations %d warm %d, want 1/1", r0.Migrations, r0.WarmRestores)
 	}
-	// The snapshot carried 20 Decide calls (t=0..19); the restored node
-	// decides t=21..29. A cold restart would show only 9.
+	// The snapshot carried crashAt Decide calls (t<crashAt); the restored
+	// node decides from lease expiry to the end. A cold restart would
+	// show only the latter.
+	expiry := crashAt - 1 + leaseTTL
 	ctl := c.nodes[2].world[1].(*testCtl) // world[0] is the simulator
-	if ctl.steps != 29 {
-		t.Fatalf("restored controller Decide count = %d, want 29 (snapshot state lost?)", ctl.steps)
+	if want := crashAt + steps - expiry; ctl.steps != want {
+		t.Fatalf("restored controller Decide count = %d, want %d (snapshot state lost?)", ctl.steps, want)
 	}
 	if c.ctr.WarmRestores != 1 || c.ctr.LeaseExpiries != 1 {
 		t.Fatalf("counters: warm %d expiries %d", c.ctr.WarmRestores, c.ctr.LeaseExpiries)
@@ -197,20 +200,23 @@ func TestWarmFailoverPreservesControllerState(t *testing.T) {
 }
 
 func TestPartitionFencesAndColdFailover(t *testing.T) {
-	// Node 1 is partitioned t=10..15. Coordinator lease expiry and node
-	// self-fence land in the same interval (t=11), so the replica is
-	// never served by two nodes; node 0 is busy, so after the estate
-	// grace lapses the replica restarts cold on node 0 at t=15.
+	// Node 1 is partitioned from t=10 until the estate grace has lapsed.
+	// Coordinator lease expiry and node self-fence land in the same
+	// interval (fence = 9+leaseTTL), so the replica is never served by
+	// two nodes; node 0 is busy, so when the estate grace lapses the
+	// replica restarts cold on node 0.
+	const partAt = 10
+	const fence = partAt - 1 + leaseTTL
+	const lapse = fence + estateGraceS
 	c, err := New(Config{
 		Nodes: 2, NodeCapacity: 2, Seed: 11, Factory: testFactory,
-		LeaseTTL: 2, SnapshotEvery: 5, EstateGraceS: 4,
-		Scenario: faults.ClusterScenario{Name: "one-partition", PartitionPeriodS: 10, PartitionOfflineS: 6, QuietAfterS: 11},
+		Scenario: faults.ClusterScenario{Name: "one-partition", PartitionPeriodS: partAt, PartitionOfflineS: lapse - partAt + 1, QuietAfterS: partAt + 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustAdmit(t, c, lcSpec("memcached", 0), lcSpec("xapian", 0))
-	for c.Clock() < 12 {
+	for c.Clock() <= fence {
 		c.Step()
 	}
 	if n := c.nodes[1]; !n.fenced || n.srv != nil {
@@ -219,7 +225,7 @@ func TestPartitionFencesAndColdFailover(t *testing.T) {
 	if got := c.Replicas()[1].State; got != Migrating {
 		t.Fatalf("replica 1 state %v after lease expiry, want migrating", got)
 	}
-	stepN(c, 19-c.Clock())
+	stepN(c, lapse+4-c.Clock())
 
 	r1 := c.Replicas()[1]
 	if r1.State != Running || r1.Node != 0 {
@@ -228,10 +234,11 @@ func TestPartitionFencesAndColdFailover(t *testing.T) {
 	if r1.Migrations != 1 || r1.WarmRestores != 0 {
 		t.Fatalf("replica 1: migrations %d warm %d, want cold failover", r1.Migrations, r1.WarmRestores)
 	}
-	// Served t=0..10 except the warm-up (t=0), dark t=11..15 while
-	// migrating through the estate grace, served again t=16..18.
-	if r1.DarkIntervals != 6 {
-		t.Fatalf("replica 1 dark intervals = %d, want 6", r1.DarkIntervals)
+	// Served until the fence except the warm-up (t=0), dark from the
+	// fence through the lapse while migrating through the estate grace,
+	// served again for the last three intervals.
+	if want := 1 + lapse - fence + 1; r1.DarkIntervals != want {
+		t.Fatalf("replica 1 dark intervals = %d, want %d", r1.DarkIntervals, want)
 	}
 	if c.ctr.LeaseExpiries != 1 || c.ctr.ColdRestores != 1 {
 		t.Fatalf("counters: expiries %d cold %d", c.ctr.LeaseExpiries, c.ctr.ColdRestores)
@@ -243,13 +250,15 @@ func TestPartitionFencesAndColdFailover(t *testing.T) {
 }
 
 func TestDegradationShedsByClassThenPriority(t *testing.T) {
-	// Node 0 crashes t=15..19, halving capacity: 4 live replicas over 2
-	// slots. The batch replica sheds first, then the lowest-priority LC
-	// replica; both are restored when the node rejoins at t=20.
+	// Node 0 crashes t=15..19; from its lease expiry (14+leaseTTL) it
+	// halves capacity: 4 live replicas over 2 slots. The batch replica
+	// sheds first, then the lowest-priority LC replica; both are
+	// restored when the node rejoins at t=20.
+	const crashAt, back = 15, 20
+	const expiry = crashAt - 1 + leaseTTL
 	c, err := New(Config{
 		Nodes: 2, NodeCapacity: 2, Seed: 5, Factory: testFactory,
-		LeaseTTL: 2, SnapshotEvery: 5,
-		Scenario: faults.ClusterScenario{Name: "one-crash", CrashPeriodS: 15, CrashOfflineS: 5, QuietAfterS: 16},
+		Scenario: faults.ClusterScenario{Name: "one-crash", CrashPeriodS: crashAt, CrashOfflineS: back - crashAt, QuietAfterS: crashAt + 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +269,7 @@ func TestDegradationShedsByClassThenPriority(t *testing.T) {
 		batchSpec("masstree"),  // replica 2 → node 0, batch
 		lcSpec("img-dnn", 2),   // replica 3 → node 1
 	)
-	for c.Clock() < 17 {
+	for c.Clock() <= expiry {
 		c.Step()
 	}
 	rs := c.Replicas()
@@ -290,23 +299,24 @@ func TestDegradationShedsByClassThenPriority(t *testing.T) {
 	if c.ctr.ShedEpisodes != 2 {
 		t.Errorf("shed episodes = %d, want 2", c.ctr.ShedEpisodes)
 	}
-	// Both shed replicas sat dark t=16..19.
-	if c.ctr.ShedBatch != 4 || c.ctr.ShedLC != 4 {
-		t.Errorf("shed intervals lc=%d batch=%d, want 4/4", c.ctr.ShedLC, c.ctr.ShedBatch)
+	// Both shed replicas sat dark from the lease expiry to t=19.
+	if want := back - expiry; c.ctr.ShedBatch != want || c.ctr.ShedLC != want {
+		t.Errorf("shed intervals lc=%d batch=%d, want %d/%d", c.ctr.ShedLC, c.ctr.ShedBatch, want, want)
 	}
 	checkTicks(t, c)
 }
 
 func TestBackoffScheduleAndDeadLetter(t *testing.T) {
 	// Static partitioning pins replica 0 to node 0, which crashes at
-	// t=10 and never returns. Placement attempts then follow the
-	// deterministic backoff schedule t=11, 13, 17, 25 (base 2, doubling)
-	// until the retry budget (3) is exhausted and the replica
-	// dead-letters with the failure recorded.
+	// t=10 and never returns. From lease expiry (9+leaseTTL), placement
+	// attempts follow the deterministic backoff schedule (backoffBase,
+	// doubling: t=12, 14, 18, 26) until the retry budget (3) is exhausted
+	// and the replica dead-letters with the failure recorded.
+	const crashAt, retries = 10, 3
 	c, err := New(Config{
 		Nodes: 2, NodeCapacity: 2, Seed: 3, Factory: testFactory,
-		LeaseTTL: 2, BackoffBase: 2, MaxRetries: 3, PinReplicas: true,
-		Scenario: faults.ClusterScenario{Name: "perma-crash", CrashPeriodS: 10, CrashOfflineS: 100, QuietAfterS: 11},
+		MaxRetries: retries, PinReplicas: true,
+		Scenario: faults.ClusterScenario{Name: "perma-crash", CrashPeriodS: crashAt, CrashOfflineS: 100, QuietAfterS: crashAt + 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,18 +324,23 @@ func TestBackoffScheduleAndDeadLetter(t *testing.T) {
 	mustAdmit(t, c, lcSpec("memcached", 0), lcSpec("xapian", 0))
 	stepN(c, 40)
 
+	schedule := []int{crashAt - 1 + leaseTTL}
+	for i := 0; i < retries; i++ {
+		schedule = append(schedule, schedule[i]+backoffBase<<i)
+	}
+	dead := schedule[retries]
 	r0 := c.Replicas()[0]
 	if r0.State != DeadLetter {
 		t.Fatalf("replica 0 state %v, want dead-letter", r0.State)
 	}
-	if r0.DeadStep != 25 {
-		t.Fatalf("dead-lettered at t=%d, want 25 (backoff schedule 11,13,17,25)", r0.DeadStep)
+	if r0.DeadStep != dead {
+		t.Fatalf("dead-lettered at t=%d, want %d (backoff schedule %v)", r0.DeadStep, dead, schedule)
 	}
 	if !strings.Contains(r0.Reason, "placement retries exhausted (4 attempts") {
 		t.Fatalf("dead-letter reason %q", r0.Reason)
 	}
-	if r0.Ticks() != 25 { // frozen at DeadStep − AdmitStep
-		t.Fatalf("dead replica ticks %d, want 25", r0.Ticks())
+	if r0.Ticks() != dead { // frozen at DeadStep − AdmitStep
+		t.Fatalf("dead replica ticks %d, want %d", r0.Ticks(), dead)
 	}
 	if c.ctr.DeadLetters != 1 || c.ctr.PlacementFails != 4 || c.ctr.WarmRestores != 0 {
 		t.Fatalf("counters: dead %d fails %d warm %d", c.ctr.DeadLetters, c.ctr.PlacementFails, c.ctr.WarmRestores)
@@ -343,14 +358,13 @@ func TestBackoffScheduleAndDeadLetter(t *testing.T) {
 }
 
 func TestRestartWithinLeaseDetectedByIncarnation(t *testing.T) {
-	// Node 0 crashes at t=10 and is back at t=12 — inside the 5-interval
-	// lease, so the lease never expires. The heartbeat incarnation
-	// mismatch still triggers failover: without it the coordinator would
-	// keep routing to a node that lost its world.
+	// Node 0 crashes at t=10 and is back before leaseTTL intervals pass,
+	// so the lease never expires. The heartbeat incarnation mismatch
+	// still triggers failover: without it the coordinator would keep
+	// routing to a node that lost its world.
 	c, err := New(Config{
 		Nodes: 2, NodeCapacity: 2, Seed: 9, Factory: testFactory,
-		LeaseTTL: 5,
-		Scenario: faults.ClusterScenario{Name: "blip", CrashPeriodS: 10, CrashOfflineS: 2, QuietAfterS: 11},
+		Scenario: faults.ClusterScenario{Name: "blip", CrashPeriodS: 10, CrashOfflineS: leaseTTL - 1, QuietAfterS: 11},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +394,6 @@ func TestRestartWithinLeaseDetectedByIncarnation(t *testing.T) {
 func chaosConfig(seed int64) Config {
 	return Config{
 		Nodes: 3, NodeCapacity: 2, Seed: seed, Factory: testFactory,
-		SnapshotEvery: 5,
 		Scenario: faults.ClusterScenario{
 			Name:         "test-chaos",
 			CrashPeriodS: 40, CrashOfflineS: 10,
@@ -520,7 +533,7 @@ func TestDeadLetterSurvivesCheckpointRoundTrip(t *testing.T) {
 	}
 	cfg := Config{
 		Nodes: 2, NodeCapacity: 2, Seed: 3, Factory: testFactory,
-		LeaseTTL: 2, BackoffBase: 2, MaxRetries: 3, PinReplicas: true,
+		MaxRetries: 3, PinReplicas: true,
 		Store: store, CheckpointEvery: 40,
 		Scenario: faults.ClusterScenario{Name: "perma-crash", CrashPeriodS: 10, CrashOfflineS: 100, QuietAfterS: 11},
 	}

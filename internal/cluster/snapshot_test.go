@@ -17,7 +17,6 @@ func twoServiceNode(tb testing.TB, steps int) *cluster.Coordinator {
 	factory, flush := experiments.PooledFleetFactory(experiments.QuickScale())
 	c, err := cluster.New(cluster.Config{
 		Nodes: 1, NodeCapacity: 2, Seed: 5, Factory: factory, Flush: flush,
-		SnapshotEvery: 1 << 30, // the caller cuts its own
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -9,25 +9,29 @@ import (
 	"github.com/twig-sched/twig/internal/sim/platform"
 )
 
-// GuardConfig tunes the resilient wrapper around a controller.
+// The guard's repair and breaker policy.
+const (
+	// maxStaleS bounds how many consecutive intervals a missing latency
+	// sample may be bridged with the last good one before the guard
+	// switches to a pessimistic estimate.
+	maxStaleS = 5
+	// pessimismFactor scales the QoS target to synthesise a latency once
+	// staleness exceeds maxStaleS: the service is assumed to be violating
+	// so that downstream logic (the inner controller, the breaker) reacts.
+	pessimismFactor = 1.25
+	// breakerK is the number of consecutive QoS violations after which
+	// the circuit breaker escalates a service to maximum resources.
+	breakerK = 3
+	// breakerResetR is the number of consecutive met intervals required
+	// before a tripped breaker hands control back to the inner controller.
+	breakerResetR = 2
+)
+
+// GuardConfig says what the guard may actuate.
 type GuardConfig struct {
 	// ManagedCores is the set of core IDs any decision may use; cores
 	// outside it are stripped from the inner controller's assignments.
 	ManagedCores []int
-	// MaxStaleS bounds how many consecutive intervals a missing latency
-	// sample may be bridged with the last good one before the guard
-	// switches to a pessimistic estimate.
-	MaxStaleS int
-	// PessimismFactor scales the QoS target to synthesise a latency once
-	// staleness exceeds MaxStaleS: the service is assumed to be violating
-	// so that downstream logic (the inner controller, the breaker) reacts.
-	PessimismFactor float64
-	// BreakerK is the number of consecutive QoS violations after which
-	// the circuit breaker escalates a service to maximum resources.
-	BreakerK int
-	// BreakerResetR is the number of consecutive met intervals required
-	// before a tripped breaker hands control back to the inner controller.
-	BreakerResetR int
 	// MinFreqGHz and MaxFreqGHz are the DVFS range of the SKU the guard
 	// actuates (sim.Server.FreqRange): decisions are clamped into it and
 	// the fallback and breaker escalate to its maximum. Zero means the
@@ -35,19 +39,13 @@ type GuardConfig struct {
 	MinFreqGHz, MaxFreqGHz float64
 }
 
-// DefaultGuardConfig returns the recommended guard settings for the
-// given managed core set on the reference platform.
+// DefaultGuardConfig returns the guard settings for the given managed
+// core set on the reference platform.
 func DefaultGuardConfig(managed []int) GuardConfig {
-	return GuardConfig{
-		ManagedCores:    append([]int(nil), managed...),
-		MaxStaleS:       5,
-		PessimismFactor: 1.25,
-		BreakerK:        3,
-		BreakerResetR:   2,
-	}
+	return GuardConfig{ManagedCores: append([]int(nil), managed...)}
 }
 
-// GuardConfigFor returns the recommended guard settings for srv: its
+// GuardConfigFor returns the guard settings for srv: its
 // managed core set and its SKU's DVFS range.
 func GuardConfigFor(srv *sim.Server) GuardConfig {
 	cfg := DefaultGuardConfig(srv.ManagedCores())
@@ -62,7 +60,7 @@ type GuardHealth struct {
 	// replaced because they were missing or non-finite.
 	ObsRepaired int
 	// StaleExceeded counts intervals where a latency gap outlived
-	// MaxStaleS and the pessimistic estimate was substituted.
+	// maxStaleS and the pessimistic estimate was substituted.
 	StaleExceeded int
 	// PanicsRecovered counts inner-controller panics converted into the
 	// safe fallback assignment.
@@ -106,24 +104,10 @@ type Guard struct {
 	managed, seen []bool
 }
 
-// NewGuard wraps inner. The config's ManagedCores must be non-empty;
-// zero-valued tuning fields fall back to the defaults.
+// NewGuard wraps inner. The config's ManagedCores must be non-empty.
 func NewGuard(inner Controller, cfg GuardConfig) *Guard {
 	if len(cfg.ManagedCores) == 0 {
 		panic("ctrl: guard needs a managed core set")
-	}
-	def := DefaultGuardConfig(cfg.ManagedCores)
-	if cfg.MaxStaleS <= 0 {
-		cfg.MaxStaleS = def.MaxStaleS
-	}
-	if cfg.PessimismFactor <= 1 {
-		cfg.PessimismFactor = def.PessimismFactor
-	}
-	if cfg.BreakerK <= 0 {
-		cfg.BreakerK = def.BreakerK
-	}
-	if cfg.BreakerResetR <= 0 {
-		cfg.BreakerResetR = def.BreakerResetR
 	}
 	if cfg.MaxFreqGHz == 0 {
 		cfg.MinFreqGHz, cfg.MaxFreqGHz = platform.MinFreqGHz, platform.MaxFreqGHz
@@ -209,11 +193,11 @@ func (g *Guard) sanitize(obs Observation) Observation {
 		if !isFinite(s.P99Ms) || s.P99Ms < 0 {
 			g.health.ObsRepaired++
 			g.staleFor[i]++
-			if g.haveGood[i] && g.staleFor[i] <= g.cfg.MaxStaleS {
+			if g.haveGood[i] && g.staleFor[i] <= maxStaleS {
 				s.P99Ms = g.lastGood[i].P99Ms
 			} else {
 				g.health.StaleExceeded++
-				s.P99Ms = g.cfg.PessimismFactor * s.QoSTargetMs
+				s.P99Ms = pessimismFactor * s.QoSTargetMs
 			}
 		} else {
 			g.staleFor[i] = 0
@@ -316,9 +300,9 @@ func (g *Guard) validate(asg sim.Assignment, k int) sim.Assignment {
 	return out
 }
 
-// breaker escalates any service that has violated QoS for BreakerK
+// breaker escalates any service that has violated QoS for breakerK
 // consecutive intervals to every managed core at maximum frequency, and
-// holds it there until BreakerResetR consecutive met intervals.
+// holds it there until breakerResetR consecutive met intervals.
 func (g *Guard) breaker(obs Observation, asg *sim.Assignment) {
 	for i, s := range obs.Services {
 		if s.QoSTargetMs > 0 && s.P99Ms > s.QoSTargetMs {
@@ -328,11 +312,11 @@ func (g *Guard) breaker(obs Observation, asg *sim.Assignment) {
 			g.metStreak[i]++
 			g.violStreak[i] = 0
 		}
-		if !g.tripped[i] && g.violStreak[i] >= g.cfg.BreakerK {
+		if !g.tripped[i] && g.violStreak[i] >= breakerK {
 			g.tripped[i] = true
 			g.health.BreakerTrips++
 		}
-		if g.tripped[i] && g.metStreak[i] >= g.cfg.BreakerResetR {
+		if g.tripped[i] && g.metStreak[i] >= breakerResetR {
 			g.tripped[i] = false
 		}
 		if g.tripped[i] && i < len(asg.PerService) {

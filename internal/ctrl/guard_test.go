@@ -44,15 +44,18 @@ func TestGuardBridgesThenPessimises(t *testing.T) {
 		seen = append(seen, o.Services[0].P99Ms)
 		return smallAlloc(o)
 	}}
-	cfg := DefaultGuardConfig(testCores)
-	cfg.MaxStaleS = 2
-	g := NewGuard(inner, cfg)
+	g := NewGuard(inner, DefaultGuardConfig(testCores))
 
-	g.Decide(obs1(3)) // good sample
-	for i := 0; i < 4; i++ {
+	// One good sample, maxStaleS bridged gaps, then two pessimistic ones.
+	g.Decide(obs1(3))
+	for i := 0; i < maxStaleS+2; i++ {
 		g.Decide(obs1(math.NaN()))
 	}
-	want := []float64{3, 3, 3, 1.25 * 5, 1.25 * 5}
+	want := []float64{3}
+	for i := 0; i < maxStaleS; i++ {
+		want = append(want, 3)
+	}
+	want = append(want, pessimismFactor*5, pessimismFactor*5)
 	if len(seen) != len(want) {
 		t.Fatalf("inner saw %d obs", len(seen))
 	}
@@ -62,7 +65,7 @@ func TestGuardBridgesThenPessimises(t *testing.T) {
 		}
 	}
 	h := g.Health()
-	if h.ObsRepaired != 4 || h.StaleExceeded != 2 {
+	if h.ObsRepaired != maxStaleS+2 || h.StaleExceeded != 2 {
 		t.Fatalf("health %+v", h)
 	}
 }
@@ -208,31 +211,30 @@ func TestGuardRejectsWrongShape(t *testing.T) {
 
 func TestGuardBreakerTripsAndResets(t *testing.T) {
 	inner := &fakeCtrl{name: "meek", decide: smallAlloc}
-	cfg := DefaultGuardConfig(testCores)
-	cfg.BreakerK = 3
-	cfg.BreakerResetR = 2
-	g := NewGuard(inner, cfg)
+	g := NewGuard(inner, DefaultGuardConfig(testCores))
 
 	escalated := func(asg sim.Assignment) bool {
 		return len(asg.PerService[0].Cores) == len(testCores) &&
 			asg.PerService[0].FreqGHz == platform.MaxFreqGHz
 	}
 
-	// Two violations: not yet tripped.
-	for i := 0; i < 2; i++ {
+	// K-1 violations: not yet tripped.
+	for i := 0; i < breakerK-1; i++ {
 		if escalated(g.Decide(obs1(10))) {
 			t.Fatalf("breaker tripped after %d violations", i+1)
 		}
 	}
-	// Third consecutive violation trips it.
+	// The K-th consecutive violation trips it.
 	if !escalated(g.Decide(obs1(10))) {
 		t.Fatal("breaker did not trip after K violations")
 	}
-	// One met interval is not enough to reset.
-	if !escalated(g.Decide(obs1(1))) {
-		t.Fatal("breaker reset too eagerly")
+	// R-1 met intervals are not enough to reset.
+	for i := 0; i < breakerResetR-1; i++ {
+		if !escalated(g.Decide(obs1(1))) {
+			t.Fatalf("breaker reset after %d met intervals", i+1)
+		}
 	}
-	// Second consecutive met interval hands control back.
+	// The R-th consecutive met interval hands control back.
 	if escalated(g.Decide(obs1(1))) {
 		t.Fatal("breaker did not reset after R met intervals")
 	}
@@ -240,8 +242,8 @@ func TestGuardBreakerTripsAndResets(t *testing.T) {
 	if h.BreakerTrips != 1 {
 		t.Fatalf("trips = %d, want 1", h.BreakerTrips)
 	}
-	if h.BreakerIntervals != 2 {
-		t.Fatalf("escalated intervals = %d, want 2", h.BreakerIntervals)
+	if h.BreakerIntervals != breakerResetR {
+		t.Fatalf("escalated intervals = %d, want %d", h.BreakerIntervals, breakerResetR)
 	}
 }
 

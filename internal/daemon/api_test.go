@@ -12,7 +12,7 @@ import (
 
 func testEngine(t *testing.T) *Engine {
 	t.Helper()
-	e, err := New(Config{Scale: tinyScale(), Seed: 11, DrainTimeoutS: 15},
+	e, err := New(Config{Scale: tinyScale(), Seed: 11},
 		[]AdmitRequest{{Name: "masstree", Load: 0.5}})
 	if err != nil {
 		t.Fatal(err)

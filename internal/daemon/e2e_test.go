@@ -71,7 +71,6 @@ func e2eConfig(store *checkpoint.Store) Config {
 		Guard:           true,
 		Store:           store,
 		CheckpointEvery: 10,
-		DrainTimeoutS:   15,
 	}
 }
 

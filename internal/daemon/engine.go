@@ -58,6 +58,10 @@ type ServiceView struct {
 	Reason string `json:"reason,omitempty"`
 }
 
+// drainTimeoutS force-completes a drain whose queue has not emptied
+// after this many intervals.
+const drainTimeoutS = 30
+
 // Config assembles a daemon engine.
 type Config struct {
 	// Scale selects the learning profile (experiments.QuickScale or
@@ -83,16 +87,10 @@ type Config struct {
 	// CheckpointEvery is the checkpoint cadence in simulated seconds
 	// (values < 1 become 60).
 	CheckpointEvery int
-	// MaxRetries bounds lifecycle Fail→Pending requeues before a
-	// service dead-letters (negative values become DefaultMaxRetries).
-	MaxRetries int
 	// MaxLive bounds how many services the simulator hosts at once
 	// (0 means unlimited). A boundary placement over the bound fails and
 	// consumes a lifecycle retry, eventually dead-lettering the service.
 	MaxLive int
-	// DrainTimeoutS force-completes a drain whose queue has not emptied
-	// after this many intervals (values < 1 become 30).
-	DrainTimeoutS int
 	// PatternOverrides substitutes a custom load pattern (e.g. a CSV
 	// trace) for a service name; the same override must be supplied
 	// again on restart, since a pattern closure cannot be checkpointed.
@@ -104,12 +102,6 @@ type Config struct {
 func (c *Config) normalize() {
 	if c.CheckpointEvery < 1 {
 		c.CheckpointEvery = 60
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = DefaultMaxRetries
-	}
-	if c.DrainTimeoutS < 1 {
-		c.DrainTimeoutS = 30
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -259,7 +251,7 @@ func (e *Engine) register(req AdmitRequest) (*entry, error) {
 		qos = experiments.QoSTarget(req.Name)
 	}
 	en := &entry{
-		lc:      NewLifecycle(e.cfg.MaxRetries),
+		lc:      NewLifecycle(DefaultMaxRetries),
 		name:    req.Name,
 		load:    req.Load,
 		pattern: req.Pattern,
@@ -544,7 +536,7 @@ func (e *Engine) Step() (sim.StepResult, error) {
 			continue
 		}
 		en.drainFor++
-		if res.Services[i].QueueLen == 0 || en.drainFor > e.cfg.DrainTimeoutS {
+		if res.Services[i].QueueLen == 0 || en.drainFor > drainTimeoutS {
 			e.fire(en, Drained)
 		}
 	}

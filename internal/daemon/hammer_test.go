@@ -16,7 +16,7 @@ import (
 // a pending service, duplicate admit) are fine — panics, races and a
 // wedged control loop are not.
 func TestHammerAdmitDrainWhilePoolSteps(t *testing.T) {
-	e, err := New(Config{Scale: tinyScale(), Seed: 99, DrainTimeoutS: 3},
+	e, err := New(Config{Scale: tinyScale(), Seed: 99},
 		[]AdmitRequest{{Name: "masstree", Load: 0.5}})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"strings"
@@ -32,8 +33,8 @@ func TestAPIOversizedBodyRejected(t *testing.T) {
 	}
 }
 
-// deadLetterConfig bounds the live set at one service with a two-retry
-// budget, so a second admission fails placement at three consecutive
+// deadLetterConfig bounds the live set at one service, so a second
+// admission fails placement at DefaultMaxRetries+1 consecutive
 // boundaries and dead-letters deterministically.
 func deadLetterConfig(store *checkpoint.Store) Config {
 	return Config{
@@ -41,9 +42,7 @@ func deadLetterConfig(store *checkpoint.Store) Config {
 		Seed:            7,
 		Store:           store,
 		CheckpointEvery: 10,
-		MaxRetries:      2,
 		MaxLive:         1,
-		DrainTimeoutS:   15,
 	}
 }
 
@@ -65,8 +64,14 @@ func TestDeadLetterVisibleAndDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Boundary 1 and 2 consume the two retries; boundary 3 dead-letters.
-	states := []string{"pending", "pending", "dead-letter"}
+	// The first DefaultMaxRetries boundaries consume the retry budget; the
+	// next one dead-letters.
+	var states []string
+	for i := 0; i < DefaultMaxRetries; i++ {
+		states = append(states, "pending")
+	}
+	states = append(states, "dead-letter")
+	attempts := fmt.Sprintf("dead-lettered after %d attempts", DefaultMaxRetries+1)
 	for i, want := range states {
 		if _, err := e.Step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
@@ -79,10 +84,10 @@ func TestDeadLetterVisibleAndDurable(t *testing.T) {
 	check := func(tag string, e *Engine) {
 		t.Helper()
 		v := findView(t, e, "xapian")
-		if v.State != "dead-letter" || v.Retries != 2 {
-			t.Fatalf("%s: view = %+v, want terminal dead-letter with 2 retries", tag, v)
+		if v.State != "dead-letter" || v.Retries != DefaultMaxRetries {
+			t.Fatalf("%s: view = %+v, want terminal dead-letter with %d retries", tag, v, DefaultMaxRetries)
 		}
-		if !strings.Contains(v.Reason, "dead-lettered after 3 attempts") ||
+		if !strings.Contains(v.Reason, attempts) ||
 			!strings.Contains(v.Reason, "live-capacity limit 1 reached") {
 			t.Fatalf("%s: reason %q does not explain the failure", tag, v.Reason)
 		}
@@ -101,7 +106,7 @@ func TestDeadLetterVisibleAndDurable(t *testing.T) {
 		t.Fatalf("masstree = %+v, want running", v)
 	}
 	scrape := e.Metrics().Render()
-	if !strings.Contains(scrape, "twigd_placement_failures_total 3") {
+	if !strings.Contains(scrape, fmt.Sprintf("twigd_placement_failures_total %d", DefaultMaxRetries+1)) {
 		t.Fatalf("scrape missing placement failure count:\n%s", scrape)
 	}
 
@@ -117,6 +122,11 @@ func TestDeadLetterVisibleAndDurable(t *testing.T) {
 	if _, err := re.Step(); err != nil {
 		t.Fatalf("restored engine step: %v", err)
 	}
+	// The step may have submitted a periodic checkpoint; let it land
+	// before the temporary directory is removed.
+	if err := re.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
 	check("restored engine after step", re)
 
 	// The reason rides through the HTTP listing, where operators see it.
@@ -125,7 +135,7 @@ func TestDeadLetterVisibleAndDurable(t *testing.T) {
 	found := false
 	for _, v := range views {
 		if v.Name == "xapian" {
-			found = v.State == "dead-letter" && strings.Contains(v.Reason, "dead-lettered after 3 attempts")
+			found = v.State == "dead-letter" && strings.Contains(v.Reason, attempts)
 		}
 	}
 	if !found {

@@ -297,7 +297,7 @@ func TestFig7TinyPlumbing(t *testing.T) {
 
 func TestScalesDiffer(t *testing.T) {
 	p, q := PaperScale(), QuickScale()
-	if p.Spec.SharedHidden[0] != 512 || p.Epsilon.MidStep != 10000 || p.LearnS != 10000 {
+	if p.Spec.SharedHidden[0] != 512 || p.Epsilon.MidStep != 10000 || p.LearnS != 25000 {
 		t.Fatalf("paper scale %+v", p)
 	}
 	if q.LearnS >= p.LearnS || q.Spec.SharedHidden[0] >= p.Spec.SharedHidden[0] {
@@ -308,26 +308,12 @@ func TestScalesDiffer(t *testing.T) {
 // TestScalesOpenWindowAfterAnnealing holds the evaluation protocol: the
 // summary window opens once ε has reached its end value (LearnS ≥
 // Epsilon.EndStep), so it measures the learned policy rather than
-// exploration. The paper scale is a known deviation — its window opens at
-// ε ≈ Mid — pinned here so that the fix (ROADMAP, "One evaluation
-// protocol at both scales") has to turn the row over.
+// exploration.
 func TestScalesOpenWindowAfterAnnealing(t *testing.T) {
-	for _, c := range []struct {
-		sc             Scale
-		knownDeviation bool
-	}{
-		{QuickScale(), false},
-		{ShortScale(), false},
-		{PaperScale(), true},
-	} {
-		opens := c.sc.LearnS >= c.sc.Epsilon.EndStep
-		switch {
-		case c.knownDeviation && opens:
-			t.Errorf("%s scale: LearnS %d ≥ EndStep %d — the known deviation is fixed; mark ROADMAP's \"One evaluation protocol at both scales\" done and make this row an ordinary one",
-				c.sc.Name, c.sc.LearnS, c.sc.Epsilon.EndStep)
-		case !c.knownDeviation && !opens:
+	for _, sc := range []Scale{QuickScale(), ShortScale(), PaperScale()} {
+		if sc.LearnS < sc.Epsilon.EndStep {
 			t.Errorf("%s scale: LearnS %d < EndStep %d: the summary window opens while ε still anneals",
-				c.sc.Name, c.sc.LearnS, c.sc.Epsilon.EndStep)
+				sc.Name, sc.LearnS, sc.Epsilon.EndStep)
 		}
 	}
 }

@@ -97,15 +97,11 @@ type FigChaosResult struct {
 // named cluster scenario. Runs are deterministic: the same (scale,
 // seed) reruns byte-identically, which TestFigChaos pins.
 func FigChaos(sc Scale, seed int64) FigChaosResult {
+	const nodes = 3
 	seconds := 400
 	if sc.Name == "paper" {
 		seconds = 1500
 	}
-	return FigChaosN(sc, seed, 3, seconds)
-}
-
-// FigChaosN is FigChaos with an explicit fleet size and sweep length.
-func FigChaosN(sc Scale, seed int64, nodes, seconds int) FigChaosResult {
 	scenarios := []string{"none", "nodecrash", "partition", "chaos"}
 	res := FigChaosResult{Scenarios: scenarios, Nodes: nodes, Seconds: seconds}
 	for _, scen := range scenarios {

@@ -15,7 +15,10 @@ import (
 // Scale is a learning profile: the agent's configuration (bdq.PaperAgent
 // or bdq.QuickAgent, or a smaller one of a test's own) and the
 // evaluation protocol around it. One simulated second is one control
-// step at every scale.
+// step at every scale. The protocol is the same at every scale: the
+// summary window opens at LearnS, once ε has reached its end value
+// (LearnS ≥ Epsilon.EndStep), and the agent keeps learning through it,
+// so a summary scores the learned policy rather than exploration.
 type Scale struct {
 	Name string
 	bdq.AgentConfig
@@ -26,11 +29,11 @@ type Scale struct {
 }
 
 // PaperScale reproduces Sec. IV exactly (bdq.PaperAgent), with
-// summaries over the last 300 s after a 10 000 s learning phase — which
-// ends at ε ≈ Mid, before the schedule reaches End (ROADMAP, "One
-// evaluation protocol at both scales").
+// summaries over the 300 s after a learning phase that lasts until ε
+// reaches its end value (25 000 s).
 func PaperScale() Scale {
-	return Scale{Name: "paper", AgentConfig: bdq.PaperAgent(), LearnS: 10_000, SummaryS: 300}
+	agent := bdq.PaperAgent()
+	return Scale{Name: "paper", AgentConfig: agent, LearnS: agent.Epsilon.EndStep, SummaryS: 300}
 }
 
 // QuickScale runs bdq.QuickAgent, which keeps every qualitative result
@@ -156,9 +159,9 @@ func ServiceConfigFor(name string, qosTargetMs float64) core.ServiceConfig {
 // ManagerConfig assembles the Twig manager configuration every driver
 // uses — experiment runs, scenario worlds, fleet nodes and the daemon —
 // for the given services on srv's SKU at the given learning scale. The
-// manager keeps learning through the evaluation window, at the ε its
-// schedule has reached by LearnS: End at quick and short scale, near Mid
-// at paper scale (TestScalesOpenWindowAfterAnnealing).
+// manager keeps learning through the evaluation window at ε = End, which
+// every scale's schedule has reached by LearnS
+// (TestScalesOpenWindowAfterAnnealing).
 func ManagerConfig(srv *sim.Server, sc Scale, seed int64, services []core.ServiceConfig) core.Config {
 	cfg := core.DefaultConfig(services, len(srv.ManagedCores()), srv.MaxPowerW())
 	cfg.Agent = sc.AgentConfig

@@ -65,24 +65,6 @@ func (m *Matrix) RowsView(r0, r1 int) *Matrix {
 	return &Matrix{Rows: r1 - r0, Cols: m.Cols, Data: m.Data[r0*m.Cols : r1*m.Cols]}
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	m.ColInto(out, j)
-	return out
-}
-
-// ColInto writes column j of m into dst (length Rows) — the
-// allocation-free variant of Col for reusable workspaces.
-func (m *Matrix) ColInto(dst []float64, j int) {
-	if len(dst) != m.Rows {
-		panic("mat: ColInto length mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = m.Data[i*m.Cols+j]
-	}
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.Rows, m.Cols)

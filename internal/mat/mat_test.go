@@ -21,9 +21,6 @@ func TestNewAndAccessors(t *testing.T) {
 	if got := m.Row(1)[2]; got != 7 {
 		t.Fatalf("Row(1)[2] = %v, want 7", got)
 	}
-	if got := m.Col(2); got[1] != 7 || got[0] != 0 {
-		t.Fatalf("Col(2) = %v", got)
-	}
 }
 
 func TestFromRowsAndClone(t *testing.T) {

@@ -762,21 +762,12 @@ func ratesOf(p service.Profile) pmc.Rates {
 // the paper's methodology for fixing Table II's targets. It returns the
 // p99 across the final two thirds of the run (the warm-up is skipped).
 func CalibrateQoSTarget(p service.Profile, cfg Config, seconds int, seed int64) float64 {
-	return CalibrateQoSTargetAt(p, cfg, p.MaxLoadRPS, seconds, seed)
-}
-
-// CalibrateQoSTargetAt is CalibrateQoSTarget at an explicit offered
-// load. Scenario worlds use it to fix per-tier targets at the
-// scenario's own peak for the service — on an edge SKU the profile's
-// full MaxLoadRPS may simply exceed the node, which would calibrate a
-// saturated (meaningless) target.
-func CalibrateQoSTargetAt(p service.Profile, cfg Config, loadRPS float64, seconds int, seed int64) float64 {
 	srv := NewServer(cfg, []ServiceSpec{{Profile: p, Seed: seed}})
 	cores := srv.ManagedCores()
 	asg := Assignment{PerService: []Allocation{{Cores: cores, FreqGHz: maxFreqOf(cfg)}}}
 	var lat []float64
 	for t := 0; t < seconds; t++ {
-		r := srv.MustStep(asg, []float64{loadRPS})
+		r := srv.MustStep(asg, []float64{p.MaxLoadRPS})
 		if t >= seconds/3 {
 			lat = append(lat, r.Services[0].P99Ms)
 		}

@@ -70,7 +70,8 @@ type (
 	// Guard wraps any Controller with observation sanitising, panic
 	// containment, action validation and a QoS circuit breaker.
 	Guard = ctrl.Guard
-	// GuardConfig tunes a Guard; GuardHealth counts its interventions.
+	// GuardConfig says what a Guard may actuate; GuardHealth counts its
+	// interventions.
 	GuardConfig = ctrl.GuardConfig
 	GuardHealth = ctrl.GuardHealth
 )
