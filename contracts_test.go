@@ -123,6 +123,17 @@ var contracts = []contract{
 		},
 	},
 	{
+		name: "one-manager-constructor",
+		why:  `every figure, ablation and extension builds its managers through experiments.newController (DESIGN.md §4): no other production file of internal/experiments constructs a baseline — pairs.go's feasibility sweep keeps its static — and the per-figure constructors stay deleted`,
+		clauses: []clause{
+			{scope{dirs: []string{"internal/experiments"}, prod: true, except: []string{"internal/experiments/setup.go", "internal/experiments/pairs.go"}}, []rule{
+				qualified("baselines", "NewStatic", "NewHeracles", "NewHipster", "NewParties"),
+			}},
+			{scope{dirs: []string{"internal/experiments/pairs.go"}}, []rule{qualified("baselines", "NewHeracles", "NewHipster", "NewParties")}},
+			{scope{}, []rule{idents("newSingleManager", "scenManager", "newScenTwig")}},
+		},
+	},
+	{
 		name: "one-measurement-system",
 		why:  "twig-bench, its baseline files, the dispatch mirror it reported, the unpooled fleet factory and the gob weight file stay deleted",
 		clauses: []clause{

@@ -6,8 +6,6 @@ import (
 
 	"github.com/twig-sched/twig/internal/bdq"
 	"github.com/twig-sched/twig/internal/core"
-	"github.com/twig-sched/twig/internal/sim/loadgen"
-	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // AblationCell is one variant's outcome on the standard Twig-S workload
@@ -34,45 +32,45 @@ type ablationVariant struct {
 	Mutate func(*core.Config)
 }
 
-// runAblationVariants runs every variant as an independent cell on the
-// experiments worker pool; each writes to its own slot so results are
-// byte-identical to a serial sweep.
-func runAblationVariants(sc Scale, seed int64, vs []ablationVariant) []AblationCell {
-	cells := make([]AblationCell, len(vs))
-	forEachCell(len(vs), func(i int) {
-		cells[i] = runAblationVariant(sc, seed, vs[i].Label, vs[i].Mutate)
-	})
-	return cells
-}
-
-// runAblationVariant runs Twig-S with a config mutator applied.
-func runAblationVariant(sc Scale, seed int64, variant string, mutate func(*core.Config)) AblationCell {
-	const svcName = "masstree"
-	prof := service.MustLookup(svcName)
-	srv := NewServer(seed, svcName)
-	cfg := twigConfig(srv, sc, seed, svcName)
+// runTwigVariant runs Twig on names with mutate applied to its
+// configuration, each service at frac of its maximum load (of the
+// pair's colocated maximum for two services), over the scale's learning
+// and evaluation window.
+func runTwigVariant(sc Scale, seed int64, names []string, frac float64, mutate func(*core.Config)) Summary {
+	if len(names) == 2 {
+		frac *= PairMaxFraction(names[0], names[1])
+	}
+	srv := NewServer(seed, names...)
+	cfg := twigConfig(srv, sc, seed, names...)
 	mutate(&cfg)
-	mgr := core.NewManager(cfg, srv.ManagedCores())
-	sum := Run(RunConfig{
+	return Run(RunConfig{
 		Server:       srv,
-		Controller:   mgr,
-		Patterns:     []loadgen.Pattern{loadgen.Fixed(0.5 * prof.MaxLoadRPS)},
+		Controller:   core.NewManager(cfg, srv.ManagedCores()),
+		Patterns:     fixedLoads(frac, names...),
 		Seconds:      sc.LearnS + sc.SummaryS,
 		SummaryFromS: sc.LearnS,
 	})
-	return AblationCell{
-		Variant:      variant,
-		QoSGuarantee: sum.QoSGuarantee[0],
-		AvgPowerW:    sum.AvgPowerW,
-		Migrations:   sum.Migrations,
-	}
+}
+
+// runAblationVariants runs every variant on names at half load as an
+// independent cell on the experiments worker pool; each writes to its
+// own slot so results are byte-identical to a serial sweep. A cell's
+// QoS guarantee is the mean over the services.
+func runAblationVariants(sc Scale, seed int64, names []string, vs []ablationVariant) []AblationCell {
+	cells := make([]AblationCell, len(vs))
+	forEachCell(len(vs), func(i int) {
+		sum := runTwigVariant(sc, seed, names, 0.5, vs[i].Mutate)
+		q, _ := meanMin(sum.QoSGuarantee)
+		cells[i] = AblationCell{Variant: vs[i].Label, QoSGuarantee: q, AvgPowerW: sum.AvgPowerW, Migrations: sum.Migrations}
+	})
+	return cells
 }
 
 // AblationReplay compares prioritised vs uniform experience replay.
 func AblationReplay(sc Scale, seed int64) AblationResult {
 	return AblationResult{
 		Name: "prioritised vs uniform replay",
-		Cells: runAblationVariants(sc, seed, []ablationVariant{
+		Cells: runAblationVariants(sc, seed, []string{"masstree"}, []ablationVariant{
 			{"PER", func(c *core.Config) {}},
 			{"uniform", func(c *core.Config) { c.Agent.UsePER = false }},
 		}),
@@ -88,7 +86,7 @@ func AblationEta(sc Scale, seed int64) AblationResult {
 		vs = append(vs, ablationVariant{
 			fmt.Sprintf("eta=%d", e), func(c *core.Config) { c.Eta = e }})
 	}
-	return AblationResult{Name: "PMC smoothing window η", Cells: runAblationVariants(sc, seed, vs)}
+	return AblationResult{Name: "PMC smoothing window η", Cells: runAblationVariants(sc, seed, []string{"masstree"}, vs)}
 }
 
 // AblationReward compares the power-reward weight θ ∈ {0, 0.5, 2}. With
@@ -101,51 +99,19 @@ func AblationReward(sc Scale, seed int64) AblationResult {
 		vs = append(vs, ablationVariant{
 			fmt.Sprintf("theta=%.1f", th), func(c *core.Config) { c.Reward.Theta = th }})
 	}
-	return AblationResult{Name: "power-reward weight θ", Cells: runAblationVariants(sc, seed, vs)}
+	return AblationResult{Name: "power-reward weight θ", Cells: runAblationVariants(sc, seed, []string{"masstree"}, vs)}
 }
 
 // AblationMultiAgentValue ablates the paper's multi-agent contribution:
 // Twig-C on a colocated pair with per-agent state-value streams
 // (Sec. III-A) versus a single value stream shared by both agents.
 func AblationMultiAgentValue(sc Scale, seed int64) AblationResult {
-	frac := PairMaxFraction("masstree", "moses")
-	loads := []loadgen.Pattern{
-		loadgen.Fixed(0.5 * frac * service.MustLookup("masstree").MaxLoadRPS),
-		loadgen.Fixed(0.5 * frac * service.MustLookup("moses").MaxLoadRPS),
-	}
-	run := func(shared bool, label string) AblationCell {
-		srv := NewServer(seed, "masstree", "moses")
-		cfg := twigConfig(srv, sc, seed, "masstree", "moses")
-		cfg.Agent.Spec.SharedValue = shared
-		mgr := core.NewManager(cfg, srv.ManagedCores())
-		sum := Run(RunConfig{
-			Server:       srv,
-			Controller:   mgr,
-			Patterns:     loads,
-			Seconds:      sc.LearnS + sc.SummaryS,
-			SummaryFromS: sc.LearnS,
-		})
-		return AblationCell{
-			Variant:      label,
-			QoSGuarantee: (sum.QoSGuarantee[0] + sum.QoSGuarantee[1]) / 2,
-			AvgPowerW:    sum.AvgPowerW,
-			Migrations:   sum.Migrations,
-		}
-	}
-	variants := []struct {
-		shared bool
-		label  string
-	}{
-		{false, "per-agent V"},
-		{true, "shared V"},
-	}
-	cells := make([]AblationCell, len(variants))
-	forEachCell(len(variants), func(i int) {
-		cells[i] = run(variants[i].shared, variants[i].label)
-	})
 	return AblationResult{
-		Name:  "per-agent vs shared state value (Twig-C)",
-		Cells: cells,
+		Name: "per-agent vs shared state value (Twig-C)",
+		Cells: runAblationVariants(sc, seed, []string{"masstree", "moses"}, []ablationVariant{
+			{"per-agent V", func(c *core.Config) { c.Agent.Spec.SharedValue = false }},
+			{"shared V", func(c *core.Config) { c.Agent.Spec.SharedValue = true }},
+		}),
 	}
 }
 
@@ -154,7 +120,7 @@ func AblationMultiAgentValue(sc Scale, seed int64) AblationResult {
 func AblationTargetMode(sc Scale, seed int64) AblationResult {
 	return AblationResult{
 		Name: "TD target aggregation",
-		Cells: runAblationVariants(sc, seed, []ablationVariant{
+		Cells: runAblationVariants(sc, seed, []string{"masstree"}, []ablationVariant{
 			{"mean-branches", func(c *core.Config) {
 				c.Agent.TargetMode = bdq.TargetMeanBranches
 			}},

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/twig-sched/twig/internal/baselines"
-	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/batch"
-	"github.com/twig-sched/twig/internal/sim/loadgen"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
@@ -50,20 +47,11 @@ func BatchColoc(sc Scale, seed int64) BatchColocResult {
 		srv := sim.NewServer(cfg, []sim.ServiceSpec{{
 			Profile: prof, QoSTargetMs: QoSTarget(svcName), Seed: seed,
 		}})
-		var c ctrl.Controller
-		switch mgr {
-		case "static":
-			c = baselines.NewStatic(srv.ManagedCores(), 1)
-		case "heracles":
-			c = baselines.NewHeracles(baselines.DefaultHeraclesConfig(1.1*srv.MaxPowerW()), srv.ManagedCores())
-		case "twig-s":
-			c = NewTwig(srv, sc, seed, svcName)
-		}
 		var work float64
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   c,
-			Patterns:     []loadgen.Pattern{loadgen.Fixed(lf * prof.MaxLoadRPS)},
+			Controller:   newController(mgr, srv, sc, seed, svcName),
+			Patterns:     fixedLoads(lf, svcName),
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,
 			Hook: func(t int, r sim.StepResult, asg sim.Assignment) {

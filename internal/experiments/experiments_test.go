@@ -303,6 +303,16 @@ func TestScalesDiffer(t *testing.T) {
 	if q.LearnS >= p.LearnS || q.Spec.SharedHidden[0] >= p.Spec.SharedHidden[0] {
 		t.Fatal("quick scale must be smaller")
 	}
+	// Figs. 10 and 11 step their load ladder every 200 s as in the paper,
+	// and every LearnS/20 (at least 10 s) on runs too short for that.
+	for _, c := range []struct {
+		sc   Scale
+		want int
+	}{{q, 200}, {ShortScale(), 10}, {p, 200}} {
+		if got := ladderPeriod(c.sc); got != c.want {
+			t.Errorf("%s scale: ladder period %d s, want %d", c.sc.Name, got, c.want)
+		}
+	}
 }
 
 // TestScalesOpenWindowAfterAnnealing holds the evaluation protocol: the

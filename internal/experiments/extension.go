@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"github.com/twig-sched/twig/internal/core"
-	"github.com/twig-sched/twig/internal/sim/loadgen"
-	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // ExtensionCATResult evaluates the cache-partitioning extension: the
@@ -26,23 +24,8 @@ type ExtensionCATResult struct {
 
 // ExtensionCAT runs the comparison.
 func ExtensionCAT(sc Scale, seed int64) ExtensionCATResult {
-	frac := PairMaxFraction("moses", "xapian")
-	loads := []loadgen.Pattern{
-		loadgen.Fixed(0.6 * frac * service.MustLookup("moses").MaxLoadRPS),
-		loadgen.Fixed(0.6 * frac * service.MustLookup("xapian").MaxLoadRPS),
-	}
 	run := func(manage bool) ([]float64, float64) {
-		srv := NewServer(seed, "moses", "xapian")
-		cfg := twigConfig(srv, sc, seed, "moses", "xapian")
-		cfg.ManageCache = manage
-		mgr := core.NewManager(cfg, srv.ManagedCores())
-		sum := Run(RunConfig{
-			Server:       srv,
-			Controller:   mgr,
-			Patterns:     loads,
-			Seconds:      sc.LearnS + sc.SummaryS,
-			SummaryFromS: sc.LearnS,
-		})
+		sum := runTwigVariant(sc, seed, []string{"moses", "xapian"}, 0.6, func(c *core.Config) { c.ManageCache = manage })
 		return sum.QoSGuarantee, sum.AvgPowerW
 	}
 	var res ExtensionCATResult

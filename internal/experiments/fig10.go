@@ -24,32 +24,34 @@ type Fig10Trace struct {
 
 // Fig10Result reproduces Fig. 10: resource allocation of Twig-S, Hipster
 // and Heracles under the step-wise monotonic varying load for Img-dnn
-// (change factor 20%, steps every 200 s in the paper, scaled down with
-// the experiment profile).
+// (change factor 20%, steps every ladderPeriod seconds).
 type Fig10Result struct {
 	Service string
 	PeriodS int
 	Traces  []Fig10Trace
 }
 
+// ladderPeriod is the step period of Figs. 10 and 11's load ladder: the
+// paper's 200 s, or LearnS/20 (at least 10 s) at scales that learn for
+// less than 4 000 s, so a short run still climbs several steps.
+func ladderPeriod(sc Scale) int {
+	return max(10, min(200, sc.LearnS/20))
+}
+
 // Fig10 runs the varying-load comparison.
 func Fig10(sc Scale, seed int64) Fig10Result {
 	const svcName = "img-dnn"
 	prof := service.MustLookup(svcName)
-	period := sc.LearnS / 20 // the paper's 200 s at 10 000 s learning
-	if period < 10 {
-		period = 10
-	}
+	period := ladderPeriod(sc)
 	gen := loadgen.NewStepWise(0.2*prof.MaxLoadRPS, 0.9*prof.MaxLoadRPS, 0.2, period)
 	total := sc.LearnS + sc.SummaryS*3 // a few ladders after learning
 	res := Fig10Result{Service: svcName, PeriodS: period}
 	for _, mgr := range []string{"twig-s", "hipster", "heracles"} {
 		srv := NewServer(seed, svcName)
-		c := newSingleManager(mgr, srv, sc, seed, svcName)
 		tr := Fig10Trace{Manager: mgr}
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   c,
+			Controller:   newController(mgr, srv, sc, seed, svcName),
 			Patterns:     []loadgen.Pattern{gen},
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,

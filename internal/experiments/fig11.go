@@ -32,10 +32,7 @@ func Fig11(sc Scale, seed int64) Fig11Result {
 	frac := PairMaxFraction("moses", "masstree")
 	moses := service.MustLookup("moses")
 	mass := service.MustLookup("masstree")
-	period := sc.LearnS / 20
-	if period < 10 {
-		period = 10
-	}
+	period := ladderPeriod(sc)
 	gen := loadgen.NewStepWise(0.2*frac*moses.MaxLoadRPS, frac*moses.MaxLoadRPS, 0.2, period)
 	total := sc.LearnS + sc.SummaryS*3
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/twig-sched/twig/internal/baselines"
-	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
 	"github.com/twig-sched/twig/internal/sim/service"
@@ -43,16 +41,10 @@ func Fig12(sc Scale, seed int64) Fig12Result {
 
 	for _, name := range []string{"parties", "twig-c"} {
 		srv := NewServer(seed, "masstree", "moses")
-		var c ctrl.Controller
-		if name == "parties" {
-			c = baselines.NewParties(baselines.DefaultPartiesConfig(), srv.ManagedCores(), 2)
-		} else {
-			c = NewTwig(srv, sc, seed, "masstree", "moses")
-		}
 		tr := Fig12Trace{Manager: name, CoreHist: []map[int]int{{}, {}}}
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   c,
+			Controller:   newController(name, srv, sc, seed, "masstree", "moses"),
 			Patterns:     []loadgen.Pattern{loadgen.Fixed(massLoad), loadgen.Fixed(mosesLoad)},
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,

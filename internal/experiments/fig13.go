@@ -3,11 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"github.com/twig-sched/twig/internal/baselines"
-	"github.com/twig-sched/twig/internal/ctrl"
-	"github.com/twig-sched/twig/internal/sim/loadgen"
-	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // Fig13Cell is one (pair, load, manager) measurement.
@@ -60,25 +55,11 @@ func Fig13(pairs [][2]string, sc Scale, seed int64) Fig13Result {
 	forEachCell(len(jobs), func(i int) {
 		j := jobs[i]
 		frac := PairMaxFraction(j.pair[0], j.pair[1])
-		a := service.MustLookup(j.pair[0])
-		b := service.MustLookup(j.pair[1])
 		srv := NewServer(seed, j.pair[0], j.pair[1])
-		var c ctrl.Controller
-		switch j.mgr {
-		case "static":
-			c = baselines.NewStatic(srv.ManagedCores(), 2)
-		case "parties":
-			c = baselines.NewParties(baselines.DefaultPartiesConfig(), srv.ManagedCores(), 2)
-		case "twig-c":
-			c = NewTwig(srv, sc, seed, j.pair[0], j.pair[1])
-		}
 		sum := Run(RunConfig{
-			Server:     srv,
-			Controller: c,
-			Patterns: []loadgen.Pattern{
-				loadgen.Fixed(j.lf * frac * a.MaxLoadRPS),
-				loadgen.Fixed(j.lf * frac * b.MaxLoadRPS),
-			},
+			Server:       srv,
+			Controller:   newController(j.mgr, srv, sc, seed, j.pair[:]...),
+			Patterns:     fixedLoads(j.lf*frac, j.pair[:]...),
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,
 		})
@@ -91,15 +72,8 @@ func Fig13(pairs [][2]string, sc Scale, seed int64) Fig13Result {
 			Migrations:   sum.Migrations,
 		}
 	})
-	group := len(Fig13Managers)
-	for i := range cells {
-		base := i - i%group
-		for k := base; k < base+group; k++ {
-			if jobs[k].mgr == "static" {
-				cells[i].EnergyNorm = energy[i] / energy[k]
-				break
-			}
-		}
+	for i, e := range perStatic(energy, Fig13Managers) {
+		cells[i].EnergyNorm = e
 	}
 	return Fig13Result{Scale: sc.Name, Cells: cells}
 }

@@ -3,12 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"github.com/twig-sched/twig/internal/baselines"
-	"github.com/twig-sched/twig/internal/ctrl"
-	"github.com/twig-sched/twig/internal/sim"
-	"github.com/twig-sched/twig/internal/sim/loadgen"
-	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // Fig5Cell is one (service, load, manager) measurement of Fig. 5.
@@ -34,25 +28,6 @@ type Fig5Result struct {
 
 // Fig5Managers lists the single-service managers compared in Fig. 5.
 var Fig5Managers = []string{"static", "heracles", "hipster", "twig-s"}
-
-// newSingleManager builds a named single-service controller.
-func newSingleManager(name string, srv *sim.Server, sc Scale, seed int64, svcName string) ctrl.Controller {
-	switch name {
-	case "static":
-		return baselines.NewStatic(srv.ManagedCores(), 1)
-	case "heracles":
-		return baselines.NewHeracles(baselines.DefaultHeraclesConfig(1.1*srv.MaxPowerW()), srv.ManagedCores())
-	case "hipster":
-		cfg := baselines.DefaultHipsterConfig()
-		cfg.LearnPhaseS = sc.LearnS / 2
-		cfg.Seed = seed
-		return baselines.NewHipster(cfg, srv.ManagedCores())
-	case "twig-s":
-		return NewTwig(srv, sc, seed, svcName)
-	default:
-		panic("experiments: unknown manager " + name)
-	}
-}
 
 // Fig5 runs the comparison for the given services (Table II's four by
 // default) at 20/50/80% load. Independent (service, load, manager) cells
@@ -85,13 +60,11 @@ func Fig5(services []string, sc Scale, seed int64) Fig5Result {
 	energy := make([]float64, len(jobs))
 	forEachCell(len(jobs), func(i int) {
 		j := jobs[i]
-		prof := service.MustLookup(j.svc)
 		srv := NewServer(seed, j.svc)
-		c := newSingleManager(j.mgr, srv, sc, seed, j.svc)
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   c,
-			Patterns:     []loadgen.Pattern{loadgen.Fixed(j.lf * prof.MaxLoadRPS)},
+			Controller:   newController(j.mgr, srv, sc, seed, j.svc),
+			Patterns:     fixedLoads(j.lf, j.svc),
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,
 		})
@@ -106,15 +79,8 @@ func Fig5(services []string, sc Scale, seed int64) Fig5Result {
 			Migrations:   sum.Migrations,
 		}
 	})
-	group := len(Fig5Managers)
-	for i := range cells {
-		base := i - i%group
-		for k := base; k < base+group; k++ {
-			if jobs[k].mgr == "static" {
-				cells[i].EnergyNorm = energy[i] / energy[k]
-				break
-			}
-		}
+	for i, e := range perStatic(energy, Fig5Managers) {
+		cells[i].EnergyNorm = e
 	}
 	return Fig5Result{Scale: sc.Name, Cells: cells}
 }

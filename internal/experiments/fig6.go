@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"github.com/twig-sched/twig/internal/sim"
-	"github.com/twig-sched/twig/internal/sim/loadgen"
-	"github.com/twig-sched/twig/internal/sim/service"
 	"github.com/twig-sched/twig/internal/stats"
 )
 
@@ -39,12 +37,10 @@ type Fig6Result struct {
 func Fig6(sc Scale, seed int64) Fig6Result {
 	const svcName = "masstree"
 	const lf = 0.5
-	prof := service.MustLookup(svcName)
 	res := Fig6Result{Service: svcName, LoadFrac: lf}
 	total := sc.LearnS + sc.SummaryS
 	for _, mgr := range []string{"heracles", "hipster", "twig-s"} {
 		srv := NewServer(seed, svcName)
-		c := newSingleManager(mgr, srv, sc, seed, svcName)
 		trace := Fig6Trace{
 			Manager:       mgr,
 			CoreHistogram: map[int]int{},
@@ -53,8 +49,8 @@ func Fig6(sc Scale, seed int64) Fig6Result {
 		var tard []float64
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   c,
-			Patterns:     []loadgen.Pattern{loadgen.Fixed(lf * prof.MaxLoadRPS)},
+			Controller:   newController(mgr, srv, sc, seed, svcName),
+			Patterns:     fixedLoads(lf, svcName),
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,
 			Hook: func(t int, r sim.StepResult, asg sim.Assignment) {

@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"github.com/twig-sched/twig/internal/sim"
-	"github.com/twig-sched/twig/internal/sim/loadgen"
-	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // Fig7Result reproduces Fig. 7: the QoS guarantee over time (learning
@@ -27,15 +23,9 @@ type Fig7Result struct {
 func Fig7(sc Scale, seed int64) Fig7Result {
 	const svcName = "masstree"
 	const lf = 0.5
-	prof := service.MustLookup(svcName)
-	total := sc.LearnS + sc.SummaryS
-	bucket := total / 12
-	if bucket < 1 {
-		bucket = 1
-	}
 	res := Fig7Result{
 		Service:     svcName,
-		BucketS:     bucket,
+		BucketS:     newQoSBuckets(sc).width,
 		Curves:      map[string][]float64{},
 		CrossedAt80: map[string]int{},
 	}
@@ -46,38 +36,16 @@ func Fig7(sc Scale, seed int64) Fig7Result {
 	forEachCell(len(managers), func(mi int) {
 		mgr := managers[mi]
 		srv := NewServer(seed, svcName)
-		c := newSingleManager(mgr, srv, sc, seed, svcName)
-		met := make([]int, 0, total/bucket+1)
-		count := make([]int, 0, total/bucket+1)
+		qb := newQoSBuckets(sc)
 		Run(RunConfig{
 			Server:       srv,
-			Controller:   c,
-			Patterns:     []loadgen.Pattern{loadgen.Fixed(lf * prof.MaxLoadRPS)},
-			Seconds:      total,
+			Controller:   newController(mgr, srv, sc, seed, svcName),
+			Patterns:     fixedLoads(lf, svcName),
+			Seconds:      sc.LearnS + sc.SummaryS,
 			SummaryFromS: sc.LearnS,
-			Hook: func(t int, r sim.StepResult, asg sim.Assignment) {
-				bi := t / bucket
-				for len(met) <= bi {
-					met = append(met, 0)
-					count = append(count, 0)
-				}
-				count[bi]++
-				sv := r.Services[0]
-				if sv.P99Ms <= sv.QoSTargetMs {
-					met[bi]++
-				}
-			},
+			Hook:         qb.hook,
 		})
-		curve := make([]float64, len(met))
-		crossed := -1
-		for i := range met {
-			curve[i] = float64(met[i]) / float64(count[i])
-			if crossed < 0 && curve[i] >= 0.8 {
-				crossed = i
-			}
-		}
-		curves[mi] = curve
-		crossedAt[mi] = crossed
+		curves[mi], crossedAt[mi] = qb.curve(0)
 	})
 	for mi, mgr := range managers {
 		res.Curves[mgr] = curves[mi]

@@ -6,8 +6,6 @@ import (
 
 	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/sim"
-	"github.com/twig-sched/twig/internal/sim/loadgen"
-	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // Fig8Target is one target service's with/without-transfer comparison.
@@ -47,47 +45,26 @@ func Fig8(sc Scale, seed int64) Fig8Result {
 	Run(RunConfig{
 		Server:       donorSrv,
 		Controller:   donorMgr,
-		Patterns:     []loadgen.Pattern{loadgen.Fixed(lf * service.MustLookup(donor).MaxLoadRPS)},
+		Patterns:     fixedLoads(lf, donor),
 		Seconds:      sc.LearnS,
 		SummaryFromS: sc.LearnS - 1,
 	})
 
-	total := sc.LearnS + sc.SummaryS
-	bucket := total / 12
-	res := Fig8Result{Donor: donor, BucketS: bucket}
+	res := Fig8Result{Donor: donor, BucketS: newQoSBuckets(sc).width}
 	for _, target := range []string{"moses", "img-dnn", "xapian"} {
 		tt := Fig8Target{Service: target}
-		load := lf * service.MustLookup(target).MaxLoadRPS
 
 		runCurve := func(mgr *core.Manager, srv *sim.Server) ([]float64, int, float64) {
-			met := []int{}
-			count := []int{}
+			qb := newQoSBuckets(sc)
 			sum := Run(RunConfig{
 				Server:       srv,
 				Controller:   mgr,
-				Patterns:     []loadgen.Pattern{loadgen.Fixed(load)},
-				Seconds:      total,
+				Patterns:     fixedLoads(lf, target),
+				Seconds:      sc.LearnS + sc.SummaryS,
 				SummaryFromS: sc.LearnS,
-				Hook: func(t int, r sim.StepResult, asg sim.Assignment) {
-					bi := t / bucket
-					for len(met) <= bi {
-						met = append(met, 0)
-						count = append(count, 0)
-					}
-					count[bi]++
-					if r.Services[0].P99Ms <= r.Services[0].QoSTargetMs {
-						met[bi]++
-					}
-				},
+				Hook:         qb.hook,
 			})
-			curve := make([]float64, len(met))
-			to80 := -1
-			for i := range met {
-				curve[i] = float64(met[i]) / float64(count[i])
-				if to80 < 0 && curve[i] >= 0.8 {
-					to80 = i
-				}
-			}
+			curve, to80 := qb.curve(0)
 			return curve, to80, sum.MeanTardiness[0]
 		}
 

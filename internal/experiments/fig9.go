@@ -47,38 +47,20 @@ func Fig9(sc Scale, seed int64) Fig9Result {
 		SummaryFromS: sc.LearnS - 1,
 	})
 
-	total := sc.LearnS + sc.SummaryS
-	bucket := total / 12
-	res := Fig9Result{BucketS: bucket}
+	res := Fig9Result{BucketS: newQoSBuckets(sc).width}
 
 	runPhase2 := func(mgr *core.Manager, srv *sim.Server) (xq, mq []float64, power float64) {
-		met := [2][]int{}
-		count := []int{}
+		qb := newQoSBuckets(sc)
 		sum := Run(RunConfig{
 			Server:       srv,
 			Controller:   mgr,
 			Patterns:     []loadgen.Pattern{loadgen.Fixed(xapianLoad), loadgen.Fixed(massLoad)},
-			Seconds:      total,
+			Seconds:      sc.LearnS + sc.SummaryS,
 			SummaryFromS: sc.LearnS,
-			Hook: func(t int, r sim.StepResult, asg sim.Assignment) {
-				bi := t / bucket
-				for len(count) <= bi {
-					count = append(count, 0)
-					met[0] = append(met[0], 0)
-					met[1] = append(met[1], 0)
-				}
-				count[bi]++
-				for k := 0; k < 2; k++ {
-					if r.Services[k].P99Ms <= r.Services[k].QoSTargetMs {
-						met[k][bi]++
-					}
-				}
-			},
+			Hook:         qb.hook,
 		})
-		for i := range count {
-			xq = append(xq, float64(met[0][i])/float64(count[i]))
-			mq = append(mq, float64(met[1][i])/float64(count[i]))
-		}
+		xq, _ = qb.curve(0)
+		mq, _ = qb.curve(1)
 		return xq, mq, sum.AvgPowerW
 	}
 

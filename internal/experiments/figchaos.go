@@ -178,7 +178,6 @@ func ChaosCellRun(sc Scale, seed int64, cs faults.ClusterScenario, pin bool, nod
 	cell := ChaosCell{
 		Scenario:       cs.Name,
 		Manager:        manager,
-		MinQoS:         1,
 		EnergyJ:        sum.EnergyJ,
 		Migrations:     sum.Migrations,
 		WarmRestores:   sum.WarmRestores,
@@ -190,16 +189,12 @@ func ChaosCellRun(sc Scale, seed int64, cs faults.ClusterScenario, pin bool, nod
 		EventsInjected: sum.EventsInjected,
 		Invariants:     ChaosInvariantErrors(sum),
 	}
-	for _, r := range sum.Replicas {
-		cell.MeanQoS += r.QoS
-		if r.QoS < cell.MinQoS {
-			cell.MinQoS = r.QoS
-		}
+	qs := make([]float64, len(sum.Replicas))
+	for i, r := range sum.Replicas {
+		qs[i] = r.QoS
 		cell.DarkIntervals += r.DarkIntervals
 	}
-	if len(sum.Replicas) > 0 {
-		cell.MeanQoS /= float64(len(sum.Replicas))
-	}
+	cell.MeanQoS, cell.MinQoS = meanMin(qs)
 	return cell
 }
 

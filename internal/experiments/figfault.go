@@ -5,12 +5,9 @@ import (
 	"math"
 	"strings"
 
-	"github.com/twig-sched/twig/internal/baselines"
 	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
-	"github.com/twig-sched/twig/internal/sim/loadgen"
-	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // FaultCell is one (scenario, manager, guarded?) run of the robustness
@@ -93,28 +90,11 @@ func adaptScenario(fs *faults.Scenario, totalS int) {
 // FaultCellRun executes one cell of the robustness matrix.
 func FaultCellRun(sc Scale, seed int64, fs faults.Scenario, manager string, guarded bool, names []string) FaultCell {
 	srv := NewFaultyServer(seed, &fs, names...)
-	var inner ctrl.Controller
-	switch manager {
-	case "twig-c":
-		inner = NewTwig(srv, sc, seed, names...)
-	case "parties":
-		inner = baselines.NewParties(baselines.DefaultPartiesConfig(), srv.ManagedCores(), len(names))
-	case "static":
-		inner = baselines.NewStatic(srv.ManagedCores(), len(names))
-	default:
-		panic("experiments: unknown fault-matrix manager " + manager)
-	}
-
-	c := inner
+	c := newController(manager, srv, sc, seed, names...)
 	var guard *ctrl.Guard
 	if guarded {
-		guard = ctrl.NewGuard(inner, ctrl.GuardConfigFor(srv))
+		guard = ctrl.NewGuard(c, ctrl.GuardConfigFor(srv))
 		c = guard
-	}
-
-	patterns := make([]loadgen.Pattern, len(names))
-	for i, n := range names {
-		patterns[i] = loadgen.Fixed(0.3 * service.MustLookup(n).MaxLoadRPS)
 	}
 
 	k := len(names)
@@ -128,7 +108,7 @@ func FaultCellRun(sc Scale, seed int64, fs faults.Scenario, manager string, guar
 	sum := Run(RunConfig{
 		Server:       srv,
 		Controller:   c,
-		Patterns:     patterns,
+		Patterns:     fixedLoads(0.3, names...),
 		Seconds:      sc.LearnS + sc.SummaryS,
 		SummaryFromS: sc.LearnS,
 		Hook: func(t int, r sim.StepResult, asg sim.Assignment) {
@@ -159,19 +139,12 @@ func FaultCellRun(sc Scale, seed int64, fs faults.Scenario, manager string, guar
 		Scenario:     fs.Name,
 		Manager:      manager,
 		Guarded:      guarded,
-		MinQoS:       1,
 		EnergyJ:      sum.EnergyJ,
 		DecidePanics: sum.DecidePanics,
 		StepErrors:   sum.StepErrors,
 		Recoveries:   recN,
 	}
-	for _, q := range sum.QoSGuarantee {
-		cell.MeanQoS += q
-		if q < cell.MinQoS {
-			cell.MinQoS = q
-		}
-	}
-	cell.MeanQoS /= float64(len(sum.QoSGuarantee))
+	cell.MeanQoS, cell.MinQoS = meanMin(sum.QoSGuarantee)
 	if recN > 0 {
 		cell.MeanRecoveryS = float64(recSum) / float64(recN)
 	}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/twig-sched/twig/internal/baselines"
 	"github.com/twig-sched/twig/internal/bdq"
-	"github.com/twig-sched/twig/internal/core"
-	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/scenario"
 	"github.com/twig-sched/twig/internal/sim"
 )
@@ -63,39 +60,15 @@ func scenWorld(w scenario.World, seed int64) *sim.Server {
 	return sim.NewServer(cfg, specs)
 }
 
-// scenManager builds one compared manager for a world's server.
-func scenManager(manager string, srv *sim.Server, w scenario.World, sc Scale, seed int64) ctrl.Controller {
-	switch manager {
-	case "twig-c":
-		return newScenTwig(srv, w, sc, seed)
-	case "parties":
-		return baselines.NewParties(baselines.DefaultPartiesConfig(), srv.ManagedCores(), len(w.Services))
-	case "static":
-		return baselines.NewStatic(srv.ManagedCores(), len(w.Services))
-	}
-	panic("experiments: unknown scenario manager " + manager)
-}
-
-// newScenTwig is NewTwig against a scenario world's server: same SLO
-// targets (they must match what the world's server reports or tardiness
-// would be computed against the wrong bar), but NumCores/MaxPowerW
-// taken from the world's SKU.
-func newScenTwig(srv *sim.Server, w scenario.World, sc Scale, seed int64) *core.Manager {
-	services := make([]core.ServiceConfig, len(w.Services))
-	for i, n := range w.Services {
-		services[i] = ServiceConfigFor(n, ScenQoSTarget(w, n))
-	}
-	return core.NewManager(ManagerConfig(srv, sc, seed, services), srv.ManagedCores())
-}
-
 // ScenCellRun executes one cell: one manager driving one world for the
-// scale's learning + evaluation window under the world's traces.
+// scale's learning + evaluation window under the world's traces. Twig's
+// SLO targets are the ones the world's server reports (ScenQoSTarget is
+// QoSTarget) and its core count and power budget are the world's SKU's.
 func ScenCellRun(sc Scale, seed int64, w scenario.World, manager string) ScenCell {
 	srv := scenWorld(w, seed)
-	c := scenManager(manager, srv, w, sc, seed)
 	sum := Run(RunConfig{
 		Server:       srv,
-		Controller:   c,
+		Controller:   newController(manager, srv, sc, seed, w.Services...),
 		Patterns:     w.Patterns(),
 		Seconds:      sc.LearnS + sc.SummaryS,
 		SummaryFromS: sc.LearnS,
@@ -104,20 +77,13 @@ func ScenCellRun(sc Scale, seed int64, w scenario.World, manager string) ScenCel
 		Scenario:     w.Scenario,
 		World:        w.Name,
 		Manager:      manager,
-		MinQoS:       1,
 		EnergyJ:      sum.EnergyJ,
 		AvgPowerW:    sum.AvgPowerW,
 		Migrations:   sum.Migrations,
 		DecidePanics: sum.DecidePanics,
 		StepErrors:   sum.StepErrors,
 	}
-	for _, q := range sum.QoSGuarantee {
-		cell.MeanQoS += q
-		if q < cell.MinQoS {
-			cell.MinQoS = q
-		}
-	}
-	cell.MeanQoS /= float64(len(sum.QoSGuarantee))
+	cell.MeanQoS, cell.MinQoS = meanMin(sum.QoSGuarantee)
 	return cell
 }
 

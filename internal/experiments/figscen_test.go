@@ -99,7 +99,7 @@ func TestScenResumeBitIdenticalAgenticBurst(t *testing.T) {
 	w := ws[0]
 	build := func() (*sim.Server, *core.Manager) {
 		srv := scenWorld(w, seed)
-		return srv, newScenTwig(srv, w, sc, seed)
+		return srv, NewTwig(srv, sc, seed, w.Services...)
 	}
 
 	var ref []string

@@ -62,6 +62,27 @@ func TestFig9TinyPlumbing(t *testing.T) {
 	}
 }
 
+// TestLearningCurvesOnShortRuns runs Figs. 7–9 over 11 intervals, fewer
+// than the curves' twelve buckets: every bucket is one interval wide,
+// and each figure reports that width.
+func TestLearningCurvesOnShortRuns(t *testing.T) {
+	sc := ShortScale()
+	sc.LearnS, sc.SummaryS = 6, 5
+	f7, f8, f9 := Fig7(sc, 1), Fig8(sc, 1), Fig9(sc, 1)
+	if f7.BucketS != 1 || f8.BucketS != 1 || f9.BucketS != 1 {
+		t.Fatalf("bucket widths %d/%d/%d s, want 1", f7.BucketS, f8.BucketS, f9.BucketS)
+	}
+	for name, n := range map[string]int{
+		"fig7 twig-s":          len(f7.Curves["twig-s"]),
+		"fig8 moses scratch":   len(f8.Targets[0].Scratch),
+		"fig9 xapian transfer": len(f9.TransferXapian),
+	} {
+		if n != 11 {
+			t.Errorf("%s curve has %d buckets, want 11", name, n)
+		}
+	}
+}
+
 func TestFig10TinyPlumbing(t *testing.T) {
 	sc := tinyScale()
 	r := Fig10(sc, 1)

@@ -4,8 +4,6 @@ import (
 	"sync"
 
 	"github.com/twig-sched/twig/internal/baselines"
-	"github.com/twig-sched/twig/internal/ctrl"
-	"github.com/twig-sched/twig/internal/sim/loadgen"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
@@ -45,12 +43,9 @@ func pairFeasible(a, b string, f float64) bool {
 	srv := NewServer(9000, a, b)
 	static := baselines.NewStatic(srv.ManagedCores(), 2)
 	sum := Run(RunConfig{
-		Server:     srv,
-		Controller: static,
-		Patterns: []loadgen.Pattern{
-			loadgen.Fixed(f * service.MustLookup(a).MaxLoadRPS),
-			loadgen.Fixed(f * service.MustLookup(b).MaxLoadRPS),
-		},
+		Server:       srv,
+		Controller:   static,
+		Patterns:     fixedLoads(f, a, b),
 		Seconds:      90,
 		SummaryFromS: 30,
 	})
@@ -69,9 +64,3 @@ func ServicePairs() [][2]string {
 	}
 	return out
 }
-
-// interface check: baselines satisfy ctrl.Controller.
-var _ ctrl.Controller = (*baselines.Static)(nil)
-var _ ctrl.Controller = (*baselines.Hipster)(nil)
-var _ ctrl.Controller = (*baselines.Heracles)(nil)
-var _ ctrl.Controller = (*baselines.Parties)(nil)

@@ -188,3 +188,78 @@ func Run(cfg RunConfig) Summary {
 	}
 	return sum
 }
+
+// qosBuckets is a RunConfig.Hook that counts, per service and per bucket
+// of width intervals, the intervals that met the QoS target: the
+// learning curves of Figs. 7–9.
+type qosBuckets struct {
+	width int
+	count []int   // intervals per bucket
+	met   [][]int // met[k][b]: intervals of bucket b where service k met its target
+}
+
+// newQoSBuckets splits a run of sc's learning and evaluation window into
+// twelve buckets, each at least one interval wide.
+func newQoSBuckets(sc Scale) *qosBuckets {
+	return &qosBuckets{width: max(1, (sc.LearnS+sc.SummaryS)/12)}
+}
+
+func (q *qosBuckets) hook(t int, r sim.StepResult, _ sim.Assignment) {
+	if q.met == nil {
+		q.met = make([][]int, len(r.Services))
+	}
+	bi := t / q.width
+	for len(q.count) <= bi {
+		q.count = append(q.count, 0)
+		for k := range q.met {
+			q.met[k] = append(q.met[k], 0)
+		}
+	}
+	q.count[bi]++
+	for k, sv := range r.Services {
+		if sv.P99Ms <= sv.QoSTargetMs {
+			q.met[k][bi]++
+		}
+	}
+}
+
+// curve returns service k's per-bucket QoS guarantee and the first
+// bucket at which it reaches 80% (−1 if it never does).
+func (q *qosBuckets) curve(k int) (curve []float64, first80 int) {
+	curve = make([]float64, len(q.count))
+	first80 = -1
+	for i, n := range q.count {
+		curve[i] = float64(q.met[k][i]) / float64(n)
+		if first80 < 0 && curve[i] >= 0.8 {
+			first80 = i
+		}
+	}
+	return curve, first80
+}
+
+// meanMin returns the mean and the minimum of per-service QoS
+// guarantees (0 and 1 for none).
+func meanMin(qs []float64) (mean, lo float64) {
+	lo = 1
+	for _, q := range qs {
+		mean += q
+		if q < lo {
+			lo = q
+		}
+	}
+	if len(qs) > 0 {
+		mean /= float64(len(qs))
+	}
+	return mean, lo
+}
+
+// perStatic normalises each cell's energy to the static cell of its
+// group: cells come in groups of len(managers), in managers' order.
+func perStatic(energy []float64, managers []string) []float64 {
+	s := slices.Index(managers, "static")
+	norm := make([]float64, len(energy))
+	for i, e := range energy {
+		norm[i] = e / energy[i-i%len(managers)+s]
+	}
+	return norm
+}

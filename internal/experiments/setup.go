@@ -5,10 +5,13 @@ import (
 	"math/rand"
 	"sync"
 
+	"github.com/twig-sched/twig/internal/baselines"
 	"github.com/twig-sched/twig/internal/bdq"
 	"github.com/twig-sched/twig/internal/core"
+	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
+	"github.com/twig-sched/twig/internal/sim/loadgen"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
@@ -120,6 +123,37 @@ func NewFaultyServer(seed int64, fs *faults.Scenario, names ...string) *sim.Serv
 	return sim.NewServer(cfg, specs)
 }
 
+// newController builds the manager called manager for srv's services
+// names: a baseline (static, heracles, hipster, parties) or Twig
+// (twig-s, twig-c). Every figure compares its managers through it.
+func newController(manager string, srv *sim.Server, sc Scale, seed int64, names ...string) ctrl.Controller {
+	switch manager {
+	case "static":
+		return baselines.NewStatic(srv.ManagedCores(), len(names))
+	case "heracles":
+		return baselines.NewHeracles(baselines.DefaultHeraclesConfig(1.1*srv.MaxPowerW()), srv.ManagedCores())
+	case "hipster":
+		cfg := baselines.DefaultHipsterConfig()
+		cfg.LearnPhaseS = sc.LearnS / 2
+		cfg.Seed = seed
+		return baselines.NewHipster(cfg, srv.ManagedCores())
+	case "parties":
+		return baselines.NewParties(baselines.DefaultPartiesConfig(), srv.ManagedCores(), len(names))
+	case "twig-s", "twig-c":
+		return NewTwig(srv, sc, seed, names...)
+	}
+	panic("experiments: unknown manager " + manager)
+}
+
+// fixedLoads offers each named service frac of its maximum load.
+func fixedLoads(frac float64, names ...string) []loadgen.Pattern {
+	ps := make([]loadgen.Pattern, len(names))
+	for i, n := range names {
+		ps[i] = loadgen.Fixed(frac * service.MustLookup(n).MaxLoadRPS)
+	}
+	return ps
+}
+
 // NewTwig builds a Twig manager (Twig-S for one name, Twig-C for more)
 // at the given scale with fitted power models.
 func NewTwig(srv *sim.Server, sc Scale, seed int64, names ...string) *core.Manager {
@@ -133,8 +167,8 @@ func NewTwigPooled(srv *sim.Server, sc Scale, seed int64, pools *bdq.Pools, name
 	return core.NewManagerPooled(twigConfig(srv, sc, seed, names...), srv.ManagedCores(), pools)
 }
 
-// twigConfig assembles the manager configuration NewTwig uses; ablation
-// experiments mutate it before construction.
+// twigConfig assembles the manager configuration NewTwig uses;
+// runTwigVariant mutates it before construction.
 func twigConfig(srv *sim.Server, sc Scale, seed int64, names ...string) core.Config {
 	services := make([]core.ServiceConfig, len(names))
 	for i, n := range names {

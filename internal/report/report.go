@@ -1,8 +1,7 @@
 // Package report renders experiment results for humans and machines:
-// aligned text tables, CSV export (encoding/csv) for plotting outside
-// the repository, and compact ASCII charts (sparklines, horizontal bars)
-// used by the command-line tools to visualise traces without any
-// graphics dependency.
+// CSV tables (encoding/csv) for plotting outside the repository, and
+// compact sparklines used by the command-line tools to visualise traces
+// without any graphics dependency.
 package report
 
 import (
@@ -13,7 +12,7 @@ import (
 	"strings"
 )
 
-// Table is a simple column-aligned text/CSV table.
+// Table is a simple CSV table.
 type Table struct {
 	Header []string
 	rows   [][]string
@@ -46,42 +45,6 @@ func trimFloat(x float64) string {
 		return fmt.Sprintf("%.0f", x)
 	}
 	return fmt.Sprintf("%.4g", x)
-}
-
-// WriteText renders the table with aligned columns.
-func (t *Table) WriteText(w io.Writer) error {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) error {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[min(i, len(widths)-1)], c)
-		}
-		b.WriteString("\n")
-		_, err := io.WriteString(w, b.String())
-		return err
-	}
-	if err := line(t.Header); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if err := line(row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteCSV renders the table as RFC 4180 CSV.
@@ -130,31 +93,5 @@ func Sparkline(xs []float64) string {
 	return b.String()
 }
 
-// HBar renders a horizontal bar of the given value scaled so max fills
-// width characters, annotated with the value.
-func HBar(value, max float64, width int) string {
-	if width <= 0 {
-		width = 20
-	}
-	n := 0
-	if max > 0 {
-		n = int(value / max * float64(width))
-	}
-	if n < 0 {
-		n = 0
-	}
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("█", n) + strings.Repeat("·", width-n)
-}
-
 // Percent formats a fraction as a fixed-width percentage.
 func Percent(frac float64) string { return fmt.Sprintf("%5.1f%%", frac*100) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -7,31 +7,6 @@ import (
 	"unicode/utf8"
 )
 
-func TestTableTextAlignment(t *testing.T) {
-	tb := NewTable("name", "value")
-	tb.AddRow("short", 1.0)
-	tb.AddRow("a-much-longer-name", 123.456)
-	var buf bytes.Buffer
-	if err := tb.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	// Value column starts at the same offset on every line.
-	idx := strings.Index(lines[0], "value")
-	if idx < 0 {
-		t.Fatal("header missing")
-	}
-	if !strings.HasPrefix(lines[1][idx:], "1") {
-		t.Fatalf("misaligned: %q", lines[1])
-	}
-	if tb.Len() != 2 {
-		t.Fatal("Len")
-	}
-}
-
 func TestTableCSV(t *testing.T) {
 	tb := NewTable("a", "b")
 	tb.AddRow("x,y", 2.5) // comma must be quoted
@@ -45,6 +20,9 @@ func TestTableCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(got, "a,b\n") {
 		t.Fatalf("CSV header: %q", got)
+	}
+	if tb.Len() != 1 {
+		t.Fatal("Len")
 	}
 }
 
@@ -74,26 +52,6 @@ func TestSparkline(t *testing.T) {
 		if r != '▁' {
 			t.Fatalf("flat series = %q", flat)
 		}
-	}
-}
-
-func TestHBar(t *testing.T) {
-	full := HBar(10, 10, 10)
-	if utf8.RuneCountInString(full) != 10 || strings.Contains(full, "·") {
-		t.Fatalf("full bar = %q", full)
-	}
-	half := HBar(5, 10, 10)
-	if strings.Count(half, "█") != 5 {
-		t.Fatalf("half bar = %q", half)
-	}
-	if strings.Count(HBar(-1, 10, 10), "█") != 0 {
-		t.Fatal("negative clamps")
-	}
-	if strings.Count(HBar(20, 10, 10), "█") != 10 {
-		t.Fatal("overflow clamps")
-	}
-	if HBar(1, 2, 0) == "" {
-		t.Fatal("zero width defaults")
 	}
 }
 

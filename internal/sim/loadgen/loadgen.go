@@ -18,42 +18,6 @@ type Fixed float64
 // RPS returns the constant rate.
 func (f Fixed) RPS(int) float64 { return float64(f) }
 
-// Step holds the load of one phase of a piecewise-constant pattern.
-type Step struct {
-	DurationS int
-	RPS       float64
-}
-
-// Piecewise cycles through explicit steps (repeating after the last).
-type Piecewise struct {
-	Steps []Step
-	total int
-}
-
-// NewPiecewise builds a repeating piecewise-constant pattern.
-func NewPiecewise(steps []Step) *Piecewise {
-	p := &Piecewise{Steps: steps}
-	for _, s := range steps {
-		p.total += s.DurationS
-	}
-	return p
-}
-
-// RPS returns the load of the step containing second t.
-func (p *Piecewise) RPS(t int) float64 {
-	if p.total == 0 {
-		return 0
-	}
-	t %= p.total
-	for _, s := range p.Steps {
-		if t < s.DurationS {
-			return s.RPS
-		}
-		t -= s.DurationS
-	}
-	return p.Steps[len(p.Steps)-1].RPS
-}
-
 // StepWise is the paper's varying-load generator (Sec. V-B1): the load
 // starts at MinRPS and is multiplied by ChangeFactor every PeriodS
 // seconds until it reaches MaxRPS, then divided by the factor back down

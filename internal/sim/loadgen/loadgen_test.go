@@ -14,23 +14,6 @@ func TestFixed(t *testing.T) {
 	}
 }
 
-func TestPiecewise(t *testing.T) {
-	p := NewPiecewise([]Step{{DurationS: 10, RPS: 100}, {DurationS: 5, RPS: 200}})
-	if p.RPS(0) != 100 || p.RPS(9) != 100 {
-		t.Fatal("first step")
-	}
-	if p.RPS(10) != 200 || p.RPS(14) != 200 {
-		t.Fatal("second step")
-	}
-	if p.RPS(15) != 100 { // wraps
-		t.Fatal("wrap-around")
-	}
-	empty := NewPiecewise(nil)
-	if empty.RPS(3) != 0 {
-		t.Fatal("empty piecewise")
-	}
-}
-
 func TestStepWiseLadder(t *testing.T) {
 	s := NewStepWise(100, 500, 0.2, 200)
 	levels := s.Levels()

@@ -25,25 +25,6 @@ func Pearson(x, y []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// CorrelationMatrix computes the Pearson correlation between every pair
-// of columns: cols is a slice of equal-length series.
-func CorrelationMatrix(cols [][]float64) [][]float64 {
-	n := len(cols)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-		m[i][i] = 1
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			c := Pearson(cols[i], cols[j])
-			m[i][j] = c
-			m[j][i] = c
-		}
-	}
-	return m
-}
-
 // CovarianceMatrix computes the population covariance matrix of the
 // column series.
 func CovarianceMatrix(cols [][]float64) [][]float64 {

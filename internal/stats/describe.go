@@ -64,9 +64,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// P99 returns the 99th percentile, the QoS metric used throughout.
-func P99(xs []float64) float64 { return Percentile(xs, 99) }
-
 // Summary bundles the descriptive statistics reported for error
 // distributions in Fig. 1.
 type Summary struct {

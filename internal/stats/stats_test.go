@@ -24,9 +24,6 @@ func TestPercentile(t *testing.T) {
 	if got := Percentile([]float64{0, 10}, 75); got != 7.5 {
 		t.Fatalf("p75 of {0,10} = %v", got)
 	}
-	if P99([]float64{1}) != 1 {
-		t.Fatal("P99 single element")
-	}
 }
 
 func TestPercentileEmptyPanics(t *testing.T) {
@@ -140,31 +137,6 @@ func TestPearson(t *testing.T) {
 	}
 	if Pearson(x, []float64{3, 3, 3, 3, 3}) != 0 {
 		t.Fatal("constant series must yield 0")
-	}
-}
-
-func TestCorrelationMatrixSymmetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	cols := make([][]float64, 4)
-	for i := range cols {
-		cols[i] = make([]float64, 50)
-		for j := range cols[i] {
-			cols[i][j] = rng.NormFloat64()
-		}
-	}
-	m := CorrelationMatrix(cols)
-	for i := range m {
-		if m[i][i] != 1 {
-			t.Fatal("diagonal must be 1")
-		}
-		for j := range m {
-			if m[i][j] != m[j][i] {
-				t.Fatal("matrix must be symmetric")
-			}
-			if m[i][j] < -1 || m[i][j] > 1 {
-				t.Fatal("correlation out of [-1,1]")
-			}
-		}
 	}
 }
 
