@@ -154,10 +154,14 @@ var contracts = []contract{
 	},
 	{
 		name: "one-codec",
-		why:  "internal/checkpoint stores through encoding/binary (no unsafe cast, no environment switch), and its slice methods hold no per-element e.F64/e.Int/e.Bool loop",
+		why: "internal/checkpoint stores through encoding/binary (no unsafe cast, no environment switch), and its slice methods hold no per-element e.F64/e.Int/e.Bool loop; " +
+			"every list count is bounded by Decoder.Count, so no production file outside internal/checkpoint reads a Decoder's Remaining() — " +
+			"except replay's decodeTransitions, whose slab pre-sizing caps a capacity hint (never a count) by the float64s the payload has left",
 		clauses: []clause{
 			{scope{dirs: []string{"internal/checkpoint"}}, []rule{imports("unsafe"), envReads}},
 			{scope{dirs: []string{"internal/checkpoint/format.go"}}, []rule{elementLoops}},
+			{scope{prod: true, except: []string{"internal/checkpoint/", "internal/replay/checkpoint.go"}}, []rule{calls("Remaining")}},
+			{scope{dirs: []string{"internal/replay/checkpoint.go"}}, []rule{calls("Remaining", "decodeTransitions")}},
 		},
 	},
 	{
@@ -323,6 +327,24 @@ func funcs(names ...string) rule {
 			if fd, ok := decl.(*ast.FuncDecl); ok && slices.Contains(names, fd.Name.Name) {
 				report(fd, "func "+fd.Name.Name)
 			}
+		}
+	}
+}
+
+// calls forbids calling name — a function, or a method whatever it is
+// called on — outside the bodies of the functions named in except.
+func calls(name string, except ...string) rule {
+	return func(f *ast.File, report func(ast.Node, string)) {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && slices.Contains(except, fd.Name.Name) {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && lastName(call.Fun) == name {
+					report(call, name+"()")
+				}
+				return true
+			})
 		}
 	}
 }

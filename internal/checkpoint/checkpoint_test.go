@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -217,6 +218,70 @@ func TestDecoderHostileLengths(t *testing.T) {
 	d2.U64()
 	if d2.Err() != first {
 		t.Fatal("decoder error not sticky")
+	}
+}
+
+// Count accepts exactly the counts the payload can hold at minBytes an
+// element, and rejects the rest — negative ones and ones whose byte
+// count would wrap included — as a sticky error that reads as 0.
+func TestCountBoundsByPayload(t *testing.T) {
+	count := func(n, tail, minBytes int) (int, error) {
+		e := NewEncoder()
+		e.Int(n)
+		e.buf = append(e.buf, make([]byte, tail)...)
+		d := NewDecoder(e.Bytes())
+		got := d.Count(minBytes)
+		return got, d.Err()
+	}
+	for _, tc := range []struct{ n, tail, minBytes, want int }{
+		{0, 0, 16, 0},
+		{3, 48, 16, 3},
+		{3, 47, 16, -1},
+		{-1, 64, 1, -1},
+		{math.MinInt64, 64, 1, -1},
+		{1 << 62, 64, 4, -1},  // ×4 wraps to 0
+		{1 << 60, 64, 16, -1}, // ×16 wraps to 0
+		{math.MaxInt64, 64, 1, -1},
+	} {
+		got, err := count(tc.n, tc.tail, tc.minBytes)
+		if tc.want < 0 {
+			if got != 0 || !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "exceeds payload") {
+				t.Errorf("count %d over %dB at %dB each: got %d, err %v; want 0 and a rejection", tc.n, tc.tail, tc.minBytes, got, err)
+			}
+		} else if got != tc.want || err != nil {
+			t.Errorf("count %d over %dB at %dB each: got %d, err %v", tc.n, tc.tail, tc.minBytes, got, err)
+		}
+	}
+	d := NewDecoder([]byte{1, 2, 3})
+	if d.Count(1) != 0 || d.Err() == nil || d.Count(1) != 0 {
+		t.Fatal("a count cut short was accepted")
+	}
+}
+
+// EncodeList and DecodeList round-trip, an empty list decodes as nil and
+// an element's error ends the decode.
+func TestListRoundTrip(t *testing.T) {
+	enc := func(e *Encoder, s string) { e.String(s) }
+	dec := func(d *Decoder) (string, error) {
+		s := d.String()
+		if s == "bad" {
+			return "", errors.New("bad element")
+		}
+		return s, d.Err()
+	}
+	e := NewEncoder()
+	EncodeList(e, []string{"a", "", "bc"}, enc)
+	EncodeList(e, nil, enc)
+	EncodeList(e, []string{"x", "bad", "y"}, enc)
+	d := NewDecoder(e.Bytes())
+	if got, err := DecodeList(d, 4, dec); err != nil || !slices.Equal(got, []string{"a", "", "bc"}) {
+		t.Fatalf("list decoded as %q, err %v", got, err)
+	}
+	if got, err := DecodeList(d, 4, dec); err != nil || got != nil {
+		t.Fatalf("empty list decoded as %#v, err %v", got, err)
+	}
+	if got, err := DecodeList(d, 4, dec); err == nil || got != nil {
+		t.Fatalf("a bad element decoded as %q, err %v", got, err)
 	}
 }
 

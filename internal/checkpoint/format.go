@@ -355,6 +355,52 @@ func (d *Decoder) Blob() []byte {
 	return append([]byte(nil), b...)
 }
 
+// Count reads a list count written by Encoder.Int. Every element of the
+// list encodes to at least minBytes (≥ 1) bytes, so a count that is
+// negative or that the remaining payload cannot hold fails the decoder
+// and reads as 0 — before the caller allocates or loops. The bound
+// divides the payload instead of multiplying the count, which could
+// wrap.
+func (d *Decoder) Count(minBytes int) int {
+	n := d.Int()
+	if d.err != nil {
+		return 0
+	}
+	if n < 0 || n > d.Remaining()/minBytes {
+		d.fail("list of %d elements exceeds payload of %d bytes at %dB or more each", n, d.Remaining(), minBytes)
+		return 0
+	}
+	return n
+}
+
+// EncodeList writes a list as its Int count followed by every element
+// through enc: the framing DecodeList and Count read.
+func EncodeList[T any](e *Encoder, xs []T, enc func(*Encoder, T)) {
+	e.Int(len(xs))
+	for _, x := range xs {
+		enc(e, x)
+	}
+}
+
+// DecodeList reads a list written by EncodeList, each element through
+// dec, whose encoding is minBytes or more. The first failure — the
+// count, an element — is returned; an empty list decodes as nil.
+func DecodeList[T any](d *Decoder, minBytes int, dec func(*Decoder) (T, error)) ([]T, error) {
+	n := d.Count(minBytes)
+	if n == 0 {
+		return nil, d.Err()
+	}
+	out := make([]T, n)
+	for i := range out {
+		x, err := dec(d)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = x
+	}
+	return out, nil
+}
+
 // sliceLen validates a length prefix against the remaining payload at
 // elemSize bytes per element.
 func (d *Decoder) sliceLen(elemSize int) int {

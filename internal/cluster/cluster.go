@@ -735,10 +735,3 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 		c.events = c.events[len(c.events)-keep:]
 	}
 }
-
-// Events returns a copy of the recent coordinator event log.
-func (c *Coordinator) Events() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.events...)
-}

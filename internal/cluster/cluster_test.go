@@ -620,3 +620,37 @@ func TestNodeSimsLengthValidated(t *testing.T) {
 		t.Fatal("mismatched NodeSims length must be rejected")
 	}
 }
+
+// The smallest replica, estate and log line the coordinator's encoder
+// writes are at least the minima their counts are bounded by: one zero
+// element more of each grows the section by that much or more.
+func TestClusterListBytesFitEncoder(t *testing.T) {
+	size := func(c *Coordinator) int {
+		e := checkpoint.NewEncoder()
+		(&clusterState{c: c}).EncodeState(e)
+		return len(e.Bytes())
+	}
+	fresh := func() *Coordinator {
+		c, err := New(chaosConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	base := size(fresh())
+	for _, tc := range []struct {
+		name string
+		add  func(c *Coordinator)
+		min  int
+	}{
+		{"replica", func(c *Coordinator) { c.replicas = []*Replica{{}} }, replicaBytes},
+		{"estate", func(c *Coordinator) { c.estates = []estate{{}} }, 4 + 4 + 8},
+		{"log line", func(c *Coordinator) { c.events = []string{""} }, 4},
+	} {
+		c := fresh()
+		tc.add(c)
+		if got := size(c) - base; got < tc.min {
+			t.Errorf("a zero %s encodes to %d bytes, the decoder demands %d", tc.name, got, tc.min)
+		}
+	}
+}

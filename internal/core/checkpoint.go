@@ -49,14 +49,10 @@ func (m *Monitor) DecodeState(d *checkpoint.Decoder) error {
 		return fmt.Errorf("core: monitor checkpoint is for %d services with η=%d, this monitor has %d with η=%d",
 			k, eta, len(m.history), m.eta)
 	}
-	sampleBytes := int(pmc.NumCounters) * 8
 	history := make([][]pmc.Sample, k)
 	for i := range history {
-		n := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if n < 0 || n > m.eta || n*sampleBytes > d.Remaining() {
+		n := d.Count(int(pmc.NumCounters) * 8)
+		if n > m.eta {
 			return fmt.Errorf("core: monitor history length %d exceeds η=%d", n, m.eta)
 		}
 		if n > 0 {
@@ -143,29 +139,18 @@ func (m *Manager) DecodeState(d *checkpoint.Decoder) error {
 	lastLoss := d.F64()
 	havePrev := d.Bool()
 	prevState := d.F64s()
-	na := d.Int()
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if steps < 0 || migrations < 0 {
 		return fmt.Errorf("core: negative counters (%d, %d) in checkpoint", steps, migrations)
 	}
-	if na < 0 || na*4 > d.Remaining() {
-		return fmt.Errorf("core: checkpoint claims %d action vectors", na)
-	}
 	var prevActions [][]int
-	for i := 0; i < na; i++ {
+	for range d.Count(4) { // an empty action vector
 		prevActions = append(prevActions, d.Ints())
 	}
-	nr := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nr < 0 || nr*(4+8+4) > d.Remaining() {
-		return fmt.Errorf("core: checkpoint claims %d resource requests", nr)
-	}
 	var prevReqs []Request
-	for i := 0; i < nr; i++ {
+	for range d.Count(requestBytes) {
 		prevReqs = append(prevReqs, Request{
 			Cores:     d.Int(),
 			FreqGHz:   d.F64(),
@@ -198,6 +183,10 @@ func (m *Manager) DecodeState(d *checkpoint.Decoder) error {
 	m.lastAsg = lastAsg
 	return nil
 }
+
+// requestBytes is the encoding of one Request: cores, frequency and
+// cache ways.
+const requestBytes = 8 + 8 + 8
 
 // SaveCheckpoint writes a standalone manager checkpoint in the versioned
 // container format — the learning state plus everything Decide carries

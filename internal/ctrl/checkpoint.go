@@ -13,32 +13,22 @@ import (
 func EncodeObservation(e *checkpoint.Encoder, obs Observation) {
 	e.Int(obs.Time)
 	e.F64(obs.PowerW)
-	e.Int(len(obs.Services))
-	for _, s := range obs.Services {
-		encodeServiceObs(e, s)
-	}
+	checkpoint.EncodeList(e, obs.Services, encodeServiceObs)
 }
 
 // DecodeObservation reads an observation written by EncodeObservation.
 func DecodeObservation(d *checkpoint.Decoder) (Observation, error) {
 	obs := Observation{Time: d.Int(), PowerW: d.F64()}
-	n := d.Int()
-	if err := d.Err(); err != nil {
+	var err error
+	if obs.Services, err = checkpoint.DecodeList(d, serviceObsBytes, decodeServiceObs); err != nil {
 		return Observation{}, err
-	}
-	// Each service entry is 4 float64s + the PMC block + a bool.
-	if n < 0 || n*(4*8+1) > d.Remaining() {
-		return Observation{}, fmt.Errorf("ctrl: observation claims %d services", n)
-	}
-	for i := 0; i < n; i++ {
-		s, err := decodeServiceObs(d)
-		if err != nil {
-			return Observation{}, err
-		}
-		obs.Services = append(obs.Services, s)
 	}
 	return obs, nil
 }
+
+// serviceObsBytes is the encoding of one ServiceObs: four float64s, the
+// PMC count and block, and a bool.
+const serviceObsBytes = (4+1+int(pmc.NumCounters))*8 + 1
 
 func encodeServiceObs(e *checkpoint.Encoder, s ServiceObs) {
 	e.F64(s.P99Ms)
@@ -108,10 +98,7 @@ func (g *Guard) CheckpointName() string { return "ctrl-guard" }
 // the bridged power reading and the cumulative health counters. The
 // wrapped controller checkpoints itself separately.
 func (g *Guard) EncodeState(e *checkpoint.Encoder) {
-	e.Int(len(g.lastGood))
-	for _, s := range g.lastGood {
-		encodeServiceObs(e, s)
-	}
+	checkpoint.EncodeList(e, g.lastGood, encodeServiceObs)
 	e.Bools(g.haveGood)
 	e.Ints(g.staleFor)
 	e.Ints(g.violStreak)
@@ -131,21 +118,11 @@ func (g *Guard) EncodeState(e *checkpoint.Encoder) {
 
 // DecodeState restores guard state written by EncodeState.
 func (g *Guard) DecodeState(d *checkpoint.Decoder) error {
-	k := d.Int()
-	if err := d.Err(); err != nil {
+	lastGood, err := checkpoint.DecodeList(d, serviceObsBytes, decodeServiceObs)
+	if err != nil {
 		return err
 	}
-	if k < 0 || k*(4*8+1) > d.Remaining() {
-		return fmt.Errorf("ctrl: guard checkpoint claims %d services", k)
-	}
-	lastGood := make([]ServiceObs, k)
-	for i := range lastGood {
-		s, err := decodeServiceObs(d)
-		if err != nil {
-			return err
-		}
-		lastGood[i] = s
-	}
+	k := len(lastGood)
 	haveGood := d.Bools()
 	staleFor := d.Ints()
 	violStreak := d.Ints()

@@ -27,6 +27,10 @@ type persistedEntry struct {
 	failReason string
 }
 
+// entryBytes is the smallest encoding of one persistedEntry: seven
+// 8-byte fields, three empty strings and two bools.
+const entryBytes = 7*8 + 3*4 + 2
+
 // daemonState is the daemon's own checkpoint section: the service
 // registry with lifecycle positions, the rebuild/admission counters and
 // the control-loop position (the next interval and the interval
@@ -77,14 +81,7 @@ func (st *daemonState) DecodeState(d *checkpoint.Decoder) error {
 	st.next = d.Int()
 	st.guarded = d.Bool()
 	st.faultsArmed = d.Bool()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n < 0 || n > d.Remaining() {
-		return fmt.Errorf("daemon: checkpoint claims %d services", n)
-	}
-	st.entries = make([]persistedEntry, n)
+	st.entries = make([]persistedEntry, d.Count(entryBytes))
 	for i := range st.entries {
 		pe := &st.entries[i]
 		pe.name = d.String()

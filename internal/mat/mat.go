@@ -112,10 +112,10 @@ func Mul(dst, a, b *Matrix) {
 // broadcast (when bias is non-nil, length b.Cols) and activation are
 // applied in the GEMM epilogue while the result tile is still hot,
 // instead of re-walking dst afterwards. For finite operands it is
-// bitwise Mul + AddRowBroadcast + activation applied element-wise. al is
-// the caller's live set of a, or nil (see Live). It returns the number of
-// a's columns the product found live (a.Cols on the streaming path, which
-// makes no scan).
+// bitwise Mul, then the bias added to every row, then the activation
+// applied element-wise. al is the caller's live set of a, or nil (see
+// Live). It returns the number of a's columns the product found live
+// (a.Cols on the streaming path, which makes no scan).
 func MulBiasAct(dst, a *Matrix, al *Live, b *Matrix, bias []float64, act Activation) (liveK int) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: Mul dims (%dx%d)·(%dx%d)->(%dx%d)",
@@ -306,34 +306,6 @@ func Hadamard(dst, a, b *Matrix) {
 	}
 }
 
-// Apply sets dst[i] = f(a[i]) for every element; dst may alias a.
-func Apply(dst, a *Matrix, f func(float64) float64) {
-	checkSameShape(dst, a)
-	for i, v := range a.Data {
-		dst.Data[i] = f(v)
-	}
-}
-
-// AddRowBroadcast adds vector v (length Cols) to every row of m.
-func (m *Matrix) AddRowBroadcast(v []float64) {
-	if len(v) != m.Cols {
-		panic("mat: AddRowBroadcast length mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
-}
-
-// ColSums returns the per-column sums of m.
-func (m *Matrix) ColSums() []float64 {
-	out := make([]float64, m.Cols)
-	m.ColSumsInto(out)
-	return out
-}
-
 // ColSumsInto writes the per-column sums of m into dst (length Cols),
 // the allocation-free variant for reusable workspaces.
 func (m *Matrix) ColSumsInto(dst []float64) {
@@ -349,13 +321,6 @@ func (m *Matrix) ColSumsInto(dst []float64) {
 			dst[j] += v
 		}
 	}
-}
-
-// RowMeans returns the per-row means of m.
-func (m *Matrix) RowMeans() []float64 {
-	out := make([]float64, m.Rows)
-	m.RowMeansInto(out)
-	return out
 }
 
 // RowMeansInto writes the per-row means of m into dst (length Rows),
@@ -384,15 +349,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// FrobeniusNorm returns sqrt(Σ m[i]²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 func checkSameShape(a, b *Matrix) {

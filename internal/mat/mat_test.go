@@ -143,31 +143,22 @@ func TestElementwiseOps(t *testing.T) {
 	if c.At(1, 0) != 45 {
 		t.Fatalf("AddScaled = %v", c.Data)
 	}
-	Apply(c, a, func(x float64) float64 { return -x })
-	if c.At(0, 1) != -2 {
-		t.Fatalf("Apply = %v", c.Data)
-	}
 }
 
 func TestBroadcastAndReductions(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	m.AddRowBroadcast([]float64{10, 20})
-	if m.At(0, 0) != 11 || m.At(1, 1) != 24 {
-		t.Fatalf("AddRowBroadcast = %v", m.Data)
-	}
-	s := m.ColSums()
+	m := FromRows([][]float64{{11, 22}, {13, 24}})
+	s := make([]float64, 2)
+	m.ColSumsInto(s)
 	if s[0] != 24 || s[1] != 46 {
-		t.Fatalf("ColSums = %v", s)
+		t.Fatalf("ColSumsInto = %v", s)
 	}
-	means := m.RowMeans()
+	means := make([]float64, 2)
+	m.RowMeansInto(means)
 	if means[0] != 16.5 {
-		t.Fatalf("RowMeans = %v", means)
+		t.Fatalf("RowMeansInto = %v", means)
 	}
 	if m.MaxAbs() != 24 {
 		t.Fatalf("MaxAbs = %v", m.MaxAbs())
-	}
-	if !almostEq(FromRows([][]float64{{3, 4}}).FrobeniusNorm(), 5, 1e-12) {
-		t.Fatal("FrobeniusNorm")
 	}
 }
 
@@ -189,11 +180,8 @@ func TestVectorHelpers(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Fatal("Clamp")
 	}
-	if Mean(nil) != 0 || Std(nil) != 0 {
-		t.Fatal("Mean/Std of empty")
-	}
-	if !almostEq(Std([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2, 1e-12) {
-		t.Fatal("Std")
+	if Mean(nil) != 0 {
+		t.Fatal("Mean of empty")
 	}
 	v := []float64{1, 2}
 	Scale(3, v)

@@ -1,7 +1,5 @@
 package mat
 
-import "math"
-
 // Dot returns the inner product of equal-length vectors a and b.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -39,20 +37,6 @@ func Mean(v []float64) float64 {
 		return 0
 	}
 	return Sum(v) / float64(len(v))
-}
-
-// Std returns the population standard deviation of v.
-func Std(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(v)))
 }
 
 // Argmax returns the index of the largest element of v (first on ties).

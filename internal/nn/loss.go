@@ -18,36 +18,3 @@ func MSE(pred, target *mat.Matrix) (loss float64, grad *mat.Matrix) {
 	}
 	return loss / n, grad
 }
-
-// WeightedMSE is MSE with a per-sample weight (importance-sampling weights
-// from prioritised replay). weights has one entry per row of pred; every
-// column of a row shares its weight. It also returns the per-row absolute
-// TD errors used to update replay priorities.
-func WeightedMSE(pred, target *mat.Matrix, weights []float64) (loss float64, grad *mat.Matrix, absErr []float64) {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic("nn: WeightedMSE shape mismatch")
-	}
-	if len(weights) != pred.Rows {
-		panic("nn: WeightedMSE weights length mismatch")
-	}
-	n := float64(len(pred.Data))
-	grad = mat.New(pred.Rows, pred.Cols)
-	absErr = make([]float64, pred.Rows)
-	for r := 0; r < pred.Rows; r++ {
-		w := weights[r]
-		var rowAbs float64
-		for c := 0; c < pred.Cols; c++ {
-			i := r*pred.Cols + c
-			d := pred.Data[i] - target.Data[i]
-			loss += 0.5 * w * d * d
-			grad.Data[i] = w * d / n
-			if a := d; a < 0 {
-				rowAbs -= a
-			} else {
-				rowAbs += a
-			}
-		}
-		absErr[r] = rowAbs / float64(pred.Cols)
-	}
-	return loss / n, grad, absErr
-}

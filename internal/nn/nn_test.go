@@ -166,22 +166,6 @@ func TestAdamFitsLinearFunction(t *testing.T) {
 	}
 }
 
-func TestWeightedMSE(t *testing.T) {
-	pred := mat.FromRows([][]float64{{1, 2}, {3, 4}})
-	target := mat.FromRows([][]float64{{0, 2}, {3, 2}})
-	loss, grad, absErr := WeightedMSE(pred, target, []float64{1, 0.5})
-	if absErr[0] != 0.5 || absErr[1] != 1 {
-		t.Fatalf("absErr = %v", absErr)
-	}
-	// row0: d=(1,0) w=1 → ½·1 ; row1: d=(0,2) w=0.5 → ½·0.5·4=1 ; /4
-	if math.Abs(loss-(0.5+1)/4) > 1e-12 {
-		t.Fatalf("loss = %v", loss)
-	}
-	if grad.At(0, 0) != 0.25 || grad.At(1, 1) != 0.25 {
-		t.Fatalf("grad = %v", grad.Data)
-	}
-}
-
 func TestTargetNetworkSync(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	online := NewSequential(NewDense("a", 2, 3, rng), NewReLU(), NewDense("b", 3, 1, rng))

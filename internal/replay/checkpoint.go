@@ -139,14 +139,14 @@ func (u *Uniform) EncodeState(e *checkpoint.Encoder) {
 // transitions only.
 func (u *Uniform) DecodeState(d *checkpoint.Decoder) error {
 	capacity := d.Int()
-	n := d.Int()
+	n := d.Count(transitionMinBytes)
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if capacity != u.capacity {
 		return fmt.Errorf("replay: checkpoint capacity %d, live uniform buffer %d", capacity, u.capacity)
 	}
-	if n < 0 || n > capacity || n*transitionMinBytes > d.Remaining() {
+	if n > capacity {
 		return fmt.Errorf("replay: stored count %d out of range", n)
 	}
 	u.data = decodeTransitions(d, u.data, n)
@@ -191,21 +191,21 @@ func (p *Prioritized) EncodeState(e *checkpoint.Encoder) {
 // transitions and the sum-tree pages their nodes touch only.
 func (p *Prioritized) DecodeState(d *checkpoint.Decoder) error {
 	capacity := d.Int()
-	size := d.Int()
+	size := d.Count(transitionMinBytes)
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if capacity != p.capacity {
 		return fmt.Errorf("replay: checkpoint capacity %d, live prioritized buffer %d", capacity, p.capacity)
 	}
-	if size < 0 || size > capacity || size*transitionMinBytes > d.Remaining() {
+	if size > capacity {
 		return fmt.Errorf("replay: stored count %d out of range", size)
 	}
 	p.data = decodeTransitions(d, p.data, size)
 	p.next = d.Int()
 	p.maxPrio = d.F64()
 	p.samples = d.Int()
-	nonzero := d.Int()
+	nonzero := d.Count(8 + 8) // index and value
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -227,7 +227,7 @@ func (p *Prioritized) DecodeState(d *checkpoint.Decoder) error {
 		return fmt.Errorf("replay: negative sample count %d", p.samples)
 	}
 	numNodes := p.tree.numNodes()
-	if nonzero < 0 || nonzero > numNodes || nonzero*16 > d.Remaining() {
+	if nonzero > numNodes {
 		return fmt.Errorf("replay: sum-tree node count %d out of range", nonzero)
 	}
 	clear(p.tree.pages) // every node reads as zero again

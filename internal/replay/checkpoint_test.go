@@ -343,3 +343,24 @@ func TestUniformDecodeErrorPaths(t *testing.T) {
 		}
 	}
 }
+
+// The smallest transition and sum-tree entry the encoders write are at
+// least the minima the rings and the node list are bounded by.
+func TestReplayListBytesFitEncoder(t *testing.T) {
+	e := checkpoint.NewEncoder()
+	encodeTransition(e, Transition{})
+	if got := len(e.Bytes()); got < transitionMinBytes {
+		t.Errorf("a zero Transition encodes to %d bytes, the decoder demands %d", got, transitionMinBytes)
+	}
+	size := func(p *Prioritized) int {
+		e := checkpoint.NewEncoder()
+		p.EncodeState(e)
+		return len(e.Bytes())
+	}
+	p := NewPrioritized(8, 0.6, 0.4, 10)
+	base := size(p)
+	*p.tree.ref(0) = 0.5
+	if got := size(p) - base; got < 8+8 {
+		t.Errorf("a sum-tree node encodes to %d bytes, the decoder demands %d", got, 8+8)
+	}
+}

@@ -21,21 +21,19 @@ func EncodeAssignment(e *checkpoint.Encoder, asg Assignment) {
 	e.F64(asg.IdleFreqGHz)
 }
 
+// allocationBytes is the smallest encoding of one Allocation: an empty
+// core list, the frequency and the cache ways.
+const allocationBytes = 4 + 8 + 8
+
 // DecodeAssignment reads an assignment written by EncodeAssignment.
 func DecodeAssignment(d *checkpoint.Decoder) (Assignment, error) {
 	have := d.Bool()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return Assignment{}, err
-	}
-	if n < 0 || n*(4+8+8) > d.Remaining() {
-		return Assignment{}, fmt.Errorf("sim: assignment claims %d services", n)
-	}
+	n := d.Count(allocationBytes)
 	var asg Assignment
 	if have {
 		asg.PerService = make([]Allocation, 0, n)
 	}
-	for i := 0; i < n; i++ {
+	for range n {
 		asg.PerService = append(asg.PerService, Allocation{
 			Cores:     d.Ints(),
 			FreqGHz:   d.F64(),

@@ -236,32 +236,6 @@ func decodeNodeEvent(d *checkpoint.Decoder) (NodeEvent, error) {
 
 const nodeEventEncodedBytes = 4 * 8
 
-func encodeNodeEvents(e *checkpoint.Encoder, evs []NodeEvent) {
-	e.Int(len(evs))
-	for _, ev := range evs {
-		encodeNodeEvent(e, ev)
-	}
-}
-
-func decodeNodeEvents(d *checkpoint.Decoder) ([]NodeEvent, error) {
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 || n*nodeEventEncodedBytes > d.Remaining() {
-		return nil, fmt.Errorf("faults: node-event list length %d exceeds payload", n)
-	}
-	var evs []NodeEvent
-	for i := 0; i < n; i++ {
-		ev, err := decodeNodeEvent(d)
-		if err != nil {
-			return nil, err
-		}
-		evs = append(evs, ev)
-	}
-	return evs, nil
-}
-
 // EncodeState writes the injector's schedule position: interval clock,
 // active outages, the full log and the RNG position. The scenario is
 // configuration, re-supplied at construction; its name goes in as a
@@ -270,8 +244,8 @@ func (inj *ClusterInjector) EncodeState(e *checkpoint.Encoder) {
 	e.String(inj.sc.Name)
 	e.Int(inj.nodes)
 	e.Int(inj.t)
-	encodeNodeEvents(e, inj.active)
-	encodeNodeEvents(e, inj.log)
+	checkpoint.EncodeList(e, inj.active, encodeNodeEvent)
+	checkpoint.EncodeList(e, inj.log, encodeNodeEvent)
 	inj.rng.Source().EncodeState(e)
 }
 
@@ -291,10 +265,10 @@ func (inj *ClusterInjector) DecodeState(d *checkpoint.Decoder) error {
 	}
 	inj.t = d.Int()
 	var err error
-	if inj.active, err = decodeNodeEvents(d); err != nil {
+	if inj.active, err = checkpoint.DecodeList(d, nodeEventEncodedBytes, decodeNodeEvent); err != nil {
 		return err
 	}
-	if inj.log, err = decodeNodeEvents(d); err != nil {
+	if inj.log, err = checkpoint.DecodeList(d, nodeEventEncodedBytes, decodeNodeEvent); err != nil {
 		return err
 	}
 	return inj.rng.Source().DecodeState(d)

@@ -137,3 +137,18 @@ func TestClusterInjectorDecodeRejectsMismatch(t *testing.T) {
 		t.Fatal("DecodeState accepted a checkpoint for a different fleet size")
 	}
 }
+
+// The smallest fault and node-fault events the encoders write are at
+// least the minima the injectors' event lists are bounded by.
+func TestEventBytesFitEncoder(t *testing.T) {
+	e := checkpoint.NewEncoder()
+	encodeEvent(e, Event{})
+	if got := len(e.Bytes()); got < eventEncodedBytes {
+		t.Errorf("a zero Event encodes to %d bytes, the decoder demands %d", got, eventEncodedBytes)
+	}
+	e = checkpoint.NewEncoder()
+	encodeNodeEvent(e, NodeEvent{})
+	if got := len(e.Bytes()); got < nodeEventEncodedBytes {
+		t.Errorf("a zero NodeEvent encodes to %d bytes, the decoder demands %d", got, nodeEventEncodedBytes)
+	}
+}

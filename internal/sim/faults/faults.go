@@ -397,32 +397,6 @@ func decodeEvent(d *checkpoint.Decoder) (Event, error) {
 
 const eventEncodedBytes = 7 * 8
 
-func encodeEvents(e *checkpoint.Encoder, evs []Event) {
-	e.Int(len(evs))
-	for _, ev := range evs {
-		encodeEvent(e, ev)
-	}
-}
-
-func decodeEvents(d *checkpoint.Decoder) ([]Event, error) {
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 || n*eventEncodedBytes > d.Remaining() {
-		return nil, fmt.Errorf("faults: event list length %d exceeds payload", n)
-	}
-	var evs []Event
-	for i := 0; i < n; i++ {
-		ev, err := decodeEvent(d)
-		if err != nil {
-			return nil, err
-		}
-		evs = append(evs, ev)
-	}
-	return evs, nil
-}
-
 // EncodeState writes the injector's schedule position: interval clock,
 // currently active events, the full event log (so Log() survives a
 // restore) and the RNG position. The scenario itself is configuration
@@ -431,8 +405,8 @@ func (inj *Injector) EncodeState(e *checkpoint.Encoder) {
 	e.String(inj.sc.Name)
 	e.Int(inj.k)
 	e.Int(inj.t)
-	encodeEvents(e, inj.active)
-	encodeEvents(e, inj.log)
+	checkpoint.EncodeList(e, inj.active, encodeEvent)
+	checkpoint.EncodeList(e, inj.log, encodeEvent)
 	inj.rng.Source().EncodeState(e)
 }
 
@@ -452,10 +426,10 @@ func (inj *Injector) DecodeState(d *checkpoint.Decoder) error {
 	}
 	inj.t = d.Int()
 	var err error
-	if inj.active, err = decodeEvents(d); err != nil {
+	if inj.active, err = checkpoint.DecodeList(d, eventEncodedBytes, decodeEvent); err != nil {
 		return err
 	}
-	if inj.log, err = decodeEvents(d); err != nil {
+	if inj.log, err = checkpoint.DecodeList(d, eventEncodedBytes, decodeEvent); err != nil {
 		return err
 	}
 	return inj.rng.Source().DecodeState(d)

@@ -63,8 +63,9 @@ func TestDecodeStateRejectsAndStaysUsable(t *testing.T) {
 		{"empty payload", nil, "", checkpoint.ErrTruncated},
 		{"another service's checkpoint", with(func(p *statePayload) { p.name = "moses" }), `is for "moses"`, nil},
 		{"cut inside the clock", good.bytes()[:4+len(prof.Name)+3], "", checkpoint.ErrTruncated},
-		{"negative queue length", with(func(p *statePayload) { p.pendingLen = -1 }), "pending queue length -1", nil},
+		{"negative queue length", with(func(p *statePayload) { p.pendingLen = -1 }), "list of -1 elements", checkpoint.ErrTruncated},
 		{"queue longer than the payload", with(func(p *statePayload) { p.pendingLen = 1 << 40 }), "exceeds payload", nil},
+		{"queue length that wraps the byte count", with(func(p *statePayload) { p.pendingLen = 1 << 60 }), "exceeds payload", checkpoint.ErrTruncated},
 		{"cut inside the queue", good.bytes()[:4+len(prof.Name)+8+8+8], "exceeds payload", nil},
 		{"cut before the window count", good.bytes()[:4+len(prof.Name)+8+8+16+4], "", checkpoint.ErrTruncated},
 		{"negative window count", with(func(p *statePayload) { p.windowLen = -3 }), "latency window of -3", nil},
@@ -121,5 +122,21 @@ func TestDecodeStateRejectsAndStaysUsable(t *testing.T) {
 			t.Fatalf("%s payload rejected: %v", name, err)
 		}
 		s.RunInterval(1500, capGHz, 1, 1)
+	}
+}
+
+// The smallest pending request the encoder writes is at least the
+// minimum the queue's count is bounded by.
+func TestPendingBytesFitEncoder(t *testing.T) {
+	s := NewInstance(MustLookup("masstree"), 18, 1)
+	size := func() int {
+		e := checkpoint.NewEncoder()
+		s.EncodeState(e)
+		return len(e.Bytes())
+	}
+	base := size()
+	s.pending = []Request{{}}
+	if got := size() - base; got < 16 {
+		t.Fatalf("a zero Request encodes to %d bytes, the decoder demands 16", got)
 	}
 }

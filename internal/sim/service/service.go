@@ -520,15 +520,8 @@ func (s *Instance) DecodeState(d *checkpoint.Decoder) error {
 		return fmt.Errorf("service: checkpoint is for %q, this instance runs %q", name, s.Profile.Name)
 	}
 	s.now = d.F64()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n < 0 || n*16 > d.Remaining() {
-		return fmt.Errorf("service: pending queue length %d exceeds payload", n)
-	}
 	s.pending = s.pending[:0]
-	for i := 0; i < n; i++ {
+	for range d.Count(16) { // arrival and work
 		s.pending = append(s.pending, Request{Arrival: d.F64(), Work: d.F64()})
 	}
 	m := d.Int()
