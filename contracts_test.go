@@ -96,6 +96,16 @@ var contracts = []contract{
 		},
 	},
 	{
+		name: "one-weight-copy",
+		why:  `every weight tensor lives in its packed panels and nowhere else (DESIGN.md §7): no row-major copy beside them, so none of the machinery that kept the two in step — the repack, the stale flag and its setter, the lazy refresh — comes back`,
+		clauses: []clause{
+			{scope{}, []rule{idents("RefreshPack", "ensurePacks", "noteWeightsChanged", "stalePacks")}},
+		},
+		asm: []asmClause{
+			{"*.s", regexp.MustCompile(`\b(RefreshPack|ensurePacks|noteWeightsChanged|stalePacks)\b`)},
+		},
+	},
+	{
 		name: "no-unset-learner-knobs",
 		why:  `the learner has no knob that no driver sets (DESIGN.md §17, "Hyper-parameters"): pure exploitation after a step count and global gradient-norm clipping stay deleted`,
 		clauses: []clause{

@@ -221,6 +221,7 @@ func NewAgent(cfg AgentConfig) *Agent {
 	online := NewNetwork(cfg.Spec, r.Rand)
 	target := NewNetwork(cfg.Spec, r.Rand)
 	target.CopyValuesFrom(online)
+	online.ZeroGrad() // the online network trains: its gradients come with it, the target's never
 	var buf replay.Buffer
 	if cfg.UsePER {
 		buf = replay.NewPrioritized(cfg.ReplayCapacity, cfg.PERAlpha, cfg.PERBeta0, cfg.PERAnnealSteps)
@@ -461,9 +462,7 @@ func (a *Agent) trainLossGrad(out, targetNext *Output, n int) float64 {
 }
 
 // trainCommit applies the optimiser step, updates replay priorities and
-// periodically syncs the target network. The step writes the online
-// network's packed panels along with its weights (nn.Dense.RefreshPack),
-// so nothing is invalidated here.
+// periodically syncs the target network.
 func (a *Agent) trainCommit() {
 	ws := a.train
 	a.opt.StepAndZeroGrad(a.online.Params())

@@ -177,9 +177,9 @@ func TestAgentCopyWeightsFrom(t *testing.T) {
 	want := a.online.Params()
 	for _, n := range []*Network{b.online, b.target} {
 		for i, p := range n.Params() {
-			for j, v := range p.Value.Data {
-				if math.Float64bits(v) != math.Float64bits(want[i].Value.Data[j]) {
-					t.Fatalf("param %s[%d] = %v, donor has %v", p.Name, j, v, want[i].Value.Data[j])
+			for j, v := range p.Panels.Data {
+				if math.Float64bits(v) != math.Float64bits(want[i].Panels.Data[j]) {
+					t.Fatalf("param %s panel slot %d = %v, donor has %v", p.Name, j, v, want[i].Panels.Data[j])
 				}
 			}
 		}

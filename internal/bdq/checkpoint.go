@@ -73,8 +73,6 @@ func (a *Agent) DecodeState(d *checkpoint.Decoder) error {
 	}
 	a.step = step
 	a.trainSteps = trainSteps
-	a.online.noteWeightsChanged()
-	a.target.noteWeightsChanged()
 	return nil
 }
 

@@ -63,19 +63,20 @@ func TestGatedNetworkBitEqualsUngated(t *testing.T) {
 				case mode == "none dead" && d.FuseReLU:
 					// A large bias over the data, then non-negative weights
 					// over positive activations: every unit fires every time.
-					for j := range d.B.Value.Data {
-						d.B.Value.Data[j] += 50
+					for j := range d.Out { // a bias's panels are its values in order
+						d.B.Panels.Data[j] += 50
 					}
-					for j, w := range d.W.Value.Data {
+					for j, w := range d.W.Panels.Data {
 						if i > 0 {
-							d.W.Value.Data[j] = math.Abs(w)
+							d.W.Panels.Data[j] = math.Abs(w)
 						}
 					}
 				case mode == "all dead" && i == 0:
-					d.B.Value.Fill(-1e6)
+					for j := range d.Out {
+						d.B.Panels.Data[j] = -1e6
+					}
 				}
 			}
-			n.noteWeightsChanged()
 		}
 		rng := rand.New(rand.NewSource(4))
 		optG, optP := nn.NewAdam(0.0025), nn.NewAdam(0.0025)
@@ -115,10 +116,8 @@ func TestGatedNetworkBitEqualsUngated(t *testing.T) {
 			}
 			optG.StepAndZeroGrad(gated.Params())
 			optP.StepAndZeroGrad(plain.Params())
-			gated.noteWeightsChanged()
-			plain.noteWeightsChanged()
 			for i, pg := range gated.Params() {
-				requireBits(t, mode+": "+pg.Name, pg.Value.Data, plain.Params()[i].Value.Data)
+				requireBits(t, mode+": "+pg.Name, pg.Panels.Data, plain.Params()[i].Panels.Data)
 			}
 		}
 		if sawDead != (mode != "none dead") {

@@ -97,13 +97,6 @@ type Network struct {
 	params []*nn.Param // cached Params() result; layer set is immutable
 	denses []*nn.Dense // cached dense-layer enumeration
 
-	// stalePacks is set by every parameter mutation that leaves the dense
-	// layers' persistent packed panels behind (target syncs, loads,
-	// transfers; not optimiser steps, which write the panels themselves)
-	// and cleared by the repack, so a stale pack can never be used after
-	// the weights change through any of those paths.
-	stalePacks bool
-
 	// noRescale disables the 1/K and 1/D gradient rescaling so tests
 	// can compare Backward against exact finite differences.
 	noRescale bool
@@ -141,7 +134,7 @@ func NewNetwork(spec Spec, rng *rand.Rand) *Network {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Network{spec: spec, stalePacks: true}
+	n := &Network{spec: spec}
 
 	// Every dense but the first reads what a ReLU (and, in the trunk, a
 	// dropout) left of the layer below, and its input gradient goes back
@@ -224,7 +217,6 @@ func (n *Network) fwdWorkspace(batch int) *fwdWS {
 // the same batch size. Callers that need Q-values to survive longer must
 // clone them (see Agent.QValues).
 func (n *Network) Forward(states *mat.Matrix, train bool) *Output {
-	n.ensurePacks()
 	z := n.shared.Forward(states, train)
 	n.lastShared = z
 	n.sharedLive.Reset()
@@ -404,29 +396,6 @@ func (n *Network) Params() []*nn.Param {
 	return ps
 }
 
-// noteWeightsChanged marks the dense layers' packed panels stale. Every
-// code path that mutates parameter values other than an optimiser step
-// must call it (CopyValuesFrom and ReinitOutputLayers do so themselves;
-// the agent calls it after checkpoint/weight loads). An optimiser step
-// leaves every pack current and calls nothing.
-func (n *Network) noteWeightsChanged() { n.stalePacks = true }
-
-// ensurePacks refreshes every dense layer's persistent packed weight
-// panels after a mutation, so weights are packed exactly once per
-// mutation instead of once per product — and not at all after an
-// optimiser step, the one frequent writer. Forward calls it. Packed
-// products are bit-identical to the per-call-packing path
-// (mat.MulPackedBiasAct's contract), so this changes no result.
-func (n *Network) ensurePacks() {
-	if !n.stalePacks {
-		return
-	}
-	for _, d := range n.Denses() {
-		d.RefreshPack()
-	}
-	n.stalePacks = false
-}
-
 // Denses enumerates every dense layer in a deterministic order (trunk,
 // value streams, advantage hiddens, advantage heads). Cached; callers
 // must not mutate the slice.
@@ -484,7 +453,8 @@ func (n *Network) ZeroGrad() {
 }
 
 // CopyValuesFrom copies all parameter values from src (target-network
-// synchronisation). Architectures must match.
+// synchronisation): one copy of each tensor's panels and Finite bit.
+// Architectures must match.
 func (n *Network) CopyValuesFrom(src *Network) {
 	dst := n.Params()
 	from := src.Params()
@@ -494,14 +464,13 @@ func (n *Network) CopyValuesFrom(src *Network) {
 	for i := range dst {
 		dst[i].CopyValueFrom(from[i])
 	}
-	n.noteWeightsChanged()
 }
 
 // NumParams returns the number of scalar learnable parameters.
 func (n *Network) NumParams() int {
 	total := 0
 	for _, p := range n.Params() {
-		total += len(p.Value.Data)
+		total += p.Size()
 	}
 	return total
 }
@@ -539,5 +508,4 @@ func (n *Network) ReinitOutputLayers(rng *rand.Rand) {
 		}
 	}
 	nn.ResetMoments(n.OutputParams())
-	n.noteWeightsChanged()
 }

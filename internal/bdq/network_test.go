@@ -144,9 +144,6 @@ func TestNetworkGradientCheck(t *testing.T) {
 		}
 	}
 	lossAt := func() float64 {
-		// The loop below pokes parameter values directly; announce the
-		// mutation so Forward repacks its persistent weight panels.
-		net.noteWeightsChanged()
 		out := net.Forward(x, false)
 		var l float64
 		for k := range out.Q {
@@ -175,13 +172,15 @@ func TestNetworkGradientCheck(t *testing.T) {
 
 	const eps = 1e-5
 	for _, p := range net.Params() {
-		for i := 0; i < len(p.Value.Data); i += 5 {
-			orig := p.Value.Data[i]
-			p.Value.Data[i] = orig + eps
+		vals := p.Panels.Unpack()
+		set := func(i int, v float64) { vals.Data[i] = v; p.Panels.RepackFrom(vals) }
+		for i := 0; i < p.Size(); i += 5 {
+			orig := vals.Data[i]
+			set(i, orig+eps)
 			lp := lossAt()
-			p.Value.Data[i] = orig - eps
+			set(i, orig-eps)
 			lm := lossAt()
-			p.Value.Data[i] = orig
+			set(i, orig)
 			numeric := (lp - lm) / (2 * eps)
 			analytic := p.Grad.Data[i]
 			if math.Abs(numeric-analytic) > 1e-4*(1+math.Abs(numeric)) {
@@ -257,7 +256,7 @@ type matParam struct {
 func paramsOf(ps []*nn.Param) []*matParam {
 	out := make([]*matParam, len(ps))
 	for i, p := range ps {
-		out[i] = &matParam{p.Value.Data, p.Grad.Data}
+		out[i] = &matParam{p.Panels.Unpack().Data, p.Grad.Data}
 	}
 	return out
 }
@@ -281,17 +280,17 @@ func TestTargetCopyAndDeterminism(t *testing.T) {
 func TestReinitOutputLayersKeepsTrunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := NewNetwork(smallSpec(), rng)
-	trunkBefore := mat.Clone(net.shared.Params()[0].Value.Data)
-	headBefore := mat.Clone(net.advOut[0][0].W.Value.Data)
-	valueHeadBefore := mat.Clone(net.OutputParams()[0].Value.Data)
+	trunkBefore := net.shared.Params()[0].Panels.Unpack().Data
+	headBefore := net.advOut[0][0].W.Panels.Unpack().Data
+	valueHeadBefore := net.OutputParams()[0].Panels.Unpack().Data
 	net.ReinitOutputLayers(rng)
-	for i, v := range net.shared.Params()[0].Value.Data {
+	for i, v := range net.shared.Params()[0].Panels.Unpack().Data {
 		if v != trunkBefore[i] {
 			t.Fatal("trunk modified by transfer re-init")
 		}
 	}
 	changed := false
-	for i, v := range net.advOut[0][0].W.Value.Data {
+	for i, v := range net.advOut[0][0].W.Panels.Unpack().Data {
 		if v != headBefore[i] {
 			changed = true
 			break
@@ -301,7 +300,7 @@ func TestReinitOutputLayersKeepsTrunk(t *testing.T) {
 		t.Fatal("advantage head not re-initialised")
 	}
 	changed = false
-	for i, v := range net.OutputParams()[0].Value.Data {
+	for i, v := range net.OutputParams()[0].Panels.Unpack().Data {
 		if v != valueHeadBefore[i] {
 			changed = true
 			break

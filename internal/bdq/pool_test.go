@@ -299,18 +299,23 @@ func TestPoolDrainRestore(t *testing.T) {
 }
 
 // TestPoolAttachCloseKeepsParamStorage pins what membership means: Attach
-// and Close move no parameter. Every Value/Grad backing array of both
-// networks is the same memory before Attach, after it, after training
-// and after Close, which is idempotent and leaves a handle that panics
-// on use; an agent admitted after the drain trains like its solo twin.
+// and Close move no parameter. Every panel backing array of both networks
+// and every gradient of the online one (the target has none) is the same
+// memory before Attach, after it, after training and after Close, which
+// is idempotent and leaves a handle that panics on use; an agent admitted
+// after the drain trains like its solo twin.
 func TestPoolAttachCloseKeepsParamStorage(t *testing.T) {
 	agent := NewAgent(poolTestCfg(1))
 	storage := func() []*float64 {
 		var at []*float64
-		for _, n := range []*Network{agent.online, agent.target} {
-			for _, p := range n.Params() {
-				at = append(at, &p.Value.Data[0], &p.Grad.Data[0])
+		for _, p := range agent.online.Params() {
+			at = append(at, &p.Panels.Data[0], &p.Grad.Data[0])
+		}
+		for _, p := range agent.target.Params() {
+			if p.Grad != nil {
+				t.Fatalf("target %s holds a gradient", p.Name)
 			}
+			at = append(at, &p.Panels.Data[0])
 		}
 		return at
 	}

@@ -313,3 +313,72 @@ func TestAsyncWriterRecyclesOnlySettledBuffers(t *testing.T) {
 		t.Fatalf("%d saves, %d counted writes", saves.Load(), stats.Writes)
 	}
 }
+
+// pieces is a Runs over slices laid end to end, for the tests.
+type pieces [][]float64
+
+func (p pieces) NumRuns() int        { return len(p) }
+func (p pieces) Run(i int) []float64 { return p[i] }
+
+// TestF64sRunsMatchesF64s holds the pieced slice codec to the whole-slice
+// one: F64sRuns writes F64s's bytes, F64s and F64sIntoRuns read them back
+// (a tensor kept in panels stores exactly what a row-major one does), and
+// a stored length other than the destination's is rejected before any
+// piece is written.
+func TestF64sRunsMatchesF64s(t *testing.T) {
+	whole := []float64{1, -2, 3.5, 0, 5e-324, -0.25, 7, 8, 9, 10, 11}
+	split := pieces{{1, -2, 3.5}, {}, {0, 5e-324, -0.25, 7, 8}, {9, 10, 11}}
+	a, b := NewEncoder(), NewEncoder()
+	a.F64s(whole)
+	b.F64sRuns(len(whole), split)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("F64sRuns wrote %x, F64s %x", b.Bytes(), a.Bytes())
+	}
+	if got := NewDecoder(b.Bytes()).F64s(); !slices.Equal(got, whole) {
+		t.Fatalf("F64s reads back %v", got)
+	}
+	dst := pieces{make([]float64, 4), make([]float64, 0), make([]float64, 7)}
+	d := NewDecoder(a.Bytes())
+	d.F64sIntoRuns(len(whole), dst)
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("F64sIntoRuns: %v, %d bytes left", d.Err(), d.Remaining())
+	}
+	if got := slices.Concat(dst...); !slices.Equal(got, whole) {
+		t.Fatalf("F64sIntoRuns reads back %v", got)
+	}
+	short := pieces{{-7, -7}, {-7}}
+	d = NewDecoder(a.Bytes())
+	d.F64sIntoRuns(3, short)
+	if d.Err() == nil {
+		t.Fatal("F64sIntoRuns accepted 11 stored values for 3")
+	}
+	if got := slices.Concat(short...); !slices.Equal(got, []float64{-7, -7, -7}) {
+		t.Fatalf("F64sIntoRuns wrote %v before rejecting the length", got)
+	}
+}
+
+// TestAsyncWriterTakesBackUnsubmittedBuffers: storage Buffer handed out
+// and the caller did not submit (a reload's undo snapshot) goes back on
+// the free list through Recycle, which Buffer hands out again, emptied,
+// and which stays bounded by maxFree.
+func TestAsyncWriterTakesBackUnsubmittedBuffers(t *testing.T) {
+	st, err := NewStore(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewAsyncWriter(st)
+	if buf := w.Buffer(); buf != nil {
+		t.Fatalf("a fresh writer hands out %d bytes of storage", cap(buf))
+	}
+	undo := append(w.Buffer(), "snapshot"...)
+	w.Recycle(undo)
+	if buf := w.Buffer(); len(buf) != 0 || cap(buf) != cap(undo) || &buf[:1][0] != &undo[0] {
+		t.Fatalf("Buffer after Recycle: len %d cap %d, want the recycled storage emptied", len(buf), cap(buf))
+	}
+	for i := 0; i < maxFree+2; i++ {
+		w.Recycle(make([]byte, 8))
+	}
+	if len(w.free) != maxFree {
+		t.Fatalf("free list holds %d buffers, want %d", len(w.free), maxFree)
+	}
+}

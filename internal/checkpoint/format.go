@@ -231,6 +231,30 @@ func (e *Encoder) F64s(v []float64) {
 	}
 }
 
+// Runs is a float64 slice that lies in pieces: Run(0), Run(1), …,
+// Run(NumRuns()−1) laid end to end. mat.PackedB is one — a tensor kept
+// in panels, read row-major a panel's width at a time.
+type Runs interface {
+	NumRuns() int
+	Run(i int) []float64
+}
+
+// F64sRuns writes the n values r holds exactly as F64s writes them from
+// one slice, so F64s and F64sInto read them back alike.
+func (e *Encoder) F64sRuns(n int, r Runs) {
+	b := e.extend(n, 8)
+	for i, runs := 0, r.NumRuns(); i < runs; i++ {
+		run := r.Run(i)
+		for j, x := range run {
+			binary.LittleEndian.PutUint64(b[8*j:], math.Float64bits(x))
+		}
+		b = b[8*len(run):]
+	}
+	if len(b) != 0 {
+		panic(fmt.Sprintf("checkpoint: F64sRuns of %d values from runs %d short", n, len(b)/8))
+	}
+}
+
 // Ints writes a length-prefixed int slice.
 func (e *Encoder) Ints(v []int) {
 	b := e.extend(len(v), 8)
@@ -443,6 +467,25 @@ func (d *Decoder) F64sInto(dst []float64) {
 		return
 	}
 	getF64s(dst, d.take(8*n))
+}
+
+// F64sIntoRuns is F64sInto for a destination that lies in pieces: a
+// stored length other than n is an error, raised before r is written.
+func (d *Decoder) F64sIntoRuns(n int, r Runs) {
+	m := d.sliceLen(8)
+	if d.err != nil {
+		return
+	}
+	if m != n {
+		d.fail("slice of %d values for a tensor of %d", m, n)
+		return
+	}
+	b := d.take(8 * n)
+	for i, runs := 0, r.NumRuns(); i < runs; i++ {
+		run := r.Run(i)
+		getF64s(run, b)
+		b = b[8*len(run):]
+	}
 }
 
 // getF64s fills dst from 8·len(dst) little-endian bytes, four values

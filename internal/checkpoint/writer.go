@@ -78,6 +78,15 @@ func (w *AsyncWriter) Buffer() []byte {
 	return buf[:0]
 }
 
+// Recycle takes back storage Buffer handed out that the caller filled
+// and read but did not submit (twigd's reload snapshot), for the next
+// Buffer call.
+func (w *AsyncWriter) Recycle(buf []byte) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.recycleLocked(buf)
+}
+
 // recycleLocked takes a settled buffer onto the free list, or drops it
 // when the list is full (caller holds the lock).
 func (w *AsyncWriter) recycleLocked(data []byte) {

@@ -197,11 +197,32 @@ func (m *Manager) SaveCheckpoint(w io.Writer) error {
 	return err
 }
 
-// LoadCheckpoint restores a checkpoint written by SaveCheckpoint.
+// LoadCheckpoint restores a checkpoint written by SaveCheckpoint, all or
+// nothing (Reload).
 func (m *Manager) LoadCheckpoint(r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return err
 	}
-	return checkpoint.Unmarshal(data, m)
+	_, err = m.Reload(data, nil)
+	return err
+}
+
+// Reload decodes a checkpoint written by SaveCheckpoint into the manager,
+// all or nothing. DecodeState restores the monitor, the agent's counters,
+// optimiser, RNG, networks and replay in place and can fail after any of
+// them (so can the trailing-bytes check behind it), so Reload first
+// encodes the manager into undo[:0] and a failed decode restores from it:
+// a live manager (twigd's /reload) keeps running on the state it had,
+// never on a mix of the two. It returns the undo storage, grown as needed,
+// for the caller to reuse.
+func (m *Manager) Reload(data, undo []byte) ([]byte, error) {
+	undo = checkpoint.MarshalAppend(undo[:0], m)
+	if err := checkpoint.Unmarshal(data, m); err != nil {
+		if uerr := checkpoint.Unmarshal(undo, m); uerr != nil {
+			panic(fmt.Sprintf("core: restoring the manager after a failed load (%v): %v", err, uerr))
+		}
+		return undo, err
+	}
+	return undo, nil
 }

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -239,5 +240,73 @@ func TestDaemonHotReloadKeepsLoopRunning(t *testing.T) {
 	}
 	if e.Next() != 40 {
 		t.Errorf("loop at t=%d after reload run, want 40", e.Next())
+	}
+}
+
+// TestDaemonFailedReloadLeavesManagerUntouched cuts the newest
+// checkpoint's manager section short — re-encoded, so the container's
+// CRC holds and the load gets as far as the replay buffer before it
+// fails — and requires the failed /reload to leave the live manager
+// exactly as it was: its checkpoint bytes equal to before, the failure
+// counted, and the loop stepping on.
+func TestDaemonFailedReloadLeavesManagerUntouched(t *testing.T) {
+	store, err := checkpoint.NewStore(t.TempDir(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(e2eConfig(store), []AdmitRequest{{Name: "masstree", Load: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runScripted(t, e, 40, nil)
+	if err := e.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	_, data, err := store.ReadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, secs, err := checkpoint.DecodeFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := false
+	for i := range secs {
+		if secs[i].Name == e.mgr.CheckpointName() {
+			secs[i].Payload = secs[i].Payload[:len(secs[i].Payload)-8]
+			cut = true
+		}
+	}
+	if !cut {
+		t.Fatalf("no %q section in the checkpoint", e.mgr.CheckpointName())
+	}
+	if err := store.Save(1_000_000, checkpoint.EncodeFile(version, secs)); err != nil {
+		t.Fatal(err)
+	}
+	runScripted(t, e, 55, nil) // the live manager moves on from the checkpoint
+	if err := e.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := checkpoint.Marshal(e.mgr)
+	if err := e.RequestReload(); err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	e.reloadReq = false
+	e.doReload()
+	e.mu.Unlock()
+	if after := checkpoint.Marshal(e.mgr); !bytes.Equal(after, before) {
+		t.Fatalf("a failed reload changed the manager: %d checkpoint bytes before, %d after", len(before), len(after))
+	}
+	if n := e.Metrics().Get("twigd_weight_reloads_total", Labels{"result": "error"}); n != 1 {
+		t.Errorf("failed reloads = %v, want 1", n)
+	}
+	if n := e.Metrics().Get("twigd_weight_reloads_total", Labels{"result": "ok"}); n != 0 {
+		t.Errorf("successful reloads = %v, want 0", n)
+	}
+	runScripted(t, e, 60, nil)
+	if err := e.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
 	}
 }

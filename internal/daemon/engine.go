@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -632,11 +631,15 @@ func (e *Engine) corruptHook() func(path string, err error) {
 
 // doReload pulls the newest valid checkpoint's manager section into the
 // live manager — weights, optimiser moments, replay and annealing
-// position — without touching the simulator or the loop position.
+// position — without touching the simulator or the loop position. The
+// reload is all or nothing (core.Manager.Reload); its undo snapshot is
+// encoded into a settled checkpoint buffer and handed back after.
 func (e *Engine) doReload() {
 	_, data, err := e.cfg.Store.ReadLatest()
 	if err == nil {
-		err = e.mgr.LoadCheckpoint(bytes.NewReader(data))
+		var undo []byte
+		undo, err = e.mgr.Reload(data, e.writer.Buffer())
+		e.writer.Recycle(undo)
 	}
 	result := "ok"
 	if err != nil {

@@ -434,7 +434,8 @@ func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 // finite too. Finite operands: bitwise the naive kernel in the listed
 // columns. Then Inf and NaN planted in both operands: a listed column
 // still hides nothing (NaNs may differ in payload), an unlisted one reads
-// what it would whatever its row of b holds.
+// what it would whatever its row of b holds. MulTransBPacked, over b's
+// panels, is held to the same.
 func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(40), byte(60), byte(110), byte(110))
 	f.Add(int64(2), byte(32), byte(33), byte(67), byte(180), byte(60))
@@ -491,6 +492,19 @@ func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
 						MulTransBLive(got, a, held, b, known, gate, true)
 						require(t, "MulTransBLive acc/"+tag, got, wantAcc)
 					}
+				}
+				// b held in panels: the transposed panels come from pb's,
+				// and pb's Finite bit is what b's scan says.
+				pb := PackB(b)
+				for _, held := range []*Live{nil, &al} {
+					tag := fmt.Sprintf("%s/held=%t/finite=%t", kernel, held != nil, pb.Finite)
+					got := New(m, n)
+					fuzzFill(got.Data, rng)
+					MulTransBPacked(got, a, held, pb, gate, false)
+					require(t, "MulTransBPacked/"+tag, got, want)
+					got.CopyFrom(dst0)
+					MulTransBPacked(got, a, held, pb, gate, true)
+					require(t, "MulTransBPacked acc/"+tag, got, wantAcc)
 				}
 			})
 		}

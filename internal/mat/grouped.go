@@ -11,26 +11,35 @@ import "fmt"
 // including batch-1 rows, which MulBiasAct runs on the streaming kernel
 // and the packed path on the fused row kernel.
 
-// PackedB is a B operand packed once into nr-wide column panels and
-// kept (owned storage, not the scratch pool) so repeated products
-// against the same weights — every batch-1 action selection — skip the
-// per-call packing that makes batch-1 GEMMs memory-bound.
+// PackedB is a B operand packed into nr-wide column panels and kept
+// (owned storage, not the scratch pool), so repeated products against
+// the same weights — every batch-1 action selection — skip the per-call
+// packing that makes batch-1 GEMMs memory-bound. It is also a complete
+// representation of the operand: nn keeps every weight tensor in one and
+// in nothing else, reading and writing elements in their panel slots.
 //
 // Element (t, j) of the operand is Data[(j/PanelWidth)·K·PanelWidth +
-// t·PanelWidth + j%PanelWidth], columns past N zero: a writer that
-// rewrites the whole operand (nn's Adam kernel) may store to the panels
-// itself instead of calling RepackFrom, and then sets Finite.
+// t·PanelWidth + j%PanelWidth], columns past N zero: a one-row operand
+// (K = 1) lies in its panels as it does row-major. Row t's columns
+// [p·PanelWidth, p·PanelWidth+PanelWidth) are contiguous, a run (Run).
+// Every writer leaves Finite what a scan of the panels would say: the
+// methods here do, and a writer of Data itself (nn's Adam step, a
+// decoder filling runs) sets it or calls CheckFinite.
 type PackedB struct {
 	K, N int // operand shape: K rows (depth) × N cols
 	Data []float64
-	// Finite says every element Data holds is finite. RepackFrom sets it
-	// as it packs; a writer of the panels sets it too. A product by the
-	// operand's transpose takes it instead of a scan (MulTransBLive).
+	// Finite says every element Data holds is finite. A product by the
+	// operand's transpose takes it instead of a scan (MulTransBPacked).
 	Finite bool
 }
 
 // PanelWidth is the number of operand columns one packed panel holds.
 const PanelWidth = nr
+
+// NewPackedB returns the panels of a k×n operand of zeros.
+func NewPackedB(k, n int) *PackedB {
+	return &PackedB{K: k, N: n, Data: make([]float64, (n+nr-1)/nr*nr*k), Finite: true}
+}
 
 // PackB packs b into a persistent panel buffer.
 func PackB(b *Matrix) *PackedB {
@@ -40,22 +49,82 @@ func PackB(b *Matrix) *PackedB {
 }
 
 // RepackFrom re-packs b in place, reusing the panel buffer when the
-// shape still fits. Call after the underlying weights change.
+// shape still fits.
 func (pb *PackedB) RepackFrom(b *Matrix) {
 	k, n := b.Rows, b.Cols
-	panels := (n + nr - 1) / nr
-	need := panels * nr * k
+	need := (n + nr - 1) / nr * nr * k
 	if cap(pb.Data) < need {
 		pb.Data = make([]float64, need)
 	}
 	pb.Data = pb.Data[:need]
 	pb.K, pb.N = k, n
 	packBInto(pb.Data, b, nil)
+	pb.CheckFinite()
+}
+
+// CheckFinite sets Finite from a scan of the panels.
+func (pb *PackedB) CheckFinite() { pb.Finite = AllFinite(pb.Data) }
+
+// AllFinite reports whether every element of v is finite.
+func AllFinite(v []float64) bool {
 	var carry uint64
-	for _, v := range pb.Data {
-		carry |= nonFinite(v)
+	for _, x := range v {
+		carry |= nonFinite(x)
 	}
-	pb.Finite = carry>>63 == 0
+	return carry>>63 == 0
+}
+
+// index is the panel slot of element (t, j).
+func (pb *PackedB) index(t, j int) int {
+	if t < 0 || t >= pb.K || j < 0 || j >= pb.N {
+		panic(fmt.Sprintf("mat: element (%d, %d) of a %dx%d PackedB", t, j, pb.K, pb.N))
+	}
+	return j/nr*pb.K*nr + t*nr + j%nr
+}
+
+// At returns element (t, j) of the operand.
+func (pb *PackedB) At(t, j int) float64 { return pb.Data[pb.index(t, j)] }
+
+// NumRuns is how many runs hold the operand: K rows of one per panel.
+func (pb *PackedB) NumRuns() int { return pb.K * ((pb.N + nr - 1) / nr) }
+
+// Run returns the i-th run of the operand in row-major order: row
+// i/panels, its columns in panel i%panels, in place. Runs 0 … NumRuns()−1
+// laid end to end are the operand row-major, the order a checkpoint
+// stores it in.
+func (pb *PackedB) Run(i int) []float64 {
+	panels := (pb.N + nr - 1) / nr
+	t, p := i/panels, i%panels
+	off := p*pb.K*nr + t*nr
+	return pb.Data[off : off+min(pb.N-p*nr, nr)]
+}
+
+// UnpackInto copies the operand into dst, row-major.
+func (pb *PackedB) UnpackInto(dst *Matrix) {
+	if dst.Rows != pb.K || dst.Cols != pb.N {
+		panic(fmt.Sprintf("mat: UnpackInto a %dx%d matrix from a %dx%d PackedB", dst.Rows, dst.Cols, pb.K, pb.N))
+	}
+	rest := dst.Data
+	for i, n := 0, pb.NumRuns(); i < n; i++ {
+		rest = rest[copy(rest, pb.Run(i)):]
+	}
+}
+
+// Unpack returns the operand as a new row-major matrix.
+func (pb *PackedB) Unpack() *Matrix {
+	m := New(pb.K, pb.N)
+	pb.UnpackInto(m)
+	return m
+}
+
+// CopyFrom makes pb a copy of src, an operand of the same shape: its
+// panels and its Finite bit.
+func (pb *PackedB) CopyFrom(src *PackedB) {
+	if pb.K != src.K || pb.N != src.N {
+		panic(fmt.Sprintf("mat: CopyFrom a %dx%d PackedB into a %dx%d one", src.K, src.N, pb.K, pb.N))
+	}
+	copy(pb.Data, src.Data)
+	pb.Finite = src.Finite
 }
 
 // MulPackedBiasAct computes dst = act(a·b + bias) against a pre-packed

@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -159,5 +161,57 @@ func TestRowsView(t *testing.T) {
 	f.Set(1, 2, -2)
 	if m.At(1, 2) != -2 {
 		t.Error("FromSlice does not share storage")
+	}
+}
+
+// TestPackedBHoldsItsOperand holds the panel layout to the row-major
+// operand it stands for, at ragged and one-row shapes: At and the runs
+// read it back element for element and in row-major order, Unpack
+// restores it, and RepackFrom and CopyFrom keep Finite what a scan of
+// the operand says.
+func TestPackedBHoldsItsOperand(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, sh := range [][2]int{{1, 1}, {1, 11}, {3, 8}, {5, 18}, {7, 9}, {4, 0}, {0, 5}} {
+		k, n := sh[0], sh[1]
+		b := New(k, n)
+		fuzzFill(b.Data, rng)
+		pb := PackB(b)
+		if pb.K != k || pb.N != n || len(pb.Data) != (n+PanelWidth-1)/PanelWidth*PanelWidth*k {
+			t.Fatalf("%dx%d: PackB is %dx%d with %d panel slots", k, n, pb.K, pb.N, len(pb.Data))
+		}
+		var stream []float64
+		for i := 0; i < pb.NumRuns(); i++ {
+			stream = append(stream, pb.Run(i)...)
+		}
+		requireBitsEqual(t, fmt.Sprintf("%dx%d runs", k, n), FromSlice(k, n, stream), b)
+		requireBitsEqual(t, fmt.Sprintf("%dx%d Unpack", k, n), pb.Unpack(), b)
+		for i := 0; i < k; i++ {
+			for j := 0; j < n; j++ {
+				if math.Float64bits(pb.At(i, j)) != math.Float64bits(b.At(i, j)) {
+					t.Fatalf("%dx%d: At(%d, %d) = %v, want %v", k, n, i, j, pb.At(i, j), b.At(i, j))
+				}
+			}
+		}
+		if k == 0 || n == 0 {
+			continue
+		}
+		if !pb.Finite {
+			t.Fatalf("%dx%d: finite operand packs with Finite unset", k, n)
+		}
+		i, j := rng.Intn(k), rng.Intn(n)
+		v := b.At(i, j)
+		b.Set(i, j, math.NaN())
+		pb.RepackFrom(b)
+		cp := NewPackedB(k, n)
+		cp.CopyFrom(pb)
+		if pb.Finite || cp.Finite || !math.IsNaN(cp.At(i, j)) {
+			t.Fatalf("%dx%d: a NaN at (%d, %d) packs with Finite %t, copies with %t and reads back %v", k, n, i, j, pb.Finite, cp.Finite, cp.At(i, j))
+		}
+		b.Set(i, j, v)
+		pb.RepackFrom(b)
+		if cp.CopyFrom(pb); !cp.Finite {
+			t.Fatalf("%dx%d: CopyFrom of a finite operand leaves Finite unset", k, n)
+		}
+		requireBitsEqual(t, fmt.Sprintf("%dx%d copy", k, n), cp.Unpack(), b)
 	}
 }

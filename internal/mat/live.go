@@ -181,6 +181,18 @@ func finiteIn(b *Matrix, rows, cols []int32) bool {
 	return carry>>63 == 0
 }
 
+// finiteInPanels is finiteIn for an operand held in panels.
+func finiteInPanels(pb *PackedB, rows, cols []int32) bool {
+	var carry uint64
+	for j, n := 0, span(rows, pb.K); j < n; j++ {
+		r := pick(rows, j)
+		for _, t := range cols {
+			carry |= nonFinite(pb.At(r, int(t)))
+		}
+	}
+	return carry>>63 == 0
+}
+
 // settleDeadColumns stores +0, the sum a column-mapped product leaves
 // out, in the listed rows of dst (every row when rows is nil) and the dead
 // destination columns. Only a storing product calls it: an accumulating

@@ -224,21 +224,51 @@ func MulTransB(dst, a, b *Matrix) {
 
 // MulTransBLive is MulTransB for a caller that holds more than the
 // operands. al is its live set of a, or nil (see Live). finite says the
-// caller knows every element of b to be finite (a PackedB of b says so:
-// PackedB.Finite); the product then skips a's dead depth without first
-// reading the rows of b it meets for Inf and NaN, which false makes it
-// do. out, when non-nil, is a scanned live set over the destination's
-// columns naming the ones anybody will read: the product computes those,
-// from the rows of b behind them alone, and stores +0 in the rest — so a
-// non-finite element in an unlisted row of b is hidden, where MulTransB
-// hides nothing. accumulate adds the product to dst (dst + sum, one
-// rounding per element: bitwise `tmp = a·bᵀ; dst += tmp`) instead of
-// storing it, and then leaves the unlisted columns as they stand, under
-// MulTransAAcc's precondition: dst holds no −0.
+// caller knows every element of b to be finite; the product then skips
+// a's dead depth without first reading the rows of b it meets for Inf
+// and NaN, which false makes it do. out, when non-nil, is a scanned live
+// set over the destination's columns naming the ones anybody will read:
+// the product computes those, from the rows of b behind them alone, and
+// stores +0 in the rest — so a non-finite element in an unlisted row of
+// b is hidden, where MulTransB hides nothing. accumulate adds the
+// product to dst (dst + sum, one rounding per element: bitwise
+// `tmp = a·bᵀ; dst += tmp`) instead of storing it, and then leaves the
+// unlisted columns as they stand, under MulTransAAcc's precondition: dst
+// holds no −0.
 func MulTransBLive(dst, a *Matrix, al *Live, b *Matrix, finite bool, out *Live, accumulate bool) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulTransB dimension mismatch")
 	}
+	mulTransB(dst, a, al, transBOperand{b: b}, finite, out, accumulate)
+}
+
+// MulTransBPacked is MulTransBLive with b held in panels, the form nn
+// keeps its weights in: the transposed panels the product runs on are
+// built from pb's, and pb.Finite stands in for the caller's finite. It
+// is bitwise MulTransBLive over the operand pb holds.
+func MulTransBPacked(dst, a *Matrix, al *Live, pb *PackedB, out *Live, accumulate bool) {
+	if a.Cols != pb.N || dst.Rows != a.Rows || dst.Cols != pb.K {
+		panic("mat: MulTransBPacked dimension mismatch")
+	}
+	mulTransB(dst, a, al, transBOperand{pb: pb}, pb.Finite, out, accumulate)
+}
+
+// transBOperand is the b of a·bᵀ in either of the forms it comes in:
+// row-major b, or pb's panels.
+type transBOperand struct {
+	b  *Matrix
+	pb *PackedB
+}
+
+// rows is the operand's row count, the product's destination width.
+func (o transBOperand) rows() int {
+	if o.pb != nil {
+		return o.pb.K
+	}
+	return o.b.Rows
+}
+
+func mulTransB(dst, a *Matrix, al *Live, b transBOperand, finite bool, out *Live, accumulate bool) {
 	var keep []int32 // the rows of b, destination columns, to compute: nil is all
 	if out != nil {
 		if n, ok := out.Count(); !ok || out.k != dst.Cols {
@@ -248,20 +278,36 @@ func MulTransBLive(dst, a *Matrix, al *Live, b *Matrix, finite bool, out *Live, 
 			settleDeadColumns(dst, nil, out.deadList())
 		}
 	}
-	if a.Rows >= minPackRows && a.Cols > 0 && b.Rows > 0 {
+	if a.Rows >= minPackRows && a.Cols > 0 && b.rows() > 0 {
 		al, borrowed := borrowLive(al)
 		al.scan(a, 0, a.Rows)
 		live := al.list()
-		if live != nil && !finite && !finiteIn(b, keep, al.deadList()) {
-			live = nil
+		var bp *Matrix
+		if b.pb != nil {
+			if live != nil && !finite && !finiteInPanels(b.pb, keep, al.deadList()) {
+				live = nil
+			}
+			bp = packBTPanels(b.pb, keep, live)
+		} else {
+			if live != nil && !finite && !finiteIn(b.b, keep, al.deadList()) {
+				live = nil
+			}
+			bp = packBT(b.b, keep, live)
 		}
-		bp := packBT(b, keep, live)
 		gemmPackedRange(dst, a, bp.Data, 0, a.Rows, live, &epilogue{accumulate: accumulate, cols: keep})
 		PutScratch(bp)
 		putLive(al, borrowed)
 		return
 	}
-	mulTransBRange(dst, a, b, 0, a.Rows, keep, accumulate)
+	if b.pb == nil {
+		mulTransBRange(dst, a, b.b, 0, a.Rows, keep, accumulate)
+		return
+	}
+	// Too few rows to pack for: the streaming kernel reads b row-major.
+	rm := GetScratch(b.pb.K, b.pb.N)
+	b.pb.UnpackInto(rm)
+	mulTransBRange(dst, a, rm, 0, a.Rows, keep, accumulate)
+	PutScratch(rm)
 }
 
 // Add computes dst = a + b element-wise; dst may alias a or b.

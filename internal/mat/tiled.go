@@ -158,6 +158,46 @@ func packBT(b *Matrix, rows, depth []int32) *Matrix {
 	return pm
 }
 
+// packBTPanels is packBT for an operand held in panels (PackedB): the
+// same transposed panels, built from pb's. Eight rows of the operand in
+// one of its panels are eight contiguous runs, so the transposition goes
+// an 8 × 8 block at a time: eight run reads, eight panel-row writes.
+func packBTPanels(pb *PackedB, rows, depth []int32) *Matrix {
+	k := pb.N // the depth
+	pm := GetScratch(1, (pb.K+nr-1)/nr*nr*k)
+	n := span(rows, pb.K) // destination columns packed
+	panels := (n + nr - 1) / nr
+	stride := pb.K * nr // from one of pb's panels to the next
+	var src [nr]int     // where each packed column's row starts in pb's first panel
+	for p := 0; p < panels; p++ {
+		for jj := range src {
+			// A last panel of fewer than nr columns repeats its final one,
+			// as packBT's does.
+			src[jj] = pick(rows, min(p*nr+jj, n-1)) * nr
+		}
+		out := pm.Data[p*nr*k : (p+1)*nr*k]
+		if depth == nil {
+			for q := 0; q*nr < k; q++ {
+				blk := pb.Data[q*stride:]
+				s0, s1, s2, s3 := blk[src[0]:src[0]+nr], blk[src[1]:src[1]+nr], blk[src[2]:src[2]+nr], blk[src[3]:src[3]+nr]
+				s4, s5, s6, s7 := blk[src[4]:src[4]+nr], blk[src[5]:src[5]+nr], blk[src[6]:src[6]+nr], blk[src[7]:src[7]+nr]
+				for tt := range min(k-q*nr, nr) {
+					o := out[(q*nr+tt)*nr : (q*nr+tt)*nr+nr]
+					o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0[tt], s1[tt], s2[tt], s3[tt], s4[tt], s5[tt], s6[tt], s7[tt]
+				}
+			}
+			continue
+		}
+		for _, t := range depth {
+			blk := pb.Data[int(t)/nr*stride+int(t)%nr:]
+			o := out[int(t)*nr : int(t)*nr+nr]
+			o[0], o[1], o[2], o[3] = blk[src[0]], blk[src[1]], blk[src[2]], blk[src[3]]
+			o[4], o[5], o[6], o[7] = blk[src[4]], blk[src[5]], blk[src[6]], blk[src[7]]
+		}
+	}
+	return pm
+}
+
 // gemmPackedRange computes destination rows [r0, r1) of dst = a·(packed
 // panels) through the epilogue. live lists, ascending, the k-columns of a
 // that hold anything other than ±0 in some row of the product (see Live);

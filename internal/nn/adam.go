@@ -41,8 +41,8 @@ func (a *Adam) apply(params []*Param, zeroGrad bool) {
 	k := a.consts()
 	for _, p := range params {
 		if p.m == nil {
-			p.m = mat.New(p.Value.Rows, p.Value.Cols)
-			p.v = mat.New(p.Value.Rows, p.Value.Cols)
+			p.m = mat.New(p.Panels.K, p.Panels.N)
+			p.v = mat.New(p.Panels.K, p.Panels.N)
 		}
 		stepParam(p, &k, zeroGrad)
 	}
@@ -96,39 +96,58 @@ func reciprocalExact(c float64) bool { return c >= 0x1p-10 && c <= 1 }
 // TWIG_DISABLE_AVX2 (mat's switch, the only one) is unset.
 var haveKernel = mat.HaveFMA()
 
-// stepParam applies one Adam step to p and leaves p's pack, if it has
-// one, current, its Finite bit included: the kernel stores each updated
-// vector to the panels as well where the tensor fills whole panels,
-// testing what it stores for Inf and NaN (the asm walks the layout of
-// mat.PackedB at mat.PanelWidth = 8; TestAdamKernelWritesPack holds the
-// two together), and a ragged tensor or the portable path repacks
-// behind the update.
+// stepParam applies one Adam step to p, reading and writing each value
+// in its panel slot (mat.PackedB) against the row-major gradient and
+// moments, and leaves p.Panels.Finite what a scan would say. The kernel
+// takes the panels the tensor fills whole, testing what it stores for
+// Inf and NaN (the asm walks the layout of mat.PackedB at mat.PanelWidth
+// = 8; TestAdamKernelMatchesScalar holds the two together); the scalar
+// loop takes a ragged last panel in place, one row's run at a time, and
+// on the portable path every panel. A one-row tensor (a bias) lies in its
+// panels as it does row-major and goes through adamUpdate whole. A tensor
+// no backward pass has reached steps with a zero gradient.
 func stepParam(p *Param, k *adamConsts, zeroGrad bool) {
-	rows, cols := p.Value.Rows, p.Value.Cols
-	if haveKernel && p.pack != nil && cols%mat.PanelWidth == 0 && rows*cols > 0 {
-		pack := p.pack.Data[:rows*cols]
-		p.pack.Finite = adamKernel(rows, cols, &p.Value.Data[0], &p.Grad.Data[0], &p.m.Data[0], &p.v.Data[0], &pack[0], k, zeroGrad)
+	w := p.Panels
+	rows, cols := w.K, w.N
+	g, md, vd := p.grad().Data, p.m.Data, p.v.Data
+	if rows == 1 {
+		w.Finite = adamUpdate(w.Data[:cols], g, md, vd, k, zeroGrad)
 		return
 	}
-	adamUpdate(p.Value.Data, p.Grad.Data, p.m.Data, p.v.Data, k, zeroGrad)
-	if p.pack != nil {
-		p.pack.RepackFrom(p.Value)
+	full, finite := 0, true // the columns the kernel took, and what it stored
+	if haveKernel && rows > 0 {
+		if full = cols &^ (mat.PanelWidth - 1); full > 0 {
+			finite = adamKernel(rows, full, cols, &g[0], &md[0], &vd[0], &w.Data[0], k, zeroGrad)
+		}
 	}
+	for j0 := full; j0 < cols; j0 += mat.PanelWidth {
+		n := min(cols-j0, mat.PanelWidth)
+		panel := w.Data[j0*rows:] // panel j0/8 starts (j0/8)·rows·8 in
+		for t := 0; t < rows; t++ {
+			run, e := panel[t*mat.PanelWidth:t*mat.PanelWidth+n], t*cols+j0
+			adamScalar(run, g[e:e+n], md[e:e+n], vd[e:e+n], k, zeroGrad)
+			finite = finite && mat.AllFinite(run)
+		}
+	}
+	w.Finite = finite
 }
 
 // adamUpdate applies one Adam step to equal-length value/grad/moment
-// slices, zeroing grad behind it when asked: the vector kernel over the
-// multiple-of-four prefix where the CPU has it, the scalar loop over the
-// rest. The two agree bit for bit (TestAdamKernelMatchesScalar), so how
-// a tensor splits between them changes nothing.
-func adamUpdate(value, grad, m, v []float64, k *adamConsts, zeroGrad bool) {
-	n := 0
+// slices, zeroing grad behind it when asked, and reports whether every
+// value it stored is finite: the vector kernel over the multiple-of-four
+// prefix where the CPU has it, the scalar loop over the rest. The two
+// agree bit for bit (TestAdamKernelMatchesScalar), so how a tensor splits
+// between them changes nothing.
+func adamUpdate(value, grad, m, v []float64, k *adamConsts, zeroGrad bool) (finite bool) {
+	n, finite := 0, true
 	if haveKernel {
 		if n = len(grad) &^ 3; n > 0 {
-			adamKernel(1, n, &value[0], &grad[0], &m[0], &v[0], nil, k, zeroGrad)
+			// One row: the kernel's panel walk is the slice in order.
+			finite = adamKernel(1, n, n, &grad[0], &m[0], &v[0], &value[0], k, zeroGrad)
 		}
 	}
 	adamScalar(value[n:], grad[n:], m[n:], v[n:], k, zeroGrad)
+	return finite && mat.AllFinite(value[n:])
 }
 
 // adamScalar is the element update as the original loop wrote it: the

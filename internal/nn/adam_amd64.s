@@ -31,15 +31,15 @@ DATA adamUnit<>+16(SB)/8, $0x0010000000000000
 DATA adamUnit<>+24(SB)/8, $0x0010000000000000
 GLOBL adamUnit<>(SB), RODATA|NOPTR, $32
 
-// func adamKernel(rows, cols int, value, grad, m, v, pack *float64, k *adamConsts, zero bool) (finite bool)
+// func adamKernel(rows, cols, stride int, grad, m, v, pack *float64, k *adamConsts, zero bool) (finite bool)
 //
-// Adam.update over a rows×cols tensor (cols a multiple of 4; a flat run
-// of elements is one row), four lanes at a time, in the scalar loop's
-// operation order. Every multiply, add and square root and the final
-// divide is its own correctly rounded IEEE operation, so each lane
-// equals the scalar element bit for bit. The two divisions by the
-// step's constants, m′/c₁ and v′/c₂, do not visit the divider: with
-// y = RN(1/c) from the caller,
+// Adam.update over the first cols columns of a rows×stride tensor (cols a
+// multiple of the panel width 8, or of 4 when rows is 1), four lanes at a
+// time, in the scalar loop's operation order. Every multiply, add and
+// square root and the final divide is its own correctly rounded IEEE
+// operation, so each lane equals the scalar element bit for bit. The two
+// divisions by the step's constants, m′/c₁ and v′/c₂, do not visit the
+// divider: with y = RN(1/c) from the caller,
 //
 //	q₀ = RN(x·y)   r₀ = RN(x − q₀·c)   q₁ = RN(q₀ + r₀·y)
 //	               r₁ = RN(x − q₁·c)   q  = RN(q₁ + r₁·y)
@@ -57,25 +57,28 @@ GLOBL adamUnit<>(SB), RODATA|NOPTR, $32
 // and c₂ are in [2⁻¹⁰, 1]; any other vector runs VDIVPD twice, as every
 // vector once did.
 //
-// pack, when non-nil, is the tensor's mat.PackedB panels (cols a
-// multiple of the panel width 8): element (t, j) also goes to
-// pack[(j/8)·rows·8 + t·8 + j%8], so the step leaves the pack current,
-// and finite reports whether every value it wrote there is (true when
-// pack is nil): the pack's Finite.
+// grad, m and v are row-major, stride elements a row. The values live in
+// the tensor's mat.PackedB panels and nowhere else: element (t, j) is
+// read from and written back to pack[(j/8)·rows·8 + t·8 + j%8] (one row
+// lies in its panels in order), and finite reports whether every value
+// written there is: the pack's Finite, for the columns the call covers.
 //
 // k holds β₁, 1−β₁, β₂, 1−β₂, c₁, c₂, lr, ε, 1/c₁, 1/c₂, reciprocal in
 // that order. The frame holds the four constants read once a vector as
 // memory operands, the pack rewind of a finished row and the vectors in
-// a row; BX collects the lanes seen non-finite.
+// a row; DI is the bytes from the end of a row's covered columns to the
+// next row's first, BX collects the lanes seen non-finite.
 TEXT ·adamKernel(SB), NOSPLIT, $144-73
 	MOVQ rows+0(FP), DX
 	MOVQ cols+8(FP), CX
-	MOVQ value+16(FP), DI
+	MOVQ stride+16(FP), DI
 	MOVQ grad+24(FP), SI
 	MOVQ m+32(FP), R8
 	MOVQ v+40(FP), R9
 	MOVQ pack+48(FP), R10
 	MOVQ k+56(FP), AX
+	SUBQ CX, DI
+	SHLQ $3, DI
 	XORQ BX, BX
 	VBROADCASTSD 0(AX), Y15   // β₁
 	VBROADCASTSD 16(AX), Y14  // β₂
@@ -97,8 +100,8 @@ TEXT ·adamKernel(SB), NOSPLIT, $144-73
 	// The pack walk. A panel is rows·64 bytes; row t of it starts t·64
 	// in. From a row's first half-panel the next vector is 32 bytes on,
 	// from its second rows·64 − 32: R11 alternates between the two by
-	// XOR with R13. A finished row has moved (cols/8)·rows·64 and the
-	// next starts 64 past where it began.
+	// XOR with R13 (for one row both are 32). A finished row has moved
+	// (cols/8)·rows·64 and the next starts 64 past where it began.
 	MOVQ DX, R13
 	SHLQ $6, R13
 	MOVQ CX, AX
@@ -166,11 +169,8 @@ stepadam:
 	VSQRTPD Y3, Y3
 	VADDPD 96(SP), Y3, Y3     // √(v′/c₂) + ε
 	VDIVPD Y3, Y1, Y1
-	VMOVUPD (DI), Y5
+	VMOVUPD (R10), Y5
 	VSUBPD Y1, Y5, Y5
-	VMOVUPD Y5, (DI)
-	TESTQ R10, R10
-	JZ   nopack
 	VMOVUPD Y5, (R10)
 	ADDQ R11, R10
 	XORQ R13, R11
@@ -178,21 +178,19 @@ stepadam:
 	VPADDQ adamUnit<>(SB), Y2, Y2
 	VMOVMSKPD Y2, AX          // the lanes that are Inf or NaN
 	ORQ  AX, BX
-nopack:
 	CMPB zero+64(FP), $0
 	JEQ  keepgrad
 	VMOVUPD Y7, (SI)
 keepgrad:
 	ADDQ $32, SI
-	ADDQ $32, DI
 	ADDQ $32, R8
 	ADDQ $32, R9
 	DECQ CX
 	JNZ  loopadam
-	TESTQ R10, R10
-	JZ   nextrow
 	SUBQ 128(SP), R10
-nextrow:
+	ADDQ DI, SI
+	ADDQ DI, R8
+	ADDQ DI, R9
 	DECQ DX
 	JNZ  rowadam
 doneadam:

@@ -86,16 +86,93 @@ func requireSliceBits(t *testing.T, tag string, got, want []float64) {
 }
 
 // requireAdamMatchesScalar runs one update through adamUpdate and the
-// same one through the scalar loop and holds all four slices equal.
+// same one through the scalar loop and holds all four slices equal, and
+// the finite adamUpdate reports to a scan of the values.
 func requireAdamMatchesScalar(t *testing.T, tag string, value, grad, m, v []float64, k *adamConsts, zero bool) {
 	t.Helper()
 	wv, wg, wm, wvv := mat.Clone(value), mat.Clone(grad), mat.Clone(m), mat.Clone(v)
-	adamUpdate(value, grad, m, v, k, zero)
+	finite := adamUpdate(value, grad, m, v, k, zero)
 	adamScalar(wv, wg, wm, wvv, k, zero)
 	requireSliceBits(t, tag+" value", value, wv)
 	requireSliceBits(t, tag+" grad", grad, wg)
 	requireSliceBits(t, tag+" m", m, wm)
 	requireSliceBits(t, tag+" v", v, wvv)
+	if want := scanFinite(wv); finite != want {
+		t.Fatalf("%s: adamUpdate reports finite %t, a scan of the values %t", tag, finite, want)
+	}
+}
+
+// scanFinite is the oracle of every Finite bit: a scan of row-major
+// values.
+func scanFinite(values []float64) bool {
+	for _, x := range values {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// refParam is the row-major reference model of a Param: the values,
+// gradient and moments as a tensor without panels holds them, stepped by
+// the scalar loop alone.
+type refParam struct {
+	rows, cols  int
+	value, grad []float64
+	m, v        []float64
+}
+
+// newRefParam copies p — its values unpacked — into a reference model.
+func newRefParam(p *Param) *refParam {
+	r := &refParam{rows: p.Panels.K, cols: p.Panels.N, value: p.Panels.Unpack().Data}
+	r.grad = make([]float64, len(r.value))
+	r.m, r.v = make([]float64, len(r.value)), make([]float64, len(r.value))
+	if p.Grad != nil {
+		copy(r.grad, p.Grad.Data)
+	}
+	if p.m != nil {
+		copy(r.m, p.m.Data)
+		copy(r.v, p.v.Data)
+	}
+	return r
+}
+
+// step is the reference optimiser step: adamScalar over the row-major
+// tensor.
+func (r *refParam) step(k *adamConsts, zero bool) {
+	adamScalar(r.value, r.grad, r.m, r.v, k, zero)
+}
+
+// requireParamMatchesRef holds p to the reference: its unpacked values,
+// gradient and moments bit for bit, its panels' pad lanes +0, and its
+// Finite bit what a scan of the reference values says.
+func requireParamMatchesRef(t *testing.T, tag string, p *Param, r *refParam) {
+	t.Helper()
+	if p.Panels.K != r.rows || p.Panels.N != r.cols {
+		t.Fatalf("%s: %dx%d panels for a %dx%d tensor", tag, p.Panels.K, p.Panels.N, r.rows, r.cols)
+	}
+	requireSliceBits(t, tag+" value", p.Panels.Unpack().Data, r.value)
+	if p.Grad != nil {
+		requireSliceBits(t, tag+" grad", p.Grad.Data, r.grad)
+	}
+	if p.m != nil {
+		requireSliceBits(t, tag+" m", p.m.Data, r.m)
+		requireSliceBits(t, tag+" v", p.v.Data, r.v)
+	}
+	held := make([]bool, len(p.Panels.Data))
+	for t := 0; t < r.rows; t++ {
+		for j := 0; j < r.cols; j++ {
+			held[j/mat.PanelWidth*r.rows*mat.PanelWidth+t*mat.PanelWidth+j%mat.PanelWidth] = true
+		}
+	}
+	for i, x := range p.Panels.Data {
+		if !held[i] && math.Float64bits(x) != 0 {
+			t.Fatalf("%s: pad lane %d of the panels holds %v", tag, i, x)
+		}
+	}
+	if want := scanFinite(r.value); p.Panels.Finite != want {
+		t.Fatalf("%s: Panels.Finite = %t, a scan of the reference values %t", tag, p.Panels.Finite, want)
+	}
 }
 
 // adamOracleSteps are the bias corrections worth visiting: the first
@@ -192,11 +269,15 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 		requireAdamMatchesScalar(t, fmt.Sprintf("bare quotients, step %d", step), value, grad, m, v, &k, false)
 	}
 
-	build := func() *Sequential {
-		rng := rand.New(rand.NewSource(11))
-		return NewSequential(NewDense("l1", 5, 16, rng), NewReLU(), NewDense("l2", 16, 3, rng))
+	// Through the optimiser's entry point: a network stepped by Adam
+	// against the row-major reference stepped by the scalar loop alone,
+	// over a full-panel and a ragged tensor and their biases.
+	rng2 := rand.New(rand.NewSource(11))
+	net := NewSequential(NewDense("l1", 5, 16, rng2), NewReLU(), NewDense("l2", 16, 3, rng2))
+	refs := make([]*refParam, len(net.Params()))
+	for i, p := range net.Params() {
+		refs[i] = newRefParam(p)
 	}
-	net, ref := build(), build()
 	opt, optR := NewAdam(0.01), NewAdam(0.01)
 	in, gout := mat.New(7, 5), mat.New(7, 3)
 	for step := 0; step < 40; step++ {
@@ -206,28 +287,17 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 		for i := range gout.Data {
 			gout.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
 		}
-		for _, n := range []*Sequential{net, ref} {
-			n.Forward(in, true)
-			n.Backward(gout)
+		net.Forward(in, true)
+		net.Backward(gout)
+		for i, p := range net.Params() {
+			copy(refs[i].grad, p.Grad.Data)
 		}
 		opt.StepAndZeroGrad(net.Params())
-		// The reference step: the scalar loop per tensor.
 		optR.step++
 		k := optR.consts()
-		for _, p := range ref.Params() {
-			if p.m == nil {
-				p.m = mat.New(p.Value.Rows, p.Value.Cols)
-				p.v = mat.New(p.Value.Rows, p.Value.Cols)
-			}
-			adamScalar(p.Value.Data, p.Grad.Data, p.m.Data, p.v.Data, &k, true)
-		}
-		for i, rp := range ref.Params() {
-			got := net.Params()[i]
-			tag := fmt.Sprintf("step %d %s ", step, rp.Name)
-			requireSliceBits(t, tag+"value", got.Value.Data, rp.Value.Data)
-			requireSliceBits(t, tag+"grad", got.Grad.Data, rp.Grad.Data)
-			requireSliceBits(t, tag+"m", got.m.Data, rp.m.Data)
-			requireSliceBits(t, tag+"v", got.v.Data, rp.v.Data)
+		for i, p := range net.Params() {
+			refs[i].step(&k, true)
+			requireParamMatchesRef(t, fmt.Sprintf("step %d %s", step, p.Name), p, refs[i])
 		}
 	}
 }
@@ -293,31 +363,14 @@ func TestAdamDegenerateBetasMatchScalar(t *testing.T) {
 	}
 }
 
-// requirePackCurrent holds p's pack to its weights: the panels are
-// mat.PackB's bit for bit, and Finite is what a scan of the weights says.
-func requirePackCurrent(t *testing.T, tag string, p *Param) {
-	t.Helper()
-	want := mat.PackB(p.Value)
-	if len(p.pack.Data) != len(want.Data) {
-		t.Fatalf("%s: pack has %d elements, want %d", tag, len(p.pack.Data), len(want.Data))
-	}
-	requireSliceBits(t, tag+" pack", p.pack.Data, want.Data)
-	finite := true
-	for _, v := range p.Value.Data {
-		finite = finite && !math.IsInf(v, 0) && !math.IsNaN(v)
-	}
-	if p.pack.Finite != finite {
-		t.Fatalf("%s: pack.Finite = %t, a scan of the weights says %t", tag, p.pack.Finite, finite)
-	}
-}
-
 // FuzzAdamKernelMatchesScalar plants one element of raw bit patterns —
 // value, gradient and both moments — in a lane of two ordinary vectors
 // and a tail, at a fuzzed step, and holds the kernel to the scalar loop
 // as TestAdamKernelMatchesScalar does. Then the same element goes through
-// the step of a packed tensor, one the kernel writes the panels of and a
-// ragged one repacked behind the update: either way the pack must be the
-// weights' and its Finite bit what a scan of them says.
+// the step of tensors kept in panels — one the kernel takes whole, ragged
+// ones whose last panel the scalar loop updates in place (Out % 8 ≠ 0)
+// and one-row ones (biases) — each held to the row-major reference model
+// stepped by adamScalar: values, moments, gradient and the Finite bit.
 func FuzzAdamKernelMatchesScalar(f *testing.F) {
 	bits := math.Float64bits
 	f.Add(bits(1.5), bits(-0.25), bits(0.125), bits(3.0), uint32(1), int64(1))
@@ -339,32 +392,38 @@ func FuzzAdamKernelMatchesScalar(f *testing.F) {
 		opt := NewAdam(0.0025)
 		opt.step = 1 + int(step%200_000)
 		k := opt.consts()
-		requireAdamMatchesScalar(t, fmt.Sprintf("step=%d lane=%d", opt.step, lane), value, grad, m, v, &k, seed%2 == 0)
+		zero := seed%2 == 0
+		requireAdamMatchesScalar(t, fmt.Sprintf("step=%d lane=%d", opt.step, lane), value, grad, m, v, &k, zero)
 
-		for _, cols := range []int{mat.PanelWidth, 5} {
-			p := NewParam("w", 2, cols)
-			p.m, p.v = mat.New(2, cols), mat.New(2, cols)
-			for i := range p.Value.Data {
-				p.Value.Data[i], p.Grad.Data[i] = rng.NormFloat64(), rng.NormFloat64()
+		for _, shape := range [][2]int{{2, mat.PanelWidth}, {2, 5}, {3, 18}, {2, 9}, {4, 1}, {1, 11}, {1, 4}, {1, 16}} {
+			rows, cols := shape[0], shape[1]
+			vals := mat.New(rows, cols)
+			p := NewParam("w", rows, cols)
+			p.grad()
+			p.m, p.v = mat.New(rows, cols), mat.New(rows, cols)
+			for i := range vals.Data {
+				vals.Data[i], p.Grad.Data[i] = rng.NormFloat64(), rng.NormFloat64()
 				p.m.Data[i], p.v.Data[i] = rng.NormFloat64(), rng.Float64()
 			}
-			lane := rng.Intn(2 * cols)
-			p.Value.Data[lane], p.Grad.Data[lane] = math.Float64frombits(valueBits), math.Float64frombits(gradBits)
+			lane := rng.Intn(rows * cols)
+			vals.Data[lane], p.Grad.Data[lane] = math.Float64frombits(valueBits), math.Float64frombits(gradBits)
 			p.m.Data[lane], p.v.Data[lane] = math.Float64frombits(mBits), math.Float64frombits(vBits)
-			p.pack = mat.PackB(p.Value)
-			stepParam(p, &k, seed%2 == 0)
-			requirePackCurrent(t, fmt.Sprintf("step=%d 2×%d lane=%d", opt.step, cols, lane), p)
+			p.Panels.RepackFrom(vals)
+			ref := newRefParam(p)
+			stepParam(p, &k, zero)
+			ref.step(&k, zero)
+			requireParamMatchesRef(t, fmt.Sprintf("step=%d %d×%d lane=%d", opt.step, rows, cols, lane), p, ref)
 		}
 	})
 }
 
-// TestAdamKernelWritesPack is the pack-in-step invariant at the layer:
-// after an optimiser step every Dense that has a pack holds
-// mat.PackB(W.Value) bit for bit, and a Finite bit a scan agrees with
-// (requirePackCurrent) — written by the kernel where Out fills
-// whole panels, repacked behind the update where it does not (Out 18, 9,
-// 1) and on the portable path — and the weights are the ones a layer
-// without a pack gets.
+// TestAdamKernelWritesPack is the one-copy invariant at the layer: Adam
+// reads and writes every weight in its panel slot — the kernel where Out
+// fills whole panels, the scalar loop in place over a ragged last panel
+// (Out 18, 9, 1) and a bias, and everything on the portable path — and
+// after each step the unpacked weights, the moments and the Finite bit
+// equal a row-major reference stepped by adamScalar, bit for bit, through
+// both entry points.
 func TestAdamKernelWritesPack(t *testing.T) {
 	shapes := [][2]int{{22, 512}, {1, 8}, {3, 16}, {128, 24}, {128, 18}, {16, 9}, {128, 1}, {5, 4}, {7, 12}}
 	for _, kernel := range []bool{haveKernel, false} {
@@ -372,40 +431,38 @@ func TestAdamKernelWritesPack(t *testing.T) {
 			defer func(was bool) { haveKernel = was }(haveKernel)
 			haveKernel = kernel
 			rng := rand.New(rand.NewSource(3))
-			var packed, plain []*Dense
-			var pp, rp []*Param
+			var ps []*Param
 			for i, s := range shapes {
-				seed := rng.Int63()
-				d := NewDense(fmt.Sprintf("d%d", i), s[0], s[1], rand.New(rand.NewSource(seed)))
-				d.RefreshPack()
-				r := NewDense(fmt.Sprintf("d%d", i), s[0], s[1], rand.New(rand.NewSource(seed)))
-				packed, plain = append(packed, d), append(plain, r)
-				pp, rp = append(pp, d.Params()...), append(rp, r.Params()...)
+				ps = append(ps, NewDense(fmt.Sprintf("d%d", i), s[0], s[1], rand.New(rand.NewSource(rng.Int63()))).Params()...)
+			}
+			refs := make([]*refParam, len(ps))
+			for i, p := range ps {
+				p.grad()
+				refs[i] = newRefParam(p)
 			}
 			opt, optR := NewAdam(0.0025), NewAdam(0.0025)
 			for step := 0; step < 6; step++ {
-				for i, p := range pp {
+				for i, p := range ps {
 					for j := range p.Grad.Data {
 						g := rng.NormFloat64()
 						if rng.Intn(4) == 0 {
 							g = 0
 						}
-						p.Grad.Data[j], rp[i].Grad.Data[j] = g, g
+						p.Grad.Data[j], refs[i].grad[j] = g, g
 					}
 				}
-				// Alternate the two entry points: both must keep the pack.
-				if step%2 == 0 {
-					opt.StepAndZeroGrad(pp)
-					optR.StepAndZeroGrad(rp)
+				// Alternate the two entry points: both step in place.
+				zero := step%2 == 0
+				if zero {
+					opt.StepAndZeroGrad(ps)
 				} else {
-					opt.Step(pp)
-					optR.Step(rp)
+					opt.Step(ps)
 				}
-				for i, d := range packed {
-					tag := fmt.Sprintf("kernel=%v step %d %dx%d ", kernel, step, d.In, d.Out)
-					requireSliceBits(t, tag+"W", d.W.Value.Data, plain[i].W.Value.Data)
-					requireSliceBits(t, tag+"B", d.B.Value.Data, plain[i].B.Value.Data)
-					requirePackCurrent(t, tag, d.W)
+				optR.step++
+				k := optR.consts()
+				for i, p := range ps {
+					refs[i].step(&k, zero)
+					requireParamMatchesRef(t, fmt.Sprintf("kernel=%v step %d %s %dx%d", kernel, step, p.Name, p.Panels.K, p.Panels.N), p, refs[i])
 				}
 			}
 		}()

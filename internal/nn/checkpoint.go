@@ -10,14 +10,16 @@ import (
 // EncodeParams writes the full learnable state of params: values plus
 // the Adam first/second moment estimates when the optimiser has
 // allocated them. Gradients are transient (rebuilt by the next backward
-// pass) and are not captured.
+// pass) and are not captured. Values go in row-major, read out of the
+// panels a run at a time, so the bytes are what a row-major tensor
+// writes.
 func EncodeParams(e *checkpoint.Encoder, params []*Param) {
 	e.Int(len(params))
 	for _, p := range params {
 		e.String(p.Name)
-		e.Int(p.Value.Rows)
-		e.Int(p.Value.Cols)
-		e.F64s(p.Value.Data)
+		e.Int(p.Panels.K)
+		e.Int(p.Panels.N)
+		e.F64sRuns(p.Size(), p.Panels)
 		if p.m != nil {
 			e.Bool(true)
 			e.F64s(p.m.Data)
@@ -48,14 +50,15 @@ func DecodeParams(d *checkpoint.Decoder, params []*Param) error {
 		if name != p.Name {
 			return fmt.Errorf("nn: param %d is %q in checkpoint, %q in network", i, name, p.Name)
 		}
-		if rows != p.Value.Rows || cols != p.Value.Cols {
+		if rows != p.Panels.K || cols != p.Panels.N {
 			return fmt.Errorf("nn: param %q shape %dx%d in checkpoint, %dx%d in network",
-				name, rows, cols, p.Value.Rows, p.Value.Cols)
+				name, rows, cols, p.Panels.K, p.Panels.N)
 		}
-		// Value and moments decode in place: the live shape was just
-		// matched, and F64sInto rejects any other stored length before
-		// it writes.
-		d.F64sInto(p.Value.Data)
+		// Values and moments decode in place — the values into their panel
+		// slots: the live shape was just matched, and F64sInto(Runs)
+		// rejects any other stored length before it writes.
+		d.F64sIntoRuns(p.Size(), p.Panels)
+		p.Panels.CheckFinite()
 		hasMoments := d.Bool()
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("nn: param %q: %w", name, err)

@@ -62,8 +62,8 @@ func requireParamsBitEqual(t *testing.T, tag string, fused, unfused []*Param) {
 		if pf.Name != pu.Name {
 			t.Fatalf("%s: param %d name %q vs %q", tag, i, pf.Name, pu.Name)
 		}
-		for j := range pf.Value.Data {
-			if got, want := math.Float64bits(pf.Value.Data[j]), math.Float64bits(pu.Value.Data[j]); got != want {
+		for j := range pf.Panels.Data {
+			if got, want := math.Float64bits(pf.Panels.Data[j]), math.Float64bits(pu.Panels.Data[j]); got != want {
 				t.Fatalf("%s: %s value[%d] = %x, unfused %x", tag, pf.Name, j, got, want)
 			}
 		}

@@ -47,20 +47,20 @@ func TestGatedBackwardBitEqualsUngated(t *testing.T) {
 		{"none dead", func(d *Dense, first bool) {
 			// Every unit fires for every sample: a large bias over N(0,1)
 			// data, then non-negative weights over positive activations.
-			for i := range d.B.Value.Data {
-				d.B.Value.Data[i] += 50
+			for i := range d.bias() {
+				d.bias()[i] += 50
 			}
-			for i, w := range d.W.Value.Data {
+			for i, w := range d.W.Panels.Data {
 				if !first {
-					d.W.Value.Data[i] = math.Abs(w)
+					d.W.Panels.Data[i] = math.Abs(w)
 				}
 			}
 		}, false},
 		{"natural", func(*Dense, bool) {}, true},
 		{"all dead", func(d *Dense, first bool) {
-			for i := range d.B.Value.Data {
+			for i := range d.bias() {
 				if first {
-					d.B.Value.Data[i] = -1e6
+					d.bias()[i] = -1e6
 				}
 			}
 		}, true},

@@ -98,14 +98,24 @@ func NewDenseReLU(name string, in, out int, rng *rand.Rand) *Dense {
 
 // InitHe re-initialises the weights with He (Kaiming) normal init and
 // zeroes the biases. Used both at construction and by transfer learning
-// when the final layer is re-randomised.
+// when the final layer is re-randomised. The draws fill W row-major, run
+// by run through its panels.
 func (d *Dense) InitHe(rng *rand.Rand) {
 	std := math.Sqrt(2.0 / float64(d.In))
-	for i := range d.W.Value.Data {
-		d.W.Value.Data[i] = rng.NormFloat64() * std
+	w := d.W.Panels
+	for i, n := 0, w.NumRuns(); i < n; i++ {
+		run := w.Run(i)
+		for j := range run {
+			run[j] = rng.NormFloat64() * std
+		}
 	}
-	d.B.Value.Zero()
+	w.CheckFinite()
+	clear(d.B.Panels.Data)
+	d.B.Panels.Finite = true
 }
+
+// bias is B's values in order: a one-row tensor's panels.
+func (d *Dense) bias() []float64 { return d.B.Panels.Data[:d.Out] }
 
 // Forward computes y = x·W + b (relu'd when FuseReLU) for a batch x
 // (rows = samples). Bias and activation are applied in the GEMM epilogue.
@@ -128,12 +138,7 @@ func (d *Dense) ForwardLive(x *mat.Matrix, xl *mat.Live, train bool) *mat.Matrix
 	if d.FuseReLU {
 		act = mat.ActReLU
 	}
-	var live int
-	if pack := d.W.pack; pack != nil {
-		live = mat.MulPackedBiasAct(y, x, xl, pack, d.B.Value.Data, act)
-	} else {
-		live = mat.MulBiasAct(y, x, xl, d.W.Value, d.B.Value.Data, act)
-	}
+	live := mat.MulPackedBiasAct(y, x, xl, d.W.Panels, d.bias(), act)
 	if train {
 		d.liveIn = live
 	}
@@ -149,29 +154,9 @@ func (d *Dense) ForwardLive(x *mat.Matrix, xl *mat.Live, train bool) *mat.Matrix
 // In wherever the product makes no scan (fewer than four rows).
 func (d *Dense) LiveInputs() (live int, ok bool) { return d.liveIn, d.liveIn >= 0 }
 
-// RefreshPack (re)builds the persistent packed weight panels (see
-// mat.PackedB) from the current W. They hang on W itself, so the
-// optimiser, which rewrites every weight, writes the panels in the same
-// pass (Adam's stepParam): an optimiser step leaves the pack current.
-// The caller owns the refresh after every other weight mutation
-// (bdq.Network marks its packs stale on each), or never calls it — a
-// Dense without packs stays on the per-call packing path. While set,
-// Forward runs the packed kernels at any batch size and skips
-// MulBiasAct's per-call packing: bitwise identical, pack cost paid once
-// per weight change instead of once per product.
-func (d *Dense) RefreshPack() {
-	if d.W.pack == nil {
-		d.W.pack = &mat.PackedB{}
-	}
-	d.W.pack.RepackFrom(d.W.Value)
-}
-
-// Pack returns the persistent packed panels, or nil before the first
-// RefreshPack.
-func (d *Dense) Pack() *mat.PackedB { return d.W.pack }
-
 // Backward accumulates dW = xᵀ·g and db = Σ_rows g, returning g·Wᵀ
-// (nil under NoInputGrad).
+// (nil under NoInputGrad). The first call allocates W's and B's
+// gradients.
 // When FuseReLU is set, g is first masked by the activation gradient;
 // the mask application and the bias column sums share one sweep, and the
 // weight-gradient GEMM accumulates directly into W.Grad.
@@ -221,8 +206,8 @@ func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 	// accumulated input gradient hold no −0, the products' precondition:
 	// they start the step at +0 and only have sums added.
 	d.gLive.Reset()
-	mat.MulTransAAcc(d.W.Grad, d.lastX, d.xLive, g, &d.gLive)
-	mat.Axpy(1, d.colSums, d.B.Grad.Data)
+	mat.MulTransAAcc(d.W.grad(), d.lastX, d.xLive, g, &d.gLive)
+	mat.Axpy(1, d.colSums, d.B.grad().Data)
 
 	if gradIn == nil {
 		return
@@ -231,10 +216,9 @@ func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 	if d.GatedInput {
 		gate = d.xLive
 	}
-	// The pack's Finite bit, current with W since the Forward that used
-	// the pack, spares g·Wᵀ its scan of W for Inf and NaN.
-	finite := d.W.pack != nil && d.W.pack.Finite
-	mat.MulTransBLive(gradIn, g, &d.gLive, d.W.Value, finite, gate, accumulate)
+	// W's panels carry their Finite bit, which spares g·Wᵀ its scan of W
+	// for Inf and NaN.
+	mat.MulTransBPacked(gradIn, g, &d.gLive, d.W.Panels, gate, accumulate)
 }
 
 // maskReLUGrad is one row of the fused DenseReLU backward sweep: m gets

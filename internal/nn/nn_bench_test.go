@@ -64,7 +64,10 @@ func BenchmarkForwardBackwardBatch64(b *testing.B) {
 func paperBDQParams() []*Param {
 	var ps []*Param
 	dense := func(name string, in, out int) {
-		ps = append(ps, NewParam(name+".W", in, out), NewParam(name+".B", 1, out))
+		for _, p := range []*Param{NewParam(name+".W", in, out), NewParam(name+".B", 1, out)} {
+			p.grad()
+			ps = append(ps, p)
+		}
 	}
 	dense("shared0", 22, 512)
 	dense("shared1", 512, 256)
@@ -112,14 +115,14 @@ func BenchmarkAdamStep(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		var m0, v0 [][]float64
 		for _, p := range params {
-			p.m, p.v = mat.New(p.Value.Rows, p.Value.Cols), mat.New(p.Value.Rows, p.Value.Cols)
-			class := make([]int, p.Value.Cols)
+			p.m, p.v = mat.New(p.Panels.K, p.Panels.N), mat.New(p.Panels.K, p.Panels.N)
+			class := make([]int, p.Panels.N)
 			for j := range class {
 				class[j] = rng.Intn(4) // 0: never fired, 1: fired once, else dense
 			}
 			for i := range p.Grad.Data {
 				g := rng.NormFloat64()
-				switch c := class[i%p.Value.Cols]; {
+				switch c := class[i%p.Panels.N]; {
 				case c == 0:
 				case rng.Intn(100) == 0:
 					p.m.Data[i] = 5e-324 * float64(1+rng.Intn(1000))

@@ -120,13 +120,15 @@ func TestGradientCheck(t *testing.T) {
 
 	const eps = 1e-5
 	for _, p := range net.Params() {
-		for i := 0; i < len(p.Value.Data); i += 7 { // sample every 7th weight
-			orig := p.Value.Data[i]
-			p.Value.Data[i] = orig + eps
+		vals := p.Panels.Unpack()
+		set := func(i int, v float64) { vals.Data[i] = v; p.Panels.RepackFrom(vals) }
+		for i := 0; i < p.Size(); i += 7 { // sample every 7th weight
+			orig := vals.Data[i]
+			set(i, orig+eps)
 			lPlus := lossAt()
-			p.Value.Data[i] = orig - eps
+			set(i, orig-eps)
 			lMinus := lossAt()
-			p.Value.Data[i] = orig
+			set(i, orig)
 			numeric := (lPlus - lMinus) / (2 * eps)
 			analytic := p.Grad.Data[i]
 			if math.Abs(numeric-analytic) > 1e-6*(1+math.Abs(numeric)) {
@@ -156,8 +158,8 @@ func TestAdamFitsLinearFunction(t *testing.T) {
 		net.Backward(grad)
 		opt.Step(net.Params())
 	}
-	w := net.Params()[0].Value.At(0, 0)
-	b := net.Params()[1].Value.At(0, 0)
+	w := net.Params()[0].Panels.At(0, 0)
+	b := net.Params()[1].Panels.At(0, 0)
 	if math.Abs(w-2) > 0.05 || math.Abs(b-1) > 0.05 {
 		t.Fatalf("fit w=%v b=%v, want 2, 1", w, b)
 	}

@@ -64,7 +64,7 @@ func (s *Sequential) CopyValuesFrom(src *Sequential) {
 func (s *Sequential) NumParams() int {
 	n := 0
 	for _, p := range s.Params() {
-		n += len(p.Value.Data)
+		n += p.Size()
 	}
 	return n
 }
