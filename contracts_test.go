@@ -133,6 +133,13 @@ var contracts = []contract{
 		},
 	},
 	{
+		name: "no-test-only-exports",
+		why:  `an export no production code calls stays deleted (ROADMAP, "Test-only exports outside mat"): platform's ServiceCores, the allocating twin of AppendServiceCores that tests call with a nil destination`,
+		clauses: []clause{
+			{scope{}, []rule{idents("ServiceCores")}},
+		},
+	},
+	{
 		name: "one-manager-constructor",
 		why:  `every figure, ablation and extension builds its managers through experiments.newController (DESIGN.md §4): no other production file of internal/experiments constructs a baseline — pairs.go's feasibility sweep keeps its static — and the per-figure constructors stay deleted`,
 		clauses: []clause{

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -331,6 +332,73 @@ func TestStoreRetention(t *testing.T) {
 	}
 	if len(seqs) != 3 || seqs[0] != 4 || seqs[2] != 6 {
 		t.Fatalf("retention kept %v, want [4 5 6]", seqs)
+	}
+}
+
+// The store sees exactly the names filePattern prints, at any width: a
+// sequence of 10¹² or more prints thirteen digits or more and is still
+// listed, loaded and pruned; temp files, short or zero-led wide names
+// and anything that is not digits are not.
+func TestStoreFileNames(t *testing.T) {
+	cases := []struct {
+		name string
+		seq  uint64
+		ok   bool
+	}{
+		{"ckpt-000000000005.twig", 5, true},
+		{"ckpt-999999999999.twig", 999999999999, true},
+		{"ckpt-1000000000000.twig", 1000000000000, true},
+		{"ckpt-18446744073709551615.twig", math.MaxUint64, true},
+		{"ckpt-18446744073709551616.twig", 0, false}, // past uint64
+		{"ckpt-00000000005.twig", 0, false},          // eleven digits
+		{"ckpt-0000000000005.twig", 0, false},        // thirteen, zero-led
+		{"ckpt-000000000005.twig.tmp-123456", 0, false},
+		{"ckpt-1000000000000.twig.tmp-9", 0, false},
+		{"ckpt-00000000000x.twig", 0, false},
+		{"ckpt-+00000000005.twig", 0, false},
+		{"ckpt-00_000000005.twig", 0, false},
+		{"ckpt-000000000005.twg", 0, false},
+		{"ckpt-.twig", 0, false},
+		{"other-000000000005.twig", 0, false},
+	}
+	for _, c := range cases {
+		seq, ok := parseFileName(c.name)
+		if ok != c.ok || seq != c.seq {
+			t.Errorf("parseFileName(%q) = %d, %v; want %d, %v", c.name, seq, ok, c.seq, c.ok)
+		}
+		if ok && fmt.Sprintf(filePattern, seq) != c.name {
+			t.Errorf("%q parsed as %d, which prints %q", c.name, seq, fmt.Sprintf(filePattern, seq))
+		}
+	}
+
+	dir := t.TempDir()
+	st, err := NewStore(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		if err := os.WriteFile(filepath.Join(dir, c.name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seqs, err := st.Sequences()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{5, 999999999999, 1000000000000, math.MaxUint64}; !slices.Equal(seqs, want) {
+		t.Fatalf("Sequences = %v, want %v", seqs, want)
+	}
+	os.Remove(filepath.Join(dir, "ckpt-18446744073709551615.twig"))
+	big := uint64(1_000_000_000_001)
+	if err := st.Save(big, Marshal(testComp("a"))); err != nil {
+		t.Fatal(err)
+	}
+	if seqs, _ = st.Sequences(); !slices.Equal(seqs, []uint64{1000000000000, big}) {
+		t.Fatalf("after Save(%d) with keep 2: %v", big, seqs)
+	}
+	got, err := st.LoadLatest(func([]byte) error { return nil })
+	if err != nil || got != big {
+		t.Fatalf("LoadLatest = %d, %v; want %d", got, err, big)
 	}
 }
 

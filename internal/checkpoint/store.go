@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // WriteFileAtomic writes data to path crash-consistently: the bytes go
@@ -61,9 +63,28 @@ type Store struct {
 // corruption. fn must not call back into the store.
 func (s *Store) SetRejectHook(fn func(path string, err error)) { s.onReject = fn }
 
-// filePattern matches store-managed checkpoint files; %012d keeps
-// lexicographic order equal to numeric order.
+// filePattern names store-managed checkpoint files; %012d keeps
+// lexicographic order equal to numeric order below 10¹², and wider
+// numbers print in full.
 const filePattern = "ckpt-%012d.twig"
+
+// parseFileName returns the sequence a store-managed file name holds:
+// the name is what filePattern prints for it — at least twelve digits,
+// no leading zero beyond the padding to twelve.
+func parseFileName(name string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(name, "ckpt-")
+	if !ok {
+		return 0, false
+	}
+	if digits, ok = strings.CutSuffix(digits, ".twig"); !ok || len(digits) < 12 || len(digits) > 12 && digits[0] == '0' {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(digits, 10, 64) // digits only: no sign, no underscore
+	if err != nil {
+		return 0, false
+	}
+	return seq, true
+}
 
 // NewStore opens (creating if needed) a checkpoint directory retaining
 // the newest keep files. keep < 1 is treated as 1: the newest
@@ -115,13 +136,11 @@ func (s *Store) Sequences() ([]uint64, error) {
 		if ent.IsDir() {
 			continue
 		}
-		var seq uint64
-		if n, err := fmt.Sscanf(ent.Name(), filePattern, &seq); err == nil && n == 1 &&
-			ent.Name() == fmt.Sprintf(filePattern, seq) {
+		if seq, ok := parseFileName(ent.Name()); ok {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	return seqs, nil
 }
 

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
@@ -186,6 +185,14 @@ type Coordinator struct {
 
 	events []string // recent coordinator decisions, newest last
 
+	// Interval scratch, sized on use and carrying nothing from one
+	// Step to the next: this interval's crash and partition flags per
+	// node, and applyDegradation's live replicas, their shed ranking
+	// and the shed flags by replica ID.
+	crashed, parted []bool
+	live, ranked    []*Replica
+	shed            []bool
+
 	metrics *metrics.Registry
 	series  clusterSeries
 	writer  *checkpoint.AsyncWriter
@@ -284,8 +291,8 @@ func (c *Coordinator) Step() StepSummary {
 	t := c.clock
 	active := append([]faults.NodeEvent(nil), c.inj.Advance()...)
 
-	crashed := make([]bool, len(c.nodes))
-	parted := make([]bool, len(c.nodes))
+	crashed := resetFlags(&c.crashed, len(c.nodes))
+	parted := resetFlags(&c.parted, len(c.nodes))
 	for _, ev := range active {
 		switch ev.Kind {
 		case faults.NodeCrash:
@@ -437,24 +444,25 @@ func (c *Coordinator) applyDegradation(t int) {
 			capacity += c.cfg.NodeCapacity
 		}
 	}
-	var live []*Replica
+	live := c.live[:0]
 	for _, r := range c.replicas {
 		if !r.State.Terminal() {
 			live = append(live, r)
 		}
 	}
+	c.live = live
 	overflow := len(live) - capacity
-	shedSet := map[int]bool{}
+	shed := resetFlags(&c.shed, len(c.replicas))
 	if overflow > 0 {
-		ranked := append([]*Replica(nil), live...)
-		sort.SliceStable(ranked, func(i, j int) bool { return shedRank(ranked[i], ranked[j]) })
-		for _, r := range ranked[:overflow] {
-			shedSet[r.ID] = true
+		c.ranked = append(c.ranked[:0], live...)
+		slices.SortStableFunc(c.ranked, shedRank)
+		for _, r := range c.ranked[:overflow] {
+			shed[r.ID] = true
 		}
 	}
 	for _, r := range live {
 		switch {
-		case shedSet[r.ID]:
+		case shed[r.ID]:
 			if !r.Shed {
 				r.Shed = true
 				r.Reason = "shed: fleet capacity below demand"
@@ -476,13 +484,24 @@ func (c *Coordinator) applyDegradation(t int) {
 					}
 				}
 			}
-		case !shedSet[r.ID] && r.Shed:
+		case r.Shed:
 			r.Shed = false
 			r.NextAttempt = t
 			r.Retries = 0
 			c.logf("t=%d unshed replica %d", t, r.ID)
 		}
 	}
+}
+
+// resetFlags returns (*flags)[:n], all false, growing the storage when
+// it is short.
+func resetFlags(flags *[]bool, n int) []bool {
+	if cap(*flags) < n {
+		*flags = make([]bool, n)
+	}
+	f := (*flags)[:n]
+	clear(f)
+	return f
 }
 
 // restoreEstates attempts warm whole-group failover: an estate whose
@@ -555,7 +574,7 @@ func (c *Coordinator) placeReplicas(t int) {
 			due = append(due, r)
 		}
 	}
-	sort.SliceStable(due, func(i, j int) bool { return placeRank(due[i], due[j]) })
+	slices.SortStableFunc(due, placeRank)
 	for _, r := range due {
 		target := c.pickNode(t, r)
 		if target < 0 {

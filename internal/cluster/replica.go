@@ -1,6 +1,9 @@
 package cluster
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Class is a replica's QoS class, the unit of the degradation policy:
 // when live capacity drops below demand the coordinator sheds batch
@@ -138,27 +141,41 @@ type Replica struct {
 // harness asserts it at every sweep end.
 func (r *Replica) Ticks() int { return r.Intervals + r.DarkIntervals }
 
-// shedRank orders replicas for the degradation policy: smaller ranks
-// shed first. Batch replicas shed before any LC replica; within a class
-// lower priorities shed first and younger replicas break ties.
-func shedRank(a, b *Replica) bool {
+// shedRank orders replicas for the degradation policy, as a comparison
+// for slices.SortStableFunc: smaller ranks shed first. Batch replicas
+// shed before any LC replica; within a class lower priorities shed
+// first and younger replicas break ties.
+func shedRank(a, b *Replica) int {
 	if a.Spec.Class != b.Spec.Class {
-		return a.Spec.Class == Batch
+		return classFirst(a, b, Batch)
 	}
-	if a.Spec.Priority != b.Spec.Priority {
-		return a.Spec.Priority < b.Spec.Priority
+	if c := cmp.Compare(a.Spec.Priority, b.Spec.Priority); c != 0 {
+		return c
 	}
-	return a.ID > b.ID
+	return cmp.Compare(b.ID, a.ID)
 }
 
-// placeRank orders replicas for placement: the most important first.
-// LC before batch, higher priorities first, older replicas break ties.
-func placeRank(a, b *Replica) bool {
+// placeRank orders replicas for placement, as a comparison for
+// slices.SortStableFunc: the most important first. LC before batch,
+// higher priorities first, older replicas break ties.
+func placeRank(a, b *Replica) int {
 	if a.Spec.Class != b.Spec.Class {
-		return a.Spec.Class == LC
+		return classFirst(a, b, LC)
 	}
-	if a.Spec.Priority != b.Spec.Priority {
-		return a.Spec.Priority > b.Spec.Priority
+	if c := cmp.Compare(b.Spec.Priority, a.Spec.Priority); c != 0 {
+		return c
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// classFirst compares two replicas of different classes: the one of
+// class first goes first.
+func classFirst(a, b *Replica, first Class) int {
+	switch first {
+	case a.Spec.Class:
+		return -1
+	case b.Spec.Class:
+		return 1
+	}
+	return 0
 }

@@ -42,7 +42,11 @@ func NewMapper(managedCores []int) *Mapper {
 func (m *Mapper) NumCores() int { return len(m.cores) }
 
 // Map produces the next interval's assignment from the per-service
-// requests.
+// requests, in two allocations: the PerService slice and one array
+// that every service's Cores is a sub-slice of. Each sub-slice's
+// capacity ends at its own length, so a holder that appends to one
+// service's cores gets a new array instead of writing over the next
+// service's; the assignment is the caller's to keep.
 func (m *Mapper) Map(reqs []Request) sim.Assignment {
 	n := len(m.cores)
 	total := 0
@@ -56,72 +60,71 @@ func (m *Mapper) Map(reqs []Request) sim.Assignment {
 		PerService:  make([]sim.Allocation, len(reqs)),
 		IdleFreqGHz: platform.MinFreqGHz,
 	}
+	cores := make([]int, total)
+	for i, r := range reqs {
+		asg.PerService[i] = sim.Allocation{Cores: cores[:r.Cores:r.Cores], FreqGHz: r.FreqGHz, CacheWays: r.CacheWays}
+		cores = cores[r.Cores:]
+	}
 	if total <= n {
-		m.mapDisjoint(reqs, &asg)
+		m.mapDisjoint(reqs, total, asg.PerService)
 	} else {
-		m.mapShared(reqs, &asg)
+		m.mapShared(reqs, asg.PerService)
 	}
 	return asg
 }
 
 // mapDisjoint places each service in its own region of the socket with
 // stride-2 ordering inside the region to improve cache locality, as in
-// the paper's example (sv-1 on cores 0,2,4 and sv-2 on 10,12,14,16).
-func (m *Mapper) mapDisjoint(reqs []Request, asg *sim.Assignment) {
+// the paper's example (sv-1 on cores 0,2,4 and sv-2 on 10,12,14,16). It
+// fills each allocation's Cores, sized to its request.
+func (m *Mapper) mapDisjoint(reqs []Request, total int, per []sim.Allocation) {
 	n := len(m.cores)
 	k := len(reqs)
 	// Region boundaries: proportional to request sizes so large
 	// requests get large regions, with every region at least as big as
 	// its request (total ≤ n guarantees feasibility).
-	total := 0
-	for _, r := range reqs {
-		total += r.Cores
-	}
 	start := 0
 	for i, r := range reqs {
 		size := r.Cores + (n-total)*r.Cores/max(total, 1)
 		if i == k-1 || start+size > n {
 			size = n - start
 		}
-		region := m.cores[start : start+size]
-		asg.PerService[i] = sim.Allocation{
-			Cores:     pickStride2(region, r.Cores),
-			FreqGHz:   r.FreqGHz,
-			CacheWays: r.CacheWays,
-		}
+		pickStride2(per[i].Cores, m.cores[start:start+size])
 		start += size
 	}
 }
 
-// pickStride2 selects count cores from region, preferring every other
-// core (0, 2, 4, …) and filling in the odd positions only when needed.
-func pickStride2(region []int, count int) []int {
-	out := make([]int, 0, count)
-	for i := 0; i < len(region) && len(out) < count; i += 2 {
-		out = append(out, region[i])
+// pickStride2 fills out with len(out) cores of region, preferring every
+// other core (0, 2, 4, …) and filling in the odd positions only when
+// needed, in ascending order. region holds at least len(out) cores.
+func pickStride2(out, region []int) {
+	j := 0
+	for i := 0; i < len(region) && j < len(out); i += 2 {
+		out[j] = region[i]
+		j++
 	}
-	for i := 1; i < len(region) && len(out) < count; i += 2 {
-		out = append(out, region[i])
+	for i := 1; i < len(region) && j < len(out); i += 2 {
+		out[j] = region[i]
+		j++
 	}
 	sort.Ints(out)
-	return out
 }
 
 // mapShared arbitrates an over-committed request set: services are laid
 // out consecutively on a ring of cores, so the overflow wraps around and
 // overlapping cores are time-shared. The platform runs each shared core
 // at the highest DVFS state among its owners' requests (Sec. IV,
-// Resource Arbitration).
-func (m *Mapper) mapShared(reqs []Request, asg *sim.Assignment) {
+// Resource Arbitration). It fills each allocation's Cores, sized to its
+// request.
+func (m *Mapper) mapShared(reqs []Request, per []sim.Allocation) {
 	n := len(m.cores)
 	pos := 0
 	for i, r := range reqs {
-		ids := make([]int, 0, r.Cores)
-		for j := 0; j < r.Cores; j++ {
-			ids = append(ids, m.cores[(pos+j)%n])
+		ids := per[i].Cores
+		for j := range ids {
+			ids[j] = m.cores[(pos+j)%n]
 		}
 		sort.Ints(ids)
-		asg.PerService[i] = sim.Allocation{Cores: ids, FreqGHz: r.FreqGHz, CacheWays: r.CacheWays}
 		pos = (pos + r.Cores) % n
 	}
 }

@@ -102,6 +102,14 @@ type Guard struct {
 	// validate's per-service duplicate filter over the same index range,
 	// all false between uses.
 	managed, seen []bool
+
+	// Interval scratch, carrying nothing from one Decide to the next:
+	// clean is the sanitised copy of the observation's services (no
+	// controller keeps an observation), and kept holds the cores
+	// validate keeps, service after service, until it copies them into
+	// the assignment it returns.
+	clean []ServiceObs
+	kept  []int
 }
 
 // NewGuard wraps inner. The config's ManagedCores must be non-empty.
@@ -130,29 +138,35 @@ func (g *Guard) Name() string { return g.inner.Name() + "+guard" }
 // Health returns the cumulative intervention counters.
 func (g *Guard) Health() GuardHealth { return g.health }
 
-// BreakerEngaged reports, per service, whether the QoS circuit breaker
-// currently holds the service escalated to maximum resources. The slice
-// is a copy and is empty before the first Decide sizes the guard.
-func (g *Guard) BreakerEngaged() []bool { return append([]bool(nil), g.tripped...) }
+// BreakerEngaged reports whether the QoS circuit breaker currently
+// holds service i escalated to maximum resources; false before the
+// first Decide sizes the guard.
+func (g *Guard) BreakerEngaged(i int) bool { return i < len(g.tripped) && g.tripped[i] }
 
 // Decide sanitises the observation, runs the inner controller inside a
-// panic boundary, validates its decision and applies the circuit
-// breaker. The returned assignment always passes sim.Server.Validate.
+// panic boundary, advances the circuit breaker, then validates the
+// decision and escalates every tripped service. The returned assignment
+// always passes sim.Server.Validate and is the caller's to keep: two
+// allocations, the PerService slice and one array that each service's
+// cores are a capacity-capped sub-slice of, as core.Mapper.Map builds.
 func (g *Guard) Decide(obs Observation) sim.Assignment {
-	g.init(len(obs.Services))
+	k := len(obs.Services)
+	g.init(k)
 	clean := g.sanitize(obs)
 
 	asg, panicked := safeDecide(g.inner, wholeDecide, clean)
-	if panicked {
+	g.breaker(clean)
+	switch {
+	case panicked:
 		g.health.PanicsRecovered++
 		g.health.FallbackIntervals++
-		asg = g.fallback(len(obs.Services))
-	} else {
-		asg = g.validate(asg, len(obs.Services))
+		return g.fallback(k)
+	case len(asg.PerService) != k:
+		g.health.ActionsClamped++
+		g.health.FallbackIntervals++
+		return g.fallback(k)
 	}
-
-	g.breaker(clean, &asg)
-	return asg
+	return g.validate(asg)
 }
 
 func (g *Guard) init(k int) {
@@ -170,8 +184,13 @@ func (g *Guard) init(k int) {
 // sanitize repairs missing or corrupt sensor readings so the inner
 // controller always sees finite, plausible numbers.
 func (g *Guard) sanitize(obs Observation) Observation {
+	k := len(obs.Services)
+	if cap(g.clean) < k {
+		g.clean = make([]ServiceObs, k)
+	}
 	out := obs
-	out.Services = append([]ServiceObs(nil), obs.Services...)
+	out.Services = g.clean[:k]
+	copy(out.Services, obs.Services)
 
 	if !isFinite(out.PowerW) || out.PowerW < 0 {
 		g.health.ObsRepaired++
@@ -239,19 +258,16 @@ func (g *Guard) sanitize(obs Observation) Observation {
 	return out
 }
 
-// validate repairs a decision in place: wrong shape falls back entirely;
-// otherwise cores are filtered to the managed set, empty allocations are
-// widened to every managed core, and frequencies and cache ways are
-// clamped into hardware range.
-func (g *Guard) validate(asg sim.Assignment, k int) sim.Assignment {
-	if len(asg.PerService) != k {
-		g.health.ActionsClamped++
-		g.health.FallbackIntervals++
-		return g.fallback(k)
-	}
-
+// validate repairs the inner controller's decision, already of the
+// right shape: cores are filtered to the managed set, empty
+// allocations are widened to every managed core, and frequencies and
+// cache ways are clamped into hardware range. A tripped service's
+// decision is validated (and counted) like any other, then replaced by
+// the breaker's escalation. The result is two allocations: its
+// PerService slice, and one array the kept cores are copied into.
+func (g *Guard) validate(asg sim.Assignment) sim.Assignment {
 	out := sim.Assignment{
-		PerService:  make([]sim.Allocation, k),
+		PerService:  make([]sim.Allocation, len(asg.PerService)),
 		IdleFreqGHz: asg.IdleFreqGHz,
 	}
 	clamped := false
@@ -262,16 +278,17 @@ func (g *Guard) validate(asg sim.Assignment, k int) sim.Assignment {
 			out.IdleFreqGHz = fixed
 		}
 	}
+	g.kept = g.kept[:0]
+	total := 0
 	for i, al := range asg.PerService {
-		// The kept cores go into a fresh slice: whoever receives the
-		// assignment may retain it.
-		cores := make([]int, 0, len(al.Cores))
+		from := len(g.kept)
 		for _, c := range al.Cores {
 			if c >= 0 && c < len(g.managed) && g.managed[c] && !g.seen[c] {
 				g.seen[c] = true
-				cores = append(cores, c)
+				g.kept = append(g.kept, c)
 			}
 		}
+		cores := g.kept[from:]
 		for _, c := range cores {
 			g.seen[c] = false
 		}
@@ -280,7 +297,7 @@ func (g *Guard) validate(asg sim.Assignment, k int) sim.Assignment {
 		}
 		if len(cores) == 0 {
 			clamped = true
-			cores = append([]int(nil), g.cfg.ManagedCores...)
+			cores = g.cfg.ManagedCores
 		}
 		freq := g.clampFreq(al.FreqGHz)
 		if freq != al.FreqGHz {
@@ -293,17 +310,32 @@ func (g *Guard) validate(asg sim.Assignment, k int) sim.Assignment {
 			ways, clamped = platform.NumCacheWays, true
 		}
 		out.PerService[i] = sim.Allocation{Cores: cores, FreqGHz: freq, CacheWays: ways}
+		if g.tripped[i] {
+			out.PerService[i] = g.escalation(g.cfg.ManagedCores)
+		}
+		total += len(out.PerService[i].Cores)
 	}
 	if clamped {
 		g.health.ActionsClamped++
 	}
+
+	// The cores still alias the guard's scratch and config: the caller
+	// may keep what it is handed, so they move into one fresh array,
+	// each service's capped at its own length.
+	all := make([]int, total)
+	for i := range out.PerService {
+		al := &out.PerService[i]
+		n := copy(all, al.Cores)
+		al.Cores, all = all[:n:n], all[n:]
+	}
 	return out
 }
 
-// breaker escalates any service that has violated QoS for breakerK
-// consecutive intervals to every managed core at maximum frequency, and
-// holds it there until breakerResetR consecutive met intervals.
-func (g *Guard) breaker(obs Observation, asg *sim.Assignment) {
+// breaker advances the per-service QoS streaks: a service that has
+// violated QoS for breakerK consecutive intervals trips, and stays
+// tripped — escalated to every managed core at maximum frequency by
+// validate or fallback — until breakerResetR consecutive met intervals.
+func (g *Guard) breaker(obs Observation) {
 	for i, s := range obs.Services {
 		if s.QoSTargetMs > 0 && s.P99Ms > s.QoSTargetMs {
 			g.violStreak[i]++
@@ -319,20 +351,29 @@ func (g *Guard) breaker(obs Observation, asg *sim.Assignment) {
 		if g.tripped[i] && g.metStreak[i] >= breakerResetR {
 			g.tripped[i] = false
 		}
-		if g.tripped[i] && i < len(asg.PerService) {
+		if g.tripped[i] {
 			g.health.BreakerIntervals++
-			asg.PerService[i] = sim.Allocation{
-				Cores:     append([]int(nil), g.cfg.ManagedCores...),
-				FreqGHz:   g.cfg.MaxFreqGHz,
-				CacheWays: platform.NumCacheWays,
-			}
 		}
 	}
 }
 
-// fallback is the static maximum-resource assignment on the guard's SKU.
+// escalation is a tripped service's allocation over cores, every
+// managed core.
+func (g *Guard) escalation(cores []int) sim.Allocation {
+	return sim.Allocation{Cores: cores, FreqGHz: g.cfg.MaxFreqGHz, CacheWays: platform.NumCacheWays}
+}
+
+// fallback is the static maximum-resource assignment on the guard's
+// SKU, with every tripped service escalated in place: its cores are
+// already every managed core.
 func (g *Guard) fallback(k int) sim.Assignment {
-	return SafeAssignment(k, g.cfg.ManagedCores, g.cfg.MinFreqGHz, g.cfg.MaxFreqGHz)
+	asg := SafeAssignment(k, g.cfg.ManagedCores, g.cfg.MinFreqGHz, g.cfg.MaxFreqGHz)
+	for i, al := range asg.PerService {
+		if g.tripped[i] {
+			asg.PerService[i] = g.escalation(al.Cores)
+		}
+	}
+	return asg
 }
 
 // clampFreq forces f into the SKU's DVFS range (non-finite means max).

@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/sim"
@@ -184,6 +185,80 @@ func TestGuardValidateScratchAndFreshCores(t *testing.T) {
 		if cores[0] != -5 || cores[1] != 18 {
 			t.Fatalf("retained cores %d changed under their holder: %v", i, cores)
 		}
+	}
+}
+
+// Over an inner controller that allocates nothing, Decide makes two
+// allocations, with the breaker quiet and with it holding a service
+// escalated: the PerService slice it returns and the one array every
+// service's cores are a sub-slice of. The sanitised observation and
+// the validation scratch are the guard's own storage.
+func TestGuardDecideAllocsTwo(t *testing.T) {
+	inner := fixed{sim.Assignment{PerService: []sim.Allocation{
+		{Cores: []int{18, 20}, FreqGHz: 1.5},
+		{Cores: []int{21, 99, 21}, FreqGHz: 9}, // repaired every interval
+	}}}
+	g := NewGuard(inner, DefaultGuardConfig(testCores))
+	obs := Observation{Services: []ServiceObs{{P99Ms: 3, QoSTargetMs: 5}, {P99Ms: 3, QoSTargetMs: 5}}, PowerW: 50}
+	if got := testing.AllocsPerRun(50, func() { g.Decide(obs) }); got != 2 {
+		t.Errorf("breaker quiet: Decide made %v allocations, want 2", got)
+	}
+	obs.Services[1].P99Ms = 9 // violating from here on: trips after breakerK
+	if got := testing.AllocsPerRun(50, func() { g.Decide(obs) }); got != 2 {
+		t.Errorf("breaker tripped: Decide made %v allocations, want 2", got)
+	}
+	if g.BreakerEngaged(0) || !g.BreakerEngaged(1) || g.BreakerEngaged(2) {
+		t.Fatalf("breaker engaged %v %v %v, want false true false",
+			g.BreakerEngaged(0), g.BreakerEngaged(1), g.BreakerEngaged(2))
+	}
+	asg := g.Decide(obs)
+	if !slices.Equal(asg.PerService[0].Cores, []int{18, 20}) || !slices.Equal(asg.PerService[1].Cores, testCores) ||
+		asg.PerService[1].CacheWays != platform.NumCacheWays {
+		t.Fatalf("assignment %+v", asg)
+	}
+}
+
+// A holder may append to the cores it was handed, escalated or not:
+// each service's cores end at their own capacity, so the append moves
+// them and the next service keeps what the guard gave it.
+func TestGuardCoresAppendLeavesNextService(t *testing.T) {
+	inner := fixed{sim.Assignment{PerService: []sim.Allocation{
+		{Cores: []int{18}, FreqGHz: 1.5},
+		{Cores: []int{19, 20}, FreqGHz: 1.5},
+		{Cores: []int{21}, FreqGHz: 1.5},
+	}}}
+	g := NewGuard(inner, DefaultGuardConfig(testCores))
+	obs := Observation{Services: []ServiceObs{{P99Ms: 9, QoSTargetMs: 5}, {P99Ms: 3, QoSTargetMs: 5}, {P99Ms: 9, QoSTargetMs: 5}}, PowerW: 50}
+	var asg sim.Assignment
+	for i := 0; i < breakerK; i++ {
+		asg = g.Decide(obs) // services 0 and 2 escalated from the last one on
+	}
+	if !g.BreakerEngaged(0) || g.BreakerEngaged(1) || !g.BreakerEngaged(2) {
+		t.Fatal("breaker not engaged on services 0 and 2 only")
+	}
+	for i := 0; i+1 < len(asg.PerService); i++ {
+		next := slices.Clone(asg.PerService[i+1].Cores)
+		_ = append(asg.PerService[i].Cores, -1, -2)
+		if !slices.Equal(asg.PerService[i+1].Cores, next) {
+			t.Fatalf("appending to service %d's cores changed service %d: %v, was %v", i, i+1, asg.PerService[i+1].Cores, next)
+		}
+	}
+	for i, al := range asg.PerService {
+		if cap(al.Cores) != len(al.Cores) {
+			t.Fatalf("service %d: cores %v with capacity %d", i, al.Cores, cap(al.Cores))
+		}
+	}
+
+	// The fallback is built the same way.
+	g = NewGuard(&fakeCtrl{name: "boom", decide: func(Observation) sim.Assignment { panic("boom") }}, DefaultGuardConfig(testCores))
+	for i := 0; i < breakerK; i++ {
+		asg = g.Decide(obs)
+	}
+	next := slices.Clone(asg.PerService[1].Cores)
+	_ = append(asg.PerService[0].Cores, -1)
+	if !slices.Equal(asg.PerService[1].Cores, next) || asg.PerService[0].CacheWays != platform.NumCacheWays ||
+		asg.PerService[1].CacheWays != 0 {
+		t.Fatalf("fallback: %+v", asg)
 	}
 }
 

@@ -2,7 +2,6 @@ package ctrl
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/sim"
@@ -194,11 +193,17 @@ func safeDecide(c Controller, half decideHalf, obs Observation) (asg sim.Assignm
 
 // SafeAssignment is the conservative fallback mapping: each of the k
 // services on every managed core at the SKU's maximum DVFS setting hi,
-// idle cores at its minimum lo.
+// idle cores at its minimum lo. Like every assignment a controller
+// returns, it is two allocations, the PerService slice and one array
+// each service's cores are a capacity-capped sub-slice of.
 func SafeAssignment(k int, managed []int, lo, hi float64) sim.Assignment {
 	asg := sim.Assignment{PerService: make([]sim.Allocation, k), IdleFreqGHz: lo}
+	m := len(managed)
+	cores := make([]int, k*m)
 	for i := range asg.PerService {
-		asg.PerService[i] = sim.Allocation{Cores: slices.Clone(managed), FreqGHz: hi}
+		own := cores[i*m : (i+1)*m : (i+1)*m]
+		copy(own, managed)
+		asg.PerService[i] = sim.Allocation{Cores: own, FreqGHz: hi}
 	}
 	return asg
 }

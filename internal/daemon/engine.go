@@ -153,8 +153,9 @@ type Engine struct {
 	writer  *checkpoint.AsyncWriter
 
 	entries  []*entry
-	gen      int // controller rebuild generation, seeds fresh learners
-	admitted int // monotonic admission counter, seeds new services
+	live     []*entry // liveEntries' storage
+	gen      int      // controller rebuild generation, seeds fresh learners
+	admitted int      // monotonic admission counter, seeds new services
 
 	srv     *sim.Server
 	mgr     *core.Manager
@@ -283,15 +284,17 @@ func (e *Engine) buildPattern(svcName, pattern string, frac, maxRPS float64) (lo
 }
 
 // liveEntries returns the hosted entries in simulator index order
-// (registry order filtered to inSim).
+// (registry order filtered to inSim). The list is the engine's own
+// storage, rebuilt by every call: read it under the lock, before the
+// next call.
 func (e *Engine) liveEntries() []*entry {
-	var out []*entry
+	e.live = e.live[:0]
 	for _, en := range e.entries {
 		if en.inSim {
-			out = append(out, en)
+			e.live = append(e.live, en)
 		}
 	}
-	return out
+	return e.live
 }
 
 func (e *Engine) simIndexOf(target *entry) int {

@@ -148,10 +148,9 @@ func (e *Engine) updateMetrics(res sim.StepResult, live []*entry, elapsed time.D
 		m.Set("twigd_guard_fallback_intervals_total", nil, float64(h.FallbackIntervals))
 		m.Set("twigd_guard_breaker_trips_total", nil, float64(h.BreakerTrips))
 		m.Set("twigd_guard_breaker_intervals_total", nil, float64(h.BreakerIntervals))
-		engaged := e.guard.BreakerEngaged()
 		for i, en := range live {
 			v := 0.0
-			if i < len(engaged) && engaged[i] {
+			if e.guard.BreakerEngaged(i) {
 				v = 1
 			}
 			en.series.breaker.Set(v)

@@ -81,11 +81,11 @@ func TestRemoveServiceRemapsOwners(t *testing.T) {
 	}
 	// The survivor's affinity (previously index 1) must now read as
 	// index 0 on the platform, and the departed service's entries gone.
-	got := srv.Platform().ServiceCores(0)
+	got := srv.Platform().AppendServiceCores(nil, 0)
 	if len(got) != len(cores)-half {
 		t.Fatalf("survivor owns %d cores after remap, want %d", len(got), len(cores)-half)
 	}
-	if extra := srv.Platform().ServiceCores(1); len(extra) != 0 {
+	if extra := srv.Platform().AppendServiceCores(nil, 1); len(extra) != 0 {
 		t.Fatalf("stale owner entries for old index 1: %v", extra)
 	}
 	// And a 1-service step must run cleanly.

@@ -262,11 +262,6 @@ func (p *Platform) Assign(service, coreID int) error {
 	return nil
 }
 
-// ServiceCores returns the cores a service is affined to.
-func (p *Platform) ServiceCores(service int) []int {
-	return p.AppendServiceCores(nil, service)
-}
-
 // AppendServiceCores appends the cores a service is affined to, in core
 // order, to dst.
 func (p *Platform) AppendServiceCores(dst []int, service int) []int {

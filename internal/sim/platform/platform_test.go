@@ -88,11 +88,11 @@ func TestAffinityAndSharing(t *testing.T) {
 	if got := p.ShareOf(2, 4); got != 0 {
 		t.Fatalf("unassigned ShareOf = %v", got)
 	}
-	if cores := p.ServiceCores(0); len(cores) != 1 || cores[0] != 4 {
-		t.Fatalf("ServiceCores = %v", cores)
+	if cores := p.AppendServiceCores(nil, 0); len(cores) != 1 || cores[0] != 4 {
+		t.Fatalf("AppendServiceCores = %v", cores)
 	}
 	p.ClearAffinity()
-	if len(p.ServiceCores(0)) != 0 {
+	if len(p.AppendServiceCores(nil, 0)) != 0 {
 		t.Fatal("ClearAffinity")
 	}
 }
@@ -103,7 +103,7 @@ func TestHotplug(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetOnline(7, false)
-	if len(p.ServiceCores(0)) != 0 {
+	if len(p.AppendServiceCores(nil, 0)) != 0 {
 		t.Fatal("offline core must drop owners")
 	}
 	if err := p.Assign(0, 7); err == nil {
