@@ -134,9 +134,15 @@ var contracts = []contract{
 	},
 	{
 		name: "no-test-only-exports",
-		why:  `an export no production code calls stays deleted (ROADMAP, "Test-only exports outside mat"): platform's ServiceCores, the allocating twin of AppendServiceCores that tests call with a nil destination`,
+		why: `an export no production code calls stays deleted: platform's ServiceCores, the allocating twin of AppendServiceCores that tests call with a nil destination, ` +
+			"platform's StepForFreq, Frequencies and Config.NumFreqStepsFor, bdq's FlatDQN.NumActions, loadgen's StepWise.Levels, and nn's NewReLU and Adam.StepCount; " +
+			"their tests read the field, build &ReLU{} or keep the oracle unexported (platform_test.go's stepForFreq)",
 		clauses: []clause{
-			{scope{}, []rule{idents("ServiceCores")}},
+			{scope{}, []rule{idents("ServiceCores"), qualified("platform", "StepForFreq", "Frequencies"), qualified("nn", "NewReLU")}},
+			{scope{dirs: []string{"internal/sim/platform"}, prod: true}, []rule{idents("NumFreqStepsFor")}},
+			{scope{dirs: []string{"internal/bdq"}, prod: true}, []rule{idents("NumActions")}},
+			{scope{dirs: []string{"internal/sim/loadgen"}, prod: true}, []rule{idents("Levels")}},
+			{scope{dirs: []string{"internal/nn"}, prod: true}, []rule{idents("StepCount")}},
 		},
 	},
 	{

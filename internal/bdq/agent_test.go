@@ -217,8 +217,8 @@ func TestAgentTransferResetsExploration(t *testing.T) {
 func TestFlatDQNEncodeDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := NewFlatDQN(4, []int{18, 9}, []int{8}, rng)
-	if f.NumActions() != 162 {
-		t.Fatalf("NumActions = %d", f.NumActions())
+	if f.out != 162 {
+		t.Fatalf("flat actions = %d", f.out)
 	}
 	for idx := 0; idx < 162; idx += 13 {
 		if got := f.Encode(f.Decode(idx)); got != idx {
@@ -258,8 +258,8 @@ func TestBranchingVsFlatMemory(t *testing.T) {
 	}
 	b := NewNetwork(spec, rng)
 	f := NewFlatDQN(11, []int{30, 30, 30}, []int{512, 256}, rng)
-	if f.NumActions() != 27000 {
-		t.Fatalf("flat actions = %d", f.NumActions())
+	if f.out != 27000 {
+		t.Fatalf("flat actions = %d", f.out)
 	}
 	if b.NumParams() >= f.NumParams() {
 		t.Fatalf("BDQ params %d should be < flat DQN params %d", b.NumParams(), f.NumParams())

@@ -38,9 +38,6 @@ func flatName(prefix string, i int) string {
 	return prefix + string(rune('0'+i))
 }
 
-// NumActions returns the size of the flattened action space (N^D).
-func (f *FlatDQN) NumActions() int { return f.out }
-
 // NumParams returns the number of scalar learnable parameters.
 func (f *FlatDQN) NumParams() int { return f.net.NumParams() }
 

@@ -56,9 +56,10 @@ func cloneModel(ref []*refTensor) []*refTensor {
 }
 
 // adam is the reference optimiser step, nn's scalar loop (adamScalar)
-// restated over the row-major tensor, at the optimiser's current step.
-func (r *refTensor) adam(grad []float64, opt *nn.Adam) {
-	step := float64(opt.StepCount())
+// restated over the row-major tensor, at the optimiser's step count n
+// (one Adam step per train step).
+func (r *refTensor) adam(grad []float64, opt *nn.Adam, n int) {
+	step := float64(n)
 	b1, omb1, b2, omb2 := opt.Beta1, 1-opt.Beta1, opt.Beta2, 1-opt.Beta2
 	c1, c2 := 1-math.Pow(opt.Beta1, step), 1-math.Pow(opt.Beta2, step)
 	for i, g := range grad {
@@ -158,7 +159,7 @@ func TestPackFollowsEveryWeightWriter(t *testing.T) {
 		}
 		a.trainCommit()
 		for i, r := range online {
-			r.adam(grads[i], a.opt)
+			r.adam(grads[i], a.opt, a.trainSteps)
 		}
 		if a.trainSteps%cfg.TargetSync == 0 {
 			target = cloneModel(online)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/baselines"
@@ -212,89 +213,6 @@ func TestTable2SmallRun(t *testing.T) {
 	}
 }
 
-func TestTable3Runs(t *testing.T) {
-	r := Table3(2)
-	if r.GradientDescent <= 0 || r.Total <= 0 {
-		t.Fatalf("table3 = %+v", r)
-	}
-	if r.PMCDataBytes != 352 {
-		t.Fatalf("PMC bytes = %d", r.PMCDataBytes)
-	}
-	if r.String() == "" {
-		t.Fatal("String")
-	}
-}
-
-func TestFigMem(t *testing.T) {
-	r := FigMem(3, 30, 25)
-	if r.TwigBytes >= 5<<20 {
-		t.Fatalf("Twig memory %d ≥ 5 MB", r.TwigBytes)
-	}
-	if r.HipsterEntries <= 1e14 {
-		t.Fatalf("Hipster entries = %v, want the paper's 25·3³⁰ scale", r.HipsterEntries)
-	}
-	if r.FlatDQNParams <= r.TwigParams {
-		t.Fatal("flat DQN must dwarf the BDQ")
-	}
-	if r.String() == "" {
-		t.Fatal("String")
-	}
-}
-
-// TestFig5TinyPlumbing exercises the full Fig.5 machinery at tiny scale:
-// correctness of the comparison scaffolding, not learning quality.
-func TestFig5TinyPlumbing(t *testing.T) {
-	sc := tinyScale()
-	r := Fig5([]string{"masstree"}, sc, 1)
-	if len(r.Cells) != 3*len(Fig5Managers) {
-		t.Fatalf("cells = %d", len(r.Cells))
-	}
-	for _, c := range r.Cells {
-		if c.Manager == "static" && math.Abs(c.EnergyNorm-1) > 1e-9 {
-			t.Fatalf("static must normalise to 1, got %v", c.EnergyNorm)
-		}
-		if c.EnergyNorm <= 0 {
-			t.Fatalf("cell %+v", c)
-		}
-	}
-	if r.AvgEnergyNorm("static") != 1 {
-		t.Fatal("avg energy for static")
-	}
-	if r.String() == "" {
-		t.Fatal("String")
-	}
-}
-
-func TestFig13TinyPlumbing(t *testing.T) {
-	sc := tinyScale()
-	r := Fig13([][2]string{{"masstree", "img-dnn"}}, sc, 1)
-	if len(r.Cells) != 3*len(Fig13Managers) {
-		t.Fatalf("cells = %d", len(r.Cells))
-	}
-	if r.AvgQoS("static") <= 0 {
-		t.Fatal("static QoS")
-	}
-	if r.String() == "" {
-		t.Fatal("String")
-	}
-}
-
-func TestFig7TinyPlumbing(t *testing.T) {
-	sc := tinyScale()
-	r := Fig7(sc, 1)
-	if len(r.Curves["twig-s"]) == 0 || len(r.Curves["hipster"]) == 0 {
-		t.Fatalf("curves missing: %+v", r.Curves)
-	}
-	for _, v := range r.Curves["twig-s"] {
-		if v < 0 || v > 1 {
-			t.Fatalf("curve value %v", v)
-		}
-	}
-	if r.String() == "" {
-		t.Fatal("String")
-	}
-}
-
 func TestScalesDiffer(t *testing.T) {
 	p, q := PaperScale(), QuickScale()
 	if p.Spec.SharedHidden[0] != 512 || p.Epsilon.MidStep != 10000 || p.LearnS != 25000 {
@@ -346,5 +264,98 @@ func TestRunDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a.EnergyJ != b.EnergyJ || a.QoSGuarantee[0] != b.QoSGuarantee[0] || a.Migrations != b.Migrations {
 		t.Fatalf("runs differ: %v/%v vs %v/%v", a.EnergyJ, a.QoSGuarantee[0], b.EnergyJ, b.QoSGuarantee[0])
+	}
+}
+
+// TestLearningCurvesOnShortRuns runs Figs. 7–9 over 11 intervals, fewer
+// than the curves' twelve buckets: every bucket is one interval wide,
+// and each figure reports that width.
+func TestLearningCurvesOnShortRuns(t *testing.T) {
+	sc := ShortScale()
+	sc.LearnS, sc.SummaryS = 6, 5
+	f7, f8, f9 := Fig7(sc, 1), Fig8(sc, 1), Fig9(sc, 1)
+	if f7.BucketS != 1 || f8.BucketS != 1 || f9.BucketS != 1 {
+		t.Fatalf("bucket widths %d/%d/%d s, want 1", f7.BucketS, f8.BucketS, f9.BucketS)
+	}
+	for name, n := range map[string]int{
+		"fig7 twig-s":          len(f7.Curves["twig-s"]),
+		"fig8 moses scratch":   len(f8.Targets[0].Scratch),
+		"fig9 xapian transfer": len(f9.TransferXapian),
+	} {
+		if n != 11 {
+			t.Errorf("%s curve has %d buckets, want 11", name, n)
+		}
+	}
+}
+
+func TestFig11TinyPlumbing(t *testing.T) {
+	sc := tinyScale()
+	r := Fig11(sc, 1)
+	if len(r.MosesLoadRPS) == 0 {
+		t.Fatal("trace missing")
+	}
+	if len(r.QoSGuarantee) != 2 {
+		t.Fatalf("QoS entries = %d", len(r.QoSGuarantee))
+	}
+	// The step-wise generator must actually vary Moses' load.
+	if slices.Max(r.MosesLoadRPS) <= slices.Min(r.MosesLoadRPS) {
+		t.Fatal("moses load never varied")
+	}
+}
+
+func TestAblationsTinyPlumbing(t *testing.T) {
+	sc := tinyScale()
+	for _, r := range []AblationResult{
+		AblationReplay(sc, 1),
+		AblationEta(sc, 1),
+		AblationReward(sc, 1),
+		AblationTargetMode(sc, 1),
+	} {
+		if len(r.Cells) < 2 {
+			t.Fatalf("%s cells = %d", r.Name, len(r.Cells))
+		}
+		for _, c := range r.Cells {
+			if c.QoSGuarantee < 0 || c.QoSGuarantee > 1 || c.AvgPowerW <= 0 {
+				t.Fatalf("%s cell %+v", r.Name, c)
+			}
+		}
+	}
+}
+
+func TestExtensionCATTinyPlumbing(t *testing.T) {
+	sc := tinyScale()
+	r := ExtensionCAT(sc, 1)
+	for _, q := range append(r.WithoutQoS[:], r.WithQoS[:]...) {
+		if q < 0 || q > 1 {
+			t.Fatalf("QoS %v", q)
+		}
+	}
+	if r.WithW <= 0 || r.WithoutW <= 0 {
+		t.Fatal("power")
+	}
+}
+
+func TestBatchColocTinyPlumbing(t *testing.T) {
+	sc := tinyScale()
+	r := BatchColoc(sc, 1)
+	if len(r.Cells) != 3 {
+		t.Fatalf("cells = %d", len(r.Cells))
+	}
+	var staticWork, twigWork float64
+	for _, c := range r.Cells {
+		if c.Manager == "static" {
+			staticWork = c.BatchWork
+		}
+		if c.Manager == "twig-s" {
+			twigWork = c.BatchWork
+		}
+	}
+	// Static owns every core, so the batch starves under it; any
+	// manager that reclaims cores must beat it.
+	if staticWork != 0 {
+		t.Fatalf("static batch work = %v, want 0 (no free cores)", staticWork)
+	}
+	if twigWork <= 0 {
+		t.Fatalf("twig batch work = %v, want > 0", twigWork)
 	}
 }

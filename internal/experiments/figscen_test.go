@@ -11,22 +11,12 @@ import (
 	"github.com/twig-sched/twig/internal/sim"
 )
 
-// miniScale shrinks ShortScale further for unit tests: enough intervals
-// to exercise learning, decisions and the summary window, not enough to
-// show learning outcomes.
-func miniScale() Scale {
-	sc := ShortScale()
-	sc.Name = "mini"
-	sc.LearnS = 40
-	sc.SummaryS = 20
-	return sc
-}
-
 // The rendered sweep must be byte-identical across same-seed reruns and
 // differ across seeds — the property the CI scenario-smoke job checks
 // for the full sweep at ShortScale, pinned here per commit on one preset.
 func TestFigScenDeterministic(t *testing.T) {
-	sc := miniScale()
+	sc := ShortScale()
+	sc.LearnS, sc.SummaryS = 40, 20 // enough to exercise decisions, not to learn
 	a := figScen(sc, 7, []string{"cloud-edge"}).String()
 	b := figScen(sc, 7, []string{"cloud-edge"}).String()
 	if a != b {

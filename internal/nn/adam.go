@@ -165,9 +165,6 @@ func adamScalar(value, grad, md, vd []float64, k *adamConsts, zeroGrad bool) {
 	}
 }
 
-// StepCount returns the number of updates applied so far.
-func (a *Adam) StepCount() int { return a.step }
-
 // Reset clears the optimiser timestep (moment estimates are kept on the
 // parameters and cleared by ResetMoments).
 func (a *Adam) Reset() { a.step = 0 }

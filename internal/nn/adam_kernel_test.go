@@ -273,7 +273,7 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 	// against the row-major reference stepped by the scalar loop alone,
 	// over a full-panel and a ragged tensor and their biases.
 	rng2 := rand.New(rand.NewSource(11))
-	net := NewSequential(NewDense("l1", 5, 16, rng2), NewReLU(), NewDense("l2", 16, 3, rng2))
+	net := NewSequential(NewDense("l1", 5, 16, rng2), &ReLU{}, NewDense("l2", 16, 3, rng2))
 	refs := make([]*refParam, len(net.Params()))
 	for i, p := range net.Params() {
 		refs[i] = newRefParam(p)

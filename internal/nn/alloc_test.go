@@ -14,7 +14,7 @@ func TestForwardBackwardZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := NewSequential(
 		NewDense("l1", 32, 64, rng),
-		NewReLU(),
+		&ReLU{},
 		NewDropout(0.5, rng),
 		NewDense("l2", 64, 8, rng),
 	)
@@ -43,7 +43,7 @@ func TestForwardBackwardZeroAlloc(t *testing.T) {
 // minibatch training — stays allocation-free once both are cached.
 func TestWorkspaceAlternatingBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	net := NewSequential(NewDense("l", 16, 24, rng), NewReLU())
+	net := NewSequential(NewDense("l", 16, 24, rng), &ReLU{})
 	one := mat.New(1, 16)
 	batch := mat.New(8, 16)
 	for i := 0; i < 2; i++ {

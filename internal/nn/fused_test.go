@@ -10,7 +10,7 @@ import (
 )
 
 // Golden equality tests for the fused hot path: a NewDenseReLU +
-// StepAndZeroGrad training loop must match the unfused NewDense + NewReLU
+// StepAndZeroGrad training loop must match the unfused NewDense + ReLU
 // + ZeroGrad + Step loop to the last bit — parameter values, Adam
 // moments and per-step outputs compared as raw float bits (%x), serial
 // and parallel, and across a checkpoint round-trip taken mid-training.
@@ -21,9 +21,9 @@ func buildUnfused(seed int64) *Sequential {
 	rng := rand.New(rand.NewSource(seed))
 	return NewSequential(
 		NewDense("h1", 22, 64, rng),
-		NewReLU(),
+		&ReLU{},
 		NewDense("h2", 64, 32, rng),
-		NewReLU(),
+		&ReLU{},
 		NewDense("out", 32, 1, rng),
 	)
 }

@@ -89,7 +89,7 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 
 // NewDenseReLU creates a fused Dense+ReLU layer: one Layer that computes
 // relu(x·W + b) without materialising the pre-activation, replacing a
-// NewDense followed by NewReLU bit-for-bit.
+// NewDense followed by a ReLU bit-for-bit.
 func NewDenseReLU(name string, in, out int, rng *rand.Rand) *Dense {
 	d := NewDense(name, in, out, rng)
 	d.FuseReLU = true
@@ -250,9 +250,6 @@ type ReLU struct {
 	out  workspace
 	grad workspace
 }
-
-// NewReLU returns a ReLU activation layer.
-func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward computes max(0, x).
 func (r *ReLU) Forward(x *mat.Matrix, train bool) *mat.Matrix {

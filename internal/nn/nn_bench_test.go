@@ -12,9 +12,9 @@ import (
 func paperNet(rng *rand.Rand) *Sequential {
 	return NewSequential(
 		NewDense("l1", 11, 512, rng),
-		NewReLU(),
+		&ReLU{},
 		NewDense("l2", 512, 256, rng),
-		NewReLU(),
+		&ReLU{},
 		NewDense("out", 256, 27, rng),
 	)
 }

@@ -30,7 +30,7 @@ func TestDenseWrongInputPanics(t *testing.T) {
 }
 
 func TestReLU(t *testing.T) {
-	r := NewReLU()
+	r := &ReLU{}
 	x := mat.FromRows([][]float64{{-1, 0, 2}})
 	y := r.Forward(x, true)
 	want := []float64{0, 0, 2}
@@ -95,7 +95,7 @@ func TestGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	net := NewSequential(
 		NewDense("l1", 4, 6, rng),
-		NewReLU(),
+		&ReLU{},
 		NewDense("l2", 6, 3, rng),
 	)
 	x := mat.New(5, 4)
@@ -163,15 +163,15 @@ func TestAdamFitsLinearFunction(t *testing.T) {
 	if math.Abs(w-2) > 0.05 || math.Abs(b-1) > 0.05 {
 		t.Fatalf("fit w=%v b=%v, want 2, 1", w, b)
 	}
-	if opt.StepCount() != 400 {
-		t.Fatalf("StepCount = %d", opt.StepCount())
+	if opt.step != 400 {
+		t.Fatalf("step = %d", opt.step)
 	}
 }
 
 func TestTargetNetworkSync(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	online := NewSequential(NewDense("a", 2, 3, rng), NewReLU(), NewDense("b", 3, 1, rng))
-	target := NewSequential(NewDense("a", 2, 3, rng), NewReLU(), NewDense("b", 3, 1, rng))
+	online := NewSequential(NewDense("a", 2, 3, rng), &ReLU{}, NewDense("b", 3, 1, rng))
+	target := NewSequential(NewDense("a", 2, 3, rng), &ReLU{}, NewDense("b", 3, 1, rng))
 	target.CopyValuesFrom(online)
 	x := mat.FromRows([][]float64{{0.5, -0.5}})
 	y1 := online.Forward(x, false)

@@ -56,9 +56,6 @@ func (s *StepWise) RPS(t int) float64 {
 	return s.levels[step]
 }
 
-// Levels exposes the precomputed ladder (useful for tests and plots).
-func (s *StepWise) Levels() []float64 { return append([]float64(nil), s.levels...) }
-
 // Diurnal is a day/night sinusoid: load oscillates between MinRPS and
 // MaxRPS with the given period (86400 s for a day).
 type Diurnal struct {

@@ -16,7 +16,7 @@ func TestFixed(t *testing.T) {
 
 func TestStepWiseLadder(t *testing.T) {
 	s := NewStepWise(100, 500, 0.2, 200)
-	levels := s.Levels()
+	levels := s.levels
 	if levels[0] != 100 {
 		t.Fatalf("ladder start = %v", levels[0])
 	}
@@ -56,7 +56,7 @@ func TestStepWiseLadder(t *testing.T) {
 
 func TestStepWiseChangeFactor(t *testing.T) {
 	s := NewStepWise(100, 1000, 0.2, 100)
-	lv := s.Levels()
+	lv := s.levels
 	for i := 1; i < len(lv) && lv[i] > lv[i-1]; i++ {
 		ratio := lv[i] / lv[i-1]
 		if ratio > 1.2+1e-9 {

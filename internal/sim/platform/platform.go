@@ -30,15 +30,6 @@ var NumFreqSteps = int(math.Round((MaxFreqGHz-MinFreqGHz)/FreqStepGHz)) + 1
 // example anticipates.
 const NumCacheWays = 20
 
-// Frequencies returns the selectable frequencies in ascending order.
-func Frequencies() []float64 {
-	out := make([]float64, NumFreqSteps)
-	for i := range out {
-		out[i] = FreqForStep(i)
-	}
-	return out
-}
-
 // FreqForStep maps a DVFS action index (0-based) to GHz.
 func FreqForStep(step int) float64 {
 	if step < 0 {
@@ -48,18 +39,6 @@ func FreqForStep(step int) float64 {
 		step = NumFreqSteps - 1
 	}
 	return math.Round((MinFreqGHz+float64(step)*FreqStepGHz)*100) / 100
-}
-
-// StepForFreq maps a frequency in GHz to the nearest DVFS action index.
-func StepForFreq(ghz float64) int {
-	step := int(math.Round((ghz - MinFreqGHz) / FreqStepGHz))
-	if step < 0 {
-		step = 0
-	}
-	if step >= NumFreqSteps {
-		step = NumFreqSteps - 1
-	}
-	return step
 }
 
 // Config describes the machine shape. MinFreqGHz/MaxFreqGHz bound the
@@ -92,18 +71,11 @@ func (c Config) FreqRange() (lo, hi float64) {
 	return lo, hi
 }
 
-// NumFreqStepsFor returns the number of selectable DVFS states in the
-// configured range.
-func (c Config) NumFreqStepsFor() int {
-	lo, hi := c.FreqRange()
-	return int(math.Round((hi-lo)/FreqStepGHz)) + 1
-}
-
 // ClampFreq snaps a frequency to the 0.1 GHz grid and clamps it to the
 // configured range, as the acpi-cpufreq governor would. The snapping
-// uses the same step arithmetic as FreqForStep/StepForFreq, so on the
-// default range it agrees bit-for-bit with the historical
-// FreqForStep(StepForFreq(ghz)) path.
+// uses FreqForStep's step arithmetic, so on the default range it agrees
+// bit-for-bit with rounding to the nearest DVFS step and taking that
+// step's FreqForStep (TestClampFreqMatchesLegacyGrid).
 func (c Config) ClampFreq(ghz float64) float64 {
 	lo, hi := c.FreqRange()
 	step := math.Round((ghz - MinFreqGHz) / FreqStepGHz)

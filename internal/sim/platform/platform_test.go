@@ -7,8 +7,17 @@ import (
 	"github.com/twig-sched/twig/internal/checkpoint"
 )
 
+// stepForFreq maps a frequency in GHz to the nearest DVFS action index,
+// clamped to the default range: the grid ClampFreq must agree with.
+func stepForFreq(ghz float64) int {
+	return min(max(int(math.Round((ghz-MinFreqGHz)/FreqStepGHz)), 0), NumFreqSteps-1)
+}
+
 func TestFrequencies(t *testing.T) {
-	fs := Frequencies()
+	fs := make([]float64, NumFreqSteps)
+	for i := range fs {
+		fs[i] = FreqForStep(i)
+	}
 	if len(fs) != 9 {
 		t.Fatalf("expected 9 DVFS states, got %d", len(fs))
 	}
@@ -24,18 +33,18 @@ func TestFrequencies(t *testing.T) {
 
 func TestFreqStepRoundtrip(t *testing.T) {
 	for step := 0; step < NumFreqSteps; step++ {
-		if got := StepForFreq(FreqForStep(step)); got != step {
-			t.Fatalf("StepForFreq(FreqForStep(%d)) = %d", step, got)
+		if got := stepForFreq(FreqForStep(step)); got != step {
+			t.Fatalf("stepForFreq(FreqForStep(%d)) = %d", step, got)
 		}
 	}
 	if FreqForStep(-5) != MinFreqGHz || FreqForStep(99) != MaxFreqGHz {
 		t.Fatal("FreqForStep must clamp")
 	}
-	if StepForFreq(0.1) != 0 || StepForFreq(9.9) != NumFreqSteps-1 {
-		t.Fatal("StepForFreq must clamp")
+	if stepForFreq(0.1) != 0 || stepForFreq(9.9) != NumFreqSteps-1 {
+		t.Fatal("stepForFreq must clamp")
 	}
-	if StepForFreq(1.44) != 2 { // nearest is 1.4
-		t.Fatalf("StepForFreq(1.44) = %d", StepForFreq(1.44))
+	if stepForFreq(1.44) != 2 { // nearest is 1.4
+		t.Fatalf("stepForFreq(1.44) = %d", stepForFreq(1.44))
 	}
 }
 
@@ -150,7 +159,7 @@ func TestFreqRangeDefaults(t *testing.T) {
 	if lo != MinFreqGHz || hi != MaxFreqGHz {
 		t.Fatalf("default range = [%v,%v]", lo, hi)
 	}
-	if DefaultConfig().NumFreqStepsFor() != NumFreqSteps {
+	if int(math.Round((hi-lo)/FreqStepGHz))+1 != NumFreqSteps {
 		t.Fatal("default step count")
 	}
 	edge := Config{Sockets: 1, CoresPerSocket: 10, MinFreqGHz: 1.2, MaxFreqGHz: 1.6}
@@ -158,20 +167,20 @@ func TestFreqRangeDefaults(t *testing.T) {
 	if lo != 1.2 || hi != 1.6 {
 		t.Fatalf("edge range = [%v,%v]", lo, hi)
 	}
-	if edge.NumFreqStepsFor() != 5 {
-		t.Fatalf("edge steps = %d", edge.NumFreqStepsFor())
+	if n := int(math.Round((hi-lo)/FreqStepGHz)) + 1; n != 5 {
+		t.Fatalf("edge steps = %d", n)
 	}
 }
 
 // TestClampFreqMatchesLegacyGrid pins the bit-identity of the per-config
-// clamp with the historical FreqForStep(StepForFreq(...)) path on the
+// clamp with the historical FreqForStep(stepForFreq(...)) path on the
 // default platform, so existing trajectories and checkpoints replay
 // unchanged.
 func TestClampFreqMatchesLegacyGrid(t *testing.T) {
 	cfg := DefaultConfig()
 	for i := 0; i <= 1400; i++ {
 		ghz := 0.9 + float64(i)*0.001
-		want := FreqForStep(StepForFreq(ghz))
+		want := FreqForStep(stepForFreq(ghz))
 		if got := cfg.ClampFreq(ghz); got != want {
 			t.Fatalf("ClampFreq(%v) = %v, legacy grid gives %v", ghz, got, want)
 		}
