@@ -286,6 +286,13 @@ func TestLearningCurvesOnShortRuns(t *testing.T) {
 			t.Errorf("%s curve has %d buckets, want 11", name, n)
 		}
 	}
+	// Quick scale's 4 300 intervals and short scale's 200 make twelve
+	// buckets, the last one short, and no thirteenth stub.
+	for _, sc := range []Scale{QuickScale(), ShortScale()} {
+		if w := newQoSBuckets(sc).width; (sc.LearnS+sc.SummaryS+w-1)/w != 12 {
+			t.Errorf("%s scale: buckets of %d s make more than twelve", sc.Name, w)
+		}
+	}
 }
 
 func TestFig11TinyPlumbing(t *testing.T) {

@@ -199,9 +199,10 @@ type qosBuckets struct {
 }
 
 // newQoSBuckets splits a run of sc's learning and evaluation window into
-// twelve buckets, each at least one interval wide.
+// at most twelve buckets, each at least one interval wide: the width
+// rounds up, so only the last bucket can be short, never a thirteenth.
 func newQoSBuckets(sc Scale) *qosBuckets {
-	return &qosBuckets{width: max(1, (sc.LearnS+sc.SummaryS)/12)}
+	return &qosBuckets{width: max(1, (sc.LearnS+sc.SummaryS+11)/12)}
 }
 
 func (q *qosBuckets) hook(t int, r sim.StepResult, _ sim.Assignment) {
