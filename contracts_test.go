@@ -106,6 +106,15 @@ var contracts = []contract{
 		},
 	},
 	{
+		name: "one-training-path",
+		why: `every network trains through its layers' Backward, which hands each gradient to the optimiser as it computes it (DESIGN.md §7): no production code outside benchmark/ steps Adam over Grad, clears or reads a Grad, and the fused step-and-clear and the product that accumulated dW into Grad stay deleted — ` +
+			"Param.Grad, ZeroGrad and Adam.Step stay only for the benchmark's layer probes, and only their own definitions touch them",
+		clauses: []clause{
+			{scope{}, []rule{idents("StepAndZeroGrad", "MulTransAAcc", "mulTransAAccRange")}},
+			{scope{prod: true, except: []string{"benchmark/"}}, []rule{gradientBypass}},
+		},
+	},
+	{
 		name: "no-unset-learner-knobs",
 		why:  `the learner has no knob that no driver sets (DESIGN.md §17, "Hyper-parameters"): pure exploitation after a step count and global gradient-norm clipping stay deleted`,
 		clauses: []clause{
@@ -369,6 +378,31 @@ func calls(name string, except ...string) rule {
 				return true
 			})
 		}
+	}
+}
+
+// gradientBypass forbids training beside the per-layer step: a call of
+// ZeroGrad, an Adam step over Grad (a method Step of one argument; no
+// other Step takes one) and a read of a Grad field — outside the bodies
+// of ZeroGrad and grad, which are that field's own.
+func gradientBypass(f *ast.File, report func(ast.Node, string)) {
+	for _, decl := range f.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Name.Name == "ZeroGrad" || fd.Name.Name == "grad") {
+			continue
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "ZeroGrad" || sel.Sel.Name == "Step" && len(n.Args) == 1) {
+					report(n, lastName(sel.X)+"."+sel.Sel.Name+"()")
+				}
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "Grad" {
+					report(n, "reads "+lastName(n.X)+".Grad")
+				}
+			}
+			return true
+		})
 	}
 }
 

@@ -221,14 +221,15 @@ func NewAgent(cfg AgentConfig) *Agent {
 	online := NewNetwork(cfg.Spec, r.Rand)
 	target := NewNetwork(cfg.Spec, r.Rand)
 	target.CopyValuesFrom(online)
-	online.ZeroGrad() // the online network trains: its gradients come with it, the target's never
+	opt := nn.NewAdam(cfg.LearningRate)
+	online.SetOptimizer(opt) // the online network trains, the target never does
 	var buf replay.Buffer
 	if cfg.UsePER {
 		buf = replay.NewPrioritized(cfg.ReplayCapacity, cfg.PERAlpha, cfg.PERBeta0, cfg.PERAnnealSteps)
 	} else {
 		buf = replay.NewUniform(cfg.ReplayCapacity)
 	}
-	return &Agent{cfg: cfg, online: online, target: target, buffer: buf, opt: nn.NewAdam(cfg.LearningRate), rng: r}
+	return &Agent{cfg: cfg, online: online, target: target, buffer: buf, opt: opt, rng: r}
 }
 
 // Config returns the (defaulted) configuration.
@@ -340,8 +341,9 @@ func (a *Agent) Observe(t replay.Transition) float64 {
 
 // TrainStep samples a minibatch, forms per-branch TD targets with the
 // target network (actions chosen by the online network — double DQN
-// style), backpropagates the weighted squared error, applies Adam and
-// periodically syncs the target network. Returns the minibatch loss.
+// style), backpropagates the weighted squared error — which applies Adam
+// layer by layer — and periodically syncs the target network. Returns the
+// minibatch loss.
 func (a *Agent) TrainStep() float64 {
 	ws := a.trainWorkspace()
 	n := a.trainSample()
@@ -409,16 +411,16 @@ func (a *Agent) trainTargets(targetNext *Output, n int) {
 
 // trainBackprop forwards the current states in training mode, builds
 // the gradient — only the taken action of each branch receives error —
-// backpropagates it and returns the (normalised) minibatch loss.
+// opens an optimiser step and backpropagates the gradient, which steps
+// every layer as it goes, and returns the (normalised) minibatch loss.
 //
 // The train-mode forward overwrites the eval Output of the same batch
 // size (both use the network's workspace); argmax was extracted first.
-// Gradients are already zero: parameters start that way and the
-// optimiser step in trainCommit clears them as it consumes them.
 func (a *Agent) trainBackprop(targetNext *Output, n int) float64 {
 	ws := a.train
 	out := a.online.Forward(ws.states, true)
 	loss := a.trainLossGrad(out, targetNext, n)
+	a.opt.Open()
 	a.online.Backward(ws.gradQ)
 	return loss
 }
@@ -461,11 +463,10 @@ func (a *Agent) trainLossGrad(out, targetNext *Output, n int) float64 {
 	return loss / denom
 }
 
-// trainCommit applies the optimiser step, updates replay priorities and
-// periodically syncs the target network.
+// trainCommit updates replay priorities and periodically syncs the
+// target network.
 func (a *Agent) trainCommit() {
 	ws := a.train
-	a.opt.StepAndZeroGrad(a.online.Params())
 	a.buffer.UpdatePriorities(ws.batch.Indices, ws.tdErr)
 
 	a.trainSteps++

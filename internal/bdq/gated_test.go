@@ -80,6 +80,8 @@ func TestGatedNetworkBitEqualsUngated(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(4))
 		optG, optP := nn.NewAdam(0.0025), nn.NewAdam(0.0025)
+		gated.SetOptimizer(accumulate{optG})
+		plain.SetOptimizer(accumulate{optP})
 		states := mat.New(64, spec.StateDim)
 		gradQ := make([][]*mat.Matrix, spec.Agents)
 		for k := range gradQ {
@@ -106,6 +108,10 @@ func TestGatedNetworkBitEqualsUngated(t *testing.T) {
 					requireBits(t, mode+": Q", qg.Q[k][d].Data, qp.Q[k][d].Data)
 				}
 			}
+			gated.ZeroGrad()
+			plain.ZeroGrad()
+			optG.Open()
+			optP.Open()
 			gated.Backward(gradQ)
 			plain.Backward(gradQ)
 			for i, pg := range gated.Params() {
@@ -114,8 +120,6 @@ func TestGatedNetworkBitEqualsUngated(t *testing.T) {
 			for _, l := range gated.LiveFractions() {
 				sawDead = sawDead || l.Live < l.Width
 			}
-			optG.StepAndZeroGrad(gated.Params())
-			optP.StepAndZeroGrad(plain.Params())
 			for i, pg := range gated.Params() {
 				requireBits(t, mode+": "+pg.Name, pg.Panels.Data, plain.Params()[i].Panels.Data)
 			}

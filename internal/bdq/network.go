@@ -104,7 +104,8 @@ type Network struct {
 	// beforeBackward, when set, sees each dense layer just before Backward
 	// runs its products, with the input-gradient sum they add to (nil for
 	// none): tests hold every accumulation target to the products'
-	// precondition there (mat.MulTransAAcc: no −0).
+	// precondition there (mat.MulTransBLive's accumulation precondition:
+	// no −0).
 	beforeBackward func(d *nn.Dense, sum *mat.Matrix)
 }
 
@@ -374,7 +375,7 @@ func (n *Network) bwdWorkspace(batch, repr int) *bwdWS {
 // Params returns all learnable parameters in a deterministic order
 // (shared trunk, value streams, advantage hiddens, advantage heads).
 // The slice is cached — the network's layer set never changes — so hot
-// paths (ZeroGrad, the optimiser step) don't rebuild it. Callers must
+// paths (checkpoints, target syncs) don't rebuild it. Callers must
 // not append to or reorder the returned slice.
 func (n *Network) Params() []*nn.Param {
 	if n.params != nil {
@@ -445,7 +446,17 @@ func (n *Network) LiveFractions() []LayerLive {
 	return out
 }
 
-// ZeroGrad clears all parameter gradients.
+// SetOptimizer makes opt the optimiser of every dense layer: from then on
+// each Backward is one optimiser step of the network
+// (nn.Dense.SetOptimizer).
+func (n *Network) SetOptimizer(opt nn.Optimizer) {
+	for _, d := range n.Denses() {
+		d.SetOptimizer(opt)
+	}
+}
+
+// ZeroGrad clears all parameter gradients (nn.Param.Grad: training holds
+// none, and only the benchmark's layer probes call it).
 func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {
 		p.ZeroGrad()

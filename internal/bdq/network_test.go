@@ -157,6 +157,7 @@ func TestNetworkGradientCheck(t *testing.T) {
 		return l
 	}
 
+	net.SetOptimizer(accumulate{})
 	net.ZeroGrad()
 	out := net.Forward(x, false)
 	gradQ := make([][]*mat.Matrix, spec.Agents)
@@ -224,6 +225,8 @@ func TestGradientRescaling(t *testing.T) {
 		}
 		return gq
 	}
+	scaled.SetOptimizer(accumulate{})
+	plain.SetOptimizer(accumulate{})
 	scaled.ZeroGrad()
 	scaled.Forward(x, false)
 	scaled.Backward(mkGrad())
@@ -357,6 +360,7 @@ func TestSharedValueAblation(t *testing.T) {
 		t.Fatal("shared value must shrink the network")
 	}
 	// Backward must run without panicking and produce gradients.
+	net.SetOptimizer(accumulate{})
 	net.ZeroGrad()
 	net.Forward(x, false)
 	gq := make([][]*mat.Matrix, spec.Agents)
@@ -371,5 +375,19 @@ func TestSharedValueAblation(t *testing.T) {
 	net.Backward(gq)
 	if net.valueHid[0].Params()[0].Grad.MaxAbs() == 0 {
 		t.Fatal("shared value stream received no gradient")
+	}
+}
+
+// accumulate is the optimiser of the tests that read gradients: it adds
+// each gradient a layer's backward pass hands over to the parameter's
+// Grad — what the backward pass did itself before it stepped the
+// optimiser — and passes it on to next, when there is one. Grad starts at
+// +0 (Network.ZeroGrad).
+type accumulate struct{ next nn.Optimizer }
+
+func (a accumulate) StepParam(p *nn.Param, g []float64) {
+	mat.Axpy(1, g, p.Grad.Data)
+	if a.next != nil {
+		a.next.StepParam(p, g)
 	}
 }

@@ -110,8 +110,8 @@ func requireModel(t *testing.T, tag string, n *Network, ref []*refTensor) {
 // in — must leave the unpacked weights and the Finite bit of both
 // networks equal to a row-major reference model that the same writer
 // updated, bit for bit: Adam's by the scalar loop over the gradients the
-// backward pass left, InitHe's by the same draws filled row-major. The
-// target network never holds a gradient.
+// backward pass handed over, InitHe's by the same draws filled row-major.
+// The target network never holds a gradient.
 func TestPackFollowsEveryWeightWriter(t *testing.T) {
 	tiertest.EachLower(t)
 	cfg := poolTestCfg(3)
@@ -143,8 +143,9 @@ func TestPackFollowsEveryWeightWriter(t *testing.T) {
 	}
 	check("fresh")
 
-	// trainStep is Agent.TrainStep with the gradients read between the
-	// backward pass and the optimiser step that consumes them.
+	// trainStep is Agent.TrainStep with the gradients each layer hands
+	// the optimiser copied on the way (accumulate into a cleared Grad).
+	a.online.SetOptimizer(accumulate{a.opt})
 	trainStep := func(tag string) {
 		t.Helper()
 		ws := a.trainWorkspace()
@@ -152,6 +153,7 @@ func TestPackFollowsEveryWeightWriter(t *testing.T) {
 		a.trainArgmax(a.online.Forward(ws.next, false), n)
 		targetNext := a.target.Forward(ws.next, false)
 		a.trainTargets(targetNext, n)
+		a.online.ZeroGrad()
 		a.trainBackprop(targetNext, n)
 		grads := make([][]float64, len(online))
 		for i, p := range a.online.Params() {

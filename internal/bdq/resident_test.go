@@ -34,15 +34,15 @@ func floatStorage(v reflect.Value, seen map[uintptr]bool) int {
 	return 0
 }
 
-// TestLearnerHoldsFiveArrays pins the learner's resident state after one
+// TestLearnerHoldsFourArrays pins the learner's resident state after one
 // training step at a small shape with ragged heads: every float64 its
-// parameters reach, walked by reflection, is exactly five arrays' worth —
-// the online network's panels, gradient and two Adam moments and the
-// target network's panels, nothing else. Panels are padded to whole
-// panels of eight columns and counted so; the gradient and moments are
-// row-major. A second copy of the weights (row-major values beside the
-// panels, or a target gradient) fails it.
-func TestLearnerHoldsFiveArrays(t *testing.T) {
+// parameters reach, walked by reflection, is exactly four arrays' worth —
+// the online network's panels and two Adam moments and the target
+// network's panels, nothing else. Panels are padded to whole panels of
+// eight columns and counted so; the moments are row-major. A second copy
+// of the weights (row-major values beside the panels) or a Grad left on a
+// parameter after the step fails it.
+func TestLearnerHoldsFourArrays(t *testing.T) {
 	cfg := poolTestCfg(1)
 	a := NewAgent(cfg)
 	K, dim := cfg.Spec.Agents, cfg.Spec.StateDim
@@ -61,7 +61,7 @@ func TestLearnerHoldsFiveArrays(t *testing.T) {
 		panels += padded(d.In, d.Out) + padded(1, d.Out)
 		rowMajor += d.In*d.Out + d.Out
 	}
-	want := 2*panels + 3*rowMajor // panels of both networks; gradient, m and v of the online
+	want := 2*panels + 2*rowMajor // panels of both networks; m and v of the online
 	seen := map[uintptr]bool{}
 	got := 0
 	for _, n := range []*Network{a.online, a.target} {
@@ -70,7 +70,7 @@ func TestLearnerHoldsFiveArrays(t *testing.T) {
 		}
 	}
 	if got != want {
-		t.Fatalf("the learner holds %d float64s (%.2f arrays' worth), want %d: two networks' panels (%d each) and the online's gradient, m and v (%d each)",
+		t.Fatalf("the learner holds %d float64s (%.2f arrays' worth), want %d: two networks' panels (%d each) and the online's m and v (%d each)",
 			got, float64(got)/float64(rowMajor), want, panels, rowMajor)
 	}
 }

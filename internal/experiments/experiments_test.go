@@ -3,7 +3,9 @@ package experiments
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/twig-sched/twig/internal/baselines"
 	"github.com/twig-sched/twig/internal/sim"
@@ -146,6 +148,18 @@ func TestFig1SmallRun(t *testing.T) {
 	}
 	if r.String() == "" {
 		t.Fatal("String")
+	}
+}
+
+// TestTable3PrintsSubMicrosecondRows: a row under a microsecond — the
+// mapper takes ~0.2 µs — prints in nanoseconds, not rounded to 0s; the
+// rest round to the microsecond.
+func TestTable3PrintsSubMicrosecondRows(t *testing.T) {
+	out := Table3Result{GradientDescent: 4321987 * time.Nanosecond, PMCGather: 1500 * time.Nanosecond, Mapping: 200 * time.Nanosecond}.String()
+	for _, want := range []string{"core/DVFS mapping      200ns", "gradient descent     4.322ms", "PMC gather+smooth        2µs"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("Table III renders\n%s\nwithout %q", out, want)
+		}
 	}
 }
 

@@ -112,6 +112,7 @@ func fitAndEval(trainX [][]float64, trainY []float64, testX [][]float64, testY [
 		nn.NewDense("out", 16, 1, rng),
 	)
 	opt := nn.NewAdam(0.003)
+	net.SetOptimizer(opt)
 
 	// Scale targets to keep the regression well-conditioned.
 	yMax := stats.Percentile(trainY, 99)
@@ -131,8 +132,8 @@ func fitAndEval(trainX [][]float64, trainY []float64, testX [][]float64, testY [
 			}
 			pred := net.Forward(xb, true)
 			_, grad := nn.MSE(pred, yb)
+			opt.Open()
 			net.Backward(grad)
-			opt.StepAndZeroGrad(net.Params())
 		}
 	}
 

@@ -82,10 +82,20 @@ func Table3(iters int) Table3Result {
 func (r Table3Result) String() string {
 	var b strings.Builder
 	b.WriteString("Table III: per-interval Twig overhead (CPU-only Go)\n")
-	fmt.Fprintf(&b, "  gradient descent  %10v   (paper: 25 ms GPU / 48 ms CPU)\n", r.GradientDescent.Round(time.Microsecond))
-	fmt.Fprintf(&b, "  PMC gather+smooth %10v   (paper: 2 ms)\n", r.PMCGather.Round(time.Microsecond))
-	fmt.Fprintf(&b, "  core/DVFS mapping %10v   (paper: 7 ms, dominated by sysfs)\n", r.Mapping.Round(time.Microsecond))
-	fmt.Fprintf(&b, "  total             %10v   (paper: 34 ms GPU / 57 ms CPU)\n", r.Total.Round(time.Microsecond))
+	fmt.Fprintf(&b, "  gradient descent  %10v   (paper: 25 ms GPU / 48 ms CPU)\n", overhead(r.GradientDescent))
+	fmt.Fprintf(&b, "  PMC gather+smooth %10v   (paper: 2 ms)\n", overhead(r.PMCGather))
+	fmt.Fprintf(&b, "  core/DVFS mapping %10v   (paper: 7 ms, dominated by sysfs)\n", overhead(r.Mapping))
+	fmt.Fprintf(&b, "  total             %10v   (paper: 34 ms GPU / 57 ms CPU)\n", overhead(r.Total))
 	fmt.Fprintf(&b, "  PMC data per service: %d B/s (paper: 352 B/s)\n", r.PMCDataBytes)
 	return b.String()
+}
+
+// overhead rounds a row to the microsecond, or keeps the nanoseconds of
+// one under a microsecond, which would otherwise print as 0s (the mapper
+// takes ~0.2 µs).
+func overhead(d time.Duration) time.Duration {
+	if d < time.Microsecond {
+		return d
+	}
+	return d.Round(time.Microsecond)
 }

@@ -14,7 +14,7 @@ import (
 // data with exact zeros (exercising the skip path), and every kernel
 // tier the host has: portable, AVX2, AVX-512. An accumulating product
 // owes the oracle's bits wherever its destination held no −0
-// (keptNegZero says what it may do with one).
+// (MulTransBLive's accumulation precondition).
 //
 // That is the contract for finite operands. With an Inf or a NaN in the
 // b operand the tiled Mul/MulTransA family may differ from the naive
@@ -63,23 +63,6 @@ func requireBitsEqual(t *testing.T, tag string, got, want *Matrix) {
 				tag, i, math.Float64bits(g), g, math.Float64bits(w), w)
 		}
 	}
-}
-
-// keptNegZero is want, the oracle of an accumulation into dst0, with the
-// documented exception put back: where dst0 held −0 and the element's sum
-// was +0 (want reads +0), an accumulating product may have added nothing
-// and left the −0 (MulTransAAcc's precondition), so where got still reads
-// −0 there, so does the result. Every other element is want's, bit for
-// bit.
-func keptNegZero(got, dst0, want *Matrix) *Matrix {
-	negZero := math.Float64bits(math.Copysign(0, -1))
-	out := want.Clone()
-	for i, w := range want.Data {
-		if math.Float64bits(w) == 0 && math.Float64bits(dst0.Data[i]) == negZero && math.Float64bits(got.Data[i]) == negZero {
-			out.Data[i] = got.Data[i]
-		}
-	}
-	return out
 }
 
 // plantNonFinite overwrites a few elements of data with ±Inf and NaN.
@@ -235,23 +218,11 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 			want := New(m, n)
 			mulTransARange(want, a, b, 0, m) // retained naive reference
 
-			// The accumulate variant's reference is the unfused pair it
-			// replaces — tmp = aᵀ·b (naive), dst += 1·tmp — starting from
-			// a non-trivial dst, whose planted −0s may stay (keptNegZero).
-			dst0 := New(m, n)
-			fuzzFill(dst0.Data, rng)
-			wantAcc := dst0.Clone()
-			wantAcc.AddScaled(1, want)
-
 			withKernels(t, func(kernel string) {
 				got := New(m, n)
 				fuzzFill(got.Data, rng)
 				MulTransA(got, a, b)
 				require(t, "MulTransA/"+kernel, got, want)
-
-				gotAcc := dst0.Clone()
-				MulTransAAcc(gotAcc, a, nil, b, nil)
-				require(t, "MulTransAAcc/"+kernel, gotAcc, keptNegZero(gotAcc, dst0, wantAcc))
 			})
 		}
 	})
@@ -262,9 +233,8 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 // rate (none, some, all), per-element zeros and denormals on top, ragged
 // tiles and last tiles of one to three rows, every entry point that
 // scans — Mul, the packed product with bias and ReLU over a row band,
-// MulTransA with and without accumulation, MulTransB — under every
-// kernel tier. Finite operands, bitwise (but for the −0 an accumulation
-// may leave standing: keptNegZero).
+// MulTransA, MulTransB — under every kernel tier. Finite operands,
+// bitwise.
 func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(60), byte(40), byte(110)) // ~43 % dead
 	f.Add(int64(2), byte(64), byte(33), byte(17), byte(180)) // ~70 % dead
@@ -298,10 +268,6 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 		mulTransBRange(wantTB, a, bt, 0, m, nil, false)
 		wantTA := New(k, n) // aᵀ·c
 		mulTransARange(wantTA, a, c, 0, k)
-		dst0 := New(k, n)
-		fuzzFill(dst0.Data, rng)
-		wantAcc := dst0.Clone()
-		wantAcc.AddScaled(1, wantTA)
 		// A band of the packed product: rows [lo, m), the rest untouched.
 		lo := 0
 		if m > 0 {
@@ -337,9 +303,6 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 			fuzzFill(gotTA.Data, rng)
 			MulTransA(gotTA, a, c)
 			requireBitsEqual(t, "MulTransA/"+kernel, gotTA, wantTA)
-			gotAcc := dst0.Clone()
-			MulTransAAcc(gotAcc, a, nil, c, nil)
-			requireBitsEqual(t, "MulTransAAcc/"+kernel, gotAcc, keptNegZero(gotAcc, dst0, wantAcc))
 		})
 	})
 }
@@ -358,15 +321,13 @@ func deadColumnsOf(m *Matrix) []bool {
 
 // FuzzMulTransALiveBlockMatchesNaive aims at the column half of the
 // live × live block: dead columns at fuzzed rates in both operands of
-// dst (+)= aᵀ·b, so the product settles dead rows and dead columns and
-// packs the rest, with and without sets the caller holds. Finite
-// operands: bitwise the naive kernel, but for the −0 an accumulation may
-// leave standing (keptNegZero). Then Inf and NaN planted in a: a dead
-// column of b may hide them — its destination column then reads the
-// settled +0 (dst as it stood when accumulating) where the oracle reads
-// NaN — and everything else is still the oracle's bit for bit (two NaNs
-// may differ in sign and payload, which follow the operand order of each
-// addition).
+// dst = aᵀ·b, so the product settles dead rows and dead columns and packs
+// the rest, with and without sets the caller holds. Finite operands:
+// bitwise the naive kernel. Then Inf and NaN planted in a: a dead column
+// of b may hide them — its destination column then reads the settled +0
+// where the oracle reads NaN — and everything else is still the oracle's
+// bit for bit (two NaNs may differ in sign and payload, which follow the
+// operand order of each addition).
 func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(40), byte(60), byte(110), byte(110)) // both ~43 % dead
 	f.Add(int64(2), byte(32), byte(22), byte(67), byte(0), byte(180))   // b ~70 % dead
@@ -382,16 +343,12 @@ func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 		killColumns(a, float64(deadAb)/255, rng)
 		killColumns(b, float64(deadBb)/255, rng)
 		deadB := deadColumnsOf(b)
-		dst0 := New(m, n)
-		fuzzFill(dst0.Data, rng)
 		for _, finite := range []bool{true, false} {
 			if !finite {
 				plantNonFinite(a.Data, rng)
 			}
 			want := New(m, n)
 			mulTransARange(want, a, b, 0, m)
-			wantAcc := dst0.Clone()
-			wantAcc.AddScaled(1, want)
 			require := func(tag string, got, want, settled *Matrix) {
 				t.Helper()
 				for i, w := range want.Data {
@@ -412,14 +369,10 @@ func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 				MulTransA(got, a, b)
 				require("MulTransA/"+kernel, got, want, zeros)
 				var al, bl Live
-				for _, held := range []bool{false, true, true} { // the second held pass reuses the scans
-					got.CopyFrom(dst0)
-					if held {
-						MulTransAAcc(got, a, &al, b, &bl)
-					} else {
-						MulTransAAcc(got, a, nil, b, nil)
-					}
-					require(fmt.Sprintf("MulTransAAcc/%s/held=%t", kernel, held), got, keptNegZero(got, dst0, wantAcc), dst0)
+				for pass := 1; pass <= 2; pass++ { // the second pass reuses the held scans
+					fuzzFill(got.Data, rng)
+					MulTransALive(got, a, &al, b, &bl)
+					require(fmt.Sprintf("MulTransALive/%s/pass %d", kernel, pass), got, want, zeros)
 				}
 			})
 		}

@@ -35,6 +35,11 @@ type Live struct {
 // Reset forgets the scan: the operand it was made of has new contents.
 func (l *Live) Reset() { l.scanned = false }
 
+// Scan makes l the live set of a, unless it already holds one: for a
+// holder whose set a later product reads as a gate (MulTransBLive's out)
+// when the products before it may have made no scan.
+func (l *Live) Scan(a *Matrix) { l.scan(a, 0, a.Rows) }
+
 // Count returns how many columns the held scan found live; ok is false
 // when no product has scanned the operand since Reset (products of fewer
 // than four rows make no scan).
@@ -196,7 +201,8 @@ func finiteInPanels(pb *PackedB, rows, cols []int32) bool {
 // settleDeadColumns stores +0, the sum a column-mapped product leaves
 // out, in the listed rows of dst (every row when rows is nil) and the dead
 // destination columns. Only a storing product calls it: an accumulating
-// one leaves those elements as they stand (MulTransAAcc's precondition).
+// one leaves those elements as they stand (MulTransBLive's accumulation
+// precondition).
 func settleDeadColumns(dst *Matrix, rows, dead []int32) {
 	for i, n := 0, span(rows, dst.Rows); i < n; i++ {
 		drow := dst.Row(pick(rows, i))

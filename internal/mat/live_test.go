@@ -47,9 +47,8 @@ func scanned(m *Matrix) *Live {
 }
 
 // TestLiveBlockMatchesNaive: live counts on both sides of one and two
-// panels, widths that leave a partial panel, accumulation into −0 (a dead
-// row of dW keeps it, any other element whose sum is +0 may: the
-// precondition) and stale values planted in the gated destination, under
+// panels, widths that leave a partial panel, stale values planted in dW
+// (a dead row of it must read +0) and in the gated destination, under
 // every tier.
 func TestLiveBlockMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -75,10 +74,6 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 				}
 				wantTA := New(m, n)
 				mulTransARange(wantTA, x, g, 0, m)
-				negZeros := New(m, n)
-				negZeros.Fill(negZero)
-				wantAcc := negZeros.Clone()
-				wantAcc.AddScaled(1, wantTA)
 
 				// gradIn = g2·Wᵀ: g2 is batch×m, W is n×m, and the gate is
 				// the live set of an n-wide input with exactly liveN live
@@ -119,12 +114,12 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 					// Twice, the second time with the held sets, as the next
 					// product would use them.
 					for _, pass := range []string{"", " held"} {
-						got.CopyFrom(negZeros)
-						MulTransAAcc(got, x, xl, g, gl)
-						requireBitsEqual(t, "MulTransAAcc"+pass+"/"+kernel+"/"+tag, got, keptNegZero(got, negZeros, wantAcc))
+						got.Fill(negZero)
+						MulTransALive(got, x, xl, g, gl)
+						requireBitsEqual(t, "MulTransALive"+pass+"/"+kernel+"/"+tag, got, wantTA)
 						for j, v := range got.Row(deadRow) {
-							if math.Float64bits(v) != math.Float64bits(negZero) {
-								t.Fatalf("%s: MulTransAAcc%s added to dead row %d: [%d] = %v, want the −0 it held", tag, pass, deadRow, j, v)
+							if math.Float64bits(v) != 0 {
+								t.Fatalf("%s: MulTransALive%s left dead row %d: [%d] = %v, want +0", tag, pass, deadRow, j, v)
 							}
 						}
 						if c, ok := gl.Count(); !ok || c != liveN {
@@ -316,7 +311,7 @@ func TestScratchShapesStable(t *testing.T) {
 		liveExactly(g, pickColumns(out, rng.Intn(out+1), rng), rng)
 		var xl, gl Live
 		MulBiasAct(y, x, &xl, w, nil, ActReLU)
-		MulTransAAcc(dw, x, &xl, g, &gl)
+		MulTransALive(dw, x, &xl, g, &gl)
 		MulTransBLive(gin, g, &gl, w, false, &xl, false)
 		if step == 5 {
 			after5 = scratchShapes()

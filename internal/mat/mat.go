@@ -138,45 +138,21 @@ func MulBiasAct(dst, a *Matrix, al *Live, b *Matrix, bias []float64, act Activat
 // MulTransA computes dst = aᵀ·b. dst must be a.Cols×b.Cols. Large
 // products run on the tiled kernel; for finite operands all paths are
 // bit-identical.
-func MulTransA(dst, a, b *Matrix) {
+func MulTransA(dst, a, b *Matrix) { MulTransALive(dst, a, nil, b, nil) }
+
+// MulTransALive is MulTransA for a caller that holds the operands' live
+// sets: al of a and bl of b, or nil (see Live); the ones given hold their
+// scans on return, whichever path ran (a gate handed to MulTransBLive
+// next must).
+func MulTransALive(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("mat: MulTransA dimension mismatch")
 	}
 	if a.Cols >= minPackRows && a.Rows > 0 && b.Cols > 0 {
-		mulTransAPacked(dst, a, nil, b, nil, false)
+		mulTransAPacked(dst, a, al, b, bl)
 		return
 	}
 	mulTransARange(dst, a, b, 0, a.Cols)
-}
-
-// MulTransAAcc computes dst += aᵀ·b: each destination element gets its
-// fully accumulated register sum added with a single rounding. It fuses
-// the gradient-accumulation pattern `tmp = aᵀ·b; dst += tmp` into one
-// sweep — bitwise identical to that pair, since `dst[ij] + sum` is the
-// exact operation both perform. al and bl are the caller's live sets of
-// a and b, or nil (see Live); the ones given hold their scans on return.
-//
-// Precondition: dst holds no −0. The tiled product adds nothing to the
-// elements whose sum is +0 for want of a live term — the rows of a's dead
-// columns and, where it packs b's live columns only, the columns of b's
-// dead ones — and dst + (+0) is dst for every value but −0, which it
-// would turn +0. Every accumulation target in nn and bdq holds it: it
-// starts the step at +0 (Adam.StepAndZeroGrad, Param.ZeroGrad,
-// Matrix.Zero) and only ever has sums added to it, and in
-// round-to-nearest a sum is −0 only when both addends are, so none of
-// them ever holds a −0 (DESIGN.md §14).
-func MulTransAAcc(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic("mat: MulTransAAcc dimension mismatch")
-	}
-	if a.Cols >= minPackRows && a.Rows > 0 && b.Cols > 0 {
-		mulTransAPacked(dst, a, al, b, bl, true)
-		return
-	}
-	mulTransAAccRange(dst, a, b, 0, a.Cols)
-	// The streaming kernel needs neither set, but the caller's hold their
-	// scans on return whichever path ran (a gate handed to MulTransBLive
-	// next must).
 	if al != nil {
 		al.scan(a, 0, a.Rows)
 	}
@@ -185,24 +161,23 @@ func MulTransAAcc(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
 	}
 }
 
-// mulTransAPacked is the tiled form of MulTransA and MulTransAAcc, over
-// the live × live block of the destination. A column of a that is ±0 in
-// every row is a destination row whose sum is +0, and a column of b that
-// is ±0 in every row a destination column whose sum is: a storing product
-// clears them without a kernel, an accumulating one leaves them be. The
-// microkernel sees the live rows only, and — where that saves a panel —
-// panels packed from b's live columns only.
-func mulTransAPacked(dst, a *Matrix, al *Live, b *Matrix, bl *Live, accumulate bool) {
+// mulTransAPacked is the tiled form of MulTransA, over the live × live
+// block of the destination. A column of a that is ±0 in every row is a
+// destination row whose sum is +0, and a column of b that is ±0 in every
+// row a destination column whose sum is: the product clears them without
+// a kernel. The microkernel sees the live rows only, and — where that
+// saves a panel — panels packed from b's live columns only.
+func mulTransAPacked(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
 	al, aBorrowed := borrowLive(al)
 	bl, bBorrowed := borrowLive(bl)
 	al.scan(a, 0, a.Rows)
 	bl.scan(b, 0, b.Rows)
 	rows := al.list()
-	ep := epilogue{accumulate: accumulate, cols: bl.compact()}
-	if rows != nil && !accumulate {
+	ep := epilogue{cols: bl.compact()}
+	if rows != nil {
 		transADeadRows(dst, rows)
 	}
-	if ep.cols != nil && !accumulate {
+	if ep.cols != nil {
 		settleDeadColumns(dst, rows, bl.deadList())
 	}
 	bp := packB(b, ep.cols)
@@ -233,8 +208,15 @@ func MulTransB(dst, a, b *Matrix) {
 // b is hidden, where MulTransB hides nothing. accumulate adds the
 // product to dst (dst + sum, one rounding per element: bitwise
 // `tmp = a·bᵀ; dst += tmp`) instead of storing it, and then leaves the
-// unlisted columns as they stand, under MulTransAAcc's precondition: dst
-// holds no −0.
+// unlisted columns as they stand.
+//
+// The accumulation precondition: an accumulated dst holds no −0. The
+// product adds nothing to the elements it leaves out, and dst + (+0) is
+// dst for every value but −0, which it would turn +0. Every accumulation
+// target in nn and bdq holds it: it starts the step at +0 (Matrix.Zero)
+// and only ever has sums added to it, and in round-to-nearest a sum is −0
+// only when both addends are, so none of them ever holds a −0 (DESIGN.md
+// §14).
 func MulTransBLive(dst, a *Matrix, al *Live, b *Matrix, finite bool, out *Live, accumulate bool) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("mat: MulTransB dimension mismatch")

@@ -48,28 +48,6 @@ func mulTransARange(dst, a, b *Matrix, r0, r1 int) {
 	}
 }
 
-// mulTransAAccRange computes rows [r0, r1) of dst += aᵀ·b: each
-// element's k-terms accumulate into a register in ascending order (zero
-// a-operands skipped, like mulTransARange) and the finished sum is added
-// to dst with one rounding — the streaming twin of the tiled
-// accumulate path, bit-identical to it.
-func mulTransAAccRange(dst, a, b *Matrix, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		drow := dst.Row(i)
-		for j := range drow {
-			var s float64
-			for k := 0; k < a.Rows; k++ {
-				av := a.Data[k*a.Cols+i]
-				if av == 0 {
-					continue
-				}
-				s += av * b.Data[k*b.Cols+j]
-			}
-			drow[j] += s
-		}
-	}
-}
-
 // mulTransBRange computes rows [r0, r1) of dst = a·bᵀ — in the
 // destination columns cols lists, when it is non-nil, and the others are
 // not touched; added to dst instead of stored, when accumulate is set.

@@ -542,8 +542,7 @@ func gemmTransAPacked(dst, a *Matrix, bp []float64, live []int32, ep *epilogue) 
 
 // transADeadRows stores +0, their sum, in the destination rows of
 // dst = aᵀ·b that live does not list: a clear where the product would
-// have spent k·n multiply-adds to the same effect. An accumulating
-// product leaves those rows as they stand (MulTransAAcc's precondition).
+// have spent k·n multiply-adds to the same effect.
 func transADeadRows(dst *Matrix, live []int32) {
 	next := 0
 	for i := 0; i < dst.Rows; i++ {

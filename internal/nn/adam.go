@@ -8,6 +8,10 @@ import (
 
 // Adam implements the Adam optimiser (Kingma & Ba, 2014) with the bias
 // correction of the original paper. Twig uses a learning rate of 0.0025.
+//
+// A training step opens one optimiser step (Open) and runs the backward
+// pass, whose every Dense layer hands its gradients to StepParam as soon
+// as it has computed them: no parameter-sized gradient outlives a step.
 type Adam struct {
 	LR      float64
 	Beta1   float64
@@ -15,6 +19,26 @@ type Adam struct {
 	Epsilon float64
 
 	step int
+	k    adamConsts // the open step's constants
+	open int        // the timestep k belongs to; 0 before the first Open
+}
+
+// momentFlushEvery is how often, in optimiser steps, StepParam sweeps a
+// tensor's moments for the values of a unit that stopped firing (see
+// flushMoments).
+const momentFlushEvery = 128
+
+// flushBelow is the magnitude under which flushMoments sets a moment to
+// +0: from there β₁ = 0.9 takes ~145 steps to reach the subnormal range,
+// more than momentFlushEvery, so no moment ever gets there.
+const flushBelow = 0x1p-1000
+
+// Optimizer takes a layer's gradients the moment its backward pass has
+// them: Dense.Backward hands dW and db to StepParam and the optimiser
+// updates the parameter in place. grad is row-major, p.Size() values, and
+// the layer's scratch: the optimiser reads it during the call only.
+type Optimizer interface {
+	StepParam(p *Param, grad []float64)
 }
 
 // NewAdam returns an Adam optimiser with the given learning rate and the
@@ -23,28 +47,55 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Step applies one Adam update to every parameter and increments the
-// internal timestep used for bias correction.
-func (a *Adam) Step(params []*Param) { a.apply(params, false) }
-
-// StepAndZeroGrad applies one Adam update and clears each parameter's
-// gradient in the same pass, fusing the ZeroGrad that would otherwise
-// precede the next backward pass. Gradients are write-only between the
-// optimiser step and the next backward (checkpoints do not capture
-// them), so step-then-zero is exactly equivalent to zero-before-reuse.
-func (a *Adam) StepAndZeroGrad(params []*Param) { a.apply(params, true) }
-
-// apply walks the parameters one tensor at a time through the shared
-// element update.
-func (a *Adam) apply(params []*Param, zeroGrad bool) {
+// Open starts the next optimiser step: it advances the timestep and fixes
+// the bias corrections every StepParam uses until the next Open, so that
+// all the layers one backward pass steps share them.
+func (a *Adam) Open() {
 	a.step++
-	k := a.consts()
+	a.k = a.consts()
+	a.open = a.step
+}
+
+// StepParam applies the open step to p with gradient grad, allocating p's
+// moments on its first step. Every momentFlushEvery steps it first sweeps
+// p's moments (flushMoments).
+func (a *Adam) StepParam(p *Param, grad []float64) {
+	if a.open == 0 || a.open != a.step {
+		panic("nn: Adam.StepParam outside an open step (Open first)")
+	}
+	if p.m == nil {
+		p.m = mat.New(p.Panels.K, p.Panels.N)
+		p.v = mat.New(p.Panels.K, p.Panels.N)
+	} else if a.step%momentFlushEvery == 0 {
+		flushMoments(p.m.Data)
+		flushMoments(p.v.Data)
+	}
+	stepParam(p, grad, &a.k)
+}
+
+// Step opens a step and applies it to every parameter with the gradient
+// its Grad holds. Training never calls it: it stays, with Param.Grad and
+// ZeroGrad, only because the benchmark's layer probes name it.
+func (a *Adam) Step(params []*Param) {
+	a.Open()
 	for _, p := range params {
-		if p.m == nil {
-			p.m = mat.New(p.Panels.K, p.Panels.N)
-			p.v = mat.New(p.Panels.K, p.Panels.N)
+		a.StepParam(p, p.grad().Data)
+	}
+}
+
+// flushMoments sets every moment under flushBelow in magnitude to +0. A
+// hidden unit that stops firing has a gradient of exactly 0 from then on,
+// and its first moment decays by β₁ a step until, after ~6 700 steps, it
+// is subnormal — where the vector kernel goes through the divider and the
+// scalar loop through the CPU's slow path, for the rest of the run. With
+// |m| < 2⁻¹⁰⁰⁰ a step moves a weight by at most lr·2⁻¹⁰⁰⁰/ε ≈ 2·10⁻²⁹⁶,
+// which leaves any weight larger than ~10⁻²⁸⁰ unchanged bit for bit: the
+// flush is exact in practice, not by construction (DESIGN.md §14).
+func flushMoments(xs []float64) {
+	for i, x := range xs {
+		if math.Abs(x) < flushBelow {
+			xs[i] = 0
 		}
-		stepParam(p, &k, zeroGrad)
 	}
 }
 
@@ -97,27 +148,26 @@ func reciprocalExact(c float64) bool { return c >= 0x1p-10 && c <= 1 }
 var haveKernel = mat.HaveFMA()
 
 // stepParam applies one Adam step to p, reading and writing each value
-// in its panel slot (mat.PackedB) against the row-major gradient and
+// in its panel slot (mat.PackedB) against the row-major gradient g and
 // moments, and leaves p.Panels.Finite what a scan would say. The kernel
 // takes the panels the tensor fills whole, testing what it stores for
 // Inf and NaN (the asm walks the layout of mat.PackedB at mat.PanelWidth
 // = 8; TestAdamKernelMatchesScalar holds the two together); the scalar
 // loop takes a ragged last panel in place, one row's run at a time, and
 // on the portable path every panel. A one-row tensor (a bias) lies in its
-// panels as it does row-major and goes through adamUpdate whole. A tensor
-// no backward pass has reached steps with a zero gradient.
-func stepParam(p *Param, k *adamConsts, zeroGrad bool) {
+// panels as it does row-major and goes through adamUpdate whole.
+func stepParam(p *Param, g []float64, k *adamConsts) {
 	w := p.Panels
 	rows, cols := w.K, w.N
-	g, md, vd := p.grad().Data, p.m.Data, p.v.Data
+	g, md, vd := g[:rows*cols], p.m.Data, p.v.Data
 	if rows == 1 {
-		w.Finite = adamUpdate(w.Data[:cols], g, md, vd, k, zeroGrad)
+		w.Finite = adamUpdate(w.Data[:cols], g, md, vd, k)
 		return
 	}
 	full, finite := 0, true // the columns the kernel took, and what it stored
 	if haveKernel && rows > 0 {
 		if full = cols &^ (mat.PanelWidth - 1); full > 0 {
-			finite = adamKernel(rows, full, cols, &g[0], &md[0], &vd[0], &w.Data[0], k, zeroGrad)
+			finite = adamKernel(rows, full, cols, &g[0], &md[0], &vd[0], &w.Data[0], k)
 		}
 	}
 	for j0 := full; j0 < cols; j0 += mat.PanelWidth {
@@ -125,7 +175,7 @@ func stepParam(p *Param, k *adamConsts, zeroGrad bool) {
 		panel := w.Data[j0*rows:] // panel j0/8 starts (j0/8)·rows·8 in
 		for t := 0; t < rows; t++ {
 			run, e := panel[t*mat.PanelWidth:t*mat.PanelWidth+n], t*cols+j0
-			adamScalar(run, g[e:e+n], md[e:e+n], vd[e:e+n], k, zeroGrad)
+			adamScalar(run, g[e:e+n], md[e:e+n], vd[e:e+n], k)
 			finite = finite && mat.AllFinite(run)
 		}
 	}
@@ -133,41 +183,34 @@ func stepParam(p *Param, k *adamConsts, zeroGrad bool) {
 }
 
 // adamUpdate applies one Adam step to equal-length value/grad/moment
-// slices, zeroing grad behind it when asked, and reports whether every
-// value it stored is finite: the vector kernel over the multiple-of-four
-// prefix where the CPU has it, the scalar loop over the rest. The two
-// agree bit for bit (TestAdamKernelMatchesScalar), so how a tensor splits
-// between them changes nothing.
-func adamUpdate(value, grad, m, v []float64, k *adamConsts, zeroGrad bool) (finite bool) {
+// slices and reports whether every value it stored is finite: the vector
+// kernel over the multiple-of-four prefix where the CPU has it, the scalar
+// loop over the rest. The two agree bit for bit
+// (TestAdamKernelMatchesScalar), so how a tensor splits between them
+// changes nothing.
+func adamUpdate(value, grad, m, v []float64, k *adamConsts) (finite bool) {
 	n, finite := 0, true
 	if haveKernel {
 		if n = len(grad) &^ 3; n > 0 {
 			// One row: the kernel's panel walk is the slice in order.
-			finite = adamKernel(1, n, n, &grad[0], &m[0], &v[0], &value[0], k, zeroGrad)
+			finite = adamKernel(1, n, n, &grad[0], &m[0], &v[0], &value[0], k)
 		}
 	}
-	adamScalar(value[n:], grad[n:], m[n:], v[n:], k, zeroGrad)
+	adamScalar(value[n:], grad[n:], m[n:], v[n:], k)
 	return finite && mat.AllFinite(value[n:])
 }
 
 // adamScalar is the element update as the original loop wrote it: the
 // portable path, the tail of the vector one, and its oracle.
-func adamScalar(value, grad, md, vd []float64, k *adamConsts, zeroGrad bool) {
+func adamScalar(value, grad, md, vd []float64, k *adamConsts) {
 	for i, g := range grad {
 		m := k.b1*md[i] + k.omb1*g
 		v := k.b2*vd[i] + k.omb2*g*g
 		md[i] = m
 		vd[i] = v
 		value[i] -= k.lr * (m / k.c1) / (math.Sqrt(v/k.c2) + k.eps)
-		if zeroGrad {
-			grad[i] = 0
-		}
 	}
 }
-
-// Reset clears the optimiser timestep (moment estimates are kept on the
-// parameters and cleared by ResetMoments).
-func (a *Adam) Reset() { a.step = 0 }
 
 // ResetMoments clears the per-parameter moment estimates, e.g. after
 // transfer learning re-initialises a layer.

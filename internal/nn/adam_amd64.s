@@ -31,7 +31,7 @@ DATA adamUnit<>+16(SB)/8, $0x0010000000000000
 DATA adamUnit<>+24(SB)/8, $0x0010000000000000
 GLOBL adamUnit<>(SB), RODATA|NOPTR, $32
 
-// func adamKernel(rows, cols, stride int, grad, m, v, pack *float64, k *adamConsts, zero bool) (finite bool)
+// func adamKernel(rows, cols, stride int, grad, m, v, pack *float64, k *adamConsts) (finite bool)
 //
 // Adam.update over the first cols columns of a rows×stride tensor (cols a
 // multiple of the panel width 8, or of 4 when rows is 1), four lanes at a
@@ -68,7 +68,7 @@ GLOBL adamUnit<>(SB), RODATA|NOPTR, $32
 // memory operands, the pack rewind of a finished row and the vectors in
 // a row; DI is the bytes from the end of a row's covered columns to the
 // next row's first, BX collects the lanes seen non-finite.
-TEXT ·adamKernel(SB), NOSPLIT, $144-73
+TEXT ·adamKernel(SB), NOSPLIT, $144-65
 	MOVQ rows+0(FP), DX
 	MOVQ cols+8(FP), CX
 	MOVQ stride+16(FP), DI
@@ -94,7 +94,7 @@ TEXT ·adamKernel(SB), NOSPLIT, $144-73
 	VMOVUPD Y0, 64(SP)        // lr
 	VBROADCASTSD 56(AX), Y0
 	VMOVUPD Y0, 96(SP)        // ε
-	VPXOR Y7, Y7, Y7          // +0 in every lane, for the guard and the gradient
+	VPXOR Y7, Y7, Y7          // +0 in every lane, for the guard
 	MOVBLZX 80(AX), R12
 	XORQ $1, R12              // 1: c₁ or c₂ out of range, every vector divides
 	// The pack walk. A panel is rows·64 bytes; row t of it starts t·64
@@ -178,10 +178,6 @@ stepadam:
 	VPADDQ adamUnit<>(SB), Y2, Y2
 	VMOVMSKPD Y2, AX          // the lanes that are Inf or NaN
 	ORQ  AX, BX
-	CMPB zero+64(FP), $0
-	JEQ  keepgrad
-	VMOVUPD Y7, (SI)
-keepgrad:
 	ADDQ $32, SI
 	ADDQ $32, R8
 	ADDQ $32, R9
@@ -195,7 +191,7 @@ keepgrad:
 	JNZ  rowadam
 doneadam:
 	TESTQ BX, BX
-	SETEQ finite+72(FP)
+	SETEQ finite+64(FP)
 	VZEROUPPER
 	RET
 divadam:

@@ -88,11 +88,11 @@ func requireSliceBits(t *testing.T, tag string, got, want []float64) {
 // requireAdamMatchesScalar runs one update through adamUpdate and the
 // same one through the scalar loop and holds all four slices equal, and
 // the finite adamUpdate reports to a scan of the values.
-func requireAdamMatchesScalar(t *testing.T, tag string, value, grad, m, v []float64, k *adamConsts, zero bool) {
+func requireAdamMatchesScalar(t *testing.T, tag string, value, grad, m, v []float64, k *adamConsts) {
 	t.Helper()
 	wv, wg, wm, wvv := mat.Clone(value), mat.Clone(grad), mat.Clone(m), mat.Clone(v)
-	finite := adamUpdate(value, grad, m, v, k, zero)
-	adamScalar(wv, wg, wm, wvv, k, zero)
+	finite := adamUpdate(value, grad, m, v, k)
+	adamScalar(wv, wg, wm, wvv, k)
 	requireSliceBits(t, tag+" value", value, wv)
 	requireSliceBits(t, tag+" grad", grad, wg)
 	requireSliceBits(t, tag+" m", m, wm)
@@ -139,8 +139,8 @@ func newRefParam(p *Param) *refParam {
 
 // step is the reference optimiser step: adamScalar over the row-major
 // tensor.
-func (r *refParam) step(k *adamConsts, zero bool) {
-	adamScalar(r.value, r.grad, r.m, r.v, k, zero)
+func (r *refParam) step(k *adamConsts) {
+	adamScalar(r.value, r.grad, r.m, r.v, k)
 }
 
 // requireParamMatchesRef holds p to the reference: its unpacked values,
@@ -199,10 +199,10 @@ func adamOracleSteps() []int {
 // TestAdamKernelMatchesScalar holds the vector Adam kernel (with its
 // scalar tail) to the scalar loop bit for bit — the loop divides, the
 // kernel corrects a reciprocal, and this is the proof that they agree:
-// every length from 0 to 67, adversarial state (adamAdversarial), the
-// bias corrections of adamOracleSteps, with and without the fused
-// gradient zeroing — and then through the optimiser's entry point,
-// against a reference optimiser built from the scalar loop alone.
+// every length from 0 to 67, adversarial state (adamAdversarial) and the
+// bias corrections of adamOracleSteps — and then through the optimiser's
+// entry point, against a reference optimiser built from the scalar loop
+// alone.
 func TestAdamKernelMatchesScalar(t *testing.T) {
 	if !haveKernel {
 		t.Log("no AVX2+FMA (or force-disabled): the kernel is the scalar loop and the test compares it with itself")
@@ -216,10 +216,8 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 			t.Fatalf("step %d: the default βs give c₁ = %v, c₂ = %v, outside the reciprocal path's range", step, k.c1, k.c2)
 		}
 		for n := 0; n <= 67; n++ {
-			for _, zero := range []bool{false, true} {
-				value, grad, m, v := adamAdversarial(n, rng)
-				requireAdamMatchesScalar(t, fmt.Sprintf("n=%d step=%d zero=%v", n, step, zero), value, grad, m, v, &k, zero)
-			}
+			value, grad, m, v := adamAdversarial(n, rng)
+			requireAdamMatchesScalar(t, fmt.Sprintf("n=%d step=%d", n, step), value, grad, m, v, &k)
 		}
 	}
 
@@ -242,7 +240,7 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 				if lane%2 == 1 {
 					v[lane] = 0.25 // the edge in m′ alone
 				}
-				requireAdamMatchesScalar(t, fmt.Sprintf("edge %v lane %d", sign*e, lane), value, grad, m, v, &k, false)
+				requireAdamMatchesScalar(t, fmt.Sprintf("edge %v lane %d", sign*e, lane), value, grad, m, v, &k)
 			}
 		}
 	}
@@ -266,12 +264,13 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 				m[i], v[i] = k.c1, math.Abs(x())
 			}
 		}
-		requireAdamMatchesScalar(t, fmt.Sprintf("bare quotients, step %d", step), value, grad, m, v, &k, false)
+		requireAdamMatchesScalar(t, fmt.Sprintf("bare quotients, step %d", step), value, grad, m, v, &k)
 	}
 
-	// Through the optimiser's entry point: a network stepped by Adam
-	// against the row-major reference stepped by the scalar loop alone,
-	// over a full-panel and a ragged tensor and their biases.
+	// Through the optimiser's entry point: a network whose backward pass
+	// steps Adam layer by layer against the row-major reference stepped by
+	// the scalar loop alone, over a full-panel and a ragged tensor and
+	// their biases.
 	rng2 := rand.New(rand.NewSource(11))
 	net := NewSequential(NewDense("l1", 5, 16, rng2), &ReLU{}, NewDense("l2", 16, 3, rng2))
 	refs := make([]*refParam, len(net.Params()))
@@ -279,6 +278,7 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 		refs[i] = newRefParam(p)
 	}
 	opt, optR := NewAdam(0.01), NewAdam(0.01)
+	net.SetOptimizer(accumulate{opt})
 	in, gout := mat.New(7, 5), mat.New(7, 3)
 	for step := 0; step < 40; step++ {
 		for i := range in.Data {
@@ -287,16 +287,15 @@ func TestAdamKernelMatchesScalar(t *testing.T) {
 		for i := range gout.Data {
 			gout.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
 		}
+		zeroGrads(net.Params())
 		net.Forward(in, true)
+		opt.Open()
 		net.Backward(gout)
-		for i, p := range net.Params() {
-			copy(refs[i].grad, p.Grad.Data)
-		}
-		opt.StepAndZeroGrad(net.Params())
 		optR.step++
 		k := optR.consts()
 		for i, p := range net.Params() {
-			refs[i].step(&k, true)
+			copy(refs[i].grad, p.Grad.Data)
+			refs[i].step(&k)
 			requireParamMatchesRef(t, fmt.Sprintf("step %d %s", step, p.Name), p, refs[i])
 		}
 	}
@@ -347,7 +346,7 @@ func TestAdamDegenerateBetasMatchScalar(t *testing.T) {
 			}
 			for _, n := range []int{4, 8, 23, 64} {
 				value, grad, m, v := adamAdversarial(n, rng)
-				requireAdamMatchesScalar(t, fmt.Sprintf("β₁=%v β₂=%v step=%d n=%d", c.b1, c.b2, step, n), value, grad, m, v, &k, step%2 == 0)
+				requireAdamMatchesScalar(t, fmt.Sprintf("β₁=%v β₂=%v step=%d n=%d", c.b1, c.b2, step, n), value, grad, m, v, &k)
 			}
 		}
 	}
@@ -392,8 +391,7 @@ func FuzzAdamKernelMatchesScalar(f *testing.F) {
 		opt := NewAdam(0.0025)
 		opt.step = 1 + int(step%200_000)
 		k := opt.consts()
-		zero := seed%2 == 0
-		requireAdamMatchesScalar(t, fmt.Sprintf("step=%d lane=%d", opt.step, lane), value, grad, m, v, &k, zero)
+		requireAdamMatchesScalar(t, fmt.Sprintf("step=%d lane=%d", opt.step, lane), value, grad, m, v, &k)
 
 		for _, shape := range [][2]int{{2, mat.PanelWidth}, {2, 5}, {3, 18}, {2, 9}, {4, 1}, {1, 11}, {1, 4}, {1, 16}} {
 			rows, cols := shape[0], shape[1]
@@ -410,8 +408,8 @@ func FuzzAdamKernelMatchesScalar(f *testing.F) {
 			p.m.Data[lane], p.v.Data[lane] = math.Float64frombits(mBits), math.Float64frombits(vBits)
 			p.Panels.RepackFrom(vals)
 			ref := newRefParam(p)
-			stepParam(p, &k, zero)
-			ref.step(&k, zero)
+			stepParam(p, p.Grad.Data, &k)
+			ref.step(&k)
 			requireParamMatchesRef(t, fmt.Sprintf("step=%d %d×%d lane=%d", opt.step, rows, cols, lane), p, ref)
 		}
 	})
@@ -423,7 +421,7 @@ func FuzzAdamKernelMatchesScalar(f *testing.F) {
 // (Out 18, 9, 1) and a bias, and everything on the portable path — and
 // after each step the unpacked weights, the moments and the Finite bit
 // equal a row-major reference stepped by adamScalar, bit for bit, through
-// both entry points.
+// both entry points: Step over Grad, and Open then StepParam.
 func TestAdamKernelWritesPack(t *testing.T) {
 	shapes := [][2]int{{22, 512}, {1, 8}, {3, 16}, {128, 24}, {128, 18}, {16, 9}, {128, 1}, {5, 4}, {7, 12}}
 	for _, kernel := range []bool{haveKernel, false} {
@@ -452,19 +450,71 @@ func TestAdamKernelWritesPack(t *testing.T) {
 					}
 				}
 				// Alternate the two entry points: both step in place.
-				zero := step%2 == 0
-				if zero {
-					opt.StepAndZeroGrad(ps)
-				} else {
+				if step%2 == 0 {
 					opt.Step(ps)
+				} else {
+					opt.Open()
+					for _, p := range ps {
+						opt.StepParam(p, p.Grad.Data)
+					}
 				}
 				optR.step++
 				k := optR.consts()
 				for i, p := range ps {
-					refs[i].step(&k, zero)
+					refs[i].step(&k)
 					requireParamMatchesRef(t, fmt.Sprintf("kernel=%v step %d %s %dx%d", kernel, step, p.Name, p.Panels.K, p.Panels.N), p, refs[i])
 				}
 			}
 		}()
+	}
+}
+
+// TestDeadMomentsNeverSubnormal is the dead moments flush: a unit that
+// stops firing gets a gradient of exactly 0 from then on, and ~6 700
+// steps later its first moment would be subnormal (β₁ = 0.9), every
+// vector holding it sent through the divider for the rest of the run.
+// After one step on a real gradient, 7 200 zero-gradient steps — on the
+// kernel and on the portable path, over a ragged tensor and its bias —
+// must never leave a moment subnormal, and must end with every first
+// moment at +0. With β₂ = 0.9 the second moment decays as fast and must
+// end at +0 too.
+func TestDeadMomentsNeverSubnormal(t *testing.T) {
+	for _, kernel := range []bool{haveKernel, false} {
+		for _, beta2 := range []float64{0.999, 0.9} {
+			func() {
+				defer func(was bool) { haveKernel = was }(haveKernel)
+				haveKernel = kernel
+				rng := rand.New(rand.NewSource(17))
+				ps := NewDense("d", 3, 18, rng).Params()
+				opt := NewAdam(0.0025)
+				opt.Beta2 = beta2
+				for step := 1; step <= 7200; step++ {
+					opt.Open()
+					for _, p := range ps {
+						g := make([]float64, p.Size())
+						if step == 1 {
+							for i := range g {
+								g[i] = rng.NormFloat64()
+							}
+						}
+						opt.StepParam(p, g)
+						for _, moments := range [][]float64{p.m.Data, p.v.Data} {
+							for i, x := range moments {
+								if x != 0 && math.Abs(x) < 0x1p-1022 {
+									t.Fatalf("kernel=%v β₂=%v step %d: %s moment %d is subnormal (%v)", kernel, beta2, step, p.Name, i, x)
+								}
+							}
+						}
+					}
+				}
+				for _, p := range ps {
+					for i := range p.m.Data {
+						if math.Float64bits(p.m.Data[i]) != 0 || beta2 == 0.9 && math.Float64bits(p.v.Data[i]) != 0 {
+							t.Fatalf("kernel=%v β₂=%v: %s moments (%v, %v) at %d after 7 199 zero gradients, want +0", kernel, beta2, p.Name, p.m.Data[i], p.v.Data[i], i)
+						}
+					}
+				}
+			}()
+		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // TestForwardBackwardZeroAlloc pins the workspace refactor: once a
-// network has seen a batch size, Forward and Backward reuse the cached
-// buffers and perform zero heap allocations.
+// network has seen a batch size, Forward and Backward — the optimiser
+// step of every layer and the dW scratch it borrows included — reuse the
+// cached buffers and perform zero heap allocations.
 func TestForwardBackwardZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := NewSequential(
@@ -24,13 +25,17 @@ func TestForwardBackwardZeroAlloc(t *testing.T) {
 	}
 	grad := mat.New(16, 8)
 	grad.Fill(0.01)
+	opt := NewAdam(0.0025)
+	net.SetOptimizer(opt)
 
 	for i := 0; i < 3; i++ {
 		net.Forward(x, true)
+		opt.Open()
 		net.Backward(grad)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		net.Forward(x, true)
+		opt.Open()
 		net.Backward(grad)
 	})
 	if allocs != 0 {

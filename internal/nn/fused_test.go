@@ -9,11 +9,11 @@ import (
 	"github.com/twig-sched/twig/internal/mat"
 )
 
-// Golden equality tests for the fused hot path: a NewDenseReLU +
-// StepAndZeroGrad training loop must match the unfused NewDense + ReLU
-// + ZeroGrad + Step loop to the last bit — parameter values, Adam
-// moments and per-step outputs compared as raw float bits (%x), serial
-// and parallel, and across a checkpoint round-trip taken mid-training.
+// Golden equality tests for the fused hot path: a NewDenseReLU training
+// loop must match the unfused NewDense + ReLU loop to the last bit —
+// parameter values, Adam moments and per-step outputs compared as raw
+// float bits (%x), serial and parallel, and across a checkpoint
+// round-trip taken mid-training.
 
 // buildUnfused and buildFused construct the same 22→64→32→1 regressor
 // from the same seed; the fused variant collapses each Dense+ReLU pair.
@@ -37,9 +37,10 @@ func buildFused(seed int64) *Sequential {
 	)
 }
 
-// trainBatch runs one forward/backward on deterministic data and returns
-// the prediction matrix (a workspace — compare before the next step).
-func trainBatch(net *Sequential, rng *rand.Rand, xb, yb *mat.Matrix) *mat.Matrix {
+// trainBatch runs one forward/backward on deterministic data — one
+// optimiser step of net, which opt opens — and returns the prediction
+// matrix (a workspace — compare before the next step).
+func trainBatch(net *Sequential, opt *Adam, rng *rand.Rand, xb, yb *mat.Matrix) *mat.Matrix {
 	for i := range xb.Data {
 		xb.Data[i] = rng.NormFloat64()
 	}
@@ -48,6 +49,7 @@ func trainBatch(net *Sequential, rng *rand.Rand, xb, yb *mat.Matrix) *mat.Matrix
 	}
 	pred := net.Forward(xb, true)
 	_, grad := MSE(pred, yb)
+	opt.Open()
 	net.Backward(grad)
 	return pred
 }
@@ -97,23 +99,22 @@ func runFusedVsUnfused(t *testing.T, batch, steps int) {
 
 	optU := NewAdam(0.0025)
 	optF := NewAdam(0.0025)
+	unfused.SetOptimizer(optU)
+	fused.SetOptimizer(optF)
 	rngU := rand.New(rand.NewSource(99))
 	rngF := rand.New(rand.NewSource(99))
 	xbU, ybU := mat.New(batch, 22), mat.New(batch, 1)
 	xbF, ybF := mat.New(batch, 22), mat.New(batch, 1)
 
 	for s := 0; s < steps; s++ {
-		unfused.ZeroGrad()
-		predU := trainBatch(unfused, rngU, xbU, ybU)
-		predF := trainBatch(fused, rngF, xbF, ybF)
+		predU := trainBatch(unfused, optU, rngU, xbU, ybU)
+		predF := trainBatch(fused, optF, rngF, xbF, ybF)
 		for i := range predU.Data {
 			if math.Float64bits(predU.Data[i]) != math.Float64bits(predF.Data[i]) {
 				t.Fatalf("step %d: pred[%d] fused %x, unfused %x", s, i,
 					math.Float64bits(predF.Data[i]), math.Float64bits(predU.Data[i]))
 			}
 		}
-		optU.Step(unfused.Params())
-		optF.StepAndZeroGrad(fused.Params())
 		requireParamsBitEqual(t, "after step", fused.Params(), unfused.Params())
 	}
 }
@@ -132,11 +133,11 @@ func TestFusedCheckpointRoundTrip(t *testing.T) {
 	const batch, head, tail = 64, 10, 10
 	fused := buildFused(7)
 	opt := NewAdam(0.0025)
+	fused.SetOptimizer(opt)
 	rng := rand.New(rand.NewSource(99))
 	xb, yb := mat.New(batch, 22), mat.New(batch, 1)
 	for s := 0; s < head; s++ {
-		trainBatch(fused, rng, xb, yb)
-		opt.StepAndZeroGrad(fused.Params())
+		trainBatch(fused, opt, rng, xb, yb)
 	}
 	enc := checkpoint.NewEncoder()
 	EncodeParams(enc, fused.Params())
@@ -155,10 +156,9 @@ func TestFusedCheckpointRoundTrip(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(tailSeed))
 		x, y := mat.New(batch, 22), mat.New(batch, 1)
+		net.SetOptimizer(o)
 		for s := 0; s < tail; s++ {
-			net.ZeroGrad()
-			trainBatch(net, r, x, y)
-			o.Step(net.Params())
+			trainBatch(net, o, r, x, y)
 		}
 	}
 
@@ -175,8 +175,7 @@ func TestFusedCheckpointRoundTrip(t *testing.T) {
 	// The original keeps training through the same tail; all three must agree.
 	r := rand.New(rand.NewSource(tailSeed))
 	for s := 0; s < tail; s++ {
-		trainBatch(fused, r, xb, yb)
-		opt.StepAndZeroGrad(fused.Params())
+		trainBatch(fused, opt, r, xb, yb)
 	}
 	requireParamsBitEqual(t, "original vs restored", fused.Params(), fusedR.Params())
 }

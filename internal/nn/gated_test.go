@@ -74,13 +74,17 @@ func TestGatedBackwardBitEqualsUngated(t *testing.T) {
 			}
 		}
 		optG, optP := NewAdam(0.0025), NewAdam(0.0025)
+		gated.SetOptimizer(accumulate{optG})
+		plain.SetOptimizer(accumulate{optP})
 		rngG, rngP := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
 		xG, yG := mat.New(64, 22), mat.New(64, 18)
 		xP, yP := mat.New(64, 22), mat.New(64, 18)
 		sawDead := false
 		for step := 0; step < 4; step++ {
-			trainBatch(gated, rngG, xG, yG)
-			trainBatch(plain, rngP, xP, yP)
+			zeroGrads(gated.Params())
+			zeroGrads(plain.Params())
+			trainBatch(gated, optG, rngG, xG, yG)
+			trainBatch(plain, optP, rngP, xP, yP)
 			for i, pg := range gated.Params() {
 				pp := plain.Params()[i]
 				for j, g := range pg.Grad.Data {
@@ -96,8 +100,6 @@ func TestGatedBackwardBitEqualsUngated(t *testing.T) {
 					sawDead = sawDead || live < d.In
 				}
 			}
-			optG.StepAndZeroGrad(gated.Params())
-			optP.StepAndZeroGrad(plain.Params())
 			requireParamsBitEqual(t, mode.name, gated.Params(), plain.Params())
 		}
 		if sawDead != mode.wantDead {
@@ -114,6 +116,7 @@ func TestGatingIsDeclaredNotInferred(t *testing.T) {
 	const batch, in, out, zeroCol = 16, 12, 10, 3
 	rng := rand.New(rand.NewSource(8))
 	d := NewDense("l", in, out, rng)
+	d.SetOptimizer(accumulate{}) // W stays as it is for the finite differences
 	x, r := mat.New(batch, in), mat.New(batch, out)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
@@ -167,6 +170,7 @@ func TestBackwardAccIsBackwardThenAdd(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		d := NewDenseReLU("l", 24, 16, rng)
 		d.GatedInput = gated
+		d.SetOptimizer(accumulate{}) // both backward passes read the same W
 		x, g := mat.New(32, 24), mat.New(32, 16)
 		for i := range x.Data {
 			x.Data[i] = math.Max(0, rng.NormFloat64()) // what a ReLU hands on
@@ -185,8 +189,6 @@ func TestBackwardAccIsBackwardThenAdd(t *testing.T) {
 		want := sum.Clone()
 		d.Forward(x, true)
 		mat.Add(want, want, d.Backward(g))
-		d.W.Grad.Zero()
-		d.B.Grad.Zero()
 		d.Forward(x, true)
 		d.BackwardAcc(g, sum)
 		for i, w := range want.Data {

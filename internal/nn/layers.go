@@ -10,8 +10,9 @@ import (
 
 // Layer is one differentiable stage of a network. Forward consumes a
 // batch (rows = samples) and Backward consumes the gradient of the loss
-// with respect to the layer output, accumulating parameter gradients and
-// returning the gradient with respect to the layer input.
+// with respect to the layer output, hands the parameter gradients to the
+// layer's optimiser and returns the gradient with respect to the layer
+// input.
 //
 // Ownership contract: the matrices Forward and Backward return are
 // reusable workspaces owned by the layer, keyed by batch size. They stay
@@ -38,8 +39,8 @@ type Dense struct {
 	FuseReLU bool
 
 	// NoInputGrad marks a layer whose input is data, not another layer's
-	// output: Backward accumulates dW and db and returns nil instead of
-	// g·Wᵀ, which nobody would read. Owners set it on a network's first
+	// output: Backward steps W and B and returns nil instead of g·Wᵀ,
+	// which nobody would read. Owners set it on a network's first
 	// layer (bdq.NewNetwork does for the trunk).
 	NoInputGrad bool
 
@@ -54,6 +55,9 @@ type Dense struct {
 	// happens to be zero across a minibatch still has a gradient.
 	GatedInput bool
 
+	// opt takes dW and db as Backward computes them (SetOptimizer).
+	opt Optimizer
+
 	lastX   *mat.Matrix // cached input for Backward
 	lastOut *mat.Matrix // cached output (mask source when FuseReLU)
 
@@ -67,10 +71,12 @@ type Dense struct {
 	// minibatch left live (see LiveInputs); −1 until there has been one.
 	liveIn int
 
-	out     workspace // y, batch×Out
-	gradIn  workspace // gradient wrt input, batch×In
-	gm      workspace // masked gradient, batch×Out (FuseReLU only)
-	colSums []float64
+	out     workspace  // y, batch×Out
+	gradIn  workspace  // gradient wrt input, batch×In
+	gm      workspace  // masked gradient, batch×Out (FuseReLU only)
+	colSums []float64  // db
+	dw      mat.Matrix // dW, In×Out, over the scratch one Backward borrows
+	ownDW   []float64  // dW's own storage under NoInputGrad (SetOptimizer)
 }
 
 // NewDense creates a Dense layer with He-initialised weights (suitable for
@@ -154,12 +160,25 @@ func (d *Dense) ForwardLive(x *mat.Matrix, xl *mat.Live, train bool) *mat.Matrix
 // In wherever the product makes no scan (fewer than four rows).
 func (d *Dense) LiveInputs() (live int, ok bool) { return d.liveIn, d.liveIn >= 0 }
 
-// Backward accumulates dW = xᵀ·g and db = Σ_rows g, returning g·Wᵀ
-// (nil under NoInputGrad). The first call allocates W's and B's
-// gradients.
-// When FuseReLU is set, g is first masked by the activation gradient;
-// the mask application and the bias column sums share one sweep, and the
-// weight-gradient GEMM accumulates directly into W.Grad.
+// SetOptimizer makes opt the layer's optimiser: from then on every
+// Backward hands dW and db to it as it computes them, one optimiser step
+// of W and B. The owner of a network that trains sets it on every dense
+// (Sequential.SetOptimizer, bdq.Network.SetOptimizer); a network that only
+// runs forward (a target network) needs none. dW borrows the pool buffer
+// that g·Wᵀ gives back; a layer with NoInputGrad computes no g·Wᵀ, so it
+// gets storage of its own here, before training (NoInputGrad set first).
+func (d *Dense) SetOptimizer(opt Optimizer) {
+	d.opt = opt
+	if d.NoInputGrad && d.ownDW == nil {
+		d.ownDW = make([]float64, d.In*d.Out)
+	}
+}
+
+// Backward computes g·Wᵀ (nil under NoInputGrad), dW = xᵀ·g and
+// db = Σ_rows g, and hands dW and db to the layer's optimiser, which
+// steps W and B in place (SetOptimizer).
+// When FuseReLU is set, g is first masked by the activation gradient; the
+// mask application and the bias column sums share one sweep.
 func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
 	var gradIn *mat.Matrix
 	if !d.NoInputGrad {
@@ -173,8 +192,8 @@ func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
 // sum[ij] + (g·Wᵀ)[ij], one rounding, which is bitwise the
 // `sum += Backward(gradOut)` it replaces — for a layer whose input
 // gradient the owner totals over several branches. sum holds no −0
-// (mat.MulTransAAcc's precondition): under GatedInput the columns the
-// gate leaves out keep what sum holds there.
+// (mat.MulTransBLive's accumulation precondition): under GatedInput the
+// columns the gate leaves out keep what sum holds there.
 func (d *Dense) BackwardAcc(gradOut, sum *mat.Matrix) {
 	d.backward(gradOut, sum, true)
 }
@@ -182,6 +201,9 @@ func (d *Dense) BackwardAcc(gradOut, sum *mat.Matrix) {
 func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward")
+	}
+	if d.opt == nil {
+		panic(fmt.Sprintf("nn: Dense %s Backward with no optimiser", d.W.Name))
 	}
 	if d.colSums == nil {
 		d.colSums = make([]float64, d.Out)
@@ -200,25 +222,37 @@ func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 	} else {
 		gradOut.ColSumsInto(d.colSums)
 	}
-	// The live × live block: dW's rows from x's live set, its columns from
-	// g's; g·Wᵀ's depth from g's and, under GatedInput, its columns from
-	// x's. MulTransAAcc leaves both sets scanned. W.Grad and an
-	// accumulated input gradient hold no −0, the products' precondition:
-	// they start the step at +0 and only have sums added.
+	// The live × live block: g·Wᵀ's depth from g's live set and, under
+	// GatedInput, its columns from x's; dW's rows from x's and its columns
+	// from g's. g·Wᵀ goes first because it reads W, which the step below
+	// rewrites. W's panels carry their Finite bit, which spares it a scan
+	// of W for Inf and NaN.
 	d.gLive.Reset()
-	mat.MulTransAAcc(d.W.grad(), d.lastX, d.xLive, g, &d.gLive)
-	mat.Axpy(1, d.colSums, d.B.grad().Data)
-
-	if gradIn == nil {
-		return
+	if gradIn != nil {
+		var gate *mat.Live
+		if d.GatedInput {
+			gate = d.xLive
+			gate.Scan(d.lastX) // a forward of fewer than four rows made none
+		}
+		mat.MulTransBPacked(gradIn, g, &d.gLive, d.W.Panels, gate, accumulate)
 	}
-	var gate *mat.Live
-	if d.GatedInput {
-		gate = d.xLive
+	// dW is stored into the pool buffer that g·Wᵀ's transposed panels
+	// just gave back — ⌈In/8⌉·8·Out values either way — and leaves with
+	// it, so no parameter-sized gradient outlives the step; under
+	// NoInputGrad into the layer's own storage instead.
+	var s *mat.Matrix
+	d.dw = mat.Matrix{Rows: d.In, Cols: d.Out, Data: d.ownDW}
+	if d.dw.Data == nil {
+		s = mat.GetScratch(1, (d.In+mat.PanelWidth-1)/mat.PanelWidth*mat.PanelWidth*d.Out)
+		d.dw.Data = s.Data[:d.In*d.Out]
 	}
-	// W's panels carry their Finite bit, which spares g·Wᵀ its scan of W
-	// for Inf and NaN.
-	mat.MulTransBPacked(gradIn, g, &d.gLive, d.W.Panels, gate, accumulate)
+	mat.MulTransALive(&d.dw, d.lastX, d.xLive, g, &d.gLive)
+	d.opt.StepParam(d.W, d.dw.Data)
+	d.opt.StepParam(d.B, d.colSums)
+	d.dw.Data = nil
+	if s != nil {
+		mat.PutScratch(s)
+	}
 }
 
 // maskReLUGrad is one row of the fused DenseReLU backward sweep: m gets

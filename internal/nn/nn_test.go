@@ -113,7 +113,8 @@ func TestGradientCheck(t *testing.T) {
 		return l
 	}
 
-	net.ZeroGrad()
+	net.SetOptimizer(accumulate{})
+	zeroGrads(net.Params())
 	pred := net.Forward(x, false)
 	_, grad := MSE(pred, target)
 	net.Backward(grad)
@@ -144,6 +145,7 @@ func TestAdamFitsLinearFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := NewSequential(NewDense("lin", 1, 1, rng))
 	opt := NewAdam(0.05)
+	net.SetOptimizer(opt)
 	x := mat.New(32, 1)
 	y := mat.New(32, 1)
 	for epoch := 0; epoch < 400; epoch++ {
@@ -152,11 +154,10 @@ func TestAdamFitsLinearFunction(t *testing.T) {
 			x.Set(i, 0, v)
 			y.Set(i, 0, 2*v+1)
 		}
-		net.ZeroGrad()
 		pred := net.Forward(x, true)
 		_, grad := MSE(pred, y)
+		opt.Open()
 		net.Backward(grad)
-		opt.Step(net.Params())
 	}
 	w := net.Params()[0].Panels.At(0, 0)
 	b := net.Params()[1].Panels.At(0, 0)
@@ -188,11 +189,11 @@ func TestResetMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	net := NewSequential(NewDense("a", 2, 2, rng))
 	opt := NewAdam(0.01)
-	net.ZeroGrad()
+	net.SetOptimizer(opt)
 	pred := net.Forward(mat.New(1, 2), true)
 	_, grad := MSE(pred, mat.New(1, 2))
+	opt.Open()
 	net.Backward(grad)
-	opt.Step(net.Params())
 	if net.Params()[0].m == nil {
 		t.Fatal("moments not allocated")
 	}
@@ -200,4 +201,64 @@ func TestResetMoments(t *testing.T) {
 	if net.Params()[0].m != nil {
 		t.Fatal("ResetMoments did not clear state")
 	}
+}
+
+// accumulate is the optimiser of the tests that read gradients: it adds
+// each gradient a backward pass hands over to the parameter's Grad — what
+// the backward pass did itself before it stepped the optimiser — and
+// passes it on to next, when there is one. Grad starts at +0 (zeroGrads).
+type accumulate struct{ next Optimizer }
+
+func (a accumulate) StepParam(p *Param, g []float64) {
+	mat.Axpy(1, g, p.grad().Data)
+	if a.next != nil {
+		a.next.StepParam(p, g)
+	}
+}
+
+// zeroGrads clears every parameter's Grad, allocating it on first use.
+func zeroGrads(ps []*Param) {
+	for _, p := range ps {
+		p.ZeroGrad()
+	}
+}
+
+// TestBackwardStepsEveryLayerOnce: a network's Backward steps each
+// parameter exactly once, through the optimiser its owner set, and a
+// Dense without one refuses to run backward rather than drop a step.
+func TestBackwardStepsEveryLayerOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	net := NewSequential(NewDenseReLU("a", 3, 9, rng), NewDense("b", 9, 2, rng))
+	x, g := mat.New(6, 3), mat.New(6, 2)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	g.Fill(0.5)
+	count := countSteps{}
+	net.SetOptimizer(count)
+	net.Forward(x, true)
+	net.Backward(g)
+	for _, p := range net.Params() {
+		if count[p] != 1 {
+			t.Fatalf("%s stepped %d times in one Backward, want 1", p.Name, count[p])
+		}
+	}
+
+	bare := NewDense("c", 3, 2, rng)
+	bare.Forward(x, true)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Backward of a Dense with no optimiser did not panic")
+		}
+	}()
+	bare.Backward(g)
+}
+
+type countSteps map[*Param]int
+
+func (c countSteps) StepParam(p *Param, g []float64) {
+	if len(g) != p.Size() {
+		panic("gradient of the wrong length")
+	}
+	c[p]++
 }

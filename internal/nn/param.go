@@ -7,8 +7,8 @@ package nn
 
 import "github.com/twig-sched/twig/internal/mat"
 
-// Param is a learnable tensor together with its gradient accumulator and
-// the optimiser state attached to it.
+// Param is a learnable tensor together with the optimiser state attached
+// to it.
 type Param struct {
 	Name string
 
@@ -20,9 +20,10 @@ type Param struct {
 	// tensor, whose panels are its values in order.
 	Panels *mat.PackedB
 
-	// Grad accumulates the gradient, row-major. It is allocated by the
-	// first backward pass that writes it (or by ZeroGrad), so a network
-	// that only runs forward (a target network) carries none.
+	// Grad is a row-major gradient that training never holds: a backward
+	// pass hands each gradient to the optimiser as it computes it
+	// (Optimizer). Only ZeroGrad allocates it and only Adam.Step reads it;
+	// the three stay because the benchmark's layer probes name them.
 	Grad *mat.Matrix
 
 	// Adam first/second moment estimates, row-major, allocated lazily by
@@ -38,8 +39,7 @@ func NewParam(name string, rows, cols int) *Param {
 // Size returns the number of scalar values the tensor holds.
 func (p *Param) Size() int { return p.Panels.K * p.Panels.N }
 
-// grad returns the gradient accumulator, allocating it (+0 throughout)
-// on first use.
+// grad returns Grad, allocating it (+0 throughout) on first use.
 func (p *Param) grad() *mat.Matrix {
 	if p.Grad == nil {
 		p.Grad = mat.New(p.Panels.K, p.Panels.N)
@@ -47,9 +47,7 @@ func (p *Param) grad() *mat.Matrix {
 	return p.Grad
 }
 
-// ZeroGrad clears the accumulated gradient, allocating it if no backward
-// pass has yet: a network about to train calls it to build its gradients
-// ahead of the first step.
+// ZeroGrad clears Grad, allocating it on first use.
 func (p *Param) ZeroGrad() {
 	if p.Grad == nil {
 		p.grad()

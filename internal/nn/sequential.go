@@ -39,10 +39,13 @@ func (s *Sequential) Params() []*Param {
 	return ps
 }
 
-// ZeroGrad clears the gradients of every parameter in the network.
-func (s *Sequential) ZeroGrad() {
-	for _, p := range s.Params() {
-		p.ZeroGrad()
+// SetOptimizer makes opt the optimiser of every Dense in the network:
+// from then on each Backward steps the network's parameters.
+func (s *Sequential) SetOptimizer(opt Optimizer) {
+	for _, l := range s.Layers {
+		if d, ok := l.(*Dense); ok {
+			d.SetOptimizer(opt)
+		}
 	}
 }
 
