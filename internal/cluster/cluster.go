@@ -178,6 +178,13 @@ type Coordinator struct {
 	estates  []estate
 	inj      *faults.ClusterInjector
 
+	// spare is the storage of a snapshot nothing holds any more — an
+	// estate restored or given up, a node's snapshot dropped without
+	// one. A node snapshot is encoded into it when it is larger than the
+	// node's own storage (takeSnapshot), so that a node's first snapshot
+	// after a failover is not grown from nothing.
+	spare []byte
+
 	clock    int
 	admitted int
 	energyJ  float64
@@ -408,6 +415,7 @@ func (c *Coordinator) expireLeases(t int) {
 // never reserves estates: replicas restart cold on their home node.
 func (c *Coordinator) failOver(t int, n *node, reason string) {
 	if len(n.replicas) == 0 {
+		c.recycle(n.snapshot)
 		n.snapshot, n.snapReplicas = nil, nil
 		return
 	}
@@ -418,6 +426,8 @@ func (c *Coordinator) failOver(t int, n *node, reason string) {
 			expires:  t + estateGraceS,
 		})
 		c.logf("t=%d reserving %d-replica estate of node %d (snapshot t=%d)", t, len(n.snapReplicas), n.id, n.snapClock)
+	} else {
+		c.recycle(n.snapshot)
 	}
 	for _, id := range n.replicas {
 		r := c.replicas[id]
@@ -520,6 +530,7 @@ func (c *Coordinator) restoreEstates(t int) {
 			}
 		}
 		if !valid {
+			c.recycle(es.snapshot)
 			continue // members dead-lettered, shed, placed, or grace lapsed
 		}
 		target := -1
@@ -534,7 +545,9 @@ func (c *Coordinator) restoreEstates(t int) {
 			continue
 		}
 		n := c.nodes[target]
-		if err := c.restoreSnapshot(n, es.snapshot, es.ids); err != nil {
+		err := c.restoreSnapshot(n, es.snapshot, es.ids)
+		c.recycle(es.snapshot) // decoding copied out all it keeps
+		if err != nil {
 			c.logf("t=%d warm restore onto node %d failed: %v", t, target, err)
 			continue // snapshot unusable; cold path takes over
 		}
@@ -743,6 +756,14 @@ func (c *Coordinator) takeSnapshots(t int) {
 			c.takeSnapshot(n)
 			c.ctr.SnapshotsTaken++
 		}
+	}
+}
+
+// recycle keeps b, the storage of a snapshot nothing holds any more, as
+// the spare when it is larger than the one kept.
+func (c *Coordinator) recycle(b []byte) {
+	if cap(b) > cap(c.spare) {
+		c.spare = b[:0]
 	}
 }
 

@@ -199,6 +199,48 @@ func TestWarmFailoverPreservesControllerState(t *testing.T) {
 	checkTicks(t, c)
 }
 
+// A warm failover hands the snapshot's storage on rather than dropping
+// it: once the estate is restored the storage is the spare, and a node
+// snapshot trades its own storage for the spare when the spare is the
+// larger, so the fleet grows no new buffer and holds no extra one.
+func TestWarmRestoreRecyclesSnapshotStorage(t *testing.T) {
+	const crashAt, steps = 2 * snapshotEvery, 30
+	c, err := New(Config{
+		Nodes: 3, NodeCapacity: 2, Seed: 7, Factory: testFactory,
+		Scenario: faults.ClusterScenario{Name: "one-crash", CrashPeriodS: crashAt, CrashOfflineS: steps - crashAt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAdmit(t, c, lcSpec("memcached", 0), lcSpec("xapian", 0))
+	stepN(c, crashAt)
+	estate := &c.nodes[0].snapshot[0] // cut at t=crashAt-1
+	for c.ctr.WarmRestores == 0 && c.Clock() < steps-1 {
+		c.Step()
+	}
+	if c.ctr.WarmRestores != 1 || cap(c.spare) == 0 || &c.spare[:1][0] != estate {
+		t.Fatalf("after %d warm restores the spare (cap %d) is not the estate's storage", c.ctr.WarmRestores, cap(c.spare))
+	}
+	stepN(c, steps-c.Clock())
+	n := c.nodes[2] // the restore target, snapshotted at t=steps-1
+	if len(n.snapshot) == 0 {
+		t.Fatal("the restored node has no snapshot")
+	}
+
+	own := &n.snapshot[0]
+	c.spare = make([]byte, 0, 2*cap(n.snapshot))
+	larger := &c.spare[:1][0]
+	c.takeSnapshot(n)
+	if &n.snapshot[0] != larger || &c.spare[:1][0] != own {
+		t.Fatal("a snapshot did not trade its storage for the larger spare")
+	}
+	c.spare = c.spare[:0:1]
+	c.takeSnapshot(n)
+	if &n.snapshot[0] != larger || cap(c.spare) != 1 {
+		t.Fatal("a snapshot traded its storage for a smaller spare")
+	}
+}
+
 func TestPartitionFencesAndColdFailover(t *testing.T) {
 	// Node 1 is partitioned from t=10 until the estate grace has lapsed.
 	// Coordinator lease expiry and node self-fence land in the same

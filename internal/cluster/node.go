@@ -67,7 +67,9 @@ type node struct {
 	// moves the slice to the estate and nils it here, the fleet
 	// checkpoint copies the bytes out (Encoder.Blob) and a restored
 	// coordinator gets its own copy (Decoder.Blob). Nothing may retain
-	// n.snapshot across a Step.
+	// n.snapshot across a Step. Storage nothing holds any more goes to
+	// the coordinator's spare (recycle), which takeSnapshot trades for a
+	// node's own when it is the larger.
 	snapshot     []byte
 	snapReplicas []int
 	snapClock    int
@@ -175,8 +177,14 @@ type nodeLoopState struct{ *ctrl.Loop }
 func (nodeLoopState) CheckpointName() string { return "cluster-node-loop" }
 
 // takeSnapshot cuts n's in-memory warm-failover container into the
-// storage of the snapshot it replaces.
+// storage of the snapshot it replaces or, when the coordinator's spare is
+// larger, into the spare, which keeps n's storage instead: a node that
+// has none or has outgrown its own takes the larger buffer rather than
+// growing a new one, and the fleet holds no more storage than before.
 func (c *Coordinator) takeSnapshot(n *node) {
+	if cap(c.spare) > cap(n.snapshot) {
+		n.snapshot, c.spare = c.spare, n.snapshot[:0]
+	}
 	n.snapshot = checkpoint.MarshalAppend(n.snapshot[:0], n.world...)
 	n.snapReplicas = append(n.snapReplicas[:0], n.replicas...)
 	n.snapClock = c.clock
