@@ -532,3 +532,28 @@ func BenchmarkSocketPower(b *testing.B) {
 	}
 	_ = sink
 }
+
+// The set-up layer: work done once before the first interval, fanned out
+// over GOMAXPROCS (run with -cpu 1,2 to read the fan-out's gain).
+
+// BenchmarkProfilePower is one service's Eq. 2 profiling campaign, the
+// 135-point load × cores × DVFS grid PowerModelFor fits.
+func BenchmarkProfilePower(b *testing.B) {
+	spec := sim.ServiceSpec{Profile: service.MustLookup("masstree"), Seed: 77}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		core.ProfilePower(spec, sim.DefaultConfig(), 12, 77)
+	}
+}
+
+// BenchmarkScenarioWorlds expands the agentic-burst preset: one trace
+// per (pod, service), each from its own seeded stream.
+func BenchmarkScenarioWorlds(b *testing.B) {
+	spec := scenario.MustNamed("agentic-burst")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := spec.Worlds(int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -55,24 +55,32 @@ func runFleet(cfg runConfig) error {
 			ccfg.NodeSims[i] = w.SimConfig(cfg.seed)
 			for _, m := range w.Class.Mix {
 				admits = append(admits, cluster.ReplicaSpec{
-					Service:     m.Service,
-					LoadFrac:    m.LoadFrac,
-					QoSTargetMs: experiments.QoSTarget(m.Service),
-					Class:       cluster.LC,
-					Priority:    len(admits),
+					Service:  m.Service,
+					LoadFrac: m.LoadFrac,
+					Class:    cluster.LC,
+					Priority: len(admits),
 				})
 			}
 		}
 	} else {
 		for i, name := range cfg.names {
 			admits = append(admits, cluster.ReplicaSpec{
-				Service:     name,
-				LoadFrac:    cfg.loads[i],
-				QoSTargetMs: experiments.QoSTarget(name),
-				Class:       cluster.LC,
-				Priority:    len(cfg.names) - 1 - i,
+				Service:  name,
+				LoadFrac: cfg.loads[i],
+				Class:    cluster.LC,
+				Priority: len(cfg.names) - 1 - i,
 			})
 		}
+	}
+	// Every replica's QoS target and Eq. 2 model (its node's Twig manager
+	// needs one) are calibrated in one fan-out, not one admission at a time.
+	names := make([]string, len(admits))
+	for i, a := range admits {
+		names[i] = a.Service
+	}
+	experiments.Calibrate(names, names)
+	for i := range admits {
+		admits[i].QoSTargetMs = experiments.QoSTarget(admits[i].Service)
 	}
 	var store *checkpoint.Store
 	if cfg.ckptDir != "" {

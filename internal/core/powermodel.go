@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/platform"
 	"github.com/twig-sched/twig/internal/stats"
@@ -98,48 +100,63 @@ func FitPowerModel(samples []PowerSample, idleW float64, rng *rand.Rand) (*Power
 // hosting a single service: three load levels (20%, 50%, 80% of max),
 // alternate core counts and alternate DVFS states, measuring dynamic
 // power each second with unused cores hot-unplugged. It returns the
-// samples for FitPowerModel.
+// samples for FitPowerModel, in grid order. Every grid point runs on a
+// server of its own, so the points fan out over GOMAXPROCS workers and
+// the samples are the same at any worker count.
 func ProfilePower(spec sim.ServiceSpec, cfg sim.Config, secondsPerPoint int, seed int64) []PowerSample {
-	var samples []PowerSample
-	loads := []float64{0.2, 0.5, 0.8}
-	maxCores := cfg.Platform.CoresPerSocket
-	// Global idle baseline, as in Sec. IV: the power of the idle system
-	// (all cores online at the lowest DVFS state, nothing scheduled).
-	idle := sim.NewServer(cfg, []sim.ServiceSpec{spec}).IdlePowerW()
-	for _, lf := range loads {
-		for cores := 2; cores <= maxCores; cores += 2 { // alternate core counts
+	type point struct {
+		lf          float64
+		cores, step int
+	}
+	var grid []point
+	for _, lf := range []float64{0.2, 0.5, 0.8} {
+		for cores := 2; cores <= cfg.Platform.CoresPerSocket; cores += 2 { // alternate core counts
 			for step := 0; step < platform.NumFreqSteps; step += 2 { // alternate DVFS states
-				freq := platform.FreqForStep(step)
-				srv := sim.NewServer(cfg, []sim.ServiceSpec{spec})
-				ids := srv.ManagedCores()[:cores]
-				// Hot-unplug the unused cores, as in Sec. IV.
-				for _, id := range srv.ManagedCores()[cores:] {
-					srv.Platform().SetOnline(id, false)
-				}
-				asg := sim.Assignment{PerService: []sim.Allocation{{Cores: ids, FreqGHz: freq}}}
-				var pw, rps float64
-				n := 0
-				for t := 0; t < secondsPerPoint; t++ {
-					r := srv.MustStep(asg, []float64{lf * spec.Profile.MaxLoadRPS})
-					if t >= secondsPerPoint/3 {
-						pw += r.PowerW
-						rps += float64(r.Services[0].Completed)
-						n++
-					}
-				}
-				// Record the load the service actually processed: an
-				// under-provisioned grid point saturates below the
-				// offered load and its power reflects that throughput,
-				// which is what the profiler observes.
-				samples = append(samples, PowerSample{
-					LoadFrac:    rps / float64(n) / spec.Profile.MaxLoadRPS,
-					OfferedFrac: lf,
-					Cores:       cores,
-					FreqGHz:     freq,
-					DynamicW:    pw/float64(n) - idle,
-				})
+				grid = append(grid, point{lf, cores, step})
 			}
 		}
 	}
+	// Global idle baseline, as in Sec. IV: the power of the idle system
+	// (all cores online at the lowest DVFS state, nothing scheduled).
+	idle := sim.NewServer(cfg, []sim.ServiceSpec{spec}).IdlePowerW()
+	samples := make([]PowerSample, len(grid))
+	par.For(len(grid), runtime.GOMAXPROCS(0), func(i int) {
+		p := grid[i]
+		samples[i] = profilePoint(spec, cfg, secondsPerPoint, p.lf, p.cores, platform.FreqForStep(p.step), idle)
+	})
 	return samples
+}
+
+// profilePoint measures one grid point on a fresh server: cores cores
+// at freq, the rest hot-unplugged, offered lf of the service's maximum
+// load, averaged over the last two thirds of secondsPerPoint.
+func profilePoint(spec sim.ServiceSpec, cfg sim.Config, secondsPerPoint int, lf float64, cores int, freq, idle float64) PowerSample {
+	srv := sim.NewServer(cfg, []sim.ServiceSpec{spec})
+	ids := srv.ManagedCores()[:cores]
+	// Hot-unplug the unused cores, as in Sec. IV.
+	for _, id := range srv.ManagedCores()[cores:] {
+		srv.Platform().SetOnline(id, false)
+	}
+	asg := sim.Assignment{PerService: []sim.Allocation{{Cores: ids, FreqGHz: freq}}}
+	var pw, rps float64
+	n := 0
+	for t := 0; t < secondsPerPoint; t++ {
+		r := srv.MustStep(asg, []float64{lf * spec.Profile.MaxLoadRPS})
+		if t >= secondsPerPoint/3 {
+			pw += r.PowerW
+			rps += float64(r.Services[0].Completed)
+			n++
+		}
+	}
+	// Record the load the service actually processed: an
+	// under-provisioned grid point saturates below the offered load and
+	// its power reflects that throughput, which is what the profiler
+	// observes.
+	return PowerSample{
+		LoadFrac:    rps / float64(n) / spec.Profile.MaxLoadRPS,
+		OfferedFrac: lf,
+		Cores:       cores,
+		FreqGHz:     freq,
+		DynamicW:    pw/float64(n) - idle,
+	}
 }

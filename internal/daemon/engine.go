@@ -187,6 +187,20 @@ func New(cfg Config, initial []AdmitRequest) (*Engine, error) {
 		e.writer = checkpoint.NewAsyncWriter(cfg.Store)
 		cfg.Store.SetRejectHook(e.corruptHook())
 	}
+	// Calibrate the initial services in one fan-out instead of one
+	// admission at a time: QoS targets for those that bring none, Eq. 2
+	// models (buildController's) for all. register reports unknown names.
+	var qos, power []string
+	for _, req := range initial {
+		if _, err := service.Lookup(req.Name); err != nil {
+			continue
+		}
+		if req.QoSTargetMs <= 0 {
+			qos = append(qos, req.Name)
+		}
+		power = append(power, req.Name)
+	}
+	experiments.Calibrate(qos, power)
 	for _, req := range initial {
 		if _, err := e.register(req); err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 
 	"github.com/twig-sched/twig/internal/bdq"
 	"github.com/twig-sched/twig/internal/core"
+	"github.com/twig-sched/twig/internal/par"
 )
 
 // AblationCell is one variant's outcome on the standard Twig-S workload
@@ -58,7 +59,7 @@ func runTwigVariant(sc Scale, seed int64, names []string, frac float64, mutate f
 // QoS guarantee is the mean over the services.
 func runAblationVariants(sc Scale, seed int64, names []string, vs []ablationVariant) []AblationCell {
 	cells := make([]AblationCell, len(vs))
-	forEachCell(len(vs), func(i int) {
+	par.For(len(vs), Parallelism(), func(i int) {
 		sum := runTwigVariant(sc, seed, names, 0.5, vs[i].Mutate)
 		q, _ := meanMin(sum.QoSGuarantee)
 		cells[i] = AblationCell{Variant: vs[i].Label, QoSGuarantee: q, AvgPowerW: sum.AvgPowerW, Migrations: sum.Migrations}

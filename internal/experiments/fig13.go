@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"github.com/twig-sched/twig/internal/par"
 )
 
 // Fig13Cell is one (pair, load, manager) measurement.
@@ -32,10 +34,6 @@ var Fig13Managers = []string{"static", "parties", "twig-c"}
 // byte-identical-to-serial guarantee; normalisation against the static
 // cell of each (pair, load) group is a serial post-pass.
 func Fig13(pairs [][2]string, sc Scale, seed int64) Fig13Result {
-	for _, pair := range pairs {
-		QoSTarget(pair[0])
-		QoSTarget(pair[1])
-	}
 	type job struct {
 		pair [2]string
 		lf   float64
@@ -52,7 +50,7 @@ func Fig13(pairs [][2]string, sc Scale, seed int64) Fig13Result {
 	total := sc.LearnS + 2*sc.SummaryS // PARTIES summarised over 600 s
 	cells := make([]Fig13Cell, len(jobs))
 	energy := make([]float64, len(jobs))
-	forEachCell(len(jobs), func(i int) {
+	par.For(len(jobs), Parallelism(), func(i int) {
 		j := jobs[i]
 		frac := PairMaxFraction(j.pair[0], j.pair[1])
 		srv := NewServer(seed, j.pair[0], j.pair[1])

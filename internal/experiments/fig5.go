@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"github.com/twig-sched/twig/internal/par"
 )
 
 // Fig5Cell is one (service, load, manager) measurement of Fig. 5.
@@ -37,11 +39,6 @@ var Fig5Managers = []string{"static", "heracles", "hipster", "twig-s"}
 // against the static cell of the same (service, load) group happens in a
 // serial post-pass once all cells are in.
 func Fig5(services []string, sc Scale, seed int64) Fig5Result {
-	// QoS calibration is cached per service; warm the cache serially so
-	// concurrent cells don't calibrate the same service twice.
-	for _, svcName := range services {
-		QoSTarget(svcName)
-	}
 	type job struct {
 		svc string
 		lf  float64
@@ -58,7 +55,7 @@ func Fig5(services []string, sc Scale, seed int64) Fig5Result {
 	total := sc.LearnS + sc.SummaryS
 	cells := make([]Fig5Cell, len(jobs))
 	energy := make([]float64, len(jobs))
-	forEachCell(len(jobs), func(i int) {
+	par.For(len(jobs), Parallelism(), func(i int) {
 		j := jobs[i]
 		srv := NewServer(seed, j.svc)
 		sum := Run(RunConfig{

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"github.com/twig-sched/twig/internal/par"
 )
 
 // Fig7Result reproduces Fig. 7: the QoS guarantee over time (learning
@@ -32,8 +34,7 @@ func Fig7(sc Scale, seed int64) Fig7Result {
 	managers := []string{"hipster", "twig-s"}
 	curves := make([][]float64, len(managers))
 	crossedAt := make([]int, len(managers))
-	QoSTarget(svcName)
-	forEachCell(len(managers), func(mi int) {
+	par.For(len(managers), Parallelism(), func(mi int) {
 		mgr := managers[mi]
 		srv := NewServer(seed, svcName)
 		qb := newQoSBuckets(sc)

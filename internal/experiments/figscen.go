@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/twig-sched/twig/internal/bdq"
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/scenario"
 	"github.com/twig-sched/twig/internal/sim"
 )
@@ -126,7 +127,7 @@ func figScen(sc Scale, seed int64, names []string) FigScenResult {
 	res := FigScenResult{Scale: sc.Name, Scenarios: names}
 	cells := figScenCells(seed, names)
 	res.Cells = make([]ScenCell, len(cells))
-	forEachCell(len(cells), func(i int) {
+	par.For(len(cells), Parallelism(), func(i int) {
 		res.Cells[i] = ScenCellRun(sc, cells[i].seed, cells[i].w, cells[i].manager)
 	})
 	return res

@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"sync"
-
 	"github.com/twig-sched/twig/internal/baselines"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
-var (
-	pairMu    sync.Mutex
-	pairCache = map[[2]string]float64{}
-)
+var pairCache onceByKey[[2]string, float64]
 
 // PairMaxFraction finds the largest common fraction of each service's
 // solo maximum load at which the two colocated services both meet their
@@ -19,12 +14,12 @@ var (
 // load increments"). Colocated services typically top out around 40–60%
 // of their solo maxima, as the paper observes.
 func PairMaxFraction(a, b string) float64 {
-	pairMu.Lock()
-	defer pairMu.Unlock()
-	key := [2]string{a, b}
-	if v, ok := pairCache[key]; ok {
-		return v
-	}
+	return pairCache.get([2]string{a, b}, pairMaxFraction)
+}
+
+// pairMaxFraction is PairMaxFraction without the cache.
+func pairMaxFraction(pair [2]string) float64 {
+	a, b := pair[0], pair[1]
 	best := 0.1
 	for f := 0.1; f <= 1.001; f += 0.1 {
 		if pairFeasible(a, b, f) {
@@ -33,7 +28,6 @@ func PairMaxFraction(a, b string) float64 {
 			break
 		}
 	}
-	pairCache[key] = best
 	return best
 }
 

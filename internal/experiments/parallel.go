@@ -1,13 +1,11 @@
 package experiments
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// parallelism is the experiment-cell fan-out. The default of 1 keeps
-// every figure runner strictly serial; cmd/twig-experiments raises it via
-// the -parallel flag and the benchmarks via SetParallelism.
+// cellParallelism is the experiment-cell fan-out (par.For's worker
+// count for cells). The default of 1 keeps every figure runner's cells
+// strictly serial; cmd/twig-experiments raises it via the -parallel flag
+// and the benchmarks via SetParallelism.
 var cellParallelism int32 = 1
 
 // SetParallelism sets how many experiment cells (independent
@@ -24,36 +22,3 @@ func SetParallelism(n int) {
 
 // Parallelism returns the current experiment-cell fan-out.
 func Parallelism() int { return int(atomic.LoadInt32(&cellParallelism)) }
-
-// forEachCell runs fn(i) for every i in [0, n), fanning out over a worker
-// pool of Parallelism() goroutines. fn must only write to state owned by
-// cell i (typically results[i]) so the outcome does not depend on
-// scheduling order.
-func forEachCell(n int, fn func(i int)) {
-	w := Parallelism()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for j := 0; j < w; j++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}

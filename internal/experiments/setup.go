@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"github.com/twig-sched/twig/internal/baselines"
 	"github.com/twig-sched/twig/internal/bdq"
 	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/ctrl"
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
@@ -59,44 +61,70 @@ func NamedScale(name string) (Scale, error) {
 	return Scale{}, fmt.Errorf("unknown scale %q (want quick, paper or short)", name)
 }
 
-var (
-	qosMu    sync.Mutex
-	qosCache = map[string]float64{}
+// onceByKey holds one once-value per key: the first caller of a key
+// computes it, later and concurrent callers of that key wait for the one
+// computation, and callers of different keys never wait on each other.
+type onceByKey[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]func() V
+}
 
-	pmMu    sync.Mutex
-	pmCache = map[string]*core.PowerModel{}
+// get returns calc(k), computed once per key for the life of c.
+func (c *onceByKey[K, V]) get(k K, calc func(K) V) V {
+	c.mu.Lock()
+	f, ok := c.m[k]
+	if !ok {
+		if c.m == nil {
+			c.m = map[K]func() V{}
+		}
+		f = sync.OnceValue(func() V { return calc(k) })
+		c.m[k] = f
+	}
+	c.mu.Unlock()
+	return f()
+}
+
+var (
+	qosCache onceByKey[string, float64]
+	pmCache  onceByKey[string, *core.PowerModel]
 )
 
 // QoSTarget returns the calibrated p99 target for a built-in service on
 // the default platform (Table II methodology), cached across calls.
-func QoSTarget(name string) float64 {
-	qosMu.Lock()
-	defer qosMu.Unlock()
-	if v, ok := qosCache[name]; ok {
-		return v
-	}
-	p := service.MustLookup(name)
-	v := sim.CalibrateQoSTarget(p, sim.DefaultConfig(), 120, 1000)
-	qosCache[name] = v
-	return v
+func QoSTarget(name string) float64 { return qosCache.get(name, calibrateQoS) }
+
+// calibrateQoS is QoSTarget without the cache.
+func calibrateQoS(name string) float64 {
+	return sim.CalibrateQoSTarget(service.MustLookup(name), sim.DefaultConfig(), 120, 1000)
 }
 
 // PowerModelFor profiles and fits the Eq. 2 model for a built-in
 // service, cached across calls.
-func PowerModelFor(name string) *core.PowerModel {
-	pmMu.Lock()
-	defer pmMu.Unlock()
-	if m, ok := pmCache[name]; ok {
-		return m
-	}
+func PowerModelFor(name string) *core.PowerModel { return pmCache.get(name, fitPowerModel) }
+
+// fitPowerModel is PowerModelFor without the cache.
+func fitPowerModel(name string) *core.PowerModel {
 	spec := sim.ServiceSpec{Profile: service.MustLookup(name), Seed: 77}
 	samples := core.ProfilePower(spec, sim.DefaultConfig(), 12, 77)
 	m, err := core.FitPowerModel(samples, sim.NewServer(sim.DefaultConfig(), []sim.ServiceSpec{spec}).IdlePowerW(), rand.New(rand.NewSource(77)))
 	if err != nil {
 		panic(err)
 	}
-	pmCache[name] = m
 	return m
+}
+
+// Calibrate fills the caches in one fan-out over GOMAXPROCS workers: a
+// QoS calibration for each name in qos and an Eq. 2 profile and fit for
+// each in power, every one a job of its own (the longer fits first). A
+// value already cached costs nothing; one being computed is waited for.
+func Calibrate(qos, power []string) {
+	par.For(len(power)+len(qos), runtime.GOMAXPROCS(0), func(i int) {
+		if i < len(power) {
+			PowerModelFor(power[i])
+			return
+		}
+		QoSTarget(qos[i-len(power)])
+	})
 }
 
 // NewServer builds a default simulated server hosting the named services
@@ -109,6 +137,7 @@ func NewServer(seed int64, names ...string) *sim.Server {
 // The schedule is fully determined by the scenario and seed, so runs are
 // reproducible fault-for-fault.
 func NewFaultyServer(seed int64, fs *faults.Scenario, names ...string) *sim.Server {
+	Calibrate(names, nil)
 	specs := make([]sim.ServiceSpec, len(names))
 	for i, n := range names {
 		specs[i] = sim.ServiceSpec{
@@ -170,6 +199,7 @@ func NewTwigPooled(srv *sim.Server, sc Scale, seed int64, pools *bdq.Pools, name
 // twigConfig assembles the manager configuration NewTwig uses;
 // runTwigVariant mutates it before construction.
 func twigConfig(srv *sim.Server, sc Scale, seed int64, names ...string) core.Config {
+	Calibrate(names, names)
 	services := make([]core.ServiceConfig, len(names))
 	for i, n := range names {
 		services[i] = ServiceConfigFor(n, QoSTarget(n))

@@ -17,8 +17,10 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
 	"github.com/twig-sched/twig/internal/sim/platform"
@@ -207,32 +209,42 @@ func (w World) ServiceSpecs(seed int64, qosMs func(name string) float64) []sim.S
 // Worlds expands the spec deterministically: one world per node, one
 // trace per (node, service) seeded as seed + nodeIndex·10007 +
 // serviceIndex·101. Equal (spec, seed) pairs yield byte-identical
-// traces; the seed never perturbs the expansion order.
+// traces; the seed never perturbs the expansion order. Each trace draws
+// from its own seeded stream, so the traces are generated over
+// GOMAXPROCS workers, each into its own (node, service) slot.
 func (s Spec) Worlds(seed int64) ([]World, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	total := s.TotalNodes()
 	worlds := make([]World, 0, total)
-	idx := 0
+	type job struct{ world, svc int }
+	var jobs []job
 	for _, cl := range s.Classes {
 		for j := 0; j < cl.Count; j++ {
+			idx := len(worlds)
 			w := World{
 				Scenario:  s.Name,
 				Name:      fmt.Sprintf("%s/%s%d", s.Name, cl.Name, j),
 				Class:     cl,
 				NodeIndex: idx,
+				Traces:    make([]*loadgen.Trace, len(cl.Mix)),
 			}
 			for si, m := range cl.Mix {
-				peak := m.LoadFrac * service.MustLookup(m.Service).MaxLoadRPS
-				tseed := seed + int64(idx)*10007 + int64(si)*101
 				w.Services = append(w.Services, m.Service)
-				w.Traces = append(w.Traces, s.generate(peak, cl, idx, total, tseed))
+				jobs = append(jobs, job{idx, si})
 			}
 			worlds = append(worlds, w)
-			idx++
 		}
 	}
+	par.For(len(jobs), runtime.GOMAXPROCS(0), func(i int) {
+		w := &worlds[jobs[i].world]
+		si := jobs[i].svc
+		m := w.Class.Mix[si]
+		peak := m.LoadFrac * service.MustLookup(m.Service).MaxLoadRPS
+		tseed := seed + int64(w.NodeIndex)*10007 + int64(si)*101
+		w.Traces[si] = s.generate(peak, w.Class, w.NodeIndex, total, tseed)
+	})
 	return worlds, nil
 }
 
