@@ -542,7 +542,7 @@ func BenchmarkProfilePower(b *testing.B) {
 	spec := sim.ServiceSpec{Profile: service.MustLookup("masstree"), Seed: 77}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		core.ProfilePower(spec, sim.DefaultConfig(), 12, 77)
+		core.ProfilePower(spec, sim.DefaultConfig(), 12)
 	}
 }
 

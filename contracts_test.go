@@ -47,6 +47,22 @@ var contracts = []contract{
 		},
 	},
 	{
+		name: "three-products",
+		why: `internal/mat's product code is the learner's three products — MulPackedBiasAct, MulTransALive, MulTransBPacked — on the tiles at every row count (DESIGN.md §7): ` +
+			"the row-major-B products and packing, the streaming paths and their row gate, a group's raw operand and mat's test-only exports stay deleted, and the naive kernels live in tests only",
+		clauses: []clause{
+			{scope{dirs: []string{"internal/mat"}}, []rule{idents(
+				"MulBiasAct", "MulTransBLive", "transBOperand", "mulTransB", "packBT", "finiteIn", "minPackRows",
+				"mulPackedInto", "mulTransAPacked", "biasActRange", "groupShape", "groupPanels",
+				"mulRange", "mulTransARange", "mulTransBRange",
+				"FromRows", "AddScaled", "MaxAbs", "HaveAVX2", "Unpack")}},
+			{scope{dirs: []string{"internal/mat"}, prod: true}, []rule{
+				idents("naiveMul", "naiveMulTransA", "naiveMulTransB", "naiveBiasAct"),
+				structFields("Group", "B"),
+			}},
+		},
+	},
+	{
 		name: "live-block-only",
 		why:  `the backward products do only their live × live arithmetic (DESIGN.md, "The training step and its kernel tiers"): dW reads its operand where it lies, so the gathered copy of its columns stays deleted`,
 		clauses: []clause{

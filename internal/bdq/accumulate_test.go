@@ -13,7 +13,7 @@ import (
 )
 
 // TestAccumulationTargetsHoldNoNegativeZero is the accumulating product's
-// precondition over real training (mat.MulTransBLive's accumulation
+// precondition over real training (mat.MulTransBPacked's accumulation
 // precondition: it adds nothing to the elements the gate leaves out, which
 // is exact only where the target holds no −0). At the quick shape and at
 // the paper's with dropout on, through real TrainSteps whose live counts

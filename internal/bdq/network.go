@@ -104,7 +104,7 @@ type Network struct {
 	// beforeBackward, when set, sees each dense layer just before Backward
 	// runs its products, with the input-gradient sum they add to (nil for
 	// none): tests hold every accumulation target to the products'
-	// precondition there (mat.MulTransBLive's accumulation precondition:
+	// precondition there (mat.MulTransBPacked's accumulation precondition:
 	// no −0).
 	beforeBackward func(d *nn.Dense, sum *mat.Matrix)
 }

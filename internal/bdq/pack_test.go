@@ -80,7 +80,7 @@ func requireModel(t *testing.T, tag string, n *Network, ref []*refTensor) {
 		if p.Name != r.name || p.Panels.K != r.rows || p.Panels.N != r.cols {
 			t.Fatalf("%s: param %d is %s %dx%d, the reference %s %dx%d", tag, i, p.Name, p.Panels.K, p.Panels.N, r.name, r.rows, r.cols)
 		}
-		requireBits(t, tag+": "+p.Name, p.Panels.Unpack().Data, r.value)
+		requireBits(t, tag+": "+p.Name, unpack(p.Panels).Data, r.value)
 		held := make([]bool, len(p.Panels.Data))
 		for row := 0; row < r.rows; row++ {
 			for j := 0; j < r.cols; j++ {
@@ -227,7 +227,7 @@ func TestPackFollowsEveryWeightWriter(t *testing.T) {
 	// A writer that brings a non-finite weight clears that layer's Finite
 	// bit, and the steps over it keep every bit what a scan says.
 	w := donor.online.Denses()[1].W
-	vals := w.Panels.Unpack()
+	vals := unpack(w.Panels)
 	vals.Set(0, 3, math.Inf(1))
 	w.Panels.RepackFrom(vals)
 	if w.Panels.Finite {

@@ -101,9 +101,10 @@ func FitPowerModel(samples []PowerSample, idleW float64, rng *rand.Rand) (*Power
 // alternate core counts and alternate DVFS states, measuring dynamic
 // power each second with unused cores hot-unplugged. It returns the
 // samples for FitPowerModel, in grid order. Every grid point runs on a
-// server of its own, so the points fan out over GOMAXPROCS workers and
-// the samples are the same at any worker count.
-func ProfilePower(spec sim.ServiceSpec, cfg sim.Config, secondsPerPoint int, seed int64) []PowerSample {
+// server of its own, drawing from spec.Seed and cfg, so the points fan
+// out over GOMAXPROCS workers and the samples are the same at any worker
+// count.
+func ProfilePower(spec sim.ServiceSpec, cfg sim.Config, secondsPerPoint int) []PowerSample {
 	type point struct {
 		lf          float64
 		cores, step int

@@ -32,7 +32,7 @@ func Fig4(svcName string, secondsPerPoint int, seed int64) Fig4Result {
 	cfg := sim.DefaultConfig()
 	cfg.MeasurementSeed = seed
 	spec := sim.ServiceSpec{Profile: prof, Seed: seed}
-	samples := core.ProfilePower(spec, cfg, secondsPerPoint, seed)
+	samples := core.ProfilePower(spec, cfg, secondsPerPoint)
 	rng := rand.New(rand.NewSource(seed))
 	model, err := core.FitPowerModel(samples, sim.NewServer(cfg, []sim.ServiceSpec{spec}).IdlePowerW(), rng)
 	if err != nil {

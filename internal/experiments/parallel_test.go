@@ -56,7 +56,7 @@ func setUpBits(t *testing.T) []uint64 {
 		}
 	}
 	spec := sim.ServiceSpec{Profile: service.MustLookup("masstree"), Seed: 77}
-	for _, s := range core.ProfilePower(spec, sim.DefaultConfig(), 12, 77) {
+	for _, s := range core.ProfilePower(spec, sim.DefaultConfig(), 12) {
 		f(s.LoadFrac, s.OfferedFrac, float64(s.Cores), s.FreqGHz, s.DynamicW)
 	}
 	f(modelFloats(fitPowerModel("masstree"))...)

@@ -105,7 +105,7 @@ func PowerModelFor(name string) *core.PowerModel { return pmCache.get(name, fitP
 // fitPowerModel is PowerModelFor without the cache.
 func fitPowerModel(name string) *core.PowerModel {
 	spec := sim.ServiceSpec{Profile: service.MustLookup(name), Seed: 77}
-	samples := core.ProfilePower(spec, sim.DefaultConfig(), 12, 77)
+	samples := core.ProfilePower(spec, sim.DefaultConfig(), 12)
 	m, err := core.FitPowerModel(samples, sim.NewServer(sim.DefaultConfig(), []sim.ServiceSpec{spec}).IdlePowerW(), rand.New(rand.NewSource(77)))
 	if err != nil {
 		panic(err)

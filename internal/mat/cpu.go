@@ -52,14 +52,11 @@ func CPUFeatures() string {
 	return features
 }
 
-// HaveAVX2 reports whether the AVX2 assembly kernels are in use — the
-// CPU and OS support them and TWIG_DISABLE_AVX2 is unset.
-func HaveAVX2() bool { return haveAVX2 }
-
 // haveFMA holds the CPUID FMA bit, read once (exp_amd64.s).
 var haveFMA = cpuHasFMA()
 
 // HaveFMA reports whether the FMA kernels — nn's Adam step and Exp's —
-// are in use: HaveAVX2, and the CPU has FMA3. TWIG_DISABLE_AVX2 is their
-// only switch.
+// are in use: the AVX2 kernels are (the CPU and OS support them and
+// TWIG_DISABLE_AVX2 is unset), and the CPU has FMA3. TWIG_DISABLE_AVX2 is
+// their only switch.
 func HaveFMA() bool { return haveAVX2 && haveFMA }

@@ -26,38 +26,42 @@ func benchMat(rows, cols int, rng *rand.Rand) *Matrix {
 	return m
 }
 
-// BenchmarkGEMM runs every row under each kernel tier the host has
-// (BenchmarkGEMM/avx512/Mul/64x512x256, …/avx2/…, …/portable/…), so one
-// run on one host compares the tiers.
+// BenchmarkGEMM times the three products the learner runs at the paper
+// shapes, under each kernel tier the host has
+// (BenchmarkGEMM/avx512/MulPackedBiasAct/64x512x256, …/avx2/…,
+// …/portable/…), so one run on one host compares the tiers.
 func BenchmarkGEMM(b *testing.B) {
 	withKernels(b, func(kernel string) { b.Run(kernel, benchGEMM) })
 }
 
 func benchGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	for _, s := range gemmShapes {
-		a := benchMat(s.m, s.k, rng)
-		bb := benchMat(s.k, s.n, rng)
-		dst := New(s.m, s.n)
-		flops := 2 * s.m * s.k * s.n
-		b.Run(fmt.Sprintf("Mul/%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+	// run times fn as one row, reporting nominal GFLOPS: a product that
+	// skips dead work reads faster.
+	run := func(name string, flops int, fn func()) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Mul(dst, a, bb)
+				fn()
 			}
 			b.ReportMetric(float64(flops)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
 		})
 	}
-	// The two products that dominate the paper-scale step, with the zero
-	// structure node_paper_twigc shows (DESIGN.md, "The training step and
-	// its kernel tiers"): whole dead
-	// columns at 0 %, 42 % and 70 %, and per-element dropout zeros, which
-	// no column scan can remove. GFLOPS counts the nominal shape, so a
-	// product that skips work reads faster.
+	// The forward product: x·W + b through ReLU against W's panels.
+	for _, s := range gemmShapes {
+		a, pw := benchMat(s.m, s.k, rng), PackB(benchMat(s.k, s.n, rng))
+		dst, bias := New(s.m, s.n), benchMat(1, s.n, rng).Data
+		run(fmt.Sprintf("MulPackedBiasAct/%dx%dx%d", s.m, s.k, s.n), 2*s.m*s.k*s.n, func() {
+			MulPackedBiasAct(dst, a, nil, pw, bias, ActReLU)
+		})
+	}
+	// The two forward products that dominate the paper-scale step, with the
+	// zero structure node_paper_twigc shows (DESIGN.md, "The training step
+	// and its kernel tiers"): whole dead columns at 0 %, 42 % and 70 %, and
+	// per-element dropout zeros, which no column scan can remove.
 	for _, s := range [][3]int{{64, 512, 256}, {64, 256, 128}} {
 		m, k, n := s[0], s[1], s[2]
-		bb := benchMat(k, n, rng)
-		dst := New(m, n)
+		pw, dst := PackB(benchMat(k, n, rng)), New(m, n)
 		for _, v := range []struct {
 			name     string
 			deadFrac float64
@@ -72,20 +76,17 @@ func benchGEMM(b *testing.B) {
 					}
 				}
 			}
-			b.Run(fmt.Sprintf("Mul/%dx%dx%d/%s", m, k, n, v.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					Mul(dst, a, bb)
-				}
-				b.ReportMetric(float64(2*m*k*n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
+			run(fmt.Sprintf("MulPackedBiasAct/%dx%dx%d/%s", m, k, n, v.name), 2*m*k*n, func() {
+				MulPackedBiasAct(dst, a, nil, pw, nil, ActIdentity)
 			})
 		}
 	}
-	// Backward-pass shapes: dW = xᵀ·g and gradIn = g·Wᵀ for the two
-	// products that dominate it — the second trunk layer (512 → 256) and a
-	// branch hidden layer (256 → 128) — dense, and with the live shares
-	// node_paper_twigc's minibatches show on both sides (DESIGN.md, "The
-	// training step and its kernel tiers"):
+	// The backward products: dW = xᵀ·g (MulTransALive) and gradIn = g·Wᵀ
+	// (MulTransBPacked, W's panels vouching for its finiteness, as a
+	// Dense's do) for the two layers that dominate the pass — the second
+	// trunk layer (512 → 256) and a branch hidden layer (256 → 128) —
+	// dense, and with the live shares node_paper_twigc's minibatches show
+	// on both sides (DESIGN.md, "The training step and its kernel tiers"):
 	// 56 % of shared0's units and 72 % of shared1's live going into the
 	// trunk layer, 72 % and 48 % going into a branch. rowsNcolsM names the
 	// live shares of x's columns (dW's rows) and g's (dW's columns);
@@ -95,46 +96,22 @@ func benchGEMM(b *testing.B) {
 		in, out         int
 		liveIn, liveOut float64
 	}{{512, 256, 0.56, 0.72}, {256, 128, 0.72, 0.48}} {
-		x, g, w := benchMat(64, s.in, rng), benchMat(64, s.out, rng), benchMat(s.in, s.out, rng)
+		x, g, pw := benchMat(64, s.in, rng), benchMat(64, s.out, rng), PackB(benchMat(s.in, s.out, rng))
 		xs, gs := x.Clone(), g.Clone()
 		killColumns(xs, 1-s.liveIn, rng)
 		killColumns(gs, 1-s.liveOut, rng)
 		dw, gin := New(s.in, s.out), New(64, s.in)
-		flops := float64(2 * 64 * s.in * s.out)
-		gflops := func(b *testing.B) {
-			b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOPS")
-		}
-		transA := fmt.Sprintf("MulTransA/%dx64x%d", s.in, s.out)
-		transB := fmt.Sprintf("MulTransB/64x%dx%d", s.out, s.in)
-		b.Run(transA, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MulTransA(dw, x, g)
-			}
-			gflops(b)
+		flops := 2 * 64 * s.in * s.out
+		transA := fmt.Sprintf("MulTransALive/%dx64x%d", s.in, s.out)
+		transB := fmt.Sprintf("MulTransBPacked/64x%dx%d", s.out, s.in)
+		run(transA, flops, func() { MulTransALive(dw, x, nil, g, nil) })
+		run(fmt.Sprintf("%s/rows%.0fcols%.0f", transA, 100*s.liveIn, 100*s.liveOut), flops, func() {
+			MulTransALive(dw, xs, nil, gs, nil)
 		})
-		b.Run(fmt.Sprintf("%s/rows%.0fcols%.0f", transA, 100*s.liveIn, 100*s.liveOut), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MulTransA(dw, xs, gs)
-			}
-			gflops(b)
-		})
-		b.Run(transB, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MulTransB(gin, g, w)
-			}
-			gflops(b)
-		})
-		// W declared finite, as a Dense hands on its pack's Finite bit.
-		b.Run(fmt.Sprintf("%s/depth%.0fout%.0f", transB, 100*s.liveOut, 100*s.liveIn), func(b *testing.B) {
-			gate := scanned(xs)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MulTransBLive(gin, gs, nil, w, true, gate, false)
-			}
-			gflops(b)
+		run(transB, flops, func() { MulTransBPacked(gin, g, nil, pw, nil, false) })
+		gate := scanned(xs)
+		run(fmt.Sprintf("%s/depth%.0fout%.0f", transB, 100*s.liveOut, 100*s.liveIn), flops, func() {
+			MulTransBPacked(gin, gs, nil, pw, gate, false)
 		})
 	}
 }

@@ -7,24 +7,25 @@ import (
 	"testing"
 )
 
-// Differential fuzzing of the tiled GEMM path against the retained naive
-// kernels (mulRange / mulTransARange / mulTransBRange). The contract is
-// bitwise equality — math.Float64bits, not tolerance — for arbitrary
-// shapes (including 0-row/0-col and non-multiples of the 4×8 tile),
-// data with exact zeros (exercising the skip path), and every kernel
-// tier the host has: portable, AVX2, AVX-512. An accumulating product
-// owes the oracle's bits wherever its destination held no −0
-// (MulTransBLive's accumulation precondition).
+// Differential fuzzing of the three products — MulPackedBiasAct,
+// MulTransALive, MulTransBPacked — and the wrappers over them against the
+// naive kernels (naive_test.go). The contract is bitwise equality —
+// math.Float64bits, not tolerance — for arbitrary shapes (including
+// 0-row/0-col and non-multiples of the 4×8 tile), data with exact zeros
+// (exercising the skip path), and every kernel tier the host has:
+// portable, AVX2, AVX-512. An accumulating product owes the oracle's bits
+// wherever its destination held no −0 (MulTransBPacked's accumulation
+// precondition).
 //
 // That is the contract for finite operands. With an Inf or a NaN in the
-// b operand the tiled Mul/MulTransA family may differ from the naive
-// kernels in one direction only (DESIGN.md, "Determinism and the
-// non-finite contract"): the naive kernels step
-// over every ±0 element of a and so hide the non-finite b element under
-// it, the tiled ones hide it only in columns of a that are ±0 in every
-// row, and elsewhere compute 0·Inf = NaN. So an element is either the
-// oracle's bit for bit or NaN, and a NaN of the oracle's is never lost.
-// MulTransB hides nothing in either form and stays exact.
+// b operand the forward product and MulTransALive may differ from the
+// naive kernels in one direction only (DESIGN.md, "Determinism and the
+// non-finite contract"): the naive kernels step over every ±0 element of
+// a and so hide the non-finite b element under it, the tiles hide it only
+// in columns of a that are ±0 in every row, and elsewhere compute
+// 0·Inf = NaN. So an element is either the oracle's bit for bit or NaN,
+// and a NaN of the oracle's is never lost. MulTransBPacked hides nothing
+// in either form and stays exact.
 
 // fuzzFill deterministically fills data from the seed, planting exact
 // zeros, negative zeros, denormals and large-magnitude values so the
@@ -47,7 +48,7 @@ func fuzzFill(data []float64, rng *rand.Rand) {
 }
 
 // clampDim maps a raw fuzz byte to a dimension in [0, 67], covering
-// empty matrices, the minPackRows boundary and ragged tile edges.
+// empty matrices, the four- and eight-row tiles and ragged tile edges.
 func clampDim(b byte) int { return int(b) % 68 }
 
 // requireBitsEqual fails if got and want differ in any bit.
@@ -101,8 +102,8 @@ func requireBitsEqualOrNaN(t *testing.T, tag string, got, want *Matrix) {
 }
 
 // requireBitsEqualNaNsAlike is bitwise equality that lets two NaNs
-// differ in sign and payload: the exact contract of MulTransB, whose
-// tiled and Dot forms meet the same NaNs in a different operand order.
+// differ in sign and payload: the exact contract of MulTransBPacked,
+// whose tiles and Dot meet the same NaNs in a different operand order.
 func requireBitsEqualNaNsAlike(t *testing.T, tag string, got, want *Matrix) {
 	t.Helper()
 	for i, w := range want.Data {
@@ -133,14 +134,17 @@ func withKernels(t testing.TB, fn func(kernel string)) {
 	}
 }
 
+// FuzzMulMatchesNaive drives the forward product and g·Wᵀ
+// (MulTransBPacked, over the same operands transposed) against the naive
+// kernels.
 func FuzzMulMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(22), byte(512%68))
 	f.Add(int64(2), byte(1), byte(22), byte(512%68))
 	f.Add(int64(3), byte(0), byte(5), byte(7))
 	f.Add(int64(4), byte(9), byte(0), byte(9))
 	f.Add(int64(5), byte(9), byte(9), byte(0))
-	f.Add(int64(6), byte(7), byte(3), byte(11)) // below minPackRows
-	f.Add(int64(7), byte(8), byte(1), byte(8))  // exactly at the gate
+	f.Add(int64(6), byte(7), byte(3), byte(11)) // two four-row tiles, one row repeated
+	f.Add(int64(7), byte(8), byte(1), byte(8))  // one 8-row tile
 	f.Add(int64(8), byte(13), byte(5), byte(17))
 	f.Fuzz(func(t *testing.T, seed int64, mb, kb, nb byte) {
 		m, k, n := clampDim(mb), clampDim(kb), clampDim(nb)
@@ -162,10 +166,9 @@ func FuzzMulMatchesNaive(f *testing.F) {
 			}
 
 			want := New(m, n)
-			mulRange(want, a, b, 0, m) // retained naive reference
+			naiveMul(want, a, b)
 
-			// MulTransB against its naive reference, reusing the same
-			// operands: dst2 = a·(bᵀ)ᵀ needs b transposed.
+			// dst2 = a·(bᵀ)ᵀ, from the panels of b transposed.
 			bt := New(n, k)
 			for i := 0; i < k; i++ {
 				for j := 0; j < n; j++ {
@@ -173,31 +176,34 @@ func FuzzMulMatchesNaive(f *testing.F) {
 				}
 			}
 			want2 := New(m, n)
-			mulTransBRange(want2, a, bt, 0, m, nil, false)
+			naiveMulTransB(want2, a, bt)
+			pb, pbt := PackB(b), PackB(bt)
 
 			withKernels(t, func(kernel string) {
 				got := New(m, n)
 				fuzzFill(got.Data, rng) // ensure dst is fully overwritten
-				Mul(got, a, b)
-				requireMul(t, "Mul/"+kernel, got, want)
+				MulPackedBiasAct(got, a, nil, pb, nil, ActIdentity)
+				requireMul(t, "MulPackedBiasAct/"+kernel, got, want)
 
 				got2 := New(m, n)
 				fuzzFill(got2.Data, rng)
-				MulTransB(got2, a, bt)
-				requireTransB(t, "MulTransB/"+kernel, got2, want2)
+				MulTransBPacked(got2, a, nil, pbt, nil, false)
+				requireTransB(t, "MulTransBPacked/"+kernel, got2, want2)
 			})
 		}
 	})
 }
 
+// FuzzMulTransAMatchesNaive drives dW = xᵀ·g (MulTransALive) against the
+// naive kernel, with and without held sets.
 func FuzzMulTransAMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(512%68), byte(256%68))
 	f.Add(int64(2), byte(64), byte(18), byte(18))
 	f.Add(int64(3), byte(0), byte(5), byte(7))
 	f.Add(int64(4), byte(9), byte(0), byte(9))
 	f.Add(int64(5), byte(9), byte(9), byte(0))
-	f.Add(int64(6), byte(3), byte(7), byte(11)) // dst rows below minPackRows
-	f.Add(int64(7), byte(5), byte(8), byte(8))  // exactly at the gate
+	f.Add(int64(6), byte(3), byte(7), byte(11)) // dst rows under one 8-row tile
+	f.Add(int64(7), byte(5), byte(8), byte(8))  // one 8-row tile
 	f.Fuzz(func(t *testing.T, seed int64, kb, mb, nb byte) {
 		k, m, n := clampDim(kb), clampDim(mb), clampDim(nb)
 		rng := rand.New(rand.NewSource(seed))
@@ -216,13 +222,20 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 			}
 
 			want := New(m, n)
-			mulTransARange(want, a, b, 0, m) // retained naive reference
+			naiveMulTransA(want, a, b)
 
 			withKernels(t, func(kernel string) {
 				got := New(m, n)
-				fuzzFill(got.Data, rng)
-				MulTransA(got, a, b)
-				require(t, "MulTransA/"+kernel, got, want)
+				var al, bl Live
+				for _, held := range []bool{false, true, true} { // the second held pass reuses the scans
+					fuzzFill(got.Data, rng)
+					if held {
+						MulTransALive(got, a, &al, b, &bl)
+					} else {
+						MulTransALive(got, a, nil, b, nil)
+					}
+					require(t, fmt.Sprintf("MulTransALive/%s/held=%t", kernel, held), got, want)
+				}
 			})
 		}
 	})
@@ -232,15 +245,14 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 // machinery: a operands with whole columns and rows of ±0 at a fuzzed
 // rate (none, some, all), per-element zeros and denormals on top, ragged
 // tiles and last tiles of one to three rows, every entry point that
-// scans — Mul, the packed product with bias and ReLU over a row band,
-// MulTransA, MulTransB — under every kernel tier. Finite operands,
-// bitwise.
+// scans — Mul, the packed product with bias and ReLU, MulTransA,
+// MulTransB — under every kernel tier. Finite operands, bitwise.
 func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(60), byte(40), byte(110)) // ~43 % dead
 	f.Add(int64(2), byte(64), byte(33), byte(17), byte(180)) // ~70 % dead
 	f.Add(int64(3), byte(9), byte(12), byte(8), byte(255))   // every column dead
 	f.Add(int64(4), byte(13), byte(21), byte(9), byte(0))    // none dead
-	f.Add(int64(5), byte(6), byte(67), byte(67), byte(128))  // below minPackRows: packed entry point only
+	f.Add(int64(5), byte(6), byte(67), byte(67), byte(128))  // two four-row tiles, two rows repeated
 	f.Add(int64(6), byte(67), byte(5), byte(1), byte(90))    // thin output, three-row last tile
 	f.Fuzz(func(t *testing.T, seed int64, mb, kb, nb, deadb byte) {
 		m, k, n := clampDim(mb), clampDim(kb), clampDim(nb)
@@ -261,18 +273,13 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 		fuzzFill(bias, rng)
 
 		wantMul := New(m, n)
-		mulRange(wantMul, a, b, 0, m)
+		naiveMul(wantMul, a, b)
 		wantAct := wantMul.Clone()
-		biasActRange(wantAct, 0, m, bias, ActReLU)
+		naiveBiasAct(wantAct, bias, ActReLU)
 		wantTB := New(m, n)
-		mulTransBRange(wantTB, a, bt, 0, m, nil, false)
+		naiveMulTransB(wantTB, a, bt)
 		wantTA := New(k, n) // aᵀ·c
-		mulTransARange(wantTA, a, c, 0, k)
-		// A band of the packed product: rows [lo, m), the rest untouched.
-		lo := 0
-		if m > 0 {
-			lo = rng.Intn(m)
-		}
+		naiveMulTransA(wantTA, a, c)
 
 		withKernels(t, func(kernel string) {
 			got := New(m, n)
@@ -287,12 +294,6 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 					t.Fatalf("MulPackedBiasAct reports %d live columns of %d", live, k)
 				}
 				requireBitsEqual(t, "MulPackedBiasAct/"+kernel, got, wantAct)
-				got.Zero()
-				mulPackedInto(got, a, nil, pb.Data, lo, m, bias, ActReLU)
-				requireBitsEqual(t, "mulPackedInto band/"+kernel, got.RowsView(lo, m), wantAct.RowsView(lo, m))
-				if lo > 0 && got.RowsView(0, lo).MaxAbs() != 0 {
-					t.Fatalf("mulPackedInto wrote above its band")
-				}
 			}
 
 			fuzzFill(got.Data, rng)
@@ -332,8 +333,8 @@ func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(40), byte(60), byte(110), byte(110)) // both ~43 % dead
 	f.Add(int64(2), byte(32), byte(22), byte(67), byte(0), byte(180))   // b ~70 % dead
 	f.Add(int64(3), byte(9), byte(12), byte(17), byte(80), byte(255))   // every b column dead
-	f.Add(int64(4), byte(5), byte(8), byte(24), byte(40), byte(100))    // exactly at the gate
-	f.Add(int64(5), byte(16), byte(7), byte(33), byte(0), byte(128))    // dst rows below minPackRows
+	f.Add(int64(4), byte(5), byte(8), byte(24), byte(40), byte(100))    // one 8-row tile
+	f.Add(int64(5), byte(16), byte(7), byte(33), byte(0), byte(128))    // dst rows under one 8-row tile
 	f.Fuzz(func(t *testing.T, seed int64, kb, mb, nb, deadAb, deadBb byte) {
 		k, m, n := clampDim(kb), clampDim(mb), clampDim(nb)
 		rng := rand.New(rand.NewSource(seed))
@@ -348,7 +349,7 @@ func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 				plantNonFinite(a.Data, rng)
 			}
 			want := New(m, n)
-			mulTransARange(want, a, b, 0, m)
+			naiveMulTransA(want, a, b)
 			require := func(tag string, got, want, settled *Matrix) {
 				t.Helper()
 				for i, w := range want.Data {
@@ -379,22 +380,22 @@ func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 	})
 }
 
-// FuzzMulTransBGatedMatchesNaive: dst (+)= a·bᵀ in the destination columns
-// a fuzzed gate lists, with dead columns in a (the depth the product
-// skips), stored over stale values — the unlisted columns +0 — and
-// accumulated — the unlisted columns as dst held them, −0 included — with
-// and without a held set of a, and for finite operands with b declared
-// finite too. Finite operands: bitwise the naive kernel in the listed
-// columns. Then Inf and NaN planted in both operands: a listed column
-// still hides nothing (NaNs may differ in payload), an unlisted one reads
-// what it would whatever its row of b holds. MulTransBPacked, over b's
-// panels, is held to the same.
+// FuzzMulTransBGatedMatchesNaive: dst (+)= a·bᵀ (MulTransBPacked, b in
+// panels) in the destination columns a fuzzed gate lists, with dead
+// columns in a (the depth the product skips), stored over stale values —
+// the unlisted columns +0 — and accumulated — the unlisted columns as dst
+// held them, −0 included — with and without a held set of a, and for
+// finite operands with the panels' Finite bit set and cleared. Finite
+// operands: bitwise the naive kernel in the listed columns. Then Inf and
+// NaN planted in both operands: a listed column still hides nothing
+// (NaNs may differ in payload), an unlisted one reads what it would
+// whatever its row of b holds.
 func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
 	f.Add(int64(1), byte(64), byte(40), byte(60), byte(110), byte(110))
 	f.Add(int64(2), byte(32), byte(33), byte(67), byte(180), byte(60))
 	f.Add(int64(3), byte(9), byte(12), byte(17), byte(80), byte(255)) // every column gated off
 	f.Add(int64(4), byte(8), byte(1), byte(9), byte(0), byte(0))      // nothing dead anywhere
-	f.Add(int64(5), byte(7), byte(21), byte(13), byte(90), byte(128)) // below minPackRows: streaming
+	f.Add(int64(5), byte(7), byte(21), byte(13), byte(90), byte(128)) // two four-row tiles, one row repeated
 	f.Fuzz(func(t *testing.T, seed int64, mb, kb, nb, deadAb, deadOutb byte) {
 		m, k, n := clampDim(mb), clampDim(kb), clampDim(nb)
 		rng := rand.New(rand.NewSource(seed))
@@ -415,7 +416,7 @@ func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
 				require = requireBitsEqualNaNsAlike
 			}
 			want := New(m, n)
-			mulTransBRange(want, a, b, 0, m, nil, false)
+			naiveMulTransB(want, a, b)
 			for i := range want.Data {
 				if gated[i%n] {
 					want.Data[i] = 0
@@ -427,37 +428,26 @@ func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
 					wantAcc.Data[i] += w
 				}
 			}
+			pb := PackB(b) // Finite is what b's scan says
 			knowns := []bool{false}
 			if finite {
-				knowns = append(knowns, true) // b declared finite: only when it is
+				knowns = append(knowns, true) // b vouched for: only when it is finite
 			}
 			withKernels(t, func(kernel string) {
 				gate := scanned(in)
 				var al Live
 				for _, known := range knowns {
+					pb.Finite = known
 					for _, held := range []*Live{nil, &al, &al} {
 						tag := fmt.Sprintf("%s/held=%t/finite=%t", kernel, held != nil, known)
 						got := New(m, n)
 						fuzzFill(got.Data, rng)
-						MulTransBLive(got, a, held, b, known, gate, false)
-						require(t, "MulTransBLive/"+tag, got, want)
+						MulTransBPacked(got, a, held, pb, gate, false)
+						require(t, "MulTransBPacked/"+tag, got, want)
 						got.CopyFrom(dst0)
-						MulTransBLive(got, a, held, b, known, gate, true)
-						require(t, "MulTransBLive acc/"+tag, got, wantAcc)
+						MulTransBPacked(got, a, held, pb, gate, true)
+						require(t, "MulTransBPacked acc/"+tag, got, wantAcc)
 					}
-				}
-				// b held in panels: the transposed panels come from pb's,
-				// and pb's Finite bit is what b's scan says.
-				pb := PackB(b)
-				for _, held := range []*Live{nil, &al} {
-					tag := fmt.Sprintf("%s/held=%t/finite=%t", kernel, held != nil, pb.Finite)
-					got := New(m, n)
-					fuzzFill(got.Data, rng)
-					MulTransBPacked(got, a, held, pb, gate, false)
-					require(t, "MulTransBPacked/"+tag, got, want)
-					got.CopyFrom(dst0)
-					MulTransBPacked(got, a, held, pb, gate, true)
-					require(t, "MulTransBPacked acc/"+tag, got, wantAcc)
 				}
 			})
 		}

@@ -7,9 +7,9 @@ import "fmt"
 // caller is the interval-cost benchmark's grouped-GEMM probe. Every
 // destination element accumulates its k terms in ascending order with
 // individual roundings on the shared microkernels, so a packed product
-// is bit-identical to the Mul/MulBiasAct call over the same operands —
-// including batch-1 rows, which MulBiasAct runs on the streaming kernel
-// and the packed path on the fused row kernel.
+// is bit-identical to the naive a·b over the same operands at every row
+// count — batch-1 rows run the fused row kernel, which steps over a's
+// zeros as the naive loop does.
 
 // PackedB is a B operand packed into nr-wide column panels and kept
 // (owned storage, not the scratch pool), so repeated products against
@@ -110,13 +110,6 @@ func (pb *PackedB) UnpackInto(dst *Matrix) {
 	}
 }
 
-// Unpack returns the operand as a new row-major matrix.
-func (pb *PackedB) Unpack() *Matrix {
-	m := New(pb.K, pb.N)
-	pb.UnpackInto(m)
-	return m
-}
-
 // CopyFrom makes pb a copy of src, an operand of the same shape: its
 // panels and its Finite bit.
 func (pb *PackedB) CopyFrom(src *PackedB) {
@@ -127,14 +120,16 @@ func (pb *PackedB) CopyFrom(src *PackedB) {
 	pb.Finite = src.Finite
 }
 
-// MulPackedBiasAct computes dst = act(a·b + bias) against a pre-packed
-// operand. Unlike MulBiasAct it runs the packed kernels at every row
-// count — a single-row product pays no packing and still gets the
-// register-tiled microkernel. For finite operands it equals
-// MulBiasAct(dst, a, al, b, bias, act) bitwise for the b that was packed.
-// al is the caller's live set of a, or nil (see Live). It returns the
-// number of a's columns the product found live (a.Cols where it made no
-// scan: fewer than four rows).
+// MulPackedBiasAct computes dst = act(a·b + bias) — the forward
+// product — against a pre-packed operand, in one pass: the bias
+// broadcast (when bias is non-nil, length pb.N) and the activation are
+// applied in the GEMM epilogue while the result tile is still hot. For
+// finite operands it is bitwise the naive a·b, then the bias added to
+// every row, then the activation applied element-wise. Products of fewer
+// than four rows (batch-1 selection) pay no packing and no column scan:
+// one fused kernel call sweeps every panel of a row. al is the caller's
+// live set of a, or nil (see Live). It returns the number of a's columns
+// the product found live (a.Cols where it made no scan).
 func MulPackedBiasAct(dst, a *Matrix, al *Live, pb *PackedB, bias []float64, act Activation) (liveK int) {
 	if a.Cols != pb.K || dst.Rows != a.Rows || dst.Cols != pb.N {
 		panic(fmt.Sprintf("mat: MulPackedBiasAct dims (%dx%d)·(%dx%d)->(%dx%d)",
@@ -143,49 +138,31 @@ func MulPackedBiasAct(dst, a *Matrix, al *Live, pb *PackedB, bias []float64, act
 	if bias != nil && len(bias) != pb.N {
 		panic("mat: MulPackedBiasAct bias length mismatch")
 	}
-	return mulPackedInto(dst, a, al, pb.Data, 0, a.Rows, bias, act)
-}
-
-// mulPackedInto runs rows [r0, r1) of a packed product and returns the
-// live-column count it ran over; al is the caller's live set of those
-// rows, or nil. The degenerate shapes (k = 0 or n = 0) zero-fill and
-// apply the epilogue exactly like the streaming kernel.
-func mulPackedInto(dst, a *Matrix, al *Live, bp []float64, r0, r1 int, bias []float64, act Activation) (liveK int) {
-	if a.Cols == 0 || dst.Cols == 0 {
-		for i := r0; i < r1; i++ {
-			clear(dst.Row(i))
-		}
-		biasActRange(dst, r0, r1, bias, act)
-		return a.Cols
-	}
+	k, n := a.Cols, dst.Cols
 	ep := epilogue{bias: bias, act: act}
-	if r1-r0 < mr {
-		// Narrow products (batch-1 action selection on persistent
-		// packs): the fused multi-panel row kernel skips the per-panel
-		// call dispatch and the column scan.
-		k, n := a.Cols, dst.Cols
+	if k == 0 || n == 0 { // the kernels read a's first element and the panels'
+		storeZeros(dst, n, &ep)
+		return k
+	}
+	if a.Rows < mr {
 		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
-		for i := r0; i < r1; i++ {
-			gemmPackedRowFused(dst.Row(i), a.Row(i), bp, rowScr.Data, k, n, &ep)
+		for i := 0; i < a.Rows; i++ {
+			gemmPackedRowFused(dst.Row(i), a.Row(i), pb.Data, rowScr.Data, k, n, &ep)
 		}
 		PutScratch(rowScr)
 		return k
 	}
 	al, borrowed := borrowLive(al)
-	al.scan(a, r0, r1)
+	al.Scan(a)
 	liveK, _ = al.Count()
-	gemmPackedRange(dst, a, bp, r0, r1, al.list(), &ep)
+	gemmPacked(dst, a, pb.Data, al.list(), &ep)
 	putLive(al, borrowed)
 	return liveK
 }
 
-// Group is one band of a grouped product: the operand (packed when the
-// caller caches panels, raw otherwise) and its bias.
+// Group is one band of a grouped product: its packed operand and bias.
 type Group struct {
-	// B is the raw operand, packed into scratch per call when Packed is
-	// nil. Ignored when Packed is set.
-	B *Matrix
-	// Packed is the pre-packed operand (see PackB), used as-is.
+	// Packed is the band's operand (see PackB).
 	Packed *PackedB
 	// Bias is broadcast-added in the epilogue (nil for none).
 	Bias []float64
@@ -193,9 +170,9 @@ type Group struct {
 
 // MulGroupedBiasAct computes the block-diagonal product: a and dst are
 // split into len(groups) bands of rowsPer consecutive rows, and band g
-// is act(a_g·B_g + bias_g). Every operand must share the depth a.Cols
-// and the output width dst.Cols. Each band is bit-identical to
-// MulBiasAct over that band alone.
+// is MulPackedBiasAct of that band alone against group g. It stays only
+// because the benchmark's grouped-GEMM probe (benchmark/probes.go) names
+// it.
 func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activation) {
 	if rowsPer <= 0 {
 		panic("mat: MulGroupedBiasAct rowsPer must be positive")
@@ -206,40 +183,10 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 	}
 	k, n := a.Cols, dst.Cols
 	for g := range groups {
-		gk, gn := groupShape(&groups[g])
-		if gk != k || gn != n {
-			panic(fmt.Sprintf("mat: MulGroupedBiasAct group %d is %dx%d, want %dx%d", g, gk, gn, k, n))
-		}
-		if groups[g].Bias != nil && len(groups[g].Bias) != n {
-			panic("mat: MulGroupedBiasAct bias length mismatch")
-		}
+		r0, r1 := g*rowsPer, (g+1)*rowsPer
+		// Band headers on the stack: RowsView's escape to the heap.
+		x := Matrix{Rows: rowsPer, Cols: k, Data: a.Data[r0*k : r1*k]}
+		y := Matrix{Rows: rowsPer, Cols: n, Data: dst.Data[r0*n : r1*n]}
+		MulPackedBiasAct(&y, &x, nil, groups[g].Packed, groups[g].Bias, act)
 	}
-	// Each band runs mulPackedInto over its own panels (bands under mr
-	// rows on its fused row kernel), packing into scratch when the
-	// caller holds no persistent panels.
-	for g := range groups {
-		r0 := g * rowsPer
-		bp, scratch := groupPanels(&groups[g])
-		mulPackedInto(dst, a, nil, bp, r0, r0+rowsPer, groups[g].Bias, act)
-		if scratch != nil {
-			PutScratch(scratch)
-		}
-	}
-}
-
-func groupShape(g *Group) (k, n int) {
-	if g.Packed != nil {
-		return g.Packed.K, g.Packed.N
-	}
-	return g.B.Rows, g.B.Cols
-}
-
-// groupPanels resolves a group's packed panels, packing into scratch
-// (returned for release) when no persistent pack is attached.
-func groupPanels(g *Group) (bp []float64, scratch *Matrix) {
-	if g.Packed != nil {
-		return g.Packed.Data, nil
-	}
-	scratch = packB(g.B, nil)
-	return scratch.Data, scratch
 }

@@ -7,17 +7,17 @@ import (
 	"testing"
 )
 
-// The grouped/packed path's contract is the same as the tiled one:
-// bitwise equality with the per-agent MulBiasAct calls it replaces, at
-// every kernel tier. These tests are the mat-layer half of the
-// PR 8 golden differential — the bdq pool tests build on them.
+// The packed and grouped products' contract is the tiles' own: bitwise
+// equality with the naive a·b and its epilogue, at every kernel tier.
+// These tests are the mat-layer half of the pooled-vs-solo golden
+// differential — the bdq pool tests build on them.
 
 func TestMulPackedBiasActMatchesMulBiasAct(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct{ m, k, n int }{
-		{1, 22, 512},  // batch-1 select: streaming per-agent, packed pooled
-		{3, 22, 512},  // below minPackRows, ragged tile edge
-		{8, 512, 256}, // at the gate
+		{1, 22, 512},  // batch-1 select: the fused row kernel
+		{3, 22, 512},  // under four rows, ragged tile edge
+		{8, 512, 256}, // one 8-row tile
 		{64, 256, 128},
 		{5, 128, 18}, // ragged n
 		{1, 0, 7},    // degenerate depth
@@ -33,7 +33,8 @@ func TestMulPackedBiasActMatchesMulBiasAct(t *testing.T) {
 
 		for _, act := range []Activation{ActIdentity, ActReLU} {
 			want := New(sh.m, sh.n)
-			MulBiasAct(want, a, nil, b, bias, act)
+			naiveMul(want, a, b)
+			naiveBiasAct(want, bias, act)
 			withKernels(t, func(kernel string) {
 				pb := PackB(b)
 				got := New(sh.m, sh.n)
@@ -71,32 +72,24 @@ func TestMulGroupedBiasActMatchesPerAgent(t *testing.T) {
 			fuzzFill(bs[g].Data, rng)
 			bias := make([]float64, tc.n)
 			fuzzFill(bias, rng)
-			groups[g] = Group{B: bs[g], Bias: bias}
+			groups[g] = Group{Packed: PackB(bs[g]), Bias: bias}
 		}
 
 		for _, act := range []Activation{ActIdentity, ActReLU} {
-			// Reference: one MulBiasAct per band, exactly the per-agent loop.
+			// Reference: the naive product of each band, exactly the
+			// per-agent loop.
 			want := New(a.Rows, tc.n)
 			for g := range groups {
-				r0 := g * tc.rowsPer
-				MulBiasAct(want.RowsView(r0, r0+tc.rowsPer), a.RowsView(r0, r0+tc.rowsPer), nil,
-					bs[g], groups[g].Bias, act)
+				r0, r1 := g*tc.rowsPer, (g+1)*tc.rowsPer
+				band := want.RowsView(r0, r1)
+				naiveMul(band, a.RowsView(r0, r1), bs[g])
+				naiveBiasAct(band, groups[g].Bias, act)
 			}
 			withKernels(t, func(kernel string) {
-				// Raw operands (scratch packing per call).
 				got := New(a.Rows, tc.n)
 				fuzzFill(got.Data, rng)
 				MulGroupedBiasAct(got, a, tc.rowsPer, groups, act)
-				requireBitsEqual(t, "grouped-raw/"+kernel, got, want)
-
-				// Persistent packed panels (the pooled select cache).
-				packed := make([]Group, len(groups))
-				for g := range groups {
-					packed[g] = Group{Packed: PackB(bs[g]), Bias: groups[g].Bias}
-				}
-				fuzzFill(got.Data, rng)
-				MulGroupedBiasAct(got, a, tc.rowsPer, packed, act)
-				requireBitsEqual(t, "grouped-packed/"+kernel, got, want)
+				requireBitsEqual(t, "grouped/"+kernel, got, want)
 			})
 		}
 	}
@@ -119,9 +112,6 @@ func TestKernelNameProvenance(t *testing.T) {
 		haveAVX2, haveAVX512 = c.avx2, c.avx512
 		if got := KernelName(); got != c.want {
 			t.Errorf("KernelName(avx2=%v avx512=%v) = %q, want %q", c.avx2, c.avx512, got, c.want)
-		}
-		if HaveAVX2() != c.avx2 {
-			t.Errorf("HaveAVX2() = %v, want %v", HaveAVX2(), c.avx2)
 		}
 	}
 }
@@ -166,7 +156,7 @@ func TestRowsView(t *testing.T) {
 
 // TestPackedBHoldsItsOperand holds the panel layout to the row-major
 // operand it stands for, at ragged and one-row shapes: At and the runs
-// read it back element for element and in row-major order, Unpack
+// read it back element for element and in row-major order, UnpackInto
 // restores it, and RepackFrom and CopyFrom keep Finite what a scan of
 // the operand says.
 func TestPackedBHoldsItsOperand(t *testing.T) {
@@ -184,7 +174,7 @@ func TestPackedBHoldsItsOperand(t *testing.T) {
 			stream = append(stream, pb.Run(i)...)
 		}
 		requireBitsEqual(t, fmt.Sprintf("%dx%d runs", k, n), FromSlice(k, n, stream), b)
-		requireBitsEqual(t, fmt.Sprintf("%dx%d Unpack", k, n), pb.Unpack(), b)
+		requireBitsEqual(t, fmt.Sprintf("%dx%d UnpackInto", k, n), unpack(pb), b)
 		for i := 0; i < k; i++ {
 			for j := 0; j < n; j++ {
 				if math.Float64bits(pb.At(i, j)) != math.Float64bits(b.At(i, j)) {
@@ -212,6 +202,13 @@ func TestPackedBHoldsItsOperand(t *testing.T) {
 		if cp.CopyFrom(pb); !cp.Finite {
 			t.Fatalf("%dx%d: CopyFrom of a finite operand leaves Finite unset", k, n)
 		}
-		requireBitsEqual(t, fmt.Sprintf("%dx%d copy", k, n), cp.Unpack(), b)
+		requireBitsEqual(t, fmt.Sprintf("%dx%d copy", k, n), unpack(cp), b)
 	}
+}
+
+// unpack returns the operand pb holds as a new row-major matrix.
+func unpack(pb *PackedB) *Matrix {
+	m := New(pb.K, pb.N)
+	pb.UnpackInto(m)
+	return m
 }

@@ -35,14 +35,9 @@ type Live struct {
 // Reset forgets the scan: the operand it was made of has new contents.
 func (l *Live) Reset() { l.scanned = false }
 
-// Scan makes l the live set of a, unless it already holds one: for a
-// holder whose set a later product reads as a gate (MulTransBLive's out)
-// when the products before it may have made no scan.
-func (l *Live) Scan(a *Matrix) { l.scan(a, 0, a.Rows) }
-
 // Count returns how many columns the held scan found live; ok is false
-// when no product has scanned the operand since Reset (products of fewer
-// than four rows make no scan).
+// when no product has scanned the operand since Reset (a forward product
+// of fewer than four rows makes no scan).
 func (l *Live) Count() (n int, ok bool) { return l.n, l.scanned }
 
 // liveFree recycles the sets of products that were handed none, so a
@@ -81,9 +76,11 @@ func putLive(l *Live, borrowed bool) {
 	liveFree.Unlock()
 }
 
-// scan makes l the live set of rows [r0, r1) of a, unless it already
-// holds it.
-func (l *Live) scan(a *Matrix, r0, r1 int) {
+// Scan makes l the live set of a, unless it already holds one. The
+// products scan what they need; a holder calls Scan itself when a later
+// product reads its set as a gate (MulTransBPacked's out) and the products
+// before it may have made no scan.
+func (l *Live) Scan(a *Matrix) {
 	k := a.Cols
 	if l.scanned {
 		if l.k != k {
@@ -97,10 +94,10 @@ func (l *Live) scan(a *Matrix, r0, r1 int) {
 	}
 	or := l.or[:k]
 	clear(or)
-	for i := r0; i < r1 && k > 0; i += 4 {
+	for i := 0; i < a.Rows && k > 0; i += 4 {
 		// Four rows a pass; a last pass of fewer repeats its final row,
 		// which an OR does not mind.
-		last := min(i+3, r1-1)
+		last := min(i+3, a.Rows-1)
 		x0, x1, x2, x3 := a.Row(i), a.Row(min(i+1, last)), a.Row(min(i+2, last)), a.Row(last)
 		if haveAVX2 {
 			orRows4(k, &x0[0], &x1[0], &x2[0], &x3[0], &or[0])
@@ -173,20 +170,8 @@ func pick(list []int32, i int) int {
 // all of them.
 func nonFinite(v float64) uint64 { return math.Float64bits(v)&^(1<<63) + 1<<52 }
 
-// finiteIn reports whether every element of b in the given rows (all of
-// them when rows is nil) and columns is finite.
-func finiteIn(b *Matrix, rows, cols []int32) bool {
-	var carry uint64
-	for j, n := 0, span(rows, b.Rows); j < n; j++ {
-		row := b.Row(pick(rows, j))
-		for _, t := range cols {
-			carry |= nonFinite(row[t])
-		}
-	}
-	return carry>>63 == 0
-}
-
-// finiteInPanels is finiteIn for an operand held in panels.
+// finiteInPanels reports whether every element of the operand pb holds
+// in the given rows (all of them when rows is nil) and columns is finite.
 func finiteInPanels(pb *PackedB, rows, cols []int32) bool {
 	var carry uint64
 	for j, n := 0, span(rows, pb.K); j < n; j++ {
@@ -201,7 +186,7 @@ func finiteInPanels(pb *PackedB, rows, cols []int32) bool {
 // settleDeadColumns stores +0, the sum a column-mapped product leaves
 // out, in the listed rows of dst (every row when rows is nil) and the dead
 // destination columns. Only a storing product calls it: an accumulating
-// one leaves those elements as they stand (MulTransBLive's accumulation
+// one leaves those elements as they stand (MulTransBPacked's accumulation
 // precondition).
 func settleDeadColumns(dst *Matrix, rows, dead []int32) {
 	for i, n := 0, span(rows, dst.Rows); i < n; i++ {

@@ -9,9 +9,10 @@ import (
 )
 
 // The live × live block of the backward pass (DESIGN.md, "The training
-// step and its kernel tiers"), held bit for bit to the streaming kernels: MulTransA* packing b's live columns only,
-// MulTransBLive computing the destination columns a gate lists and no
-// others, both with the sets the caller holds.
+// step and its kernel tiers"), held bit for bit to the naive kernels:
+// MulTransA* packing b's live columns only, MulTransBPacked computing the
+// destination columns a gate lists and no others, both with the sets the
+// caller holds.
 
 // liveExactly makes exactly the listed columns of m live: every other
 // column is ±0 in every row, every listed one non-zero in at least one.
@@ -42,7 +43,7 @@ func pickColumns(n, count int, rng *rand.Rand) []int {
 // scanned returns the live set of m, scanned.
 func scanned(m *Matrix) *Live {
 	l := &Live{}
-	l.scan(m, 0, m.Rows)
+	l.Scan(m)
 	return l
 }
 
@@ -73,7 +74,7 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 					deadRow++
 				}
 				wantTA := New(m, n)
-				mulTransARange(wantTA, x, g, 0, m)
+				naiveMulTransA(wantTA, x, g)
 
 				// gradIn = g2·Wᵀ: g2 is batch×m, W is n×m, and the gate is
 				// the live set of an n-wide input with exactly liveN live
@@ -86,7 +87,8 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 				liveExactly(g2, pickColumns(m, m-2, rng), rng)
 				liveExactly(in, cols, rng)
 				full := New(batch, n)
-				mulTransBRange(full, g2, w, 0, batch, nil, false)
+				naiveMulTransB(full, g2, w)
+				pw := PackB(w)
 				wantTB := New(batch, n)
 				for _, c := range cols {
 					for r := 0; r < batch; r++ {
@@ -129,63 +131,66 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 
 					gate := scanned(in)
 					gotTB := New(batch, n)
-					// W is finite: declaring it so changes no bit.
+					wantFullAcc := dst0.Clone()
+					Add(wantFullAcc, wantFullAcc, full)
+					// W is finite: vouching for it changes no bit.
 					for _, finite := range []bool{false, true} {
+						pw.Finite = finite
 						ftag := fmt.Sprintf("%s/%s/finite=%t", kernel, tag, finite)
 						for i := range gotTB.Data {
 							gotTB.Data[i] = math.NaN() // stale: every element must be written
 						}
-						MulTransBLive(gotTB, g2, nil, w, finite, gate, false)
-						requireBitsEqual(t, "MulTransBLive gated/"+ftag, gotTB, wantTB)
+						MulTransBPacked(gotTB, g2, nil, pw, gate, false)
+						requireBitsEqual(t, "MulTransBPacked gated/"+ftag, gotTB, wantTB)
 						gotTB.CopyFrom(dst0)
-						MulTransBLive(gotTB, g2, scanned(g2), w, finite, gate, true)
-						requireBitsEqual(t, "MulTransBLive gated acc/"+ftag, gotTB, wantTBAcc)
+						MulTransBPacked(gotTB, g2, scanned(g2), pw, gate, true)
+						requireBitsEqual(t, "MulTransBPacked gated acc/"+ftag, gotTB, wantTBAcc)
 						// Ungated and accumulating: every column, added.
 						gotTB.CopyFrom(dst0)
-						wantFullAcc := dst0.Clone()
-						wantFullAcc.AddScaled(1, full)
-						MulTransBLive(gotTB, g2, nil, w, finite, nil, true)
-						requireBitsEqual(t, "MulTransBLive acc/"+ftag, gotTB, wantFullAcc)
+						MulTransBPacked(gotTB, g2, nil, pw, nil, true)
+						requireBitsEqual(t, "MulTransBPacked acc/"+ftag, gotTB, wantFullAcc)
 					}
-				})
 
-				// Below the pack gate the streaming kernel keeps the same
-				// contract.
-				few := minPackRows - 1
-				gotS := New(few, n)
-				gotS.Fill(math.NaN())
-				wantS := New(few, n)
-				for _, c := range cols {
-					for r := 0; r < few; r++ {
-						wantS.Set(r, c, full.At(r, c))
+					// Seven rows, under one 8-row tile (two four-row tiles, the
+					// second repeating a row), W read for Inf and NaN: the same
+					// contract.
+					few := 7
+					pw.Finite = false
+					gotS := New(few, n)
+					gotS.Fill(math.NaN())
+					wantS := New(few, n)
+					for _, c := range cols {
+						for r := 0; r < few; r++ {
+							wantS.Set(r, c, full.At(r, c))
+						}
 					}
-				}
-				MulTransBLive(gotS, g2.RowsView(0, few), nil, w, false, scanned(in), false)
-				requireBitsEqual(t, "MulTransBLive streaming/"+tag, gotS, wantS)
+					MulTransBPacked(gotS, g2.RowsView(0, few), nil, pw, scanned(in), false)
+					requireBitsEqual(t, "MulTransBPacked seven rows/"+kernel+"/"+tag, gotS, wantS)
+				})
 			}
 		}
 	}
 }
 
-// TestLiveMemo pins what a held set is: unscanned until a product of four
-// rows or more needs it, reused as it stands until Reset, refused for an
-// operand of another width.
+// TestLiveMemo pins what a held set is: unscanned until a product needs
+// it (a forward product of fewer than four rows makes no scan), reused as
+// it stands until Reset, refused for an operand of another width.
 func TestLiveMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, b := New(9, 12), New(12, 5)
 	fuzzFill(a.Data, rng)
 	fuzzFill(b.Data, rng)
 	liveExactly(a, []int{1, 4, 5, 11}, rng)
-	dst := New(9, 5)
+	dst, pb := New(9, 5), PackB(b)
 	var l Live
 	if _, ok := l.Count(); ok {
 		t.Fatal("zero Live claims a scan")
 	}
-	MulBiasAct(dst.RowsView(0, 3), a.RowsView(0, 3), &l, b, nil, ActIdentity)
+	MulPackedBiasAct(dst.RowsView(0, 3), a.RowsView(0, 3), &l, pb, nil, ActIdentity)
 	if _, ok := l.Count(); ok {
 		t.Fatal("a three-row product scanned")
 	}
-	if got := MulBiasAct(dst, a, &l, b, nil, ActIdentity); got != 4 {
+	if got := MulPackedBiasAct(dst, a, &l, pb, nil, ActIdentity); got != 4 {
 		t.Fatalf("product found %d live columns, want 4", got)
 	}
 	if n, ok := l.Count(); !ok || n != 4 {
@@ -193,11 +198,11 @@ func TestLiveMemo(t *testing.T) {
 	}
 	// New contents without a Reset: the product trusts the holder.
 	liveExactly(a, []int{1, 4}, rng)
-	if got := MulBiasAct(dst, a, &l, b, nil, ActIdentity); got != 4 {
+	if got := MulPackedBiasAct(dst, a, &l, pb, nil, ActIdentity); got != 4 {
 		t.Fatalf("held set rescanned without Reset: %d", got)
 	}
 	l.Reset()
-	if got := MulBiasAct(dst, a, &l, b, nil, ActIdentity); got != 2 {
+	if got := MulPackedBiasAct(dst, a, &l, pb, nil, ActIdentity); got != 2 {
 		t.Fatalf("after Reset the product found %d live columns, want 2", got)
 	}
 	defer func() {
@@ -206,7 +211,7 @@ func TestLiveMemo(t *testing.T) {
 		}
 	}()
 	MulTransB(New(9, 9), a, a) // fine: no set
-	MulBiasAct(New(12, 9), b, &l, New(5, 9), nil, ActIdentity)
+	MulPackedBiasAct(New(12, 9), b, &l, NewPackedB(5, 9), nil, ActIdentity)
 }
 
 // TestNonFiniteContractBackward pins the backward products' rows of the
@@ -260,7 +265,7 @@ func TestNonFiniteContractBackward(t *testing.T) {
 		w.Set(deadOut, 1, math.NaN())
 		w.Set(liveOut, 1, math.Inf(-1))
 		gin := New(batch, n)
-		MulTransBLive(gin, g2, nil, w, false, scanned(in), false)
+		MulTransBPacked(gin, g2, nil, PackB(w), scanned(in), false)
 		for r := 0; r < batch; r++ {
 			if v := gin.At(r, deadOut); math.Float64bits(v) != 0 {
 				t.Fatalf("%s: gated column %d row %d = %v, want +0", kernel, deadOut, r, v)
@@ -303,6 +308,7 @@ func TestScratchShapesStable(t *testing.T) {
 	x, g, w := New(batch, in), New(batch, out), New(in, out)
 	dw, gin, y := New(in, out), New(batch, in), New(batch, out)
 	fuzzFill(w.Data, rng)
+	pw := PackB(w)
 	var after5 []string
 	for step := 1; step <= 500; step++ {
 		fuzzFill(x.Data, rng)
@@ -310,9 +316,9 @@ func TestScratchShapesStable(t *testing.T) {
 		liveExactly(x, pickColumns(in, rng.Intn(in+1), rng), rng)
 		liveExactly(g, pickColumns(out, rng.Intn(out+1), rng), rng)
 		var xl, gl Live
-		MulBiasAct(y, x, &xl, w, nil, ActReLU)
+		MulPackedBiasAct(y, x, &xl, pw, nil, ActReLU)
 		MulTransALive(dw, x, &xl, g, &gl)
-		MulTransBLive(gin, g, &gl, w, false, &xl, false)
+		MulTransBPacked(gin, g, &gl, pw, &xl, false)
 		if step == 5 {
 			after5 = scratchShapes()
 		}

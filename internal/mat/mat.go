@@ -4,10 +4,7 @@
 // rest of the repository needs, implemented with cache-friendly loops.
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense, row-major matrix of float64 values.
 type Matrix struct {
@@ -30,21 +27,6 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 		panic(fmt.Sprintf("mat: data length %d != %d*%d", len(data), rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
-// FromRows builds a matrix by copying the given equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("mat: ragged row %d: len %d != %d", i, len(r), m.Cols))
-		}
-		copy(m.Row(i), r)
-	}
-	return m
 }
 
 // At returns the element at row i, column j.
@@ -94,84 +76,55 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.Data, src.Data)
 }
 
-// Mul computes dst = a·b. dst must be a.Rows×b.Cols and may not alias a
-// or b. Large products run on the cache-blocked, register-tiled kernel
-// (see tiled.go); small ones stay on the streaming kernel. Both paths
-// accumulate every destination element in ascending k order with
-// individual roundings, so for finite operands results are bit-identical
-// across the tiled and streaming paths and every kernel tier (see
-// KernelName). A zero in a hides a non-finite element of b on the streaming
-// path always and on the tiled path only when its whole column of a is
-// zero; elsewhere the tiled product is NaN (DESIGN.md, "Determinism and
-// the non-finite contract").
+// Mul computes dst = a·b, dst a.Rows×b.Cols, not aliasing a or b: b
+// packed into pooled scratch, then MulPackedBiasAct. It stays only
+// because the benchmark's GEMM probes (benchmark/probes.go) name it.
 func Mul(dst, a, b *Matrix) {
-	MulBiasAct(dst, a, nil, b, nil, ActIdentity)
+	pb, s := scratchPanels(b)
+	MulPackedBiasAct(dst, a, nil, &pb, nil, ActIdentity)
+	PutScratch(s)
 }
 
-// MulBiasAct computes dst = act(a·b + bias) in one pass: the bias
-// broadcast (when bias is non-nil, length b.Cols) and activation are
-// applied in the GEMM epilogue while the result tile is still hot,
-// instead of re-walking dst afterwards. For finite operands it is
-// bitwise Mul, then the bias added to every row, then the activation
-// applied element-wise. al is the caller's live set of a, or nil (see
-// Live). It returns the number of a's columns the product found live
-// (a.Cols on the streaming path, which makes no scan).
-func MulBiasAct(dst, a *Matrix, al *Live, b *Matrix, bias []float64, act Activation) (liveK int) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: Mul dims (%dx%d)·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	if bias != nil && len(bias) != b.Cols {
-		panic("mat: MulBiasAct bias length mismatch")
-	}
-	if a.Rows >= minPackRows && a.Cols > 0 && b.Cols > 0 {
-		bp := packB(b, nil)
-		liveK = mulPackedInto(dst, a, al, bp.Data, 0, a.Rows, bias, act)
-		PutScratch(bp)
-		return liveK
-	}
-	mulRange(dst, a, b, 0, a.Rows)
-	biasActRange(dst, 0, a.Rows, bias, act)
-	return a.Cols
-}
-
-// MulTransA computes dst = aᵀ·b. dst must be a.Cols×b.Cols. Large
-// products run on the tiled kernel; for finite operands all paths are
-// bit-identical.
+// MulTransA computes dst = aᵀ·b, dst a.Cols×b.Cols: MulTransALive with
+// no live sets held. It stays only because the benchmark's GEMM probes
+// name it.
 func MulTransA(dst, a, b *Matrix) { MulTransALive(dst, a, nil, b, nil) }
 
-// MulTransALive is MulTransA for a caller that holds the operands' live
-// sets: al of a and bl of b, or nil (see Live); the ones given hold their
-// scans on return, whichever path ran (a gate handed to MulTransBLive
-// next must).
-func MulTransALive(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic("mat: MulTransA dimension mismatch")
-	}
-	if a.Cols >= minPackRows && a.Rows > 0 && b.Cols > 0 {
-		mulTransAPacked(dst, a, al, b, bl)
-		return
-	}
-	mulTransARange(dst, a, b, 0, a.Cols)
-	if al != nil {
-		al.scan(a, 0, a.Rows)
-	}
-	if bl != nil {
-		bl.scan(b, 0, b.Rows)
-	}
+// MulTransB computes dst = a·bᵀ, dst a.Rows×b.Rows: b packed into pooled
+// scratch, then MulTransBPacked, ungated. The panels' Finite bit is left
+// unset, so the product reads b for Inf and NaN before it skips any of
+// a's dead depth and, like Dot, hides nothing. It stays only because the
+// benchmark's GEMM probes name it.
+func MulTransB(dst, a, b *Matrix) {
+	pb, s := scratchPanels(b)
+	MulTransBPacked(dst, a, nil, &pb, nil, false)
+	PutScratch(s)
 }
 
-// mulTransAPacked is the tiled form of MulTransA, over the live × live
+// scratchPanels packs b into pooled scratch: the panels, Finite unset,
+// and the matrix holding them, for PutScratch.
+func scratchPanels(b *Matrix) (PackedB, *Matrix) {
+	s := packB(b, nil)
+	return PackedB{K: b.Rows, N: b.Cols, Data: s.Data}, s
+}
+
+// MulTransALive computes dst = aᵀ·b, dst a.Cols×b.Cols — dW = xᵀ·g —
+// for a caller that holds the operands' live sets: al of a and bl of b,
+// or nil (see Live); the ones given hold their scans on return (a gate
+// handed to MulTransBPacked next must). It works on the live × live
 // block of the destination. A column of a that is ±0 in every row is a
 // destination row whose sum is +0, and a column of b that is ±0 in every
 // row a destination column whose sum is: the product clears them without
 // a kernel. The microkernel sees the live rows only, and — where that
 // saves a panel — panels packed from b's live columns only.
-func mulTransAPacked(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
+func MulTransALive(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic("mat: MulTransA dimension mismatch")
+	}
 	al, aBorrowed := borrowLive(al)
 	bl, bBorrowed := borrowLive(bl)
-	al.scan(a, 0, a.Rows)
-	bl.scan(b, 0, b.Rows)
+	al.Scan(a)
+	bl.Scan(b)
 	rows := al.list()
 	ep := epilogue{cols: bl.compact()}
 	if rows != nil {
@@ -187,26 +140,19 @@ func mulTransAPacked(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
 	putLive(bl, bBorrowed)
 }
 
-// MulTransB computes dst = a·bᵀ. dst must be a.Rows×b.Rows. Large
-// products run on the tiled kernel; all paths are bit-identical. Like
-// Dot, this product hides nothing: a non-finite b element turns its
-// destination column NaN whatever it is multiplied by. The tiled path
-// therefore skips a's dead columns only after checking that the b
-// columns they meet are finite, where 0·bv is the ±0 that changes no sum.
-func MulTransB(dst, a, b *Matrix) {
-	MulTransBLive(dst, a, nil, b, false, nil, false)
-}
-
-// MulTransBLive is MulTransB for a caller that holds more than the
-// operands. al is its live set of a, or nil (see Live). finite says the
-// caller knows every element of b to be finite; the product then skips
-// a's dead depth without first reading the rows of b it meets for Inf
-// and NaN, which false makes it do. out, when non-nil, is a scanned live
-// set over the destination's columns naming the ones anybody will read:
-// the product computes those, from the rows of b behind them alone, and
-// stores +0 in the rest — so a non-finite element in an unlisted row of
-// b is hidden, where MulTransB hides nothing. accumulate adds the
-// product to dst (dst + sum, one rounding per element: bitwise
+// MulTransBPacked computes dst = a·bᵀ — gradIn = g·Wᵀ — for b held in
+// panels, the form nn keeps its weights in: the transposed panels the
+// product runs on are built from pb's. al is the caller's live set of a,
+// or nil (see Live). Like Dot, the product hides nothing: a non-finite b
+// element turns its destination column NaN whatever it is multiplied by.
+// It skips a's dead depth only where the b elements it meets are finite,
+// where 0·bv is the ±0 that changes no sum: pb.Finite vouches for that,
+// and when it is unset the product reads those rows of b first. out,
+// when non-nil, is a scanned live set over the destination's columns
+// naming the ones anybody will read: the product computes those, from
+// the rows of b behind them alone, and stores +0 in the rest — so a
+// non-finite element in an unlisted row of b is hidden. accumulate adds
+// the product to dst (dst + sum, one rounding per element: bitwise
 // `tmp = a·bᵀ; dst += tmp`) instead of storing it, and then leaves the
 // unlisted columns as they stand.
 //
@@ -217,79 +163,34 @@ func MulTransB(dst, a, b *Matrix) {
 // and only ever has sums added to it, and in round-to-nearest a sum is −0
 // only when both addends are, so none of them ever holds a −0 (DESIGN.md
 // §14).
-func MulTransBLive(dst, a *Matrix, al *Live, b *Matrix, finite bool, out *Live, accumulate bool) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic("mat: MulTransB dimension mismatch")
-	}
-	mulTransB(dst, a, al, transBOperand{b: b}, finite, out, accumulate)
-}
-
-// MulTransBPacked is MulTransBLive with b held in panels, the form nn
-// keeps its weights in: the transposed panels the product runs on are
-// built from pb's, and pb.Finite stands in for the caller's finite. It
-// is bitwise MulTransBLive over the operand pb holds.
 func MulTransBPacked(dst, a *Matrix, al *Live, pb *PackedB, out *Live, accumulate bool) {
 	if a.Cols != pb.N || dst.Rows != a.Rows || dst.Cols != pb.K {
 		panic("mat: MulTransBPacked dimension mismatch")
 	}
-	mulTransB(dst, a, al, transBOperand{pb: pb}, pb.Finite, out, accumulate)
-}
-
-// transBOperand is the b of a·bᵀ in either of the forms it comes in:
-// row-major b, or pb's panels.
-type transBOperand struct {
-	b  *Matrix
-	pb *PackedB
-}
-
-// rows is the operand's row count, the product's destination width.
-func (o transBOperand) rows() int {
-	if o.pb != nil {
-		return o.pb.K
-	}
-	return o.b.Rows
-}
-
-func mulTransB(dst, a *Matrix, al *Live, b transBOperand, finite bool, out *Live, accumulate bool) {
 	var keep []int32 // the rows of b, destination columns, to compute: nil is all
 	if out != nil {
 		if n, ok := out.Count(); !ok || out.k != dst.Cols {
-			panic(fmt.Sprintf("mat: MulTransBLive out set (scanned %t, %d of %d) for %d columns", ok, n, out.k, dst.Cols))
+			panic(fmt.Sprintf("mat: MulTransBPacked out set (scanned %t, %d of %d) for %d columns", ok, n, out.k, dst.Cols))
 		}
 		if keep = out.list(); keep != nil && !accumulate {
 			settleDeadColumns(dst, nil, out.deadList())
 		}
 	}
-	if a.Rows >= minPackRows && a.Cols > 0 && b.rows() > 0 {
-		al, borrowed := borrowLive(al)
-		al.scan(a, 0, a.Rows)
-		live := al.list()
-		var bp *Matrix
-		if b.pb != nil {
-			if live != nil && !finite && !finiteInPanels(b.pb, keep, al.deadList()) {
-				live = nil
-			}
-			bp = packBTPanels(b.pb, keep, live)
-		} else {
-			if live != nil && !finite && !finiteIn(b.b, keep, al.deadList()) {
-				live = nil
-			}
-			bp = packBT(b.b, keep, live)
-		}
-		gemmPackedRange(dst, a, bp.Data, 0, a.Rows, live, &epilogue{accumulate: accumulate, cols: keep})
-		PutScratch(bp)
-		putLive(al, borrowed)
+	ep := epilogue{accumulate: accumulate, cols: keep}
+	if a.Cols == 0 {
+		storeZeros(dst, span(keep, dst.Cols), &ep)
 		return
 	}
-	if b.pb == nil {
-		mulTransBRange(dst, a, b.b, 0, a.Rows, keep, accumulate)
-		return
+	al, borrowed := borrowLive(al)
+	al.Scan(a)
+	live := al.list()
+	if live != nil && !pb.Finite && !finiteInPanels(pb, keep, al.deadList()) {
+		live = nil
 	}
-	// Too few rows to pack for: the streaming kernel reads b row-major.
-	rm := GetScratch(b.pb.K, b.pb.N)
-	b.pb.UnpackInto(rm)
-	mulTransBRange(dst, a, rm, 0, a.Rows, keep, accumulate)
-	PutScratch(rm)
+	bp := packBTPanels(pb, keep, live)
+	gemmPacked(dst, a, bp.Data, live, &ep)
+	PutScratch(bp)
+	putLive(al, borrowed)
 }
 
 // Add computes dst = a + b element-wise; dst may alias a or b.
@@ -314,14 +215,6 @@ func Sub(dst, a, b *Matrix) {
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {
 		m.Data[i] *= s
-	}
-}
-
-// AddScaled computes m += s·a.
-func (m *Matrix) AddScaled(s float64, a *Matrix) {
-	checkSameShape(m, a)
-	for i := range m.Data {
-		m.Data[i] += s * a.Data[i]
 	}
 }
 
@@ -366,17 +259,6 @@ func (m *Matrix) RowMeansInto(dst []float64) {
 	for i := 0; i < m.Rows; i++ {
 		dst[i] = Sum(m.Row(i)) / float64(m.Cols)
 	}
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty matrices).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 func checkSameShape(a, b *Matrix) {

@@ -23,8 +23,17 @@ func TestNewAndAccessors(t *testing.T) {
 	}
 }
 
+// fromRows builds a matrix by copying the given equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 func TestFromRowsAndClone(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -32,18 +41,9 @@ func TestFromRowsAndClone(t *testing.T) {
 	}
 }
 
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for ragged rows")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	b := fromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
 	c := New(2, 2)
 	Mul(c, a, b)
 	want := [][]float64{{58, 64}, {139, 154}}
@@ -120,8 +120,8 @@ func assertMatEq(t *testing.T, label string, got, want *Matrix, tol float64) {
 }
 
 func TestElementwiseOps(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	c := New(2, 2)
 	Add(c, a, b)
 	if c.At(1, 1) != 12 {
@@ -139,14 +139,10 @@ func TestElementwiseOps(t *testing.T) {
 	if c.At(1, 0) != 42 {
 		t.Fatalf("Scale = %v", c.Data)
 	}
-	c.AddScaled(1, a)
-	if c.At(1, 0) != 45 {
-		t.Fatalf("AddScaled = %v", c.Data)
-	}
 }
 
 func TestBroadcastAndReductions(t *testing.T) {
-	m := FromRows([][]float64{{11, 22}, {13, 24}})
+	m := fromRows([][]float64{{11, 22}, {13, 24}})
 	s := make([]float64, 2)
 	m.ColSumsInto(s)
 	if s[0] != 24 || s[1] != 46 {
@@ -156,9 +152,6 @@ func TestBroadcastAndReductions(t *testing.T) {
 	m.RowMeansInto(means)
 	if means[0] != 16.5 {
 		t.Fatalf("RowMeansInto = %v", means)
-	}
-	if m.MaxAbs() != 24 {
-		t.Fatalf("MaxAbs = %v", m.MaxAbs())
 	}
 }
 
@@ -265,7 +258,7 @@ func TestPoolReuse(t *testing.T) {
 }
 
 func TestIntoVariants(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	sums := make([]float64, 3)
 	m.ColSumsInto(sums)
 	if sums[0] != 5 || sums[1] != 7 || sums[2] != 9 {

@@ -2,29 +2,30 @@ package mat
 
 import "math"
 
-// Cache-blocked, register-tiled GEMM path. The three products (Mul,
-// MulTransA, MulTransB) share one microkernel shape: a tile of destination
-// rows × one or two panels of destination columns accumulates over the
-// full k depth in registers, reading the B operand from a packed panel
-// buffer (nr consecutive destination columns stored contiguously per k
-// step, zero-padded at the right edge).
+// Cache-blocked, register-tiled GEMM path. The three products
+// (MulPackedBiasAct, MulTransALive, MulTransBPacked) share one
+// microkernel shape: a tile of destination rows × one or two panels of
+// destination columns accumulates over the full k depth in registers,
+// reading the B operand from a packed panel buffer (nr consecutive
+// destination columns stored contiguously per k step, zero-padded at the
+// right edge).
 //
 // Bit-exactness contract: for every destination element the k terms are
 // multiplied and added in ascending k order with individual roundings
-// (never fused multiply-add), exactly like the naive kernels in
-// streaming.go. Tiling only regroups *independent* destination elements,
-// so the tiled and naive paths agree bitwise at every kernel tier
-// (cpu.go) — the property the determinism tests and bit-identical
-// resume depend on.
+// (never fused multiply-add), exactly like the naive oracles the tests
+// hold the products to. Tiling only regroups *independent* destination
+// elements, so the products agree bitwise with the oracles at every
+// kernel tier (cpu.go) — the property the determinism tests and
+// bit-identical resume depend on.
 //
-// What the paths do with zeros differs, and for finite operands does not
-// matter: the naive Mul/MulTransA step over each ±0 element of a, the
-// tiled ones skip the columns of a that are ±0 in every row (live.go)
-// and multiply through the rest. A skipped term and a term of ±0 leave
-// the same bits in an accumulator that started at +0. They part ways
-// only on a non-finite b element under a zero a element (DESIGN.md,
-// "Determinism and the non-finite contract").
-// MulTransB, like Dot, hides nothing in either form.
+// What they do with zeros differs, and for finite operands does not
+// matter: the naive a·b and aᵀ·b step over each ±0 element of a, the
+// tiles skip the columns of a that are ±0 in every row (live.go) and
+// multiply through the rest. A skipped term and a term of ±0 leave the
+// same bits in an accumulator that started at +0. They part ways only on
+// a non-finite b element under a zero a element (DESIGN.md, "Determinism
+// and the non-finite contract"). MulTransBPacked, like Dot, hides
+// nothing.
 const (
 	// nr is the panel width: one packed panel covers nr destination
 	// columns (two 4-lane AVX2 vectors, one 8-lane AVX-512 vector), and is
@@ -35,14 +36,10 @@ const (
 	mr = 4
 	zr = 8
 	zw = 2 * nr
-	// minPackRows is the destination row count below which packing the
-	// B operand cannot be amortised and the streaming kernels win
-	// (batch-1 action selection stays on the naive path).
-	minPackRows = 8
 )
 
 // Activation selects the fused epilogue applied while a GEMM result is
-// written back (see MulBiasAct).
+// written back (see MulPackedBiasAct).
 type Activation uint8
 
 const (
@@ -63,7 +60,7 @@ type epilogue struct {
 	act  Activation
 	// cols, when non-nil, is the destination column of each packed column,
 	// ascending: the product ran over a subset of its columns (packB,
-	// packBT) and scatters them home. nil stores in place. The mapped
+	// packBTPanels) and scatters them home. nil stores in place. The mapped
 	// products are the backward pass's, which carry no bias or activation.
 	cols []int32
 }
@@ -119,49 +116,16 @@ func packBInto(bp []float64, b *Matrix, cols []int32) {
 	}
 }
 
-// packBT packs bᵀ into nr-wide panels for MulTransB: panel p holds
-// destination columns [p·nr, p·nr+nr), i.e. rows of b, transposed so the
-// microkernel streams k-major. rows, when non-nil, lists the rows of b to
-// pack, ascending (packed column j is b's row rows[j]); depth, when
-// non-nil, the k steps the kernel will visit — the others are left
-// unwritten, nobody reads them. Scratch at b's full shape, like packB.
-func packBT(b *Matrix, rows, depth []int32) *Matrix {
-	k := b.Cols // the depth
-	pm := GetScratch(1, (b.Rows+nr-1)/nr*nr*k)
-	n := span(rows, b.Rows) // destination columns packed
-	panels := (n + nr - 1) / nr
-	var src [nr][]float64
-	for p := 0; p < panels; p++ {
-		for jj := range src {
-			// A last panel of fewer than nr columns repeats its final one:
-			// the pad lanes are computed and never stored, like the rows a
-			// last tile repeats.
-			r := pick(rows, min(p*nr+jj, n-1))
-			src[jj] = b.Data[r*k : (r+1)*k]
-		}
-		// One panel row a step: eight reads down eight rows of b, one
-		// contiguous 64-byte write.
-		out := pm.Data[p*nr*k : (p+1)*nr*k]
-		s0, s1, s2, s3, s4, s5, s6, s7 := src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7]
-		if depth == nil {
-			for t := range s0 {
-				o := out[t*nr : t*nr+nr]
-				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0[t], s1[t], s2[t], s3[t], s4[t], s5[t], s6[t], s7[t]
-			}
-			continue
-		}
-		for _, t := range depth {
-			o := out[int(t)*nr : int(t)*nr+nr]
-			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0[t], s1[t], s2[t], s3[t], s4[t], s5[t], s6[t], s7[t]
-		}
-	}
-	return pm
-}
-
-// packBTPanels is packBT for an operand held in panels (PackedB): the
-// same transposed panels, built from pb's. Eight rows of the operand in
-// one of its panels are eight contiguous runs, so the transposition goes
-// an 8 × 8 block at a time: eight run reads, eight panel-row writes.
+// packBTPanels packs the transpose of the operand pb holds into nr-wide
+// panels for MulTransBPacked: panel p holds destination columns
+// [p·nr, p·nr+nr), i.e. rows of the operand, transposed so the
+// microkernel streams k-major. rows, when non-nil, lists the rows to
+// pack, ascending (packed column j is the operand's row rows[j]); depth,
+// when non-nil, the k steps the kernel will visit — the others are left
+// unwritten, nobody reads them. The scratch is drawn at the operand's
+// full shape, like packB's. Eight rows of the operand in one of its
+// panels are eight contiguous runs, so the transposition goes an 8 × 8
+// block at a time: eight run reads, eight panel-row writes.
 func packBTPanels(pb *PackedB, rows, depth []int32) *Matrix {
 	k := pb.N // the depth
 	pm := GetScratch(1, (pb.K+nr-1)/nr*nr*k)
@@ -171,8 +135,9 @@ func packBTPanels(pb *PackedB, rows, depth []int32) *Matrix {
 	var src [nr]int     // where each packed column's row starts in pb's first panel
 	for p := 0; p < panels; p++ {
 		for jj := range src {
-			// A last panel of fewer than nr columns repeats its final one,
-			// as packBT's does.
+			// A last panel of fewer than nr columns repeats its final one:
+			// the pad lanes are computed and never stored, like the rows a
+			// last tile repeats.
 			src[jj] = pick(rows, min(p*nr+jj, n-1)) * nr
 		}
 		out := pm.Data[p*nr*k : (p+1)*nr*k]
@@ -198,37 +163,41 @@ func packBTPanels(pb *PackedB, rows, depth []int32) *Matrix {
 	return pm
 }
 
-// gemmPackedRange computes destination rows [r0, r1) of dst = a·(packed
-// panels) through the epilogue. live lists, ascending, the k-columns of a
-// that hold anything other than ±0 in some row of the product (see Live);
-// nil means every column, and the kernel then walks the whole depth.
+// gemmPacked computes dst = a·(packed panels) through the epilogue.
+// live lists, ascending, the k-columns of a that hold anything other than
+// ±0 in some row of the product (see Live); nil means every column, and
+// the kernel then walks the whole depth.
 // Every term of a live column is multiplied and added — there is no
 // per-element zero test — so what a product skips is decided once per
 // product, not once per element.
-func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, live []int32, ep *epilogue) {
+func gemmPacked(dst, a *Matrix, bp []float64, live []int32, ep *epilogue) {
 	k := a.Cols
 	n := span(ep.cols, dst.Cols) // the columns the panels hold
 	if !haveAVX2 {
-		for i := r0; i < r1; i++ {
+		for i := 0; i < a.Rows; i++ {
 			gemmPackedRow(dst.Row(i), a.Row(i), 1, bp, k, n, live, ep)
 		}
 		return
 	}
-	runTiles(dst, a.Data, k, 8, r0, nil, r1-r0, bp, k, n, live, ep)
+	runTiles(dst, a.Data, k, 8, nil, a.Rows, bp, k, n, live, ep)
 }
 
-// runTiles computes destination rows r0+pick(rows, c), c in [0, count), of
-// a product against every packed panel of bp (depth k, n columns) on the
-// SIMD tiers, through ep: row r's a elements start at a[r·lead] and lie
-// astep bytes apart, live lists the k-steps to visit (nil for all). A last
-// tile of fewer than h rows repeats its final row: the kernel computes h
-// rows either way and the repeats are not stored, so every row runs a
-// tile kernel. A tile of eight rows into contiguous destination columns
-// writes back from the registers, every panel in one call; a column-mapped
-// one runs a pass — two panels, or the odd last one — a call into acc, and
-// a four-row tile one panel a call, both of which storeTile scatters. acc
-// and the tile that points into it share this frame: neither escapes.
-func runTiles(dst *Matrix, a []float64, lead, astep, r0 int, rows []int32, count int, bp []float64, k, n int, live []int32, ep *epilogue) {
+// runTiles computes destination rows pick(rows, c), c in [0, count), of a
+// product against every packed panel of bp (depth k, n columns; none when
+// n is 0) on the SIMD tiers, through ep: row r's a elements start at
+// a[r·lead] and lie astep bytes apart, live lists the k-steps to visit
+// (nil for all). A last tile of fewer than h rows repeats its final row:
+// the kernel computes h rows either way and the repeats are not stored,
+// so every row runs a tile kernel. A tile of eight rows into contiguous
+// destination columns writes back from the registers, every panel in one
+// call; a column-mapped one runs a pass — two panels, or the odd last
+// one — a call into acc, and a four-row tile one panel a call, both of
+// which storeTile scatters. acc and the tile that points into it share
+// this frame: neither escapes.
+func runTiles(dst *Matrix, a []float64, lead, astep int, rows []int32, count int, bp []float64, k, n int, live []int32, ep *epilogue) {
+	if n == 0 {
+		return
+	}
 	panels := (n + nr - 1) / nr
 	var acc [zr * zw]float64
 	var at [zr]int // the tile's destination rows
@@ -238,7 +207,7 @@ func runTiles(dst *Matrix, a []float64, lead, astep, r0 int, rows []int32, count
 		h := tileHeight(count - c)
 		cnt := min(count-c, h)
 		for q := 0; q < h; q++ {
-			at[q] = r0 + pick(rows, c+min(q, cnt-1))
+			at[q] = pick(rows, c+min(q, cnt-1))
 			t.a[q] = &a[at[q]*lead]
 		}
 		c += cnt
@@ -481,6 +450,18 @@ func storeTile(drow, acc []float64, j0, w int, ep *epilogue) {
 	}
 }
 
+// storeZeros stores through ep the sums of a product of depth 0, +0, in
+// n packed columns a row: the kernels, which read a's first element,
+// cannot run it.
+func storeZeros(dst *Matrix, n int, ep *epilogue) {
+	var zero [nr]float64
+	for i := 0; i < dst.Rows; i++ {
+		for j0 := 0; j0 < n; j0 += nr {
+			storeTile(dst.Row(i), zero[:], j0, min(n-j0, nr), ep)
+		}
+	}
+}
+
 // relu is max(0, v) with NaN and −0 mapped to +0 — `if !(v > 0) { v = 0 }`
 // — as a test on the bit pattern the compiler turns into a conditional
 // move: a pre-activation's sign is a coin flip no predictor learns. v is
@@ -491,29 +472,6 @@ func relu(v float64) float64 {
 		b = 0
 	}
 	return math.Float64frombits(b)
-}
-
-// biasActRange applies the bias/activation epilogue to rows [r0, r1) of
-// dst in one sweep — the fused tail of the streaming (non-packed) path.
-func biasActRange(dst *Matrix, r0, r1 int, bias []float64, act Activation) {
-	if bias == nil && act == ActIdentity {
-		return
-	}
-	for i := r0; i < r1; i++ {
-		row := dst.Row(i)
-		if bias != nil {
-			for j := range row {
-				row[j] += bias[j]
-			}
-		}
-		if act == ActReLU {
-			for j, v := range row {
-				if !(v > 0) {
-					row[j] = 0
-				}
-			}
-		}
-	}
 }
 
 // gemmTransAPacked computes dst = aᵀ·(packed panels) over the
@@ -537,7 +495,7 @@ func gemmTransAPacked(dst, a *Matrix, bp []float64, live []int32, ep *epilogue) 
 		}
 		return
 	}
-	runTiles(dst, a.Data, 1, 8*step, 0, live, c1, bp, k, n, nil, ep)
+	runTiles(dst, a.Data, 1, 8*step, live, c1, bp, k, n, nil, ep)
 }
 
 // transADeadRows stores +0, their sum, in the destination rows of

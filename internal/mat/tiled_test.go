@@ -7,17 +7,20 @@ import (
 	"testing"
 )
 
-// TestTiledStraddlesEightRowTile holds every tiled entry point to the
-// naive kernels, bitwise and under every tier, on the shapes where the
-// 8-row AVX-512 tile hands over to the 4-row one: row counts on both
-// sides of one and two full tiles, widths that leave a partial panel,
-// depths of 0 and 1, and live lists that are empty, full, or one column.
+// TestTiledStraddlesEightRowTile holds every product — the three the
+// learner runs and the wrappers over them — to the naive kernels, bitwise
+// and under every tier, on the shapes where one tile hands over to the
+// next: under four rows (the fused row kernel), a four-row tile with and
+// without repeated rows, and both sides of one and two full 8-row tiles;
+// widths that leave a partial panel; depths of 0 and 1, and of 5 and 7,
+// which give MulTransA a destination narrower than one tile (Fig. 1's
+// first layer); and live lists that are empty, full, or one column.
 func TestTiledStraddlesEightRowTile(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	negZero := math.Copysign(0, -1)
-	for _, m := range []int{7, 8, 9, 15, 16, 17} {
+	for _, m := range []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17} {
 		for _, n := range []int{1, 8, 13} {
-			for _, k := range []int{0, 1, 21} {
+			for _, k := range []int{0, 1, 5, 7, 21} {
 				for _, live := range []string{"full", "one", "empty"} {
 					a, b, bt, c := New(m, k), New(k, n), New(n, k), New(m, n)
 					for _, x := range []*Matrix{a, b, bt, c} {
@@ -35,30 +38,44 @@ func TestTiledStraddlesEightRowTile(t *testing.T) {
 					tag := fmt.Sprintf("%dx%dx%d/%s", m, k, n, live)
 
 					wantMul := New(m, n)
-					mulRange(wantMul, a, b, 0, m)
+					naiveMul(wantMul, a, b)
 					wantTB := New(m, n)
-					mulTransBRange(wantTB, a, bt, 0, m, nil, false)
+					naiveMulTransB(wantTB, a, bt)
 					wantTA := New(k, n) // aᵀ·c: a's columns are the destination rows
-					mulTransARange(wantTA, a, c, 0, k)
+					naiveMulTransA(wantTA, a, c)
+					pb, pbt := PackB(b), PackB(bt)
 
 					withKernels(t, func(kernel string) {
 						got := New(m, n)
-						fuzzFill(got.Data, rng)
-						if k > 0 {
-							MulPackedBiasAct(got, a, nil, PackB(b), nil, ActIdentity)
-							requireBitsEqual(t, "MulPackedBiasAct/"+kernel+"/"+tag, got, wantMul)
+						for _, p := range []struct {
+							name string
+							run  func()
+						}{
+							{"Mul", func() { Mul(got, a, b) }},
+							{"MulPackedBiasAct", func() { MulPackedBiasAct(got, a, nil, pb, nil, ActIdentity) }},
+							{"MulGroupedBiasAct", func() { MulGroupedBiasAct(got, a, m, []Group{{Packed: pb}}, ActIdentity) }},
+						} {
+							fuzzFill(got.Data, rng)
+							p.run()
+							requireBitsEqual(t, p.name+"/"+kernel+"/"+tag, got, wantMul)
 						}
-						fuzzFill(got.Data, rng)
-						Mul(got, a, b)
-						requireBitsEqual(t, "Mul/"+kernel+"/"+tag, got, wantMul)
 						fuzzFill(got.Data, rng)
 						MulTransB(got, a, bt)
 						requireBitsEqual(t, "MulTransB/"+kernel+"/"+tag, got, wantTB)
+						fuzzFill(got.Data, rng)
+						MulTransBPacked(got, a, nil, pbt, nil, false)
+						requireBitsEqual(t, "MulTransBPacked/"+kernel+"/"+tag, got, wantTB)
 
 						gotTA := New(k, n)
 						fuzzFill(gotTA.Data, rng)
 						MulTransA(gotTA, a, c)
 						requireBitsEqual(t, "MulTransA/"+kernel+"/"+tag, gotTA, wantTA)
+						var al, cl Live
+						for pass := 1; pass <= 2; pass++ { // the second pass reuses the held scans
+							fuzzFill(gotTA.Data, rng)
+							MulTransALive(gotTA, a, &al, c, &cl)
+							requireBitsEqual(t, fmt.Sprintf("MulTransALive/%s/%s/pass %d", kernel, tag, pass), gotTA, wantTA)
+						}
 					})
 				}
 			}

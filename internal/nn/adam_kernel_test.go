@@ -124,7 +124,7 @@ type refParam struct {
 
 // newRefParam copies p — its values unpacked — into a reference model.
 func newRefParam(p *Param) *refParam {
-	r := &refParam{rows: p.Panels.K, cols: p.Panels.N, value: p.Panels.Unpack().Data}
+	r := &refParam{rows: p.Panels.K, cols: p.Panels.N, value: unpack(p.Panels).Data}
 	r.grad = make([]float64, len(r.value))
 	r.m, r.v = make([]float64, len(r.value)), make([]float64, len(r.value))
 	if p.Grad != nil {
@@ -151,7 +151,7 @@ func requireParamMatchesRef(t *testing.T, tag string, p *Param, r *refParam) {
 	if p.Panels.K != r.rows || p.Panels.N != r.cols {
 		t.Fatalf("%s: %dx%d panels for a %dx%d tensor", tag, p.Panels.K, p.Panels.N, r.rows, r.cols)
 	}
-	requireSliceBits(t, tag+" value", p.Panels.Unpack().Data, r.value)
+	requireSliceBits(t, tag+" value", unpack(p.Panels).Data, r.value)
 	if p.Grad != nil {
 		requireSliceBits(t, tag+" grad", p.Grad.Data, r.grad)
 	}

@@ -90,8 +90,8 @@ func requireParamsBitEqual(t *testing.T, tag string, fused, unfused []*Param) {
 
 // runFusedVsUnfused trains both variants for steps steps on identical
 // data, checking outputs and full optimiser state bitwise after every
-// step. Batch 64 crosses the packed-GEMM and parallel thresholds;
-// batch 1 stays on the streaming path.
+// step. Batch 64 runs the full tiles, batch 1 the products' one-row
+// shapes.
 func runFusedVsUnfused(t *testing.T, batch, steps int) {
 	unfused := buildUnfused(7)
 	fused := buildFused(7)
@@ -121,7 +121,7 @@ func runFusedVsUnfused(t *testing.T, batch, steps int) {
 
 func TestFusedMatchesUnfusedSerial(t *testing.T) {
 	runFusedVsUnfused(t, 64, 25)
-	runFusedVsUnfused(t, 1, 25) // streaming (non-packed) path
+	runFusedVsUnfused(t, 1, 25) // one-row products
 }
 
 // TestFusedCheckpointRoundTrip trains the fused network, checkpoints

@@ -192,7 +192,7 @@ func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
 // sum[ij] + (g·Wᵀ)[ij], one rounding, which is bitwise the
 // `sum += Backward(gradOut)` it replaces — for a layer whose input
 // gradient the owner totals over several branches. sum holds no −0
-// (mat.MulTransBLive's accumulation precondition): under GatedInput the
+// (mat.MulTransBPacked's accumulation precondition): under GatedInput the
 // columns the gate leaves out keep what sum holds there.
 func (d *Dense) BackwardAcc(gradOut, sum *mat.Matrix) {
 	d.backward(gradOut, sum, true)

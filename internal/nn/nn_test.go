@@ -8,10 +8,17 @@ import (
 	"github.com/twig-sched/twig/internal/mat"
 )
 
+// unpack returns the operand pb holds as a new row-major matrix.
+func unpack(pb *mat.PackedB) *mat.Matrix {
+	m := mat.New(pb.K, pb.N)
+	pb.UnpackInto(m)
+	return m
+}
+
 func TestDenseForwardShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense("d", 3, 2, rng)
-	x := mat.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	x := mat.FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	y := d.Forward(x, false)
 	if y.Rows != 2 || y.Cols != 2 {
 		t.Fatalf("Forward shape %dx%d, want 2x2", y.Rows, y.Cols)
@@ -31,7 +38,7 @@ func TestDenseWrongInputPanics(t *testing.T) {
 
 func TestReLU(t *testing.T) {
 	r := &ReLU{}
-	x := mat.FromRows([][]float64{{-1, 0, 2}})
+	x := mat.FromSlice(1, 3, []float64{-1, 0, 2})
 	y := r.Forward(x, true)
 	want := []float64{0, 0, 2}
 	for i, v := range y.Data {
@@ -39,7 +46,7 @@ func TestReLU(t *testing.T) {
 			t.Fatalf("ReLU = %v", y.Data)
 		}
 	}
-	g := r.Backward(mat.FromRows([][]float64{{5, 5, 5}}))
+	g := r.Backward(mat.FromSlice(1, 3, []float64{5, 5, 5}))
 	wantG := []float64{0, 0, 5}
 	for i, v := range g.Data {
 		if v != wantG[i] {
@@ -51,7 +58,7 @@ func TestReLU(t *testing.T) {
 func TestDropoutEvalIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDropout(0.5, rng)
-	x := mat.FromRows([][]float64{{1, 2, 3, 4}})
+	x := mat.FromSlice(1, 4, []float64{1, 2, 3, 4})
 	y := d.Forward(x, false)
 	for i := range x.Data {
 		if y.Data[i] != x.Data[i] {
@@ -121,7 +128,7 @@ func TestGradientCheck(t *testing.T) {
 
 	const eps = 1e-5
 	for _, p := range net.Params() {
-		vals := p.Panels.Unpack()
+		vals := unpack(p.Panels)
 		set := func(i int, v float64) { vals.Data[i] = v; p.Panels.RepackFrom(vals) }
 		for i := 0; i < p.Size(); i += 7 { // sample every 7th weight
 			orig := vals.Data[i]
@@ -174,7 +181,7 @@ func TestTargetNetworkSync(t *testing.T) {
 	online := NewSequential(NewDense("a", 2, 3, rng), &ReLU{}, NewDense("b", 3, 1, rng))
 	target := NewSequential(NewDense("a", 2, 3, rng), &ReLU{}, NewDense("b", 3, 1, rng))
 	target.CopyValuesFrom(online)
-	x := mat.FromRows([][]float64{{0.5, -0.5}})
+	x := mat.FromSlice(1, 2, []float64{0.5, -0.5})
 	y1 := online.Forward(x, false)
 	y2 := target.Forward(x, false)
 	if math.Abs(y1.At(0, 0)-y2.At(0, 0)) > 1e-12 {
