@@ -70,6 +70,13 @@ var contracts = []contract{
 		},
 	},
 	{
+		name: "one-backward-sweep",
+		why:  `a dense layer's backward reads its incoming gradient once (DESIGN.md, "The training step and its kernel tiers"): mat.SweepGrad masks, scales, sums, scans and packs it, so the separate mask and column-sum passes stay deleted`,
+		clauses: []clause{
+			{scope{dirs: []string{"internal/mat", "internal/nn", "internal/bdq"}}, []rule{idents("maskReLUGrad", "ColSumsInto")}},
+		},
+	},
+	{
 		name: "gating-by-owner",
 		why:  `gating is declared by the network's owner, from its structure (DESIGN.md, "The training step and its kernel tiers"): no config field, flag or environment variable sets or reads GatedInput, and only internal/nn and internal/bdq name it outside tests`,
 		clauses: []clause{

@@ -134,7 +134,7 @@ func requireBits(t *testing.T, tag string, got, want []float64) {
 	t.Helper()
 	for i, w := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(w) {
-			t.Fatalf("%s[%d]: gated %x (%v), ungated %x (%v)", tag, i, math.Float64bits(got[i]), got[i], math.Float64bits(w), w)
+			t.Fatalf("%s[%d]: %x (%v), want %x (%v)", tag, i, math.Float64bits(got[i]), got[i], math.Float64bits(w), w)
 		}
 	}
 }

@@ -123,10 +123,10 @@ type fwdWS struct {
 
 // bwdWS holds the Backward scratch for one batch size.
 type bwdWS struct {
-	sharedGrad *mat.Matrix   // batch×repr gradient entering the trunk
-	gv         *mat.Matrix   // batch×1 value-stream gradient
-	combined   *mat.Matrix   // batch×BranchHidden, summed over agents
-	centered   []*mat.Matrix // per dimension: batch×Dims[d]
+	sharedGrad *mat.Matrix // batch×repr gradient entering the trunk
+	gv         *mat.Matrix // batch×1 value-stream gradient
+	combined   *mat.Matrix // batch×BranchHidden, summed over agents
+	rowSums    []float64   // each row's sum of gradQ[k][d], at (k·D+d)·batch
 	means      []float64
 }
 
@@ -275,55 +275,58 @@ func (n *Network) Backward(gradQ [][]*mat.Matrix) {
 		K, D = 1, 1
 	}
 
+	// Every row's sum of every gradQ[k][d], four rows a pass: the value
+	// stream adds them and the advantage heads centre on their means.
+	nd := len(n.spec.Dims)
+	sums := func(k, d int) []float64 { return ws.rowSums[(k*nd+d)*batch : (k*nd+d+1)*batch] }
+	for k, gq := range gradQ {
+		for d, g := range gq {
+			g.RowSumsInto(sums(k, d))
+		}
+	}
+
 	// Per-agent value gradient: dQ/dV = 1 for every action of every
 	// dimension, so dV[b] = Σ_d Σ_a gradQ[k][d][b][a]. With SharedValue
 	// the single stream accumulates every agent's gradient. Each branch
 	// adds its input gradient to sharedGrad as its product finishes.
-	valueStream := func(v int, agents [][]*mat.Matrix) {
+	valueStream := func(v, k0, k1 int) {
 		gv := ws.gv
 		gv.Zero()
-		for _, gq := range agents {
-			for _, g := range gq {
-				for b := 0; b < batch; b++ {
-					gv.Data[b] += mat.Sum(g.Row(b))
+		for k := k0; k < k1; k++ {
+			for d := 0; d < nd; d++ {
+				for b, s := range sums(k, d) {
+					gv.Data[b] += s
 				}
 			}
 		}
-		n.backward(n.valueHid[v], n.backward(n.valueOut[v], gv, nil), sharedGrad)
+		n.backward(n.valueHid[v], n.backward(n.valueOut[v], gv, mat.Pending{}, nil), mat.Pending{}, sharedGrad)
 	}
 	if n.spec.SharedValue {
-		valueStream(0, gradQ)
+		valueStream(0, 0, n.spec.Agents)
 	} else {
 		for k := range gradQ {
-			valueStream(k, gradQ[k:k+1])
+			valueStream(k, k, k+1)
 		}
 	}
 
 	// Per-dimension advantage gradient. Because Q subtracts the mean
-	// advantage, dA[a] = g[a] − mean(g). The combined gradient from the
-	// K per-agent output heads is rescaled by 1/K before entering the
-	// deepest (hidden) advantage layer.
+	// advantage, dA[a] = g[a] − mean(g): each head's sweep centres g on
+	// its row means. The combined gradient from the K per-agent output
+	// heads is rescaled by 1/K before entering the deepest (hidden)
+	// advantage layer, by that layer's sweep.
 	for d := range n.spec.Dims {
 		combined := ws.combined
 		combined.Zero()
 		for k := 0; k < n.spec.Agents; k++ {
 			g := gradQ[k][d]
-			centered := ws.centered[d]
-			g.RowMeansInto(ws.means)
-			for b := 0; b < g.Rows; b++ {
-				grow := g.Row(b)
-				crow := centered.Row(b)
-				for j := range crow {
-					crow[j] = grow[j] - ws.means[b]
-				}
+			for b, s := range sums(k, d) {
+				ws.means[b] = s / float64(g.Cols)
 			}
-			n.backward(n.advOut[k][d], centered, combined)
+			n.backward(n.advOut[k][d], g, mat.Pending{Shift: ws.means}, combined)
 		}
-		combined.Scale(1 / K)
-		n.backward(n.advHidden[d], combined, sharedGrad)
+		n.backward(n.advHidden[d], combined, mat.Pending{Scale: 1 / K}, sharedGrad)
 	}
 
-	sharedGrad.Scale(1 / D)
 	if n.beforeBackward != nil {
 		// No trunk layer's backward writes another's gradients, so the
 		// trunk's targets stand now as they will when its products run.
@@ -333,20 +336,16 @@ func (n *Network) Backward(gradQ [][]*mat.Matrix) {
 			}
 		}
 	}
-	n.shared.Backward(sharedGrad)
+	n.shared.BackwardScaled(sharedGrad, 1/D)
 }
 
-// backward runs d's backward pass on g, adding its input gradient to sum
-// (nil: returning it instead).
-func (n *Network) backward(d *nn.Dense, g, sum *mat.Matrix) *mat.Matrix {
+// backward runs d's backward pass on what p makes of g, adding its input
+// gradient to sum (nil: returning it instead).
+func (n *Network) backward(d *nn.Dense, g *mat.Matrix, p mat.Pending, sum *mat.Matrix) *mat.Matrix {
 	if n.beforeBackward != nil {
 		n.beforeBackward(d, sum)
 	}
-	if sum == nil {
-		return d.Backward(g)
-	}
-	d.BackwardAcc(g, sum)
-	return nil
+	return d.BackwardPending(g, p, sum)
 }
 
 // bwdWorkspace returns the reusable Backward scratch for the given batch
@@ -358,15 +357,13 @@ func (n *Network) bwdWorkspace(batch, repr int) *bwdWS {
 	if n.bwd == nil {
 		n.bwd = make(map[int]*bwdWS, 2)
 	}
+	sums := make([]float64, (1+n.spec.Agents*len(n.spec.Dims))*batch)
 	ws := &bwdWS{
 		sharedGrad: mat.New(batch, repr),
 		gv:         mat.New(batch, 1),
 		combined:   mat.New(batch, n.spec.BranchHidden),
-		centered:   make([]*mat.Matrix, len(n.spec.Dims)),
-		means:      make([]float64, batch),
-	}
-	for d, na := range n.spec.Dims {
-		ws.centered[d] = mat.New(batch, na)
+		means:      sums[:batch],
+		rowSums:    sums[batch:],
 	}
 	n.bwd[batch] = ws
 	return ws

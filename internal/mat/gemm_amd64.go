@@ -43,3 +43,9 @@ func orRows4(k int, x0, x1, x2, x3 *float64, or *uint64)
 
 //go:noescape
 func kernRowPanelsS(k, panels int, a0, panel, acc *float64)
+
+//go:noescape
+func sweepKernel(s *sweepArgs)
+
+//go:noescape
+func gatherPanel(k int, base *float64, src *[nr]int, lanes int, dst *float64)

@@ -521,6 +521,8 @@ norelu16:
 	MOVQ 120(AX), R13
 	MOVQ 128(AX), BX
 	MOVQ 136(AX), DX
+	CMPQ 224(AX), $0          // a column map
+	JNE  scatter16
 	CMPQ 184(AX), $0          // accumulate
 	JE   store16
 	VMOVUPD.Z (R8)(CX*1), K1, Z0
@@ -572,6 +574,101 @@ store16:
 	VMOVUPD Z29, K2, 64(BX)(CX*1)
 	VMOVUPD Z30, K1, (DX)(CX*1)
 	VMOVUPD Z31, K2, 64(DX)(CX*1)
+	JMP  next16
+scatter16:
+	// The pass's columns of every row go where the column map sends them:
+	// its sixteen entries (four bytes each, from the pass's first column)
+	// loaded under K1 and K2, then per row and half a gather of the
+	// destination (dst + acc) when accumulating, and a scatter. A gather
+	// or scatter clears its mask: each takes a copy in K3.
+	MOVQ 224(AX), SI
+	SHRQ $1, CX
+	VMOVDQU32.Z (SI)(CX*1), K1, Y8
+	VMOVDQU32.Z 32(SI)(CX*1), K2, Y9
+	CMPQ 184(AX), $0          // accumulate
+	JE   scat16
+	KMOVW K1, K3
+	VGATHERDPD (R8)(Y8*8), K3, Z0
+	VADDPD Z16, Z0, Z16
+	KMOVW K2, K3
+	VGATHERDPD (R8)(Y9*8), K3, Z1
+	VADDPD Z17, Z1, Z17
+	KMOVW K1, K3
+	VGATHERDPD (R9)(Y8*8), K3, Z0
+	VADDPD Z18, Z0, Z18
+	KMOVW K2, K3
+	VGATHERDPD (R9)(Y9*8), K3, Z1
+	VADDPD Z19, Z1, Z19
+	KMOVW K1, K3
+	VGATHERDPD (R10)(Y8*8), K3, Z0
+	VADDPD Z20, Z0, Z20
+	KMOVW K2, K3
+	VGATHERDPD (R10)(Y9*8), K3, Z1
+	VADDPD Z21, Z1, Z21
+	KMOVW K1, K3
+	VGATHERDPD (R11)(Y8*8), K3, Z0
+	VADDPD Z22, Z0, Z22
+	KMOVW K2, K3
+	VGATHERDPD (R11)(Y9*8), K3, Z1
+	VADDPD Z23, Z1, Z23
+	KMOVW K1, K3
+	VGATHERDPD (R12)(Y8*8), K3, Z0
+	VADDPD Z24, Z0, Z24
+	KMOVW K2, K3
+	VGATHERDPD (R12)(Y9*8), K3, Z1
+	VADDPD Z25, Z1, Z25
+	KMOVW K1, K3
+	VGATHERDPD (R13)(Y8*8), K3, Z0
+	VADDPD Z26, Z0, Z26
+	KMOVW K2, K3
+	VGATHERDPD (R13)(Y9*8), K3, Z1
+	VADDPD Z27, Z1, Z27
+	KMOVW K1, K3
+	VGATHERDPD (BX)(Y8*8), K3, Z0
+	VADDPD Z28, Z0, Z28
+	KMOVW K2, K3
+	VGATHERDPD (BX)(Y9*8), K3, Z1
+	VADDPD Z29, Z1, Z29
+	KMOVW K1, K3
+	VGATHERDPD (DX)(Y8*8), K3, Z0
+	VADDPD Z30, Z0, Z30
+	KMOVW K2, K3
+	VGATHERDPD (DX)(Y9*8), K3, Z1
+	VADDPD Z31, Z1, Z31
+scat16:
+	KMOVW K1, K3
+	VSCATTERDPD Z16, K3, (R8)(Y8*8)
+	KMOVW K2, K3
+	VSCATTERDPD Z17, K3, (R8)(Y9*8)
+	KMOVW K1, K3
+	VSCATTERDPD Z18, K3, (R9)(Y8*8)
+	KMOVW K2, K3
+	VSCATTERDPD Z19, K3, (R9)(Y9*8)
+	KMOVW K1, K3
+	VSCATTERDPD Z20, K3, (R10)(Y8*8)
+	KMOVW K2, K3
+	VSCATTERDPD Z21, K3, (R10)(Y9*8)
+	KMOVW K1, K3
+	VSCATTERDPD Z22, K3, (R11)(Y8*8)
+	KMOVW K2, K3
+	VSCATTERDPD Z23, K3, (R11)(Y9*8)
+	KMOVW K1, K3
+	VSCATTERDPD Z24, K3, (R12)(Y8*8)
+	KMOVW K2, K3
+	VSCATTERDPD Z25, K3, (R12)(Y9*8)
+	KMOVW K1, K3
+	VSCATTERDPD Z26, K3, (R13)(Y8*8)
+	KMOVW K2, K3
+	VSCATTERDPD Z27, K3, (R13)(Y9*8)
+	KMOVW K1, K3
+	VSCATTERDPD Z28, K3, (BX)(Y8*8)
+	KMOVW K2, K3
+	VSCATTERDPD Z29, K3, (BX)(Y9*8)
+	KMOVW K1, K3
+	VSCATTERDPD Z30, K3, (DX)(Y8*8)
+	KMOVW K2, K3
+	VSCATTERDPD Z31, K3, (DX)(Y9*8)
+next16:
 	ADDQ $128, 192(AX)
 	MOVQ 152(AX), R9          // bytes from one panel to the next …
 	SHLQ $1, R9               // … and from one pass to the next

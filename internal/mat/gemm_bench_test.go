@@ -104,9 +104,9 @@ func benchGEMM(b *testing.B) {
 		flops := 2 * 64 * s.in * s.out
 		transA := fmt.Sprintf("MulTransALive/%dx64x%d", s.in, s.out)
 		transB := fmt.Sprintf("MulTransBPacked/64x%dx%d", s.out, s.in)
-		run(transA, flops, func() { MulTransALive(dw, x, nil, g, nil) })
+		run(transA, flops, func() { MulTransALive(dw, x, nil, g, nil, nil) })
 		run(fmt.Sprintf("%s/rows%.0fcols%.0f", transA, 100*s.liveIn, 100*s.liveOut), flops, func() {
-			MulTransALive(dw, xs, nil, gs, nil)
+			MulTransALive(dw, xs, nil, gs, nil, nil)
 		})
 		run(transB, flops, func() { MulTransBPacked(gin, g, nil, pw, nil, false) })
 		gate := scanned(xs)
@@ -131,10 +131,10 @@ func BenchmarkWideTile(b *testing.B) {
 			bp := benchMat(1, 2*nr*k, rng).Data
 			b.Run(fmt.Sprintf("panels%d/k%d", panels, k), func(b *testing.B) {
 				var acc [zr * zw]float64
-				bare := epilogue{cols: []int32{}}
-				t := bare.tile16For(k, nil, 2*nr, &acc)
+				bare := epilogue{}
+				t := bare.tile16For(k, nil, 2*nr)
 				for q := range t.a {
-					t.a[q] = &a.Row(q)[0]
+					t.a[q], t.d[q] = &a.Row(q)[0], &acc[q*zw]
 				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

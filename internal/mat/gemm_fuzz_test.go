@@ -230,9 +230,9 @@ func FuzzMulTransAMatchesNaive(f *testing.F) {
 				for _, held := range []bool{false, true, true} { // the second held pass reuses the scans
 					fuzzFill(got.Data, rng)
 					if held {
-						MulTransALive(got, a, &al, b, &bl)
+						MulTransALive(got, a, &al, b, &bl, nil)
 					} else {
-						MulTransALive(got, a, nil, b, nil)
+						MulTransALive(got, a, nil, b, nil, nil)
 					}
 					require(t, fmt.Sprintf("MulTransALive/%s/held=%t", kernel, held), got, want)
 				}
@@ -372,7 +372,7 @@ func FuzzMulTransALiveBlockMatchesNaive(f *testing.F) {
 				var al, bl Live
 				for pass := 1; pass <= 2; pass++ { // the second pass reuses the held scans
 					fuzzFill(got.Data, rng)
-					MulTransALive(got, a, &al, b, &bl)
+					MulTransALive(got, a, &al, b, &bl, nil)
 					require(fmt.Sprintf("MulTransALive/%s/pass %d", kernel, pass), got, want, zeros)
 				}
 			})

@@ -30,3 +30,9 @@ func kernRowPanelsS(k, panels int, a0, panel, acc *float64) {
 func cpuHasFMA() bool { return false }
 
 func expKernel(xs []float64) int { panic("mat: asm kernel on non-amd64") }
+
+func sweepKernel(s *sweepArgs) { panic("mat: asm kernel on non-amd64") }
+
+func gatherPanel(k int, base *float64, src *[nr]int, lanes int, dst *float64) {
+	panic("mat: asm kernel on non-amd64")
+}

@@ -88,12 +88,7 @@ func (l *Live) Scan(a *Matrix) {
 		}
 		return
 	}
-	if cap(l.or) < k {
-		l.or = make([]uint64, k)
-		l.cols = make([]int32, k)
-	}
-	or := l.or[:k]
-	clear(or)
+	or := l.orFor(k)
 	for i := 0; i < a.Rows && k > 0; i += 4 {
 		// Four rows a pass; a last pass of fewer repeats its final row,
 		// which an OR does not mind.
@@ -108,6 +103,25 @@ func (l *Live) Scan(a *Matrix) {
 				math.Float64bits(x2[c]) | math.Float64bits(x3[c])
 		}
 	}
+	l.seal(k)
+}
+
+// orFor returns the set's column-wise OR for an operand k wide, cleared:
+// a scan, or a sweep that writes the operand (SweepGrad), ORs each
+// element's bits into its column, and seal makes the set of it.
+func (l *Live) orFor(k int) []uint64 {
+	if cap(l.or) < k {
+		l.or = make([]uint64, k)
+		l.cols = make([]int32, k)
+	}
+	or := l.or[:k]
+	clear(or)
+	return or
+}
+
+// seal makes l the live set whose column-wise OR orFor(k) holds.
+func (l *Live) seal(k int) {
+	or := l.or[:k]
 	// Live columns fill cols from the front, dead ones from the back; each
 	// column is written to both ends and one end advances past it. The two
 	// meet at the last column.

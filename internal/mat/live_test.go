@@ -117,7 +117,7 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 					// product would use them.
 					for _, pass := range []string{"", " held"} {
 						got.Fill(negZero)
-						MulTransALive(got, x, xl, g, gl)
+						MulTransALive(got, x, xl, g, gl, nil)
 						requireBitsEqual(t, "MulTransALive"+pass+"/"+kernel+"/"+tag, got, wantTA)
 						for j, v := range got.Row(deadRow) {
 							if math.Float64bits(v) != 0 {
@@ -317,7 +317,7 @@ func TestScratchShapesStable(t *testing.T) {
 		liveExactly(g, pickColumns(out, rng.Intn(out+1), rng), rng)
 		var xl, gl Live
 		MulPackedBiasAct(y, x, &xl, pw, nil, ActReLU)
-		MulTransALive(dw, x, &xl, g, &gl)
+		MulTransALive(dw, x, &xl, g, &gl, nil)
 		MulTransBPacked(gin, g, &gl, pw, &xl, false)
 		if step == 5 {
 			after5 = scratchShapes()

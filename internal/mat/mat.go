@@ -80,32 +80,49 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // packed into pooled scratch, then MulPackedBiasAct. It stays only
 // because the benchmark's GEMM probes (benchmark/probes.go) name it.
 func Mul(dst, a, b *Matrix) {
-	pb, s := scratchPanels(b)
-	MulPackedBiasAct(dst, a, nil, &pb, nil, ActIdentity)
+	s := packB(b, nil)
+	MulPackedBiasAct(dst, a, nil, &PackedB{K: b.Rows, N: b.Cols, Data: s.Data}, nil, ActIdentity)
 	PutScratch(s)
 }
 
 // MulTransA computes dst = aᵀ·b, dst a.Cols×b.Cols: MulTransALive with
 // no live sets held. It stays only because the benchmark's GEMM probes
 // name it.
-func MulTransA(dst, a, b *Matrix) { MulTransALive(dst, a, nil, b, nil) }
+func MulTransA(dst, a, b *Matrix) { MulTransALive(dst, a, nil, b, nil, nil) }
 
-// MulTransB computes dst = a·bᵀ, dst a.Rows×b.Rows: b packed into pooled
-// scratch, then MulTransBPacked, ungated. The panels' Finite bit is left
-// unset, so the product reads b for Inf and NaN before it skips any of
-// a's dead depth and, like Dot, hides nothing. It stays only because the
-// benchmark's GEMM probes name it.
+// MulTransB computes dst = a·bᵀ, dst a.Rows×b.Rows, ungated: b's
+// transposed panels packed straight from its rows into pooled scratch,
+// then the tiles MulTransBPacked runs. Like Dot it hides nothing: it
+// skips a's dead depth only where b is finite there, which it reads b for
+// first. It stays only because the benchmark's GEMM probes name it.
 func MulTransB(dst, a, b *Matrix) {
-	pb, s := scratchPanels(b)
-	MulTransBPacked(dst, a, nil, &pb, nil, false)
-	PutScratch(s)
-}
-
-// scratchPanels packs b into pooled scratch: the panels, Finite unset,
-// and the matrix holding them, for PutScratch.
-func scratchPanels(b *Matrix) (PackedB, *Matrix) {
-	s := packB(b, nil)
-	return PackedB{K: b.Rows, N: b.Cols, Data: s.Data}, s
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic("mat: MulTransB dimension mismatch")
+	}
+	var ep epilogue
+	if a.Cols == 0 {
+		storeZeros(dst, dst.Cols, &ep)
+		return
+	}
+	al, borrowed := borrowLive(nil)
+	al.Scan(a)
+	live := al.list()
+	if live != nil {
+		var carry uint64
+		for r := 0; r < b.Rows; r++ {
+			row := b.Row(r)
+			for _, t := range al.deadList() {
+				carry |= nonFinite(row[t])
+			}
+		}
+		if carry>>63 != 0 {
+			live = nil
+		}
+	}
+	bp := packTransposed(b)
+	gemmPacked(dst, a, bp.Data, live, &ep)
+	PutScratch(bp)
+	putLive(al, borrowed)
 }
 
 // MulTransALive computes dst = aᵀ·b, dst a.Cols×b.Cols — dW = xᵀ·g —
@@ -116,10 +133,16 @@ func scratchPanels(b *Matrix) (PackedB, *Matrix) {
 // destination row whose sum is +0, and a column of b that is ±0 in every
 // row a destination column whose sum is: the product clears them without
 // a kernel. The microkernel sees the live rows only, and — where that
-// saves a panel — panels packed from b's live columns only.
-func MulTransALive(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
+// saves a panel — panels of b's live columns only. bp, when non-nil, is b
+// already in panels, every column (SweepGrad writes them): the product
+// runs on them, moving the live columns to their front where it leaves
+// the dead ones out, instead of packing b.
+func MulTransALive(dst, a *Matrix, al *Live, b *Matrix, bl *Live, bp *PackedB) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("mat: MulTransA dimension mismatch")
+	}
+	if bp != nil && (bp.K != b.Rows || bp.N != b.Cols) {
+		panic(fmt.Sprintf("mat: MulTransALive of a %dx%d b with %dx%d panels", b.Rows, b.Cols, bp.K, bp.N))
 	}
 	al, aBorrowed := borrowLive(al)
 	bl, bBorrowed := borrowLive(bl)
@@ -133,9 +156,16 @@ func MulTransALive(dst, a *Matrix, al *Live, b *Matrix, bl *Live) {
 	if ep.cols != nil {
 		settleDeadColumns(dst, rows, bl.deadList())
 	}
-	bp := packB(b, ep.cols)
-	gemmTransAPacked(dst, a, bp.Data, rows, &ep)
-	PutScratch(bp)
+	if bp != nil {
+		if ep.cols != nil {
+			compactPanels(bp, ep.cols)
+		}
+		gemmTransAPacked(dst, a, bp.Data, rows, &ep)
+	} else {
+		s := packB(b, ep.cols)
+		gemmTransAPacked(dst, a, s.Data, rows, &ep)
+		PutScratch(s)
+	}
 	putLive(al, aBorrowed)
 	putLive(bl, bBorrowed)
 }
@@ -227,37 +257,45 @@ func Hadamard(dst, a, b *Matrix) {
 	}
 }
 
-// ColSumsInto writes the per-column sums of m into dst (length Cols),
-// the allocation-free variant for reusable workspaces.
-func (m *Matrix) ColSumsInto(dst []float64) {
-	if len(dst) != m.Cols {
-		panic("mat: ColSumsInto length mismatch")
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += v
-		}
-	}
-}
-
 // RowMeansInto writes the per-row means of m into dst (length Rows),
-// the allocation-free variant for reusable workspaces.
+// the allocation-free variant for reusable workspaces: each row's sum
+// (RowSumsInto) over its width.
 func (m *Matrix) RowMeansInto(dst []float64) {
 	if len(dst) != m.Rows {
 		panic("mat: RowMeansInto length mismatch")
 	}
 	if m.Cols == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return
 	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Sum(m.Row(i)) / float64(m.Cols)
+	m.RowSumsInto(dst)
+	for i := range dst {
+		dst[i] /= float64(m.Cols)
+	}
+}
+
+// RowSumsInto writes the per-row sums of m into dst (length Rows), each
+// row's elements added in order from +0, as Sum adds them. Four rows go
+// a pass: their four chains of dependent adds overlap.
+func (m *Matrix) RowSumsInto(dst []float64) {
+	if len(dst) != m.Rows {
+		panic("mat: RowSumsInto length mismatch")
+	}
+	c := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0, r1, r2, r3 := m.Data[i*c:(i+1)*c], m.Data[(i+1)*c:(i+2)*c], m.Data[(i+2)*c:(i+3)*c], m.Data[(i+3)*c:(i+4)*c]
+		var s0, s1, s2, s3 float64
+		for j, v := range r0 {
+			s0 += v
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		dst[i] = Sum(m.Row(i))
 	}
 }
 

@@ -143,11 +143,6 @@ func TestElementwiseOps(t *testing.T) {
 
 func TestBroadcastAndReductions(t *testing.T) {
 	m := fromRows([][]float64{{11, 22}, {13, 24}})
-	s := make([]float64, 2)
-	m.ColSumsInto(s)
-	if s[0] != 24 || s[1] != 46 {
-		t.Fatalf("ColSumsInto = %v", s)
-	}
 	means := make([]float64, 2)
 	m.RowMeansInto(means)
 	if means[0] != 16.5 {
@@ -258,13 +253,13 @@ func TestPoolReuse(t *testing.T) {
 }
 
 func TestIntoVariants(t *testing.T) {
-	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	sums := make([]float64, 3)
-	m.ColSumsInto(sums)
-	if sums[0] != 5 || sums[1] != 7 || sums[2] != 9 {
-		t.Fatalf("ColSumsInto = %v", sums)
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {1, 1, 1}, {0.5, 0.25, 2}})
+	sums := make([]float64, 5)
+	m.RowSumsInto(sums) // four rows a pass, then one alone
+	if sums[0] != 6 || sums[1] != 15 || sums[2] != 24 || sums[3] != 3 || sums[4] != 2.75 {
+		t.Fatalf("RowSumsInto = %v", sums)
 	}
-	means := make([]float64, 2)
+	means := make([]float64, 5)
 	m.RowMeansInto(means)
 	if means[0] != 2 || means[1] != 5 {
 		t.Fatalf("RowMeansInto = %v", means)

@@ -64,3 +64,14 @@ func naiveBiasAct(dst *Matrix, bias []float64, act Activation) {
 		}
 	}
 }
+
+// naiveColSums writes each column's sum of m, its rows added in order,
+// into dst: the pass SweepGrad's column sums replace.
+func naiveColSums(dst []float64, m *Matrix) {
+	clear(dst)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			dst[j] += v
+		}
+	}
+}

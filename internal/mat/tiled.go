@@ -163,6 +163,29 @@ func packBTPanels(pb *PackedB, rows, depth []int32) *Matrix {
 	return pm
 }
 
+// packTransposed packs the transpose of b into nr-wide panels in pooled
+// scratch, as packBTPanels packs an operand held in panels: panel p holds
+// destination columns [p·nr, p·nr+nr), rows of b, k-major. A last panel
+// of fewer than nr rows repeats b's final row in its pad lanes, which are
+// computed and never stored.
+func packTransposed(b *Matrix) *Matrix {
+	k, n := b.Cols, b.Rows
+	pm := GetScratch(1, (n+nr-1)/nr*nr*k)
+	for p := 0; p*nr < n; p++ {
+		var r [nr][]float64
+		for jj := range r {
+			r[jj] = b.Row(min(p*nr+jj, n-1))[:k]
+		}
+		out := pm.Data[p*nr*k : (p+1)*nr*k]
+		for t := 0; t < k; t++ {
+			o := out[t*nr : t*nr+nr]
+			o[0], o[1], o[2], o[3] = r[0][t], r[1][t], r[2][t], r[3][t]
+			o[4], o[5], o[6], o[7] = r[4][t], r[5][t], r[6][t], r[7][t]
+		}
+	}
+	return pm
+}
+
 // gemmPacked computes dst = a·(packed panels) through the epilogue.
 // live lists, ascending, the k-columns of a that hold anything other than
 // ±0 in some row of the product (see Live); nil means every column, and
@@ -188,20 +211,19 @@ func gemmPacked(dst, a *Matrix, bp []float64, live []int32, ep *epilogue) {
 // a[r·lead] and lie astep bytes apart, live lists the k-steps to visit
 // (nil for all). A last tile of fewer than h rows repeats its final row:
 // the kernel computes h rows either way and the repeats are not stored,
-// so every row runs a tile kernel. A tile of eight rows into contiguous
-// destination columns writes back from the registers, every panel in one
-// call; a column-mapped one runs a pass — two panels, or the odd last
-// one — a call into acc, and a four-row tile one panel a call, both of
-// which storeTile scatters. acc and the tile that points into it share
-// this frame: neither escapes.
+// so every row runs a tile kernel. A tile of eight rows writes back from
+// the registers, every panel in one call, scattering through the column
+// map where there is one; a four-row tile runs one panel a call into acc,
+// which storeTile writes back. acc and the tile share this frame: neither
+// escapes.
 func runTiles(dst *Matrix, a []float64, lead, astep int, rows []int32, count int, bp []float64, k, n int, live []int32, ep *epilogue) {
 	if n == 0 {
 		return
 	}
 	panels := (n + nr - 1) / nr
-	var acc [zr * zw]float64
+	var acc [mr * nr]float64
 	var at [zr]int // the tile's destination rows
-	t := ep.tile16For(k, live, n, &acc)
+	t := ep.tile16For(k, live, n)
 	t.astep = astep
 	for c := 0; c < count; {
 		h := tileHeight(count - c)
@@ -211,28 +233,19 @@ func runTiles(dst *Matrix, a []float64, lead, astep int, rows []int32, count int
 			t.a[q] = &a[at[q]*lead]
 		}
 		c += cnt
-		if h == zr && ep.cols == nil {
+		if h == zr { // a whole tile: no row repeats, so none is added to twice
 			for q := range t.d {
 				t.d[q] = &dst.Data[at[q]*dst.Cols]
 			}
 			t.run(bp, 0, panels)
 			continue
 		}
-		for p := 0; p < panels; {
-			pass, stride := 1, nr // panels this call, acc's row stride
-			if h == zr {
-				pass, stride = min(panels-p, 2), zw
-				t.run(bp, p, pass)
-			} else {
-				kernTile4(k, astep, live, &t.a, &bp[p*nr*k], &acc)
-			}
+		for p := 0; p < panels; p++ {
+			kernTile4(k, astep, live, &t.a, &bp[p*nr*k], &acc)
+			j0 := p * nr
 			for q := 0; q < cnt; q++ {
-				for j := 0; j < pass; j++ {
-					j0 := (p + j) * nr
-					storeTile(dst.Row(at[q]), acc[q*stride+j*nr:], j0, min(n-j0, nr), ep)
-				}
+				storeTile(dst.Row(at[q]), acc[q*nr:], j0, min(n-j0, nr), ep)
 			}
-			p += pass
 		}
 	}
 }
@@ -255,38 +268,36 @@ type tile16 struct {
 	last   int          // 200: lane mask of the last panel, (1 << its columns) − 1
 	poff   int          // 208: byte offset of the next pass's first panel from the first
 	astep  int          // 216: bytes from one a element to the next on the dense walk
+	cols   *int32       // 224: nil stores in place; else packed column j goes to d row column cols[j]
 }
 
 // tile16For prepares what the 8-row tiles of one product share (they exist
 // on the AVX-512 tier only: tileHeight). depth is the panels' row count,
 // live the k-steps to visit (nil for all), n the packed width; the a rows
-// are contiguous (astep 8) until the caller says otherwise. A product
-// into contiguous destination columns writes back from the registers,
-// every panel of a tile in one call: the caller points t.d at the tile's
-// destination rows. A column-mapped one runs a pass a call into acc, row q
-// at acc[q·zw:], which storeTile scatters.
-func (ep *epilogue) tile16For(depth int, live []int32, n int, acc *[zr * zw]float64) (t tile16) {
+// are contiguous (astep 8) until the caller says otherwise. The tile
+// writes back from the registers, every panel in one call: the caller
+// points t.d at the tile's destination rows. A column-mapped product
+// scatters each row through ep's column map (its epilogue has no bias or
+// activation).
+func (ep *epilogue) tile16For(depth int, live []int32, n int) (t tile16) {
 	t = tile16{k: depth, stride: nr * depth * 8, last: 1<<(n-(n-1)/nr*nr) - 1, astep: 8}
 	if live != nil {
 		if t.k = len(live); t.k > 0 {
 			t.idx = &live[0]
 		}
 	}
-	switch {
-	case ep.cols != nil:
-		t.last = 1<<nr - 1 // acc has every lane
-		for q := range t.d {
-			t.d[q] = &acc[q*zw]
-		}
-	case ep.accumulate: // storeTile's order: an accumulating store has no bias or activation
+	if ep.cols != nil {
+		t.cols = &ep.cols[0]
+	}
+	if ep.accumulate { // storeTile's order: an accumulating store has no bias or activation
 		t.acc = 1
-	default:
-		if ep.bias != nil {
-			t.bias = &ep.bias[0]
-		}
-		if ep.act == ActReLU {
-			t.relu = 1
-		}
+		return t
+	}
+	if ep.bias != nil {
+		t.bias = &ep.bias[0]
+	}
+	if ep.act == ActReLU {
+		t.relu = 1
 	}
 	return t
 }
@@ -311,8 +322,7 @@ func tileHeight(rows int) int {
 // one when a has dead columns, the dense one, stepping astep bytes from
 // one a element to the next, otherwise — into the first mr rows of acc.
 // Both add every term in ascending k.
-func kernTile4(k, astep int, live []int32, ap *[zr]*float64, panel *float64, acc *[zr * zw]float64) {
-	acc4 := (*[mr * nr]float64)(acc[:])
+func kernTile4(k, astep int, live []int32, ap *[zr]*float64, panel *float64, acc4 *[mr * nr]float64) {
 	switch {
 	case live == nil:
 		kern4x8n(k, astep, ap[0], ap[1], ap[2], ap[3], panel, acc4)

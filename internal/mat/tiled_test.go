@@ -73,7 +73,7 @@ func TestTiledStraddlesEightRowTile(t *testing.T) {
 						var al, cl Live
 						for pass := 1; pass <= 2; pass++ { // the second pass reuses the held scans
 							fuzzFill(gotTA.Data, rng)
-							MulTransALive(gotTA, a, &al, c, &cl)
+							MulTransALive(gotTA, a, &al, c, &cl, nil)
 							requireBitsEqual(t, fmt.Sprintf("MulTransALive/%s/%s/pass %d", kernel, tag, pass), gotTA, wantTA)
 						}
 					})
@@ -141,9 +141,12 @@ func TestTiledKern8x16IsFourKern4x8n(t *testing.T) {
 					for i := range got {
 						got[i] = math.NaN() // the kernel must overwrite the pass's part of it
 					}
-					bare := epilogue{cols: []int32{}} // a column-mapped product runs the bare tile
-					tl := bare.tile16For(depth, live, zw, &got)
+					bare := epilogue{} // the bare tile: the sums, stored
+					tl := bare.tile16For(depth, live, zw)
 					c.set(&tl)
+					for q := range tl.d {
+						tl.d[q] = &got[q*zw]
+					}
 					tl.run(bp, 0, pass)
 					for i, w := range want {
 						if i%zw >= pass*nr {
@@ -186,7 +189,7 @@ func (c *wideTileCase) set(t *tile16) {
 func (c *wideTileCase) kern4(h, p int, acc *[zr * zw]float64) {
 	var half [zr]*float64
 	copy(half[:], c.a[h:])
-	kernTile4(c.k, c.astep, c.live, &half, &c.bp[p*nr*c.depth], acc)
+	kernTile4(c.k, c.astep, c.live, &half, &c.bp[p*nr*c.depth], (*[mr * nr]float64)(acc[:]))
 }
 
 // viaKern4 is the oracle: every panel through two AVX2 tiles, each row
@@ -204,9 +207,9 @@ func (c *wideTileCase) viaKern4(dst *Matrix, ep *epilogue) {
 }
 
 // writeBack is kern8x16 over every panel in one call, storing from the
-// registers into dst's rows.
+// registers into dst's rows — through ep's column map, when it has one.
 func (c *wideTileCase) writeBack(dst *Matrix, ep *epilogue) {
-	t := ep.tile16For(c.depth, c.live, c.n, nil)
+	t := ep.tile16For(c.depth, c.live, c.n)
 	c.set(&t)
 	for q := range t.d {
 		t.d[q] = &dst.Row(q)[0]
@@ -214,47 +217,18 @@ func (c *wideTileCase) writeBack(dst *Matrix, ep *epilogue) {
 	t.run(c.bp, 0, (c.n+nr-1)/nr)
 }
 
-// viaArray is kern8x16 as a column-mapped product runs it: the bare tile,
-// a pass a call, into the accumulator array, each pass scattered through
-// storeTile into dst's rows.
-func (c *wideTileCase) viaArray(dst *Matrix, ep *epilogue) {
-	var acc [zr * zw]float64
-	bare := epilogue{cols: []int32{}}
-	t := bare.tile16For(c.depth, c.live, c.n, &acc)
-	c.set(&t)
-	panels := (c.n + nr - 1) / nr
-	for p := 0; p < panels; p += 2 {
-		pass := min(panels-p, 2)
-		t.run(c.bp, p, pass)
-		for q := 0; q < zr; q++ {
-			for j := 0; j < pass; j++ {
-				j0 := (p + j) * nr
-				storeTile(dst.Row(q), acc[q*zw+j*nr:], j0, min(c.n-j0, nr), ep)
-			}
-		}
-	}
-}
-
-// requireWideTile runs the case both ways kern8x16 serves a product —
-// writing back from the registers, and through the accumulator array —
-// over a copy of dst each, and holds both to the oracle, bit for bit but
-// for NaN payloads (storeTile's additions may take their operands in
-// either order).
+// requireWideTile runs the tile's write-back over a copy of dst and holds
+// it to the oracle, bit for bit but for NaN payloads (storeTile's
+// additions may take their operands in either order).
 func requireWideTile(t *testing.T, tag string, c *wideTileCase, dst *Matrix, ep *epilogue) {
 	t.Helper()
-	want := dst.Clone()
+	want, got := dst.Clone(), dst.Clone()
 	c.viaKern4(want, ep)
-	for _, way := range []struct {
-		name string
-		run  func(*Matrix, *epilogue)
-	}{{"write-back", c.writeBack}, {"array", c.viaArray}} {
-		got := dst.Clone()
-		way.run(got, ep)
-		for i, w := range want.Data {
-			g := got.Data[i]
-			if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-				t.Fatalf("%s %s: element %d: got %x (%v) want %x (%v)", tag, way.name, i, math.Float64bits(g), g, math.Float64bits(w), w)
-			}
+	c.writeBack(got, ep)
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: element %d: got %x (%v) want %x (%v)", tag, i, math.Float64bits(g), g, math.Float64bits(w), w)
 		}
 	}
 }
@@ -265,8 +239,8 @@ func requireWideTile(t *testing.T, tag string, c *wideTileCase, dst *Matrix, ep 
 // dense and indexed, widths of odd and even panel counts that end in a
 // full and in a partial panel, alone or closing a pair, with Inf and NaN
 // reaching the ReLU — and must not touch a column past the destination's
-// last; and so must the passes into the accumulator array a
-// column-mapped product scatters.
+// last; and so must a column-mapped write-back, stored or added, which
+// scatters every row through the map and touches no column it leaves out.
 func TestKern8x16WriteBackMatchesStoreTile(t *testing.T) {
 	if !haveAVX512 {
 		t.Skip("no AVX-512 on this machine (or force-disabled)")
@@ -300,6 +274,20 @@ func TestKern8x16WriteBackMatchesStoreTile(t *testing.T) {
 					fuzzFill(dst.Data, rng)
 					tag := fmt.Sprintf("n=%d k=%d live=%v acc=%t bias=%t act=%d", n, k, live, ep.accumulate, ep.bias != nil, ep.act)
 					requireWideTile(t, tag, &c, dst, &ep)
+					if ep.bias != nil || ep.act != ActIdentity {
+						continue // a mapped product has no bias or activation
+					}
+					// n of the n+3 columns, ascending: a map that skips some.
+					for skip := 0; skip < 3; skip++ {
+						ep.cols = make([]int32, 0, n)
+						for j := 0; j < n+3; j++ {
+							if j%3 != skip || len(ep.cols)+(n+3-j) <= n {
+								ep.cols = append(ep.cols, int32(j))
+							}
+						}
+						ep.cols = ep.cols[:n]
+						requireWideTile(t, fmt.Sprintf("%s cols=%v", tag, ep.cols), &c, dst, &ep)
+					}
 				}
 			}
 		}

@@ -71,12 +71,13 @@ type Dense struct {
 	// minibatch left live (see LiveInputs); −1 until there has been one.
 	liveIn int
 
-	out     workspace  // y, batch×Out
-	gradIn  workspace  // gradient wrt input, batch×In
-	gm      workspace  // masked gradient, batch×Out (FuseReLU only)
-	colSums []float64  // db
-	dw      mat.Matrix // dW, In×Out, over the scratch one Backward borrows
-	ownDW   []float64  // dW's own storage under NoInputGrad (SetOptimizer)
+	out     workspace   // y, batch×Out
+	gradIn  workspace   // gradient wrt input, batch×In
+	gm      *mat.Matrix // the swept gradient, batch×Out, where the sweep changes it
+	colSums []float64   // db
+	gp      mat.PackedB // the swept gradient's panels, over the scratch one Backward borrows
+	dw      mat.Matrix  // dW, In×Out, over the scratch one Backward borrows
+	ownDW   []float64   // dW's own storage under NoInputGrad (SetOptimizer)
 }
 
 // NewDense creates a Dense layer with He-initialised weights (suitable for
@@ -177,15 +178,12 @@ func (d *Dense) SetOptimizer(opt Optimizer) {
 // Backward computes g·Wᵀ (nil under NoInputGrad), dW = xᵀ·g and
 // db = Σ_rows g, and hands dW and db to the layer's optimiser, which
 // steps W and B in place (SetOptimizer).
-// When FuseReLU is set, g is first masked by the activation gradient; the
-// mask application and the bias column sums share one sweep.
+// When FuseReLU is set, g is first masked by the activation gradient.
+// One sweep over g (mat.SweepGrad) applies the mask and makes everything
+// else the products read of g: the bias column sums, g's live set and
+// the panels dW multiplies by.
 func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
-	var gradIn *mat.Matrix
-	if !d.NoInputGrad {
-		gradIn = d.gradIn.get(gradOut.Rows, d.In)
-	}
-	d.backward(gradOut, gradIn, false)
-	return gradIn
+	return d.BackwardPending(gradOut, mat.Pending{}, nil)
 }
 
 // BackwardAcc is Backward with g·Wᵀ added to sum instead of returned:
@@ -195,10 +193,27 @@ func (d *Dense) Backward(gradOut *mat.Matrix) *mat.Matrix {
 // (mat.MulTransBPacked's accumulation precondition): under GatedInput the
 // columns the gate leaves out keep what sum holds there.
 func (d *Dense) BackwardAcc(gradOut, sum *mat.Matrix) {
-	d.backward(gradOut, sum, true)
+	d.BackwardPending(gradOut, mat.Pending{}, sum)
 }
 
-func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
+// BackwardPending is Backward (sum nil) or BackwardAcc (sum non-nil) of
+// the gradient p makes of gradOut, which stays as it is: the layer's
+// sweep over gradOut applies p's shift and scale on its way, bitwise the
+// passes over gradOut they replace. It returns the input gradient when
+// sum is nil.
+func (d *Dense) BackwardPending(gradOut *mat.Matrix, p mat.Pending, sum *mat.Matrix) *mat.Matrix {
+	gradIn, accumulate := sum, sum != nil
+	if gradIn == nil && !d.NoInputGrad {
+		gradIn = d.gradIn.get(gradOut.Rows, d.In)
+	}
+	d.backward(gradOut, gradIn, accumulate, p)
+	if accumulate {
+		return nil
+	}
+	return gradIn
+}
+
+func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool, p mat.Pending) {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
@@ -208,26 +223,32 @@ func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 	if d.colSums == nil {
 		d.colSums = make([]float64, d.Out)
 	}
-	g := gradOut
+	// The sweep: mask by "output > 0" (⟺ pre-activation > 0) under
+	// FuseReLU, after p's shift and scale, into gm; g is gradOut itself
+	// where nothing applies. Its panels borrow pool scratch, which dW
+	// reads and gives back.
+	rows := gradOut.Rows
+	g, mask := gradOut, (*mat.Matrix)(nil)
 	if d.FuseReLU {
-		gm := d.gm.get(gradOut.Rows, gradOut.Cols)
-		// Fused sweep: mask by "output > 0" (⟺ pre-activation > 0) and
-		// build the bias column sums in the same row-major order as
-		// ColSumsInto, so the sums are bit-identical to the unfused pair.
-		clear(d.colSums)
-		for i := 0; i < gradOut.Rows; i++ {
-			maskReLUGrad(gm.Row(i), d.colSums, gradOut.Row(i), d.lastOut.Row(i))
-		}
-		g = gm
-	} else {
-		gradOut.ColSumsInto(d.colSums)
+		mask = d.lastOut
 	}
+	var gm *mat.Matrix
+	if mask != nil || p.Shift != nil || p.Scale != 0 {
+		// Only training runs backward, at one batch size: one buffer.
+		if d.gm == nil || d.gm.Rows != rows {
+			mat.PutScratch(d.gm)
+			d.gm = mat.GetScratch(rows, d.Out)
+		}
+		gm, g = d.gm, d.gm
+	}
+	gs := mat.GetScratch(1, (d.Out+mat.PanelWidth-1)/mat.PanelWidth*mat.PanelWidth*rows)
+	d.gp = mat.PackedB{K: rows, N: d.Out, Data: gs.Data}
+	mat.SweepGrad(gm, gradOut, p, mask, d.colSums, &d.gLive, &d.gp)
 	// The live × live block: g·Wᵀ's depth from g's live set and, under
 	// GatedInput, its columns from x's; dW's rows from x's and its columns
 	// from g's. g·Wᵀ goes first because it reads W, which the step below
 	// rewrites. W's panels carry their Finite bit, which spares it a scan
 	// of W for Inf and NaN.
-	d.gLive.Reset()
 	if gradIn != nil {
 		var gate *mat.Live
 		if d.GatedInput {
@@ -246,32 +267,14 @@ func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool) {
 		s = mat.GetScratch(1, (d.In+mat.PanelWidth-1)/mat.PanelWidth*mat.PanelWidth*d.Out)
 		d.dw.Data = s.Data[:d.In*d.Out]
 	}
-	mat.MulTransALive(&d.dw, d.lastX, d.xLive, g, &d.gLive)
+	mat.MulTransALive(&d.dw, d.lastX, d.xLive, g, &d.gLive, &d.gp)
 	d.opt.StepParam(d.W, d.dw.Data)
 	d.opt.StepParam(d.B, d.colSums)
-	d.dw.Data = nil
+	d.dw.Data, d.gp.Data = nil, nil
 	if s != nil {
 		mat.PutScratch(s)
 	}
-}
-
-// maskReLUGrad is one row of the fused DenseReLU backward sweep: m gets
-// g where the layer's output y was positive and +0 elsewhere, and the
-// survivors are added to the column sums cs. Which elements survive is a
-// coin flip per element, so the mask is applied to the bit pattern (a
-// conditional move) and every element is added: a masked one adds +0,
-// which leaves a sum that started at +0 — and so is never −0 — as it was.
-func maskReLUGrad(m, cs, g, y []float64) {
-	m, cs, y = m[:len(g)], cs[:len(g)], y[:len(g)]
-	for j, v := range g {
-		b := math.Float64bits(v)
-		if math.Float64bits(y[j])-1 >= 0x7FF0000000000000 { // !(y > 0)
-			b = 0
-		}
-		mv := math.Float64frombits(b)
-		m[j] = mv
-		cs[j] += mv
-	}
+	mat.PutScratch(gs)
 }
 
 // Params returns the layer's weight and bias parameters.

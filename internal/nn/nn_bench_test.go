@@ -150,3 +150,41 @@ func BenchmarkAdamStep(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDenseBackward times one dense layer's backward pass: the sweep
+// over g (mask, column sums, live set and panels in one pass), g·Wᵀ over
+// the live × live block, dW = xᵀ·g and the Adam step of W and B. /quick is
+// the daemon's trunk shape, 48 → 64 with a fused ReLU, at the quick
+// learner's minibatch of 32: its input is a ReLU layer's output, with a
+// quarter of its units dead across the batch and per-element zeros, and
+// its output leaves its own units dead where the bias and weights put
+// them, so both products skip what a trained network's would.
+func BenchmarkDenseBackward(b *testing.B) {
+	b.Run("quick", func(b *testing.B) {
+		const in, out, batch = 48, 64, 32
+		rng := rand.New(rand.NewSource(1))
+		d := NewDenseReLU("quick", in, out, rng)
+		d.GatedInput = true
+		opt := NewAdam(0.0025)
+		d.SetOptimizer(opt)
+		x, g := mat.New(batch, in), mat.New(batch, out)
+		for c := 0; c < in; c++ {
+			dead := rng.Intn(4) == 0
+			for r := 0; r < batch; r++ {
+				if v := rng.NormFloat64(); !dead && v > 0 {
+					x.Set(r, c, v)
+				}
+			}
+		}
+		for i := range g.Data {
+			g.Data[i] = rng.NormFloat64()
+		}
+		d.Forward(x, true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			opt.Open()
+			d.Backward(g)
+		}
+	})
+}

@@ -30,6 +30,25 @@ func (s *Sequential) Backward(gradOut *mat.Matrix) *mat.Matrix {
 	return gradOut
 }
 
+// BackwardScaled is Backward of scale·gradOut. A Dense on top applies the
+// scale in its sweep over gradOut (Dense.BackwardPending), which stays as
+// it is; any other layer gets gradOut scaled in place first. Either way
+// every element is gradOut's times scale, one rounding, as a Scale pass
+// before Backward makes it.
+func (s *Sequential) BackwardScaled(gradOut *mat.Matrix, scale float64) *mat.Matrix {
+	top := len(s.Layers) - 1
+	if d, ok := s.Layers[top].(*Dense); ok {
+		gradOut = d.BackwardPending(gradOut, mat.Pending{Scale: scale}, nil)
+	} else {
+		gradOut.Scale(scale)
+		gradOut = s.Layers[top].Backward(gradOut)
+	}
+	for i := top - 1; i >= 0; i-- {
+		gradOut = s.Layers[i].Backward(gradOut)
+	}
+	return gradOut
+}
+
 // Params returns the concatenated parameters of all layers.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param

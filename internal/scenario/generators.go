@@ -109,12 +109,23 @@ func MeanCallsPerSession(cfg AgenticBurstCfg) float64 {
 // whose depth-d calls land d seconds (plus jitter) later. Arrivals past
 // the horizon wrap around — the trace loops, so no spawned work is
 // lost.
+//
+// The draws' means repeat: Decay^d is taken once per depth, e^−mean once
+// for the sessions' mean and once per (calls, depth) mean of the cascade,
+// each the value a fresh math.Pow or math.Exp would give.
 func AgenticBurstTrace(n int, cfg AgenticBurstCfg, seed int64) *loadgen.Trace {
 	r := rng.New(seed)
 	rps := make([]float64, n)
+	depth := max(cfg.MaxDepth, 0)
+	memo := make([]float64, depth*(1+memoCalls))
+	pow, ls := memo[:depth], cascadeLs(memo[depth:])
+	for d := range pow {
+		pow[d] = math.Pow(cfg.Decay, float64(d))
+	}
+	sessionsL := knuthL(cfg.SessionsPerS)
 	for t := 0; t < n; t++ {
 		rps[t] += cfg.BaseRPS
-		sessions := poisson(r, cfg.SessionsPerS)
+		sessions := poisson(r, cfg.SessionsPerS, sessionsL)
 		for s := 0; s < sessions; s++ {
 			calls := 1
 			for d := 0; calls > 0 && d <= cfg.MaxDepth; d++ {
@@ -126,8 +137,8 @@ func AgenticBurstTrace(n int, cfg AgenticBurstCfg, seed int64) *loadgen.Trace {
 					rps[at%n]++
 				}
 				if d < cfg.MaxDepth {
-					mean := float64(calls) * cfg.FanOut * math.Pow(cfg.Decay, float64(d))
-					calls = poisson(r, mean)
+					mean := float64(calls) * cfg.FanOut * pow[d]
+					calls = poisson(r, mean, ls.at(d, calls, mean))
 				} else {
 					calls = 0
 				}
@@ -135,6 +146,29 @@ func AgenticBurstTrace(n int, cfg AgenticBurstCfg, seed int64) *loadgen.Trace {
 		}
 	}
 	return loadgen.NewTrace(rps, true)
+}
+
+// memoCalls is how many call counts a cascade memoises e^−mean for at
+// each depth; a level of more calls takes it afresh.
+const memoCalls = 64
+
+// cascadeLs memoises knuthL for a cascade's draws, memoCalls a depth:
+// element d·memoCalls + calls is the draw's at depth d after calls calls,
+// 0 until first taken. A depth's mean is a function of its call count.
+type cascadeLs []float64
+
+// at returns knuthL(mean) for the draw at depth d after calls calls. A
+// memoised 0 is taken again, which only a mean Knuth's method does not
+// run for gives.
+func (m cascadeLs) at(d, calls int, mean float64) float64 {
+	if calls >= memoCalls {
+		return knuthL(mean)
+	}
+	l := &m[d*memoCalls+calls]
+	if *l == 0 {
+		*l = knuthL(mean)
+	}
+	return *l
 }
 
 // DiurnalMobilityCfg shapes the cellular diurnal family.
@@ -174,21 +208,33 @@ func DiurnalMobilityTrace(peakRPS float64, n int, cfg DiurnalMobilityCfg, seed i
 	return loadgen.NewTrace(rps, true)
 }
 
+// knuthMax is the largest mean poisson draws by Knuth's product method.
+const knuthMax = 30
+
+// knuthL is the l poisson takes for mean: e^−mean where Knuth's method
+// runs, 0 elsewhere.
+func knuthL(mean float64) float64 {
+	if mean > 0 && mean <= knuthMax {
+		return math.Exp(-mean)
+	}
+	return 0
+}
+
 // poisson draws a Poisson variate: Knuth's product method for small
-// means, the Gaussian approximation above 30 (where Knuth's running
-// product would underflow).
-func poisson(r *rng.Rand, mean float64) int {
+// means, the Gaussian approximation above knuthMax (where Knuth's running
+// product would underflow). l is knuthL(mean), which a caller drawing
+// from one mean again and again computes once.
+func poisson(r *rng.Rand, mean, l float64) int {
 	if mean <= 0 {
 		return 0
 	}
-	if mean > 30 {
+	if mean > knuthMax {
 		v := math.Round(mean + math.Sqrt(mean)*r.NormFloat64())
 		if v < 0 {
 			return 0
 		}
 		return int(v)
 	}
-	l := math.Exp(-mean)
 	k, p := 0, 1.0
 	for p > l {
 		k++

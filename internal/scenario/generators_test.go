@@ -137,14 +137,14 @@ func TestPoissonStats(t *testing.T) {
 		var sum float64
 		n := 20000
 		for i := 0; i < n; i++ {
-			sum += float64(poisson(r, mean))
+			sum += float64(poisson(r, mean, knuthL(mean)))
 		}
 		got := sum / float64(n)
 		if math.Abs(got-mean) > 0.1*mean+0.05 {
 			t.Fatalf("poisson(%v) sample mean %v", mean, got)
 		}
 	}
-	if poisson(r, 0) != 0 || poisson(r, -1) != 0 {
+	if poisson(r, 0, knuthL(0)) != 0 || poisson(r, -1, knuthL(-1)) != 0 {
 		t.Fatal("non-positive mean draws zero")
 	}
 }
