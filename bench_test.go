@@ -13,7 +13,6 @@ package twigbench
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/bdq"
@@ -28,10 +27,6 @@ import (
 	"github.com/twig-sched/twig/internal/sim/power"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
-
-// The figure benches fan independent experiment cells out over all
-// available cores; results are byte-identical to serial runs.
-func init() { experiments.SetParallelism(runtime.GOMAXPROCS(0)) }
 
 // benchScale is the scaled-down profile the benches regenerate the
 // evaluation at — identical to the quick profile used by

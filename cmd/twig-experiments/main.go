@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	twig-experiments -experiment fig5 [-scale quick|paper|short] [-seed 1] [-parallel N]
+//	twig-experiments -experiment fig5 [-scale quick|paper|short] [-seed 1]
 //	twig-experiments -experiment figscen -scale short
 //	twig-experiments -experiment all
 //
-// -parallel fans independent experiment cells out over N workers
-// (default GOMAXPROCS); results are byte-identical at any setting.
+// Independent experiment cells fan out over GOMAXPROCS workers; results
+// are byte-identical at any width (GOMAXPROCS=1 runs them one by one).
 // -scale short is a smoke-test scale (tiny networks, 200-interval runs)
 // so CI can rerun an experiment and diff the output in seconds.
 // -h lists the experiment ids; all runs every one in that order.
@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -87,13 +86,11 @@ func main() {
 		ids[i] = e.id
 	}
 	var (
-		exp      = flag.String("experiment", "all", "experiment id: all, or one of "+strings.Join(ids, ", "))
-		scale    = flag.String("scale", "quick", "experiment scale: quick, paper or short (smoke test: tiny networks, 200-interval runs)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent experiment cells (results are identical at any setting)")
+		exp   = flag.String("experiment", "all", "experiment id: all, or one of "+strings.Join(ids, ", "))
+		scale = flag.String("scale", "quick", "experiment scale: quick, paper or short (smoke test: tiny networks, 200-interval runs)")
+		seed  = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
-	experiments.SetParallelism(*parallel)
 
 	sc, err := experiments.NamedScale(*scale)
 	if err != nil {

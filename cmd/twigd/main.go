@@ -53,7 +53,9 @@ import (
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/core"
+	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/daemon"
+	"github.com/twig-sched/twig/internal/experiments"
 	"github.com/twig-sched/twig/internal/report"
 	"github.com/twig-sched/twig/internal/scenario"
 	"github.com/twig-sched/twig/internal/sim"
@@ -187,7 +189,7 @@ func run(cfg runConfig) error {
 	// (runtime admissions append columns without renaming existing ones).
 	csvTable := report.NewTable(csvHeader(cfg.names)...)
 
-	sumFrom := maxInt(cfg.seconds-cfg.scale.SummaryS, cfg.seconds/2)
+	sumFrom := max(cfg.seconds-cfg.scale.SummaryS, cfg.seconds/2)
 	var acc summaryAcc
 	var coresTrace []float64
 	fmt.Printf("twigd: managing %v on %d cores (%s scale, ε %0.2f→%0.2f)\n",
@@ -289,9 +291,8 @@ func (a *summaryAcc) add(r sim.StepResult) {
 		if sv.P99Ms <= sv.QoSTargetMs {
 			a.met[i]++
 		}
-		if sv.QoSTargetMs > 0 && sv.P99Ms == sv.P99Ms { // skip NaN
-			a.tard[i] += sv.P99Ms / sv.QoSTargetMs
-		}
+		so := ctrl.ServiceObs{P99Ms: sv.P99Ms, QoSTargetMs: sv.QoSTargetMs}
+		a.tard[i] += experiments.SummaryTardiness(so.Tardiness())
 		a.cores[i] += float64(sv.NumCores)
 		a.freq[i] += sv.FreqGHz
 	}
@@ -373,11 +374,4 @@ func loadFracOf(w scenario.World, name string) float64 {
 func fail(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "twigd: "+format+"\n", args...)
 	os.Exit(2)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

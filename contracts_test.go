@@ -189,6 +189,19 @@ var contracts = []contract{
 		},
 	},
 	{
+		name: "one-fan-out",
+		why:  "independent work fans out through par.For alone, at GOMAXPROCS: the experiment-cell knob (experiments.SetParallelism, experiments.Parallelism, cellParallelism) and twig-experiments' -parallel stay deleted, and GOMAXPROCS=1 is the serial run",
+		clauses: []clause{
+			{scope{}, []rule{idents("cellParallelism"), qualified("experiments", "SetParallelism", "Parallelism")}},
+		},
+		whole: func(tr *tree) []string {
+			if tr.flags["cmd/twig-experiments"]["parallel"] {
+				return []string{"cmd/twig-experiments: registers -parallel"}
+			}
+			return nil
+		},
+	},
+	{
 		name: "one-measurement-system",
 		why:  "twig-bench, its baseline files, the dispatch mirror it reported, the unpooled fleet factory and the gob weight file stay deleted",
 		clauses: []clause{

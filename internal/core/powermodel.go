@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 
 	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim"
@@ -121,7 +120,7 @@ func ProfilePower(spec sim.ServiceSpec, cfg sim.Config, secondsPerPoint int) []P
 	// (all cores online at the lowest DVFS state, nothing scheduled).
 	idle := sim.NewServer(cfg, []sim.ServiceSpec{spec}).IdlePowerW()
 	samples := make([]PowerSample, len(grid))
-	par.For(len(grid), runtime.GOMAXPROCS(0), func(i int) {
+	par.For(len(grid), func(i int) {
 		p := grid[i]
 		samples[i] = profilePoint(spec, cfg, secondsPerPoint, p.lf, p.cores, platform.FreqForStep(p.step), idle)
 	})

@@ -54,12 +54,12 @@ func runTwigVariant(sc Scale, seed int64, names []string, frac float64, mutate f
 }
 
 // runAblationVariants runs every variant on names at half load as an
-// independent cell on the experiments worker pool; each writes to its
-// own slot so results are byte-identical to a serial sweep. A cell's
-// QoS guarantee is the mean over the services.
+// independent cell on par.For; each writes to its own slot so results
+// are byte-identical to a serial sweep. A cell's QoS guarantee is the
+// mean over the services.
 func runAblationVariants(sc Scale, seed int64, names []string, vs []ablationVariant) []AblationCell {
 	cells := make([]AblationCell, len(vs))
-	par.For(len(vs), Parallelism(), func(i int) {
+	par.For(len(vs), func(i int) {
 		sum := runTwigVariant(sc, seed, names, 0.5, vs[i].Mutate)
 		q, _ := meanMin(sum.QoSGuarantee)
 		cells[i] = AblationCell{Variant: vs[i].Label, QoSGuarantee: q, AvgPowerW: sum.AvgPowerW, Migrations: sum.Migrations}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/batch"
 	"github.com/twig-sched/twig/internal/sim/service"
@@ -32,14 +33,15 @@ type BatchColocResult struct {
 }
 
 // BatchColoc runs the comparison for Img-dnn at 50% load with the
-// default analytics batch.
+// default analytics batch, each manager an independent cell.
 func BatchColoc(sc Scale, seed int64) BatchColocResult {
 	const svcName = "img-dnn"
 	const lf = 0.5
 	prof := service.MustLookup(svcName)
-	res := BatchColocResult{Service: svcName, LoadFrac: lf}
+	managers := []string{"static", "heracles", "twig-s"}
+	res := BatchColocResult{Service: svcName, LoadFrac: lf, Cells: make([]BatchColocCell, len(managers))}
 	total := sc.LearnS + sc.SummaryS
-	for _, mgr := range []string{"static", "heracles", "twig-s"} {
+	par.For(len(managers), func(i int) {
 		cfg := sim.DefaultConfig()
 		cfg.MeasurementSeed = seed
 		spec := batch.DefaultSpec()
@@ -50,7 +52,7 @@ func BatchColoc(sc Scale, seed int64) BatchColocResult {
 		var work float64
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   newController(mgr, srv, sc, seed, svcName),
+			Controller:   newController(managers[i], srv, sc, seed, svcName),
 			Patterns:     fixedLoads(lf, svcName),
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,
@@ -60,13 +62,13 @@ func BatchColoc(sc Scale, seed int64) BatchColocResult {
 				}
 			},
 		})
-		res.Cells = append(res.Cells, BatchColocCell{
-			Manager:      mgr,
+		res.Cells[i] = BatchColocCell{
+			Manager:      managers[i],
 			QoSGuarantee: sum.QoSGuarantee[0],
 			BatchWork:    work,
 			AvgPowerW:    sum.AvgPowerW,
-		})
-	}
+		}
+	})
 	return res
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/twig-sched/twig/internal/core"
+	"github.com/twig-sched/twig/internal/par"
 )
 
 // ExtensionCATResult evaluates the cache-partitioning extension: the
@@ -22,20 +23,20 @@ type ExtensionCATResult struct {
 	WithW      float64
 }
 
-// ExtensionCAT runs the comparison.
+// ExtensionCAT runs the comparison, without (cell 0) and with (cell 1)
+// the cache branch.
 func ExtensionCAT(sc Scale, seed int64) ExtensionCATResult {
-	run := func(manage bool) ([]float64, float64) {
-		sum := runTwigVariant(sc, seed, []string{"moses", "xapian"}, 0.6, func(c *core.Config) { c.ManageCache = manage })
-		return sum.QoSGuarantee, sum.AvgPowerW
+	var sums [2]Summary
+	par.For(len(sums), func(i int) {
+		sums[i] = runTwigVariant(sc, seed, []string{"moses", "xapian"}, 0.6, func(c *core.Config) { c.ManageCache = i == 1 })
+	})
+	without, with := sums[0], sums[1]
+	return ExtensionCATResult{
+		WithoutQoS: [2]float64{without.QoSGuarantee[0], without.QoSGuarantee[1]},
+		WithoutW:   without.AvgPowerW,
+		WithQoS:    [2]float64{with.QoSGuarantee[0], with.QoSGuarantee[1]},
+		WithW:      with.AvgPowerW,
 	}
-	var res ExtensionCATResult
-	q, w := run(false)
-	res.WithoutQoS = [2]float64{q[0], q[1]}
-	res.WithoutW = w
-	q, w = run(true)
-	res.WithQoS = [2]float64{q[0], q[1]}
-	res.WithW = w
-	return res
 }
 
 // String renders the comparison.

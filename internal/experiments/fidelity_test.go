@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -20,8 +19,6 @@ import (
 //
 //	TWIG_FIDELITY=1 go test -count=1 -run '^TestPaperFidelity$' -v -timeout 30m ./internal/experiments/
 func TestPaperFidelity(t *testing.T) {
-	defer SetParallelism(Parallelism())
-	SetParallelism(runtime.GOMAXPROCS(0)) // as twig-experiments runs: the same bytes, sooner
 	results := map[string]any{}
 	run := func(t *testing.T, row fidelityRow, sc Scale, seed int64) any {
 		key := fmt.Sprint(row.fig, sc.Name, seed)

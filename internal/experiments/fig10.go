@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
 	"github.com/twig-sched/twig/internal/sim/service"
@@ -38,20 +39,22 @@ func ladderPeriod(sc Scale) int {
 	return max(10, min(200, sc.LearnS/20))
 }
 
-// Fig10 runs the varying-load comparison.
+// Fig10 runs the varying-load comparison, each manager an independent
+// cell.
 func Fig10(sc Scale, seed int64) Fig10Result {
 	const svcName = "img-dnn"
 	prof := service.MustLookup(svcName)
 	period := ladderPeriod(sc)
 	gen := loadgen.NewStepWise(0.2*prof.MaxLoadRPS, 0.9*prof.MaxLoadRPS, 0.2, period)
 	total := sc.LearnS + sc.SummaryS*3 // a few ladders after learning
-	res := Fig10Result{Service: svcName, PeriodS: period}
-	for _, mgr := range []string{"twig-s", "hipster", "heracles"} {
+	managers := []string{"twig-s", "hipster", "heracles"}
+	res := Fig10Result{Service: svcName, PeriodS: period, Traces: make([]Fig10Trace, len(managers))}
+	par.For(len(managers), func(i int) {
 		srv := NewServer(seed, svcName)
-		tr := Fig10Trace{Manager: mgr}
+		tr := Fig10Trace{Manager: managers[i]}
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   newController(mgr, srv, sc, seed, svcName),
+			Controller:   newController(managers[i], srv, sc, seed, svcName),
 			Patterns:     []loadgen.Pattern{gen},
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,
@@ -66,8 +69,8 @@ func Fig10(sc Scale, seed int64) Fig10Result {
 		tr.QoSGuarantee = sum.QoSGuarantee[0]
 		tr.EnergyJ = sum.EnergyJ
 		tr.Migrations = sum.Migrations
-		res.Traces = append(res.Traces, tr)
-	}
+		res.Traces[i] = tr
+	})
 	return res
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
 	"github.com/twig-sched/twig/internal/sim/service"
@@ -30,21 +31,21 @@ type Fig12Result struct {
 	Traces  []Fig12Trace
 }
 
-// Fig12 runs the comparison.
+// Fig12 runs the comparison, each manager an independent cell.
 func Fig12(sc Scale, seed int64) Fig12Result {
 	frac := PairMaxFraction("masstree", "moses")
 	massLoad := 0.2 * frac * service.MustLookup("masstree").MaxLoadRPS
 	mosesLoad := 0.8 * frac * service.MustLookup("moses").MaxLoadRPS
 	window := 2 * sc.SummaryS // the paper summarises PARTIES over 600 s
 	total := sc.LearnS + window
-	res := Fig12Result{WindowS: window}
-
-	for _, name := range []string{"parties", "twig-c"} {
+	managers := []string{"parties", "twig-c"}
+	res := Fig12Result{WindowS: window, Traces: make([]Fig12Trace, len(managers))}
+	par.For(len(managers), func(i int) {
 		srv := NewServer(seed, "masstree", "moses")
-		tr := Fig12Trace{Manager: name, CoreHist: []map[int]int{{}, {}}}
+		tr := Fig12Trace{Manager: managers[i], CoreHist: []map[int]int{{}, {}}}
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   newController(name, srv, sc, seed, "masstree", "moses"),
+			Controller:   newController(managers[i], srv, sc, seed, "masstree", "moses"),
 			Patterns:     []loadgen.Pattern{loadgen.Fixed(massLoad), loadgen.Fixed(mosesLoad)},
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,
@@ -60,8 +61,8 @@ func Fig12(sc Scale, seed int64) Fig12Result {
 		tr.Migrations = sum.Migrations
 		tr.QoSGuarantee = sum.QoSGuarantee
 		tr.AvgPowerW = sum.AvgPowerW
-		res.Traces = append(res.Traces, tr)
-	}
+		res.Traces[i] = tr
+	})
 	return res
 }
 

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"github.com/twig-sched/twig/internal/par"
 )
 
 // Fig13Cell is one (pair, load, manager) measurement.
@@ -20,92 +18,43 @@ type Fig13Cell struct {
 // Fig13Result reproduces Fig. 13: Twig-C vs PARTIES vs static across
 // service pairs at low (20%), mid (50%) and high (80%) fractions of the
 // pair's colocated operable maximum.
-type Fig13Result struct {
-	Scale string
-	Cells []Fig13Cell
-}
+type Fig13Result struct{ grid[Fig13Cell] }
+
+func (c Fig13Cell) manager() string        { return c.Manager }
+func (c Fig13Cell) energyNorm() float64    { return c.EnergyNorm }
+func (c Fig13Cell) qosSum() (float64, int) { return c.QoSGuarantee[0] + c.QoSGuarantee[1], 2 }
 
 // Fig13Managers lists the colocated managers compared.
 var Fig13Managers = []string{"static", "parties", "twig-c"}
 
 // Fig13 runs the comparison over the given pairs (all six Tailbench
-// pairs in the paper; tests and benches may pass a subset). Cells fan
-// out over the experiments worker pool like Fig5, with the same
-// byte-identical-to-serial guarantee; normalisation against the static
-// cell of each (pair, load) group is a serial post-pass.
+// pairs in the paper; tests and benches may pass a subset), each
+// (pair, load, manager) an independent cell of the grid it shares with
+// Fig. 5.
 func Fig13(pairs [][2]string, sc Scale, seed int64) Fig13Result {
-	type job struct {
-		pair [2]string
-		lf   float64
-		mgr  string
-	}
-	var jobs []job
-	for _, pair := range pairs {
-		for _, lf := range []float64{0.2, 0.5, 0.8} {
-			for _, mgr := range Fig13Managers {
-				jobs = append(jobs, job{pair, lf, mgr})
-			}
-		}
-	}
 	total := sc.LearnS + 2*sc.SummaryS // PARTIES summarised over 600 s
-	cells := make([]Fig13Cell, len(jobs))
-	energy := make([]float64, len(jobs))
-	par.For(len(jobs), Parallelism(), func(i int) {
-		j := jobs[i]
-		frac := PairMaxFraction(j.pair[0], j.pair[1])
-		srv := NewServer(seed, j.pair[0], j.pair[1])
+	cells, norm := runGrid(pairs, Fig13Managers, func(pair [2]string, lf float64, mgr string) (Fig13Cell, float64) {
+		frac := PairMaxFraction(pair[0], pair[1])
+		srv := NewServer(seed, pair[0], pair[1])
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   newController(j.mgr, srv, sc, seed, j.pair[:]...),
-			Patterns:     fixedLoads(j.lf*frac, j.pair[:]...),
+			Controller:   newController(mgr, srv, sc, seed, pair[:]...),
+			Patterns:     fixedLoads(lf*frac, pair[:]...),
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,
 		})
-		energy[i] = sum.EnergyJ
-		cells[i] = Fig13Cell{
-			PairA: j.pair[0], PairB: j.pair[1],
-			LoadFrac:     j.lf,
-			Manager:      j.mgr,
+		return Fig13Cell{
+			PairA: pair[0], PairB: pair[1],
+			LoadFrac:     lf,
+			Manager:      mgr,
 			QoSGuarantee: [2]float64{sum.QoSGuarantee[0], sum.QoSGuarantee[1]},
 			Migrations:   sum.Migrations,
-		}
+		}, sum.EnergyJ
 	})
-	for i, e := range perStatic(energy, Fig13Managers) {
+	for i, e := range norm {
 		cells[i].EnergyNorm = e
 	}
-	return Fig13Result{Scale: sc.Name, Cells: cells}
-}
-
-// AvgEnergyNorm averages one manager's normalised energy over all cells.
-func (r Fig13Result) AvgEnergyNorm(manager string) float64 {
-	var s float64
-	n := 0
-	for _, c := range r.Cells {
-		if c.Manager == manager {
-			s += c.EnergyNorm
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
-// AvgQoS averages one manager's QoS guarantee over all cells/services.
-func (r Fig13Result) AvgQoS(manager string) float64 {
-	var s float64
-	n := 0
-	for _, c := range r.Cells {
-		if c.Manager == manager {
-			s += c.QoSGuarantee[0] + c.QoSGuarantee[1]
-			n += 2
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
+	return Fig13Result{grid[Fig13Cell]{Scale: sc.Name, Cells: cells}}
 }
 
 // String renders the table.

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"github.com/twig-sched/twig/internal/par"
 )
 
 // Fig5Cell is one (service, load, manager) measurement of Fig. 5.
@@ -23,96 +21,43 @@ type Fig5Cell struct {
 
 // Fig5Result reproduces Fig. 5: Twig-S vs Hipster, Heracles and static
 // across fixed loads of 20%, 50% and 80%.
-type Fig5Result struct {
-	Scale string
-	Cells []Fig5Cell
-}
+type Fig5Result struct{ grid[Fig5Cell] }
+
+func (c Fig5Cell) manager() string        { return c.Manager }
+func (c Fig5Cell) energyNorm() float64    { return c.EnergyNorm }
+func (c Fig5Cell) qosSum() (float64, int) { return c.QoSGuarantee, 1 }
 
 // Fig5Managers lists the single-service managers compared in Fig. 5.
 var Fig5Managers = []string{"static", "heracles", "hipster", "twig-s"}
 
 // Fig5 runs the comparison for the given services (Table II's four by
-// default) at 20/50/80% load. Independent (service, load, manager) cells
-// fan out over the experiments worker pool (SetParallelism); each cell
-// owns its server and controller and writes to its own result slot, so
-// the outcome is byte-identical to a serial run. Energy normalisation
-// against the static cell of the same (service, load) group happens in a
-// serial post-pass once all cells are in.
+// default) at 20/50/80% load, each (service, load, manager) an
+// independent cell of the grid it shares with Fig. 13.
 func Fig5(services []string, sc Scale, seed int64) Fig5Result {
-	type job struct {
-		svc string
-		lf  float64
-		mgr string
-	}
-	var jobs []job
-	for _, svcName := range services {
-		for _, lf := range []float64{0.2, 0.5, 0.8} {
-			for _, mgr := range Fig5Managers {
-				jobs = append(jobs, job{svcName, lf, mgr})
-			}
-		}
-	}
 	total := sc.LearnS + sc.SummaryS
-	cells := make([]Fig5Cell, len(jobs))
-	energy := make([]float64, len(jobs))
-	par.For(len(jobs), Parallelism(), func(i int) {
-		j := jobs[i]
-		srv := NewServer(seed, j.svc)
+	cells, norm := runGrid(services, Fig5Managers, func(svc string, lf float64, mgr string) (Fig5Cell, float64) {
+		srv := NewServer(seed, svc)
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   newController(j.mgr, srv, sc, seed, j.svc),
-			Patterns:     fixedLoads(j.lf, j.svc),
+			Controller:   newController(mgr, srv, sc, seed, svc),
+			Patterns:     fixedLoads(lf, svc),
 			Seconds:      total,
 			SummaryFromS: sc.LearnS,
 		})
-		energy[i] = sum.EnergyJ
-		cells[i] = Fig5Cell{
-			Service:      j.svc,
-			LoadFrac:     j.lf,
-			Manager:      j.mgr,
+		return Fig5Cell{
+			Service:      svc,
+			LoadFrac:     lf,
+			Manager:      mgr,
 			QoSGuarantee: sum.QoSGuarantee[0],
 			AvgCores:     sum.AvgCores[0],
 			AvgFreqGHz:   sum.AvgFreqGHz[0],
 			Migrations:   sum.Migrations,
-		}
+		}, sum.EnergyJ
 	})
-	for i, e := range perStatic(energy, Fig5Managers) {
+	for i, e := range norm {
 		cells[i].EnergyNorm = e
 	}
-	return Fig5Result{Scale: sc.Name, Cells: cells}
-}
-
-// AvgEnergyNorm returns the mean normalised energy of one manager across
-// all cells (the figure's rightmost "avg" bars).
-func (r Fig5Result) AvgEnergyNorm(manager string) float64 {
-	var s float64
-	n := 0
-	for _, c := range r.Cells {
-		if c.Manager == manager {
-			s += c.EnergyNorm
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
-// AvgQoS returns the mean QoS guarantee of one manager across all cells.
-func (r Fig5Result) AvgQoS(manager string) float64 {
-	var s float64
-	n := 0
-	for _, c := range r.Cells {
-		if c.Manager == manager {
-			s += c.QoSGuarantee
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
+	return Fig5Result{grid[Fig5Cell]{Scale: sc.Name, Cells: cells}}
 }
 
 // String renders the figure as a table.

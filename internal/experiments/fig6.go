@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/stats"
 )
@@ -15,8 +16,6 @@ type Fig6Trace struct {
 	Manager string
 	// CoreHistogram[c] counts intervals with c cores allocated.
 	CoreHistogram map[int]int
-	// FreqHistogram[f] counts intervals at DVFS setting f.
-	FreqHistogram map[float64]int
 	// Tardiness is the histogram of QoS/target over the window.
 	Tardiness *stats.Histogram
 	// QoSGuarantee and mean allocation for the window.
@@ -33,25 +32,21 @@ type Fig6Result struct {
 	Traces   []Fig6Trace
 }
 
-// Fig6 runs the experiment.
+// Fig6 runs the experiment, each manager an independent cell.
 func Fig6(sc Scale, seed int64) Fig6Result {
 	const svcName = "masstree"
 	const lf = 0.5
-	res := Fig6Result{Service: svcName, LoadFrac: lf}
-	total := sc.LearnS + sc.SummaryS
-	for _, mgr := range []string{"heracles", "hipster", "twig-s"} {
+	managers := []string{"heracles", "hipster", "twig-s"}
+	res := Fig6Result{Service: svcName, LoadFrac: lf, Traces: make([]Fig6Trace, len(managers))}
+	par.For(len(managers), func(i int) {
 		srv := NewServer(seed, svcName)
-		trace := Fig6Trace{
-			Manager:       mgr,
-			CoreHistogram: map[int]int{},
-			FreqHistogram: map[float64]int{},
-		}
+		trace := Fig6Trace{Manager: managers[i], CoreHistogram: map[int]int{}}
 		var tard []float64
 		sum := Run(RunConfig{
 			Server:       srv,
-			Controller:   newController(mgr, srv, sc, seed, svcName),
+			Controller:   newController(managers[i], srv, sc, seed, svcName),
 			Patterns:     fixedLoads(lf, svcName),
-			Seconds:      total,
+			Seconds:      sc.LearnS + sc.SummaryS,
 			SummaryFromS: sc.LearnS,
 			Hook: func(t int, r sim.StepResult, asg sim.Assignment) {
 				if t < sc.LearnS {
@@ -59,7 +54,6 @@ func Fig6(sc Scale, seed int64) Fig6Result {
 				}
 				sv := r.Services[0]
 				trace.CoreHistogram[sv.NumCores]++
-				trace.FreqHistogram[sv.FreqGHz]++
 				tard = append(tard, sv.P99Ms/sv.QoSTargetMs)
 			},
 		})
@@ -67,8 +61,8 @@ func Fig6(sc Scale, seed int64) Fig6Result {
 		trace.QoSGuarantee = sum.QoSGuarantee[0]
 		trace.AvgCores = sum.AvgCores[0]
 		trace.Migrations = sum.Migrations
-		res.Traces = append(res.Traces, trace)
-	}
+		res.Traces[i] = trace
+	})
 	return res
 }
 

@@ -34,7 +34,7 @@ func Fig7(sc Scale, seed int64) Fig7Result {
 	managers := []string{"hipster", "twig-s"}
 	curves := make([][]float64, len(managers))
 	crossedAt := make([]int, len(managers))
-	par.For(len(managers), Parallelism(), func(mi int) {
+	par.For(len(managers), func(mi int) {
 		mgr := managers[mi]
 		srv := NewServer(seed, svcName)
 		qb := newQoSBuckets(sc)

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"github.com/twig-sched/twig/internal/core"
-	"github.com/twig-sched/twig/internal/sim"
+	"github.com/twig-sched/twig/internal/par"
 )
 
 // Fig8Target is one target service's with/without-transfer comparison.
@@ -50,39 +50,53 @@ func Fig8(sc Scale, seed int64) Fig8Result {
 		SummaryFromS: sc.LearnS - 1,
 	})
 
-	res := Fig8Result{Donor: donor, BucketS: newQoSBuckets(sc).width}
-	for _, target := range []string{"moses", "img-dnn", "xapian"} {
-		tt := Fig8Target{Service: target}
-
-		runCurve := func(mgr *core.Manager, srv *sim.Server) ([]float64, int, float64) {
-			qb := newQoSBuckets(sc)
-			sum := Run(RunConfig{
-				Server:       srv,
-				Controller:   mgr,
-				Patterns:     fixedLoads(lf, target),
-				Seconds:      sc.LearnS + sc.SummaryS,
-				SummaryFromS: sc.LearnS,
-				Hook:         qb.hook,
-			})
-			curve, to80 := qb.curve(0)
-			return curve, to80, sum.MeanTardiness[0]
+	// One cell per (target, from scratch or with transfer).
+	targets := []string{"moses", "img-dnn", "xapian"}
+	type curveRun struct {
+		curve     []float64
+		to80      int
+		tardiness float64
+	}
+	runs := make([]curveRun, 2*len(targets))
+	par.For(len(runs), func(i int) {
+		target := targets[i/2]
+		srv := NewServer(seed+10, target)
+		var mgr *core.Manager
+		if i%2 == 0 {
+			mgr = NewTwig(srv, sc, seed+1, target)
+		} else {
+			// With transfer: take the donor's weights (it is idle from
+			// here on), re-init the output layers, restart ε at the mid
+			// point ("retrain for a short interval").
+			mgr = NewTwig(srv, sc, seed+2, target)
+			mgr.CopyWeightsFrom(donorMgr)
+			mgr.Transfer(sc.Epsilon.MidStep)
 		}
+		qb := newQoSBuckets(sc)
+		sum := Run(RunConfig{
+			Server:       srv,
+			Controller:   mgr,
+			Patterns:     fixedLoads(lf, target),
+			Seconds:      sc.LearnS + sc.SummaryS,
+			SummaryFromS: sc.LearnS,
+			Hook:         qb.hook,
+		})
+		runs[i].curve, runs[i].to80 = qb.curve(0)
+		runs[i].tardiness = sum.MeanTardiness[0]
+	})
 
-		// From scratch.
-		scratchSrv := NewServer(seed+10, target)
-		scratch := NewTwig(scratchSrv, sc, seed+1, target)
-		tt.Scratch, tt.ScratchTo80, tt.ScratchTardiness = runCurve(scratch, scratchSrv)
-
-		// With transfer: take the donor's weights (it is idle from here
-		// on), re-init the output layers, restart ε at the mid point
-		// ("retrain for a short interval").
-		xferSrv := NewServer(seed+10, target)
-		xfer := NewTwig(xferSrv, sc, seed+2, target)
-		xfer.CopyWeightsFrom(donorMgr)
-		xfer.Transfer(sc.Epsilon.MidStep)
-		tt.Transfer, tt.TransferTo80, tt.TransferTardiness = runCurve(xfer, xferSrv)
-
-		res.Targets = append(res.Targets, tt)
+	res := Fig8Result{Donor: donor, BucketS: newQoSBuckets(sc).width}
+	for ti, target := range targets {
+		scratch, xfer := runs[2*ti], runs[2*ti+1]
+		res.Targets = append(res.Targets, Fig8Target{
+			Service:           target,
+			Scratch:           scratch.curve,
+			ScratchTo80:       scratch.to80,
+			ScratchTardiness:  scratch.tardiness,
+			Transfer:          xfer.curve,
+			TransferTo80:      xfer.to80,
+			TransferTardiness: xfer.tardiness,
+		})
 	}
 	return res
 }

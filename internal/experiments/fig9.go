@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"github.com/twig-sched/twig/internal/core"
-	"github.com/twig-sched/twig/internal/sim"
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
@@ -47,9 +47,22 @@ func Fig9(sc Scale, seed int64) Fig9Result {
 		SummaryFromS: sc.LearnS - 1,
 	})
 
-	res := Fig9Result{BucketS: newQoSBuckets(sc).width}
-
-	runPhase2 := func(mgr *core.Manager, srv *sim.Server) (xq, mq []float64, power float64) {
+	// Phase 2, from scratch (cell 0) and with transfer (cell 1).
+	type phase2 struct {
+		xapian, masstree []float64
+		powerW           float64
+	}
+	var runs [2]phase2
+	par.For(len(runs), func(i int) {
+		srv := NewServer(seed+20, "xapian", "masstree")
+		var mgr *core.Manager
+		if i == 0 {
+			mgr = NewTwig(srv, sc, seed+3, "xapian", "masstree")
+		} else {
+			mgr = NewTwig(srv, sc, seed+4, "xapian", "masstree")
+			mgr.CopyWeightsFrom(donor)
+			mgr.Transfer(sc.Epsilon.MidStep)
+		}
 		qb := newQoSBuckets(sc)
 		sum := Run(RunConfig{
 			Server:       srv,
@@ -59,24 +72,19 @@ func Fig9(sc Scale, seed int64) Fig9Result {
 			SummaryFromS: sc.LearnS,
 			Hook:         qb.hook,
 		})
-		xq, _ = qb.curve(0)
-		mq, _ = qb.curve(1)
-		return xq, mq, sum.AvgPowerW
+		runs[i].xapian, _ = qb.curve(0)
+		runs[i].masstree, _ = qb.curve(1)
+		runs[i].powerW = sum.AvgPowerW
+	})
+	return Fig9Result{
+		BucketS:          newQoSBuckets(sc).width,
+		ScratchXapian:    runs[0].xapian,
+		TransferXapian:   runs[1].xapian,
+		ScratchMasstree:  runs[0].masstree,
+		TransferMasstree: runs[1].masstree,
+		ScratchPowerW:    runs[0].powerW,
+		TransferPowerW:   runs[1].powerW,
 	}
-
-	// Phase 2a: from scratch.
-	srvA := NewServer(seed+20, "xapian", "masstree")
-	scratch := NewTwig(srvA, sc, seed+3, "xapian", "masstree")
-	res.ScratchXapian, res.ScratchMasstree, res.ScratchPowerW = runPhase2(scratch, srvA)
-
-	// Phase 2b: with transfer.
-	srvB := NewServer(seed+20, "xapian", "masstree")
-	xfer := NewTwig(srvB, sc, seed+4, "xapian", "masstree")
-	xfer.CopyWeightsFrom(donor)
-	xfer.Transfer(sc.Epsilon.MidStep)
-	res.TransferXapian, res.TransferMasstree, res.TransferPowerW = runPhase2(xfer, srvB)
-
-	return res
 }
 
 // String renders the four curves.

@@ -9,6 +9,7 @@ import (
 	"github.com/twig-sched/twig/internal/cluster"
 	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/ctrl"
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
 )
@@ -94,8 +95,9 @@ type FigChaosResult struct {
 }
 
 // FigChaos runs the chaos sweep at both placement policies under every
-// named cluster scenario. Runs are deterministic: the same (scale,
-// seed) reruns byte-identically, which TestFigChaos pins.
+// named cluster scenario, every (scenario, policy) fleet an independent
+// cell. Runs are deterministic: the same (scale, seed) reruns
+// byte-identically, which TestFigChaos pins.
 func FigChaos(sc Scale, seed int64) FigChaosResult {
 	const nodes = 3
 	seconds := 400
@@ -103,14 +105,12 @@ func FigChaos(sc Scale, seed int64) FigChaosResult {
 		seconds = 1500
 	}
 	scenarios := []string{"none", "nodecrash", "partition", "chaos"}
-	res := FigChaosResult{Scenarios: scenarios, Nodes: nodes, Seconds: seconds}
-	for _, scen := range scenarios {
-		cs := faults.MustNamedCluster(scen)
+	res := FigChaosResult{Scenarios: scenarios, Nodes: nodes, Seconds: seconds, Cells: make([]ChaosCell, 2*len(scenarios))}
+	par.For(len(res.Cells), func(i int) {
+		cs := faults.MustNamedCluster(scenarios[i/2])
 		adaptClusterScenario(&cs, seconds)
-		for _, pin := range []bool{false, true} {
-			res.Cells = append(res.Cells, ChaosCellRun(sc, seed, cs, pin, nodes, seconds))
-		}
-	}
+		res.Cells[i] = ChaosCellRun(sc, seed, cs, i%2 == 1, nodes, seconds)
+	})
 	return res
 }
 

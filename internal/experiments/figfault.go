@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/twig-sched/twig/internal/ctrl"
+	"github.com/twig-sched/twig/internal/par"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
 )
@@ -51,19 +52,26 @@ var figFaultManagers = []string{"twig-c", "parties", "static"}
 // at a moderate fixed load, managed by Twig-C and two baselines, each
 // with and without the resilient Guard wrapper, under the named fault
 // scenarios. It is the harness behind the "fault model" section of
-// DESIGN.md rather than a figure of the original paper.
+// DESIGN.md rather than a figure of the original paper. Every
+// (scenario, manager, guarded?) run is an independent cell.
 func FigFault(sc Scale, seed int64) FigFaultResult {
-	scenarios := []string{"none", "sensor", "actuator", "crash", "hostile"}
-	res := FigFaultResult{Scenarios: scenarios, Services: []string{"masstree", "xapian"}}
-	for _, scen := range scenarios {
-		fs := faults.MustNamed(scen)
-		adaptScenario(&fs, sc.LearnS+sc.SummaryS)
-		for _, mgr := range figFaultManagers {
-			for _, guarded := range []bool{false, true} {
-				res.Cells = append(res.Cells, FaultCellRun(sc, seed, fs, mgr, guarded, res.Services))
-			}
-		}
+	return figFault(sc, seed, []string{"none", "sensor", "actuator", "crash", "hostile"})
+}
+
+// figFault runs the matrix over the named scenarios only.
+func figFault(sc Scale, seed int64, scenarios []string) FigFaultResult {
+	perScen := 2 * len(figFaultManagers)
+	res := FigFaultResult{
+		Scenarios: scenarios,
+		Services:  []string{"masstree", "xapian"},
+		Cells:     make([]FaultCell, len(scenarios)*perScen),
 	}
+	par.For(len(res.Cells), func(i int) {
+		fs := faults.MustNamed(scenarios[i/perScen])
+		adaptScenario(&fs, sc.LearnS+sc.SummaryS)
+		mgr := figFaultManagers[i%perScen/2]
+		res.Cells[i] = FaultCellRun(sc, seed, fs, mgr, i%2 == 1, res.Services)
+	})
 	return res
 }
 

@@ -127,7 +127,7 @@ func figScen(sc Scale, seed int64, names []string) FigScenResult {
 	res := FigScenResult{Scale: sc.Name, Scenarios: names}
 	cells := figScenCells(seed, names)
 	res.Cells = make([]ScenCell, len(cells))
-	par.For(len(cells), Parallelism(), func(i int) {
+	par.For(len(cells), func(i int) {
 		res.Cells[i] = ScenCellRun(sc, cells[i].seed, cells[i].w, cells[i].manager)
 	})
 	return res

@@ -15,32 +15,35 @@ import (
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
-// TestParallelCellsByteIdentical verifies the concurrent experiment
-// runner's core guarantee: fanning cells out over workers produces
-// exactly the result of a serial sweep, because every cell owns its
-// server, controller and RNG chain and writes to an index-fixed slot.
+// TestParallelCellsByteIdentical verifies the experiment fan-out's core
+// guarantee: running cells on par.For's workers produces exactly the
+// result of a serial sweep (GOMAXPROCS=1), because every cell owns its
+// server, controller, RNG chain and hook state and writes to an
+// index-fixed slot. The transfer figures' cells share one trained donor.
 func TestParallelCellsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	sc := tinyScale()
-	old := Parallelism()
-	defer SetParallelism(old)
-
-	SetParallelism(1)
-	serialFig5 := Fig5([]string{"masstree"}, sc, 7)
-	serialAbl := AblationReplay(sc, 7)
-	SetParallelism(4)
-	parallelFig5 := Fig5([]string{"masstree"}, sc, 7)
-	parallelAbl := AblationReplay(sc, 7)
-
-	if !reflect.DeepEqual(serialFig5, parallelFig5) {
-		t.Fatalf("Fig5 differs between serial and parallel runs:\nserial:   %+v\nparallel: %+v",
-			serialFig5, parallelFig5)
+	figures := []struct {
+		name string
+		run  func() any
+	}{
+		{"Fig5", func() any { return Fig5([]string{"masstree"}, sc, 7) }},
+		{"AblationReplay", func() any { return AblationReplay(sc, 7) }},
+		{"Fig6", func() any { return Fig6(sc, 7) }},
+		{"Fig8", func() any { return Fig8(sc, 7) }},
+		{"FigFault/hostile", func() any { return figFault(sc, 7, []string{"hostile"}) }},
 	}
-	if !reflect.DeepEqual(serialAbl, parallelAbl) {
-		t.Fatalf("AblationReplay differs between serial and parallel runs:\nserial:   %+v\nparallel: %+v",
-			serialAbl, parallelAbl)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, f := range figures {
+		runtime.GOMAXPROCS(1)
+		serial := f.run()
+		runtime.GOMAXPROCS(4)
+		parallel := f.run()
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%s differs between GOMAXPROCS 1 and 4:\nserial:   %+v\nparallel: %+v", f.name, serial, parallel)
+		}
 	}
 }
 

@@ -78,6 +78,17 @@ type Summary struct {
 // means stay finite.
 const nanTardiness = 10.0
 
+// SummaryTardiness is the tardiness a summary records for one interval's
+// QoS/target ratio: a missing (NaN), infinite or over-nanTardiness
+// reading counts as nanTardiness. Run and twigd's exit summary both
+// apply it.
+func SummaryTardiness(tard float64) float64 {
+	if math.IsNaN(tard) || math.IsInf(tard, 0) || tard > nanTardiness {
+		return nanTardiness
+	}
+	return tard
+}
+
 // Run executes the control loop: every simulated second the controller
 // receives the last interval's observation and decides the next
 // interval's assignment.
@@ -154,10 +165,7 @@ func Run(cfg RunConfig) Summary {
 			so := obs.Services[i]
 
 			if inWindow {
-				tard := so.Tardiness()
-				if math.IsNaN(tard) || math.IsInf(tard, 0) || tard > nanTardiness {
-					tard = nanTardiness
-				}
+				tard := SummaryTardiness(so.Tardiness())
 				sum.Tardiness[i] = append(sum.Tardiness[i], tard)
 				sum.MeanTardiness[i] += tard
 				if tard > sum.MaxTardiness[i] {
@@ -252,15 +260,4 @@ func meanMin(qs []float64) (mean, lo float64) {
 		mean /= float64(len(qs))
 	}
 	return mean, lo
-}
-
-// perStatic normalises each cell's energy to the static cell of its
-// group: cells come in groups of len(managers), in managers' order.
-func perStatic(energy []float64, managers []string) []float64 {
-	s := slices.Index(managers, "static")
-	norm := make([]float64, len(energy))
-	for i, e := range energy {
-		norm[i] = e / energy[i-i%len(managers)+s]
-	}
-	return norm
 }

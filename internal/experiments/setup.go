@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"github.com/twig-sched/twig/internal/baselines"
@@ -118,7 +117,7 @@ func fitPowerModel(name string) *core.PowerModel {
 // each in power, every one a job of its own (the longer fits first). A
 // value already cached costs nothing; one being computed is waited for.
 func Calibrate(qos, power []string) {
-	par.For(len(power)+len(qos), runtime.GOMAXPROCS(0), func(i int) {
+	par.For(len(power)+len(qos), func(i int) {
 		if i < len(power) {
 			PowerModelFor(power[i])
 			return

@@ -5,18 +5,19 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// For runs fn(i) for every i in [0, n) on at most workers goroutines;
-// workers ≤ 1 runs them in order on the caller's. fn must write only
-// state owned by index i (typically out[i]), so the outcome does not
-// depend on which worker ran which index or in what order. A panic in
-// fn reaches the caller, as it would in the serial loop: the first one
-// is raised again once every worker has stopped.
-func For(n, workers int, fn func(i int)) {
-	w := min(workers, n)
+// For runs fn(i) for every i in [0, n) on at most GOMAXPROCS goroutines;
+// at GOMAXPROCS=1 it runs them in order on the caller's. fn must write
+// only state owned by index i (typically out[i]), so the outcome does
+// not depend on which worker ran which index or in what order. A panic
+// in fn reaches the caller, as it would in the serial loop: the first
+// one is raised again once every worker has stopped.
+func For(n int, fn func(i int)) {
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -1,24 +1,30 @@
 package par
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestForCoversAllIndices(t *testing.T) {
-	for _, w := range []int{0, 1, 3, 16} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 16} {
+		runtime.GOMAXPROCS(procs)
 		const n = 37
 		seen := make([]int, n)
-		For(n, w, func(i int) { seen[i]++ })
+		For(n, func(i int) { seen[i]++ })
 		for i, c := range seen {
 			if c != 1 {
-				t.Fatalf("%d workers: index %d visited %d times", w, i, c)
+				t.Fatalf("GOMAXPROCS %d: index %d visited %d times", procs, i, c)
 			}
 		}
+		For(0, func(int) { t.Fatal("fn called for n=0") })
 	}
-	For(0, 4, func(int) { t.Fatal("fn called for n=0") })
 }
 
 // TestForRaisesPanicInCaller checks a worker's panic reaches the caller
 // after the other indices ran, as the serial loop's would.
 func TestForRaisesPanicInCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 20
 	seen := make([]bool, n)
 	defer func() {
@@ -31,7 +37,7 @@ func TestForRaisesPanicInCaller(t *testing.T) {
 			}
 		}
 	}()
-	For(n, 4, func(i int) {
+	For(n, func(i int) {
 		if i == 7 {
 			panic("boom")
 		}

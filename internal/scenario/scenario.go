@@ -17,7 +17,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"github.com/twig-sched/twig/internal/par"
@@ -237,7 +236,7 @@ func (s Spec) Worlds(seed int64) ([]World, error) {
 			worlds = append(worlds, w)
 		}
 	}
-	par.For(len(jobs), runtime.GOMAXPROCS(0), func(i int) {
+	par.For(len(jobs), func(i int) {
 		w := &worlds[jobs[i].world]
 		si := jobs[i].svc
 		m := w.Class.Mix[si]
