@@ -87,10 +87,13 @@ var contracts = []contract{
 	},
 	{
 		name: "one-interval-kernel",
-		why:  "the recover wrappers, the fallback mapping and the control loops' sim.Server.Step live in internal/ctrl only",
+		why: "the recover wrappers, the fallback mapping and the control loops' sim.Server.Step live in internal/ctrl only; " +
+			"the public API and its examples step through the same loop, so the stateless observation (QueueGrowing on any queue) stays deleted",
 		clauses: []clause{
 			{scope{except: []string{"internal/ctrl/"}}, []rule{funcs("safeDecide", "safeAssignment", "safePrepare", "safeFinish")}},
 			{scope{dirs: []string{"internal/experiments", "internal/daemon", "internal/cluster"}, prod: true}, []rule{srvSteps}},
+			{scope{dirs: []string{"examples", "twig"}}, []rule{srvSteps, calls("MustStep")}},
+			{scope{}, []rule{idents("ObservationFromStep", "ObservationFrom"), qualified("twig", "ObservationTracker")}},
 		},
 	},
 	{

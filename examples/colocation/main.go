@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"github.com/twig-sched/twig/twig"
 )
@@ -47,12 +48,14 @@ func main() {
 
 // drive runs the standard control loop and summarises the final 300 s.
 func drive(srv *twig.Server, c twig.Controller, loads []float64) (qos [2]float64, power float64) {
-	obs := twig.InitialObservation(srv)
+	loop := twig.NewLoop(srv, c)
+	copy(loop.Loads(), loads)
 	n := 0
 	for t := 0; t < seconds; t++ {
-		asg := c.Decide(obs)
-		res := srv.MustStep(asg, loads)
-		obs = twig.ObservationFrom(srv, res)
+		res, _, err := loop.Step()
+		if err != nil {
+			log.Fatal(err)
+		}
 		if t < seconds-300 {
 			continue
 		}

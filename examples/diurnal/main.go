@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"github.com/twig-sched/twig/twig"
 )
@@ -30,13 +31,15 @@ func main() {
 	}
 
 	const seconds = 7200
-	obs := twig.InitialObservation(srv)
+	loop := twig.NewLoop(srv, mgr)
 	met, total := 0, 0
 	var energy float64
 	for t := 0; t < seconds; t++ {
-		asg := mgr.Decide(obs)
-		res := srv.MustStep(asg, []float64{day.RPS(t)})
-		obs = twig.ObservationFrom(srv, res)
+		loop.Loads()[0] = day.RPS(t)
+		res, _, err := loop.Step()
+		if err != nil {
+			log.Fatal(err)
+		}
 		sv := res.Services[0]
 		if t >= seconds/2 {
 			total++

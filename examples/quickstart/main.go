@@ -35,16 +35,19 @@ func main() {
 		twig.QuickConfig([]twig.ServiceConfig{svcCfg}, len(srv.ManagedCores()), srv.MaxPowerW()),
 		srv.ManagedCores())
 
-	// 3. Run the 1 s control loop at 40% load: observe → decide → act.
+	// 3. Run the 1 s control loop at 40% load: decide → act → observe,
+	//    falling back to the last valid assignment if a decision fails.
 	const seconds = 4300
 	load := twig.FixedLoad(0.4 * prof.MaxLoadRPS)
-	obs := twig.InitialObservation(srv)
+	loop := twig.NewLoop(srv, mgr)
 	met, total := 0, 0
 	var energy float64
 	for t := 0; t < seconds; t++ {
-		asg := mgr.Decide(obs)
-		res := srv.MustStep(asg, []float64{load.RPS(t)})
-		obs = twig.ObservationFrom(srv, res)
+		loop.Loads()[0] = load.RPS(t)
+		res, _, err := loop.Step()
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		sv := res.Services[0]
 		if t >= seconds-300 { // summarise after the learning phase

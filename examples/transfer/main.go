@@ -77,12 +77,14 @@ func newQuickManager(srv *twig.Server, name string, qosMs, maxRPS float64) *twig
 }
 
 func run(srv *twig.Server, mgr *twig.Manager, loadRPS float64, seconds int, progress func(t, met, total int)) {
-	obs := twig.InitialObservation(srv)
+	loop := twig.NewLoop(srv, mgr)
+	loop.Loads()[0] = loadRPS
 	met, total := 0, 0
 	for t := 0; t < seconds; t++ {
-		asg := mgr.Decide(obs)
-		res := srv.MustStep(asg, []float64{loadRPS})
-		obs = twig.ObservationFrom(srv, res)
+		res, _, err := loop.Step()
+		if err != nil {
+			log.Fatal(err)
+		}
 		total++
 		if res.Services[0].P99Ms <= res.Services[0].QoSTargetMs {
 			met++

@@ -43,14 +43,6 @@ func (tr *ObservationTracker) observeInto(buf []ServiceObs, srv *sim.Server, res
 	return obs
 }
 
-// ObservationFromStep is the stateless one-shot variant: QueueGrowing is
-// set whenever the queue is non-empty, since no previous depth is known.
-// Control loops should prefer an ObservationTracker.
-func ObservationFromStep(srv *sim.Server, res sim.StepResult) Observation {
-	var tr ObservationTracker
-	return tr.Observe(srv, res)
-}
-
 // InitialObservation bootstraps a control loop before any measurement
 // exists: only the static per-service fields (QoS target, profiled peak
 // load) are populated.

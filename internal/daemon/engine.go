@@ -111,6 +111,8 @@ func (c Config) faultsArmed() bool { return c.Faults != nil && !c.Faults.IsZero(
 
 // entry is one registered service: its lifecycle plus everything needed
 // to rebuild its spec and load pattern deterministically after a crash.
+// It is its own checkpoint record (daemonState); pat and series are
+// what bind gives it.
 type entry struct {
 	lc         *Lifecycle
 	name       string
@@ -124,6 +126,11 @@ type entry struct {
 	drainFor   int    // intervals spent draining, for the timeout
 	failReason string // why the last placement failed (sticky on dead-letter)
 	series     entrySeries
+}
+
+// spec is the entry's service as the simulator hosts it.
+func (en *entry) spec() sim.ServiceSpec {
+	return sim.ServiceSpec{Profile: service.MustLookup(en.name), QoSTargetMs: en.qosMs, Seed: en.seed}
 }
 
 func (en *entry) view() ServiceView {
@@ -174,19 +181,13 @@ type Engine struct {
 // Every initial request is validated and placed synchronously, so the
 // first Step already drives a running system.
 func New(cfg Config, initial []AdmitRequest) (*Engine, error) {
-	cfg.normalize()
 	if len(initial) == 0 {
 		return nil, fmt.Errorf("daemon: at least one initial service required")
 	}
 	if cfg.MaxLive > 0 && len(initial) > cfg.MaxLive {
 		return nil, fmt.Errorf("daemon: %d initial services exceed the live-capacity limit %d", len(initial), cfg.MaxLive)
 	}
-	e := &Engine{cfg: cfg, metrics: NewRegistry()}
-	e.describeMetrics()
-	if cfg.Store != nil {
-		e.writer = checkpoint.NewAsyncWriter(cfg.Store)
-		cfg.Store.SetRejectHook(e.corruptHook())
-	}
+	e := newEngine(cfg)
 	// Calibrate the initial services in one fan-out instead of one
 	// admission at a time: QoS targets for those that bring none, Eq. 2
 	// models (buildController's) for all. register reports unknown names.
@@ -208,23 +209,41 @@ func New(cfg Config, initial []AdmitRequest) (*Engine, error) {
 	}
 	// The initial membership builds the world in one shot so the fault
 	// injector (when armed) is sized to the full initial service count.
-	specs := make([]sim.ServiceSpec, len(e.entries))
-	for i, en := range e.entries {
-		specs[i] = sim.ServiceSpec{
-			Profile:     service.MustLookup(en.name),
-			QoSTargetMs: en.qosMs,
-			Seed:        en.seed,
-		}
-	}
-	e.srv = sim.NewServer(e.simConfig(), specs)
 	for _, en := range e.entries {
 		en.inSim = true
 		e.fire(en, Place)
 		e.fire(en, Start)
 	}
 	e.gen++
-	e.buildController()
+	e.buildWorld()
 	return e, nil
+}
+
+// newEngine sets up what a fresh and a restored engine share before
+// the registry exists: the metrics registry and, with a store, the
+// checkpoint writer and the reject hook, which counts into this
+// engine's registry from the first fallback scan on.
+func newEngine(cfg Config) *Engine {
+	cfg.normalize()
+	e := &Engine{cfg: cfg, metrics: NewRegistry()}
+	e.describeMetrics()
+	if cfg.Store != nil {
+		e.writer = checkpoint.NewAsyncWriter(cfg.Store)
+		cfg.Store.SetRejectHook(e.corruptHook())
+	}
+	return e
+}
+
+// buildWorld builds the simulator over the hosted entries, in registry
+// order, and a controller for it.
+func (e *Engine) buildWorld() {
+	live := e.liveEntries()
+	specs := make([]sim.ServiceSpec, len(live))
+	for i, en := range live {
+		specs[i] = en.spec()
+	}
+	e.srv = sim.NewServer(e.simConfig(), specs)
+	e.buildController()
 }
 
 func (e *Engine) simConfig() sim.Config {
@@ -241,8 +260,7 @@ func (e *Engine) simConfig() sim.Config {
 
 // register validates an AdmitRequest and appends a Pending entry.
 func (e *Engine) register(req AdmitRequest) (*entry, error) {
-	prof, err := service.Lookup(req.Name)
-	if err != nil {
+	if _, err := service.Lookup(req.Name); err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownService, req.Name)
 	}
 	for _, en := range e.entries {
@@ -256,45 +274,51 @@ func (e *Engine) register(req AdmitRequest) (*entry, error) {
 	if req.Pattern == "" {
 		req.Pattern = "fixed"
 	}
-	pat, err := e.buildPattern(req.Name, req.Pattern, req.Load, prof.MaxLoadRPS)
-	if err != nil {
-		return nil, err
-	}
-	qos := req.QoSTargetMs
-	if qos <= 0 {
-		qos = experiments.QoSTarget(req.Name)
-	}
 	en := &entry{
 		lc:      NewLifecycle(DefaultMaxRetries),
 		name:    req.Name,
 		load:    req.Load,
 		pattern: req.Pattern,
-		qosMs:   qos,
+		qosMs:   req.QoSTargetMs,
 		seed:    e.cfg.Seed + int64(e.admitted)*101,
-		pat:     pat,
-		series:  e.seriesFor(req.Name),
+	}
+	if err := e.bind(en); err != nil {
+		return nil, err
+	}
+	if en.qosMs <= 0 {
+		en.qosMs = experiments.QoSTarget(req.Name)
 	}
 	e.admitted++
 	e.entries = append(e.entries, en)
 	return en, nil
 }
 
-// buildPattern maps a pattern name to a load generator over the
-// service's saturation load, honouring any configured override.
-func (e *Engine) buildPattern(svcName, pattern string, frac, maxRPS float64) (loadgen.Pattern, error) {
-	if p, ok := e.cfg.PatternOverrides[svcName]; ok {
-		return p, nil
+// bind gives an entry what its checkpoint record cannot carry: its load
+// pattern — the configured override for its name, or the generator its
+// pattern name gives over the profile's saturation load — and its
+// metric series.
+func (e *Engine) bind(en *entry) error {
+	prof, err := service.Lookup(en.name)
+	if err != nil {
+		return fmt.Errorf("%w: %q", ErrUnknownService, en.name)
 	}
-	switch pattern {
-	case "fixed":
-		return loadgen.Fixed(frac * maxRPS), nil
-	case "stepwise":
-		return loadgen.NewStepWise(0.2*frac*maxRPS, frac*maxRPS, 0.2, 200), nil
-	case "diurnal":
-		return loadgen.Diurnal{MinRPS: 0.3 * frac * maxRPS, MaxRPS: frac * maxRPS, PeriodS: 3600}, nil
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPattern, pattern)
+	frac, maxRPS := en.load, prof.MaxLoadRPS
+	if p, ok := e.cfg.PatternOverrides[en.name]; ok {
+		en.pat = p
+	} else {
+		switch en.pattern {
+		case "fixed":
+			en.pat = loadgen.Fixed(frac * maxRPS)
+		case "stepwise":
+			en.pat = loadgen.NewStepWise(0.2*frac*maxRPS, frac*maxRPS, 0.2, 200)
+		case "diurnal":
+			en.pat = loadgen.Diurnal{MinRPS: 0.3 * frac * maxRPS, MaxRPS: frac * maxRPS, PeriodS: 3600}
+		default:
+			return fmt.Errorf("%w: %q", ErrUnknownPattern, en.pattern)
+		}
 	}
+	en.series = e.seriesFor(en.name)
+	return nil
 }
 
 // liveEntries returns the hosted entries in simulator index order
@@ -399,17 +423,27 @@ func (e *Engine) Drain(name string) (ServiceView, error) {
 	if e.cfg.faultsArmed() {
 		return ServiceView{}, ErrFaultsArmed
 	}
-	st, err := e.fire(en, Drain)
-	if err != nil {
+	if err := e.startDrain(en); err != nil {
 		return ServiceView{}, err
 	}
-	en.drainFor = 0
+	return en.view(), nil
+}
+
+// startDrain fires Drain on an entry. One that enters Draining starts
+// its drain clock and has its load cut and cores ramped down by the
+// drainer; a Pending one stops at once.
+func (e *Engine) startDrain(en *entry) error {
+	st, err := e.fire(en, Drain)
+	if err != nil {
+		return err
+	}
 	if st == Draining {
+		en.drainFor = 0
 		if idx := e.simIndexOf(en); idx >= 0 {
 			e.drainer.SetDraining(idx, true)
 		}
 	}
-	return en.view(), nil
+	return nil
 }
 
 // Delete deregisters a service. A terminal (stopped or dead-lettered)
@@ -431,15 +465,8 @@ func (e *Engine) Delete(name string) (ServiceView, bool, error) {
 		return ServiceView{}, false, ErrFaultsArmed
 	}
 	if !en.lc.State().Terminal() && en.lc.State() != Draining {
-		st, err := e.fire(en, Drain)
-		if err != nil {
+		if err := e.startDrain(en); err != nil {
 			return ServiceView{}, false, err
-		}
-		if st == Draining {
-			en.drainFor = 0
-			if idx := e.simIndexOf(en); idx >= 0 {
-				e.drainer.SetDraining(idx, true)
-			}
 		}
 	}
 	en.remove = true
@@ -588,12 +615,7 @@ func (e *Engine) applyBoundary() {
 			e.failPlacement(en, fmt.Sprintf("live-capacity limit %d reached", e.cfg.MaxLive))
 			continue
 		}
-		err := e.srv.AddService(sim.ServiceSpec{
-			Profile:     service.MustLookup(en.name),
-			QoSTargetMs: en.qosMs,
-			Seed:        en.seed,
-		})
-		if err != nil {
+		if err := e.srv.AddService(en.spec()); err != nil {
 			e.failPlacement(en, err.Error())
 			continue
 		}

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
@@ -21,12 +23,6 @@ func sectionEngine(t testing.TB) *Engine {
 	return e
 }
 
-// sections lists e's checkpoint sections in container order, the daemon
-// section first as a fresh value to decode into.
-func (e *Engine) sections() []checkpoint.Checkpointable {
-	return []checkpoint.Checkpointable{&daemonState{}, e.srv, e.mgr, e.drainer, e.guard}
-}
-
 // FuzzSectionDecode feeds arbitrary payloads to the DecodeState of every
 // section of a daemon checkpoint — daemon registry and loop, simulator,
 // manager (monitor, agent, replay), drainer and guard — each decoding
@@ -45,17 +41,17 @@ func FuzzSectionDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for i, c := range e.sections() {
+	for i, c := range e.sections(&daemonState{}) {
 		if secs[i].Name != c.CheckpointName() {
 			f.Fatalf("section %d is %q, want %q", i, secs[i].Name, c.CheckpointName())
 		}
-		if err := sectionEngine(f).sections()[i].DecodeState(checkpoint.NewDecoder(secs[i].Payload)); err != nil {
+		if err := sectionEngine(f).sections(&daemonState{})[i].DecodeState(checkpoint.NewDecoder(secs[i].Payload)); err != nil {
 			f.Fatalf("seed section %q does not decode into a fresh engine: %v", secs[i].Name, err)
 		}
 		f.Add(uint8(i), secs[i].Payload)
 	}
 	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
-		comps := sectionEngine(t).sections()
+		comps := sectionEngine(t).sections(&daemonState{})
 		_ = comps[int(which)%len(comps)].DecodeState(checkpoint.NewDecoder(payload))
 	})
 }
@@ -69,7 +65,73 @@ func TestEntryBytesFitEncoder(t *testing.T) {
 		return len(e.Bytes())
 	}
 	base := size(&daemonState{loop: &ctrl.Loop{}})
-	if got := size(&daemonState{loop: &ctrl.Loop{}, entries: []persistedEntry{{}}}) - base; got < entryBytes {
+	if got := size(&daemonState{loop: &ctrl.Loop{}, entries: []*entry{{lc: &Lifecycle{}}}}) - base; got < entryBytes {
 		t.Fatalf("a zero entry encodes to %d bytes, the decoder demands %d", got, entryBytes)
+	}
+}
+
+// The daemon section rejects a registry record whose lifecycle position
+// no machine can hold, naming the service: a state past the last (256 +
+// Running would wrap to Running as a State), a negative one, a retry
+// count over its budget.
+func TestDecodeRejectsImpossibleLifecycle(t *testing.T) {
+	for _, tc := range []struct{ state, retries int }{{256 + int(Running), 0}, {-1, 0}, {int(Running), 4}} {
+		e := checkpoint.NewEncoder()
+		e.Int(0) // gen
+		e.Int(1) // admitted
+		e.Int(0) // next
+		e.Bool(false)
+		e.Bool(false)
+		e.Int(1)
+		e.String("masstree")
+		e.Int(tc.state)
+		e.Int(tc.retries)
+		e.Int(DefaultMaxRetries)
+		e.F64(0.5)
+		e.String("fixed")
+		e.F64(1)
+		e.I64(1)
+		e.Bool(true)
+		e.Bool(false)
+		e.Int(0)
+		e.String("")
+		(&ctrl.Loop{}).EncodeState(e)
+		err := (&daemonState{}).DecodeState(checkpoint.NewDecoder(e.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), `"masstree"`) {
+			t.Errorf("state %d, retries %d: decoded with error %v, want one naming the service", tc.state, tc.retries, err)
+		}
+	}
+}
+
+// A restored engine encodes the very checkpoint it was restored from:
+// every registry field, counter and world section round-trips, not only
+// those the resumed trajectory happens to read. At t=70 the e2e script
+// has admitted xapian and drained it.
+func TestRestoredEngineWritesItsCheckpoint(t *testing.T) {
+	store, err := checkpoint.NewStore(t.TempDir(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(e2eConfig(store), []AdmitRequest{{Name: "masstree", Load: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runScripted(t, e, 70, e2eScript())
+	if err := e.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := store.ReadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, seq, err := RestoreLatest(e2eConfig(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 70 {
+		t.Fatalf("restored from seq %d, want 70", seq)
+	}
+	if got := re.marshal(nil); !bytes.Equal(got, want) {
+		t.Fatalf("restored engine encodes %d bytes that differ from the %d it was restored from", len(got), len(want))
 	}
 }

@@ -12,8 +12,8 @@ import (
 // runAllocsPerInterval runs cfg (its Hook unset) and returns the
 // allocations per interval over the n intervals from t = from on, in
 // whole allocations as testing.AllocsPerRun counts them. The summary
-// window must open after the span: its per-interval records grow by
-// doubling.
+// window must open after the span, which measures the interval alone,
+// not the window's accounting.
 func runAllocsPerInterval(t *testing.T, cfg RunConfig, from, n int) float64 {
 	t.Helper()
 	if cfg.SummaryFromS < from+n {

@@ -51,9 +51,6 @@ type Summary struct {
 	// MeanTardiness and MaxTardiness describe QoS/target per service.
 	MeanTardiness []float64
 	MaxTardiness  []float64
-	// Tardiness retains the raw per-interval tardiness samples (for
-	// histograms such as Fig. 6's).
-	Tardiness [][]float64
 	// EnergyJ is the managed-socket energy over the summary window;
 	// AvgPowerW the corresponding mean power.
 	EnergyJ   float64
@@ -108,7 +105,6 @@ func Run(cfg RunConfig) Summary {
 		QoSGuarantee:  make([]float64, k),
 		MeanTardiness: make([]float64, k),
 		MaxTardiness:  make([]float64, k),
-		Tardiness:     make([][]float64, k),
 		AvgCores:      make([]float64, k),
 		AvgFreqGHz:    make([]float64, k),
 	}
@@ -166,7 +162,6 @@ func Run(cfg RunConfig) Summary {
 
 			if inWindow {
 				tard := SummaryTardiness(so.Tardiness())
-				sum.Tardiness[i] = append(sum.Tardiness[i], tard)
 				sum.MeanTardiness[i] += tard
 				if tard > sum.MaxTardiness[i] {
 					sum.MaxTardiness[i] = tard

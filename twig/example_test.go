@@ -7,8 +7,8 @@ import (
 )
 
 // Example shows the complete Twig control loop on the simulated server:
-// calibrate a QoS target, build a manager, and run observe→decide→act
-// once per monitoring interval.
+// calibrate a QoS target, build a manager, and run decide→act→observe
+// once per monitoring interval through the interval kernel.
 func Example() {
 	prof, _ := twig.LookupProfile("masstree")
 	cfg := twig.DefaultServerConfig()
@@ -20,11 +20,12 @@ func Example() {
 		twig.QuickConfig([]twig.ServiceConfig{svc}, len(srv.ManagedCores()), srv.MaxPowerW()),
 		srv.ManagedCores())
 
-	obs := twig.InitialObservation(srv)
+	loop := twig.NewLoop(srv, mgr)
+	loop.Loads()[0] = 0.3 * prof.MaxLoadRPS
 	for t := 0; t < 25; t++ {
-		asg := mgr.Decide(obs)
-		res := srv.MustStep(asg, []float64{0.3 * prof.MaxLoadRPS})
-		obs = twig.ObservationFrom(srv, res)
+		if _, _, err := loop.Step(); err != nil {
+			panic(err)
+		}
 	}
 	fmt.Println(srv.Clock(), "intervals managed by", mgr.Name())
 	// Output: 25 intervals managed by twig-s

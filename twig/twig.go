@@ -7,15 +7,16 @@
 // The package re-exports the manager (Twig-S for a single service,
 // Twig-C for colocated services), the baselines it is evaluated against,
 // and the simulated server substrate that stands in for the paper's
-// dual-socket Xeon testbed. A minimal control loop looks like:
+// dual-socket Xeon testbed. A minimal control loop runs the interval
+// kernel every figure, the daemon and the fleet run:
 //
 //	srv := twig.NewServer(twig.DefaultServerConfig(), specs)
 //	mgr := twig.NewTwigS(svcCfg, srv.ManagedCores(), srv.MaxPowerW())
-//	obs := twig.InitialObservation(srv)
+//	loop := twig.NewLoop(srv, mgr)
 //	for t := 0; t < seconds; t++ {
-//	    asg := mgr.Decide(obs)
-//	    res := srv.MustStep(asg, loads) // or Step for a validated error
-//	    obs = twig.ObservationFrom(srv, res)
+//	    loop.Loads()[0] = load.RPS(t)
+//	    res, _, err := loop.Step() // decide, act, observe
+//	    ...
 //	}
 //
 // See examples/ for runnable programs and DESIGN.md for the full system
@@ -74,7 +75,17 @@ type (
 	// interventions.
 	GuardConfig = ctrl.GuardConfig
 	GuardHealth = ctrl.GuardHealth
+	// Loop is the interval kernel: decide → step the server → fall back
+	// to the last valid assignment when the controller panics or the
+	// server rejects its decision → observe, carrying each service's
+	// queue depth to the next interval so QueueGrowing (Eq. 1's signal)
+	// reports an actual increase.
+	Loop = ctrl.Loop
 )
+
+// NewLoop returns a control loop over srv and c about to run its first
+// interval. Fill Loads before each Step.
+func NewLoop(srv *Server, c Controller) *Loop { return ctrl.NewLoop(srv, c) }
 
 // Fault-injection types for robustness studies: a FaultScenario armed in
 // a ServerConfig yields a deterministic, seed-reproducible schedule of
@@ -213,23 +224,9 @@ func NewStepWiseLoad(minRPS, maxRPS, changeFactor float64, periodS int) *StepWis
 	return loadgen.NewStepWise(minRPS, maxRPS, changeFactor, periodS)
 }
 
-// ObservationTracker converts step results into controller observations
-// while tracking per-service queue depth across intervals, so
-// ServiceObs.QueueGrowing reflects an actual increase. Control loops that
-// run for more than one interval should use a tracker rather than the
-// stateless ObservationFrom.
-type ObservationTracker = ctrl.ObservationTracker
-
-// ObservationFrom converts a simulation step result into the controller
-// observation for the next interval. It is stateless, so QueueGrowing is
-// set whenever the queue is non-empty; loops should prefer an
-// ObservationTracker, which compares against the previous interval
-// exactly as the experiment runners do.
-func ObservationFrom(srv *Server, res StepResult) Observation {
-	return ctrl.ObservationFromStep(srv, res)
-}
-
-// InitialObservation bootstraps a control loop before any measurement.
+// InitialObservation is the observation a controller decides its first
+// interval on, before any measurement: QoS targets and profiled peak
+// loads only. A Loop starts from it.
 func InitialObservation(srv *Server) Observation {
 	return ctrl.InitialObservation(srv)
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // TestPublicAPIEndToEnd drives the documented control loop: build a
-// server, a Twig-S manager, and step them together.
+// server and a Twig-S manager, and step them together through the
+// interval kernel without a fallback.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	prof, err := twig.LookupProfile("masstree")
 	if err != nil {
@@ -25,12 +26,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		MaxLoadRPS:  prof.MaxLoadRPS,
 	}, srv.ManagedCores(), srv.MaxPowerW())
 
-	obs := twig.InitialObservation(srv)
+	loop := twig.NewLoop(srv, mgr)
 	var pattern twig.LoadPattern = twig.FixedLoad(0.4 * prof.MaxLoadRPS)
 	for ts := 0; ts < 50; ts++ {
-		asg := mgr.Decide(obs)
-		res := srv.MustStep(asg, []float64{pattern.RPS(ts)})
-		obs = twig.ObservationFrom(srv, res)
+		loop.Loads()[0] = pattern.RPS(ts)
+		if _, out, err := loop.Step(); err != nil || out != 0 {
+			t.Fatalf("t=%d: outcome %b, err %v", ts, out, err)
+		}
 	}
 	if srv.Clock() != 50 {
 		t.Fatalf("clock = %d", srv.Clock())
@@ -135,16 +137,15 @@ func TestPublicFaultsAndGuard(t *testing.T) {
 		t.Fatalf("name = %q", guarded.Name())
 	}
 
-	obs := twig.InitialObservation(srv)
+	loop := twig.NewLoop(srv, guarded)
+	loop.Loads()[0] = 0.3 * prof.MaxLoadRPS
 	var faultsSeen []twig.FaultEvent
 	for ts := 0; ts < 120; ts++ {
-		asg := guarded.Decide(obs)
-		res, err := srv.Step(asg, []float64{0.3 * prof.MaxLoadRPS})
-		if err != nil {
-			t.Fatalf("guarded assignment rejected at t=%d: %v", ts, err)
+		res, out, err := loop.Step()
+		if err != nil || out != 0 {
+			t.Fatalf("guarded decision fell back at t=%d: outcome %b, err %v", ts, out, err)
 		}
 		faultsSeen = append(faultsSeen, res.Faults...)
-		obs = twig.ObservationFrom(srv, res)
 	}
 	if len(faultsSeen) == 0 {
 		t.Fatal("hostile scenario injected nothing in 120 s")
