@@ -83,12 +83,14 @@ type Network struct {
 	lastShared *mat.Matrix
 	lastAdvHid []*mat.Matrix
 
-	// The live sets of the activations more than one layer reads, scanned
-	// once per Forward by the first layer that needs them: the shared
-	// representation (K value streams and D advantage modules) and each
-	// advantage hidden layer's output (K heads).
-	sharedLive mat.Live
-	advHidLive []mat.Live
+	// The live sets of the activations the heads' layers read, made by the
+	// epilogue of the product that writes each (nn.Dense.ForwardLive): the
+	// shared representation (K value streams and D advantage modules), each
+	// advantage hidden layer's output (K heads) and each value stream's
+	// hidden output (its head).
+	sharedLive   mat.Live
+	advHidLive   []mat.Live
+	valueHidLive []mat.Live
 
 	// reusable per-batch-size workspaces; see Forward's ownership note.
 	fwd map[int]*fwdWS
@@ -117,8 +119,7 @@ type Output struct {
 
 // fwdWS holds the Forward outputs for one batch size.
 type fwdWS struct {
-	out   *Output
-	means []float64 // per-row advantage means
+	out *Output
 }
 
 // bwdWS holds the Backward scratch for one batch size.
@@ -179,15 +180,16 @@ func NewNetwork(spec Spec, rng *rand.Rand) *Network {
 		}
 	}
 	n.lastAdvHid = make([]*mat.Matrix, len(spec.Dims))
-	n.advHidLive = make([]mat.Live, len(spec.Dims))
+	lives := make([]mat.Live, len(spec.Dims)+numValues)
+	n.advHidLive, n.valueHidLive = lives[:len(spec.Dims)], lives[len(spec.Dims):]
 	return n
 }
 
 // Spec returns the architecture description.
 func (n *Network) Spec() Spec { return n.spec }
 
-// fwdWorkspace returns the reusable Output (and row-mean scratch) for
-// the given batch size, building it on first use.
+// fwdWorkspace returns the reusable Output for the given batch size,
+// building it on first use.
 func (n *Network) fwdWorkspace(batch int) *fwdWS {
 	if ws := n.fwd[batch]; ws != nil {
 		return ws
@@ -195,10 +197,7 @@ func (n *Network) fwdWorkspace(batch int) *fwdWS {
 	if n.fwd == nil {
 		n.fwd = make(map[int]*fwdWS, 2)
 	}
-	ws := &fwdWS{
-		out:   &Output{Q: make([][]*mat.Matrix, n.spec.Agents)},
-		means: make([]float64, batch),
-	}
+	ws := &fwdWS{out: &Output{Q: make([][]*mat.Matrix, n.spec.Agents)}}
 	for k := range ws.out.Q {
 		ws.out.Q[k] = make([]*mat.Matrix, len(n.spec.Dims))
 		for d, na := range n.spec.Dims {
@@ -218,17 +217,16 @@ func (n *Network) fwdWorkspace(batch int) *fwdWS {
 // the same batch size. Callers that need Q-values to survive longer must
 // clone them (see Agent.QValues).
 func (n *Network) Forward(states *mat.Matrix, train bool) *Output {
-	z := n.shared.Forward(states, train)
+	z := n.shared.ForwardLive(states, nil, &n.sharedLive, train)
 	n.lastShared = z
-	n.sharedLive.Reset()
 	for d := range n.spec.Dims {
-		n.lastAdvHid[d] = n.advHidden[d].ForwardLive(z, &n.sharedLive, train)
-		n.advHidLive[d].Reset()
+		n.lastAdvHid[d] = n.advHidden[d].ForwardLive(z, &n.sharedLive, &n.advHidLive[d], train)
 	}
 	ws := n.fwdWorkspace(states.Rows)
 	out := ws.out
 	value := func(k int) *mat.Matrix { // batch×1
-		return n.valueOut[k].Forward(n.valueHid[k].ForwardLive(z, &n.sharedLive, train), train)
+		h := n.valueHid[k].ForwardLive(z, &n.sharedLive, &n.valueHidLive[k], train)
+		return n.valueOut[k].ForwardLive(h, &n.valueHidLive[k], nil, train)
 	}
 	// With SharedValue every agent reads the same V(s); forward it once.
 	var sharedV *mat.Matrix
@@ -241,20 +239,53 @@ func (n *Network) Forward(states *mat.Matrix, train bool) *Output {
 			v = value(k)
 		}
 		for d := range n.spec.Dims {
-			a := n.advOut[k][d].ForwardLive(n.lastAdvHid[d], &n.advHidLive[d], train)
-			q := out.Q[k][d]
-			a.RowMeansInto(ws.means)
-			for b := 0; b < a.Rows; b++ {
-				vb := v.At(b, 0)
-				arow := a.Row(b)
-				qrow := q.Row(b)
-				for j := range qrow {
-					qrow[j] = vb + arow[j] - ws.means[b]
-				}
-			}
+			duel(out.Q[k][d], v, n.advOut[k][d].ForwardLive(n.lastAdvHid[d], &n.advHidLive[d], nil, train))
 		}
 	}
 	return out
+}
+
+// duel writes the dueling aggregation Q = (V + A) − mean(A) of one head —
+// a batch×1 V and a batch×Dims[d] A — in one pass over A's rows, four
+// rows a pass: each row's sum a chain of adds in column order from +0
+// (mat.Matrix.RowSumsInto's), over the width its mean, then the four
+// rows of Q in one loop.
+func duel(q, v, a *mat.Matrix) {
+	rows, na := a.Rows, a.Cols
+	vs, ad, qd := v.Data[:rows], a.Data[:rows*na], q.Data[:rows*na]
+	width := float64(na)
+	b := 0
+	for ; b+4 <= rows; b += 4 {
+		a0 := ad[b*na : (b+1)*na]
+		a1, a2, a3 := ad[(b+1)*na:][:len(a0)], ad[(b+2)*na:][:len(a0)], ad[(b+3)*na:][:len(a0)]
+		q0, q1, q2, q3 := qd[b*na:][:len(a0)], qd[(b+1)*na:][:len(a0)], qd[(b+2)*na:][:len(a0)], qd[(b+3)*na:][:len(a0)]
+		var s0, s1, s2, s3 float64
+		for j, x := range a0 {
+			s0 += x
+			s1 += a1[j]
+			s2 += a2[j]
+			s3 += a3[j]
+		}
+		m0, m1, m2, m3 := s0/width, s1/width, s2/width, s3/width
+		v0, v1, v2, v3 := vs[b], vs[b+1], vs[b+2], vs[b+3]
+		for j, x := range a0 {
+			q0[j] = v0 + x - m0
+			q1[j] = v1 + a1[j] - m1
+			q2[j] = v2 + a2[j] - m2
+			q3[j] = v3 + a3[j] - m3
+		}
+	}
+	for ; b < rows; b++ {
+		arow, qrow := ad[b*na:(b+1)*na], qd[b*na:][:na]
+		var s float64
+		for _, x := range arow {
+			s += x
+		}
+		mean, vb := s/width, vs[b]
+		for j, x := range arow {
+			qrow[j] = vb + x - mean
+		}
+	}
 }
 
 // Backward propagates the gradient of the loss with respect to every

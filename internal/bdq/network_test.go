@@ -1,6 +1,7 @@
 package bdq
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -383,6 +384,88 @@ func TestSharedValueAblation(t *testing.T) {
 	net.Backward(gq)
 	if !slices.ContainsFunc(net.valueHid[0].Params()[0].Grad.Data, func(v float64) bool { return v != 0 }) {
 		t.Fatal("shared value stream received no gradient")
+	}
+}
+
+// twoPassDuel is the dueling aggregation as two passes: the row means
+// (mat.Matrix.RowSumsInto, each sum over the width), then
+// Q = (V + A) − mean row by row.
+func twoPassDuel(q, v, a *mat.Matrix) {
+	means := make([]float64, a.Rows)
+	a.RowSumsInto(means)
+	for b := range means {
+		means[b] /= float64(a.Cols)
+	}
+	for b := 0; b < a.Rows; b++ {
+		vb, arow, qrow := v.At(b, 0), a.Row(b), q.Row(b)
+		for j := range qrow {
+			qrow[j] = vb + arow[j] - means[b]
+		}
+	}
+}
+
+// TestOnePassDuelMatchesTwoPass holds Forward's one-pass dueling head to
+// the two-pass loop bit for bit: on every head of networks with K ∈
+// {1, 2, 3} agents, D ∈ {1, 2} dimensions and the shared value stream, at
+// batch sizes that leave one to three rows past the last pass of four,
+// the heads' V and A recomputed from the activations Forward cached; and
+// on planted advantages and values — NaN, ±Inf, −0, huge and tiny — that
+// no network produces.
+func TestOnePassDuelMatchesTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	require := func(tag string, got, want *mat.Matrix) {
+		t.Helper()
+		for i, w := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+				t.Fatalf("%s: element %d is %v, the two-pass loop's %v", tag, i, got.Data[i], w)
+			}
+		}
+	}
+	for _, agents := range []int{1, 2, 3} {
+		for _, dims := range [][]int{{5}, {18, 9}} {
+			for _, sharedValue := range []bool{false, true} {
+				spec := Spec{StateDim: 7, Agents: agents, Dims: dims, SharedHidden: []int{16, 12}, BranchHidden: 8, SharedValue: sharedValue}
+				net := NewNetwork(spec, rand.New(rand.NewSource(int64(agents))))
+				for _, batch := range []int{1, 4, 6, 11} {
+					x := mat.New(batch, spec.StateDim)
+					for i := range x.Data {
+						x.Data[i] = 3 * rng.NormFloat64()
+					}
+					out := net.Forward(x, true)
+					for k := range out.Q {
+						vs := k
+						if sharedValue {
+							vs = 0
+						}
+						v := net.valueOut[vs].Forward(net.valueHid[vs].Forward(net.lastShared, false), false).Clone()
+						for d := range out.Q[k] {
+							a := net.advOut[k][d].Forward(net.lastAdvHid[d], false)
+							want := mat.New(batch, dims[d])
+							twoPassDuel(want, v, a)
+							require(fmt.Sprintf("K=%d dims=%v shared=%t batch %d: Q[%d][%d]", agents, dims, sharedValue, batch, k, d), out.Q[k][d], want)
+						}
+					}
+				}
+			}
+		}
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e300, -1e300, 5e-324}
+	for _, rows := range []int{1, 2, 3, 4, 5, 9} {
+		for _, width := range []int{1, 2, 9, 18} {
+			v, a := mat.New(rows, 1), mat.New(rows, width)
+			for _, m := range []*mat.Matrix{v, a} {
+				for i := range m.Data {
+					m.Data[i] = rng.NormFloat64()
+					if rng.Intn(4) == 0 {
+						m.Data[i] = specials[rng.Intn(len(specials))]
+					}
+				}
+			}
+			got, want := mat.New(rows, width), mat.New(rows, width)
+			duel(got, v, a)
+			twoPassDuel(want, v, a)
+			require(fmt.Sprintf("planted %dx%d", rows, width), got, want)
+		}
 	}
 }
 

@@ -49,3 +49,6 @@ func sweepKernel(s *sweepArgs)
 
 //go:noescape
 func gatherPanel(k int, base *float64, src *[nr]int, lanes int, dst *float64)
+
+//go:noescape
+func transposePanel(src *[nr]int, base *float64, stride, full int, idx *int32, n int, out *float64)

@@ -220,7 +220,9 @@ done4ni:
 // epilogue on both halves: bias added (acc + bias), ReLU as a
 // compare-greater-than-zero and a zero-masked move (NaN and −0 give +0,
 // +Inf stays: relu()'s contract), the destination added for an
-// accumulating product (dst + acc), and the row stores. K1 masks the
+// accumulating product (dst + acc), the row stores, and — where t.or is
+// set — the eight stored rows ORed into the destination's column-wise
+// OR, the live set's scan done in registers. K1 masks the
 // pass's first panel, K2 its second: the last panel's loads and stores
 // are masked to t.last's lanes, and a one-panel pass has K2 empty — the
 // masked loads and stores of its second half touch no memory. With every
@@ -574,6 +576,29 @@ store16:
 	VMOVUPD Z29, K2, 64(BX)(CX*1)
 	VMOVUPD Z30, K1, (DX)(CX*1)
 	VMOVUPD Z31, K2, 64(DX)(CX*1)
+	MOVQ 232(AX), SI          // the destination's column-wise OR
+	TESTQ SI, SI
+	JZ   next16
+	VPORQ Z18, Z16, Z0        // the eight rows' bits, each half …
+	VPORQ Z20, Z0, Z0
+	VPORQ Z22, Z0, Z0
+	VPORQ Z24, Z0, Z0
+	VPORQ Z26, Z0, Z0
+	VPORQ Z28, Z0, Z0
+	VPORQ Z30, Z0, Z0
+	VPORQ Z19, Z17, Z1
+	VPORQ Z21, Z1, Z1
+	VPORQ Z23, Z1, Z1
+	VPORQ Z25, Z1, Z1
+	VPORQ Z27, Z1, Z1
+	VPORQ Z29, Z1, Z1
+	VPORQ Z31, Z1, Z1
+	VMOVDQU64.Z (SI)(CX*1), K1, Z2 // … into the columns' ORs, under the store masks
+	VPORQ Z2, Z0, Z0
+	VMOVDQU64 Z0, K1, (SI)(CX*1)
+	VMOVDQU64.Z 64(SI)(CX*1), K2, Z3
+	VPORQ Z3, Z1, Z1
+	VMOVDQU64 Z1, K2, 64(SI)(CX*1)
 	JMP  next16
 scatter16:
 	// The pass's columns of every row go where the column map sends them:
@@ -759,5 +784,107 @@ flushRS:
 	DECQ R9
 	JNZ  panelRS
 doneRS:
+	VZEROUPPER
+	RET
+
+// func transposePanel(src *[8]int, base *float64, stride, full int, idx *int32, n int, out *float64)
+//
+// packBTPanels' destination panel on the AVX-512 tier, 8 × 8 blocks
+// through registers: block q's eight packed columns are eight 64-byte
+// runs, base[src[jj] + q·stride/8 …] (stride in bytes), loaded one to a
+// ZMM; an unpack of each pair of rows and two rounds of 128-bit lane
+// shuffles turn them into the eight panel rows out[8(8q+tt) …], stored
+// whole. Nothing is computed: every element moves as it is, NaN payloads
+// and −0 included. idx nil walks blocks [0, full); else the n steps idx
+// lists (ascending) name the blocks to move, each once, up to the first
+// step at or past block full, which the caller takes.
+TEXT ·transposePanel(SB), NOSPLIT, $0-56
+	MOVQ src+0(FP), AX
+	MOVQ base+8(FP), SI
+	MOVQ stride+16(FP), BX
+	MOVQ full+24(FP), CX
+	MOVQ idx+32(FP), R12
+	MOVQ n+40(FP), R13
+	LEAQ (R12)(R13*4), R13    // the end of the list
+	MOVQ out+48(FP), DI
+	XORQ DX, DX               // the dense walk's next block
+	MOVQ $-1, R10             // the list's last block moved
+nexttp:
+	TESTQ R12, R12
+	JNZ  listtp
+	CMPQ DX, CX
+	JGE  donetp
+	MOVQ DX, R11
+	INCQ DX
+	JMP  blocktp
+listtp:
+	CMPQ R12, R13
+	JAE  donetp
+	MOVLQSX (R12), R11
+	ADDQ $4, R12
+	SHRQ $3, R11              // the step's block
+	CMPQ R11, CX
+	JGE  donetp
+	CMPQ R11, R10
+	JEQ  nexttp
+	MOVQ R11, R10
+blocktp:
+	MOVQ R11, R9
+	IMULQ BX, R9
+	ADDQ SI, R9               // block q of the operand
+	SHLQ $9, R11
+	ADDQ DI, R11              // its eight panel rows
+	MOVQ 0(AX), R8
+	VMOVUPD (R9)(R8*8), Z0
+	MOVQ 8(AX), R8
+	VMOVUPD (R9)(R8*8), Z1
+	MOVQ 16(AX), R8
+	VMOVUPD (R9)(R8*8), Z2
+	MOVQ 24(AX), R8
+	VMOVUPD (R9)(R8*8), Z3
+	MOVQ 32(AX), R8
+	VMOVUPD (R9)(R8*8), Z4
+	MOVQ 40(AX), R8
+	VMOVUPD (R9)(R8*8), Z5
+	MOVQ 48(AX), R8
+	VMOVUPD (R9)(R8*8), Z6
+	MOVQ 56(AX), R8
+	VMOVUPD (R9)(R8*8), Z7
+	// Rows a…h: pairs interleaved within each 128-bit lane …
+	VUNPCKLPD Z1, Z0, Z8      // a0 b0 a2 b2 a4 b4 a6 b6
+	VUNPCKHPD Z1, Z0, Z9      // a1 b1 a3 b3 a5 b5 a7 b7
+	VUNPCKLPD Z3, Z2, Z10     // c0 d0 c2 d2 …
+	VUNPCKHPD Z3, Z2, Z11
+	VUNPCKLPD Z5, Z4, Z12
+	VUNPCKHPD Z5, Z4, Z13
+	VUNPCKLPD Z7, Z6, Z14
+	VUNPCKHPD Z7, Z6, Z15
+	// … then lanes 0,2 / 1,3 of two registers, twice.
+	VSHUFF64X2 $0x88, Z10, Z8, Z0   // a0 b0 a4 b4 c0 d0 c4 d4
+	VSHUFF64X2 $0x88, Z11, Z9, Z1   // a1 b1 a5 b5 c1 d1 c5 d5
+	VSHUFF64X2 $0xDD, Z10, Z8, Z2   // a2 b2 a6 b6 c2 d2 c6 d6
+	VSHUFF64X2 $0xDD, Z11, Z9, Z3   // a3 b3 a7 b7 c3 d3 c7 d7
+	VSHUFF64X2 $0x88, Z14, Z12, Z4  // e0 f0 e4 f4 g0 h0 g4 h4
+	VSHUFF64X2 $0x88, Z15, Z13, Z5
+	VSHUFF64X2 $0xDD, Z14, Z12, Z6
+	VSHUFF64X2 $0xDD, Z15, Z13, Z7
+	VSHUFF64X2 $0x88, Z4, Z0, Z8    // a0 b0 c0 d0 e0 f0 g0 h0
+	VSHUFF64X2 $0x88, Z5, Z1, Z9    // a1 … h1
+	VSHUFF64X2 $0x88, Z6, Z2, Z10
+	VSHUFF64X2 $0x88, Z7, Z3, Z11
+	VSHUFF64X2 $0xDD, Z4, Z0, Z12   // a4 … h4
+	VSHUFF64X2 $0xDD, Z5, Z1, Z13
+	VSHUFF64X2 $0xDD, Z6, Z2, Z14
+	VSHUFF64X2 $0xDD, Z7, Z3, Z15
+	VMOVUPD Z8, 0(R11)
+	VMOVUPD Z9, 64(R11)
+	VMOVUPD Z10, 128(R11)
+	VMOVUPD Z11, 192(R11)
+	VMOVUPD Z12, 256(R11)
+	VMOVUPD Z13, 320(R11)
+	VMOVUPD Z14, 384(R11)
+	VMOVUPD Z15, 448(R11)
+	JMP  nexttp
+donetp:
 	VZEROUPPER
 	RET

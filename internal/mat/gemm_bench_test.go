@@ -52,7 +52,7 @@ func benchGEMM(b *testing.B) {
 		a, pw := benchMat(s.m, s.k, rng), PackB(benchMat(s.k, s.n, rng))
 		dst, bias := New(s.m, s.n), benchMat(1, s.n, rng).Data
 		run(fmt.Sprintf("MulPackedBiasAct/%dx%dx%d", s.m, s.k, s.n), 2*s.m*s.k*s.n, func() {
-			MulPackedBiasAct(dst, a, nil, pw, bias, ActReLU)
+			MulPackedBiasAct(dst, a, nil, pw, bias, ActReLU, nil)
 		})
 	}
 	// The two forward products that dominate the paper-scale step, with the
@@ -77,7 +77,7 @@ func benchGEMM(b *testing.B) {
 				}
 			}
 			run(fmt.Sprintf("MulPackedBiasAct/%dx%dx%d/%s", m, k, n, v.name), 2*m*k*n, func() {
-				MulPackedBiasAct(dst, a, nil, pw, nil, ActIdentity)
+				MulPackedBiasAct(dst, a, nil, pw, nil, ActIdentity, nil)
 			})
 		}
 	}
@@ -108,10 +108,10 @@ func benchGEMM(b *testing.B) {
 		run(fmt.Sprintf("%s/rows%.0fcols%.0f", transA, 100*s.liveIn, 100*s.liveOut), flops, func() {
 			MulTransALive(dw, xs, nil, gs, nil, nil)
 		})
-		run(transB, flops, func() { MulTransBPacked(gin, g, nil, pw, nil, false) })
+		run(transB, flops, func() { MulTransBPacked(gin, g, nil, pw, nil, false, nil) })
 		gate := scanned(xs)
 		run(fmt.Sprintf("%s/depth%.0fout%.0f", transB, 100*s.liveOut, 100*s.liveIn), flops, func() {
-			MulTransBPacked(gin, gs, nil, pw, gate, false)
+			MulTransBPacked(gin, gs, nil, pw, gate, false, nil)
 		})
 	}
 }

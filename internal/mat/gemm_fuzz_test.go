@@ -182,12 +182,12 @@ func FuzzMulMatchesNaive(f *testing.F) {
 			withKernels(t, func(kernel string) {
 				got := New(m, n)
 				fuzzFill(got.Data, rng) // ensure dst is fully overwritten
-				MulPackedBiasAct(got, a, nil, pb, nil, ActIdentity)
+				MulPackedBiasAct(got, a, nil, pb, nil, ActIdentity, nil)
 				requireMul(t, "MulPackedBiasAct/"+kernel, got, want)
 
 				got2 := New(m, n)
 				fuzzFill(got2.Data, rng)
-				MulTransBPacked(got2, a, nil, pbt, nil, false)
+				MulTransBPacked(got2, a, nil, pbt, nil, false, nil)
 				requireTransB(t, "MulTransBPacked/"+kernel, got2, want2)
 			})
 		}
@@ -254,6 +254,8 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 	f.Add(int64(4), byte(13), byte(21), byte(9), byte(0))    // none dead
 	f.Add(int64(5), byte(6), byte(67), byte(67), byte(128))  // two four-row tiles, two rows repeated
 	f.Add(int64(6), byte(67), byte(5), byte(1), byte(90))    // thin output, three-row last tile
+	f.Add(int64(7), byte(2), byte(30), byte(19), byte(60))   // the two-row row path, a ragged last panel
+	f.Add(int64(8), byte(16), byte(48), byte(33), byte(140)) // two 8-row tiles, a one-panel last pass
 	f.Fuzz(func(t *testing.T, seed int64, mb, kb, nb, deadb byte) {
 		m, k, n := clampDim(mb), clampDim(kb), clampDim(nb)
 		frac := float64(deadb) / 255
@@ -290,10 +292,13 @@ func FuzzLiveColumnsMatchesNaive(f *testing.F) {
 			if k > 0 && n > 0 {
 				pb := PackB(b)
 				fuzzFill(got.Data, rng)
-				if live := MulPackedBiasAct(got, a, nil, pb, bias, ActReLU); live < 0 || live > k {
+				var out Live
+				out.Scan(New(1, n)) // a stale set the epilogue replaces
+				if live := MulPackedBiasAct(got, a, nil, pb, bias, ActReLU, &out); live < 0 || live > k {
 					t.Fatalf("MulPackedBiasAct reports %d live columns of %d", live, k)
 				}
 				requireBitsEqual(t, "MulPackedBiasAct/"+kernel, got, wantAct)
+				requireSameLive(t, "MulPackedBiasAct out set/"+kernel, &out, scanned(got))
 			}
 
 			fuzzFill(got.Data, rng)
@@ -396,6 +401,8 @@ func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
 	f.Add(int64(3), byte(9), byte(12), byte(17), byte(80), byte(255)) // every column gated off
 	f.Add(int64(4), byte(8), byte(1), byte(9), byte(0), byte(0))      // nothing dead anywhere
 	f.Add(int64(5), byte(7), byte(21), byte(13), byte(90), byte(128)) // two four-row tiles, one row repeated
+	f.Add(int64(6), byte(16), byte(64), byte(48), byte(0), byte(0))   // W transposed in whole 8 × 8 blocks only
+	f.Add(int64(7), byte(9), byte(45), byte(27), byte(120), byte(80)) // blocks from a depth list, a ragged last block, a keep list
 	f.Fuzz(func(t *testing.T, seed int64, mb, kb, nb, deadAb, deadOutb byte) {
 		m, k, n := clampDim(mb), clampDim(kb), clampDim(nb)
 		rng := rand.New(rand.NewSource(seed))
@@ -442,15 +449,97 @@ func FuzzMulTransBGatedMatchesNaive(f *testing.F) {
 						tag := fmt.Sprintf("%s/held=%t/finite=%t", kernel, held != nil, known)
 						got := New(m, n)
 						fuzzFill(got.Data, rng)
-						MulTransBPacked(got, a, held, pb, gate, false)
+						MulTransBPacked(got, a, held, pb, gate, false, nil)
 						require(t, "MulTransBPacked/"+tag, got, want)
 						got.CopyFrom(dst0)
-						MulTransBPacked(got, a, held, pb, gate, true)
+						MulTransBPacked(got, a, held, pb, gate, true, nil)
 						require(t, "MulTransBPacked acc/"+tag, got, wantAcc)
 					}
 				}
 			})
 		}
+	})
+}
+
+// FuzzTransposePanelMatchesLoop holds packBTPanels — W's transposed
+// panels for g·Wᵀ, 8 × 8 blocks through registers on the AVX-512 tier,
+// the Go loop on the others — to the transposition written out element
+// by element, on every tier: a ragged In and Out (a last panel whose pad
+// lanes repeat its final column, a last block of fewer than eight steps),
+// a keep list of W's rows, a depth list of the steps to pack, and ±Inf,
+// −0 and NaN with payloads, which must come through as the same bits.
+// Every step a depth list names must be packed; the others may hold
+// anything.
+func FuzzTransposePanelMatchesLoop(f *testing.F) {
+	f.Add(int64(1), byte(64), byte(48), byte(0), byte(0)) // whole blocks, every row and step
+	f.Add(int64(2), byte(45), byte(27), byte(1), byte(3)) // ragged both ways, keep and depth lists
+	f.Add(int64(3), byte(19), byte(6), byte(0), byte(1))  // no whole block: the loop alone
+	f.Add(int64(4), byte(33), byte(64), byte(2), byte(1)) // nothing kept
+	f.Add(int64(5), byte(7), byte(16), byte(0), byte(0))  // one panel, a depth of two blocks and one step
+	f.Fuzz(func(t *testing.T, seed int64, inb, outb, keepb, depthb byte) {
+		in, out := 1+clampDim(inb), 1+clampDim(outb)
+		rng := rand.New(rand.NewSource(seed))
+		w := New(in, out)
+		fuzzFill(w.Data, rng)
+		plantNonFinite(w.Data, rng)
+		for n := rng.Intn(4); n > 0; n-- { // NaNs with payloads and signs of their own
+			w.Data[rng.Intn(len(w.Data))] = math.Float64frombits(0x7FF0000000000001 | rng.Uint64()&0x800FFFFFFFFFFFFF)
+		}
+		pb := PackB(w)
+		subset := func(n int) []int32 {
+			l := []int32{}
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) > 0 {
+					l = append(l, int32(i))
+				}
+			}
+			return l
+		}
+		var rows, depth []int32
+		switch keepb % 3 {
+		case 1:
+			rows = subset(in)
+		case 2:
+			rows = []int32{}
+		}
+		if depthb%2 == 1 {
+			depth = subset(out)
+		}
+		n := span(rows, in)
+		panels := (n + nr - 1) / nr
+		want := make([]float64, (in+nr-1)/nr*nr*out)
+		for p := 0; p < panels; p++ {
+			for t := 0; t < out; t++ {
+				for jj := 0; jj < nr; jj++ {
+					want[p*nr*out+t*nr+jj] = w.At(pick(rows, min(p*nr+jj, n-1)), t)
+				}
+			}
+		}
+		steps := depth
+		if steps == nil {
+			steps = make([]int32, out)
+			for t := range steps {
+				steps[t] = int32(t)
+			}
+		}
+		withKernels(t, func(kernel string) {
+			got := make([]float64, len(want))
+			for i := range got {
+				got[i] = math.Float64frombits(0x7FF8DEADBEEF0000) // what no step may keep
+			}
+			packBTPanels(got, pb, rows, depth)
+			for p := 0; p < panels; p++ {
+				for _, s := range steps {
+					for jj := 0; jj < nr; jj++ {
+						i := p*nr*out + int(s)*nr + jj
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s: In %d Out %d rows %v depth %v: panel %d step %d lane %d holds %x, want %x",
+								kernel, in, out, rows, depth, p, s, jj, math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
+		})
 	})
 }
 

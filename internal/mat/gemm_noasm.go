@@ -36,3 +36,7 @@ func sweepKernel(s *sweepArgs) { panic("mat: asm kernel on non-amd64") }
 func gatherPanel(k int, base *float64, src *[nr]int, lanes int, dst *float64) {
 	panic("mat: asm kernel on non-amd64")
 }
+
+func transposePanel(src *[nr]int, base *float64, stride, full int, idx *int32, n int, out *float64) {
+	panic("mat: asm kernel on non-amd64")
+}

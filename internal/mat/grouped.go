@@ -128,9 +128,11 @@ func (pb *PackedB) CopyFrom(src *PackedB) {
 // every row, then the activation applied element-wise. Products of fewer
 // than four rows (batch-1 selection) pay no packing and no column scan:
 // one fused kernel call sweeps every panel of a row. al is the caller's
-// live set of a, or nil (see Live). It returns the number of a's columns
-// the product found live (a.Cols where it made no scan).
-func MulPackedBiasAct(dst, a *Matrix, al *Live, pb *PackedB, bias []float64, act Activation) (liveK int) {
+// live set of a, or nil (see Live). out, when non-nil, becomes dst's live
+// set, made from the values the epilogue stores — what a scan of dst
+// would find, without the scan. It returns the number of a's columns the
+// product found live (a.Cols where it made no scan).
+func MulPackedBiasAct(dst, a *Matrix, al *Live, pb *PackedB, bias []float64, act Activation, out *Live) (liveK int) {
 	if a.Cols != pb.K || dst.Rows != a.Rows || dst.Cols != pb.N {
 		panic(fmt.Sprintf("mat: MulPackedBiasAct dims (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, pb.K, pb.N, dst.Rows, dst.Cols))
@@ -140,6 +142,10 @@ func MulPackedBiasAct(dst, a *Matrix, al *Live, pb *PackedB, bias []float64, act
 	}
 	k, n := a.Cols, dst.Cols
 	ep := epilogue{bias: bias, act: act}
+	if out != nil {
+		ep.or = out.OrFor(n)
+		defer out.Seal(n)
+	}
 	if k == 0 || n == 0 { // the kernels read a's first element and the panels'
 		storeZeros(dst, n, &ep)
 		return k
@@ -187,6 +193,6 @@ func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activati
 		// Band headers on the stack: RowsView's escape to the heap.
 		x := Matrix{Rows: rowsPer, Cols: k, Data: a.Data[r0*k : r1*k]}
 		y := Matrix{Rows: rowsPer, Cols: n, Data: dst.Data[r0*n : r1*n]}
-		MulPackedBiasAct(&y, &x, nil, groups[g].Packed, groups[g].Bias, act)
+		MulPackedBiasAct(&y, &x, nil, groups[g].Packed, groups[g].Bias, act, nil)
 	}
 }

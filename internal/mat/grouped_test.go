@@ -39,12 +39,12 @@ func TestMulPackedBiasActMatchesMulBiasAct(t *testing.T) {
 				pb := PackB(b)
 				got := New(sh.m, sh.n)
 				fuzzFill(got.Data, rng)
-				MulPackedBiasAct(got, a, nil, pb, bias, act)
+				MulPackedBiasAct(got, a, nil, pb, bias, act, nil)
 				requireBitsEqual(t, "MulPackedBiasAct/"+kernel, got, want)
 
 				// RepackFrom reuses the buffer and stays identical.
 				pb.RepackFrom(b)
-				MulPackedBiasAct(got, a, nil, pb, bias, act)
+				MulPackedBiasAct(got, a, nil, pb, bias, act, nil)
 				requireBitsEqual(t, "RepackFrom/"+kernel, got, want)
 			})
 		}

@@ -88,7 +88,7 @@ func (l *Live) Scan(a *Matrix) {
 		}
 		return
 	}
-	or := l.orFor(k)
+	or := l.OrFor(k)
 	for i := 0; i < a.Rows && k > 0; i += 4 {
 		// Four rows a pass; a last pass of fewer repeats its final row,
 		// which an OR does not mind.
@@ -103,13 +103,26 @@ func (l *Live) Scan(a *Matrix) {
 				math.Float64bits(x2[c]) | math.Float64bits(x3[c])
 		}
 	}
-	l.seal(k)
+	l.Seal(k)
 }
 
-// orFor returns the set's column-wise OR for an operand k wide, cleared:
-// a scan, or a sweep that writes the operand (SweepGrad), ORs each
-// element's bits into its column, and seal makes the set of it.
-func (l *Live) orFor(k int) []uint64 {
+// CopyFrom makes l the set src holds, or an unscanned one when src is nil
+// or unscanned: the set of an operand a layer passes through as it is.
+func (l *Live) CopyFrom(src *Live) {
+	if src == nil || !src.scanned {
+		l.scanned = false
+		return
+	}
+	l.OrFor(src.k)
+	copy(l.cols, src.cols[:src.k])
+	l.n, l.k, l.scanned = src.n, src.k, true
+}
+
+// OrFor returns the set's column-wise OR for an operand k wide, cleared:
+// a scan, or a writer of the operand — SweepGrad, a forward product's
+// epilogue, nn's dropout — ORs each element's bits into its column, and
+// Seal makes the set of it.
+func (l *Live) OrFor(k int) []uint64 {
 	if cap(l.or) < k {
 		l.or = make([]uint64, k)
 		l.cols = make([]int32, k)
@@ -119,8 +132,8 @@ func (l *Live) orFor(k int) []uint64 {
 	return or
 }
 
-// seal makes l the live set whose column-wise OR orFor(k) holds.
-func (l *Live) seal(k int) {
+// Seal makes l the live set whose column-wise OR OrFor(k) holds.
+func (l *Live) Seal(k int) {
 	or := l.or[:k]
 	// Live columns fill cols from the front, dead ones from the back; each
 	// column is written to both ends and one end advances past it. The two

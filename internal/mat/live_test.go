@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -140,14 +141,14 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 						for i := range gotTB.Data {
 							gotTB.Data[i] = math.NaN() // stale: every element must be written
 						}
-						MulTransBPacked(gotTB, g2, nil, pw, gate, false)
+						MulTransBPacked(gotTB, g2, nil, pw, gate, false, nil)
 						requireBitsEqual(t, "MulTransBPacked gated/"+ftag, gotTB, wantTB)
 						gotTB.CopyFrom(dst0)
-						MulTransBPacked(gotTB, g2, scanned(g2), pw, gate, true)
+						MulTransBPacked(gotTB, g2, scanned(g2), pw, gate, true, nil)
 						requireBitsEqual(t, "MulTransBPacked gated acc/"+ftag, gotTB, wantTBAcc)
 						// Ungated and accumulating: every column, added.
 						gotTB.CopyFrom(dst0)
-						MulTransBPacked(gotTB, g2, nil, pw, nil, true)
+						MulTransBPacked(gotTB, g2, nil, pw, nil, true, nil)
 						requireBitsEqual(t, "MulTransBPacked acc/"+ftag, gotTB, wantFullAcc)
 					}
 
@@ -164,7 +165,7 @@ func TestLiveBlockMatchesNaive(t *testing.T) {
 							wantS.Set(r, c, full.At(r, c))
 						}
 					}
-					MulTransBPacked(gotS, g2.RowsView(0, few), nil, pw, scanned(in), false)
+					MulTransBPacked(gotS, g2.RowsView(0, few), nil, pw, scanned(in), false, nil)
 					requireBitsEqual(t, "MulTransBPacked seven rows/"+kernel+"/"+tag, gotS, wantS)
 				})
 			}
@@ -186,11 +187,11 @@ func TestLiveMemo(t *testing.T) {
 	if _, ok := l.Count(); ok {
 		t.Fatal("zero Live claims a scan")
 	}
-	MulPackedBiasAct(dst.RowsView(0, 3), a.RowsView(0, 3), &l, pb, nil, ActIdentity)
+	MulPackedBiasAct(dst.RowsView(0, 3), a.RowsView(0, 3), &l, pb, nil, ActIdentity, nil)
 	if _, ok := l.Count(); ok {
 		t.Fatal("a three-row product scanned")
 	}
-	if got := MulPackedBiasAct(dst, a, &l, pb, nil, ActIdentity); got != 4 {
+	if got := MulPackedBiasAct(dst, a, &l, pb, nil, ActIdentity, nil); got != 4 {
 		t.Fatalf("product found %d live columns, want 4", got)
 	}
 	if n, ok := l.Count(); !ok || n != 4 {
@@ -198,11 +199,11 @@ func TestLiveMemo(t *testing.T) {
 	}
 	// New contents without a Reset: the product trusts the holder.
 	liveExactly(a, []int{1, 4}, rng)
-	if got := MulPackedBiasAct(dst, a, &l, pb, nil, ActIdentity); got != 4 {
+	if got := MulPackedBiasAct(dst, a, &l, pb, nil, ActIdentity, nil); got != 4 {
 		t.Fatalf("held set rescanned without Reset: %d", got)
 	}
 	l.Reset()
-	if got := MulPackedBiasAct(dst, a, &l, pb, nil, ActIdentity); got != 2 {
+	if got := MulPackedBiasAct(dst, a, &l, pb, nil, ActIdentity, nil); got != 2 {
 		t.Fatalf("after Reset the product found %d live columns, want 2", got)
 	}
 	defer func() {
@@ -211,7 +212,7 @@ func TestLiveMemo(t *testing.T) {
 		}
 	}()
 	MulTransB(New(9, 9), a, a) // fine: no set
-	MulPackedBiasAct(New(12, 9), b, &l, NewPackedB(5, 9), nil, ActIdentity)
+	MulPackedBiasAct(New(12, 9), b, &l, NewPackedB(5, 9), nil, ActIdentity, nil)
 }
 
 // TestNonFiniteContractBackward pins the backward products' rows of the
@@ -265,7 +266,7 @@ func TestNonFiniteContractBackward(t *testing.T) {
 		w.Set(deadOut, 1, math.NaN())
 		w.Set(liveOut, 1, math.Inf(-1))
 		gin := New(batch, n)
-		MulTransBPacked(gin, g2, nil, PackB(w), scanned(in), false)
+		MulTransBPacked(gin, g2, nil, PackB(w), scanned(in), false, nil)
 		for r := 0; r < batch; r++ {
 			if v := gin.At(r, deadOut); math.Float64bits(v) != 0 {
 				t.Fatalf("%s: gated column %d row %d = %v, want +0", kernel, deadOut, r, v)
@@ -281,6 +282,54 @@ func TestNonFiniteContractBackward(t *testing.T) {
 			}
 		}
 	})
+}
+
+// requireSameLive fails unless got holds the set want does: scanned, the
+// same width, and the same live and dead columns.
+func requireSameLive(t *testing.T, tag string, got, want *Live) {
+	t.Helper()
+	n, ok := got.Count()
+	wn, _ := want.Count()
+	if !ok || n != wn || got.k != want.k || !slices.Equal(got.list(), want.list()) || !slices.Equal(got.deadList(), want.deadList()) {
+		t.Fatalf("%s: live set %v (%d of %d, scanned %t), Scan finds %v (%d of %d)", tag, got.list(), n, got.k, ok, want.list(), wn, want.k)
+	}
+}
+
+// TestEpilogueLiveMatchesScan: the live set a forward product makes in its
+// epilogue is the one a scan of what it stored finds, on every tier: with
+// ReLU and without, with a bias and without, with NaN, −0 and +Inf among
+// the stored values, at batch sizes that run the row path (fewer than four
+// rows), four-row tiles and eight-row ones with ragged tails, and widths
+// that leave a last panel of fewer than eight columns.
+func TestEpilogueLiveMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, m := range []int{1, 3, 4, 7, 8, 13, 16, 21} {
+		for _, n := range []int{1, 5, 8, 19, 24} {
+			const k = 11
+			a, b := New(m, k), New(k, n)
+			fuzzFill(a.Data, rng)
+			fuzzFill(b.Data, rng)
+			killColumns(a, 0.3, rng)
+			killColumns(b, 0.3, rng) // columns of the product that only the bias moves
+			plantNonFinite(b.Data, rng)
+			pb := PackB(b)
+			bias := make([]float64, n)
+			fuzzFill(bias, rng)
+			bias[rng.Intn(n)] = math.Copysign(0, -1)
+			for _, bs := range [][]float64{nil, bias} {
+				for _, act := range []Activation{ActIdentity, ActReLU} {
+					withKernels(t, func(kernel string) {
+						tag := fmt.Sprintf("%s/%dx%d·%dx%d/bias=%t/act=%d", kernel, m, k, k, n, bs != nil, act)
+						dst := New(m, n)
+						var out Live
+						out.Scan(New(2, n+3)) // a stale set of another width
+						MulPackedBiasAct(dst, a, nil, pb, bs, act, &out)
+						requireSameLive(t, tag, &out, scanned(dst))
+					})
+				}
+			}
+		}
+	}
 }
 
 // scratchShapes lists the distinct shapes the package scratch pool holds.
@@ -316,9 +365,9 @@ func TestScratchShapesStable(t *testing.T) {
 		liveExactly(x, pickColumns(in, rng.Intn(in+1), rng), rng)
 		liveExactly(g, pickColumns(out, rng.Intn(out+1), rng), rng)
 		var xl, gl Live
-		MulPackedBiasAct(y, x, &xl, pw, nil, ActReLU)
+		MulPackedBiasAct(y, x, &xl, pw, nil, ActReLU, nil)
 		MulTransALive(dw, x, &xl, g, &gl, nil)
-		MulTransBPacked(gin, g, &gl, pw, &xl, false)
+		MulTransBPacked(gin, g, &gl, pw, &xl, false, nil)
 		if step == 5 {
 			after5 = scratchShapes()
 		}

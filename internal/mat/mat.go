@@ -81,7 +81,7 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // because the benchmark's GEMM probes (benchmark/probes.go) name it.
 func Mul(dst, a, b *Matrix) {
 	s := packB(b, nil)
-	MulPackedBiasAct(dst, a, nil, &PackedB{K: b.Rows, N: b.Cols, Data: s.Data}, nil, ActIdentity)
+	MulPackedBiasAct(dst, a, nil, &PackedB{K: b.Rows, N: b.Cols, Data: s.Data}, nil, ActIdentity, nil)
 	PutScratch(s)
 }
 
@@ -184,7 +184,10 @@ func MulTransALive(dst, a *Matrix, al *Live, b *Matrix, bl *Live, bp *PackedB) {
 // non-finite element in an unlisted row of b is hidden. accumulate adds
 // the product to dst (dst + sum, one rounding per element: bitwise
 // `tmp = a·bᵀ; dst += tmp`) instead of storing it, and then leaves the
-// unlisted columns as they stand.
+// unlisted columns as they stand. panels is where the transposed panels
+// are built, at least ⌈pb.K/8⌉·8·pb.N values — the shape of the
+// dW = xᵀ·g nn's backward stores in the same buffer next; nil draws
+// pooled scratch.
 //
 // The accumulation precondition: an accumulated dst holds no −0. The
 // product adds nothing to the elements it leaves out, and dst + (+0) is
@@ -193,9 +196,12 @@ func MulTransALive(dst, a *Matrix, al *Live, b *Matrix, bl *Live, bp *PackedB) {
 // and only ever has sums added to it, and in round-to-nearest a sum is −0
 // only when both addends are, so none of them ever holds a −0 (DESIGN.md
 // §14).
-func MulTransBPacked(dst, a *Matrix, al *Live, pb *PackedB, out *Live, accumulate bool) {
+func MulTransBPacked(dst, a *Matrix, al *Live, pb *PackedB, out *Live, accumulate bool, panels []float64) {
 	if a.Cols != pb.N || dst.Rows != a.Rows || dst.Cols != pb.K {
 		panic("mat: MulTransBPacked dimension mismatch")
+	}
+	if panels != nil && len(panels) < (pb.K+nr-1)/nr*nr*pb.N {
+		panic(fmt.Sprintf("mat: MulTransBPacked with %d panel values for a %dx%d operand", len(panels), pb.K, pb.N))
 	}
 	var keep []int32 // the rows of b, destination columns, to compute: nil is all
 	if out != nil {
@@ -217,9 +223,14 @@ func MulTransBPacked(dst, a *Matrix, al *Live, pb *PackedB, out *Live, accumulat
 	if live != nil && !pb.Finite && !finiteInPanels(pb, keep, al.deadList()) {
 		live = nil
 	}
-	bp := packBTPanels(pb, keep, live)
-	gemmPacked(dst, a, bp.Data, live, &ep)
-	PutScratch(bp)
+	var s *Matrix
+	if panels == nil {
+		s = GetScratch(1, (pb.K+nr-1)/nr*nr*pb.N)
+		panels = s.Data
+	}
+	packBTPanels(panels, pb, keep, live)
+	gemmPacked(dst, a, panels, live, &ep)
+	PutScratch(s)
 	putLive(al, borrowed)
 }
 
@@ -254,23 +265,6 @@ func Hadamard(dst, a, b *Matrix) {
 	checkSameShape(dst, a)
 	for i := range dst.Data {
 		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-}
-
-// RowMeansInto writes the per-row means of m into dst (length Rows),
-// the allocation-free variant for reusable workspaces: each row's sum
-// (RowSumsInto) over its width.
-func (m *Matrix) RowMeansInto(dst []float64) {
-	if len(dst) != m.Rows {
-		panic("mat: RowMeansInto length mismatch")
-	}
-	if m.Cols == 0 {
-		clear(dst)
-		return
-	}
-	m.RowSumsInto(dst)
-	for i := range dst {
-		dst[i] /= float64(m.Cols)
 	}
 }
 

@@ -45,7 +45,7 @@ func SweepGrad(dst, g *Matrix, p Pending, mask *Matrix, sums []float64, live *Li
 		gp.K != rows || gp.N != cols || len(gp.Data) < (cols+nr-1)/nr*nr*rows:
 		panic(fmt.Sprintf("mat: SweepGrad of a %dx%d gradient: dst, mask, shift, sums or panels of another shape", rows, cols))
 	}
-	or := live.orFor(cols)
+	or := live.OrFor(cols)
 	clear(sums)
 	if rows > 0 && cols > 0 {
 		if haveAVX512 {
@@ -54,7 +54,7 @@ func SweepGrad(dst, g *Matrix, p Pending, mask *Matrix, sums []float64, live *Li
 			sweepRows(dst, g, &p, mask, sums, or, gp.Data)
 		}
 	}
-	live.seal(cols)
+	live.Seal(cols)
 }
 
 // sweepRows is SweepGrad's portable loop, and the oracle of its kernel: a

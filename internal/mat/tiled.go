@@ -63,6 +63,10 @@ type epilogue struct {
 	// packBTPanels) and scatters them home. nil stores in place. The mapped
 	// products are the backward pass's, which carry no bias or activation.
 	cols []int32
+	// or, when non-nil, is the destination's column-wise OR (Live.OrFor):
+	// the bits of every value stored go into their column's, so the
+	// product makes its output's live set as it writes the output.
+	or []uint64
 }
 
 // packB packs b into nr-wide column panels: panel p holds destination
@@ -117,18 +121,24 @@ func packBInto(bp []float64, b *Matrix, cols []int32) {
 }
 
 // packBTPanels packs the transpose of the operand pb holds into nr-wide
-// panels for MulTransBPacked: panel p holds destination columns
+// panels for MulTransBPacked, in bp (at least the operand's full shape,
+// like packB's scratch): panel p holds destination columns
 // [p·nr, p·nr+nr), i.e. rows of the operand, transposed so the
 // microkernel streams k-major. rows, when non-nil, lists the rows to
 // pack, ascending (packed column j is the operand's row rows[j]); depth,
-// when non-nil, the k steps the kernel will visit — the others are left
-// unwritten, nobody reads them. The scratch is drawn at the operand's
-// full shape, like packB's. Eight rows of the operand in one of its
+// when non-nil, the k steps the kernel will visit — the others need not
+// be written, nobody reads them. Eight rows of the operand in one of its
 // panels are eight contiguous runs, so the transposition goes an 8 × 8
-// block at a time: eight run reads, eight panel-row writes.
-func packBTPanels(pb *PackedB, rows, depth []int32) *Matrix {
-	k := pb.N // the depth
-	pm := GetScratch(1, (pb.K+nr-1)/nr*nr*k)
+// block at a time: eight run reads, eight panel-row writes. On the
+// AVX-512 tier transposePanel moves every whole block through registers
+// — a depth list's blocks whole, the steps it leaves out with them — and
+// the loops here, the portable twin, take what is left: a last block of
+// fewer than nr steps.
+func packBTPanels(bp []float64, pb *PackedB, rows, depth []int32) {
+	if depth != nil && len(depth) == 0 {
+		return // the kernel visits no step
+	}
+	k := pb.N             // the depth
 	n := span(rows, pb.K) // destination columns packed
 	panels := (n + nr - 1) / nr
 	stride := pb.K * nr // from one of pb's panels to the next
@@ -140,9 +150,18 @@ func packBTPanels(pb *PackedB, rows, depth []int32) *Matrix {
 			// last tile repeats.
 			src[jj] = pick(rows, min(p*nr+jj, n-1)) * nr
 		}
-		out := pm.Data[p*nr*k : (p+1)*nr*k]
+		out := bp[p*nr*k : (p+1)*nr*k]
+		q0 := 0 // the first block the loops below transpose
+		if haveAVX512 {
+			q0 = k / nr
+			var idx *int32
+			if depth != nil {
+				idx = &depth[0]
+			}
+			transposePanel(&src, &pb.Data[0], 8*stride, q0, idx, len(depth), &out[0])
+		}
 		if depth == nil {
-			for q := 0; q*nr < k; q++ {
+			for q := q0; q*nr < k; q++ {
 				blk := pb.Data[q*stride:]
 				s0, s1, s2, s3 := blk[src[0]:src[0]+nr], blk[src[1]:src[1]+nr], blk[src[2]:src[2]+nr], blk[src[3]:src[3]+nr]
 				s4, s5, s6, s7 := blk[src[4]:src[4]+nr], blk[src[5]:src[5]+nr], blk[src[6]:src[6]+nr], blk[src[7]:src[7]+nr]
@@ -153,14 +172,17 @@ func packBTPanels(pb *PackedB, rows, depth []int32) *Matrix {
 			}
 			continue
 		}
-		for _, t := range depth {
+		from := len(depth) // the steps past the kernel's blocks: the list's tail
+		for from > 0 && int(depth[from-1]) >= q0*nr {
+			from--
+		}
+		for _, t := range depth[from:] {
 			blk := pb.Data[int(t)/nr*stride+int(t)%nr:]
 			o := out[int(t)*nr : int(t)*nr+nr]
 			o[0], o[1], o[2], o[3] = blk[src[0]], blk[src[1]], blk[src[2]], blk[src[3]]
 			o[4], o[5], o[6], o[7] = blk[src[4]], blk[src[5]], blk[src[6]], blk[src[7]]
 		}
 	}
-	return pm
 }
 
 // packTransposed packs the transpose of b into nr-wide panels in pooled
@@ -269,6 +291,7 @@ type tile16 struct {
 	poff   int          // 208: byte offset of the next pass's first panel from the first
 	astep  int          // 216: bytes from one a element to the next on the dense walk
 	cols   *int32       // 224: nil stores in place; else packed column j goes to d row column cols[j]
+	or     *uint64      // 232: nil for none; else the destination's column-wise OR, the stored rows ORed in
 }
 
 // tile16For prepares what the 8-row tiles of one product share (they exist
@@ -288,6 +311,9 @@ func (ep *epilogue) tile16For(depth int, live []int32, n int) (t tile16) {
 	}
 	if ep.cols != nil {
 		t.cols = &ep.cols[0]
+	}
+	if ep.or != nil {
+		t.or = &ep.or[0]
 	}
 	if ep.accumulate { // storeTile's order: an accumulating store has no bias or activation
 		t.acc = 1
@@ -417,7 +443,8 @@ func kernRowGo(a []float64, step int, panel []float64, acc *[nr]float64, live []
 // storeTile writes packed columns [j0, j0+w) of one microkernel row, held
 // in acc[:w], back into the destination row drow through the epilogue:
 // in place or scattered through the column map, stored or accumulated
-// (+=), with the bias broadcast and/or activation.
+// (+=), with the bias broadcast and/or activation, and ORed into the
+// destination's column-wise OR where there is one.
 func storeTile(drow, acc []float64, j0, w int, ep *epilogue) {
 	acc = acc[:w]
 	if ep.cols != nil {
@@ -456,6 +483,12 @@ func storeTile(drow, acc []float64, j0, w int, ep *epilogue) {
 	default: // bias, identity
 		for jj, v := range acc {
 			drow[jj] = v + bias[jj]
+		}
+	}
+	if ep.or != nil {
+		or := ep.or[j0 : j0+w]
+		for jj, v := range drow {
+			or[jj] |= math.Float64bits(v)
 		}
 	}
 }

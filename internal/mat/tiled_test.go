@@ -52,7 +52,7 @@ func TestTiledStraddlesEightRowTile(t *testing.T) {
 							run  func()
 						}{
 							{"Mul", func() { Mul(got, a, b) }},
-							{"MulPackedBiasAct", func() { MulPackedBiasAct(got, a, nil, pb, nil, ActIdentity) }},
+							{"MulPackedBiasAct", func() { MulPackedBiasAct(got, a, nil, pb, nil, ActIdentity, nil) }},
 							{"MulGroupedBiasAct", func() { MulGroupedBiasAct(got, a, m, []Group{{Packed: pb}}, ActIdentity) }},
 						} {
 							fuzzFill(got.Data, rng)
@@ -63,7 +63,7 @@ func TestTiledStraddlesEightRowTile(t *testing.T) {
 						MulTransB(got, a, bt)
 						requireBitsEqual(t, "MulTransB/"+kernel+"/"+tag, got, wantTB)
 						fuzzFill(got.Data, rng)
-						MulTransBPacked(got, a, nil, pbt, nil, false)
+						MulTransBPacked(got, a, nil, pbt, nil, false, nil)
 						requireBitsEqual(t, "MulTransBPacked/"+kernel+"/"+tag, got, wantTB)
 
 						gotTA := New(k, n)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -195,6 +196,47 @@ func TestBackwardAccIsBackwardThenAdd(t *testing.T) {
 			if math.Float64bits(sum.Data[i]) != math.Float64bits(w) {
 				t.Fatalf("gated=%t: sum[%d] = %x, Backward then Add gives %x", gated, i, math.Float64bits(sum.Data[i]), math.Float64bits(w))
 			}
+		}
+	}
+}
+
+// TestForwardLiveSetsAreScans: along a Sequential, each layer makes its
+// output's live set as it writes the output — a Dense in its product's
+// epilogue, a dropout as it draws the mask, an eval-mode dropout by
+// handing its input's set on — and every Dense reads the set it is
+// handed, so what each one holds for its input must be what a scan of
+// that input finds, as must the set the caller gets for the last output:
+// in train and eval mode, at batch sizes that run the row path, the
+// four-row and the eight-row tiles, on every tier.
+func TestForwardLiveSetsAreScans(t *testing.T) {
+	tiertest.EachLower(t)
+	net := buildGatedStack(5, true)
+	rng := rand.New(rand.NewSource(6))
+	requireScan := func(tag string, got *mat.Live, m *mat.Matrix) {
+		t.Helper()
+		var want mat.Live
+		want.Scan(m)
+		n, ok := got.Count()
+		if wn, _ := want.Count(); !ok || n != wn {
+			t.Fatalf("%s: set of %d live columns (scanned %t), a scan finds %d", tag, n, ok, wn)
+		}
+	}
+	for _, train := range []bool{true, false} {
+		for _, batch := range []int{1, 3, 4, 8, 13} {
+			x := mat.New(batch, 22)
+			for i := range x.Data {
+				if rng.Intn(3) > 0 {
+					x.Data[i] = rng.NormFloat64()
+				}
+			}
+			var yl mat.Live
+			y := net.ForwardLive(x, nil, &yl, train)
+			for i, l := range net.Layers[1:] {
+				if d, ok := l.(*Dense); ok {
+					requireScan(fmt.Sprintf("train=%t batch %d: layer %d's input", train, batch, i+1), d.xLive, d.lastX)
+				}
+			}
+			requireScan(fmt.Sprintf("train=%t batch %d: the output", train, batch), &yl, y)
 		}
 	}
 }

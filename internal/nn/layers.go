@@ -62,8 +62,8 @@ type Dense struct {
 	lastOut *mat.Matrix // cached output (mask source when FuseReLU)
 
 	// xLive is the live set of lastX, the caller's (ForwardLive) or the
-	// layer's own; gLive the masked gradient's, scanned once for the two
-	// products of Backward.
+	// layer's own scan of it; gLive the masked gradient's, made by the
+	// sweep for the two products of Backward.
 	xLive        *mat.Live
 	xScan, gLive mat.Live
 
@@ -76,7 +76,7 @@ type Dense struct {
 	gm      *mat.Matrix // the swept gradient, batch×Out, where the sweep changes it
 	colSums []float64   // db
 	gp      mat.PackedB // the swept gradient's panels, over the scratch one Backward borrows
-	dw      mat.Matrix  // dW, In×Out, over the scratch one Backward borrows
+	dw      mat.Matrix  // dW, In×Out, over the scratch g·Wᵀ's panels took first
 	ownDW   []float64   // dW's own storage under NoInputGrad (SetOptimizer)
 }
 
@@ -127,17 +127,22 @@ func (d *Dense) bias() []float64 { return d.B.Panels.Data[:d.Out] }
 // Forward computes y = x·W + b (relu'd when FuseReLU) for a batch x
 // (rows = samples). Bias and activation are applied in the GEMM epilogue.
 func (d *Dense) Forward(x *mat.Matrix, train bool) *mat.Matrix {
-	d.xScan.Reset()
-	return d.ForwardLive(x, &d.xScan, train)
+	return d.ForwardLive(x, nil, nil, train)
 }
 
-// ForwardLive is Forward for a caller that holds x's live set (mat.Live):
-// an activation feeding several layers is scanned by the first and read
-// by the rest, and again by each one's Backward. xl must stay x's until
-// then.
-func (d *Dense) ForwardLive(x *mat.Matrix, xl *mat.Live, train bool) *mat.Matrix {
+// ForwardLive is Forward for a caller that holds live sets (mat.Live):
+// xl is x's, or nil for the layer's own scan of x, and yl, when non-nil,
+// becomes y's, made by the product's epilogue from the values it stores.
+// So the layer that writes an activation makes its set, and every layer
+// that reads it — and each one's Backward — takes that set instead of a
+// scan. xl must stay x's, and yl y's, until then.
+func (d *Dense) ForwardLive(x *mat.Matrix, xl, yl *mat.Live, train bool) *mat.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense %s expects %d inputs, got %d", d.W.Name, d.In, x.Cols))
+	}
+	if xl == nil {
+		d.xScan.Reset()
+		xl = &d.xScan
 	}
 	d.lastX, d.xLive = x, xl
 	y := d.out.get(x.Rows, d.Out)
@@ -145,7 +150,7 @@ func (d *Dense) ForwardLive(x *mat.Matrix, xl *mat.Live, train bool) *mat.Matrix
 	if d.FuseReLU {
 		act = mat.ActReLU
 	}
-	live := mat.MulPackedBiasAct(y, x, xl, d.W.Panels, d.bias(), act)
+	live := mat.MulPackedBiasAct(y, x, xl, d.W.Panels, d.bias(), act, yl)
 	if train {
 		d.liveIn = live
 	}
@@ -165,9 +170,10 @@ func (d *Dense) LiveInputs() (live int, ok bool) { return d.liveIn, d.liveIn >= 
 // Backward hands dW and db to it as it computes them, one optimiser step
 // of W and B. The owner of a network that trains sets it on every dense
 // (Sequential.SetOptimizer, bdq.Network.SetOptimizer); a network that only
-// runs forward (a target network) needs none. dW borrows the pool buffer
-// that g·Wᵀ gives back; a layer with NoInputGrad computes no g·Wᵀ, so it
-// gets storage of its own here, before training (NoInputGrad set first).
+// runs forward (a target network) needs none. dW takes over the pool
+// buffer g·Wᵀ built its panels in; a layer with NoInputGrad computes no
+// g·Wᵀ, so it gets storage of its own here, before training (NoInputGrad
+// set first).
 func (d *Dense) SetOptimizer(opt Optimizer) {
 	d.opt = opt
 	if d.NoInputGrad && d.ownDW == nil {
@@ -248,24 +254,25 @@ func (d *Dense) backward(gradOut, gradIn *mat.Matrix, accumulate bool, p mat.Pen
 	// GatedInput, its columns from x's; dW's rows from x's and its columns
 	// from g's. g·Wᵀ goes first because it reads W, which the step below
 	// rewrites. W's panels carry their Finite bit, which spares it a scan
-	// of W for Inf and NaN.
+	// of W for Inf and NaN. g·Wᵀ builds W's transposed panels in pool
+	// scratch, ⌈In/8⌉·8·Out values, and dW is stored over them next — the
+	// same shape — and leaves with the buffer, so no parameter-sized
+	// gradient outlives the step; under NoInputGrad dW goes into the
+	// layer's own storage instead.
+	var s *mat.Matrix
+	var panels []float64 // nil: g·Wᵀ draws its own (an input gradient summed under NoInputGrad)
+	d.dw = mat.Matrix{Rows: d.In, Cols: d.Out, Data: d.ownDW}
+	if d.dw.Data == nil {
+		s = mat.GetScratch(1, (d.In+mat.PanelWidth-1)/mat.PanelWidth*mat.PanelWidth*d.Out)
+		panels, d.dw.Data = s.Data, s.Data[:d.In*d.Out]
+	}
 	if gradIn != nil {
 		var gate *mat.Live
 		if d.GatedInput {
 			gate = d.xLive
-			gate.Scan(d.lastX) // a forward of fewer than four rows made none
+			gate.Scan(d.lastX) // the layer's own set is unscanned after a forward of fewer than four rows
 		}
-		mat.MulTransBPacked(gradIn, g, &d.gLive, d.W.Panels, gate, accumulate)
-	}
-	// dW is stored into the pool buffer that g·Wᵀ's transposed panels
-	// just gave back — ⌈In/8⌉·8·Out values either way — and leaves with
-	// it, so no parameter-sized gradient outlives the step; under
-	// NoInputGrad into the layer's own storage instead.
-	var s *mat.Matrix
-	d.dw = mat.Matrix{Rows: d.In, Cols: d.Out, Data: d.ownDW}
-	if d.dw.Data == nil {
-		s = mat.GetScratch(1, (d.In+mat.PanelWidth-1)/mat.PanelWidth*mat.PanelWidth*d.Out)
-		d.dw.Data = s.Data[:d.In*d.Out]
+		mat.MulTransBPacked(gradIn, g, &d.gLive, d.W.Panels, gate, accumulate, panels)
 	}
 	mat.MulTransALive(&d.dw, d.lastX, d.xLive, g, &d.gLive, &d.gp)
 	d.opt.StepParam(d.W, d.dw.Data)
@@ -347,8 +354,18 @@ func NewDropout(rate float64, rng *rand.Rand) *Dropout {
 // Forward applies the dropout mask when train is true and is the identity
 // otherwise.
 func (d *Dropout) Forward(x *mat.Matrix, train bool) *mat.Matrix {
+	return d.ForwardLive(x, nil, nil, train)
+}
+
+// ForwardLive is Forward for a caller that holds live sets (Dense.ForwardLive):
+// yl, when non-nil, becomes y's — the rows the mask wrote ORed into their
+// columns, or xl copied where y is x.
+func (d *Dropout) ForwardLive(x *mat.Matrix, xl, yl *mat.Live, train bool) *mat.Matrix {
 	if !train || d.Rate == 0 {
 		d.mask = nil
+		if yl != nil {
+			yl.CopyFrom(xl)
+		}
 		return x
 	}
 	d.mask = d.maskWS.get(x.Rows, x.Cols)
@@ -366,6 +383,12 @@ func (d *Dropout) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 		}
 		md[i] = math.Float64frombits(mb)
 		yd[i] = math.Float64frombits(yb)
+	}
+	if yl != nil {
+		// The vector OR of the rows just written costs less than ORing
+		// each value in this loop, which the draw keeps scalar.
+		yl.Reset()
+		yl.Scan(y)
 	}
 	return y
 }

@@ -7,15 +7,49 @@ import "github.com/twig-sched/twig/internal/mat"
 // compose naturally.
 type Sequential struct {
 	Layers []Layer
+
+	// live[i] is the live set of layer i's output, which layer i makes and
+	// layer i+1 reads (Dense.ForwardLive); the last layer's is the
+	// caller's.
+	live []mat.Live
 }
 
 // NewSequential builds a Sequential from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
+// liveLayer is a layer that takes its input's live set and makes its
+// output's (Dense.ForwardLive).
+type liveLayer interface {
+	ForwardLive(x *mat.Matrix, xl, yl *mat.Live, train bool) *mat.Matrix
+}
+
 // Forward runs the batch through every layer in order.
 func (s *Sequential) Forward(x *mat.Matrix, train bool) *mat.Matrix {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	return s.ForwardLive(x, nil, nil, train)
+}
+
+// ForwardLive is Forward with live sets handed along the chain: xl is x's
+// (nil: the first layer scans), each layer makes its output's set for
+// the next, and yl, when non-nil, becomes the last output's. A layer that
+// makes none leaves the next to scan its input.
+func (s *Sequential) ForwardLive(x *mat.Matrix, xl, yl *mat.Live, train bool) *mat.Matrix {
+	if len(s.live) != len(s.Layers) {
+		s.live = make([]mat.Live, len(s.Layers))
+	}
+	for i, l := range s.Layers {
+		out := yl
+		if i < len(s.Layers)-1 {
+			out = &s.live[i]
+		}
+		ll, ok := l.(liveLayer)
+		if !ok {
+			x, xl = l.Forward(x, train), nil
+			continue
+		}
+		x, xl = ll.ForwardLive(x, xl, out, train), out
+	}
+	if xl == nil && yl != nil {
+		yl.Reset()
 	}
 	return x
 }
