@@ -244,6 +244,11 @@ var contracts = []contract{
 		},
 		whole: oneSortCall,
 	},
+	{
+		name:  "one-generator-step",
+		why:   `internal/rng has one generator step, Cursor.Uint64, and one copy of each ziggurat's fast path, expFast and normFast (DESIGN.md §14): every single draw and every pass runs on them, so a second step or an inlined copy of a fast path does not come back`,
+		whole: oneGeneratorStep,
+	},
 }
 
 // A contract is rules over the Go files of some scopes, forbidden
@@ -616,6 +621,50 @@ func oneSortCall(tr *tree) []string {
 		}
 	}
 	return []string{file + ": no (*Instance).RunInterval"}
+}
+
+// oneGeneratorStep requires internal/rng's functions to store into the
+// lagged register (vec) in one place besides the seeding, and to read
+// each ziggurat's rectangle bounds (ke, kn) once.
+func oneGeneratorStep(tr *tree) []string {
+	var steps []string
+	reads := map[string]int{}
+	for _, gf := range tr.goFiles {
+		if !(scope{dirs: []string{"internal/rng"}, prod: true}).has(gf.path) {
+			continue
+		}
+		for _, decl := range gf.f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						if ix, ok := l.(*ast.IndexExpr); ok && lastName(ix.X) == "vec" && fd.Name.Name != "Seed" {
+							steps = append(steps, fd.Name.Name)
+						}
+					}
+				case *ast.Ident:
+					if n.Name == "ke" || n.Name == "kn" {
+						reads[n.Name]++
+					}
+				}
+				return true
+			})
+		}
+	}
+	var out []string
+	if len(steps) != 1 {
+		out = append(out, fmt.Sprintf("internal/rng: the generator steps in %v, want exactly one function", steps))
+	}
+	for _, k := range []string{"ke", "kn"} {
+		if reads[k] != 1 {
+			out = append(out, fmt.Sprintf("internal/rng: %s is read %d times, want once (one fast path)", k, reads[k]))
+		}
+	}
+	return out
 }
 
 func isIdent(e ast.Expr, name string) bool {

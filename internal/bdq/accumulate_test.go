@@ -10,6 +10,7 @@ import (
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/nn"
 	"github.com/twig-sched/twig/internal/replay"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 // TestAccumulationTargetsHoldNoNegativeZero is the accumulating product's
@@ -101,11 +102,11 @@ func TestFusedStepMatchesSeparateStep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := Spec{StateDim: 22, Agents: 2, Dims: []int{18, 9}, SharedHidden: tc.shared, BranchHidden: tc.branch, Dropout: 0.5}
-			fused, oracle := NewNetwork(spec, rand.New(rand.NewSource(3))), NewNetwork(spec, rand.New(rand.NewSource(3)))
+			fused, oracle := NewNetwork(spec, rng.New(3)), NewNetwork(spec, rng.New(3))
 			optF, optO := nn.NewAdam(0.0025), nn.NewAdam(0.0025)
 			fused.SetOptimizer(optF)
 			oracle.SetOptimizer(accumulate{})
-			rng := rand.New(rand.NewSource(9))
+			r := rng.New(9)
 			states := mat.New(tc.batch, spec.StateDim)
 			gradQ := make([][]*mat.Matrix, spec.Agents)
 			for k := range gradQ {
@@ -120,13 +121,13 @@ func TestFusedStepMatchesSeparateStep(t *testing.T) {
 			}
 			for step := 1; step <= tc.steps; step++ {
 				for i := range states.Data {
-					states.Data[i] = rng.Float64()
+					states.Data[i] = r.Float64()
 				}
 				for k := range gradQ {
 					for _, g := range gradQ[k] {
 						g.Zero()
 						for b := 0; b < g.Rows; b++ {
-							g.Set(b, rng.Intn(g.Cols), rng.NormFloat64()*1e-2)
+							g.Set(b, r.Intn(g.Cols), r.NormFloat64()*1e-2)
 						}
 					}
 				}

@@ -218,8 +218,8 @@ func (a *Agent) trainWorkspace() *trainWS {
 func NewAgent(cfg AgentConfig) *Agent {
 	cfg = cfg.Defaults()
 	r := rng.New(cfg.Seed)
-	online := NewNetwork(cfg.Spec, r.Rand)
-	target := NewNetwork(cfg.Spec, r.Rand)
+	online := NewNetwork(cfg.Spec, r)
+	target := NewNetwork(cfg.Spec, r)
 	target.CopyValuesFrom(online)
 	opt := nn.NewAdam(cfg.LearningRate)
 	online.SetOptimizer(opt) // the online network trains, the target never does

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/twig-sched/twig/internal/replay"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 func TestEpsilonSchedule(t *testing.T) {
@@ -248,7 +249,7 @@ func TestQTableEntriesMatchesPaperExample(t *testing.T) {
 // BDQ grows linearly in dimensions while the flat DQN grows
 // exponentially.
 func TestBranchingVsFlatMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
+	r := rng.New(6)
 	spec := Spec{
 		StateDim:     11,
 		Agents:       1,
@@ -256,8 +257,8 @@ func TestBranchingVsFlatMemory(t *testing.T) {
 		SharedHidden: []int{512, 256},
 		BranchHidden: 128,
 	}
-	b := NewNetwork(spec, rng)
-	f := NewFlatDQN(11, []int{30, 30, 30}, []int{512, 256}, rng)
+	b := NewNetwork(spec, r)
+	f := NewFlatDQN(11, []int{30, 30, 30}, []int{512, 256}, r.Rand)
 	if f.out != 27000 {
 		t.Fatalf("flat actions = %d", f.out)
 	}

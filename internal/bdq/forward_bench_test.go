@@ -1,10 +1,10 @@
 package bdq
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/mat"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 // BenchmarkNetworkForward times one forward pass of the two-agent network
@@ -20,11 +20,11 @@ func BenchmarkNetworkForward(b *testing.B) {
 	}{{"quick", QuickAgent()}, {"paper", PaperAgent()}} {
 		spec := tc.cfg.Spec
 		spec.StateDim, spec.Agents, spec.Dims = 22, 2, []int{18, 9}
-		net := NewNetwork(spec, rand.New(rand.NewSource(1)))
+		net := NewNetwork(spec, rng.New(1))
 		states := mat.New(tc.cfg.BatchSize, spec.StateDim)
-		rng := rand.New(rand.NewSource(2))
+		r := rng.New(2)
 		for i := range states.Data {
-			states.Data[i] = rng.Float64()
+			states.Data[i] = r.Float64()
 		}
 		for _, train := range []bool{true, false} {
 			mode := "eval"

@@ -2,12 +2,12 @@ package bdq
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/mat/tiertest"
 	"github.com/twig-sched/twig/internal/nn"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 // The network declares GatedInput on every dense but the first
@@ -37,7 +37,7 @@ func paperSpec() Spec {
 }
 
 func TestNewNetworkDeclaresGating(t *testing.T) {
-	for i, d := range NewNetwork(paperSpec(), rand.New(rand.NewSource(1))).Denses() {
+	for i, d := range NewNetwork(paperSpec(), rng.New(1)).Denses() {
 		if first := i == 0; d.NoInputGrad != first || d.GatedInput == first {
 			t.Fatalf("%s: NoInputGrad %t, GatedInput %t", d.W.Name, d.NoInputGrad, d.GatedInput)
 		}
@@ -54,8 +54,8 @@ func TestGatedNetworkBitEqualsUngated(t *testing.T) {
 	tiertest.EachLower(t)
 	spec := paperSpec()
 	for _, mode := range []string{"none dead", "natural", "all dead"} {
-		gated := NewNetwork(spec, rand.New(rand.NewSource(21)))
-		plain := NewNetwork(spec, rand.New(rand.NewSource(21)))
+		gated := NewNetwork(spec, rng.New(21))
+		plain := NewNetwork(spec, rng.New(21))
 		ungate(plain)
 		for _, n := range []*Network{gated, plain} {
 			for i, d := range n.Denses() {
@@ -78,7 +78,7 @@ func TestGatedNetworkBitEqualsUngated(t *testing.T) {
 				}
 			}
 		}
-		rng := rand.New(rand.NewSource(4))
+		r := rng.New(4)
 		optG, optP := nn.NewAdam(0.0025), nn.NewAdam(0.0025)
 		gated.SetOptimizer(accumulate{optG})
 		plain.SetOptimizer(accumulate{optP})
@@ -92,13 +92,13 @@ func TestGatedNetworkBitEqualsUngated(t *testing.T) {
 		sawDead := false
 		for step := 0; step < 3; step++ {
 			for i := range states.Data {
-				states.Data[i] = rng.Float64()
+				states.Data[i] = r.Float64()
 			}
 			for k := range gradQ {
 				for _, g := range gradQ[k] {
 					g.Zero()
 					for b := 0; b < g.Rows; b++ {
-						g.Set(b, rng.Intn(g.Cols), rng.NormFloat64())
+						g.Set(b, r.Intn(g.Cols), r.NormFloat64())
 					}
 				}
 			}

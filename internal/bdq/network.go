@@ -16,6 +16,7 @@ import (
 
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/nn"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 // Spec describes the multi-agent BDQ architecture. Twig-S uses Agents=1;
@@ -131,8 +132,9 @@ type bwdWS struct {
 	means      []float64
 }
 
-// NewNetwork builds a network with He-initialised weights drawn from rng.
-func NewNetwork(spec Spec, rng *rand.Rand) *Network {
+// NewNetwork builds a network with He-initialised weights drawn from r,
+// the stream its dropout layers draw their masks from too.
+func NewNetwork(spec Spec, r *rng.Rand) *Network {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
@@ -145,12 +147,12 @@ func NewNetwork(spec Spec, rng *rand.Rand) *Network {
 	var layers []nn.Layer
 	in := spec.StateDim
 	for i, h := range spec.SharedHidden {
-		dense := nn.NewDenseReLU(fmt.Sprintf("shared%d", i), in, h, rng)
+		dense := nn.NewDenseReLU(fmt.Sprintf("shared%d", i), in, h, r.Rand)
 		dense.NoInputGrad = i == 0
 		dense.GatedInput = i > 0
 		layers = append(layers, dense)
 		if spec.Dropout > 0 {
-			layers = append(layers, nn.NewDropout(spec.Dropout, rng))
+			layers = append(layers, nn.NewDropout(spec.Dropout, r))
 		}
 		in = h
 	}
@@ -166,17 +168,17 @@ func NewNetwork(spec Spec, rng *rand.Rand) *Network {
 		numValues = 1
 	}
 	for k := 0; k < numValues; k++ {
-		n.valueHid = append(n.valueHid, gated(nn.NewDenseReLU(fmt.Sprintf("value%d.h", k), repr, spec.BranchHidden, rng)))
-		n.valueOut = append(n.valueOut, gated(nn.NewDense(fmt.Sprintf("value%d.out", k), spec.BranchHidden, 1, rng)))
+		n.valueHid = append(n.valueHid, gated(nn.NewDenseReLU(fmt.Sprintf("value%d.h", k), repr, spec.BranchHidden, r.Rand)))
+		n.valueOut = append(n.valueOut, gated(nn.NewDense(fmt.Sprintf("value%d.out", k), spec.BranchHidden, 1, r.Rand)))
 	}
 	for d := range spec.Dims {
-		n.advHidden = append(n.advHidden, gated(nn.NewDenseReLU(fmt.Sprintf("adv%d.h", d), repr, spec.BranchHidden, rng)))
+		n.advHidden = append(n.advHidden, gated(nn.NewDenseReLU(fmt.Sprintf("adv%d.h", d), repr, spec.BranchHidden, r.Rand)))
 	}
 	n.advOut = make([][]*nn.Dense, spec.Agents)
 	for k := 0; k < spec.Agents; k++ {
 		n.advOut[k] = make([]*nn.Dense, len(spec.Dims))
 		for d, na := range spec.Dims {
-			n.advOut[k][d] = gated(nn.NewDense(fmt.Sprintf("adv%d.out%d", d, k), spec.BranchHidden, na, rng))
+			n.advOut[k][d] = gated(nn.NewDense(fmt.Sprintf("adv%d.out%d", d, k), spec.BranchHidden, na, r.Rand))
 		}
 	}
 	n.lastAdvHid = make([]*mat.Matrix, len(spec.Dims))

@@ -9,6 +9,7 @@ import (
 
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/nn"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 // unpack returns the operand pb holds as a new row-major matrix.
@@ -48,8 +49,8 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestForwardShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	net := NewNetwork(smallSpec(), rng)
+	r := rng.New(1)
+	net := NewNetwork(smallSpec(), r)
 	x := mat.New(5, 6)
 	out := net.Forward(x, false)
 	if len(out.Q) != 2 {
@@ -66,11 +67,11 @@ func TestForwardShapes(t *testing.T) {
 // TestDuelingIdentifiability: Q − V must have zero mean over actions, by
 // construction of the aggregation Q = V + A − mean(A).
 func TestDuelingIdentifiability(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	net := NewNetwork(smallSpec(), rng)
+	r := rng.New(2)
+	net := NewNetwork(smallSpec(), r)
 	x := mat.New(3, 6)
 	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
+		x.Data[i] = r.NormFloat64()
 	}
 	out := net.Forward(x, false)
 	for k := range out.Q {
@@ -92,11 +93,11 @@ func TestDuelingIdentifiability(t *testing.T) {
 // TestPerAgentActionsDiffer: different agents must be able to prefer
 // different actions (the per-agent output heads decouple them).
 func TestPerAgentActionsDiffer(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	net := NewNetwork(smallSpec(), rng)
+	r := rng.New(3)
+	net := NewNetwork(smallSpec(), r)
 	x := mat.New(1, 6)
 	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
+		x.Data[i] = r.NormFloat64()
 	}
 	greedy := func(out *Output) [][]int {
 		acts := make([][]int, len(out.Q))
@@ -117,7 +118,7 @@ func TestPerAgentActionsDiffer(t *testing.T) {
 	differ := false
 	for trial := 0; trial < 20 && !differ; trial++ {
 		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
+			x.Data[i] = r.NormFloat64()
 		}
 		a := greedy(net.Forward(x, false))
 		if a[0][0] != a[1][0] || a[0][1] != a[1][1] {
@@ -133,13 +134,13 @@ func TestPerAgentActionsDiffer(t *testing.T) {
 // through the full dueling, branching, multi-agent graph, with the 1/K
 // and 1/D rescaling disabled (rescaling is verified separately).
 func TestNetworkGradientCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	r := rng.New(4)
 	spec := smallSpec()
-	net := NewNetwork(spec, rng)
+	net := NewNetwork(spec, r)
 	net.noRescale = true
 	x := mat.New(3, spec.StateDim)
 	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
+		x.Data[i] = r.NormFloat64()
 	}
 	// Loss: ½ Σ (Q − T)² with fixed random targets T.
 	targets := make([][]*mat.Matrix, spec.Agents)
@@ -148,7 +149,7 @@ func TestNetworkGradientCheck(t *testing.T) {
 		for d := range targets[k] {
 			targets[k][d] = mat.New(3, spec.Dims[d])
 			for i := range targets[k][d].Data {
-				targets[k][d].Data[i] = rng.NormFloat64()
+				targets[k][d].Data[i] = r.NormFloat64()
 			}
 		}
 	}
@@ -208,7 +209,7 @@ func TestNetworkGradientCheck(t *testing.T) {
 func TestGradientRescaling(t *testing.T) {
 	spec := smallSpec()
 	build := func() *Network {
-		return NewNetwork(spec, rand.New(rand.NewSource(11)))
+		return NewNetwork(spec, rng.New(11))
 	}
 	scaled, plain := build(), build()
 	plain.noRescale = true
@@ -274,9 +275,9 @@ func paramsOf(ps []*nn.Param) []*matParam {
 }
 
 func TestTargetCopyAndDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := NewNetwork(smallSpec(), rng)
-	b := NewNetwork(smallSpec(), rng)
+	r := rng.New(5)
+	a := NewNetwork(smallSpec(), r)
+	b := NewNetwork(smallSpec(), r)
 	b.CopyValuesFrom(a)
 	x := mat.New(1, 6)
 	x.Data[0] = 1
@@ -290,12 +291,12 @@ func TestTargetCopyAndDeterminism(t *testing.T) {
 }
 
 func TestReinitOutputLayersKeepsTrunk(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	net := NewNetwork(smallSpec(), rng)
+	r := rng.New(6)
+	net := NewNetwork(smallSpec(), r)
 	trunkBefore := unpack(net.shared.Params()[0].Panels).Data
 	headBefore := unpack(net.advOut[0][0].W.Panels).Data
 	valueHeadBefore := unpack(net.OutputParams()[0].Panels).Data
-	net.ReinitOutputLayers(rng)
+	net.ReinitOutputLayers(r.Rand)
 	for i, v := range unpack(net.shared.Params()[0].Panels).Data {
 		if v != trunkBefore[i] {
 			t.Fatal("trunk modified by transfer re-init")
@@ -325,8 +326,8 @@ func TestReinitOutputLayersKeepsTrunk(t *testing.T) {
 
 func TestNumParamsMatchesArchitecture(t *testing.T) {
 	spec := smallSpec()
-	rng := rand.New(rand.NewSource(7))
-	net := NewNetwork(spec, rng)
+	r := rng.New(7)
+	net := NewNetwork(spec, r)
 	// shared: 6·16+16 + 16·8+8
 	shared := 6*16 + 16 + 16*8 + 8
 	// values: 2 × (8·8+8 + 8·1+1)
@@ -350,11 +351,11 @@ func TestNumParamsMatchesArchitecture(t *testing.T) {
 func TestSharedValueAblation(t *testing.T) {
 	spec := smallSpec()
 	spec.SharedValue = true
-	rng := rand.New(rand.NewSource(21))
-	net := NewNetwork(spec, rng)
+	r := rng.New(21)
+	net := NewNetwork(spec, r)
 	x := mat.New(2, spec.StateDim)
 	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
+		x.Data[i] = r.NormFloat64()
 	}
 	out := net.Forward(x, false)
 	for b := 0; b < 2; b++ {
@@ -364,7 +365,7 @@ func TestSharedValueAblation(t *testing.T) {
 			t.Fatalf("shared V differs across agents: %v vs %v", v0, v1)
 		}
 	}
-	perAgent := NewNetwork(smallSpec(), rand.New(rand.NewSource(21)))
+	perAgent := NewNetwork(smallSpec(), rng.New(21))
 	if net.NumParams() >= perAgent.NumParams() {
 		t.Fatal("shared value must shrink the network")
 	}
@@ -412,7 +413,7 @@ func twoPassDuel(q, v, a *mat.Matrix) {
 // on planted advantages and values — NaN, ±Inf, −0, huge and tiny — that
 // no network produces.
 func TestOnePassDuelMatchesTwoPass(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
+	r := rng.New(31)
 	require := func(tag string, got, want *mat.Matrix) {
 		t.Helper()
 		for i, w := range want.Data {
@@ -425,11 +426,11 @@ func TestOnePassDuelMatchesTwoPass(t *testing.T) {
 		for _, dims := range [][]int{{5}, {18, 9}} {
 			for _, sharedValue := range []bool{false, true} {
 				spec := Spec{StateDim: 7, Agents: agents, Dims: dims, SharedHidden: []int{16, 12}, BranchHidden: 8, SharedValue: sharedValue}
-				net := NewNetwork(spec, rand.New(rand.NewSource(int64(agents))))
+				net := NewNetwork(spec, rng.New(int64(agents)))
 				for _, batch := range []int{1, 4, 6, 11} {
 					x := mat.New(batch, spec.StateDim)
 					for i := range x.Data {
-						x.Data[i] = 3 * rng.NormFloat64()
+						x.Data[i] = 3 * r.NormFloat64()
 					}
 					out := net.Forward(x, true)
 					for k := range out.Q {
@@ -455,9 +456,9 @@ func TestOnePassDuelMatchesTwoPass(t *testing.T) {
 			v, a := mat.New(rows, 1), mat.New(rows, width)
 			for _, m := range []*mat.Matrix{v, a} {
 				for i := range m.Data {
-					m.Data[i] = rng.NormFloat64()
-					if rng.Intn(4) == 0 {
-						m.Data[i] = specials[rng.Intn(len(specials))]
+					m.Data[i] = r.NormFloat64()
+					if r.Intn(4) == 0 {
+						m.Data[i] = specials[r.Intn(len(specials))]
 					}
 				}
 			}

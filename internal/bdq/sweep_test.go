@@ -3,12 +3,12 @@ package bdq
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/mat/tiertest"
 	"github.com/twig-sched/twig/internal/nn"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 // unfusedBackward is Network.Backward as separate passes over the
@@ -81,12 +81,12 @@ func TestOneSweepBackwardMatchesUnfused(t *testing.T) {
 
 func requireOneSweepBackward(t *testing.T, tag string, spec Spec) {
 	t.Helper()
-	fused := NewNetwork(spec, rand.New(rand.NewSource(5)))
-	plain := NewNetwork(spec, rand.New(rand.NewSource(5)))
+	fused := NewNetwork(spec, rng.New(5))
+	plain := NewNetwork(spec, rng.New(5))
 	optF, optP := nn.NewAdam(0.0025), nn.NewAdam(0.0025)
 	fused.SetOptimizer(accumulate{optF})
 	plain.SetOptimizer(accumulate{optP})
-	rng := rand.New(rand.NewSource(9))
+	r := rng.New(9)
 	const batch = 13 // three four-row passes of the row sums and one row alone
 	states := mat.New(batch, spec.StateDim)
 	gradQ := make([][]*mat.Matrix, spec.Agents)
@@ -97,20 +97,20 @@ func requireOneSweepBackward(t *testing.T, tag string, spec Spec) {
 	}
 	for step := 0; step < 3; step++ {
 		for i := range states.Data {
-			states.Data[i] = rng.NormFloat64()
+			states.Data[i] = r.NormFloat64()
 		}
 		for k := range gradQ {
 			for _, g := range gradQ[k] {
 				for i := range g.Data {
-					switch rng.Intn(6) {
+					switch r.Intn(6) {
 					case 0:
 						g.Data[i] = 0
 					case 1:
 						g.Data[i] = math.Copysign(0, -1)
 					case 2:
-						g.Data[i] = rng.NormFloat64() * 1e-310 // subnormal
+						g.Data[i] = r.NormFloat64() * 1e-310 // subnormal
 					default:
-						g.Data[i] = rng.NormFloat64()
+						g.Data[i] = r.NormFloat64()
 					}
 				}
 			}

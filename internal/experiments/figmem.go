@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"github.com/twig-sched/twig/internal/bdq"
+	"github.com/twig-sched/twig/internal/rng"
 	"github.com/twig-sched/twig/internal/sim/pmc"
 )
 
@@ -30,15 +30,15 @@ type FigMemResult struct {
 // dimensions, N = 30 actions, 25 load buckets) using the real network
 // constructors, not formulas alone.
 func FigMem(dims, actionsPerDim, buckets int) FigMemResult {
-	rng := rand.New(rand.NewSource(1))
+	r := rng.New(1)
 	dd := make([]int, dims)
 	for i := range dd {
 		dd[i] = actionsPerDim
 	}
 	spec := bdq.PaperAgent().Spec
 	spec.StateDim, spec.Agents, spec.Dims = int(pmc.NumCounters), 1, dd
-	net := bdq.NewNetwork(spec, rng)
-	flat := bdq.NewFlatDQN(int(pmc.NumCounters), dd, spec.SharedHidden, rng)
+	net := bdq.NewNetwork(spec, r)
+	flat := bdq.NewFlatDQN(int(pmc.NumCounters), dd, spec.SharedHidden, r.Rand)
 	// The paper's Sec. II-B table-size formula is b·D^N (Hipster's
 	// state-action table for D dimensions of N actions grows as D^N),
 	// giving the 25·3³⁰ example of Sec. V-B1.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/twig-sched/twig/internal/mat"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 // TestForwardBackwardZeroAlloc pins the workspace refactor: once a
@@ -12,16 +13,16 @@ import (
 // step of every layer and the dW scratch it borrows included — reuse the
 // cached buffers and perform zero heap allocations.
 func TestForwardBackwardZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	r := rng.New(1)
 	net := NewSequential(
-		NewDense("l1", 32, 64, rng),
+		NewDense("l1", 32, 64, r.Rand),
 		&ReLU{},
-		NewDropout(0.5, rng),
-		NewDense("l2", 64, 8, rng),
+		NewDropout(0.5, r),
+		NewDense("l2", 64, 8, r.Rand),
 	)
 	x := mat.New(16, 32)
 	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
+		x.Data[i] = r.NormFloat64()
 	}
 	grad := mat.New(16, 8)
 	grad.Fill(0.01)

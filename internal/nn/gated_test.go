@@ -8,6 +8,7 @@ import (
 
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/mat/tiertest"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 // The live × live backward (DESIGN.md, "The training step and its
@@ -21,14 +22,14 @@ import (
 // 22 → 512 → 256 → 128 → 18 with dropout after the first two, the first
 // layer reading data. gated declares what bdq.NewNetwork declares.
 func buildGatedStack(seed int64, gated bool) *Sequential {
-	rng := rand.New(rand.NewSource(seed))
-	l0 := NewDenseReLU("shared0", 22, 512, rng)
-	l1 := NewDenseReLU("shared1", 512, 256, rng)
-	l2 := NewDenseReLU("adv0.h", 256, 128, rng)
-	l3 := NewDense("adv0.out0", 128, 18, rng)
+	r := rng.New(seed)
+	l0 := NewDenseReLU("shared0", 22, 512, r.Rand)
+	l1 := NewDenseReLU("shared1", 512, 256, r.Rand)
+	l2 := NewDenseReLU("adv0.h", 256, 128, r.Rand)
+	l3 := NewDense("adv0.out0", 128, 18, r.Rand)
 	l0.NoInputGrad = true
 	l1.GatedInput, l2.GatedInput, l3.GatedInput = gated, gated, gated
-	return NewSequential(l0, NewDropout(0.5, rng), l1, NewDropout(0.5, rng), l2, l3)
+	return NewSequential(l0, NewDropout(0.5, r), l1, NewDropout(0.5, r), l2, l3)
 }
 
 // TestGatedBackwardBitEqualsUngated trains the stack with and without

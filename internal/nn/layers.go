@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"github.com/twig-sched/twig/internal/mat"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 // Layer is one differentiable stage of a network. Forward consumes a
@@ -334,7 +335,7 @@ func (r *ReLU) Params() []*Param { return nil }
 // after every fully connected layer.
 type Dropout struct {
 	Rate float64
-	rng  *rand.Rand
+	rng  *rng.Rand
 
 	mask *mat.Matrix
 
@@ -343,12 +344,13 @@ type Dropout struct {
 	grad   workspace
 }
 
-// NewDropout creates a dropout layer with the given drop probability.
-func NewDropout(rate float64, rng *rand.Rand) *Dropout {
+// NewDropout creates a dropout layer with the given drop probability,
+// drawing its masks from r.
+func NewDropout(rate float64, r *rng.Rand) *Dropout {
 	if rate < 0 || rate >= 1 {
 		panic(fmt.Sprintf("nn: dropout rate %v out of [0,1)", rate))
 	}
-	return &Dropout{Rate: rate, rng: rng}
+	return &Dropout{Rate: rate, rng: r}
 }
 
 // Forward applies the dropout mask when train is true and is the identity
@@ -370,27 +372,37 @@ func (d *Dropout) ForwardLive(x *mat.Matrix, xl, yl *mat.Live, train bool) *mat.
 	}
 	d.mask = d.maskWS.get(x.Rows, x.Cols)
 	y := d.out.get(x.Rows, x.Cols)
-	// The draw decides by conditional move, not by branch: both are
-	// non-negative floats, which order like their bit patterns.
-	keep := 1 - d.Rate
-	inv := 1 / keep
-	keepBits := math.Float64bits(keep)
 	md, yd := d.mask.Data[:len(x.Data)], y.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		mb, yb := math.Float64bits(inv), math.Float64bits(v*inv)
-		if math.Float64bits(d.rng.Float64()) >= keepBits {
-			mb, yb = 0, 0
-		}
-		md[i] = math.Float64frombits(mb)
-		yd[i] = math.Float64frombits(yb)
-	}
+	// One pass draws an element's Float64 each into the mask, in order;
+	// the next turns the draws into the mask and the output.
+	d.rng.Cursor().Float64s(md).Close()
+	applyDropout(md, yd, x.Data, d.Rate)
 	if yl != nil {
 		// The vector OR of the rows just written costs less than ORing
-		// each value in this loop, which the draw keeps scalar.
+		// each value in the mask loop.
 		yl.Reset()
 		yl.Scan(y)
 	}
 	return y
+}
+
+// applyDropout keeps x[i] where the draw in mask[i] is below 1 − rate:
+// mask[i] becomes 1/(1 − rate) and y[i] x[i] × that, or both +0. The
+// test is a conditional move, not a branch: draws and 1 − rate are
+// non-negative floats, which order like their bit patterns.
+func applyDropout(mask, y, x []float64, rate float64) {
+	keep := 1 - rate
+	inv := 1 / keep
+	keepBits := math.Float64bits(keep)
+	mask, y = mask[:len(x)], y[:len(x)]
+	for i, v := range x {
+		mb, yb := math.Float64bits(inv), math.Float64bits(v*inv)
+		if math.Float64bits(mask[i]) >= keepBits {
+			mb, yb = 0, 0
+		}
+		mask[i] = math.Float64frombits(mb)
+		y[i] = math.Float64frombits(yb)
+	}
 }
 
 // Backward applies the same mask to the incoming gradient.

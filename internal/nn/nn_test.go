@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/twig-sched/twig/internal/mat"
+	"github.com/twig-sched/twig/internal/rng"
 )
 
 // unpack returns the operand pb holds as a new row-major matrix.
@@ -56,8 +57,8 @@ func TestReLU(t *testing.T) {
 }
 
 func TestDropoutEvalIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	d := NewDropout(0.5, rng)
+	r := rng.New(1)
+	d := NewDropout(0.5, r)
 	x := mat.FromSlice(1, 4, []float64{1, 2, 3, 4})
 	y := d.Forward(x, false)
 	for i := range x.Data {
@@ -68,8 +69,8 @@ func TestDropoutEvalIsIdentity(t *testing.T) {
 }
 
 func TestDropoutPreservesExpectation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := NewDropout(0.5, rng)
+	r := rng.New(7)
+	d := NewDropout(0.5, r)
 	const n = 20000
 	x := mat.New(1, n)
 	x.Fill(1)
@@ -93,7 +94,7 @@ func TestDropoutBadRatePanics(t *testing.T) {
 			t.Fatal("expected panic for rate 1.0")
 		}
 	}()
-	NewDropout(1.0, rand.New(rand.NewSource(1)))
+	NewDropout(1.0, rng.New(1))
 }
 
 // TestGradientCheck verifies the analytic gradients of a

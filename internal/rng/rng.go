@@ -1,5 +1,5 @@
 // Package rng provides a serializable random source: math/rand's
-// generator, owned (stdlib.go holds it, copied verbatim) and counted, so
+// generator, owned (stdlib.go holds its copy) and counted, so
 // a stream's exact position can be checkpointed as (seed, count) and
 // restored by reseeding and fast-forwarding. Every stream produced
 // through this package is bit-identical to one built directly on
@@ -40,14 +40,16 @@ func NewSource(seed int64) *Source {
 
 // Int63 draws the next value, advancing the counter.
 func (s *Source) Int63() int64 {
-	s.count++
-	return s.gen.Int63()
+	x, c := s.cursor().Int63()
+	c.Close()
+	return x
 }
 
 // Uint64 draws the next value, advancing the counter.
 func (s *Source) Uint64() uint64 {
-	s.count++
-	return s.gen.Uint64()
+	x, c := s.cursor().Uint64()
+	c.Close()
+	return x
 }
 
 // Seed resets the stream to a fresh seed with a zero counter.
@@ -79,12 +81,34 @@ func (s *Source) DecodeState(d *checkpoint.Decoder) error {
 		return fmt.Errorf("rng: draw count %d exceeds fast-forward limit %d (corrupt checkpoint?)", count, uint64(maxFastForward))
 	}
 	s.Seed(seed)
-	for i := uint64(0); i < count; i++ {
-		s.gen.Uint64()
+	c := s.cursor()
+	for c.n < count {
+		_, c = c.Uint64()
 	}
-	s.count = count
+	c.Close()
 	return nil
 }
+
+// Cursor is a pass over a stream with the generator's lag indices and the
+// draw count held in locals: open one with Rand.Cursor, draw on it, and
+// Close it to write the position back. Each draw returns the advanced
+// cursor (x, c = c.Float64()), so a loop keeps it in registers, where a
+// pointer receiver would pin it to the stack; a draw whose returned
+// cursor is dropped has still changed the generator's register, so the
+// stream goes wrong. Its draws are the Rand's and every single draw of
+// Source and Rand runs on a one-draw cursor, so a pass and a per-draw
+// loop leave the same stream and Pos. Nothing may draw from the Rand
+// between opening a cursor and closing it.
+type Cursor struct {
+	src       *Source
+	tap, feed int
+	n         uint64
+}
+
+func (s *Source) cursor() Cursor { return Cursor{s, s.gen.tap, s.gen.feed, s.count} }
+
+// Close writes the cursor's position back to its stream.
+func (c Cursor) Close() { c.src.gen.tap, c.src.gen.feed, c.src.count = c.tap, c.feed, c.n }
 
 // Rand couples a *rand.Rand with its counting source so call sites keep
 // the full math/rand API while the stream stays checkpointable. Int63,
@@ -107,8 +131,71 @@ func New(seed int64) *Rand {
 // Source returns the counting source for checkpointing.
 func (r *Rand) Source() *Source { return r.src }
 
+// Cursor opens a pass over the stream; Close it before the Rand draws
+// again.
+func (r *Rand) Cursor() Cursor { return r.src.cursor() }
+
 // Int63 is rand.Rand.Int63: the source's next draw.
 func (r *Rand) Int63() int64 { return r.src.Int63() }
 
 // Uint32 is rand.Rand.Uint32: the high 32 of the next draw's 63 bits.
 func (r *Rand) Uint32() uint32 { return uint32(r.Int63() >> 31) }
+
+// Float64 is rand.Rand.Float64 on a one-draw cursor. It spells out
+// Float64s' loop for one draw, which keeps the single draw one call.
+func (r *Rand) Float64() float64 {
+	c := r.Cursor()
+	for {
+		var x int64
+		x, c = c.Int63()
+		if f, ok := float64Of(x); ok {
+			c.Close()
+			return f
+		}
+	}
+}
+
+// ExpFloat64 is rand.Rand.ExpFloat64 on a one-draw cursor.
+func (r *Rand) ExpFloat64() float64 {
+	x, c := r.Cursor().ExpFloat64()
+	c.Close()
+	return x
+}
+
+// NormFloat64 is rand.Rand.NormFloat64 on a one-draw cursor.
+func (r *Rand) NormFloat64() float64 {
+	x, c := r.Cursor().NormFloat64()
+	c.Close()
+	return x
+}
+
+// Poisson appends to at the instants of a Poisson process of the given
+// rate after t and before end, and to marks, for each instant,
+// mu + sigma·NormFloat64() — the draws of the per-draw loop
+//
+//	for t += ExpFloat64() / rate; t < end; t += ExpFloat64() / rate {
+//		at = append(at, t)
+//		marks = append(marks, mu+sigma*NormFloat64())
+//	}
+//
+// in one pass, with both ziggurats' fast paths inline.
+func (c Cursor) Poisson(at, marks []float64, t, end, rate, mu, sigma float64) ([]float64, []float64, Cursor) {
+	for {
+		var j, u uint32
+		j, c = c.Uint32()
+		gap, ok := expFast(j)
+		if !ok {
+			gap, c = c.expFloat64(j)
+		}
+		if t += gap / rate; t >= end {
+			return at, marks, c
+		}
+		u, c = c.Uint32()
+		z, ok := normFast(int32(u))
+		if !ok {
+			z, c = c.normFloat64(int32(u))
+		}
+		at = append(at, t)
+		marks = append(marks, mu+sigma*z)
+	}
+}

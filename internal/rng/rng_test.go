@@ -102,31 +102,43 @@ func TestStreamMatchesStdlib(t *testing.T) {
 }
 
 // Restore mid-stream and check the continuation is the exact suffix the
-// uninterrupted generator produces.
+// uninterrupted generator produces: after single draws, and right after a
+// Poisson and a Float64s pass, whose cursor wrote the position back once.
 func TestRoundTripResumesExactly(t *testing.T) {
-	orig := New(7)
-	for i := 0; i < 137; i++ {
-		orig.Float64()
-		if i%3 == 0 {
-			orig.NormFloat64() // variable draws per call via rejection sampling
+	for _, bulk := range []bool{false, true} {
+		orig := New(7)
+		for i := 0; i < 137; i++ {
+			orig.Float64()
+			if i%3 == 0 {
+				orig.NormFloat64() // variable draws per call via rejection sampling
+			}
 		}
-	}
-	e := checkpoint.NewEncoder()
-	orig.Source().EncodeState(e)
+		if bulk {
+			c := orig.Cursor()
+			_, _, c = c.Poisson(nil, nil, 0, 1, 3000, 0, 1)
+			c = c.Float64s(make([]float64, 1001))
+			c.Close()
+		}
+		e := checkpoint.NewEncoder()
+		orig.Source().EncodeState(e)
 
-	restored := New(999) // wrong seed, wrong position: DecodeState must fix both
-	d := checkpoint.NewDecoder(e.Bytes())
-	if err := restored.Source().DecodeState(d); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if a, b := orig.Uint64(), restored.Uint64(); a != b {
-			t.Fatalf("diverged %d draws after restore: %d vs %d", i, a, b)
+		restored := New(999) // wrong seed, wrong position: DecodeState must fix both
+		d := checkpoint.NewDecoder(e.Bytes())
+		if err := restored.Source().DecodeState(d); err != nil {
+			t.Fatal(err)
 		}
-	}
-	seed, _ := restored.Source().Pos()
-	if seed != 7 {
-		t.Fatalf("restored seed %d, want 7", seed)
+		if a, b := pos(orig), pos(restored); a != b {
+			t.Fatalf("bulk %v: restored at %v, encoded at %v", bulk, b, a)
+		}
+		for i := 0; i < 500; i++ {
+			if a, b := orig.Uint64(), restored.Uint64(); a != b {
+				t.Fatalf("bulk %v: diverged %d draws after restore: %d vs %d", bulk, i, a, b)
+			}
+		}
+		seed, _ := restored.Source().Pos()
+		if seed != 7 {
+			t.Fatalf("restored seed %d, want 7", seed)
+		}
 	}
 }
 

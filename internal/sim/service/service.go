@@ -152,12 +152,13 @@ type Instance struct {
 	// Every run is sorted ascending; windowTail relies on it.
 	window [][]float64
 
-	// Storage reused across intervals: this interval's arrivals and the
-	// logarithms of their work, the queue buffer pending swaps with, the
-	// sojourn buffer sortRun last left over, and its bucket counts. None
-	// of it is state; EncodeState ignores it.
-	arrivals []Request
-	lnWork   []float64
+	// Storage reused across intervals: this interval's arrival instants
+	// and their work (its logarithm until the vector exp), the queue
+	// buffer pending swaps with, the sojourn buffer sortRun last left
+	// over, and its bucket counts. None of it is state; EncodeState
+	// ignores it.
+	arrivals []float64
+	work     []float64
 	requeue  []Request
 	spare    []float64
 	counts   []int32
@@ -217,32 +218,29 @@ func (s *Instance) RunInterval(rateRPS, capacity, inflation, dt float64) Interva
 	st := IntervalStats{CapacityGHz: capacity, InflationApplied: inflation}
 
 	// Generate Poisson arrivals within [start, end), each with log-normal
-	// work: the draws in stream order, each arrival's gap then its work's
-	// logarithm, then one vector exp over the logarithms.
-	arrivals, lnWork := s.arrivals[:0], s.lnWork[:0]
+	// work: one pass on a cursor draws them in stream order, each
+	// arrival's gap then its work's logarithm; then one vector exp over
+	// the logarithms. A request's work is that × inflation, taken where
+	// the request is formed.
+	arrivals, work := s.arrivals[:0], s.work[:0]
 	if rateRPS > 0 {
-		t := start
-		for {
-			t += s.rng.ExpFloat64() / rateRPS
-			if t >= end {
-				break
-			}
-			arrivals = append(arrivals, Request{Arrival: t})
-			lnWork = append(lnWork, s.lnMu+s.Profile.WorkSigma*s.rng.NormFloat64())
-		}
+		c := s.rng.Cursor()
+		arrivals, work, c = c.Poisson(arrivals, work, start, end, rateRPS, s.lnMu, s.Profile.WorkSigma)
+		c.Close()
 	}
-	mat.Exp(lnWork)
-	for i, w := range lnWork {
-		arrivals[i].Work = w * inflation
-	}
-	s.arrivals, s.lnWork = arrivals, lnWork
+	mat.Exp(work)
+	s.arrivals, s.work = arrivals, work
 	st.Arrivals = len(arrivals)
 
 	if capacity <= 0 {
 		// No capacity: everything queues. (P95Ms stays 0 on this path;
 		// the trajectory digests hold that value, see DESIGN.md, "The
 		// simulator and its fault model".)
-		s.pending = append(s.pending, arrivals...)
+		queued := len(s.pending)
+		s.pending = append(s.pending, make([]Request, len(arrivals))...)
+		for i, at := range arrivals {
+			s.pending[queued+i] = Request{Arrival: at, Work: work[i] * inflation}
+		}
 		st.QueueLen = len(s.pending)
 		s.now = end
 		if len(s.pending) > 0 {
@@ -266,7 +264,8 @@ func (s *Instance) RunInterval(rateRPS, capacity, inflation, dt float64) Interva
 		if i < len(queue) {
 			r = queue[i]
 		} else {
-			r = arrivals[i-len(queue)]
+			k := i - len(queue)
+			r = Request{Arrival: arrivals[k], Work: work[k] * inflation}
 		}
 		begin := free
 		if r.Arrival > begin {

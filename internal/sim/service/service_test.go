@@ -3,6 +3,7 @@ package service
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -141,6 +142,41 @@ func TestRunIntervalAllocsWarm(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, interval); n != 0 {
 		t.Fatalf("a warm interval makes %v allocations, want 0", n)
+	}
+}
+
+// TestFreshInstanceAllocsOnlyItsBuffers pins what a newly built Instance
+// allocates at a steady 60 % load: its first interval grows the arrival
+// instants, their work and the first sojourn run (43 allocations); the
+// next three add the window's other runs, the run the sort leaves over
+// and the window's slice (4); from the fifth interval on, nothing. A
+// fleet builds servers on every restore, so a buffer added to the
+// arrival pass shows here as more allocations in the first interval.
+func TestFreshInstanceAllocsOnlyItsBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts")
+	}
+	p := MustLookup("masstree")
+	sh, fq := fullShares(18, 2.0)
+	capGHz := p.CapacityGHz(sh, fq)
+	inst := NewInstance(p, 18, 1)
+	var allocs [8]uint64
+	var ms runtime.MemStats
+	for i := range allocs {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		inst.RunInterval(0.6*p.MaxLoadRPS, capGHz, 1.05, 1)
+		runtime.ReadMemStats(&ms)
+		allocs[i] = ms.Mallocs - before
+	}
+	first, filling := allocs[0], allocs[1]+allocs[2]+allocs[3]
+	if first > 43 || filling > 4 {
+		t.Errorf("allocations per interval %v: %d in the first interval (want ≤ 43), %d in the next three (want ≤ 4)", allocs, first, filling)
+	}
+	for i, n := range allocs[4:] {
+		if n != 0 {
+			t.Errorf("interval %d allocates %d times, want 0 (all: %v)", i+5, n, allocs)
+		}
 	}
 }
 
@@ -288,4 +324,23 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// BenchmarkRunInterval is one warm masstree interval at about 1 500
+// arrivals a second on a full socket: the arrival pass, the FIFO walk and
+// the sort.
+func BenchmarkRunInterval(b *testing.B) {
+	p := MustLookup("masstree")
+	inst := NewInstance(p, 18, 1)
+	sh, fq := fullShares(18, 2.0)
+	capGHz := p.CapacityGHz(sh, fq)
+	rate := 1500.0
+	for i := 0; i < 10; i++ {
+		inst.RunInterval(rate, capGHz, 1.05, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst.RunInterval(rate, capGHz, 1.05, 1)
+	}
 }
