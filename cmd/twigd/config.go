@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -24,7 +25,11 @@ var (
 	errUnknownScale   = errors.New("twigd: unknown scale (want quick or paper)")
 	errBadNodes       = errors.New("twigd: -nodes must be at least 1")
 	errScenarioFlags  = errors.New("twigd: -scenario is mutually exclusive with -trace (a scenario brings its own generated traces)")
+	errFleetFlags     = errors.New("twigd: fleet mode (-nodes > 1) does not read single-node flags (whole-node faults are -node-faults)")
 )
+
+// singleNodeFlags are the flags only the single-node daemon reads.
+var singleNodeFlags = []string{"faults", "guard", "trace", "pattern", "csv", "save", "load"}
 
 // runConfig is the parsed, validated command line.
 type runConfig struct {
@@ -109,6 +114,17 @@ func parseConfig(args []string, errOut io.Writer) (runConfig, error) {
 	}
 	if cfg.nodes < 1 {
 		return runConfig{}, fmt.Errorf("%w: %d", errBadNodes, cfg.nodes)
+	}
+	if cfg.nodes > 1 {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(singleNodeFlags, f.Name) {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return runConfig{}, fmt.Errorf("%w: %s", errFleetFlags, strings.Join(set, " "))
+		}
 	}
 	if cfg.scenario != "" {
 		if cfg.trace != "" {

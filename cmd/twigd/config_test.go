@@ -119,6 +119,32 @@ func TestParseConfigTable(t *testing.T) {
 			wantErr: errScenarioFlags,
 		},
 		{
+			name: "fleet with its own flags",
+			args: []string{"-nodes", "3", "-node-faults", "chaos", "-checkpoint-dir", "ckpt", "-http", ":0"},
+			check: func(t *testing.T, cfg runConfig) {
+				if cfg.nodes != 3 || cfg.nodeFaults.Name != "chaos" {
+					t.Errorf("nodes = %d node faults = %q", cfg.nodes, cfg.nodeFaults.Name)
+				}
+			},
+		},
+		{
+			name: "single-node flags at their defaults in a fleet",
+			args: []string{"-nodes", "3"},
+			check: func(t *testing.T, cfg runConfig) {
+				if !cfg.faults.IsZero() || cfg.guard {
+					t.Errorf("faults = %+v guard = %v", cfg.faults, cfg.guard)
+				}
+			},
+		},
+		{name: "fleet refuses -faults", args: []string{"-nodes", "3", "-faults", "hostile"}, wantErr: errFleetFlags},
+		{name: "fleet refuses -faults none", args: []string{"-faults", "none", "-nodes", "2"}, wantErr: errFleetFlags},
+		{name: "fleet refuses -guard", args: []string{"-nodes", "3", "-guard"}, wantErr: errFleetFlags},
+		{name: "fleet refuses -trace", args: []string{"-nodes", "3", "-trace", "load.csv"}, wantErr: errFleetFlags},
+		{name: "fleet refuses -pattern", args: []string{"-nodes", "3", "-pattern", "diurnal"}, wantErr: errFleetFlags},
+		{name: "fleet refuses -csv", args: []string{"-nodes", "3", "-csv", "run.csv"}, wantErr: errFleetFlags},
+		{name: "fleet refuses -save", args: []string{"-nodes", "3", "-save", "w.ckpt"}, wantErr: errFleetFlags},
+		{name: "fleet refuses -load", args: []string{"-nodes", "3", "-load", "w.ckpt"}, wantErr: errFleetFlags},
+		{
 			name:    "help passes through",
 			args:    []string{"-h"},
 			wantErr: flag.ErrHelp,

@@ -33,7 +33,8 @@
 // (-node-faults), warm failover from snapshots, and QoS-class
 // degradation when capacity drops. /status and /metrics then report the
 // fleet; the admission API is disabled (membership is fixed for
-// determinism).
+// determinism). The single-node flags a fleet does not read (-faults,
+// -guard, -trace, -pattern, -csv, -save, -load) are refused beside it.
 //
 // With -checkpoint-dir, the daemon writes a crash-consistent checkpoint
 // of the full control plane (simulated world, manager, guard, drainer,

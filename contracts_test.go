@@ -170,7 +170,8 @@ var contracts = []contract{
 	{
 		name: "no-test-only-exports",
 		why: `an export no production code calls stays deleted: platform's ServiceCores, the allocating twin of AppendServiceCores that tests call with a nil destination, ` +
-			"platform's StepForFreq, Frequencies and Config.NumFreqStepsFor, bdq's FlatDQN.NumActions, loadgen's StepWise.Levels, and nn's NewReLU and Adam.StepCount; " +
+			"platform's StepForFreq, Frequencies and Config.NumFreqStepsFor, bdq's FlatDQN.NumActions, loadgen's StepWise.Levels, nn's NewReLU and Adam.StepCount, " +
+			"and the fault injectors' Clock and Log (Injector's and ClusterInjector's); " +
 			"their tests read the field, build &ReLU{} or keep the oracle unexported (platform_test.go's stepForFreq)",
 		clauses: []clause{
 			{scope{}, []rule{idents("ServiceCores"), qualified("platform", "StepForFreq", "Frequencies"), qualified("nn", "NewReLU")}},
@@ -178,6 +179,7 @@ var contracts = []contract{
 			{scope{dirs: []string{"internal/bdq"}, prod: true}, []rule{idents("NumActions")}},
 			{scope{dirs: []string{"internal/sim/loadgen"}, prod: true}, []rule{idents("Levels")}},
 			{scope{dirs: []string{"internal/nn"}, prod: true}, []rule{idents("StepCount")}},
+			{scope{dirs: []string{"internal/sim/faults"}}, []rule{idents("Clock", "Log")}},
 		},
 	},
 	{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
-	"github.com/twig-sched/twig/internal/rng"
 )
 
 // NodeEvent is one whole-node fault occurrence in a cluster schedule:
@@ -79,35 +78,27 @@ func (sc ClusterScenario) withDefaults() ClusterScenario {
 	return sc
 }
 
-// NamedCluster returns a built-in whole-node scenario: "none",
-// "nodecrash" (periodic rotating node crashes), "partition" (random
-// network partitions) or "chaos" (periodic crashes plus random crashes
-// and partitions).
+// clusterScenarios are the built-in whole-node scenarios, in the order
+// ClusterNames lists them: "none", "nodecrash" (periodic rotating node
+// crashes), "partition" (random network partitions) and "chaos"
+// (periodic crashes plus random crashes and partitions).
+var clusterScenarios = []ClusterScenario{
+	{Name: "none"},
+	{Name: "nodecrash", CrashPeriodS: 300, CrashOfflineS: 25},
+	{Name: "partition", PartitionPerKs: 4, MaxOutageS: 20},
+	{Name: "chaos", CrashPeriodS: 250, CrashOfflineS: 25, CrashPerKs: 2, PartitionPerKs: 3, MaxOutageS: 20},
+}
+
+// NamedCluster returns the built-in whole-node scenario of that name;
+// "" is "none".
 func NamedCluster(name string) (ClusterScenario, error) {
-	switch name {
-	case "none", "":
-		return ClusterScenario{Name: "none"}, nil
-	case "nodecrash":
-		return ClusterScenario{
-			Name:          "nodecrash",
-			CrashPeriodS:  300,
-			CrashOfflineS: 25,
-		}, nil
-	case "partition":
-		return ClusterScenario{
-			Name:           "partition",
-			PartitionPerKs: 4,
-			MaxOutageS:     20,
-		}, nil
-	case "chaos":
-		return ClusterScenario{
-			Name:           "chaos",
-			CrashPeriodS:   250,
-			CrashOfflineS:  25,
-			CrashPerKs:     2,
-			PartitionPerKs: 3,
-			MaxOutageS:     20,
-		}, nil
+	if name == "" {
+		name = "none"
+	}
+	for _, sc := range clusterScenarios {
+		if sc.Name == name {
+			return sc, nil
+		}
 	}
 	return ClusterScenario{}, fmt.Errorf("faults: unknown cluster scenario %q (want one of %v)", name, ClusterNames())
 }
@@ -123,92 +114,63 @@ func MustNamedCluster(name string) ClusterScenario {
 
 // ClusterNames lists the built-in whole-node scenarios.
 func ClusterNames() []string {
-	return []string{"none", "nodecrash", "partition", "chaos"}
+	names := make([]string, len(clusterScenarios))
+	for i, sc := range clusterScenarios {
+		names[i] = sc.Name
+	}
+	return names
 }
 
 // ClusterInjector turns a ClusterScenario into a concrete, reproducible
 // whole-node fault schedule, exactly as Injector does for per-node
 // faults: Advance must be called once per interval, in order, and the
 // schedule depends only on (scenario, seed, node count) — never on what
-// the coordinator or the nodes decide.
+// the coordinator or the nodes decide. Its victims are the nodes [0, n).
 type ClusterInjector struct {
-	sc    ClusterScenario
-	rng   *rng.Rand
-	nodes int
-
-	t      int
-	active []NodeEvent
-	log    []NodeEvent
+	schedule[NodeEvent]
+	sc ClusterScenario
 }
 
 // NewClusterInjector builds an injector for a fleet of the given size.
 func NewClusterInjector(sc ClusterScenario, seed int64, nodes int) *ClusterInjector {
-	return &ClusterInjector{sc: sc.withDefaults(), rng: rng.New(seed), nodes: nodes}
+	sc = sc.withDefaults()
+	return &ClusterInjector{schedule: newSchedule[NodeEvent](seed, sc.Name, nodes, sc.MaxOutageS), sc: sc}
 }
 
 // Advance moves to the next interval and returns the node outages active
 // in it. The returned slice is owned by the injector; callers must copy
 // it to retain it.
 func (inj *ClusterInjector) Advance() []NodeEvent {
-	t := inj.t
-	inj.t++
-
-	keep := inj.active[:0]
-	for _, e := range inj.active {
-		if e.ActiveAt(t) {
-			keep = append(keep, e)
-		}
-	}
-	inj.active = keep
-
+	t := inj.tick()
 	quiet := inj.sc.QuietAfterS > 0 && t >= inj.sc.QuietAfterS
 
 	// Rate-scheduled outages, drawn in a fixed order (kind-major, then
 	// node) so the schedule is reproducible. Draws happen even in the
 	// quiet tail so the RNG position — and therefore a resumed run —
 	// does not depend on where the quiet boundary fell.
-	for n := 0; n < inj.nodes; n++ {
+	for node := 0; node < inj.n; node++ {
 		if inj.draw(inj.sc.CrashPerKs) && !quiet {
-			inj.add(NodeEvent{Kind: NodeCrash, Node: n, Start: t, Duration: inj.duration()})
+			inj.add(NodeEvent{Kind: NodeCrash, Node: node, Start: t, Duration: inj.duration()})
 		}
 	}
-	for n := 0; n < inj.nodes; n++ {
+	for node := 0; node < inj.n; node++ {
 		if inj.draw(inj.sc.PartitionPerKs) && !quiet {
-			inj.add(NodeEvent{Kind: NodePartition, Node: n, Start: t, Duration: inj.duration()})
+			inj.add(NodeEvent{Kind: NodePartition, Node: node, Start: t, Duration: inj.duration()})
 		}
 	}
 
 	// Deterministic periodic episodes, rotating through nodes; the
 	// partition rotation runs one node ahead of the crash rotation so
 	// coincident periods hit different victims.
-	if p := inj.sc.CrashPeriodS; p > 0 && inj.nodes > 0 && t > 0 && t%p == 0 && !quiet {
-		n := (t/p - 1) % inj.nodes
-		inj.add(NodeEvent{Kind: NodeCrash, Node: n, Start: t, Duration: inj.sc.CrashOfflineS})
+	if p := inj.sc.CrashPeriodS; p > 0 && inj.n > 0 && t > 0 && t%p == 0 && !quiet {
+		node := (t/p - 1) % inj.n
+		inj.add(NodeEvent{Kind: NodeCrash, Node: node, Start: t, Duration: inj.sc.CrashOfflineS})
 	}
-	if p := inj.sc.PartitionPeriodS; p > 0 && inj.nodes > 0 && t > 0 && t%p == 0 && !quiet {
-		n := (t / p) % inj.nodes
-		inj.add(NodeEvent{Kind: NodePartition, Node: n, Start: t, Duration: inj.sc.PartitionOfflineS})
+	if p := inj.sc.PartitionPeriodS; p > 0 && inj.n > 0 && t > 0 && t%p == 0 && !quiet {
+		node := (t / p) % inj.n
+		inj.add(NodeEvent{Kind: NodePartition, Node: node, Start: t, Duration: inj.sc.PartitionOfflineS})
 	}
 	return inj.active
-}
-
-// Clock returns the number of intervals advanced so far.
-func (inj *ClusterInjector) Clock() int { return inj.t }
-
-// Log returns every outage ever scheduled, in schedule order.
-func (inj *ClusterInjector) Log() []NodeEvent { return append([]NodeEvent(nil), inj.log...) }
-
-func (inj *ClusterInjector) draw(ratePerKs float64) bool {
-	return ratePerKs > 0 && inj.rng.Float64() < ratePerKs/1000
-}
-
-func (inj *ClusterInjector) duration() int {
-	return 1 + inj.rng.Intn(inj.sc.MaxOutageS)
-}
-
-func (inj *ClusterInjector) add(e NodeEvent) {
-	inj.active = append(inj.active, e)
-	inj.log = append(inj.log, e)
 }
 
 func encodeNodeEvent(e *checkpoint.Encoder, ev NodeEvent) {
@@ -218,7 +180,10 @@ func encodeNodeEvent(e *checkpoint.Encoder, ev NodeEvent) {
 	e.Int(ev.Duration)
 }
 
-func decodeNodeEvent(d *checkpoint.Decoder) (NodeEvent, error) {
+// decodeEvent reads one NodeEvent and refuses one this injector could
+// not have drawn: a kind other than a node fault, or a node outside the
+// fleet, which the coordinator would index its nodes by.
+func (inj *ClusterInjector) decodeEvent(d *checkpoint.Decoder) (NodeEvent, error) {
 	ev := NodeEvent{
 		Kind:     Kind(d.Int()),
 		Node:     d.Int(),
@@ -228,8 +193,8 @@ func decodeNodeEvent(d *checkpoint.Decoder) (NodeEvent, error) {
 	if err := d.Err(); err != nil {
 		return NodeEvent{}, err
 	}
-	if ev.Kind != NodeCrash && ev.Kind != NodePartition {
-		return NodeEvent{}, fmt.Errorf("faults: kind %v is not a node fault", ev.Kind)
+	if ev.Kind != NodeCrash && ev.Kind != NodePartition || ev.Node < 0 || ev.Node >= inj.n {
+		return NodeEvent{}, fmt.Errorf("faults: checkpoint holds %v, which this injector cannot draw", ev)
 	}
 	return ev, nil
 }
@@ -237,39 +202,13 @@ func decodeNodeEvent(d *checkpoint.Decoder) (NodeEvent, error) {
 const nodeEventEncodedBytes = 4 * 8
 
 // EncodeState writes the injector's schedule position: interval clock,
-// active outages, the full log and the RNG position. The scenario is
-// configuration, re-supplied at construction; its name goes in as a
-// fingerprint.
-func (inj *ClusterInjector) EncodeState(e *checkpoint.Encoder) {
-	e.String(inj.sc.Name)
-	e.Int(inj.nodes)
-	e.Int(inj.t)
-	checkpoint.EncodeList(e, inj.active, encodeNodeEvent)
-	checkpoint.EncodeList(e, inj.log, encodeNodeEvent)
-	inj.rng.Source().EncodeState(e)
-}
+// active outages, the full log and the RNG position, behind the
+// scenario's name and the fleet size as a fingerprint.
+func (inj *ClusterInjector) EncodeState(e *checkpoint.Encoder) { inj.encodeState(e, encodeNodeEvent) }
 
 // DecodeState restores schedule position into an injector built with
-// the same scenario and fleet size.
+// the same scenario and fleet size. It refuses an outage this injector
+// could not have drawn.
 func (inj *ClusterInjector) DecodeState(d *checkpoint.Decoder) error {
-	name := d.String()
-	nodes := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if name != inj.sc.Name {
-		return fmt.Errorf("faults: checkpoint is for cluster scenario %q, injector runs %q", name, inj.sc.Name)
-	}
-	if nodes != inj.nodes {
-		return fmt.Errorf("faults: checkpoint covers %d nodes, injector has %d", nodes, inj.nodes)
-	}
-	inj.t = d.Int()
-	var err error
-	if inj.active, err = checkpoint.DecodeList(d, nodeEventEncodedBytes, decodeNodeEvent); err != nil {
-		return err
-	}
-	if inj.log, err = checkpoint.DecodeList(d, nodeEventEncodedBytes, decodeNodeEvent); err != nil {
-		return err
-	}
-	return inj.rng.Source().DecodeState(d)
+	return inj.decodeState(d, nodeEventEncodedBytes, inj.decodeEvent)
 }

