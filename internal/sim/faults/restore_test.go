@@ -71,51 +71,49 @@ var injectorCases = []struct {
 	},
 }
 
-// Both scenario tables list their names in a fixed order (twigd's flag
-// help prints them), each name returns its own scenario, "" is "none",
-// and an unknown name's error lists the table.
-func TestNamedTables(t *testing.T) {
-	for _, tc := range []struct {
-		names []string
-		want  []string
-		named func(string) (string, bool, error) // name, IsZero, error
-	}{
-		{
-			names: Names(),
-			want:  []string{"none", "sensor", "actuator", "crash", "flashcrowd", "hostile"},
-			named: func(n string) (string, bool, error) { sc, err := Named(n); return sc.Name, sc.IsZero(), err },
-		},
-		{
-			names: ClusterNames(),
-			want:  []string{"none", "nodecrash", "partition", "chaos"},
-			named: func(n string) (string, bool, error) { sc, err := NamedCluster(n); return sc.Name, sc.IsZero(), err },
-		},
-	} {
-		if !slices.Equal(tc.names, tc.want) {
-			t.Errorf("names %v, want %v", tc.names, tc.want)
+// checkNamedTable checks one scenario table: its names come in a fixed
+// order (twigd's flag help prints them), each name returns its own
+// scenario, "" is "none", and an unknown name's error lists the table.
+func checkNamedTable(t *testing.T, names, want []string, named func(string) (string, bool, error)) {
+	t.Helper()
+	if !slices.Equal(names, want) {
+		t.Errorf("names %v, want %v", names, want)
+	}
+	for _, n := range names {
+		got, zero, err := named(n)
+		if err != nil || got != n {
+			t.Errorf("named(%q) = %q, %v", n, got, err)
 		}
-		for _, n := range tc.names {
-			got, zero, err := tc.named(n)
-			if err != nil || got != n {
-				t.Errorf("named(%q) = %q, %v", n, got, err)
-			}
-			if zero != (n == "none") {
-				t.Errorf("named(%q).IsZero() = %v", n, zero)
-			}
-		}
-		if got, _, err := tc.named(""); err != nil || got != "none" {
-			t.Errorf(`named("") = %q, %v; want "none"`, got, err)
-		}
-		_, _, err := tc.named("gremlins")
-		if err == nil {
-			t.Fatalf("%v: an unknown name resolved", tc.want)
-		}
-		for _, n := range tc.want {
-			if !strings.Contains(err.Error(), n) {
-				t.Errorf("unknown-name error %q does not list %q", err, n)
-			}
+		if zero != (n == "none") {
+			t.Errorf("named(%q).IsZero() = %v", n, zero)
 		}
 	}
+	if got, _, err := named(""); err != nil || got != "none" {
+		t.Errorf(`named("") = %q, %v; want "none"`, got, err)
+	}
+	_, _, err := named("gremlins")
+	if err == nil {
+		t.Fatalf("%v: an unknown name resolved", want)
+	}
+	for _, n := range want {
+		if !strings.Contains(err.Error(), n) {
+			t.Errorf("unknown-name error %q does not list %q", err, n)
+		}
+	}
+}
+
+// The node scenario table: Named and Names.
+func TestNamedUnknown(t *testing.T) {
+	checkNamedTable(t, Names(),
+		[]string{"none", "sensor", "actuator", "crash", "flashcrowd", "hostile"},
+		func(n string) (string, bool, error) { sc, err := Named(n); return sc.Name, sc.IsZero(), err })
+}
+
+// The fleet scenario table: NamedCluster and ClusterNames.
+func TestClusterNamedScenarios(t *testing.T) {
+	checkNamedTable(t, ClusterNames(),
+		[]string{"none", "nodecrash", "partition", "chaos"},
+		func(n string) (string, bool, error) { sc, err := NamedCluster(n); return sc.Name, sc.IsZero(), err })
 }
 
 // A restored injector re-encodes to the bytes it was restored from and
