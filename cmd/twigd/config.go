@@ -12,20 +12,21 @@ import (
 	"github.com/twig-sched/twig/internal/experiments"
 	"github.com/twig-sched/twig/internal/scenario"
 	"github.com/twig-sched/twig/internal/sim/faults"
+	"github.com/twig-sched/twig/internal/sim/loadgen"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
-// Named validation errors, so tests (and callers) can assert the
-// failure mode instead of matching message text.
+// Named errors of twigd's own flag rules, so tests can assert the failure
+// mode; a request value's rule, and its error, is its owner's.
 var (
-	errLoadMismatch   = errors.New("twigd: need one load fraction per service")
-	errBadLoad        = errors.New("twigd: bad load fraction")
-	errUnknownPattern = errors.New("twigd: unknown load pattern (want fixed, stepwise or diurnal)")
-	errUnknownService = errors.New("twigd: unknown service")
-	errUnknownScale   = errors.New("twigd: unknown scale (want quick or paper)")
-	errBadNodes       = errors.New("twigd: -nodes must be at least 1")
-	errScenarioFlags  = errors.New("twigd: -scenario is mutually exclusive with -trace (a scenario brings its own generated traces)")
-	errFleetFlags     = errors.New("twigd: fleet mode (-nodes > 1) does not read single-node flags (whole-node faults are -node-faults)")
+	errLoadMismatch    = errors.New("need one load fraction per service")
+	errBadNodes        = errors.New("-nodes must be at least 1")
+	errBadNodeCapacity = errors.New("-node-capacity must be at least 1")
+	errBadLogEvery     = errors.New("-log-every must be at least 1")
+	errBadCkptEvery    = errors.New("-checkpoint-every must be at least 1")
+	errBadCkptKeep     = errors.New("-checkpoint-keep must be at least 1")
+	errScenarioFlags   = errors.New("-scenario is mutually exclusive with -trace (a scenario brings its own generated traces)")
+	errFleetFlags      = errors.New("fleet mode (-nodes > 1) does not read single-node flags (whole-node faults are -node-faults)")
 )
 
 // singleNodeFlags are the flags only the single-node daemon reads.
@@ -61,59 +62,47 @@ type runConfig struct {
 }
 
 // parseConfig parses and validates twigd's flags from args (without the
-// program name). Errors are named where a test or caller might branch
-// on them; flag.ErrHelp passes through for -h. Usage output goes to
-// errOut.
+// program name), before anything is calibrated; flag.ErrHelp passes
+// through for -h. Usage output goes to errOut.
 func parseConfig(args []string, errOut io.Writer) (runConfig, error) {
 	fs := flag.NewFlagSet("twigd", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	var (
-		servicesFlag = fs.String("services", "masstree", "comma-separated service names")
-		loadsFlag    = fs.String("loads", "0.5", "comma-separated load fractions of each service's max")
-		pattern      = fs.String("pattern", "fixed", "load pattern: fixed, stepwise or diurnal")
-		traceFlag    = fs.String("trace", "", "CSV load trace for the first service (overrides -pattern)")
-		scenFlag     = fs.String("scenario", "", "named scenario preset ("+strings.Join(scenario.Names(), ", ")+"): platform, service mix and generated traces replace -services/-loads/-pattern")
-		csvFlag      = fs.String("csv", "", "write a per-interval CSV record of the run to this file")
-		httpFlag     = fs.String("http", "", "serve the admission API, /status and /metrics on this address while running")
-		saveFlag     = fs.String("save", "", "write a manager checkpoint (networks, Adam moments, replay, ε position) to this file at exit")
-		loadFlag     = fs.String("load", "", "seed the manager from a checkpoint written by -save or -checkpoint-dir")
-		seconds      = fs.Int("seconds", 3500, "simulated seconds to run")
-		seed         = fs.Int64("seed", 1, "random seed")
-		scale        = fs.String("scale", "quick", "learning profile: quick or paper")
-		logEvery     = fs.Int("log-every", 100, "print a status line every N simulated seconds")
-		faultsFlag   = fs.String("faults", "none", "fault scenario: "+strings.Join(faults.Names(), ", "))
-		guardFlag    = fs.Bool("guard", false, "wrap the manager in the resilient guard")
-		ckptDir      = fs.String("checkpoint-dir", "", "directory for periodic crash-consistent checkpoints; on start the latest valid one is restored and the run resumes bit-identically")
-		ckptEvery    = fs.Int("checkpoint-every", 60, "write a checkpoint every N simulated seconds (with -checkpoint-dir)")
-		ckptKeep     = fs.Int("checkpoint-keep", 3, "checkpoints to retain on disk (with -checkpoint-dir)")
-		nodesFlag    = fs.Int("nodes", 1, "fleet size: >1 runs the multi-node cluster coordinator instead of the single-node daemon")
-		nodeCap      = fs.Int("node-capacity", 4, "replicas one fleet node hosts at once (with -nodes)")
-		nodeFaults   = fs.String("node-faults", "none", "whole-node fault scenario in fleet mode: "+strings.Join(faults.ClusterNames(), ", "))
-	)
+	var cfg runConfig
+	servicesFlag := fs.String("services", "masstree", "comma-separated service names")
+	loadsFlag := fs.String("loads", "0.5", "comma-separated load fractions of each service's max")
+	fs.StringVar(&cfg.pattern, "pattern", "fixed", "load pattern: "+loadgen.PatternNames)
+	fs.StringVar(&cfg.trace, "trace", "", "CSV load trace for the first service (overrides -pattern)")
+	fs.StringVar(&cfg.scenario, "scenario", "", "named scenario preset ("+strings.Join(scenario.Names(), ", ")+"): platform, service mix and generated traces replace -services/-loads/-pattern")
+	fs.StringVar(&cfg.csv, "csv", "", "write a per-interval CSV record of the run to this file")
+	fs.StringVar(&cfg.httpAddr, "http", "", "serve the admission API, /status and /metrics on this address while running")
+	fs.StringVar(&cfg.save, "save", "", "write a manager checkpoint (networks, Adam moments, replay, ε position) to this file at exit")
+	fs.StringVar(&cfg.load, "load", "", "seed the manager from a checkpoint written by -save or -checkpoint-dir")
+	fs.IntVar(&cfg.seconds, "seconds", 3500, "simulated seconds to run")
+	fs.Int64Var(&cfg.seed, "seed", 1, "random seed")
+	scale := fs.String("scale", "quick", "learning profile: quick, paper or short")
+	fs.IntVar(&cfg.logEvery, "log-every", 100, "print a status line every N simulated seconds")
+	faultsFlag := fs.String("faults", "none", "fault scenario: "+strings.Join(faults.Names(), ", "))
+	fs.BoolVar(&cfg.guard, "guard", false, "wrap the manager in the resilient guard")
+	fs.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "directory for periodic crash-consistent checkpoints; on start the latest valid one is restored and the run resumes bit-identically")
+	fs.IntVar(&cfg.ckptEvery, "checkpoint-every", 60, "write a checkpoint every N simulated seconds (with -checkpoint-dir)")
+	fs.IntVar(&cfg.ckptKeep, "checkpoint-keep", 3, "checkpoints to retain on disk (with -checkpoint-dir)")
+	fs.IntVar(&cfg.nodes, "nodes", 1, "fleet size: >1 runs the multi-node cluster coordinator instead of the single-node daemon")
+	fs.IntVar(&cfg.nodeCap, "node-capacity", 4, "replicas one fleet node hosts at once (with -nodes)")
+	nodeFaults := fs.String("node-faults", "none", "whole-node fault scenario in fleet mode: "+strings.Join(faults.ClusterNames(), ", "))
 	if err := fs.Parse(args); err != nil {
 		return runConfig{}, err
 	}
 
-	cfg := runConfig{
-		pattern:   *pattern,
-		trace:     *traceFlag,
-		scenario:  *scenFlag,
-		csv:       *csvFlag,
-		httpAddr:  *httpFlag,
-		save:      *saveFlag,
-		load:      *loadFlag,
-		seconds:   *seconds,
-		seed:      *seed,
-		logEvery:  *logEvery,
-		guard:     *guardFlag,
-		ckptDir:   *ckptDir,
-		ckptEvery: *ckptEvery,
-		ckptKeep:  *ckptKeep,
-		nodes:     *nodesFlag,
-		nodeCap:   *nodeCap,
-	}
-	if cfg.nodes < 1 {
-		return runConfig{}, fmt.Errorf("%w: %d", errBadNodes, cfg.nodes)
+	for _, c := range []struct {
+		v   int
+		err error
+	}{
+		{cfg.nodes, errBadNodes}, {cfg.nodeCap, errBadNodeCapacity}, {cfg.logEvery, errBadLogEvery},
+		{cfg.ckptEvery, errBadCkptEvery}, {cfg.ckptKeep, errBadCkptKeep},
+	} {
+		if c.v < 1 {
+			return runConfig{}, fmt.Errorf("%w: got %d", c.err, c.v)
+		}
 	}
 	if cfg.nodes > 1 {
 		var set []string
@@ -139,7 +128,7 @@ func parseConfig(args []string, errOut io.Writer) (runConfig, error) {
 	for _, name := range strings.Split(*servicesFlag, ",") {
 		name = strings.TrimSpace(name)
 		if _, err := service.Lookup(name); err != nil {
-			return runConfig{}, fmt.Errorf("%w: %q", errUnknownService, name)
+			return runConfig{}, err
 		}
 		cfg.names = append(cfg.names, name)
 	}
@@ -156,37 +145,24 @@ func parseConfig(args []string, errOut io.Writer) (runConfig, error) {
 	}
 	for _, ls := range loadStrs {
 		frac, err := strconv.ParseFloat(strings.TrimSpace(ls), 64)
-		if err != nil || frac <= 0 {
-			return runConfig{}, fmt.Errorf("%w: %q", errBadLoad, ls)
+		if err != nil {
+			return runConfig{}, fmt.Errorf("%w: %q is not a number", service.ErrBadLoad, ls)
+		}
+		if err := service.CheckLoad(frac); err != nil {
+			return runConfig{}, err
 		}
 		cfg.loads = append(cfg.loads, frac)
 	}
 
-	switch *pattern {
-	case "fixed", "stepwise", "diurnal":
-	default:
-		return runConfig{}, fmt.Errorf("%w: %q", errUnknownPattern, *pattern)
+	_, err := loadgen.Named(cfg.pattern, 1, 1) // loadgen keeps the names; any valid load will do
+	if err == nil {
+		cfg.scale, err = experiments.NamedScale(*scale)
 	}
-
-	switch *scale {
-	case "quick":
-		cfg.scale = experiments.QuickScale()
-	case "paper":
-		cfg.scale = experiments.PaperScale()
-	default:
-		return runConfig{}, fmt.Errorf("%w: %q", errUnknownScale, *scale)
+	if err == nil {
+		cfg.faults, err = faults.Named(*faultsFlag)
 	}
-
-	scenario, err := faults.Named(*faultsFlag)
-	if err != nil {
-		return runConfig{}, err
+	if err == nil {
+		cfg.nodeFaults, err = faults.NamedCluster(*nodeFaults)
 	}
-	cfg.faults = scenario
-
-	nodeScenario, err := faults.NamedCluster(*nodeFaults)
-	if err != nil {
-		return runConfig{}, err
-	}
-	cfg.nodeFaults = nodeScenario
-	return cfg, nil
+	return cfg, err
 }

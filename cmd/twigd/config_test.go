@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"io"
@@ -8,6 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/twig-sched/twig/internal/experiments"
+	"github.com/twig-sched/twig/internal/sim/loadgen"
+	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 func TestParseConfigTable(t *testing.T) {
@@ -73,28 +78,48 @@ func TestParseConfigTable(t *testing.T) {
 		{
 			name:    "unparsable load",
 			args:    []string{"-loads", "lots"},
-			wantErr: errBadLoad,
+			wantErr: service.ErrBadLoad,
 		},
 		{
 			name:    "non-positive load",
 			args:    []string{"-loads", "-0.5"},
-			wantErr: errBadLoad,
+			wantErr: service.ErrBadLoad,
 		},
+		{name: "NaN load", args: []string{"-loads", "NaN"}, wantErr: service.ErrBadLoad},
+		{name: "load past the bound", args: []string{"-services", "masstree,xapian", "-loads", "0.5,2"}, wantErr: service.ErrBadLoad},
 		{
 			name:    "unknown pattern",
 			args:    []string{"-pattern", "sawtooth"},
-			wantErr: errUnknownPattern,
+			wantErr: loadgen.ErrUnknownPattern,
 		},
+		{name: "unknown pattern bogus", args: []string{"-pattern", "bogus"}, wantErr: loadgen.ErrUnknownPattern},
 		{
 			name:    "unknown service",
 			args:    []string{"-services", "masstree,postgres"},
-			wantErr: errUnknownService,
+			wantErr: service.ErrUnknownProfile,
 		},
+		{name: "unknown service nope", args: []string{"-services", "nope"}, wantErr: service.ErrUnknownProfile},
 		{
 			name:    "unknown scale",
 			args:    []string{"-scale", "huge"},
-			wantErr: errUnknownScale,
+			wantErr: experiments.ErrUnknownScale,
 		},
+		{name: "unknown scale bogus", args: []string{"-scale", "bogus"}, wantErr: experiments.ErrUnknownScale},
+		{
+			name: "every pattern and the short scale",
+			args: []string{"-pattern", "diurnal", "-scale", "short"},
+			check: func(t *testing.T, cfg runConfig) {
+				if cfg.pattern != "diurnal" || cfg.scale.Name != "short" {
+					t.Errorf("pattern = %q scale = %q", cfg.pattern, cfg.scale.Name)
+				}
+			},
+		},
+		{name: "zero nodes", args: []string{"-nodes", "0"}, wantErr: errBadNodes},
+		{name: "zero log cadence", args: []string{"-log-every", "0"}, wantErr: errBadLogEvery},
+		{name: "zero log cadence in a fleet", args: []string{"-nodes", "2", "-log-every", "0"}, wantErr: errBadLogEvery},
+		{name: "zero checkpoint cadence", args: []string{"-checkpoint-every", "0"}, wantErr: errBadCkptEvery},
+		{name: "negative checkpoint retention", args: []string{"-checkpoint-keep", "-1"}, wantErr: errBadCkptKeep},
+		{name: "zero node capacity", args: []string{"-nodes", "2", "-node-capacity", "0"}, wantErr: errBadNodeCapacity},
 		{
 			name: "scenario preset",
 			args: []string{"-scenario", "agentic-burst"},
@@ -164,6 +189,26 @@ func TestParseConfigTable(t *testing.T) {
 			}
 			tc.check(t, cfg)
 		})
+	}
+}
+
+// TestErrorPrintsOnce pins the line twigd prints for a refused command
+// line: the error once, under one "twigd: " prefix, and exit status 2.
+func TestErrorPrintsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-nodes", "3", "-faults", "crash"}, "twigd: fleet mode (-nodes > 1) does not read single-node flags (whole-node faults are -node-faults): -faults\n"},
+		{[]string{"-pattern", "bogus"}, `twigd: loadgen: unknown load pattern (want fixed, stepwise or diurnal): "bogus"` + "\n"},
+		{[]string{"-services", "nope"}, `twigd: service: unknown profile "nope"` + "\n"},
+		{[]string{"-loads", "NaN"}, "twigd: service: load fraction must be a finite value in (0, 1.5]: got NaN\n"},
+		{[]string{"-log-every", "0"}, "twigd: -log-every must be at least 1: got 0\n"},
+	} {
+		var out bytes.Buffer
+		if code := twigd(tc.args, &out); code != 2 || out.String() != tc.want {
+			t.Errorf("twigd %v: exit %d, printed %q; want exit 2, %q", tc.args, code, out.String(), tc.want)
+		}
 	}
 }
 

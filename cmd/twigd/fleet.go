@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"time"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/cluster"
@@ -122,12 +121,7 @@ func runFleet(cfg runConfig) error {
 	}
 
 	if cfg.httpAddr != "" {
-		server := fleetServer(cfg.httpAddr, coord)
-		go func() {
-			if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "twigd: http server: %v\n", err)
-			}
-		}()
+		serve(cfg.httpAddr, fleetMux(coord))
 		fmt.Printf("twigd: serving fleet /status and /metrics on %s\n", cfg.httpAddr)
 	}
 
@@ -152,9 +146,9 @@ func runFleet(cfg runConfig) error {
 	return nil
 }
 
-// fleetServer exposes the fleet's observability endpoints (read-only:
-// fleet membership is fixed by the -services flag for determinism).
-func fleetServer(addr string, coord *cluster.Coordinator) *http.Server {
+// fleetMux routes the fleet's observability endpoints (read-only: fleet
+// membership is fixed by the -services flag for determinism).
+func fleetMux(coord *cluster.Coordinator) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -168,13 +162,5 @@ func fleetServer(addr string, coord *cluster.Coordinator) *http.Server {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_, _ = w.Write([]byte(coord.Metrics().Render()))
 	})
-	return &http.Server{
-		Addr:              addr,
-		Handler:           mux,
-		ReadTimeout:       5 * time.Second,
-		ReadHeaderTimeout: 2 * time.Second,
-		WriteTimeout:      5 * time.Second,
-		IdleTimeout:       30 * time.Second,
-		MaxHeaderBytes:    1 << 16,
-	}
+	return mux
 }

@@ -49,6 +49,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 
@@ -63,22 +64,26 @@ import (
 	"github.com/twig-sched/twig/internal/sim/loadgen"
 )
 
-func main() {
-	cfg, err := parseConfig(os.Args[1:], os.Stderr)
-	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(0)
-	}
-	if err != nil {
-		fail("%v", err)
-	}
-	if cfg.nodes > 1 {
+func main() { os.Exit(twigd(os.Args[1:], os.Stderr)) }
+
+// twigd runs the command line args (without the program name) and
+// returns the exit status: 0, or 2 after printing the error on stderr
+// as one line under one "twigd: " prefix.
+func twigd(args []string, stderr io.Writer) int {
+	cfg, err := parseConfig(args, stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err == nil && cfg.nodes > 1:
 		err = runFleet(cfg)
-	} else {
+	case err == nil:
 		err = run(cfg)
 	}
 	if err != nil {
-		fail("%v", err)
+		fmt.Fprintf(stderr, "twigd: %v\n", err)
+		return 2
 	}
+	return 0
 }
 
 func run(cfg runConfig) error {
@@ -104,7 +109,7 @@ func run(cfg runConfig) error {
 		cfg.loads = make([]float64, len(first.Services))
 		for i, name := range first.Services {
 			dcfg.PatternOverrides[name] = first.Traces[i]
-			cfg.loads[i] = loadFracOf(first, name)
+			cfg.loads[i] = first.Class.Mix[i].LoadFrac // Services follows the mix
 		}
 		fmt.Printf("twigd: scenario %q world %s: %v on the %q node class\n",
 			cfg.scenario, first.Name, first.Services, first.Class.Name)
@@ -176,12 +181,7 @@ func run(cfg runConfig) error {
 	}
 
 	if cfg.httpAddr != "" {
-		server := daemon.NewServer(cfg.httpAddr, eng)
-		go func() {
-			if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "twigd: http server: %v\n", err)
-			}
-		}()
+		serve(cfg.httpAddr, daemon.NewMux(eng))
 		fmt.Printf("twigd: serving admission API, /status and /metrics on %s\n", cfg.httpAddr)
 	}
 
@@ -346,6 +346,17 @@ func loadInto(mgr *core.Manager, path string) error {
 	return nil
 }
 
+// serve runs daemon.NewServer over h in the background; an error other
+// than its close is printed.
+func serve(addr string, h http.Handler) {
+	server := daemon.NewServer(addr, h)
+	go func() {
+		if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			fmt.Fprintf(os.Stderr, "twigd: http server: %v\n", err)
+		}
+	}()
+}
+
 // scenarioWorlds expands the validated -scenario preset at the run's
 // seed. Used by both the single-node engine (first world) and the fleet
 // (one node per world).
@@ -359,20 +370,4 @@ func scenarioWorlds(cfg runConfig) ([]scenario.World, error) {
 		return nil, fmt.Errorf("expanding scenario %q: %w", cfg.scenario, err)
 	}
 	return worlds, nil
-}
-
-// loadFracOf returns the mix load fraction for one of a world's
-// services.
-func loadFracOf(w scenario.World, name string) float64 {
-	for _, m := range w.Class.Mix {
-		if m.Service == name {
-			return m.LoadFrac
-		}
-	}
-	return 0
-}
-
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "twigd: "+format+"\n", args...)
-	os.Exit(2)
 }

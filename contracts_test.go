@@ -3,6 +3,7 @@ package twigbench
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"path"
 	"regexp"
 	"slices"
@@ -171,7 +172,7 @@ var contracts = []contract{
 		name: "no-test-only-exports",
 		why: `an export no production code calls stays deleted: platform's ServiceCores, the allocating twin of AppendServiceCores that tests call with a nil destination, ` +
 			"platform's StepForFreq, Frequencies and Config.NumFreqStepsFor, bdq's FlatDQN.NumActions, loadgen's StepWise.Levels, nn's NewReLU and Adam.StepCount, " +
-			"and the fault injectors' Clock and Log (Injector's and ClusterInjector's); " +
+			"the fault injectors' Clock and Log (Injector's and ClusterInjector's), and checkpoint's Store.LoadLatest, which ReadLatest folded in; " +
 			"their tests read the field, build &ReLU{} or keep the oracle unexported (platform_test.go's stepForFreq)",
 		clauses: []clause{
 			{scope{}, []rule{idents("ServiceCores"), qualified("platform", "StepForFreq", "Frequencies"), qualified("nn", "NewReLU")}},
@@ -180,6 +181,16 @@ var contracts = []contract{
 			{scope{dirs: []string{"internal/sim/loadgen"}, prod: true}, []rule{idents("Levels")}},
 			{scope{dirs: []string{"internal/nn"}, prod: true}, []rule{idents("StepCount")}},
 			{scope{dirs: []string{"internal/sim/faults"}}, []rule{idents("Clock", "Log")}},
+			{scope{dirs: []string{"internal/checkpoint"}}, []rule{idents("LoadLatest")}},
+		},
+	},
+	{
+		name: "one-request-rule",
+		why: "each value of a service request is checked by the package that owns it — the profile, load fraction and QoS target by service, the pattern by loadgen, the scale by experiments — " +
+			"so twigd, the daemon and the fleet declare no unknown-service, bad-load, bad-QoS, unknown-pattern or unknown-scale error of their own and switch on no pattern name",
+		clauses: []clause{
+			{scope{dirs: []string{"cmd/twigd", "internal/daemon", "internal/cluster"}}, []rule{requestErrors}},
+			{scope{dirs: []string{"cmd/twigd", "internal/daemon", "internal/cluster"}, prod: true}, []rule{patternSwitches}},
 		},
 	},
 	{
@@ -450,6 +461,64 @@ func gradientBypass(f *ast.File, report func(ast.Node, string)) {
 			return true
 		})
 	}
+}
+
+// requestErrorRE matches the name of a request-rule sentinel, and
+// requestTextRE the text of one.
+var (
+	requestErrorRE = regexp.MustCompile(`^[eE]rr(UnknownService|UnknownProfile|BadLoad|BadQoS|UnknownPattern|UnknownScale)$`)
+	requestTextRE  = regexp.MustCompile(`(?i)unknown (service|profile|(load )?pattern|scale)|bad load|load fraction must|qos target must`)
+)
+
+// requestErrors forbids declaring a request-rule error: a package-level
+// name requestErrorRE matches, or an errors.New whose text
+// requestTextRE does.
+func requestErrors(f *ast.File, report func(ast.Node, string)) {
+	for _, decl := range f.Decls {
+		if gd, ok := decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					for _, id := range vs.Names {
+						if requestErrorRE.MatchString(id.Name) {
+							report(id, id.Name+" declared")
+						}
+					}
+				}
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 1 {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isIdent(sel.X, "errors") && sel.Sel.Name == "New" {
+				if lit, ok := call.Args[0].(*ast.BasicLit); ok && requestTextRE.MatchString(lit.Value) {
+					report(call, "errors.New("+lit.Value+")")
+				}
+			}
+		}
+		return true
+	})
+}
+
+// patternSwitches forbids a case clause or a comparison on a load
+// pattern's name.
+func patternSwitches(f *ast.File, report func(ast.Node, string)) {
+	pattern := func(e ast.Expr) bool {
+		lit, ok := e.(*ast.BasicLit)
+		return ok && slices.Contains([]string{`"fixed"`, `"stepwise"`, `"diurnal"`}, lit.Value)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CaseClause:
+			if slices.ContainsFunc(n.List, pattern) {
+				report(n, "case on a pattern name")
+			}
+		case *ast.BinaryExpr:
+			if (n.Op == token.EQL || n.Op == token.NEQ) && (pattern(n.X) || pattern(n.Y)) {
+				report(n, "comparison with a pattern name")
+			}
+		}
+		return true
+	})
 }
 
 // envReads forbids reading the environment or the command line.

@@ -396,9 +396,9 @@ func TestStoreFileNames(t *testing.T) {
 	if seqs, _ = st.Sequences(); !slices.Equal(seqs, []uint64{1000000000000, big}) {
 		t.Fatalf("after Save(%d) with keep 2: %v", big, seqs)
 	}
-	got, err := st.LoadLatest(func([]byte) error { return nil })
+	got, _, err := st.ReadLatest()
 	if err != nil || got != big {
-		t.Fatalf("LoadLatest = %d, %v; want %d", got, err, big)
+		t.Fatalf("ReadLatest = %d, %v; want %d", got, err, big)
 	}
 }
 
@@ -428,9 +428,12 @@ func TestStoreLoadLatestFallsBackPastCorrupt(t *testing.T) {
 	}
 
 	got := &fakeComp{name: "a"}
-	seq, err := st.LoadLatest(func(data []byte) error { return Unmarshal(data, got) })
+	seq, data, err := st.ReadLatest()
 	if err != nil {
-		t.Fatalf("LoadLatest: %v", err)
+		t.Fatalf("ReadLatest: %v", err)
+	}
+	if err := Unmarshal(data, got); err != nil {
+		t.Fatal(err)
 	}
 	if seq != 2 || got.i != 2 {
 		t.Fatalf("fell back to seq %d (i=%d), want 2", seq, got.i)
@@ -443,16 +446,14 @@ func TestStoreLoadLatestAllCorrupt(t *testing.T) {
 	if err := os.WriteFile(st.Path(1), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.LoadLatest(func(data []byte) error {
-		return Unmarshal(data, &fakeComp{name: "a"})
-	}); err == nil {
+	if _, _, err := st.ReadLatest(); err == nil {
 		t.Fatal("all-corrupt store restored")
 	}
 }
 
 func TestStoreLoadLatestEmpty(t *testing.T) {
 	st, _ := NewStore(t.TempDir(), 5)
-	_, err := st.LoadLatest(func([]byte) error { return nil })
+	_, _, err := st.ReadLatest()
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("want os.ErrNotExist for empty store, got %v", err)
 	}
@@ -480,7 +481,11 @@ func TestAsyncWriterLatestWins(t *testing.T) {
 		t.Fatalf("latest submission not persisted: %v", seqs)
 	}
 	got := &fakeComp{name: "a"}
-	if seq, err := st.LoadLatest(func(d []byte) error { return Unmarshal(d, got) }); err != nil || seq != 20 || got.i != 20 {
+	seq, data, err := st.ReadLatest()
+	if err == nil {
+		err = Unmarshal(data, got)
+	}
+	if err != nil || seq != 20 || got.i != 20 {
 		t.Fatalf("restored seq %d i %d err %v", seq, got.i, err)
 	}
 }

@@ -56,11 +56,11 @@ type Store struct {
 }
 
 // SetRejectHook registers fn to be invoked for every candidate file
-// LoadLatest (and therefore ReadLatest) skips because it failed to
-// verify or restore — a torn write, a bit flip, a version skew. The
-// daemon uses it to log the rejected filename and count the fallback in
-// twigd_checkpoint_corrupt_total instead of silently walking past
-// corruption. fn must not call back into the store.
+// ReadLatest skips because it failed to read or verify — a torn write,
+// a bit flip, a version skew. The daemon uses it to log the rejected
+// filename and count the fallback in twigd_checkpoint_corrupt_total
+// instead of silently walking past corruption. fn must not call back
+// into the store.
 func (s *Store) SetRejectHook(fn func(path string, err error)) { s.onReject = fn }
 
 // filePattern names store-managed checkpoint files; %012d keeps
@@ -151,49 +151,30 @@ func (s *Store) Path(seq uint64) string {
 
 // ReadLatest returns the sequence number and raw bytes of the newest
 // checkpoint whose container framing verifies (magic, version, CRC).
-// Torn or corrupt files are skipped, newest-first, exactly like
-// LoadLatest. This is the hot-reload read path: the caller decodes only
-// the sections it wants (e.g. the manager's weights) from the returned
-// bytes without restoring the rest of the run.
+// Candidates are tried newest-first, and a file that fails to read or
+// verify — a torn write, a bit flip, a version skew — is skipped for the
+// next older one: the torn-write fallback. The caller decodes the
+// sections it wants from the bytes (a restore all of them, a hot reload
+// only the manager's). Returns os.ErrNotExist when the directory holds
+// no checkpoint files at all, and a combined error when files exist but
+// none verifies.
 func (s *Store) ReadLatest() (uint64, []byte, error) {
-	var out []byte
-	seq, err := s.LoadLatest(func(data []byte) error {
-		if err := Verify(data); err != nil {
-			return err
-		}
-		out = data
-		return nil
-	})
+	seqs, err := s.Sequences()
 	if err != nil {
 		return 0, nil, err
 	}
-	return seq, out, nil
-}
-
-// LoadLatest finds the newest checkpoint whose bytes restore cleanly
-// and returns its sequence number. Candidates are tried newest-first;
-// restore is called with each file's contents and may fail (corrupt
-// file, version skew, shape mismatch), in which case the next older
-// file is tried — the torn-write fallback path. Returns os.ErrNotExist
-// when the directory holds no checkpoint files at all, and a combined
-// error when files exist but none restores.
-func (s *Store) LoadLatest(restore func(data []byte) error) (uint64, error) {
-	seqs, err := s.Sequences()
-	if err != nil {
-		return 0, err
-	}
 	if len(seqs) == 0 {
-		return 0, fmt.Errorf("checkpoint: no checkpoints in %s: %w", s.dir, os.ErrNotExist)
+		return 0, nil, fmt.Errorf("checkpoint: no checkpoints in %s: %w", s.dir, os.ErrNotExist)
 	}
 	var firstErr error
 	for i := len(seqs) - 1; i >= 0; i-- {
 		seq := seqs[i]
 		data, err := os.ReadFile(s.Path(seq))
 		if err == nil {
-			err = restore(data)
+			err = Verify(data)
 		}
 		if err == nil {
-			return seq, nil
+			return seq, data, nil
 		}
 		if s.onReject != nil {
 			s.onReject(s.Path(seq), err)
@@ -202,5 +183,5 @@ func (s *Store) LoadLatest(restore func(data []byte) error) (uint64, error) {
 			firstErr = fmt.Errorf("checkpoint %s: %w", s.Path(seq), err)
 		}
 	}
-	return 0, fmt.Errorf("checkpoint: no valid checkpoint in %s (newest failure: %w)", s.dir, firstErr)
+	return 0, nil, fmt.Errorf("checkpoint: no valid checkpoint in %s (newest failure: %w)", s.dir, firstErr)
 }

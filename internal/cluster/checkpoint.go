@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 )
@@ -28,20 +29,9 @@ func (s *clusterState) EncodeState(e *checkpoint.Encoder) {
 	e.Int(c.admitted)
 	e.F64(c.energyJ)
 
-	e.Int(c.ctr.LeaseExpiries)
-	e.Int(c.ctr.RestartsSeen)
-	e.Int(c.ctr.WarmRestores)
-	e.Int(c.ctr.ColdRestores)
-	e.Int(c.ctr.Migrations)
-	e.Int(c.ctr.DeadLetters)
-	e.Int(c.ctr.PlacementFails)
-	e.Int(c.ctr.ShedEpisodes)
-	e.Int(c.ctr.ShedLC)
-	e.Int(c.ctr.ShedBatch)
-	e.Int(c.ctr.DecidePanics)
-	e.Int(c.ctr.StepErrors)
-	e.Int(c.ctr.EventsInjected)
-	e.Int(c.ctr.SnapshotsTaken)
+	for _, n := range c.ctr.fields() {
+		e.Int(*n)
+	}
 
 	c.inj.EncodeState(e)
 
@@ -102,45 +92,33 @@ func (s *clusterState) EncodeState(e *checkpoint.Encoder) {
 
 // DecodeState implements checkpoint.Checkpointable. The coordinator
 // must be freshly constructed with the same Config the checkpoint was
-// taken under; node worlds are rebuilt afterwards by RestoreFleet.
+// taken under; node worlds are rebuilt afterwards by RestoreFleet. A
+// replica record Admit would refuse, or whose class, state or nodes are
+// out of range, is an error naming the replica.
 func (s *clusterState) DecodeState(d *checkpoint.Decoder) (err error) {
 	c := s.c
-	if got := d.Int(); got != len(c.nodes) {
-		if e := d.Err(); e != nil {
-			return e
-		}
-		return fmt.Errorf("cluster: checkpoint covers %d nodes, config has %d", got, len(c.nodes))
+	nodes, pinned := d.Int(), d.Bool()
+	if err := d.Err(); err != nil {
+		return err
 	}
-	if got := d.Bool(); got != c.cfg.PinReplicas {
-		if e := d.Err(); e != nil {
-			return e
-		}
-		return fmt.Errorf("cluster: checkpoint was taken with pinned=%v, configured pinned=%v", got, c.cfg.PinReplicas)
+	if nodes != len(c.nodes) || pinned != c.cfg.PinReplicas {
+		return fmt.Errorf("cluster: checkpoint covers %d nodes, pinned=%v; config has %d, pinned=%v", nodes, pinned, len(c.nodes), c.cfg.PinReplicas)
 	}
 	c.clock = d.Int()
 	c.admitted = d.Int()
 	c.energyJ = d.F64()
 
-	c.ctr.LeaseExpiries = d.Int()
-	c.ctr.RestartsSeen = d.Int()
-	c.ctr.WarmRestores = d.Int()
-	c.ctr.ColdRestores = d.Int()
-	c.ctr.Migrations = d.Int()
-	c.ctr.DeadLetters = d.Int()
-	c.ctr.PlacementFails = d.Int()
-	c.ctr.ShedEpisodes = d.Int()
-	c.ctr.ShedLC = d.Int()
-	c.ctr.ShedBatch = d.Int()
-	c.ctr.DecidePanics = d.Int()
-	c.ctr.StepErrors = d.Int()
-	c.ctr.EventsInjected = d.Int()
-	c.ctr.SnapshotsTaken = d.Int()
+	for _, n := range c.ctr.fields() {
+		*n = d.Int()
+	}
 
 	if err := c.inj.DecodeState(d); err != nil {
 		return err
 	}
 
 	nr := d.Count(replicaBytes)
+	noNode := func(n int) bool { return n < -1 || n >= len(c.nodes) }
+	noReplica := func(id int) bool { return id < 0 || id >= nr }
 	c.replicas = make([]*Replica, nr)
 	for i := range c.replicas {
 		r := &Replica{}
@@ -148,10 +126,9 @@ func (s *clusterState) DecodeState(d *checkpoint.Decoder) (err error) {
 		r.Spec.Service = d.String()
 		r.Spec.LoadFrac = d.F64()
 		r.Spec.QoSTargetMs = d.F64()
-		r.Spec.Class = Class(d.Int())
+		class := d.Int()
 		r.Spec.Priority = d.Int()
 		st := d.Int()
-		r.State = ReplicaState(st)
 		r.Node = d.Int()
 		r.LastNode = d.Int()
 		r.Shed = d.Bool()
@@ -172,8 +149,13 @@ func (s *clusterState) DecodeState(d *checkpoint.Decoder) (err error) {
 		if r.ID != i {
 			return fmt.Errorf("cluster: replica %d stored at index %d", r.ID, i)
 		}
-		if st < 0 || st >= numReplicaStates {
-			return fmt.Errorf("cluster: replica %d has unknown state %d", r.ID, st)
+		// Range checks before a conversion to uint8 can wrap.
+		if class < 0 || class > int(Batch) || st < 0 || st >= numReplicaStates || noNode(r.Node) || noNode(r.LastNode) {
+			return fmt.Errorf("cluster: replica %d has class %d, state %d, node %d, last node %d", r.ID, class, st, r.Node, r.LastNode)
+		}
+		r.Spec.Class, r.State = Class(class), ReplicaState(st)
+		if err := r.Spec.check(); err != nil {
+			return fmt.Errorf("cluster: replica %d: %w", r.ID, err)
 		}
 		c.replicas[i] = r
 	}
@@ -196,16 +178,18 @@ func (s *clusterState) DecodeState(d *checkpoint.Decoder) (err error) {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		for _, id := range n.replicas {
-			if id < 0 || id >= nr {
-				return fmt.Errorf("cluster: node %d hosts unknown replica %d", i, id)
-			}
+		if slices.ContainsFunc(n.replicas, noReplica) {
+			return fmt.Errorf("cluster: node %d hosts an unknown replica", i)
 		}
 	}
 
 	c.estates = nil
 	for range d.Count(4 + 4 + 8) { // no ids, no snapshot, the expiry
-		c.estates = append(c.estates, estate{ids: d.Ints(), snapshot: d.Blob(), expires: d.Int()})
+		es := estate{ids: d.Ints(), snapshot: d.Blob(), expires: d.Int()}
+		if slices.ContainsFunc(es.ids, noReplica) {
+			return fmt.Errorf("cluster: estate %d names an unknown replica", len(c.estates))
+		}
+		c.estates = append(c.estates, es)
 	}
 	c.events = nil
 	for range d.Count(4) { // an empty line
@@ -274,6 +258,23 @@ func (c *Coordinator) FlushCheckpoints() error {
 	return c.writer.Flush()
 }
 
+// rebuildWorlds builds a world of the checkpointed shape on every node
+// the decoded cluster section says hosted one, and returns the renamed
+// sections to decode into them.
+func (c *Coordinator) rebuildWorlds() []checkpoint.Checkpointable {
+	var comps []checkpoint.Checkpointable
+	for _, n := range c.nodes {
+		if !n.hadWorld {
+			continue
+		}
+		gen := n.gen
+		c.buildWorld(n, n.replicas)
+		n.gen = gen // buildController bumped it; keep future rebuilds aligned
+		comps = append(comps, c.worldSectionComponents(n)...)
+	}
+	return comps
+}
+
 // RestoreFleet rebuilds a coordinator from the newest valid fleet
 // checkpoint in cfg.Store. The restore is two-phase, mirroring the
 // daemon's: the cluster section alone is decoded first to learn the
@@ -297,18 +298,7 @@ func RestoreFleet(cfg Config) (*Coordinator, uint64, error) {
 	if err := checkpoint.Unmarshal(data, &clusterState{c: c}); err != nil {
 		return nil, 0, fmt.Errorf("cluster: reading fleet checkpoint %d: %w", seq, err)
 	}
-	var comps []checkpoint.Checkpointable
-	for _, n := range c.nodes {
-		if !n.hadWorld {
-			continue
-		}
-		gen := n.gen
-		ids := append([]int(nil), n.replicas...)
-		c.buildWorld(n, ids)
-		n.gen = gen // buildController bumped it; keep future rebuilds aligned
-		comps = append(comps, c.worldSectionComponents(n)...)
-	}
-	if len(comps) > 0 {
+	if comps := c.rebuildWorlds(); len(comps) > 0 {
 		if err := checkpoint.Unmarshal(data, comps...); err != nil {
 			return nil, 0, fmt.Errorf("cluster: restoring fleet checkpoint %d: %w", seq, err)
 		}

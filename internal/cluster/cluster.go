@@ -21,7 +21,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -33,13 +32,6 @@ import (
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
 	"github.com/twig-sched/twig/internal/sim/service"
-)
-
-// Named admission errors.
-var (
-	ErrUnknownService = errors.New("cluster: unknown service profile")
-	ErrBadLoad        = errors.New("cluster: load fraction must be a finite value in (0, 1.5]")
-	ErrBadQoS         = errors.New("cluster: QoS target must be a finite positive latency")
 )
 
 // ControllerFactory builds the per-node controller stack for a node's
@@ -157,6 +149,13 @@ type counters struct {
 	SnapshotsTaken int
 }
 
+// fields lists the counters in checkpoint order.
+func (k *counters) fields() []*int {
+	return []*int{&k.LeaseExpiries, &k.RestartsSeen, &k.WarmRestores, &k.ColdRestores, &k.Migrations,
+		&k.DeadLetters, &k.PlacementFails, &k.ShedEpisodes, &k.ShedLC, &k.ShedBatch, &k.DecidePanics,
+		&k.StepErrors, &k.EventsInjected, &k.SnapshotsTaken}
+}
+
 // StepSummary reports one coordinator interval.
 type StepSummary struct {
 	Time int
@@ -237,18 +236,12 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // Admit registers a replica; it is placed at the next Step. Returns the
-// replica ID.
+// replica ID, or why ReplicaSpec.check refuses it.
 func (c *Coordinator) Admit(spec ReplicaSpec) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := service.Lookup(spec.Service); err != nil {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownService, spec.Service)
-	}
-	if math.IsNaN(spec.LoadFrac) || math.IsInf(spec.LoadFrac, 0) || spec.LoadFrac <= 0 || spec.LoadFrac > 1.5 {
-		return 0, fmt.Errorf("%w: got %v", ErrBadLoad, spec.LoadFrac)
-	}
-	if math.IsNaN(spec.QoSTargetMs) || math.IsInf(spec.QoSTargetMs, 0) || spec.QoSTargetMs <= 0 {
-		return 0, fmt.Errorf("%w: got %v", ErrBadQoS, spec.QoSTargetMs)
+	if err := spec.check(); err != nil {
+		return 0, err
 	}
 	r := &Replica{
 		ID:        c.admitted,

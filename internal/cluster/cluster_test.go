@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -12,6 +15,7 @@ import (
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
 	"github.com/twig-sched/twig/internal/sim/platform"
+	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // testCtl is a cheap deterministic controller: every service on every
@@ -48,7 +52,7 @@ func batchSpec(servicename string) ReplicaSpec {
 	return ReplicaSpec{Service: servicename, LoadFrac: 0.3, QoSTargetMs: 1000, Class: Batch, Priority: 5}
 }
 
-func mustAdmit(t *testing.T, c *Coordinator, specs ...ReplicaSpec) {
+func mustAdmit(t testing.TB, c *Coordinator, specs ...ReplicaSpec) {
 	t.Helper()
 	for i, sp := range specs {
 		id, err := c.Admit(sp)
@@ -86,19 +90,29 @@ func checkTicks(t *testing.T, c *Coordinator) {
 	}
 }
 
+// Admit refuses what the service-request rule refuses, with the
+// sentinel of the package that owns the value, and a class the
+// degradation policy does not know.
 func TestAdmissionValidation(t *testing.T) {
 	c, err := New(Config{Nodes: 1, Factory: testFactory})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Admit(ReplicaSpec{Service: "nope", LoadFrac: 0.3, QoSTargetMs: 5}); err == nil {
-		t.Error("unknown service admitted")
-	}
-	if _, err := c.Admit(ReplicaSpec{Service: "memcached", LoadFrac: 0, QoSTargetMs: 5}); err == nil {
-		t.Error("zero load admitted")
-	}
-	if _, err := c.Admit(ReplicaSpec{Service: "memcached", LoadFrac: 0.3, QoSTargetMs: -1}); err == nil {
-		t.Error("negative QoS target admitted")
+	for _, tc := range []struct {
+		name string
+		spec ReplicaSpec
+		want error
+	}{
+		{"unknown service", ReplicaSpec{Service: "nope", LoadFrac: 0.3, QoSTargetMs: 5}, service.ErrUnknownProfile},
+		{"zero load", ReplicaSpec{Service: "memcached", LoadFrac: 0, QoSTargetMs: 5}, service.ErrBadLoad},
+		{"NaN load", ReplicaSpec{Service: "memcached", LoadFrac: math.NaN(), QoSTargetMs: 5}, service.ErrBadLoad},
+		{"negative QoS target", ReplicaSpec{Service: "memcached", LoadFrac: 0.3, QoSTargetMs: -1}, service.ErrBadQoS},
+		{"infinite QoS target", ReplicaSpec{Service: "memcached", LoadFrac: 0.3, QoSTargetMs: math.Inf(1)}, service.ErrBadQoS},
+		{"class 7", ReplicaSpec{Service: "memcached", LoadFrac: 0.3, QoSTargetMs: 5, Class: 7}, nil},
+	} {
+		if _, err := c.Admit(tc.spec); err == nil || tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: admitted with error %v, want %v", tc.name, err, tc.want)
+		}
 	}
 	if _, err := c.Admit(lcSpec("memcached", 0)); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
@@ -695,4 +709,132 @@ func TestClusterListBytesFitEncoder(t *testing.T) {
 			t.Errorf("a zero %s encodes to %d bytes, the decoder demands %d", tc.name, got, tc.min)
 		}
 	}
+}
+
+// restoreRows are fleet checkpoint records Admit would refuse, or whose
+// class or nodes no coordinator of chaosConfig's three nodes can hold,
+// each cut from a real run with replica 0 hosted and restored with an
+// error naming the replica. want is the owner's sentinel where the
+// request rule refuses the record.
+var restoreRows = []struct {
+	name  string
+	craft func(r *Replica)
+	want  error
+}{
+	{"unknown service on a hosted replica", func(r *Replica) { r.Spec.Service = "postgres" }, service.ErrUnknownProfile},
+	{"NaN load", func(r *Replica) { r.Spec.LoadFrac = math.NaN() }, service.ErrBadLoad},
+	{"class 7", func(r *Replica) { r.Spec.Class = 7 }, nil},
+	{"node 42", func(r *Replica) { r.Node = 42 }, nil},
+	{"last node 42", func(r *Replica) { r.LastNode = 42 }, nil},
+}
+
+// craftedFleet runs chaosConfig's fleet until replica 0 is hosted and
+// returns its checkpoint with row's record crafted into it.
+func craftedFleet(t testing.TB, craft func(r *Replica)) []byte {
+	c, err := New(chaosConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range []ReplicaSpec{lcSpec("memcached", 2), lcSpec("xapian", 0), batchSpec("masstree")} {
+		if _, err := c.Admit(sp); err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+	}
+	stepN(c, 3)
+	if c.replicas[0].Node < 0 {
+		t.Fatalf("replica 0 is not hosted at t=%d", c.Clock())
+	}
+	craft(c.replicas[0])
+	return c.Marshal()
+}
+
+// A fleet restore refuses exactly what admission refuses, and a replica
+// its fleet cannot hold: each crafted record is an error naming the
+// replica, not a panic (an unknown service on a hosted replica) or a
+// coordinator that fails later.
+func TestRestoreFleetRefusesCraftedRecords(t *testing.T) {
+	for _, row := range restoreRows {
+		t.Run(row.name, func(t *testing.T) {
+			store, err := checkpoint.NewStore(t.TempDir(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Save(3, craftedFleet(t, row.craft)); err != nil {
+				t.Fatal(err)
+			}
+			cfg := chaosConfig(5)
+			cfg.Store = store
+			_, _, err = RestoreFleet(cfg)
+			if err == nil || !strings.Contains(err.Error(), "replica 0") {
+				t.Fatalf("restored with error %v, want one naming replica 0", err)
+			}
+			if row.want != nil && !errors.Is(err, row.want) {
+				t.Fatalf("error %v does not match %v", err, row.want)
+			}
+		})
+	}
+}
+
+// boundDrawCount returns a cluster section whose fault schedule's draw
+// count is cut below 2¹³, as faults' FuzzInjectorDecode cuts its own: a
+// count near rng's fast-forward bound (2³³) replays for seconds, which
+// the fuzzer reports as a hang. It walks the section as DecodeState
+// reads it up to the count: the coordinator's five fields and fourteen
+// counters, then the schedule's name, victims, clock, its active list
+// and log of 4-int node events, and the stream's seed.
+func boundDrawCount(payload []byte) []byte {
+	d := checkpoint.NewDecoder(payload)
+	_, _, _, _, _ = d.Int(), d.Bool(), d.Int(), d.Int(), d.F64()
+	for range 14 {
+		d.Int()
+	}
+	_, _, _ = d.String(), d.Int(), d.Int()
+	for range 2 {
+		for range d.Count(4*8) * 4 {
+			d.U64()
+		}
+	}
+	d.I64()
+	if d.Err() != nil || d.Remaining() < 8 {
+		return payload
+	}
+	out := slices.Clone(payload)
+	at := len(out) - d.Remaining()
+	binary.LittleEndian.PutUint64(out[at:], binary.LittleEndian.Uint64(out[at:])%(1<<13))
+	return out
+}
+
+// FuzzClusterSectionDecode decodes arbitrary bytes, their fault
+// schedule's draw count bounded, as the twig-cluster section into a
+// fresh coordinator and, when that succeeds, rebuilds the hosted worlds
+// as RestoreFleet does (testFactory's cheap controllers). Neither may
+// panic. The seeds are the section of a real chaos run and the crafted
+// records of restoreRows.
+func FuzzClusterSectionDecode(f *testing.F) {
+	section := func(data []byte) []byte {
+		_, secs, err := checkpoint.DecodeFile(data)
+		if err != nil || secs[0].Name != "twig-cluster" {
+			f.Fatalf("no cluster section first: %v", err)
+		}
+		return secs[0].Payload
+	}
+	a, err := New(chaosConfig(7))
+	if err != nil {
+		f.Fatal(err)
+	}
+	mustAdmit(f, a, lcSpec("memcached", 2), lcSpec("xapian", 0), batchSpec("masstree"), lcSpec("img-dnn", 1))
+	stepN(a, 150)
+	f.Add(section(a.Marshal()))
+	for _, row := range restoreRows {
+		f.Add(section(craftedFleet(f, row.craft)))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		c, err := New(chaosConfig(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (&clusterState{c: c}).DecodeState(checkpoint.NewDecoder(boundDrawCount(payload))) == nil {
+			c.rebuildWorlds()
+		}
+	})
 }

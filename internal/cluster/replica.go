@@ -3,6 +3,8 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+
+	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // Class is a replica's QoS class, the unit of the degradation policy:
@@ -40,6 +42,22 @@ type ReplicaSpec struct {
 	// within the LC class (lower priorities shed first).
 	Class    Class
 	Priority int
+}
+
+// check applies the service-request rule to the spec, each value by
+// service, the package that owns it, and refuses an unknown class.
+func (spec ReplicaSpec) check() error {
+	_, err := service.Lookup(spec.Service)
+	if err == nil {
+		err = service.CheckLoad(spec.LoadFrac)
+	}
+	if err == nil {
+		err = service.CheckQoS(spec.QoSTargetMs)
+	}
+	if err == nil && spec.Class > Batch {
+		err = fmt.Errorf("cluster: unknown QoS class %d", spec.Class)
+	}
+	return err
 }
 
 // ReplicaState is a position in the placement state machine:

@@ -9,6 +9,8 @@ import (
 
 	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/mat"
+	"github.com/twig-sched/twig/internal/sim/loadgen"
+	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // status is the JSON document served at /status, shape-compatible with
@@ -108,15 +110,16 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// httpStatusFor maps a named engine error to its HTTP status: malformed
-// or unknown input is 400, a missing service 404, and a request that
-// conflicts with the current state (duplicate name, illegal lifecycle
-// transition, pinned membership, absent store) is 409.
+// httpStatusFor maps a named error to its HTTP status: malformed input
+// or a request the request rule refuses is 400, a missing service 404,
+// and a request that conflicts with the current state (duplicate name,
+// illegal lifecycle transition, pinned membership, absent store) is 409.
 func httpStatusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrUnknownService),
-		errors.Is(err, ErrBadLoad),
-		errors.Is(err, ErrUnknownPattern):
+	case errors.Is(err, service.ErrUnknownProfile),
+		errors.Is(err, service.ErrBadLoad),
+		errors.Is(err, service.ErrBadQoS),
+		errors.Is(err, loadgen.ErrUnknownPattern):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrNoSuchService):
 		return http.StatusNotFound
@@ -249,13 +252,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// NewServer wraps NewMux in a hardened http.Server (timeouts on every
-// phase, bounded header size; bodies are bounded per-handler by
-// decodeBody), so a slow or hostile client cannot pin the daemon.
-func NewServer(addr string, e *Engine) *http.Server {
+// NewServer wraps a handler — NewMux's, or the fleet's read-only one —
+// in a hardened http.Server (timeouts on every phase, bounded header
+// size; NewMux bounds bodies per handler by decodeBody), so a slow or
+// hostile client cannot pin the daemon.
+func NewServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
-		Handler:           NewMux(e),
+		Handler:           h,
 		ReadTimeout:       5 * time.Second,
 		ReadHeaderTimeout: 2 * time.Second,
 		WriteTimeout:      5 * time.Second,

@@ -72,6 +72,7 @@ func TestAPIAdmissionRejectsBadInput(t *testing.T) {
 		{"negative load", `{"name": "xapian", "load": -0.5}`, http.StatusBadRequest},
 		{"absurd load", `{"name": "xapian", "load": 7}`, http.StatusBadRequest},
 		{"unknown pattern", `{"name": "xapian", "load": 0.5, "pattern": "sawtooth"}`, http.StatusBadRequest},
+		{"negative qos target", `{"name": "xapian", "load": 0.5, "qos_target_ms": -1}`, http.StatusBadRequest},
 		{"duplicate", `{"name": "masstree", "load": 0.5}`, http.StatusConflict},
 	}
 	for _, tc := range cases {

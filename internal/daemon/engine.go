@@ -3,7 +3,6 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"time"
@@ -18,16 +17,14 @@ import (
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
-// Named admission and operation errors. The HTTP layer maps each to a
-// 4xx status; tests assert them with errors.Is.
+// Named operation errors. The HTTP layer maps each, and the request
+// rule's sentinels of service and loadgen, to a 4xx status; tests
+// assert them with errors.Is.
 var (
-	ErrUnknownService = errors.New("daemon: unknown service profile")
-	ErrDuplicate      = errors.New("daemon: service already registered")
-	ErrBadLoad        = errors.New("daemon: load fraction must be a finite value in (0, 1.5]")
-	ErrUnknownPattern = errors.New("daemon: unknown load pattern (want fixed, stepwise or diurnal)")
-	ErrNoSuchService  = errors.New("daemon: no such service")
-	ErrFaultsArmed    = errors.New("daemon: membership is fixed while a fault scenario is armed")
-	ErrNoStore        = errors.New("daemon: no checkpoint store configured")
+	ErrDuplicate     = errors.New("daemon: service already registered")
+	ErrNoSuchService = errors.New("daemon: no such service")
+	ErrFaultsArmed   = errors.New("daemon: membership is fixed while a fault scenario is armed")
+	ErrNoStore       = errors.New("daemon: no checkpoint store configured")
 )
 
 // AdmitRequest registers one service with the daemon.
@@ -196,7 +193,7 @@ func New(cfg Config, initial []AdmitRequest) (*Engine, error) {
 		if _, err := service.Lookup(req.Name); err != nil {
 			continue
 		}
-		if req.QoSTargetMs <= 0 {
+		if req.QoSTargetMs == 0 {
 			qos = append(qos, req.Name)
 		}
 		power = append(power, req.Name)
@@ -260,16 +257,8 @@ func (e *Engine) simConfig() sim.Config {
 
 // register validates an AdmitRequest and appends a Pending entry.
 func (e *Engine) register(req AdmitRequest) (*entry, error) {
-	if _, err := service.Lookup(req.Name); err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownService, req.Name)
-	}
-	for _, en := range e.entries {
-		if en.name == req.Name {
-			return nil, fmt.Errorf("%w: %q is %s", ErrDuplicate, req.Name, en.lc.State())
-		}
-	}
-	if math.IsNaN(req.Load) || math.IsInf(req.Load, 0) || req.Load <= 0 || req.Load > 1.5 {
-		return nil, fmt.Errorf("%w: got %v", ErrBadLoad, req.Load)
+	if other := e.find(req.Name); other != nil {
+		return nil, fmt.Errorf("%w: %q is %s", ErrDuplicate, req.Name, other.lc.State())
 	}
 	if req.Pattern == "" {
 		req.Pattern = "fixed"
@@ -285,37 +274,34 @@ func (e *Engine) register(req AdmitRequest) (*entry, error) {
 	if err := e.bind(en); err != nil {
 		return nil, err
 	}
-	if en.qosMs <= 0 {
-		en.qosMs = experiments.QoSTarget(req.Name)
-	}
 	e.admitted++
 	e.entries = append(e.entries, en)
 	return en, nil
 }
 
-// bind gives an entry what its checkpoint record cannot carry: its load
-// pattern — the configured override for its name, or the generator its
-// pattern name gives over the profile's saturation load — and its
-// metric series.
+// bind applies the request rule to an entry, admitted or restored, each
+// value by its owner (a zero QoS target is calibrated, checks first),
+// and gives it what its record cannot carry: its load pattern (its
+// name's override, or its pattern's) and its metric series.
 func (e *Engine) bind(en *entry) error {
 	prof, err := service.Lookup(en.name)
 	if err != nil {
-		return fmt.Errorf("%w: %q", ErrUnknownService, en.name)
+		return err
 	}
-	frac, maxRPS := en.load, prof.MaxLoadRPS
+	if err := service.CheckLoad(en.load); err != nil {
+		return err
+	}
+	if en.pat, err = loadgen.Named(en.pattern, en.load, prof.MaxLoadRPS); err != nil {
+		return err
+	}
+	if en.qosMs == 0 {
+		en.qosMs = experiments.QoSTarget(en.name)
+	}
+	if err := service.CheckQoS(en.qosMs); err != nil {
+		return err
+	}
 	if p, ok := e.cfg.PatternOverrides[en.name]; ok {
 		en.pat = p
-	} else {
-		switch en.pattern {
-		case "fixed":
-			en.pat = loadgen.Fixed(frac * maxRPS)
-		case "stepwise":
-			en.pat = loadgen.NewStepWise(0.2*frac*maxRPS, frac*maxRPS, 0.2, 200)
-		case "diurnal":
-			en.pat = loadgen.Diurnal{MinRPS: 0.3 * frac * maxRPS, MaxRPS: frac * maxRPS, PeriodS: 3600}
-		default:
-			return fmt.Errorf("%w: %q", ErrUnknownPattern, en.pattern)
-		}
 	}
 	en.series = e.seriesFor(en.name)
 	return nil
@@ -392,9 +378,9 @@ func (e *Engine) buildController() {
 }
 
 // Admit registers a service at runtime; it is placed at the next
-// interval boundary. Rejected with a named error when the profile is
-// unknown, the name is already registered, the load or pattern is
-// invalid, or a fault scenario pins the membership.
+// interval boundary. Rejected with a named error when the name is
+// already registered, the request rule refuses it (bind), or a fault
+// scenario pins the membership.
 func (e *Engine) Admit(req AdmitRequest) (ServiceView, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -128,11 +128,12 @@ func (e *Engine) marshal(dst []byte) []byte {
 // cfg.Store and returns it with the restored sequence number. A
 // restored engine is built from the constructor's parts plus decode:
 // newEngine, the daemon section decoded into the registry, bind on each
-// entry, buildWorld over the hosted ones, then every world section
-// decoded into that world. Because each component's DecodeState fully
-// overwrites its random streams and learning state, the resumed
-// trajectory is bit-identical to an uninterrupted run — regardless of
-// how the membership evolved before the cut.
+// entry (refusing what admission refuses), buildWorld over the hosted
+// ones, then every world section decoded into that world. Because each
+// component's DecodeState fully overwrites its random streams and
+// learning state, the resumed trajectory is bit-identical to an
+// uninterrupted run — regardless of how the membership evolved before
+// the cut.
 func RestoreLatest(cfg Config) (*Engine, uint64, error) {
 	if cfg.Store == nil {
 		return nil, 0, ErrNoStore
@@ -154,7 +155,11 @@ func RestoreLatest(cfg Config) (*Engine, uint64, error) {
 	}
 	e.resumed, e.gen, e.admitted, e.next, e.entries = seq, st.gen, st.admitted, st.next, st.entries
 	for _, en := range e.entries {
-		if err := e.bind(en); err != nil {
+		err := e.bind(en)
+		if err == nil && e.find(en.name) != en {
+			err = ErrDuplicate
+		}
+		if err != nil {
 			return nil, 0, fmt.Errorf("daemon: checkpoint %d, service %q: %w", seq, en.name, err)
 		}
 	}

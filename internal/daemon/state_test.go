@@ -2,12 +2,17 @@ package daemon
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/sim/faults"
+	"github.com/twig-sched/twig/internal/sim/loadgen"
+	"github.com/twig-sched/twig/internal/sim/service"
 )
 
 // sectionEngine is a guarded, fault-armed engine at tiny scale: every
@@ -133,5 +138,45 @@ func TestRestoredEngineWritesItsCheckpoint(t *testing.T) {
 	}
 	if got := re.marshal(nil); !bytes.Equal(got, want) {
 		t.Fatalf("restored engine encodes %d bytes that differ from the %d it was restored from", len(got), len(want))
+	}
+}
+
+// A restore refuses exactly what admission refuses: a registry record
+// the request rule would not admit, cut into a real checkpoint, is an
+// error naming the service and matching the sentinel of the package
+// that owns the value — not an engine that fails on its first Step.
+func TestRestoreRefusesCraftedEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		craft func(en *entry)
+		want  error
+	}{
+		{"NaN load", func(en *entry) { en.load = math.NaN() }, service.ErrBadLoad},
+		{"load 9", func(en *entry) { en.load = 9 }, service.ErrBadLoad},
+		{"NaN QoS target", func(en *entry) { en.qosMs = math.NaN() }, service.ErrBadQoS},
+		{"negative QoS target", func(en *entry) { en.qosMs = -2 }, service.ErrBadQoS},
+		{"unknown pattern", func(en *entry) { en.pattern = "sawtooth" }, loadgen.ErrUnknownPattern},
+		{"unknown service", func(en *entry) { en.name = "postgres" }, service.ErrUnknownProfile},
+		{"second record of a name", func(en *entry) { en.name = "masstree" }, ErrDuplicate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := checkpoint.NewStore(t.TempDir(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Scale: tinyScale(), Seed: 3, Store: store}
+			e, err := New(cfg, []AdmitRequest{{Name: "masstree", Load: 0.5}, {Name: "xapian", Load: 0.4, Pattern: "diurnal"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.craft(e.entries[1])
+			if err := e.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = RestoreLatest(cfg)
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), fmt.Sprintf("%q", e.entries[1].name)) {
+				t.Fatalf("restored with error %v, want %v naming %q", err, tc.want, e.entries[1].name)
+			}
+		})
 	}
 }

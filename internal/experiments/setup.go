@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -47,6 +48,9 @@ func QuickScale() Scale {
 	return Scale{Name: "quick", AgentConfig: bdq.QuickAgent(), LearnS: 4000, SummaryS: 300}
 }
 
+// ErrUnknownScale marks a scale name NamedScale does not know.
+var ErrUnknownScale = errors.New("experiments: unknown scale")
+
 // NamedScale returns the scale called name: quick, paper or short.
 func NamedScale(name string) (Scale, error) {
 	switch name {
@@ -57,7 +61,7 @@ func NamedScale(name string) (Scale, error) {
 	case "short":
 		return ShortScale(), nil
 	}
-	return Scale{}, fmt.Errorf("unknown scale %q (want quick, paper or short)", name)
+	return Scale{}, fmt.Errorf("%w %q (want quick, paper or short)", ErrUnknownScale, name)
 }
 
 // onceByKey holds one once-value per key: the first caller of a key

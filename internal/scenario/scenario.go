@@ -146,8 +146,8 @@ func (s Spec) Validate() error {
 			if _, err := service.Lookup(m.Service); err != nil {
 				return fmt.Errorf("scenario %s: class %s: %w", s.Name, c.Name, err)
 			}
-			if !(m.LoadFrac > 0) || m.LoadFrac > 1.5 {
-				return fmt.Errorf("scenario %s: class %s service %s load fraction %v outside (0,1.5]", s.Name, c.Name, m.Service, m.LoadFrac)
+			if err := service.CheckLoad(m.LoadFrac); err != nil {
+				return fmt.Errorf("scenario %s: class %s service %s: %w", s.Name, c.Name, m.Service, err)
 			}
 		}
 	}

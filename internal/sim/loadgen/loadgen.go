@@ -4,7 +4,11 @@
 // diurnal pattern common in data centres.
 package loadgen
 
-import "math"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Pattern yields the offered load, in requests per second, at a given
 // simulated second.
@@ -75,4 +79,25 @@ func (d Diurnal) RPS(t int) float64 {
 	amp := (d.MaxRPS - d.MinRPS) / 2
 	phase := 2 * math.Pi * float64(t+d.PhaseS) / float64(d.PeriodS)
 	return mid + amp*math.Sin(phase)
+}
+
+// PatternNames lists, for flag help, the load patterns Named knows.
+const PatternNames = "fixed, stepwise or diurnal"
+
+// ErrUnknownPattern marks a load-pattern name Named does not know.
+var ErrUnknownPattern = errors.New("loadgen: unknown load pattern (want " + PatternNames + ")")
+
+// Named returns the load pattern a service request names at frac of a
+// saturation load maxRPS: constant, the step-wise ladder from a fifth
+// of it, or the diurnal swing from 30 % of it over an hour.
+func Named(name string, frac, maxRPS float64) (Pattern, error) {
+	switch name {
+	case "fixed":
+		return Fixed(frac * maxRPS), nil
+	case "stepwise":
+		return NewStepWise((0.2*frac)*maxRPS, frac*maxRPS, 0.2, 200), nil
+	case "diurnal":
+		return Diurnal{MinRPS: (0.3 * frac) * maxRPS, MaxRPS: frac * maxRPS, PeriodS: 3600}, nil
+	}
+	return nil, fmt.Errorf("%w: %q", ErrUnknownPattern, name)
 }

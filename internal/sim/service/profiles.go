@@ -1,6 +1,10 @@
 package service
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Built-in profiles for the services used in the paper's evaluation. The
 // maximum loads are Table II's; the remaining parameters were chosen so
@@ -132,13 +136,39 @@ var builtin = map[string]Profile{
 // the paper's Table II order.
 func TailbenchNames() []string { return []string{"masstree", "xapian", "moses", "img-dnn"} }
 
+// The service-request rule's errors (twigd, both admissions and both
+// restores ask it); each names the refused value.
+var (
+	ErrUnknownProfile = errors.New("service: unknown profile")
+	ErrBadLoad        = errors.New("service: load fraction must be a finite value in (0, 1.5]")
+	ErrBadQoS         = errors.New("service: QoS target must be a finite positive latency")
+)
+
 // Lookup returns the built-in profile with the given name.
 func Lookup(name string) (Profile, error) {
 	p, ok := builtin[name]
 	if !ok {
-		return Profile{}, fmt.Errorf("service: unknown profile %q", name)
+		return Profile{}, fmt.Errorf("%w %q", ErrUnknownProfile, name)
 	}
 	return p, nil
+}
+
+const maxLoadFrac = 1.5 // past saturation, short of queues that only grow
+
+// CheckLoad refuses a fraction of MaxLoadRPS outside (0, maxLoadFrac].
+func CheckLoad(frac float64) error {
+	if !(frac > 0 && frac <= maxLoadFrac) {
+		return fmt.Errorf("%w: got %v", ErrBadLoad, frac)
+	}
+	return nil
+}
+
+// CheckQoS refuses a tail-latency target that is not finite and > 0 ms.
+func CheckQoS(ms float64) error {
+	if !(ms > 0 && ms <= math.MaxFloat64) {
+		return fmt.Errorf("%w: got %v", ErrBadQoS, ms)
+	}
+	return nil
 }
 
 // MustLookup is Lookup for known-good names; it panics on failure.
